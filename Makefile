@@ -10,22 +10,28 @@
 #                     perf trajectory record), the workload × fault
 #                     matrix emitting BENCH_matrix.json (smoke grid;
 #                     MATRIX_FULL=1 runs the exhaustive grid), a short
-#                     fuzz smoke over the wire/merkle decoders, plus the
-#                     README package-map completeness check.
+#                     fuzz smoke over the wire/merkle decoders, the
+#                     README package-map completeness check, and a smoke
+#                     run of the real-clock benchmark under bench/.
 #   make lint       — repllint (the in-tree go/analysis suite under
 #                     internal/analysis: poolcheck, lockcheck,
 #                     trustcheck, timercheck), then staticcheck and
 #                     govulncheck when present on PATH (CI installs
 #                     them; locally they skip with a note).
+#   make bench-smoke — vet and short tests of the bench/ module (its own
+#                     go.mod, so `./...` from the root does not reach
+#                     it), then two seconds of the read-point workload
+#                     over loopback TCP, which must end correct with no
+#                     failed operation.
 #   make profile    — run the E18 hot-path experiment under the CPU and
 #                     heap profilers; inspect with `go tool pprof`.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme bench profile
+.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix bench-smoke fuzz-smoke check-readme bench profile
 
-verify: build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme
+verify: build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme bench-smoke
 
 build:
 	$(GO) build ./...
@@ -76,6 +82,15 @@ bench-e19:
 bench-matrix:
 	$(GO) run ./cmd/replsim -matrix -matrixout BENCH_matrix.json
 	@echo "wrote BENCH_matrix.json"
+
+# The real-clock benchmark lives in its own module: vet and test it, then
+# run one short workload end to end. The run prints its result as a final
+# JSON line, which must report correct output and no failed operation.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	@out=$$(bash bench/run.sh --workload read-point --seed 1 --seconds 2 --trace 0 | tail -n 1); \
+	echo "$$out"; \
+	case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "bench-smoke: read-point did not end correct with failed 0"; exit 1;; esac
 
 # Short native-fuzz runs over the two untrusted-input decoders. The
 # checked-in corpora under testdata/fuzz/ replay in plain `go test`;

@@ -1,6 +1,8 @@
 // Package repro's top-level benchmarks regenerate every experiment table
-// (E1–E12, see DESIGN.md §3 and EXPERIMENTS.md) plus micro-benchmarks of
-// the underlying primitives. Experiment benches run the identical harness
+// (E1–E19; `go run ./cmd/replsim -list` names the paper claim each one
+// validates, README.md "Performance trajectory" the mechanisms) plus
+// micro-benchmarks of the underlying primitives. Everything here runs in
+// the simulator's virtual time; the real-clock benchmark is bench/. Experiment benches run the identical harness
 // code that cmd/replsim -all runs, at a reduced scale per iteration; the
 // table output is suppressed, the work is real.
 //

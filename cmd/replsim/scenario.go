@@ -178,7 +178,10 @@ func runScenario(seed int64, f scenarioFlags) {
 	t.Add("client reassignments", cs.Reassignments)
 	t.Add("slave reads served", ss.ReadsServed)
 	t.Add("slave reads refused (stale)", ss.ReadsRefused)
+	t.Add("slave pledge signatures memoised (hits/misses)", fmt.Sprintf("%d/%d", ss.PledgeCacheHits, ss.PledgeCacheMisses))
+	t.Add("client pledge verifications memoised (hits/misses)", fmt.Sprintf("%d/%d", cs.PledgeCacheHits, cs.PledgeCacheMisses))
 	t.Add("pledges audited", as.PledgesAudited)
+	t.Add("auditor pledge verifications memoised (hits/misses)", fmt.Sprintf("%d/%d", as.PledgeCacheHits, as.PledgeCacheMisses))
 	t.Add("audit mismatches", as.Mismatches)
 	t.Add("auditor max backlog", as.BacklogMax)
 	t.Add("auditor max version lag", as.VersionLagMax)

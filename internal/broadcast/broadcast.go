@@ -393,13 +393,16 @@ func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 
 	case MethodCommit:
 		r := wire.NewReader(body)
-		view := int(r.Uvarint())
+		view := r.Uvarint()
 		seq := r.Uvarint()
 		msg := r.Bytes()
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		m.acceptCommit(from, view, seq, msg)
+		if err := m.checkView(view); err != nil {
+			return nil, err
+		}
+		m.acceptCommit(int(view), seq, msg)
 		return nil, nil
 
 	case MethodFetch:
@@ -423,7 +426,7 @@ func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 
 	case MethodHello:
 		r := wire.NewReader(body)
-		view := int(r.Uvarint())
+		view := r.Uvarint()
 		maxSeq := r.Uvarint()
 		var stable uint64
 		if r.Remaining() > 0 {
@@ -432,7 +435,10 @@ func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		m.acceptHello(from, view, maxSeq, stable)
+		if err := m.checkView(view); err != nil {
+			return nil, err
+		}
+		m.acceptHello(int(view), maxSeq, stable)
 		// Reply with our delivered mark: the sequencer aggregates these
 		// into the stability floor that gates archive truncation.
 		w := wire.NewWriter(8)
@@ -442,7 +448,21 @@ func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("broadcast: unknown method %q", method)
 }
 
-func (m *Member) acceptCommit(from string, view int, seq uint64, msg []byte) {
+// checkView rejects a sender's view number that does not index Peers. It
+// comes off an unauthenticated wire, so this runs before anything stores
+// it or indexes with it.
+func (m *Member) checkView(view uint64) error {
+	if view >= uint64(len(m.cfg.Peers)) {
+		return fmt.Errorf("broadcast: view %d outside the %d-member peer list", view, len(m.cfg.Peers))
+	}
+	return nil
+}
+
+// acceptCommit and acceptHello take the sender from the view, not from
+// the transport: both messages come from the sequencer Peers[view], while
+// the RPC's from is, over TCP, the caller's ephemeral source port — an
+// address nobody listens on.
+func (m *Member) acceptCommit(view int, seq uint64, msg []byte) {
 	m.mu.Lock()
 	if view > m.view {
 		m.view = view
@@ -457,7 +477,7 @@ func (m *Member) acceptCommit(from string, view int, seq uint64, msg []byte) {
 	gap := m.delivered+1 < seq && m.missingBelowLocked(seq)
 	m.mu.Unlock()
 	if gap {
-		m.fetchRange(from, seq)
+		m.fetchRange(m.cfg.Peers[view], seq)
 	}
 	m.tryDeliver()
 }
@@ -471,7 +491,8 @@ func (m *Member) missingBelowLocked(seq uint64) bool {
 	return false
 }
 
-func (m *Member) acceptHello(from string, view int, maxSeq uint64, stable uint64) {
+func (m *Member) acceptHello(view int, maxSeq uint64, stable uint64) {
+	from := m.cfg.Peers[view]
 	m.mu.Lock()
 	if view >= m.view {
 		if view > m.view {

@@ -27,6 +27,12 @@ type AuditorStats struct {
 	ReportsSent     uint64
 	VersionLagMax   uint64 // max (master version - auditor version) seen
 	BacklogMax      int    // max pending pledges seen
+
+	// PledgeCacheHits/Misses count verified-pledge cache consultations: a
+	// pledge byte-identical to one already verified skips the signature
+	// check (the re-execution or its query-cache probe still runs).
+	PledgeCacheHits   uint64
+	PledgeCacheMisses uint64
 }
 
 // AuditorConfig configures the auditor.
@@ -80,12 +86,15 @@ type Auditor struct {
 	replica  *store.Store
 	writes   map[uint64]bufferedWrite // pending, by target version
 	pending  map[uint64][]Pledge      // pledges by content version
+	backlog  int                      // guarded by mu; pledges in pending, kept as a running count
 	cache    map[string]cryptoutil.Digest
 	stats    AuditorStats
 	stopped  bool
 	masterV  uint64          // highest version committed by masters (observed)
 	marks    []versionMark   // version -> broadcast seq (archive truncation)
 	detected map[string]bool // slave pubs already reported
+
+	pledges *sigCache // verified-pledge cache (amortizes repeat VerifySig)
 }
 
 // NewAuditor creates the auditor over the initial content replica.
@@ -103,6 +112,7 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		pending:  make(map[uint64][]Pledge),
 		cache:    make(map[string]cryptoutil.Digest),
 		detected: make(map[string]bool),
+		pledges:  newSigCache(),
 	}
 	// Ordered writes continue from the initial content version.
 	a.masterV = a.replica.Version()
@@ -139,7 +149,9 @@ func (a *Auditor) Stop() {
 func (a *Auditor) Stats() AuditorStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.stats
+	st := a.stats
+	st.PledgeCacheHits, st.PledgeCacheMisses = a.pledges.stats()
+	return st
 }
 
 // Version returns the auditor replica's (lagging) content version.
@@ -153,11 +165,7 @@ func (a *Auditor) Version() uint64 {
 func (a *Auditor) Backlog() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for _, ps := range a.pending {
-		n += len(ps)
-	}
-	return n
+	return a.backlog
 }
 
 // Addr returns the auditor's address.
@@ -321,17 +329,10 @@ func (a *Auditor) admitPledgeLocked(pledge Pledge) {
 		return
 	}
 	a.pending[v] = append(a.pending[v], pledge)
-	if b := a.backlogLocked(); b > a.stats.BacklogMax {
-		a.stats.BacklogMax = b
+	a.backlog++
+	if a.backlog > a.stats.BacklogMax {
+		a.stats.BacklogMax = a.backlog
 	}
-}
-
-func (a *Auditor) backlogLocked() int {
-	n := 0
-	for _, ps := range a.pending {
-		n += len(ps)
-	}
-	return n
 }
 
 // auditLoop drains pledges for the current version and advances the
@@ -343,6 +344,7 @@ func (a *Auditor) auditLoop() {
 		cur := a.replica.Version()
 		batch := a.pending[cur]
 		delete(a.pending, cur)
+		a.backlog -= len(batch)
 		a.mu.Unlock()
 		if stopped {
 			return
@@ -364,9 +366,11 @@ func (a *Auditor) auditLoop() {
 // auditOne verifies a single pledge against the trusted replica.
 func (a *Auditor) auditOne(p Pledge) {
 	// Verify the slave signature: an unsigned/forged pledge cannot frame
-	// anyone and carries no information.
-	chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.VerifySig)
-	if err := p.VerifySig(); err != nil {
+	// anyone and carries no information. A pledge byte-identical to one
+	// already verified costs a lookup instead.
+	hit, err := a.pledges.verifyPledge(&p)
+	chargeSig(a.cfg.CPU, a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
+	if err != nil {
 		a.mu.Lock()
 		a.stats.PledgesBadSig++
 		a.mu.Unlock()

@@ -145,6 +145,11 @@ func TestAuditorCacheHitsForRepeatedQueries(t *testing.T) {
 	if st.CacheHits != 4 {
 		t.Fatalf("cache hits = %d, want 4", st.CacheHits)
 	}
+	// The five pledges are byte-identical: one signature check, four
+	// lookups.
+	if st.PledgeCacheHits != 4 || st.PledgeCacheMisses != 1 {
+		t.Fatalf("pledge cache: %d hits, %d misses, want 4 and 1", st.PledgeCacheHits, st.PledgeCacheMisses)
+	}
 }
 
 func TestAuditorSamplingSkips(t *testing.T) {
@@ -173,12 +178,13 @@ func TestAuditorBadSignatureDropped(t *testing.T) {
 		p := r.pledgeFor(query.Get{Key: "k"}, true)
 		p.Sig[0] ^= 0xff // a forged pledge cannot frame the slave
 		r.sendPledge(p)
+		r.sendPledge(p) // nor does a second copy ride on a cached verdict
 		r.s.Sleep(3 * r.params.KeepAliveEvery)
 		r.s.Stop()
 	})
 	r.s.Run()
 	st := r.auditor.Stats()
-	if st.PledgesBadSig != 1 || st.ReportsSent != 0 {
+	if st.PledgesBadSig != 2 || st.PledgeCacheHits != 0 || st.ReportsSent != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

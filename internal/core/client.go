@@ -42,6 +42,11 @@ type ClientStats struct {
 	// stamp, so hits replace full signature verifications.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
+	// PledgeCacheHits/Misses count verified-pledge cache consultations: a
+	// repeat of a popular query inside one keep-alive interval returns the
+	// byte-identical pledge, whose signature was already checked.
+	PledgeCacheHits   uint64
+	PledgeCacheMisses uint64
 }
 
 // ClientConfig configures a client.
@@ -85,15 +90,16 @@ type Client struct {
 
 	mu         sync.Mutex
 	masterAddr string
-	masterPubs []cryptoutil.PublicKey // all certified masters (stamp check)
+	masterPubs []cryptoutil.PublicKey // all certified masters (stamp check); replaced, never mutated in place
 	masterPub  cryptoutil.PublicKey   // our master (slave cert check)
 	slaves     []slaveAssignment
 	stats      ClientStats
 
-	// stamps caches verified master stamps: between content updates every
-	// read reply carries the same stamp, so repeat verifications are a
-	// cache hit instead of a signature check.
-	stamps *stampCache
+	// stamps and pledges cache verified signatures: between content
+	// updates every read reply carries the same stamp, and a repeated
+	// query the same pledge, so repeat verifications are a cache hit
+	// instead of a signature check.
+	stamps, pledges *sigCache
 }
 
 // NewClient creates a client; call Setup before reads or writes.
@@ -102,11 +108,12 @@ func NewClient(cfg ClientConfig, rt sim.Runtime, dlr rpc.Dialer) *Client {
 		cfg.KSlaves = 1
 	}
 	return &Client{
-		cfg:    cfg,
-		rt:     rt,
-		dlr:    dlr,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		stamps: newStampCache(0),
+		cfg:     cfg,
+		rt:      rt,
+		dlr:     dlr,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		stamps:  newSigCache(),
+		pledges: newSigCache(),
 	}
 }
 
@@ -116,6 +123,7 @@ func (c *Client) Stats() ClientStats {
 	defer c.mu.Unlock()
 	st := c.stats
 	st.StampCacheHits, st.StampCacheMisses = c.stamps.stats()
+	st.PledgeCacheHits, st.PledgeCacheMisses = c.pledges.stats()
 	return st
 }
 
@@ -154,18 +162,23 @@ func (c *Client) Setup() error {
 	if idx < 0 || idx >= len(masters) {
 		idx = c.rng.Intn(len(masters))
 	}
-	chosen := masters[idx]
-
-	c.mu.Lock()
-	c.masterAddr = chosen.Addr
-	c.masterPub = chosen.Subject
-	c.masterPubs = c.masterPubs[:0]
-	for _, m := range masters {
-		c.masterPubs = append(c.masterPubs, m.Subject)
-	}
-	c.mu.Unlock()
-
+	c.adoptMasters(masters, idx)
 	return c.requestSlaves(nil)
+}
+
+// adoptMasters records the certified master set and the chosen master.
+// masterPubs gets a fresh slice: readers snapshot it under c.mu and use
+// it after unlocking.
+func (c *Client) adoptMasters(masters []pki.Certificate, chosen int) {
+	pubs := make([]cryptoutil.PublicKey, len(masters))
+	for i, m := range masters {
+		pubs[i] = m.Subject
+	}
+	c.mu.Lock()
+	c.masterAddr = masters[chosen].Addr
+	c.masterPub = masters[chosen].Subject
+	c.masterPubs = pubs
+	c.mu.Unlock()
 }
 
 // requestSlaves (re)fills the slave assignment list, excluding the given
@@ -232,15 +245,7 @@ func (c *Client) resetup() error {
 	if pick < 0 {
 		pick = 0
 	}
-	chosen := masters[pick]
-	c.mu.Lock()
-	c.masterAddr = chosen.Addr
-	c.masterPub = chosen.Subject
-	c.masterPubs = c.masterPubs[:0]
-	for _, m := range masters {
-		c.masterPubs = append(c.masterPubs, m.Subject)
-	}
-	c.mu.Unlock()
+	c.adoptMasters(masters, pick)
 	return c.requestSlaves(nil)
 }
 
@@ -467,14 +472,14 @@ func (c *Client) readOnce(queryBytes []byte, checkProb float64) ([]byte, error) 
 		c.mu.Unlock()
 		return nil, ErrNoSlaves
 	}
-	sl := c.slaves[0]
+	sl, masterPubs := c.slaves[0], c.masterPubs
 	c.mu.Unlock()
 
 	reply, err := c.callSlaveRead(sl, queryBytes)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.verifyReply(sl, queryBytes, reply); err != nil {
+	if err := c.verifyReply(sl, masterPubs, queryBytes, reply); err != nil {
 		return nil, err
 	}
 
@@ -534,8 +539,10 @@ func (c *Client) callSlaveRead(sl slaveAssignment, queryBytes []byte) (ReadReply
 
 // verifyReply performs the client-side checks of §3.2: result hash
 // matches the pledge, the pledge is signed by the assigned slave, the
-// stamp is signed by a certified master, and it is fresh.
-func (c *Client) verifyReply(sl slaveAssignment, queryBytes []byte, reply ReadReply) error {
+// stamp is signed by a certified master, and it is fresh. Only the two
+// signature checks go through the verified-signature caches; every other
+// check runs on every reply.
+func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply ReadReply) error {
 	if !cryptoutil.HashBytes(reply.Payload).Equal(reply.Pledge.ResultHash) {
 		c.mu.Lock()
 		c.stats.HashMismatches++
@@ -548,7 +555,7 @@ func (c *Client) verifyReply(sl slaveAssignment, queryBytes []byte, reply ReadRe
 		c.mu.Unlock()
 		return fmt.Errorf("%w: pledge signed by unexpected key", errRetry)
 	}
-	if err := reply.Pledge.VerifySig(); err != nil {
+	if _, err := c.pledges.verifyPledge(&reply.Pledge); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()
@@ -560,10 +567,7 @@ func (c *Client) verifyReply(sl slaveAssignment, queryBytes []byte, reply ReadRe
 		c.mu.Unlock()
 		return fmt.Errorf("%w: pledge covers a different query", errRetry)
 	}
-	c.mu.Lock()
-	masterPubs := append([]cryptoutil.PublicKey(nil), c.masterPubs...)
-	c.mu.Unlock()
-	if _, err := c.stamps.verify(&reply.Pledge.Stamp, masterPubs); err != nil {
+	if _, err := c.stamps.verifyStamp(&reply.Pledge.Stamp, masterPubs); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()
@@ -716,6 +720,7 @@ func (c *Client) forwardPledges(ps []Pledge) error {
 func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
 	assigns := append([]slaveAssignment(nil), c.slaves...)
+	masterPubs := c.masterPubs
 	c.mu.Unlock()
 	if len(assigns) == 0 {
 		return nil, ErrNoSlaves
@@ -727,7 +732,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := c.verifyReply(sl, queryBytes, reply); err != nil {
+		if err := c.verifyReply(sl, masterPubs, queryBytes, reply); err != nil {
 			return nil, err
 		}
 		replies = append(replies, reply)

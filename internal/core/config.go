@@ -119,6 +119,15 @@ func chargeCPU(cpu *sim.Resource, d time.Duration) {
 	}
 }
 
+// chargeSig charges one signature operation: its full cost, or a cache
+// lookup when a memo hit made the operation unnecessary.
+func chargeSig(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Duration, hit bool) {
+	if hit {
+		full = costs.CacheLookup
+	}
+	chargeCPU(cpu, full)
+}
+
 // DirectoryService is the slice of pki.Directory behaviour the protocol
 // needs, bound to one content key. In simulations the directory object is
 // shared in-process; over TCP cmd/replnode serves it remotely. Every

@@ -43,6 +43,24 @@
 // version, and slaves that fell behind a checkpoint recover through
 // snapshot-first sync instead of unbounded history replay.
 //
+// Signatures on the read path are paid once per distinct piece of
+// evidence (sigcache.go). A pledge signs (query, result hash, stamp,
+// slave key) and ed25519 is deterministic, so between two keep-alives a
+// repeated query yields the byte-identical pledge: the slave keeps the
+// signatures it made under its current stamp (Slave.signPledge; the
+// table is emptied when the stamp changes, and a corrupted payload has
+// its own result hash and so its own entry), and clients and the
+// auditor verify pledges — as every node already verified stamps —
+// through a sigCache, a bounded set keyed by digest(signed body ‖
+// signature) that stores positive verdicts only. A hit is as safe as a
+// verify because nothing but the exact bytes that passed a full
+// verification can produce the key; whether the signer is the assigned
+// slave or a trusted master, whether the pledge covers this query and
+// payload, and whether the stamp is fresh are not part of the verdict
+// and are checked on every message. Under the benchmark's Zipf(1.1)
+// reads over 20 000 keys about half the reads of one 100 ms stamp
+// interval are repeats; under uniform keys 1–2%.
+//
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch's op records and
 // signed stamp are appended to a write-ahead log and fsynced before the

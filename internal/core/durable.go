@@ -356,7 +356,7 @@ func (m *Master) catchUpFrom(peer string) error {
 		// Records of one batch share a stamp; the verified-stamp cache
 		// checks each distinct signature once, plus the per-record
 		// binding.
-		if _, err := m.stamps.verify(&rec.Stamp, pubs); err != nil {
+		if _, err := m.stamps.verifyStamp(&rec.Stamp, pubs); err != nil {
 			return err
 		}
 		if err := rec.VerifyBinding(); err != nil {
@@ -368,7 +368,7 @@ func (m *Master) catchUpFrom(peer string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := m.stamps.verify(&closing, pubs); err != nil {
+	if _, err := m.stamps.verifyStamp(&closing, pubs); err != nil {
 		return err
 	}
 	anchor := r.Uvarint()

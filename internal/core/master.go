@@ -206,7 +206,7 @@ type Master struct {
 
 	greedy *greedyTracker
 
-	stamps *stampCache // verified-stamp cache (catch-up record streams)
+	stamps *sigCache // verified-stamp cache (catch-up record streams)
 
 	// Batch-commit scratch, reused across applyBatch calls. Delivery is
 	// serialized (one broadcast drainer), and replay at startup runs
@@ -249,7 +249,7 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		pending:     make(map[string]*sim.Promise),
 		pendingCh:   make(map[string]chan uint64),
 		greedy:      newGreedyTracker(cfg.Params),
-		stamps:      newStampCache(0),
+		stamps:      newSigCache(),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,

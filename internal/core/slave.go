@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/ed25519"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -29,6 +30,11 @@ type SlaveStats struct {
 	// hit replaces an ed25519 verification with a hash lookup.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
+	// PledgeCacheHits/Misses count signed-pledge table consultations: a
+	// hit re-issues the signature already made for the byte-identical
+	// pledge (same query, result and stamp) instead of signing again.
+	PledgeCacheHits   uint64
+	PledgeCacheMisses uint64
 }
 
 // SlaveConfig configures a slave server.
@@ -63,8 +69,13 @@ type Slave struct {
 	lastStamp VersionStamp // guarded by mu
 	syncing   bool         // guarded by mu; single-flight: at most one syncFrom in progress
 	stats     SlaveStats   // guarded by mu
+	// pledgeSigs memoises pledge signatures by the digest of the signed
+	// body. Every body embeds lastStamp, so the table is emptied whenever
+	// lastStamp changes; once it holds sigCacheSize entries it takes no
+	// more until then.
+	pledgeSigs map[cryptoutil.Digest][ed25519.SignatureSize]byte // guarded by mu
 
-	stamps *stampCache // verified-stamp cache (amortizes repeat Verify)
+	stamps *sigCache // verified-stamp cache (amortizes repeat Verify)
 }
 
 // NewSlave creates a slave over an initial content replica (cloned).
@@ -73,12 +84,13 @@ func NewSlave(cfg SlaveConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.St
 		cfg.Behavior = Honest{}
 	}
 	return &Slave{
-		cfg:    cfg,
-		rt:     rt,
-		dlr:    dlr,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		store:  initial.Clone(),
-		stamps: newStampCache(0),
+		cfg:        cfg,
+		rt:         rt,
+		dlr:        dlr,
+		rng:        rand.New(rand.NewSource(cfg.Seed)),
+		store:      initial.Clone(),
+		stamps:     newSigCache(),
+		pledgeSigs: make(map[cryptoutil.Digest][ed25519.SignatureSize]byte),
 	}
 }
 
@@ -95,15 +107,11 @@ func (s *Slave) Stats() SlaveStats {
 // charging the modelled cost of the work actually done: a full signature
 // verification on a miss, a cache lookup on a hit.
 func (s *Slave) verifyStamp(v *VersionStamp) error {
-	hit, err := s.stamps.verify(v, s.cfg.MasterPubs)
+	hit, err := s.stamps.verifyStamp(v, s.cfg.MasterPubs)
 	if err != nil {
 		return err
 	}
-	if hit {
-		chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.CacheLookup)
-	} else {
-		chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.VerifySig)
-	}
+	chargeSig(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.VerifySig, hit)
 	return nil
 }
 
@@ -187,6 +195,7 @@ func (s *Slave) Bootstrap() error {
 	s.mu.Lock()
 	s.store = st
 	s.lastStamp = stamp
+	clear(s.pledgeSigs)
 	if fromAddr != "" {
 		s.cfg.MasterAddr = fromAddr
 	}
@@ -219,7 +228,7 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if _, err := s.stamps.verify(&stamp, s.cfg.MasterPubs); err != nil {
+	if _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -232,9 +241,7 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if masterAddr != "" {
 		s.cfg.MasterAddr = masterAddr
 	}
-	if stamp.Timestamp.After(s.lastStamp.Timestamp) && stamp.Version >= s.lastStamp.Version {
-		s.lastStamp = stamp
-	}
+	s.adoptStampLocked(stamp)
 	// A keep-alive for a version ahead of the replica means updates were
 	// lost; recover them in the background.
 	if stamp.Version > s.store.Version() && !s.droppingLocked() {
@@ -244,6 +251,16 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	// Acknowledge the applied version: masters aggregate these acks into
 	// the stability point that drives checkpoint truncation.
 	return s.ackLocked(), nil
+}
+
+// adoptStampLocked makes stamp the slave's latest if it is newer, and
+// empties the signed-pledge table, whose entries all embed the old stamp.
+// Caller holds s.mu.
+func (s *Slave) adoptStampLocked(stamp VersionStamp) {
+	if stamp.Timestamp.After(s.lastStamp.Timestamp) && stamp.Version >= s.lastStamp.Version {
+		s.lastStamp = stamp
+		clear(s.pledgeSigs)
+	}
 }
 
 // ackLocked encodes the slave's applied-version acknowledgement, the
@@ -320,9 +337,7 @@ func (s *Slave) handleUpdate(from string, body []byte) ([]byte, error) {
 		}
 	}
 	s.mu.Lock()
-	if stamp.Timestamp.After(s.lastStamp.Timestamp) && stamp.Version >= s.lastStamp.Version {
-		s.lastStamp = stamp
-	}
+	s.adoptStampLocked(stamp)
 	ack := s.ackLocked()
 	s.mu.Unlock()
 	return ack, nil
@@ -406,9 +421,7 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	if bu.Stamp.Timestamp.After(s.lastStamp.Timestamp) && bu.Stamp.Version >= s.lastStamp.Version {
-		s.lastStamp = bu.Stamp
-	}
+	s.adoptStampLocked(bu.Stamp)
 	ack := s.ackLocked()
 	s.mu.Unlock()
 	return ack, nil
@@ -509,7 +522,7 @@ func (s *Slave) syncFrom(masterAddr string) error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.stamps.verify(&stamp, s.cfg.MasterPubs); err != nil {
+	if _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -527,9 +540,7 @@ func (s *Slave) syncFrom(masterAddr string) error {
 		}
 		s.stats.UpdatesSynced++
 	}
-	if stamp.Timestamp.After(s.lastStamp.Timestamp) && stamp.Version >= s.lastStamp.Version {
-		s.lastStamp = stamp
-	}
+	s.adoptStampLocked(stamp)
 	return nil
 }
 
@@ -619,8 +630,8 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(len(payload)))
 	hash := cryptoutil.HashBytes(payload)
 
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.Sign)
-	pledge := SignPledge(s.cfg.Keys, queryBytes, hash, stamp)
+	pledge := Pledge{QueryBytes: queryBytes, ResultHash: hash, Stamp: stamp, SlavePub: s.cfg.Keys.Public}
+	chargeSig(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.Sign, s.signPledge(&pledge))
 	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.SendReply)
 
 	s.mu.Lock()
@@ -630,4 +641,35 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	return EncodeReadReply(ReadReply{Payload: payload, Pledge: pledge, XLie: lied}), nil
+}
+
+// signPledge fills in p.Sig, signing once per distinct pledge: ed25519 is
+// deterministic, so a repeat of (query, result hash, stamp) would yield
+// the same bytes again, and the table hands them back instead (hit). A
+// corrupted payload has its own result hash, hence its own key. The body
+// is encoded once, for the key and for Sign.
+func (s *Slave) signPledge(p *Pledge) (hit bool) {
+	w := wire.GetWriter()
+	defer wire.PutWriter(w)
+	p.appendSignedBytes(w)
+	key := cryptoutil.HashBytes(w.Bytes())
+	s.mu.Lock()
+	sig, hit := s.pledgeSigs[key]
+	if hit {
+		s.stats.PledgeCacheHits++
+	} else {
+		s.stats.PledgeCacheMisses++
+	}
+	s.mu.Unlock()
+	if hit {
+		p.Sig = append([]byte(nil), sig[:]...) // sig stays on the stack
+		return true
+	}
+	p.Sig = s.cfg.Keys.Sign(w.Bytes())
+	s.mu.Lock()
+	if len(s.pledgeSigs) < sigCacheSize {
+		s.pledgeSigs[key] = [ed25519.SignatureSize]byte(p.Sig)
+	}
+	s.mu.Unlock()
+	return false
 }

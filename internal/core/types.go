@@ -4,7 +4,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -89,19 +88,6 @@ func (v *VersionStamp) sign(master *cryptoutil.KeyPair) {
 	v.appendSignedBytes(w)
 	v.Sig = master.Sign(w.Bytes())
 	wire.PutWriter(w)
-}
-
-// cacheKey returns a digest binding the stamp's entire signed body AND
-// its signature. A verified-stamp cache keyed by it cannot be poisoned
-// by pairing a seen signature with a different body (the body is in the
-// key) or a seen body with a garbage signature (the signature is too).
-func (v *VersionStamp) cacheKey() cryptoutil.Digest {
-	w := wire.GetWriter()
-	v.appendSignedBytes(w)
-	w.Bytes_(v.Sig)
-	d := cryptoutil.HashBytes(w.Bytes())
-	wire.PutWriter(w)
-	return d
 }
 
 // SignStamp creates a keep-alive stamp for (version, ts) under the
@@ -361,19 +347,8 @@ func DecodeBatchUpdate(b []byte) (BatchUpdate, error) {
 
 // Verify checks the stamp against a set of trusted master keys.
 func (v *VersionStamp) Verify(trustedMasters []cryptoutil.PublicKey) error {
-	for _, pub := range trustedMasters {
-		if bytes.Equal(pub, v.MasterPub) {
-			w := wire.GetWriter()
-			v.appendSignedBytes(w)
-			err := cryptoutil.Verify(v.MasterPub, w.Bytes(), v.Sig)
-			wire.PutWriter(w)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrBadStamp, err)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: unknown master key", ErrBadStamp)
+	_, err := (*sigCache)(nil).verifyStamp(v, trustedMasters)
+	return err
 }
 
 // Fresh reports whether the stamp is younger than maxLatency at time now
@@ -450,14 +425,8 @@ func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptou
 
 // VerifySig checks the slave's signature on the pledge.
 func (p *Pledge) VerifySig() error {
-	w := wire.GetWriter()
-	p.appendSignedBytes(w)
-	err := cryptoutil.Verify(p.SlavePub, w.Bytes(), p.Sig)
-	wire.PutWriter(w)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadPledge, err)
-	}
-	return nil
+	_, err := (*sigCache)(nil).verifyPledge(p)
+	return err
 }
 
 // Encode appends the pledge to w.

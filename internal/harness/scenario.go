@@ -469,6 +469,8 @@ func (sc *Scenario) TotalSlaveStats() core.SlaveStats {
 		t.KeepAlives += st.KeepAlives
 		t.StampCacheHits += st.StampCacheHits
 		t.StampCacheMisses += st.StampCacheMisses
+		t.PledgeCacheHits += st.PledgeCacheHits
+		t.PledgeCacheMisses += st.PledgeCacheMisses
 	}
 	return t
 }
@@ -541,6 +543,8 @@ func (sc *Scenario) TotalClientStats() core.ClientStats {
 		t.KMismatch += st.KMismatch
 		t.StampCacheHits += st.StampCacheHits
 		t.StampCacheMisses += st.StampCacheMisses
+		t.PledgeCacheHits += st.PledgeCacheHits
+		t.PledgeCacheMisses += st.PledgeCacheMisses
 	}
 	return t
 }
