@@ -10,7 +10,7 @@
 #                     perf trajectory record), the workload × fault
 #                     matrix emitting BENCH_matrix.json (smoke grid;
 #                     MATRIX_FULL=1 runs the exhaustive grid), a short
-#                     fuzz smoke over the wire/merkle decoders, the
+#                     fuzz smoke over the wire/merkle/wave decoders, the
 #                     README package-map completeness check, and a smoke
 #                     run of the real-clock benchmark under bench/.
 #   make lint       — repllint (the in-tree go/analysis suite under
@@ -21,8 +21,9 @@
 #   make bench-smoke — vet and short tests of the bench/ module (its own
 #                     go.mod, so `./...` from the root does not reach
 #                     it), then two seconds of the read-point workload
-#                     over loopback TCP, which must end correct with no
-#                     failed operation.
+#                     and three of write-waves over loopback TCP, each
+#                     of which must end correct with no failed
+#                     operation.
 #   make profile    — run the E18 hot-path experiment under the CPU and
 #                     heap profilers; inspect with `go tool pprof`.
 
@@ -84,25 +85,31 @@ bench-matrix:
 	@echo "wrote BENCH_matrix.json"
 
 # The real-clock benchmark lives in its own module: vet and test it, then
-# run one short workload end to end. The run prints its result as a final
-# JSON line, which must report correct output and no failed operation.
+# run the read path and the write path end to end, briefly. Each run
+# prints its result as a final JSON line, which must report correct output
+# and no failed operation.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
-	@out=$$(bash bench/run.sh --workload read-point --seed 1 --seconds 2 --trace 0 | tail -n 1); \
-	echo "$$out"; \
-	case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "bench-smoke: read-point did not end correct with failed 0"; exit 1;; esac
+	@for run in read-point:2 write-waves:3; do \
+		out=$$(bash bench/run.sh --workload $${run%:*} --seed 1 --seconds $${run#*:} --trace 0 | tail -n 1); \
+		echo "$$out"; \
+		case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "bench-smoke: $${run%:*} did not end correct with failed 0"; exit 1;; esac; \
+	done
 
-# Short native-fuzz runs over the two untrusted-input decoders. The
-# checked-in corpora under testdata/fuzz/ replay in plain `go test`;
-# this target additionally mutates for FUZZTIME per target. The targets
-# live in different packages, so they fuzz in parallel; a failure in
-# either fails the smoke.
+# Short native-fuzz runs over the untrusted-input decoders: the wire
+# reader, the merkle proof and the write-wave frame. The checked-in
+# corpora under testdata/fuzz/ replay in plain `go test`; this target
+# additionally mutates for FUZZTIME per target. The targets live in
+# different packages, so they fuzz in parallel; a failure in any fails
+# the smoke.
 fuzz-smoke:
 	@status=0; \
 	$(GO) test -run '^$$' -fuzz FuzzReaderFrame -fuzztime $(FUZZTIME) ./internal/wire/ & wpid=$$!; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProof -fuzztime $(FUZZTIME) ./internal/merkle/ & mpid=$$!; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodeWriteWave -fuzztime $(FUZZTIME) ./internal/core/ & cpid=$$!; \
 	wait $$wpid || status=1; \
 	wait $$mpid || status=1; \
+	wait $$cpid || status=1; \
 	exit $$status
 
 # Every top-level internal/ package must be linked from the README's

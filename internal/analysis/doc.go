@@ -43,13 +43,13 @@
 // trustcheck enforces verify-before-trust on the replication ingest
 // paths. Values produced by the wire decoders (DecodeStamp,
 // DecodePledge, DecodeOpRecord, DecodeBatchUpdate, DecodeWriteRequest,
-// DecodeCheckpoint, DecodeProof, ...) are tainted until they flow
-// through a verification call (Verify, VerifySig, VerifyMembers,
-// VerifyBinding, ValidateOp, AuthenticatesOp, ...). A tainted value
-// must not reach an Apply/ApplyAt sink or be stored into long-lived
-// replica state (fields of a receiver or parameter, or package-level
-// variables); assembling decoded values in function-local scratch is
-// fine and merely propagates the taint.
+// DecodeWriteWave, DecodeCheckpoint, DecodeProof, ...) are tainted until
+// they flow through a verification call (Verify, VerifySig,
+// VerifyMembers, VerifyBinding, ValidateOp, AuthenticatesOp, ...). A
+// tainted value must not reach an Apply/ApplyAt sink or be stored into
+// long-lived replica state (fields of a receiver or parameter, or
+// package-level variables); assembling decoded values in function-local
+// scratch is fine and merely propagates the taint.
 //
 // timercheck flags the two timer leaks that matter in long-lived
 // loops: time.After inside a for/range body (each iteration leaks a

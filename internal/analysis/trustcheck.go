@@ -30,6 +30,7 @@ var trustSources = map[string]bool{
 	"DecodeOpRecord":     true,
 	"DecodeBatchUpdate":  true,
 	"DecodeWriteRequest": true,
+	"DecodeWriteWave":    true,
 	"decodeBatchMessage": true,
 	"DecodeCheckpoint":   true,
 	"DecodeProof":        true,

@@ -218,16 +218,6 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 			a.bcast.TruncateBelow(floor)
 		}
 		return
-	case bcWrite:
-		_ = r.String() // write id, unused here
-		wr, err := DecodeWriteRequest(r)
-		if err != nil {
-			return
-		}
-		if err := store.ValidateOp(wr.OpBytes); err != nil {
-			return // masters skip undecodable ops without a version
-		}
-		opsBytes = [][]byte{wr.OpBytes}
 	case bcBatch:
 		batch, err := decodeBatchMessage(r)
 		if err != nil {
@@ -236,10 +226,10 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 		for _, bw := range batch {
 			// Mirror the masters' deterministic skip of undecodable ops
 			// so the auditor's version numbering stays aligned.
-			if err := store.ValidateOp(bw.wr.OpBytes); err != nil {
+			if err := store.ValidateOp(bw.opBytes); err != nil {
 				continue
 			}
-			opsBytes = append(opsBytes, bw.wr.OpBytes)
+			opsBytes = append(opsBytes, bw.opBytes)
 		}
 	default:
 		return

@@ -242,15 +242,10 @@ func TestAuditorLatePledgeCounted(t *testing.T) {
 func TestAuditorAdvancesAfterWindow(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	r.auditor.rt.Spawn(r.auditor.auditLoop)
-	client := cryptoutil.DeriveKeyPair("client", 0)
 	r.s.Go(func() {
 		// Feed an ordered write through the broadcast delivery path.
-		wr := SignWrite(client, store.Put{Key: "w", Value: []byte("1")})
-		w := wire.NewWriter(256)
-		w.Byte(bcWrite)
-		w.String_("id-1")
-		wr.Encode(w)
-		r.auditor.deliver(1, w.Bytes())
+		op := store.EncodeOp(store.Put{Key: "w", Value: []byte("1")})
+		r.auditor.deliver(1, encodeBatchMessage([]batchWaiter{{id: "id-1", opBytes: op}}))
 		if got := r.auditor.Version(); got != r.initial.Version() {
 			t.Errorf("auditor advanced immediately: %d", got)
 		}

@@ -153,6 +153,7 @@ type ckptSnapshot struct {
 	version uint64
 	bytes   []byte
 	stamp   VersionStamp
+	logged  uint64 // Master.loggedBytes when the state was captured
 }
 
 // recordAck notes a slave's acknowledged version (piggybacked on its
@@ -333,6 +334,7 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	// Capture the retained snapshot before truncating: ordered delivery
 	// means every master captures the identical state here.
 	snap := m.store.EncodeSnapshot()
+	logged := m.loggedBytes
 
 	drop := t - m.baseVersion
 	m.stats.OpsTruncated += drop
@@ -351,7 +353,7 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	stamp := SignStampWithOp(m.cfg.Keys, cur, m.rt.Now(), snap)
 	m.mu.Lock()
 	if m.snap == nil || cur > m.snap.version {
-		m.snap = &ckptSnapshot{version: cur, bytes: snap, stamp: stamp}
+		m.snap = &ckptSnapshot{version: cur, bytes: snap, stamp: stamp, logged: logged}
 	}
 	m.mu.Unlock()
 	// Durable master: the snapshot captures every batch delivered at or
@@ -401,17 +403,17 @@ func (m *Master) RetainedOpBytes() int {
 	return n
 }
 
-// SnapshotLag returns how many versions the retained snapshot-first
-// snapshot trails the store (0 until a checkpoint retains one). A
-// bounded lag bounds the OpRecord suffix every snapshot-first sync
-// ships.
-func (m *Master) SnapshotLag() uint64 {
+// SnapshotLag returns the op bytes logged since the retained
+// snapshot-first snapshot and that snapshot's size (both 0 until a
+// checkpoint retains one). The first is the OpRecord suffix every
+// snapshot-first sync ships; the refresh keeps it near the second.
+func (m *Master) SnapshotLag() (suffix, snapshot uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.snap == nil {
-		return 0
+		return 0, 0
 	}
-	return m.store.Version() - m.snap.version
+	return m.loggedBytes - m.snap.logged, uint64(len(m.snap.bytes))
 }
 
 // ArchiveLen returns the retained entry count of this master's broadcast

@@ -324,23 +324,20 @@ func (c *Client) Write(op store.Op) (uint64, error) {
 	return 0, rpc.ErrUnreachable
 }
 
-// WriteMulti submits a whole wave of ops in ONE RPC frame
-// (MethodWriteMulti): each op is individually signed (admission is
-// per-op, as for Write) but the wave shares a single round trip, and the
-// master feeds it straight into its batch accumulator — so n writes cost
-// ~n/BatchSize signatures and 1 network exchange instead of n of each.
-// It returns the assigned versions in submission order; an op the
+// WriteMulti submits a whole wave of ops in ONE RPC frame under ONE
+// client signature (MethodWriteMulti, WriteWave): the master verifies
+// the signature and the ACL once, validates every op, and feeds the wave
+// straight into its batch accumulator — so n writes cost one client
+// signature, ~n/BatchSize master signatures and 1 network exchange
+// instead of n of each. The master admits or refuses the wave as a
+// whole. It returns the assigned versions in submission order; an op the
 // pipeline dropped reports version 0 and an aggregate error.
 func (c *Client) WriteMulti(ops []store.Op) ([]uint64, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	frames := make([][]byte, len(ops))
-	for i, op := range ops {
-		wr := SignWrite(c.cfg.Keys, op)
-		frames[i] = wire.EncodeFrame(wr.Encode)
-	}
-	reqFrame := wire.EncodeFrame(func(w *wire.Writer) { w.BytesSlice(frames) })
+	ww := SignWave(c.cfg.Keys, ops)
+	reqFrame := wire.EncodeFrame(ww.Encode)
 
 	for attempt := 0; attempt < 2; attempt++ {
 		c.mu.Lock()

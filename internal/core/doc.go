@@ -35,6 +35,19 @@
 //	§4   (refinements)       — KSlaves multi-slave reads, ReadSensitive
 //	                           trusted-host execution, ReadAtLevel.
 //
+// Write-path wire formats (wire package encoding; "bytes" and "string"
+// are length-prefixed):
+//
+//	m.write      bytes op ‖ bytes clientPub ‖ bytes sig — sig over
+//	             "write.v1" ‖ op ‖ clientPub (WriteRequest).
+//	m.writemulti bytes clientPub ‖ uvarint n ‖ n × bytes op ‖ bytes sig —
+//	             ONE sig over "wave.v1" ‖ clientPub ‖ n ‖ every op
+//	             (WriteWave); the only layout accepted, admitted or
+//	             refused whole. Reply: uvarint n ‖ n × uvarint version.
+//	bcBatch      kind byte ‖ uvarint n ‖ n × (string id ‖ bytes op) —
+//	             the ordered broadcast carries no client key or
+//	             signature: nothing reads them after admission.
+//
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,
 // see types.go) and stability-driven checkpointing (checkpoint.go) —

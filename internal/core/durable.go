@@ -190,6 +190,7 @@ func (m *Master) replayWALRecord(payload []byte) error {
 			Version: first + uint64(i), OpBytes: ob,
 			Stamp: stamp, First: first, Count: count, Proof: proofs[i],
 		})
+		m.loggedBytes += uint64(len(ob))
 	}
 	if m.cfg.CheckpointEvery > 0 {
 		m.marks = append(m.marks, versionMark{version: last, digest: m.store.StateDigest(), seq: seq})
@@ -220,16 +221,16 @@ func (m *Master) persistState(version, anchor uint64, snapBytes []byte, stamp Ve
 
 // refreshSnapshot signs a freshly captured state snapshot and installs
 // it as the retained snapshot-first snapshot. Spawned from applyBatch
-// when the retained snapshot trails the store by 2x the retain window,
+// when the op bytes logged since the retained snapshot exceed its size,
 // so the OpRecord suffix a v3 sync ships stays bounded by write volume,
 // not by the time-based checkpoint cadence.
-func (m *Master) refreshSnapshot(version uint64, snapBytes []byte) {
+func (m *Master) refreshSnapshot(snap *ckptSnapshot) {
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snapBytes)))
-	stamp := SignStampWithOp(m.cfg.Keys, version, m.rt.Now(), snapBytes)
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap.bytes)))
+	snap.stamp = SignStampWithOp(m.cfg.Keys, snap.version, m.rt.Now(), snap.bytes)
 	m.mu.Lock()
-	if m.snap != nil && version > m.snap.version && version >= m.baseVersion {
-		m.snap = &ckptSnapshot{version: version, bytes: snapBytes, stamp: stamp}
+	if m.snap != nil && snap.version > m.snap.version && snap.version >= m.baseVersion {
+		m.snap = snap
 		m.stats.SnapshotRefreshes++
 	}
 	m.snapRefresh = false
@@ -382,7 +383,7 @@ func (m *Master) catchUpFrom(peer string) error {
 		m.baseVersion = snapStore.Version()
 		m.log = nil
 		m.marks = nil
-		m.snap = &ckptSnapshot{version: snapStore.Version(), bytes: snapBytes, stamp: snapStamp}
+		m.snap = &ckptSnapshot{version: snapStore.Version(), bytes: snapBytes, stamp: snapStamp, logged: m.loggedBytes}
 	}
 	for _, rec := range recs {
 		if rec.Version != m.store.Version()+1 {
@@ -398,6 +399,7 @@ func (m *Master) catchUpFrom(peer string) error {
 			return err
 		}
 		m.log = append(m.log, rec)
+		m.loggedBytes += uint64(len(rec.OpBytes))
 	}
 	cur := m.store.Version()
 	if m.cfg.CheckpointEvery > 0 && cur > m.baseVersion {

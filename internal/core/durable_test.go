@@ -129,6 +129,93 @@ func TestDurableWALAppendPrecedesAck(t *testing.T) {
 	}
 }
 
+// TestKeepAliveStampsAckedVersion holds every commit in the window
+// between its WAL sync and its acknowledgement for longer than a
+// keep-alive interval. The store is already at the new version there,
+// but no writer has been answered and no slave has been sent it: a
+// keep-alive naming that version makes the slave see a stamp ahead of its
+// replica and pull an m.sync it did not need. Keep-alives must name the
+// acknowledged version until the batch is.
+func TestKeepAliveStampsAckedVersion(t *testing.T) {
+	s := sim.New(56)
+	o := durableOpts(t.TempDir())
+	o.nMasters = 1
+	c := newTestCluster(t, s, o)
+	m := c.masters[0]
+	m.walHook = func(uint64) { s.Sleep(3 * o.params.KeepAliveEvery / 2) }
+	cl := c.addClient(t, 0, nil)
+	s.Go(func() {
+		s.Sleep(c.warmup())
+		if err := cl.Setup(); err != nil {
+			t.Errorf("setup: %v", err)
+			return
+		}
+		writeWaves(t, cl, 3, 4, "w")
+		s.Sleep(3 * o.params.KeepAliveEvery) // let the last push and a keep-alive land
+	})
+	s.RunUntil(sim.Epoch.Add(30 * time.Second))
+
+	if m.Version() <= c.initial.Version() {
+		t.Fatal("no writes committed; test is vacuous")
+	}
+	if st := m.Stats(); st.SyncsServed != 0 || st.KeepAlivesSent == 0 {
+		t.Fatalf("master served %d syncs over %d keep-alives, want 0 syncs and some keep-alives",
+			st.SyncsServed, st.KeepAlivesSent)
+	}
+	for _, sl := range c.slaves {
+		if sl.Version() != m.Version() || sl.Stats().UpdatesSynced != 0 {
+			t.Fatalf("%s at version %d with %d updates synced, want version %d reached by pushes alone",
+				sl.Addr(), sl.Version(), sl.Stats().UpdatesSynced, m.Version())
+		}
+	}
+}
+
+// TestLostPushRepairedByNextKeepAlive cuts a slave off while one wave
+// commits, so its update push is lost in flight and the master's push
+// call hangs until ReadTimeout. The keep-alives must not wait for that
+// call: the first one after the partition heals names the acknowledged
+// version, the slave sees the gap and syncs — within about one keep-alive
+// interval, not one ReadTimeout.
+func TestLostPushRepairedByNextKeepAlive(t *testing.T) {
+	s := sim.New(57)
+	o := defaultOpts() // default params: ReadTimeout is 20x KeepAliveEvery
+	o.nMasters = 1
+	c := newTestCluster(t, s, o)
+	m, cut := c.masters[0], c.slaves[0]
+	cl := c.addClient(t, 0, nil)
+	var caughtUp time.Duration = -1
+	s.Go(func() {
+		s.Sleep(c.warmup())
+		if err := cl.Setup(); err != nil {
+			t.Errorf("setup: %v", err)
+			return
+		}
+		c.net.Isolate(cut.Addr(), true)
+		writeWaves(t, cl, 1, 4, "w")
+		s.Sleep(200 * time.Millisecond)
+		if cut.Version() == m.Version() {
+			t.Errorf("isolated slave received the push; test is vacuous")
+		}
+		c.net.Isolate(cut.Addr(), false)
+		healed := s.Now()
+		for s.Now().Sub(healed) < o.params.ReadTimeout {
+			if cut.Version() == m.Version() {
+				caughtUp = s.Now().Sub(healed)
+				return
+			}
+			s.Sleep(10 * time.Millisecond)
+		}
+	})
+	s.RunUntil(sim.Epoch.Add(30 * time.Second))
+
+	if limit := o.params.KeepAliveEvery + 100*time.Millisecond; caughtUp < 0 || caughtUp > limit {
+		t.Fatalf("slave caught up %v after the partition healed, want within %v", caughtUp, limit)
+	}
+	if cut.Stats().UpdatesSynced == 0 {
+		t.Fatal("slave caught up without a sync; the push was not lost")
+	}
+}
+
 // TestDurableWALEdgeCases covers the two corruption regimes: a torn
 // final record (a crash mid-append) is silently truncated and the master
 // recovers everything before it, while a corrupt record in the middle of
@@ -263,8 +350,9 @@ func TestDurableRestartPastTruncationSnapshotSyncs(t *testing.T) {
 // with a CheckpointMaxLag too long to unblock them) and keeps writing:
 // without periodic re-snapshotting the retained ckptSnapshot goes stale
 // and every snapshot-first sync ships an unbounded suffix. The refresh
-// must keep store.Version()-snap.version bounded near 2x the retain
-// window.
+// must keep the op bytes logged since the snapshot bounded by the
+// snapshot's own size. The stall overwrites a fixed key set, so the
+// state — and with it the refresh period — stays put.
 func TestSnapshotRefreshBoundsLag(t *testing.T) {
 	s := sim.New(55)
 	o := durableOpts("") // in-memory: the refresh is independent of the WAL
@@ -275,7 +363,13 @@ func TestSnapshotRefreshBoundsLag(t *testing.T) {
 	o.checkpointMaxLag = time.Hour // silent slaves stall stability for good
 	c := newTestCluster(t, s, o)
 	cl := c.addClient(t, 0, nil)
-	var maxLag uint64
+	m := c.masters[0]
+	hot := make([]store.Op, 8)
+	for j := range hot {
+		hot[j] = store.Put{Key: fmt.Sprintf("hot/%d", j), Value: []byte("v")}
+	}
+	batchBytes := 8 * uint64(len(store.EncodeOp(hot[0])))
+	var maxOver uint64 // worst excess of suffix bytes over snapshot bytes
 	done := false
 	s.Go(func() {
 		s.Sleep(c.warmup())
@@ -284,11 +378,11 @@ func TestSnapshotRefreshBoundsLag(t *testing.T) {
 			return
 		}
 		// Write until the first checkpoint installs a snapshot.
-		for try := 0; try < 100 && c.masters[0].Stats().CheckpointsApplied == 0; try++ {
+		for try := 0; try < 100 && m.Stats().CheckpointsApplied == 0; try++ {
 			writeWaves(t, cl, 1, 8, fmt.Sprintf("seed%d", try))
 			s.Sleep(50 * time.Millisecond)
 		}
-		if c.masters[0].Stats().CheckpointsApplied == 0 {
+		if m.Stats().CheckpointsApplied == 0 {
 			t.Error("no checkpoint ever applied; cannot exercise snapshot refresh")
 			return
 		}
@@ -299,24 +393,35 @@ func TestSnapshotRefreshBoundsLag(t *testing.T) {
 		}
 		s.Spawn(func() {
 			for !done {
-				if l := c.masters[0].SnapshotLag(); l > maxLag {
-					maxLag = l
+				if suffix, size := m.SnapshotLag(); suffix > size && suffix-size > maxOver {
+					maxOver = suffix - size
 				}
 				s.Sleep(2 * time.Millisecond)
 			}
 		})
-		writeWaves(t, cl, 30, 8, "stall") // 240 ops past the frozen checkpoint
+		for i := 0; i < 60; i++ {
+			if _, err := cl.WriteMulti(hot); err != nil {
+				t.Errorf("stall wave %d: %v", i, err)
+				return
+			}
+		}
 		done = true
 	})
 	s.RunUntil(sim.Epoch.Add(5 * time.Minute))
 
-	st := c.masters[0].Stats()
+	st := m.Stats()
 	if st.SnapshotRefreshes < 3 {
 		t.Fatalf("snapshot refreshed %d times under a stalled checkpoint, want >= 3", st.SnapshotRefreshes)
 	}
-	// Bound: refresh triggers at 2x retain (16); allow the batches that
-	// land while the replacement is being signed off-lock.
-	if maxLag > 64 {
-		t.Fatalf("snapshot lag reached %d ops under sustained writes, want bounded near 2x retain", maxLag)
+	if st.SnapshotRefreshes > st.BatchesApplied/2 {
+		t.Fatalf("snapshot refreshed %d times over %d batches; the trigger must not fire per batch",
+			st.SnapshotRefreshes, st.BatchesApplied)
+	}
+	// Bound: the refresh triggers once the suffix outgrows the snapshot;
+	// allow the trigger batch itself and one that lands while the
+	// replacement is being signed off-lock.
+	if maxOver > 2*batchBytes {
+		t.Fatalf("snapshot suffix exceeded the snapshot by %d bytes under sustained writes, want <= two batches (%d)",
+			maxOver, 2*batchBytes)
 	}
 }

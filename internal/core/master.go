@@ -23,7 +23,7 @@ import (
 // the membership traffic the paper describes: periodic slave lists and
 // redistribution after a master crash, and system-wide slave exclusion).
 const (
-	bcWrite byte = iota + 1
+	_ byte = iota + 1 // 1 was bcWrite (single-write frame); the tag stays reserved
 	bcSlaveList
 	bcAdopt
 	bcExclude
@@ -177,6 +177,8 @@ type Master struct {
 	checkpoint  Checkpoint              // guarded by mu; most recent stability checkpoint recorded
 	snap        *ckptSnapshot           // guarded by mu; retained snapshot for snapshot-first sync
 	snapRefresh bool                    // guarded by mu; a snapshot refresh is signing off-lock
+	loggedBytes uint64                  // guarded by mu; running total of op bytes committed (snapshot-refresh trigger)
+	unacked     uint64                  // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
 	lastMark    versionMark             // guarded by mu; version + broadcast seq of the newest applied batch
 	lastCommit  time.Time               // guarded by mu
 	nextWriteAt time.Time               // guarded by mu
@@ -402,28 +404,35 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 // member of the batch while preserving the exact version sequence and
 // store digest that sequential commits would produce.
 
-// batchWaiter is one admitted write queued for the next flush.
+// batchWaiter is one admitted write queued for the next flush; the
+// client's key and signature are read at admission and never again.
 type batchWaiter struct {
-	id string
-	wr WriteRequest
+	id      string
+	opBytes []byte
 }
 
-// admitWrite performs the admission checks shared by the single-write
-// and wave paths: client signature, ACL, and op decodability (rejected
-// here so a batch never carries an undecodable op).
-func (m *Master) admitWrite(wr *WriteRequest) error {
+// admitClient performs the per-request half of admission — once per
+// write or wave: the client's signature (verify, charged here) and the ACL.
+func (m *Master) admitClient(pub cryptoutil.PublicKey, verify func() error) error {
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
-	if err := wr.VerifySig(); err != nil {
+	if verify() != nil {
 		return fmt.Errorf("%w: bad signature", ErrDenied)
 	}
-	if m.cfg.ACL != nil && !m.cfg.ACL.Permits(wr.ClientPub) {
+	if m.cfg.ACL != nil && !m.cfg.ACL.Permits(pub) {
 		return ErrDenied
 	}
-	if err := store.ValidateOp(wr.OpBytes); err != nil {
+	return nil
+}
+
+// admitOp performs the per-op half of admission: op decodability
+// (rejected here so a batch never carries an undecodable op) and the
+// shard-range check.
+func (m *Master) admitOp(opBytes []byte) error {
+	if err := store.ValidateOp(opBytes); err != nil {
 		return fmt.Errorf("%w: %v", ErrDenied, err)
 	}
 	if !m.cfg.Shard.IsFull() {
-		key, err := store.OpKey(wr.OpBytes)
+		key, err := store.OpKey(opBytes)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrDenied, err)
 		}
@@ -455,7 +464,10 @@ func (m *Master) handleWrite(body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if err := m.admitWrite(&wr); err != nil {
+	if err := m.admitClient(wr.ClientPub, wr.VerifySig); err != nil {
+		return nil, err
+	}
+	if err := m.admitOp(wr.OpBytes); err != nil {
 		return nil, err
 	}
 
@@ -466,7 +478,7 @@ func (m *Master) handleWrite(body []byte) ([]byte, error) {
 
 	// Register for our own delivery before the batch can possibly flush.
 	handle := m.registerPending(id)
-	if err := m.enqueueWrite(batchWaiter{id: id, wr: wr}); err != nil {
+	if err := m.enqueueWrite(batchWaiter{id: id, opBytes: wr.OpBytes}); err != nil {
 		m.cancelPending(id)
 		return nil, err
 	}
@@ -482,55 +494,57 @@ func (m *Master) handleWrite(body []byte) ([]byte, error) {
 	return wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(version) }), nil
 }
 
-// handleWriteMulti admits a whole wave of writes from one RPC frame: the
-// client signs each op individually (admission checks are unchanged) but
-// ships them together, so a wave costs one round trip instead of one per
-// op. The wave feeds the batch accumulator back-to-back and therefore
-// coalesces into full batches without relying on timer luck; the reply
-// carries the assigned version for every op in submission order, 0 for
-// any the commit pipeline dropped.
-func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	frames := r.BytesSlice()
-	if err := r.Done(); err != nil {
+// admitWave decodes one m.writemulti frame (WriteWave) and admits or
+// refuses it as a whole: the one client signature and the ACL once, then
+// every op's validation and shard check.
+func (m *Master) admitWave(body []byte) ([][]byte, error) {
+	ww, err := DecodeWriteWave(body)
+	if err != nil {
 		return nil, err
 	}
-	if len(frames) == 0 {
+	if len(ww.Ops) == 0 {
 		return nil, fmt.Errorf("core: empty write wave")
 	}
-	wrs := make([]WriteRequest, len(frames))
-	for i, f := range frames {
-		fr := wire.NewReader(f)
-		wr, err := DecodeWriteRequest(fr)
-		if err != nil {
-			return nil, err
-		}
-		if err := fr.Done(); err != nil {
-			return nil, err
-		}
-		if err := m.admitWrite(&wr); err != nil {
+	// What grows with the wave is the hashing of the signed body.
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(body)))
+	if err := m.admitClient(ww.ClientPub, ww.VerifySig); err != nil {
+		return nil, err
+	}
+	for i, op := range ww.Ops {
+		if err := m.admitOp(op); err != nil {
 			return nil, fmt.Errorf("wave op %d: %w", i, err)
 		}
-		wrs[i] = wr
 	}
+	return ww.Ops, nil
+}
 
-	ids := make([]string, len(wrs))
+// handleWriteMulti commits a wave of writes under one client signature
+// and one round trip. The admitted wave feeds the batch accumulator
+// back-to-back and therefore coalesces into full batches without relying
+// on timer luck; the reply carries the assigned version for every op in
+// submission order, 0 for any the commit pipeline dropped.
+func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
+	ops, err := m.admitWave(body)
+	if err != nil {
+		return nil, err
+	}
+	ids := make([]string, len(ops))
 	m.mu.Lock()
-	for i := range wrs {
+	for i := range ops {
 		m.stats.WritesAdmitted++
 		ids[i] = m.writeID(m.stats.WritesAdmitted)
 	}
 	m.mu.Unlock()
 
-	handles := make([]commitHandle, len(wrs))
-	versions := make([]uint64, len(wrs))
-	for i, wr := range wrs {
+	handles := make([]commitHandle, len(ops))
+	versions := make([]uint64, len(ops))
+	for i, op := range ops {
 		handles[i] = m.registerPending(ids[i])
-		if err := m.enqueueWrite(batchWaiter{id: ids[i], wr: wr}); err != nil {
+		if err := m.enqueueWrite(batchWaiter{id: ids[i], opBytes: op}); err != nil {
 			m.cancelPending(ids[i])
 			// Already-enqueued ops are past admission; wait for them
 			// below, report this and later ones as uncommitted.
-			for j := i; j < len(wrs); j++ {
+			for j := i; j < len(ops); j++ {
 				handles[j] = commitHandle{}
 			}
 			break
@@ -539,7 +553,7 @@ func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
 	// One deadline covers the whole wave: the waits run back to back, so
 	// per-op timeouts would otherwise stack to wave-size x ReadTimeout.
 	deadline := time.Now().Add(m.cfg.Params.ReadTimeout)
-	for i := range wrs {
+	for i := range ops {
 		if handles[i] == (commitHandle{}) {
 			continue
 		}
@@ -697,25 +711,7 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) error {
 		}
 	}
 
-	// Build the broadcast frame through two pooled writers: one scratch
-	// per element, one for the frame itself. Byte-identical to encoding
-	// each element separately and writing them with BytesSlice, without
-	// the per-element allocations. The broadcast retains the message (it
-	// archives frames for catch-up), so the frame is detached.
-	out := wire.GetWriter()
-	out.Byte(bcBatch)
-	out.Uvarint(uint64(len(batch)))
-	elem := wire.GetWriter()
-	for _, bw := range batch {
-		elem.Reset()
-		elem.String_(bw.id)
-		bw.wr.Encode(elem)
-		out.Bytes_(elem.Bytes())
-	}
-	wire.PutWriter(elem)
-	msg := out.Detach()
-	wire.PutWriter(out)
-	if err := m.bcast.Broadcast(msg); err != nil {
+	if err := m.bcast.Broadcast(encodeBatchMessage(batch)); err != nil {
 		m.failBatch(batch)
 		return err
 	}
@@ -836,14 +832,6 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 	r := wire.NewReader(msg)
 	kind := r.Byte()
 	switch kind {
-	case bcWrite:
-		// Legacy single-write frame: committed as a batch of one.
-		id := r.String()
-		wr, err := DecodeWriteRequest(r)
-		if err != nil {
-			return
-		}
-		m.applyBatch(seq, []batchWaiter{{id: id, wr: wr}})
 	case bcBatch:
 		batch, err := decodeBatchMessage(r)
 		if err != nil {
@@ -877,27 +865,31 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 	}
 }
 
+// encodeBatchMessage builds the bcBatch broadcast frame: the kind byte, a
+// count, then each write's id and op bytes (detached: the archive keeps it).
+func encodeBatchMessage(batch []batchWaiter) []byte {
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(bcBatch)
+		w.Uvarint(uint64(len(batch)))
+		for _, bw := range batch {
+			w.String_(bw.id)
+			w.Bytes_(bw.opBytes)
+		}
+	})
+}
+
 // decodeBatchMessage parses a bcBatch broadcast body (after the kind
-// byte).
+// byte). The op bytes alias the message, which the archive retains.
 func decodeBatchMessage(r *wire.Reader) ([]batchWaiter, error) {
-	elems := r.BytesSliceView()
-	if err := r.Done(); err != nil {
-		return nil, err
+	n := r.Uvarint()
+	if n > wire.MaxBatchItems || n > uint64(r.Remaining())/2 { // each write needs >=2 prefix bytes
+		return nil, wire.ErrTooLarge
 	}
-	batch := make([]batchWaiter, 0, len(elems))
-	for _, e := range elems {
-		er := wire.NewReader(e)
-		id := er.String()
-		wr, err := DecodeWriteRequest(er)
-		if err != nil {
-			return nil, err
-		}
-		if err := er.Done(); err != nil {
-			return nil, err
-		}
-		batch = append(batch, batchWaiter{id: id, wr: wr})
+	batch := make([]batchWaiter, 0, n)
+	for i := uint64(0); i < n; i++ {
+		batch = append(batch, batchWaiter{id: r.String(), opBytes: r.BytesView()})
 	}
-	return batch, nil
+	return batch, r.Done()
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
@@ -909,23 +901,21 @@ func decodeBatchMessage(r *wire.Reader) ([]batchWaiter, error) {
 // the broadcast slot that carried the commit; it anchors the batch
 // boundary for checkpoint truncation of the broadcast archive.
 func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
-	type appliedOp struct {
-		id      string
-		opBytes []byte
-	}
 	m.mu.Lock()
 	first := m.store.Version() + 1
-	applied := make([]appliedOp, 0, len(batch))
+	applied := make([]batchWaiter, 0, len(batch))
 	ops := make([][]byte, 0, len(batch))
+	var opBytesTotal int
 	for _, bw := range batch {
-		op, err := store.DecodeOp(bw.wr.OpBytes)
+		op, err := store.DecodeOp(bw.opBytes)
 		if err != nil {
 			defer m.resolvePending(bw.id, 0)
 			continue
 		}
 		m.store.Apply(op)
-		applied = append(applied, appliedOp{id: bw.id, opBytes: bw.wr.OpBytes})
-		ops = append(ops, bw.wr.OpBytes)
+		applied = append(applied, bw)
+		ops = append(ops, bw.opBytes)
+		opBytesTotal += len(bw.opBytes)
 	}
 	if len(applied) == 0 {
 		m.mu.Unlock()
@@ -995,27 +985,28 @@ func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
 	// the retained snapshot otherwise only advances when a checkpoint
 	// applies, so under a sustained write rate the OpRecord suffix a v3
 	// sync ships grows with rate x CheckpointEvery. Re-encode the state
-	// here once the snapshot trails by 2x the retain window; signing
-	// happens off-lock in a spawned task.
-	var refreshBytes []byte
-	if m.snap != nil && !m.snapRefresh && last-m.snap.version >= 2*uint64(m.cfg.CheckpointMinRetain) {
+	// once the op bytes logged since the snapshot exceed its own size: no
+	// sync ships a suffix larger than its snapshot, and re-encoding costs
+	// amortised O(1) per written byte. Signing happens off-lock.
+	m.loggedBytes += uint64(opBytesTotal)
+	var refresh *ckptSnapshot
+	if m.snap != nil && !m.snapRefresh && m.loggedBytes-m.snap.logged > uint64(len(m.snap.bytes)) {
 		m.snapRefresh = true
-		refreshBytes = m.store.EncodeSnapshot()
+		refresh = &ckptSnapshot{version: last, bytes: m.store.EncodeSnapshot(), logged: m.loggedBytes}
 	}
 	m.lastCommit = now
 	m.stats.WritesApplied += count
 	m.stats.BatchesApplied++
+	// Until the WAL sync below returns, no writer has been answered and
+	// no slave sent this batch: keep-alives stamp below it meanwhile.
+	m.unacked = count
 	slaves := append([]slaveEntry(nil), m.slaves...)
 	m.mu.Unlock()
 
-	if refreshBytes != nil {
-		m.rt.Spawn(func() { m.refreshSnapshot(last, refreshBytes) })
+	if refresh != nil {
+		m.rt.Spawn(func() { m.refreshSnapshot(refresh) })
 	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign) // once per batch
-	var opBytesTotal int
-	for _, o := range ops {
-		opBytesTotal += len(o)
-	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.BatchOverhead(len(ops), opBytesTotal))
 	for range applied {
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryBase) // apply cost
@@ -1038,6 +1029,9 @@ func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
 		}
 	}
 
+	m.mu.Lock()
+	m.unacked = 0
+	m.mu.Unlock()
 	for i, a := range applied {
 		m.resolvePending(a.id, first+uint64(i))
 	}
@@ -1555,7 +1549,7 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 		// Bring it up to date immediately with a keep-alive.
 		m.rt.Spawn(func() {
 			m.mu.Lock()
-			version := m.store.Version()
+			version := m.ackedVersionLocked()
 			m.mu.Unlock()
 			stamp := SignStamp(m.cfg.Keys, version, m.rt.Now())
 			w := wire.NewWriter(160)
@@ -1568,6 +1562,14 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 
 // --- Background loops ---------------------------------------------------------
 
+// ackedVersionLocked is the newest acknowledged version, which is what a
+// keep-alive certifies as current. The store runs ahead of it while
+// applyBatch syncs the WAL; a stamp naming that version would reach slaves
+// before their update and make them pull a needless sync. Caller holds m.mu.
+func (m *Master) ackedVersionLocked() uint64 {
+	return m.store.Version() - m.unacked
+}
+
 func (m *Master) keepAliveLoop() {
 	for {
 		if m.rt.Sleep(m.cfg.Params.KeepAliveEvery) != nil {
@@ -1578,7 +1580,7 @@ func (m *Master) keepAliveLoop() {
 			m.mu.Unlock()
 			return
 		}
-		version := m.store.Version()
+		version := m.ackedVersionLocked()
 		slaves := append([]slaveEntry(nil), m.slaves...)
 		m.mu.Unlock()
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
@@ -1784,11 +1786,4 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 			m.dlr.CallTimeout(e.addr, MethodKeepAlive, w.Bytes(), m.cfg.Params.ReadTimeout)
 		})
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

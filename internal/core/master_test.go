@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -451,6 +453,161 @@ func TestMasterBatchedSyncBothProtocols(t *testing.T) {
 		}
 		if stamp.Version != v || !stamp.AuthenticatesOp(opBytes) {
 			t.Fatalf("legacy record %d not authenticated by a per-op stamp", i)
+		}
+	}
+}
+
+// --- Write waves (m.writemulti) ---------------------------------------------
+
+// waveRig is a master rig whose ACL permits the rig's client and a second
+// key, with batches of 256 — the shape of the real-clock write waves.
+func waveRig(t *testing.T, mut func(*MasterConfig)) (*masterRig, *cryptoutil.KeyPair) {
+	other := cryptoutil.DeriveKeyPair("client", 1)
+	r := newMasterRig(t, func(cfg *MasterConfig) {
+		cfg.ACL.Allow(other.Public)
+		cfg.BatchSize = 256
+		cfg.BatchTimeout = 5 * time.Millisecond
+		if mut != nil {
+			mut(cfg)
+		}
+	})
+	return r, other
+}
+
+// assertNothingEnqueued checks that a refused request left no trace in
+// the write path: nothing admitted, nothing queued, nothing committed.
+func assertNothingEnqueued(t *testing.T, m *Master) {
+	t.Helper()
+	m.mu.Lock()
+	queued, pending := len(m.batchQueue), len(m.pending)+len(m.pendingCh)
+	m.mu.Unlock()
+	if st := m.Stats(); st.WritesAdmitted != 0 || queued != 0 || pending != 0 || m.Version() != 1 {
+		t.Fatalf("refused request left state behind: admitted=%d queued=%d pending=%d version=%d",
+			st.WritesAdmitted, queued, pending, m.Version())
+	}
+}
+
+// TestMasterWaveTamperRefusedWhole runs every tampered wave of the shared
+// table against a live master: each must fail closed — an error, and
+// nothing enqueued.
+func TestMasterWaveTamperRefusedWhole(t *testing.T) {
+	outsider := cryptoutil.DeriveKeyPair("outsider", 0)
+	for _, tc := range waveTamperCases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, other := waveRig(t, nil)
+			var err error
+			r.s.Go(func() {
+				_, err = r.master.Handle("client", MethodWriteMulti, tc.body(r.client, other, outsider))
+			})
+			r.s.Run()
+			if err == nil {
+				t.Fatal("tampered wave accepted")
+			}
+			if tc.denied && !errors.Is(err, ErrDenied) {
+				t.Fatalf("err = %v, want ErrDenied", err)
+			}
+			assertNothingEnqueued(t, r.master)
+		})
+	}
+}
+
+// TestMasterWaveSignatureRefusedByWrite is the other direction of the
+// domain separation: a wave signature over one op does not admit that op
+// through m.write.
+func TestMasterWaveSignatureRefusedByWrite(t *testing.T) {
+	r, _ := waveRig(t, nil)
+	ww := SignWave(r.client, waveOps(1))
+	wr := WriteRequest{OpBytes: ww.Ops[0], ClientPub: ww.ClientPub, Sig: ww.Sig}
+	var err error
+	r.s.Go(func() {
+		_, err = r.master.Handle("client", MethodWrite, wire.EncodeFrame(wr.Encode))
+	})
+	r.s.Run()
+	if !errors.Is(err, ErrDenied) {
+		t.Fatalf("err = %v, want ErrDenied", err)
+	}
+	assertNothingEnqueued(t, r.master)
+}
+
+// TestMasterWaveOutOfShardOpRefusesWhole: one op outside the master's
+// range, honestly signed in the middle of a wave, refuses every op.
+func TestMasterWaveOutOfShardOpRefusesWhole(t *testing.T) {
+	r, _ := waveRig(t, func(cfg *MasterConfig) {
+		cfg.Shard = wire.ShardRef{ID: 1, Lo: "catalog/", Hi: "catalog0"}
+	})
+	ops := waveOps(8)
+	ops[4] = store.Put{Key: "docs/readme", Value: []byte("x")}
+	var err error
+	r.s.Go(func() {
+		_, err = r.master.Handle("client", MethodWriteMulti, encodeWave(SignWave(r.client, ops)))
+	})
+	r.s.Run()
+	if !IsWrongShard(err) {
+		t.Fatalf("err = %v, want wrong-shard", err)
+	}
+	if got := r.master.Stats().WrongShardRejects; got != 1 {
+		t.Fatalf("wrong-shard rejects = %d, want 1", got)
+	}
+	assertNothingEnqueued(t, r.master)
+}
+
+// TestMasterHonestWavesCommit: waves of 1, 64, 256 and 257 ops (the last
+// spans two batches) commit under one client signature each, with
+// distinct consecutive versions in submission order.
+func TestMasterHonestWavesCommit(t *testing.T) {
+	for _, n := range []int{1, 64, 256, 257} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r, _ := waveRig(t, nil)
+			var body []byte
+			var err error
+			r.s.Go(func() {
+				body, err = r.master.Handle("client", MethodWriteMulti, encodeWave(SignWave(r.client, waveOps(n))))
+			})
+			r.s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr := wire.NewReader(body)
+			if got := rr.Uvarint(); got != uint64(n) {
+				t.Fatalf("reply carries %d versions, want %d", got, n)
+			}
+			for i := 0; i < n; i++ {
+				if v := rr.Uvarint(); v != uint64(2+i) {
+					t.Fatalf("op %d committed at version %d, want %d", i, v, 2+i)
+				}
+			}
+			if err := rr.Done(); err != nil {
+				t.Fatal(err)
+			}
+			st := r.master.Stats()
+			wantBatches := uint64((n + 255) / 256)
+			if st.WritesAdmitted != uint64(n) || st.WritesApplied != uint64(n) || st.BatchesApplied != wantBatches {
+				t.Fatalf("admitted=%d applied=%d batches=%d, want %d/%d/%d",
+					st.WritesAdmitted, st.WritesApplied, st.BatchesApplied, n, n, wantBatches)
+			}
+			if r.master.Version() != uint64(1+n) {
+				t.Fatalf("master version = %d, want %d", r.master.Version(), 1+n)
+			}
+		})
+	}
+}
+
+// BenchmarkAdmitWave256 is the master's whole admission of a 256-op wave:
+// decode the frame, verify the one signature, check the ACL, validate
+// and shard-check every op.
+func BenchmarkAdmitWave256(b *testing.B) {
+	client := cryptoutil.DeriveKeyPair("client", 0)
+	m := &Master{cfg: MasterConfig{
+		ACL:   NewACL(client.Public),
+		Shard: wire.ShardRef{ID: 1, Lo: "catalog/", Hi: "catalog0"},
+	}}
+	body := encodeWave(SignWave(client, waveOps(256)))
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ops, err := m.admitWave(body); err != nil || len(ops) != 256 {
+			b.Fatal(len(ops), err)
 		}
 	}
 }

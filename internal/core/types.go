@@ -545,6 +545,63 @@ func DecodeWriteRequest(r *wire.Reader) (WriteRequest, error) {
 	return wr, r.Err()
 }
 
+// WriteWave is a client-signed wave of writes (MethodWriteMulti): ONE
+// signature covers the client key, the op count and every op in order —
+// §3.4's one signature over many items, on the client half of the write
+// path. The signing domain ("wave.v1") differs from WriteRequest's, so
+// neither signature can be replayed as the other kind.
+type WriteWave struct {
+	ClientPub cryptoutil.PublicKey
+	Ops       [][]byte
+	Sig       []byte
+}
+
+func (ww *WriteWave) appendSignedBytes(w *wire.Writer) {
+	w.String_("wave.v1")
+	w.Bytes_(ww.ClientPub)
+	w.BytesSlice(ww.Ops) // count, then every op length-prefixed
+}
+
+// SignWave builds the wave request for ops under the client's key.
+func SignWave(client *cryptoutil.KeyPair, ops []store.Op) WriteWave {
+	ww := WriteWave{ClientPub: client.Public, Ops: make([][]byte, len(ops))}
+	for i, op := range ops {
+		ww.Ops[i] = store.EncodeOp(op)
+	}
+	w := wire.GetWriter()
+	ww.appendSignedBytes(w)
+	ww.Sig = client.Sign(w.Bytes())
+	wire.PutWriter(w)
+	return ww
+}
+
+// VerifySig checks the client's signature over the whole wave.
+func (ww *WriteWave) VerifySig() error {
+	w := wire.GetWriter()
+	ww.appendSignedBytes(w)
+	err := cryptoutil.Verify(ww.ClientPub, w.Bytes(), ww.Sig)
+	wire.PutWriter(w)
+	return err
+}
+
+// Encode appends the wave to w.
+func (ww *WriteWave) Encode(w *wire.Writer) {
+	w.Bytes_(ww.ClientPub)
+	w.BytesSlice(ww.Ops)
+	w.Bytes_(ww.Sig)
+}
+
+// DecodeWriteWave parses a whole m.writemulti frame. Like
+// DecodeWriteRequest's, the fields alias b.
+func DecodeWriteWave(b []byte) (WriteWave, error) {
+	r := wire.NewReader(b)
+	var ww WriteWave
+	ww.ClientPub = cryptoutil.PublicKey(r.BytesView())
+	ww.Ops = r.BytesSliceView()
+	ww.Sig = r.BytesView()
+	return ww, r.Done()
+}
+
 // ACL is the content owner's write access policy: the set of client keys
 // allowed to modify the content (§2: the policy "is only concerned with
 // operations that modify the content").

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -184,6 +186,204 @@ func TestWriteRequestCodec(t *testing.T) {
 		t.Fatalf("decoded request invalid: %v", err)
 	}
 }
+
+// waveOps builds n distinct catalogue puts, the shape the real-clock
+// benchmark's write waves carry.
+func waveOps(n int) []store.Op {
+	ops := make([]store.Op, n)
+	for i := range ops {
+		ops[i] = store.Put{Key: fmt.Sprintf("catalog/%05d", i), Value: []byte("12345")}
+	}
+	return ops
+}
+
+func encodeWave(ww WriteWave) []byte { return wire.EncodeFrame(ww.Encode) }
+
+// waveTamper is one way of presenting a wave the master must refuse.
+// body builds the m.writemulti request: client is the honest, permitted
+// signer; other is a second permitted key; outsider is not in the ACL.
+// sigValid marks requests whose signature does verify — they are refused
+// by a later admission step, so only the master-level table rejects them.
+// denied marks refusals that must surface as ErrDenied (the rest fail in
+// the decoder).
+type waveTamper struct {
+	name     string
+	body     func(client, other, outsider *cryptoutil.KeyPair) []byte
+	sigValid bool
+	denied   bool
+}
+
+// waveCountOffset is where a wave frame's op count sits: after the
+// length-prefixed 32-byte client key.
+const waveCountOffset = 1 + 32
+
+var waveTamperCases = []waveTamper{
+	{name: "op byte flipped", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		op := append([]byte(nil), ww.Ops[3]...)
+		op[len(op)-1] ^= 1 // inside the value: the op still decodes
+		ww.Ops[3] = op
+		return encodeWave(ww)
+	}},
+	{name: "ops reordered", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.Ops[1], ww.Ops[2] = ww.Ops[2], ww.Ops[1]
+		return encodeWave(ww)
+	}},
+	{name: "last op dropped", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.Ops = ww.Ops[:7]
+		return encodeWave(ww)
+	}},
+	{name: "op appended", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.Ops = append(ww.Ops, store.EncodeOp(store.Delete{Key: "catalog/00000"}))
+		return encodeWave(ww)
+	}},
+	{name: "count lowered", body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		b := encodeWave(SignWave(c, waveOps(8)))
+		b[waveCountOffset]--
+		return b
+	}},
+	{name: "count raised", body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		b := encodeWave(SignWave(c, waveOps(8)))
+		b[waveCountOffset]++
+		return b
+	}},
+	{name: "client key swapped", denied: true, body: func(c, other, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.ClientPub = other.Public
+		return encodeWave(ww)
+	}},
+	{name: "signature truncated", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.Sig = ww.Sig[:32]
+		return encodeWave(ww)
+	}},
+	{name: "signature garbage", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.Sig = bytes.Repeat([]byte{0x5a}, len(ww.Sig))
+		return encodeWave(ww)
+	}},
+	{name: "signature missing", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := SignWave(c, waveOps(8))
+		ww.Sig = nil
+		return encodeWave(ww)
+	}},
+	{name: "write.v1 signature presented as a wave", denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		wr := SignWrite(c, waveOps(1)[0])
+		return encodeWave(WriteWave{ClientPub: wr.ClientPub, Ops: [][]byte{wr.OpBytes}, Sig: wr.Sig})
+	}},
+	{name: "trailing bytes", body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		return append(encodeWave(SignWave(c, waveOps(8))), 0)
+	}},
+	{name: "key not in the ACL", sigValid: true, denied: true, body: func(_, _, outsider *cryptoutil.KeyPair) []byte {
+		return encodeWave(SignWave(outsider, waveOps(8)))
+	}},
+	{name: "empty wave", sigValid: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		return encodeWave(SignWave(c, nil))
+	}},
+	{name: "undecodable op in the middle", sigValid: true, denied: true, body: func(c, _, _ *cryptoutil.KeyPair) []byte {
+		ww := WriteWave{ClientPub: c.Public}
+		for _, op := range waveOps(8) {
+			ww.Ops = append(ww.Ops, store.EncodeOp(op))
+		}
+		ww.Ops[4] = []byte{0xff, 0xfe}
+		w := wire.NewWriter(0)
+		ww.appendSignedBytes(w)
+		ww.Sig = c.Sign(w.Bytes())
+		return encodeWave(ww)
+	}},
+}
+
+func TestWriteWaveSignVerifyCodec(t *testing.T) {
+	c := cryptoutil.DeriveKeyPair("client", 0)
+	for _, n := range []int{1, 64, 256} {
+		ww := SignWave(c, waveOps(n))
+		if err := ww.VerifySig(); err != nil {
+			t.Fatalf("wave of %d: verify: %v", n, err)
+		}
+		got, err := DecodeWriteWave(encodeWave(ww))
+		if err != nil {
+			t.Fatalf("wave of %d: decode: %v", n, err)
+		}
+		if len(got.Ops) != n {
+			t.Fatalf("wave of %d decoded to %d ops", n, len(got.Ops))
+		}
+		if err := got.VerifySig(); err != nil {
+			t.Fatalf("wave of %d: decoded wave invalid: %v", n, err)
+		}
+	}
+}
+
+func TestWriteWaveTamperRejected(t *testing.T) {
+	c := cryptoutil.DeriveKeyPair("client", 0)
+	other := cryptoutil.DeriveKeyPair("client", 1)
+	outsider := cryptoutil.DeriveKeyPair("outsider", 0)
+	for _, tc := range waveTamperCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ww, err := DecodeWriteWave(tc.body(c, other, outsider))
+			if err != nil {
+				if tc.sigValid || tc.denied {
+					t.Fatalf("frame should decode: %v", err)
+				}
+				return // refused by the decoder
+			}
+			if err := ww.VerifySig(); (err == nil) != tc.sigValid {
+				t.Fatalf("VerifySig = %v, want valid=%v", err, tc.sigValid)
+			}
+		})
+	}
+}
+
+// TestWriteWaveDomainSeparation: a wave signature over one op is not a
+// write signature over that op, and vice versa.
+func TestWriteWaveDomainSeparation(t *testing.T) {
+	c := cryptoutil.DeriveKeyPair("client", 0)
+	op := waveOps(1)
+	ww := SignWave(c, op)
+	wr := WriteRequest{OpBytes: ww.Ops[0], ClientPub: ww.ClientPub, Sig: ww.Sig}
+	if err := wr.VerifySig(); err == nil {
+		t.Fatal("wave signature accepted as a write.v1 signature")
+	}
+	single := SignWrite(c, op[0])
+	asWave := WriteWave{ClientPub: single.ClientPub, Ops: [][]byte{single.OpBytes}, Sig: single.Sig}
+	if err := asWave.VerifySig(); err == nil {
+		t.Fatal("write.v1 signature accepted as a wave signature")
+	}
+}
+
+// --- layer ledger: what the client signature of a wave costs ----------------
+
+func BenchmarkWaveSign(b *testing.B) {
+	c := cryptoutil.DeriveKeyPair("client", 0)
+	for _, n := range []int{1, 64, 256} {
+		ops := waveOps(n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchSink += len(SignWave(c, ops).Sig)
+			}
+		})
+	}
+}
+
+func BenchmarkWaveVerify(b *testing.B) {
+	c := cryptoutil.DeriveKeyPair("client", 0)
+	for _, n := range []int{1, 64, 256} {
+		ww := SignWave(c, waveOps(n))
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := ww.VerifySig(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchSink int
 
 func TestACL(t *testing.T) {
 	a := cryptoutil.DeriveKeyPair("a", 0)
