@@ -3,7 +3,9 @@
 #   make verify     — build, vet, lint (repllint + staticcheck +
 #                     govulncheck where installed), full test suite
 #                     under the race detector (covering the pooled
-#                     wire-buffer and merkle-scratch paths), then the
+#                     wire-buffer and merkle-scratch paths; the
+#                     schedule-sensitive broadcast package ten times
+#                     over), then the
 #                     E15 batch-throughput, E16 checkpointing, E17
 #                     crash-recovery, E18 hot-path, and E19 shard-scaling
 #                     benchmarks emitting BENCH_e15.json … BENCH_e19.json (the
@@ -53,8 +55,12 @@ lint:
 		echo "lint: govulncheck not installed, skipping (CI runs it)"; \
 	fi
 
+# The commit round fans out a task per peer and hands delivery to a
+# drainer task, so what its tests prove depends on the schedule they
+# happened to get: the broadcast package runs ten more times.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/broadcast/
 
 bench-e15:
 	$(GO) test -run '^$$' -bench BenchmarkE15 -benchtime 1x -json . > BENCH_e15.json

@@ -5,7 +5,6 @@ package broadcast
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -37,8 +36,9 @@ type Config struct {
 	// Peers is the full member set in priority order (index 0 is the
 	// initial sequencer). All members must use the same order.
 	Peers []string
-	// Deliver is invoked for every message, in sequence order, from the
-	// member's internal delivery flow. It must not block for long.
+	// Deliver is invoked for every message, in sequence order and never
+	// concurrently with itself, from the member's drainer task. While it
+	// blocks this member delivers nothing; the others are not held up.
 	Deliver func(seq uint64, msg []byte)
 	// CallTimeout bounds each RPC before the callee is suspected.
 	CallTimeout time.Duration
@@ -66,47 +66,84 @@ type Member struct {
 	cfg    Config
 	rt     sim.Runtime
 	dialer rpc.Dialer
+	self   uint64 // index of cfg.Self in cfg.Peers
 
 	mu            sync.Mutex
-	log           map[uint64][]byte // guarded by mu
-	nextSeq       uint64            // guarded by mu; sequencer: next slot to assign
-	delivered     uint64            // guarded by mu; highest contiguously delivered seq
-	delivering    bool              // guarded by mu; a drainer is inside tryDeliver's loop
-	truncated     uint64            // guarded by mu; archive floor: seqs below this were dropped
-	peerDelivered map[string]uint64 // guarded by mu; sequencer: peers' delivered marks (Hello replies)
-	stableSeq     uint64            // guarded by mu; min delivered across live members (via Hello)
-	view          int               // guarded by mu; index into Peers of the current sequencer
-	suspected     map[string]bool   // guarded by mu
-	lastHB        time.Time         // guarded by mu
-	stopped       bool              // guarded by mu
+	log           map[uint64]entry    // guarded by mu; received-but-undelivered slots and the archive
+	slotOf        map[submitID]uint64 // guarded by mu; the slot of every submit in log (see sequence)
+	nextSubmit    uint64              // guarded by mu; origin: sequence number of the next Broadcast
+	nextSeq       uint64              // guarded by mu; sequencer: next slot to assign
+	collecting    map[uint64]bool     // guarded by mu; sequencer: slots whose receipt round is still open
+	known         uint64              // guarded by mu; every slot up to here has closed its receipt round (b.commit, b.hello)
+	delivered     uint64              // guarded by mu; highest contiguously delivered seq
+	delivering    bool                // guarded by mu; the drainer task is running
+	truncated     uint64              // guarded by mu; archive floor: seqs below this were dropped
+	peerDelivered map[string]uint64   // guarded by mu; sequencer: peers' delivered marks (Hello replies)
+	stableSeq     uint64              // guarded by mu; min delivered across live members (via Hello)
+	view          int                 // guarded by mu; index into Peers of the current sequencer
+	suspected     map[string]bool     // guarded by mu
+	lastHB        time.Time           // guarded by mu
+	stopped       bool                // guarded by mu
 
 	// deliveries counts messages handed to Deliver (stats/tests);
 	// guarded by mu.
 	deliveries uint64
 }
 
+// submitID names one Broadcast call: the member that made it (its index
+// in Peers) and that member's own count of calls. It travels with the
+// message — in b.submit, in b.commit, in b.fetch and in every member's
+// log — so whoever is sequencer can tell a retried submit from a new one.
+type submitID struct {
+	origin uint64
+	n      uint64
+}
+
+// entry is one sequenced message as the log holds it and as b.submit,
+// b.commit and b.fetch carry it.
+type entry struct {
+	id  submitID
+	msg []byte
+}
+
+func (e entry) encode(w *wire.Writer) {
+	w.Uvarint(e.id.origin)
+	w.Uvarint(e.id.n)
+	w.Bytes_(e.msg)
+}
+
+func decodeEntry(r *wire.Reader) entry {
+	return entry{id: submitID{origin: r.Uvarint(), n: r.Uvarint()}, msg: r.Bytes()}
+}
+
 // New creates a member. Call Start to launch its background loops.
 func New(cfg Config, rt sim.Runtime, dialer rpc.Dialer) (*Member, error) {
 	cfg.fill()
-	found := false
-	for _, p := range cfg.Peers {
+	self := -1
+	for i, p := range cfg.Peers {
 		if p == cfg.Self {
-			found = true
+			self = i
 		}
 	}
-	if !found {
+	if self < 0 {
 		return nil, fmt.Errorf("broadcast: self %q not in peer list", cfg.Self)
 	}
 	if cfg.Deliver == nil {
 		return nil, errors.New("broadcast: Deliver callback is required")
 	}
 	return &Member{
-		cfg:           cfg,
-		rt:            rt,
-		dialer:        dialer,
-		log:           make(map[uint64][]byte),
-		delivered:     0,
+		cfg:    cfg,
+		rt:     rt,
+		dialer: dialer,
+		self:   uint64(self),
+		log:    make(map[uint64]entry),
+		slotOf: make(map[submitID]uint64),
+		// Submit numbers start at the clock, not at 1: a member that
+		// restarts must not reuse a number its previous life used, or the
+		// sequencer would answer its new message as a replay of an old one.
+		nextSubmit:    uint64(rt.Now().UnixNano()),
 		nextSeq:       1,
+		collecting:    make(map[uint64]bool),
 		suspected:     make(map[string]bool),
 		peerDelivered: make(map[string]uint64),
 	}, nil
@@ -156,7 +193,7 @@ func (m *Member) ResumeAt(seq uint64) {
 	}
 	for s := range m.log {
 		if s <= m.delivered {
-			delete(m.log, s)
+			m.dropLocked(s)
 		}
 	}
 }
@@ -201,15 +238,6 @@ func (m *Member) Suspect(peer string) {
 	m.mu.Unlock()
 }
 
-func (m *Member) selfIndex() int {
-	for i, p := range m.cfg.Peers {
-		if p == m.cfg.Self {
-			return i
-		}
-	}
-	return -1
-}
-
 func (m *Member) isSequencer() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -217,9 +245,16 @@ func (m *Member) isSequencer() bool {
 }
 
 // Broadcast submits msg for total ordering and blocks until the message
-// has been assigned a slot and replicated. It retries across sequencer
-// failures.
+// has been assigned a slot and every member not suspected as crashed
+// holds it in its log; delivery follows on each member's own drainer. It
+// retries across lost messages and sequencer failures under one submit
+// identity, so however many tries arrive the message takes one slot.
 func (m *Member) Broadcast(msg []byte) error {
+	m.mu.Lock()
+	e := entry{id: submitID{origin: m.self, n: m.nextSubmit}, msg: msg}
+	m.nextSubmit++
+	m.mu.Unlock()
+	var frame []byte // the b.submit body, built when a try first needs it
 	for attempt := 0; attempt < len(m.cfg.Peers)+2; attempt++ {
 		m.mu.Lock()
 		if m.stopped {
@@ -230,18 +265,20 @@ func (m *Member) Broadcast(msg []byte) error {
 		m.mu.Unlock()
 
 		if seqAddr == m.cfg.Self {
-			return m.sequence(msg)
+			return m.sequence(e)
 		}
-		w := wire.NewWriter(len(msg) + 8)
-		w.Bytes_(msg)
+		if frame == nil {
+			w := wire.NewWriter(len(msg) + 24)
+			e.encode(w)
+			frame = w.Bytes()
+		}
 		// Retry the submit before declaring the sequencer dead: a view
 		// change is disruptive (a takeover that itself hits message loss
 		// can reassign slots), so one dropped round trip must not force
-		// it. Note a retried submit can be sequenced twice if only the
-		// replies were lost — same at-least-once contract as before.
+		// it.
 		var err error
 		for try := 0; try < 3; try++ {
-			_, err = m.dialer.CallTimeout(seqAddr, MethodSubmit, w.Bytes(), m.cfg.CallTimeout)
+			_, err = m.dialer.CallTimeout(seqAddr, MethodSubmit, frame, m.cfg.CallTimeout)
 			if err == nil || rpc.IsRemote(err) {
 				break
 			}
@@ -249,14 +286,9 @@ func (m *Member) Broadcast(msg []byte) error {
 		if err == nil {
 			return nil
 		}
-		if rpc.IsRemote(err) {
-			// The callee no longer believes it is the sequencer; refresh
-			// our view and retry.
-			m.advanceView(seqAddr)
-			continue
-		}
-		// Transport failure: suspect the sequencer and take over if we
-		// are next in line.
+		// A remote error means the callee no longer believes it is the
+		// sequencer; a transport failure means it is gone. Either way move
+		// the view on, taking over if we are next in line, and try again.
 		m.advanceView(seqAddr)
 	}
 	return ErrNoSequencer
@@ -289,7 +321,9 @@ func (m *Member) advanceView(failed string) {
 
 // takeover makes this member the sequencer: it syncs the log from every
 // reachable member so that no committed message is lost, then resumes
-// assignment after the highest sequence number seen anywhere.
+// assignment after the highest sequence number seen anywhere. The fetched
+// entries carry their submit identities, so a submit the old sequencer
+// had already given a slot is recognised when its origin retries it here.
 func (m *Member) takeover() {
 	maxSeq := m.maxKnown()
 	for _, p := range m.cfg.Peers {
@@ -315,7 +349,7 @@ func (m *Member) takeover() {
 		m.nextSeq = maxSeq + 1
 	}
 	m.mu.Unlock()
-	m.tryDeliver()
+	m.kickDrain()
 }
 
 func (m *Member) maxKnown() uint64 {
@@ -330,79 +364,134 @@ func (m *Member) maxKnown() uint64 {
 	return max
 }
 
-// sequence assigns the next slot (this member is the sequencer) and
-// replicates to all non-suspected members.
-func (m *Member) sequence(msg []byte) error {
+// sequence gives e a slot (this member is the sequencer), sends it to
+// every non-suspected member at once and returns when each has
+// acknowledged holding it. Only then may this member deliver the slot
+// itself (doc.go: a sequencer must never apply a slot nobody else holds);
+// peers deliver as soon as they hold it, so all members apply it at the
+// same time.
+//
+// A submit whose identity is already in the log — a retry whose first try
+// was slow or whose reply was lost, or one an earlier sequencer had
+// sequenced before the view changed — keeps its slot: the round is run
+// again for that slot, which costs the bytes once more and leaves every
+// member holding the one entry.
+func (m *Member) sequence(e entry) error {
 	m.mu.Lock()
-	seq := m.nextSeq
-	m.nextSeq++
-	view := m.view
-	m.log[seq] = msg
-	peers := append([]string(nil), m.cfg.Peers...)
-	m.mu.Unlock()
-
-	w := wire.NewWriter(len(msg) + 16)
-	w.Uvarint(uint64(view))
-	w.Uvarint(seq)
-	w.Bytes_(msg)
-	frame := w.Bytes()
-
-	for _, p := range peers {
-		if p == m.cfg.Self {
-			continue
-		}
-		m.mu.Lock()
-		skip := m.suspected[p]
-		m.mu.Unlock()
-		if skip {
-			continue
-		}
-		// Retry a bounded number of times before suspecting the peer;
-		// it will recover missing entries by fetching when it returns.
-		var err error
-		for try := 0; try < 2; try++ {
-			_, err = m.dialer.CallTimeout(p, MethodCommit, frame, m.cfg.CallTimeout)
-			if err == nil || rpc.IsRemote(err) {
-				break
-			}
-		}
-		if err != nil && !rpc.IsRemote(err) {
-			m.mu.Lock()
-			m.suspected[p] = true
-			m.mu.Unlock()
+	seq, replay := m.slotOf[e.id]
+	if replay {
+		e = m.log[seq]
+	} else {
+		seq = m.nextSeq
+		m.nextSeq++
+		m.insertLocked(seq, e)
+		m.collecting[seq] = true
+	}
+	view, closed := m.view, m.closedLocked()
+	var targets []string
+	for _, p := range m.cfg.Peers {
+		if p != m.cfg.Self && !m.suspected[p] {
+			targets = append(targets, p)
 		}
 	}
-	m.tryDeliver()
+	m.mu.Unlock()
+
+	w := wire.NewWriter(len(e.msg) + 48)
+	w.Uvarint(uint64(view))
+	w.Uvarint(seq)
+	w.Uvarint(closed)
+	e.encode(w)
+	frame := w.Bytes()
+
+	round := sim.NewGroup(m.rt)
+	for _, p := range targets {
+		round.Go(func() { m.sendCommit(p, frame) })
+	}
+	round.Wait()
+
+	if !replay {
+		m.mu.Lock()
+		delete(m.collecting, seq)
+		m.mu.Unlock()
+		m.kickDrain()
+	}
 	return nil
 }
 
+// sendCommit hands one slot to one peer. It retries a bounded number of
+// times before suspecting the peer, which will recover missing entries by
+// fetching when it returns. A remote error counts as an answer.
+func (m *Member) sendCommit(peer string, frame []byte) {
+	for try := 0; try < 2; try++ {
+		_, err := m.dialer.CallTimeout(peer, MethodCommit, frame, m.cfg.CallTimeout)
+		if err == nil || rpc.IsRemote(err) {
+			return
+		}
+	}
+	m.mu.Lock()
+	m.suspected[peer] = true
+	m.mu.Unlock()
+}
+
+// closedLocked returns the highest slot such that it and every slot below
+// it has finished its receipt round. A member missing a slot at or below
+// this mark will not be sent it again and has to fetch it; a slot above
+// may simply still be on the wire. Caller holds m.mu.
+func (m *Member) closedLocked() uint64 {
+	closed := m.nextSeq - 1
+	for s := range m.collecting {
+		if s <= closed {
+			closed = s - 1
+		}
+	}
+	return closed
+}
+
+// insertLocked and dropLocked are the only writers of log, so slotOf
+// indexes exactly the entries log holds and is bounded with it. Caller
+// holds m.mu.
+func (m *Member) insertLocked(seq uint64, e entry) {
+	m.log[seq] = e
+	m.slotOf[e.id] = seq
+}
+
+func (m *Member) dropLocked(seq uint64) {
+	if id := m.log[seq].id; m.slotOf[id] == seq {
+		delete(m.slotOf, id)
+	}
+	delete(m.log, seq)
+}
+
 // Handle routes broadcast RPCs; the hosting node must call it for the
-// Method* method names.
+// Method* method names. No handler makes an outgoing call of its own
+// except b.submit, whose job is the receipt round: b.commit and b.hello
+// record what arrived and leave delivery and gap repair to the drainer.
 func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 	switch method {
 	case MethodSubmit:
 		r := wire.NewReader(body)
-		msg := r.Bytes()
+		e := decodeEntry(r)
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
 		if !m.isSequencer() {
 			return nil, fmt.Errorf("not sequencer; current view %s", m.Sequencer())
 		}
-		return nil, m.sequence(msg)
+		return nil, m.sequence(e)
 
 	case MethodCommit:
 		r := wire.NewReader(body)
 		view := r.Uvarint()
 		seq := r.Uvarint()
-		msg := r.Bytes()
+		closed := r.Uvarint()
+		e := decodeEntry(r)
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
 		if err := m.checkView(view); err != nil {
 			return nil, err
 		}
-		m.acceptCommit(int(view), seq, msg)
+		m.acceptCommit(int(view), seq, closed, e)
 		return nil, nil
 
 	case MethodFetch:
@@ -461,8 +550,10 @@ func (m *Member) checkView(view uint64) error {
 // acceptCommit and acceptHello take the sender from the view, not from
 // the transport: both messages come from the sequencer Peers[view], while
 // the RPC's from is, over TCP, the caller's ephemeral source port — an
-// address nobody listens on.
-func (m *Member) acceptCommit(view int, seq uint64, msg []byte) {
+// address nobody listens on. Both return as soon as the message is
+// recorded: the reply to b.commit is the receipt the sequencer is
+// waiting for, and it says "held", not "applied".
+func (m *Member) acceptCommit(view int, seq, closed uint64, e entry) {
 	m.mu.Lock()
 	if view > m.view {
 		m.view = view
@@ -472,44 +563,34 @@ func (m *Member) acceptCommit(view int, seq uint64, msg []byte) {
 		m.lastHB = m.rt.Now()
 	}
 	if _, dup := m.log[seq]; !dup && seq > m.delivered {
-		m.log[seq] = msg
+		m.insertLocked(seq, e)
 	}
-	gap := m.delivered+1 < seq && m.missingBelowLocked(seq)
+	if closed > m.known {
+		m.known = closed
+	}
 	m.mu.Unlock()
-	if gap {
-		m.fetchRange(m.cfg.Peers[view], seq)
-	}
-	m.tryDeliver()
-}
-
-func (m *Member) missingBelowLocked(seq uint64) bool {
-	for s := m.delivered + 1; s < seq; s++ {
-		if _, ok := m.log[s]; !ok {
-			return true
-		}
-	}
-	return false
+	m.kickDrain()
 }
 
 func (m *Member) acceptHello(view int, maxSeq uint64, stable uint64) {
-	from := m.cfg.Peers[view]
 	m.mu.Lock()
 	if view >= m.view {
 		if view > m.view {
 			m.view = view
 		}
 		m.lastHB = m.rt.Now()
-		delete(m.suspected, from)
+		delete(m.suspected, m.cfg.Peers[view])
 		if stable > m.stableSeq {
 			m.stableSeq = stable
 		}
 	}
-	behind := m.delivered < maxSeq
-	m.mu.Unlock()
-	if behind {
-		m.fetchRange(from, maxSeq)
-		m.tryDeliver()
+	// The sequencer delivers a slot only after its receipt round, so
+	// everything up to its delivered mark is closed.
+	if maxSeq > m.known {
+		m.known = maxSeq
 	}
+	m.mu.Unlock()
+	m.kickDrain()
 }
 
 // fetchRange pulls any entries in (delivered, hi] that we are missing
@@ -533,12 +614,12 @@ func (m *Member) fetchRange(from string, hi uint64) {
 	m.mu.Lock()
 	for i := uint64(0); i < n; i++ {
 		seq := r.Uvarint()
-		msg := r.Bytes()
+		e := decodeEntry(r)
 		if r.Err() != nil {
 			break
 		}
 		if _, dup := m.log[seq]; !dup && seq > m.delivered {
-			m.log[seq] = msg
+			m.insertLocked(seq, e)
 		}
 	}
 	m.mu.Unlock()
@@ -547,69 +628,91 @@ func (m *Member) fetchRange(from string, hi uint64) {
 func (m *Member) serveFetch(lo, hi uint64) []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	type entry struct {
-		seq uint64
-		msg []byte
-	}
-	var entries []entry
+	var held []uint64
 	for s := lo; s <= hi; s++ {
-		if msg, ok := m.log[s]; ok {
-			entries = append(entries, entry{s, msg})
+		if _, ok := m.log[s]; ok {
+			held = append(held, s)
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].seq < entries[j].seq })
 	w := wire.NewWriter(256)
-	w.Uvarint(uint64(len(entries)))
-	for _, e := range entries {
-		w.Uvarint(e.seq)
-		w.Bytes_(e.msg)
+	w.Uvarint(uint64(len(held)))
+	for _, s := range held {
+		w.Uvarint(s)
+		m.log[s].encode(w)
 	}
 	return w.Bytes()
 }
 
-// tryDeliver hands contiguous log entries to the Deliver callback.
-// Exactly one drainer runs the loop at a time: concurrent callers whose
-// entries are already in the log return immediately and the active
-// drainer picks their entries up, so Deliver is invoked strictly in
-// sequence order and never concurrently — racing callers could
-// otherwise invoke Deliver(n+1) before Deliver(n) returned. The flag is
-// cleared under the same lock that checks for the next entry, so an
-// entry inserted while the drainer exits is never stranded.
-func (m *Member) tryDeliver() {
+// kickDrain starts the drainer task unless one is running or there is
+// nothing for it to do. Everything that can make the next slot
+// deliverable — an entry arriving, a receipt round closing, a heartbeat
+// moving the closed mark — ends with it.
+func (m *Member) kickDrain() {
 	m.mu.Lock()
-	if m.delivering {
-		m.mu.Unlock()
-		return
+	deliver, fetch := m.nextLocked()
+	start := !m.delivering && (deliver || fetch)
+	if start {
+		m.delivering = true
 	}
-	m.delivering = true
+	m.mu.Unlock()
+	if start {
+		m.rt.Spawn(m.drain)
+	}
+}
+
+// nextLocked says what the drainer can do about slot delivered+1: hand
+// it to Deliver, if the log holds it and — on the sequencer — its receipt
+// round has closed; or fetch it, if the log does not hold it although the
+// sequencer has said its round closed, so no b.commit will bring it. A
+// missing slot above the closed mark has merely been overtaken on the
+// wire. Caller holds m.mu.
+func (m *Member) nextLocked() (deliver, fetch bool) {
+	next := m.delivered + 1
+	if _, ok := m.log[next]; ok {
+		return !m.collecting[next], false
+	}
+	return false, next <= m.known && m.cfg.Peers[m.view] != m.cfg.Self
+}
+
+// drain is the member's one drainer task: it hands contiguous log
+// entries to the Deliver callback and repairs gaps. At most one runs at a
+// time (the delivering flag), so Deliver is invoked strictly in sequence
+// order and never concurrently with itself. The flag is cleared under
+// the same lock that checks for the next entry, so an entry inserted
+// while the drainer exits is never stranded: its kickDrain starts a new
+// one. Delivered entries stay in the log as the archive that serves
+// fetches, until the hosting node truncates them after stability
+// (TruncateBelow).
+func (m *Member) drain() {
+	fetched := false // one fetch per missing slot: a second would bring the same nothing
+	m.mu.Lock()
 	for {
-		next := m.delivered + 1
-		msg, ok := m.log[next]
-		if !ok {
+		deliver, fetch := m.nextLocked()
+		switch {
+		case deliver:
+			next := m.delivered + 1
+			msg := m.log[next].msg
+			m.delivered = next
+			m.deliveries++
+			if next < m.truncated {
+				m.dropLocked(next)
+			}
+			m.mu.Unlock()
+			m.cfg.Deliver(next, msg)
+			fetched = false
+			m.mu.Lock()
+		case fetch && !fetched:
+			from, hi := m.cfg.Peers[m.view], m.known
+			m.mu.Unlock()
+			m.fetchRange(from, hi)
+			fetched = true
+			m.mu.Lock()
+		default:
 			m.delivering = false
 			m.mu.Unlock()
 			return
 		}
-		m.delivered = next
-		m.deliveries++
-		delete(m.log, next) // delivered entries are retained by the app
-		// Keep a copy for serving fetches to lagging peers.
-		m.archiveLocked(next, msg)
-		m.mu.Unlock()
-		m.cfg.Deliver(next, msg)
-		m.mu.Lock()
 	}
-}
-
-// archiveLocked keeps delivered messages for gap recovery. Entries are
-// kept in the log map under their sequence number (re-inserted after
-// delivery bookkeeping) until the hosting node truncates them after
-// stability (TruncateBelow). Caller holds m.mu.
-func (m *Member) archiveLocked(seq uint64, msg []byte) {
-	if seq < m.truncated {
-		return
-	}
-	m.log[seq] = msg
 }
 
 // TruncateBelow drops archived (already delivered) entries with sequence
@@ -633,7 +736,7 @@ func (m *Member) TruncateBelow(floor uint64) {
 	}
 	for s := range m.log {
 		if s < m.truncated && s <= m.delivered {
-			delete(m.log, s)
+			m.dropLocked(s)
 		}
 	}
 }
@@ -675,8 +778,8 @@ func (m *Member) ArchiveBytes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, msg := range m.log {
-		n += len(msg)
+	for _, e := range m.log {
+		n += len(e.msg)
 	}
 	return n
 }

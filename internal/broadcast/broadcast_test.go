@@ -11,43 +11,91 @@ import (
 )
 
 type cluster struct {
+	t       *testing.T
 	s       *sim.Sim
 	net     *rpc.SimNet
+	hooks   hooks
+	peers   []string
 	members []*Member
 	logs    [][]string // delivered messages per member
 }
 
+// hooks lets a test stand between the members: deliver runs before a
+// delivery is logged, may block, and drops the delivery by returning
+// false (a member the test has crashed applies nothing); dialer and
+// handler wrap one member's outgoing and incoming calls.
+type hooks struct {
+	deliver func(i int, seq uint64, msg []byte) bool
+	dialer  func(i int, d rpc.Dialer) rpc.Dialer
+	handler func(i int, h rpc.Handler) rpc.Handler
+}
+
 func newCluster(t *testing.T, s *sim.Sim, n int) *cluster {
 	t.Helper()
+	return newClusterWith(t, s, n, hooks{})
+}
+
+func newClusterWith(t *testing.T, s *sim.Sim, n int, h hooks) *cluster {
+	t.Helper()
 	net := rpc.NewSimNet(s, sim.Const(2*time.Millisecond))
-	c := &cluster{s: s, net: net, logs: make([][]string, n)}
-	peers := make([]string, n)
-	for i := range peers {
-		peers[i] = fmt.Sprintf("m%d", i)
+	c := &cluster{t: t, s: s, net: net, hooks: h, logs: make([][]string, n), members: make([]*Member, n)}
+	for i := 0; i < n; i++ {
+		c.peers = append(c.peers, fmt.Sprintf("m%d", i))
 	}
 	for i := 0; i < n; i++ {
-		i := i
-		cfg := Config{
-			Self:  peers[i],
-			Peers: peers,
-			Deliver: func(seq uint64, msg []byte) {
-				c.logs[i] = append(c.logs[i], string(msg))
-			},
-			CallTimeout:    50 * time.Millisecond,
-			HeartbeatEvery: 100 * time.Millisecond,
-			TakeoverAfter:  300 * time.Millisecond,
-		}
-		m, err := New(cfg, s, net.Dialer(peers[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.members = append(c.members, m)
-		net.Register(peers[i], m.Handle)
+		c.boot(i)
 	}
 	for _, m := range c.members {
 		m.Start()
 	}
 	return c
+}
+
+// boot constructs member i with an empty log and puts it on the network;
+// restart uses it to bring a crashed member back with nothing but its
+// address.
+func (c *cluster) boot(i int) {
+	c.t.Helper()
+	c.logs[i] = nil
+	cfg := Config{
+		Self:  c.peers[i],
+		Peers: c.peers,
+		Deliver: func(seq uint64, msg []byte) {
+			if c.hooks.deliver != nil && !c.hooks.deliver(i, seq, msg) {
+				return
+			}
+			c.logs[i] = append(c.logs[i], string(msg))
+		},
+		CallTimeout:    50 * time.Millisecond,
+		HeartbeatEvery: 100 * time.Millisecond,
+		TakeoverAfter:  300 * time.Millisecond,
+	}
+	d := c.net.Dialer(c.peers[i])
+	if c.hooks.dialer != nil {
+		d = c.hooks.dialer(i, d)
+	}
+	m, err := New(cfg, c.s, d)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	c.members[i] = m
+	handle := rpc.Handler(m.Handle)
+	if c.hooks.handler != nil {
+		handle = c.hooks.handler(i, handle)
+	}
+	c.net.Register(c.peers[i], handle)
+}
+
+// crash takes member i off the network and stops its loops; restart
+// brings a fresh member up at the same address.
+func (c *cluster) crash(i int) {
+	c.net.SetDown(c.peers[i], true)
+	c.members[i].Stop()
+}
+
+func (c *cluster) restart(i int) {
+	c.boot(i)
+	c.members[i].Start()
 }
 
 func (c *cluster) run(d time.Duration) {

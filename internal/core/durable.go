@@ -5,16 +5,16 @@ package core
 // path that replays them on start and rejoins the cluster.
 //
 // The write path appends a batch's record to the WAL after the batch is
-// applied but strictly before any client is acked (applyBatch), so an
-// acknowledged write survives a restart under the per-batch fsync
-// policy. When a stability checkpoint applies, the state snapshot it
-// captured is written atomically and the WAL — now redundant below the
-// snapshot — is truncated (persistState). On start, openDurable loads
-// snapshot + WAL suffix, verifying this master's own stamps, and anchors
-// broadcast delivery at the recovered point; recoverGap then closes any
-// remaining gap, through normal broadcast fetch when peers still archive
-// the missing slots, or through a wholesale proto-3 state sync when
-// checkpoints truncated them.
+// applied but strictly before any client is acked (applyBatch). The ack
+// contract (PR 16): an acknowledged write is fsynced at the acknowledging
+// master, held by every non-suspected member, applied by them
+// concurrently (before: also applied and fsynced by each peer in turn).
+// When a stability checkpoint applies, the snapshot it captured is written
+// atomically and the WAL below it is truncated (persistState). On start,
+// openDurable loads snapshot + WAL suffix, verifying this master's own
+// stamps, and anchors broadcast delivery there; recoverGap closes the
+// rest by broadcast fetch while peers still archive the missing slots,
+// else by a wholesale proto-3 state sync.
 
 import (
 	"fmt"
