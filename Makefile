@@ -12,9 +12,10 @@
 #                     perf trajectory record), the workload × fault
 #                     matrix emitting BENCH_matrix.json (smoke grid;
 #                     MATRIX_FULL=1 runs the exhaustive grid), a short
-#                     fuzz smoke over the wire/merkle/wave decoders, the
-#                     README package-map completeness check, and a smoke
-#                     run of the real-clock benchmark under bench/.
+#                     fuzz smoke over the wire/merkle/wave/batch-update
+#                     decoders, the README package-map completeness
+#                     check, and a smoke run of the real-clock benchmark
+#                     under bench/.
 #   make lint       — repllint (the in-tree go/analysis suite under
 #                     internal/analysis: poolcheck, lockcheck,
 #                     trustcheck, timercheck), then staticcheck and
@@ -57,10 +58,13 @@ lint:
 
 # The commit round fans out a task per peer and hands delivery to a
 # drainer task, so what its tests prove depends on the schedule they
-# happened to get: the broadcast package runs ten more times.
+# happened to get: the broadcast package runs ten more times. So does the
+# slave test whose concurrent s.updatebatch handlers share one merkle
+# scratch.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
+	$(GO) test -race -count=10 -run TestSlaveUpdateBatchConcurrent ./internal/core/
 
 bench-e15:
 	$(GO) test -run '^$$' -bench BenchmarkE15 -benchtime 1x -json . > BENCH_e15.json
@@ -103,19 +107,21 @@ bench-smoke:
 	done
 
 # Short native-fuzz runs over the untrusted-input decoders: the wire
-# reader, the merkle proof and the write-wave frame. The checked-in
-# corpora under testdata/fuzz/ replay in plain `go test`; this target
-# additionally mutates for FUZZTIME per target. The targets live in
-# different packages, so they fuzz in parallel; a failure in any fails
-# the smoke.
+# reader, the merkle proof, the write-wave frame and the batch-update
+# frame. The checked-in corpora under testdata/fuzz/ replay in plain
+# `go test`; this target additionally mutates for FUZZTIME per target.
+# `go test` fuzzes one target per invocation, so each gets its own and
+# they run in parallel; a failure in any fails the smoke.
 fuzz-smoke:
 	@status=0; \
 	$(GO) test -run '^$$' -fuzz FuzzReaderFrame -fuzztime $(FUZZTIME) ./internal/wire/ & wpid=$$!; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProof -fuzztime $(FUZZTIME) ./internal/merkle/ & mpid=$$!; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWriteWave -fuzztime $(FUZZTIME) ./internal/core/ & cpid=$$!; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchUpdate -fuzztime $(FUZZTIME) ./internal/core/ & bpid=$$!; \
 	wait $$wpid || status=1; \
 	wait $$mpid || status=1; \
 	wait $$cpid || status=1; \
+	wait $$bpid || status=1; \
 	exit $$status
 
 # Every top-level internal/ package must be linked from the README's

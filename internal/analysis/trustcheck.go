@@ -71,7 +71,7 @@ type trustChecker struct {
 	// longLived holds the current function's receiver and parameter
 	// objects: a store into state reachable from them (s.lastStamp = x)
 	// outlives the call and is a sink, unlike a store into a local
-	// being assembled (bu.Proofs, wrs[i]).
+	// being assembled (bu.Ops, wrs[i]).
 	longLived map[types.Object]bool
 }
 

@@ -219,17 +219,17 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 		}
 		return
 	case bcBatch:
-		batch, err := decodeBatchMessage(r)
+		_, _, batch, err := decodeBatchMessage(r)
 		if err != nil {
 			return
 		}
-		for _, bw := range batch {
+		for _, opBytes := range batch {
 			// Mirror the masters' deterministic skip of undecodable ops
 			// so the auditor's version numbering stays aligned.
-			if err := store.ValidateOp(bw.opBytes); err != nil {
+			if err := store.ValidateOp(opBytes); err != nil {
 				continue
 			}
-			opsBytes = append(opsBytes, bw.opBytes)
+			opsBytes = append(opsBytes, opBytes)
 		}
 	default:
 		return

@@ -84,15 +84,10 @@ func (nullDialer) CallTimeout(addr, method string, body []byte, d time.Duration)
 	return nil, rpc.ErrTimeout
 }
 
-// TestAwaitCommitReleasesTimers runs the real-clock commit wait path
-// under load with a far deadline: the per-wait timer must be released
-// when the commit arrives, not held until the deadline. (time.After
-// kept each timer pinned until expiry before Go 1.23 — ~200 bytes per
-// in-flight write, tens of megabytes at this volume; NewTimer+Stop
-// releases it deterministically on every runtime.) The heap check
-// guards the wait path against regressing into per-write state that
-// survives the commit.
-func TestAwaitCommitReleasesTimers(t *testing.T) {
+// newRealClockMaster builds a lone master at version 1 on the real clock.
+// It is not started: tests drive its commit path directly.
+func newRealClockMaster(t *testing.T) *Master {
+	t.Helper()
 	initial := store.New()
 	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
 	m, err := NewMaster(MasterConfig{
@@ -108,18 +103,85 @@ func TestAwaitCommitReleasesTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not started: we drive registerPending/resolvePending directly, the
-	// way handleWrite and the delivery path do.
+	return m
+}
+
+// TestBatchWaitersResolvedOnceByPosition delivers bcBatch frames to the
+// master that has the batch in flight: only its own frame with the right
+// number and op count resolves the waiters, each with the version of the
+// op at its position (0 for one every master skips), and nothing ever
+// resolves them a second time — a second send on a commit channel would
+// block the delivery drainer for good.
+func TestBatchWaitersResolvedOnceByPosition(t *testing.T) {
+	start := time.Now()
+	m := newRealClockMaster(t)
+	if m.batchNo < uint64(start.UnixNano()) {
+		t.Fatalf("batch numbers start at %d, below the clock: a restart could reuse one", m.batchNo)
+	}
+	batch := []batchWaiter{
+		{opBytes: store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}), h: m.newCommitHandle()},
+		{opBytes: []byte{0xff, 0xfe}, h: m.newCommitHandle()}, // undecodable: skipped everywhere
+		{opBytes: store.EncodeOp(store.Put{Key: "b", Value: []byte("2")}), h: m.newCommitHandle()},
+	}
+	const no = 7
+	m.inflight[no] = batch
+	unresolved := func(when string) {
+		t.Helper()
+		for i, bw := range batch {
+			if len(bw.h.ch) != 0 {
+				t.Fatalf("%s resolved waiter %d", when, i)
+			}
+		}
+	}
+	m.deliver(1, encodeBatchMessage("other", no, batch)) // versions 2, 3
+	unresolved("another master's batch with the same number")
+	m.deliver(2, encodeBatchMessage("master", no+1, batch)) // versions 4, 5
+	unresolved("an own batch with another number")
+	m.deliver(3, encodeBatchMessage("master", no, batch[:2])) // version 6
+	unresolved("a forged frame with another op count")
+
+	m.deliver(4, encodeBatchMessage("master", no, batch)) // versions 7, 8
+	for i, want := range []uint64{7, 0, 8} {
+		select {
+		case got := <-batch[i].h.ch:
+			if got != want {
+				t.Fatalf("waiter %d resolved with version %d, want %d", i, got, want)
+			}
+		default:
+			t.Fatalf("waiter %d not resolved by its own batch", i)
+		}
+	}
+	m.deliver(5, encodeBatchMessage("master", no, batch)) // a replay commits again, resolves nobody
+	m.failBatch(no)                                       // Broadcast reporting failure after delivery
+	unresolved("a replayed frame or a late failure")
+	if len(m.inflight) != 0 || m.Version() != 10 {
+		t.Fatalf("inflight=%d version=%d, want 0 and 10", len(m.inflight), m.Version())
+	}
+}
+
+// TestAwaitCommitReleasesTimers runs the real-clock commit wait path
+// under load with a far deadline: the per-wait timer must be released
+// when the commit arrives, not held until the deadline. (time.After
+// kept each timer pinned until expiry before Go 1.23 — ~200 bytes per
+// in-flight write, tens of megabytes at this volume; NewTimer+Stop
+// releases it deterministically on every runtime.) The heap check
+// guards the wait path against regressing into per-write state that
+// survives the commit.
+func TestAwaitCommitReleasesTimers(t *testing.T) {
+	m := newRealClockMaster(t)
+	// Not started: we drive the handle, the deadline and the wait
+	// directly, the way handleWrite and the delivery path do.
+	m.cfg.Params.ReadTimeout = time.Hour
 	const n = 200000
-	deadline := time.Now().Add(time.Hour)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("w/%d", i)
-		h := m.registerPending(id)
-		m.resolvePending(id, uint64(i+1))
-		v, err := m.awaitCommitUntil(id, h, deadline)
+		h := m.newCommitHandle()
+		h.resolve(uint64(i + 1))
+		expired, stop := m.commitDeadline()
+		v, err := m.awaitCommit(h, expired)
+		stop()
 		if err != nil || v != uint64(i+1) {
 			t.Fatalf("wait %d: v=%d err=%v", i, v, err)
 		}

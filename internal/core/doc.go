@@ -27,7 +27,7 @@
 //	§3.4 (auditing)          — Auditor re-executes pledged reads on a
 //	                           lagging replica; batched commits amortize
 //	                           the master's dominant signing cost
-//	                           (SignBatchStamp + merkle proofs).
+//	                           (SignBatchStamp over a merkle root).
 //	§3.5 (recovery)          — handleReport/applyExclude convict and
 //	                           exclude liars; ReadmitSlave brings a
 //	                           recovered slave back; Bootstrap performs
@@ -44,9 +44,16 @@
 //	             ONE sig over "wave.v1" ‖ clientPub ‖ n ‖ every op
 //	             (WriteWave); the only layout accepted, admitted or
 //	             refused whole. Reply: uvarint n ‖ n × uvarint version.
-//	bcBatch      kind byte ‖ uvarint n ‖ n × (string id ‖ bytes op) —
-//	             the ordered broadcast carries no client key or
-//	             signature: nothing reads them after admission.
+//	bcBatch      kind byte ‖ string origin ‖ uvarint batchNo ‖ uvarint n
+//	             ‖ n × bytes op — no client key or signature (nothing
+//	             reads them after admission) and no per-op id: the
+//	             origin finds its waiters by batchNo and resolves them
+//	             by position, every other member ignores both fields.
+//	s.updatebatch uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp ‖
+//	             string masterAddr (BatchUpdate) — no membership
+//	             proofs: the slave rebuilds the merkle root over all n
+//	             leaves and compares it with the stamp's. Reply:
+//	             uvarint applied version.
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,

@@ -158,25 +158,17 @@ func (m *Master) replayWALRecord(payload []byte) error {
 	if err := stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
 		return err
 	}
-	var proofs []merkle.Proof
+	var tree *merkle.Tree
 	if count == 1 {
 		if stamp.Version != first || !stamp.AuthenticatesOp(ops[0]) {
 			return fmt.Errorf("wal stamp does not authenticate record at version %d", first)
 		}
-		proofs = []merkle.Proof{{}}
 	} else {
-		tree := BatchTree(first, ops)
-		if stamp.Kind != stampKindBatch || stamp.Version != last || !stamp.OpDigest.Equal(tree.Root()) {
-			return fmt.Errorf("wal batch stamp does not authenticate records %d..%d", first, last)
+		bu := BatchUpdate{First: first, Ops: ops, Stamp: stamp}
+		if err := bu.VerifyMembers(&m.batch); err != nil {
+			return fmt.Errorf("wal records %d..%d: %w", first, last, err)
 		}
-		proofs = make([]merkle.Proof, count)
-		for i := range ops {
-			p, err := tree.Prove(i)
-			if err != nil {
-				return err
-			}
-			proofs[i] = p
-		}
+		tree = &m.batch.tree // the tree VerifyMembers just rebuilt
 	}
 	for i, ob := range ops {
 		op, err := store.DecodeOp(ob)
@@ -186,12 +178,9 @@ func (m *Master) replayWALRecord(payload []byte) error {
 		if err := m.store.ApplyAt(first+uint64(i), op); err != nil {
 			return err
 		}
-		m.log = append(m.log, OpRecord{
-			Version: first + uint64(i), OpBytes: ob,
-			Stamp: stamp, First: first, Count: count, Proof: proofs[i],
-		})
 		m.loggedBytes += uint64(len(ob))
 	}
+	m.logBatchLocked(first, ops, stamp, tree)
 	if m.cfg.CheckpointEvery > 0 {
 		m.marks = append(m.marks, versionMark{version: last, digest: m.store.StateDigest(), seq: seq})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -194,10 +193,14 @@ type Master struct {
 	adopted     map[string]bool         // guarded by mu; dead masters already redistributed
 	excluded    map[string]bool         // guarded by mu; excluded slave pubs
 	rrNext      int                     // guarded by mu; round-robin cursor for assignment
-	pending     map[string]*sim.Promise // guarded by mu; write id -> commit promise (sim)
-	pendingCh   map[string]chan uint64  // guarded by mu; write id -> commit channel (real)
 	stats       MasterStats             // guarded by mu
 	stopped     bool                    // guarded by mu
+
+	// This master's batches between Broadcast and delivery, by the batch
+	// number their bcBatch frame carries; whoever removes one resolves its
+	// waiters. Numbers start at the clock, so a restart never reuses one.
+	batchNo  uint64                   // guarded by mu
+	inflight map[uint64][]batchWaiter // guarded by mu
 
 	// Durable state (DataDir set; see durable.go). walMu serializes the
 	// log file operations — the delivery drainer appends while the
@@ -214,8 +217,7 @@ type Master struct {
 	// serialized (one broadcast drainer), and replay at startup runs
 	// before any delivery, so no extra locking is needed beyond m.mu,
 	// which applyBatch already holds while building the tree.
-	batchTree   merkle.Tree
-	leafScratch []merkle.Entry
+	batch batchScratch
 }
 
 // NewMaster creates a master over an initial content replica (cloned).
@@ -248,8 +250,8 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		peerSlaves:  make(map[string][]slaveEntry),
 		adopted:     make(map[string]bool),
 		excluded:    make(map[string]bool),
-		pending:     make(map[string]*sim.Promise),
-		pendingCh:   make(map[string]chan uint64),
+		batchNo:     uint64(rt.Now().UnixNano()),
+		inflight:    make(map[uint64][]batchWaiter),
 		greedy:      newGreedyTracker(cfg.Params),
 		stamps:      newSigCache(),
 	}
@@ -407,8 +409,8 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 // batchWaiter is one admitted write queued for the next flush; the
 // client's key and signature are read at admission and never again.
 type batchWaiter struct {
-	id      string
 	opBytes []byte
+	h       commitHandle
 }
 
 // admitClient performs the per-request half of admission — once per
@@ -446,15 +448,6 @@ func (m *Master) admitOp(opBytes []byte) error {
 	return nil
 }
 
-// writeID formats the per-master unique id of an admitted write
-// ("addr/seq") without going through fmt.
-func (m *Master) writeID(seq uint64) string {
-	buf := make([]byte, 0, len(m.cfg.Addr)+21)
-	buf = append(buf, m.cfg.Addr...)
-	buf = append(buf, '/')
-	return string(strconv.AppendUint(buf, seq, 10))
-}
-
 func (m *Master) handleWrite(body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
 	wr, err := DecodeWriteRequest(r)
@@ -473,23 +466,22 @@ func (m *Master) handleWrite(body []byte) ([]byte, error) {
 
 	m.mu.Lock()
 	m.stats.WritesAdmitted++
-	id := m.writeID(m.stats.WritesAdmitted)
 	m.mu.Unlock()
 
-	// Register for our own delivery before the batch can possibly flush.
-	handle := m.registerPending(id)
-	if err := m.enqueueWrite(batchWaiter{id: id, opBytes: wr.OpBytes}); err != nil {
-		m.cancelPending(id)
+	handle := m.newCommitHandle()
+	if err := m.enqueueWrite(batchWaiter{opBytes: wr.OpBytes, h: handle}); err != nil {
 		return nil, err
 	}
-	version, err := m.awaitCommit(id, handle)
+	expired, stop := m.commitDeadline()
+	defer stop()
+	version, err := m.awaitCommit(handle, expired)
 	if err != nil {
 		return nil, err
 	}
 	if version == 0 {
 		// The commit pipeline dropped this write (broadcast failure
 		// observed at delivery); committed versions are always >= 1.
-		return nil, fmt.Errorf("core: write %s was not committed", id)
+		return nil, fmt.Errorf("core: write was not committed")
 	}
 	return wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(version) }), nil
 }
@@ -528,40 +520,31 @@ func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]string, len(ops))
 	m.mu.Lock()
-	for i := range ops {
-		m.stats.WritesAdmitted++
-		ids[i] = m.writeID(m.stats.WritesAdmitted)
-	}
+	m.stats.WritesAdmitted += uint64(len(ops))
 	m.mu.Unlock()
 
-	handles := make([]commitHandle, len(ops))
-	versions := make([]uint64, len(ops))
-	for i, op := range ops {
-		handles[i] = m.registerPending(ids[i])
-		if err := m.enqueueWrite(batchWaiter{id: ids[i], opBytes: op}); err != nil {
-			m.cancelPending(ids[i])
-			// Already-enqueued ops are past admission; wait for them
-			// below, report this and later ones as uncommitted.
-			for j := i; j < len(ops); j++ {
-				handles[j] = commitHandle{}
-			}
+	// Already-enqueued ops are past admission; wait for them below and
+	// report the one that failed to enqueue and every later one as
+	// uncommitted.
+	handles := make([]commitHandle, 0, len(ops))
+	for _, op := range ops {
+		h := m.newCommitHandle()
+		if m.enqueueWrite(batchWaiter{opBytes: op, h: h}) != nil {
 			break
 		}
+		handles = append(handles, h)
 	}
-	// One deadline covers the whole wave: the waits run back to back, so
-	// per-op timeouts would otherwise stack to wave-size x ReadTimeout.
-	deadline := time.Now().Add(m.cfg.Params.ReadTimeout)
-	for i := range ops {
-		if handles[i] == (commitHandle{}) {
-			continue
+	// One deadline, and one timer, cover the whole wave: the waits run
+	// back to back, so per-op timeouts would otherwise stack to wave-size
+	// x ReadTimeout.
+	expired, stop := m.commitDeadline()
+	defer stop()
+	versions := make([]uint64, len(ops))
+	for i, h := range handles {
+		if v, err := m.awaitCommit(h, expired); err == nil {
+			versions[i] = v // else it stays 0: not committed
 		}
-		v, err := m.awaitCommitUntil(ids[i], handles[i], deadline)
-		if err != nil {
-			continue // version stays 0: not committed
-		}
-		versions[i] = v
 	}
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Uvarint(uint64(len(versions)))
@@ -682,6 +665,9 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) error {
 	batch := m.batchQueue
 	m.batchQueue = nil
 	m.batchGen++
+	m.batchNo++
+	no := m.batchNo
+	m.inflight[no] = batch
 	if m.timerArmed && m.timerGen == gen {
 		m.timerArmed = false // this batch's timer lost the race; disarm it
 	}
@@ -706,62 +692,79 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) error {
 	m.mu.Unlock()
 	if wait > 0 {
 		if err := m.rt.Sleep(wait); err != nil {
-			m.failBatch(batch)
+			m.failBatch(no)
 			return err
 		}
 	}
 
-	if err := m.bcast.Broadcast(encodeBatchMessage(batch)); err != nil {
-		m.failBatch(batch)
+	if err := m.bcast.Broadcast(encodeBatchMessage(m.cfg.Addr, no, batch)); err != nil {
+		m.failBatch(no)
 		return err
 	}
 	return nil
 }
 
+// takeInflight removes and returns this master's own batch no, whose
+// delivered frame carried n ops; nil for another master's batch, one
+// already taken, or one from before a restart. The caller resolves the
+// waiters: removal under mu is what makes that happen exactly once.
+func (m *Master) takeInflight(origin string, no uint64, n int) []batchWaiter {
+	if origin != m.cfg.Addr {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	batch := m.inflight[no]
+	if len(batch) != n { // b.submit is unauthenticated: never index past a forged frame
+		return nil
+	}
+	delete(m.inflight, no)
+	return batch
+}
+
 // failBatch releases every waiter of a batch that could not be
 // broadcast; version 0 marks "not committed".
-func (m *Master) failBatch(batch []batchWaiter) {
+func (m *Master) failBatch(no uint64) {
+	m.mu.Lock()
+	batch := m.inflight[no]
+	delete(m.inflight, no)
+	m.mu.Unlock()
 	for _, bw := range batch {
-		m.resolvePending(bw.id, 0)
+		bw.h.resolve(0)
 	}
 }
 
 // commitHandle is what a write waiter holds: a promise in virtual time or
-// a channel in real time.
+// a channel in real time. It is resolved exactly once, by whoever took
+// its batch out of inflight.
 type commitHandle struct {
 	p  *sim.Promise
 	ch chan uint64
 }
 
-// registerPending prepares to wait for the local delivery of write id.
-func (m *Master) registerPending(id string) commitHandle {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (m *Master) newCommitHandle() commitHandle {
 	if s, ok := m.rt.(*sim.Sim); ok {
-		p := s.NewPromise()
-		m.pending[id] = p
-		return commitHandle{p: p}
+		return commitHandle{p: s.NewPromise()}
 	}
-	ch := make(chan uint64, 1)
-	m.pendingCh[id] = ch
-	return commitHandle{ch: ch}
+	return commitHandle{ch: make(chan uint64, 1)}
 }
 
-func (m *Master) cancelPending(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.pending, id)
-	delete(m.pendingCh, id)
+func (h commitHandle) resolve(version uint64) {
+	if h.p != nil {
+		h.p.Resolve(version)
+	} else {
+		h.ch <- version
+	}
 }
 
 // cancelQueued removes a write that is still waiting in the batch
 // accumulator; it reports whether the write was withdrawn before any
 // flush took it.
-func (m *Master) cancelQueued(id string) bool {
+func (m *Master) cancelQueued(h commitHandle) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, bw := range m.batchQueue {
-		if bw.id == id {
+		if bw.h == h {
 			m.batchQueue = append(m.batchQueue[:i], m.batchQueue[i+1:]...)
 			return true
 		}
@@ -769,38 +772,32 @@ func (m *Master) cancelQueued(id string) bool {
 	return false
 }
 
-func (m *Master) awaitCommit(id string, h commitHandle) (uint64, error) {
-	return m.awaitCommitUntil(id, h, time.Now().Add(m.cfg.Params.ReadTimeout))
+// commitDeadline starts the one timer a request's commit waits share:
+// expired is closed ReadTimeout from now, stop releases the timer (a
+// time.After per write would stay live until the deadline passes even
+// after the commit arrives, pinning megabytes of timers under load).
+// Virtual-time waits ignore it: they end through promises and the sim's
+// shutdown semantics.
+func (m *Master) commitDeadline() (expired <-chan struct{}, stop func()) {
+	done := make(chan struct{})
+	timer := time.AfterFunc(m.cfg.Params.ReadTimeout, func() { close(done) })
+	return done, func() { timer.Stop() }
 }
 
-// awaitCommitUntil waits for write id's commit up to an absolute
-// deadline (real runtime only; the virtual-time path resolves through
-// promises and the sim's shutdown semantics).
-func (m *Master) awaitCommitUntil(id string, h commitHandle, deadline time.Time) (uint64, error) {
+// awaitCommit waits for a write's commit until expired is closed.
+func (m *Master) awaitCommit(h commitHandle, expired <-chan struct{}) (uint64, error) {
 	if h.ch != nil {
-		wait := time.Until(deadline)
-		if wait < 0 {
-			wait = 0
-		}
-		// One timer per in-flight write: time.After would keep each
-		// timer (and its channel) live until the full deadline passes
-		// even after the commit arrives, which under load pins tens of
-		// megabytes of expired-but-unreached timers. Stop releases it
-		// as soon as the commit wins the select.
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
 		select {
 		case v := <-h.ch:
 			return v, nil
-		case <-timer.C:
-			// Withdraw from the accumulator first: a write removed while
-			// still queued is guaranteed never to commit, so the client's
+		case <-expired:
+			// Withdraw from the accumulator: a write removed while still
+			// queued is guaranteed never to commit, so the client's
 			// timeout error is truthful and a retry cannot double-apply.
 			// One already flushed is past the point of no return and may
 			// still commit (the same window the unbatched protocol had
 			// between broadcast and delivery).
-			m.cancelQueued(id)
-			m.cancelPending(id)
+			m.cancelQueued(h)
 			return 0, rpc.ErrTimeout
 		}
 	}
@@ -811,21 +808,6 @@ func (m *Master) awaitCommitUntil(id string, h commitHandle, deadline time.Time)
 	return v.(uint64), nil
 }
 
-func (m *Master) resolvePending(id string, version uint64) {
-	m.mu.Lock()
-	p := m.pending[id]
-	ch := m.pendingCh[id]
-	delete(m.pending, id)
-	delete(m.pendingCh, id)
-	m.mu.Unlock()
-	if p != nil && !p.Resolved() {
-		p.Resolve(version)
-	}
-	if ch != nil {
-		ch <- version
-	}
-}
-
 // deliver is the broadcast delivery callback: every master executes the
 // same ordered messages.
 func (m *Master) deliver(seq uint64, msg []byte) {
@@ -833,11 +815,11 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 	kind := r.Byte()
 	switch kind {
 	case bcBatch:
-		batch, err := decodeBatchMessage(r)
+		origin, no, ops, err := decodeBatchMessage(r)
 		if err != nil {
 			return
 		}
-		m.applyBatch(seq, batch)
+		m.applyBatch(seq, ops, m.takeInflight(origin, no, len(ops)))
 	case bcCheckpoint:
 		m.applyCheckpoint(seq, r)
 	case bcSlaveList:
@@ -865,14 +847,16 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 	}
 }
 
-// encodeBatchMessage builds the bcBatch broadcast frame: the kind byte, a
-// count, then each write's id and op bytes (detached: the archive keeps it).
-func encodeBatchMessage(batch []batchWaiter) []byte {
+// encodeBatchMessage builds the bcBatch broadcast frame: the kind byte,
+// the origin master and its batch number — by which the origin alone finds
+// the batch's waiters again — then the ops (detached: the archive keeps it).
+func encodeBatchMessage(origin string, no uint64, batch []batchWaiter) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Byte(bcBatch)
+		w.String_(origin)
+		w.Uvarint(no)
 		w.Uvarint(uint64(len(batch)))
 		for _, bw := range batch {
-			w.String_(bw.id)
 			w.Bytes_(bw.opBytes)
 		}
 	})
@@ -880,16 +864,11 @@ func encodeBatchMessage(batch []batchWaiter) []byte {
 
 // decodeBatchMessage parses a bcBatch broadcast body (after the kind
 // byte). The op bytes alias the message, which the archive retains.
-func decodeBatchMessage(r *wire.Reader) ([]batchWaiter, error) {
-	n := r.Uvarint()
-	if n > wire.MaxBatchItems || n > uint64(r.Remaining())/2 { // each write needs >=2 prefix bytes
-		return nil, wire.ErrTooLarge
-	}
-	batch := make([]batchWaiter, 0, n)
-	for i := uint64(0); i < n; i++ {
-		batch = append(batch, batchWaiter{id: r.String(), opBytes: r.BytesView()})
-	}
-	return batch, r.Done()
+func decodeBatchMessage(r *wire.Reader) (origin string, no uint64, ops [][]byte, err error) {
+	origin = r.String()
+	no = r.Uvarint()
+	ops = r.BytesSliceView()
+	return origin, no, ops, r.Done()
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
@@ -899,69 +878,52 @@ func decodeBatchMessage(r *wire.Reader) ([]batchWaiter, error) {
 // update per slave. Undecodable ops are skipped deterministically (every
 // replica runs the same check), so replicas stay in lock-step. seq is
 // the broadcast slot that carried the commit; it anchors the batch
-// boundary for checkpoint truncation of the broadcast archive.
-func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
+// boundary for checkpoint truncation of the broadcast archive. waiters,
+// nil on every master but the batch's origin, are the writers waiting
+// for batch[i]'s version.
+func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	m.mu.Lock()
 	first := m.store.Version() + 1
-	applied := make([]batchWaiter, 0, len(batch))
 	ops := make([][]byte, 0, len(batch))
+	versions := make([]uint64, len(waiters)) // 0: skipped, not committed
 	var opBytesTotal int
-	for _, bw := range batch {
-		op, err := store.DecodeOp(bw.opBytes)
+	for i, opBytes := range batch {
+		op, err := store.DecodeOp(opBytes)
 		if err != nil {
-			defer m.resolvePending(bw.id, 0)
 			continue
 		}
 		m.store.Apply(op)
-		applied = append(applied, bw)
-		ops = append(ops, bw.opBytes)
-		opBytesTotal += len(bw.opBytes)
+		ops = append(ops, opBytes)
+		opBytesTotal += len(opBytes)
+		if waiters != nil {
+			versions[i] = m.store.Version()
+		}
 	}
-	if len(applied) == 0 {
+	if len(ops) == 0 {
 		m.mu.Unlock()
+		for _, bw := range waiters {
+			bw.h.resolve(0)
+		}
 		return
 	}
 	last := m.store.Version()
 
 	// One signature per batch (§3.4 amortization): a per-op update stamp
 	// when the batch is a singleton — byte-compatible with the unbatched
-	// protocol — or a batch-root stamp plus per-op membership proofs.
+	// protocol — or a batch-root stamp. The op log keeps a membership
+	// proof per op (sync replies can ship part of a batch); the update
+	// pushed to the slaves below ships none.
 	now := m.rt.Now()
+	count := uint64(len(ops))
 	var stamp VersionStamp
-	var proofs []merkle.Proof
-	if len(applied) == 1 {
-		stamp = SignStampWithOp(m.cfg.Keys, last, now, applied[0].opBytes)
-		proofs = []merkle.Proof{{}}
+	var tree *merkle.Tree
+	if count == 1 {
+		stamp = SignStampWithOp(m.cfg.Keys, last, now, ops[0])
 	} else {
-		// Rebuild the batch tree into reused scratch (leaf slice and
-		// level arrays persist across batches).
-		m.leafScratch = AppendBatchLeaves(m.leafScratch[:0], first, ops)
-		tree := m.batchTree.Rebuild(m.leafScratch)
+		tree = m.batch.rebuild(first, ops)
 		stamp = SignBatchStamp(m.cfg.Keys, last, now, tree.Root())
-		proofs = make([]merkle.Proof, len(applied))
-		// The op log retains the proofs, so their steps must own fresh
-		// memory — but one backing array covers the whole batch.
-		depth := tree.Depth()
-		backing := make([]merkle.ProofStep, len(applied)*depth)
-		for i := range applied {
-			off := i * depth
-			p, err := tree.ProveInto(i, backing[off:off:off+depth])
-			if err != nil {
-				// Unreachable: i indexes the tree we just built.
-				m.mu.Unlock()
-				m.failBatch(batch)
-				return
-			}
-			proofs[i] = p
-		}
 	}
-	count := uint64(len(applied))
-	for i, a := range applied {
-		m.log = append(m.log, OpRecord{
-			Version: first + uint64(i), OpBytes: a.opBytes,
-			Stamp: stamp, First: first, Count: count, Proof: proofs[i],
-		})
-	}
+	m.logBatchLocked(first, ops, stamp, tree)
 	// Mark the batch boundary for the checkpoint machinery: the state
 	// digest here is what a checkpoint at version `last` would certify,
 	// and seq is the archive slot stability can truncate up to. Without
@@ -1008,7 +970,7 @@ func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
 	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign) // once per batch
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.BatchOverhead(len(ops), opBytesTotal))
-	for range applied {
+	for range ops {
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryBase) // apply cost
 	}
 
@@ -1032,26 +994,23 @@ func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
 	m.mu.Lock()
 	m.unacked = 0
 	m.mu.Unlock()
-	for i, a := range applied {
-		m.resolvePending(a.id, first+uint64(i))
+	for i, bw := range waiters {
+		bw.h.resolve(versions[i])
 	}
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
 	var frame []byte
 	method := MethodUpdateBatch
-	if len(applied) == 1 {
+	if count == 1 {
 		frame = wire.EncodeFrame(func(w *wire.Writer) {
 			w.Uvarint(last)
-			w.Bytes_(applied[0].opBytes)
+			w.Bytes_(ops[0])
 			stamp.Encode(w)
 			w.String_(m.cfg.Addr)
 		})
 		method = MethodUpdate
 	} else {
-		frame = EncodeBatchUpdate(BatchUpdate{
-			First: first, Ops: ops, Proofs: proofs,
-			Stamp: stamp, MasterAddr: m.cfg.Addr,
-		})
+		frame = EncodeBatchUpdate(BatchUpdate{First: first, Ops: ops, Stamp: stamp, MasterAddr: m.cfg.Addr})
 	}
 	for _, sl := range slaves {
 		sl := sl
@@ -1066,6 +1025,29 @@ func (m *Master) applyBatch(seq uint64, batch []batchWaiter) {
 			m.mu.Lock()
 			m.stats.UpdatesSent++
 			m.mu.Unlock()
+		})
+	}
+}
+
+// logBatchLocked appends one committed batch's OpRecords to the op log. tree is
+// the batch's merkle tree, nil for a singleton, whose per-op stamp needs
+// no proof. Caller holds m.mu (or runs before concurrency, in replay).
+func (m *Master) logBatchLocked(first uint64, ops [][]byte, stamp VersionStamp, tree *merkle.Tree) {
+	if tree == nil {
+		m.log = append(m.log, OpRecord{Version: first, OpBytes: ops[0], Stamp: stamp, First: first, Count: 1})
+		return
+	}
+	// The log retains the proofs, so their steps must own fresh memory —
+	// but one backing array covers the whole batch.
+	depth := tree.Depth()
+	backing := make([]merkle.ProofStep, len(ops)*depth)
+	for i, opBytes := range ops {
+		off := i * depth
+		// i indexes the tree just built over ops, so ProveInto cannot fail.
+		proof, _ := tree.ProveInto(i, backing[off:off:off+depth])
+		m.log = append(m.log, OpRecord{
+			Version: first + uint64(i), OpBytes: opBytes,
+			Stamp: stamp, First: first, Count: uint64(len(ops)), Proof: proof,
 		})
 	}
 }

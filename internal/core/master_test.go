@@ -479,7 +479,7 @@ func waveRig(t *testing.T, mut func(*MasterConfig)) (*masterRig, *cryptoutil.Key
 func assertNothingEnqueued(t *testing.T, m *Master) {
 	t.Helper()
 	m.mu.Lock()
-	queued, pending := len(m.batchQueue), len(m.pending)+len(m.pendingCh)
+	queued, pending := len(m.batchQueue), len(m.inflight)
 	m.mu.Unlock()
 	if st := m.Stats(); st.WritesAdmitted != 0 || queued != 0 || pending != 0 || m.Version() != 1 {
 		t.Fatalf("refused request left state behind: admitted=%d queued=%d pending=%d version=%d",
