@@ -4,8 +4,8 @@
 #                     govulncheck where installed), full test suite
 #                     under the race detector (covering the pooled
 #                     wire-buffer and merkle-scratch paths; the
-#                     schedule-sensitive broadcast package ten times
-#                     over), then the
+#                     schedule-sensitive broadcast package and the
+#                     auditor's tests ten times over), then the
 #                     E15 batch-throughput, E16 checkpointing, E17
 #                     crash-recovery, E18 hot-path, and E19 shard-scaling
 #                     benchmarks emitting BENCH_e15.json … BENCH_e19.json (the
@@ -60,11 +60,13 @@ lint:
 # drainer task, so what its tests prove depends on the schedule they
 # happened to get: the broadcast package runs ten more times. So does the
 # slave test whose concurrent s.updatebatch handlers share one merkle
-# scratch.
+# scratch, and so do the auditor's tests, whose handlers queue pledges
+# that alias their frames for the audit worker.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
 	$(GO) test -race -count=10 -run TestSlaveUpdateBatchConcurrent ./internal/core/
+	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
 bench-e15:
 	$(GO) test -run '^$$' -bench BenchmarkE15 -benchtime 1x -json . > BENCH_e15.json

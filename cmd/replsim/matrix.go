@@ -39,8 +39,8 @@ func runMatrix(seed int64, out string, full bool, markdown bool) int {
 		}
 		status := "ok"
 		if !r.OK() {
-			status = fmt.Sprintf("FAIL (lost=%d dup=%d divergent=%d committed=%d)",
-				r.Lost, r.Duplicated, r.Divergent, r.Committed)
+			status = fmt.Sprintf("FAIL (lost=%d dup=%d divergent=%d committed=%d liars at large=%d honest excluded=%d audit reports=%d)",
+				r.Lost, r.Duplicated, r.Divergent, r.Committed, r.LiarsAtLarge, r.HonestExcluded, r.AuditReports)
 		}
 		fmt.Printf("   %-44s %s\n", r.Cell.Label(), status)
 	})

@@ -27,6 +27,7 @@ var Trustcheck = &Analyzer{
 var trustSources = map[string]bool{
 	"DecodeStamp":        true,
 	"DecodePledge":       true,
+	"decodePledgeFrame":  true,
 	"DecodeOpRecord":     true,
 	"DecodeBatchUpdate":  true,
 	"DecodeWriteRequest": true,

@@ -21,16 +21,17 @@ type AuditorStats struct {
 	PledgesAudited  uint64
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
 	PledgesLate     uint64 // arrived after the auditor left their version
-	PledgesBadSig   uint64
+	PledgesBadSig   uint64 // disagreed with the replica, but the slave never signed them
 	CacheHits       uint64
-	Mismatches      uint64 // lies detected
+	Mismatches      uint64 // lies detected: audited pledges the slave signed and the replica contradicts
 	ReportsSent     uint64
 	VersionLagMax   uint64 // max (master version - auditor version) seen
 	BacklogMax      int    // max pending pledges seen
 
-	// PledgeCacheHits/Misses count verified-pledge cache consultations: a
-	// pledge byte-identical to one already verified skips the signature
-	// check (the re-execution or its query-cache probe still runs).
+	// PledgeCacheHits/Misses count verified-pledge cache consultations.
+	// Only a pledge that disagrees with the replica is consulted at all;
+	// one byte-identical to a pledge already verified skips the signature
+	// check.
 	PledgeCacheHits   uint64
 	PledgeCacheMisses uint64
 }
@@ -94,7 +95,7 @@ type Auditor struct {
 	marks    []versionMark   // version -> broadcast seq (archive truncation)
 	detected map[string]bool // slave pubs already reported
 
-	pledges *sigCache // verified-pledge cache (amortizes repeat VerifySig)
+	pledges *sigCache // verified-pledge cache (amortizes a repeated lie's VerifySig)
 }
 
 // NewAuditor creates the auditor over the initial content replica.
@@ -254,13 +255,13 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 	}
 }
 
+// handlePledge admits one pledge. The pledge is decoded by view and queued
+// as is, so it keeps body alive until it is audited: the handler owns body
+// (the TCP server copies it out of its frame, and under the simulator every
+// sender passes a frame nobody else holds — EncodePledge's detached copy).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	pledge, err := DecodePledge(r)
+	pledge, err := decodePledgeFrame(body)
 	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	a.mu.Lock()
@@ -272,11 +273,13 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 // handlePledgeMulti admits a whole wave of pledges shipped in one frame
 // (one RPC per accepted read instead of one per slave). Each pledge goes
 // through the identical admission path in frame order, so sampling draws
-// the same random sequence the unbatched RPCs would.
+// the same random sequence the unbatched RPCs would. The wave is admitted
+// or refused whole; its pledges alias body as in handlePledge.
 func (a *Auditor) handlePledgeMulti(body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
-	frames := r.BytesSlice()
-	if err := r.Done(); err != nil {
+	frames := r.BytesSliceView()
+	err := r.Done()
+	if err != nil {
 		return nil, err
 	}
 	if len(frames) == 0 {
@@ -284,15 +287,9 @@ func (a *Auditor) handlePledgeMulti(body []byte) ([]byte, error) {
 	}
 	pledges := make([]Pledge, len(frames))
 	for i, f := range frames {
-		fr := wire.NewReader(f)
-		p, err := DecodePledge(fr)
-		if err != nil {
+		if pledges[i], err = decodePledgeFrame(f); err != nil {
 			return nil, err
 		}
-		if err := fr.Done(); err != nil {
-			return nil, err
-		}
-		pledges[i] = p
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -329,94 +326,125 @@ func (a *Auditor) admitPledgeLocked(pledge Pledge) {
 // replica when the version's audit window has closed.
 func (a *Auditor) auditLoop() {
 	for {
-		a.mu.Lock()
-		stopped := a.stopped
-		cur := a.replica.Version()
-		batch := a.pending[cur]
-		delete(a.pending, cur)
-		a.backlog -= len(batch)
-		a.mu.Unlock()
+		n, stopped := a.auditPending()
 		if stopped {
 			return
 		}
-
-		for _, p := range batch {
-			a.auditOne(p)
-		}
-
-		advanced := a.maybeAdvance()
-		if !advanced && len(batch) == 0 {
-			if a.rt.Sleep(a.cfg.Tick) != nil {
-				return
-			}
+		if !a.maybeAdvance() && n == 0 && a.rt.Sleep(a.cfg.Tick) != nil {
+			return
 		}
 	}
 }
 
-// auditOne verifies a single pledge against the trusted replica.
+// auditPending audits every pledge queued for the replica's current
+// version and returns how many there were.
+func (a *Auditor) auditPending() (n int, stopped bool) {
+	a.mu.Lock()
+	stopped = a.stopped
+	cur := a.replica.Version()
+	batch := a.pending[cur]
+	delete(a.pending, cur)
+	a.backlog -= len(batch)
+	a.mu.Unlock()
+	if stopped {
+		return 0, true
+	}
+	for _, p := range batch {
+		a.auditOne(p)
+	}
+	return len(batch), false
+}
+
+// auditOne compares a single pledge's result hash with the trusted
+// replica's: from the per-version query cache when the query was seen at
+// this version, by re-execution otherwise. A pledge that agrees is done —
+// nobody will ever present it, so nobody checks who signed it. One that
+// disagrees, or names a query that does not decode or execute, goes to
+// convict, which is where the signature is verified.
 func (a *Auditor) auditOne(p Pledge) {
-	// Verify the slave signature: an unsigned/forged pledge cannot frame
-	// anyone and carries no information. A pledge byte-identical to one
-	// already verified costs a lookup instead.
+	costs := a.cfg.Params.Costs
+	a.mu.Lock()
+	correct, hit := a.cache[string(p.QueryBytes)]
+	agrees := hit && correct.Equal(p.ResultHash)
+	if hit {
+		a.stats.CacheHits++
+	}
+	if agrees {
+		a.stats.PledgesAudited++
+	}
+	a.mu.Unlock()
+	if hit {
+		chargeCPU(a.cfg.CPU, costs.CacheLookup)
+		if !agrees {
+			a.convict(p)
+		}
+		return
+	}
+
+	q, err := query.Decode(p.QueryBytes)
+	if err != nil {
+		// A signed, undecodable query is itself proof of misbehaviour.
+		a.convict(p)
+		return
+	}
+	a.mu.Lock()
+	res, err := q.Execute(a.replica)
+	a.mu.Unlock()
+	if err != nil {
+		a.convict(p)
+		return
+	}
+	// The auditor hashes the result but — unlike a slave — signs
+	// nothing and sends no reply to any client (§3.4).
+	chargeCPU(a.cfg.CPU, costs.QueryCost(res.Scanned))
+	chargeCPU(a.cfg.CPU, costs.HashCost(len(res.Payload)))
+	correct = res.Digest()
+	agrees = correct.Equal(p.ResultHash)
+	a.mu.Lock()
+	a.cache[string(p.QueryBytes)] = correct
+	if agrees {
+		a.stats.PledgesAudited++
+	}
+	a.mu.Unlock()
+	if !agrees {
+		a.convict(p)
+	}
+}
+
+// provenPledge is a pledge the trusted replica contradicts and whose
+// slave signature this auditor has verified. Only convict makes one, and
+// report takes nothing else: no path signs and ships a pledge whose
+// signature was not checked.
+type provenPledge struct{ p Pledge }
+
+// convict handles a pledge that disagrees with the trusted replica. An
+// unsigned or forged pledge cannot frame anyone and carries no
+// information: it is counted and dropped. A signed one is a lie, and the
+// first from each slave is reported. A pledge byte-identical to one
+// already verified costs a lookup instead of a signature check.
+func (a *Auditor) convict(p Pledge) {
 	hit, err := a.pledges.verifyPledge(&p)
 	chargeSig(a.cfg.CPU, a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
+	a.mu.Lock()
 	if err != nil {
-		a.mu.Lock()
 		a.stats.PledgesBadSig++
 		a.mu.Unlock()
 		return
 	}
-
-	key := string(p.QueryBytes)
-	a.mu.Lock()
-	correct, hit := a.cache[key]
-	a.mu.Unlock()
-	if hit {
-		chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.CacheLookup)
-		a.mu.Lock()
-		a.stats.CacheHits++
-		a.mu.Unlock()
-	} else {
-		q, err := query.Decode(p.QueryBytes)
-		if err != nil {
-			// A signed, undecodable query is itself proof of misbehaviour.
-			a.report(p)
-			return
-		}
-		a.mu.Lock()
-		res, err := q.Execute(a.replica)
-		a.mu.Unlock()
-		if err != nil {
-			a.report(p)
-			return
-		}
-		// The auditor hashes the result but — unlike a slave — signs
-		// nothing and sends no reply to any client (§3.4).
-		chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.QueryCost(res.Scanned))
-		chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.HashCost(len(res.Payload)))
-		correct = res.Digest()
-		a.mu.Lock()
-		a.cache[key] = correct
-		a.mu.Unlock()
-	}
-
-	a.mu.Lock()
 	a.stats.PledgesAudited++
-	mismatch := !correct.Equal(p.ResultHash)
-	if mismatch {
-		a.stats.Mismatches++
-	}
+	a.stats.Mismatches++
 	already := a.detected[string(p.SlavePub)]
 	a.mu.Unlock()
-	if mismatch && !already {
-		a.report(p)
+	if !already {
+		a.report(provenPledge{p})
 	}
 }
 
 // report forwards the incriminating pledge to a master (§3.5 delayed
 // discovery path), signed by the auditor so masters can trust it without
 // being at the pledge's (old) content version.
-func (a *Auditor) report(p Pledge) {
+func (a *Auditor) report(proven provenPledge) {
+	p := proven.p
 	a.mu.Lock()
 	a.detected[string(p.SlavePub)] = true
 	a.stats.ReportsSent++

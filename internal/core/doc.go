@@ -25,9 +25,11 @@
 //	§3.3 (double-checking)   — Client.doubleCheck, the master's greedy-
 //	                           client throttling (greedyTracker).
 //	§3.4 (auditing)          — Auditor re-executes pledged reads on a
-//	                           lagging replica; batched commits amortize
-//	                           the master's dominant signing cost
-//	                           (SignBatchStamp over a merkle root).
+//	                           lagging replica and checks a signature
+//	                           only on a pledge that disagrees with it;
+//	                           batched commits amortize the master's
+//	                           dominant signing cost (SignBatchStamp
+//	                           over a merkle root).
 //	§3.5 (recovery)          — handleReport/applyExclude convict and
 //	                           exclude liars; ReadmitSlave brings a
 //	                           recovered slave back; Bootstrap performs
@@ -70,9 +72,10 @@
 // signatures it made under its current stamp (Slave.signPledge; the
 // table is emptied when the stamp changes, and a corrupted payload has
 // its own result hash and so its own entry), and clients and the
-// auditor verify pledges — as every node already verified stamps —
-// through a sigCache, a bounded set keyed by digest(signed body ‖
-// signature) that stores positive verdicts only. A hit is as safe as a
+// auditor (for the pledges it verifies at all, see below) verify pledges
+// — as every node already verified stamps — through a sigCache, a
+// bounded set keyed by digest(signed body ‖ signature) that stores
+// positive verdicts only. A hit is as safe as a
 // verify because nothing but the exact bytes that passed a full
 // verification can produce the key; whether the signer is the assigned
 // slave or a trusted master, whether the pledge covers this query and
@@ -80,6 +83,28 @@
 // and are checked on every message. Under the benchmark's Zipf(1.1)
 // reads over 20 000 keys about half the reads of one 100 ms stamp
 // interval are repeats; under uniform keys 1–2%.
+//
+// The auditor audits by hash and verifies on evidence (auditor.go).
+// Auditor.auditOne compares a pledge's result hash with the replica's —
+// from the per-version query cache or by re-execution — and is done when
+// they agree: an honest pledge is never presented to anyone, so the
+// auditor, the scarce trusted host of §3.4, does not check who signed it.
+// A pledge that disagrees (wrong hash, undecodable or unexecutable query)
+// goes to Auditor.convict, the one place the auditor verifies a slave
+// signature: a forged pledge is counted (PledgesBadSig) and dropped, a
+// signed one is a lie (Mismatches) and the first from each slave is
+// reported. The invariant is: no report without a verified signature, at
+// the auditor and again at the master. Auditor.report accepts only a
+// provenPledge, which only convict constructs, and Master.handleReport
+// verifies the pledge itself before it excludes anyone, whoever vouches
+// for it. Known and accepted: a forged pledge naming an expensive scan
+// costs the auditor the scan before the verify rejects it, where a
+// verify-first auditor paid the verify alone. Any client can buy the same
+// scan with a real read, and a.pledge has no admission bound either way;
+// bounding it is admission control's job (ROADMAP, "Bounded under
+// overload"), not the signature check's. Every received pledge ends in
+// exactly one of PledgesAudited (lies included), PledgesSampled,
+// PledgesLate and PledgesBadSig.
 //
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch's op records and

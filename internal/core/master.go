@@ -1159,12 +1159,8 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	pr := wire.NewReader(pledgeBytes)
-	pledge, err := DecodePledge(pr)
+	pledge, err := decodePledgeFrame(pledgeBytes) // views of a copy this handler owns
 	if err != nil {
-		return nil, err
-	}
-	if err := pr.Done(); err != nil {
 		return nil, err
 	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)

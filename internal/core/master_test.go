@@ -271,7 +271,8 @@ func TestMasterReportProvenExcludes(t *testing.T) {
 
 func TestMasterReportSignedByAuditorTrusted(t *testing.T) {
 	// A version-mismatched report is only accepted with a valid auditor
-	// signature.
+	// signature — and not even then when the slave never signed the pledge:
+	// the master checks the evidence again, whoever vouches for it.
 	auditorKeys := cryptoutil.DeriveKeyPair("auditor", 0)
 	r := newMasterRig(t, nil)
 	slaveKeys := cryptoutil.DeriveKeyPair("slave", 0)
@@ -283,18 +284,23 @@ func TestMasterReportSignedByAuditorTrusted(t *testing.T) {
 		w.Bytes_(sig)
 		return w.Bytes()
 	}
-	var errNoSig, errSig error
+	var errNoSig, errForged, errSig error
 	r.s.Go(func() {
 		stamp := SignStamp(mk, 99, r.s.Now()) // version the master is NOT at
 		p := SignPledge(slaveKeys, query.Encode(query.Get{Key: "k"}),
 			cryptoutil.HashBytes([]byte("wrong")), stamp)
 		pb := EncodePledge(p)
 		_, errNoSig = r.master.Handle("anyone", MethodReport, build(nil, pb))
+		fb := EncodePledge(forged(p))
+		_, errForged = r.master.Handle("anyone", MethodReport, build(auditorKeys.Sign(fb), fb))
 		_, errSig = r.master.Handle("anyone", MethodReport, build(auditorKeys.Sign(pb), pb))
 	})
 	r.s.Run()
 	if errNoSig == nil {
 		t.Fatal("unsigned version-mismatched report accepted")
+	}
+	if !errors.Is(errForged, ErrBadPledge) {
+		t.Fatalf("forged pledge under a valid auditor signature: err = %v, want %v", errForged, ErrBadPledge)
 	}
 	if errSig != nil {
 		t.Fatalf("auditor-signed report rejected: %v", errSig)

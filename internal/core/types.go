@@ -383,20 +383,24 @@ func (v *VersionStamp) Encode(w *wire.Writer) {
 	w.Bytes_(v.Sig)
 }
 
-// DecodeStamp reads a stamp from r.
-func DecodeStamp(r *wire.Reader) (VersionStamp, error) {
+// DecodeStamp reads a stamp from r; its key and signature are copies.
+func DecodeStamp(r *wire.Reader) (VersionStamp, error) { return decodeStamp(r, (*wire.Reader).Bytes) }
+
+// decodeStamp reads a stamp whose key and signature come from field:
+// Bytes to copy them, BytesView to alias r's buffer.
+func decodeStamp(r *wire.Reader, field func(*wire.Reader) []byte) (VersionStamp, error) {
 	var v VersionStamp
 	v.Version = r.Uvarint()
 	v.Timestamp = r.Time()
-	d := r.Bytes()
+	d := r.BytesView()
 	if len(d) == cryptoutil.DigestSize {
 		copy(v.OpDigest[:], d)
 	} else if r.Err() == nil {
 		return v, fmt.Errorf("core: bad op digest length %d", len(d))
 	}
-	v.MasterPub = cryptoutil.PublicKey(r.Bytes())
+	v.MasterPub = cryptoutil.PublicKey(field(r))
 	v.Kind = r.Byte()
-	v.Sig = r.Bytes()
+	v.Sig = field(r)
 	return v, r.Err()
 }
 
@@ -458,23 +462,38 @@ func EncodePledge(p Pledge) []byte {
 	return wire.EncodeFrame(p.Encode)
 }
 
-// DecodePledge reads a pledge from r.
-func DecodePledge(r *wire.Reader) (Pledge, error) {
+// DecodePledge reads a pledge from r. Every field is a copy, so the pledge
+// outlives r's buffer.
+func DecodePledge(r *wire.Reader) (Pledge, error) { return decodePledge(r, (*wire.Reader).Bytes) }
+
+// decodePledgeFrame decodes a frame that holds exactly one pledge, without
+// the copies: the query, keys and signatures alias frame, which the caller
+// must own for as long as it keeps the pledge.
+func decodePledgeFrame(frame []byte) (Pledge, error) {
+	r := wire.NewReader(frame)
+	p, err := decodePledge(r, (*wire.Reader).BytesView)
+	if err != nil {
+		return p, err
+	}
+	return p, r.Done()
+}
+
+func decodePledge(r *wire.Reader, field func(*wire.Reader) []byte) (Pledge, error) {
 	var p Pledge
-	p.QueryBytes = r.Bytes()
-	h := r.Bytes()
+	p.QueryBytes = field(r)
+	h := r.BytesView()
 	if len(h) == cryptoutil.DigestSize {
 		copy(p.ResultHash[:], h)
 	} else if r.Err() == nil {
 		return p, fmt.Errorf("core: bad result hash length %d", len(h))
 	}
 	var err error
-	p.Stamp, err = DecodeStamp(r)
+	p.Stamp, err = decodeStamp(r, field)
 	if err != nil {
 		return p, err
 	}
-	p.SlavePub = cryptoutil.PublicKey(r.Bytes())
-	p.Sig = r.Bytes()
+	p.SlavePub = cryptoutil.PublicKey(field(r))
+	p.Sig = field(r)
 	return p, r.Err()
 }
 

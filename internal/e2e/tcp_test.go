@@ -249,11 +249,18 @@ func TestTCPLiarCaughtOverRealSockets(t *testing.T) {
 	if st.CaughtImmediate == 0 || st.LiesAccepted != 0 {
 		t.Fatalf("client stats: %+v", st)
 	}
-	excluded, err := d.dir.IsExcluded(d.slaves[0].PublicKey())
-	if err != nil {
-		t.Fatalf("exclusion lookup: %v", err)
-	}
-	if !excluded {
-		t.Fatal("liar not excluded in remote directory")
+	// The report returns once the exclusion is sequenced; the master
+	// records it with the directory when its drainer delivers it.
+	for deadline := time.Now().Add(3 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		excluded, err := d.dir.IsExcluded(d.slaves[0].PublicKey())
+		if err != nil {
+			t.Fatalf("exclusion lookup: %v", err)
+		}
+		if excluded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("liar not excluded in remote directory")
+		}
 	}
 }

@@ -35,7 +35,7 @@ func E13CostAblation(seed int64, scale Scale) *metrics.Table {
 	}
 	for _, m := range models {
 		slaveTotal := m.costs.QueryCost(1024) + m.costs.HashCost(1024) + m.costs.Sign + m.costs.SendReply
-		audTotal := m.costs.VerifySig + m.costs.QueryCost(1024) + m.costs.HashCost(1024)
+		audTotal := m.costs.QueryCost(1024) + m.costs.HashCost(1024) // an honest pledge: no signature check
 
 		// Measured execs/read under this cost model (the architectural
 		// invariant: it must not move).

@@ -149,7 +149,9 @@ func (sc *Scenario) ConvergedDigests() bool {
 
 // DivergentReplicas counts the replicas (masters and slaves) whose state
 // digest differs from their group's reference master digest — the
-// detail behind ConvergedDigests, useful in test failure messages.
+// detail behind ConvergedDigests, useful in test failure messages. A
+// slave the directory lists as excluded is out of service (§3.5: its
+// master stopped updating it) and is not counted.
 func (sc *Scenario) DivergentReplicas() int {
 	divergent := 0
 	for _, g := range sc.Groups {
@@ -160,6 +162,9 @@ func (sc *Scenario) DivergentReplicas() int {
 			}
 		}
 		for _, si := range g.Slaves {
+			if sc.Dir.IsExcluded(sc.Owner.Public, sc.Slaves[si].PublicKey()) {
+				continue
+			}
 			if !sc.Slaves[si].StateDigest().Equal(ref) {
 				divergent++
 			}

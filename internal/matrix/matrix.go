@@ -95,21 +95,31 @@ type Result struct {
 	ReadP50ms    float64 `json:"read_p50_ms"`
 	ReadP99ms    float64 `json:"read_p99_ms"`
 
+	// Trust: a slave the fault plan made lie on reads that the directory
+	// does not list as excluded at quiesce, a slave it lists that never
+	// lied, and the reports the auditors sent.
+	LiarsAtLarge   int    `json:"liars_at_large"`
+	HonestExcluded int    `json:"honest_excluded"`
+	AuditReports   uint64 `json:"audit_reports"`
+
 	// MasterWritesApplied is the deployment-wide applied-write counter
 	// (crash-retired instances included), a cross-check on Committed.
 	MasterWritesApplied uint64 `json:"master_writes_applied"`
 }
 
 // OK reports whether the cell passed: converged digests, a non-empty
-// write ledger, and zero lost or duplicated writes.
+// write ledger, zero lost or duplicated writes, and the slave that lied
+// on reads — nobody else — excluded on an auditor's report.
 func (r Result) OK() bool {
-	return r.Converged && r.Lost == 0 && r.Duplicated == 0 && r.Committed > 0
+	return r.Converged && r.Lost == 0 && r.Duplicated == 0 && r.Committed > 0 &&
+		r.LiarsAtLarge == 0 && r.HonestExcluded == 0 &&
+		(readLiar(r.Cell.Fault) < 0 || r.AuditReports > 0)
 }
 
 // SmokeGrid is the CI-sized matrix: both distributions, all three
 // mixes, 10–100 clients, 1–8 shards, and at least one cell for every
-// fault plan in the library (lying slave, withheld acks, master crash,
-// partition, latency spike, clock skew).
+// fault plan in the library (lying slave, read liar, withheld acks,
+// master crash, partition, latency spike, clock skew).
 func SmokeGrid() []Cell {
 	d := 2500 * time.Millisecond
 	return []Cell{
@@ -128,6 +138,8 @@ func SmokeGrid() []Cell {
 		{Dist: DistUniform, Mix: MixReadMostly, Clients: 100, Shards: 1, Fault: FaultLatencySpike, Duration: d},
 		{Dist: DistZipf, Mix: MixReadMostly, Clients: 10, Shards: 1, Fault: FaultClockSkew, Duration: d},
 		{Dist: DistZipf, Mix: MixWriteHeavy, Clients: 100, Shards: 4, Fault: FaultClockSkew, Duration: d},
+		// Last, so the cells above keep their per-index seeds.
+		{Dist: DistZipf, Mix: MixReadMostly, Clients: 10, Shards: 1, Fault: FaultReadLiar, Duration: d},
 	}
 }
 

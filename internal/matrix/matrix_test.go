@@ -26,7 +26,7 @@ func TestSmokeGridShape(t *testing.T) {
 		seen[c.Label()] = true
 		faults[c.Fault]++
 	}
-	for _, f := range []string{FaultLyingSlave, FaultWithholdAcks, FaultMasterCrash, FaultPartition, FaultLatencySpike, FaultClockSkew} {
+	for _, f := range []string{FaultLyingSlave, FaultReadLiar, FaultWithholdAcks, FaultMasterCrash, FaultPartition, FaultLatencySpike, FaultClockSkew} {
 		if faults[f] == 0 {
 			t.Errorf("smoke grid has no %s cell", f)
 		}
@@ -62,10 +62,12 @@ func TestCellValidate(t *testing.T) {
 
 // TestCellFaultFamilies runs one reduced cell per adversarial family
 // end to end and demands the full ground truth: converged digests,
-// committed writes, zero lost, zero duplicated.
+// committed writes, zero lost, zero duplicated, and the slave that lied
+// on reads — nobody else — excluded on an auditor's report.
 func TestCellFaultFamilies(t *testing.T) {
 	cells := []Cell{
 		{Dist: DistZipf, Mix: MixWriteHeavy, Clients: 6, Shards: 1, Fault: FaultLyingSlave, Duration: 1500 * time.Millisecond},
+		{Dist: DistZipf, Mix: MixReadMostly, Clients: 6, Shards: 1, Fault: FaultReadLiar, Duration: 1500 * time.Millisecond},
 		{Dist: DistZipf, Mix: MixWriteHeavy, Clients: 6, Shards: 1, Fault: FaultMasterCrash, Duration: 1500 * time.Millisecond},
 		{Dist: DistUniform, Mix: MixWriteHeavy, Clients: 6, Shards: 1, Fault: FaultPartition, Duration: 1500 * time.Millisecond},
 		{Dist: DistZipf, Mix: MixReadMostly, Clients: 6, Shards: 1, Fault: FaultClockSkew, Duration: 1500 * time.Millisecond},
@@ -81,8 +83,8 @@ func TestCellFaultFamilies(t *testing.T) {
 				t.Error("fault plan fired no events")
 			}
 			if !r.OK() {
-				t.Errorf("cell failed: committed=%d lost=%d dup=%d converged=%v divergent=%d",
-					r.Committed, r.Lost, r.Duplicated, r.Converged, r.Divergent)
+				t.Errorf("cell failed: committed=%d lost=%d dup=%d converged=%v divergent=%d liars at large=%d honest excluded=%d audit reports=%d",
+					r.Committed, r.Lost, r.Duplicated, r.Converged, r.Divergent, r.LiarsAtLarge, r.HonestExcluded, r.AuditReports)
 			}
 			if r.Committed > 0 && r.MasterWritesApplied < uint64(r.Committed) {
 				t.Errorf("masters applied %d writes < %d committed", r.MasterWritesApplied, r.Committed)

@@ -1,8 +1,9 @@
 // The fault-plan library: named, cell-duration-relative schedules over
-// the harness fault vocabulary. Every plan heals before the traffic
-// window ends, so the quiesced digest check can demand full
+// the harness fault vocabulary. Every plan but read-liar heals before the
+// traffic window ends, so the quiesced digest check can demand full
 // convergence — surviving the fault is not enough, the fleet must
-// recover from it.
+// recover from it. A slave that lies on reads does not heal: the fleet
+// recovers by excluding it.
 package matrix
 
 import (
@@ -23,13 +24,14 @@ const (
 	FaultPartition    = "partition"
 	FaultLatencySpike = "latency-spike"
 	FaultClockSkew    = "clock-skew"
+	FaultReadLiar     = "read-liar"
 )
 
 // FaultNames lists the library's schedules in a stable order.
 func FaultNames() []string {
 	return []string{
 		FaultNone, FaultLyingSlave, FaultWithholdAcks, FaultMasterCrash,
-		FaultPartition, FaultLatencySpike, FaultClockSkew,
+		FaultPartition, FaultLatencySpike, FaultClockSkew, FaultReadLiar,
 	}
 }
 
@@ -47,6 +49,16 @@ func KnownFault(name string) bool {
 // second master per group (so the group survives) and a durable
 // DataDir (so the restart exercises WAL replay, not reprovisioning).
 func crashCell(fault string) bool { return fault == FaultMasterCrash }
+
+// readLiar is the slave (flat index) the plan makes lie on reads, or -1. A
+// cell passes only if that slave and nobody else is excluded at quiesce,
+// on an auditor's report.
+func readLiar(fault string) int {
+	if fault == FaultReadLiar {
+		return 0
+	}
+	return -1
+}
 
 // PlanFor builds the named schedule for a traffic window of length d.
 // Faults inject around a quarter of the way in and heal around
@@ -67,6 +79,15 @@ func PlanFor(fault string, d time.Duration) (harness.FaultPlan, error) {
 		return harness.FaultPlan{Name: fault, Events: []harness.FaultEvent{
 			{At: inject, Kind: harness.FaultSetBehavior, Target: 0, Behavior: core.LieAcks{Ahead: 1 << 20}},
 			{At: heal, Kind: harness.FaultSetBehavior, Target: 0},
+		}}, nil
+	case FaultReadLiar:
+		// Slave 0 starts answering every read with a false result under a
+		// pledge it really signs. Nothing heals: the auditor must catch it
+		// and the masters exclude it (§3.5) while reads and writes go on —
+		// an excluded slave is out of service, so the digest check leaves
+		// it out and covers everyone else.
+		return harness.FaultPlan{Name: fault, Events: []harness.FaultEvent{
+			{At: inject, Kind: harness.FaultSetBehavior, Target: 0, Behavior: core.AlwaysLie{}},
 		}}, nil
 	case FaultWithholdAcks:
 		// Slave 0 applies everything but acks nothing: stability must

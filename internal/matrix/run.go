@@ -104,6 +104,11 @@ func cellConfig(cell Cell, seed int64, dataDir string) harness.ScenarioConfig {
 	cfg.CheckpointEvery = 150 * time.Millisecond
 	cfg.CheckpointMinRetain = 32
 	cfg.CheckpointMaxLag = 400 * time.Millisecond
+	if readLiar(cell.Fault) >= 0 {
+		// Only the auditor may catch the liar: a client's double-check
+		// would convict it through the master and hide a broken audit.
+		cfg.Params.DoubleCheckP = 0
+	}
 	if crashCell(cell.Fault) {
 		// The killed master needs a surviving peer and durable state so
 		// its restart replays the WAL instead of reprovisioning.
@@ -296,6 +301,19 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 		res.WritesPerSec = float64(res.Committed-1) / span.Seconds()
 	}
 	res.MasterWritesApplied = sc.TotalMasterStats().WritesApplied
+
+	liar := readLiar(cell.Fault)
+	for si, sl := range sc.Slaves {
+		switch excluded := sc.Dir.IsExcluded(sc.Owner.Public, sl.PublicKey()); {
+		case si == liar && !excluded:
+			res.LiarsAtLarge++
+		case si != liar && excluded:
+			res.HonestExcluded++
+		}
+	}
+	for _, aud := range sc.Auditors {
+		res.AuditReports += aud.Stats().ReportsSent
+	}
 	return res, nil
 }
 
