@@ -12,8 +12,8 @@
 #                     perf trajectory record), the workload × fault
 #                     matrix emitting BENCH_matrix.json (smoke grid;
 #                     MATRIX_FULL=1 runs the exhaustive grid), a short
-#                     fuzz smoke over the wire/merkle/wave/batch-update
-#                     decoders, the README package-map completeness
+#                     fuzz smoke over the wire/merkle/wave/batch-update/
+#                     pledge decoders, the README package-map completeness
 #                     check, and a smoke run of the real-clock benchmark
 #                     under bench/.
 #   make lint       — repllint (the in-tree go/analysis suite under
@@ -60,12 +60,13 @@ lint:
 # drainer task, so what its tests prove depends on the schedule they
 # happened to get: the broadcast package runs ten more times. So does the
 # slave test whose concurrent s.updatebatch handlers share one merkle
-# scratch, and so do the auditor's tests, whose handlers queue pledges
-# that alias their frames for the audit worker.
+# scratch, the one whose readers share the signed-pledge memo while stamps
+# and batches arrive, and the auditor's tests, whose handlers queue
+# pledges that alias their frames for the audit worker.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
-	$(GO) test -race -count=10 -run TestSlaveUpdateBatchConcurrent ./internal/core/
+	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlavePledgeMemoConcurrent' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
 bench-e15:
@@ -109,8 +110,8 @@ bench-smoke:
 	done
 
 # Short native-fuzz runs over the untrusted-input decoders: the wire
-# reader, the merkle proof, the write-wave frame and the batch-update
-# frame. The checked-in corpora under testdata/fuzz/ replay in plain
+# reader, the merkle proof, the write-wave frame, the batch-update frame
+# and the pledge. The checked-in corpora under testdata/fuzz/ replay in plain
 # `go test`; this target additionally mutates for FUZZTIME per target.
 # `go test` fuzzes one target per invocation, so each gets its own and
 # they run in parallel; a failure in any fails the smoke.
@@ -120,10 +121,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeProof -fuzztime $(FUZZTIME) ./internal/merkle/ & mpid=$$!; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeWriteWave -fuzztime $(FUZZTIME) ./internal/core/ & cpid=$$!; \
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchUpdate -fuzztime $(FUZZTIME) ./internal/core/ & bpid=$$!; \
+	$(GO) test -run '^$$' -fuzz FuzzDecodePledge -fuzztime $(FUZZTIME) ./internal/core/ & lpid=$$!; \
 	wait $$wpid || status=1; \
 	wait $$mpid || status=1; \
 	wait $$cpid || status=1; \
 	wait $$bpid || status=1; \
+	wait $$lpid || status=1; \
 	exit $$status
 
 # Every top-level internal/ package must be linked from the README's

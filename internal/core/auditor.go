@@ -30,8 +30,8 @@ type AuditorStats struct {
 
 	// PledgeCacheHits/Misses count verified-pledge cache consultations.
 	// Only a pledge that disagrees with the replica is consulted at all;
-	// one byte-identical to a pledge already verified skips the signature
-	// check.
+	// one with the signed body and signature of a pledge already verified
+	// skips the signature check.
 	PledgeCacheHits   uint64
 	PledgeCacheMisses uint64
 }
@@ -420,8 +420,8 @@ type provenPledge struct{ p Pledge }
 // convict handles a pledge that disagrees with the trusted replica. An
 // unsigned or forged pledge cannot frame anyone and carries no
 // information: it is counted and dropped. A signed one is a lie, and the
-// first from each slave is reported. A pledge byte-identical to one
-// already verified costs a lookup instead of a signature check.
+// first from each slave is reported. A pledge whose signed body and
+// signature were already verified costs a lookup instead of a check.
 func (a *Auditor) convict(p Pledge) {
 	hit, err := a.pledges.verifyPledge(&p)
 	chargeSig(a.cfg.CPU, a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)

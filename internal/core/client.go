@@ -43,8 +43,8 @@ type ClientStats struct {
 	StampCacheHits   uint64
 	StampCacheMisses uint64
 	// PledgeCacheHits/Misses count verified-pledge cache consultations: a
-	// repeat of a popular query inside one keep-alive interval returns the
-	// byte-identical pledge, whose signature was already checked.
+	// repeat of a popular query at the same content version returns the
+	// same slave signature, which was already checked.
 	PledgeCacheHits   uint64
 	PledgeCacheMisses uint64
 }
@@ -95,10 +95,8 @@ type Client struct {
 	slaves     []slaveAssignment
 	stats      ClientStats
 
-	// stamps and pledges cache verified signatures: between content
-	// updates every read reply carries the same stamp, and a repeated
-	// query the same pledge, so repeat verifications are a cache hit
-	// instead of a signature check.
+	// stamps and pledges remember verified signatures: the same stamp comes
+	// back between keep-alives, the same pledge between content updates.
 	stamps, pledges *sigCache
 }
 
@@ -535,10 +533,10 @@ func (c *Client) callSlaveRead(sl slaveAssignment, queryBytes []byte) (ReadReply
 }
 
 // verifyReply performs the client-side checks of §3.2: result hash
-// matches the pledge, the pledge is signed by the assigned slave, the
-// stamp is signed by a certified master, and it is fresh. Only the two
-// signature checks go through the verified-signature caches; every other
-// check runs on every reply.
+// matches the pledge, the pledge is signed by the assigned slave for this
+// query at the stamp's version, the stamp is signed by a certified master,
+// and it is fresh. Only the two signature checks go through the
+// verified-signature caches; every other check runs on every reply.
 func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply ReadReply) error {
 	if !cryptoutil.HashBytes(reply.Payload).Equal(reply.Pledge.ResultHash) {
 		c.mu.Lock()

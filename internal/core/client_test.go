@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -346,5 +348,90 @@ func TestClientSetupFailsWithEmptyDirectory(t *testing.T) {
 	s.Run()
 	if err == nil {
 		t.Fatal("setup succeeded with no masters")
+	}
+}
+
+// TestClientChecksStampBesidePledge: the slave's signature covers the
+// stamp's version and nothing else of it, so everything a client believes
+// about the stamp it checks itself, on every reply. Each row starts from
+// an honest reply whose pledge signature the client has already verified
+// and cached, then swaps or edits the stamp that rides beside it.
+func TestClientChecksStampBesidePledge(t *testing.T) {
+	r := newClientRig(t)
+	c := r.client
+	sl := slaveAssignment{addr: "slave", pub: r.slaveKeys.Public}
+	masters := []cryptoutil.PublicKey{r.masterKeys.Public}
+	evil := cryptoutil.DeriveKeyPair("evil-master", 0)
+	qb := query.Encode(query.Get{Key: "k"})
+	payload := []byte("answer at version 7")
+	now := r.s.Now()
+	honest := func() ReadReply {
+		stamp := SignStamp(r.masterKeys, 7, now.Add(-time.Second))
+		return ReadReply{Payload: payload, Pledge: SignPledge(r.slaveKeys, qb, cryptoutil.HashBytes(payload), stamp)}
+	}
+	cases := []struct {
+		name   string
+		mutate func(p *Pledge)
+		want   error // nil: accepted
+		stat   func(ClientStats) uint64
+	}{
+		{"the honest reply again", func(p *Pledge) {}, nil, nil},
+		{"a fresher master stamp of the same version", func(p *Pledge) {
+			p.Stamp = SignStamp(r.masterKeys, 7, now)
+		}, nil, nil},
+		{"a batch stamp of the same version", func(p *Pledge) {
+			p.Stamp = SignBatchStamp(r.masterKeys, 7, now, cryptoutil.Digest{1})
+		}, nil, nil},
+		{"stamp signature flipped", func(p *Pledge) {
+			p.Stamp.Sig = bytes.Clone(p.Stamp.Sig)
+			p.Stamp.Sig[3] ^= 1
+		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
+		{"stamp timestamp moved forward under the old signature", func(p *Pledge) {
+			p.Stamp.Timestamp = now
+		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
+		{"stamp of the same version from an uncertified key", func(p *Pledge) {
+			p.Stamp = SignStamp(evil, 7, now)
+		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
+		{"stale master stamp of the same version", func(p *Pledge) {
+			p.Stamp = SignStamp(r.masterKeys, 7, now.Add(-r.params.MaxLatency-time.Second))
+		}, ErrStale, func(st ClientStats) uint64 { return st.StaleRejects }},
+		{"fresh master stamp of another version", func(p *Pledge) {
+			p.Stamp = SignStamp(r.masterKeys, 8, now)
+		}, ErrBadPledge, func(st ClientStats) uint64 { return st.BadPledges }},
+		{"stamp version edited in place", func(p *Pledge) {
+			p.Stamp.Version = 8
+		}, ErrBadPledge, func(st ClientStats) uint64 { return st.BadPledges }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := c.verifyReply(sl, masters, qb, honest()); err != nil {
+				t.Fatalf("honest reply: %v", err)
+			}
+			before := c.Stats()
+			reply := honest()
+			tc.mutate(&reply.Pledge)
+			// Twice: a rejection must not leave a verdict behind either.
+			for round := 0; round < 2; round++ {
+				err := c.verifyReply(sl, masters, qb, reply)
+				if tc.want == nil {
+					if err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+					continue
+				}
+				if !errors.Is(err, errRetry) || !strings.Contains(err.Error(), tc.want.Error()) {
+					t.Fatalf("round %d: err = %v, want a retryable %v", round, err, tc.want)
+				}
+			}
+			after := c.Stats()
+			if tc.want != nil && tc.stat(after) != tc.stat(before)+2 {
+				t.Errorf("rejections not counted: before %+v, after %+v", before, after)
+			}
+			// Unless the version moved, the pledge itself was a cache hit
+			// both times: the stamp checks are what caught the reply.
+			if wantHits := before.PledgeCacheHits + 2; tc.want != ErrBadPledge && after.PledgeCacheHits != wantHits {
+				t.Errorf("pledge cache hits = %d, want %d", after.PledgeCacheHits, wantHits)
+			}
+		})
 	}
 }

@@ -112,3 +112,68 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodePledge drives the pledge decoder — what s.read replies,
+// a.pledge, a.pledgemulti, m.report and bcExclude all carry — over
+// arbitrary bytes. The invariants: no panic on any input, in either
+// decoder or in the signature checks run on what came out; the copying
+// decoder and the view decoder accept the same frames and read the same
+// pledge from them; whatever decodes re-encodes to a frame that decodes to
+// the same pledge, that re-encoding is a fixed point, and equal pledges
+// sign equal bytes.
+func FuzzDecodePledge(f *testing.F) {
+	fx := newCacheFixture()
+	honest := EncodePledge(fx.pledge)
+	batch := fx.pledge
+	batch.Stamp = SignBatchStamp(fx.master, 7, time.Unix(1000, 0), cryptoutil.Digest{1})
+	f.Add(honest)
+	f.Add(EncodePledge(batch))
+	f.Add(EncodePledge(Pledge{}))
+	f.Add(honest[:len(honest)/2]) // truncated inside the stamp
+	f.Add(append(bytes.Clone(honest), 0x7))
+	f.Add([]byte{})
+	f.Add([]byte{0x00, 0x03, 1, 2, 3})             // result hash of the wrong length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0}) // query length far beyond the frame
+
+	trusted := []cryptoutil.PublicKey{fx.master.Public}
+	signed := func(p Pledge) []byte {
+		w := wire.NewWriter(0)
+		p.appendSignedBytes(w)
+		return w.Bytes()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		view, verr := decodePledgeFrame(data)
+		r := wire.NewReader(data)
+		p, err := DecodePledge(r)
+		if err == nil {
+			err = r.Done()
+		}
+		if (err == nil) != (verr == nil) {
+			t.Fatalf("copying decoder: %v, view decoder: %v", err, verr)
+		}
+		if err != nil {
+			return
+		}
+		_ = p.VerifySig() // any key and signature length must be survivable
+		_ = p.Stamp.Verify(trusted)
+		enc := EncodePledge(p)
+		if !bytes.Equal(EncodePledge(view), enc) {
+			t.Fatal("the two decoders read different pledges from one frame")
+		}
+		again, err := decodePledgeFrame(enc)
+		if err != nil {
+			t.Fatalf("re-encoded pledge does not decode: %v", err)
+		}
+		if !bytes.Equal(again.QueryBytes, p.QueryBytes) || again.ResultHash != p.ResultHash ||
+			!bytes.Equal(again.SlavePub, p.SlavePub) || !bytes.Equal(again.Sig, p.Sig) ||
+			!bytes.Equal(again.Stamp.signedBytes(), p.Stamp.signedBytes()) || !bytes.Equal(again.Stamp.Sig, p.Stamp.Sig) {
+			t.Fatalf("round trip changed the pledge: %+v -> %+v", p, again)
+		}
+		if !bytes.Equal(EncodePledge(again), enc) {
+			t.Fatal("re-encoding is not canonical")
+		}
+		if !bytes.Equal(signed(again), signed(p)) {
+			t.Fatal("equal pledges sign different bytes")
+		}
+	})
+}

@@ -617,3 +617,137 @@ func BenchmarkAdmitWave256(b *testing.B) {
 		}
 	}
 }
+
+// TestMasterReportConvictsOnPledgeBody: a report stands or falls with what
+// the slave signed — query, result hash, version — on both paths into
+// handleReport. Which stamp travels with the pledge makes no difference; an
+// edit to anything under the signature does.
+func TestMasterReportConvictsOnPledgeBody(t *testing.T) {
+	mk := cryptoutil.DeriveKeyPair("master", 0)
+	slaveKeys := cryptoutil.DeriveKeyPair("slave", 0)
+	qb := query.Encode(query.Get{Key: "k"})
+	honestRes, _ := (query.Get{Key: "k"}).Execute(storeWith(t, "k", "v"))
+	wrong := cryptoutil.HashBytes([]byte("wrong"))
+	at := time.Unix(1000, 0)
+	lieAt := func(version uint64) Pledge { return SignPledge(slaveKeys, qb, wrong, SignStamp(mk, version, at)) }
+
+	// auditorReport has a real auditor convict p and returns the report it
+	// sends: the provenPledge path, pledge and auditor signature as shipped.
+	auditorReport := func(t *testing.T, p Pledge) []byte {
+		ar := newAuditorRig(t, nil)
+		if st := ar.audit(t, p); st.ReportsSent != 1 || len(ar.reports) != 1 {
+			t.Fatalf("auditor sent %d reports for a lie: %+v", len(ar.reports), st)
+		}
+		return ar.reports[0]
+	}
+	clientReport := func(t *testing.T, p Pledge) []byte {
+		w := wire.NewWriter(512)
+		w.Bytes_(EncodePledge(p))
+		w.Bytes_(nil)
+		return w.Bytes()
+	}
+	// resign swaps the pledge inside an auditor report and re-signs the
+	// report: the auditor's word on a pledge the slave never signed.
+	resign := func(t *testing.T, report []byte, edit func(*Pledge)) []byte {
+		r := wire.NewReader(report)
+		p, err := decodePledgeFrame(r.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(&p)
+		pb := EncodePledge(p)
+		w := wire.NewWriter(512)
+		w.Bytes_(pb)
+		w.Bytes_(cryptoutil.DeriveKeyPair("auditor", 0).Sign(pb))
+		return w.Bytes()
+	}
+
+	cases := []struct {
+		name    string
+		report  func(t *testing.T) []byte
+		wantErr error // nil: the slave is excluded
+	}{
+		{"client: lie at the master's version", func(t *testing.T) []byte {
+			return clientReport(t, lieAt(1))
+		}, nil},
+		{"client: the same lie beside a later keep-alive stamp", func(t *testing.T) []byte {
+			p := lieAt(1)
+			p.Stamp = SignStamp(mk, 1, at.Add(time.Hour))
+			return clientReport(t, p)
+		}, nil},
+		{"client: the same lie beside a batch stamp of that version", func(t *testing.T) []byte {
+			p := lieAt(1)
+			p.Stamp = SignBatchStamp(mk, 1, at, cryptoutil.Digest{7})
+			return clientReport(t, p)
+		}, nil},
+		{"client: honest pledge, result hash edited", func(t *testing.T) []byte {
+			p := SignPledge(slaveKeys, qb, honestRes.Digest(), SignStamp(mk, 1, at))
+			p.ResultHash = wrong
+			return clientReport(t, p)
+		}, ErrBadPledge},
+		{"client: answer for version 9 presented as one for version 1", func(t *testing.T) []byte {
+			p := SignPledge(slaveKeys, qb, wrong, SignStamp(mk, 9, at))
+			p.Stamp = SignStamp(mk, 1, at) // a real stamp, but not the version the slave signed
+			return clientReport(t, p)
+		}, ErrBadPledge},
+		{"client: honest pledge, version edited in place", func(t *testing.T) []byte {
+			p := SignPledge(slaveKeys, qb, honestRes.Digest(), SignStamp(mk, 1, at))
+			p.Stamp.Version = 9
+			return clientReport(t, p)
+		}, ErrBadPledge},
+		{"client: honest pledge as signed", func(t *testing.T) []byte {
+			return clientReport(t, SignPledge(slaveKeys, qb, honestRes.Digest(), SignStamp(mk, 1, at)))
+		}, ErrNotProven},
+		{"auditor: convicted lie at a version the master has left", func(t *testing.T) []byte {
+			ar := newAuditorRig(t, nil)
+			return auditorReport(t, ar.pledgeFor(query.Get{Key: "k"}, true))
+		}, nil},
+		{"auditor: the same report beside another stamp of that version", func(t *testing.T) []byte {
+			ar := newAuditorRig(t, nil)
+			p := ar.pledgeFor(query.Get{Key: "k"}, true)
+			return resign(t, auditorReport(t, p), func(p *Pledge) { p.Stamp = SignStamp(mk, p.Stamp.Version, at.Add(time.Hour)) })
+		}, nil},
+		{"auditor: report re-signed over an edited result hash", func(t *testing.T) []byte {
+			ar := newAuditorRig(t, nil)
+			p := ar.pledgeFor(query.Get{Key: "k"}, true)
+			return resign(t, auditorReport(t, p), func(p *Pledge) { p.ResultHash[0] ^= 1 })
+		}, ErrBadPledge},
+		{"auditor: report re-signed over an edited version", func(t *testing.T) []byte {
+			ar := newAuditorRig(t, nil)
+			p := ar.pledgeFor(query.Get{Key: "k"}, true)
+			return resign(t, auditorReport(t, p), func(p *Pledge) { p.Stamp.Version++ })
+		}, ErrBadPledge},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			report := tc.report(t)
+			r := newMasterRig(t, nil)
+			r.master.AddSlave("slave-0", slaveKeys.Public)
+			var err error
+			r.s.Go(func() {
+				if strings.HasPrefix(tc.name, "auditor") {
+					// Move the master off the pledge's version: only the
+					// auditor's signature can vouch for the re-execution now.
+					if _, werr := r.write(r.client, store.Put{Key: "x", Value: []byte("1")}); werr != nil {
+						t.Errorf("write: %v", werr)
+					}
+				}
+				_, err = r.master.Handle("anyone", MethodReport, report)
+			})
+			r.s.Run()
+			excluded := r.master.Stats().Exclusions == 1 && r.dir.IsExcluded(r.owner.Public, slaveKeys.Public)
+			if tc.wantErr == nil {
+				if err != nil || !excluded {
+					t.Fatalf("liar not excluded: err=%v stats=%+v", err, r.master.Stats())
+				}
+				return
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if r.master.Stats().Exclusions != 0 || r.master.SlaveCount() != 1 {
+				t.Fatalf("slave excluded on a refused report: %+v", r.master.Stats())
+			}
+		})
+	}
+}

@@ -2,16 +2,20 @@ package core
 
 import (
 	"bytes"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/query"
+	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // cacheFixture is one verified pledge and the keys around it.
@@ -42,8 +46,24 @@ func clonePledge(p Pledge) Pledge {
 	return p
 }
 
+// entries counts the memo's occupied slots.
+func (c *sigCache) entries() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.keys {
+		if k != (cryptoutil.Digest{}) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestSigCachePledgeSafety primes a cache with one verified pledge and
-// then presents variations of it: none may ride on the cached verdict.
+// then presents variations of it: none that changes what the slave signed
+// may ride on the cached verdict. The stamp beyond its version is not the
+// slave's word; what a client does with a swapped one is
+// TestClientChecksStampBesidePledge's subject.
 func TestSigCachePledgeSafety(t *testing.T) {
 	f := newCacheFixture()
 	cases := []struct {
@@ -56,7 +76,9 @@ func TestSigCachePledgeSafety(t *testing.T) {
 		{"seen signature, altered query", func(p *Pledge) { p.QueryBytes[len(p.QueryBytes)-1] ^= 1 }, false, true},
 		{"seen signature, altered result hash", func(p *Pledge) { p.ResultHash[0] ^= 1 }, false, true},
 		{"seen signature, altered stamp version", func(p *Pledge) { p.Stamp.Version++ }, false, true},
-		{"seen signature, altered stamp signature", func(p *Pledge) { p.Stamp.Sig[3] ^= 1 }, false, true},
+		{"seen pledge beside a later stamp of the same version", func(p *Pledge) {
+			p.Stamp = SignStamp(f.master, p.Stamp.Version, p.Stamp.Timestamp.Add(time.Second))
+		}, true, false},
 		{"seen body, garbage signature", func(p *Pledge) { p.Sig[10] ^= 0x40 }, false, true},
 		{"seen body, truncated signature", func(p *Pledge) { p.Sig = p.Sig[:32] }, false, true},
 		{"seen pledge relabelled with another slave's key", func(p *Pledge) { p.SlavePub = f.other.Public }, false, true},
@@ -88,8 +110,8 @@ func TestSigCachePledgeSafety(t *testing.T) {
 					t.Fatalf("round %d: hit=%v, want %v", round, hit, wantHit)
 				}
 			}
-			if want := 1; tc.wantErr && len(c.m) != want {
-				t.Fatalf("cache holds %d entries after rejected pledges, want %d", len(c.m), want)
+			if want := 1; tc.wantErr && c.entries() != want {
+				t.Fatalf("cache holds %d entries after rejected pledges, want %d", c.entries(), want)
 			}
 		})
 	}
@@ -155,49 +177,113 @@ func TestSigCacheNilVerifiesWithoutMemoising(t *testing.T) {
 	}
 }
 
-// TestSigCacheBounded verifies ten times the bound in distinct stamps
-// from several goroutines: the set never outgrows sigCacheSize, the
-// newest entry hits and the oldest was evicted.
+// setKey returns the i-th distinct digest that lands in set 0 of a memo.
+func setKey(i int) cryptoutil.Digest {
+	var k cryptoutil.Digest
+	k[2], k[3], k[19] = byte(i), byte(i>>8), 1 // bytes 0 and 1 pick the set
+	return k
+}
+
+// TestSigCacheEvictsLeastRecentlyUsed fills one set past its ways: the
+// memo takes every new entry, each at the cost of exactly one old one —
+// the one untouched for longest, not one a lookup has just used — and a
+// signer's table keeps every surviving key beside its own signature.
+func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	lru := newSigCache()
+	for i := 0; i < sigCacheWays; i++ {
+		lru.insert(setKey(i), nil)
+	}
+	lru.lookup(setKey(0)) // the oldest insert is now the most recently used
+	lru.insert(setKey(sigCacheWays), nil)
+	for i, want := range []bool{true, false, true} {
+		if _, hit := lru.lookup(setKey(i)); hit != want {
+			t.Errorf("after one insert into a full set, entry %d: hit=%v, want %v", i, hit, want)
+		}
+	}
+
+	sigOf := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, ed25519.SignatureSize) }
+	for _, signer := range []bool{false, true} {
+		c := newSigCache()
+		insert := func(i int) {
+			if signer {
+				c.insert(setKey(i), sigOf(i))
+			} else {
+				c.insert(setKey(i), nil)
+			}
+		}
+		const extra = 3
+		for i := 0; i < sigCacheWays+extra; i++ {
+			insert(i)
+			if sig, hit := c.lookup(setKey(i)); !hit || (signer && !bytes.Equal(sig, sigOf(i))) {
+				t.Fatalf("signer=%v: entry %d not found right after its insert (sig %x)", signer, i, sig)
+			}
+		}
+		live := 0
+		for i := 0; i < sigCacheWays+extra; i++ {
+			sig, hit := c.lookup(setKey(i))
+			if hit {
+				live++
+			}
+			if hit && signer && !bytes.Equal(sig, sigOf(i)) {
+				t.Errorf("entry %d came back with another entry's signature %x", i, sig)
+			}
+		}
+		if live != sigCacheWays || c.entries() != sigCacheWays {
+			t.Errorf("signer=%v: %d of %d entries found, %d slots occupied, want %d", signer, live, sigCacheWays+extra, c.entries(), sigCacheWays)
+		}
+		insert(sigCacheWays) // already there or not: never twice
+		if c.entries() != sigCacheWays {
+			t.Errorf("signer=%v: a re-insert changed the occupancy to %d", signer, c.entries())
+		}
+		if _, hit := c.lookup(cryptoutil.Digest{}); hit {
+			t.Error("the zero digest, which marks an empty slot, was found")
+		}
+	}
+}
+
+// TestSigCacheBounded pushes ten times the bound in distinct keys through
+// one memo from several goroutines: its arrays never grow, it ends full,
+// a new entry still goes in and the oldest was evicted. Real stamps then go
+// through the same memo.
 func TestSigCacheBounded(t *testing.T) {
-	f := newCacheFixture()
-	trusted := []cryptoutil.PublicKey{f.master.Public}
 	const workers = 4
 	n := 10 * sigCacheSize
-	if testing.Short() {
-		n = 2 * sigCacheSize
-	}
-	stamps := make([]VersionStamp, n)
 	c := newSigCache()
+	key := func(i int) cryptoutil.Digest { return cryptoutil.HashBytes([]byte(fmt.Sprint("key-", i))) }
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < n; i += workers {
-				stamps[i] = SignStamp(f.master, uint64(i), time.Unix(int64(i), 0))
-				if _, err := c.verifyStamp(&stamps[i], trusted); err != nil {
-					t.Errorf("stamp %d: %v", i, err)
+				if _, hit := c.lookup(key(i)); hit {
+					t.Errorf("key %d found before it was inserted", i)
 				}
-				c.mu.Lock()
-				size, ring := len(c.m), len(c.ring)
-				c.mu.Unlock()
-				if size > sigCacheSize || ring > sigCacheSize {
-					t.Errorf("after stamp %d: %d entries, ring %d, bound %d", i, size, ring, sigCacheSize)
-				}
+				c.insert(key(i), nil)
 			}
 		}(g)
 	}
 	wg.Wait()
-	if len(c.m) != sigCacheSize {
-		t.Fatalf("cache holds %d entries, want it full at %d", len(c.m), sigCacheSize)
+	if len(c.keys) != sigCacheSize || c.sigs != nil {
+		t.Fatalf("a verifier's memo holds %d key slots and %d signature slots, want %d and 0", len(c.keys), len(c.sigs), sigCacheSize)
 	}
-	last := SignStamp(f.master, uint64(n), time.Unix(int64(n), 0))
-	c.verifyStamp(&last, trusted)
-	if hit, _ := c.verifyStamp(&last, trusted); !hit {
-		t.Fatal("a full cache did not take the newest stamp")
+	if got := c.entries(); got != sigCacheSize {
+		t.Fatalf("memo holds %d entries after %d inserts, want it full at %d", got, n, sigCacheSize)
 	}
-	if hit, _ := c.verifyStamp(&stamps[0], trusted); hit {
-		t.Fatal("oldest stamp survived 10x the bound in insertions")
+	c.insert(key(n), nil)
+	if _, hit := c.lookup(key(n)); !hit {
+		t.Fatal("a full memo did not take a new key")
+	}
+	if _, hit := c.lookup(key(0)); hit {
+		t.Fatal("oldest key survived 10x the bound in insertions")
+	}
+
+	f := newCacheFixture()
+	trusted := []cryptoutil.PublicKey{f.master.Public}
+	for round, wantHit := range []bool{false, true} {
+		if hit, err := c.verifyStamp(&f.stamp, trusted); hit != wantHit || err != nil {
+			t.Fatalf("stamp through a full memo, round %d: hit=%v err=%v", round, hit, err)
+		}
 	}
 }
 
@@ -228,16 +314,20 @@ func TestSigCacheHitAllocs(t *testing.T) {
 	}
 }
 
-// pledgeTableLen reads the slave's signed-pledge table size.
-func (s *Slave) pledgeTableLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pledgeSigs)
+// pushBatch commits ops at the versions after the slave's current one.
+func (r *slaveRig) pushBatch(t *testing.T, ops []store.Op) {
+	t.Helper()
+	frame := EncodeBatchUpdate(signedBatch(r.master, r.slave.Version()+1, ops, r.s.Now()))
+	if _, err := r.slave.Handle("master", MethodUpdateBatch, frame); err != nil {
+		t.Errorf("update batch: %v", err)
+	}
 }
 
-// TestSlaveSignsEachDistinctPledgeOnce drives the slave's memo: a repeat
-// inside one stamp interval re-issues the same bytes without signing, a
-// new stamp empties the table, and the table stays inside its bound.
+// TestSlaveSignsEachDistinctPledgeOnce drives the slave's memo across
+// keep-alives: while the content stays at one version a repeated query
+// gets the very signature made the first time, under whichever stamp is
+// current; a commit changes the signed body and so the signature; and a
+// slave that turns liar mid-version signs its lie afresh.
 func TestSlaveSignsEachDistinctPledgeOnce(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
 	r.s.Go(func() {
@@ -247,46 +337,115 @@ func TestSlaveSignsEachDistinctPledgeOnce(t *testing.T) {
 			t.Errorf("read: %v", err)
 			return
 		}
-		again, _ := r.read(t, query.Get{Key: "k"})
-		if !bytes.Equal(EncodeReadReply(first), EncodeReadReply(again)) {
-			t.Error("memoised reply differs from the signed one")
+		const keepAlives = 6
+		for i := 0; i < keepAlives; i++ {
+			r.s.Sleep(r.params.KeepAliveEvery)
+			r.keepAlive(1)
+			again, err := r.read(t, query.Get{Key: "k"})
+			if err != nil {
+				t.Errorf("read after keep-alive %d: %v", i, err)
+				return
+			}
+			if !bytes.Equal(again.Pledge.Sig, first.Pledge.Sig) {
+				t.Errorf("keep-alive %d at the same version changed the pledge signature", i)
+			}
+			if !again.Pledge.Stamp.Timestamp.After(first.Pledge.Stamp.Timestamp) {
+				t.Errorf("keep-alive %d: the pledge still carries the old stamp", i)
+			}
+			if err := again.Pledge.VerifySig(); err != nil {
+				t.Errorf("memoised pledge under a new stamp: %v", err)
+			}
 		}
-		if err := again.Pledge.VerifySig(); err != nil {
-			t.Errorf("memoised pledge: %v", err)
-		}
-		if st := r.slave.Stats(); st.PledgeCacheHits != 1 || st.PledgeCacheMisses != 1 {
-			t.Errorf("after one repeat: %d hits, %d misses", st.PledgeCacheHits, st.PledgeCacheMisses)
+		if st := r.slave.Stats(); st.PledgeCacheHits != keepAlives || st.PledgeCacheMisses != 1 {
+			t.Errorf("one query over %d keep-alives: %d hits, %d misses", keepAlives, st.PledgeCacheHits, st.PledgeCacheMisses)
 		}
 
-		// Stamp rotation: every table entry embeds the old stamp.
-		r.s.Sleep(r.params.KeepAliveEvery)
+		// A commit: same query, same answer, another version under the signature.
+		r.s.Sleep(time.Millisecond) // a stamp is adopted only if it is newer than the last
+		r.pushBatch(t, []store.Op{store.Put{Key: "other", Value: []byte("x")}})
+		committed, err := r.read(t, query.Get{Key: "k"})
+		if err != nil {
+			t.Errorf("read after the commit: %v", err)
+			return
+		}
+		if committed.Pledge.Stamp.Version != 2 || bytes.Equal(committed.Pledge.Sig, first.Pledge.Sig) {
+			t.Errorf("pledge at version %d reuses the signature made at version 1", committed.Pledge.Stamp.Version)
+		}
+		if err := committed.Pledge.VerifySig(); err != nil {
+			t.Errorf("pledge after the commit: %v", err)
+		}
+		if !committed.Pledge.ResultHash.Equal(first.Pledge.ResultHash) {
+			t.Error("the commit to another key changed this answer")
+		}
+
+		// The slave turns liar with the honest signature in its table.
+		r.slave.SetBehavior(AlwaysLie{})
+		lie, err := r.read(t, query.Get{Key: "k"})
+		if err != nil {
+			t.Errorf("lying read: %v", err)
+			return
+		}
+		if !lie.XLie || bytes.Equal(lie.Pledge.Sig, committed.Pledge.Sig) || lie.Pledge.ResultHash.Equal(committed.Pledge.ResultHash) {
+			t.Error("the lie went out under the honest pledge")
+		}
+		if !cryptoutil.HashBytes(lie.Payload).Equal(lie.Pledge.ResultHash) || lie.Pledge.VerifySig() != nil {
+			t.Error("the lying pledge is not evidence for the payload it came with")
+		}
+		if proven, _, err := CheckPledgeAgainst(r.slave.store, &lie.Pledge); err != nil || !proven {
+			t.Errorf("lying pledge proves nothing: proven=%v err=%v", proven, err)
+		}
+		if st := r.slave.Stats(); st.PledgeCacheMisses != 3 {
+			t.Errorf("three distinct pledge bodies, %d signatures made", st.PledgeCacheMisses)
+		}
+	})
+	r.s.Run()
+}
+
+// TestSlavePledgeMemoBound counts signatures on the deterministic runtime.
+// Distinct queries that fit the memo are signed once each however often
+// and under however many stamps they are asked; past the bound the memo
+// evicts — it keeps taking new entries and forgets old ones — where the
+// table it replaces refused new entries until the next stamp.
+func TestSlavePledgeMemoBound(t *testing.T) {
+	r := newSlaveRig(t, Honest{})
+	get := func(i int) query.Query { return query.Get{Key: fmt.Sprintf("absent-%d", i)} }
+	misses := func() uint64 { return r.slave.Stats().PledgeCacheMisses }
+	r.s.Go(func() {
+		const distinct, rounds = 500, 3
+		for round := 0; round < rounds; round++ {
+			r.keepAlive(1)
+			for i := 0; i < distinct; i++ {
+				if _, err := r.read(t, get(i)); err != nil {
+					t.Errorf("read %d: %v", i, err)
+					return
+				}
+			}
+			r.s.Sleep(r.params.KeepAliveEvery)
+		}
+		if st := r.slave.Stats(); st.PledgeCacheMisses != distinct || st.PledgeCacheHits != distinct*(rounds-1) {
+			t.Errorf("%d distinct queries asked %d times: %d signatures, %d hits", distinct, rounds, st.PledgeCacheMisses, st.PledgeCacheHits)
+		}
+
 		r.keepAlive(1)
-		if n := r.slave.pledgeTableLen(); n != 0 {
-			t.Errorf("table holds %d entries after a new stamp", n)
+		n := 2 * sigCacheSize
+		if testing.Short() {
+			n = sigCacheSize + sigCacheSize/2
 		}
-		rotated, _ := r.read(t, query.Get{Key: "k"})
-		if bytes.Equal(rotated.Pledge.Sig, first.Pledge.Sig) {
-			t.Error("pledge under the new stamp reuses the old signature")
-		}
-		if err := rotated.Pledge.VerifySig(); err != nil {
-			t.Errorf("pledge under the new stamp: %v", err)
-		}
-
-		// Ten times the bound in distinct queries inside one interval.
-		for i := 0; i < 10*sigCacheSize; i++ {
-			if _, err := r.read(t, query.Get{Key: fmt.Sprintf("absent-%d", i)}); err != nil {
+		for i := distinct; i < n; i++ {
+			if _, err := r.read(t, get(i)); err != nil {
 				t.Errorf("read %d: %v", i, err)
 				return
 			}
-			if n := r.slave.pledgeTableLen(); n > sigCacheSize {
-				t.Errorf("table holds %d entries after %d distinct queries, bound %d", n, i+1, sigCacheSize)
-				return
-			}
 		}
-		// Past the bound the slave still answers, by signing.
-		over, err := r.read(t, query.Get{Key: "absent-over"})
-		if err != nil || over.Pledge.VerifySig() != nil {
-			t.Errorf("read past the bound: %v", err)
+		before := misses()
+		if r.read(t, get(n-1)); misses() != before {
+			t.Error("a full memo refused the newest pledge")
+		}
+		if r.read(t, get(0)); misses() != before+1 {
+			t.Error("the oldest pledge survived twice the bound in newer ones")
+		}
+		if got := r.slave.pledges.entries(); got > sigCacheSize || got < sigCacheSize/2 {
+			t.Errorf("memo holds %d entries after %d distinct pledges, bound %d", got, n, sigCacheSize)
 		}
 	})
 	r.s.Run()
@@ -445,7 +604,7 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 
 // benchSlave is a bare slave holding the fixture's keys and stamp.
 func benchSlave(f cacheFixture) *Slave {
-	s := NewSlave(SlaveConfig{Keys: f.slave, Params: DefaultParams()}, nil, nil, store.New())
+	s := NewSlave(SlaveConfig{Keys: f.slave, Params: DefaultParams()}, sim.RealClock{}, nil, store.New())
 	s.lastStamp = f.stamp
 	return s
 }
@@ -456,8 +615,8 @@ func BenchmarkPledgeSignMiss(b *testing.B) {
 	p := f.pledge
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clear(s.pledgeSigs) // every iteration pays key + sign + insert
-		if s.signPledge(&p) {
+		p.Stamp.Version = uint64(i) // every iteration pays key + sign + insert
+		if s.pledges.signPledge(&p, f.slave) {
 			b.Fatal("hit")
 		}
 	}
@@ -467,11 +626,11 @@ func BenchmarkPledgeSignHit(b *testing.B) {
 	f := newCacheFixture()
 	s := benchSlave(f)
 	p := f.pledge
-	s.signPledge(&p)
+	s.pledges.signPledge(&p, f.slave)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.signPledge(&p) {
+		if !s.pledges.signPledge(&p, f.slave) {
 			b.Fatal("miss")
 		}
 	}
@@ -480,10 +639,12 @@ func BenchmarkPledgeSignHit(b *testing.B) {
 func BenchmarkPledgeVerifyMiss(b *testing.B) {
 	f := newCacheFixture()
 	c := newSigCache()
+	c.verifyPledge(&f.pledge)
+	slot := slices.IndexFunc(c.keys, func(k cryptoutil.Digest) bool { return k != cryptoutil.Digest{} })
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(c.m) // every iteration pays key + verify + insert
-		c.ring = c.ring[:0]
+		c.keys[slot] = cryptoutil.Digest{} // every iteration pays key + verify + insert
 		if hit, err := c.verifyPledge(&f.pledge); hit || err != nil {
 			b.Fatal(hit, err)
 		}
@@ -500,5 +661,170 @@ func BenchmarkPledgeVerifyHit(b *testing.B) {
 		if hit, err := c.verifyPledge(&f.pledge); !hit || err != nil {
 			b.Fatal(hit, err)
 		}
+	}
+}
+
+// zipfReads is the read-point workload's shape at one slave: Get queries
+// over 20 000 keys drawn Zipf(1.1), and a new master stamp for the same
+// version after every 1250 reads (12 500 reads/s, a keep-alive per 100 ms).
+type zipfReads struct {
+	queries [][]byte
+	zipf    *rand.Zipf
+}
+
+const zipfReadsPerStamp = 1250
+
+func newZipfReads() zipfReads {
+	z := zipfReads{queries: make([][]byte, 20000)}
+	for i := range z.queries {
+		z.queries[i] = query.Encode(query.Get{Key: fmt.Sprintf("key-%05d", i)})
+	}
+	z.zipf = rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(z.queries)-1))
+	return z
+}
+
+// next draws the index of the next query.
+func (z zipfReads) next() int { return int(z.zipf.Uint64()) }
+
+// BenchmarkSlaveReadZipf is the slave's whole read handler under that
+// workload. signs/op is the memo's miss ratio; it falls as b.N grows past
+// the cold start, so compare runs at one -benchtime (100000x ≈ 8 s of
+// read-point at one slave).
+func BenchmarkSlaveReadZipf(b *testing.B) {
+	f := newCacheFixture()
+	s := NewSlave(SlaveConfig{
+		Keys: f.slave, Params: DefaultParams(), MasterPubs: []cryptoutil.PublicKey{f.master.Public},
+	}, sim.RealClock{}, nullDialer{}, store.New())
+	z := newZipfReads()
+	w := wire.NewWriter(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%zipfReadsPerStamp == 0 {
+			w.Reset()
+			stamp := SignStamp(f.master, 0, time.Now())
+			stamp.Encode(w)
+			w.String_("")
+			if _, err := s.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		w.Reset()
+		w.Bytes_(z.queries[z.next()])
+		if _, err := s.Handle("client", MethodRead, w.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(s.Stats().PledgeCacheMisses)/float64(b.N), "signs/op")
+}
+
+// BenchmarkClientVerifyZipf is the client-side twin: verifyReply over the
+// replies an honest slave gives to the same reads. verifies/op counts
+// pledge and stamp signature checks together.
+func BenchmarkClientVerifyZipf(b *testing.B) {
+	f := newCacheFixture()
+	c := NewClient(ClientConfig{Keys: f.other, Params: DefaultParams()}, sim.RealClock{}, nullDialer{})
+	sl := slaveAssignment{addr: "slave", pub: f.slave.Public}
+	masters := []cryptoutil.PublicKey{f.master.Public}
+	z := newZipfReads()
+	payload := []byte("an answer")
+	replies := make([]ReadReply, len(z.queries))
+	for i, q := range z.queries {
+		replies[i] = ReadReply{Payload: payload, Pledge: SignPledge(f.slave, q, cryptoutil.HashBytes(payload), f.stamp)}
+	}
+	var stamp VersionStamp
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%zipfReadsPerStamp == 0 {
+			stamp = SignStamp(f.master, f.stamp.Version, time.Now())
+		}
+		reply := replies[z.next()]
+		reply.Pledge.Stamp = stamp
+		if err := c.verifyReply(sl, masters, reply.Pledge.QueryBytes, reply); err != nil {
+			b.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	b.ReportMetric(float64(st.PledgeCacheMisses+st.StampCacheMisses)/float64(b.N), "verifies/op")
+}
+
+// TestSlavePledgeMemoConcurrent has two readers ask one query while
+// keep-alives rotate the stamp and batches move the version under them:
+// every answer carries a pledge that verifies, beside a master stamp of
+// the version it was signed for, and all answers at one version carry the
+// same signature. Run under -race (make race does, ten times).
+func TestSlavePledgeMemoConcurrent(t *testing.T) {
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	trusted := []cryptoutil.PublicKey{master.Public}
+	sl := NewSlave(SlaveConfig{
+		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
+		MasterAddr: "master", MasterPubs: trusted,
+	}, sim.RealClock{}, nullDialer{}, store.New())
+	const batches, readers = 8, 2
+	stop := make(chan struct{})
+	var feed, wg sync.WaitGroup
+	feed.Add(1)
+	go func() { // the master: a batch, then keep-alives at its version
+		defer feed.Done()
+		defer close(stop)
+		for b := 0; b < batches; b++ {
+			frame := EncodeBatchUpdate(signedBatch(master, uint64(4*b+1), waveOps(4), time.Now()))
+			if _, err := sl.Handle("master", MethodUpdateBatch, frame); err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			for k := 0; k < 3; k++ {
+				w := wire.NewWriter(128)
+				stamp := SignStamp(master, sl.Version(), time.Now())
+				stamp.Encode(w)
+				w.String_("master")
+				if _, err := sl.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
+					t.Errorf("keep-alive: %v", err)
+					return
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	req := wire.NewWriter(64)
+	req.Bytes_(query.Encode(query.Get{Key: "absent"}))
+	var mu sync.Mutex
+	sigAt := map[uint64][]byte{} // guarded by mu
+	served := 0                  // guarded by mu
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				body, err := sl.Handle("client", MethodRead, req.Bytes())
+				if err != nil {
+					continue // between a batch's apply and its stamp the slave refuses: ErrStale
+				}
+				rr, err := DecodeReadReply(body)
+				if err != nil || rr.Pledge.VerifySig() != nil || rr.Pledge.Stamp.Verify(trusted) != nil {
+					t.Errorf("reply does not verify: %v", err)
+					return
+				}
+				mu.Lock()
+				served++
+				if sig, ok := sigAt[rr.Pledge.Stamp.Version]; ok && !bytes.Equal(sig, rr.Pledge.Sig) {
+					t.Errorf("two signatures for one pledge body at version %d", rr.Pledge.Stamp.Version)
+				}
+				sigAt[rr.Pledge.Stamp.Version] = rr.Pledge.Sig
+				mu.Unlock()
+			}
+		}()
+	}
+	feed.Wait()
+	wg.Wait()
+	st := sl.Stats()
+	if served == 0 || int(st.PledgeCacheMisses) < len(sigAt) || st.PledgeCacheMisses > uint64(readers*len(sigAt)) {
+		t.Fatalf("%d reads served at %d versions with %d signatures made", served, len(sigAt), st.PledgeCacheMisses)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/ed25519"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -31,8 +30,8 @@ type SlaveStats struct {
 	StampCacheHits   uint64
 	StampCacheMisses uint64
 	// PledgeCacheHits/Misses count signed-pledge table consultations: a
-	// hit re-issues the signature already made for the byte-identical
-	// pledge (same query, result and stamp) instead of signing again.
+	// hit re-issues the signature already made for the same pledge body
+	// (same query, result and version) instead of signing again.
 	PledgeCacheHits   uint64
 	PledgeCacheMisses uint64
 }
@@ -69,13 +68,9 @@ type Slave struct {
 	lastStamp VersionStamp // guarded by mu
 	syncing   bool         // guarded by mu; single-flight: at most one syncFrom in progress
 	stats     SlaveStats   // guarded by mu
-	// pledgeSigs memoises pledge signatures by the digest of the signed
-	// body. Every body embeds lastStamp, so the table is emptied whenever
-	// lastStamp changes; once it holds sigCacheSize entries it takes no
-	// more until then.
-	pledgeSigs map[cryptoutil.Digest][ed25519.SignatureSize]byte // guarded by mu
 
-	stamps *sigCache // verified-stamp cache (amortizes repeat Verify)
+	stamps  *sigCache // verified-stamp cache (amortizes repeat Verify)
+	pledges *sigCache // signed-pledge table (amortizes repeat Sign)
 
 	// batch is where pushed batches' merkle roots are rebuilt. It has its
 	// own lock because reads take mu and a 256-op rebuild is ~0.2 ms.
@@ -89,13 +84,13 @@ func NewSlave(cfg SlaveConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.St
 		cfg.Behavior = Honest{}
 	}
 	return &Slave{
-		cfg:        cfg,
-		rt:         rt,
-		dlr:        dlr,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		store:      initial.Clone(),
-		stamps:     newSigCache(),
-		pledgeSigs: make(map[cryptoutil.Digest][ed25519.SignatureSize]byte),
+		cfg:     cfg,
+		rt:      rt,
+		dlr:     dlr,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		store:   initial.Clone(),
+		stamps:  newSigCache(),
+		pledges: newSigCache(),
 	}
 }
 
@@ -105,6 +100,7 @@ func (s *Slave) Stats() SlaveStats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.StampCacheHits, st.StampCacheMisses = s.stamps.stats()
+	st.PledgeCacheHits, st.PledgeCacheMisses = s.pledges.stats()
 	return st
 }
 
@@ -200,7 +196,6 @@ func (s *Slave) Bootstrap() error {
 	s.mu.Lock()
 	s.store = st
 	s.lastStamp = stamp
-	clear(s.pledgeSigs)
 	if fromAddr != "" {
 		s.cfg.MasterAddr = fromAddr
 	}
@@ -258,13 +253,11 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	return s.ackLocked(), nil
 }
 
-// adoptStampLocked makes stamp the slave's latest if it is newer, and
-// empties the signed-pledge table, whose entries all embed the old stamp.
-// Caller holds s.mu.
+// adoptStampLocked makes stamp the slave's latest if it is newer. Caller
+// holds s.mu.
 func (s *Slave) adoptStampLocked(stamp VersionStamp) {
 	if stamp.Timestamp.After(s.lastStamp.Timestamp) && stamp.Version >= s.lastStamp.Version {
 		s.lastStamp = stamp
-		clear(s.pledgeSigs)
 	}
 }
 
@@ -635,8 +628,10 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(len(payload)))
 	hash := cryptoutil.HashBytes(payload)
 
+	// Signed once per distinct (query, result hash, version): a repeat gets
+	// those bytes again beside the current stamp; a lie has its own hash.
 	pledge := Pledge{QueryBytes: queryBytes, ResultHash: hash, Stamp: stamp, SlavePub: s.cfg.Keys.Public}
-	chargeSig(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.Sign, s.signPledge(&pledge))
+	chargeSig(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.Sign, s.pledges.signPledge(&pledge, s.cfg.Keys))
 	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.SendReply)
 
 	s.mu.Lock()
@@ -646,35 +641,4 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	return EncodeReadReply(ReadReply{Payload: payload, Pledge: pledge, XLie: lied}), nil
-}
-
-// signPledge fills in p.Sig, signing once per distinct pledge: ed25519 is
-// deterministic, so a repeat of (query, result hash, stamp) would yield
-// the same bytes again, and the table hands them back instead (hit). A
-// corrupted payload has its own result hash, hence its own key. The body
-// is encoded once, for the key and for Sign.
-func (s *Slave) signPledge(p *Pledge) (hit bool) {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	p.appendSignedBytes(w)
-	key := cryptoutil.HashBytes(w.Bytes())
-	s.mu.Lock()
-	sig, hit := s.pledgeSigs[key]
-	if hit {
-		s.stats.PledgeCacheHits++
-	} else {
-		s.stats.PledgeCacheMisses++
-	}
-	s.mu.Unlock()
-	if hit {
-		p.Sig = append([]byte(nil), sig[:]...) // sig stays on the stack
-		return true
-	}
-	p.Sig = s.cfg.Keys.Sign(w.Bytes())
-	s.mu.Lock()
-	if len(s.pledgeSigs) < sigCacheSize {
-		s.pledgeSigs[key] = [ed25519.SignatureSize]byte(p.Sig)
-	}
-	s.mu.Unlock()
-	return false
 }

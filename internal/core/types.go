@@ -410,6 +410,10 @@ func decodeStamp(r *wire.Reader, field func(*wire.Reader) []byte) (VersionStamp,
 // about the result, the pledge is an irrefutable proof of dishonesty
 // (§3.3); and because only the slave can produce its signature, a client
 // cannot frame an innocent slave.
+//
+// Sig covers the query, the result hash, Stamp.Version and the slave's
+// key; the rest of Stamp is the master's word, under the master's own
+// signature, and whoever relies on it verifies that (sigcache.go).
 type Pledge struct {
 	QueryBytes []byte // encoded query (the "copy of the request")
 	ResultHash cryptoutil.Digest
@@ -419,25 +423,17 @@ type Pledge struct {
 }
 
 func (p *Pledge) appendSignedBytes(w *wire.Writer) {
-	w.String_("pledge.v1")
+	w.String_("pledge.v2")
 	w.Bytes_(p.QueryBytes)
 	w.Bytes_(p.ResultHash[:])
-	p.Stamp.Encode(w) // includes the master signature: binds exact stamp
+	w.Uvarint(p.Stamp.Version)
 	w.Bytes_(p.SlavePub)
 }
 
-// SignPledge builds and signs a pledge over (query, result hash, stamp).
+// SignPledge builds and signs a pledge over (query, result hash, version).
 func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptoutil.Digest, stamp VersionStamp) Pledge {
-	p := Pledge{
-		QueryBytes: queryBytes,
-		ResultHash: resultHash,
-		Stamp:      stamp,
-		SlavePub:   slave.Public,
-	}
-	w := wire.GetWriter()
-	p.appendSignedBytes(w)
-	p.Sig = slave.Sign(w.Bytes())
-	wire.PutWriter(w)
+	p := Pledge{QueryBytes: queryBytes, ResultHash: resultHash, Stamp: stamp, SlavePub: slave.Public}
+	(*sigCache)(nil).signPledge(&p, slave)
 	return p
 }
 
