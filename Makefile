@@ -12,8 +12,8 @@
 #                     perf trajectory record), the workload × fault
 #                     matrix emitting BENCH_matrix.json (smoke grid;
 #                     MATRIX_FULL=1 runs the exhaustive grid), a short
-#                     fuzz smoke over the wire/merkle/wave/batch-update/
-#                     pledge decoders, the README package-map completeness
+#                     fuzz smoke over the decoders in FUZZ_TARGETS, the
+#                     README package-map completeness
 #                     check, and a smoke run of the real-clock benchmark
 #                     under bench/.
 #   make lint       — repllint (the in-tree go/analysis suite under
@@ -27,13 +27,15 @@
 #                     and three of write-waves over loopback TCP, each
 #                     of which must end correct with no failed
 #                     operation.
+#   make loc        — non-test lines per internal/ package (the figure
+#                     CHANGES.md and ROADMAP.md quote).
 #   make profile    — run the E18 hot-path experiment under the CPU and
 #                     heap profilers; inspect with `go tool pprof`.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix bench-smoke fuzz-smoke check-readme bench profile
+.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
 
 verify: build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme bench-smoke
 
@@ -60,13 +62,14 @@ lint:
 # drainer task, so what its tests prove depends on the schedule they
 # happened to get: the broadcast package runs ten more times. So does the
 # slave test whose concurrent s.updatebatch handlers share one merkle
-# scratch, the one whose readers share the signed-pledge memo while stamps
+# scratch, the one where Bootstrap, a sync and pushed batches race for one
+# replica, the one whose readers share the signed-pledge memo while stamps
 # and batches arrive, and the auditor's tests, whose handlers queue
 # pledges that alias their frames for the audit worker.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
-	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlavePledgeMemoConcurrent' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
 bench-e15:
@@ -109,25 +112,31 @@ bench-smoke:
 		case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "bench-smoke: $${run%:*} did not end correct with failed 0"; exit 1;; esac; \
 	done
 
-# Short native-fuzz runs over the untrusted-input decoders: the wire
-# reader, the merkle proof, the write-wave frame, the batch-update frame
-# and the pledge. The checked-in corpora under testdata/fuzz/ replay in plain
+# Short native-fuzz runs over the untrusted-input decoders, one per entry
+# of FUZZ_TARGETS (package:Target — a new decoder's fuzz target is one more
+# word there). The checked-in corpora under testdata/fuzz/ replay in plain
 # `go test`; this target additionally mutates for FUZZTIME per target.
-# `go test` fuzzes one target per invocation, so each gets its own and
-# they run in parallel; a failure in any fails the smoke.
+# `go test` fuzzes one target per invocation, so they run one after the
+# other, and the first failure fails the smoke.
+FUZZ_TARGETS := \
+	internal/wire:FuzzReaderFrame \
+	internal/merkle:FuzzDecodeProof \
+	internal/core:FuzzDecodeWriteWave \
+	internal/core:FuzzDecodeBatchUpdate \
+	internal/core:FuzzDecodePledge \
+	internal/core:FuzzDecodeStateTransfer
+
 fuzz-smoke:
-	@status=0; \
-	$(GO) test -run '^$$' -fuzz FuzzReaderFrame -fuzztime $(FUZZTIME) ./internal/wire/ & wpid=$$!; \
-	$(GO) test -run '^$$' -fuzz FuzzDecodeProof -fuzztime $(FUZZTIME) ./internal/merkle/ & mpid=$$!; \
-	$(GO) test -run '^$$' -fuzz FuzzDecodeWriteWave -fuzztime $(FUZZTIME) ./internal/core/ & cpid=$$!; \
-	$(GO) test -run '^$$' -fuzz FuzzDecodeBatchUpdate -fuzztime $(FUZZTIME) ./internal/core/ & bpid=$$!; \
-	$(GO) test -run '^$$' -fuzz FuzzDecodePledge -fuzztime $(FUZZTIME) ./internal/core/ & lpid=$$!; \
-	wait $$wpid || status=1; \
-	wait $$mpid || status=1; \
-	wait $$cpid || status=1; \
-	wait $$bpid || status=1; \
-	wait $$lpid || status=1; \
-	exit $$status
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%:*}/ || exit 1; \
+	done
+
+# Non-test lines per internal/ package: the figure CHANGES.md and ROADMAP.md
+# quote, so every PR counts the same way.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs -r cat | wc -l)" "$${d%/}"; \
+	done
 
 # Every top-level internal/ package must be linked from the README's
 # package map, so the map cannot silently rot as the codebase grows.

@@ -49,7 +49,9 @@
 // tainted value must not reach an Apply/ApplyAt sink or be stored into
 // long-lived replica state (fields of a receiver or parameter, or
 // package-level variables); assembling decoded values in function-local
-// scratch is fine and merely propagates the taint.
+// scratch is fine and merely propagates the taint. A verifying decoder
+// (decodeStateTransfer) is the converse: its callers use what it returns
+// as verified, so inside it a return of a still-tainted value is reported.
 //
 // timercheck flags the two timer leaks that matter in long-lived
 // loops: time.After inside a for/range body (each iteration leaks a

@@ -130,3 +130,56 @@ func (r *Replica) okLocalAssembly(frames [][]byte) error {
 	r.lastStamp = stamps[len(stamps)-1]
 	return nil
 }
+
+// --- verifying decoders: what they return is used as verified ---
+
+type Transfer struct {
+	Ops     [][]byte
+	Closing Stamp
+}
+
+// decodeStateTransfer is in the analyzer's verifier list: a return is a
+// sink inside it. This one hands the closing stamp back unchecked.
+func decodeStateTransfer(frame []byte, pubs [][]byte) (*Transfer, error) {
+	t := new(Transfer)
+	bu, err := DecodeBatchUpdate(frame)
+	if err != nil {
+		return nil, err
+	}
+	if err := bu.Stamp.Verify(pubs); err != nil {
+		return nil, err
+	}
+	t.Ops = bu.Ops
+	closing, err := DecodeStamp(frame)
+	if err != nil {
+		return nil, err
+	}
+	t.Closing = closing
+	return t, nil // want "unverified wire-decoded value"
+}
+
+// okUseVerifiedTransfer: a verifying decoder is not a source, so its
+// output reaches the store and replica state as is.
+func (r *Replica) okUseVerifiedTransfer(frame []byte) error {
+	t, err := decodeStateTransfer(frame, r.pubs)
+	if err != nil {
+		return err
+	}
+	for _, op := range t.Ops {
+		if err := r.store.Apply(op); err != nil {
+			return err
+		}
+	}
+	r.lastStamp = t.Closing
+	return nil
+}
+
+// sourceOutsideVerifier: the same decoder called directly stays tainted.
+func (r *Replica) sourceOutsideVerifier(frame []byte) error {
+	closing, err := DecodeStamp(frame)
+	if err != nil {
+		return err
+	}
+	r.lastStamp = closing // want "unverified wire-decoded value"
+	return nil
+}

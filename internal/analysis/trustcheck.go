@@ -46,10 +46,20 @@ var trustSanitizers = map[string]bool{
 	"VerifyBinding":      true,
 	"VerifyBatchMember":  true,
 	"verifyStamp":        true,
+	"verifySnapshot":     true,
 	"verify":             true,
 	"AuthenticatesOp":    true,
 	"ValidateOp":         true,
 	"CheckPledgeAgainst": true,
+}
+
+// trustVerifiers decode and verify in one call: callers treat what they
+// return as clean (they are not sources), so inside them a return is a
+// sink — a decoded value may only leave through one after it has passed a
+// sanitizer. DecodeStamp, DecodeOpRecord and the other sources stay
+// tainting everywhere else.
+var trustVerifiers = map[string]bool{
+	"decodeStateTransfer": true,
 }
 
 // trustSinks are mutation entry points: a tainted argument here means
@@ -74,12 +84,15 @@ type trustChecker struct {
 	// outlives the call and is a sink, unlike a store into a local
 	// being assembled (bu.Ops, wrs[i]).
 	longLived map[types.Object]bool
+	// verifier is set while checking a trustVerifiers function.
+	verifier bool
 }
 
 func runTrustcheck(pass *Pass) error {
 	c := &trustChecker{pass: pass}
 	for _, fn := range funcDecls(pass.Files) {
 		c.longLived = map[types.Object]bool{}
+		c.verifier = trustVerifiers[fn.decl.Name.Name]
 		if fn.decl.Recv != nil {
 			c.addParams(fn.decl.Recv)
 		}
@@ -124,7 +137,7 @@ func (c *trustChecker) checkBody(body *ast.BlockStmt) {
 	h := &flowHooks[trustState]{
 		exec:  c.exec,
 		expr:  c.scan,
-		exit:  func(*ast.ReturnStmt, trustState) {},
+		exit:  c.exit,
 		clone: cloneTrustState,
 		merge: mergeTrustState,
 	}
@@ -136,6 +149,17 @@ func (c *trustChecker) checkBody(body *ast.BlockStmt) {
 		// params stay in it, which is what capture semantics want.
 		c.addParams(lit.Type.Params)
 		c.checkBody(lit.Body)
+	}
+}
+
+// exit checks a return statement of a verifying decoder: nothing it hands
+// back may still be tainted.
+func (c *trustChecker) exit(ret *ast.ReturnStmt, st trustState) {
+	if !c.verifier || ret == nil {
+		return
+	}
+	for _, res := range ret.Results {
+		c.reportTaintedIn(res, st, "returned from a verifying decoder")
 	}
 }
 

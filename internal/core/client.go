@@ -281,45 +281,14 @@ func (c *Client) Handle(from, method string, body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// Write submits op to the master and waits for commit (§3.1). It returns
-// the new content version.
+// Write submits op to the master and waits for commit (§3.1): a wave of
+// one. It returns the new content version.
 func (c *Client) Write(op store.Op) (uint64, error) {
-	wr := SignWrite(c.cfg.Keys, op)
-	frame := wire.EncodeFrame(wr.Encode)
-	for attempt := 0; attempt < 2; attempt++ {
-		c.mu.Lock()
-		masterAddr := c.masterAddr
-		c.mu.Unlock()
-		body, err := c.dlr.Call(masterAddr, MethodWrite, frame)
-		if err == nil {
-			r := wire.NewReader(body)
-			v := r.Uvarint()
-			if err := r.Done(); err != nil {
-				return 0, err
-			}
-			c.mu.Lock()
-			c.stats.WritesOK++
-			c.mu.Unlock()
-			return v, nil
-		}
-		if rpc.IsRemote(err) {
-			c.mu.Lock()
-			c.stats.WritesFailed++
-			c.mu.Unlock()
-			return 0, err
-		}
-		// Transport failure: master crashed; redo setup and retry once.
-		if rerr := c.resetup(); rerr != nil {
-			c.mu.Lock()
-			c.stats.WritesFailed++
-			c.mu.Unlock()
-			return 0, rerr
-		}
+	versions, err := c.WriteMulti([]store.Op{op})
+	if err != nil {
+		return 0, err
 	}
-	c.mu.Lock()
-	c.stats.WritesFailed++
-	c.mu.Unlock()
-	return 0, rpc.ErrUnreachable
+	return versions[0], nil
 }
 
 // WriteMulti submits a whole wave of ops in ONE RPC frame under ONE
@@ -685,7 +654,8 @@ func (c *Client) forwardPledge(p Pledge) error {
 // K-replica read — to the auditor in a single frame, one RPC per
 // accepted read instead of one per slave. Order within the frame is
 // preserved, so the auditor admits exactly what the sequential
-// forwardPledge calls would. A wave of one uses the legacy method.
+// forwardPledge calls would. A single pledge goes by a.pledge, the frame
+// every one-slave read sends.
 func (c *Client) forwardPledges(ps []Pledge) error {
 	if len(ps) == 0 {
 		return nil

@@ -13,8 +13,8 @@
 //	§2   (system model)      — ACL, DirectoryService, pki certificates;
 //	                           Client.Setup obtains the certified master
 //	                           set and slave assignments.
-//	§3.1 (writes)            — Master.handleWrite/handleWriteMulti order
-//	                           writes through the master-set broadcast;
+//	§3.1 (writes)            — Master.handleWriteMulti orders writes
+//	                           through the master-set broadcast;
 //	                           VersionStamp is the signed, time-stamped
 //	                           content version pushed to slaves via
 //	                           updates and keep-alives; max_latency
@@ -33,15 +33,17 @@
 //	§3.5 (recovery)          — handleReport/applyExclude convict and
 //	                           exclude liars; ReadmitSlave brings a
 //	                           recovered slave back; Bootstrap performs
-//	                           the verified full state transfer.
+//	                           the verified full state transfer
+//	                           (statetransfer.go, shared with slave
+//	                           sync and master catch-up).
 //	§4   (refinements)       — KSlaves multi-slave reads, ReadSensitive
 //	                           trusted-host execution, ReadAtLevel.
 //
-// Write-path wire formats (wire package encoding; "bytes" and "string"
-// are length-prefixed):
+// Write-path and state-transfer wire formats (wire package encoding;
+// "bytes" and "string" are length-prefixed). Each verb has one frame: a
+// single write is a wave of one, and a commit of one op is a batch of one
+// — a one-leaf merkle tree under the same batch stamp.
 //
-//	m.write      bytes op ‖ bytes clientPub ‖ bytes sig — sig over
-//	             "write.v1" ‖ op ‖ clientPub (WriteRequest).
 //	m.writemulti bytes clientPub ‖ uvarint n ‖ n × bytes op ‖ bytes sig —
 //	             ONE sig over "wave.v1" ‖ clientPub ‖ n ‖ every op
 //	             (WriteWave); the only layout accepted, admitted or
@@ -56,6 +58,14 @@
 //	             proofs: the slave rebuilds the merkle root over all n
 //	             leaves and compares it with the stamp's. Reply:
 //	             uvarint applied version.
+//	m.sync       uvarint from (0: everything). Reply: mode byte ‖
+//	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × OpRecord ‖
+//	             closing stamp ‖ uvarint anchor — mode 1 (snapshot
+//	             first) when from is at or below the retained log's
+//	             base, else mode 0. Slave sync, Slave.Bootstrap and a
+//	             restarted master's catch-up all read it through
+//	             decodeStateTransfer, which verifies every part
+//	             before returning any.
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,

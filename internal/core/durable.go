@@ -14,7 +14,13 @@ package core
 // openDurable loads snapshot + WAL suffix, verifying this master's own
 // stamps, and anchors broadcast delivery there; recoverGap closes the
 // rest by broadcast fetch while peers still archive the missing slots,
-// else by a wholesale proto-3 state sync.
+// else by a wholesale state transfer (statetransfer.go).
+//
+// Every WAL record is a batch under a batch stamp, a single write being a
+// batch of one. A record some earlier commit of this repository wrote under
+// a per-op stamp is refused at replay ("stamp is not a batch stamp") and
+// the master does not start: no data directory outlives a commit here, so
+// nothing reads the old shape.
 
 import (
 	"fmt"
@@ -23,7 +29,6 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cryptoutil"
-	"repro/internal/merkle"
 	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -97,7 +102,7 @@ func (m *Master) loadSnapshotFile(data []byte) error {
 	}
 	version := r.Uvarint()
 	anchor := r.Uvarint()
-	snapBytes := append([]byte(nil), r.Bytes()...)
+	snapBytes := r.Bytes()
 	stamp, err := DecodeStamp(r)
 	if err != nil {
 		return err
@@ -105,13 +110,7 @@ func (m *Master) loadSnapshotFile(data []byte) error {
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if err := stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
-		return err
-	}
-	if stamp.Version != version || !stamp.AuthenticatesOp(snapBytes) {
-		return fmt.Errorf("snapshot stamp does not authenticate contents")
-	}
-	st, err := store.DecodeSnapshot(snapBytes)
+	st, _, err := verifySnapshot(snapBytes, &stamp, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
 	if err != nil {
 		return err
 	}
@@ -146,8 +145,7 @@ func (m *Master) replayWALRecord(payload []byte) error {
 	if len(ops) == 0 {
 		return fmt.Errorf("wal record with no ops")
 	}
-	count := uint64(len(ops))
-	last := first + count - 1
+	last := first + uint64(len(ops)) - 1
 	cur := m.store.Version()
 	if last <= cur {
 		return nil // covered by the snapshot (crash between snapshot write and WAL truncation)
@@ -158,17 +156,9 @@ func (m *Master) replayWALRecord(payload []byte) error {
 	if err := stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
 		return err
 	}
-	var tree *merkle.Tree
-	if count == 1 {
-		if stamp.Version != first || !stamp.AuthenticatesOp(ops[0]) {
-			return fmt.Errorf("wal stamp does not authenticate record at version %d", first)
-		}
-	} else {
-		bu := BatchUpdate{First: first, Ops: ops, Stamp: stamp}
-		if err := bu.VerifyMembers(&m.batch); err != nil {
-			return fmt.Errorf("wal records %d..%d: %w", first, last, err)
-		}
-		tree = &m.batch.tree // the tree VerifyMembers just rebuilt
+	bu := BatchUpdate{First: first, Ops: ops, Stamp: stamp}
+	if err := bu.VerifyMembers(&m.batch); err != nil {
+		return fmt.Errorf("wal records %d..%d: %w", first, last, err)
 	}
 	for i, ob := range ops {
 		op, err := store.DecodeOp(ob)
@@ -180,7 +170,7 @@ func (m *Master) replayWALRecord(payload []byte) error {
 		}
 		m.loggedBytes += uint64(len(ob))
 	}
-	m.logBatchLocked(first, ops, stamp, tree)
+	m.logBatchLocked(first, ops, stamp) // with the tree VerifyMembers just rebuilt
 	if m.cfg.CheckpointEvery > 0 {
 		m.marks = append(m.marks, versionMark{version: last, digest: m.store.StateDigest(), seq: seq})
 	}
@@ -211,7 +201,7 @@ func (m *Master) persistState(version, anchor uint64, snapBytes []byte, stamp Ve
 // refreshSnapshot signs a freshly captured state snapshot and installs
 // it as the retained snapshot-first snapshot. Spawned from applyBatch
 // when the op bytes logged since the retained snapshot exceed its size,
-// so the OpRecord suffix a v3 sync ships stays bounded by write volume,
+// so the OpRecord suffix a snapshot-first sync ships stays bounded by write volume,
 // not by the time-based checkpoint cadence.
 func (m *Master) refreshSnapshot(snap *ckptSnapshot) {
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
@@ -252,7 +242,7 @@ func (m *Master) walSyncLoop() {
 // archive still holds every slot above our anchor, normal fetch will
 // close the gap and nothing needs doing. If stability checkpoints
 // truncated those slots no fetch can ever succeed, so the master pulls a
-// proto-3 state sync instead and resumes above the synced anchor.
+// state transfer instead and resumes above its anchor.
 func (m *Master) recoverGap() {
 	delivered := m.bcast.Delivered()
 	for attempt := 0; attempt < 3; attempt++ {
@@ -283,7 +273,7 @@ func (m *Master) recoverGap() {
 	}
 }
 
-// catchUpFrom pulls a proto-3 sync from a peer master and adopts the
+// catchUpFrom pulls a state transfer from a peer master and adopts the
 // result wholesale: records (or snapshot + records) verified against the
 // directory's master keys exactly as a slave sync is, then persisted,
 // with broadcast delivery resumed at the anchor the peer captured with
@@ -304,92 +294,29 @@ func (m *Master) catchUpFrom(peer string) error {
 	from := m.store.Version() + 1
 	m.mu.Unlock()
 
-	w := wire.NewWriter(16)
-	w.Uvarint(from)
-	w.Byte(3) // proto 3: v3 reply plus trailing recovery anchor
-	body, err := m.dlr.CallTimeout(peer, MethodSync, w.Bytes(), m.cfg.Params.ReadTimeout)
+	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.cfg.CPU, pubs, m.stamps)
 	if err != nil {
 		return err
-	}
-	r := wire.NewReader(body)
-	var snapStore *store.Store
-	var snapBytes []byte
-	var snapStamp VersionStamp
-	if r.Byte() == 1 {
-		snapBytes = append([]byte(nil), r.Bytes()...)
-		snapStamp, err = DecodeStamp(r)
-		if err != nil {
-			return err
-		}
-		if err := snapStamp.Verify(pubs); err != nil {
-			return err
-		}
-		if !snapStamp.AuthenticatesOp(snapBytes) {
-			return ErrBadStamp
-		}
-		snapStore, err = store.DecodeSnapshot(snapBytes)
-		if err != nil {
-			return err
-		}
-		if snapStore.Version() != snapStamp.Version {
-			return fmt.Errorf("core: recovery snapshot version %d does not match stamp %d",
-				snapStore.Version(), snapStamp.Version)
-		}
-	}
-	n := r.Uvarint()
-	recs := make([]OpRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rec, err := DecodeOpRecord(r)
-		if err != nil {
-			return err
-		}
-		// Records of one batch share a stamp; the verified-stamp cache
-		// checks each distinct signature once, plus the per-record
-		// binding.
-		if _, err := m.stamps.verifyStamp(&rec.Stamp, pubs); err != nil {
-			return err
-		}
-		if err := rec.VerifyBinding(); err != nil {
-			return err
-		}
-		recs = append(recs, rec)
-	}
-	closing, err := DecodeStamp(r)
-	if err != nil {
-		return err
-	}
-	if _, err := m.stamps.verifyStamp(&closing, pubs); err != nil {
-		return err
-	}
-	anchor := r.Uvarint()
-	if r.Err() != nil {
-		return r.Err()
 	}
 
 	m.mu.Lock()
-	if snapStore != nil && snapStore.Version() > m.store.Version() {
-		m.store = snapStore
-		m.baseVersion = snapStore.Version()
+	if st.snap != nil && st.snap.Version() > m.store.Version() {
+		m.store = st.snap
+		m.baseVersion = st.snap.Version()
 		m.log = nil
 		m.marks = nil
-		m.snap = &ckptSnapshot{version: snapStore.Version(), bytes: snapBytes, stamp: snapStamp, logged: m.loggedBytes}
+		m.snap = &ckptSnapshot{version: st.snap.Version(), bytes: st.snapBytes, stamp: st.snapStamp, logged: m.loggedBytes}
 	}
-	for _, rec := range recs {
-		if rec.Version != m.store.Version()+1 {
-			continue // below the snapshot version
-		}
-		op, err := store.DecodeOp(rec.OpBytes)
-		if err != nil {
-			m.mu.Unlock()
-			return err
-		}
-		if err := m.store.ApplyAt(rec.Version, op); err != nil {
-			m.mu.Unlock()
-			return err
-		}
-		m.log = append(m.log, rec)
+	applied, err := st.replayOnto(m.store)
+	m.log = append(m.log, applied...)
+	for _, rec := range applied {
 		m.loggedBytes += uint64(len(rec.OpBytes))
 	}
+	if err != nil {
+		m.mu.Unlock()
+		return err
+	}
+	anchor := st.anchor
 	cur := m.store.Version()
 	if m.cfg.CheckpointEvery > 0 && cur > m.baseVersion {
 		m.marks = append(m.marks, versionMark{version: cur, digest: m.store.StateDigest(), seq: anchor})

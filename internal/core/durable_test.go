@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -423,5 +424,64 @@ func TestSnapshotRefreshBoundsLag(t *testing.T) {
 	if maxOver > 2*batchBytes {
 		t.Fatalf("snapshot suffix exceeded the snapshot by %d bytes under sustained writes, want <= two batches (%d)",
 			maxOver, 2*batchBytes)
+	}
+}
+
+// TestBatchOfOneAndOfEightEquivalent commits one op sequence twice, through
+// masters that flush every write alone and masters that batch by eight. A
+// write that commits alone takes the batch path with a one-leaf tree, so
+// the two runs must agree everywhere the ops land: master, slave and
+// auditor replicas, and the state a restarted master replays from its WAL.
+func TestBatchOfOneAndOfEightEquivalent(t *testing.T) {
+	type outcome struct {
+		version                          uint64
+		master, slave, auditor, replayed cryptoutil.Digest
+		batches                          uint64
+	}
+	run := func(batchSize int) outcome {
+		s := sim.New(57)
+		o := durableOpts(t.TempDir())
+		o.nMasters = 1
+		o.batchSize = batchSize
+		c := newTestCluster(t, s, o)
+		cl := c.addClient(t, 0, nil)
+		s.Go(func() {
+			s.Sleep(c.warmup())
+			if err := cl.Setup(); err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			writeWaves(t, cl, 5, 8, "w")
+			// Past the auditor's window, so its replica has every write.
+			s.Sleep(c.params.MaxLatency + c.params.AuditorSlack + time.Second)
+		})
+		s.RunUntil(sim.Epoch.Add(time.Minute))
+		m := c.masters[0]
+		out := outcome{version: m.Version(), master: m.StateDigest(), slave: c.slaves[0].StateDigest(), batches: m.Stats().BatchesApplied}
+		c.auditor.mu.Lock()
+		out.auditor = c.auditor.replica.StateDigest()
+		c.auditor.mu.Unlock()
+		m.Stop()
+		m2, err := NewMaster(c.masterCfgs[0], s, c.net.Dialer("master-0"), c.initial)
+		if err != nil {
+			t.Fatalf("batch size %d: restart: %v", batchSize, err)
+		}
+		if m2.Version() != out.version || m2.Stats().WALReplayed != out.batches {
+			t.Fatalf("batch size %d: restart at version %d after %d WAL records, want %d after %d",
+				batchSize, m2.Version(), m2.Stats().WALReplayed, out.version, out.batches)
+		}
+		out.replayed = m2.StateDigest()
+		return out
+	}
+	one, eight := run(1), run(8)
+	if one.batches != 40 || eight.batches != 5 {
+		t.Fatalf("commits: %d of one op, %d of eight; want 40 and 5", one.batches, eight.batches)
+	}
+	one.batches, eight.batches = 0, 0
+	if one != eight {
+		t.Fatalf("runs differ:\n one   %+v\n eight %+v", one, eight)
+	}
+	if one.slave != one.master || one.auditor != one.master || one.replayed != one.master {
+		t.Fatalf("replicas of one run differ: %+v", one)
 	}
 }

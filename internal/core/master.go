@@ -98,8 +98,8 @@ type MasterConfig struct {
 	SlaveListEvery time.Duration
 	// BatchSize is the maximum number of concurrent writes accumulated
 	// into one batched commit (one signature, one broadcast, one slave
-	// update). <=1 disables accumulation: every write commits alone,
-	// exactly as the unbatched protocol.
+	// update). <=1 disables accumulation: every write commits alone, as
+	// a batch of one.
 	BatchSize int
 	// BatchTimeout bounds how long the first write in a batch waits for
 	// company before a short batch is flushed anyway (0 = MaxLatency/4).
@@ -377,8 +377,6 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 	case broadcast.MethodSubmit, broadcast.MethodCommit, broadcast.MethodFetch,
 		broadcast.MethodStatus, broadcast.MethodHello:
 		return m.bcast.Handle(from, method, body)
-	case MethodWrite:
-		return m.handleWrite(body)
 	case MethodWriteMulti:
 		return m.handleWriteMulti(body)
 	case MethodGetSlave:
@@ -389,16 +387,14 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 		return m.handleReport(from, body)
 	case MethodSync:
 		return m.handleSync(body)
-	case MethodSnapshot:
-		return m.handleSnapshot(body)
 	}
 	return nil, fmt.Errorf("core: master: unknown method %q", method)
 }
 
 // --- Write path ----------------------------------------------------------
 //
-// Writes flow through a batched, pipelined commit path. handleWrite
-// admits a request (signature + ACL) and enqueues it in the batch
+// Writes flow through a batched, pipelined commit path. handleWriteMulti
+// admits a wave (signature + ACL, once) and enqueues its ops in the batch
 // accumulator; the batch flushes when it reaches BatchSize or when
 // BatchTimeout elapses, whichever first. One flush produces one ordered
 // broadcast, one batch-root signature, and one update push per slave —
@@ -411,19 +407,6 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 type batchWaiter struct {
 	opBytes []byte
 	h       commitHandle
-}
-
-// admitClient performs the per-request half of admission — once per
-// write or wave: the client's signature (verify, charged here) and the ACL.
-func (m *Master) admitClient(pub cryptoutil.PublicKey, verify func() error) error {
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
-	if verify() != nil {
-		return fmt.Errorf("%w: bad signature", ErrDenied)
-	}
-	if m.cfg.ACL != nil && !m.cfg.ACL.Permits(pub) {
-		return ErrDenied
-	}
-	return nil
 }
 
 // admitOp performs the per-op half of admission: op decodability
@@ -448,44 +431,6 @@ func (m *Master) admitOp(opBytes []byte) error {
 	return nil
 }
 
-func (m *Master) handleWrite(body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	wr, err := DecodeWriteRequest(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if err := m.admitClient(wr.ClientPub, wr.VerifySig); err != nil {
-		return nil, err
-	}
-	if err := m.admitOp(wr.OpBytes); err != nil {
-		return nil, err
-	}
-
-	m.mu.Lock()
-	m.stats.WritesAdmitted++
-	m.mu.Unlock()
-
-	handle := m.newCommitHandle()
-	if err := m.enqueueWrite(batchWaiter{opBytes: wr.OpBytes, h: handle}); err != nil {
-		return nil, err
-	}
-	expired, stop := m.commitDeadline()
-	defer stop()
-	version, err := m.awaitCommit(handle, expired)
-	if err != nil {
-		return nil, err
-	}
-	if version == 0 {
-		// The commit pipeline dropped this write (broadcast failure
-		// observed at delivery); committed versions are always >= 1.
-		return nil, fmt.Errorf("core: write was not committed")
-	}
-	return wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(version) }), nil
-}
-
 // admitWave decodes one m.writemulti frame (WriteWave) and admits or
 // refuses it as a whole: the one client signature and the ACL once, then
 // every op's validation and shard check.
@@ -499,8 +444,12 @@ func (m *Master) admitWave(body []byte) ([][]byte, error) {
 	}
 	// What grows with the wave is the hashing of the signed body.
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(body)))
-	if err := m.admitClient(ww.ClientPub, ww.VerifySig); err != nil {
-		return nil, err
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
+	if ww.VerifySig() != nil {
+		return nil, fmt.Errorf("%w: bad signature", ErrDenied)
+	}
+	if m.cfg.ACL != nil && !m.cfg.ACL.Permits(ww.ClientPub) {
+		return nil, ErrDenied
 	}
 	for i, op := range ww.Ops {
 		if err := m.admitOp(op); err != nil {
@@ -556,8 +505,8 @@ func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
 
 // enqueueWrite adds an admitted write to the accumulator and flushes if
 // the batch is full. A short batch is flushed by a timer after
-// BatchTimeout; with BatchSize <= 1 every write flushes immediately and
-// the path degenerates to the unbatched protocol.
+// BatchTimeout; with BatchSize <= 1 every write flushes immediately, as
+// a batch of one.
 //
 // The timer is armed exactly once per batch, when the queue goes from
 // empty to non-empty, and both the armed flag and the firing check are
@@ -795,8 +744,7 @@ func (m *Master) awaitCommit(h commitHandle, expired <-chan struct{}) (uint64, e
 			// queued is guaranteed never to commit, so the client's
 			// timeout error is truthful and a retry cannot double-apply.
 			// One already flushed is past the point of no return and may
-			// still commit (the same window the unbatched protocol had
-			// between broadcast and delivery).
+			// still commit (the window between broadcast and delivery).
 			m.cancelQueued(h)
 			return 0, rpc.ErrTimeout
 		}
@@ -824,14 +772,17 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 		m.applyCheckpoint(seq, r)
 	case bcSlaveList:
 		masterAddr := r.String()
-		n := r.Uvarint()
+		n := r.Count() // b.submit is unauthenticated: never size a slice by a forged count
 		entries := make([]slaveEntry, 0, n)
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < n; i++ {
 			cert, err := pki.DecodeCertificate(r)
 			if err != nil {
 				return
 			}
 			entries = append(entries, slaveEntry{addr: cert.Addr, pub: cert.Subject, cert: cert})
+		}
+		if r.Done() != nil {
+			return
 		}
 		m.mu.Lock()
 		if masterAddr != m.cfg.Addr {
@@ -872,7 +823,7 @@ func decodeBatchMessage(r *wire.Reader) (origin string, no uint64, ops [][]byte,
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
-// writes — identically on every master: apply each op in order (one
+// writes, all on this one path — identically on every master: apply each op in order (one
 // version per op, exactly the sequence sequential commits would
 // produce), then sign a single stamp over the batch and push a single
 // update per slave. Undecodable ops are skipped deterministically (every
@@ -908,22 +859,15 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 	last := m.store.Version()
 
-	// One signature per batch (§3.4 amortization): a per-op update stamp
-	// when the batch is a singleton — byte-compatible with the unbatched
-	// protocol — or a batch-root stamp. The op log keeps a membership
-	// proof per op (sync replies can ship part of a batch); the update
-	// pushed to the slaves below ships none.
+	// One signature per batch (§3.4 amortization), over the root of the
+	// batch's merkle tree — a tree of one leaf when the commit is a single
+	// write. The op log keeps a membership proof per op (sync replies can
+	// ship part of a batch); the update pushed to the slaves below ships
+	// none.
 	now := m.rt.Now()
 	count := uint64(len(ops))
-	var stamp VersionStamp
-	var tree *merkle.Tree
-	if count == 1 {
-		stamp = SignStampWithOp(m.cfg.Keys, last, now, ops[0])
-	} else {
-		tree = m.batch.rebuild(first, ops)
-		stamp = SignBatchStamp(m.cfg.Keys, last, now, tree.Root())
-	}
-	m.logBatchLocked(first, ops, stamp, tree)
+	stamp := SignBatchStamp(m.cfg.Keys, last, now, m.batch.rebuild(first, ops).Root())
+	m.logBatchLocked(first, ops, stamp)
 	// Mark the batch boundary for the checkpoint machinery: the state
 	// digest here is what a checkpoint at version `last` would certify,
 	// and seq is the archive slot stability can truncate up to. Without
@@ -945,7 +889,7 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 	// Snapshot-refresh trigger (bounds the snapshot-first sync suffix):
 	// the retained snapshot otherwise only advances when a checkpoint
-	// applies, so under a sustained write rate the OpRecord suffix a v3
+	// applies, so under a sustained write rate the OpRecord suffix such a
 	// sync ships grows with rate x CheckpointEvery. Re-encode the state
 	// once the op bytes logged since the snapshot exceed its own size: no
 	// sync ships a suffix larger than its snapshot, and re-encoding costs
@@ -999,24 +943,12 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
-	var frame []byte
-	method := MethodUpdateBatch
-	if count == 1 {
-		frame = wire.EncodeFrame(func(w *wire.Writer) {
-			w.Uvarint(last)
-			w.Bytes_(ops[0])
-			stamp.Encode(w)
-			w.String_(m.cfg.Addr)
-		})
-		method = MethodUpdate
-	} else {
-		frame = EncodeBatchUpdate(BatchUpdate{First: first, Ops: ops, Stamp: stamp, MasterAddr: m.cfg.Addr})
-	}
+	frame := EncodeBatchUpdate(BatchUpdate{First: first, Ops: ops, Stamp: stamp, MasterAddr: m.cfg.Addr})
 	for _, sl := range slaves {
 		sl := sl
 		m.rt.Spawn(func() {
 			chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
-			ack, err := m.dlr.CallTimeout(sl.addr, method, frame, m.cfg.Params.ReadTimeout)
+			ack, err := m.dlr.CallTimeout(sl.addr, MethodUpdateBatch, frame, m.cfg.Params.ReadTimeout)
 			if err == nil {
 				if v, ok := parseAck(ack); ok {
 					m.recordAck(sl.addr, v)
@@ -1029,14 +961,11 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 }
 
-// logBatchLocked appends one committed batch's OpRecords to the op log. tree is
-// the batch's merkle tree, nil for a singleton, whose per-op stamp needs
-// no proof. Caller holds m.mu (or runs before concurrency, in replay).
-func (m *Master) logBatchLocked(first uint64, ops [][]byte, stamp VersionStamp, tree *merkle.Tree) {
-	if tree == nil {
-		m.log = append(m.log, OpRecord{Version: first, OpBytes: ops[0], Stamp: stamp, First: first, Count: 1})
-		return
-	}
+// logBatchLocked appends one committed batch's OpRecords to the op log,
+// with proofs from m.batch.tree, which the caller has just rebuilt over
+// ops. Caller holds m.mu (or runs before concurrency, in replay).
+func (m *Master) logBatchLocked(first uint64, ops [][]byte, stamp VersionStamp) {
+	tree := &m.batch.tree
 	// The log retains the proofs, so their steps must own fresh memory —
 	// but one backing array covers the whole batch.
 	depth := tree.Depth()
@@ -1304,177 +1233,7 @@ func (m *Master) reassignClientsOf(slaveAddr string, excl pki.Exclusion) {
 	}
 }
 
-// --- Slave sync --------------------------------------------------------------
-
-// handleSync replays missed history. The request is the first wanted
-// version, optionally followed by a protocol byte: 1 selects the v2
-// reply, a sequence of OpRecords that carry batch stamps and membership
-// proofs, so a multi-op commit is replayed under its single signature;
-// 2 selects v3, which adds the snapshot-first fallback for requests that
-// predate the retained log. A v3 reply leads with a mode byte: 0 means
-// records only (the v2 body follows), 1 means snapshot-first — a signed
-// store snapshot, then the OpRecord suffix committed after it, then the
-// closing stamp. The version-less request gets the original
-// per-op-stamp reply; ops that were committed inside a batch get an
-// equivalent per-op stamp signed lazily (cold path — the hot path stays
-// amortized).
-func (m *Master) handleSync(body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	from := r.Uvarint()
-	proto := byte(0)
-	if r.Remaining() > 0 {
-		proto = r.Byte()
-	}
-	v2 := proto >= 1
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.stats.SyncsServed++
-	cur := m.store.Version()
-	// The recovery anchor travels with proto >= 3 replies: the broadcast
-	// seq of the newest applied batch, captured in the same critical
-	// section as cur so a recovering master that applies every record of
-	// this reply can resume delivery exactly at anchor+1.
-	anchor := m.lastMark.seq
-	if from <= m.baseVersion {
-		if proto >= 2 {
-			return m.serveSnapshotSyncLocked(proto, anchor) // unlocks m.mu
-		}
-		// History below the retained base is not replayable and this
-		// caller cannot accept a snapshot; checkpoint-aware slaves send
-		// v3 and never see this error.
-		base := m.baseVersion
-		m.mu.Unlock()
-		return nil, fmt.Errorf("core: sync from version %d predates base %d", from, base)
-	}
-	var recs []OpRecord
-	if cur >= from {
-		recs = append(recs, m.log[from-m.baseVersion-1:cur-m.baseVersion]...)
-	}
-	m.mu.Unlock()
-
-	if !v2 {
-		// Legacy caller: downgrade batch evidence to equivalent per-op
-		// stamps, signed on demand and memoized. chargeCPU can park the
-		// task (simulation), so no lock may be held across it.
-		for i := range recs {
-			if recs[i].Count <= 1 {
-				continue
-			}
-			chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-			rec := recs[i]
-			rec.Stamp = SignStampWithOp(m.cfg.Keys, rec.Version, m.rt.Now(), rec.OpBytes)
-			rec.First, rec.Count, rec.Proof = rec.Version, 1, merkle.Proof{}
-			recs[i] = rec
-			m.mu.Lock()
-			// A checkpoint may have truncated the log while we signed;
-			// memoize only if the record's slot still exists.
-			if rec.Version > m.baseVersion && rec.Version-m.baseVersion <= uint64(len(m.log)) {
-				m.log[rec.Version-m.baseVersion-1] = rec
-			}
-			m.mu.Unlock()
-		}
-	}
-
-	stamp := SignStamp(m.cfg.Keys, cur, m.rt.Now())
-	return wire.EncodeFrame(func(w *wire.Writer) {
-		if proto >= 2 {
-			w.Byte(0) // v3 mode: records only
-		}
-		w.Uvarint(uint64(len(recs)))
-		for _, rec := range recs {
-			if v2 {
-				rec.Encode(w)
-				continue
-			}
-			w.Uvarint(rec.Version)
-			w.Bytes_(rec.OpBytes)
-			rec.Stamp.Encode(w)
-		}
-		stamp.Encode(w)
-		if proto >= 3 {
-			w.Uvarint(anchor)
-		}
-	}), nil
-}
-
-// serveSnapshotSyncLocked builds the v3 snapshot-first sync reply for a
-// caller whose request predates the retained log: the signed checkpoint
-// snapshot, the OpRecord suffix committed after it, and the closing
-// stamp. proto >= 3 appends the recovery anchor (already captured under
-// the lock by the caller). Called with m.mu held; it unlocks before
-// signing.
-func (m *Master) serveSnapshotSyncLocked(proto byte, anchor uint64) ([]byte, error) {
-	m.stats.SnapshotSyncs++
-	cur := m.store.Version()
-	snap := m.snap
-	if snap != nil && snap.version < m.baseVersion {
-		// A checkpoint advanced baseVersion and its replacement snapshot
-		// is still being signed (applyCheckpoint signs outside the
-		// lock); the retained one can no longer anchor a suffix from the
-		// truncated log, so fall back to an inline snapshot.
-		snap = nil
-	}
-	var suffix []OpRecord
-	if snap != nil && cur > snap.version {
-		// The retained snapshot's version is >= baseVersion (it was
-		// captured at or after the truncation point), so the suffix is
-		// fully inside the retained log.
-		suffix = append(suffix, m.log[snap.version-m.baseVersion:cur-m.baseVersion]...)
-	}
-	var inline []byte
-	if snap == nil {
-		// No checkpoint snapshot retained (base predates the first
-		// checkpoint, or checkpointing is off with a non-zero initial
-		// version): serve the current state directly, empty suffix.
-		inline = m.store.EncodeSnapshot()
-	}
-	m.mu.Unlock()
-
-	if inline != nil {
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(inline)))
-		stamp := SignStampWithOp(m.cfg.Keys, cur, m.rt.Now(), inline)
-		snap = &ckptSnapshot{version: cur, bytes: inline, stamp: stamp}
-	}
-
-	w := wire.NewWriter(len(snap.bytes) + 1024)
-	w.Byte(1) // v3 mode: snapshot-first
-	w.Bytes_(snap.bytes)
-	snap.stamp.Encode(w)
-	w.Uvarint(uint64(len(suffix)))
-	for _, rec := range suffix {
-		rec.Encode(w)
-	}
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
-	stamp := SignStamp(m.cfg.Keys, cur, m.rt.Now())
-	stamp.Encode(w)
-	if proto >= 3 {
-		w.Uvarint(anchor)
-	}
-	return w.Bytes(), nil
-}
-
-// --- Bootstrap and recovery ---------------------------------------------------
-
-// handleSnapshot serves a full state transfer: the snapshot bytes plus a
-// stamp whose OpDigest authenticates them, so a bootstrapping slave can
-// verify the state even over an unauthenticated transport.
-func (m *Master) handleSnapshot(body []byte) ([]byte, error) {
-	m.mu.Lock()
-	snap := m.store.EncodeSnapshot()
-	version := m.store.Version()
-	m.mu.Unlock()
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap)))
-	stamp := SignStampWithOp(m.cfg.Keys, version, m.rt.Now(), snap)
-	w := wire.NewWriter(len(snap) + 160)
-	w.Bytes_(snap)
-	stamp.Encode(w)
-	w.String_(m.cfg.Addr)
-	return w.Bytes(), nil
-}
+// --- Readmission -----------------------------------------------------------------
 
 // ReadmitSlave brings a recovered slave back into service (§3.5: a slave
 // that was the victim of an attack can be brought back after recovery to
@@ -1692,19 +1451,22 @@ func (m *Master) initiateAdoption(dead string) {
 
 func (m *Master) applyAdopt(r *wire.Reader) {
 	dead := r.String()
-	n := r.Uvarint()
+	n := r.Count()
 	type assignment struct {
 		owner string
 		cert  pki.Certificate
 	}
 	assigns := make([]assignment, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		owner := r.String()
 		cert, err := pki.DecodeCertificate(r)
 		if err != nil {
 			return
 		}
 		assigns = append(assigns, assignment{owner, cert})
+	}
+	if r.Done() != nil {
+		return
 	}
 	m.mu.Lock()
 	if m.adopted[dead] {

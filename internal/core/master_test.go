@@ -63,11 +63,26 @@ func newMasterRig(t *testing.T, mut func(*MasterConfig)) *masterRig {
 	return &masterRig{s: s, net: net, master: m, owner: owner, dir: dir, acl: acl, client: client}
 }
 
+// write submits op the way Client.Write does: a wave of one.
 func (r *masterRig) write(keys *cryptoutil.KeyPair, op store.Op) ([]byte, error) {
-	wr := SignWrite(keys, op)
-	w := wire.NewWriter(256)
-	wr.Encode(w)
-	return r.master.Handle("client", MethodWrite, w.Bytes())
+	return r.master.Handle("client", MethodWriteMulti, encodeWave(SignWave(keys, []store.Op{op})))
+}
+
+// sync asks the master for a state transfer from version from and runs
+// the reply through the one verifier.
+func (r *masterRig) sync(t *testing.T, from uint64) *stateTransfer {
+	t.Helper()
+	body, err := r.master.Handle("slave", MethodSync, wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(from) }))
+	if err != nil {
+		t.Errorf("sync from %d: %v", from, err)
+		return nil
+	}
+	st, err := decodeStateTransfer(body, []cryptoutil.PublicKey{r.master.PublicKey()}, newSigCache())
+	if err != nil {
+		t.Errorf("sync from %d: reply does not verify: %v", from, err)
+		return nil
+	}
+	return st
 }
 
 func TestMasterWriteACLDenied(t *testing.T) {
@@ -90,16 +105,15 @@ func TestMasterWriteBadSignatureDenied(t *testing.T) {
 	r := newMasterRig(t, nil)
 	var err error
 	r.s.Go(func() {
-		wr := SignWrite(r.client, store.Put{Key: "x", Value: []byte("1")})
-		wr.OpBytes = store.EncodeOp(store.Put{Key: "x", Value: []byte("evil")})
-		w := wire.NewWriter(256)
-		wr.Encode(w)
-		_, err = r.master.Handle("client", MethodWrite, w.Bytes())
+		ww := SignWave(r.client, []store.Op{store.Put{Key: "x", Value: []byte("1")}})
+		ww.Ops[0] = store.EncodeOp(store.Put{Key: "x", Value: []byte("evil")})
+		_, err = r.master.Handle("client", MethodWriteMulti, encodeWave(ww))
 	})
 	r.s.Run()
-	if err == nil {
-		t.Fatal("tampered write accepted")
+	if !errors.Is(err, ErrDenied) {
+		t.Fatalf("tampered write: err = %v, want ErrDenied", err)
 	}
+	assertNothingEnqueued(t, r.master)
 }
 
 func TestMasterWriteCommitsAndLogs(t *testing.T) {
@@ -114,64 +128,73 @@ func TestMasterWriteCommitsAndLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rr := wire.NewReader(body)
-	if v := rr.Uvarint(); v != 2 {
-		t.Fatalf("committed version = %d, want 2", v)
+	if n, v := rr.Uvarint(), rr.Uvarint(); n != 1 || v != 2 || rr.Done() != nil {
+		t.Fatalf("reply = %d versions, first %d (%v), want one version, 2", n, v, rr.Done())
 	}
 	if r.master.Version() != 2 {
 		t.Fatalf("master version = %d", r.master.Version())
 	}
 }
 
+// TestMasterSyncServesStampedOps: two writes that committed alone come
+// back as two records, each a batch of one — its own batch stamp, a proof
+// without steps — under a closing stamp for the master's version.
 func TestMasterSyncServesStampedOps(t *testing.T) {
 	r := newMasterRig(t, nil)
-	masterPub := r.master.PublicKey()
-	var body []byte
+	var st *stateTransfer
 	r.s.Go(func() {
 		r.write(r.client, store.Put{Key: "a", Value: []byte("1")})
 		// Respect write pacing before the second write.
 		r.s.Sleep(300 * time.Millisecond)
 		r.write(r.client, store.Put{Key: "b", Value: []byte("2")})
-		w := wire.NewWriter(16)
-		w.Uvarint(2) // from version 2 (base is 1)
-		var err error
-		body, err = r.master.Handle("slave", MethodSync, w.Bytes())
-		if err != nil {
-			t.Errorf("sync: %v", err)
-		}
+		st = r.sync(t, 2) // from version 2 (base is 1)
 	})
 	r.s.Run()
-	rr := wire.NewReader(body)
-	n := rr.Uvarint()
-	if n != 2 {
-		t.Fatalf("sync returned %d ops, want 2", n)
+	if st == nil {
+		t.FailNow()
 	}
-	for i := uint64(0); i < n; i++ {
-		v := rr.Uvarint()
-		opBytes := rr.Bytes()
-		stamp, err := DecodeStamp(rr)
-		if err != nil {
-			t.Fatal(err)
+	if st.snap != nil || len(st.recs) != 2 {
+		t.Fatalf("sync returned snapshot=%v and %d records, want records only, 2", st.snap != nil, len(st.recs))
+	}
+	for i, rec := range st.recs {
+		v := uint64(2 + i)
+		if rec.Version != v || rec.First != v || rec.Count != 1 || len(rec.Proof.Steps) != 0 || rec.Stamp.Kind != stampKindBatch {
+			t.Fatalf("record %d is not a batch of one at version %d: %+v", i, v, rec)
 		}
-		if err := stamp.Verify([]cryptoutil.PublicKey{masterPub}); err != nil {
-			t.Fatalf("op %d stamp: %v", v, err)
-		}
-		if stamp.Version != v || !stamp.AuthenticatesOp(opBytes) {
-			t.Fatalf("op %d not authenticated by its stamp", v)
-		}
+	}
+	if string(st.recs[0].Stamp.Sig) == string(st.recs[1].Stamp.Sig) {
+		t.Fatal("two commits share one stamp")
+	}
+	if st.closing.Version != 3 || st.anchor == 0 {
+		t.Fatalf("closing stamp for version %d, anchor %d; want 3 and the slot of the second commit", st.closing.Version, st.anchor)
 	}
 }
 
-func TestMasterSyncRejectsPreBaseHistory(t *testing.T) {
-	r := newMasterRig(t, nil)
-	var err error
-	r.s.Go(func() {
-		w := wire.NewWriter(16)
-		w.Uvarint(1) // base version itself: not replayable
-		_, err = r.master.Handle("slave", MethodSync, w.Bytes())
-	})
-	r.s.Run()
-	if err == nil {
-		t.Fatal("pre-base sync served")
+// TestMasterSyncPreBaseServedSnapshotFirst: history at or below the
+// retained base cannot be replayed, so such a request — 0, "everything",
+// included — gets the state itself: a snapshot at the master's version
+// under a stamp over its bytes, no records, the closing stamp.
+func TestMasterSyncPreBaseServedSnapshotFirst(t *testing.T) {
+	for _, from := range []uint64{0, 1} { // 1 is the base version itself
+		r := newMasterRig(t, nil)
+		var st *stateTransfer
+		r.s.Go(func() {
+			r.write(r.client, store.Put{Key: "a", Value: []byte("1")})
+			st = r.sync(t, from)
+		})
+		r.s.Run()
+		if st == nil {
+			t.FailNow()
+		}
+		if st.snap == nil || st.snap.Version() != 2 || !st.snap.StateDigest().Equal(r.master.StateDigest()) {
+			t.Fatalf("from %d: reply does not carry the master's state at version 2", from)
+		}
+		if len(st.recs) != 0 || st.closing.Version != 2 {
+			t.Fatalf("from %d: %d records, closing stamp for %d; want 0 and 2", from, len(st.recs), st.closing.Version)
+		}
+		if got := r.master.Stats(); got.SyncsServed != 1 || got.SnapshotSyncs != 1 {
+			t.Fatalf("from %d: stats %+v", from, got)
+		}
 	}
 }
 
@@ -376,19 +399,51 @@ func TestMasterUnknownMethod(t *testing.T) {
 	}
 }
 
-// TestMasterBatchedSyncBothProtocols commits a multi-op batch (one
-// batch-root signature) and then syncs it back through both reply
-// protocols: v2 must preserve the batch evidence (shared stamp +
-// membership proofs), while a legacy request must receive equivalent
-// per-op stamps signed on demand.
-func TestMasterBatchedSyncBothProtocols(t *testing.T) {
+// TestRemovedRoutesAnswerUnknownMethod: a single write, a single update
+// and a bootstrap snapshot have no route of their own any more. A frame
+// that the removed handler would have accepted gets the unknown-method
+// error and changes nothing.
+func TestRemovedRoutesAnswerUnknownMethod(t *testing.T) {
+	r := newMasterRig(t, nil)
+	wr := SignWrite(r.client, store.Put{Key: "x", Value: []byte("1")})
+	for method, body := range map[string][]byte{
+		MethodWrite:    wire.EncodeFrame(wr.Encode),
+		MethodSnapshot: nil,
+	} {
+		// Unrouted, so nothing parks: no simulator task needed.
+		if _, err := r.master.Handle("client", method, body); err == nil || !strings.Contains(err.Error(), "unknown method") {
+			t.Fatalf("master %s: err = %v, want unknown method", method, err)
+		}
+	}
+	assertNothingEnqueued(t, r.master)
+
+	sr := newSlaveRig(t, Honest{})
+	op := store.EncodeOp(store.Put{Key: "x", Value: []byte("1")})
+	stamp := SignStampWithOp(sr.master, 2, sr.s.Now(), op)
+	frame := wire.EncodeFrame(func(w *wire.Writer) {
+		w.Uvarint(2)
+		w.Bytes_(op)
+		stamp.Encode(w)
+		w.String_("master")
+	})
+	if _, err := sr.slave.Handle("master", MethodUpdate, frame); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("slave %s: err = %v, want unknown method", MethodUpdate, err)
+	}
+	if sr.slave.Version() != 1 {
+		t.Fatalf("slave version = %d, want 1", sr.slave.Version())
+	}
+}
+
+// TestMasterBatchedSyncSharesOneStamp commits a multi-op batch (one
+// batch-root signature) and syncs it back: the reply preserves the batch
+// evidence — every record under the one shared stamp, bound to it by its
+// own membership proof.
+func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 	r := newMasterRig(t, func(cfg *MasterConfig) {
 		cfg.BatchSize = 4
 		cfg.BatchTimeout = 5 * time.Millisecond
 	})
-	masterPub := r.master.PublicKey()
-	var v2body, legacyBody []byte
-	var v2err, legacyErr error
+	var st *stateTransfer
 	r.s.Go(func() {
 		// Four concurrent writes fill the accumulator exactly.
 		for _, op := range []store.Op{
@@ -401,13 +456,7 @@ func TestMasterBatchedSyncBothProtocols(t *testing.T) {
 			r.s.Spawn(func() { r.write(r.client, op) })
 		}
 		r.s.Sleep(time.Second) // let the batch commit
-		w := wire.NewWriter(16)
-		w.Uvarint(2)
-		w.Byte(1) // v2: batch evidence preserved
-		v2body, v2err = r.master.Handle("slave", MethodSync, w.Bytes())
-		lw := wire.NewWriter(16)
-		lw.Uvarint(2) // legacy: per-op stamps
-		legacyBody, legacyErr = r.master.Handle("slave", MethodSync, lw.Bytes())
+		st = r.sync(t, 2)
 	})
 	r.s.Run()
 	if got := r.master.Version(); got != 5 {
@@ -416,49 +465,19 @@ func TestMasterBatchedSyncBothProtocols(t *testing.T) {
 	if st := r.master.Stats(); st.BatchesApplied != 1 || st.WritesApplied != 4 {
 		t.Fatalf("expected one batch of four, got %+v", st)
 	}
-	if v2err != nil || legacyErr != nil {
-		t.Fatalf("sync errors: v2=%v legacy=%v", v2err, legacyErr)
+	if st == nil {
+		t.FailNow()
 	}
-
-	rr := wire.NewReader(v2body)
-	if n := rr.Uvarint(); n != 4 {
-		t.Fatalf("v2 sync returned %d records, want 4", n)
+	if len(st.recs) != 4 || st.sigMisses != 2 || st.sigHits != 3 {
+		t.Fatalf("%d records, %d signatures checked and %d memoised; want 4, 2 (batch and closing stamp), 3",
+			len(st.recs), st.sigMisses, st.sigHits)
 	}
-	var batchSig []byte
-	for i := 0; i < 4; i++ {
-		rec, err := DecodeOpRecord(rr)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if err := rec.Verify([]cryptoutil.PublicKey{masterPub}); err != nil {
-			t.Fatalf("record %d does not verify: %v", i, err)
-		}
-		if rec.First != 2 || rec.Count != 4 || rec.Version != uint64(2+i) {
+	for i, rec := range st.recs {
+		if rec.First != 2 || rec.Count != 4 || rec.Version != uint64(2+i) || rec.Proof.Index != i {
 			t.Fatalf("record %d batch geometry: %+v", i, rec)
 		}
-		if i == 0 {
-			batchSig = rec.Stamp.Sig
-		} else if string(rec.Stamp.Sig) != string(batchSig) {
+		if string(rec.Stamp.Sig) != string(st.recs[0].Stamp.Sig) {
 			t.Fatal("batch records do not share one signature")
-		}
-	}
-
-	lr := wire.NewReader(legacyBody)
-	if n := lr.Uvarint(); n != 4 {
-		t.Fatalf("legacy sync returned %d records, want 4", n)
-	}
-	for i := 0; i < 4; i++ {
-		v := lr.Uvarint()
-		opBytes := lr.Bytes()
-		stamp, err := DecodeStamp(lr)
-		if err != nil {
-			t.Fatalf("legacy record %d: %v", i, err)
-		}
-		if err := stamp.Verify([]cryptoutil.PublicKey{masterPub}); err != nil {
-			t.Fatalf("legacy record %d stamp: %v", i, err)
-		}
-		if stamp.Version != v || !stamp.AuthenticatesOp(opBytes) {
-			t.Fatalf("legacy record %d not authenticated by a per-op stamp", i)
 		}
 	}
 }
@@ -515,24 +534,6 @@ func TestMasterWaveTamperRefusedWhole(t *testing.T) {
 			assertNothingEnqueued(t, r.master)
 		})
 	}
-}
-
-// TestMasterWaveSignatureRefusedByWrite is the other direction of the
-// domain separation: a wave signature over one op does not admit that op
-// through m.write.
-func TestMasterWaveSignatureRefusedByWrite(t *testing.T) {
-	r, _ := waveRig(t, nil)
-	ww := SignWave(r.client, waveOps(1))
-	wr := WriteRequest{OpBytes: ww.Ops[0], ClientPub: ww.ClientPub, Sig: ww.Sig}
-	var err error
-	r.s.Go(func() {
-		_, err = r.master.Handle("client", MethodWrite, wire.EncodeFrame(wr.Encode))
-	})
-	r.s.Run()
-	if !errors.Is(err, ErrDenied) {
-		t.Fatalf("err = %v, want ErrDenied", err)
-	}
-	assertNothingEnqueued(t, r.master)
 }
 
 // TestMasterWaveOutOfShardOpRefusesWhole: one op outside the master's

@@ -119,7 +119,7 @@ func TestBootstrapRejectsTamperedSnapshot(t *testing.T) {
 	realMaster := "master-0"
 	c.net.Register("mitm", func(from, method string, body []byte) ([]byte, error) {
 		resp, err := c.masters[0].Handle(from, method, body)
-		if err != nil || method != MethodSnapshot || len(resp) == 0 {
+		if err != nil || method != MethodSync || len(resp) == 0 {
 			return resp, err
 		}
 		out := append([]byte(nil), resp...)

@@ -158,56 +158,33 @@ func (s *Slave) SetBehavior(b Behavior) {
 
 // Bootstrap replaces the slave's replica with a verified full state
 // transfer from its master. Recovered or newly provisioned slaves call it
-// before (re)entering service; the snapshot is authenticated by a master
-// stamp over its bytes.
+// before (re)entering service. Unlike a sync it installs the master's
+// snapshot whatever version the replica claims to be at: the state of a
+// slave recovering from a compromise means nothing.
 func (s *Slave) Bootstrap() error {
 	s.mu.Lock()
 	masterAddr := s.cfg.MasterAddr
 	s.mu.Unlock()
-	body, err := s.dlr.CallTimeout(masterAddr, MethodSnapshot, nil, s.cfg.Params.ReadTimeout)
+	st, err := fetchStateTransfer(s.dlr, masterAddr, 0, s.cfg.Params, s.cfg.CPU, s.cfg.MasterPubs, s.stamps)
 	if err != nil {
 		return err
 	}
-	r := wire.NewReader(body)
-	snap := r.Bytes()
-	stamp, err := DecodeStamp(r)
-	if err != nil {
-		return err
+	if st.snap == nil {
+		return fmt.Errorf("core: bootstrap: master sent no snapshot")
 	}
-	fromAddr := r.String()
-	if err := r.Done(); err != nil {
-		return err
-	}
-	if err := stamp.Verify(s.cfg.MasterPubs); err != nil {
-		return err
-	}
-	if !stamp.AuthenticatesOp(snap) {
-		return ErrBadStamp
-	}
-	st, err := store.DecodeSnapshot(snap)
-	if err != nil {
-		return err
-	}
-	if st.Version() != stamp.Version {
-		return fmt.Errorf("core: snapshot version %d does not match stamp %d", st.Version(), stamp.Version)
-	}
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.VerifySig)
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(len(snap)))
 	s.mu.Lock()
-	s.store = st
-	s.lastStamp = stamp
-	if fromAddr != "" {
-		s.cfg.MasterAddr = fromAddr
+	defer s.mu.Unlock()
+	s.store = st.snap
+	if _, err := st.replayOnto(s.store); err != nil {
+		return err
 	}
-	s.mu.Unlock()
+	s.lastStamp = st.closing
 	return nil
 }
 
 // Handle routes the slave's RPC methods.
 func (s *Slave) Handle(from, method string, body []byte) ([]byte, error) {
 	switch method {
-	case MethodUpdate:
-		return s.handleUpdate(from, body)
 	case MethodUpdateBatch:
 		return s.handleUpdateBatch(from, body)
 	case MethodKeepAlive:
@@ -281,64 +258,6 @@ func (s *Slave) ackLocked() []byte {
 func (s *Slave) droppingLocked() bool {
 	d, ok := s.cfg.Behavior.(UpdateDropper)
 	return ok && d.DropUpdates()
-}
-
-func (s *Slave) handleUpdate(from string, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	version := r.Uvarint()
-	opBytes := r.Bytes()
-	stamp, err := DecodeStamp(r)
-	if err != nil {
-		return nil, err
-	}
-	masterAddr := r.String()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if err := s.verifyStamp(&stamp); err != nil {
-		return nil, err
-	}
-	// The stamp must authorize exactly this operation at this version.
-	if stamp.Version != version || !stamp.AuthenticatesOp(opBytes) {
-		return nil, ErrBadStamp
-	}
-	s.mu.Lock()
-	if masterAddr != "" {
-		s.cfg.MasterAddr = masterAddr
-	}
-	syncAddr := s.cfg.MasterAddr
-	cur := s.store.Version()
-	dropping := s.droppingLocked()
-	s.mu.Unlock()
-	switch {
-	case dropping:
-		// The behaviour model discards the update (it still takes the
-		// fresher stamp below, which an AckForger acks from).
-	case version <= cur:
-		// Duplicate delivery; still take the fresher stamp.
-	case version == cur+1:
-		op, err := store.DecodeOp(opBytes)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		if err := s.store.ApplyAt(version, op); err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-		s.stats.UpdatesOK++
-		s.mu.Unlock()
-	default:
-		// Gap: recover the missing range from the master first.
-		if err := s.syncFrom(syncAddr); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	s.adoptStampLocked(stamp)
-	ack := s.ackLocked()
-	s.mu.Unlock()
-	return ack, nil
 }
 
 // handleUpdateBatch applies one batched commit atomically: the single
@@ -425,12 +344,11 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 	return ack, nil
 }
 
-// syncFrom pulls the updates the replica is missing from a master
-// (MethodSync, protocol v3) and applies them in order. When the master
-// has truncated the wanted history below a stability checkpoint, the
-// reply is snapshot-first: a signed store snapshot replaces the replica
-// wholesale, then the OpRecord suffix committed after the snapshot is
-// replayed on top.
+// syncFrom pulls the updates the replica is missing from a master and
+// applies them in order. When the master has truncated the wanted history
+// below a stability checkpoint the reply is snapshot-first: the snapshot
+// replaces the replica if it is newer, and the records committed after it
+// are replayed on top.
 //
 // Syncs are single-flight: every keep-alive or update that shows the
 // replica behind spawns a sync, and without the guard a long-offline
@@ -452,93 +370,22 @@ func (s *Slave) syncFrom(masterAddr string) error {
 		s.mu.Unlock()
 	}()
 
-	w := wire.NewWriter(16)
-	w.Uvarint(from)
-	w.Byte(2) // v3: OpRecord reply, snapshot-first fallback allowed
-	body, err := s.dlr.CallTimeout(masterAddr, MethodSync, w.Bytes(), s.cfg.Params.ReadTimeout)
+	st, err := fetchStateTransfer(s.dlr, masterAddr, from, s.cfg.Params, s.cfg.CPU, s.cfg.MasterPubs, s.stamps)
 	if err != nil {
-		return err
-	}
-	r := wire.NewReader(body)
-	var snapStore *store.Store
-	if r.Byte() == 1 {
-		// Snapshot-first: the wanted history predates the master's
-		// retained log. Verify the stamp authenticates the snapshot
-		// bytes before decoding, exactly as Bootstrap does.
-		snap := r.Bytes()
-		snapStamp, err := DecodeStamp(r)
-		if err != nil {
-			return err
-		}
-		if err := snapStamp.Verify(s.cfg.MasterPubs); err != nil {
-			return err
-		}
-		if !snapStamp.AuthenticatesOp(snap) {
-			return ErrBadStamp
-		}
-		chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.VerifySig)
-		chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(len(snap)))
-		snapStore, err = store.DecodeSnapshot(snap)
-		if err != nil {
-			return err
-		}
-		if snapStore.Version() != snapStamp.Version {
-			return fmt.Errorf("core: sync snapshot version %d does not match stamp %d",
-				snapStore.Version(), snapStamp.Version)
-		}
-	}
-	n := r.Uvarint()
-	type upd struct {
-		version uint64
-		op      store.Op
-	}
-	updates := make([]upd, 0, n)
-	// Records of one batch share a single stamp; the verified-stamp cache
-	// verifies each distinct signature once (the sync-path half of
-	// signature amortization) and the per-op binding is checked for every
-	// record.
-	for i := uint64(0); i < n; i++ {
-		rec, err := DecodeOpRecord(r)
-		if err != nil {
-			return err
-		}
-		// Each replayed op must carry the master's original evidence: a
-		// per-op update stamp or its batch stamp plus membership proof.
-		if err := s.verifyStamp(&rec.Stamp); err != nil {
-			return err
-		}
-		if err := rec.VerifyBinding(); err != nil {
-			return err
-		}
-		op, err := store.DecodeOp(rec.OpBytes)
-		if err != nil {
-			return err
-		}
-		updates = append(updates, upd{rec.Version, op})
-	}
-	stamp, err := DecodeStamp(r)
-	if err != nil {
-		return err
-	}
-	if _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if snapStore != nil && snapStore.Version() > s.store.Version() {
-		s.store = snapStore
+	if st.snap != nil && st.snap.Version() > s.store.Version() {
+		s.store = st.snap
 		s.stats.SnapshotSyncs++
 	}
-	for _, u := range updates {
-		if u.version != s.store.Version()+1 {
-			continue // below the snapshot, or a concurrent update applied it
-		}
-		if err := s.store.ApplyAt(u.version, u.op); err != nil {
-			return err
-		}
-		s.stats.UpdatesSynced++
+	applied, err := st.replayOnto(s.store)
+	s.stats.UpdatesSynced += uint64(len(applied))
+	if err != nil {
+		return err
 	}
-	s.adoptStampLocked(stamp)
+	s.adoptStampLocked(st.closing)
 	return nil
 }
 

@@ -146,24 +146,25 @@ func TestSlaveLieIsInternallyConsistent(t *testing.T) {
 	}
 }
 
+// oneOp is the s.updatebatch frame of a commit that is a single write: a
+// batch of one at version.
+func oneOp(master *cryptoutil.KeyPair, version uint64, op store.Op, now time.Time) BatchUpdate {
+	return signedBatch(master, version, []store.Op{op}, now)
+}
+
 func TestSlaveRejectsUpdateWithWrongOpDigest(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
 	var err error
 	r.s.Go(func() {
 		r.keepAlive(1)
-		op := store.EncodeOp(store.Put{Key: "x", Value: []byte("1")})
-		evil := store.EncodeOp(store.Put{Key: "x", Value: []byte("666")})
-		stamp := SignStampWithOp(r.master, 2, r.s.Now(), op)
-		w := wire.NewWriter(256)
-		w.Uvarint(2)
-		w.Bytes_(evil) // substituted op under a stamp for a different op
-		stamp.Encode(w)
-		w.String_("master")
-		_, err = r.slave.Handle("master", MethodUpdate, w.Bytes())
+		bu := oneOp(r.master, 2, store.Put{Key: "x", Value: []byte("1")}, r.s.Now())
+		// Substituted op under a stamp for a different op.
+		bu.Ops[0] = store.EncodeOp(store.Put{Key: "x", Value: []byte("666")})
+		_, err = r.slave.Handle("master", MethodUpdateBatch, EncodeBatchUpdate(bu))
 	})
 	r.s.Run()
-	if err == nil {
-		t.Fatal("update with mismatched op digest applied")
+	if !errors.Is(err, ErrBadStamp) {
+		t.Fatalf("update with mismatched op: err = %v, want ErrBadStamp", err)
 	}
 	if r.slave.Version() != 1 {
 		t.Fatalf("version = %d, want 1", r.slave.Version())
@@ -175,32 +176,23 @@ func TestSlaveRejectsUpdateWithUnknownMasterKey(t *testing.T) {
 	evil := cryptoutil.DeriveKeyPair("evil", 0)
 	var err error
 	r.s.Go(func() {
-		op := store.EncodeOp(store.Put{Key: "x", Value: []byte("1")})
-		stamp := SignStampWithOp(evil, 2, r.s.Now(), op)
-		w := wire.NewWriter(256)
-		w.Uvarint(2)
-		w.Bytes_(op)
-		stamp.Encode(w)
-		w.String_("evil")
-		_, err = r.slave.Handle("evil", MethodUpdate, w.Bytes())
+		bu := oneOp(evil, 2, store.Put{Key: "x", Value: []byte("1")}, r.s.Now())
+		_, err = r.slave.Handle("evil", MethodUpdateBatch, EncodeBatchUpdate(bu))
 	})
 	r.s.Run()
-	if err == nil {
-		t.Fatal("update signed by unknown key applied")
+	if !errors.Is(err, ErrBadStamp) {
+		t.Fatalf("update signed by unknown key: err = %v, want ErrBadStamp", err)
+	}
+	if r.slave.Version() != 1 {
+		t.Fatalf("version = %d, want 1", r.slave.Version())
 	}
 }
 
 func TestSlaveAppliesContiguousUpdate(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
 	r.s.Go(func() {
-		op := store.EncodeOp(store.Put{Key: "new", Value: []byte("n")})
-		stamp := SignStampWithOp(r.master, 2, r.s.Now(), op)
-		w := wire.NewWriter(256)
-		w.Uvarint(2)
-		w.Bytes_(op)
-		stamp.Encode(w)
-		w.String_("master")
-		if _, err := r.slave.Handle("master", MethodUpdate, w.Bytes()); err != nil {
+		bu := oneOp(r.master, 2, store.Put{Key: "new", Value: []byte("n")}, r.s.Now())
+		if _, err := r.slave.Handle("master", MethodUpdateBatch, EncodeBatchUpdate(bu)); err != nil {
 			t.Errorf("update: %v", err)
 		}
 	})
@@ -216,57 +208,66 @@ func TestSlaveAppliesContiguousUpdate(t *testing.T) {
 func TestSlaveDuplicateUpdateIgnored(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
 	r.s.Go(func() {
-		op := store.EncodeOp(store.Put{Key: "new", Value: []byte("n")})
-		stamp := SignStampWithOp(r.master, 2, r.s.Now(), op)
-		w := wire.NewWriter(256)
-		w.Uvarint(2)
-		w.Bytes_(op)
-		stamp.Encode(w)
-		w.String_("master")
-		frame := append([]byte(nil), w.Bytes()...)
-		r.slave.Handle("master", MethodUpdate, frame)
-		r.slave.Handle("master", MethodUpdate, frame) // duplicate
+		frame := EncodeBatchUpdate(oneOp(r.master, 2, store.Put{Key: "new", Value: []byte("n")}, r.s.Now()))
+		for i := 0; i < 2; i++ { // the second is a duplicate
+			if _, err := r.slave.Handle("master", MethodUpdateBatch, frame); err != nil {
+				t.Errorf("delivery %d: %v", i, err)
+			}
+		}
 	})
 	r.s.Run()
-	if r.slave.Version() != 2 {
-		t.Fatalf("version = %d after duplicate, want 2", r.slave.Version())
+	if r.slave.Version() != 2 || r.slave.Stats().UpdatesOK != 1 {
+		t.Fatalf("version = %d after duplicate, want 2; stats %+v", r.slave.Version(), r.slave.Stats())
+	}
+}
+
+// TestSlaveDropperDiscardsUpdate: a slave whose behaviour drops updates
+// leaves a one-op commit unapplied, takes its stamp and acknowledges what
+// the forger makes of it.
+func TestSlaveDropperDiscardsUpdate(t *testing.T) {
+	r := newSlaveRig(t, LieAcks{})
+	var ack []byte
+	r.s.Go(func() {
+		var err error
+		ack, err = r.slave.Handle("master", MethodUpdateBatch,
+			EncodeBatchUpdate(oneOp(r.master, 2, store.Put{Key: "new", Value: []byte("n")}, r.s.Now())))
+		if err != nil {
+			t.Errorf("update: %v", err)
+		}
+	})
+	r.s.Run()
+	if r.slave.Version() != 1 || r.slave.Stats().UpdatesOK != 0 {
+		t.Fatalf("dropper applied the update: version %d, stats %+v", r.slave.Version(), r.slave.Stats())
+	}
+	if v, ok := parseAck(ack); !ok || v != 2 {
+		t.Fatalf("ack = %d, %v; want the forged 2", v, ok)
 	}
 }
 
 func TestSlaveGapTriggersSync(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
-	// Scripted master serving MethodSync with versions 2 and 3.
-	ops := [][]byte{
-		store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}),
-		store.EncodeOp(store.Put{Key: "b", Value: []byte("2")}),
+	// Scripted master serving MethodSync with versions 2 and 3, each a
+	// commit of its own.
+	ops := []store.Op{
+		store.Put{Key: "a", Value: []byte("1")},
+		store.Put{Key: "b", Value: []byte("2")},
 	}
 	r.net.Register("master", func(from, method string, body []byte) ([]byte, error) {
 		if method != MethodSync {
 			return nil, errors.New("unexpected method")
 		}
-		w := wire.NewWriter(512)
-		w.Byte(0) // v3 reply, records-only mode
-		w.Uvarint(2)
+		var recs []OpRecord
 		for i, op := range ops {
-			v := uint64(2 + i)
-			st := SignStampWithOp(r.master, v, r.s.Now(), op)
-			rec := OpRecord{Version: v, OpBytes: op, Stamp: st, First: v, Count: 1}
-			rec.Encode(w)
+			recs = append(recs, batchRecords(r.master, uint64(2+i), []store.Op{op}, r.s.Now())...)
 		}
-		final := SignStamp(r.master, 3, r.s.Now())
-		final.Encode(w)
+		w := wire.NewWriter(512)
+		encodeStateTransfer(w, nil, recs, SignStamp(r.master, 3, r.s.Now()), 0)
 		return w.Bytes(), nil
 	})
 	r.s.Go(func() {
 		// Deliver version 4 out of order — version 3's op arrives via sync.
-		op := store.EncodeOp(store.Put{Key: "c", Value: []byte("3")})
-		stamp := SignStampWithOp(r.master, 4, r.s.Now(), op)
-		w := wire.NewWriter(256)
-		w.Uvarint(4)
-		w.Bytes_(op)
-		stamp.Encode(w)
-		w.String_("master")
-		r.slave.Handle("master", MethodUpdate, w.Bytes())
+		bu := oneOp(r.master, 4, store.Put{Key: "c", Value: []byte("3")}, r.s.Now())
+		r.slave.Handle("master", MethodUpdateBatch, EncodeBatchUpdate(bu))
 	})
 	r.s.Run()
 	if v := r.slave.Version(); v != 3 {

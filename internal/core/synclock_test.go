@@ -1,23 +1,25 @@
 package core
 
 import (
-	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/cryptoutil"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
-// TestHandleSyncPredatesBaseLockedRead exercises the error path where a
-// legacy (proto < 2) sync request predates the retained base. The base
-// version quoted in the error must be captured under m.mu: a concurrent
-// checkpoint advances baseVersion, and an unlocked read is a data race
-// per the memory model and can quote a base the caller was never
-// compared against. Regression test for a repllint lockcheck finding;
-// run under -race in `make race`.
+// TestHandleSyncPredatesBaseLockedRead serves sync requests that predate
+// the retained base while a checkpoint keeps advancing baseVersion.
+// handleSync compares the request against the base, picks the snapshot
+// and cuts the record suffix in one critical section, then signs outside
+// it; every reply must still be one consistent, verifiable snapshot-first
+// transfer. Regression test for a repllint lockcheck finding (an unlocked
+// read of baseVersion); run under -race in `make race`.
 func TestHandleSyncPredatesBaseLockedRead(t *testing.T) {
-	m := &Master{store: store.New(), baseVersion: 5}
+	keys := cryptoutil.DeriveKeyPair("master", 0)
+	m := &Master{cfg: MasterConfig{Keys: keys}, rt: sim.RealClock{}, store: store.New(), baseVersion: 5}
 	body := wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(1) })
 
 	stop := make(chan struct{})
@@ -37,12 +39,16 @@ func TestHandleSyncPredatesBaseLockedRead(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		_, err := m.handleSync(body)
-		if err == nil {
-			t.Fatal("expected predates-base error for from=1")
+		reply, err := m.handleSync(body)
+		if err != nil {
+			t.Fatalf("pre-base sync refused: %v", err)
 		}
-		if !strings.Contains(err.Error(), "predates base") {
-			t.Fatalf("unexpected error: %v", err)
+		st, err := decodeStateTransfer(reply, []cryptoutil.PublicKey{keys.Public}, nil)
+		if err != nil {
+			t.Fatalf("reply does not verify: %v", err)
+		}
+		if st.snap == nil || len(st.recs) != 0 {
+			t.Fatalf("from=1 below the base: snapshot=%v, %d records; want snapshot-first, none", st.snap != nil, len(st.recs))
 		}
 	}
 	close(stop)

@@ -28,13 +28,13 @@ var (
 	ErrNoSlaves     = errors.New("core: master has no slaves available")
 )
 
-// Stamp kinds. A per-op (or keep-alive/snapshot) stamp's OpDigest is
-// the hash of the op bytes it authorizes; a batch stamp's OpDigest is
-// the merkle root of a batched commit. The two kinds are
-// domain-separated in the signature: op bytes can be chosen by clients,
-// so without separation a signed op digest could be ground to collide
-// with a merkle interior node (or vice versa) and replayed as evidence
-// of the other kind.
+// Stamp kinds. A keep-alive stamp's OpDigest is zero and a snapshot
+// stamp's is the hash of the snapshot bytes it authorizes (both
+// stampKindOp); a batch stamp's OpDigest is the merkle root of a commit.
+// The two kinds are domain-separated in the signature: op bytes can be
+// chosen by clients, so without separation a signed digest could be
+// ground to collide with a merkle interior node (or vice versa) and
+// replayed as evidence of the other kind.
 const (
 	stampKindOp    byte = 0
 	stampKindBatch byte = 1
@@ -45,10 +45,11 @@ const (
 // latest stamp in every pledge; clients use its timestamp to bound
 // staleness by max_latency.
 //
-// For update stamps, OpDigest binds the write's encoded operation to the
-// stamp so a replica applies only master-authorized ops even over an
-// unauthenticated transport; keep-alive stamps carry a zero digest and
-// batch stamps (Kind = stampKindBatch) carry a batch merkle root.
+// For update stamps (Kind = stampKindBatch), OpDigest is the merkle root
+// over the commit's encoded operations, so a replica applies only
+// master-authorized ops even over an unauthenticated transport;
+// keep-alive stamps carry a zero digest and snapshot stamps the hash of
+// the snapshot.
 type VersionStamp struct {
 	Version   uint64
 	Timestamp time.Time
@@ -98,8 +99,9 @@ func SignStamp(master *cryptoutil.KeyPair, version uint64, ts time.Time) Version
 	return v
 }
 
-// SignStampWithOp creates an update stamp that additionally authenticates
-// the encoded operation producing this version.
+// SignStampWithOp creates a stamp that additionally authenticates opBytes
+// by their hash: the encoded state snapshot at this version. Committed
+// writes are stamped by SignBatchStamp.
 func SignStampWithOp(master *cryptoutil.KeyPair, version uint64, ts time.Time, opBytes []byte) VersionStamp {
 	v := VersionStamp{
 		Version: version, Timestamp: ts,
@@ -110,10 +112,10 @@ func SignStampWithOp(master *cryptoutil.KeyPair, version uint64, ts time.Time, o
 	return v
 }
 
-// AuthenticatesOp reports whether the stamp's digest matches opBytes.
-// Only per-op stamps can authorize an op directly; a batch stamp's
+// AuthenticatesOp reports whether the stamp's digest is the hash of
+// opBytes (a snapshot under its SignStampWithOp stamp). A batch stamp's
 // digest is a merkle root and authorizes ops only through membership
-// proofs (VerifyBatchMember).
+// proofs (VerifyBatchMember) or a rebuilt root (VerifyMembers).
 func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 	return v.Kind == stampKindOp && v.OpDigest.Equal(cryptoutil.HashBytes(opBytes))
 }
@@ -124,11 +126,12 @@ func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 // of one signature per write (§3.4: signing dominates the master's CPU).
 // Batched commits amortize it: the master accumulates concurrent writes,
 // applies them as versions first..first+n-1, and signs ONE stamp whose
-// OpDigest is the merkle root over the batch's op bytes. A slave that is
-// pushed the whole batch rebuilds the root and compares (BatchUpdate); a
-// single op — or any suffix of a batch during sync — is authenticated by
-// its membership proof against that root (OpRecord), so neither needs a
-// per-op signature.
+// OpDigest is the merkle root over the batch's op bytes. A write that
+// commits alone is a batch of one: a one-leaf tree, the same stamp. A
+// slave that is pushed the whole batch rebuilds the root and compares
+// (BatchUpdate); a single op — or any suffix of a batch during sync — is
+// authenticated by its membership proof against that root (OpRecord), so
+// neither needs a per-op signature.
 
 // BatchLeaf is the canonical merkle leaf binding opBytes to the content
 // version it produced. Both signer and verifier must build it
@@ -192,42 +195,27 @@ func VerifyBatchMember(stamp *VersionStamp, first, count, version uint64, opByte
 }
 
 // OpRecord is one committed op plus the evidence a replica needs to
-// apply it: the signing stamp and, when the op was committed inside a
-// batch of more than one, its membership proof. Masters retain one per
-// version; sync replies are sequences of them. The proof stays because
+// apply it: its batch's stamp and its membership proof (no steps when the
+// batch is that one op). Masters retain one per version; sync replies are sequences of them. The proof stays because
 // a checkpoint may truncate the log in the middle of a batch, and the
 // records above the cut then travel without the ops below it — the
 // receiver cannot rebuild that batch's root.
 type OpRecord struct {
 	Version uint64
 	OpBytes []byte
-	Stamp   VersionStamp // per-op stamp (Count<=1) or batch stamp
+	Stamp   VersionStamp // the batch stamp
 	First   uint64       // first version of the signing batch
 	Count   uint64       // ops in the signing batch
-	Proof   merkle.Proof // membership proof (empty when Count<=1)
-}
-
-// Verify checks the record end to end against the trusted master keys.
-func (rec *OpRecord) Verify(trustedMasters []cryptoutil.PublicKey) error {
-	if err := rec.Stamp.Verify(trustedMasters); err != nil {
-		return err
-	}
-	return rec.VerifyBinding()
+	Proof   merkle.Proof // membership proof against the stamp's root
 }
 
 // VerifyBinding checks only that the op is bound to the record's stamp
-// (per-op digest or batch membership proof). The caller must have
+// by its membership proof. The caller must have
 // verified the stamp's signature: records of the same batch share one
 // stamp, so a bulk consumer (sync) verifies each distinct signature
 // once and the binding per record — keeping the sync path as amortized
 // as the commit path.
 func (rec *OpRecord) VerifyBinding() error {
-	if rec.Count <= 1 {
-		if rec.Stamp.Version != rec.Version || !rec.Stamp.AuthenticatesOp(rec.OpBytes) {
-			return ErrBadStamp
-		}
-		return nil
-	}
 	return VerifyBatchMember(&rec.Stamp, rec.First, rec.Count, rec.Version, rec.OpBytes, rec.Proof)
 }
 
@@ -521,9 +509,11 @@ func CheckPledgeAgainst(replica *store.Store, p *Pledge) (bool, cryptoutil.Diges
 	return !correct.Equal(p.ResultHash), correct, nil
 }
 
-// WriteRequest is a client-signed request to modify the content. Masters
-// check the signature and the access-control policy (§3.1: the master
-// "first checks whether the client is allowed to invoke such a request").
+// WriteRequest is a client-signed request for a single write. No node
+// sends or accepts one — Client.Write sends a WriteWave of one op — and the
+// type, SignWrite and DecodeWriteRequest stay only because
+// bench/replbench/ledger.go, which may not be edited here, times them; they
+// go with it (ROADMAP item 1).
 type WriteRequest struct {
 	OpBytes   []byte
 	ClientPub cryptoutil.PublicKey
@@ -563,9 +553,7 @@ func (wr *WriteRequest) Encode(w *wire.Writer) {
 }
 
 // DecodeWriteRequest reads a write request from r. The request's fields
-// alias r's buffer (request frames are freshly allocated per message and
-// immutable after receipt, so the views stay valid for as long as the
-// request is retained — they just pin the frame).
+// alias r's buffer.
 func DecodeWriteRequest(r *wire.Reader) (WriteRequest, error) {
 	var wr WriteRequest
 	wr.OpBytes = r.BytesView()
@@ -577,8 +565,8 @@ func DecodeWriteRequest(r *wire.Reader) (WriteRequest, error) {
 // WriteWave is a client-signed wave of writes (MethodWriteMulti): ONE
 // signature covers the client key, the op count and every op in order —
 // §3.4's one signature over many items, on the client half of the write
-// path. The signing domain ("wave.v1") differs from WriteRequest's, so
-// neither signature can be replayed as the other kind.
+// path — the only write request a master admits (§3.1: the master "first
+// checks whether the client is allowed to invoke such a request").
 type WriteWave struct {
 	ClientPub cryptoutil.PublicKey
 	Ops       [][]byte
@@ -620,8 +608,9 @@ func (ww *WriteWave) Encode(w *wire.Writer) {
 	w.Bytes_(ww.Sig)
 }
 
-// DecodeWriteWave parses a whole m.writemulti frame. Like
-// DecodeWriteRequest's, the fields alias b.
+// DecodeWriteWave parses a whole m.writemulti frame. The fields alias b
+// (request frames are freshly allocated per message and immutable after
+// receipt, so the views stay valid for as long as the wave is retained).
 func DecodeWriteWave(b []byte) (WriteWave, error) {
 	r := wire.NewReader(b)
 	var ww WriteWave

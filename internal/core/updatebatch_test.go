@@ -22,6 +22,24 @@ func signedBatch(master *cryptoutil.KeyPair, first uint64, ops []store.Op, now t
 	return bu
 }
 
+// batchRecords is what an honest master logs for that batch and ships in
+// a sync reply: one OpRecord per op, under the batch stamp, each with its
+// membership proof.
+func batchRecords(master *cryptoutil.KeyPair, first uint64, ops []store.Op, now time.Time) []OpRecord {
+	bu := signedBatch(master, first, ops, now)
+	tree := BatchTree(first, bu.Ops)
+	recs := make([]OpRecord, len(bu.Ops))
+	for i, op := range bu.Ops {
+		proof, err := tree.Prove(i)
+		if err != nil {
+			panic(err)
+		}
+		recs[i] = OpRecord{Version: first + uint64(i), OpBytes: op, Stamp: bu.Stamp,
+			First: first, Count: uint64(len(bu.Ops)), Proof: proof}
+	}
+	return recs
+}
+
 // adoptedStamp is a test accessor.
 func (s *Slave) adoptedStamp() VersionStamp {
 	s.mu.Lock()

@@ -226,9 +226,9 @@ func (c *Client) MastersFor(key string) ([]pki.Certificate, error) {
 
 func decodeCertList(body []byte) ([]pki.Certificate, error) {
 	r := wire.NewReader(body)
-	n := r.Uvarint()
+	n := r.Count()
 	certs := make([]pki.Certificate, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		cert, err := pki.DecodeCertificate(r)
 		if err != nil {
 			return nil, err
@@ -253,9 +253,9 @@ func (c *Client) ShardMap() (pki.ShardTable, []pki.Certificate, error) {
 			return pki.ShardTable{}, nil, err
 		}
 	}
-	n := r.Uvarint()
+	n := r.Count()
 	certs := make([]pki.Certificate, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		cert, err := pki.DecodeCertificate(r)
 		if err != nil {
 			return pki.ShardTable{}, nil, err

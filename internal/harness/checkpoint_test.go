@@ -125,7 +125,6 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 		probe := func(from uint64) *wire.Reader {
 			w := wire.NewWriter(16)
 			w.Uvarint(from)
-			w.Byte(2) // sync protocol v3
 			body, err := dlr.Call(m.Addr(), core.MethodSync, w.Bytes())
 			if err != nil {
 				t.Errorf("sync from %d: %v", from, err)

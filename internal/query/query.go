@@ -183,9 +183,9 @@ type Pair struct {
 // RangeResult decodes the payload of a Range query.
 func RangeResult(payload []byte) ([]Pair, error) {
 	r := wire.NewReader(payload)
-	n := r.Uvarint()
+	n := r.Count()
 	out := make([]Pair, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k := r.String()
 		v := r.Bytes()
 		out = append(out, Pair{Key: k, Value: v})
@@ -337,9 +337,9 @@ func (q Grep) String() string { return fmt.Sprintf("grep(%q,%q)", q.Pattern, q.P
 // GrepResult decodes the payload of a Grep query.
 func GrepResult(payload []byte) ([]Match, error) {
 	r := wire.NewReader(payload)
-	n := r.Uvarint()
+	n := r.Count()
 	out := make([]Match, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m := Match{Path: r.String()}
 		m.Line = int(r.Uvarint())
 		m.Text = r.String()

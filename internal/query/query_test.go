@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func fixture() *store.Store {
@@ -159,6 +160,20 @@ func TestDecodeRejectsJunk(t *testing.T) {
 	b := append(Encode(Get{Key: "k"}), 1)
 	if _, err := Decode(b); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestResultDecodersBoundTheirCount: a payload comes from an untrusted
+// slave, and its element count must not size a slice before it is checked
+// against the bytes that follow (this used to die in makeslice).
+func TestResultDecodersBoundTheirCount(t *testing.T) {
+	w := wire.NewWriter(0)
+	w.Uvarint(1 << 62)
+	if _, err := RangeResult(w.Bytes()); err == nil {
+		t.Fatal("range result with an impossible count accepted")
+	}
+	if _, err := GrepResult(w.Bytes()); err == nil {
+		t.Fatal("grep result with an impossible count accepted")
 	}
 }
 

@@ -17,8 +17,10 @@
 // story (§3.3–§3.5) rests on result hashes and signatures computed over
 // these bytes matching across the slave that answered, the master that
 // double-checks, and the auditor that re-executes. Decoding is hostile-
-// input safe: length prefixes are capped (MaxBytesLen, MaxBatchItems)
-// and the Reader latches the first error so call sites check once.
+// input safe: length prefixes are capped (MaxBytesLen, MaxBatchItems),
+// an element count is read with Reader.Count, which refuses one larger
+// than the bytes that remain before anything is sized by it, and the
+// Reader latches the first error so call sites check once.
 //
 // The encode/decode hot path is pooled and zero-copy: GetWriter/
 // PutWriter and GetReader/PutReader round-trip through sync.Pool,

@@ -96,3 +96,22 @@ func TestWriterLen(t *testing.T) {
 		t.Fatalf("len = %d", w.Len())
 	}
 }
+
+func TestCountBoundedByRemaining(t *testing.T) {
+	// Three elements can follow a count of three; a count of four cannot
+	// be honest, whatever the elements are.
+	r := NewReader([]byte{3, 'a', 'b', 'c'})
+	if n := r.Count(); n != 3 || r.Err() != nil {
+		t.Fatalf("Count = %d, %v; want 3", n, r.Err())
+	}
+	r = NewReader([]byte{4, 'a', 'b', 'c'})
+	if n := r.Count(); n != 0 || r.Err() != ErrShortBuffer {
+		t.Fatalf("Count = %d, %v; want 0, ErrShortBuffer", n, r.Err())
+	}
+	w := NewWriter(0)
+	w.Uvarint(1 << 62)
+	r = NewReader(w.Bytes())
+	if n := r.Count(); n != 0 || r.Err() != ErrShortBuffer {
+		t.Fatalf("Count = %d, %v; want 0, ErrShortBuffer", n, r.Err())
+	}
+}

@@ -318,25 +318,42 @@ func (r *Reader) Time() time.Time {
 // Duration reads a duration written by Writer.Duration.
 func (r *Reader) Duration() time.Duration { return time.Duration(r.Varint()) }
 
+// Count reads the element count that prefixes a repeated field. Every
+// element occupies at least one byte, so a count above the bytes left
+// fails the reader (ErrShortBuffer) before a caller sizes a slice by it:
+// a hostile prefix cannot make a decoder allocate more than the frame
+// that carried it.
+func (r *Reader) Count() int { return r.count(math.MaxUint64) }
+
+// count is Count with a ceiling; a count above it fails the reader with
+// ErrTooLarge.
+func (r *Reader) count(ceiling uint64) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > ceiling {
+		r.fail(ErrTooLarge)
+		return 0
+	}
+	if n > uint64(r.Remaining()) {
+		r.fail(ErrShortBuffer)
+		return 0
+	}
+	return int(n)
+}
+
 // BytesSlice reads a batch frame written by Writer.BytesSlice. Each
 // element is an independent copy. A count above MaxBatchItems, or one
 // that cannot fit in the remaining bytes, fails the reader without
 // allocating.
 func (r *Reader) BytesSlice() [][]byte {
-	n := r.Uvarint()
+	n := r.count(MaxBatchItems)
 	if r.err != nil {
 		return nil
 	}
-	if n > MaxBatchItems {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	if n > uint64(r.Remaining()) { // each element needs >=1 prefix byte
-		r.fail(ErrShortBuffer)
-		return nil
-	}
 	out := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		b := r.Bytes()
 		if r.err != nil {
 			return nil
@@ -351,20 +368,12 @@ func (r *Reader) BytesSlice() [][]byte {
 // itself is still allocated; only the element payloads are zero-copy.
 // Callers that retain elements past the buffer's lifetime must copy them.
 func (r *Reader) BytesSliceView() [][]byte {
-	n := r.Uvarint()
+	n := r.count(MaxBatchItems)
 	if r.err != nil {
 		return nil
 	}
-	if n > MaxBatchItems {
-		r.fail(ErrTooLarge)
-		return nil
-	}
-	if n > uint64(r.Remaining()) { // each element needs >=1 prefix byte
-		r.fail(ErrShortBuffer)
-		return nil
-	}
 	out := make([][]byte, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		b := r.BytesView()
 		if r.err != nil {
 			return nil
@@ -376,16 +385,12 @@ func (r *Reader) BytesSliceView() [][]byte {
 
 // StringSlice reads a count-prefixed slice of strings.
 func (r *Reader) StringSlice() []string {
-	n := r.Uvarint()
+	n := r.Count()
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(r.Remaining()) { // each string needs >=1 byte of prefix
-		r.fail(ErrTooLarge)
-		return nil
-	}
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		out = append(out, r.String())
 	}
 	return out
