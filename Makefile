@@ -64,12 +64,14 @@ lint:
 # slave test whose concurrent s.updatebatch handlers share one merkle
 # scratch, the one where Bootstrap, a sync and pushed batches race for one
 # replica, the one whose readers share the signed-pledge memo while stamps
-# and batches arrive, and the auditor's tests, whose handlers queue
-# pledges that alias their frames for the audit worker.
+# and batches arrive, the one whose readers must see each batch and its
+# stamp whole (no pledge an audit would convict, no read refused as stale),
+# and the auditor's tests, whose handlers queue pledges that alias their
+# frames for the audit worker.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
-	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
 bench-e15:
@@ -124,7 +126,8 @@ FUZZ_TARGETS := \
 	internal/core:FuzzDecodeWriteWave \
 	internal/core:FuzzDecodeBatchUpdate \
 	internal/core:FuzzDecodePledge \
-	internal/core:FuzzDecodeStateTransfer
+	internal/core:FuzzDecodeStateTransfer \
+	internal/store:FuzzNumericValue
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

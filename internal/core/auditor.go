@@ -424,7 +424,7 @@ type provenPledge struct{ p Pledge }
 // signature were already verified costs a lookup instead of a check.
 func (a *Auditor) convict(p Pledge) {
 	hit, err := a.pledges.verifyPledge(&p)
-	chargeSig(a.cfg.CPU, a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
+	chargeMemoised(a.cfg.CPU, a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
 	a.mu.Lock()
 	if err != nil {
 		a.stats.PledgesBadSig++

@@ -86,7 +86,7 @@ func (nullDialer) CallTimeout(addr, method string, body []byte, d time.Duration)
 
 // newRealClockMaster builds a lone master at version 1 on the real clock.
 // It is not started: tests drive its commit path directly.
-func newRealClockMaster(t *testing.T) *Master {
+func newRealClockMaster(t testing.TB) *Master {
 	t.Helper()
 	initial := store.New()
 	initial.Apply(store.Put{Key: "k", Value: []byte("v")})

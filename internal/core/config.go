@@ -127,9 +127,10 @@ func chargeCPU(cpu *sim.Resource, d time.Duration) {
 	}
 }
 
-// chargeSig charges one signature operation: its full cost, or a cache
-// lookup when a memo hit made the operation unnecessary.
-func chargeSig(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Duration, hit bool) {
+// chargeMemoised charges work a memo can spare (a signature operation, a
+// query's scan): its full cost, or a cache lookup when a hit made it
+// unnecessary.
+func chargeMemoised(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Duration, hit bool) {
 	if hit {
 		full = costs.CacheLookup
 	}

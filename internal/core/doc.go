@@ -90,6 +90,33 @@
 // verifies 14 % of reads (41 % when each keep-alive re-keyed the pledges);
 // under uniform keys with a commit every 300 ms, nearly all.
 //
+// Scan once per version (resultmemo.go). Slaves exist for arbitrary dynamic
+// queries (§3.2), and a dynamic query is a walk over the content.
+// Slave.handleRead and Master.handleCheck each keep a resultMemo from
+// encoded query to honest payload: the first Count or Sum after a commit
+// pays the walk, every repeat until the next commit a map probe. The memo
+// belongs to one replica (the *store.Store, by identity) at one version and
+// starts over when asked about any other pair, so a pushed batch, a sync,
+// an installed snapshot and a Bootstrap onto other content at the same
+// version number all miss. A hit is safe because execute runs inside the
+// critical section that checks the stamp against the replica's version
+// (slave) or reads the version reported (master): the payload is the one
+// Execute would return at that instant — the same section keeps a batch
+// from landing between a read's stamp and its scan. A hit decides nothing
+// about what is served: the memo holds honest payloads only and is
+// consulted before Behavior.Corrupt, which still runs, draws its randomness
+// and counts on every read; a lie is made from the honest payload, never
+// stored, and hashed and signed as its own evidence. In virtual time a hit
+// charges Costs.CacheLookup where a miss charges QueryCost(Scanned); the
+// payload is hashed, and HashCost charged, either way. Admission is by
+// what the scan cost against what it returned, not by query kind, so
+// point-read workloads pay one failed probe of a nil map; the bounds are
+// constants and there is no knob. Auditor.cache (§3.4's mechanism, the
+// auditor.cache_hit_ratio metric) is deliberately another type: it keeps a
+// 20-byte hash of every audited query, cheap ones included, because a hash
+// is all an audit compares; this memo retains whole payloads to serve,
+// worth the memory only where the scan dwarfs the answer.
+//
 // The auditor audits by hash and verifies on evidence (auditor.go).
 // Auditor.auditOne compares a pledge's result hash with the replica's —
 // from the per-version query cache or by re-execution — and is done when

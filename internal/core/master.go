@@ -10,7 +10,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/merkle"
 	"repro/internal/pki"
-	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -194,6 +193,7 @@ type Master struct {
 	excluded    map[string]bool         // guarded by mu; excluded slave pubs
 	rrNext      int                     // guarded by mu; round-robin cursor for assignment
 	stats       MasterStats             // guarded by mu
+	memo        resultMemo              // guarded by mu; answers to expensive double-checked queries at the store's version
 	stopped     bool                    // guarded by mu
 
 	// This master's batches between Broadcast and delivery, by the batch
@@ -1051,18 +1051,14 @@ func (m *Master) handleCheck(body []byte) ([]byte, error) {
 		return nil, ErrThrottled
 	}
 
-	q, err := query.Decode(queryBytes)
-	if err != nil {
-		return nil, err
-	}
 	m.mu.Lock()
-	res, err := q.Execute(m.store)
+	res, hit, err := m.memo.execute(m.store, queryBytes)
 	version := m.store.Version()
 	m.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryCost(res.Scanned))
+	chargeMemoised(m.cfg.CPU, m.cfg.Params.Costs, m.cfg.Params.Costs.QueryCost(res.Scanned), hit)
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(res.Payload)))
 	digest := res.Digest()
 

@@ -804,7 +804,7 @@ func TestSlavePledgeMemoConcurrent(t *testing.T) {
 				}
 				body, err := sl.Handle("client", MethodRead, req.Bytes())
 				if err != nil {
-					continue // between a batch's apply and its stamp the slave refuses: ErrStale
+					continue // no stamp before the first batch: ErrStale
 				}
 				rr, err := DecodeReadReply(body)
 				if err != nil || rr.Pledge.VerifySig() != nil || rr.Pledge.Stamp.Verify(trusted) != nil {

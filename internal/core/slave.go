@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/cryptoutil"
-	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -68,6 +67,7 @@ type Slave struct {
 	lastStamp VersionStamp // guarded by mu
 	syncing   bool         // guarded by mu; single-flight: at most one syncFrom in progress
 	stats     SlaveStats   // guarded by mu
+	memo      resultMemo   // guarded by mu; honest answers to expensive queries at the replica's version
 
 	stamps  *sigCache // verified-stamp cache (amortizes repeat Verify)
 	pledges *sigCache // signed-pledge table (amortizes repeat Sign)
@@ -112,7 +112,7 @@ func (s *Slave) verifyStamp(v *VersionStamp) error {
 	if err != nil {
 		return err
 	}
-	chargeSig(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.VerifySig, hit)
+	chargeMemoised(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.VerifySig, hit)
 	return nil
 }
 
@@ -298,50 +298,46 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 		ops[i] = op
 	}
 
+	// One hold from the first version check to the stamp's adoption: a read
+	// that found the ops applied but the old stamp in place would be
+	// refused as stale, and its client would sleep a keep-alive period.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if bu.MasterAddr != "" {
 		s.cfg.MasterAddr = bu.MasterAddr
 	}
-	masterAddr := s.cfg.MasterAddr
-	cur := s.store.Version()
-	dropping := s.droppingLocked()
-	s.mu.Unlock()
-	switch {
-	case dropping:
+	switch cur := s.store.Version(); {
+	case s.droppingLocked():
 		// The behaviour model discards the whole batch (it still takes
 		// the fresher stamp below, which an AckForger acks from).
 	case bu.Last() <= cur:
 		// Duplicate delivery; still take the fresher stamp below.
 	case bu.First > cur+1:
 		// Gap: recover the missing range from the master first.
-		if err := s.syncFrom(masterAddr); err != nil {
+		masterAddr := s.cfg.MasterAddr
+		s.mu.Unlock()
+		err := s.syncFrom(masterAddr)
+		s.mu.Lock()
+		if err != nil {
 			return nil, err
 		}
 	default:
-		s.mu.Lock()
 		applied := uint64(0)
 		for i, op := range ops {
 			v := bu.First + uint64(i)
-			if v <= s.store.Version() {
+			if v <= cur {
 				continue // overlap with already-applied history
 			}
 			if err := s.store.ApplyAt(v, op); err != nil {
-				s.mu.Unlock()
 				return nil, err
 			}
 			applied++
 		}
 		s.stats.UpdatesOK += applied
-		if applied > 0 {
-			s.stats.BatchesApplied++
-		}
-		s.mu.Unlock()
+		s.stats.BatchesApplied++
 	}
-	s.mu.Lock()
 	s.adoptStampLocked(bu.Stamp)
-	ack := s.ackLocked()
-	s.mu.Unlock()
-	return ack, nil
+	return s.ackLocked(), nil
 }
 
 // syncFrom pulls the updates the replica is missing from a master and
@@ -436,50 +432,45 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 		return nil, err
 	}
 
+	// One critical section decides freshness and computes (or recalls) the
+	// answer. §3.1: a slave may handle requests only while its most recent
+	// keep-alive is younger than max_latency. The stamp must also match the
+	// replica's version exactly, and still match when the query runs: a
+	// result computed at version v' pledged under the stamp for v != v'
+	// would make an honest slave provably "malicious" at audit time.
 	s.mu.Lock()
 	stamp := s.lastStamp
-	storeVersion := s.store.Version()
-	s.mu.Unlock()
-	// §3.1: a slave may handle requests only while its most recent
-	// keep-alive is younger than max_latency. The stamp must also match
-	// the replica's version exactly: pledging version v for a result
-	// computed at version v' != v would make an honest slave provably
-	// "malicious" at audit time.
-	if stamp.Sig == nil || stamp.Version != storeVersion ||
+	if stamp.Sig == nil || stamp.Version != s.store.Version() ||
 		!stamp.Fresh(s.rt.Now(), s.cfg.Params.MaxLatency) {
-		s.mu.Lock()
 		s.stats.ReadsRefused++
 		s.mu.Unlock()
 		return nil, ErrStale
 	}
-
-	q, err := query.Decode(queryBytes)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	replica := s.store
-	res, err := q.Execute(replica)
+	res, hit, err := s.memo.execute(s.store, queryBytes)
 	s.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.QueryCost(res.Scanned))
+	costs := s.cfg.Params.Costs
+	chargeMemoised(s.cfg.CPU, costs, costs.QueryCost(res.Scanned), hit)
 
+	// The memo holds honest answers only and was consulted first: whether
+	// to lie is decided on every read, and a lie is hashed and signed as
+	// its own evidence.
 	payload := res.Payload
 	lied := false
 	if corrupted := s.cfg.Behavior.Corrupt(queryBytes, payload, s.rng); corrupted != nil {
 		payload = corrupted
 		lied = true
 	}
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(len(payload)))
+	chargeCPU(s.cfg.CPU, costs.HashCost(len(payload)))
 	hash := cryptoutil.HashBytes(payload)
 
 	// Signed once per distinct (query, result hash, version): a repeat gets
 	// those bytes again beside the current stamp; a lie has its own hash.
 	pledge := Pledge{QueryBytes: queryBytes, ResultHash: hash, Stamp: stamp, SlavePub: s.cfg.Keys.Public}
-	chargeSig(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.Sign, s.pledges.signPledge(&pledge, s.cfg.Keys))
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.SendReply)
+	chargeMemoised(s.cfg.CPU, costs, costs.Sign, s.pledges.signPledge(&pledge, s.cfg.Keys))
+	chargeCPU(s.cfg.CPU, costs.SendReply)
 
 	s.mu.Lock()
 	s.stats.ReadsServed++

@@ -255,34 +255,37 @@ func (n *node) mergeChildren(i int) {
 }
 
 // ascend calls fn for every key in [from, to) in order; empty strings mean
-// unbounded. fn returns false to stop. ascend reports whether iteration
-// ran to completion.
+// unbounded. fn returns false to stop. ascend reports whether fn never
+// did.
 func (t *btree) ascend(from, to string, fn func(key string, value []byte) bool) bool {
 	return t.root.ascend(from, to, fn)
 }
 
+// Each node locates its bounds once: items[lo:hi] are in range, and only
+// the children at the two edges can hold keys outside it, so only they
+// inherit a bound. Everything between is emitted without a compare.
 func (n *node) ascend(from, to string, fn func(string, []byte) bool) bool {
-	start := 0
+	lo, hi := 0, len(n.items)
 	if from != "" {
-		start, _ = n.find(from)
+		lo, _ = n.find(from)
 	}
-	for i := start; i <= len(n.items); i++ {
+	if to != "" {
+		hi, _ = n.find(to)
+	}
+	for i := lo; i <= hi; i++ {
 		if !n.leaf() {
-			if !n.children[i].ascend(from, to, fn) {
+			cfrom, cto := "", ""
+			if i == lo {
+				cfrom = from
+			}
+			if i == hi {
+				cto = to
+			}
+			if !n.children[i].ascend(cfrom, cto, fn) {
 				return false
 			}
 		}
-		if i == len(n.items) {
-			break
-		}
-		it := n.items[i]
-		if it.key < from {
-			continue
-		}
-		if to != "" && it.key >= to {
-			return false
-		}
-		if !fn(it.key, it.value) {
+		if i < hi && !fn(n.items[i].key, n.items[i].value) {
 			return false
 		}
 	}

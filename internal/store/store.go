@@ -19,7 +19,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/wire"
@@ -310,11 +309,35 @@ func (s *Store) removeDigest(key string) {
 
 // NumericValue parses a stored value as a decimal integer, for aggregate
 // queries (Sum). Unparseable values count as zero, so that aggregation is
-// total and deterministic on arbitrary content.
+// total and deterministic on arbitrary content. It accepts exactly what
+// strconv.ParseInt(string(v), 10, 64) accepts — an optional sign, then
+// digits, within int64 — reading the bytes in place: Sum calls it once per
+// key scanned.
 func NumericValue(v []byte) int64 {
-	n, err := strconv.ParseInt(string(v), 10, 64)
-	if err != nil {
+	neg := false
+	if len(v) > 0 && (v[0] == '+' || v[0] == '-') {
+		neg = v[0] == '-'
+		v = v[1:]
+	}
+	if len(v) == 0 {
 		return 0
 	}
-	return n
+	const limit = 1 << 63 // |math.MinInt64|; one more than math.MaxInt64
+	var n uint64
+	for _, c := range v {
+		d := uint64(c - '0')
+		if d > 9 || n > limit/10 {
+			return 0
+		}
+		if n = n*10 + d; n > limit {
+			return 0
+		}
+	}
+	if neg {
+		return -int64(n) // n == limit wraps to math.MinInt64, its own negation
+	}
+	if n == limit {
+		return 0
+	}
+	return int64(n)
 }

@@ -3,8 +3,10 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -168,15 +170,58 @@ func TestNumericValue(t *testing.T) {
 	cases := map[string]int64{
 		"42":   42,
 		"-7":   -7,
+		"+7":   7,
+		"007":  7,
+		"-0":   0,
 		"":     0,
 		"abc":  0,
 		"12.5": 0,
+		// Everything ParseInt(…, 10, 64) rejects is zero.
+		"+":      0,
+		"-":      0,
+		"--1":    0,
+		"+-1":    0,
+		"1-":     0,
+		" 1":     0,
+		"1 ":     0,
+		"1_000":  0,
+		"0x10":   0,
+		"1e3":    0,
+		"１２":     0, // full-width digits
+		"12\x00": 0,
+		// The int64 edges, and one past each.
+		"9223372036854775807":                      math.MaxInt64,
+		"+9223372036854775807":                     math.MaxInt64,
+		"9223372036854775808":                      0,
+		"-9223372036854775808":                     math.MinInt64,
+		"-9223372036854775809":                     0,
+		"18446744073709551616":                     0, // 2^64: wraps a uint64 accumulator
+		"18446744073709551658":                     0, // 2^64 + 42
+		"99999999999999999999999":                  0,
+		"0000000000000000000000000000000000000012": 12,
 	}
 	for in, want := range cases {
 		if got := NumericValue([]byte(in)); got != want {
 			t.Errorf("NumericValue(%q) = %d, want %d", in, got, want)
 		}
 	}
+}
+
+// FuzzNumericValue holds NumericValue to the strconv.ParseInt it replaced.
+func FuzzNumericValue(f *testing.F) {
+	for _, s := range []string{"", "0", "42", "-7", "+7", "1_0", " 1", "-", "9223372036854775807",
+		"9223372036854775808", "-9223372036854775808", "-9223372036854775809", "18446744073709551658"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, v []byte) {
+		want, err := strconv.ParseInt(string(v), 10, 64)
+		if err != nil {
+			want = 0
+		}
+		if got := NumericValue(v); got != want {
+			t.Fatalf("NumericValue(%q) = %d, strconv says %d (%v)", v, got, want, err)
+		}
+	})
 }
 
 func TestContentBytesTracksSize(t *testing.T) {
