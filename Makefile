@@ -66,11 +66,14 @@ lint:
 # replica, the one whose readers share the signed-pledge memo while stamps
 # and batches arrive, the one whose readers must see each batch and its
 # stamp whole (no pledge an audit would convict, no read refused as stale),
-# and the auditor's tests, whose handlers queue pledges that alias their
-# frames for the audit worker.
+# the auditor's tests, whose handlers queue pledges that alias their
+# frames for the audit worker, and the TCP transport's tests, whose
+# connection workers, reused call slots and single-flight dials are all
+# shared between goroutines that only a lucky schedule brings together.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
+	$(GO) test -race -count=10 -run TestTCP ./internal/rpc/
 	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
@@ -122,6 +125,7 @@ bench-smoke:
 # other, and the first failure fails the smoke.
 FUZZ_TARGETS := \
 	internal/wire:FuzzReaderFrame \
+	internal/rpc:FuzzDecodeFrame \
 	internal/merkle:FuzzDecodeProof \
 	internal/core:FuzzDecodeWriteWave \
 	internal/core:FuzzDecodeBatchUpdate \

@@ -257,8 +257,8 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 
 // handlePledge admits one pledge. The pledge is decoded by view and queued
 // as is, so it keeps body alive until it is audited: the handler owns body
-// (the TCP server copies it out of its frame, and under the simulator every
-// sender passes a frame nobody else holds — EncodePledge's detached copy).
+// (a view of its frame's own buffer over TCP, of the s.read reply the client
+// was handed under the simulator; nobody writes to either again).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	pledge, err := decodePledgeFrame(body)
 	if err != nil {

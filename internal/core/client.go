@@ -455,7 +455,7 @@ func (c *Client) readOnce(queryBytes []byte, checkProb float64) ([]byte, error) 
 	}
 
 	// Forward the pledge to the auditor before accepting (§3.4).
-	if err := c.forwardPledge(reply.Pledge); err != nil {
+	if err := c.forwardPledge(reply.pledgeBytes); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -494,11 +494,7 @@ func (c *Client) callSlaveRead(sl slaveAssignment, queryBytes []byte) (ReadReply
 		}
 		return ReadReply{}, err
 	}
-	reply, err := DecodeReadReply(body)
-	if err != nil {
-		return ReadReply{}, err
-	}
-	return reply, nil
+	return DecodeReadReply(body)
 }
 
 // verifyReply performs the client-side checks of §3.2: result hash
@@ -612,7 +608,7 @@ func (c *Client) doubleCheck(queryBytes []byte, reply ReadReply) error {
 		caughtAddr = c.slaves[0].addr
 	}
 	c.mu.Unlock()
-	if err := c.reportPledge(reply.Pledge); err == nil {
+	if err := c.reportPledge(reply.pledgeBytes); err == nil {
 		c.mu.Lock()
 		c.stats.ReportsFiled++
 		c.mu.Unlock()
@@ -626,27 +622,27 @@ func (c *Client) doubleCheck(queryBytes []byte, reply ReadReply) error {
 	return errRetry
 }
 
-// reportPledge files the incriminating pledge with the master. Client
-// reports are unsigned: the master convicts by re-executing the query
-// itself (immediate discovery, §3.5).
-func (c *Client) reportPledge(p Pledge) error {
+// reportPledge files the incriminating pledge with the master, in the
+// bytes the slave sent it in. Client reports are unsigned: the master
+// convicts by re-executing the query itself (immediate discovery, §3.5).
+func (c *Client) reportPledge(pledgeBytes []byte) error {
 	c.mu.Lock()
 	masterAddr := c.masterAddr
 	c.mu.Unlock()
-	w := wire.NewWriter(512)
-	w.Bytes_(EncodePledge(p))
+	w := wire.NewWriter(len(pledgeBytes) + 16)
+	w.Bytes_(pledgeBytes)
 	w.Bytes_(nil)
 	_, err := c.dlr.CallTimeout(masterAddr, MethodReport, w.Bytes(), c.cfg.Params.ReadTimeout)
 	return err
 }
 
-// forwardPledge sends the pledge to the auditor and waits for the ack;
-// clients accept results only after this completes (§3.4).
-func (c *Client) forwardPledge(p Pledge) error {
+// forwardPledge sends the auditor the pledge exactly as the slave sent it and
+// waits for the ack; clients accept results only after this completes (§3.4).
+func (c *Client) forwardPledge(pledgeBytes []byte) error {
 	c.mu.Lock()
 	c.stats.PledgesSent++
 	c.mu.Unlock()
-	_, err := c.dlr.CallTimeout(c.cfg.AuditorAddr, MethodPledge, EncodePledge(p), c.cfg.Params.ReadTimeout)
+	_, err := c.dlr.CallTimeout(c.cfg.AuditorAddr, MethodPledge, pledgeBytes, c.cfg.Params.ReadTimeout)
 	return err
 }
 
@@ -656,24 +652,22 @@ func (c *Client) forwardPledge(p Pledge) error {
 // preserved, so the auditor admits exactly what the sequential
 // forwardPledge calls would. A single pledge goes by a.pledge, the frame
 // every one-slave read sends.
-func (c *Client) forwardPledges(ps []Pledge) error {
-	if len(ps) == 0 {
+func (c *Client) forwardPledges(pledges [][]byte) error {
+	if len(pledges) == 0 {
 		return nil
 	}
-	if len(ps) == 1 {
-		return c.forwardPledge(ps[0])
+	if len(pledges) == 1 {
+		return c.forwardPledge(pledges[0])
 	}
 	c.mu.Lock()
-	c.stats.PledgesSent += uint64(len(ps))
+	c.stats.PledgesSent += uint64(len(pledges))
 	c.mu.Unlock()
-	elems := make([][]byte, len(ps))
 	size := 16
-	for i, p := range ps {
-		elems[i] = EncodePledge(p)
-		size += len(elems[i]) + 8
+	for _, p := range pledges {
+		size += len(p) + 8
 	}
 	w := wire.NewWriter(size)
-	w.BytesSlice(elems)
+	w.BytesSlice(pledges)
 	_, err := c.dlr.CallTimeout(c.cfg.AuditorAddr, MethodPledgeMulti, w.Bytes(), c.cfg.Params.ReadTimeout)
 	return err
 }
@@ -718,9 +712,9 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 				return nil, err
 			}
 		}
-		pledges := make([]Pledge, len(replies))
+		pledges := make([][]byte, len(replies))
 		for i, r := range replies {
-			pledges[i] = r.Pledge
+			pledges[i] = r.pledgeBytes
 		}
 		if err := c.forwardPledges(pledges); err != nil {
 			return nil, err
@@ -747,7 +741,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 	var liars []string
 	for i, r := range replies {
 		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
-			if err := c.reportPledge(r.Pledge); err == nil {
+			if err := c.reportPledge(r.pledgeBytes); err == nil {
 				c.mu.Lock()
 				c.stats.ReportsFiled++
 				c.stats.CaughtImmediate++

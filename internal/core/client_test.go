@@ -27,8 +27,10 @@ type clientRig struct {
 	slaveKeys  *cryptoutil.KeyPair
 	params     Params
 
-	// mutate, if set, rewrites the slave's honest reply before sending.
-	mutate func(*ReadReply)
+	// mutate, if set, rewrites the slave's honest reply before sending;
+	// mutateBody, if set, rewrites the encoded reply after that.
+	mutate     func(*ReadReply)
+	mutateBody func([]byte) []byte
 	// content backs the scripted slave and master.
 	content *store.Store
 }
@@ -107,7 +109,11 @@ func newClientRig(t *testing.T) *clientRig {
 		if r.mutate != nil {
 			r.mutate(&reply)
 		}
-		return EncodeReadReply(reply), nil
+		enc := EncodeReadReply(reply)
+		if r.mutateBody != nil {
+			enc = r.mutateBody(enc)
+		}
+		return enc, nil
 	})
 
 	// Scripted auditor: always acks.

@@ -394,6 +394,9 @@ type ReadReply struct {
 	Payload []byte
 	Pledge  Pledge
 	XLie    bool
+	// pledgeBytes is the pledge as it stood in the decoded frame: what the
+	// client forwards is what the slave sent, not a re-encoding of it.
+	pledgeBytes []byte
 }
 
 // EncodeReadReply serializes a reply to a detached frame (reply bodies
@@ -406,21 +409,23 @@ func EncodeReadReply(rr ReadReply) []byte {
 	})
 }
 
-// DecodeReadReply parses a reply.
+// DecodeReadReply parses a reply by view: the payload (capacity clipped)
+// and the pledge's query, keys and signatures alias b, which the caller
+// must own — a reply body is its caller's under both transports.
 func DecodeReadReply(b []byte) (ReadReply, error) {
 	r := wire.NewReader(b)
 	var rr ReadReply
-	rr.Payload = r.Bytes()
+	rr.Payload = r.BytesView()
+	start := len(b) - r.Remaining()
 	var err error
-	rr.Pledge, err = DecodePledge(r)
+	rr.Pledge, err = decodePledge(r, (*wire.Reader).BytesView)
 	if err != nil {
 		return rr, err
 	}
+	end := len(b) - r.Remaining()
+	rr.pledgeBytes = b[start:end:end]
 	rr.XLie = r.Bool()
-	if err := r.Done(); err != nil {
-		return rr, err
-	}
-	return rr, nil
+	return rr, r.Done()
 }
 
 func (s *Slave) handleRead(body []byte) ([]byte, error) {

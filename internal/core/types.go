@@ -447,7 +447,7 @@ func EncodePledge(p Pledge) []byte {
 }
 
 // DecodePledge reads a pledge from r. Every field is a copy, so the pledge
-// outlives r's buffer.
+// outlives r's buffer; DecodeReadReply and decodePledgeFrame take views.
 func DecodePledge(r *wire.Reader) (Pledge, error) { return decodePledge(r, (*wire.Reader).Bytes) }
 
 // decodePledgeFrame decodes a frame that holds exactly one pledge, without
