@@ -51,7 +51,6 @@ func main() {
 		catalog  = flag.Int("catalog", 100, "initial catalog size")
 		docs     = flag.Int("docs", 10, "initial document count")
 		datadir  = flag.String("datadir", "", "master durable state dir: WAL + checkpoint snapshot; replayed on restart (\"\" = in-memory)")
-		walsync  = flag.Duration("walsync", 0, "WAL group-commit fsync interval (0 = fsync every batch before acking)")
 	)
 	flag.Parse()
 	stopProfiles := startProfiles()
@@ -74,18 +73,17 @@ func main() {
 		auditorKeys := cryptoutil.DeriveKeyPair("auditor", 0)
 		dir := &dirsrv.Client{Addr: *dirAddr, Dialer: dialer}
 		m, err := core.NewMaster(core.MasterConfig{
-			Addr:         *listen,
-			Keys:         keys,
-			Params:       params,
-			ContentKey:   owner.Public,
-			Peers:        splitList(*peers),
-			AuditorAddr:  *auditor,
-			AuditorPub:   auditorKeys.Public,
-			ACL:          nil, // open writes for the demo deployment
-			Directory:    dir,
-			Seed:         int64(*index),
-			DataDir:      *datadir,
-			WALSyncEvery: *walsync,
+			Addr:        *listen,
+			Keys:        keys,
+			Params:      params,
+			ContentKey:  owner.Public,
+			Peers:       splitList(*peers),
+			AuditorAddr: *auditor,
+			AuditorPub:  auditorKeys.Public,
+			ACL:         nil, // open writes for the demo deployment
+			Directory:   dir,
+			Seed:        int64(*index),
+			DataDir:     *datadir,
 		}, rt, dialer, initial)
 		if err != nil {
 			log.Fatal(err)

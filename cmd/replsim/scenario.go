@@ -35,7 +35,6 @@ type scenarioFlags struct {
 	checkpoint *time.Duration
 	ckptRetain *int
 	dataDir    *string
-	walSync    *time.Duration
 }
 
 func registerScenarioFlags() scenarioFlags {
@@ -54,9 +53,8 @@ func registerScenarioFlags() scenarioFlags {
 		batch:      flag.Int("batch", 1, "scenario: master write-batch size (1 = unbatched)"),
 		batchWait:  flag.Duration("batchwait", 0, "scenario: batch flush timeout (0 = max_latency/4)"),
 		checkpoint: flag.Duration("checkpoint", 0, "scenario: stability-checkpoint cadence (0 = off; log/archive grow forever)"),
-		ckptRetain: flag.Int("ckptretain", 0, "scenario: OpRecords always kept below the stable version (0 = default)"),
+		ckptRetain: flag.Int("ckptretain", 0, "scenario: ops always kept below the stable version, rounded up to a whole batch (0 = default)"),
 		dataDir:    flag.String("datadir", "", "scenario: base dir for per-master durable WAL+snapshot (\"\" = in-memory)"),
-		walSync:    flag.Duration("walsync", 0, "scenario: WAL group-commit fsync interval (0 = fsync per batch)"),
 	}
 }
 
@@ -73,7 +71,6 @@ func runScenario(seed int64, f scenarioFlags) {
 	cfg.CheckpointEvery = *f.checkpoint
 	cfg.CheckpointMinRetain = *f.ckptRetain
 	cfg.DataDir = *f.dataDir
-	cfg.WALSyncEvery = *f.walSync
 	cfg.SlaveBehaviors = map[int]core.Behavior{}
 	for i := 0; i < *f.liars && i < *f.masters**f.slaves; i++ {
 		cfg.SlaveBehaviors[i] = core.LieWithProb{P: *f.lieProb}

@@ -42,10 +42,10 @@
 //
 // trustcheck enforces verify-before-trust on the replication ingest
 // paths. Values produced by the wire decoders (DecodeStamp,
-// DecodePledge, DecodeOpRecord, DecodeBatchUpdate, DecodeWriteRequest,
+// DecodePledge, decodeBatchEntry, DecodeBatchUpdate, DecodeWriteRequest,
 // DecodeWriteWave, DecodeCheckpoint, DecodeProof, ...) are tainted until
 // they flow through a verification call (Verify, VerifySig,
-// VerifyMembers, VerifyBinding, ValidateOp, AuthenticatesOp, ...). A
+// VerifyMembers, ValidateOp, AuthenticatesOp, ...). A
 // tainted value must not reach an Apply/ApplyAt sink or be stored into
 // long-lived replica state (fields of a receiver or parameter, or
 // package-level variables); assembling decoded values in function-local

@@ -28,7 +28,7 @@ var trustSources = map[string]bool{
 	"DecodeStamp":        true,
 	"DecodePledge":       true,
 	"decodePledgeFrame":  true,
-	"DecodeOpRecord":     true,
+	"decodeBatchEntry":   true,
 	"DecodeBatchUpdate":  true,
 	"DecodeWriteRequest": true,
 	"DecodeWriteWave":    true,
@@ -43,8 +43,6 @@ var trustSanitizers = map[string]bool{
 	"Verify":             true,
 	"VerifySig":          true,
 	"VerifyMembers":      true,
-	"VerifyBinding":      true,
-	"VerifyBatchMember":  true,
 	"verifyStamp":        true,
 	"verifySnapshot":     true,
 	"verify":             true,
@@ -56,7 +54,7 @@ var trustSanitizers = map[string]bool{
 // trustVerifiers decode and verify in one call: callers treat what they
 // return as clean (they are not sources), so inside them a return is a
 // sink — a decoded value may only leave through one after it has passed a
-// sanitizer. DecodeStamp, DecodeOpRecord and the other sources stay
+// sanitizer. DecodeStamp, decodeBatchEntry and the other sources stay
 // tainting everywhere else.
 var trustVerifiers = map[string]bool{
 	"decodeStateTransfer": true,

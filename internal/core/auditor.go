@@ -57,8 +57,6 @@ type AuditorConfig struct {
 	CPU *sim.Resource
 	// Seed drives audit sampling.
 	Seed int64
-	// Tick is the audit worker's polling interval (0 = KeepAliveEvery).
-	Tick time.Duration
 }
 
 type bufferedWrite struct {
@@ -100,9 +98,6 @@ type Auditor struct {
 
 // NewAuditor creates the auditor over the initial content replica.
 func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.Store) (*Auditor, error) {
-	if cfg.Tick == 0 {
-		cfg.Tick = cfg.Params.KeepAliveEvery
-	}
 	a := &Auditor{
 		cfg:      cfg,
 		rt:       rt,
@@ -323,14 +318,15 @@ func (a *Auditor) admitPledgeLocked(pledge Pledge) {
 }
 
 // auditLoop drains pledges for the current version and advances the
-// replica when the version's audit window has closed.
+// replica when the version's audit window has closed; idle, it polls once
+// per keep-alive interval.
 func (a *Auditor) auditLoop() {
 	for {
 		n, stopped := a.auditPending()
 		if stopped {
 			return
 		}
-		if !a.maybeAdvance() && n == 0 && a.rt.Sleep(a.cfg.Tick) != nil {
+		if !a.maybeAdvance() && n == 0 && a.rt.Sleep(a.cfg.Params.KeepAliveEvery) != nil {
 			return
 		}
 	}

@@ -11,19 +11,20 @@ import (
 
 // Stability-driven checkpointing (cf. PBFT-style stability checkpoints).
 //
-// The master signs every state update and keeps the evidence — OpRecords
-// in its log, ordered messages in the broadcast archive — so untrusted
-// slaves can sync and auditors can check. Without truncation both grow
-// linearly with total writes. Checkpointing bounds them: slaves piggyback
-// their applied version on every keep-alive and update acknowledgement;
-// on a CheckpointEvery cadence each master computes the stable version V
-// (the minimum over its live, recently-heard-from slaves) and broadcasts
-// a signed Checkpoint through the ordered master channel. On delivery,
-// every master advances its baseVersion toward V, truncates its op log
-// and the broadcast archive below it, and retains one signed snapshot of
-// the store so a slave whose sync request predates the new base can
-// bootstrap from snapshot + OpRecord suffix instead of replayed history
-// that no longer exists.
+// The master signs every state update and keeps the evidence — signed
+// batches in its log, ordered messages in the broadcast archive — so
+// untrusted slaves can sync and auditors can check. Without truncation
+// both grow linearly with total writes. Checkpointing bounds them: slaves
+// piggyback their applied version on every keep-alive and update
+// acknowledgement; on a CheckpointEvery cadence each master computes the
+// stable version V (the minimum over its live, recently-heard-from
+// slaves) and broadcasts a signed Checkpoint through the ordered master
+// channel. On delivery, every master advances its baseVersion toward V —
+// always to the end of a batch, since the log holds whole batches —
+// truncates its op log and the broadcast archive below it, and retains
+// one signed snapshot of the store so a slave whose sync request predates
+// the new base can bootstrap from snapshot + the batches after it instead
+// of replayed history that no longer exists.
 //
 // The lagging-slave policy: a slave that has not acknowledged anything
 // within CheckpointMaxLag stops gating stability (otherwise one silent
@@ -120,13 +121,11 @@ type slaveAck struct {
 	at      time.Time
 }
 
-// versionMark pairs a content version with data recorded when the version
-// committed: the store's state digest at a batch boundary (for checkpoint
-// proposals) or the broadcast sequence number that carried it (for
-// archive truncation).
+// versionMark pairs a content version with the broadcast sequence number
+// that carried it: a master's recovery anchor, and the auditor's index
+// for archive truncation.
 type versionMark struct {
 	version uint64
-	digest  cryptoutil.Digest
 	seq     uint64
 }
 
@@ -154,6 +153,18 @@ type ckptSnapshot struct {
 	bytes   []byte
 	stamp   VersionStamp
 	logged  uint64 // Master.loggedBytes when the state was captured
+}
+
+// signSnapshot signs the stamp that authenticates snap — its digest is
+// the hash of the snapshot bytes — charging the signature and the hash,
+// and returns snap. Every snapshot this master serves or persists is
+// signed here: at a checkpoint, at a refresh, for a sync with none
+// retained, after a catch-up.
+func (m *Master) signSnapshot(snap *ckptSnapshot) *ckptSnapshot {
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap.bytes)))
+	snap.stamp = SignStampWithOp(m.cfg.Keys, snap.version, m.rt.Now(), snap.bytes)
+	return snap
 }
 
 // recordAck notes a slave's acknowledged version (piggybacked on its
@@ -251,16 +262,13 @@ func (m *Master) checkpointLoop() {
 			return
 		}
 		stable := m.stableVersionLocked(m.rt.Now())
-		// Propose the newest batch boundary at or below the stable
-		// version: boundaries are where a state digest was recorded, so
-		// the checkpoint can bind version to digest.
+		// Propose the end of the newest logged batch at or below the
+		// stable version: the log records the state digest there, so the
+		// checkpoint can bind version to digest.
 		var version uint64
 		var digest cryptoutil.Digest
-		for i := len(m.marks) - 1; i >= 0; i-- {
-			if m.marks[i].version <= stable {
-				version, digest = m.marks[i].version, m.marks[i].digest
-				break
-			}
+		if k := m.logIndexLocked(stable + 1); k > 0 {
+			version, digest = m.log[k-1].Last(), m.log[k-1].digest
 		}
 		base := m.baseVersion
 		m.mu.Unlock()
@@ -282,13 +290,14 @@ func (m *Master) checkpointLoop() {
 
 // applyCheckpoint executes a delivered checkpoint on every master: record
 // it, capture the retained snapshot, and truncate the op log and the
-// broadcast archive below the local truncation point. The truncation
-// point is the delivered checkpoint's version capped by this master's own
-// stability (its slaves may lag the initiator's) and by the retain
-// window, so slightly-behind slaves keep the cheap record-replay path.
-// seq is the checkpoint's own delivery slot: a durable master persists
-// the captured snapshot anchored there (every batch at or below seq is
-// inside it) and truncates its write-ahead log.
+// broadcast archive at the local truncation point. That point is the end
+// of the newest logged batch at or below the delivered checkpoint's
+// version capped by this master's own stability (its slaves may lag the
+// initiator's) and by the retain window, so slightly-behind slaves keep
+// the cheap batch-replay path and the log keeps CheckpointMinRetain ops
+// plus at most one batch. seq is the checkpoint's own delivery slot: a
+// durable master persists the captured snapshot anchored there (every
+// batch at or below seq is inside it) and truncates its write-ahead log.
 func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	ck, err := DecodeCheckpoint(r)
 	if err != nil {
@@ -326,34 +335,31 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	if cur-retain < t {
 		t = cur - retain
 	}
-	if t <= m.baseVersion {
+	k := m.logIndexLocked(t + 1) // the batches that end at or below t
+	if k == 0 {
 		m.mu.Unlock()
 		return
 	}
 
 	// Capture the retained snapshot before truncating: ordered delivery
 	// means every master captures the identical state here.
-	snap := m.store.EncodeSnapshot()
-	logged := m.loggedBytes
+	snap := &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot(), logged: m.loggedBytes}
 
-	drop := t - m.baseVersion
-	m.stats.OpsTruncated += drop
-	m.log = append([]OpRecord(nil), m.log[drop:]...)
-	m.baseVersion = t
+	for _, b := range m.log[:k] {
+		m.stats.OpsTruncated += uint64(len(b.Ops))
+	}
+	// Broadcast-archive floor: one past the slot of the newest truncated
+	// batch; everything below it is stable history.
+	floor := m.log[k-1].seq + 1
+	m.baseVersion = m.log[k-1].Last()
+	m.log = append([]loggedBatch(nil), m.log[k:]...)
 	m.stats.CheckpointsApplied++
-
-	// Broadcast-archive floor: the highest sequence number that carried a
-	// version at or below t; everything below it is stable history.
-	var floor uint64
-	floor, m.marks = pruneMarks(m.marks, t)
 	m.mu.Unlock()
 
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap)))
-	stamp := SignStampWithOp(m.cfg.Keys, cur, m.rt.Now(), snap)
+	m.signSnapshot(snap)
 	m.mu.Lock()
 	if m.snap == nil || cur > m.snap.version {
-		m.snap = &ckptSnapshot{version: cur, bytes: snap, stamp: stamp, logged: logged}
+		m.snap = snap
 	}
 	m.mu.Unlock()
 	// Durable master: the snapshot captures every batch delivered at or
@@ -361,11 +367,9 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	// drop the now-redundant WAL records. Delivery is serialized, so no
 	// batch can commit between the capture above and this write.
 	if m.wlog != nil {
-		m.persistState(cur, seq, snap, stamp)
+		m.persistState(seq, snap)
 	}
-	if floor > 0 {
-		m.bcast.TruncateBelow(floor)
-	}
+	m.bcast.TruncateBelow(floor)
 }
 
 // LastCheckpoint returns the most recent checkpoint this master recorded
@@ -384,12 +388,16 @@ func (m *Master) BaseVersion() uint64 {
 	return m.baseVersion
 }
 
-// RetainedOps returns the number of OpRecords currently held in the
-// master's log (bounded by checkpointing, else grows with total writes).
+// RetainedOps returns the number of ops currently held in the master's
+// log (bounded by checkpointing, else grows with total writes).
 func (m *Master) RetainedOps() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.log)
+	n := 0
+	for _, b := range m.log {
+		n += len(b.Ops)
+	}
+	return n
 }
 
 // RetainedOpBytes returns the op payload bytes resident in the log.
@@ -397,15 +405,17 @@ func (m *Master) RetainedOpBytes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, rec := range m.log {
-		n += len(rec.OpBytes)
+	for _, b := range m.log {
+		for _, op := range b.Ops {
+			n += len(op)
+		}
 	}
 	return n
 }
 
 // SnapshotLag returns the op bytes logged since the retained
 // snapshot-first snapshot and that snapshot's size (both 0 until a
-// checkpoint retains one). The first is the OpRecord suffix every
+// checkpoint retains one). The first is the batch suffix every
 // snapshot-first sync ships; the refresh keeps it near the second.
 func (m *Master) SnapshotLag() (suffix, snapshot uint64) {
 	m.mu.Lock()

@@ -47,7 +47,6 @@ type clusterOpts struct {
 	// dataDir gives every master a durable WAL+snapshot under
 	// dataDir/master-N ("" = in-memory only).
 	dataDir             string
-	walSyncEvery        time.Duration
 	checkpointEvery     time.Duration
 	checkpointMinRetain int
 	checkpointMaxLag    time.Duration
@@ -123,7 +122,6 @@ func newTestCluster(t *testing.T, s *sim.Sim, o clusterOpts) *testCluster {
 			CheckpointEvery:     o.checkpointEvery,
 			CheckpointMinRetain: o.checkpointMinRetain,
 			CheckpointMaxLag:    o.checkpointMaxLag,
-			WALSyncEvery:        o.walSyncEvery,
 		}
 		if o.dataDir != "" {
 			mcfg.DataDir = filepath.Join(o.dataDir, masterAddrs[i])

@@ -59,13 +59,23 @@
 //	             leaves and compares it with the stamp's. Reply:
 //	             uvarint applied version.
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
-//	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × OpRecord ‖
-//	             closing stamp ‖ uvarint anchor — mode 1 (snapshot
-//	             first) when from is at or below the retained log's
-//	             base, else mode 0. Slave sync, Slave.Bootstrap and a
+//	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
+//	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ closing
+//	             stamp ‖ uvarint anchor — mode 1 (snapshot first) when
+//	             from is at or below the retained log's base, else mode
+//	             0. Each entry is a whole logged batch, the
+//	             s.updatebatch shape without the master address, and is
+//	             checked like a push (VerifyMembers): one stamp per
+//	             batch, no membership proofs; a request from inside a
+//	             batch gets all of it. Slave sync, Slave.Bootstrap and a
 //	             restarted master's catch-up all read it through
-//	             decodeStateTransfer, which verifies every part
-//	             before returning any.
+//	             decodeStateTransfer, which verifies every part before
+//	             returning any.
+//
+// Committed history has that one shape everywhere: the master's op log
+// is a list of these batches (plus the state digest after each), its WAL
+// record is one of them after its broadcast slot, and checkpoints
+// truncate the log only between batches.
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,
@@ -140,15 +150,14 @@
 // PledgesLate and PledgesBadSig.
 //
 // Masters can additionally be made durable (durable.go): with
-// MasterConfig.DataDir set, every committed batch's op records and
-// signed stamp are appended to a write-ahead log and fsynced before the
-// client ack (or group-committed on a WALSyncEvery interval), and every
-// applied checkpoint atomically persists a signed snapshot file and
-// truncates the WAL below it. A restarting master loads the snapshot,
-// replays the WAL suffix (verifying every stamp; a torn final record —
-// a crash mid-append — is dropped, any other corruption refuses to
-// start), resumes its broadcast slot, and closes the remaining gap from
-// a peer: by ordinary record fetch when the archive still holds its
+// MasterConfig.DataDir set, every committed batch — its ops and signed
+// stamp — is appended to a write-ahead log and fsynced before the client
+// ack, and every applied checkpoint atomically persists a signed snapshot
+// file and truncates the WAL below it. A restarting master loads the
+// snapshot, replays the WAL suffix (verifying every stamp; a torn final
+// record — a crash mid-append — is dropped, any other corruption refuses
+// to start), resumes its broadcast slot, and closes the remaining gap
+// from a peer: by ordinary record fetch when the archive still holds its
 // slots, or one snapshot-first recovery sync when checkpoint truncation
 // outran the outage. Without DataDir nothing touches the filesystem.
 package core

@@ -17,10 +17,11 @@ package core
 // else by a wholesale state transfer (statetransfer.go).
 //
 // Every WAL record is a batch under a batch stamp, a single write being a
-// batch of one. A record some earlier commit of this repository wrote under
-// a per-op stamp is refused at replay ("stamp is not a batch stamp") and
-// the master does not start: no data directory outlives a commit here, so
-// nothing reads the old shape.
+// batch of one — the master's log entry less its state digest, which
+// replay recomputes. A record some earlier commit of this repository wrote
+// under a per-op stamp is refused at replay ("stamp is not a batch stamp")
+// and the master does not start: no data directory outlives a commit
+// here, so nothing reads the old shape.
 
 import (
 	"fmt"
@@ -42,15 +43,13 @@ func (m *Master) snapFilePath() string { return filepath.Join(m.cfg.DataDir, "sn
 func (m *Master) walFilePath() string  { return filepath.Join(m.cfg.DataDir, "wal") }
 
 // encodeWALRecord frames one committed batch for the WAL: the broadcast
-// slot that carried it (the recovery anchor), the first version it
-// produced, the applied op bytes in order, and the signed stamp — enough
-// to rebuild the OpRecords with their membership proofs on replay.
-func encodeWALRecord(seq, first uint64, ops [][]byte, stamp VersionStamp) []byte {
+// slot that carried it (the recovery anchor), then the batch entry — the
+// first version it produced, the applied op bytes in order, and the
+// signed stamp.
+func encodeWALRecord(seq uint64, bu *BatchUpdate) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Uvarint(seq)
-		w.Uvarint(first)
-		w.BytesSlice(ops)
-		stamp.Encode(w)
+		bu.appendEntry(w)
 	})
 }
 
@@ -133,63 +132,55 @@ func (m *Master) loadSnapshotFile(data []byte) error {
 func (m *Master) replayWALRecord(payload []byte) error {
 	r := wire.NewReader(payload)
 	seq := r.Uvarint()
-	first := r.Uvarint()
-	ops := r.BytesSlice()
-	stamp, err := DecodeStamp(r)
+	bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
 	if err != nil {
 		return err
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if len(ops) == 0 {
+	if len(bu.Ops) == 0 {
 		return fmt.Errorf("wal record with no ops")
 	}
-	last := first + uint64(len(ops)) - 1
 	cur := m.store.Version()
-	if last <= cur {
+	if bu.Last() <= cur {
 		return nil // covered by the snapshot (crash between snapshot write and WAL truncation)
 	}
-	if first != cur+1 {
-		return fmt.Errorf("wal record starts at version %d, store at %d", first, cur)
+	if bu.First != cur+1 {
+		return fmt.Errorf("wal record starts at version %d, store at %d", bu.First, cur)
 	}
-	if err := stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
+	if err := bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
 		return err
 	}
-	bu := BatchUpdate{First: first, Ops: ops, Stamp: stamp}
 	if err := bu.VerifyMembers(&m.batch); err != nil {
-		return fmt.Errorf("wal records %d..%d: %w", first, last, err)
+		return fmt.Errorf("wal records %d..%d: %w", bu.First, bu.Last(), err)
 	}
-	for i, ob := range ops {
+	for i, ob := range bu.Ops {
 		op, err := store.DecodeOp(ob)
 		if err != nil {
 			return err
 		}
-		if err := m.store.ApplyAt(first+uint64(i), op); err != nil {
+		if err := m.store.ApplyAt(bu.First+uint64(i), op); err != nil {
 			return err
 		}
-		m.loggedBytes += uint64(len(ob))
 	}
-	m.logBatchLocked(first, ops, stamp) // with the tree VerifyMembers just rebuilt
-	if m.cfg.CheckpointEvery > 0 {
-		m.marks = append(m.marks, versionMark{version: last, digest: m.store.StateDigest(), seq: seq})
-	}
-	m.lastMark = versionMark{version: last, seq: seq}
+	m.appendLogLocked(seq, bu)
+	m.lastMark = versionMark{version: bu.Last(), seq: seq}
 	m.stats.WALReplayed++
 	return nil
 }
 
-// persistState atomically replaces the snapshot file with the state at
-// (version, anchor) and truncates the WAL, whose records are now
+// persistState atomically replaces the snapshot file with snap, anchored
+// at broadcast slot anchor, and truncates the WAL, whose records are now
 // redundant. If the snapshot write fails the WAL is left alone: the
 // previous snapshot plus the intact WAL still reproduce the state.
-func (m *Master) persistState(version, anchor uint64, snapBytes []byte, stamp VersionStamp) {
-	w := wire.NewWriter(len(snapBytes) + 256)
+func (m *Master) persistState(anchor uint64, snap *ckptSnapshot) {
+	w := wire.NewWriter(len(snap.bytes) + 256)
 	w.String_(snapFileMagic)
-	w.Uvarint(version)
+	w.Uvarint(snap.version)
 	w.Uvarint(anchor)
-	w.Bytes_(snapBytes)
-	stamp.Encode(w)
+	w.Bytes_(snap.bytes)
+	snap.stamp.Encode(w)
 	m.walMu.Lock()
 	defer m.walMu.Unlock()
 	if err := wal.WriteFileAtomic(m.snapFilePath(), w.Bytes()); err != nil {
@@ -201,12 +192,10 @@ func (m *Master) persistState(version, anchor uint64, snapBytes []byte, stamp Ve
 // refreshSnapshot signs a freshly captured state snapshot and installs
 // it as the retained snapshot-first snapshot. Spawned from applyBatch
 // when the op bytes logged since the retained snapshot exceed its size,
-// so the OpRecord suffix a snapshot-first sync ships stays bounded by write volume,
-// not by the time-based checkpoint cadence.
+// so the batches a snapshot-first sync ships stay bounded by write
+// volume, not by the time-based checkpoint cadence.
 func (m *Master) refreshSnapshot(snap *ckptSnapshot) {
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap.bytes)))
-	snap.stamp = SignStampWithOp(m.cfg.Keys, snap.version, m.rt.Now(), snap.bytes)
+	m.signSnapshot(snap)
 	m.mu.Lock()
 	if m.snap != nil && snap.version > m.snap.version && snap.version >= m.baseVersion {
 		m.snap = snap
@@ -214,27 +203,6 @@ func (m *Master) refreshSnapshot(snap *ckptSnapshot) {
 	}
 	m.snapRefresh = false
 	m.mu.Unlock()
-}
-
-// walSyncLoop is the interval fsync policy (WALSyncEvery > 0): appended
-// records reach the OS immediately but stable storage only once per
-// interval, trading a bounded window of acked-but-lost writes on a
-// crash for one fsync per interval instead of per batch.
-func (m *Master) walSyncLoop() {
-	for {
-		if m.rt.Sleep(m.cfg.WALSyncEvery) != nil {
-			return
-		}
-		m.mu.Lock()
-		stopped := m.stopped
-		m.mu.Unlock()
-		if stopped {
-			return
-		}
-		m.walMu.Lock()
-		m.wlog.Sync()
-		m.walMu.Unlock()
-	}
 }
 
 // recoverGap closes the gap between replayed durable state and the rest
@@ -274,13 +242,14 @@ func (m *Master) recoverGap() {
 }
 
 // catchUpFrom pulls a state transfer from a peer master and adopts the
-// result wholesale: records (or snapshot + records) verified against the
-// directory's master keys exactly as a slave sync is, then persisted,
-// with broadcast delivery resumed at the anchor the peer captured with
-// the reply. Ordered messages in the skipped range that were not write
-// batches — slave lists, checkpoints, membership changes — are not
-// replayed; all are periodic or idempotent and re-converge through
-// their own channels.
+// result wholesale: batches (or snapshot + batches) verified against the
+// directory's master keys exactly as a slave sync is, logged, then
+// persisted, with broadcast delivery resumed at the anchor the peer
+// captured with the reply — the slot each transferred batch is logged
+// under, since this master's archive starts above it. Ordered messages in
+// the skipped range that were not write batches — slave lists,
+// checkpoints, membership changes — are not replayed; all are periodic or
+// idempotent and re-converge through their own channels.
 func (m *Master) catchUpFrom(peer string) error {
 	masters, err := m.cfg.Directory.VerifiedMasters()
 	if err != nil {
@@ -304,35 +273,22 @@ func (m *Master) catchUpFrom(peer string) error {
 		m.store = st.snap
 		m.baseVersion = st.snap.Version()
 		m.log = nil
-		m.marks = nil
 		m.snap = &ckptSnapshot{version: st.snap.Version(), bytes: st.snapBytes, stamp: st.snapStamp, logged: m.loggedBytes}
 	}
-	applied, err := st.replayOnto(m.store)
-	m.log = append(m.log, applied...)
-	for _, rec := range applied {
-		m.loggedBytes += uint64(len(rec.OpBytes))
-	}
-	if err != nil {
+	if _, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.appendLogLocked(st.anchor, *bu) }); err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	anchor := st.anchor
 	cur := m.store.Version()
-	if m.cfg.CheckpointEvery > 0 && cur > m.baseVersion {
-		m.marks = append(m.marks, versionMark{version: cur, digest: m.store.StateDigest(), seq: anchor})
+	if st.anchor > m.lastMark.seq {
+		m.lastMark = versionMark{version: cur, seq: st.anchor}
 	}
-	if anchor > m.lastMark.seq {
-		m.lastMark = versionMark{version: cur, seq: anchor}
-	}
-	anchor = m.lastMark.seq
-	persistBytes := m.store.EncodeSnapshot()
+	anchor := m.lastMark.seq
+	persist := &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
 	m.stats.RecoverySyncs++
 	m.mu.Unlock()
 
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(persistBytes)))
-	stamp := SignStampWithOp(m.cfg.Keys, cur, m.rt.Now(), persistBytes)
-	m.persistState(cur, anchor, persistBytes, stamp)
+	m.persistState(anchor, m.signSnapshot(persist))
 	m.bcast.ResumeAt(anchor)
 	return nil
 }

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/pki"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // durableOpts is the write-heavy single/dual-master tuning shared by the
@@ -168,6 +170,54 @@ func TestKeepAliveStampsAckedVersion(t *testing.T) {
 			t.Fatalf("%s at version %d with %d updates synced, want version %d reached by pushes alone",
 				sl.Addr(), sl.Version(), sl.Stats().UpdatesSynced, m.Version())
 		}
+	}
+}
+
+// TestAdoptKeepAliveStampsAckedVersion delivers a bcAdopt while a batch
+// is held between its WAL sync and its acknowledgement. The keep-alive
+// that repoints the adopted slave at this master must name the
+// acknowledged version, as the periodic ones do, not the batch still in
+// its WAL sync.
+func TestAdoptKeepAliveStampsAckedVersion(t *testing.T) {
+	r := newMasterRig(t, func(c *MasterConfig) { c.DataDir = t.TempDir() })
+	t.Cleanup(r.master.Stop)
+	held := false
+	r.master.walHook = func(uint64) { held = true; r.s.Sleep(time.Second); held = false }
+	var stamped []uint64
+	r.net.Register("orphan", func(from, method string, body []byte) ([]byte, error) {
+		if method == MethodKeepAlive {
+			stamp, err := DecodeStamp(wire.NewReader(body))
+			if err != nil {
+				return nil, err
+			}
+			stamped = append(stamped, stamp.Version)
+		}
+		return nil, nil
+	})
+	orphan := pki.Certificate{Role: pki.RoleSlave, Addr: "orphan", Subject: cryptoutil.DeriveKeyPair("slave", 0).Public}
+	adopt := wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(bcAdopt)
+		w.String_("dead")
+		w.Uvarint(1)
+		w.String_("master") // the orphan's new owner
+		orphan.Encode(w)
+	})
+	r.s.Go(func() {
+		r.s.Spawn(func() { r.write(r.client, store.Put{Key: "x", Value: []byte("1")}) })
+		for !held {
+			r.s.Sleep(time.Millisecond)
+		}
+		r.master.deliver(0, adopt)
+		r.s.Sleep(2 * time.Second)
+	})
+	r.s.Run()
+
+	if r.master.Version() != 2 || r.master.Stats().SlavesAdopted != 1 {
+		t.Fatalf("master at version %d with %d slaves adopted, want the held write committed and one adoption",
+			r.master.Version(), r.master.Stats().SlavesAdopted)
+	}
+	if len(stamped) == 0 || stamped[0] != 1 {
+		t.Fatalf("adopted slave's keep-alives named versions %v, want the acknowledged 1 first", stamped)
 	}
 }
 

@@ -181,14 +181,14 @@ func FuzzDecodePledge(f *testing.F) {
 // FuzzDecodeStateTransfer drives the m.sync reply verifier — what a slave's
 // sync, a slave's Bootstrap and a restarted master's catch-up all read —
 // over arbitrary bytes, seeded with every reply of the tamper table. The
-// invariants: no panic on any input; no more records come out than bytes
-// went in; whatever is accepted re-encodes to a reply that is accepted
-// again and reads the same, and that re-encoding is a fixed point.
+// invariants: no panic on any input; no more batches or ops come out than
+// bytes went in; whatever is accepted re-encodes to a reply that is
+// accepted again and reads the same, and that re-encoding is a fixed point.
 func FuzzDecodeStateTransfer(f *testing.F) {
 	m, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
 	now := time.Unix(1, 0)
 	for _, tc := range transferTamperCases {
-		f.Add(tc.reply(m, evil, now))
+		f.Add(tc.reply(m, evil, now, max(tc.at, 1)+1))
 	}
 	records := honestTransfer(m, now, 1)
 	records.snap = nil
@@ -198,7 +198,7 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 
 	trusted := []cryptoutil.PublicKey{m.Public}
 	encode := func(st *stateTransfer) []byte {
-		p := transferParts{recs: st.recs, closing: st.closing, anchor: st.anchor}
+		p := transferParts{batches: st.batches, closing: st.closing, anchor: st.anchor}
 		if st.snap != nil {
 			p.snap = &ckptSnapshot{bytes: st.snapBytes, stamp: st.snapStamp}
 		}
@@ -212,8 +212,15 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 			}
 			return
 		}
-		if len(st.recs) > len(data) || len(st.ops) != len(st.recs) {
-			t.Fatalf("%d records and %d ops out of %d bytes", len(st.recs), len(st.ops), len(data))
+		ops := 0
+		for i := range st.batches {
+			if len(st.ops[i]) != len(st.batches[i].Ops) {
+				t.Fatalf("batch %d: %d ops decoded of %d", i, len(st.ops[i]), len(st.batches[i].Ops))
+			}
+			ops += len(st.ops[i])
+		}
+		if len(st.batches) > len(data) || ops > len(data) || len(st.ops) != len(st.batches) {
+			t.Fatalf("%d batches and %d ops out of %d bytes", len(st.batches), ops, len(data))
 		}
 		enc := encode(st)
 		again, err := decodeStateTransfer(enc, trusted, nil)
@@ -221,13 +228,19 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 			t.Fatalf("re-encoded reply is refused: %v", err)
 		}
 		if (again.snap == nil) != (st.snap == nil) || !bytes.Equal(again.snapBytes, st.snapBytes) ||
-			len(again.recs) != len(st.recs) || again.anchor != st.anchor ||
+			len(again.batches) != len(st.batches) || again.anchor != st.anchor ||
 			!bytes.Equal(again.closing.signedBytes(), st.closing.signedBytes()) || !bytes.Equal(again.closing.Sig, st.closing.Sig) {
 			t.Fatalf("round trip changed the reply: %+v -> %+v", st, again)
 		}
-		for i := range st.recs {
-			if again.recs[i].Version != st.recs[i].Version || !bytes.Equal(again.recs[i].OpBytes, st.recs[i].OpBytes) {
-				t.Fatalf("round trip changed record %d", i)
+		for i, bu := range st.batches {
+			if again.batches[i].First != bu.First || len(again.batches[i].Ops) != len(bu.Ops) ||
+				!bytes.Equal(again.batches[i].Stamp.Sig, bu.Stamp.Sig) {
+				t.Fatalf("round trip changed batch %d", i)
+			}
+			for j := range bu.Ops {
+				if !bytes.Equal(again.batches[i].Ops[j], bu.Ops[j]) {
+					t.Fatalf("round trip changed op %d of batch %d", j, i)
+				}
 			}
 		}
 		if !bytes.Equal(encode(again), enc) {

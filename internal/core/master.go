@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/broadcast"
 	"repro/internal/cryptoutil"
-	"repro/internal/merkle"
 	"repro/internal/pki"
 	"repro/internal/rpc"
 	"repro/internal/sim"
@@ -52,7 +52,7 @@ type MasterStats struct {
 
 	CheckpointsProposed uint64 // stability checkpoints this master broadcast
 	CheckpointsApplied  uint64 // delivered checkpoints that truncated history
-	OpsTruncated        uint64 // OpRecords dropped from the log after stability
+	OpsTruncated        uint64 // ops dropped from the log (in whole batches) after stability
 
 	WALReplayed       uint64 // batches replayed from the WAL at start
 	RecoverySyncs     uint64 // wholesale catch-up syncs performed at start
@@ -92,9 +92,6 @@ type MasterConfig struct {
 	CPU *sim.Resource
 	// Seed drives throttling randomness.
 	Seed int64
-	// SlaveListEvery is how often the master broadcasts its slave list
-	// (0 = 4x KeepAliveEvery).
-	SlaveListEvery time.Duration
 	// BatchSize is the maximum number of concurrent writes accumulated
 	// into one batched commit (one signature, one broadcast, one slave
 	// update). <=1 disables accumulation: every write commits alone, as
@@ -117,9 +114,10 @@ type MasterConfig struct {
 	// proposes truncating history below it. 0 disables checkpointing
 	// (the op log and broadcast archive then grow with total writes).
 	CheckpointEvery time.Duration
-	// CheckpointMinRetain is the minimum number of recent OpRecords kept
-	// in the log regardless of stability, so slightly-behind slaves sync
-	// by record replay instead of snapshot transfer (0 = 64).
+	// CheckpointMinRetain is the minimum number of recent ops kept in the
+	// log regardless of stability, so slightly-behind slaves sync by batch
+	// replay instead of snapshot transfer (0 = 64). The log holds whole
+	// batches, so it keeps up to one batch more.
 	CheckpointMinRetain int
 	// CheckpointMaxLag is how long a slave may stay silent before it
 	// stops gating stability; a slave silent longer recovers via
@@ -131,15 +129,10 @@ type MasterConfig struct {
 	// snapshot file and truncates the log below the stable point. On
 	// start the directory is loaded — snapshot, then WAL suffix — so a
 	// restarted master resumes from its pre-crash state and rejoins the
-	// broadcast instead of being reprovisioned. Empty (the default)
-	// keeps the master pure in-memory.
+	// broadcast instead of being reprovisioned. Every batch is fsynced
+	// before its writers are acked, so an acked write survives a crash.
+	// Empty (the default) keeps the master pure in-memory.
 	DataDir string
-	// WALSyncEvery is the WAL fsync policy: 0 (the default) fsyncs every
-	// batch before clients are acked, so an acked write survives a
-	// crash; > 0 fsyncs on that interval instead — the usual
-	// group-commit trade of a bounded window of acked-but-lost writes
-	// for fewer fsyncs. Ignored without DataDir.
-	WALSyncEvery time.Duration
 }
 
 type slaveEntry struct {
@@ -168,10 +161,9 @@ type Master struct {
 
 	mu          sync.Mutex
 	store       *store.Store            // guarded by mu
-	baseVersion uint64                  // guarded by mu; floor of the retained log (initial version, then advanced by checkpoints)
-	log         []OpRecord              // guarded by mu; log[v-baseVersion-1] = committed op + evidence for v
+	baseVersion uint64                  // guarded by mu; floor of the retained log (initial version, then the last version of a truncated batch)
+	log         []loggedBatch           // guarded by mu; the committed batches above baseVersion, in order
 	acks        map[string]slaveAck     // guarded by mu; slave addr -> newest acknowledged version
-	marks       []versionMark           // guarded by mu; batch boundaries: version -> (digest, broadcast seq)
 	checkpoint  Checkpoint              // guarded by mu; most recent stability checkpoint recorded
 	snap        *ckptSnapshot           // guarded by mu; retained snapshot for snapshot-first sync
 	snapRefresh bool                    // guarded by mu; a snapshot refresh is signing off-lock
@@ -182,8 +174,6 @@ type Master struct {
 	nextWriteAt time.Time               // guarded by mu
 	batchQueue  []batchWaiter           // guarded by mu; admitted writes awaiting the next flush
 	batchGen    uint64                  // guarded by mu; flush generation (dedups timer flushes)
-	timerArmed  bool                    // guarded by mu; a timeout flush is scheduled for the open batch
-	timerGen    uint64                  // guarded by mu; generation the armed timer belongs to
 	arrivalEWMA time.Duration           // guarded by mu; smoothed write inter-arrival gap (adaptive flush)
 	lastArrival time.Time               // guarded by mu; previous write's arrival (adaptive flush)
 	slaves      []slaveEntry            // guarded by mu
@@ -203,8 +193,8 @@ type Master struct {
 	inflight map[uint64][]batchWaiter // guarded by mu
 
 	// Durable state (DataDir set; see durable.go). walMu serializes the
-	// log file operations — the delivery drainer appends while the
-	// interval-fsync loop syncs and checkpoint application rewrites.
+	// log file operations — the delivery drainer appends and syncs,
+	// checkpoint application and catch-up rewrite, Stop syncs.
 	walMu   sync.Mutex
 	wlog    *wal.Log     // write-ahead log (nil without DataDir)
 	walHook func(uint64) // test hook: after WAL append+sync, before acks
@@ -223,9 +213,6 @@ type Master struct {
 // NewMaster creates a master over an initial content replica (cloned).
 // Call Start to launch its background loops.
 func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.Store) (*Master, error) {
-	if cfg.SlaveListEvery == 0 {
-		cfg.SlaveListEvery = 4 * cfg.Params.KeepAliveEvery
-	}
 	if cfg.BatchSize < 1 {
 		cfg.BatchSize = 1
 	}
@@ -297,9 +284,6 @@ func (m *Master) startLoops() {
 	m.rt.Spawn(m.crashMonitorLoop)
 	if m.cfg.CheckpointEvery > 0 {
 		m.rt.Spawn(m.checkpointLoop)
-	}
-	if m.wlog != nil && m.cfg.WALSyncEvery > 0 {
-		m.rt.Spawn(m.walSyncLoop)
 	}
 }
 
@@ -508,13 +492,11 @@ func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
 // BatchTimeout; with BatchSize <= 1 every write flushes immediately, as
 // a batch of one.
 //
-// The timer is armed exactly once per batch, when the queue goes from
-// empty to non-empty, and both the armed flag and the firing check are
-// keyed by that batch's generation. Keying by a shared boolean instead
-// let a stale timer task from an earlier generation clear the flag and
-// re-arm mid-batch, so under synchronized writers back-to-back waves
-// were cut into sub-size timer flushes instead of coalescing into full
-// batches (visible as E15's BatchFlushTimer column).
+// The timer is armed when the queue goes from empty to non-empty and
+// carries that batch's generation; flushBatch ignores a generation that
+// has already flushed, so a timer that lost the race to a full flush does
+// nothing and never cuts the next batch short (visible as E15's
+// BatchFlushTimer column).
 func (m *Master) enqueueWrite(bw batchWaiter) error {
 	m.mu.Lock()
 	// Adaptive flush bookkeeping: smooth the inter-arrival gap so the
@@ -546,12 +528,8 @@ func (m *Master) enqueueWrite(bw batchWaiter) error {
 	full := len(m.batchQueue) >= m.cfg.BatchSize
 	armTimer := !full && len(m.batchQueue) == 1
 	timeout := m.cfg.BatchTimeout
-	if armTimer {
-		m.timerArmed = true
-		m.timerGen = m.batchGen
-		if m.cfg.BatchAdaptive {
-			timeout = adaptiveFlushTimeout(m.arrivalEWMA, m.cfg.BatchTimeout)
-		}
+	if armTimer && m.cfg.BatchAdaptive {
+		timeout = adaptiveFlushTimeout(m.arrivalEWMA, m.cfg.BatchTimeout)
 	}
 	gen := m.batchGen
 	m.mu.Unlock()
@@ -561,17 +539,7 @@ func (m *Master) enqueueWrite(bw batchWaiter) error {
 	}
 	if armTimer {
 		m.rt.Spawn(func() {
-			if m.rt.Sleep(timeout) != nil {
-				return
-			}
-			m.mu.Lock()
-			fire := m.timerArmed && m.timerGen == gen &&
-				m.batchGen == gen && len(m.batchQueue) > 0
-			if m.timerArmed && m.timerGen == gen {
-				m.timerArmed = false
-			}
-			m.mu.Unlock()
-			if fire {
+			if m.rt.Sleep(timeout) == nil {
 				m.flushBatch(gen, true)
 			}
 		})
@@ -617,9 +585,6 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) error {
 	m.batchNo++
 	no := m.batchNo
 	m.inflight[no] = batch
-	if m.timerArmed && m.timerGen == gen {
-		m.timerArmed = false // this batch's timer lost the race; disarm it
-	}
 	if byTimer {
 		m.stats.BatchFlushTimer++
 	} else {
@@ -861,40 +826,32 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 
 	// One signature per batch (§3.4 amortization), over the root of the
 	// batch's merkle tree — a tree of one leaf when the commit is a single
-	// write. The op log keeps a membership proof per op (sync replies can
-	// ship part of a batch); the update pushed to the slaves below ships
-	// none.
+	// write. The log, the WAL, the slaves and every later sync get the
+	// batch whole, so none of them needs a membership proof.
 	now := m.rt.Now()
 	count := uint64(len(ops))
-	stamp := SignBatchStamp(m.cfg.Keys, last, now, m.batch.rebuild(first, ops).Root())
-	m.logBatchLocked(first, ops, stamp)
-	// Mark the batch boundary for the checkpoint machinery: the state
-	// digest here is what a checkpoint at version `last` would certify,
-	// and seq is the archive slot stability can truncate up to. Without
-	// checkpointing nothing ever prunes the marks, so skip them.
-	if m.cfg.CheckpointEvery > 0 {
-		m.marks = append(m.marks, versionMark{version: last, digest: m.store.StateDigest(), seq: seq})
-	}
+	bu := BatchUpdate{First: first, Ops: ops,
+		Stamp: SignBatchStamp(m.cfg.Keys, last, now, m.batch.rebuild(first, ops).Root())}
+	m.appendLogLocked(seq, bu)
 	// The newest applied batch is the recovery anchor: a restart that
 	// replays durable state up to `last` resumes broadcast delivery at
 	// seq+1, and catch-up syncs report it so a recovering peer can
-	// anchor likewise. Maintained even without checkpointing.
+	// anchor likewise.
 	m.lastMark = versionMark{version: last, seq: seq}
-	// Build the WAL record while the lock pins (seq, first, ops, stamp)
-	// consistent; the append itself happens below, off-lock but still
-	// inside the serialized delivery drainer.
+	// Build the WAL record while the lock pins the batch consistent; the
+	// append itself happens below, off-lock but still inside the
+	// serialized delivery drainer.
 	var walRec []byte
 	if m.wlog != nil {
-		walRec = encodeWALRecord(seq, first, ops, stamp)
+		walRec = encodeWALRecord(seq, &bu)
 	}
 	// Snapshot-refresh trigger (bounds the snapshot-first sync suffix):
 	// the retained snapshot otherwise only advances when a checkpoint
-	// applies, so under a sustained write rate the OpRecord suffix such a
-	// sync ships grows with rate x CheckpointEvery. Re-encode the state
-	// once the op bytes logged since the snapshot exceed its own size: no
-	// sync ships a suffix larger than its snapshot, and re-encoding costs
+	// applies, so under a sustained write rate the batches such a sync
+	// ships grow with rate x CheckpointEvery. Re-encode the state once
+	// the op bytes logged since the snapshot exceed its own size: no sync
+	// ships a suffix larger than its snapshot, and re-encoding costs
 	// amortised O(1) per written byte. Signing happens off-lock.
-	m.loggedBytes += uint64(opBytesTotal)
 	var refresh *ckptSnapshot
 	if m.snap != nil && !m.snapRefresh && m.loggedBytes-m.snap.logged > uint64(len(m.snap.bytes)) {
 		m.snapRefresh = true
@@ -919,14 +876,13 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 
 	// Durability before acknowledgement: the batch's record reaches the
-	// WAL (and, under the per-batch fsync policy, stable storage) before
-	// any waiter is released, so an acked write is never lost to a
-	// restart. A write error degrades durability, not consistency — the
-	// batch is already committed cluster-wide — so it must not fail the
-	// ack.
+	// WAL and stable storage before any waiter is released, so an acked
+	// write is never lost to a restart. A write error degrades
+	// durability, not consistency — the batch is already committed
+	// cluster-wide — so it must not fail the ack.
 	if walRec != nil {
 		m.walMu.Lock()
-		if err := m.wlog.Append(walRec); err == nil && m.cfg.WALSyncEvery == 0 {
+		if err := m.wlog.Append(walRec); err == nil {
 			m.wlog.Sync()
 		}
 		m.walMu.Unlock()
@@ -943,7 +899,8 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
-	frame := EncodeBatchUpdate(BatchUpdate{First: first, Ops: ops, Stamp: stamp, MasterAddr: m.cfg.Addr})
+	bu.MasterAddr = m.cfg.Addr
+	frame := EncodeBatchUpdate(bu)
 	for _, sl := range slaves {
 		sl := sl
 		m.rt.Spawn(func() {
@@ -961,24 +918,32 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 }
 
-// logBatchLocked appends one committed batch's OpRecords to the op log,
-// with proofs from m.batch.tree, which the caller has just rebuilt over
-// ops. Caller holds m.mu (or runs before concurrency, in replay).
-func (m *Master) logBatchLocked(first uint64, ops [][]byte, stamp VersionStamp) {
-	tree := &m.batch.tree
-	// The log retains the proofs, so their steps must own fresh memory —
-	// but one backing array covers the whole batch.
-	depth := tree.Depth()
-	backing := make([]merkle.ProofStep, len(ops)*depth)
-	for i, opBytes := range ops {
-		off := i * depth
-		// i indexes the tree just built over ops, so ProveInto cannot fail.
-		proof, _ := tree.ProveInto(i, backing[off:off:off+depth])
-		m.log = append(m.log, OpRecord{
-			Version: first + uint64(i), OpBytes: opBytes,
-			Stamp: stamp, First: first, Count: uint64(len(ops)), Proof: proof,
-		})
+// loggedBatch is one entry of the master's op log: a committed batch
+// whole, as its WAL record holds it — the broadcast slot that carried it,
+// then first, ops and stamp, which s.updatebatch pushes and m.sync replays
+// — plus the state digest after it, which a checkpoint at the batch's last
+// version certifies.
+type loggedBatch struct {
+	BatchUpdate
+	seq    uint64
+	digest cryptoutil.Digest
+}
+
+// appendLogLocked logs a batch the store has just applied, with the state
+// digest it left. Caller holds m.mu (or runs before concurrency, in
+// replay).
+func (m *Master) appendLogLocked(seq uint64, bu BatchUpdate) {
+	m.log = append(m.log, loggedBatch{BatchUpdate: bu, seq: seq, digest: m.store.StateDigest()})
+	for _, op := range bu.Ops {
+		m.loggedBytes += uint64(len(op))
 	}
+}
+
+// logIndexLocked is the index of the first logged batch whose last
+// version is at or above v: the batch holding v, when v is logged. Caller
+// holds m.mu.
+func (m *Master) logIndexLocked(v uint64) int {
+	return sort.Search(len(m.log), func(i int) bool { return m.log[i].Last() >= v })
 }
 
 // --- Setup / assignment ----------------------------------------------------
@@ -1280,16 +1245,7 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 			m.mu.Unlock()
 		}
 		// Bring it up to date immediately with a keep-alive.
-		m.rt.Spawn(func() {
-			m.mu.Lock()
-			version := m.ackedVersionLocked()
-			m.mu.Unlock()
-			stamp := SignStamp(m.cfg.Keys, version, m.rt.Now())
-			w := wire.NewWriter(160)
-			stamp.Encode(w)
-			w.String_(m.cfg.Addr)
-			m.dlr.CallTimeout(cert.Addr, MethodKeepAlive, w.Bytes(), m.cfg.Params.ReadTimeout)
-		})
+		m.rt.Spawn(func() { m.sendKeepAlives([]slaveEntry{{addr: cert.Addr}}) })
 	}
 }
 
@@ -1313,38 +1269,49 @@ func (m *Master) keepAliveLoop() {
 			m.mu.Unlock()
 			return
 		}
-		version := m.ackedVersionLocked()
 		slaves := append([]slaveEntry(nil), m.slaves...)
 		m.mu.Unlock()
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-		stamp := SignStamp(m.cfg.Keys, version, m.rt.Now())
-		// Detached frame: the dialer tasks below retain it.
-		frame := wire.EncodeFrame(func(w *wire.Writer) {
-			stamp.Encode(w)
-			w.String_(m.cfg.Addr)
-		})
-		for _, sl := range slaves {
-			sl := sl
-			m.rt.Spawn(func() {
-				// The slave's reply acknowledges its applied version — the
-				// stability signal the checkpoint machinery runs on.
-				ack, err := m.dlr.CallTimeout(sl.addr, MethodKeepAlive, frame, m.cfg.Params.KeepAliveEvery)
-				if err == nil {
-					if v, ok := parseAck(ack); ok {
-						m.recordAck(sl.addr, v)
-					}
-				}
-				m.mu.Lock()
-				m.stats.KeepAlivesSent++
-				m.mu.Unlock()
-			})
-		}
+		m.sendKeepAlives(slaves)
 	}
 }
 
+// sendKeepAlives signs one stamp for the acknowledged version — never one
+// still in its WAL sync — and sends it to each slave, recording the
+// version each acknowledges in reply: the stability signal the checkpoint
+// machinery runs on. The periodic loop, a readmission and an adoption all
+// send through it.
+func (m *Master) sendKeepAlives(slaves []slaveEntry) {
+	m.mu.Lock()
+	version := m.ackedVersionLocked()
+	m.mu.Unlock()
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	stamp := SignStamp(m.cfg.Keys, version, m.rt.Now())
+	// Detached frame: the dialer tasks below retain it.
+	frame := wire.EncodeFrame(func(w *wire.Writer) {
+		stamp.Encode(w)
+		w.String_(m.cfg.Addr)
+	})
+	for _, sl := range slaves {
+		sl := sl
+		m.rt.Spawn(func() {
+			ack, err := m.dlr.CallTimeout(sl.addr, MethodKeepAlive, frame, m.cfg.Params.KeepAliveEvery)
+			if err == nil {
+				if v, ok := parseAck(ack); ok {
+					m.recordAck(sl.addr, v)
+				}
+			}
+			m.mu.Lock()
+			m.stats.KeepAlivesSent++
+			m.mu.Unlock()
+		})
+	}
+}
+
+// slaveListLoop broadcasts this master's slave set every four keep-alive
+// intervals.
 func (m *Master) slaveListLoop() {
 	for {
-		if m.rt.Sleep(m.cfg.SlaveListEvery) != nil {
+		if m.rt.Sleep(4*m.cfg.Params.KeepAliveEvery) != nil {
 			return
 		}
 		m.mu.Lock()
@@ -1367,10 +1334,10 @@ func (m *Master) slaveListLoop() {
 
 // crashMonitorLoop watches for crashed masters and initiates slave-set
 // redistribution (§3: "in the event of a master crash, the remaining ones
-// will divide its slave set").
+// will divide its slave set"), as often as slave lists are broadcast.
 func (m *Master) crashMonitorLoop() {
 	for {
-		if m.rt.Sleep(m.cfg.SlaveListEvery) != nil {
+		if m.rt.Sleep(4*m.cfg.Params.KeepAliveEvery) != nil {
 			return
 		}
 		m.mu.Lock()
@@ -1509,17 +1476,7 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 	}
 	// Repoint adopted slaves at this master immediately with a keep-alive
 	// carrying our stamp; the slave learns its new sync source.
-	for _, e := range mine {
-		e := e
-		m.rt.Spawn(func() {
-			m.mu.Lock()
-			version := m.store.Version()
-			m.mu.Unlock()
-			stamp := SignStamp(m.cfg.Keys, version, m.rt.Now())
-			w := wire.NewWriter(128)
-			stamp.Encode(w)
-			w.String_(m.cfg.Addr)
-			m.dlr.CallTimeout(e.addr, MethodKeepAlive, w.Bytes(), m.cfg.Params.ReadTimeout)
-		})
+	if len(mine) > 0 {
+		m.rt.Spawn(func() { m.sendKeepAlives(mine) })
 	}
 }

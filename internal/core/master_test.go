@@ -137,8 +137,8 @@ func TestMasterWriteCommitsAndLogs(t *testing.T) {
 }
 
 // TestMasterSyncServesStampedOps: two writes that committed alone come
-// back as two records, each a batch of one — its own batch stamp, a proof
-// without steps — under a closing stamp for the master's version.
+// back as two records, each a batch of one under its own batch stamp,
+// then a closing stamp for the master's version.
 func TestMasterSyncServesStampedOps(t *testing.T) {
 	r := newMasterRig(t, nil)
 	var st *stateTransfer
@@ -153,16 +153,15 @@ func TestMasterSyncServesStampedOps(t *testing.T) {
 	if st == nil {
 		t.FailNow()
 	}
-	if st.snap != nil || len(st.recs) != 2 {
-		t.Fatalf("sync returned snapshot=%v and %d records, want records only, 2", st.snap != nil, len(st.recs))
+	if st.snap != nil || len(st.batches) != 2 {
+		t.Fatalf("sync returned snapshot=%v and %d batches, want batches only, 2", st.snap != nil, len(st.batches))
 	}
-	for i, rec := range st.recs {
-		v := uint64(2 + i)
-		if rec.Version != v || rec.First != v || rec.Count != 1 || len(rec.Proof.Steps) != 0 || rec.Stamp.Kind != stampKindBatch {
-			t.Fatalf("record %d is not a batch of one at version %d: %+v", i, v, rec)
+	for i, bu := range st.batches {
+		if v := uint64(2 + i); bu.First != v || len(bu.Ops) != 1 || bu.Stamp.Kind != stampKindBatch || bu.Stamp.Version != v {
+			t.Fatalf("record %d is not a batch of one at version %d: %+v", i, v, bu)
 		}
 	}
-	if string(st.recs[0].Stamp.Sig) == string(st.recs[1].Stamp.Sig) {
+	if string(st.batches[0].Stamp.Sig) == string(st.batches[1].Stamp.Sig) {
 		t.Fatal("two commits share one stamp")
 	}
 	if st.closing.Version != 3 || st.anchor == 0 {
@@ -189,8 +188,8 @@ func TestMasterSyncPreBaseServedSnapshotFirst(t *testing.T) {
 		if st.snap == nil || st.snap.Version() != 2 || !st.snap.StateDigest().Equal(r.master.StateDigest()) {
 			t.Fatalf("from %d: reply does not carry the master's state at version 2", from)
 		}
-		if len(st.recs) != 0 || st.closing.Version != 2 {
-			t.Fatalf("from %d: %d records, closing stamp for %d; want 0 and 2", from, len(st.recs), st.closing.Version)
+		if len(st.batches) != 0 || st.closing.Version != 2 {
+			t.Fatalf("from %d: %d batches, closing stamp for %d; want 0 and 2", from, len(st.batches), st.closing.Version)
 		}
 		if got := r.master.Stats(); got.SyncsServed != 1 || got.SnapshotSyncs != 1 {
 			t.Fatalf("from %d: stats %+v", from, got)
@@ -435,9 +434,9 @@ func TestRemovedRoutesAnswerUnknownMethod(t *testing.T) {
 }
 
 // TestMasterBatchedSyncSharesOneStamp commits a multi-op batch (one
-// batch-root signature) and syncs it back: the reply preserves the batch
-// evidence — every record under the one shared stamp, bound to it by its
-// own membership proof.
+// batch-root signature) and syncs it back from inside it: the reply
+// carries the whole batch under its one stamp, which the reader checks
+// once.
 func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 	r := newMasterRig(t, func(cfg *MasterConfig) {
 		cfg.BatchSize = 4
@@ -456,7 +455,7 @@ func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 			r.s.Spawn(func() { r.write(r.client, op) })
 		}
 		r.s.Sleep(time.Second) // let the batch commit
-		st = r.sync(t, 2)
+		st = r.sync(t, 4)      // inside the batch 2..5
 	})
 	r.s.Run()
 	if got := r.master.Version(); got != 5 {
@@ -468,17 +467,55 @@ func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 	if st == nil {
 		t.FailNow()
 	}
-	if len(st.recs) != 4 || st.sigMisses != 2 || st.sigHits != 3 {
-		t.Fatalf("%d records, %d signatures checked and %d memoised; want 4, 2 (batch and closing stamp), 3",
-			len(st.recs), st.sigMisses, st.sigHits)
+	if len(st.batches) != 1 || st.sigMisses != 2 || st.sigHits != 0 {
+		t.Fatalf("%d batches, %d signatures checked and %d memoised; want 1, 2 (batch and closing stamp), 0",
+			len(st.batches), st.sigMisses, st.sigHits)
 	}
-	for i, rec := range st.recs {
-		if rec.First != 2 || rec.Count != 4 || rec.Version != uint64(2+i) || rec.Proof.Index != i {
-			t.Fatalf("record %d batch geometry: %+v", i, rec)
+	if bu := st.batches[0]; bu.First != 2 || len(bu.Ops) != 4 || bu.Stamp.Version != 5 {
+		t.Fatalf("batch geometry: first %d, %d ops, stamp for %d; want 2, 4, 5", bu.First, len(bu.Ops), bu.Stamp.Version)
+	}
+}
+
+// TestMasterSyncReplyCarriesNoProofs bounds an m.sync reply for k batches
+// by its ops and k+1 stamps — one per batch and the closing one. A
+// membership proof per op, or a copy of the stamp per op, would add more
+// than a hundred bytes per op.
+func TestMasterSyncReplyCarriesNoProofs(t *testing.T) {
+	const k, n = 3, 64
+	r, _ := waveRig(t, func(cfg *MasterConfig) { cfg.BatchSize = n })
+	var body []byte
+	r.s.Go(func() {
+		for i := 0; i < k; i++ {
+			if _, err := r.master.Handle("client", MethodWriteMulti, encodeWave(SignWave(r.client, waveOps(n)))); err != nil {
+				t.Errorf("wave %d: %v", i, err)
+				return
+			}
 		}
-		if string(rec.Stamp.Sig) != string(st.recs[0].Stamp.Sig) {
-			t.Fatal("batch records do not share one signature")
+		var err error
+		body, err = r.master.Handle("slave", MethodSync, wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(2) }))
+		if err != nil {
+			t.Errorf("sync: %v", err)
 		}
+	})
+	r.s.Run()
+	st, err := decodeStateTransfer(body, []cryptoutil.PublicKey{r.master.PublicKey()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.batches) != k {
+		t.Fatalf("%d batches, want %d", len(st.batches), k)
+	}
+	stampLen := len(wire.EncodeFrame(st.closing.Encode))
+	opBytes := 0
+	for _, bu := range st.batches {
+		for _, op := range bu.Ops {
+			opBytes += 2 + len(op) // a length prefix below 2^14, then the op
+		}
+	}
+	// Per batch: first and op count, at most three bytes each.
+	if limit := opBytes + (k+1)*stampLen + k*6 + 16; len(body) > limit {
+		t.Fatalf("reply for %d batches of %d ops is %d bytes, above the %d its ops and %d stamps take",
+			k, n, len(body), limit, k+1)
 	}
 }
 

@@ -307,16 +307,13 @@ func TestStampDomainSeparation(t *testing.T) {
 	// A stamp signed in the per-op domain over a value that is a valid
 	// batch root must not be accepted as batch evidence.
 	tree := BatchTree(7, [][]byte{op})
-	proof, err := tree.Prove(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	perOpDomain := VersionStamp{Version: 7, Timestamp: ts, OpDigest: tree.Root(), MasterPub: master.Public}
 	perOpDomain.Sig = master.Sign(perOpDomain.signedBytes())
 	if err := perOpDomain.Verify(trusted); err != nil {
 		t.Fatalf("per-op-domain stamp must verify as a stamp: %v", err)
 	}
-	if err := VerifyBatchMember(&perOpDomain, 7, 1, 7, op, proof); err == nil {
+	bu := BatchUpdate{First: 7, Ops: [][]byte{op}, Stamp: perOpDomain}
+	if err := bu.VerifyMembers(new(batchScratch)); err == nil {
 		t.Fatal("per-op-domain stamp accepted as a batch root")
 	}
 

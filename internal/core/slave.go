@@ -175,7 +175,7 @@ func (s *Slave) Bootstrap() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.store = st.snap
-	if _, err := st.replayOnto(s.store); err != nil {
+	if _, err := st.replayOnto(s.store, nil); err != nil {
 		return err
 	}
 	s.lastStamp = st.closing
@@ -343,7 +343,7 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 // syncFrom pulls the updates the replica is missing from a master and
 // applies them in order. When the master has truncated the wanted history
 // below a stability checkpoint the reply is snapshot-first: the snapshot
-// replaces the replica if it is newer, and the records committed after it
+// replaces the replica if it is newer, and the batches committed after it
 // are replayed on top.
 //
 // Syncs are single-flight: every keep-alive or update that shows the
@@ -376,8 +376,8 @@ func (s *Slave) syncFrom(masterAddr string) error {
 		s.store = st.snap
 		s.stats.SnapshotSyncs++
 	}
-	applied, err := st.replayOnto(s.store)
-	s.stats.UpdatesSynced += uint64(len(applied))
+	applied, err := st.replayOnto(s.store, nil)
+	s.stats.UpdatesSynced += uint64(applied)
 	if err != nil {
 		return err
 	}

@@ -256,12 +256,12 @@ func TestSlaveGapTriggersSync(t *testing.T) {
 		if method != MethodSync {
 			return nil, errors.New("unexpected method")
 		}
-		var recs []OpRecord
+		var batches []BatchUpdate
 		for i, op := range ops {
-			recs = append(recs, batchRecords(r.master, uint64(2+i), []store.Op{op}, r.s.Now())...)
+			batches = append(batches, signedBatch(r.master, uint64(2+i), []store.Op{op}, r.s.Now()))
 		}
 		w := wire.NewWriter(512)
-		encodeStateTransfer(w, nil, recs, SignStamp(r.master, 3, r.s.Now()), 0)
+		encodeStateTransfer(w, nil, batches, SignStamp(r.master, 3, r.s.Now()), 0)
 		return w.Bytes(), nil
 	})
 	r.s.Go(func() {

@@ -5,18 +5,25 @@ package core
 // being (re)provisioned and a restarted master whose gap no broadcast
 // archive can close all send m.sync and all read the reply through
 // decodeStateTransfer, which hands nothing back until every signature and
-// binding in it has checked out.
+// batch in it has checked out.
 //
 //	request  uvarint from — the first version wanted; 0 asks for everything
-//	reply    mode byte ‖ [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × OpRecord
-//	         ‖ closing stamp ‖ uvarint anchor
+//	reply    mode byte ‖ [bytes snapshot ‖ stamp] ‖ uvarint n ‖
+//	         n × (uvarint first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖
+//	         closing stamp ‖ uvarint anchor
 //
-// Mode 0 is records only. Mode 1 is snapshot-first, sent when from is at
-// or below the retained log's base: a store snapshot under a stamp
-// whose digest is the hash of its bytes, then the records committed after
-// it. The closing stamp certifies the version the reply brings a replica
-// to; anchor is the broadcast slot of the newest batch inside the reply,
-// where a recovering master resumes delivery (slaves ignore it).
+// Mode 0 is batches only. Mode 1 is snapshot-first, sent when from is at
+// or below the retained log's base: a store snapshot under a stamp whose
+// digest is the hash of its bytes, then the batches committed after it.
+// A batch travels in the one shape committed history has everywhere — the
+// master's log entry and WAL record, an s.updatebatch frame without the
+// master address — and is checked the way a slave checks a pushed one
+// (BatchUpdate.VerifyMembers): one stamp per batch, no membership proofs.
+// The master logs whole batches, so a request from inside a batch gets
+// all of it and the replica skips the ops it already holds. The closing
+// stamp certifies the version the reply brings a replica to; anchor is the
+// broadcast slot of the newest batch inside the reply, where a recovering
+// master resumes delivery (slaves ignore it).
 
 import (
 	"fmt"
@@ -30,35 +37,35 @@ import (
 )
 
 const (
-	syncModeRecords  byte = 0
+	syncModeBatches  byte = 0
 	syncModeSnapshot byte = 1
 )
 
 // stateTransfer is a decoded and verified m.sync reply.
 type stateTransfer struct {
-	snap      *store.Store // the decoded snapshot; nil in a records-only reply
+	snap      *store.Store // the decoded snapshot; nil in a batches-only reply
 	snapBytes []byte
 	snapStamp VersionStamp
-	recs      []OpRecord
-	ops       []store.Op // ops[i] is recs[i].OpBytes decoded
+	batches   []BatchUpdate
+	ops       [][]store.Op // ops[i][j] is batches[i].Ops[j] decoded
 	closing   VersionStamp
 	anchor    uint64
 
 	sigHits, sigMisses int // stamp signatures found in the memo / checked in full
 }
 
-// encodeStateTransfer appends the reply to w; snap is nil for records only.
-func encodeStateTransfer(w *wire.Writer, snap *ckptSnapshot, recs []OpRecord, closing VersionStamp, anchor uint64) {
+// encodeStateTransfer appends the reply to w; snap is nil for batches only.
+func encodeStateTransfer(w *wire.Writer, snap *ckptSnapshot, batches []BatchUpdate, closing VersionStamp, anchor uint64) {
 	if snap == nil {
-		w.Byte(syncModeRecords)
+		w.Byte(syncModeBatches)
 	} else {
 		w.Byte(syncModeSnapshot)
 		w.Bytes_(snap.bytes)
 		snap.stamp.Encode(w)
 	}
-	w.Uvarint(uint64(len(recs)))
-	for i := range recs {
-		recs[i].Encode(w)
+	w.Uvarint(uint64(len(batches)))
+	for i := range batches {
+		batches[i].appendEntry(w)
 	}
 	closing.Encode(w)
 	w.Uvarint(anchor)
@@ -86,11 +93,11 @@ func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.
 
 // decodeStateTransfer parses an m.sync reply and verifies all of it
 // against the trusted master keys before returning any of it: the
-// snapshot (verifySnapshot), every record's stamp — records of one batch
-// share a stamp, so the memo checks each distinct signature once — and
-// its binding to that stamp by membership proof, that every op decodes,
-// and the closing stamp. An unknown mode byte, a record count larger than
-// the bytes that follow it and trailing bytes are refused.
+// snapshot (verifySnapshot); every batch's stamp and its ops against the
+// stamp's root (VerifyMembers), that the batches are contiguous and the
+// first continues the snapshot, and that every op decodes; and the
+// closing stamp. An unknown mode byte, a batch count larger than the
+// bytes that follow it and trailing bytes are refused.
 func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (*stateTransfer, error) {
 	st := new(stateTransfer)
 	count := func(hit bool) {
@@ -116,31 +123,40 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 		}
 		count(hit)
 		st.snap, st.snapStamp = snap, snapStamp
-	case mode != syncModeRecords:
+	case mode != syncModeBatches:
 		return nil, fmt.Errorf("core: state transfer: unknown mode %d", mode)
 	}
 	n := r.Count()
-	st.recs = make([]OpRecord, 0, n)
-	st.ops = make([]store.Op, 0, n)
+	st.batches = make([]BatchUpdate, 0, n)
+	st.ops = make([][]store.Op, 0, n)
+	var sc batchScratch
 	for i := 0; i < n; i++ {
-		rec, err := DecodeOpRecord(r)
+		bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
 		if err != nil {
 			return nil, err
 		}
-		hit, err := stamps.verifyStamp(&rec.Stamp, trusted)
+		hit, err := stamps.verifyStamp(&bu.Stamp, trusted)
 		if err != nil {
 			return nil, err
 		}
 		count(hit)
-		if err := rec.VerifyBinding(); err != nil {
+		if err := bu.VerifyMembers(&sc); err != nil {
 			return nil, err
 		}
-		op, err := store.DecodeOp(rec.OpBytes)
-		if err != nil {
-			return nil, err
+		// Each batch starts right after the one before it, and the first
+		// leaves no gap above the snapshot: replay skips what it cannot
+		// continue, so a gap would pass as a transfer that applied nothing.
+		if i > 0 && bu.First != st.batches[i-1].Last()+1 || i == 0 && st.snap != nil && bu.First > st.snap.Version()+1 {
+			return nil, fmt.Errorf("core: state transfer: batch %d..%d does not continue the history before it", bu.First, bu.Last())
 		}
-		st.recs = append(st.recs, rec)
-		st.ops = append(st.ops, op)
+		ops := make([]store.Op, len(bu.Ops))
+		for j, b := range bu.Ops {
+			if ops[j], err = store.DecodeOp(b); err != nil {
+				return nil, err
+			}
+		}
+		st.batches = append(st.batches, bu)
+		st.ops = append(st.ops, ops)
 	}
 	closing, err := DecodeStamp(r)
 	if err != nil {
@@ -180,27 +196,36 @@ func fetchStateTransfer(dlr rpc.Dialer, addr string, from uint64, p Params, cpu 
 	return st, nil
 }
 
-// replayOnto applies to replica the records that continue it, in order,
-// and returns them. Records at or below the replica's version (under the
-// snapshot, or applied by a push that raced the transfer) are skipped.
-func (st *stateTransfer) replayOnto(replica *store.Store) ([]OpRecord, error) {
-	var applied []OpRecord
-	for i, rec := range st.recs {
-		if rec.Version != replica.Version()+1 {
-			continue
+// replayOnto applies to replica the ops that continue it, batch by batch,
+// and returns how many it applied. Ops at or below the replica's version
+// — under the snapshot, in the part of a batch the replica already holds,
+// or applied by a push that raced the transfer — are skipped. done, if not
+// nil, is called after each batch that advanced the replica.
+func (st *stateTransfer) replayOnto(replica *store.Store, done func(*BatchUpdate)) (int, error) {
+	n := 0
+	for i := range st.batches {
+		bu, before := &st.batches[i], n
+		for j, op := range st.ops[i] {
+			v := bu.First + uint64(j)
+			if v != replica.Version()+1 {
+				continue
+			}
+			if err := replica.ApplyAt(v, op); err != nil {
+				return n, err
+			}
+			n++
 		}
-		if err := replica.ApplyAt(rec.Version, st.ops[i]); err != nil {
-			return applied, err
+		if n > before && done != nil {
+			done(bu)
 		}
-		applied = append(applied, rec)
 	}
-	return applied, nil
+	return n, nil
 }
 
 // handleSync serves a state transfer (format at the top of this file).
-// A request the retained log cannot answer record by record — from at or
+// A request the retained log cannot answer batch by batch — from at or
 // below baseVersion, which includes 0 — is served snapshot-first: the
-// retained checkpoint snapshot and the records after it or, when none is
+// retained checkpoint snapshot and the batches after it or, when none is
 // retained (or a checkpoint just truncated past it and its replacement is
 // still being signed), the current state under a stamp signed here.
 func (m *Master) handleSync(body []byte) ([]byte, error) {
@@ -214,7 +239,7 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 	cur := m.store.Version()
 	// The broadcast slot of the newest applied batch, captured in the same
 	// critical section as cur: a recovering master that applies every
-	// record of this reply resumes delivery exactly at anchor+1.
+	// batch of this reply resumes delivery exactly at anchor+1.
 	anchor := m.lastMark.seq
 	var snap *ckptSnapshot
 	var inline []byte
@@ -222,22 +247,20 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 		m.stats.SnapshotSyncs++
 		if snap = m.snap; snap == nil || snap.version < m.baseVersion {
 			snap, inline = nil, m.store.EncodeSnapshot()
-			from = cur + 1 // the state itself: no records follow it
+			from = cur + 1 // the state itself: no batches follow it
 		} else {
 			from = snap.version + 1 // >= baseVersion+1: inside the retained log
 		}
 	}
-	var recs []OpRecord
-	if cur >= from {
-		recs = append(recs, m.log[from-m.baseVersion-1:cur-m.baseVersion]...)
+	var batches []BatchUpdate
+	for _, b := range m.log[m.logIndexLocked(from):] {
+		batches = append(batches, b.BatchUpdate)
 	}
 	m.mu.Unlock()
 
 	// Signing happens off-lock: chargeCPU can park the task (simulation).
 	if inline != nil {
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(inline)))
-		snap = &ckptSnapshot{version: cur, bytes: inline, stamp: SignStampWithOp(m.cfg.Keys, cur, m.rt.Now(), inline)}
+		snap = m.signSnapshot(&ckptSnapshot{version: cur, bytes: inline})
 	}
 	size := 1024
 	if snap != nil {
@@ -245,6 +268,6 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 		size += len(snap.bytes)
 	}
 	w := wire.NewWriter(size)
-	encodeStateTransfer(w, snap, recs, SignStamp(m.cfg.Keys, cur, m.rt.Now()), anchor)
+	encodeStateTransfer(w, snap, batches, SignStamp(m.cfg.Keys, cur, m.rt.Now()), anchor)
 	return w.Bytes(), nil
 }

@@ -11,23 +11,25 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/pki"
+	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 // transferParts is a state-transfer reply before encoding, so that a case
-// can swap one part for a tampered one.
+// can swap one part for a tampered one. A record of the reply is one
+// committed batch.
 type transferParts struct {
 	snap    *ckptSnapshot
-	recs    []OpRecord
+	batches []BatchUpdate
 	closing VersionStamp
 	anchor  uint64
 }
 
 func (p transferParts) encode() []byte {
 	w := wire.NewWriter(1024)
-	encodeStateTransfer(w, p.snap, p.recs, p.closing, p.anchor)
+	encodeStateTransfer(w, p.snap, p.batches, p.closing, p.anchor)
 	return w.Bytes()
 }
 
@@ -56,85 +58,116 @@ func transferState(version uint64) *store.Store {
 
 // honestTransfer is what an honest master at version 7 answers a request
 // from below its base when the snapshot it retains is at snapAt: the
-// snapshot, the records after it, the closing stamp. snapAt 3 lies
-// between two commits; 5 lies inside the batch of four, as after a
-// checkpoint that truncated the log in the middle of it.
+// snapshot, the logged batches from the one holding snapAt+1 on — whole,
+// as the master logged them — and the closing stamp.
 func honestTransfer(master *cryptoutil.KeyPair, now time.Time, snapAt uint64) transferParts {
-	recs := batchRecords(master, 2, transferOps[0:1], now)
-	recs = append(recs, batchRecords(master, 3, transferOps[1:2], now)...)
-	recs = append(recs, batchRecords(master, 4, transferOps[2:6], now)...)
+	var batches []BatchUpdate
+	for _, bu := range []BatchUpdate{
+		signedBatch(master, 2, transferOps[0:1], now),
+		signedBatch(master, 3, transferOps[1:2], now),
+		signedBatch(master, 4, transferOps[2:6], now),
+	} {
+		if bu.Last() > snapAt {
+			batches = append(batches, bu)
+		}
+	}
 	snap := transferState(snapAt).EncodeSnapshot()
 	return transferParts{
 		snap:    &ckptSnapshot{version: snapAt, bytes: snap, stamp: SignStampWithOp(master, snapAt, now, snap)},
-		recs:    recs[snapAt-1:], // recs[i] commits version i+2
+		batches: batches,
 		closing: SignStamp(master, 7, now),
 		anchor:  42,
 	}
 }
 
-// transferTamper is one reply a scripted source gives; accept marks the
-// honest ones, which must bring every consumer to version 7.
+// transferTamper is one reply a scripted source gives to a request from
+// version from; accept marks the honest ones, which must bring every
+// consumer to version 7. The consumers start at version at (0: 1).
 type transferTamper struct {
 	name   string
 	accept bool
-	reply  func(master, evil *cryptoutil.KeyPair, now time.Time) []byte
+	at     uint64
+	reply  func(master, evil *cryptoutil.KeyPair, now time.Time, from uint64) []byte
 }
 
-// tampered builds a case from an edit of the honest reply with its
-// snapshot at version 3.
+// tampered builds a refused case from an edit of the honest reply with its
+// snapshot at version 2, which is followed by two records: the write at 3
+// and the batch 4..7.
 func tampered(name string, edit func(p *transferParts, m, evil *cryptoutil.KeyPair, now time.Time)) transferTamper {
-	return transferTamper{name: name, reply: func(m, evil *cryptoutil.KeyPair, now time.Time) []byte {
-		p := honestTransfer(m, now, 3)
+	return transferTamper{name: name, reply: func(m, evil *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
+		p := honestTransfer(m, now, 2)
 		edit(&p, m, evil, now)
 		return p.encode()
 	}}
 }
 
+// reordered builds a refused case from the honest reply with its snapshot
+// at version 1, which is followed by all three records, reordered by edit.
+func reordered(name string, edit func([]BatchUpdate) []BatchUpdate) transferTamper {
+	return transferTamper{name: name, reply: func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
+		p := honestTransfer(m, now, 1)
+		p.batches = edit(p.batches)
+		return p.encode()
+	}}
+}
+
 var transferTamperCases = []transferTamper{
-	{"honest, snapshot between two commits", true, func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
+	{"honest, snapshot between two commits", true, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		return honestTransfer(m, now, 3).encode()
 	}},
-	{"honest, mid-batch suffix after a truncation", true, func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
-		return honestTransfer(m, now, 5).encode() // records 6 and 7 verify by proof alone
+	// The consumers are at 5, inside the batch 4..7: the master sends the
+	// whole batch, and the replica applies 6 and 7. Bootstrap asks for
+	// everything and gets the snapshot first.
+	{"honest, records only from inside a batch", true, 5, func(m, _ *cryptoutil.KeyPair, now time.Time, from uint64) []byte {
+		p := honestTransfer(m, now, 3)
+		if from != 0 {
+			p.snap = nil
+		}
+		return p.encode()
 	}},
 	tampered("snapshot bytes altered", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
 		p.snap.bytes = bytes.Clone(p.snap.bytes)
 		p.snap.bytes[len(p.snap.bytes)-1] ^= 1
 	}),
 	tampered("snapshot stamp from an uncertified key", func(p *transferParts, _, evil *cryptoutil.KeyPair, now time.Time) {
-		p.snap.stamp = SignStampWithOp(evil, 3, now, p.snap.bytes)
+		p.snap.stamp = SignStampWithOp(evil, p.snap.version, now, p.snap.bytes)
 	}),
 	tampered("snapshot at another version than its stamp", func(p *transferParts, m, _ *cryptoutil.KeyPair, now time.Time) {
-		p.snap.stamp = SignStampWithOp(m, 4, now, p.snap.bytes)
+		p.snap.stamp = SignStampWithOp(m, p.snap.version+1, now, p.snap.bytes)
 	}),
 	tampered("snapshot hash under a batch stamp", func(p *transferParts, m, _ *cryptoutil.KeyPair, now time.Time) {
-		p.snap.stamp = SignBatchStamp(m, 3, now, cryptoutil.HashBytes(p.snap.bytes))
-	}),
-	tampered("record with the proof of another index", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
-		p.recs[1].Proof = p.recs[2].Proof
-	}),
-	tampered("record with another index's proof relabelled", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
-		p.recs[1].Proof = p.recs[2].Proof
-		p.recs[1].Proof.Index = 1
+		p.snap.stamp = SignBatchStamp(m, p.snap.version, now, cryptoutil.HashBytes(p.snap.bytes))
 	}),
 	tampered("record op substituted", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
-		p.recs[1].OpBytes = store.EncodeOp(store.Put{Key: "a", Value: []byte("666")})
+		p.batches[1].Ops[1] = store.EncodeOp(store.Put{Key: "a", Value: []byte("666")})
 	}),
 	tampered("record stamp closing another batch", func(p *transferParts, m, _ *cryptoutil.KeyPair, now time.Time) {
-		other := signedBatch(m, 8, waveOps(4), now).Stamp
-		for i := range p.recs {
-			p.recs[i].Stamp = other
-		}
+		p.batches[1].Stamp = signedBatch(m, 4, waveOps(4), now).Stamp // also closes 7
 	}),
 	tampered("record batch geometry shifted under its stamp", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
-		for i := range p.recs {
-			p.recs[i].First, p.recs[i].Count = 5, 3 // still closes at version 7
-		}
+		p.batches[1].First, p.batches[1].Ops = 5, p.batches[1].Ops[1:] // still closes at version 7
 	}),
-	tampered("record under a per-op stamp", func(p *transferParts, m, _ *cryptoutil.KeyPair, now time.Time) {
-		p.recs = p.recs[:1]
-		p.recs[0].Stamp = SignStampWithOp(m, 4, now, p.recs[0].OpBytes)
-		p.recs[0].First, p.recs[0].Count = 4, 1
+	tampered("record under a per-op stamp", func(p *transferParts, m, _ *cryptoutil.KeyPair, _ time.Time) {
+		p.batches[1].Stamp.Kind = stampKindOp // the batch's own root, signed in the snapshot domain
+		p.batches[1].Stamp.sign(m)
+	}),
+	tampered("record a strict prefix of its signed batch", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
+		p.batches[1].Ops = p.batches[1].Ops[:2]
+	}),
+	// The cut the per-op proofs existed for: the ops above a truncation
+	// inside a batch, without the ops below it. It closes at the stamp's
+	// version; only the root gives it away.
+	tampered("record a strict suffix of its signed batch", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
+		p.batches[1].First, p.batches[1].Ops = 6, p.batches[1].Ops[2:]
+	}),
+	tampered("records starting above the snapshot", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
+		p.batches = p.batches[1:] // the write at 3 is missing
+	}),
+	reordered("records with a gap", func(b []BatchUpdate) []BatchUpdate {
+		return []BatchUpdate{b[0], b[2]}
+	}),
+	reordered("records out of order", func(b []BatchUpdate) []BatchUpdate {
+		return []BatchUpdate{b[0], b[2], b[1]}
 	}),
 	tampered("forged closing stamp", func(p *transferParts, _, evil *cryptoutil.KeyPair, now time.Time) {
 		p.closing = SignStamp(evil, 7, now)
@@ -143,22 +176,22 @@ var transferTamperCases = []transferTamper{
 		p.closing.Sig = bytes.Clone(p.closing.Sig)
 		p.closing.Sig[0] ^= 1
 	}),
-	{"unknown mode byte", false, func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
+	{"unknown mode byte", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		b := honestTransfer(m, now, 3).encode()
 		b[0] = 2
 		return b
 	}},
-	{"trailing bytes", false, func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
+	{"trailing bytes", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		return append(honestTransfer(m, now, 3).encode(), 0)
 	}},
-	{"truncated inside the closing stamp", false, func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
+	{"truncated inside the closing stamp", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		b := honestTransfer(m, now, 3).encode()
 		return b[:len(b)-10]
 	}},
-	{"record count larger than the body", false, func(_, _ *cryptoutil.KeyPair, _ time.Time) []byte {
+	{"record count larger than the body", false, 0, func(_, _ *cryptoutil.KeyPair, _ time.Time, _ uint64) []byte {
 		return hugeCount
 	}},
-	{"record count one above the records sent", false, func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
+	{"record count one above the records sent", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		p := honestTransfer(m, now, 7) // no records follow a snapshot at the source's version
 		return wire.EncodeFrame(func(w *wire.Writer) {
 			w.Byte(syncModeSnapshot)
@@ -172,7 +205,8 @@ var transferTamperCases = []transferTamper{
 }
 
 // transferConsumer is one of the three readers of a state transfer, at
-// version 1 over the initial content, about to pull from "src".
+// version at over the initial content and transferOps, about to pull from
+// "src".
 type transferConsumer struct {
 	pull      func() error
 	version   func() uint64
@@ -182,19 +216,32 @@ type transferConsumer struct {
 	s         *sim.Sim
 }
 
-func newSlaveConsumer(t *testing.T, reply func(now time.Time) []byte, pull func(*Slave) error) *transferConsumer {
-	r := newSlaveRig(t, Honest{})
-	r.net.Register("src", func(from, method string, body []byte) ([]byte, error) {
-		if method != MethodSync {
-			return nil, errors.New("unexpected method")
+// syncAnswer is what the scripted source answers to an m.sync from
+// version from.
+type syncAnswer func(now time.Time, from uint64) []byte
+
+// serveSync registers the scripted source at "src".
+func serveSync(s *sim.Sim, net *rpc.SimNet, answer syncAnswer) {
+	net.Register("src", func(from, method string, body []byte) ([]byte, error) {
+		r := wire.NewReader(body)
+		if v := r.Uvarint(); method == MethodSync && r.Done() == nil {
+			return answer(s.Now(), v), nil
 		}
-		return reply(r.s.Now()), nil
+		return nil, errors.New("unexpected request")
 	})
+}
+
+func newSlaveConsumer(t *testing.T, at uint64, answer syncAnswer, pull func(*Slave) error) *transferConsumer {
+	r := newSlaveRig(t, Honest{})
+	r.slave.mu.Lock()
+	r.slave.store = transferState(at)
+	r.slave.mu.Unlock()
+	serveSync(r.s, r.net, answer)
 	var before VersionStamp
 	return &transferConsumer{
 		s: r.s,
 		pull: func() error {
-			r.keepAlive(1)
+			r.keepAlive(at)
 			before = r.slave.adoptedStamp()
 			r.s.Sleep(time.Millisecond) // a fresher stamp would be adopted if accepted
 			return pull(r.slave)
@@ -217,27 +264,25 @@ func newSlaveConsumer(t *testing.T, reply func(now time.Time) []byte, pull func(
 	}
 }
 
-func newMasterConsumer(t *testing.T, reply func(now time.Time) []byte) *transferConsumer {
+func newMasterConsumer(t *testing.T, at uint64, answer syncAnswer) *transferConsumer {
 	dir := t.TempDir()
 	var cfg MasterConfig
 	r := newMasterRig(t, func(c *MasterConfig) { c.DataDir = dir; cfg = *c })
 	t.Cleanup(r.master.Stop)
+	r.master.mu.Lock()
+	r.master.store, r.master.baseVersion = transferState(at), at
+	r.master.mu.Unlock()
 	cert := pki.Certificate{Role: pki.RoleMaster, Addr: "src", Subject: r.master.PublicKey(), IssuedAt: r.s.Now()}
 	cert.Sign(r.owner)
 	r.dir.Publish(r.owner.Public, cert)
-	r.net.Register("src", func(from, method string, body []byte) ([]byte, error) {
-		if method != MethodSync {
-			return nil, errors.New("unexpected method")
-		}
-		return reply(r.s.Now()), nil
-	})
+	serveSync(r.s, r.net, answer)
 	return &transferConsumer{
 		s:       r.s,
 		pull:    func() error { return r.master.catchUpFrom("src") },
 		version: r.master.Version,
 		digest:  r.master.StateDigest,
 		untouched: func(t *testing.T) {
-			if st := r.master.Stats(); st.RecoverySyncs != 0 || r.master.RetainedOps() != 0 || r.master.BaseVersion() != 1 {
+			if st := r.master.Stats(); st.RecoverySyncs != 0 || r.master.RetainedOps() != 0 || r.master.BaseVersion() != at {
 				t.Fatalf("refused transfer changed the master: %+v, %d ops retained over base %d",
 					st, r.master.RetainedOps(), r.master.BaseVersion())
 			}
@@ -272,20 +317,21 @@ func TestStateTransferTamperTable(t *testing.T) {
 	master, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
 	consumers := []struct {
 		name string
-		make func(t *testing.T, reply func(now time.Time) []byte) *transferConsumer
+		make func(t *testing.T, at uint64, answer syncAnswer) *transferConsumer
 	}{
-		{"slave sync", func(t *testing.T, reply func(time.Time) []byte) *transferConsumer {
-			return newSlaveConsumer(t, reply, func(s *Slave) error { return s.syncFrom("src") })
+		{"slave sync", func(t *testing.T, at uint64, answer syncAnswer) *transferConsumer {
+			return newSlaveConsumer(t, at, answer, func(s *Slave) error { return s.syncFrom("src") })
 		}},
-		{"slave bootstrap", func(t *testing.T, reply func(time.Time) []byte) *transferConsumer {
-			return newSlaveConsumer(t, reply, func(s *Slave) error { s.SetMaster("src"); return s.Bootstrap() })
+		{"slave bootstrap", func(t *testing.T, at uint64, answer syncAnswer) *transferConsumer {
+			return newSlaveConsumer(t, at, answer, func(s *Slave) error { s.SetMaster("src"); return s.Bootstrap() })
 		}},
 		{"master catch-up", newMasterConsumer},
 	}
 	for _, tc := range transferTamperCases {
 		for _, cons := range consumers {
 			t.Run(tc.name+"/"+cons.name, func(t *testing.T) {
-				c := cons.make(t, func(now time.Time) []byte { return tc.reply(master, evil, now) })
+				at := max(tc.at, 1)
+				c := cons.make(t, at, func(now time.Time, from uint64) []byte { return tc.reply(master, evil, now, from) })
 				before := c.digest()
 				var err error
 				c.s.Go(func() { err = c.pull() })
@@ -303,7 +349,7 @@ func TestStateTransferTamperTable(t *testing.T) {
 				if err == nil {
 					t.Fatal("tampered transfer accepted")
 				}
-				if c.version() != 1 || !c.digest().Equal(before) {
+				if c.version() != at || !c.digest().Equal(before) {
 					t.Fatalf("refused transfer changed the replica: version %d", c.version())
 				}
 				c.untouched(t)

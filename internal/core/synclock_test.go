@@ -13,7 +13,7 @@ import (
 // TestHandleSyncPredatesBaseLockedRead serves sync requests that predate
 // the retained base while a checkpoint keeps advancing baseVersion.
 // handleSync compares the request against the base, picks the snapshot
-// and cuts the record suffix in one critical section, then signs outside
+// and cuts the batch suffix in one critical section, then signs outside
 // it; every reply must still be one consistent, verifiable snapshot-first
 // transfer. Regression test for a repllint lockcheck finding (an unlocked
 // read of baseVersion); run under -race in `make race`.
@@ -47,8 +47,8 @@ func TestHandleSyncPredatesBaseLockedRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reply does not verify: %v", err)
 		}
-		if st.snap == nil || len(st.recs) != 0 {
-			t.Fatalf("from=1 below the base: snapshot=%v, %d records; want snapshot-first, none", st.snap != nil, len(st.recs))
+		if st.snap == nil || len(st.batches) != 0 {
+			t.Fatalf("from=1 below the base: snapshot=%v, %d batches; want snapshot-first, none", st.snap != nil, len(st.batches))
 		}
 	}
 	close(stop)

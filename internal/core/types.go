@@ -1,6 +1,6 @@
-// Signed protocol evidence: version stamps, batch stamps and membership
-// proofs, op records, pledges, write requests, and the access-control
-// policy. See doc.go for the package overview.
+// Signed protocol evidence: version stamps, batch stamps and the batches
+// they sign, pledges, write requests, and the access-control policy. See
+// doc.go for the package overview.
 package core
 
 import (
@@ -114,8 +114,8 @@ func SignStampWithOp(master *cryptoutil.KeyPair, version uint64, ts time.Time, o
 
 // AuthenticatesOp reports whether the stamp's digest is the hash of
 // opBytes (a snapshot under its SignStampWithOp stamp). A batch stamp's
-// digest is a merkle root and authorizes ops only through membership
-// proofs (VerifyBatchMember) or a rebuilt root (VerifyMembers).
+// digest is a merkle root and authorizes ops only through a rebuilt root
+// (VerifyMembers).
 func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 	return v.Kind == stampKindOp && v.OpDigest.Equal(cryptoutil.HashBytes(opBytes))
 }
@@ -127,11 +127,12 @@ func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 // Batched commits amortize it: the master accumulates concurrent writes,
 // applies them as versions first..first+n-1, and signs ONE stamp whose
 // OpDigest is the merkle root over the batch's op bytes. A write that
-// commits alone is a batch of one: a one-leaf tree, the same stamp. A
-// slave that is pushed the whole batch rebuilds the root and compares
-// (BatchUpdate); a single op — or any suffix of a batch during sync — is
-// authenticated by its membership proof against that root (OpRecord), so
-// neither needs a per-op signature.
+// commits alone is a batch of one: a one-leaf tree, the same stamp. The
+// batch is also the unit of history: the master logs it whole, its WAL
+// record is one batch and a sync replays whole batches, so every receiver
+// holds every op of a batch, rebuilds the root and compares
+// (BatchUpdate.VerifyMembers) — no op needs a signature or a membership
+// proof of its own.
 
 // BatchLeaf is the canonical merkle leaf binding opBytes to the content
 // version it produced. Both signer and verifier must build it
@@ -170,91 +171,13 @@ func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time
 	return v
 }
 
-// VerifyBatchMember checks that opBytes is the op the stamp's batch
-// committed at the given version: the version lies inside the batch
-// [first, first+count), the proof indexes that position, and the proof
-// verifies against the stamp's root. The caller must have verified the
-// stamp's signature already.
-func VerifyBatchMember(stamp *VersionStamp, first, count, version uint64, opBytes []byte, proof merkle.Proof) error {
-	if stamp.Kind != stampKindBatch {
-		return fmt.Errorf("%w: stamp is not a batch stamp", ErrBadStamp)
-	}
-	if count == 0 || version < first || version >= first+count {
-		return fmt.Errorf("%w: version %d outside batch [%d,%d)", ErrBadStamp, version, first, first+count)
-	}
-	if stamp.Version != first+count-1 {
-		return fmt.Errorf("%w: stamp version %d does not close batch [%d,%d)", ErrBadStamp, stamp.Version, first, first+count)
-	}
-	if uint64(proof.Index) != version-first {
-		return fmt.Errorf("%w: proof index %d for version %d", ErrBadStamp, proof.Index, version)
-	}
-	if err := merkle.Verify(stamp.OpDigest, BatchLeaf(version, opBytes), proof); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadStamp, err)
-	}
-	return nil
-}
-
-// OpRecord is one committed op plus the evidence a replica needs to
-// apply it: its batch's stamp and its membership proof (no steps when the
-// batch is that one op). Masters retain one per version; sync replies are sequences of them. The proof stays because
-// a checkpoint may truncate the log in the middle of a batch, and the
-// records above the cut then travel without the ops below it — the
-// receiver cannot rebuild that batch's root.
-type OpRecord struct {
-	Version uint64
-	OpBytes []byte
-	Stamp   VersionStamp // the batch stamp
-	First   uint64       // first version of the signing batch
-	Count   uint64       // ops in the signing batch
-	Proof   merkle.Proof // membership proof against the stamp's root
-}
-
-// VerifyBinding checks only that the op is bound to the record's stamp
-// by its membership proof. The caller must have
-// verified the stamp's signature: records of the same batch share one
-// stamp, so a bulk consumer (sync) verifies each distinct signature
-// once and the binding per record — keeping the sync path as amortized
-// as the commit path.
-func (rec *OpRecord) VerifyBinding() error {
-	return VerifyBatchMember(&rec.Stamp, rec.First, rec.Count, rec.Version, rec.OpBytes, rec.Proof)
-}
-
-// Encode appends the record to w.
-func (rec *OpRecord) Encode(w *wire.Writer) {
-	w.Uvarint(rec.Version)
-	w.Bytes_(rec.OpBytes)
-	rec.Stamp.Encode(w)
-	w.Uvarint(rec.First)
-	w.Uvarint(rec.Count)
-	rec.Proof.Encode(w)
-}
-
-// DecodeOpRecord reads a record from r.
-func DecodeOpRecord(r *wire.Reader) (OpRecord, error) {
-	var rec OpRecord
-	rec.Version = r.Uvarint()
-	rec.OpBytes = r.Bytes()
-	var err error
-	rec.Stamp, err = DecodeStamp(r)
-	if err != nil {
-		return rec, err
-	}
-	rec.First = r.Uvarint()
-	rec.Count = r.Uvarint()
-	rec.Proof, err = merkle.DecodeProof(r)
-	if err != nil {
-		return rec, err
-	}
-	return rec, r.Err()
-}
-
-// BatchUpdate is the master→slave frame carrying one whole batched
-// commit: the ops for versions First..First+len(Ops)-1 and the single
-// batch stamp — one signature and one delivery regardless of batch size.
-// It carries no membership proofs: a receiver that holds every op of the
-// batch recomputes the merkle root in 2n−1 hashes and compares it with
-// the signed one; only an OpRecord, which a sync reply may ship without
-// the rest of its batch (after a mid-batch truncation), travels with one.
+// BatchUpdate is one whole batched commit: the ops for versions
+// First..First+len(Ops)-1 and the single batch stamp — one signature
+// regardless of batch size. It is the master→slave s.updatebatch frame,
+// and without MasterAddr it is the master's log entry, its WAL record and
+// one entry of an m.sync reply. It carries no membership proofs: a
+// receiver holds every op of the batch, recomputes the merkle root in
+// 2n−1 hashes and compares it with the signed one (VerifyMembers).
 type BatchUpdate struct {
 	First uint64
 	Ops   [][]byte
@@ -317,14 +240,35 @@ func (bu *BatchUpdate) VerifyMembers(sc *batchScratch) error {
 	return nil
 }
 
+// appendEntry appends the batch in the one shape committed history has
+// everywhere: uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp — an
+// s.updatebatch frame before its master address, a WAL record after its
+// broadcast slot, one entry of an m.sync reply.
+func (bu *BatchUpdate) appendEntry(w *wire.Writer) {
+	w.Uvarint(bu.First)
+	w.BytesSlice(bu.Ops)
+	bu.Stamp.Encode(w)
+}
+
+// decodeBatchEntry reads what appendEntry wrote. ops reads the op list:
+// (*wire.Reader).BytesSliceView to alias r's buffer, BytesSlice to copy;
+// either refuses a count above wire.MaxBatchItems. The stamp's key and
+// signature are copies.
+func decodeBatchEntry(r *wire.Reader, ops func(*wire.Reader) [][]byte) (BatchUpdate, error) {
+	var bu BatchUpdate
+	bu.First = r.Uvarint()
+	bu.Ops = ops(r)
+	var err error
+	bu.Stamp, err = DecodeStamp(r)
+	return bu, err
+}
+
 // EncodeBatchUpdate serializes the frame. The encode runs through a
 // pooled writer; the returned slice is a detached, exactly-sized copy
 // that the caller may retain (it is handed to dialers).
 func EncodeBatchUpdate(bu BatchUpdate) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
-		w.Uvarint(bu.First)
-		w.BytesSlice(bu.Ops)
-		bu.Stamp.Encode(w)
+		bu.appendEntry(w)
 		w.String_(bu.MasterAddr)
 	})
 }
@@ -335,11 +279,7 @@ func EncodeBatchUpdate(bu BatchUpdate) []byte {
 // retaining the stamp is safe.
 func DecodeBatchUpdate(b []byte) (BatchUpdate, error) {
 	r := wire.NewReader(b)
-	var bu BatchUpdate
-	bu.First = r.Uvarint()
-	bu.Ops = r.BytesSliceView() // refuses a count above wire.MaxBatchItems
-	var err error
-	bu.Stamp, err = DecodeStamp(r)
+	bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)
 	if err != nil {
 		return bu, err
 	}

@@ -106,7 +106,7 @@ func TestTCPWriteMultiWavesAndCheckpoint(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	if got := d.master.RetainedOps(); got > 16 {
-		t.Fatalf("retained %d OpRecords after %d writes; checkpointing did not bound the log", got, total)
+		t.Fatalf("retained %d ops after %d writes; checkpointing did not bound the log", got, total)
 	}
 	st := d.master.Stats()
 	if st.CheckpointsApplied == 0 || st.OpsTruncated == 0 {

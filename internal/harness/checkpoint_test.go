@@ -10,8 +10,8 @@ import (
 )
 
 // TestE16ShapeCheckpointing asserts the PR's acceptance criteria on the
-// E16 experiment itself: with checkpointing off the retained OpRecord
-// count tracks total writes, with checkpointing on it stays within the
+// E16 experiment itself: with checkpointing off the retained op count
+// tracks total writes, with checkpointing on it stays within the
 // configured window, and the slave that was offline across checkpoint
 // boundaries recovers via the snapshot-first fallback to a state digest
 // equal to the master's.
@@ -31,9 +31,9 @@ func TestE16ShapeCheckpointing(t *testing.T) {
 	if offRetained < offCommitted {
 		t.Fatalf("checkpointing off must retain all %v writes, retained %v", offCommitted, offRetained)
 	}
-	// On: resident records bounded by the configured window (E16 sets
-	// CheckpointMinRetain=128; allow slack for writes that landed after
-	// the final checkpoint), NOT proportional to total writes.
+	// On: resident ops bounded by the configured window (E16 sets
+	// CheckpointMinRetain=128; the log keeps whole batches, and writes may
+	// land after the final checkpoint), NOT proportional to total writes.
 	const window = 128 + 64
 	if onRetained > window {
 		t.Fatalf("checkpointing on retained %v records, want <= %v (of %v writes)",
@@ -69,8 +69,9 @@ func TestE16ShapeCheckpointing(t *testing.T) {
 
 // TestSyncEdgesAtBaseVersion exercises the exact truncation boundary: a
 // sync request from baseVersion (one below the retained log) must get
-// the snapshot-first reply, and a request from baseVersion+1 (the oldest
-// retained record) must get a plain record replay starting there.
+// the snapshot-first reply, and a request from baseVersion+1 (the first
+// op of the oldest retained batch) must get a plain batch replay starting
+// there. The base is always the end of a batch.
 func TestSyncEdgesAtBaseVersion(t *testing.T) {
 	cfg := DefaultScenario()
 	cfg.Seed = 23
@@ -92,7 +93,7 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 		atBaseMode      byte
 		atBaseSnapVer   uint64
 		afterBaseMode   byte
-		afterBaseCount  uint64
+		afterBaseOps    uint64
 		afterBaseFirstV uint64
 	}
 	var pr probeResult
@@ -141,14 +142,20 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 				pr.atBaseSnapVer = st.Version()
 			}
 		}
-		// baseVersion+1: the oldest retained record, plain replay.
+		// baseVersion+1: the oldest retained batch, plain replay. Each
+		// entry is a batch: first ‖ ops ‖ stamp.
 		if r := probe(pr.base + 1); r != nil {
 			pr.afterBaseMode = r.Byte()
-			pr.afterBaseCount = r.Uvarint()
-			if rec, err := core.DecodeOpRecord(r); err == nil {
-				pr.afterBaseFirstV = rec.Version
-			} else {
-				t.Errorf("decode first record: %v", err)
+			for n := r.Count(); n > 0; n-- {
+				first, ops := r.Uvarint(), r.BytesSlice()
+				if _, err := core.DecodeStamp(r); err != nil {
+					t.Errorf("decode batch: %v", err)
+					break
+				}
+				if pr.afterBaseFirstV == 0 {
+					pr.afterBaseFirstV = first
+				}
+				pr.afterBaseOps += uint64(len(ops))
 			}
 		}
 		sc.S.Stop()
@@ -161,8 +168,9 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 	if pr.base == 0 || pr.base >= pr.cur {
 		t.Fatalf("checkpoint never truncated: base=%d cur=%d", pr.base, pr.cur)
 	}
-	if got, want := pr.cur-pr.base, uint64(cfg.CheckpointMinRetain); got != want {
-		t.Fatalf("retained window %d, want %d (base=%d cur=%d)", got, want, pr.base, pr.cur)
+	// The retain window rounded up to a whole batch.
+	if got, want := pr.cur-pr.base, uint64(cfg.CheckpointMinRetain); got < want || got >= want+uint64(cfg.BatchSize) {
+		t.Fatalf("retained window %d, want %d plus less than a batch (base=%d cur=%d)", got, want, pr.base, pr.cur)
 	}
 	if pr.atBaseMode != 1 {
 		t.Fatalf("sync from baseVersion: mode %d, want 1 (snapshot-first)", pr.atBaseMode)
@@ -173,8 +181,8 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 	if pr.afterBaseMode != 0 {
 		t.Fatalf("sync from baseVersion+1: mode %d, want 0 (records)", pr.afterBaseMode)
 	}
-	if pr.afterBaseCount != pr.cur-pr.base {
-		t.Fatalf("record count %d, want %d", pr.afterBaseCount, pr.cur-pr.base)
+	if pr.afterBaseOps != pr.cur-pr.base {
+		t.Fatalf("replayed %d ops, want %d", pr.afterBaseOps, pr.cur-pr.base)
 	}
 	if pr.afterBaseFirstV != pr.base+1 {
 		t.Fatalf("first replayed version %d, want %d", pr.afterBaseFirstV, pr.base+1)
@@ -184,7 +192,7 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 // TestOfflineAcrossCheckpointBootstraps is the end-to-end acceptance
 // case: a slave goes offline, enough writes commit that checkpoints
 // truncate the history it missed, and on revival it converges to the
-// master's exact digest through snapshot + OpRecord-suffix sync.
+// master's exact digest through snapshot + batch-suffix sync.
 func TestOfflineAcrossCheckpointBootstraps(t *testing.T) {
 	cfg := DefaultScenario()
 	cfg.Seed = 29

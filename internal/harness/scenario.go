@@ -58,9 +58,6 @@ type ScenarioConfig struct {
 	// under DataDir/master-N, so KillMaster/RestartMaster exercise
 	// crash-restart recovery ("" = pure in-memory, the default).
 	DataDir string
-	// WALSyncEvery is the masters' group-commit fsync interval
-	// (0 = fsync each batch before acking).
-	WALSyncEvery time.Duration
 	// MasterCPUs / SlaveCPUs / AuditorCPUs are worker counts (default 1).
 	MasterCPUs  int
 	SlaveCPUs   int
@@ -262,7 +259,6 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 				CheckpointEvery:     cfg.CheckpointEvery,
 				CheckpointMinRetain: cfg.CheckpointMinRetain,
 				CheckpointMaxLag:    cfg.CheckpointMaxLag,
-				WALSyncEvery:        cfg.WALSyncEvery,
 			}
 			if cfg.DataDir != "" {
 				mcfg.DataDir = filepath.Join(cfg.DataDir, masterAddrs[i])
