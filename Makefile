@@ -66,7 +66,8 @@ lint:
 # replica, the one whose readers share the signed-pledge memo while stamps
 # and batches arrive, the one whose readers must see each batch and its
 # stamp whole (no pledge an audit would convict, no read refused as stale),
-# the auditor's tests, whose handlers queue pledges that alias their
+# the client test whose writers, readers and re-setups share one shard
+# table and its groups, the auditor's tests, whose handlers queue pledges that alias their
 # frames for the audit worker, and the TCP transport's tests, whose
 # connection workers, reused call slots and single-flight dials are all
 # shared between goroutines that only a lucky schedule brings together.
@@ -74,7 +75,7 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
 	$(GO) test -race -count=10 -run TestTCP ./internal/rpc/
-	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
 bench-e15:
@@ -131,6 +132,7 @@ FUZZ_TARGETS := \
 	internal/core:FuzzDecodeBatchUpdate \
 	internal/core:FuzzDecodePledge \
 	internal/core:FuzzDecodeStateTransfer \
+	internal/dirsrv:FuzzDecodeShardMap \
 	internal/store:FuzzNumericValue
 
 fuzz-smoke:

@@ -10,7 +10,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/query"
-	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -79,32 +78,10 @@ func runScenario(seed int64, f scenarioFlags) {
 	sharded := *f.shards > 1
 	for i := 0; i < *f.clients; i++ {
 		i := i
-		// Sharded deployments need routing clients; the point reads they
-		// support are drawn from the catalog. Unsharded keeps the classic
-		// client and the full dynamic-query mix.
-		var setup func() error
-		var write func(op store.Op) (uint64, error)
-		var read func(rng *rand.Rand, gen *workload.Gen) error
-		if sharded {
-			scl := sc.AddShardClient(nil)
-			setup = scl.Setup
-			write = scl.Write
-			read = func(rng *rand.Rand, gen *workload.Gen) error {
-				_, err := scl.Read(query.Get{Key: workload.CatalogKey(rng.Intn(cfg.CatalogSize))})
-				return err
-			}
-		} else {
-			cl := sc.AddClient(nil)
-			setup = cl.Setup
-			write = cl.Write
-			read = func(rng *rand.Rand, gen *workload.Gen) error {
-				_, err := cl.Read(gen.Next())
-				return err
-			}
-		}
+		cl := sc.AddClient(nil)
 		sc.S.Go(func() {
 			sc.S.Sleep(sc.Warmup())
-			if err := setup(); err != nil {
+			if err := cl.Setup(); err != nil {
 				return
 			}
 			rng := rand.New(rand.NewSource(seed + int64(i)*101))
@@ -118,10 +95,16 @@ func runScenario(seed int64, f scenarioFlags) {
 				}
 				n++
 				if *f.writeEvery > 0 && n%*f.writeEvery == 0 {
-					write(gen.NextWrite(n))
+					cl.Write(gen.NextWrite(n))
 					continue
 				}
-				read(rng, gen)
+				// A multi-range table routes only point reads, drawn from
+				// the catalog; unsharded keeps the full dynamic-query mix.
+				if sharded {
+					cl.Read(query.Get{Key: workload.CatalogKey(rng.Intn(cfg.CatalogSize))})
+				} else {
+					cl.Read(gen.Next())
+				}
 			}
 		})
 	}
@@ -130,18 +113,6 @@ func runScenario(seed int64, f scenarioFlags) {
 	sc.Run(*f.duration + time.Minute)
 
 	cs := sc.TotalClientStats()
-	var rs core.ShardedStats
-	for _, scl := range sc.ShardClients {
-		st, sub := scl.Stats()
-		rs.Redirects += st.Redirects
-		rs.Routed += st.Routed
-		cs.ReadsAccepted += sub.ReadsAccepted
-		cs.ReadsFailed += sub.ReadsFailed
-		cs.Retries += sub.Retries
-		cs.DoubleChecks += sub.DoubleChecks
-		cs.WritesOK += sub.WritesOK
-		cs.WritesFailed += sub.WritesFailed
-	}
 	ms := sc.TotalMasterStats()
 	ss := sc.TotalSlaveStats()
 	as := sc.Auditor.Stats()
@@ -160,8 +131,7 @@ func runScenario(seed int64, f scenarioFlags) {
 	t.Add("liars caught red-handed", cs.CaughtImmediate)
 	t.Add("writes committed", cs.WritesOK)
 	if sharded {
-		t.Add("writes routed by shard table", rs.Routed)
-		t.Add("wrong-shard redirects", rs.Redirects)
+		t.Add("wrong-shard redirects", cs.Redirects)
 		t.Add("wrong-shard rejects (masters)", ms.WrongShardRejects)
 	}
 	t.Add("write batches (= signatures)", ms.BatchesApplied)

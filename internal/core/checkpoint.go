@@ -306,16 +306,12 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	// Authenticate the initiator before acting: MethodSubmit does not
 	// authenticate its caller, so a checkpoint must carry a signature
 	// from a directory-certified master to truncate anything.
-	masters, err := m.cfg.Directory.VerifiedMasters()
+	masters, err := m.certifiedMasters()
 	if err != nil {
 		return
 	}
-	pubs := make([]cryptoutil.PublicKey, 0, len(masters))
-	for _, c := range masters {
-		pubs = append(pubs, c.Subject)
-	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
-	if ck.Verify(pubs) != nil {
+	if ck.Verify(subjects(masters)) != nil {
 		return
 	}
 	m.mu.Lock()

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -33,7 +36,8 @@ type ClientStats struct {
 	ReportsFiled    uint64
 	PledgesSent     uint64
 	Reassignments   uint64 // slave replaced after exclusion notice
-	Resetups        uint64 // full setup redone (master crash)
+	Resetups        uint64 // a group's setup redone (master crash)
+	Redirects       uint64 // wrong-shard rejections that made the client re-read the shard table
 	WritesOK        uint64
 	WritesFailed    uint64
 	KMismatch       uint64 // k-slave variant: answers disagreed (§4)
@@ -54,14 +58,16 @@ type ClientConfig struct {
 	Addr   string
 	Keys   *cryptoutil.KeyPair
 	Params Params
-	// ContentKey names the content and verifies master certificates.
+	// ContentKey names the content and verifies the shard table and every
+	// certificate the directory serves.
 	ContentKey cryptoutil.PublicKey
 	// Directory is the public directory (setup, §2).
 	Directory DirectoryService
-	// AuditorAddr receives pledge forwards (§3.4).
+	// AuditorAddr receives pledge forwards (§3.4) for every group whose
+	// auditor the directory does not publish.
 	AuditorAddr string
-	// PreferredMaster, if >= 0, picks that index from the directory's
-	// master list ("the closest one for example"); otherwise random.
+	// PreferredMaster, if >= 0, picks that index from each group's master
+	// list ("the closest one for example"); otherwise random.
 	PreferredMaster int
 	// KSlaves > 1 enables the §4 variant: each read goes to K slaves and
 	// answers must agree.
@@ -69,31 +75,57 @@ type ClientConfig struct {
 	// ForceDoubleCheck makes the client double-check every read — the
 	// "greedy client" behaviour of §3.3.
 	ForceDoubleCheck bool
-	// Seed drives the double-check coin flips.
+	// Seed drives the double-check coin flips and random master picks.
 	Seed int64
 }
+
+// ErrUnroutableQuery is returned for a read that is not a point read when
+// the shard table has more than one range: only a Get names the one group
+// that can answer it.
+var ErrUnroutableQuery = errors.New("core: query spans shards (only point reads are routed)")
+
+// shardRedirectAttempts bounds the re-read/re-send loop after wrong-shard
+// rejections. Rejection happens at admission — before any commit — so a
+// re-send can never duplicate a write.
+const shardRedirectAttempts = 3
 
 type slaveAssignment struct {
 	addr string
 	pub  cryptoutil.PublicKey
 }
 
-// Client performs reads against its assigned slave and writes against its
-// assigned master, verifying pledges, enforcing freshness, double-checking
+// group is the client's view of one master group, the owner of one range
+// of the shard table: the masters certified for its shard, the one the
+// client talks to, the slaves that master assigned, and the auditor that
+// takes its pledges. id and auditor are fixed at setup; Client.mu covers
+// the rest.
+type group struct {
+	id         uint32
+	auditor    string
+	masters    []pki.Certificate
+	masterAddr string
+	masterPub  cryptoutil.PublicKey   // our master (slave cert check)
+	masterPubs []cryptoutil.PublicKey // the group's masters (stamp check); replaced, never mutated in place
+	slaves     []slaveAssignment
+}
+
+// Client performs reads against its assigned slaves and writes against its
+// assigned masters, verifying pledges, enforcing freshness, double-checking
 // probabilistically, and forwarding pledges to the auditor before
-// accepting (§3.2–§3.4).
+// accepting (§3.2–§3.4). It routes every operation by the owner-signed
+// shard table: a key goes to the group whose range holds it, and a
+// deployment the directory publishes no table for is one full-range group.
 type Client struct {
 	cfg ClientConfig
 	rt  sim.Runtime
 	dlr rpc.Dialer
 	rng *rand.Rand
 
-	mu         sync.Mutex
-	masterAddr string
-	masterPubs []cryptoutil.PublicKey // all certified masters (stamp check); replaced, never mutated in place
-	masterPub  cryptoutil.PublicKey   // our master (slave cert check)
-	slaves     []slaveAssignment
-	stats      ClientStats
+	mu     sync.Mutex
+	table  pki.ShardTable    // verified, or the one full range
+	stale  bool              // a wrong-shard rejection outdated table
+	groups map[uint32]*group // shard id -> group; nil before Setup
+	stats  ClientStats
 
 	// stamps and pledges remember verified signatures: the same stamp comes
 	// back between keep-alives, the same pledge between content updates.
@@ -131,60 +163,167 @@ func (c *Client) Addr() string { return c.cfg.Addr }
 // PublicKey returns the client's public key.
 func (c *Client) PublicKey() cryptoutil.PublicKey { return c.cfg.Keys.Public }
 
-// SlaveAddr returns the client's current primary slave.
+// SlaveAddr returns the primary slave of the group owning the table's
+// first range (the only group of an unsharded deployment).
 func (c *Client) SlaveAddr() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.slaves) == 0 {
-		return ""
+	if g := c.firstGroupLocked(); g != nil && len(g.slaves) > 0 {
+		return g.slaves[0].addr
 	}
-	return c.slaves[0].addr
+	return ""
 }
 
-// MasterAddr returns the client's current master.
+// MasterAddr returns the master of the group owning the table's first
+// range.
 func (c *Client) MasterAddr() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.masterAddr
+	if g := c.firstGroupLocked(); g != nil {
+		return g.masterAddr
+	}
+	return ""
 }
 
-// Setup performs the client setup phase (§2): query the directory for the
-// certified master set, select one master, and obtain slave assignments
+func (c *Client) firstGroupLocked() *group {
+	if len(c.table.Shards) == 0 {
+		return nil
+	}
+	return c.groups[c.table.Shards[0].ID]
+}
+
+// Setup performs the client setup phase (§2): read the shard table and the
+// certificates beside it from the directory, keep what the content owner
+// signed, and in every group select a master and obtain slave assignments
 // from it.
 func (c *Client) Setup() error {
-	masters, err := c.cfg.Directory.VerifiedMasters()
+	return c.refresh(false)
+}
+
+// refresh re-reads the shard map and installs it. With keep, a group whose
+// shard is still in the table keeps its master and slaves; every other
+// group is set up afresh, in shard-id order: a master by PreferredMaster
+// (else the rng), then one m.getslave.
+func (c *Client) refresh(keep bool) error {
+	table, groups, err := c.fetchShardMap()
 	if err != nil {
 		return fmt.Errorf("core: client setup: %w", err)
 	}
-	idx := c.cfg.PreferredMaster
-	if idx < 0 || idx >= len(masters) {
-		idx = c.rng.Intn(len(masters))
-	}
-	c.adoptMasters(masters, idx)
-	return c.requestSlaves(nil)
-}
-
-// adoptMasters records the certified master set and the chosen master.
-// masterPubs gets a fresh slice: readers snapshot it under c.mu and use
-// it after unlocking.
-func (c *Client) adoptMasters(masters []pki.Certificate, chosen int) {
-	pubs := make([]cryptoutil.PublicKey, len(masters))
-	for i, m := range masters {
-		pubs[i] = m.Subject
+	for _, id := range slices.Sorted(maps.Keys(groups)) {
+		c.mu.Lock()
+		old := c.groups[id]
+		c.mu.Unlock()
+		if keep && old != nil {
+			groups[id] = old
+			continue
+		}
+		g := groups[id]
+		if len(g.masters) == 0 {
+			return fmt.Errorf("core: client setup: shard %d has no verified masters", id)
+		}
+		idx := c.cfg.PreferredMaster
+		if idx < 0 || idx >= len(g.masters) {
+			idx = c.rng.Intn(len(g.masters))
+		}
+		c.adoptMaster(g, g.masters, idx)
+		if err := c.requestSlaves(g, nil); err != nil {
+			return err
+		}
 	}
 	c.mu.Lock()
-	c.masterAddr = masters[chosen].Addr
-	c.masterPub = masters[chosen].Subject
-	c.masterPubs = pubs
+	c.table, c.groups, c.stale = table, groups, false
+	c.mu.Unlock()
+	return nil
+}
+
+// fetchShardMap reads the shard table and every certificate beside it in
+// one directory call and keeps what the content owner signed: the table
+// must verify under the content key, and a certificate joins a group only
+// if it verifies too and its signed shard id names a range of the table.
+// Without a table the deployment is one full-range group of every master
+// verifiedMasters accepts, audited at cfg.AuditorAddr.
+func (c *Client) fetchShardMap() (pki.ShardTable, map[uint32]*group, error) {
+	table, certs, err := c.cfg.Directory.ShardMap()
+	if errors.Is(err, pki.ErrNoShardTable) {
+		g := &group{auditor: c.cfg.AuditorAddr, masters: verifiedMasters(certs, c.cfg.ContentKey)}
+		return pki.ShardTable{Shards: []wire.ShardRef{{}}}, map[uint32]*group{0: g}, nil
+	}
+	if err != nil {
+		return pki.ShardTable{}, nil, err
+	}
+	if err := table.Verify(c.cfg.ContentKey); err != nil {
+		return pki.ShardTable{}, nil, fmt.Errorf("core: shard table rejected: %w", err)
+	}
+	groups := make(map[uint32]*group, len(table.Shards))
+	for _, s := range table.Shards {
+		groups[s.ID] = &group{id: s.ID, auditor: c.cfg.AuditorAddr}
+	}
+	for _, cert := range certs {
+		g := groups[cert.Shard]
+		if g == nil || cert.Verify(c.cfg.ContentKey) != nil {
+			continue
+		}
+		switch cert.Role {
+		case pki.RoleMaster:
+			g.masters = append(g.masters, cert)
+		case pki.RoleAuditor:
+			g.auditor = cert.Addr
+		}
+	}
+	return table, groups, nil
+}
+
+// lockTable locks c.mu over a usable table: one a wrong-shard rejection
+// outdated (or that Setup never read) is re-read first. The caller
+// unlocks.
+func (c *Client) lockTable() error {
+	c.mu.Lock()
+	if !c.stale && c.groups != nil {
+		return nil
+	}
+	c.mu.Unlock()
+	if err := c.refresh(true); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	return nil
+}
+
+// route returns the group that answers q: a Get goes by its key, any other
+// query to the only group of a one-range table.
+func (c *Client) route(q query.Query) (*group, error) {
+	if err := c.lockTable(); err != nil {
+		return nil, err
+	}
+	defer c.mu.Unlock()
+	if get, ok := q.(query.Get); ok {
+		return c.groups[c.table.ShardFor(get.Key).ID], nil
+	}
+	if len(c.table.Shards) > 1 {
+		return nil, ErrUnroutableQuery
+	}
+	return c.groups[c.table.Shards[0].ID], nil
+}
+
+// adoptMaster records the group's certified masters and the chosen one.
+// masterPubs gets a fresh slice: readers snapshot it under c.mu and use it
+// after unlocking.
+func (c *Client) adoptMaster(g *group, masters []pki.Certificate, chosen int) {
+	pubs := subjects(masters)
+	c.mu.Lock()
+	g.masters = masters
+	g.masterAddr = masters[chosen].Addr
+	g.masterPub = masters[chosen].Subject
+	g.masterPubs = pubs
 	c.mu.Unlock()
 }
 
-// requestSlaves (re)fills the slave assignment list, excluding the given
-// addresses.
-func (c *Client) requestSlaves(exclude []string) error {
+// requestSlaves (re)fills the group's slave assignment list, excluding the
+// given addresses.
+func (c *Client) requestSlaves(g *group, exclude []string) error {
 	c.mu.Lock()
-	masterAddr := c.masterAddr
-	masterPub := c.masterPub
+	masterAddr := g.masterAddr
+	masterPub := g.masterPub
 	k := c.cfg.KSlaves
 	c.mu.Unlock()
 
@@ -215,39 +354,41 @@ func (c *Client) requestSlaves(exclude []string) error {
 		return ErrNoSlaves
 	}
 	c.mu.Lock()
-	c.slaves = assigns
+	g.slaves = assigns
 	c.mu.Unlock()
 	return nil
 }
 
-// resetup redoes the whole setup phase after a master failure (§3: "all
-// the clients connected to the crashed server will have to go through the
-// setup process again").
-func (c *Client) resetup() error {
+// resetup redoes one group's setup after its master failed (§3: "all the
+// clients connected to the crashed server will have to go through the
+// setup process again"), from a fresh read of the directory.
+func (c *Client) resetup(g *group) error {
 	c.mu.Lock()
 	c.stats.Resetups++
-	old := c.masterAddr
+	old := g.masterAddr
 	c.mu.Unlock()
-	masters, err := c.cfg.Directory.VerifiedMasters()
+	_, groups, err := c.fetchShardMap()
 	if err != nil {
 		return err
 	}
+	fresh := groups[g.id]
+	if fresh == nil || len(fresh.masters) == 0 {
+		return fmt.Errorf("core: shard %d has no verified masters", g.id)
+	}
 	// Prefer a different master than the one that just failed.
-	pick := -1
-	for i, m := range masters {
+	pick := 0
+	for i, m := range fresh.masters {
 		if m.Addr != old {
 			pick = i
 			break
 		}
 	}
-	if pick < 0 {
-		pick = 0
-	}
-	c.adoptMasters(masters, pick)
-	return c.requestSlaves(nil)
+	c.adoptMaster(g, fresh.masters, pick)
+	return c.requestSlaves(g, nil)
 }
 
-// Handle processes master-initiated notifications (MethodNotify).
+// Handle processes master-initiated notifications (MethodNotify). The
+// group whose master signed the replacement's certificate takes it.
 func (c *Client) Handle(from, method string, body []byte) ([]byte, error) {
 	if method != MethodNotify {
 		return nil, fmt.Errorf("core: client: unknown method %q", method)
@@ -263,26 +404,33 @@ func (c *Client) Handle(from, method string, body []byte) ([]byte, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := cert.Verify(c.masterPub); err != nil {
-		return nil, err
+	var g *group
+	for _, cand := range c.groups {
+		if cert.Verify(cand.masterPub) == nil {
+			g = cand
+			break
+		}
 	}
-	// Replace the excluded slave in our assignment list.
+	if g == nil {
+		return nil, fmt.Errorf("core: client: reassignment not signed by any of our masters")
+	}
+	// Replace the excluded slave in the group's assignment list.
 	replaced := false
-	for i := range c.slaves {
-		if bytes.Equal(c.slaves[i].pub, excl.Subject) {
-			c.slaves[i] = slaveAssignment{addr: cert.Addr, pub: cert.Subject}
+	for i := range g.slaves {
+		if bytes.Equal(g.slaves[i].pub, excl.Subject) {
+			g.slaves[i] = slaveAssignment{addr: cert.Addr, pub: cert.Subject}
 			replaced = true
 		}
 	}
-	if !replaced && len(c.slaves) > 0 {
-		c.slaves[0] = slaveAssignment{addr: cert.Addr, pub: cert.Subject}
+	if !replaced && len(g.slaves) > 0 {
+		g.slaves[0] = slaveAssignment{addr: cert.Addr, pub: cert.Subject}
 	}
 	c.stats.Reassignments++
 	return nil, nil
 }
 
-// Write submits op to the master and waits for commit (§3.1): a wave of
-// one. It returns the new content version.
+// Write submits op to the master of the group owning its key and waits
+// for commit (§3.1): a wave of one. It returns the new content version.
 func (c *Client) Write(op store.Op) (uint64, error) {
 	versions, err := c.WriteMulti([]store.Op{op})
 	if err != nil {
@@ -291,24 +439,82 @@ func (c *Client) Write(op store.Op) (uint64, error) {
 	return versions[0], nil
 }
 
-// WriteMulti submits a whole wave of ops in ONE RPC frame under ONE
-// client signature (MethodWriteMulti, WriteWave): the master verifies
-// the signature and the ACL once, validates every op, and feeds the wave
-// straight into its batch accumulator — so n writes cost one client
-// signature, ~n/BatchSize master signatures and 1 network exchange
-// instead of n of each. The master admits or refuses the wave as a
-// whole. It returns the assigned versions in submission order; an op the
-// pipeline dropped reports version 0 and an aggregate error.
+// WriteMulti submits a wave of ops and returns the assigned versions in
+// submission order; an op the pipeline dropped reports version 0 and an
+// aggregate error. The wave is split by the shard table, and each group's
+// part travels in shard-id order as ONE m.writemulti frame under ONE
+// client signature (WriteWave): its master verifies the signature and the
+// ACL once, validates every op, and admits or refuses the part whole — so
+// n writes cost one client signature per group, ~n/BatchSize master
+// signatures and one network exchange per group. A part refused as
+// wrong-shard (the table was stale) committed nothing: the client re-reads
+// the table and re-sends only that part, at most shardRedirectAttempts
+// times.
 func (c *Client) WriteMulti(ops []store.Op) ([]uint64, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
+	versions := make([]uint64, len(ops))
+	remaining := make([]int, len(ops))
+	for i := range ops {
+		remaining[i] = i
+	}
+	var lastErr error
+	for attempt := 0; attempt < shardRedirectAttempts && len(remaining) > 0; attempt++ {
+		if err := c.lockTable(); err != nil {
+			return nil, err
+		}
+		parts := make(map[*group][]int)
+		for _, i := range remaining {
+			g := c.groups[c.table.ShardFor(store.KeyOf(ops[i])).ID]
+			parts[g] = append(parts[g], i)
+		}
+		c.mu.Unlock()
+
+		var redirected []int
+		// Shard-id order keeps the simulator's schedule deterministic.
+		for _, g := range slices.SortedFunc(maps.Keys(parts), func(a, b *group) int { return cmp.Compare(a.id, b.id) }) {
+			idxs := parts[g]
+			part := make([]store.Op, len(idxs))
+			for j, i := range idxs {
+				part[j] = ops[i]
+			}
+			vs, err := c.writeGroup(g, part)
+			if IsWrongShard(err) {
+				lastErr = err
+				c.mu.Lock()
+				c.stats.Redirects++
+				c.stale = true
+				c.mu.Unlock()
+				redirected = append(redirected, idxs...)
+				continue
+			}
+			for j := 0; j < len(vs) && j < len(idxs); j++ {
+				versions[idxs[j]] = vs[j]
+			}
+			if err != nil {
+				return versions, err
+			}
+		}
+		remaining = redirected
+	}
+	if len(remaining) > 0 {
+		return versions, fmt.Errorf("core: %d wave writes still misrouted after %d redirects: %w",
+			len(remaining), shardRedirectAttempts, lastErr)
+	}
+	return versions, nil
+}
+
+// writeGroup sends one group's part of a wave to the group's master and
+// returns its versions. A transport failure means the master crashed: the
+// group redoes setup and the part is sent once more.
+func (c *Client) writeGroup(g *group, ops []store.Op) ([]uint64, error) {
 	ww := SignWave(c.cfg.Keys, ops)
 	reqFrame := wire.EncodeFrame(ww.Encode)
 
 	for attempt := 0; attempt < 2; attempt++ {
 		c.mu.Lock()
-		masterAddr := c.masterAddr
+		masterAddr := g.masterAddr
 		c.mu.Unlock()
 		body, err := c.dlr.Call(masterAddr, MethodWriteMulti, reqFrame)
 		if err == nil {
@@ -346,7 +552,7 @@ func (c *Client) WriteMulti(ops []store.Op) ([]uint64, error) {
 			return nil, err
 		}
 		// Transport failure: master crashed; redo setup and retry once.
-		if rerr := c.resetup(); rerr != nil {
+		if rerr := c.resetup(g); rerr != nil {
 			c.mu.Lock()
 			c.stats.WritesFailed += uint64(len(ops))
 			c.mu.Unlock()
@@ -385,8 +591,12 @@ func (c *Client) ReadAtLevel(q query.Query, checkProb float64) ([]byte, error) {
 // sensitive' reads ... executed only by the trusted servers, which
 // guarantees that clients always get correct results").
 func (c *Client) ReadSensitive(q query.Query) ([]byte, error) {
+	g, err := c.route(q)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
-	masterAddr := c.masterAddr
+	masterAddr := g.masterAddr
 	c.mu.Unlock()
 	_, _, payload, err := c.masterCheck(masterAddr, query.Encode(q), true)
 	if err != nil {
@@ -399,6 +609,10 @@ func (c *Client) ReadSensitive(q query.Query) ([]byte, error) {
 }
 
 func (c *Client) readWithCheckProb(q query.Query, checkProb float64) ([]byte, error) {
+	g, err := c.route(q)
+	if err != nil {
+		return nil, err
+	}
 	queryBytes := query.Encode(q)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Params.MaxReadRetries; attempt++ {
@@ -407,7 +621,7 @@ func (c *Client) readWithCheckProb(q query.Query, checkProb float64) ([]byte, er
 			c.stats.Retries++
 			c.mu.Unlock()
 		}
-		payload, err := c.readOnce(queryBytes, checkProb)
+		payload, err := c.readOnce(g, queryBytes, checkProb)
 		if err == nil {
 			return payload, nil
 		}
@@ -427,19 +641,19 @@ func (c *Client) readWithCheckProb(q query.Query, checkProb float64) ([]byte, er
 // replacement, version races).
 var errRetry = errors.New("core: retryable read failure")
 
-func (c *Client) readOnce(queryBytes []byte, checkProb float64) ([]byte, error) {
+func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
 	if c.cfg.KSlaves > 1 {
-		return c.readK(queryBytes, checkProb)
+		return c.readK(g, queryBytes, checkProb)
 	}
 	c.mu.Lock()
-	if len(c.slaves) == 0 {
+	if len(g.slaves) == 0 {
 		c.mu.Unlock()
 		return nil, ErrNoSlaves
 	}
-	sl, masterPubs := c.slaves[0], c.masterPubs
+	sl, masterPubs := g.slaves[0], g.masterPubs
 	c.mu.Unlock()
 
-	reply, err := c.callSlaveRead(sl, queryBytes)
+	reply, err := c.callSlaveRead(g, sl, queryBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -449,13 +663,13 @@ func (c *Client) readOnce(queryBytes []byte, checkProb float64) ([]byte, error) 
 
 	// Probabilistic double-check (§3.3).
 	if c.rng.Float64() < checkProb {
-		if err := c.doubleCheck(queryBytes, reply); err != nil {
+		if err := c.doubleCheck(g, queryBytes, reply); err != nil {
 			return nil, err
 		}
 	}
 
 	// Forward the pledge to the auditor before accepting (§3.4).
-	if err := c.forwardPledge(reply.pledgeBytes); err != nil {
+	if err := c.forwardPledge(g, reply.pledgeBytes); err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -469,7 +683,7 @@ func (c *Client) readOnce(queryBytes []byte, checkProb float64) ([]byte, error) 
 
 // callSlaveRead performs the slave RPC, replacing the slave if it is
 // unreachable and classifying stale refusals as retryable.
-func (c *Client) callSlaveRead(sl slaveAssignment, queryBytes []byte) (ReadReply, error) {
+func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) (ReadReply, error) {
 	w := wire.NewWriter(len(queryBytes) + 8)
 	w.Bytes_(queryBytes)
 	body, err := c.dlr.CallTimeout(sl.addr, MethodRead, w.Bytes(), c.cfg.Params.ReadTimeout)
@@ -487,7 +701,7 @@ func (c *Client) callSlaveRead(sl slaveAssignment, queryBytes []byte) (ReadReply
 			c.mu.Lock()
 			c.stats.Reassignments++
 			c.mu.Unlock()
-			if rerr := c.requestSlaves([]string{sl.addr}); rerr != nil {
+			if rerr := c.requestSlaves(g, []string{sl.addr}); rerr != nil {
 				return ReadReply{}, rerr
 			}
 			return ReadReply{}, errRetry
@@ -575,10 +789,10 @@ func (c *Client) masterCheck(masterAddr string, queryBytes []byte, wantPayload b
 // doubleCheck compares the slave's pledged hash with the master's own
 // execution (§3.3); on mismatch it reports the pledge (§3.5 immediate
 // discovery) and retries the read on the replacement slave.
-func (c *Client) doubleCheck(queryBytes []byte, reply ReadReply) error {
+func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error {
 	c.mu.Lock()
 	c.stats.DoubleChecks++
-	masterAddr := c.masterAddr
+	masterAddr := g.masterAddr
 	c.mu.Unlock()
 	version, digest, _, err := c.masterCheck(masterAddr, queryBytes, false)
 	if err != nil {
@@ -604,11 +818,11 @@ func (c *Client) doubleCheck(queryBytes []byte, reply ReadReply) error {
 	c.mu.Lock()
 	c.stats.CaughtImmediate++
 	caughtAddr := ""
-	if len(c.slaves) > 0 {
-		caughtAddr = c.slaves[0].addr
+	if len(g.slaves) > 0 {
+		caughtAddr = g.slaves[0].addr
 	}
 	c.mu.Unlock()
-	if err := c.reportPledge(reply.pledgeBytes); err == nil {
+	if err := c.reportPledge(g, reply.pledgeBytes); err == nil {
 		c.mu.Lock()
 		c.stats.ReportsFiled++
 		c.mu.Unlock()
@@ -617,17 +831,17 @@ func (c *Client) doubleCheck(queryBytes []byte, reply ReadReply) error {
 	// master's notification (which may not be deliverable, e.g. clients
 	// behind NAT); the master has already excluded it.
 	if caughtAddr != "" {
-		c.requestSlaves([]string{caughtAddr})
+		c.requestSlaves(g, []string{caughtAddr})
 	}
 	return errRetry
 }
 
-// reportPledge files the incriminating pledge with the master, in the
-// bytes the slave sent it in. Client reports are unsigned: the master
+// reportPledge files the incriminating pledge with the group's master, in
+// the bytes the slave sent it in. Client reports are unsigned: the master
 // convicts by re-executing the query itself (immediate discovery, §3.5).
-func (c *Client) reportPledge(pledgeBytes []byte) error {
+func (c *Client) reportPledge(g *group, pledgeBytes []byte) error {
 	c.mu.Lock()
-	masterAddr := c.masterAddr
+	masterAddr := g.masterAddr
 	c.mu.Unlock()
 	w := wire.NewWriter(len(pledgeBytes) + 16)
 	w.Bytes_(pledgeBytes)
@@ -636,28 +850,29 @@ func (c *Client) reportPledge(pledgeBytes []byte) error {
 	return err
 }
 
-// forwardPledge sends the auditor the pledge exactly as the slave sent it and
-// waits for the ack; clients accept results only after this completes (§3.4).
-func (c *Client) forwardPledge(pledgeBytes []byte) error {
+// forwardPledge sends the group's auditor the pledge exactly as the slave
+// sent it and waits for the ack; clients accept results only after this
+// completes (§3.4).
+func (c *Client) forwardPledge(g *group, pledgeBytes []byte) error {
 	c.mu.Lock()
 	c.stats.PledgesSent++
 	c.mu.Unlock()
-	_, err := c.dlr.CallTimeout(c.cfg.AuditorAddr, MethodPledge, pledgeBytes, c.cfg.Params.ReadTimeout)
+	_, err := c.dlr.CallTimeout(g.auditor, MethodPledge, pledgeBytes, c.cfg.Params.ReadTimeout)
 	return err
 }
 
 // forwardPledges ships a whole wave of pledges — one per slave of a
-// K-replica read — to the auditor in a single frame, one RPC per
+// K-replica read — to the group's auditor in a single frame, one RPC per
 // accepted read instead of one per slave. Order within the frame is
 // preserved, so the auditor admits exactly what the sequential
 // forwardPledge calls would. A single pledge goes by a.pledge, the frame
 // every one-slave read sends.
-func (c *Client) forwardPledges(pledges [][]byte) error {
+func (c *Client) forwardPledges(g *group, pledges [][]byte) error {
 	if len(pledges) == 0 {
 		return nil
 	}
 	if len(pledges) == 1 {
-		return c.forwardPledge(pledges[0])
+		return c.forwardPledge(g, pledges[0])
 	}
 	c.mu.Lock()
 	c.stats.PledgesSent += uint64(len(pledges))
@@ -668,7 +883,7 @@ func (c *Client) forwardPledges(pledges [][]byte) error {
 	}
 	w := wire.NewWriter(size)
 	w.BytesSlice(pledges)
-	_, err := c.dlr.CallTimeout(c.cfg.AuditorAddr, MethodPledgeMulti, w.Bytes(), c.cfg.Params.ReadTimeout)
+	_, err := c.dlr.CallTimeout(g.auditor, MethodPledgeMulti, w.Bytes(), c.cfg.Params.ReadTimeout)
 	return err
 }
 
@@ -676,10 +891,10 @@ func (c *Client) forwardPledges(pledges [][]byte) error {
 // slaves; if any answers disagree the client double-checks with the
 // master unconditionally and reports every slave whose pledge does not
 // match the trusted hash.
-func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
+func (c *Client) readK(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
-	assigns := append([]slaveAssignment(nil), c.slaves...)
-	masterPubs := c.masterPubs
+	assigns := append([]slaveAssignment(nil), g.slaves...)
+	masterPubs := g.masterPubs
 	c.mu.Unlock()
 	if len(assigns) == 0 {
 		return nil, ErrNoSlaves
@@ -687,7 +902,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 	replies := make([]ReadReply, 0, len(assigns))
 	okSlaves := make([]slaveAssignment, 0, len(assigns))
 	for _, sl := range assigns {
-		reply, err := c.callSlaveRead(sl, queryBytes)
+		reply, err := c.callSlaveRead(g, sl, queryBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -708,7 +923,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 		// "If all the answers are identical, the client proceeds as in
 		// the original algorithm" (§4).
 		if c.rng.Float64() < checkProb {
-			if err := c.doubleCheck(queryBytes, replies[0]); err != nil {
+			if err := c.doubleCheck(g, queryBytes, replies[0]); err != nil {
 				return nil, err
 			}
 		}
@@ -716,7 +931,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 		for i, r := range replies {
 			pledges[i] = r.pledgeBytes
 		}
-		if err := c.forwardPledges(pledges); err != nil {
+		if err := c.forwardPledges(g, pledges); err != nil {
 			return nil, err
 		}
 		c.mu.Lock()
@@ -732,7 +947,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
 	c.stats.KMismatch++
 	c.stats.DoubleChecks++
-	masterAddr := c.masterAddr
+	masterAddr := g.masterAddr
 	c.mu.Unlock()
 	version, digest, _, err := c.masterCheck(masterAddr, queryBytes, false)
 	if err != nil {
@@ -741,7 +956,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 	var liars []string
 	for i, r := range replies {
 		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
-			if err := c.reportPledge(r.pledgeBytes); err == nil {
+			if err := c.reportPledge(g, r.pledgeBytes); err == nil {
 				c.mu.Lock()
 				c.stats.ReportsFiled++
 				c.stats.CaughtImmediate++
@@ -753,7 +968,7 @@ func (c *Client) readK(queryBytes []byte, checkProb float64) ([]byte, error) {
 	if len(liars) > 0 {
 		// Request a fresh assignment that avoids the convicted slaves
 		// (the master has excluded them; notifications may race this).
-		if err := c.requestSlaves(liars); err != nil {
+		if err := c.requestSlaves(g, liars); err != nil {
 			return nil, err
 		}
 	}

@@ -143,14 +143,18 @@ func chargeMemoised(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Dur
 // method that can cross a network reports failure: callers must never
 // mistake an unreachable directory for an empty answer (in particular,
 // IsExcluded fails closed — an RPC failure is an error, not "not
-// excluded"). Certificates and shard tables returned by ShardMap are raw
-// directory state; callers verify them against the content key before
-// trusting them.
+// excluded"). The directory is untrusted: every answer is raw directory
+// state, and callers verify certificates and shard tables against the
+// content key before trusting them (verifiedMasters, and
+// Client.fetchShardMap for the table).
 type DirectoryService interface {
+	// VerifiedMasters returns the master certificates the directory lists
+	// for the content, as the directory sends them: an honest directory
+	// verified them, but nothing here did.
 	VerifiedMasters() ([]pki.Certificate, error)
 	// ShardMap returns the published shard table and every published
-	// certificate (all roles). pki.ErrNoShardTable means the deployment
-	// is unsharded.
+	// certificate (all roles). pki.ErrNoShardTable, with the certificates
+	// beside it, means the deployment is unsharded.
 	ShardMap() (pki.ShardTable, []pki.Certificate, error)
 	Publish(cert pki.Certificate) error
 	Withdraw(subject cryptoutil.PublicKey) error
@@ -171,17 +175,35 @@ func (b BoundDirectory) VerifiedMasters() ([]pki.Certificate, error) {
 	return b.Dir.VerifiedMasters(b.ContentKey)
 }
 
-// ShardMap implements DirectoryService.
+// ShardMap implements DirectoryService, answering what dirsrv serves for
+// the same state: no certificates is an empty list, not an error.
 func (b BoundDirectory) ShardMap() (pki.ShardTable, []pki.Certificate, error) {
+	certs, _ := b.Dir.Lookup(b.ContentKey)
 	table, err := b.Dir.ShardTableFor(b.ContentKey)
-	if err != nil {
-		return pki.ShardTable{}, nil, err
+	return table, certs, err
+}
+
+// verifiedMasters keeps the master certificates that verify under the
+// content key. Every master key a client or master checks a stamp, a
+// checkpoint or a slave certificate against comes from the untrusted
+// directory through here or through Client.fetchShardMap.
+func verifiedMasters(certs []pki.Certificate, contentKey cryptoutil.PublicKey) []pki.Certificate {
+	var out []pki.Certificate
+	for _, c := range certs {
+		if c.Role == pki.RoleMaster && c.Verify(contentKey) == nil {
+			out = append(out, c)
+		}
 	}
-	certs, err := b.Dir.Lookup(b.ContentKey)
-	if err != nil {
-		return pki.ShardTable{}, nil, err
+	return out
+}
+
+// subjects returns the certified keys, in certificate order.
+func subjects(certs []pki.Certificate) []cryptoutil.PublicKey {
+	pubs := make([]cryptoutil.PublicKey, len(certs))
+	for i, c := range certs {
+		pubs[i] = c.Subject
 	}
-	return table, certs, nil
+	return pubs
 }
 
 // Publish implements DirectoryService.

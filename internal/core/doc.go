@@ -11,8 +11,14 @@
 // Map from paper sections to the implementation:
 //
 //	§2   (system model)      — ACL, DirectoryService, pki certificates;
-//	                           Client.Setup obtains the certified master
-//	                           set and slave assignments.
+//	                           Client.Setup reads the shard table and
+//	                           every certificate from the untrusted
+//	                           directory in one call, verifies each
+//	                           under the content key, and obtains slave
+//	                           assignments in every group (an unsharded
+//	                           deployment is one full-range group).
+//	                           Client routes each write and point read
+//	                           to the group owning the key.
 //	§3.1 (writes)            — Master.handleWriteMulti orders writes
 //	                           through the master-set broadcast;
 //	                           VersionStamp is the signed, time-stamped

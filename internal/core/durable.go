@@ -243,7 +243,7 @@ func (m *Master) recoverGap() {
 
 // catchUpFrom pulls a state transfer from a peer master and adopts the
 // result wholesale: batches (or snapshot + batches) verified against the
-// directory's master keys exactly as a slave sync is, logged, then
+// owner-certified master keys exactly as a slave sync is, logged, then
 // persisted, with broadcast delivery resumed at the anchor the peer
 // captured with the reply — the slot each transferred batch is logged
 // under, since this master's archive starts above it. Ordered messages in
@@ -251,19 +251,15 @@ func (m *Master) recoverGap() {
 // checkpoints, membership changes — are not replayed; all are periodic or
 // idempotent and re-converge through their own channels.
 func (m *Master) catchUpFrom(peer string) error {
-	masters, err := m.cfg.Directory.VerifiedMasters()
+	masters, err := m.certifiedMasters()
 	if err != nil {
 		return err
-	}
-	pubs := make([]cryptoutil.PublicKey, 0, len(masters))
-	for _, c := range masters {
-		pubs = append(pubs, c.Subject)
 	}
 	m.mu.Lock()
 	from := m.store.Version() + 1
 	m.mu.Unlock()
 
-	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.cfg.CPU, pubs, m.stamps)
+	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.cfg.CPU, subjects(masters), m.stamps)
 	if err != nil {
 		return err
 	}

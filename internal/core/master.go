@@ -1459,7 +1459,7 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 		m.rt.Spawn(func() {
 			// Dead master's key is unknown here; withdraw by looking up
 			// its certificate through the directory.
-			masters, err := m.cfg.Directory.VerifiedMasters()
+			masters, err := m.certifiedMasters()
 			if err != nil {
 				return
 			}
@@ -1479,4 +1479,15 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 	if len(mine) > 0 {
 		m.rt.Spawn(func() { m.sendKeepAlives(mine) })
 	}
+}
+
+// certifiedMasters is the directory's master list less every certificate
+// that does not verify under the content key: what checkpoints, catch-up
+// replies and the takeover withdraw are checked against.
+func (m *Master) certifiedMasters() ([]pki.Certificate, error) {
+	certs, err := m.cfg.Directory.VerifiedMasters()
+	if err != nil {
+		return nil, err
+	}
+	return verifiedMasters(certs, m.cfg.ContentKey), nil
 }

@@ -72,7 +72,7 @@ func TestRecoveryCycle(t *testing.T) {
 		for _, sl := range c.slaves[1:] {
 			others = append(others, sl.Addr())
 		}
-		if err := cl.requestSlaves(others); err != nil {
+		if err := cl.requestSlaves(cl.groups[0], others); err != nil {
 			t.Errorf("requestSlaves: %v", err)
 			return
 		}

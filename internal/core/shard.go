@@ -10,18 +10,18 @@ import (
 )
 
 // ErrWrongShard is returned by a master asked to write a key outside its
-// group's range. The error text embeds the master's authoritative range
-// as a shard token, so a client holding a stale shard table learns the
-// truth from the rejection itself and can re-resolve and retry.
+// group's range. A client holding a stale shard table reacts by re-reading
+// the owner-signed table from the directory and re-sending; the range in
+// the error text is for people reading logs, not for routing, since
+// nothing signs it.
 var ErrWrongShard = errors.New("core: wrong shard")
 
 // wrongShardError builds the rejection a master sends for an
 // out-of-range key. Application errors cross the RPC boundary as text
-// (rpc.RemoteError), so the authoritative range travels inside the
-// message as a parseable token.
+// (rpc.RemoteError), so the range travels as its String form.
 func wrongShardError(authoritative wire.ShardRef) error {
 	return fmt.Errorf("%w: key is outside this group's range; authoritative %s",
-		ErrWrongShard, authoritative.Token())
+		ErrWrongShard, authoritative)
 }
 
 // IsWrongShard reports whether err is a wrong-shard rejection, locally
@@ -34,14 +34,4 @@ func IsWrongShard(err error) bool {
 		return true
 	}
 	return rpc.IsRemote(err) && strings.Contains(err.Error(), ErrWrongShard.Error())
-}
-
-// WrongShardRange recovers the authoritative range carried by a
-// wrong-shard rejection. ok is false when err is not a wrong-shard error
-// or carries no well-formed token.
-func WrongShardRange(err error) (wire.ShardRef, bool) {
-	if !IsWrongShard(err) {
-		return wire.ShardRef{}, false
-	}
-	return wire.ParseShardToken(err.Error())
 }

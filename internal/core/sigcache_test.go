@@ -538,14 +538,14 @@ func TestClientChecksCachedPledgeEveryRead(t *testing.T) {
 		}
 		// Cached pledge, no longer our slave.
 		r.client.mu.Lock()
-		mine := r.client.slaves[0].pub
-		r.client.slaves[0].pub = other.Public
+		mine := r.client.groups[0].slaves[0].pub
+		r.client.groups[0].slaves[0].pub = other.Public
 		r.client.mu.Unlock()
 		if _, err := r.client.Read(query.Get{Key: "k"}); err == nil {
 			t.Error("cached pledge accepted from a slave that is not assigned")
 		}
 		r.client.mu.Lock()
-		r.client.slaves[0].pub = mine
+		r.client.groups[0].slaves[0].pub = mine
 		r.client.mu.Unlock()
 		// Cached pledge, stamp grown stale.
 		r.s.Sleep(r.params.MaxLatency + time.Second)

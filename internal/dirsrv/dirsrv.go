@@ -24,8 +24,8 @@ const (
 
 // Server serves one content's directory entries: certificates, the shard
 // table, and exclusions. Every mutation is verified before it is stored
-// (see Handle); the server itself stays untrusted — clients re-verify
-// everything — but it refuses to become a vector for garbage.
+// (see Handle); the server itself stays untrusted — clients and masters
+// re-verify everything — but it refuses to become a vector for garbage.
 type Server struct {
 	Dir        *pki.Directory
 	ContentKey cryptoutil.PublicKey
@@ -40,57 +40,29 @@ func NewServer(contentKey cryptoutil.PublicKey) *Server {
 func (s *Server) Handle(from, method string, body []byte) ([]byte, error) {
 	switch method {
 	case MethodMasters:
-		// Empty body: the full verified master set (legacy / unsharded
-		// setup). A body carrying a key: only the masters of the shard
-		// owning that key, per the published table.
+		// The full verified master set; there is nothing to select by.
+		if len(body) > 0 {
+			return nil, fmt.Errorf("dirsrv: %s takes no arguments", MethodMasters)
+		}
 		certs, err := s.Dir.VerifiedMasters(s.ContentKey)
 		if err != nil {
 			return nil, err
 		}
-		if len(body) > 0 {
-			r := wire.NewReader(body)
-			key := r.String()
-			if err := r.Done(); err != nil {
-				return nil, err
-			}
-			if table, terr := s.Dir.ShardTableFor(s.ContentKey); terr == nil {
-				want := table.ShardFor(key).ID
-				routed := certs[:0]
-				for _, c := range certs {
-					if c.Shard == want {
-						routed = append(routed, c)
-					}
-				}
-				certs = routed
-			}
-		}
 		w := wire.NewWriter(512)
-		w.Uvarint(uint64(len(certs)))
-		for _, c := range certs {
-			c.Encode(w)
-		}
+		encodeCerts(w, certs)
 		return w.Bytes(), nil
 
 	case MethodShardMap:
 		// The signed table plus every published certificate (all roles).
 		// Clients verify both against the content key before trusting
 		// them; the server just refuses to serve what never verified.
+		var table *pki.ShardTable
+		if t, err := s.Dir.ShardTableFor(s.ContentKey); err == nil {
+			table = &t
+		}
+		certs, _ := s.Dir.Lookup(s.ContentKey) // none published: an empty list
 		w := wire.NewWriter(1024)
-		table, err := s.Dir.ShardTableFor(s.ContentKey)
-		if err != nil {
-			w.Bool(false)
-		} else {
-			w.Bool(true)
-			table.Encode(w)
-		}
-		certs, err := s.Dir.Lookup(s.ContentKey)
-		if err != nil {
-			certs = nil
-		}
-		w.Uvarint(uint64(len(certs)))
-		for _, c := range certs {
-			c.Encode(w)
-		}
+		encodeShardMap(w, table, certs)
 		return w.Bytes(), nil
 
 	case MethodPublish:
@@ -203,37 +175,17 @@ type Client struct {
 
 var _ core.DirectoryService = (*Client)(nil)
 
-// VerifiedMasters implements core.DirectoryService.
+// VerifiedMasters implements core.DirectoryService. The list is the
+// server's answer as it arrived; callers verify it.
 func (c *Client) VerifiedMasters() ([]pki.Certificate, error) {
 	body, err := c.Dialer.Call(c.Addr, MethodMasters, nil)
 	if err != nil {
 		return nil, err
 	}
-	return decodeCertList(body)
-}
-
-// MastersFor returns the verified masters of the shard owning key, per
-// the directory's published table (all masters when no table exists).
-func (c *Client) MastersFor(key string) ([]pki.Certificate, error) {
-	w := wire.NewWriter(64)
-	w.String_(key)
-	body, err := c.Dialer.Call(c.Addr, MethodMasters, w.Bytes())
+	r := wire.NewReader(body)
+	certs, err := decodeCerts(r)
 	if err != nil {
 		return nil, err
-	}
-	return decodeCertList(body)
-}
-
-func decodeCertList(body []byte) ([]pki.Certificate, error) {
-	r := wire.NewReader(body)
-	n := r.Count()
-	certs := make([]pki.Certificate, 0, n)
-	for i := 0; i < n; i++ {
-		cert, err := pki.DecodeCertificate(r)
-		if err != nil {
-			return nil, err
-		}
-		certs = append(certs, cert)
 	}
 	return certs, r.Done()
 }
@@ -244,31 +196,63 @@ func (c *Client) ShardMap() (pki.ShardTable, []pki.Certificate, error) {
 	if err != nil {
 		return pki.ShardTable{}, nil, err
 	}
+	return decodeShardMap(body)
+}
+
+// encodeShardMap writes a d.shardmap reply: a presence flag, the table if
+// there is one, and the certificates.
+func encodeShardMap(w *wire.Writer, table *pki.ShardTable, certs []pki.Certificate) {
+	w.Bool(table != nil)
+	if table != nil {
+		table.Encode(w)
+	}
+	encodeCerts(w, certs)
+}
+
+// decodeShardMap reads a d.shardmap reply. Without a table it returns the
+// certificates beside pki.ErrNoShardTable, as core.BoundDirectory does.
+// Nothing is verified here: that is the caller's job.
+func decodeShardMap(body []byte) (pki.ShardTable, []pki.Certificate, error) {
 	r := wire.NewReader(body)
-	has := r.Bool()
 	var table pki.ShardTable
+	has := r.Bool()
 	if has {
-		table, err = pki.DecodeShardTable(r)
-		if err != nil {
+		var err error
+		if table, err = pki.DecodeShardTable(r); err != nil {
 			return pki.ShardTable{}, nil, err
 		}
 	}
-	n := r.Count()
-	certs := make([]pki.Certificate, 0, n)
-	for i := 0; i < n; i++ {
-		cert, err := pki.DecodeCertificate(r)
-		if err != nil {
-			return pki.ShardTable{}, nil, err
-		}
-		certs = append(certs, cert)
+	certs, err := decodeCerts(r)
+	if err == nil {
+		err = r.Done()
 	}
-	if err := r.Done(); err != nil {
+	if err != nil {
 		return pki.ShardTable{}, nil, err
 	}
 	if !has {
 		return pki.ShardTable{}, certs, pki.ErrNoShardTable
 	}
 	return table, certs, nil
+}
+
+func encodeCerts(w *wire.Writer, certs []pki.Certificate) {
+	w.Uvarint(uint64(len(certs)))
+	for _, c := range certs {
+		c.Encode(w)
+	}
+}
+
+func decodeCerts(r *wire.Reader) ([]pki.Certificate, error) {
+	n := r.Count()
+	certs := make([]pki.Certificate, 0, n)
+	for i := 0; i < n; i++ {
+		cert, err := pki.DecodeCertificate(r)
+		if err != nil {
+			return nil, err
+		}
+		certs = append(certs, cert)
+	}
+	return certs, r.Err()
 }
 
 // PublishShardTable uploads a signed shard table to the directory.

@@ -271,7 +271,7 @@ func ownerTable(owner *cryptoutil.KeyPair, epoch uint64, bounds ...string) pki.S
 }
 
 func TestShardTableRoundTripAndRouting(t *testing.T) {
-	s, _, cl, owner := rig(t)
+	s, srv, cl, owner := rig(t)
 	table := ownerTable(owner, 1, "m")
 	m0 := cryptoutil.DeriveKeyPair("master", 0)
 	m1 := cryptoutil.DeriveKeyPair("master", 1)
@@ -281,7 +281,7 @@ func TestShardTableRoundTripAndRouting(t *testing.T) {
 	c1.Sign(owner)
 
 	var got pki.ShardTable
-	var lowMasters, highMasters []pki.Certificate
+	var certs []pki.Certificate
 	s.Go(func() {
 		if err := cl.PublishShardTable(table); err != nil {
 			t.Errorf("publish table: %v", err)
@@ -293,17 +293,9 @@ func TestShardTableRoundTripAndRouting(t *testing.T) {
 			t.Errorf("publish c1: %v", err)
 		}
 		var err error
-		got, _, err = cl.ShardMap()
+		got, certs, err = cl.ShardMap()
 		if err != nil {
 			t.Errorf("shardmap: %v", err)
-		}
-		lowMasters, err = cl.MastersFor("apple")
-		if err != nil {
-			t.Errorf("masters for apple: %v", err)
-		}
-		highMasters, err = cl.MastersFor("zebra")
-		if err != nil {
-			t.Errorf("masters for zebra: %v", err)
 		}
 	})
 	s.Run()
@@ -313,11 +305,23 @@ func TestShardTableRoundTripAndRouting(t *testing.T) {
 	if err := got.Verify(owner.Public); err != nil {
 		t.Fatalf("round-tripped table does not verify: %v", err)
 	}
-	if len(lowMasters) != 1 || lowMasters[0].Addr != "g0-m" {
-		t.Fatalf("masters for low key = %+v", lowMasters)
+	// Routing is the client's: the table names the owning shard, and the
+	// signed shard id on each certificate names its group.
+	for key, want := range map[string]string{"apple": "g0-m", "zebra": "g1-m"} {
+		id := got.ShardFor(key).ID
+		var addrs []string
+		for _, c := range certs {
+			if c.Shard == id && c.Verify(owner.Public) == nil {
+				addrs = append(addrs, c.Addr)
+			}
+		}
+		if len(addrs) != 1 || addrs[0] != want {
+			t.Fatalf("masters for %q = %v, want [%s]", key, addrs, want)
+		}
 	}
-	if len(highMasters) != 1 || highMasters[0].Addr != "g1-m" {
-		t.Fatalf("masters for high key = %+v", highMasters)
+	// d.masters serves the whole set and nothing narrower.
+	if _, err := srv.Handle("x", MethodMasters, wire.EncodeFrame(func(w *wire.Writer) { w.String_("apple") })); err == nil {
+		t.Fatal("d.masters accepted a key")
 	}
 }
 

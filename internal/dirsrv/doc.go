@@ -15,8 +15,9 @@
 //   - The shard table (pki.ShardTable): the owner-signed, epoch-numbered
 //     partition of the keyspace into contiguous ranges, each owned by
 //     one master group. MethodShardMap serves the table plus all
-//     certificates in one round trip; MethodMasters with a key in the
-//     body serves only the owning shard's masters.
+//     certificates in one round trip — what every client sets up from;
+//     MethodMasters serves the master certificates alone, which masters
+//     check checkpoints and catch-up replies against.
 //   - Exclusions (pki.Exclusion) revoking slaves proven malicious.
 //
 // # Verify before store
@@ -25,20 +26,22 @@
 // of any role must verify under the content key, shard tables must be
 // signed, well-formed (contiguous, total, unique ids), and not older
 // than the stored epoch, and exclusions must be signed by a currently
-// certified master. The directory stays untrusted — clients re-verify
-// everything they receive — but it never stores or serves garbage.
+// certified master. The directory stays untrusted — clients and masters
+// re-verify everything they receive under the content key — but it never
+// stores or serves garbage.
 //
 // # The redirect/retry protocol
 //
-// Clients resolve key -> shard through core.ShardRouter, cache the
-// verified mapping, and route writes to the owning group's masters. A
-// master asked to write a key outside its configured range rejects it at
-// admission with a wrong-shard error whose text carries the master's
-// authoritative range as a parseable token (core.WrongShardRange). The
-// client reacts by invalidating its cached table, re-resolving through
-// the directory, and retrying — bounded, and safe against duplicates
-// because the rejection happens before anything is committed. This is
-// how every client converges after a range move without coordination.
+// A core.Client verifies the table and every certificate under the
+// content key at setup and routes each write and point read to the owning
+// group's masters. A master asked to write a key outside its configured
+// range rejects the wave at admission with a wrong-shard error. The
+// client reacts by re-reading the signed table from the directory and
+// re-sending that group's part — bounded, and safe against duplicates
+// because the rejection happens before anything is committed. The range
+// named in the error text is unsigned and only for logs: routing follows
+// the owner-signed table alone. This is how every client converges after
+// a range move without coordination.
 //
 // # Fail-closed exclusion semantics
 //

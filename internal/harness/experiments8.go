@@ -17,15 +17,15 @@ import (
 // per max_latency), no matter how fast its hardware is; partitioning
 // the catalog across N groups multiplies the cap because each group
 // runs its own ordered broadcast. Every row drives the same total
-// writer population through sharded clients that resolve the
-// owner-signed shard table from the directory and route each wave to
-// the owning group — so the speedup column isolates the routing plane's
-// scaling, not a change in client behaviour.
+// writer population through a client that sets up from the owner-signed
+// shard table in the directory and routes each wave to the owning group —
+// so the speedup column isolates the routing plane's scaling, not a change
+// in client behaviour.
 func E19Sharding(seed int64, scale Scale) *metrics.Table {
 	t := metrics.NewTable(
 		"E19 — sharded multi-master groups: aggregate committed writes/s by shard count",
 		"shards", "committed", "throughput (/s)", "speedup",
-		"wrong-shard rejects", "redirects", "routed")
+		"wrong-shard rejects", "redirects")
 
 	dur := 8 * time.Second
 	if scale > 1 {
@@ -43,7 +43,7 @@ func E19Sharding(seed int64, scale Scale) *metrics.Table {
 			speedup = r.tput / base
 		}
 		t.Add(shards, r.committed, r.tput, fmt.Sprintf("%.1fx", speedup),
-			r.ms.WrongShardRejects, r.ss.Redirects, r.ss.Routed)
+			r.ms.WrongShardRejects, r.cs.Redirects)
 	}
 	return t
 }
@@ -53,14 +53,14 @@ type e19Result struct {
 	committed uint64
 	tput      float64
 	ms        core.MasterStats
-	ss        core.ShardedStats
+	cs        core.ClientStats
 }
 
 // runE19 drives one sharded deployment: `shards` single-master groups,
 // each with one slave, under modern costs and a tight 1ms pacing bound
 // so the per-group ceiling (not CPU) is the binding constraint. Each
 // group gets two writers pushing 16-op waves of catalog keys drawn from
-// that group's sub-range through a sharded client, so every wave routes
+// that group's sub-range through one client, so every wave routes
 // to exactly one group and groups commit independently.
 func runE19(seed int64, dur time.Duration, shards int) e19Result {
 	cfg := DefaultScenario()
@@ -76,7 +76,7 @@ func runE19(seed int64, dur time.Duration, shards int) e19Result {
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.BatchAdaptive = true
 	sc := NewScenario(cfg)
-	cl := sc.AddShardClient(nil)
+	cl := sc.AddClient(nil)
 
 	var res e19Result
 	var firstCommit, lastCommit time.Time
@@ -135,6 +135,6 @@ func runE19(seed int64, dur time.Duration, shards int) e19Result {
 		res.tput = float64(res.committed-1) / span.Seconds()
 	}
 	res.ms = sc.TotalMasterStats()
-	res.ss, _ = cl.Stats()
+	res.cs = cl.Stats()
 	return res
 }

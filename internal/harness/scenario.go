@@ -102,11 +102,8 @@ type Scenario struct {
 	Auditors []*core.Auditor
 	Auditor  *core.Auditor
 	Clients  []*core.Client
-	// ShardClients are the sharded (routing) clients added with
-	// AddShardClient.
-	ShardClients []*core.ShardedClient
-	ACL          *core.ACL
-	Initial      *store.Store
+	ACL      *core.ACL
+	Initial  *store.Store
 	// Table is the owner-signed shard table published to Dir (epoch 1).
 	Table pki.ShardTable
 	// Groups maps each shard to its masters/slaves/auditor.
@@ -198,7 +195,7 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 
 	// The routing plane: an owner-signed table splitting the catalog
 	// keyspace across the groups (a single full-range shard when
-	// unsharded, so sharded clients work against any scenario).
+	// unsharded). Every client sets up from it.
 	sc.Table = ShardTableFor(sc.Owner, shards, cfg.CatalogSize)
 	if err := sc.Dir.PublishShardTable(sc.Owner.Public, sc.Table); err != nil {
 		panic(err) // configuration bug in the experiment, not runtime
@@ -331,8 +328,8 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 		sc.Auditors = append(sc.Auditors, aud)
 		sc.Net.Register(auditorAddr, aud.Handle)
 
-		// Publish the auditor's identity so sharded clients can resolve
-		// each group's auditor address from the directory.
+		// Publish the auditor's identity so clients resolve each group's
+		// auditor address from the directory.
 		audCert := pki.Certificate{
 			Role: pki.RoleAuditor, Addr: auditorAddr, Subject: auditorKeys.Public,
 			IssuedAt: s.Now(), Serial: serial, Shard: uint32(g),
@@ -354,7 +351,9 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 	return sc
 }
 
-// AddClient registers a new client. mut may adjust the configuration.
+// AddClient registers a new client. It sets up from the shard table and
+// routes every write and read to the owning group; PreferredMaster picks
+// within each group. mut may adjust the configuration.
 func (sc *Scenario) AddClient(mut func(*core.ClientConfig)) *core.Client {
 	idx := sc.clientN
 	sc.clientN++
@@ -367,8 +366,7 @@ func (sc *Scenario) AddClient(mut func(*core.ClientConfig)) *core.Client {
 		Params:          sc.Cfg.Params,
 		ContentKey:      sc.Owner.Public,
 		Directory:       sc.Bound,
-		AuditorAddr:     sc.masterCfgs[0].AuditorAddr,
-		PreferredMaster: idx % len(sc.Masters),
+		PreferredMaster: idx % sc.Cfg.NMasters,
 		Seed:            sc.Cfg.Seed*4000 + int64(idx),
 	}
 	if mut != nil {
@@ -377,33 +375,6 @@ func (sc *Scenario) AddClient(mut func(*core.ClientConfig)) *core.Client {
 	cl := core.NewClient(cfg, sc.S, sc.Net.Dialer(addr))
 	sc.Net.Register(addr, cl.Handle)
 	sc.Clients = append(sc.Clients, cl)
-	return cl
-}
-
-// AddShardClient registers a new sharded client: it resolves the shard
-// table from the directory and routes every write/read to the owning
-// group, re-resolving on wrong-shard redirects. mut may adjust the
-// configuration shared by the per-group sub-clients.
-func (sc *Scenario) AddShardClient(mut func(*core.ClientConfig)) *core.ShardedClient {
-	idx := sc.clientN
-	sc.clientN++
-	addr := fmt.Sprintf("client-%d", idx)
-	keys := cryptoutil.DeriveKeyPair("client", idx)
-	sc.ACL.Allow(keys.Public)
-	cfg := core.ClientConfig{
-		Addr:       addr,
-		Keys:       keys,
-		Params:     sc.Cfg.Params,
-		ContentKey: sc.Owner.Public,
-		Directory:  sc.Bound,
-		Seed:       sc.Cfg.Seed*4000 + int64(idx),
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	cl := core.NewShardedClient(cfg, sc.S, sc.Net.Dialer(addr))
-	sc.Net.Register(addr, cl.Handle)
-	sc.ShardClients = append(sc.ShardClients, cl)
 	return cl
 }
 
@@ -534,6 +505,7 @@ func (sc *Scenario) TotalClientStats() core.ClientStats {
 		t.PledgesSent += st.PledgesSent
 		t.Reassignments += st.Reassignments
 		t.Resetups += st.Resetups
+		t.Redirects += st.Redirects
 		t.WritesOK += st.WritesOK
 		t.WritesFailed += st.WritesFailed
 		t.KMismatch += st.KMismatch

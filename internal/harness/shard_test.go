@@ -29,17 +29,17 @@ func TestE19ShardScalingAcceptance(t *testing.T) {
 	}
 	// Writers draw keys from their own shard's range, so a fresh table
 	// routes every wave correctly on the first try.
-	if four.ss.Redirects != 0 || four.ms.WrongShardRejects != 0 {
+	if four.cs.Redirects != 0 || four.ms.WrongShardRejects != 0 {
 		t.Fatalf("fresh-table run saw redirects=%d rejects=%d, want 0/0",
-			four.ss.Redirects, four.ms.WrongShardRejects)
+			four.cs.Redirects, four.ms.WrongShardRejects)
 	}
 }
 
 // TestWrongShardRedirectStormConverges is the stale-mapping storm: two
-// sharded clients cache a poisoned table that routes EVERY key to the
-// wrong group (the real ranges with the group ids swapped). The masters
-// reject each misrouted write before admitting anything, the clients
-// re-resolve the authoritative table from the rejection, and every
+// clients cache a poisoned table that routes EVERY key to the wrong group
+// (the real ranges with the group ids swapped). The masters reject each
+// misrouted write before admitting anything, the clients re-read the
+// authoritative table from the directory on the rejection, and every
 // write lands exactly once in its true group — nothing lost, nothing
 // duplicated.
 func TestWrongShardRedirectStormConverges(t *testing.T) {
@@ -66,7 +66,7 @@ func TestWrongShardRedirectStormConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	clients := []*core.ShardedClient{sc.AddShardClient(nil), sc.AddShardClient(nil)}
+	clients := []*core.Client{sc.AddClient(nil), sc.AddClient(nil)}
 	const writes = 20
 	var runErr error
 	versions := make([]uint64, writes)
@@ -110,8 +110,7 @@ func TestWrongShardRedirectStormConverges(t *testing.T) {
 
 	var redirects uint64
 	for _, c := range clients {
-		st, _ := c.Stats()
-		redirects += st.Redirects
+		redirects += c.Stats().Redirects
 	}
 	if redirects == 0 {
 		t.Fatal("stale mapping produced no redirects — the poisoned table was never used")
@@ -148,7 +147,7 @@ func TestEpochBumpMidWaveConverges(t *testing.T) {
 	cfg.Params.MaxLatency = 10 * time.Millisecond
 	sc := NewScenario(cfg)
 
-	clients := []*core.ShardedClient{sc.AddShardClient(nil), sc.AddShardClient(nil)}
+	clients := []*core.Client{sc.AddClient(nil), sc.AddClient(nil)}
 	const writesPerClient = 30
 	type commit struct {
 		group   int
@@ -236,8 +235,7 @@ func TestEpochBumpMidWaveConverges(t *testing.T) {
 	}
 	var redirects uint64
 	for _, c := range clients {
-		st, _ := c.Stats()
-		redirects += st.Redirects
+		redirects += c.Stats().Redirects
 	}
 	if redirects == 0 {
 		t.Fatal("poisoned epoch produced no redirects — the bump never raced the wave")
@@ -300,7 +298,7 @@ func shardDigestRun(t *testing.T, seed int64, batch int) []cryptoutil.Digest {
 	cfg.BatchSize = batch
 	cfg.BatchTimeout = 2 * time.Millisecond
 	sc := NewScenario(cfg)
-	cl := sc.AddShardClient(nil)
+	cl := sc.AddClient(nil)
 
 	var runErr error
 	sc.S.Go(func() {

@@ -14,10 +14,10 @@ const (
 	DistUniform = "uniform"
 )
 
-// Query mixes. Scan cells run unsharded only: dynamic queries are not
-// routable through the sharded client (it would silently degrade them
-// to point reads, which is exactly the kind of quiet coverage loss the
-// matrix exists to avoid).
+// Query mixes. Scan cells run unsharded only: across more than one range
+// the client routes point reads alone (a dynamic query fails with
+// core.ErrUnroutableQuery), and degrading a scan cell to point reads is
+// exactly the kind of quiet coverage loss the matrix exists to avoid.
 const (
 	MixReadMostly = "read-mostly"
 	MixWriteHeavy = "write-heavy"

@@ -59,27 +59,6 @@ func keyDist(dist string, rng *rand.Rand, n int) workload.KeyDist {
 	return workload.NewKeys(rng, n)
 }
 
-// cellClient is the driver's view of a client: plain for one shard
-// (full query mix), sharded for many (point reads only — enforced by
-// Cell.Validate keeping scans out of sharded cells).
-type cellClient interface {
-	setup() error
-	write(op store.Op) (uint64, error)
-	read(q query.Query) ([]byte, error)
-}
-
-type plainClient struct{ c *core.Client }
-
-func (p plainClient) setup() error                       { return p.c.Setup() }
-func (p plainClient) write(op store.Op) (uint64, error)  { return p.c.Write(op) }
-func (p plainClient) read(q query.Query) ([]byte, error) { return p.c.Read(q) }
-
-type shardClient struct{ c *core.ShardedClient }
-
-func (p shardClient) setup() error                       { return p.c.Setup() }
-func (p shardClient) write(op store.Op) (uint64, error)  { return p.c.Write(op) }
-func (p shardClient) read(q query.Query) ([]byte, error) { return p.c.Read(q) }
-
 // cellConfig is the fixed deployment shape every cell runs on: modern
 // crypto costs, a 100ms write round, fast keep-alives, adaptive
 // batching, and checkpointing aggressive enough that every cell
@@ -139,21 +118,17 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 	cfg := cellConfig(cell, seed, dataDir)
 	sc := harness.NewScenario(cfg)
 
-	pool := make([]cellClient, 0, poolSize)
+	pool := make([]*core.Client, 0, poolSize)
 	n := cell.Clients
 	if n > poolSize {
 		n = poolSize
 	}
 	for i := 0; i < n; i++ {
-		if cell.Shards > 1 {
-			pool = append(pool, shardClient{sc.AddShardClient(nil)})
-		} else {
-			// Master 0 is never a kill target, so writes stay routable
-			// through the crash window.
-			pool = append(pool, plainClient{sc.AddClient(func(c *core.ClientConfig) {
-				c.PreferredMaster = 0
-			})})
-		}
+		// Each group's master 0 is never a kill target, so writes stay
+		// routable through the crash window.
+		pool = append(pool, sc.AddClient(func(c *core.ClientConfig) {
+			c.PreferredMaster = 0
+		}))
 	}
 
 	res := Result{Cell: cell}
@@ -169,7 +144,7 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 			return
 		}
 		for _, p := range pool {
-			if err := p.setup(); err != nil {
+			if err := p.Setup(); err != nil {
 				runErr = fmt.Errorf("cell %s: client setup: %w", cell.Label(), err)
 				sc.S.Stop()
 				return
@@ -204,7 +179,7 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 						op := gen.NextWrite(seq*cell.Clients + c)
 						seq++
 						t0 := sc.S.Now()
-						v, err := cl.write(op)
+						v, err := cl.Write(op)
 						if err != nil {
 							res.FailedWrites++
 							continue
@@ -219,13 +194,13 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 						lastCommit = sc.S.Now()
 					} else {
 						var q query.Query
-						if cell.Shards > 1 {
+						if cell.Shards > 1 { // only point reads route across ranges
 							q = query.Get{Key: workload.CatalogKey(keys.Next())}
 						} else {
 							q = gen.Next()
 						}
 						t0 := sc.S.Now()
-						if _, err := cl.read(q); err != nil {
+						if _, err := cl.Read(q); err != nil {
 							res.ReadsFailed++
 						} else {
 							res.Reads++

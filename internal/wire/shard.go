@@ -1,16 +1,11 @@
 // Shard routing frames: the key-range reference that names one master
 // group's slice of the keyspace. The type lives in wire (not pki or core)
-// because it appears both inside signed directory structures (the shard
-// table, certificates) and inside wrong-shard error payloads, and both
-// encodings must be byte-stable.
+// because it appears inside signed directory structures (the shard table,
+// certificates) as well as in master configuration, and its encoding must
+// be byte-stable.
 package wire
 
-import (
-	"encoding/hex"
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // ShardRef names one master group's key range. Keys are routed to the
 // shard whose half-open range [Lo, Hi) contains them; Lo == "" means the
@@ -49,16 +44,7 @@ func DecodeShardRef(r *Reader) (ShardRef, error) {
 	return s, r.Err()
 }
 
-// Token renders the shard reference as a single whitespace-free token
-// ("shard=<id>:<hex lo>:<hex hi>") safe to embed in error strings that
-// cross the RPC boundary as text; ParseShardToken recovers it. Hex keeps
-// arbitrary key bytes unambiguous.
-func (s ShardRef) Token() string {
-	return "shard=" + strconv.FormatUint(uint64(s.ID), 10) + ":" +
-		hex.EncodeToString([]byte(s.Lo)) + ":" + hex.EncodeToString([]byte(s.Hi))
-}
-
-// String renders the shard for logs.
+// String renders the shard for logs and error text.
 func (s ShardRef) String() string {
 	lo, hi := s.Lo, s.Hi
 	if lo == "" {
@@ -68,36 +54,4 @@ func (s ShardRef) String() string {
 		hi = "+inf"
 	}
 	return fmt.Sprintf("shard %d [%s, %s)", s.ID, lo, hi)
-}
-
-// ParseShardToken extracts the first shard token embedded in text (see
-// Token). It reports false when no well-formed token is present.
-func ParseShardToken(text string) (ShardRef, bool) {
-	i := strings.Index(text, "shard=")
-	if i < 0 {
-		return ShardRef{}, false
-	}
-	tok := text[i+len("shard="):]
-	if j := strings.IndexFunc(tok, func(r rune) bool {
-		return r == ' ' || r == '\t' || r == '\n' || r == ')' || r == ']' || r == ','
-	}); j >= 0 {
-		tok = tok[:j]
-	}
-	parts := strings.Split(tok, ":")
-	if len(parts) != 3 {
-		return ShardRef{}, false
-	}
-	id, err := strconv.ParseUint(parts[0], 10, 32)
-	if err != nil {
-		return ShardRef{}, false
-	}
-	lo, err := hex.DecodeString(parts[1])
-	if err != nil {
-		return ShardRef{}, false
-	}
-	hi, err := hex.DecodeString(parts[2])
-	if err != nil {
-		return ShardRef{}, false
-	}
-	return ShardRef{ID: uint32(id), Lo: string(lo), Hi: string(hi)}, true
 }

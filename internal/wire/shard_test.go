@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestShardRefRoundTrip(t *testing.T) {
 	refs := []ShardRef{
@@ -45,30 +42,5 @@ func TestShardRefContains(t *testing.T) {
 	}
 	if open.IsFull() {
 		t.Fatal("half-open shard reported full")
-	}
-}
-
-func TestShardTokenRoundTrip(t *testing.T) {
-	refs := []ShardRef{
-		{},
-		{ID: 7, Lo: "catalog/00010", Hi: "catalog/00020"},
-		{ID: 2, Lo: "with space", Hi: "and:colon"},
-	}
-	for _, ref := range refs {
-		// The token must survive embedding in an error string, which is
-		// how it crosses the RPC boundary.
-		msg := fmt.Sprintf("core: wrong shard: key outside range; authoritative %s (retry)", ref.Token())
-		got, ok := ParseShardToken(msg)
-		if !ok {
-			t.Fatalf("token not found in %q", msg)
-		}
-		if got != ref {
-			t.Fatalf("parsed %v, want %v", got, ref)
-		}
-	}
-	for _, bad := range []string{"", "no token here", "shard=", "shard=1:zz:", "shard=x:61:62"} {
-		if _, ok := ParseShardToken(bad); ok {
-			t.Fatalf("ParseShardToken(%q) = ok, want failure", bad)
-		}
 	}
 }
