@@ -20,17 +20,18 @@ import (
 // stable version V (the minimum over its live, recently-heard-from
 // slaves) and broadcasts a signed Checkpoint through the ordered master
 // channel. On delivery, every master advances its baseVersion toward V —
-// always to the end of a batch, since the log holds whole batches —
-// truncates its op log and the broadcast archive below it, and retains
-// one signed snapshot of the store so a slave whose sync request predates
-// the new base can bootstrap from snapshot + the batches after it instead
-// of replayed history that no longer exists.
+// always to the end of a batch, since the log holds whole batches — and
+// truncates its op log and the broadcast archive below it. A slave whose
+// sync request predates the new base gets the master's current state,
+// encoded and signed when it asks (handleSync), instead of replayed
+// history that no longer exists. Nothing is kept for that: a snapshot
+// exists only while one reply or one durable file needs it.
 //
 // The lagging-slave policy: a slave that has not acknowledged anything
 // within CheckpointMaxLag stops gating stability (otherwise one silent
 // slave would pin the whole history in memory forever). When it comes
 // back it finds its needed history truncated and recovers through the
-// snapshot-first sync path — strictly a efficiency trade, never a
+// snapshot-first sync path — strictly an efficiency trade, never a
 // correctness one, because the snapshot is authenticated by a master
 // stamp exactly like every replayed op.
 
@@ -145,21 +146,20 @@ func pruneMarks(marks []versionMark, v uint64) (floor uint64, rest []versionMark
 	return floor, append([]versionMark(nil), marks[keep:]...)
 }
 
-// ckptSnapshot is the one retained store snapshot serving snapshot-first
-// syncs: the encoded state at the version the last delivered checkpoint
-// found the store at, authenticated by this master's stamp.
+// ckptSnapshot is an encoded store state at version, authenticated by a
+// master's stamp: the head of a snapshot-first m.sync reply, and of the
+// durable snapshot file, which is one such reply.
 type ckptSnapshot struct {
 	version uint64
 	bytes   []byte
 	stamp   VersionStamp
-	logged  uint64 // Master.loggedBytes when the state was captured
 }
 
 // signSnapshot signs the stamp that authenticates snap — its digest is
 // the hash of the snapshot bytes — charging the signature and the hash,
 // and returns snap. Every snapshot this master serves or persists is
-// signed here: at a checkpoint, at a refresh, for a sync with none
-// retained, after a catch-up.
+// signed here: for a snapshot-first sync, at a durable checkpoint, after
+// a catch-up.
 func (m *Master) signSnapshot(snap *ckptSnapshot) *ckptSnapshot {
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap.bytes)))
@@ -289,15 +289,15 @@ func (m *Master) checkpointLoop() {
 }
 
 // applyCheckpoint executes a delivered checkpoint on every master: record
-// it, capture the retained snapshot, and truncate the op log and the
-// broadcast archive at the local truncation point. That point is the end
-// of the newest logged batch at or below the delivered checkpoint's
-// version capped by this master's own stability (its slaves may lag the
-// initiator's) and by the retain window, so slightly-behind slaves keep
-// the cheap batch-replay path and the log keeps CheckpointMinRetain ops
-// plus at most one batch. seq is the checkpoint's own delivery slot: a
-// durable master persists the captured snapshot anchored there (every
-// batch at or below seq is inside it) and truncates its write-ahead log.
+// it and truncate the op log and the broadcast archive at the local
+// truncation point. That point is the end of the newest logged batch at
+// or below the delivered checkpoint's version capped by this master's own
+// stability (its slaves may lag the initiator's) and by the retain window,
+// so slightly-behind slaves keep the cheap batch-replay path and the log
+// keeps CheckpointMinRetain ops plus at most one batch. seq is the
+// checkpoint's own delivery slot: a durable master captures a snapshot,
+// persists it anchored there (every batch at or below seq is inside it)
+// and truncates its write-ahead log; it keeps nothing in memory.
 func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	ck, err := DecodeCheckpoint(r)
 	if err != nil {
@@ -337,10 +337,13 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 		return
 	}
 
-	// Capture the retained snapshot before truncating: ordered delivery
-	// means every master captures the identical state here.
-	snap := &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot(), logged: m.loggedBytes}
-
+	// A durable master captures the state it persists before truncating:
+	// ordered delivery means every master would capture the identical
+	// state here.
+	var snap *ckptSnapshot
+	if m.wlog != nil {
+		snap = &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
+	}
 	for _, b := range m.log[:k] {
 		m.stats.OpsTruncated += uint64(len(b.Ops))
 	}
@@ -352,18 +355,12 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	m.stats.CheckpointsApplied++
 	m.mu.Unlock()
 
-	m.signSnapshot(snap)
-	m.mu.Lock()
-	if m.snap == nil || cur > m.snap.version {
-		m.snap = snap
-	}
-	m.mu.Unlock()
-	// Durable master: the snapshot captures every batch delivered at or
-	// below this checkpoint's own slot, so persist it anchored there and
-	// drop the now-redundant WAL records. Delivery is serialized, so no
-	// batch can commit between the capture above and this write.
-	if m.wlog != nil {
-		m.persistState(seq, snap)
+	// The snapshot captures every batch delivered at or below this
+	// checkpoint's own slot, so persist it anchored there and drop the
+	// now-redundant WAL records. Delivery is serialized, so no batch can
+	// commit between the capture above and this write.
+	if snap != nil {
+		m.persistState(seq, m.signSnapshot(snap))
 	}
 	m.bcast.TruncateBelow(floor)
 }
@@ -407,19 +404,6 @@ func (m *Master) RetainedOpBytes() int {
 		}
 	}
 	return n
-}
-
-// SnapshotLag returns the op bytes logged since the retained
-// snapshot-first snapshot and that snapshot's size (both 0 until a
-// checkpoint retains one). The first is the batch suffix every
-// snapshot-first sync ships; the refresh keeps it near the second.
-func (m *Master) SnapshotLag() (suffix, snapshot uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.snap == nil {
-		return 0, 0
-	}
-	return m.loggedBytes - m.snap.logged, uint64(len(m.snap.bytes))
 }
 
 // ArchiveLen returns the retained entry count of this master's broadcast

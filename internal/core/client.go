@@ -119,9 +119,9 @@ type Client struct {
 	cfg ClientConfig
 	rt  sim.Runtime
 	dlr rpc.Dialer
-	rng *rand.Rand
 
 	mu     sync.Mutex
+	rng    *rand.Rand        // guarded by mu; reads and re-setups draw from it
 	table  pki.ShardTable    // verified, or the one full range
 	stale  bool              // a wrong-shard rejection outdated table
 	groups map[uint32]*group // shard id -> group; nil before Setup
@@ -223,7 +223,9 @@ func (c *Client) refresh(keep bool) error {
 		}
 		idx := c.cfg.PreferredMaster
 		if idx < 0 || idx >= len(g.masters) {
+			c.mu.Lock()
 			idx = c.rng.Intn(len(g.masters))
+			c.mu.Unlock()
 		}
 		c.adoptMaster(g, g.masters, idx)
 		if err := c.requestSlaves(g, nil); err != nil {
@@ -641,44 +643,90 @@ func (c *Client) readWithCheckProb(q query.Query, checkProb float64) ([]byte, er
 // replacement, version races).
 var errRetry = errors.New("core: retryable read failure")
 
+// readOnce is one attempt of the read protocol (§3.2–§3.4) against the
+// group's assigned slaves — one, or K in the §4 variant. Every slave gets
+// the query and every answer is verified. If the answers agree the client
+// "proceeds as in the original algorithm" (§4): a probabilistic
+// double-check (§3.3), then the pledges go to the auditor (§3.4) before
+// the result is accepted. If they disagree the client double-checks with
+// the master unconditionally and reports every slave whose pledge does
+// not match the trusted hash.
 func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
-	if c.cfg.KSlaves > 1 {
-		return c.readK(g, queryBytes, checkProb)
-	}
 	c.mu.Lock()
-	if len(g.slaves) == 0 {
-		c.mu.Unlock()
+	assigns := slices.Clone(g.slaves[:min(len(g.slaves), c.cfg.KSlaves)])
+	masterPubs := g.masterPubs
+	c.mu.Unlock()
+	if len(assigns) == 0 {
 		return nil, ErrNoSlaves
 	}
-	sl, masterPubs := g.slaves[0], g.masterPubs
-	c.mu.Unlock()
+	replies := make([]ReadReply, len(assigns))
+	agree := true
+	for i, sl := range assigns {
+		reply, err := c.callSlaveRead(g, sl, queryBytes)
+		if err != nil {
+			return nil, err
+		}
+		if err := c.verifyReply(sl, masterPubs, queryBytes, reply); err != nil {
+			return nil, err
+		}
+		replies[i] = reply
+		agree = agree && reply.Pledge.ResultHash.Equal(replies[0].Pledge.ResultHash)
+	}
+	if agree {
+		c.mu.Lock()
+		check := c.rng.Float64() < checkProb
+		c.mu.Unlock()
+		if check {
+			if err := c.doubleCheck(g, queryBytes, replies[0]); err != nil {
+				return nil, err
+			}
+		}
+		pledges := make([][]byte, len(replies))
+		for i, r := range replies {
+			pledges[i] = r.pledgeBytes
+		}
+		if err := c.forwardPledges(g, pledges); err != nil {
+			return nil, err
+		}
+		c.mu.Lock()
+		c.stats.ReadsAccepted++
+		if replies[0].XLie {
+			c.stats.LiesAccepted++
+		}
+		c.mu.Unlock()
+		return replies[0].Payload, nil
+	}
 
-	reply, err := c.callSlaveRead(g, sl, queryBytes)
+	// Disagreement: at least one slave is malicious — mandatory check.
+	c.mu.Lock()
+	c.stats.KMismatch++
+	c.stats.DoubleChecks++
+	masterAddr := g.masterAddr
+	c.mu.Unlock()
+	version, digest, _, err := c.masterCheck(masterAddr, queryBytes, false)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.verifyReply(sl, masterPubs, queryBytes, reply); err != nil {
-		return nil, err
+	var liars []string
+	for i, r := range replies {
+		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
+			if err := c.reportPledge(g, r.pledgeBytes); err == nil {
+				c.mu.Lock()
+				c.stats.ReportsFiled++
+				c.stats.CaughtImmediate++
+				c.mu.Unlock()
+				liars = append(liars, assigns[i].addr)
+			}
+		}
 	}
-
-	// Probabilistic double-check (§3.3).
-	if c.rng.Float64() < checkProb {
-		if err := c.doubleCheck(g, queryBytes, reply); err != nil {
+	if len(liars) > 0 {
+		// Request a fresh assignment that avoids the convicted slaves
+		// (the master has excluded them; notifications may race this).
+		if err := c.requestSlaves(g, liars); err != nil {
 			return nil, err
 		}
 	}
-
-	// Forward the pledge to the auditor before accepting (§3.4).
-	if err := c.forwardPledge(g, reply.pledgeBytes); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.stats.ReadsAccepted++
-	if reply.XLie {
-		c.stats.LiesAccepted++
-	}
-	c.mu.Unlock()
-	return reply.Payload, nil
+	return nil, errRetry
 }
 
 // callSlaveRead performs the slave RPC, replacing the slave if it is
@@ -885,92 +933,4 @@ func (c *Client) forwardPledges(g *group, pledges [][]byte) error {
 	w.BytesSlice(pledges)
 	_, err := c.dlr.CallTimeout(g.auditor, MethodPledgeMulti, w.Bytes(), c.cfg.Params.ReadTimeout)
 	return err
-}
-
-// readK is the §4 multi-slave variant: the query goes to all K assigned
-// slaves; if any answers disagree the client double-checks with the
-// master unconditionally and reports every slave whose pledge does not
-// match the trusted hash.
-func (c *Client) readK(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
-	c.mu.Lock()
-	assigns := append([]slaveAssignment(nil), g.slaves...)
-	masterPubs := g.masterPubs
-	c.mu.Unlock()
-	if len(assigns) == 0 {
-		return nil, ErrNoSlaves
-	}
-	replies := make([]ReadReply, 0, len(assigns))
-	okSlaves := make([]slaveAssignment, 0, len(assigns))
-	for _, sl := range assigns {
-		reply, err := c.callSlaveRead(g, sl, queryBytes)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.verifyReply(sl, masterPubs, queryBytes, reply); err != nil {
-			return nil, err
-		}
-		replies = append(replies, reply)
-		okSlaves = append(okSlaves, sl)
-	}
-	agree := true
-	for i := 1; i < len(replies); i++ {
-		if !replies[i].Pledge.ResultHash.Equal(replies[0].Pledge.ResultHash) {
-			agree = false
-			break
-		}
-	}
-	if agree {
-		// "If all the answers are identical, the client proceeds as in
-		// the original algorithm" (§4).
-		if c.rng.Float64() < checkProb {
-			if err := c.doubleCheck(g, queryBytes, replies[0]); err != nil {
-				return nil, err
-			}
-		}
-		pledges := make([][]byte, len(replies))
-		for i, r := range replies {
-			pledges[i] = r.pledgeBytes
-		}
-		if err := c.forwardPledges(g, pledges); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.stats.ReadsAccepted++
-		if replies[0].XLie {
-			c.stats.LiesAccepted++
-		}
-		c.mu.Unlock()
-		return replies[0].Payload, nil
-	}
-
-	// Disagreement: at least one slave is malicious — mandatory check.
-	c.mu.Lock()
-	c.stats.KMismatch++
-	c.stats.DoubleChecks++
-	masterAddr := g.masterAddr
-	c.mu.Unlock()
-	version, digest, _, err := c.masterCheck(masterAddr, queryBytes, false)
-	if err != nil {
-		return nil, err
-	}
-	var liars []string
-	for i, r := range replies {
-		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
-			if err := c.reportPledge(g, r.pledgeBytes); err == nil {
-				c.mu.Lock()
-				c.stats.ReportsFiled++
-				c.stats.CaughtImmediate++
-				c.mu.Unlock()
-				liars = append(liars, okSlaves[i].addr)
-			}
-		}
-	}
-	if len(liars) > 0 {
-		// Request a fresh assignment that avoids the convicted slaves
-		// (the master has excluded them; notifications may race this).
-		if err := c.requestSlaves(g, liars); err != nil {
-			return nil, err
-		}
-	}
-	return nil, errRetry
 }

@@ -69,14 +69,16 @@
 //	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ closing
 //	             stamp ‖ uvarint anchor — mode 1 (snapshot first) when
 //	             from is at or below the retained log's base, else mode
-//	             0. Each entry is a whole logged batch, the
-//	             s.updatebatch shape without the master address, and is
-//	             checked like a push (VerifyMembers): one stamp per
-//	             batch, no membership proofs; a request from inside a
-//	             batch gets all of it. Slave sync, Slave.Bootstrap and a
-//	             restarted master's catch-up all read it through
-//	             decodeStateTransfer, which verifies every part before
-//	             returning any.
+//	             0. A mode-1 reply carries the master's current state,
+//	             signed when asked, and no batches; the decoder still
+//	             checks any that follow. Each entry is a whole logged
+//	             batch, the s.updatebatch shape without the master
+//	             address, and is checked like a push (VerifyMembers): one
+//	             stamp per batch, no membership proofs; a request from
+//	             inside a batch gets all of it. Slave sync,
+//	             Slave.Bootstrap, a restarted master's catch-up and its
+//	             snapshot file all read it through decodeStateTransfer,
+//	             which verifies every part before returning any.
 //
 // Committed history has that one shape everywhere: the master's op log
 // is a list of these batches (plus the state digest after each), its WAL
@@ -89,7 +91,9 @@
 // slaves acknowledge applied versions on every keep-alive/update reply,
 // masters truncate the op log and broadcast archive below the stable
 // version, and slaves that fell behind a checkpoint recover through
-// snapshot-first sync instead of unbounded history replay.
+// snapshot-first sync instead of unbounded history replay. A master
+// keeps no snapshot for that: it encodes and signs its current state
+// when such a sync arrives.
 //
 // Signatures on the read path are paid once per distinct piece of
 // evidence (sigcache.go has the safety argument). A pledge's signature
@@ -159,7 +163,9 @@
 // MasterConfig.DataDir set, every committed batch — its ops and signed
 // stamp — is appended to a write-ahead log and fsynced before the client
 // ack, and every applied checkpoint atomically persists a signed snapshot
-// file and truncates the WAL below it. A restarting master loads the
+// file and truncates the WAL below it. The file is an m.sync reply (a
+// snapshot and no batches), read back through decodeStateTransfer under
+// the master's own key. A restarting master loads the
 // snapshot, replays the WAL suffix (verifying every stamp; a torn final
 // record — a crash mid-append — is dropped, any other corruption refuses
 // to start), resumes its broadcast slot, and closes the remaining gap

@@ -9,19 +9,29 @@ package core
 // contract (PR 16): an acknowledged write is fsynced at the acknowledging
 // master, held by every non-suspected member, applied by them
 // concurrently (before: also applied and fsynced by each peer in turn).
-// When a stability checkpoint applies, the snapshot it captured is written
-// atomically and the WAL below it is truncated (persistState). On start,
+// When a stability checkpoint applies, a durable master captures and signs
+// a snapshot, writes it atomically and truncates the WAL below it
+// (persistState); the snapshot is not kept in memory. On start,
 // openDurable loads snapshot + WAL suffix, verifying this master's own
 // stamps, and anchors broadcast delivery there; recoverGap closes the
 // rest by broadcast fetch while peers still archive the missing slots,
 // else by a wholesale state transfer (statetransfer.go).
 //
+// The snapshot file is an m.sync reply: a snapshot-first state transfer
+// with no batches, whose closing stamp is the snapshot's own and whose
+// anchor is the broadcast slot the snapshot covers. It is written by
+// encodeStateTransfer and read back by decodeStateTransfer under this
+// master's key, so the wire and the disk share one snapshot shape and one
+// verifier.
+//
 // Every WAL record is a batch under a batch stamp, a single write being a
 // batch of one — the master's log entry less its state digest, which
-// replay recomputes. A record some earlier commit of this repository wrote
-// under a per-op stamp is refused at replay ("stamp is not a batch stamp")
-// and the master does not start: no data directory outlives a commit
-// here, so nothing reads the old shape.
+// replay recomputes. A file some earlier commit of this repository wrote
+// in another shape is refused and the master does not start: a WAL record
+// under a per-op stamp fails replay ("stamp is not a batch stamp"), and a
+// snapshot file in the private "msnap.v1" format fails decodeStateTransfer.
+// No data directory outlives a commit here, so nothing reads the old
+// shapes.
 
 import (
 	"fmt"
@@ -34,10 +44,6 @@ import (
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
-
-// snapFileMagic heads the checkpoint snapshot file; WAL records carry no
-// per-record magic (the file itself is the namespace).
-const snapFileMagic = "msnap.v1"
 
 func (m *Master) snapFilePath() string { return filepath.Join(m.cfg.DataDir, "snapshot") }
 func (m *Master) walFilePath() string  { return filepath.Join(m.cfg.DataDir, "wal") }
@@ -65,7 +71,11 @@ func (m *Master) openDurable() error {
 		return err
 	}
 	if data, err := os.ReadFile(m.snapFilePath()); err == nil {
-		if err := m.loadSnapshotFile(data); err != nil {
+		st, err := decodeStateTransfer(data, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
+		if err == nil {
+			err = m.adoptTransferLocked(st)
+		}
+		if err != nil {
 			return fmt.Errorf("core: %s: %w", m.snapFilePath(), err)
 		}
 	} else if !os.IsNotExist(err) {
@@ -85,41 +95,6 @@ func (m *Master) openDurable() error {
 	if m.lastMark.seq > 0 {
 		m.bcast.ResumeAt(m.lastMark.seq)
 	}
-	return nil
-}
-
-// loadSnapshotFile restores the store from the checkpoint snapshot file,
-// verifying this master's own stamp over the snapshot bytes (the file is
-// written by this master, so its own signature is the integrity check).
-//
-//lint:ignore lockcheck called only from openDurable, before concurrency
-func (m *Master) loadSnapshotFile(data []byte) error {
-	r := wire.NewReader(data)
-	magic := r.String()
-	if r.Err() != nil || magic != snapFileMagic {
-		return fmt.Errorf("bad snapshot file header")
-	}
-	version := r.Uvarint()
-	anchor := r.Uvarint()
-	snapBytes := r.Bytes()
-	stamp, err := DecodeStamp(r)
-	if err != nil {
-		return err
-	}
-	if err := r.Done(); err != nil {
-		return err
-	}
-	st, _, err := verifySnapshot(snapBytes, &stamp, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
-	if err != nil {
-		return err
-	}
-	if st.Version() != version {
-		return fmt.Errorf("snapshot version %d does not match header %d", st.Version(), version)
-	}
-	m.store = st
-	m.baseVersion = version
-	m.snap = &ckptSnapshot{version: version, bytes: snapBytes, stamp: stamp}
-	m.lastMark = versionMark{version: version, seq: anchor}
 	return nil
 }
 
@@ -170,17 +145,13 @@ func (m *Master) replayWALRecord(payload []byte) error {
 	return nil
 }
 
-// persistState atomically replaces the snapshot file with snap, anchored
-// at broadcast slot anchor, and truncates the WAL, whose records are now
-// redundant. If the snapshot write fails the WAL is left alone: the
-// previous snapshot plus the intact WAL still reproduce the state.
+// persistState atomically replaces the snapshot file with the signed snap,
+// anchored at broadcast slot anchor, and truncates the WAL, whose records
+// are now redundant. If the snapshot write fails the WAL is left alone:
+// the previous snapshot plus the intact WAL still reproduce the state.
 func (m *Master) persistState(anchor uint64, snap *ckptSnapshot) {
 	w := wire.NewWriter(len(snap.bytes) + 256)
-	w.String_(snapFileMagic)
-	w.Uvarint(snap.version)
-	w.Uvarint(anchor)
-	w.Bytes_(snap.bytes)
-	snap.stamp.Encode(w)
+	encodeStateTransfer(w, snap, nil, snap.stamp, anchor)
 	m.walMu.Lock()
 	defer m.walMu.Unlock()
 	if err := wal.WriteFileAtomic(m.snapFilePath(), w.Bytes()); err != nil {
@@ -189,20 +160,25 @@ func (m *Master) persistState(anchor uint64, snap *ckptSnapshot) {
 	m.wlog.Rewrite(nil)
 }
 
-// refreshSnapshot signs a freshly captured state snapshot and installs
-// it as the retained snapshot-first snapshot. Spawned from applyBatch
-// when the op bytes logged since the retained snapshot exceed its size,
-// so the batches a snapshot-first sync ships stay bounded by write
-// volume, not by the time-based checkpoint cadence.
-func (m *Master) refreshSnapshot(snap *ckptSnapshot) {
-	m.signSnapshot(snap)
-	m.mu.Lock()
-	if m.snap != nil && snap.version > m.snap.version && snap.version >= m.baseVersion {
-		m.snap = snap
-		m.stats.SnapshotRefreshes++
+// adoptTransferLocked installs a verified state transfer — a peer's m.sync
+// reply or this master's own snapshot file: a snapshot ahead of the store
+// replaces it and empties the log, the batches that continue the store are
+// applied and logged under the transfer's anchor, and the recovery anchor
+// moves up to it. Caller holds m.mu (or runs before concurrency, in
+// openDurable).
+func (m *Master) adoptTransferLocked(st *stateTransfer) error {
+	if st.snap != nil && st.snap.Version() > m.store.Version() {
+		m.store = st.snap
+		m.baseVersion = st.snap.Version()
+		m.log = nil
 	}
-	m.snapRefresh = false
-	m.mu.Unlock()
+	if _, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.appendLogLocked(st.anchor, *bu) }); err != nil {
+		return err
+	}
+	if st.anchor > m.lastMark.seq {
+		m.lastMark = versionMark{version: m.store.Version(), seq: st.anchor}
+	}
+	return nil
 }
 
 // recoverGap closes the gap between replayed durable state and the rest
@@ -242,8 +218,9 @@ func (m *Master) recoverGap() {
 }
 
 // catchUpFrom pulls a state transfer from a peer master and adopts the
-// result wholesale: batches (or snapshot + batches) verified against the
-// owner-certified master keys exactly as a slave sync is, logged, then
+// result wholesale: batches (or the peer's current state as a snapshot)
+// verified against the owner-certified master keys exactly as a slave sync
+// is, installed by adoptTransferLocked, then
 // persisted, with broadcast delivery resumed at the anchor the peer
 // captured with the reply — the slot each transferred batch is logged
 // under, since this master's archive starts above it. Ordered messages in
@@ -265,22 +242,12 @@ func (m *Master) catchUpFrom(peer string) error {
 	}
 
 	m.mu.Lock()
-	if st.snap != nil && st.snap.Version() > m.store.Version() {
-		m.store = st.snap
-		m.baseVersion = st.snap.Version()
-		m.log = nil
-		m.snap = &ckptSnapshot{version: st.snap.Version(), bytes: st.snapBytes, stamp: st.snapStamp, logged: m.loggedBytes}
-	}
-	if _, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.appendLogLocked(st.anchor, *bu) }); err != nil {
+	if err := m.adoptTransferLocked(st); err != nil {
 		m.mu.Unlock()
 		return err
 	}
-	cur := m.store.Version()
-	if st.anchor > m.lastMark.seq {
-		m.lastMark = versionMark{version: cur, seq: st.anchor}
-	}
 	anchor := m.lastMark.seq
-	persist := &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
+	persist := &ckptSnapshot{version: m.store.Version(), bytes: m.store.EncodeSnapshot()}
 	m.stats.RecoverySyncs++
 	m.mu.Unlock()
 

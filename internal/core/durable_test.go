@@ -47,42 +47,99 @@ func writeWaves(t *testing.T, cl *Client, n, wave int, tag string) {
 // TestDurableRestartReplaysWAL is the tentpole's core guarantee: a master
 // constructed over a DataDir that already holds a WAL replays it and
 // comes back at the exact pre-crash version and state digest, without
-// talking to anyone.
+// talking to anyone. With checkpointing on, the last checkpoint after the
+// writes leaves the whole state in the snapshot file — an m.sync reply
+// that decodeStateTransfer accepts under the master's own key — and an
+// empty WAL: the restarted master resumes at the file's anchor. A
+// snapshot file with one byte flipped stops the master from starting.
 func TestDurableRestartReplaysWAL(t *testing.T) {
-	s := sim.New(51)
-	o := durableOpts(t.TempDir())
-	o.nMasters = 1
-	c := newTestCluster(t, s, o)
-	cl := c.addClient(t, 0, nil)
-	s.Go(func() {
-		s.Sleep(c.warmup())
-		if err := cl.Setup(); err != nil {
-			t.Errorf("setup: %v", err)
-			return
-		}
-		writeWaves(t, cl, 5, 4, "w")
-	})
-	s.RunUntil(sim.Epoch.Add(30 * time.Second))
+	for _, tc := range []struct {
+		name             string
+		checkpoint, flip bool
+	}{
+		{"wal only", false, false},
+		{"checkpoint persisted", true, false},
+		{"snapshot file byte flipped", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(51)
+			dir := t.TempDir()
+			o := durableOpts(dir)
+			o.nMasters = 1
+			if tc.checkpoint {
+				o.checkpointEvery = 150 * time.Millisecond
+				o.checkpointMinRetain = 4
+			}
+			c := newTestCluster(t, s, o)
+			cl := c.addClient(t, 0, nil)
+			s.Go(func() {
+				s.Sleep(c.warmup())
+				if err := cl.Setup(); err != nil {
+					t.Errorf("setup: %v", err)
+					return
+				}
+				writeWaves(t, cl, 5, 4, "w")
+			})
+			s.RunUntil(sim.Epoch.Add(30 * time.Second))
 
-	old := c.masters[0]
-	wantV, wantD := old.Version(), old.StateDigest()
-	if wantV <= c.initial.Version() {
-		t.Fatal("no writes committed; test is vacuous")
-	}
-	old.Stop()
+			old := c.masters[0]
+			wantV, wantD := old.Version(), old.StateDigest()
+			if wantV <= c.initial.Version() {
+				t.Fatal("no writes committed; test is vacuous")
+			}
+			old.Stop()
 
-	m2, err := NewMaster(c.masterCfgs[0], s, c.net.Dialer("master-0"), c.initial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Version() != wantV {
-		t.Fatalf("restarted master at version %d, want %d", m2.Version(), wantV)
-	}
-	if m2.StateDigest() != wantD {
-		t.Fatal("restarted master's state digest differs from the pre-stop state")
-	}
-	if got := m2.Stats().WALReplayed; got == 0 {
-		t.Fatal("restart replayed no WAL records")
+			var file *stateTransfer
+			if tc.checkpoint {
+				path := filepath.Join(dir, "master-0", "snapshot")
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if file, err = decodeStateTransfer(data, []cryptoutil.PublicKey{c.masterCfgs[0].Keys.Public}, nil); err != nil {
+					t.Fatalf("snapshot file is not an m.sync reply: %v", err)
+				}
+				if file.snap == nil || len(file.batches) != 0 || file.snap.Version() != wantV || file.anchor == 0 {
+					t.Fatalf("snapshot file: snapshot %v, %d batches, anchor %d; want the state at %d alone, anchored",
+						file.snap != nil, len(file.batches), file.anchor, wantV)
+				}
+				if tc.flip {
+					data[8] ^= 0xff // inside the snapshot bytes
+					if err := os.WriteFile(path, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := NewMaster(c.masterCfgs[0], s, c.net.Dialer("master-0"), c.initial); err == nil {
+						t.Fatal("a master started over a damaged snapshot file")
+					}
+					return
+				}
+			}
+
+			m2, err := NewMaster(c.masterCfgs[0], s, c.net.Dialer("master-0"), c.initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m2.Version() != wantV {
+				t.Fatalf("restarted master at version %d, want %d", m2.Version(), wantV)
+			}
+			if m2.StateDigest() != wantD {
+				t.Fatal("restarted master's state digest differs from the pre-stop state")
+			}
+			replayed := m2.Stats().WALReplayed
+			if file == nil {
+				if replayed == 0 {
+					t.Fatal("restart replayed no WAL records")
+				}
+				return
+			}
+			m2.mu.Lock()
+			anchor := m2.lastMark.seq
+			m2.mu.Unlock()
+			if replayed != 0 || anchor != file.anchor || file.snap.StateDigest() != wantD {
+				t.Fatalf("restart replayed %d WAL records and resumes after slot %d; want none, slot %d, the file's digest",
+					replayed, anchor, file.anchor)
+			}
+		})
 	}
 }
 
@@ -397,16 +454,15 @@ func TestDurableRestartPastTruncationSnapshotSyncs(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefreshBoundsLag stalls stability (both slaves silenced,
-// with a CheckpointMaxLag too long to unblock them) and keeps writing:
-// without periodic re-snapshotting the retained ckptSnapshot goes stale
-// and every snapshot-first sync ships an unbounded suffix. The refresh
-// must keep the op bytes logged since the snapshot bounded by the
-// snapshot's own size. The stall overwrites a fixed key set, so the
-// state — and with it the refresh period — stays put.
-func TestSnapshotRefreshBoundsLag(t *testing.T) {
+// TestStalledCheckpointSyncServesCurrentState silences both slaves (with a
+// CheckpointMaxLag too long to drop them) and keeps writing, so batches
+// commit above the base the last checkpoint left. A sync from that base
+// must get the master's current state, signed when asked, and no batches
+// after it: the master keeps no checkpoint snapshot to serve with a
+// suffix instead.
+func TestStalledCheckpointSyncServesCurrentState(t *testing.T) {
 	s := sim.New(55)
-	o := durableOpts("") // in-memory: the refresh is independent of the WAL
+	o := durableOpts("") // in-memory: nothing is captured at a checkpoint
 	o.nMasters = 1
 	o.batchSize = 8
 	o.checkpointEvery = 150 * time.Millisecond
@@ -419,61 +475,55 @@ func TestSnapshotRefreshBoundsLag(t *testing.T) {
 	for j := range hot {
 		hot[j] = store.Put{Key: fmt.Sprintf("hot/%d", j), Value: []byte("v")}
 	}
-	batchBytes := 8 * uint64(len(store.EncodeOp(hot[0])))
-	var maxOver uint64 // worst excess of suffix bytes over snapshot bytes
-	done := false
+	var st *stateTransfer
+	var base, wantV uint64
+	var wantD cryptoutil.Digest
 	s.Go(func() {
 		s.Sleep(c.warmup())
 		if err := cl.Setup(); err != nil {
 			t.Errorf("setup: %v", err)
 			return
 		}
-		// Write until the first checkpoint installs a snapshot.
+		// Write until the first checkpoint moves the base.
 		for try := 0; try < 100 && m.Stats().CheckpointsApplied == 0; try++ {
 			writeWaves(t, cl, 1, 8, fmt.Sprintf("seed%d", try))
 			s.Sleep(50 * time.Millisecond)
 		}
 		if m.Stats().CheckpointsApplied == 0 {
-			t.Error("no checkpoint ever applied; cannot exercise snapshot refresh")
+			t.Error("no checkpoint ever applied; the base never moved")
 			return
 		}
 		// Silence every slave: acks stop, stability freezes, and so do
-		// checkpoints — the snapshot can only advance via the refresh.
+		// checkpoints, while the writes go on.
 		for _, sl := range c.slaves {
 			c.net.SetDown(sl.Addr(), true)
 		}
-		s.Spawn(func() {
-			for !done {
-				if suffix, size := m.SnapshotLag(); suffix > size && suffix-size > maxOver {
-					maxOver = suffix - size
-				}
-				s.Sleep(2 * time.Millisecond)
-			}
-		})
 		for i := 0; i < 60; i++ {
 			if _, err := cl.WriteMulti(hot); err != nil {
 				t.Errorf("stall wave %d: %v", i, err)
 				return
 			}
 		}
-		done = true
+		base, wantV, wantD = m.BaseVersion(), m.Version(), m.StateDigest()
+		body, err := m.Handle("probe", MethodSync, wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(base) }))
+		if err == nil {
+			st, err = decodeStateTransfer(body, []cryptoutil.PublicKey{c.masterCfgs[0].Keys.Public}, nil)
+		}
+		if err != nil {
+			t.Errorf("sync from the base: %v", err)
+		}
 	})
 	s.RunUntil(sim.Epoch.Add(5 * time.Minute))
 
-	st := m.Stats()
-	if st.SnapshotRefreshes < 3 {
-		t.Fatalf("snapshot refreshed %d times under a stalled checkpoint, want >= 3", st.SnapshotRefreshes)
+	if st == nil {
+		t.FailNow()
 	}
-	if st.SnapshotRefreshes > st.BatchesApplied/2 {
-		t.Fatalf("snapshot refreshed %d times over %d batches; the trigger must not fire per batch",
-			st.SnapshotRefreshes, st.BatchesApplied)
+	if wantV <= base {
+		t.Fatalf("master at version %d, its base at %d; the sync is not from below the log", wantV, base)
 	}
-	// Bound: the refresh triggers once the suffix outgrows the snapshot;
-	// allow the trigger batch itself and one that lands while the
-	// replacement is being signed off-lock.
-	if maxOver > 2*batchBytes {
-		t.Fatalf("snapshot suffix exceeded the snapshot by %d bytes under sustained writes, want <= two batches (%d)",
-			maxOver, 2*batchBytes)
+	if st.snap == nil || st.snap.Version() != wantV || st.snap.StateDigest() != wantD || len(st.batches) != 0 {
+		t.Fatalf("sync from base %d: snapshot %v, %d batches; want the state at %d and no batches",
+			base, st.snap != nil, len(st.batches), wantV)
 	}
 }
 

@@ -3,10 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -179,11 +182,12 @@ func FuzzDecodePledge(f *testing.F) {
 }
 
 // FuzzDecodeStateTransfer drives the m.sync reply verifier — what a slave's
-// sync, a slave's Bootstrap and a restarted master's catch-up all read —
-// over arbitrary bytes, seeded with every reply of the tamper table. The
-// invariants: no panic on any input; no more batches or ops come out than
-// bytes went in; whatever is accepted re-encodes to a reply that is
-// accepted again and reads the same, and that re-encoding is a fixed point.
+// sync, a slave's Bootstrap, a restarted master's catch-up and a durable
+// master's snapshot file all read — over arbitrary bytes, seeded with
+// every reply of the tamper table and two snapshot files. The invariants:
+// no panic on any input; no more batches or ops come out than bytes went
+// in; whatever is accepted re-encodes to a reply that is accepted again
+// and reads the same, and that re-encoding is a fixed point.
 func FuzzDecodeStateTransfer(f *testing.F) {
 	m, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
 	now := time.Unix(1, 0)
@@ -193,6 +197,26 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 	records := honestTransfer(m, now, 1)
 	records.snap = nil
 	f.Add(records.encode())
+	// Snapshot files: the state at 7 as persistState writes it, and the
+	// state at 3 in the same shape with the WAL records that follow it on
+	// disk carried as the batches after it.
+	dir := f.TempDir()
+	wl, _, err := wal.Open(filepath.Join(dir, "wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	whole := honestTransfer(m, now, 7)
+	durable := &Master{cfg: MasterConfig{DataDir: dir}, wlog: wl}
+	durable.persistState(whole.anchor, whole.snap)
+	wl.Close()
+	file, err := os.ReadFile(durable.snapFilePath())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	withWAL := honestTransfer(m, now, 3)
+	withWAL.closing = withWAL.snap.stamp
+	f.Add(withWAL.encode())
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x81, 0x00}) // count 1 as an overlong varint, nothing after it
 

@@ -54,9 +54,12 @@ type MasterStats struct {
 	CheckpointsApplied  uint64 // delivered checkpoints that truncated history
 	OpsTruncated        uint64 // ops dropped from the log (in whole batches) after stability
 
-	WALReplayed       uint64 // batches replayed from the WAL at start
-	RecoverySyncs     uint64 // wholesale catch-up syncs performed at start
-	SnapshotRefreshes uint64 // retained-snapshot refreshes outside checkpoints
+	WALReplayed   uint64 // batches replayed from the WAL at start
+	RecoverySyncs uint64 // wholesale catch-up syncs performed at start
+	// SnapshotRefreshes is always zero: a master retains no snapshot to
+	// refresh. bench/replbench/metrics.go, which may not be edited here,
+	// still reads it; it goes when bench is unfrozen (ROADMAP item 1).
+	SnapshotRefreshes uint64
 
 	WrongShardRejects uint64 // writes rejected because the key is outside Shard
 	DirectoryErrors   uint64 // directory RPCs that failed (record kept local)
@@ -165,9 +168,6 @@ type Master struct {
 	log         []loggedBatch           // guarded by mu; the committed batches above baseVersion, in order
 	acks        map[string]slaveAck     // guarded by mu; slave addr -> newest acknowledged version
 	checkpoint  Checkpoint              // guarded by mu; most recent stability checkpoint recorded
-	snap        *ckptSnapshot           // guarded by mu; retained snapshot for snapshot-first sync
-	snapRefresh bool                    // guarded by mu; a snapshot refresh is signing off-lock
-	loggedBytes uint64                  // guarded by mu; running total of op bytes committed (snapshot-refresh trigger)
 	unacked     uint64                  // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
 	lastMark    versionMark             // guarded by mu; version + broadcast seq of the newest applied batch
 	lastCommit  time.Time               // guarded by mu
@@ -845,18 +845,6 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	if m.wlog != nil {
 		walRec = encodeWALRecord(seq, &bu)
 	}
-	// Snapshot-refresh trigger (bounds the snapshot-first sync suffix):
-	// the retained snapshot otherwise only advances when a checkpoint
-	// applies, so under a sustained write rate the batches such a sync
-	// ships grow with rate x CheckpointEvery. Re-encode the state once
-	// the op bytes logged since the snapshot exceed its own size: no sync
-	// ships a suffix larger than its snapshot, and re-encoding costs
-	// amortised O(1) per written byte. Signing happens off-lock.
-	var refresh *ckptSnapshot
-	if m.snap != nil && !m.snapRefresh && m.loggedBytes-m.snap.logged > uint64(len(m.snap.bytes)) {
-		m.snapRefresh = true
-		refresh = &ckptSnapshot{version: last, bytes: m.store.EncodeSnapshot(), logged: m.loggedBytes}
-	}
 	m.lastCommit = now
 	m.stats.WritesApplied += count
 	m.stats.BatchesApplied++
@@ -866,9 +854,6 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	slaves := append([]slaveEntry(nil), m.slaves...)
 	m.mu.Unlock()
 
-	if refresh != nil {
-		m.rt.Spawn(func() { m.refreshSnapshot(refresh) })
-	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign) // once per batch
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.BatchOverhead(len(ops), opBytesTotal))
 	for range ops {
@@ -934,9 +919,6 @@ type loggedBatch struct {
 // replay).
 func (m *Master) appendLogLocked(seq uint64, bu BatchUpdate) {
 	m.log = append(m.log, loggedBatch{BatchUpdate: bu, seq: seq, digest: m.store.StateDigest()})
-	for _, op := range bu.Ops {
-		m.loggedBytes += uint64(len(op))
-	}
 }
 
 // logIndexLocked is the index of the first logged batch whose last

@@ -167,6 +167,24 @@ func newRouteRig(t *testing.T, table bool) *routeRig {
 				r.mu.Lock()
 				r.waves[maddr] = append(r.waves[maddr], keys)
 				r.mu.Unlock()
+			case MethodCheck:
+				rd := wire.NewReader(body)
+				rd.Bytes() // client key
+				rd.Bool()  // payload wanted: never, in these tests
+				q, err := query.Decode(rd.Bytes())
+				if err != nil {
+					return nil, err
+				}
+				r.mu.Lock()
+				res, err := q.Execute(content)
+				r.mu.Unlock()
+				if err != nil {
+					return nil, err
+				}
+				digest := res.Digest()
+				w.Uvarint(content.Version())
+				w.Bytes_(digest[:])
+				w.Bool(false)
 			default:
 				return nil, errors.New("unexpected master method " + method)
 			}
@@ -368,17 +386,30 @@ func TestClientRoutesByShardTable(t *testing.T) {
 	}
 }
 
-// TestClientConcurrentRouting: the shard table and the groups are shared
-// by every caller of a client, as a TCP deployment's goroutines share it.
-// Mixed waves, point reads, redirect-driven re-reads of the table and
-// whole re-setups run at once; every wave and read must still land in its
-// own group.
+// TestClientConcurrentRouting: the shard table, the groups and the rng are
+// shared by every caller of a client, as a TCP deployment's goroutines
+// share them. Mixed waves, point reads that toss the double-check coin,
+// redirect-driven re-reads of the table and whole re-setups that draw a
+// master at random run at once; every wave and read must still land in
+// its own group.
 func TestClientConcurrentRouting(t *testing.T) {
 	r := newRouteRig(t, true)
 	r.clock = sim.RealClock{}
-	c := NewClient(r.client.cfg, sim.RealClock{}, handlerDialer(r.handlers))
+	cfg := r.client.cfg
+	cfg.Params.DoubleCheckP = 0.5
+	cfg.PreferredMaster = -1
+	c := NewClient(cfg, sim.RealClock{}, handlerDialer(r.handlers))
 	if err := c.Setup(); err != nil {
 		t.Fatal(err)
+	}
+	read := func(key, want string) func() error {
+		return func() error {
+			payload, err := c.Read(query.Get{Key: key})
+			if v, _, _ := query.GetResult(payload); err == nil && string(v) != want {
+				err = fmt.Errorf("payload %q", v)
+			}
+			return err
+		}
 	}
 	steps := []func() error{
 		func() error {
@@ -388,13 +419,8 @@ func TestClientConcurrentRouting(t *testing.T) {
 			}
 			return err
 		},
-		func() error {
-			payload, err := c.Read(query.Get{Key: "z"})
-			if v, _, _ := query.GetResult(payload); err == nil && string(v) != "high" {
-				err = fmt.Errorf("payload %q", v)
-			}
-			return err
-		},
+		read("z", "high"),
+		read("a", "low"),
 		func() error {
 			c.mu.Lock()
 			c.stale = true // as a wrong-shard rejection leaves it

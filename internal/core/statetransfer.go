@@ -14,7 +14,10 @@ package core
 //
 // Mode 0 is batches only. Mode 1 is snapshot-first, sent when from is at
 // or below the retained log's base: a store snapshot under a stamp whose
-// digest is the hash of its bytes, then the batches committed after it.
+// digest is the hash of its bytes, then the batches committed after it. An
+// honest master sends its current state, so no batches follow; the decoder
+// still accepts and checks them. A durable master's snapshot file
+// (durable.go) is a mode-1 reply too, read back by the same verifier.
 // A batch travels in the one shape committed history has everywhere — the
 // master's log entry and WAL record, an s.updatebatch frame without the
 // master address — and is checked the way a slave checks a pushed one
@@ -225,9 +228,8 @@ func (st *stateTransfer) replayOnto(replica *store.Store, done func(*BatchUpdate
 // handleSync serves a state transfer (format at the top of this file).
 // A request the retained log cannot answer batch by batch — from at or
 // below baseVersion, which includes 0 — is served snapshot-first: the
-// retained checkpoint snapshot and the batches after it or, when none is
-// retained (or a checkpoint just truncated past it and its replacement is
-// still being signed), the current state under a stamp signed here.
+// current state, encoded here and signed when the request arrives, with
+// no batches after it.
 func (m *Master) handleSync(body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
 	from := r.Uvarint()
@@ -242,28 +244,21 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 	// batch of this reply resumes delivery exactly at anchor+1.
 	anchor := m.lastMark.seq
 	var snap *ckptSnapshot
-	var inline []byte
+	var batches []BatchUpdate
 	if from <= m.baseVersion {
 		m.stats.SnapshotSyncs++
-		if snap = m.snap; snap == nil || snap.version < m.baseVersion {
-			snap, inline = nil, m.store.EncodeSnapshot()
-			from = cur + 1 // the state itself: no batches follow it
-		} else {
-			from = snap.version + 1 // >= baseVersion+1: inside the retained log
+		snap = &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
+	} else {
+		for _, b := range m.log[m.logIndexLocked(from):] {
+			batches = append(batches, b.BatchUpdate)
 		}
-	}
-	var batches []BatchUpdate
-	for _, b := range m.log[m.logIndexLocked(from):] {
-		batches = append(batches, b.BatchUpdate)
 	}
 	m.mu.Unlock()
 
 	// Signing happens off-lock: chargeCPU can park the task (simulation).
-	if inline != nil {
-		snap = m.signSnapshot(&ckptSnapshot{version: cur, bytes: inline})
-	}
 	size := 1024
 	if snap != nil {
+		m.signSnapshot(snap)
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
 		size += len(snap.bytes)
 	}

@@ -56,10 +56,12 @@ func transferState(version uint64) *store.Store {
 	return st
 }
 
-// honestTransfer is what an honest master at version 7 answers a request
-// from below its base when the snapshot it retains is at snapAt: the
-// snapshot, the logged batches from the one holding snapAt+1 on — whole,
-// as the master logged them — and the closing stamp.
+// honestTransfer is a snapshot-first reply from a master at version 7 with
+// its snapshot at snapAt: the snapshot, the logged batches from the one
+// holding snapAt+1 on — whole, as the master logged them — and the closing
+// stamp. An honest master snapshots its current state (snapAt 7, no
+// batches); the verifier still accepts and checks the batches that follow
+// an older one.
 func honestTransfer(master *cryptoutil.KeyPair, now time.Time, snapAt uint64) transferParts {
 	var batches []BatchUpdate
 	for _, bu := range []BatchUpdate{

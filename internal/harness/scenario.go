@@ -466,7 +466,6 @@ func addMasterStats(dst *core.MasterStats, st core.MasterStats) {
 	dst.OpsTruncated += st.OpsTruncated
 	dst.WALReplayed += st.WALReplayed
 	dst.RecoverySyncs += st.RecoverySyncs
-	dst.SnapshotRefreshes += st.SnapshotRefreshes
 	dst.KeepAlivesSent += st.KeepAlivesSent
 	dst.UpdatesSent += st.UpdatesSent
 	dst.ClientsNotified += st.ClientsNotified

@@ -265,10 +265,11 @@ func decodeFrame(payload []byte) (id uint64, kind byte, head, body []byte, err e
 // TCPDialer is a Dialer over real TCP connections. Connections are cached
 // per destination and multiplex concurrent calls by request id.
 type TCPDialer struct {
-	mu    sync.Mutex
-	conns map[string]*tcpConn
-	dials map[string]*dialing // addresses being dialled, outside mu
-	dial  func(addr string) (net.Conn, error)
+	mu     sync.Mutex
+	conns  map[string]*tcpConn
+	dials  map[string]*dialing // addresses being dialled, outside mu
+	closed bool                // set by Close; nothing is dialled or cached after it
+	dial   func(addr string) (net.Conn, error)
 }
 
 // dialing is one dial in flight; everyone who wants its address waits on
@@ -316,10 +317,12 @@ var slotPool = sync.Pool{
 	New: func() any { return &callSlot{ch: make(chan tcpResult, 1)} },
 }
 
-// Close shuts every cached connection.
+// Close shuts every cached connection. A dial still in flight closes its
+// connection when it completes, and every later call fails with ErrClosed.
 func (d *TCPDialer) Close() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.closed = true
 	for _, c := range d.conns {
 		c.conn.Close()
 	}
@@ -331,6 +334,10 @@ func (d *TCPDialer) Close() {
 // addresses do not wait for it, and a failed one leaves nothing behind.
 func (d *TCPDialer) get(addr string) (*tcpConn, error) {
 	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return nil, ErrClosed
+	}
 	if c, ok := d.conns[addr]; ok && !c.dead.Load() {
 		d.mu.Unlock()
 		return c, nil
@@ -345,15 +352,17 @@ func (d *TCPDialer) get(addr string) (*tcpConn, error) {
 	d.mu.Unlock()
 
 	nc, err := d.dial(addr)
-	if err != nil {
-		dl.err = fmt.Errorf("%w: %v", ErrUnreachable, err)
-	} else {
-		dl.c = &tcpConn{conn: nc, pending: make(map[uint64]*callSlot)}
-		go dl.c.readLoop()
-	}
 	d.mu.Lock()
 	delete(d.dials, addr)
-	if err == nil {
+	switch {
+	case err != nil:
+		dl.err = fmt.Errorf("%w: %v", ErrUnreachable, err)
+	case d.closed:
+		nc.Close()
+		dl.err = ErrClosed
+	default:
+		dl.c = &tcpConn{conn: nc, pending: make(map[uint64]*callSlot)}
+		go dl.c.readLoop()
 		d.conns[addr] = dl.c
 	}
 	d.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -400,6 +401,44 @@ func TestTCPDialOutsideLock(t *testing.T) {
 	defer d.mu.Unlock()
 	if len(d.dials) != 0 || d.conns[hook.hung] != nil {
 		t.Fatalf("failed dial left an entry: dials %d, conn %v", len(d.dials), d.conns[hook.hung])
+	}
+}
+
+// A dial that completes after Close neither caches its connection nor
+// leaves it open: the peer reads EOF, the caller gets ErrClosed, and so
+// does every call after Close.
+func TestTCPCloseDuringDial(t *testing.T) {
+	d := NewTCPDialer()
+	local, peer := net.Pipe()
+	defer peer.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	d.dial = func(string) (net.Conn, error) {
+		close(entered)
+		<-release
+		return local, nil
+	}
+	errs := make(chan error, 1)
+	go func() {
+		_, err := d.Call("pipe", "x", nil)
+		errs <- err
+	}()
+	<-entered
+	d.Close()
+	close(release)
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := peer.Read(make([]byte, 64)); err != io.EOF {
+		t.Fatalf("peer read %d bytes, err %v; want EOF from a connection closed by the dialer", n, err)
+	}
+	if err := <-errs; !errors.Is(err, ErrClosed) {
+		t.Fatalf("call whose dial outlived Close: err = %v, want ErrClosed", err)
+	}
+	if _, err := d.Call("pipe", "x", nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close: err = %v, want ErrClosed", err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.conns) != 0 || len(d.dials) != 0 {
+		t.Fatalf("closed dialer holds %d connections and %d dials", len(d.conns), len(d.dials))
 	}
 }
 
