@@ -35,9 +35,12 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
+# The experiments whose BenchmarkE<nn> run writes BENCH_e<nn>.json.
+BENCH_EXPS := $(addprefix bench-e,15 16 17 18 19)
 
-verify: build vet lint race bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 bench-matrix fuzz-smoke check-readme bench-smoke
+.PHONY: verify build vet lint race $(BENCH_EXPS) bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
+
+verify: build vet lint race $(BENCH_EXPS) bench-matrix fuzz-smoke check-readme bench-smoke
 
 build:
 	$(GO) build ./...
@@ -78,25 +81,9 @@ race:
 	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
-bench-e15:
-	$(GO) test -run '^$$' -bench BenchmarkE15 -benchtime 1x -json . > BENCH_e15.json
-	@grep -c '"Action"' BENCH_e15.json >/dev/null && echo "wrote BENCH_e15.json"
-
-bench-e16:
-	$(GO) test -run '^$$' -bench BenchmarkE16 -benchtime 1x -json . > BENCH_e16.json
-	@grep -c '"Action"' BENCH_e16.json >/dev/null && echo "wrote BENCH_e16.json"
-
-bench-e17:
-	$(GO) test -run '^$$' -bench BenchmarkE17 -benchtime 1x -json . > BENCH_e17.json
-	@grep -c '"Action"' BENCH_e17.json >/dev/null && echo "wrote BENCH_e17.json"
-
-bench-e18:
-	$(GO) test -run '^$$' -bench BenchmarkE18 -benchtime 1x -json . > BENCH_e18.json
-	@grep -c '"Action"' BENCH_e18.json >/dev/null && echo "wrote BENCH_e18.json"
-
-bench-e19:
-	$(GO) test -run '^$$' -bench BenchmarkE19 -benchtime 1x -json . > BENCH_e19.json
-	@grep -c '"Action"' BENCH_e19.json >/dev/null && echo "wrote BENCH_e19.json"
+$(BENCH_EXPS): bench-e%:
+	$(GO) test -run '^$$' -bench BenchmarkE$* -benchtime 1x -json . > BENCH_e$*.json
+	@grep -c '"Action"' BENCH_e$*.json >/dev/null && echo "wrote BENCH_e$*.json"
 
 # The workload × fault matrix: every cell must end converged with zero
 # lost/duplicated writes or the run (and so `make verify`) fails. The

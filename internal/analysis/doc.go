@@ -43,7 +43,7 @@
 // trustcheck enforces verify-before-trust on the replication ingest
 // paths. Values produced by the wire decoders (DecodeStamp,
 // DecodePledge, decodeBatchEntry, DecodeBatchUpdate, DecodeWriteRequest,
-// DecodeWriteWave, DecodeCheckpoint, DecodeProof, ...) are tainted until
+// DecodeWriteWave, DecodeProof, ...) are tainted until
 // they flow through a verification call (Verify, VerifySig,
 // VerifyMembers, ValidateOp, AuthenticatesOp, ...). A
 // tainted value must not reach an Apply/ApplyAt sink or be stored into

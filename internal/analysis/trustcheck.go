@@ -33,7 +33,6 @@ var trustSources = map[string]bool{
 	"DecodeWriteRequest": true,
 	"DecodeWriteWave":    true,
 	"decodeBatchMessage": true,
-	"DecodeCheckpoint":   true,
 	"DecodeProof":        true,
 }
 

@@ -58,7 +58,7 @@
 // again for the slot that submit already has, instead of assigning a new
 // one. The index covers exactly the log and the archive and is truncated
 // with them, which needs every live member to have reported the slot
-// delivered (a heartbeat round trip) and a checkpoint to have covered it;
+// delivered (a heartbeat round trip) and the host to have truncated it;
 // an origin gives up on a sequencer after three call timeouts. A member
 // that resumed from durable state (ResumeAt) knows the identities of the
 // slots it has fetched since, not of those it resumed above. Call counts
@@ -68,7 +68,8 @@
 // Delivered messages are archived (still keyed by sequence number) so
 // lagging members can fetch them; the hosting node bounds the archive by
 // calling TruncateBelow once history has become stable — in this system,
-// when a core.Master delivers a stability checkpoint. A member that was
+// a core.Master below its own slaves' stable point, a core.Auditor below
+// each slot it delivers. A member that was
 // partitioned across a truncation cannot fetch the gap back and needs a
 // full state transfer.
 //

@@ -47,9 +47,10 @@ type AuditorConfig struct {
 	Peers []string
 	// MasterAddrs are the masters it reports misbehaviour to.
 	MasterAddrs []string
-	// MasterPubs are the trusted master keys, used to authenticate
-	// stability checkpoints before truncating the broadcast archive.
-	// Empty disables checkpoint-driven truncation at the auditor.
+	// MasterPubs is unused: the auditor truncates its broadcast archive
+	// without any master's word. bench/replbench/deploy.go, which may not
+	// be edited here, still sets it; it goes when bench is unfrozen
+	// (ROADMAP item 1).
 	MasterPubs []cryptoutil.PublicKey
 	// CPU, if non-nil, charges modelled service times. The cost model is
 	// where the auditor's advantages live: it never signs, never sends
@@ -63,10 +64,6 @@ type bufferedWrite struct {
 	opBytes    []byte
 	receivedAt time.Time
 }
-
-// maxAuditorMarks bounds the auditor's version->seq mark index (used
-// only to translate checkpoint versions into archive truncation floors).
-const maxAuditorMarks = 4096
 
 // Auditor re-executes pledged reads against its own lagging replica and
 // reports any slave whose pledge does not match the trusted result
@@ -90,7 +87,6 @@ type Auditor struct {
 	stats    AuditorStats
 	stopped  bool
 	masterV  uint64          // highest version committed by masters (observed)
-	marks    []versionMark   // version -> broadcast seq (archive truncation)
 	detected map[string]bool // slave pubs already reported
 
 	pledges *sigCache // verified-pledge cache (amortizes a repeated lie's VerifySig)
@@ -164,6 +160,10 @@ func (a *Auditor) Backlog() int {
 	return a.backlog
 }
 
+// ArchiveLen returns the retained entry count of the auditor's broadcast
+// archive.
+func (a *Auditor) ArchiveLen() int { return a.bcast.ArchiveLen() }
+
 // Addr returns the auditor's address.
 func (a *Auditor) Addr() string { return a.cfg.Addr }
 
@@ -186,64 +186,31 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 
 // deliver receives the ordered master traffic; the auditor only buffers
 // writes (it "is allowed to lag behind when executing write requests",
-// §3.4) and ignores membership messages.
+// §3.4) and ignores membership messages. Buffered writes live in a.writes
+// and nothing the auditor keeps reads its broadcast archive, so every
+// delivery drops the archive below itself; the member caps that floor at
+// the slowest live member's delivered mark, so a peer can still fetch its
+// gap.
 func (a *Auditor) deliver(seq uint64, msg []byte) {
+	defer a.bcast.TruncateBelow(seq)
 	r := wire.NewReader(msg)
-	var opsBytes [][]byte
-	switch r.Byte() {
-	case bcCheckpoint:
-		// Stability: history below the checkpoint will never be fetched
-		// again; drop it from this member's broadcast archive too. The
-		// auditor's own write buffer is untouched — it drains as the
-		// audit replica advances and is bounded by the audit lag.
-		ck, err := DecodeCheckpoint(r)
-		if err != nil {
-			return
-		}
-		// Only a checkpoint signed by a trusted master may truncate:
-		// MethodSubmit does not authenticate its caller.
-		if len(a.cfg.MasterPubs) == 0 || ck.Verify(a.cfg.MasterPubs) != nil {
-			return
-		}
-		chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.VerifySig)
-		a.mu.Lock()
-		var floor uint64
-		floor, a.marks = pruneMarks(a.marks, ck.Version)
-		a.mu.Unlock()
-		if floor > 0 {
-			a.bcast.TruncateBelow(floor)
-		}
+	if r.Byte() != bcBatch {
 		return
-	case bcBatch:
-		_, _, batch, err := decodeBatchMessage(r)
-		if err != nil {
-			return
-		}
-		for _, opBytes := range batch {
-			// Mirror the masters' deterministic skip of undecodable ops
-			// so the auditor's version numbering stays aligned.
-			if err := store.ValidateOp(opBytes); err != nil {
-				continue
-			}
-			opsBytes = append(opsBytes, opBytes)
-		}
-	default:
+	}
+	_, _, batch, err := decodeBatchMessage(r)
+	if err != nil {
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, opBytes := range opsBytes {
+	for _, opBytes := range batch {
+		// Mirror the masters' deterministic skip of undecodable ops so the
+		// auditor's version numbering stays aligned.
+		if store.ValidateOp(opBytes) != nil {
+			continue
+		}
 		a.masterV++
 		a.writes[a.masterV] = bufferedWrite{opBytes: opBytes, receivedAt: a.rt.Now()}
-	}
-	if len(opsBytes) > 0 {
-		a.marks = append(a.marks, versionMark{version: a.masterV, seq: seq})
-		// The auditor cannot know whether masters checkpoint; cap the
-		// mark index so it stays bounded either way (dropping the oldest
-		// marks only makes archive truncation more conservative).
-		if len(a.marks) > maxAuditorMarks {
-			a.marks = append([]versionMark(nil), a.marks[len(a.marks)-maxAuditorMarks:]...)
-		}
 	}
 	if lag := a.masterV - a.replica.Version(); lag > a.stats.VersionLagMax {
 		a.stats.VersionLagMax = lag

@@ -1,31 +1,29 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"time"
 
-	"repro/internal/cryptoutil"
 	"repro/internal/wire"
 )
 
-// Stability-driven checkpointing (cf. PBFT-style stability checkpoints).
+// Stability-driven truncation.
 //
 // The master signs every state update and keeps the evidence — signed
 // batches in its log, ordered messages in the broadcast archive — so
 // untrusted slaves can sync and auditors can check. Without truncation
-// both grow linearly with total writes. Checkpointing bounds them: slaves
-// piggyback their applied version on every keep-alive and update
-// acknowledgement; on a CheckpointEvery cadence each master computes the
-// stable version V (the minimum over its live, recently-heard-from
-// slaves) and broadcasts a signed Checkpoint through the ordered master
-// channel. On delivery, every master advances its baseVersion toward V —
-// always to the end of a batch, since the log holds whole batches — and
-// truncates its op log and the broadcast archive below it. A slave whose
-// sync request predates the new base gets the master's current state,
-// encoded and signed when it asks (handleSync), instead of replayed
-// history that no longer exists. Nothing is kept for that: a snapshot
-// exists only while one reply or one durable file needs it.
+// both grow linearly with total writes. Slaves piggyback their applied
+// version on every keep-alive and update acknowledgement, and each master
+// decides alone, on its delivery path, how much history its own slaves
+// still need: at most once per CheckpointEvery, maybeTruncate computes the
+// stable version (the minimum over its live, recently-heard-from slaves),
+// cuts the log at the end of the newest batch at or below it — keeping
+// CheckpointMinRetain ops — and drops the broadcast archive below that
+// batch's slot. Masters are trusted (§3), so no master needs another's
+// word for this, and nothing is signed or broadcast. A slave whose sync
+// request predates the new base gets the master's current state, encoded
+// and signed when it asks (handleSync), instead of replayed history that
+// no longer exists. Nothing is kept for that: a snapshot exists only
+// while one reply or one durable file needs it.
 //
 // The lagging-slave policy: a slave that has not acknowledged anything
 // within CheckpointMaxLag stops gating stability (otherwise one silent
@@ -35,86 +33,6 @@ import (
 // correctness one, because the snapshot is authenticated by a master
 // stamp exactly like every replayed op.
 
-// Checkpoint is the signed stability record a master broadcasts when it
-// advances the stable version: at Version the replicated store's state
-// digest was Digest, and every live slave of the initiating master had
-// acknowledged applying Version. Auditors can hold the master to this
-// digest; masters use it to truncate history below Version.
-type Checkpoint struct {
-	Version   uint64
-	Digest    cryptoutil.Digest
-	Initiator string // address of the proposing master
-	MasterPub cryptoutil.PublicKey
-	At        time.Time
-	Sig       []byte
-}
-
-func (c *Checkpoint) appendSignedBytes(w *wire.Writer) {
-	w.String_("ckpt.v1")
-	w.Uvarint(c.Version)
-	w.Bytes_(c.Digest[:])
-	w.String_(c.Initiator)
-	w.Bytes_(c.MasterPub)
-	w.Time(c.At)
-}
-
-// SignCheckpoint builds and signs a checkpoint record.
-func SignCheckpoint(master *cryptoutil.KeyPair, initiator string, version uint64, digest cryptoutil.Digest, at time.Time) Checkpoint {
-	c := Checkpoint{
-		Version: version, Digest: digest,
-		Initiator: initiator, MasterPub: master.Public, At: at,
-	}
-	w := wire.GetWriter()
-	c.appendSignedBytes(w)
-	c.Sig = master.Sign(w.Bytes())
-	wire.PutWriter(w)
-	return c
-}
-
-// Verify checks the checkpoint signature against trusted master keys.
-func (c *Checkpoint) Verify(trustedMasters []cryptoutil.PublicKey) error {
-	for _, pub := range trustedMasters {
-		if bytes.Equal(pub, c.MasterPub) {
-			w := wire.GetWriter()
-			c.appendSignedBytes(w)
-			err := cryptoutil.Verify(c.MasterPub, w.Bytes(), c.Sig)
-			wire.PutWriter(w)
-			if err != nil {
-				return fmt.Errorf("%w: %v", ErrBadStamp, err)
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: unknown master key", ErrBadStamp)
-}
-
-// Encode appends the checkpoint to w.
-func (c *Checkpoint) Encode(w *wire.Writer) {
-	w.Uvarint(c.Version)
-	w.Bytes_(c.Digest[:])
-	w.String_(c.Initiator)
-	w.Bytes_(c.MasterPub)
-	w.Time(c.At)
-	w.Bytes_(c.Sig)
-}
-
-// DecodeCheckpoint reads a checkpoint from r.
-func DecodeCheckpoint(r *wire.Reader) (Checkpoint, error) {
-	var c Checkpoint
-	c.Version = r.Uvarint()
-	d := r.Bytes()
-	if len(d) == cryptoutil.DigestSize {
-		copy(c.Digest[:], d)
-	} else if r.Err() == nil {
-		return c, fmt.Errorf("core: bad checkpoint digest length %d", len(d))
-	}
-	c.Initiator = r.String()
-	c.MasterPub = cryptoutil.PublicKey(r.Bytes())
-	c.At = r.Time()
-	c.Sig = r.Bytes()
-	return c, r.Err()
-}
-
 // slaveAck is the stability bookkeeping for one slave: the newest version
 // it acknowledged applying and when the acknowledgement arrived.
 type slaveAck struct {
@@ -123,27 +41,10 @@ type slaveAck struct {
 }
 
 // versionMark pairs a content version with the broadcast sequence number
-// that carried it: a master's recovery anchor, and the auditor's index
-// for archive truncation.
+// that carried it: a master's recovery anchor.
 type versionMark struct {
 	version uint64
 	seq     uint64
-}
-
-// pruneMarks splits a mark index at stability version v: it returns the
-// broadcast-archive floor (one past the seq of the newest mark at or
-// below v; 0 if none) and the marks above v, reallocated so the dropped
-// prefix is released.
-func pruneMarks(marks []versionMark, v uint64) (floor uint64, rest []versionMark) {
-	keep := 0
-	for i, mk := range marks {
-		if mk.version > v {
-			break
-		}
-		floor = mk.seq + 1
-		keep = i + 1
-	}
-	return floor, append([]versionMark(nil), marks[keep:]...)
 }
 
 // ckptSnapshot is an encoded store state at version, authenticated by a
@@ -158,7 +59,7 @@ type ckptSnapshot struct {
 // signSnapshot signs the stamp that authenticates snap — its digest is
 // the hash of the snapshot bytes — charging the signature and the hash,
 // and returns snap. Every snapshot this master serves or persists is
-// signed here: for a snapshot-first sync, at a durable checkpoint, after
+// signed here: for a snapshot-first sync, at a durable truncation, after
 // a catch-up.
 func (m *Master) signSnapshot(snap *ckptSnapshot) *ckptSnapshot {
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
@@ -249,97 +150,43 @@ func (m *Master) maxAckBehind() uint64 {
 	return 8 * uint64(m.cfg.CheckpointMinRetain)
 }
 
-// checkpointLoop periodically proposes a stability checkpoint through the
-// ordered broadcast. Runs only when CheckpointEvery > 0.
-func (m *Master) checkpointLoop() {
-	for {
-		if m.rt.Sleep(m.cfg.CheckpointEvery) != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.stopped {
-			m.mu.Unlock()
-			return
-		}
-		stable := m.stableVersionLocked(m.rt.Now())
-		// Propose the end of the newest logged batch at or below the
-		// stable version: the log records the state digest there, so the
-		// checkpoint can bind version to digest.
-		var version uint64
-		var digest cryptoutil.Digest
-		if k := m.logIndexLocked(stable + 1); k > 0 {
-			version, digest = m.log[k-1].Last(), m.log[k-1].digest
-		}
-		base := m.baseVersion
-		m.mu.Unlock()
-		if version == 0 || version <= base {
-			continue // nothing new became stable
-		}
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-		ck := SignCheckpoint(m.cfg.Keys, m.cfg.Addr, version, digest, m.rt.Now())
-		w := wire.NewWriter(256)
-		w.Byte(bcCheckpoint)
-		ck.Encode(w)
-		if err := m.bcast.Broadcast(w.Bytes()); err == nil {
-			m.mu.Lock()
-			m.stats.CheckpointsProposed++
-			m.mu.Unlock()
-		}
-	}
-}
-
-// applyCheckpoint executes a delivered checkpoint on every master: record
-// it and truncate the op log and the broadcast archive at the local
-// truncation point. That point is the end of the newest logged batch at
-// or below the delivered checkpoint's version capped by this master's own
-// stability (its slaves may lag the initiator's) and by the retain window,
-// so slightly-behind slaves keep the cheap batch-replay path and the log
-// keeps CheckpointMinRetain ops plus at most one batch. seq is the
-// checkpoint's own delivery slot: a durable master captures a snapshot,
-// persists it anchored there (every batch at or below seq is inside it)
-// and truncates its write-ahead log; it keeps nothing in memory.
-func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
-	ck, err := DecodeCheckpoint(r)
-	if err != nil {
-		return
-	}
-	// Authenticate the initiator before acting: MethodSubmit does not
-	// authenticate its caller, so a checkpoint must carry a signature
-	// from a directory-certified master to truncate anything.
-	masters, err := m.certifiedMasters()
-	if err != nil {
-		return
-	}
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
-	if ck.Verify(subjects(masters)) != nil {
+// maybeTruncate ends every delivery of a message other than a write batch
+// (deliver defers it, so it runs after the message is applied): a durable
+// master's truncation encodes, signs and fsyncs a snapshot, which after a
+// batch would compete with that batch's acknowledgements. Every master
+// broadcasts its slave list every four keep-alive intervals, busy or idle,
+// so truncation is never later than that.
+//
+// At most once per CheckpointEvery it cuts the op log at the end of the
+// newest logged batch at or below min(stable version, current −
+// CheckpointMinRetain), so slightly-behind slaves keep the cheap
+// batch-replay path, and drops the broadcast archive below that batch's
+// slot. seq is the slot just delivered: a durable master persists a
+// snapshot anchored there (every batch at or below seq is inside it) and
+// truncates its write-ahead log. This runs on the delivery drainer, so no
+// batch can be applied, nor its WAL record appended, between the capture
+// and the rewrite.
+func (m *Master) maybeTruncate(seq uint64) {
+	if m.cfg.CheckpointEvery <= 0 {
 		return
 	}
 	m.mu.Lock()
-	if ck.Version > m.checkpoint.Version {
-		m.checkpoint = ck
-	}
-	cur := m.store.Version()
-	t := ck.Version
-	if local := m.stableVersionLocked(m.rt.Now()); local < t {
-		t = local
-	}
-	retain := uint64(m.cfg.CheckpointMinRetain)
-	if cur <= retain {
+	now := m.rt.Now()
+	if now.Sub(m.lastTruncate) < m.cfg.CheckpointEvery {
 		m.mu.Unlock()
 		return
 	}
-	if cur-retain < t {
-		t = cur - retain
+	m.lastTruncate = now
+	cur, retain := m.store.Version(), uint64(m.cfg.CheckpointMinRetain)
+	k := 0 // the batches that end at or below the cut
+	if cur > retain {
+		k = m.logIndexLocked(min(m.stableVersionLocked(now), cur-retain) + 1)
 	}
-	k := m.logIndexLocked(t + 1) // the batches that end at or below t
 	if k == 0 {
 		m.mu.Unlock()
 		return
 	}
 
-	// A durable master captures the state it persists before truncating:
-	// ordered delivery means every master would capture the identical
-	// state here.
 	var snap *ckptSnapshot
 	if m.wlog != nil {
 		snap = &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
@@ -347,30 +194,16 @@ func (m *Master) applyCheckpoint(seq uint64, r *wire.Reader) {
 	for _, b := range m.log[:k] {
 		m.stats.OpsTruncated += uint64(len(b.Ops))
 	}
-	// Broadcast-archive floor: one past the slot of the newest truncated
-	// batch; everything below it is stable history.
 	floor := m.log[k-1].seq + 1
 	m.baseVersion = m.log[k-1].Last()
 	m.log = append([]loggedBatch(nil), m.log[k:]...)
 	m.stats.CheckpointsApplied++
 	m.mu.Unlock()
 
-	// The snapshot captures every batch delivered at or below this
-	// checkpoint's own slot, so persist it anchored there and drop the
-	// now-redundant WAL records. Delivery is serialized, so no batch can
-	// commit between the capture above and this write.
 	if snap != nil {
 		m.persistState(seq, m.signSnapshot(snap))
 	}
 	m.bcast.TruncateBelow(floor)
-}
-
-// LastCheckpoint returns the most recent checkpoint this master recorded
-// and whether one exists.
-func (m *Master) LastCheckpoint() (Checkpoint, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.checkpoint, m.checkpoint.Sig != nil
 }
 
 // BaseVersion returns the lowest version boundary of the retained op log:

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/pki"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -88,5 +89,122 @@ func TestRecordAckDropsNonMembers(t *testing.T) {
 	}
 	if !member {
 		t.Fatal("AddSlave should seed the member's ack entry")
+	}
+}
+
+// TestEachMasterTruncatesAtItsOwnStablePoint: two masters share one
+// ordered history, but each one's slave acks a different version, and
+// truncation is each master's own decision. Each cuts at its own slave's
+// stable point — while idle too, on slave-list deliveries alone — and then,
+// with acks moving under a steady write stream, never more than once per
+// CheckpointEvery.
+func TestEachMasterTruncatesAtItsOwnStablePoint(t *testing.T) {
+	const every = time.Second
+	s := sim.New(7)
+	net := rpc.NewSimNet(s, sim.Const(time.Millisecond))
+	params := DefaultParams()
+	params.MaxLatency = 10 * time.Millisecond
+	params.KeepAliveEvery = 100 * time.Millisecond // slave lists every 400 ms
+	owner := cryptoutil.DeriveKeyPair("owner", 0)
+	dir := BoundDirectory{Dir: pki.NewDirectory(), ContentKey: owner.Public}
+	initial := store.New()
+	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	peers := []string{"m0", "m1"}
+	var masters []*Master
+	for i, addr := range peers {
+		m, err := NewMaster(MasterConfig{
+			Addr: addr, Keys: cryptoutil.DeriveKeyPair("master", i), Params: params,
+			ContentKey: owner.Public, Peers: peers, Directory: dir, Seed: int64(i),
+			CheckpointEvery:     every,
+			CheckpointMinRetain: 4,         // maxAckBehind = 32
+			CheckpointMaxLag:    time.Hour, // acks never go stale here
+		}, s, net.Dialer(addr), initial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.Register(addr, m.Handle)
+		m.AddSlave("s"+addr, cryptoutil.DeriveKeyPair("slave", i).Public) // nobody answers there
+		masters = append(masters, m)
+	}
+	client := cryptoutil.DeriveKeyPair("client", 0)
+	write := func(i int) error {
+		_, err := masters[0].Handle("client", MethodWriteMulti,
+			encodeWave(SignWave(client, []store.Op{store.Put{Key: "k", Value: []byte{byte(i)}}})))
+		return err
+	}
+	ack := func(v0, v1 uint64) {
+		masters[0].recordAck("sm0", v0)
+		masters[1].recordAck("sm1", v1)
+	}
+
+	var idleBase, idleCuts [2]uint64 // each master after the idle phase
+	var cuts [2][]time.Time          // when each master's truncation count rose
+	s.Go(func() {
+		defer s.Stop()
+		start := s.Now()
+		for _, m := range masters {
+			m.Start()
+		}
+		for i := 0; i < 20; i++ { // versions 2..21, a batch each
+			if err := write(i); err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+		}
+		if s.Now().Sub(start) >= every {
+			t.Errorf("writes took %v; the first truncation was due after %v", s.Now().Sub(start), every)
+			return
+		}
+		for i, m := range masters {
+			if st := m.Stats(); st.CheckpointsApplied != 0 || m.BaseVersion() != 1 {
+				t.Errorf("master %d truncated before CheckpointEvery passed: %+v, base %d", i, st, m.BaseVersion())
+			}
+		}
+		// Idle: no writes, only slave lists are delivered.
+		ack(6, 12)
+		s.Sleep(2 * every)
+		for i, m := range masters {
+			idleBase[i], idleCuts[i] = m.BaseVersion(), m.Stats().CheckpointsApplied
+		}
+
+		// Busy: a write every 20 ms, each slave acking all of it.
+		seen := idleCuts
+		for i := 0; i < 200; i++ {
+			if err := write(i); err != nil {
+				t.Errorf("busy write %d: %v", i, err)
+				return
+			}
+			v := masters[0].Version()
+			ack(v, v)
+			s.Sleep(20 * time.Millisecond)
+			for j, m := range masters {
+				if n := m.Stats().CheckpointsApplied; n > seen[j] {
+					seen[j] = n
+					cuts[j] = append(cuts[j], s.Now())
+				}
+			}
+		}
+	})
+	s.RunUntil(sim.Epoch.Add(time.Hour))
+	if t.Failed() {
+		return
+	}
+
+	for i, want := range []uint64{6, 12} {
+		if idleBase[i] != want || idleCuts[i] != 1 {
+			t.Errorf("master %d idle: base %d after %d truncations, want base %d after 1 (its own slave's ack)",
+				i, idleBase[i], idleCuts[i], want)
+		}
+	}
+	for i, at := range cuts {
+		if len(at) < 3 {
+			t.Errorf("master %d truncated %d times in %v of busy writes", i, len(at), 200*20*time.Millisecond)
+		}
+		for j := 1; j < len(at); j++ {
+			// Polled every 20 ms, so a gap reads up to one poll short.
+			if gap := at[j].Sub(at[j-1]); gap < every-20*time.Millisecond {
+				t.Errorf("master %d truncated twice within %v (CheckpointEvery %v)", i, gap, every)
+			}
+		}
 	}
 }

@@ -184,9 +184,9 @@ func (b BoundDirectory) ShardMap() (pki.ShardTable, []pki.Certificate, error) {
 }
 
 // verifiedMasters keeps the master certificates that verify under the
-// content key. Every master key a client or master checks a stamp, a
-// checkpoint or a slave certificate against comes from the untrusted
-// directory through here or through Client.fetchShardMap.
+// content key. Every master key a client or master checks a stamp or a
+// slave certificate against comes from the untrusted directory through
+// here or through Client.fetchShardMap.
 func verifiedMasters(certs []pki.Certificate, contentKey cryptoutil.PublicKey) []pki.Certificate {
 	var out []pki.Certificate
 	for _, c := range certs {

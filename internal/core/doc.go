@@ -81,19 +81,22 @@
 //	             which verifies every part before returning any.
 //
 // Committed history has that one shape everywhere: the master's op log
-// is a list of these batches (plus the state digest after each), its WAL
-// record is one of them after its broadcast slot, and checkpoints
-// truncate the log only between batches.
+// is a list of these batches, its WAL record is one of them after its
+// broadcast slot, and truncation cuts the log only between batches.
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,
-// see types.go) and stability-driven checkpointing (checkpoint.go) —
-// slaves acknowledge applied versions on every keep-alive/update reply,
-// masters truncate the op log and broadcast archive below the stable
-// version, and slaves that fell behind a checkpoint recover through
-// snapshot-first sync instead of unbounded history replay. A master
-// keeps no snapshot for that: it encodes and signs its current state
-// when such a sync arrives.
+// see types.go) and stability-driven truncation (checkpoint.go) — slaves
+// acknowledge applied versions on every keep-alive/update reply, and each
+// master, after delivering any message but a write batch and at most once
+// per CheckpointEvery, truncates its op log and broadcast archive below
+// its own slaves' stable version.
+// Masters are trusted (§3), so that is a local decision: no record is
+// signed or broadcast for it, and the auditor drops its archive below
+// each slot it delivers. Slaves that fell behind a truncation recover
+// through snapshot-first sync instead of unbounded history replay. A
+// master keeps no snapshot for that: it encodes and signs its current
+// state when such a sync arrives.
 //
 // Signatures on the read path are paid once per distinct piece of
 // evidence (sigcache.go has the safety argument). A pledge's signature
@@ -162,14 +165,14 @@
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch — its ops and signed
 // stamp — is appended to a write-ahead log and fsynced before the client
-// ack, and every applied checkpoint atomically persists a signed snapshot
-// file and truncates the WAL below it. The file is an m.sync reply (a
+// ack, and every truncation atomically persists a signed snapshot file
+// and truncates the WAL below it. The file is an m.sync reply (a
 // snapshot and no batches), read back through decodeStateTransfer under
 // the master's own key. A restarting master loads the
 // snapshot, replays the WAL suffix (verifying every stamp; a torn final
 // record — a crash mid-append — is dropped, any other corruption refuses
 // to start), resumes its broadcast slot, and closes the remaining gap
 // from a peer: by ordinary record fetch when the archive still holds its
-// slots, or one snapshot-first recovery sync when checkpoint truncation
-// outran the outage. Without DataDir nothing touches the filesystem.
+// slots, or one snapshot-first recovery sync when truncation outran the
+// outage. Without DataDir nothing touches the filesystem.
 package core

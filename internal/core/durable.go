@@ -9,8 +9,8 @@ package core
 // contract (PR 16): an acknowledged write is fsynced at the acknowledging
 // master, held by every non-suspected member, applied by them
 // concurrently (before: also applied and fsynced by each peer in turn).
-// When a stability checkpoint applies, a durable master captures and signs
-// a snapshot, writes it atomically and truncates the WAL below it
+// When it truncates its log (maybeTruncate), a durable master captures and
+// signs a snapshot, writes it atomically and truncates the WAL below it
 // (persistState); the snapshot is not kept in memory. On start,
 // openDurable loads snapshot + WAL suffix, verifying this master's own
 // stamps, and anchors broadcast delivery there; recoverGap closes the
@@ -184,9 +184,9 @@ func (m *Master) adoptTransferLocked(st *stateTransfer) error {
 // recoverGap closes the gap between replayed durable state and the rest
 // of the cluster, before the master's loops start. If a peer's broadcast
 // archive still holds every slot above our anchor, normal fetch will
-// close the gap and nothing needs doing. If stability checkpoints
-// truncated those slots no fetch can ever succeed, so the master pulls a
-// state transfer instead and resumes above its anchor.
+// close the gap and nothing needs doing. If truncation dropped those
+// slots no fetch can ever succeed, so the master pulls a state transfer
+// instead and resumes above its anchor.
 func (m *Master) recoverGap() {
 	delivered := m.bcast.Delivered()
 	for attempt := 0; attempt < 3; attempt++ {
@@ -224,9 +224,9 @@ func (m *Master) recoverGap() {
 // persisted, with broadcast delivery resumed at the anchor the peer
 // captured with the reply — the slot each transferred batch is logged
 // under, since this master's archive starts above it. Ordered messages in
-// the skipped range that were not write batches — slave lists,
-// checkpoints, membership changes — are not replayed; all are periodic or
-// idempotent and re-converge through their own channels.
+// the skipped range that were not write batches — slave lists and
+// membership changes — are not replayed; all are periodic or idempotent
+// and re-converge through their own channels.
 func (m *Master) catchUpFrom(peer string) error {
 	masters, err := m.certifiedMasters()
 	if err != nil {

@@ -26,8 +26,8 @@ const (
 	bcAdopt
 	bcExclude
 	bcReadmit
-	bcBatch      // batched writes: one frame, one signature, many versions
-	bcCheckpoint // stability checkpoint: truncate history below version V
+	bcBatch // batched writes: one frame, one signature, many versions
+	_       // 7 was bcCheckpoint (signed stability record); the tag stays reserved
 )
 
 // MasterStats counts a master's activity.
@@ -50,9 +50,8 @@ type MasterStats struct {
 	ClientsNotified  uint64
 	SlavesAdopted    uint64
 
-	CheckpointsProposed uint64 // stability checkpoints this master broadcast
-	CheckpointsApplied  uint64 // delivered checkpoints that truncated history
-	OpsTruncated        uint64 // ops dropped from the log (in whole batches) after stability
+	CheckpointsApplied uint64 // truncations of the log and broadcast archive
+	OpsTruncated       uint64 // ops dropped from the log (in whole batches) after stability
 
 	WALReplayed   uint64 // batches replayed from the WAL at start
 	RecoverySyncs uint64 // wholesale catch-up syncs performed at start
@@ -112,10 +111,11 @@ type MasterConfig struct {
 	// coalesce into full batches, while the straggler tail of a burst
 	// stops paying the full static timeout.
 	BatchAdaptive bool
-	// CheckpointEvery is the stability-checkpoint cadence: how often the
-	// master computes the stable version over its slaves' acks and
-	// proposes truncating history below it. 0 disables checkpointing
-	// (the op log and broadcast archive then grow with total writes).
+	// CheckpointEvery is the truncation cadence: at most this often, after
+	// delivering a message other than a write batch, the master computes
+	// the stable version over its own slaves' acks and truncates history
+	// below it. 0 disables truncation (the op log and broadcast archive
+	// then grow with total writes).
 	CheckpointEvery time.Duration
 	// CheckpointMinRetain is the minimum number of recent ops kept in the
 	// log regardless of stability, so slightly-behind slaves sync by batch
@@ -128,9 +128,9 @@ type MasterConfig struct {
 	CheckpointMaxLag time.Duration
 	// DataDir, when non-empty, makes the master durable: every committed
 	// batch is appended to a write-ahead log under this directory before
-	// clients are acked, and each applied checkpoint atomically writes a
-	// snapshot file and truncates the log below the stable point. On
-	// start the directory is loaded — snapshot, then WAL suffix — so a
+	// clients are acked, and each truncation atomically writes a snapshot
+	// file and truncates the log below the stable point. On start the
+	// directory is loaded — snapshot, then WAL suffix — so a
 	// restarted master resumes from its pre-crash state and rejoins the
 	// broadcast instead of being reprovisioned. Every batch is fsynced
 	// before its writers are acked, so an acked write survives a crash.
@@ -167,7 +167,6 @@ type Master struct {
 	baseVersion uint64                  // guarded by mu; floor of the retained log (initial version, then the last version of a truncated batch)
 	log         []loggedBatch           // guarded by mu; the committed batches above baseVersion, in order
 	acks        map[string]slaveAck     // guarded by mu; slave addr -> newest acknowledged version
-	checkpoint  Checkpoint              // guarded by mu; most recent stability checkpoint recorded
 	unacked     uint64                  // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
 	lastMark    versionMark             // guarded by mu; version + broadcast seq of the newest applied batch
 	lastCommit  time.Time               // guarded by mu
@@ -186,6 +185,10 @@ type Master struct {
 	memo        resultMemo              // guarded by mu; answers to expensive double-checked queries at the store's version
 	stopped     bool                    // guarded by mu
 
+	// When maybeTruncate last looked at the log. NewMaster sets it, so the
+	// first truncation comes one CheckpointEvery after start.
+	lastTruncate time.Time // guarded by mu
+
 	// This master's batches between Broadcast and delivery, by the batch
 	// number their bcBatch frame carries; whoever removes one resolves its
 	// waiters. Numbers start at the clock, so a restart never reuses one.
@@ -194,7 +197,7 @@ type Master struct {
 
 	// Durable state (DataDir set; see durable.go). walMu serializes the
 	// log file operations — the delivery drainer appends and syncs,
-	// checkpoint application and catch-up rewrite, Stop syncs.
+	// truncation and catch-up rewrite, Stop syncs.
 	walMu   sync.Mutex
 	wlog    *wal.Log     // write-ahead log (nil without DataDir)
 	walHook func(uint64) // test hook: after WAL append+sync, before acks
@@ -226,21 +229,22 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		cfg.CheckpointMaxLag = 4 * cfg.Params.KeepAliveEvery
 	}
 	m := &Master{
-		cfg:         cfg,
-		rt:          rt,
-		dlr:         dlr,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		store:       initial.Clone(),
-		baseVersion: initial.Version(),
-		acks:        make(map[string]slaveAck),
-		clients:     make(map[string]*clientEntry),
-		peerSlaves:  make(map[string][]slaveEntry),
-		adopted:     make(map[string]bool),
-		excluded:    make(map[string]bool),
-		batchNo:     uint64(rt.Now().UnixNano()),
-		inflight:    make(map[uint64][]batchWaiter),
-		greedy:      newGreedyTracker(cfg.Params),
-		stamps:      newSigCache(),
+		cfg:          cfg,
+		rt:           rt,
+		dlr:          dlr,
+		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		store:        initial.Clone(),
+		baseVersion:  initial.Version(),
+		acks:         make(map[string]slaveAck),
+		clients:      make(map[string]*clientEntry),
+		peerSlaves:   make(map[string][]slaveEntry),
+		adopted:      make(map[string]bool),
+		excluded:     make(map[string]bool),
+		lastTruncate: rt.Now(),
+		batchNo:      uint64(rt.Now().UnixNano()),
+		inflight:     make(map[uint64][]batchWaiter),
+		greedy:       newGreedyTracker(cfg.Params),
+		stamps:       newSigCache(),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
@@ -282,9 +286,6 @@ func (m *Master) startLoops() {
 	m.rt.Spawn(m.keepAliveLoop)
 	m.rt.Spawn(m.slaveListLoop)
 	m.rt.Spawn(m.crashMonitorLoop)
-	if m.cfg.CheckpointEvery > 0 {
-		m.rt.Spawn(m.checkpointLoop)
-	}
 }
 
 // Stop halts the master's loops and syncs the write-ahead log. A master
@@ -722,10 +723,14 @@ func (m *Master) awaitCommit(h commitHandle, expired <-chan struct{}) (uint64, e
 }
 
 // deliver is the broadcast delivery callback: every master executes the
-// same ordered messages.
+// same ordered messages. After any message but a write batch it decides
+// alone whether to truncate (maybeTruncate).
 func (m *Master) deliver(seq uint64, msg []byte) {
 	r := wire.NewReader(msg)
 	kind := r.Byte()
+	if kind != bcBatch {
+		defer m.maybeTruncate(seq)
+	}
 	switch kind {
 	case bcBatch:
 		origin, no, ops, err := decodeBatchMessage(r)
@@ -733,8 +738,6 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 			return
 		}
 		m.applyBatch(seq, ops, m.takeInflight(origin, no, len(ops)))
-	case bcCheckpoint:
-		m.applyCheckpoint(seq, r)
 	case bcSlaveList:
 		masterAddr := r.String()
 		n := r.Count() // b.submit is unauthenticated: never size a slice by a forged count
@@ -794,7 +797,7 @@ func decodeBatchMessage(r *wire.Reader) (origin string, no uint64, ops [][]byte,
 // update per slave. Undecodable ops are skipped deterministically (every
 // replica runs the same check), so replicas stay in lock-step. seq is
 // the broadcast slot that carried the commit; it anchors the batch
-// boundary for checkpoint truncation of the broadcast archive. waiters,
+// boundary for truncation of the broadcast archive. waiters,
 // nil on every master but the batch's origin, are the writers waiting
 // for batch[i]'s version.
 func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
@@ -905,20 +908,16 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 
 // loggedBatch is one entry of the master's op log: a committed batch
 // whole, as its WAL record holds it — the broadcast slot that carried it,
-// then first, ops and stamp, which s.updatebatch pushes and m.sync replays
-// — plus the state digest after it, which a checkpoint at the batch's last
-// version certifies.
+// then first, ops and stamp, which s.updatebatch pushes and m.sync replays.
 type loggedBatch struct {
 	BatchUpdate
-	seq    uint64
-	digest cryptoutil.Digest
+	seq uint64
 }
 
-// appendLogLocked logs a batch the store has just applied, with the state
-// digest it left. Caller holds m.mu (or runs before concurrency, in
-// replay).
+// appendLogLocked logs a batch the store has just applied. Caller holds
+// m.mu (or runs before concurrency, in replay).
 func (m *Master) appendLogLocked(seq uint64, bu BatchUpdate) {
-	m.log = append(m.log, loggedBatch{BatchUpdate: bu, seq: seq, digest: m.store.StateDigest()})
+	m.log = append(m.log, loggedBatch{BatchUpdate: bu, seq: seq})
 }
 
 // logIndexLocked is the index of the first logged batch whose last
@@ -1259,8 +1258,8 @@ func (m *Master) keepAliveLoop() {
 
 // sendKeepAlives signs one stamp for the acknowledged version — never one
 // still in its WAL sync — and sends it to each slave, recording the
-// version each acknowledges in reply: the stability signal the checkpoint
-// machinery runs on. The periodic loop, a readmission and an adoption all
+// version each acknowledges in reply: the stability signal truncation
+// runs on. The periodic loop, a readmission and an adoption all
 // send through it.
 func (m *Master) sendKeepAlives(slaves []slaveEntry) {
 	m.mu.Lock()
@@ -1464,8 +1463,8 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 }
 
 // certifiedMasters is the directory's master list less every certificate
-// that does not verify under the content key: what checkpoints, catch-up
-// replies and the takeover withdraw are checked against.
+// that does not verify under the content key: what catch-up replies and
+// the takeover withdraw are checked against.
 func (m *Master) certifiedMasters() ([]pki.Certificate, error) {
 	certs, err := m.cfg.Directory.VerifiedMasters()
 	if err != nil {

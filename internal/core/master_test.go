@@ -656,6 +656,28 @@ func BenchmarkAdmitWave256(b *testing.B) {
 	}
 }
 
+// TestAdmitShardedWaveAllocs: admitting a 256-op wave into a shard checks
+// every op's key range against a view of the key, so the wave costs the
+// allocations of its decode and not one per op.
+func TestAdmitShardedWaveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	client := cryptoutil.DeriveKeyPair("client", 0)
+	m := &Master{cfg: MasterConfig{
+		ACL:   NewACL(client.Public),
+		Shard: wire.ShardRef{ID: 1, Lo: "catalog/", Hi: "catalog0"},
+	}}
+	body := encodeWave(SignWave(client, waveOps(256)))
+	var err error
+	if got := testing.AllocsPerRun(50, func() { _, err = m.admitWave(body) }); got > 2 {
+		t.Errorf("admitWave of 256 sharded ops: %.1f allocs, want <= 2", got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMasterReportConvictsOnPledgeBody: a report stands or falls with what
 // the slave signed — query, result hash, version — on both paths into
 // handleReport. Which stamp travels with the pledge makes no difference; an

@@ -20,14 +20,18 @@ import (
 // hostileDirectory answers from a pki.Directory's state the way a remote
 // directory's answer arrives: nothing in it verified. edit, if set,
 // rewrites the certificate list of both answers; table, if set, replaces
-// the stored shard table.
+// the stored shard table; calls, if set, counts the answers.
 type hostileDirectory struct {
 	BoundDirectory
 	edit  func([]pki.Certificate) []pki.Certificate
 	table *pki.ShardTable
+	calls *int
 }
 
 func (d hostileDirectory) certs(certs []pki.Certificate) []pki.Certificate {
+	if d.calls != nil {
+		*d.calls++
+	}
 	if d.edit == nil {
 		return certs
 	}
@@ -495,19 +499,47 @@ func hostileMasterRig(t *testing.T, evil *cryptoutil.KeyPair, mut func(*MasterCo
 	return r
 }
 
-// TestCheckpointFromForgedMasterTruncatesNothing: b.submit does not
-// authenticate its caller, so a checkpoint truncates history only under
-// the signature of a master the content owner certified — not of a key
-// the directory merely lists.
-func TestCheckpointFromForgedMasterTruncatesNothing(t *testing.T) {
-	evil := cryptoutil.DeriveKeyPair("evil", 0)
-	r := hostileMasterRig(t, evil, func(c *MasterConfig) { c.CheckpointMinRetain = 2 })
-	apply := func(signer *cryptoutil.KeyPair, initiator string) {
-		w := wire.NewWriter(256)
-		ck := SignCheckpoint(signer, initiator, 9, r.master.StateDigest(), r.s.Now())
-		ck.Encode(w)
-		r.master.applyCheckpoint(1, wire.NewReader(w.Bytes()))
+// checkpointFrame is a tag-7 broadcast frame laid out as the signed
+// stability checkpoint masters once broadcast: version and digest, the
+// initiator and its key, the time, and signer's signature over all of it.
+func checkpointFrame(signer *cryptoutil.KeyPair, initiator string, version uint64, digest cryptoutil.Digest, at time.Time) []byte {
+	body := func(w *wire.Writer) {
+		w.Uvarint(version)
+		w.Bytes_(digest[:])
+		w.String_(initiator)
+		w.Bytes_(signer.Public)
+		w.Time(at)
 	}
+	signed := wire.EncodeFrame(func(w *wire.Writer) { w.String_("ckpt.v1"); body(w) })
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(7)
+		body(w)
+		w.Bytes_(signer.Sign(signed))
+	})
+}
+
+// TestCheckpointFrameIsInert: b.submit does not authenticate its caller,
+// and a tag-7 frame once made every member fetch the master list from the
+// untrusted directory, check a signature and truncate. Truncation is now
+// each master's own decision, so the frame — forged, or under a certified
+// master's key — costs a master and the auditor no directory call and no
+// signature check, and truncates nothing.
+func TestCheckpointFrameIsInert(t *testing.T) {
+	evil := cryptoutil.DeriveKeyPair("evil", 0)
+	dirCalls := 0
+	r := hostileMasterRig(t, evil, func(c *MasterConfig) {
+		c.CheckpointMinRetain = 2
+		c.CheckpointEvery = time.Hour // the master's own truncation is not due
+		d := c.Directory.(hostileDirectory)
+		d.calls = &dirCalls
+		c.Directory = d
+	})
+	cpu := r.s.NewResource("master/cpu", 1)
+	r.master.cfg.CPU = cpu
+	a := newAuditorRig(t, func(c *AuditorConfig) { c.MasterPubs = []cryptoutil.PublicKey{r.master.PublicKey()} })
+	audCPU := a.s.NewResource("auditor/cpu", 1)
+	a.auditor.cfg.CPU = audCPU
+
 	r.s.Go(func() {
 		for i := 0; i < 8; i++ { // versions 2..9, one batch each
 			if _, err := r.write(r.client, store.Put{Key: "k", Value: []byte{byte(i)}}); err != nil {
@@ -515,18 +547,35 @@ func TestCheckpointFromForgedMasterTruncatesNothing(t *testing.T) {
 				return
 			}
 		}
-		apply(evil, "evil-master")
-		if st := r.master.Stats(); st.CheckpointsApplied != 0 || r.master.RetainedOps() != 8 || r.master.BaseVersion() != 1 {
-			t.Errorf("forged checkpoint applied: %d applied, %d ops retained over base %d",
-				st.CheckpointsApplied, r.master.RetainedOps(), r.master.BaseVersion())
+		calls, jobs := dirCalls, cpu.Jobs()
+		d := r.master.StateDigest()
+		r.master.deliver(100, checkpointFrame(evil, "evil-master", 9, d, r.s.Now()))
+		r.master.deliver(101, checkpointFrame(r.master.cfg.Keys, "master", 9, d, r.s.Now()))
+		if dirCalls != calls || cpu.Jobs() != jobs {
+			t.Errorf("checkpoint frames cost the master %d directory calls and %d charged jobs", dirCalls-calls, cpu.Jobs()-jobs)
 		}
-		// The same checkpoint under the certified key does truncate.
-		apply(r.master.cfg.Keys, "master")
-		if st := r.master.Stats(); st.CheckpointsApplied != 1 || r.master.RetainedOps() >= 8 {
-			t.Errorf("certified checkpoint: %d applied, %d ops retained", st.CheckpointsApplied, r.master.RetainedOps())
+		if st := r.master.Stats(); st.CheckpointsApplied != 0 || r.master.RetainedOps() != 8 || r.master.BaseVersion() != 1 {
+			t.Errorf("checkpoint frame truncated: %d truncations, %d ops retained over base %d",
+				st.CheckpointsApplied, r.master.RetainedOps(), r.master.BaseVersion())
 		}
 	})
 	r.s.Run()
+
+	a.s.Go(func() {
+		a.auditor.deliver(1, checkpointFrame(r.master.cfg.Keys, "master", 9, cryptoutil.Digest{}, a.s.Now()))
+	})
+	a.s.Run()
+	if n := audCPU.Jobs(); n != 0 {
+		t.Errorf("checkpoint frame cost the auditor %d charged jobs", n)
+	}
+	// Every delivery may drop the archive below its own slot, and no lower:
+	// the frame's contents move the floor no further.
+	if floor := a.auditor.bcast.Truncated(); floor > 1 {
+		t.Errorf("checkpoint frame at slot 1 raised the auditor's archive floor to %d", floor)
+	}
+	if a.auditor.Version() != a.initial.Version() || len(a.auditor.writes) != 0 {
+		t.Error("checkpoint frame changed the auditor's replica or write buffer")
+	}
 }
 
 // TestCatchUpRefusesForgedMasterStamp: a restarted master's catch-up

@@ -418,7 +418,7 @@ func DecodeReadReply(b []byte) (ReadReply, error) {
 	rr.Payload = r.BytesView()
 	start := len(b) - r.Remaining()
 	var err error
-	rr.Pledge, err = decodePledge(r, (*wire.Reader).BytesView)
+	rr.Pledge, err = decodePledge(r)
 	if err != nil {
 		return rr, err
 	}

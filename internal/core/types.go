@@ -4,6 +4,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -312,11 +313,14 @@ func (v *VersionStamp) Encode(w *wire.Writer) {
 }
 
 // DecodeStamp reads a stamp from r; its key and signature are copies.
-func DecodeStamp(r *wire.Reader) (VersionStamp, error) { return decodeStamp(r, (*wire.Reader).Bytes) }
+func DecodeStamp(r *wire.Reader) (VersionStamp, error) {
+	v, err := decodeStamp(r)
+	v.MasterPub, v.Sig = bytes.Clone(v.MasterPub), bytes.Clone(v.Sig)
+	return v, err
+}
 
-// decodeStamp reads a stamp whose key and signature come from field:
-// Bytes to copy them, BytesView to alias r's buffer.
-func decodeStamp(r *wire.Reader, field func(*wire.Reader) []byte) (VersionStamp, error) {
+// decodeStamp reads a stamp whose key and signature alias r's buffer.
+func decodeStamp(r *wire.Reader) (VersionStamp, error) {
 	var v VersionStamp
 	v.Version = r.Uvarint()
 	v.Timestamp = r.Time()
@@ -326,9 +330,9 @@ func decodeStamp(r *wire.Reader, field func(*wire.Reader) []byte) (VersionStamp,
 	} else if r.Err() == nil {
 		return v, fmt.Errorf("core: bad op digest length %d", len(d))
 	}
-	v.MasterPub = cryptoutil.PublicKey(field(r))
+	v.MasterPub = cryptoutil.PublicKey(r.BytesView())
 	v.Kind = r.Byte()
-	v.Sig = field(r)
+	v.Sig = r.BytesView()
 	return v, r.Err()
 }
 
@@ -388,23 +392,30 @@ func EncodePledge(p Pledge) []byte {
 
 // DecodePledge reads a pledge from r. Every field is a copy, so the pledge
 // outlives r's buffer; DecodeReadReply and decodePledgeFrame take views.
-func DecodePledge(r *wire.Reader) (Pledge, error) { return decodePledge(r, (*wire.Reader).Bytes) }
+func DecodePledge(r *wire.Reader) (Pledge, error) {
+	p, err := decodePledge(r)
+	p.QueryBytes, p.SlavePub, p.Sig = bytes.Clone(p.QueryBytes), bytes.Clone(p.SlavePub), bytes.Clone(p.Sig)
+	p.Stamp.MasterPub, p.Stamp.Sig = bytes.Clone(p.Stamp.MasterPub), bytes.Clone(p.Stamp.Sig)
+	return p, err
+}
 
 // decodePledgeFrame decodes a frame that holds exactly one pledge, without
 // the copies: the query, keys and signatures alias frame, which the caller
 // must own for as long as it keeps the pledge.
 func decodePledgeFrame(frame []byte) (Pledge, error) {
 	r := wire.NewReader(frame)
-	p, err := decodePledge(r, (*wire.Reader).BytesView)
+	p, err := decodePledge(r)
 	if err != nil {
 		return p, err
 	}
 	return p, r.Done()
 }
 
-func decodePledge(r *wire.Reader, field func(*wire.Reader) []byte) (Pledge, error) {
+// decodePledge reads a pledge whose query, keys and signatures alias r's
+// buffer.
+func decodePledge(r *wire.Reader) (Pledge, error) {
 	var p Pledge
-	p.QueryBytes = field(r)
+	p.QueryBytes = r.BytesView()
 	h := r.BytesView()
 	if len(h) == cryptoutil.DigestSize {
 		copy(p.ResultHash[:], h)
@@ -412,12 +423,12 @@ func decodePledge(r *wire.Reader, field func(*wire.Reader) []byte) (Pledge, erro
 		return p, fmt.Errorf("core: bad result hash length %d", len(h))
 	}
 	var err error
-	p.Stamp, err = decodeStamp(r, field)
+	p.Stamp, err = decodeStamp(r)
 	if err != nil {
 		return p, err
 	}
-	p.SlavePub = cryptoutil.PublicKey(field(r))
-	p.Sig = field(r)
+	p.SlavePub = cryptoutil.PublicKey(r.BytesView())
+	p.Sig = r.BytesView()
 	return p, r.Err()
 }
 

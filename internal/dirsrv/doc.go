@@ -17,7 +17,7 @@
 //     one master group. MethodShardMap serves the table plus all
 //     certificates in one round trip — what every client sets up from;
 //     MethodMasters serves the master certificates alone, which masters
-//     check checkpoints and catch-up replies against.
+//     check catch-up replies against.
 //   - Exclusions (pki.Exclusion) revoking slaves proven malicious.
 //
 // # Verify before store

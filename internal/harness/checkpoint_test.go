@@ -67,6 +67,20 @@ func TestE16ShapeCheckpointing(t *testing.T) {
 	}
 }
 
+// TestE16AuditorArchiveBounded: the auditor drops its broadcast archive
+// below each slot it delivers, whether or not masters truncate theirs, so
+// over an E16 run its archive holds a few heartbeats' worth of slots, not
+// one per committed batch.
+func TestE16AuditorArchiveBounded(t *testing.T) {
+	for _, ckpt := range []time.Duration{0, 500 * time.Millisecond} {
+		r := runE16(7, time.Second, ckpt)
+		if r.auditorArch > 64 {
+			t.Errorf("checkpoint %v: auditor archive holds %d entries after %d committed writes",
+				ckpt, r.auditorArch, r.committed)
+		}
+	}
+}
+
 // TestSyncEdgesAtBaseVersion exercises the exact truncation boundary: a
 // sync request from baseVersion (one below the retained log) must get
 // the snapshot-first reply, and a request from baseVersion+1 (the first

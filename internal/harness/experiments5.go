@@ -53,6 +53,7 @@ type e16Result struct {
 	archiveKB   int
 	baseVersion uint64
 	checkpoints uint64
+	auditorArch int // the auditor's archive entries; not in the table
 	staleSync   string
 	syncTime    time.Duration
 	digestEqual bool
@@ -134,6 +135,7 @@ func runE16(seed int64, dur time.Duration, checkpointEvery time.Duration) e16Res
 		res.archiveKB = m.ArchiveBytes() / 1024
 		res.baseVersion = m.BaseVersion()
 		res.checkpoints = m.Stats().CheckpointsApplied
+		res.auditorArch = sc.Auditor.ArchiveLen()
 
 		// Revive the stale slave and time its recovery: the next
 		// keep-alive shows it behind and triggers a sync, which is a

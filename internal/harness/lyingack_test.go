@@ -35,8 +35,7 @@ func TestLyingAcksDuringTruncation(t *testing.T) {
 	liar := sc.Slaves[2]
 	initial := sc.Initial.Version()
 	var liarDuring, baseDuring, curDuring uint64
-	var ckptDuring core.Checkpoint
-	var hadCkpt, converged bool
+	var converged bool
 	sc.S.Go(func() {
 		sc.S.Sleep(sc.Warmup())
 		if err := cl.Setup(); err != nil {
@@ -59,7 +58,6 @@ func TestLyingAcksDuringTruncation(t *testing.T) {
 		liarDuring = liar.Version()
 		baseDuring = sc.Masters[0].BaseVersion()
 		curDuring = sc.Masters[0].Version()
-		ckptDuring, hadCkpt = sc.Masters[0].LastCheckpoint()
 
 		// Heal: the liar turns honest and must catch up from nothing.
 		liar.SetBehavior(core.Honest{})
@@ -80,19 +78,12 @@ func TestLyingAcksDuringTruncation(t *testing.T) {
 		t.Fatalf("lying slave advanced to %d, want untouched initial %d", liarDuring, initial)
 	}
 	// The forged acks neither stalled truncation (the honest pair keeps
-	// stability moving)...
-	if baseDuring == 0 || baseDuring >= curDuring {
-		t.Fatalf("truncation stalled by forged acks: base=%d cur=%d", baseDuring, curDuring)
-	}
-	// ...nor dragged the checkpoint beyond anything the master actually
-	// committed (the recordAck clamp: an ack is evidence of application
-	// at most up to the committed history, never past it).
-	if !hadCkpt {
-		t.Fatal("no checkpoint recorded")
-	}
-	if ckptDuring.Version > curDuring {
-		t.Fatalf("checkpoint at %d beyond committed version %d: forged ack entered stability",
-			ckptDuring.Version, curDuring)
+	// stability moving) nor dragged the cut beyond anything the master
+	// actually committed (the recordAck clamp: an ack is evidence of
+	// application at most up to the committed history, never past it).
+	if baseDuring <= initial || baseDuring > curDuring {
+		t.Fatalf("truncation stalled or overran by forged acks: base=%d initial=%d cur=%d",
+			baseDuring, initial, curDuring)
 	}
 	// The liar skipped truncated history, so honesty alone cannot save
 	// it via record replay: recovery must be snapshot-first and exact.
@@ -116,7 +107,7 @@ func TestLyingAcksDuringTruncation(t *testing.T) {
 // TestForgedAckClampedToCommitted pins the clamp in the degenerate
 // deployment where every slave lies: with a single LieAcks slave, the
 // master's stability minimum is built entirely from forged input, and
-// the checkpoint it proposes must still never exceed its own committed
+// the base it truncates to must still never exceed its own committed
 // version.
 func TestForgedAckClampedToCommitted(t *testing.T) {
 	cfg := DefaultScenario()
@@ -161,12 +152,8 @@ func TestForgedAckClampedToCommitted(t *testing.T) {
 	}
 
 	m := sc.Masters[0]
-	ckpt, ok := m.LastCheckpoint()
-	if !ok {
-		t.Fatal("no checkpoint recorded")
-	}
-	if ckpt.Version > m.Version() {
-		t.Fatalf("checkpoint at %d beyond committed version %d", ckpt.Version, m.Version())
+	if m.Stats().CheckpointsApplied == 0 {
+		t.Fatal("the master never truncated")
 	}
 	if base := m.BaseVersion(); base > m.Version() {
 		t.Fatalf("log base %d beyond committed version %d", base, m.Version())

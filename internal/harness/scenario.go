@@ -461,7 +461,6 @@ func addMasterStats(dst *core.MasterStats, st core.MasterStats) {
 	dst.Exclusions += st.Exclusions
 	dst.SyncsServed += st.SyncsServed
 	dst.SnapshotSyncs += st.SnapshotSyncs
-	dst.CheckpointsProposed += st.CheckpointsProposed
 	dst.CheckpointsApplied += st.CheckpointsApplied
 	dst.OpsTruncated += st.OpsTruncated
 	dst.WALReplayed += st.WALReplayed

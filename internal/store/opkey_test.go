@@ -19,7 +19,7 @@ func TestKeyOfAndOpKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpKey(%v): %v", op, err)
 		}
-		if got != want[i] {
+		if string(got) != want[i] {
 			t.Fatalf("OpKey(%v) = %q, want %q", op, got, want[i])
 		}
 	}

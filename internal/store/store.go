@@ -149,23 +149,22 @@ func KeyOf(op Op) string {
 
 // OpKey extracts the addressed key from an encoded op without
 // materializing the rest of it: masters route or reject writes by key at
-// admission, before the op is ever applied.
-func OpKey(b []byte) (string, error) {
-	r := wire.GetReader(b)
-	defer wire.PutReader(r)
+// admission, before the op is ever applied. The key is a view into b.
+func OpKey(b []byte) ([]byte, error) {
+	r := wire.NewReader(b)
 	kind := r.Byte()
 	switch kind {
 	case opPut, opDelete, opAppend:
-		key := r.String()
+		key := r.BytesView()
 		if err := r.Err(); err != nil {
-			return "", err
+			return nil, err
 		}
 		return key, nil
 	default:
 		if err := r.Err(); err != nil {
-			return "", err
+			return nil, err
 		}
-		return "", fmt.Errorf("store: unknown op kind %d", kind)
+		return nil, fmt.Errorf("store: unknown op kind %d", kind)
 	}
 }
 

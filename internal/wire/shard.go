@@ -17,12 +17,14 @@ type ShardRef struct {
 	Hi string // exclusive upper bound; "" = keyspace end
 }
 
-// Contains reports whether key routes to this shard.
-func (s ShardRef) Contains(key string) bool {
-	if key < s.Lo {
+// Contains reports whether key routes to this shard. It takes the key's
+// bytes, and the comparisons below convert them without a copy, so a
+// master checks every op of a wave without allocating.
+func (s ShardRef) Contains(key []byte) bool {
+	if string(key) < s.Lo {
 		return false
 	}
-	return s.Hi == "" || key < s.Hi
+	return s.Hi == "" || string(key) < s.Hi
 }
 
 // IsFull reports whether the shard covers the whole keyspace.

@@ -24,7 +24,7 @@ func TestShardRefRoundTrip(t *testing.T) {
 
 func TestShardRefContains(t *testing.T) {
 	full := ShardRef{}
-	if !full.IsFull() || !full.Contains("") || !full.Contains("anything") {
+	if !full.IsFull() || !full.Contains(nil) || !full.Contains([]byte("anything")) {
 		t.Fatal("zero ShardRef must cover the whole keyspace")
 	}
 	mid := ShardRef{Lo: "b", Hi: "d"}
@@ -32,12 +32,12 @@ func TestShardRefContains(t *testing.T) {
 		"a": false, "b": true, "bzz": true, "c": true,
 		"d": false, "dz": false, "z": false,
 	} {
-		if mid.Contains(key) != want {
+		if mid.Contains([]byte(key)) != want {
 			t.Fatalf("[b,d).Contains(%q) = %v, want %v", key, !want, want)
 		}
 	}
 	open := ShardRef{Lo: "m"}
-	if open.Contains("a") || !open.Contains("m") || !open.Contains("zzz") {
+	if open.Contains([]byte("a")) || !open.Contains([]byte("m")) || !open.Contains([]byte("zzz")) {
 		t.Fatal("[m, +inf) bounds wrong")
 	}
 	if open.IsFull() {
