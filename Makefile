@@ -17,8 +17,8 @@
 #                     check, and a smoke run of the real-clock benchmark
 #                     under bench/.
 #   make lint       — repllint (the in-tree go/analysis suite under
-#                     internal/analysis: poolcheck, lockcheck,
-#                     trustcheck, timercheck), then staticcheck and
+#                     internal/analysis: lockcheck and trustcheck),
+#                     then staticcheck and
 #                     govulncheck when present on PATH (CI installs
 #                     them; locally they skip with a note).
 #   make bench-smoke — vet and short tests of the bench/ module (its own

@@ -1,6 +1,6 @@
-// Command repllint runs the repo's custom static analyzers (poolcheck,
-// lockcheck, trustcheck, timercheck — see internal/analysis) over the
-// module and exits non-zero if any finding survives suppression.
+// Command repllint runs the repo's custom static analyzers (lockcheck and
+// trustcheck — see internal/analysis) over the module and exits non-zero
+// if any finding survives suppression.
 //
 // Usage:
 //
@@ -31,10 +31,8 @@ func main() {
 	}
 
 	all := []*analysis.Analyzer{
-		analysis.Poolcheck,
 		analysis.Lockcheck,
 		analysis.Trustcheck,
-		analysis.Timercheck,
 	}
 	analyzers := all
 	if *only != "" {

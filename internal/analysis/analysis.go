@@ -12,7 +12,7 @@ import (
 // An Analyzer describes one static check. Run inspects a single package
 // through the Pass and reports findings via Pass.Reportf.
 type Analyzer struct {
-	Name string // command-line and suppression name, e.g. "poolcheck"
+	Name string // command-line and suppression name, e.g. "lockcheck"
 	Doc  string // one-paragraph description
 	Run  func(*Pass) error
 }
@@ -95,7 +95,7 @@ type suppressions []suppression
 
 // collectSuppressions scans the package for //lint:ignore directives.
 //
-//	//lint:ignore poolcheck reason...   — silences poolcheck here
+//	//lint:ignore lockcheck reason...   — silences lockcheck here
 //	//lint:ignore * reason...           — silences every analyzer here
 //
 // Placed in a function's doc comment the directive covers the whole

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strconv"
 )
 
 // flowHooks parameterise the branch-aware statement walker shared by
@@ -15,8 +14,8 @@ import (
 // return/break/continue/goto drop out of the join. Loop bodies execute
 // zero or more times, so the post-loop state is merge(entry, body
 // exit). This is deliberately simple — no fixpoints — which is exactly
-// enough for the lock/pool/taint disciplines this repo follows (locks
-// and buffer ownership never need loop-carried facts to prove).
+// enough for the lock and taint disciplines this repo follows (neither
+// needs loop-carried facts to prove).
 type flowHooks[S any] struct {
 	exec  func(ast.Stmt, S) S // straight-line statement
 	expr  func(ast.Expr, S) S // condition / tag expression (may be nil expr)
@@ -194,33 +193,6 @@ func allPathsReturn(stmts []ast.Stmt) bool {
 
 // --- shared resolution helpers ---
 
-// calleeRef resolves a call to (package path, function name) for
-// package-level calls like wire.GetWriter(...) or time.After(...).
-// It prefers type information and falls back to the file's imports when
-// type-checking was degraded. Returns ok=false for method calls.
-func calleeRef(info *types.Info, imports map[string]string, call *ast.CallExpr) (pkg, name string, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	id, isIdent := sel.X.(*ast.Ident)
-	if !isIdent {
-		return "", "", false
-	}
-	if info != nil {
-		if obj, found := info.Uses[id]; found {
-			if pn, isPkg := obj.(*types.PkgName); isPkg {
-				return pn.Imported().Path(), sel.Sel.Name, true
-			}
-			return "", "", false // a real value, not a package qualifier
-		}
-	}
-	if path, found := imports[id.Name]; found {
-		return path, sel.Sel.Name, true
-	}
-	return "", "", false
-}
-
 // calleeName returns the bare name of the called function or method:
 // Foo(...) -> "Foo", x.Bar(...) -> "Bar".
 func calleeName(call *ast.CallExpr) string {
@@ -231,36 +203,6 @@ func calleeName(call *ast.CallExpr) string {
 		return fn.Sel.Name
 	}
 	return ""
-}
-
-// fileImports maps local import names to import paths for one file,
-// defaulting the name to the path's last element.
-func fileImports(f *ast.File) map[string]string {
-	m := map[string]string{}
-	for _, imp := range f.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil {
-			continue
-		}
-		name := path
-		if i := lastSlash(path); i >= 0 {
-			name = path[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		m[name] = path
-	}
-	return m
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }
 
 // baseIdent strips parens, derefs, selectors, and indexes down to the
@@ -297,21 +239,16 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 	return info.Defs[id]
 }
 
-// funcDecls yields every function declaration in the package's files,
-// paired with the file it came from.
-func funcDecls(files []*ast.File) []funcInFile {
-	var out []funcInFile
+// funcDecls yields every function declaration with a body in the
+// package's files.
+func funcDecls(files []*ast.File) []*ast.FuncDecl {
+	var out []*ast.FuncDecl
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, funcInFile{fd, f})
+				out = append(out, fd)
 			}
 		}
 	}
 	return out
-}
-
-type funcInFile struct {
-	decl *ast.FuncDecl
-	file *ast.File
 }

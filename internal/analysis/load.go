@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // A Package is one loaded, type-checked package.
@@ -29,83 +30,54 @@ type Package struct {
 }
 
 // LoadModule loads the packages selected by patterns from the Go module
-// rooted at or above dir. Supported patterns: "./..." (every package in
-// the module) and directory paths relative to the module root
-// ("./internal/core"). Test files (_test.go) and testdata directories
-// are skipped: repllint checks production code.
+// rooted at or above dir, with the module's packages they import.
+// Supported patterns: "./..." (every package in the module) and directory
+// paths relative to the module root ("./internal/core"). Test files
+// (_test.go) and testdata directories are skipped: repllint checks
+// production code.
 func LoadModule(dir string, patterns []string) ([]*Package, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
 	}
-	all := false
-	want := map[string]bool{}
+	importPath := func(d string) string {
+		rel, _ := filepath.Rel(root, d)
+		if rel == "." {
+			return modPath
+		}
+		return modPath + "/" + filepath.ToSlash(rel)
+	}
+	var paths []string
 	for _, p := range patterns {
-		if p == "./..." || p == "..." {
-			all = true
+		if p != "./..." && p != "..." {
+			paths = append(paths, importPath(filepath.Join(root, p)))
 			continue
 		}
-		p = strings.TrimPrefix(filepath.ToSlash(filepath.Clean(p)), "./")
-		want[modPath+"/"+p] = true
-	}
-
-	ld := newLoader()
-	var dirs []string
-	err = filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if !info.IsDir() {
+		err = filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+			if err != nil || !e.IsDir() {
+				return err
+			}
+			name := e.Name()
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if names, err := goFiles(path); err != nil || len(names) > 0 {
+				paths = append(paths, importPath(path))
+				return err
+			}
 			return nil
-		}
-		name := info.Name()
-		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		dirs = append(dirs, path)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	for _, d := range dirs {
-		rel, _ := filepath.Rel(root, d)
-		ip := modPath
-		if rel != "." {
-			ip = modPath + "/" + filepath.ToSlash(rel)
-		}
-		files, err := parseDir(ld.fset, d)
+		})
 		if err != nil {
 			return nil, err
 		}
-		if len(files) == 0 {
-			continue
+	}
+	return load(paths, func(ip string) (string, bool) {
+		if ip == modPath {
+			return root, true
 		}
-		ld.add(ip, d, files)
-	}
-
-	// Resolve local imports by import path: anything under modPath that
-	// we parsed is local; everything else goes to the source importer.
-	if err := ld.typecheckAll(); err != nil {
-		return nil, err
-	}
-
-	var out []*Package
-	for _, p := range ld.order {
-		pkg := ld.pkgs[p]
-		if all || want[p] {
-			out = append(out, pkg)
-		}
-	}
-	if !all {
-		for p := range want {
-			if _, ok := ld.pkgs[p]; !ok {
-				return nil, fmt.Errorf("analysis: pattern matched no package: %s", p)
-			}
-		}
-	}
-	return out, nil
+		rel, ok := strings.CutPrefix(ip, modPath+"/")
+		return filepath.Join(root, filepath.FromSlash(rel)), ok
+	})
 }
 
 // LoadFromSrcRoot loads the named import paths from a GOPATH-style
@@ -113,15 +85,27 @@ func LoadModule(dir string, patterns []string) ([]*Package, error) {
 // srcRoot; everything else goes to the standard library source
 // importer. Used by the analysistest harness.
 func LoadFromSrcRoot(srcRoot string, paths []string) ([]*Package, error) {
+	return load(paths, func(ip string) (string, bool) {
+		dir := filepath.Join(srcRoot, filepath.FromSlash(ip))
+		st, err := os.Stat(dir)
+		return dir, err == nil && st.IsDir()
+	})
+}
+
+// load parses and type-checks the packages at paths and every local
+// package they import, and returns the ones at paths. dirOf maps an
+// import path to its source directory; ok is false for a path that is
+// not local, which the standard library's source importer resolves.
+func load(paths []string, dirOf func(ip string) (dir string, ok bool)) ([]*Package, error) {
 	ld := newLoader()
-	var addTree func(ip string) error
-	addTree = func(ip string) error {
+	var add func(ip string) error
+	add = func(ip string) error {
 		if _, ok := ld.pkgs[ip]; ok {
 			return nil
 		}
-		dir := filepath.Join(srcRoot, filepath.FromSlash(ip))
-		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-			return nil // not local: leave to the stdlib importer
+		dir, ok := dirOf(ip)
+		if !ok {
+			return nil
 		}
 		files, err := parseDir(ld.fset, dir)
 		if err != nil {
@@ -134,7 +118,7 @@ func LoadFromSrcRoot(srcRoot string, paths []string) ([]*Package, error) {
 		for _, f := range files {
 			for _, imp := range f.Imports {
 				p, _ := strconv.Unquote(imp.Path.Value)
-				if err := addTree(p); err != nil {
+				if err := add(p); err != nil {
 					return err
 				}
 			}
@@ -142,7 +126,10 @@ func LoadFromSrcRoot(srcRoot string, paths []string) ([]*Package, error) {
 		return nil
 	}
 	for _, p := range paths {
-		if err := addTree(p); err != nil {
+		if _, ok := dirOf(p); !ok {
+			return nil, fmt.Errorf("analysis: package not found: %s", p)
+		}
+		if err := add(p); err != nil {
 			return nil, err
 		}
 	}
@@ -150,12 +137,12 @@ func LoadFromSrcRoot(srcRoot string, paths []string) ([]*Package, error) {
 		return nil, err
 	}
 	var out []*Package
+	seen := map[string]bool{}
 	for _, p := range paths {
-		pkg, ok := ld.pkgs[p]
-		if !ok {
-			return nil, fmt.Errorf("analysis: package not found under %s: %s", srcRoot, p)
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, ld.pkgs[p])
 		}
-		out = append(out, pkg)
 	}
 	return out, nil
 }
@@ -164,17 +151,20 @@ type loader struct {
 	fset  *token.FileSet
 	pkgs  map[string]*Package
 	order []string // insertion order; typecheckAll topo-sorts
-	std   types.Importer
 }
 
 func newLoader() *loader {
-	fset := token.NewFileSet()
-	return &loader{
-		fset: fset,
-		pkgs: map[string]*Package{},
-		std:  importer.ForCompiler(fset, "source", nil),
-	}
+	return &loader{fset: token.NewFileSet(), pkgs: map[string]*Package{}}
 }
+
+// stdlib type-checks standard library packages from source. That is most
+// of a load's cost and its result never changes, so every load in the
+// process shares one importer, behind stdlibMu (the importer is not safe
+// for concurrent use).
+var (
+	stdlibMu sync.Mutex
+	stdlib   = importer.ForCompiler(token.NewFileSet(), "source", nil)
+)
 
 func (ld *loader) add(ip, dir string, files []*ast.File) {
 	ld.pkgs[ip] = &Package{Path: ip, Dir: dir, Fset: ld.fset, Files: files}
@@ -191,7 +181,9 @@ func (ld *loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return ld.std.Import(path)
+	stdlibMu.Lock()
+	defer stdlibMu.Unlock()
+	return stdlib.Import(path)
 }
 
 func (ld *loader) typecheckAll() error {
@@ -268,18 +260,30 @@ func (ld *loader) localImports(ip string) []string {
 	return deps
 }
 
-// parseDir parses the non-test Go files of one directory.
-func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+// goFiles lists the non-test Go files of one directory.
+func goFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			names = append(names, name)
 		}
+	}
+	return names, nil
+}
+
+// parseDir parses the non-test Go files of one directory.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	names, err := goFiles(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err

@@ -45,8 +45,8 @@ func runLockcheck(pass *Pass) error {
 		return nil
 	}
 	for _, fn := range funcDecls(pass.Files) {
-		c.inLocked = strings.HasSuffix(fn.decl.Name.Name, "Locked")
-		c.checkBody(fn.decl.Body)
+		c.inLocked = strings.HasSuffix(fn.Name.Name, "Locked")
+		c.checkBody(fn.Body)
 	}
 	return nil
 }

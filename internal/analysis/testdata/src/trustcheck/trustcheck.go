@@ -18,9 +18,13 @@ func (s *Stamp) Verify(pubs [][]byte) error {
 }
 
 type Update struct {
+	First uint64
 	Ops   [][]byte
 	Stamp Stamp
 }
+
+// VerifyMembers checks the ops against the stamp's root.
+func (u *Update) VerifyMembers() error { return nil }
 
 type Store struct{ version uint64 }
 
@@ -41,6 +45,8 @@ func DecodeBatchUpdate(b []byte) (Update, error) {
 func DecodeStamp(b []byte) (Stamp, error) {
 	return Stamp{Sig: b}, nil
 }
+
+func decodeOp(b []byte) ([]byte, error) { return b, nil }
 
 // applyBeforeVerify feeds decoded ops into the store with no signature
 // check at all.
@@ -79,10 +85,9 @@ func (r *Replica) verifyWrongOrder(frame []byte) error {
 	return bu.Stamp.Verify(r.pubs)
 }
 
-// --- near misses: verification gates the sink ---
-
-// okVerifyThenApply is the canonical ingest shape.
-func (r *Replica) okVerifyThenApply(frame []byte) error {
+// stampOnly checks the stamp, which clears the stamp and nothing else:
+// the ops were never checked against it.
+func (r *Replica) stampOnly(frame []byte) error {
 	bu, err := DecodeBatchUpdate(frame)
 	if err != nil {
 		return err
@@ -91,7 +96,74 @@ func (r *Replica) okVerifyThenApply(frame []byte) error {
 		return err
 	}
 	for _, op := range bu.Ops {
-		if err := r.store.Apply(op); err != nil {
+		if err := r.store.Apply(op); err != nil { // want "unverified wire-decoded value"
+			return err
+		}
+	}
+	r.lastStamp = bu.Stamp
+	return nil
+}
+
+// membersBeforeStamp checks the ops against a root nobody has checked yet,
+// which proves nothing.
+func (r *Replica) membersBeforeStamp(frame []byte) error {
+	bu, err := DecodeBatchUpdate(frame)
+	if err != nil {
+		return err
+	}
+	if err := bu.VerifyMembers(); err != nil {
+		return err
+	}
+	if err := bu.Stamp.Verify(r.pubs); err != nil {
+		return err
+	}
+	return r.store.Apply(bu.Ops[0]) // want "unverified wire-decoded value"
+}
+
+// noMembersCheck: taint survives a decode call and arithmetic on its way
+// to the sink.
+func (r *Replica) noMembersCheck(frame []byte) error {
+	bu, err := DecodeBatchUpdate(frame)
+	if err != nil {
+		return err
+	}
+	if err := bu.Stamp.Verify(r.pubs); err != nil {
+		return err
+	}
+	for i, b := range bu.Ops {
+		op, err := decodeOp(b)
+		if err != nil {
+			return err
+		}
+		v := bu.First + uint64(i)
+		if err := r.store.ApplyAt(v, op); err != nil { // want "unverified wire-decoded value"
+			return err
+		}
+	}
+	return nil
+}
+
+// --- near misses: verification gates the sink ---
+
+// okVerifyThenApply is the canonical ingest shape: the stamp, then the
+// ops against it.
+func (r *Replica) okVerifyThenApply(frame []byte) error {
+	bu, err := DecodeBatchUpdate(frame)
+	if err != nil {
+		return err
+	}
+	if err := bu.Stamp.Verify(r.pubs); err != nil {
+		return err
+	}
+	if err := bu.VerifyMembers(); err != nil {
+		return err
+	}
+	for i, b := range bu.Ops {
+		op, err := decodeOp(b)
+		if err != nil {
+			return err
+		}
+		if err := r.store.ApplyAt(bu.First+uint64(i), op); err != nil {
 			return err
 		}
 	}
@@ -112,7 +184,9 @@ func (r *Replica) okValidateGate(frame []byte) error {
 }
 
 // okLocalAssembly builds a local batch from decoded frames; locals are
-// not replica state, and the verified stamp gates the apply.
+// not replica state, and each stamp is verified where it is decoded. (A
+// second loop verifying stamps[i] would not clear stamps: a loop may run
+// zero times.)
 func (r *Replica) okLocalAssembly(frames [][]byte) error {
 	stamps := make([]Stamp, 0, len(frames))
 	for _, f := range frames {
@@ -120,12 +194,10 @@ func (r *Replica) okLocalAssembly(frames [][]byte) error {
 		if err != nil {
 			return err
 		}
-		stamps = append(stamps, s)
-	}
-	for i := range stamps {
-		if err := stamps[i].Verify(r.pubs); err != nil {
+		if err := s.Verify(r.pubs); err != nil {
 			return err
 		}
+		stamps = append(stamps, s)
 	}
 	r.lastStamp = stamps[len(stamps)-1]
 	return nil

@@ -3,6 +3,8 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"maps"
+	"strings"
 )
 
 // Trustcheck is a shallow intra-function taint pass over the ingest
@@ -36,8 +38,9 @@ var trustSources = map[string]bool{
 	"DecodeProof":        true,
 }
 
-// trustSanitizers clear the taint of any value appearing as their
-// receiver or argument (including &x and x.Field forms).
+// trustSanitizers clear the taint of a value appearing as their receiver
+// or argument: a whole value (x, &x, x[i]) is cleared, a field (x.F, &x.F)
+// is marked checked and the value it belongs to stays tainted.
 var trustSanitizers = map[string]bool{
 	"Verify":             true,
 	"VerifySig":          true,
@@ -48,6 +51,13 @@ var trustSanitizers = map[string]bool{
 	"AuthenticatesOp":    true,
 	"ValidateOp":         true,
 	"CheckPledgeAgainst": true,
+}
+
+// trustNeeds names, per sanitizer, the field that must be checked before
+// it clears anything: VerifyMembers proves a batch's ops against its
+// stamp, which proves nothing until the stamp itself has verified.
+var trustNeeds = map[string]string{
+	"VerifyMembers": "Stamp",
 }
 
 // trustVerifiers decode and verify in one call: callers treat what they
@@ -67,10 +77,19 @@ var trustSinks = map[string]bool{
 }
 
 // trustState maps a variable to the taint root it derives from; a root
-// present in the set is currently unverified.
+// present in the set is currently unverified. checked holds the fields of
+// tainted roots that passed their own check (bu.Stamp after
+// verifyStamp(&bu.Stamp)): they read as clean, their root stays tainted.
 type trustState struct {
 	root    map[types.Object]types.Object
 	tainted map[types.Object]bool
+	checked map[checkedField]bool
+}
+
+// checkedField is a selector path ("Stamp", "Pledge.Stamp") under a root.
+type checkedField struct {
+	root types.Object
+	path string
 }
 
 type trustChecker struct {
@@ -89,12 +108,12 @@ func runTrustcheck(pass *Pass) error {
 	c := &trustChecker{pass: pass}
 	for _, fn := range funcDecls(pass.Files) {
 		c.longLived = map[types.Object]bool{}
-		c.verifier = trustVerifiers[fn.decl.Name.Name]
-		if fn.decl.Recv != nil {
-			c.addParams(fn.decl.Recv)
+		c.verifier = trustVerifiers[fn.Name.Name]
+		if fn.Recv != nil {
+			c.addParams(fn.Recv)
 		}
-		c.addParams(fn.decl.Type.Params)
-		c.checkBody(fn.decl.Body)
+		c.addParams(fn.Type.Params)
+		c.checkBody(fn.Body)
 	}
 	return nil
 }
@@ -138,7 +157,7 @@ func (c *trustChecker) checkBody(body *ast.BlockStmt) {
 		clone: cloneTrustState,
 		merge: mergeTrustState,
 	}
-	h.walk(body.List, trustState{root: map[types.Object]types.Object{}, tainted: map[types.Object]bool{}})
+	h.walk(body.List, trustState{root: map[types.Object]types.Object{}, tainted: map[types.Object]bool{}, checked: map[checkedField]bool{}})
 	for len(c.pending) > 0 {
 		lit := c.pending[0]
 		c.pending = c.pending[1:]
@@ -173,14 +192,9 @@ func (c *trustChecker) exec(s ast.Stmt, st trustState) trustState {
 	case *ast.RangeStmt:
 		// Ranging over a tainted slice taints the element vars.
 		st = c.scan(s.X, st)
-		if root, ok := c.taintRootOf(s.X, st); ok {
-			for _, e := range []ast.Expr{s.Key, s.Value} {
-				if id, isIdent := e.(*ast.Ident); isIdent {
-					if obj := objOf(c.pass.TypesInfo, id); obj != nil {
-						st.root[obj] = root
-					}
-				}
-			}
+		if _, root := c.taintedRef(s.X, st); root != nil {
+			c.derive(s.Key, root, st)
+			c.derive(s.Value, root, st)
 		}
 		return st
 	case *ast.SendStmt:
@@ -210,27 +224,21 @@ func (c *trustChecker) assign(s *ast.AssignStmt, st trustState) trustState {
 				}
 				st.root[obj] = obj
 				st.tainted[obj] = true
-			}
-		} else if root, ok := c.taintRootOf(s.Rhs[0], st); ok {
-			for _, lhs := range s.Lhs {
-				if id, isIdent := lhs.(*ast.Ident); isIdent && id.Name != "_" {
-					if obj := objOf(c.pass.TypesInfo, id); obj != nil {
-						st.root[obj] = root
+				for f := range st.checked {
+					if f.root == obj {
+						delete(st.checked, f)
 					}
 				}
+			}
+		} else if _, root := c.taintedRef(s.Rhs[0], st); root != nil {
+			for _, lhs := range s.Lhs {
+				c.derive(lhs, root, st)
 			}
 		}
 	} else {
 		for i, rhs := range s.Rhs {
-			if i >= len(s.Lhs) {
-				break
-			}
-			if root, ok := c.taintRootOf(rhs, st); ok {
-				if id, isIdent := s.Lhs[i].(*ast.Ident); isIdent {
-					if obj := objOf(c.pass.TypesInfo, id); obj != nil {
-						st.root[obj] = root
-					}
-				}
+			if _, root := c.taintedRef(rhs, st); root != nil && i < len(s.Lhs) {
+				c.derive(s.Lhs[i], root, st)
 			}
 		}
 	}
@@ -246,7 +254,7 @@ func (c *trustChecker) assign(s *ast.AssignStmt, st trustState) trustState {
 		}
 		if c.storesLongLived(lhs) {
 			c.reportTaintedIn(s.Rhs[i], st, "stored into replica state")
-		} else if root, ok := c.taintRootIn(s.Rhs[i], st); ok {
+		} else if _, root := c.taintedRef(s.Rhs[i], st); root != nil {
 			if id := baseIdent(lhs); id != nil {
 				if obj := objOf(c.pass.TypesInfo, id); obj != nil {
 					st.root[obj] = root
@@ -257,27 +265,64 @@ func (c *trustChecker) assign(s *ast.AssignStmt, st trustState) trustState {
 	return st
 }
 
-// taintRootIn finds a tainted root referenced anywhere in e (including
-// inside call args like append(dst, tainted)).
-func (c *trustChecker) taintRootIn(e ast.Expr, st trustState) (types.Object, bool) {
-	var found types.Object
+// derive records that the plain variable lhs now holds data from root.
+// An error result carries no data.
+func (c *trustChecker) derive(lhs ast.Expr, root types.Object, st trustState) {
+	id, isIdent := lhs.(*ast.Ident)
+	if !isIdent || id.Name == "_" {
+		return
+	}
+	if obj := objOf(c.pass.TypesInfo, id); obj != nil && !isErrorType(obj.Type()) {
+		st.root[obj] = root
+	}
+}
+
+// taintedRef finds an identifier in e whose root is tainted, and the
+// root. Data flows through field reads, indexing, arithmetic and call
+// results alike; checked fields, sanitizer results and function literals
+// are not looked into.
+func (c *trustChecker) taintedRef(e ast.Expr, st trustState) (ref *ast.Ident, root types.Object) {
 	ast.Inspect(e, func(n ast.Node) bool {
-		if found != nil {
+		if root != nil {
 			return false
 		}
-		if _, isLit := n.(*ast.FuncLit); isLit {
+		switch n := n.(type) {
+		case *ast.FuncLit:
 			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := objOf(c.pass.TypesInfo, id); obj != nil {
-				if root, has := st.root[obj]; has && st.tainted[root] {
-					found = root
+		case *ast.CallExpr:
+			return !trustSanitizers[calleeName(n)]
+		case *ast.SelectorExpr:
+			if id, path, ok := fieldPath(n); ok {
+				if r, tainted := c.rootOf(id, st); tainted && st.checked[checkedField{r, path}] {
+					return false
 				}
+			}
+		case *ast.Ident:
+			if r, tainted := c.rootOf(n, st); tainted {
+				ref, root = n, r
 			}
 		}
 		return true
 	})
-	return found, found != nil
+	return ref, root
+}
+
+// fieldPath splits a chain of field selectors x.a.b into x and "a.b".
+func fieldPath(e ast.Expr) (*ast.Ident, string, bool) {
+	path := ""
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return x, path, path != ""
+		case *ast.SelectorExpr:
+			path = strings.TrimSuffix(x.Sel.Name+"."+path, ".")
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		default:
+			return nil, "", false
+		}
+	}
 }
 
 // scan processes calls inside an expression: sanitizers clear taint,
@@ -294,18 +339,19 @@ func (c *trustChecker) scan(e ast.Expr, st trustState) trustState {
 		case *ast.CallExpr:
 			name := calleeName(n)
 			if trustSanitizers[name] {
-				// Clear every root reachable from receiver or args.
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-					c.clearTaint(sel.X, st)
+					c.clearTaint(sel.X, st, name)
 				}
 				for _, a := range n.Args {
-					c.clearTaint(a, st)
+					c.clearTaint(a, st, name)
 				}
 				return true
 			}
 			if trustSinks[name] {
 				for _, a := range n.Args {
-					c.reportTaintedIn(a, st, "passed to "+name)
+					if c.reportTaintedIn(a, st, "passed to "+name) {
+						break
+					}
 				}
 			}
 		}
@@ -321,52 +367,47 @@ func (c *trustChecker) scanMany(es []ast.Expr, st trustState) trustState {
 	return st
 }
 
-// taintRootOf resolves an expression to the taint root of its base
-// variable, if that root is currently tainted.
-func (c *trustChecker) taintRootOf(e ast.Expr, st trustState) (types.Object, bool) {
-	id := baseIdent(e)
-	if id == nil {
-		return nil, false
-	}
-	obj := objOf(c.pass.TypesInfo, id)
-	if obj == nil {
-		return nil, false
-	}
-	root, ok := st.root[obj]
-	if !ok || !st.tainted[root] {
-		return nil, false
-	}
-	return root, true
+// rootOf resolves an identifier to its taint root, if that root is
+// currently tainted.
+func (c *trustChecker) rootOf(id *ast.Ident, st trustState) (types.Object, bool) {
+	root, ok := st.root[objOf(c.pass.TypesInfo, id)]
+	return root, ok && st.tainted[root]
 }
 
-func (c *trustChecker) clearTaint(e ast.Expr, st trustState) {
-	if root, ok := c.taintRootOf(e, st); ok {
+// clearTaint applies sanitizer name to e: a field of a tainted root is
+// marked checked, a whole root is cleared (once trustNeeds is met).
+func (c *trustChecker) clearTaint(e ast.Expr, st trustState, name string) {
+	if u, ok := e.(*ast.UnaryExpr); ok {
+		e = u.X
+	}
+	if id, path, ok := fieldPath(e); ok {
+		if root, tainted := c.rootOf(id, st); tainted {
+			st.checked[checkedField{root, path}] = true
+		}
+		return
+	}
+	id := baseIdent(e)
+	if id == nil {
+		return
+	}
+	root, tainted := c.rootOf(id, st)
+	if !tainted {
+		return
+	}
+	if need := trustNeeds[name]; need == "" || st.checked[checkedField{root, need}] {
 		delete(st.tainted, root)
 	}
 }
 
-// reportTaintedIn reports every tainted variable referenced by e,
-// looking through composite literals, unary ops, and call args like
-// append(dst, tainted...).
-func (c *trustChecker) reportTaintedIn(e ast.Expr, st trustState, what string) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, isLit := n.(*ast.FuncLit); isLit {
-			return false
-		}
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := objOf(c.pass.TypesInfo, id)
-		if obj == nil {
-			return true
-		}
-		if root, has := st.root[obj]; has && st.tainted[root] {
-			c.pass.Reportf(id.Pos(), "unverified wire-decoded value %s %s before verification", id.Name, what)
-			delete(st.tainted, root) // one report per root is enough
-		}
-		return true
-	})
+// reportTaintedIn reports the first tainted value e refers to, looking
+// through composite literals, arithmetic and call arguments, and says
+// whether it found one.
+func (c *trustChecker) reportTaintedIn(e ast.Expr, st trustState, what string) bool {
+	id, _ := c.taintedRef(e, st)
+	if id != nil {
+		c.pass.Reportf(id.Pos(), "unverified wire-decoded value %s %s before verification", id.Name, what)
+	}
+	return id != nil
 }
 
 func isErrorType(t types.Type) bool {
@@ -375,24 +416,22 @@ func isErrorType(t types.Type) bool {
 }
 
 func cloneTrustState(st trustState) trustState {
-	nr := make(map[types.Object]types.Object, len(st.root))
-	for k, v := range st.root {
-		nr[k] = v
-	}
-	nt := make(map[types.Object]bool, len(st.tainted))
-	for k, v := range st.tainted {
-		nt[k] = v
-	}
-	return trustState{root: nr, tainted: nt}
+	return trustState{root: maps.Clone(st.root), tainted: maps.Clone(st.tainted), checked: maps.Clone(st.checked)}
 }
 
-// mergeTrustState unions: tainted if tainted on either path.
+// mergeTrustState joins two paths: tainted if tainted on either, checked
+// only if checked on both.
 func mergeTrustState(a, b trustState) trustState {
 	for k, v := range b.root {
 		a.root[k] = v
 	}
 	for k := range b.tainted {
 		a.tainted[k] = true
+	}
+	for k := range a.checked {
+		if !b.checked[k] {
+			delete(a.checked, k)
+		}
 	}
 	return a
 }

@@ -504,9 +504,8 @@ func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 		return m.serveFetch(lo, hi), nil
 
 	case MethodStatus:
-		// The reply leads with the log high-water mark (all old readers
-		// parse just that and tolerate the rest) and appends the archive
-		// floor, which a restarted member uses to detect that its gap was
+		// The reply is the log high-water mark, then the archive floor,
+		// which a restarted member uses to detect that its gap was
 		// truncated and must be closed by state sync instead of fetch.
 		w := wire.NewWriter(16)
 		w.Uvarint(m.maxKnown())
@@ -517,10 +516,7 @@ func (m *Member) Handle(from, method string, body []byte) ([]byte, error) {
 		r := wire.NewReader(body)
 		view := r.Uvarint()
 		maxSeq := r.Uvarint()
-		var stable uint64
-		if r.Remaining() > 0 {
-			stable = r.Uvarint()
-		}
+		stable := r.Uvarint()
 		if err := r.Done(); err != nil {
 			return nil, err
 		}

@@ -79,15 +79,15 @@ type Auditor struct {
 	bcast *broadcast.Member
 
 	mu       sync.Mutex
-	replica  *store.Store
-	writes   map[uint64]bufferedWrite // pending, by target version
-	pending  map[uint64][]Pledge      // pledges by content version
-	backlog  int                      // guarded by mu; pledges in pending, kept as a running count
-	cache    map[string]cryptoutil.Digest
-	stats    AuditorStats
-	stopped  bool
-	masterV  uint64          // highest version committed by masters (observed)
-	detected map[string]bool // slave pubs already reported
+	replica  *store.Store                 // guarded by mu
+	writes   map[uint64]bufferedWrite     // guarded by mu; pending, by target version
+	pending  map[uint64][]Pledge          // guarded by mu; pledges by content version
+	backlog  int                          // guarded by mu; pledges in pending, kept as a running count
+	cache    map[string]cryptoutil.Digest // guarded by mu
+	stats    AuditorStats                 // guarded by mu
+	stopped  bool                         // guarded by mu
+	masterV  uint64                       // guarded by mu; highest version committed by masters (observed)
+	detected map[string]bool              // guarded by mu; slave pubs already reported
 
 	pledges *sigCache // verified-pledge cache (amortizes a repeated lie's VerifySig)
 }
@@ -105,9 +105,8 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		cache:    make(map[string]cryptoutil.Digest),
 		detected: make(map[string]bool),
 		pledges:  newSigCache(),
+		masterV:  initial.Version(), // ordered writes continue from the initial content version
 	}
-	// Ordered writes continue from the initial content version.
-	a.masterV = a.replica.Version()
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
 		Peers:          cfg.Peers,

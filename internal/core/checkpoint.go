@@ -101,12 +101,8 @@ func (m *Master) recordAck(addr string, version uint64) {
 	m.acks[addr] = a
 }
 
-// parseAck decodes the version a slave piggybacks on its reply body; it
-// tolerates empty bodies (a slave predating the ack protocol).
+// parseAck decodes the version a slave piggybacks on its reply body.
 func parseAck(body []byte) (uint64, bool) {
-	if len(body) == 0 {
-		return 0, false
-	}
 	r := wire.NewReader(body)
 	v := r.Uvarint()
 	if r.Done() != nil {

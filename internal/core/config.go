@@ -157,10 +157,11 @@ type DirectoryService interface {
 	// beside it, means the deployment is unsharded.
 	ShardMap() (pki.ShardTable, []pki.Certificate, error)
 	Publish(cert pki.Certificate) error
-	Withdraw(subject cryptoutil.PublicKey) error
 	RecordExclusion(e pki.Exclusion) error
 	IsExcluded(subject cryptoutil.PublicKey) (bool, error)
-	ClearExclusion(subject cryptoutil.PublicKey) error
+	// Retract withdraws a certificate or lifts an exclusion; the directory
+	// acts only on a retraction a certified master signed.
+	Retract(r pki.Retraction) error
 }
 
 // BoundDirectory adapts a *pki.Directory to DirectoryService for one
@@ -212,12 +213,6 @@ func (b BoundDirectory) Publish(cert pki.Certificate) error {
 	return nil
 }
 
-// Withdraw implements DirectoryService.
-func (b BoundDirectory) Withdraw(subject cryptoutil.PublicKey) error {
-	b.Dir.Withdraw(b.ContentKey, subject)
-	return nil
-}
-
 // RecordExclusion implements DirectoryService.
 func (b BoundDirectory) RecordExclusion(e pki.Exclusion) error {
 	b.Dir.RecordExclusion(b.ContentKey, e)
@@ -229,8 +224,7 @@ func (b BoundDirectory) IsExcluded(subject cryptoutil.PublicKey) (bool, error) {
 	return b.Dir.IsExcluded(b.ContentKey, subject), nil
 }
 
-// ClearExclusion implements DirectoryService.
-func (b BoundDirectory) ClearExclusion(subject cryptoutil.PublicKey) error {
-	b.Dir.ClearExclusion(b.ContentKey, subject)
-	return nil
+// Retract implements DirectoryService.
+func (b BoundDirectory) Retract(r pki.Retraction) error {
+	return b.Dir.Retract(b.ContentKey, r)
 }

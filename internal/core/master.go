@@ -1220,7 +1220,7 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 	}
 	m.mu.Unlock()
 	if owner == m.cfg.Addr {
-		if err := m.cfg.Directory.ClearExclusion(cert.Subject); err != nil {
+		if err := m.cfg.Directory.Retract(m.retraction(pki.RetractReinstate, cert.Subject)); err != nil {
 			m.mu.Lock()
 			m.stats.DirectoryErrors++
 			m.mu.Unlock()
@@ -1446,7 +1446,7 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 			}
 			for _, c := range masters {
 				if c.Addr == dead {
-					if werr := m.cfg.Directory.Withdraw(c.Subject); werr != nil {
+					if werr := m.cfg.Directory.Retract(m.retraction(pki.RetractWithdraw, c.Subject)); werr != nil {
 						m.mu.Lock()
 						m.stats.DirectoryErrors++
 						m.mu.Unlock()
@@ -1460,6 +1460,14 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 	if len(mine) > 0 {
 		m.rt.Spawn(func() { m.sendKeepAlives(mine) })
 	}
+}
+
+// retraction signs a directory retraction of kind for subject, dated now.
+func (m *Master) retraction(kind string, subject cryptoutil.PublicKey) pki.Retraction {
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	r := pki.Retraction{Kind: kind, Subject: subject, At: m.rt.Now()}
+	r.Sign(m.cfg.Keys)
+	return r
 }
 
 // certifiedMasters is the directory's master list less every certificate

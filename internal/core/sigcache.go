@@ -133,42 +133,46 @@ func (c *sigCache) frontLocked(set, j int) {
 // signPledge fills in p.Sig under signer's key: the signature made before
 // when this exact body was signed before (hit), a fresh one otherwise.
 func (c *sigCache) signPledge(p *Pledge, signer *cryptoutil.KeyPair) (hit bool) {
-	w := wire.GetWriter()
-	defer wire.PutWriter(w)
-	p.appendSignedBytes(w)
-	if c == nil {
-		p.Sig = signer.Sign(w.Bytes())
-		return false
-	}
-	key := cryptoutil.HashBytes(w.Bytes())
-	if p.Sig, hit = c.lookup(key); !hit {
-		p.Sig = signer.Sign(w.Bytes())
-		c.insert(key, p.Sig)
-	}
+	wire.Borrow(p.appendSignedBytes, func(body []byte) {
+		if c == nil {
+			p.Sig = signer.Sign(body)
+			return
+		}
+		key := cryptoutil.HashBytes(body)
+		if p.Sig, hit = c.lookup(key); !hit {
+			p.Sig = signer.Sign(body)
+			c.insert(key, p.Sig)
+		}
+	})
 	return hit
 }
 
-// verify checks sig over the signed body held in w under pub, consulting
-// the memo first; it appends to w, which the caller still owns. It
-// reports whether the expensive check was skipped (hit == true), so
-// callers charging simulated CPU can charge CacheLookup instead of
-// VerifySig. The body is encoded once: the same bytes feed the key and
-// the verification.
-func (c *sigCache) verify(pub cryptoutil.PublicKey, w *wire.Writer, sig []byte) (hit bool, err error) {
-	if c == nil {
-		return false, cryptoutil.Verify(pub, w.Bytes(), sig)
-	}
-	n := w.Len()
-	w.Bytes_(sig)
-	key := cryptoutil.HashBytes(w.Bytes())
-	if _, hit = c.lookup(key); hit {
-		return true, nil
-	}
-	if err := cryptoutil.Verify(pub, w.Bytes()[:n], sig); err != nil {
-		return false, err
-	}
-	c.insert(key, nil)
-	return false, nil
+// verify checks sig over the signed body that appendBody writes under pub,
+// consulting the memo first. It reports whether the expensive check was
+// skipped (hit == true), so callers charging simulated CPU can charge
+// CacheLookup instead of VerifySig. The body is encoded once, with sig
+// after it: body and sig together are the key, the body alone is what
+// the signature covers.
+func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer), sig []byte) (hit bool, err error) {
+	n := 0
+	wire.Borrow(func(w *wire.Writer) {
+		appendBody(w)
+		n = w.Len()
+		w.Bytes_(sig)
+	}, func(b []byte) {
+		if c == nil {
+			err = cryptoutil.Verify(pub, b[:n], sig)
+			return
+		}
+		key := cryptoutil.HashBytes(b)
+		if _, hit = c.lookup(key); hit {
+			return
+		}
+		if err = cryptoutil.Verify(pub, b[:n], sig); err == nil {
+			c.insert(key, nil)
+		}
+	})
+	return hit, err
 }
 
 // verifyStamp checks the stamp against the trusted master set. Trust is
@@ -181,10 +185,7 @@ func (c *sigCache) verifyStamp(v *VersionStamp, trusted []cryptoutil.PublicKey) 
 	if !known {
 		return false, fmt.Errorf("%w: unknown master key", ErrBadStamp)
 	}
-	w := wire.GetWriter()
-	v.appendSignedBytes(w)
-	hit, err = c.verify(v.MasterPub, w, v.Sig)
-	wire.PutWriter(w)
+	hit, err = c.verify(v.MasterPub, v.appendSignedBytes, v.Sig)
 	if err != nil {
 		return false, fmt.Errorf("%w: %v", ErrBadStamp, err)
 	}
@@ -194,10 +195,7 @@ func (c *sigCache) verifyStamp(v *VersionStamp, trusted []cryptoutil.PublicKey) 
 // verifyPledge checks the slave's signature on the pledge, which covers
 // the carried stamp's version and nothing else of it.
 func (c *sigCache) verifyPledge(p *Pledge) (hit bool, err error) {
-	w := wire.GetWriter()
-	p.appendSignedBytes(w)
-	hit, err = c.verify(p.SlavePub, w, p.Sig)
-	wire.PutWriter(w)
+	hit, err = c.verify(p.SlavePub, p.appendSignedBytes, p.Sig)
 	if err != nil {
 		return false, fmt.Errorf("%w: %v", ErrBadPledge, err)
 	}

@@ -76,20 +76,13 @@ func (v *VersionStamp) appendSignedBytes(w *wire.Writer) {
 }
 
 // signedBytes returns a fresh copy of the canonical signed body; the
-// hot paths use appendSignedBytes with a pooled writer instead.
+// hot paths borrow a pooled writer instead.
 func (v *VersionStamp) signedBytes() []byte {
-	w := wire.GetWriter()
-	v.appendSignedBytes(w)
-	b := w.Detach()
-	wire.PutWriter(w)
-	return b
+	return wire.EncodeFrame(v.appendSignedBytes)
 }
 
 func (v *VersionStamp) sign(master *cryptoutil.KeyPair) {
-	w := wire.GetWriter()
-	v.appendSignedBytes(w)
-	v.Sig = master.Sign(w.Bytes())
-	wire.PutWriter(w)
+	wire.Borrow(v.appendSignedBytes, func(b []byte) { v.Sig = master.Sign(b) })
 }
 
 // SignStamp creates a keep-alive stamp for (version, ts) under the
@@ -480,19 +473,13 @@ func (wr *WriteRequest) appendSignedBytes(w *wire.Writer) {
 // SignWrite builds a write request for op under the client's key.
 func SignWrite(client *cryptoutil.KeyPair, op store.Op) WriteRequest {
 	wr := WriteRequest{OpBytes: store.EncodeOp(op), ClientPub: client.Public}
-	w := wire.GetWriter()
-	wr.appendSignedBytes(w)
-	wr.Sig = client.Sign(w.Bytes())
-	wire.PutWriter(w)
+	wire.Borrow(wr.appendSignedBytes, func(b []byte) { wr.Sig = client.Sign(b) })
 	return wr
 }
 
 // VerifySig checks the client's signature.
-func (wr *WriteRequest) VerifySig() error {
-	w := wire.GetWriter()
-	wr.appendSignedBytes(w)
-	err := cryptoutil.Verify(wr.ClientPub, w.Bytes(), wr.Sig)
-	wire.PutWriter(w)
+func (wr *WriteRequest) VerifySig() (err error) {
+	wire.Borrow(wr.appendSignedBytes, func(b []byte) { err = cryptoutil.Verify(wr.ClientPub, b, wr.Sig) })
 	return err
 }
 
@@ -536,19 +523,13 @@ func SignWave(client *cryptoutil.KeyPair, ops []store.Op) WriteWave {
 	for i, op := range ops {
 		ww.Ops[i] = store.EncodeOp(op)
 	}
-	w := wire.GetWriter()
-	ww.appendSignedBytes(w)
-	ww.Sig = client.Sign(w.Bytes())
-	wire.PutWriter(w)
+	wire.Borrow(ww.appendSignedBytes, func(b []byte) { ww.Sig = client.Sign(b) })
 	return ww
 }
 
 // VerifySig checks the client's signature over the whole wave.
-func (ww *WriteWave) VerifySig() error {
-	w := wire.GetWriter()
-	ww.appendSignedBytes(w)
-	err := cryptoutil.Verify(ww.ClientPub, w.Bytes(), ww.Sig)
-	wire.PutWriter(w)
+func (ww *WriteWave) VerifySig() (err error) {
+	wire.Borrow(ww.appendSignedBytes, func(b []byte) { err = cryptoutil.Verify(ww.ClientPub, b, ww.Sig) })
 	return err
 }
 

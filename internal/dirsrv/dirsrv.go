@@ -99,14 +99,22 @@ func (s *Server) Handle(from, method string, body []byte) ([]byte, error) {
 		}
 		return nil, nil
 
-	case MethodWithdraw:
+	case MethodWithdraw, MethodReinstate:
 		r := wire.NewReader(body)
-		subject := cryptoutil.PublicKey(r.Bytes())
+		rt, err := pki.DecodeRetraction(r)
+		if err != nil {
+			return nil, err
+		}
 		if err := r.Done(); err != nil {
 			return nil, err
 		}
-		s.Dir.Withdraw(s.ContentKey, subject)
-		return nil, nil
+		if retractMethods[rt.Kind] != method {
+			return nil, fmt.Errorf("dirsrv: %s carries a %q retraction", method, rt.Kind)
+		}
+		// Only a record a certified master signed is acted on (Retract):
+		// one bare key per frame would otherwise delete every master
+		// certificate or lift any exclusion.
+		return nil, s.Dir.Retract(s.ContentKey, rt)
 
 	case MethodExclude:
 		r := wire.NewReader(body)
@@ -135,15 +143,6 @@ func (s *Server) Handle(from, method string, body []byte) ([]byte, error) {
 		w := wire.NewWriter(1)
 		w.Bool(s.Dir.IsExcluded(s.ContentKey, subject))
 		return w.Bytes(), nil
-
-	case MethodReinstate:
-		r := wire.NewReader(body)
-		subject := cryptoutil.PublicKey(r.Bytes())
-		if err := r.Done(); err != nil {
-			return nil, err
-		}
-		s.Dir.ClearExclusion(s.ContentKey, subject)
-		return nil, nil
 	}
 	return nil, fmt.Errorf("dirsrv: unknown method %q", method)
 }
@@ -271,14 +270,6 @@ func (c *Client) Publish(cert pki.Certificate) error {
 	return err
 }
 
-// Withdraw implements core.DirectoryService.
-func (c *Client) Withdraw(subject cryptoutil.PublicKey) error {
-	w := wire.NewWriter(64)
-	w.Bytes_(subject)
-	_, err := c.Dialer.Call(c.Addr, MethodWithdraw, w.Bytes())
-	return err
-}
-
 // RecordExclusion implements core.DirectoryService.
 func (c *Client) RecordExclusion(e pki.Exclusion) error {
 	w := wire.NewWriter(512)
@@ -306,10 +297,20 @@ func (c *Client) IsExcluded(subject cryptoutil.PublicKey) (bool, error) {
 	return excluded, nil
 }
 
-// ClearExclusion implements core.DirectoryService.
-func (c *Client) ClearExclusion(subject cryptoutil.PublicKey) error {
-	w := wire.NewWriter(64)
-	w.Bytes_(subject)
-	_, err := c.Dialer.Call(c.Addr, MethodReinstate, w.Bytes())
+// retractMethods names the method each retraction kind travels as.
+var retractMethods = map[string]string{
+	pki.RetractWithdraw:  MethodWithdraw,
+	pki.RetractReinstate: MethodReinstate,
+}
+
+// Retract implements core.DirectoryService.
+func (c *Client) Retract(r pki.Retraction) error {
+	method, ok := retractMethods[r.Kind]
+	if !ok {
+		return fmt.Errorf("dirsrv: unknown retraction kind %q", r.Kind)
+	}
+	w := wire.NewWriter(160)
+	r.Encode(w)
+	_, err := c.Dialer.Call(c.Addr, method, w.Bytes())
 	return err
 }

@@ -2,6 +2,7 @@ package dirsrv
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -97,7 +98,7 @@ func TestWithdraw(t *testing.T) {
 		if perr := cl.Publish(cert); perr != nil {
 			t.Errorf("publish: %v", perr)
 		}
-		if werr := cl.Withdraw(m.Public); werr != nil {
+		if werr := cl.Retract(retraction(m, pki.RetractWithdraw, m.Public, s.Now())); werr != nil {
 			t.Errorf("withdraw: %v", werr)
 		}
 		_, err = cl.VerifiedMasters()
@@ -105,6 +106,75 @@ func TestWithdraw(t *testing.T) {
 	s.Run()
 	if err == nil {
 		t.Fatal("masters remained after withdraw")
+	}
+}
+
+func retraction(signer *cryptoutil.KeyPair, kind string, subject cryptoutil.PublicKey, at time.Time) pki.Retraction {
+	r := pki.Retraction{Kind: kind, Subject: subject, At: at}
+	r.Sign(signer)
+	return r
+}
+
+// TestRetractionsRequireCertifiedMaster: d.withdraw and d.reinstate act
+// only on a retraction a certified master signed, and a replayed one
+// touches nothing dated after it. Both used to take a bare key from
+// anyone, so one frame per key deleted every master certificate or lifted
+// any exclusion (the "bare key" rows). The honest rows are the records the
+// takeover withdraw (applyAdopt) and readmission (applyReadmit) send.
+func TestRetractionsRequireCertifiedMaster(t *testing.T) {
+	owner := cryptoutil.DeriveKeyPair("owner", 0)
+	dead := cryptoutil.DeriveKeyPair("master", 0)
+	survivor := cryptoutil.DeriveKeyPair("master", 1)
+	impostor := cryptoutil.DeriveKeyPair("impostor", 0)
+	slave := cryptoutil.DeriveKeyPair("slave", 0)
+	issued := time.Unix(1000, 0)
+	before, after := issued.Add(-time.Second), issued.Add(time.Second)
+	encode := func(r pki.Retraction) []byte { return wire.EncodeFrame(r.Encode) }
+	bareKey := func(pub cryptoutil.PublicKey) []byte {
+		return wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(pub) })
+	}
+	unsigned := pki.Retraction{Kind: pki.RetractWithdraw, Subject: dead.Public, At: after}
+	for _, row := range []struct {
+		name            string
+		method          string
+		body            []byte
+		refused         bool
+		withdrawn, lift bool // the dead master's certificate gone, the slave's exclusion lifted
+	}{
+		{name: "bare key withdraw", method: MethodWithdraw, body: bareKey(dead.Public), refused: true},
+		{name: "unsigned withdraw", method: MethodWithdraw, body: encode(unsigned), refused: true},
+		{name: "forged withdraw", method: MethodWithdraw, body: encode(retraction(impostor, pki.RetractWithdraw, dead.Public, after)), refused: true},
+		{name: "withdraw sent as reinstate", method: MethodReinstate, body: encode(retraction(survivor, pki.RetractWithdraw, dead.Public, after)), refused: true},
+		{name: "replayed withdraw", method: MethodWithdraw, body: encode(retraction(survivor, pki.RetractWithdraw, dead.Public, before))},
+		{name: "takeover withdraw", method: MethodWithdraw, body: encode(retraction(survivor, pki.RetractWithdraw, dead.Public, after)), withdrawn: true},
+		{name: "bare key reinstate", method: MethodReinstate, body: bareKey(slave.Public), refused: true},
+		{name: "forged reinstate", method: MethodReinstate, body: encode(retraction(impostor, pki.RetractReinstate, slave.Public, after)), refused: true},
+		{name: "replayed reinstate", method: MethodReinstate, body: encode(retraction(survivor, pki.RetractReinstate, slave.Public, before))},
+		{name: "readmission", method: MethodReinstate, body: encode(retraction(survivor, pki.RetractReinstate, slave.Public, after)), lift: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			srv := NewServer(owner.Public)
+			for i, m := range []*cryptoutil.KeyPair{dead, survivor} {
+				cert := pki.Certificate{Role: pki.RoleMaster, Addr: fmt.Sprintf("m%d", i), Subject: m.Public, IssuedAt: issued}
+				cert.Sign(owner)
+				srv.Dir.Publish(owner.Public, cert)
+			}
+			excl := pki.Exclusion{Subject: slave.Public, Reason: "lied", At: issued}
+			excl.Sign(survivor)
+			srv.Dir.RecordExclusion(owner.Public, excl)
+
+			_, err := srv.Handle("x", row.method, row.body)
+			if refused := err != nil; refused != row.refused {
+				t.Fatalf("refused = %v (%v), want %v", refused, err, row.refused)
+			}
+			masters, _ := srv.Dir.VerifiedMasters(owner.Public)
+			if withdrawn := len(masters) == 1; withdrawn != row.withdrawn {
+				t.Errorf("dead master's certificate withdrawn = %v, want %v", withdrawn, row.withdrawn)
+			}
+			if lifted := !srv.Dir.IsExcluded(owner.Public, slave.Public); lifted != row.lift {
+				t.Errorf("exclusion lifted = %v, want %v", lifted, row.lift)
+			}
+		})
 	}
 }
 
@@ -188,7 +258,7 @@ func TestReinstateClearsExclusion(t *testing.T) {
 		if err != nil {
 			t.Errorf("excluded: %v", err)
 		}
-		if err := cl.ClearExclusion(slave.Public); err != nil {
+		if err := cl.Retract(retraction(master, pki.RetractReinstate, slave.Public, s.Now())); err != nil {
 			t.Errorf("clear: %v", err)
 		}
 		still, err := cl.IsExcluded(slave.Public)
@@ -244,9 +314,9 @@ func TestMutationsPropagateRPCFailure(t *testing.T) {
 	e.Sign(m)
 	checks := map[string]error{
 		"publish":  cl.Publish(cert),
-		"withdraw": cl.Withdraw(m.Public),
+		"withdraw": cl.Retract(retraction(m, pki.RetractWithdraw, m.Public, time.Time{})),
 		"record":   cl.RecordExclusion(e),
-		"clear":    cl.ClearExclusion(m.Public),
+		"clear":    cl.Retract(retraction(m, pki.RetractReinstate, m.Public, time.Time{})),
 	}
 	for name, err := range checks {
 		if !errors.Is(err, rpc.ErrUnreachable) {

@@ -20,13 +20,20 @@
 //     check catch-up replies against.
 //   - Exclusions (pki.Exclusion) revoking slaves proven malicious.
 //
+// A master's certificate leaves the directory, and a slave's exclusion is
+// lifted, only by a retraction (pki.Retraction) sent as MethodWithdraw or
+// MethodReinstate.
+//
 // # Verify before store
 //
 // The server refuses every mutation that does not verify: certificates
 // of any role must verify under the content key, shard tables must be
 // signed, well-formed (contiguous, total, unique ids), and not older
-// than the stored epoch, and exclusions must be signed by a currently
-// certified master. The directory stays untrusted — clients and masters
+// than the stored epoch, and exclusions and retractions must be signed by
+// a currently certified master. A retraction is dated and drops nothing
+// issued or recorded after it, so a replayed one cannot withdraw a
+// re-issued certificate or lift a newer exclusion. The directory stays
+// untrusted — clients and masters
 // re-verify everything they receive under the content key — but it never
 // stores or serves garbage.
 //
@@ -49,7 +56,7 @@
 // "not excluded": the paper's threat model assumes replicas will be
 // compromised and must stay excluded, so a partitioned or crashed
 // directory must surface as an error a caller can act on, never as a
-// silent reinstatement. Publish, Withdraw, RecordExclusion, and
-// ClearExclusion equally return the transport error, so a master knows
-// whether the directory actually heard it.
+// silent reinstatement. Publish, RecordExclusion and Retract equally
+// return the transport error, so a master knows whether the directory
+// actually heard it.
 package dirsrv

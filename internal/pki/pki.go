@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -71,10 +72,15 @@ func (c *Certificate) Sign(issuer *cryptoutil.KeyPair) {
 
 // Verify checks the signature and that the issuer matches trustedIssuer.
 func (c *Certificate) Verify(trustedIssuer cryptoutil.PublicKey) error {
-	if !bytes.Equal(c.Issuer, trustedIssuer) {
+	return verifyIssued(c.Issuer, trustedIssuer, c.signedBytes(), c.Sig)
+}
+
+// verifyIssued checks that issuer is trustedIssuer and signed body.
+func verifyIssued(issuer, trustedIssuer cryptoutil.PublicKey, body, sig []byte) error {
+	if !bytes.Equal(issuer, trustedIssuer) {
 		return ErrWrongIssuer
 	}
-	if err := cryptoutil.Verify(c.Issuer, c.signedBytes(), c.Sig); err != nil {
+	if err := cryptoutil.Verify(issuer, body, sig); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadCertSig, err)
 	}
 	return nil
@@ -136,13 +142,7 @@ func (e *Exclusion) Sign(issuer *cryptoutil.KeyPair) {
 
 // Verify checks the exclusion is signed by the given trusted issuer.
 func (e *Exclusion) Verify(trustedIssuer cryptoutil.PublicKey) error {
-	if !bytes.Equal(e.Issuer, trustedIssuer) {
-		return ErrWrongIssuer
-	}
-	if err := cryptoutil.Verify(e.Issuer, e.signedBytes(), e.Sig); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadCertSig, err)
-	}
-	return nil
+	return verifyIssued(e.Issuer, trustedIssuer, e.signedBytes(), e.Sig)
 }
 
 // Encode appends the exclusion to w.
@@ -165,6 +165,64 @@ func DecodeExclusion(r *wire.Reader) (Exclusion, error) {
 	e.Issuer = cryptoutil.PublicKey(r.Bytes())
 	e.Sig = r.Bytes()
 	return e, r.Err()
+}
+
+// Retraction kinds: what a retraction drops from the directory.
+const (
+	RetractWithdraw  = "withdraw"  // the subject's certificate (a crashed master)
+	RetractReinstate = "reinstate" // the subject's exclusions (a recovered slave, §3.5)
+)
+
+// Retraction is a master's signed request that the directory drop what it
+// holds about Subject. At dates it: nothing issued or recorded after At is
+// dropped, so a replayed retraction cannot undo a newer certificate or
+// exclusion.
+type Retraction struct {
+	Kind    string
+	Subject cryptoutil.PublicKey
+	At      time.Time
+	Issuer  cryptoutil.PublicKey
+	Sig     []byte
+}
+
+func (r *Retraction) signedBytes() []byte {
+	w := wire.NewWriter(96)
+	w.String_("retract.v1")
+	w.String_(r.Kind)
+	w.Bytes_(r.Subject)
+	w.Time(r.At)
+	return w.Bytes()
+}
+
+// Sign fills in Issuer and Sig.
+func (r *Retraction) Sign(issuer *cryptoutil.KeyPair) {
+	r.Issuer = issuer.Public
+	r.Sig = issuer.Sign(r.signedBytes())
+}
+
+// Verify checks the retraction is signed by the given trusted issuer.
+func (r *Retraction) Verify(trustedIssuer cryptoutil.PublicKey) error {
+	return verifyIssued(r.Issuer, trustedIssuer, r.signedBytes(), r.Sig)
+}
+
+// Encode appends the retraction to w.
+func (r *Retraction) Encode(w *wire.Writer) {
+	w.String_(r.Kind)
+	w.Bytes_(r.Subject)
+	w.Time(r.At)
+	w.Bytes_(r.Issuer)
+	w.Bytes_(r.Sig)
+}
+
+// DecodeRetraction reads a retraction from r.
+func DecodeRetraction(r *wire.Reader) (Retraction, error) {
+	var rt Retraction
+	rt.Kind = r.String()
+	rt.Subject = cryptoutil.PublicKey(r.Bytes())
+	rt.At = r.Time()
+	rt.Issuer = cryptoutil.PublicKey(r.Bytes())
+	rt.Sig = r.Bytes()
+	return rt, r.Err()
 }
 
 // Directory is the public directory of §2: given a content public key it
@@ -210,20 +268,6 @@ func (d *Directory) Publish(contentKey cryptoutil.PublicKey, cert Certificate) {
 	d.contents[id] = append(certs, cert)
 }
 
-// Withdraw removes the certificate for a subject (e.g. a crashed master).
-func (d *Directory) Withdraw(contentKey, subject cryptoutil.PublicKey) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id := keyID(contentKey)
-	certs := d.contents[id]
-	for i := range certs {
-		if bytes.Equal(certs[i].Subject, subject) {
-			d.contents[id] = append(certs[:i], certs[i+1:]...)
-			return
-		}
-	}
-}
-
 // Lookup returns the certificates registered under the content key.
 func (d *Directory) Lookup(contentKey cryptoutil.PublicKey) ([]Certificate, error) {
 	d.mu.Lock()
@@ -262,21 +306,40 @@ func (d *Directory) IsExcluded(contentKey, subject cryptoutil.PublicKey) bool {
 	return false
 }
 
-// ClearExclusion removes all exclusions for subject (§3.5: a slave that
-// was the victim of an attack can, "after recovering it to a safe state",
-// be brought back to use).
-func (d *Directory) ClearExclusion(contentKey, subject cryptoutil.PublicKey) {
+// Retract applies a retraction signed by a master currently certified
+// under contentKey, and refuses any other: a withdrawal removes the
+// subject's certificates (a crashed master's), a reinstatement its
+// exclusions (§3.5: a slave that was the victim of an attack can, "after
+// recovering it to a safe state", be brought back to use). Either drops
+// only what is dated at or before the retraction.
+func (d *Directory) Retract(contentKey cryptoutil.PublicKey, r Retraction) error {
+	masters, err := d.VerifiedMasters(contentKey)
+	if err != nil {
+		return fmt.Errorf("pki: retraction refused: no certified masters: %w", err)
+	}
+	signed := false
+	for _, m := range masters {
+		signed = signed || r.Verify(m.Subject) == nil
+	}
+	if !signed {
+		return errors.New("pki: retraction is not signed by a certified master")
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	id := keyID(contentKey)
-	excl := d.exclusions[id]
-	out := excl[:0]
-	for _, e := range excl {
-		if !bytes.Equal(e.Subject, subject) {
-			out = append(out, e)
-		}
+	switch r.Kind {
+	case RetractWithdraw:
+		d.contents[id] = slices.DeleteFunc(d.contents[id], func(c Certificate) bool {
+			return bytes.Equal(c.Subject, r.Subject) && !c.IssuedAt.After(r.At)
+		})
+	case RetractReinstate:
+		d.exclusions[id] = slices.DeleteFunc(d.exclusions[id], func(e Exclusion) bool {
+			return bytes.Equal(e.Subject, r.Subject) && !e.At.After(r.At)
+		})
+	default:
+		return fmt.Errorf("pki: unknown retraction kind %q", r.Kind)
 	}
-	d.exclusions[id] = out
+	return nil
 }
 
 // VerifiedMasters returns the master certificates under contentKey whose

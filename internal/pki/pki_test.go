@@ -139,7 +139,11 @@ func TestDirectoryWithdraw(t *testing.T) {
 	c := Certificate{Role: RoleMaster, Addr: "m", Subject: m.Public}
 	c.Sign(owner)
 	d.Publish(owner.Public, c)
-	d.Withdraw(owner.Public, m.Public)
+	r := Retraction{Kind: RetractWithdraw, Subject: m.Public, At: time.Unix(1, 0)}
+	r.Sign(m)
+	if err := d.Retract(owner.Public, r); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := d.Lookup(owner.Public); err != ErrNotFound {
 		t.Fatalf("err = %v, want ErrNotFound after withdraw", err)
 	}

@@ -57,11 +57,9 @@ func TestTCPFrameIsOneWrite(t *testing.T) {
 	if r.Done() != nil || kind != frameRequest || method != "echo" || !bytes.Equal(got, body) {
 		t.Fatalf("request frame: id=%d kind=%d method=%q body=%d bytes err=%v", id, kind, method, len(got), r.Err())
 	}
-	w := wire.GetWriter()
+	w := wire.NewWriter(64)
 	encodeFrame(w, id, frameResponse, "", got)
-	_, err = peer.Write(w.Bytes())
-	wire.PutWriter(w)
-	if err != nil {
+	if _, err = peer.Write(w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-reply; err != nil {
@@ -81,11 +79,9 @@ func TestTCPFrameIsOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	w = wire.GetWriter()
+	w = wire.NewWriter(64)
 	encodeFrame(w, 7, frameRequest, "echo", body)
-	_, err = conn.Write(w.Bytes())
-	wire.PutWriter(w)
-	if err != nil {
+	if _, err = conn.Write(w.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	r = wire.NewReader(readOnce(t, conn, "response"))

@@ -172,15 +172,15 @@ func (sc *serverConn) worker(req request) {
 		if herr != nil {
 			errmsg = herr.Error()
 		}
-		w := wire.GetWriter()
-		encodeFrame(w, req.id, frameResponse, errmsg, respBody)
-		// Park before the response leaves: the caller's next request then
-		// finds this worker instead of starting another.
-		parked := sc.park()
-		sc.wmu.Lock()
-		sc.conn.Write(w.Bytes()) // a failed write surfaces as the reader's error
-		sc.wmu.Unlock()
-		wire.PutWriter(w)
+		parked := false
+		wire.Borrow(func(w *wire.Writer) { encodeFrame(w, req.id, frameResponse, errmsg, respBody) }, func(frame []byte) {
+			// Park before the response leaves: the caller's next request then
+			// finds this worker instead of starting another.
+			parked = sc.park()
+			sc.wmu.Lock()
+			sc.conn.Write(frame) // a failed write surfaces as the reader's error
+			sc.wmu.Unlock()
+		})
 		if !parked {
 			return
 		}
@@ -427,10 +427,9 @@ func (d *TCPDialer) CallTimeout(addr, method string, body []byte, timeout time.D
 	c.nextID++
 	c.pending[id] = slot
 
-	w := wire.GetWriter()
-	encodeFrame(w, id, frameRequest, method, body)
-	_, werr := c.conn.Write(w.Bytes())
-	wire.PutWriter(w)
+	var werr error
+	wire.Borrow(func(w *wire.Writer) { encodeFrame(w, id, frameRequest, method, body) },
+		func(frame []byte) { _, werr = c.conn.Write(frame) })
 	c.mu.Unlock()
 	if werr != nil {
 		c.fail(werr)

@@ -116,8 +116,7 @@ func EncodeOp(op Op) []byte {
 // delivery) only need the decodability verdict, and walking the fields
 // through zero-copy views keeps rejection and acceptance alloc-free.
 func ValidateOp(b []byte) error {
-	r := wire.GetReader(b)
-	defer wire.PutReader(r)
+	r := wire.NewReader(b)
 	kind := r.Byte()
 	switch kind {
 	case opPut, opAppend:

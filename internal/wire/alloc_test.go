@@ -16,21 +16,21 @@ func TestPooledEncodeDecodeSteadyStateAllocs(t *testing.T) {
 	}
 	payload := []byte("payload bytes here")
 	avg := testing.AllocsPerRun(100, func() {
-		w := GetWriter()
-		w.Uvarint(42)
-		w.String_("catalog/00042")
-		w.Bytes_(payload)
-		w.Time(time.Unix(1000, 0).UTC())
-		r := GetReader(w.Bytes())
-		r.Uvarint()
-		_ = r.BytesView() // the string field: same length-prefixed layout
-		_ = r.BytesView()
-		r.Time()
-		if r.Done() != nil {
-			t.Fatal("codec round trip failed")
-		}
-		PutReader(r)
-		PutWriter(w)
+		Borrow(func(w *Writer) {
+			w.Uvarint(42)
+			w.String_("catalog/00042")
+			w.Bytes_(payload)
+			w.Time(time.Unix(1000, 0).UTC())
+		}, func(b []byte) {
+			r := NewReader(b)
+			r.Uvarint()
+			_ = r.BytesView() // the string field: same length-prefixed layout
+			_ = r.BytesView()
+			r.Time()
+			if r.Done() != nil {
+				t.Fatal("codec round trip failed")
+			}
+		})
 	})
 	if avg > 0 {
 		t.Fatalf("pooled encode/decode round trip allocates %.1f times per run, want 0", avg)

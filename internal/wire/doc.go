@@ -22,11 +22,12 @@
 // than the bytes that remain before anything is sized by it, and the
 // Reader latches the first error so call sites check once.
 //
-// The encode/decode hot path is pooled and zero-copy: GetWriter/
-// PutWriter and GetReader/PutReader round-trip through sync.Pool,
-// EncodeFrame produces retained frames with a single exact-size
-// allocation, and the BytesView/BytesSliceView accessors return slices
-// aliasing the decoded buffer. Ownership rules live in pool.go and the
-// README's pooled-buffer section; alloc_test.go pins the steady state
-// at zero allocations.
+// The encode/decode hot path is pooled and zero-copy: writers come from
+// a private sync.Pool through exactly two helpers — EncodeFrame for
+// frames that are kept (one exact-size allocation) and Borrow for bytes
+// used on the spot (none) — a Reader that does not escape lives on the
+// stack, and the BytesView/BytesSliceView accessors return slices
+// aliasing the decoded buffer. The two-helper rule lives in pool.go and
+// the README's pooled-buffer section; alloc_test.go pins the steady
+// state at zero allocations.
 package wire

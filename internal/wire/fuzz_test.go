@@ -37,8 +37,7 @@ func FuzzReaderFrame(f *testing.F) {
 		// Two readers over the same input: one via copying accessors, one
 		// via views. They must agree field-for-field and latch identically.
 		a := NewReader(data)
-		b := GetReader(append([]byte(nil), data...))
-		defer PutReader(b)
+		b := NewReader(append([]byte(nil), data...))
 
 		a.Uvarint()
 		b.Uvarint()

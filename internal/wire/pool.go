@@ -1,16 +1,13 @@
-// Pooled writers for the encode hot path.
+// Pooled writers for the encode hot path. The pool is private: a writer
+// is reachable only through the two helpers below, so no caller can keep
+// a pooled buffer past the point it goes back.
 //
-// Ownership rules (see README "Performance" for the long form):
-//
-//   - GetWriter hands out a writer that the caller owns exclusively until
-//     PutWriter. Put is legal only when no slice returned by Bytes() is
-//     retained anywhere — Bytes() aliases the pooled buffer, so a retained
-//     slice would be overwritten by the next owner.
-//   - Frames that outlive the encode call (anything handed to a dialer,
-//     stored in a log, or returned from an RPC handler) must be produced
-//     with Detach or EncodeFrame, which copy into an exactly-sized slice
-//     that nobody else will touch.
-//   - A writer must never be Put twice, and never used after Put.
+//   - EncodeFrame is for bytes that are kept (sent through a dialer,
+//     stored, or returned from a handler): it copies the encoding into an
+//     exactly-sized slice that nobody else will touch.
+//   - Borrow is for bytes that are used on the spot (signed, verified,
+//     hashed, or written to a connection): it lends the pooled bytes to a
+//     callback and takes the writer back when the callback returns.
 package wire
 
 import "sync"
@@ -24,65 +21,28 @@ var writerPool = sync.Pool{
 	New: func() any { return &Writer{buf: make([]byte, 0, 512)} },
 }
 
-// GetWriter returns an empty writer from the pool. The caller owns it
-// until PutWriter.
-func GetWriter() *Writer {
+// Borrow encodes through a pooled writer, lends the encoded bytes to use,
+// and returns the writer to the pool once use returns. Like the p of
+// io.Writer.Write, the slice use receives must not be retained: the next
+// borrower overwrites it.
+func Borrow(enc func(*Writer), use func([]byte)) {
 	w := writerPool.Get().(*Writer)
 	w.Reset()
-	return w
-}
-
-// PutWriter returns a writer to the pool. The caller must not use the
-// writer, or any slice obtained from its Bytes method, after Put.
-func PutWriter(w *Writer) {
-	if w == nil || cap(w.buf) > maxPooledCap {
-		return
+	enc(w)
+	use(w.buf)
+	if cap(w.buf) <= maxPooledCap {
+		writerPool.Put(w)
 	}
-	writerPool.Put(w)
 }
 
-// Detach returns a copy of the encoded bytes, sized exactly to the
-// content. Unlike Bytes, the result does not alias the writer's buffer,
-// so it stays valid after the writer is reset or returned to the pool.
-func (w *Writer) Detach() []byte {
-	out := make([]byte, len(w.buf))
-	copy(out, w.buf)
+// EncodeFrame encodes one frame through a pooled writer and returns an
+// exactly-sized copy: the standard way to produce a frame that will be
+// retained. Only the result slice is allocated.
+func EncodeFrame(enc func(*Writer)) []byte {
+	var out []byte
+	Borrow(enc, func(b []byte) {
+		out = make([]byte, len(b))
+		copy(out, b)
+	})
 	return out
-}
-
-// EncodeFrame encodes one frame through a pooled writer and returns a
-// detached copy. It is the standard way to produce a frame that will be
-// retained (sent through a dialer, stored, or returned from a handler):
-// the writer round-trips through the pool, and only the exact-size result
-// slice is allocated.
-func EncodeFrame(fn func(*Writer)) []byte {
-	w := GetWriter()
-	fn(w)
-	out := w.Detach()
-	PutWriter(w)
-	return out
-}
-
-var readerPool = sync.Pool{
-	New: func() any { return new(Reader) },
-}
-
-// GetReader returns a pooled reader over buf. The caller owns it until
-// PutReader and must not retain it, or any view obtained from it, after
-// Put.
-func GetReader(buf []byte) *Reader {
-	r := readerPool.Get().(*Reader)
-	*r = Reader{buf: buf}
-	return r
-}
-
-// PutReader returns a reader to the pool. Views returned by BytesView
-// alias the decoded buffer, not the reader, so they remain valid (for as
-// long as the buffer does) after the reader is Put.
-func PutReader(r *Reader) {
-	if r == nil {
-		return
-	}
-	*r = Reader{}
-	readerPool.Put(r)
 }
