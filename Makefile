@@ -23,9 +23,9 @@
 #                     them; locally they skip with a note).
 #   make bench-smoke — vet and short tests of the bench/ module (its own
 #                     go.mod, so `./...` from the root does not reach
-#                     it), then two seconds of the read-point workload
-#                     and three of write-waves over loopback TCP, each
-#                     of which must end correct with no failed
+#                     it), then two seconds each of read-point, read-scan
+#                     and mixed and three of write-waves over loopback
+#                     TCP, each of which must end correct with no failed
 #                     operation.
 #   make loc        — non-test lines per internal/ package (the figure
 #                     CHANGES.md and ROADMAP.md quote).
@@ -99,7 +99,7 @@ bench-matrix:
 # and no failed operation.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
-	@for run in read-point:2 write-waves:3; do \
+	@for run in read-point:2 read-scan:2 write-waves:3 mixed:2; do \
 		out=$$(bash bench/run.sh --workload $${run%:*} --seed 1 --seconds $${run#*:} --trace 0 | tail -n 1); \
 		echo "$$out"; \
 		case "$$out" in *'"correct":true'*'"failed":0'*) ;; *) echo "bench-smoke: $${run%:*} did not end correct with failed 0"; exit 1;; esac; \

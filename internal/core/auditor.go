@@ -104,7 +104,7 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		pending:  make(map[uint64][]Pledge),
 		cache:    make(map[string]cryptoutil.Digest),
 		detected: make(map[string]bool),
-		pledges:  newSigCache(),
+		pledges:  newSigCache(pledgeVerifyMemoSize),
 		masterV:  initial.Version(), // ordered writes continue from the initial content version
 	}
 	bm, err := broadcast.New(broadcast.Config{

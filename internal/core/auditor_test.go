@@ -449,8 +449,8 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 
 // BenchmarkAuditPledge is the auditor's row of the layer ledger: one
 // pledge admitted and audited, with the slave-signature verifications it
-// cost. The pledges cycle through more distinct signatures than the
-// verified-pledge cache holds, so a verification is a real one.
+// cost. The frames carry more distinct stamps than the verified-pledge
+// memo holds entries.
 func BenchmarkAuditPledge(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -465,7 +465,7 @@ func BenchmarkAuditPledge(b *testing.B) {
 			r := newAuditorRig(b, nil)
 			a := r.auditor
 			a.dlr = nopDialer{}
-			frames := r.pledgeFrames(2*sigCacheSize, bc.lie)
+			frames := r.pledgeFrames(2*pledgeVerifyMemoSize, bc.lie)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -142,8 +142,8 @@ func NewClient(cfg ClientConfig, rt sim.Runtime, dlr rpc.Dialer) *Client {
 		rt:      rt,
 		dlr:     dlr,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		stamps:  newSigCache(),
-		pledges: newSigCache(),
+		stamps:  newSigCache(stampMemoSize),
+		pledges: newSigCache(pledgeVerifyMemoSize),
 	}
 }
 
@@ -777,17 +777,19 @@ func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicK
 		c.mu.Unlock()
 		return fmt.Errorf("%w: pledge signed by unexpected key", errRetry)
 	}
-	if _, err := c.pledges.verifyPledge(&reply.Pledge); err != nil {
-		c.mu.Lock()
-		c.stats.BadPledges++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %v", errRetry, err)
-	}
+	// Before the signature: a pledge for a query nobody asked must cost
+	// neither a verify nor a slot in the memo.
 	if !bytes.Equal(reply.Pledge.QueryBytes, queryBytes) {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()
 		return fmt.Errorf("%w: pledge covers a different query", errRetry)
+	}
+	if _, err := c.pledges.verifyPledge(&reply.Pledge); err != nil {
+		c.mu.Lock()
+		c.stats.BadPledges++
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %v", errRetry, err)
 	}
 	if _, err := c.stamps.verifyStamp(&reply.Pledge.Stamp, masterPubs); err != nil {
 		c.mu.Lock()

@@ -244,7 +244,7 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		batchNo:      uint64(rt.Now().UnixNano()),
 		inflight:     make(map[uint64][]batchWaiter),
 		greedy:       newGreedyTracker(cfg.Params),
-		stamps:       newSigCache(),
+		stamps:       newSigCache(stampMemoSize),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,

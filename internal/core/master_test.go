@@ -77,7 +77,7 @@ func (r *masterRig) sync(t *testing.T, from uint64) *stateTransfer {
 		t.Errorf("sync from %d: %v", from, err)
 		return nil
 	}
-	st, err := decodeStateTransfer(body, []cryptoutil.PublicKey{r.master.PublicKey()}, newSigCache())
+	st, err := decodeStateTransfer(body, []cryptoutil.PublicKey{r.master.PublicKey()}, newSigCache(stampMemoSize))
 	if err != nil {
 		t.Errorf("sync from %d: reply does not verify: %v", from, err)
 		return nil

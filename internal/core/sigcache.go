@@ -40,12 +40,18 @@ import (
 	"repro/internal/wire"
 )
 
-// sigCacheSize bounds every memo, in entries of 20 bytes at a verifier and
-// 84 at a signer. On read-point (Zipf(1.1), 20 000 keys) 1024 entries miss
-// 30 % of reads, 4096 miss 14 %, 16 384 a few percent — at a third more
-// peak RSS: a live table byte costs two at the collector's heap goal.
+// Memo capacities, in entries, one per use. A stamp memo is only ever
+// asked about the few stamps current at once. A pledge memo holds a
+// working set of queries at one content version and is sized by unit
+// cost: a verifier entry is 20 bytes and its miss a verify (≈ 57 µs on the
+// benchmark host's ledger), a signer entry 84 bytes and its miss a sign
+// (≈ 29 µs), so verifiers get the larger table. A live table byte costs
+// two at the collector's heap goal.
 const (
-	sigCacheSize = 4096
+	stampMemoSize        = 256   // 5 KB
+	pledgeVerifyMemoSize = 32768 // 640 KB
+	pledgeSignMemoSize   = 8192  // 672 KB
+
 	sigCacheWays = 8 // slots per set, searched linearly, most recently used first
 )
 
@@ -57,6 +63,8 @@ const (
 // Safe for concurrent use. A nil *sigCache signs and verifies without
 // memoising: cached and plain paths are one code.
 type sigCache struct {
+	size int // entries, a multiple of sigCacheWays; fixed at construction
+
 	mu   sync.Mutex
 	keys []cryptoutil.Digest           // guarded by mu; the zero digest marks an empty slot
 	sigs [][ed25519.SignatureSize]byte // guarded by mu; beside keys at a signer, nil at a verifier
@@ -64,12 +72,14 @@ type sigCache struct {
 	hits, misses uint64 // guarded by mu
 }
 
-func newSigCache() *sigCache { return new(sigCache) }
+// newSigCache returns an empty memo of size entries, one of the
+// capacities above.
+func newSigCache(size int) *sigCache { return &sigCache{size: size} }
 
 // findLocked returns where key's set starts and key's position in it, or
 // -1. The zero digest is never found: it is what an empty slot holds.
 func (c *sigCache) findLocked(key cryptoutil.Digest) (set, j int) {
-	set = (int(key[0]) | int(key[1])<<8) % (sigCacheSize / sigCacheWays) * sigCacheWays
+	set = (int(key[0]) | int(key[1])<<8) % (c.size / sigCacheWays) * sigCacheWays
 	if c.keys == nil || key == (cryptoutil.Digest{}) {
 		return set, -1
 	}
@@ -100,10 +110,10 @@ func (c *sigCache) insert(key cryptoutil.Digest, sig []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.keys == nil {
-		c.keys = make([]cryptoutil.Digest, sigCacheSize)
+		c.keys = make([]cryptoutil.Digest, c.size)
 	}
 	if sig != nil && c.sigs == nil {
-		c.sigs = make([][ed25519.SignatureSize]byte, sigCacheSize)
+		c.sigs = make([][ed25519.SignatureSize]byte, c.size)
 	}
 	set, j := c.findLocked(key)
 	if j >= 0 {

@@ -88,7 +88,7 @@ func TestSigCachePledgeSafety(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newSigCache()
+			c := newSigCache(pledgeVerifyMemoSize)
 			if hit, err := c.verifyPledge(&f.pledge); hit || err != nil {
 				t.Fatalf("priming verify: hit=%v err=%v", hit, err)
 			}
@@ -145,7 +145,7 @@ func TestSigCacheStampSafety(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newSigCache()
+			c := newSigCache(stampMemoSize)
 			if hit, err := c.verifyStamp(&f.stamp, trusted); hit || err != nil {
 				t.Fatalf("priming verify: hit=%v err=%v", hit, err)
 			}
@@ -189,7 +189,7 @@ func setKey(i int) cryptoutil.Digest {
 // the one untouched for longest, not one a lookup has just used — and a
 // signer's table keeps every surviving key beside its own signature.
 func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
-	lru := newSigCache()
+	lru := newSigCache(stampMemoSize)
 	for i := 0; i < sigCacheWays; i++ {
 		lru.insert(setKey(i), nil)
 	}
@@ -203,7 +203,7 @@ func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
 
 	sigOf := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, ed25519.SignatureSize) }
 	for _, signer := range []bool{false, true} {
-		c := newSigCache()
+		c := newSigCache(pledgeSignMemoSize)
 		insert := func(i int) {
 			if signer {
 				c.insert(setKey(i), sigOf(i))
@@ -241,49 +241,71 @@ func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// TestSigCacheBounded pushes ten times the bound in distinct keys through
-// one memo from several goroutines: its arrays never grow, it ends full,
-// a new entry still goes in and the oldest was evicted. Real stamps then go
-// through the same memo.
+// TestSigCacheBounded pushes ten times its capacity in distinct keys
+// through each kind of memo from several goroutines: its arrays never
+// grow, it ends full, a new entry still goes in and the oldest was evicted.
+// Real stamps then go through the full stamp memo.
 func TestSigCacheBounded(t *testing.T) {
-	const workers = 4
-	n := 10 * sigCacheSize
-	c := newSigCache()
-	key := func(i int) cryptoutil.Digest { return cryptoutil.HashBytes([]byte(fmt.Sprint("key-", i))) }
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < n; i += workers {
-				if _, hit := c.lookup(key(i)); hit {
-					t.Errorf("key %d found before it was inserted", i)
-				}
-				c.insert(key(i), nil)
+	for _, kind := range []struct {
+		name   string
+		size   int
+		signer bool
+	}{
+		{"stamp", stampMemoSize, false},
+		{"pledge verifier", pledgeVerifyMemoSize, false},
+		{"pledge signer", pledgeSignMemoSize, true},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			const workers = 4
+			n := 10 * kind.size
+			c := newSigCache(kind.size)
+			key := func(i int) cryptoutil.Digest { return cryptoutil.HashBytes([]byte(fmt.Sprint("key-", i))) }
+			var sig []byte
+			if kind.signer {
+				sig = bytes.Repeat([]byte{1}, ed25519.SignatureSize)
 			}
-		}(g)
-	}
-	wg.Wait()
-	if len(c.keys) != sigCacheSize || c.sigs != nil {
-		t.Fatalf("a verifier's memo holds %d key slots and %d signature slots, want %d and 0", len(c.keys), len(c.sigs), sigCacheSize)
-	}
-	if got := c.entries(); got != sigCacheSize {
-		t.Fatalf("memo holds %d entries after %d inserts, want it full at %d", got, n, sigCacheSize)
-	}
-	c.insert(key(n), nil)
-	if _, hit := c.lookup(key(n)); !hit {
-		t.Fatal("a full memo did not take a new key")
-	}
-	if _, hit := c.lookup(key(0)); hit {
-		t.Fatal("oldest key survived 10x the bound in insertions")
-	}
-
-	f := newCacheFixture()
-	trusted := []cryptoutil.PublicKey{f.master.Public}
-	for round, wantHit := range []bool{false, true} {
-		if hit, err := c.verifyStamp(&f.stamp, trusted); hit != wantHit || err != nil {
-			t.Fatalf("stamp through a full memo, round %d: hit=%v err=%v", round, hit, err)
-		}
+			var wg sync.WaitGroup
+			for g := 0; g < workers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < n; i += workers {
+						if _, hit := c.lookup(key(i)); hit {
+							t.Errorf("key %d found before it was inserted", i)
+						}
+						c.insert(key(i), sig)
+					}
+				}(g)
+			}
+			wg.Wait()
+			wantSigs := 0
+			if kind.signer {
+				wantSigs = kind.size
+			}
+			if len(c.keys) != kind.size || len(c.sigs) != wantSigs {
+				t.Fatalf("memo holds %d key slots and %d signature slots, want %d and %d", len(c.keys), len(c.sigs), kind.size, wantSigs)
+			}
+			if got := c.entries(); got != kind.size {
+				t.Fatalf("memo holds %d entries after %d inserts, want it full at %d", got, n, kind.size)
+			}
+			c.insert(key(n), sig)
+			if _, hit := c.lookup(key(n)); !hit {
+				t.Fatal("a full memo did not take a new key")
+			}
+			if _, hit := c.lookup(key(0)); hit {
+				t.Fatal("oldest key survived 10x the capacity in insertions")
+			}
+			if kind.signer {
+				return
+			}
+			f := newCacheFixture()
+			trusted := []cryptoutil.PublicKey{f.master.Public}
+			for round, wantHit := range []bool{false, true} {
+				if hit, err := c.verifyStamp(&f.stamp, trusted); hit != wantHit || err != nil {
+					t.Fatalf("stamp through a full memo, round %d: hit=%v err=%v", round, hit, err)
+				}
+			}
+		})
 	}
 }
 
@@ -295,7 +317,7 @@ func TestSigCacheHitAllocs(t *testing.T) {
 	}
 	f := newCacheFixture()
 	trusted := []cryptoutil.PublicKey{f.master.Public}
-	c := newSigCache()
+	c := newSigCache(pledgeVerifyMemoSize)
 	c.verifyPledge(&f.pledge)
 	c.verifyStamp(&f.stamp, trusted)
 	if n := testing.AllocsPerRun(200, func() {
@@ -427,9 +449,9 @@ func TestSlavePledgeMemoBound(t *testing.T) {
 		}
 
 		r.keepAlive(1)
-		n := 2 * sigCacheSize
+		n := 2 * pledgeSignMemoSize
 		if testing.Short() {
-			n = sigCacheSize + sigCacheSize/2
+			n = pledgeSignMemoSize + pledgeSignMemoSize/2
 		}
 		for i := distinct; i < n; i++ {
 			if _, err := r.read(t, get(i)); err != nil {
@@ -444,8 +466,8 @@ func TestSlavePledgeMemoBound(t *testing.T) {
 		if r.read(t, get(0)); misses() != before+1 {
 			t.Error("the oldest pledge survived twice the bound in newer ones")
 		}
-		if got := r.slave.pledges.entries(); got > sigCacheSize || got < sigCacheSize/2 {
-			t.Errorf("memo holds %d entries after %d distinct pledges, bound %d", got, n, sigCacheSize)
+		if got := r.slave.pledges.entries(); got > pledgeSignMemoSize || got < pledgeSignMemoSize/2 {
+			t.Errorf("memo holds %d entries after %d distinct pledges, bound %d", got, n, pledgeSignMemoSize)
 		}
 	})
 	r.s.Run()
@@ -638,7 +660,7 @@ func BenchmarkPledgeSignHit(b *testing.B) {
 
 func BenchmarkPledgeVerifyMiss(b *testing.B) {
 	f := newCacheFixture()
-	c := newSigCache()
+	c := newSigCache(pledgeVerifyMemoSize)
 	c.verifyPledge(&f.pledge)
 	slot := slices.IndexFunc(c.keys, func(k cryptoutil.Digest) bool { return k != cryptoutil.Digest{} })
 	b.ReportAllocs()
@@ -653,7 +675,7 @@ func BenchmarkPledgeVerifyMiss(b *testing.B) {
 
 func BenchmarkPledgeVerifyHit(b *testing.B) {
 	f := newCacheFixture()
-	c := newSigCache()
+	c := newSigCache(pledgeVerifyMemoSize)
 	c.verifyPledge(&f.pledge)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -664,27 +686,155 @@ func BenchmarkPledgeVerifyHit(b *testing.B) {
 	}
 }
 
-// zipfReads is the read-point workload's shape at one slave: Get queries
-// over 20 000 keys drawn Zipf(1.1), and a new master stamp for the same
-// version after every 1250 reads (12 500 reads/s, a keep-alive per 100 ms).
-type zipfReads struct {
+// catalogReads is a stream of reads at one slave over a 20 000-key
+// catalog: the encoded queries and the draw of the next one. A new master
+// stamp for the same version comes after every zipfReadsPerStamp reads
+// (12 500 reads/s, a keep-alive per 100 ms).
+type catalogReads struct {
 	queries [][]byte
-	zipf    *rand.Zipf
+	next    func() int // index of the next query
 }
 
-const zipfReadsPerStamp = 1250
+const (
+	catalogSize       = 20000
+	zipfReadsPerStamp = 1250
+)
 
-func newZipfReads() zipfReads {
-	z := zipfReads{queries: make([][]byte, 20000)}
+func catalogKey(i int) string { return fmt.Sprintf("key-%05d", i) }
+
+// newZipfReads is read-point's shape: Gets drawn Zipf(1.1).
+func newZipfReads() catalogReads {
+	z := catalogReads{queries: make([][]byte, catalogSize)}
 	for i := range z.queries {
-		z.queries[i] = query.Encode(query.Get{Key: fmt.Sprintf("key-%05d", i)})
+		z.queries[i] = query.Encode(query.Get{Key: catalogKey(i)})
 	}
-	z.zipf = rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(len(z.queries)-1))
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, catalogSize-1)
+	z.next = func() int { return int(zipf.Uint64()) }
 	return z
 }
 
-// next draws the index of the next query.
-func (z zipfReads) next() int { return int(z.zipf.Uint64()) }
+// newUniformRanges is the ten-key Ranges of read-scan's mix, each starting
+// at a key drawn uniformly.
+func newUniformRanges() catalogReads {
+	z := catalogReads{queries: make([][]byte, catalogSize)}
+	for i := range z.queries {
+		z.queries[i] = query.Encode(query.Range{From: catalogKey(i), To: catalogKey(i + 10), Limit: 10})
+	}
+	rng := rand.New(rand.NewSource(1))
+	z.next = func() int { return rng.Intn(catalogSize) }
+	return z
+}
+
+// TestPledgeMemoHitRatio pins what the memo capacities buy at one content
+// version. Reads go through an honest slave's read handler and a client's
+// verifyReply while keep-alives rotate the stamp; after a warm-up of three
+// catalogs' worth of reads the next catalog's worth is counted. signs/op is
+// the slave's pledge-memo miss ratio, verifies/op the client's pledge and
+// stamp misses together. A verifier of pledgeVerifyMemoSize holds the whole
+// catalog, so what it misses is first sightings and set conflicts; a signer
+// of pledgeSignMemoSize holds the Zipf head and misses uniform keys in
+// proportion to the part of the catalog it cannot hold. Each stamp is
+// verified once by the client and hits for every later read under it. At
+// one 4096-entry size for all memos, Zipf gave 0.14 of both and uniform
+// Ranges 0.8.
+func TestPledgeMemoHitRatio(t *testing.T) {
+	const warm, counted = 3 * catalogSize, catalogSize
+	uniformSigns := 1 - float64(pledgeSignMemoSize)/catalogSize
+	for _, tc := range []struct {
+		name                  string
+		reads                 catalogReads
+		maxSigns, maxVerifies float64
+	}{
+		{"zipf gets", newZipfReads(), 0.10, 0.10},
+		{"uniform ranges", newUniformRanges(), uniformSigns + 0.05, 0.10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newCacheFixture()
+			masters := []cryptoutil.PublicKey{f.master.Public}
+			s := NewSlave(SlaveConfig{Keys: f.slave, Params: DefaultParams(), MasterPubs: masters},
+				sim.RealClock{}, nullDialer{}, store.New())
+			c := NewClient(ClientConfig{Keys: f.other, Params: DefaultParams()}, sim.RealClock{}, nullDialer{})
+			sl := slaveAssignment{addr: "slave", pub: f.slave.Public}
+			w := wire.NewWriter(64)
+			read := func(i int) {
+				if i%zipfReadsPerStamp == 0 {
+					w.Reset()
+					stamp := SignStamp(f.master, 0, time.Now())
+					stamp.Encode(w)
+					w.String_("")
+					if _, err := s.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				qb := tc.reads.queries[tc.reads.next()]
+				w.Reset()
+				w.Bytes_(qb)
+				body, err := s.Handle("client", MethodRead, w.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				reply, err := DecodeReadReply(body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.verifyReply(sl, masters, qb, reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < warm; i++ {
+				read(i)
+			}
+			ss0, cs0 := s.Stats(), c.Stats()
+			for i := warm; i < warm+counted; i++ {
+				read(i)
+			}
+			ss, cs := s.Stats(), c.Stats()
+			signs := float64(ss.PledgeCacheMisses-ss0.PledgeCacheMisses) / counted
+			verifies := float64(cs.PledgeCacheMisses-cs0.PledgeCacheMisses+cs.StampCacheMisses-cs0.StampCacheMisses) / counted
+			t.Logf("signs/op %.3f, verifies/op %.3f", signs, verifies)
+			if signs > tc.maxSigns || verifies > tc.maxVerifies {
+				t.Errorf("signs/op %.3f (bound %.3f), verifies/op %.3f (bound %.3f)", signs, tc.maxSigns, verifies, tc.maxVerifies)
+			}
+			stamps := uint64((warm + counted + zipfReadsPerStamp - 1) / zipfReadsPerStamp)
+			if cs.StampCacheMisses != stamps || cs.StampCacheHits != warm+counted-stamps {
+				t.Errorf("%d stamps over %d reads: client stamp memo %d hits, %d misses",
+					stamps, warm+counted, cs.StampCacheHits, cs.StampCacheMisses)
+			}
+		})
+	}
+}
+
+// TestClientRefusesOtherQueryBeforeVerifying: a validly signed pledge for a
+// query the client did not ask is refused on the query bytes alone. It
+// costs no verify and takes no slot in the verified-pledge memo, so a
+// hostile slave cannot flush the memo with pledges for queries nobody asked.
+func TestClientRefusesOtherQueryBeforeVerifying(t *testing.T) {
+	f := newCacheFixture()
+	masters := []cryptoutil.PublicKey{f.master.Public}
+	c := NewClient(ClientConfig{Keys: f.other, Params: DefaultParams()}, sim.RealClock{}, nullDialer{})
+	sl := slaveAssignment{addr: "slave", pub: f.slave.Public}
+	stamp := SignStamp(f.master, 7, time.Now())
+	payload := []byte("result")
+	reply := func(qb []byte) ReadReply {
+		return ReadReply{Payload: payload, Pledge: SignPledge(f.slave, qb, cryptoutil.HashBytes(payload), stamp)}
+	}
+	asked := query.Encode(query.Get{Key: "asked"})
+	if err := c.verifyReply(sl, masters, asked, reply(asked)); err != nil {
+		t.Fatal(err)
+	}
+	before, entries := c.Stats(), c.pledges.entries()
+	other := query.Encode(query.Get{Key: "other"})
+	if err := c.verifyReply(sl, masters, asked, reply(other)); err == nil {
+		t.Fatal("pledge for another query accepted")
+	}
+	after := c.Stats()
+	if after.PledgeCacheMisses != before.PledgeCacheMisses || after.PledgeCacheHits != before.PledgeCacheHits ||
+		c.pledges.entries() != entries || after.BadPledges != before.BadPledges+1 {
+		t.Fatalf("pledge memo %d/%d hits/misses and %d entries → %d/%d and %d; bad pledges %d → %d",
+			before.PledgeCacheHits, before.PledgeCacheMisses, entries,
+			after.PledgeCacheHits, after.PledgeCacheMisses, c.pledges.entries(), before.BadPledges, after.BadPledges)
+	}
+}
 
 // BenchmarkSlaveReadZipf is the slave's whole read handler under that
 // workload. signs/op is the memo's miss ratio; it falls as b.N grows past

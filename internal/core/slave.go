@@ -89,8 +89,8 @@ func NewSlave(cfg SlaveConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.St
 		dlr:     dlr,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		store:   initial.Clone(),
-		stamps:  newSigCache(),
-		pledges: newSigCache(),
+		stamps:  newSigCache(stampMemoSize),
+		pledges: newSigCache(pledgeSignMemoSize),
 	}
 }
 

@@ -256,7 +256,7 @@ func TestBatchUpdateDecodeVerifyAllocs(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	trusted := []cryptoutil.PublicKey{master.Public}
 	frame := EncodeBatchUpdate(signedBatch(master, 2, waveOps(n), time.Unix(1, 0)))
-	stamps := newSigCache()
+	stamps := newSigCache(stampMemoSize)
 	var sc batchScratch
 	avg := testing.AllocsPerRun(50, func() {
 		bu, err := DecodeBatchUpdate(frame)
