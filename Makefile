@@ -118,6 +118,7 @@ FUZZ_TARGETS := \
 	internal/core:FuzzDecodeWriteWave \
 	internal/core:FuzzDecodeBatchUpdate \
 	internal/core:FuzzDecodePledge \
+	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/dirsrv:FuzzDecodeShardMap \
 	internal/store:FuzzNumericValue

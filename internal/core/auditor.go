@@ -216,10 +216,10 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 	}
 }
 
-// handlePledge admits one pledge. The pledge is decoded by view and queued
-// as is, so it keeps body alive until it is audited: the handler owns body
-// (a view of its frame's own buffer over TCP, of the s.read reply the client
-// was handed under the simulator; nobody writes to either again).
+// handlePledge admits one pledge's evidence frame. The pledge is decoded by
+// view and queued as is, so it keeps body alive until it is audited: the
+// handler owns body (a view of its frame's own buffer over TCP, the frame
+// the client built under the simulator; nobody writes to either again).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	pledge, err := decodePledgeFrame(body)
 	if err != nil {

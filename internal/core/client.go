@@ -27,8 +27,7 @@ type ClientStats struct {
 	ReadsFailed     uint64
 	StaleRejects    uint64 // answers rejected for freshness (§3.2)
 	SlaveStale      uint64 // slave refused: its own stamp was stale
-	HashMismatches  uint64 // payload/pledge hash mismatch (transport-level lie)
-	BadPledges      uint64
+	BadPledges      uint64 // replies whose pledge or stamp does not verify (a wrong payload, slave or query included)
 	Retries         uint64
 	DoubleChecks    uint64
 	DoubleThrottled uint64
@@ -666,7 +665,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		if err := c.verifyReply(sl, masterPubs, queryBytes, reply); err != nil {
+		if err := c.verifyReply(sl, masterPubs, queryBytes, &reply); err != nil {
 			return nil, err
 		}
 		replies[i] = reply
@@ -683,7 +682,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		}
 		pledges := make([][]byte, len(replies))
 		for i, r := range replies {
-			pledges[i] = r.pledgeBytes
+			pledges[i] = EncodePledge(r.Pledge)
 		}
 		if err := c.forwardPledges(g, pledges); err != nil {
 			return nil, err
@@ -710,7 +709,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	var liars []string
 	for i, r := range replies {
 		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
-			if err := c.reportPledge(g, r.pledgeBytes); err == nil {
+			if err := c.reportPledge(g, r.Pledge); err == nil {
 				c.mu.Lock()
 				c.stats.ReportsFiled++
 				c.stats.CaughtImmediate++
@@ -759,45 +758,29 @@ func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) 
 	return DecodeReadReply(body)
 }
 
-// verifyReply performs the client-side checks of §3.2: result hash
-// matches the pledge, the pledge is signed by the assigned slave for this
-// query at the stamp's version, the stamp is signed by a certified master,
-// and it is fresh. Only the two signature checks go through the
-// verified-signature caches; every other check runs on every reply.
-func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply ReadReply) error {
-	if !cryptoutil.HashBytes(reply.Payload).Equal(reply.Pledge.ResultHash) {
-		c.mu.Lock()
-		c.stats.HashMismatches++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %v", errRetry, ErrHashMismatch)
-	}
-	if !bytes.Equal(reply.Pledge.SlavePub, sl.pub) {
-		c.mu.Lock()
-		c.stats.BadPledges++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: pledge signed by unexpected key", errRetry)
-	}
-	// Before the signature: a pledge for a query nobody asked must cost
-	// neither a verify nor a slot in the memo.
-	if !bytes.Equal(reply.Pledge.QueryBytes, queryBytes) {
-		c.mu.Lock()
-		c.stats.BadPledges++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: pledge covers a different query", errRetry)
-	}
-	if _, err := c.pledges.verifyPledge(&reply.Pledge); err != nil {
+// verifyReply completes the reply's pledge from what the client holds —
+// the query it asked, the hash of the payload it got, the key of the slave
+// it asked — and performs the client-side checks of §3.2: the slave signed
+// that pledge, the stamp beside it is signed by a certified master, and it
+// is fresh. A reply whose payload, signature or slave is not the one asked
+// for fails the one signature check. Only the two signature checks go
+// through the verified-signature caches; the freshness check runs on every
+// reply.
+func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
+	p := reply.completePledge(queryBytes, sl.pub)
+	if _, err := c.pledges.verifyPledge(p); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", errRetry, err)
 	}
-	if _, err := c.stamps.verifyStamp(&reply.Pledge.Stamp, masterPubs); err != nil {
+	if _, err := c.stamps.verifyStamp(&p.Stamp, masterPubs); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", errRetry, err)
 	}
-	if !reply.Pledge.Stamp.Fresh(c.rt.Now(), c.cfg.Params.EffectiveClientMaxLatency()) {
+	if !p.Stamp.Fresh(c.rt.Now(), c.cfg.Params.EffectiveClientMaxLatency()) {
 		// Fresh when sent, stale on arrival: drop and retry (§3.2).
 		c.mu.Lock()
 		c.stats.StaleRejects++
@@ -872,7 +855,7 @@ func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error
 		caughtAddr = g.slaves[0].addr
 	}
 	c.mu.Unlock()
-	if err := c.reportPledge(g, reply.pledgeBytes); err == nil {
+	if err := c.reportPledge(g, reply.Pledge); err == nil {
 		c.mu.Lock()
 		c.stats.ReportsFiled++
 		c.mu.Unlock()
@@ -886,23 +869,24 @@ func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error
 	return errRetry
 }
 
-// reportPledge files the incriminating pledge with the group's master, in
-// the bytes the slave sent it in. Client reports are unsigned: the master
-// convicts by re-executing the query itself (immediate discovery, §3.5).
-func (c *Client) reportPledge(g *group, pledgeBytes []byte) error {
+// reportPledge files the incriminating pledge's evidence frame with the
+// group's master. Client reports are unsigned: the master convicts by
+// re-executing the query itself (immediate discovery, §3.5).
+func (c *Client) reportPledge(g *group, p Pledge) error {
 	c.mu.Lock()
 	masterAddr := g.masterAddr
 	c.mu.Unlock()
-	w := wire.NewWriter(len(pledgeBytes) + 16)
-	w.Bytes_(pledgeBytes)
-	w.Bytes_(nil)
-	_, err := c.dlr.CallTimeout(masterAddr, MethodReport, w.Bytes(), c.cfg.Params.ReadTimeout)
+	body := wire.EncodeFrame(func(w *wire.Writer) {
+		w.Bytes_(EncodePledge(p))
+		w.Bytes_(nil)
+	})
+	_, err := c.dlr.CallTimeout(masterAddr, MethodReport, body, c.cfg.Params.ReadTimeout)
 	return err
 }
 
-// forwardPledge sends the group's auditor the pledge exactly as the slave
-// sent it and waits for the ack; clients accept results only after this
-// completes (§3.4).
+// forwardPledge sends the group's auditor one pledge's evidence frame and
+// waits for the ack; clients accept results only after this completes
+// (§3.4).
 func (c *Client) forwardPledge(g *group, pledgeBytes []byte) error {
 	c.mu.Lock()
 	c.stats.PledgesSent++

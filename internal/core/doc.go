@@ -27,7 +27,9 @@
 //	                           paces commits and bounds staleness.
 //	§3.2 (reads)             — Slave.handleRead answers with a Pledge
 //	                           (query copy, result hash, latest stamp);
-//	                           Client.verifyReply enforces freshness.
+//	                           Client.verifyReply rebuilds it from the
+//	                           query asked and the payload received,
+//	                           checks both signatures and freshness.
 //	§3.3 (double-checking)   — Client.doubleCheck, the master's greedy-
 //	                           client throttling (greedyTracker).
 //	§3.4 (auditing)          — Auditor re-executes pledged reads on a
@@ -37,7 +39,9 @@
 //	                           dominant signing cost (SignBatchStamp
 //	                           over a merkle root).
 //	§3.5 (recovery)          — handleReport/applyExclude convict and
-//	                           exclude liars; ReadmitSlave brings a
+//	                           exclude liars (a bcExclude acts only
+//	                           under a certified master's signature);
+//	                           ReadmitSlave brings a
 //	                           recovered slave back; Bootstrap performs
 //	                           the verified full state transfer
 //	                           (statetransfer.go, shared with slave
@@ -45,10 +49,35 @@
 //	§4   (refinements)       — KSlaves multi-slave reads, ReadSensitive
 //	                           trusted-host execution, ReadAtLevel.
 //
-// Write-path and state-transfer wire formats (wire package encoding;
-// "bytes" and "string" are length-prefixed). Each verb has one frame: a
-// single write is a wave of one, and a commit of one op is a batch of one
-// — a one-leaf merkle tree under the same batch stamp.
+// Wire formats (wire package encoding; "bytes" and "string" are
+// length-prefixed). Each verb has one frame: a single write is a wave of
+// one, and a commit of one op is a batch of one — a one-leaf merkle tree
+// under the same batch stamp. What the receiver can compute is not sent:
+// s.updatebatch carries no membership proof for ops the slave holds whole,
+// and the s.read reply neither the client's own query, nor the hash of the
+// payload beside it, nor the key of the slave the client asked.
+//
+//	s.read       bytes query. Reply: bytes payload ‖ stamp ‖ bytes sig ‖
+//	             bool xlie (ReadReply) — the slave's pledge signature
+//	             beside the master's stamp, and nothing the client
+//	             already has: it rebuilds the pledge from its own query,
+//	             the hash of the payload and the key of the slave it
+//	             asked (Client.verifyReply), so a reply that is not the
+//	             answer to that query, from that slave, fails the one
+//	             signature check. xlie is instrumentation only.
+//	evidence     bytes query ‖ bytes result hash ‖ uvarint version ‖
+//	             bytes slavePub ‖ bytes sig (Pledge.Encode) — exactly
+//	             the statement the slave signed (after its "pledge.v2"
+//	             tag) and the signature, no byte of the master's stamp:
+//	             nothing that holds a pledge as evidence reads more than
+//	             its version. The a.pledge body, each a.pledgemulti
+//	             element, the m.report pledge field, the bcExclude body
+//	             and pki.Exclusion.Evidence.
+//	bcExclude    kind byte ‖ bytes evidence ‖ bytes originPub ‖ bytes
+//	             sig — sig by the master that convicted the slave, over
+//	             "exclude.v1" ‖ evidence; every master acts on it only if
+//	             originPub is a certified master's key and sig verifies
+//	             (b.submit takes frames from anyone).
 //
 //	m.writemulti bytes clientPub ‖ uvarint n ‖ n × bytes op ‖ bytes sig —
 //	             ONE sig over "wave.v1" ‖ clientPub ‖ n ‖ every op
@@ -108,10 +137,12 @@
 // auditor remember signatures made or verified in one bounded memo type
 // (sigCache) that is never cleared, each sized for its use: 256 entries
 // for stamps, 32 768 at a pledge verifier, 8192 at the slave's signer. The
-// client compares the query asked before it checks any signature. Run on
-// every message, hit or miss: payload hash, assigned slave, query asked,
-// stamp for the signed version from a certified master under its
-// signature, freshness. Once warm on a 20 000-key catalog at one version,
+// client builds the signed body from the query it asked, the hash of the
+// payload it got and its assigned slave's key, so a reply for another
+// query, with another payload or from another slave misses the memo, fails
+// the signature and takes no slot. Run on every message, hit or miss: the
+// hash of the payload, stamp for the signed version from a certified
+// master under its signature, freshness. Once warm on a 20 000-key catalog at one version,
 // Zipf(1.1) Gets cost a slave sign on 9 % of reads and a client verify on
 // 7 %, uniform ten-key Ranges 59 % and 5 % (TestPledgeMemoHitRatio; one
 // 4096-entry size for all memos gave 14 % and 80 % on both sides, and 41 %
@@ -158,7 +189,8 @@
 // the auditor and again at the master. Auditor.report accepts only a
 // provenPledge, which only convict constructs, and Master.handleReport
 // verifies the pledge itself before it excludes anyone, whoever vouches
-// for it. Known and accepted: a forged pledge naming an expensive scan
+// for it; it then signs the bcExclude it broadcasts, and applyExclude
+// acts on no other. Known and accepted: a forged pledge naming an expensive scan
 // costs the auditor the scan before the verify rejects it, where a
 // verify-first auditor paid the verify alone. Any client can buy the same
 // scan with a real read, and a.pledge has no admission bound either way;

@@ -116,29 +116,35 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 	})
 }
 
-// FuzzDecodePledge drives the pledge decoder — what s.read replies,
-// a.pledge, a.pledgemulti, m.report and bcExclude all carry — over
-// arbitrary bytes. The invariants: no panic on any input, in either
-// decoder or in the signature checks run on what came out; the copying
+// FuzzDecodePledge drives the evidence-frame decoder — what a.pledge,
+// a.pledgemulti, m.report, bcExclude and pki.Exclusion.Evidence carry —
+// over arbitrary bytes. The invariants: no panic on any input, in either
+// decoder or in the signature check run on what came out; the copying
 // decoder and the view decoder accept the same frames and read the same
 // pledge from them; whatever decodes re-encodes to a frame that decodes to
 // the same pledge, that re-encoding is a fixed point, and equal pledges
-// sign equal bytes.
+// sign equal bytes; and a decoded pledge's stamp holds its version and
+// nothing else.
 func FuzzDecodePledge(f *testing.F) {
 	fx := newCacheFixture()
 	honest := EncodePledge(fx.pledge)
-	batch := fx.pledge
-	batch.Stamp = SignBatchStamp(fx.master, 7, time.Unix(1000, 0), cryptoutil.Digest{1})
 	f.Add(honest)
-	f.Add(EncodePledge(batch))
 	f.Add(EncodePledge(Pledge{}))
-	f.Add(honest[:len(honest)/2]) // truncated inside the stamp
+	f.Add(honest[:len(honest)/2]) // truncated inside the slave key
 	f.Add(append(bytes.Clone(honest), 0x7))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x03, 1, 2, 3})             // result hash of the wrong length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0}) // query length far beyond the frame
+	// The frame before the evidence frame: the whole master stamp between
+	// the hash and the slave key.
+	f.Add(wire.EncodeFrame(func(w *wire.Writer) {
+		w.Bytes_(fx.pledge.QueryBytes)
+		w.Bytes_(fx.pledge.ResultHash[:])
+		fx.pledge.Stamp.Encode(w)
+		w.Bytes_(fx.pledge.SlavePub)
+		w.Bytes_(fx.pledge.Sig)
+	}))
 
-	trusted := []cryptoutil.PublicKey{fx.master.Public}
 	signed := func(p Pledge) []byte {
 		w := wire.NewWriter(0)
 		p.appendSignedBytes(w)
@@ -158,7 +164,9 @@ func FuzzDecodePledge(f *testing.F) {
 			return
 		}
 		_ = p.VerifySig() // any key and signature length must be survivable
-		_ = p.Stamp.Verify(trusted)
+		if st := p.Stamp; !st.Timestamp.IsZero() || st.OpDigest != (cryptoutil.Digest{}) || st.MasterPub != nil || st.Kind != 0 || st.Sig != nil {
+			t.Fatalf("evidence decoded to more of a stamp than its version: %+v", p.Stamp)
+		}
 		enc := EncodePledge(p)
 		if !bytes.Equal(EncodePledge(view), enc) {
 			t.Fatal("the two decoders read different pledges from one frame")
@@ -168,8 +176,7 @@ func FuzzDecodePledge(f *testing.F) {
 			t.Fatalf("re-encoded pledge does not decode: %v", err)
 		}
 		if !bytes.Equal(again.QueryBytes, p.QueryBytes) || again.ResultHash != p.ResultHash ||
-			!bytes.Equal(again.SlavePub, p.SlavePub) || !bytes.Equal(again.Sig, p.Sig) ||
-			!bytes.Equal(again.Stamp.signedBytes(), p.Stamp.signedBytes()) || !bytes.Equal(again.Stamp.Sig, p.Stamp.Sig) {
+			again.Stamp.Version != p.Stamp.Version || !bytes.Equal(again.SlavePub, p.SlavePub) || !bytes.Equal(again.Sig, p.Sig) {
 			t.Fatalf("round trip changed the pledge: %+v -> %+v", p, again)
 		}
 		if !bytes.Equal(EncodePledge(again), enc) {
@@ -177,6 +184,53 @@ func FuzzDecodePledge(f *testing.F) {
 		}
 		if !bytes.Equal(signed(again), signed(p)) {
 			t.Fatal("equal pledges sign different bytes")
+		}
+	})
+}
+
+// FuzzDecodeReadReply drives the s.read reply decoder — the frame every
+// client decodes from a slave it does not trust — over arbitrary bytes.
+// The invariants: no panic on any input, in the decoder or in the checks a
+// client runs on what came out; whatever decodes re-encodes to a reply
+// that decodes to the same payload, stamp, signature and flag; and that
+// re-encoding is a fixed point.
+func FuzzDecodeReadReply(f *testing.F) {
+	fx := newCacheFixture()
+	honest := EncodeReadReply(ReadReply{Payload: []byte("result"), Pledge: fx.pledge})
+	batch := fx.pledge
+	batch.Stamp = SignBatchStamp(fx.master, 7, time.Unix(1000, 0), cryptoutil.Digest{1})
+	f.Add(honest)
+	f.Add(EncodeReadReply(ReadReply{Payload: []byte("a lie"), Pledge: batch, XLie: true}))
+	f.Add(EncodeReadReply(ReadReply{}))
+	f.Add(honest[:len(honest)/2]) // truncated inside the stamp
+	f.Add(append(bytes.Clone(honest), 0x7))
+	f.Add([]byte{})
+	f.Add(append([]byte{0x86, 0x00}, honest[1:]...))  // payload length as an overlong varint
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})    // payload length far beyond the frame
+	f.Add([]byte{0x00, 0x01, 0x00, 0x03, 1, 2, 3, 0}) // op digest of the wrong length
+
+	trusted := []cryptoutil.PublicKey{fx.master.Public}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rr, err := DecodeReadReply(data)
+		if err != nil {
+			return
+		}
+		enc := EncodeReadReply(rr)
+		// What a client does with it; any length of key or signature must
+		// be survivable.
+		_ = rr.completePledge(fx.pledge.QueryBytes, fx.slave.Public).VerifySig()
+		_ = rr.Pledge.Stamp.Verify(trusted)
+		again, err := DecodeReadReply(enc)
+		if err != nil {
+			t.Fatalf("re-encoded reply does not decode: %v", err)
+		}
+		if !bytes.Equal(again.Payload, rr.Payload) || again.XLie != rr.XLie || !bytes.Equal(again.Pledge.Sig, rr.Pledge.Sig) ||
+			!bytes.Equal(again.Pledge.Stamp.signedBytes(), rr.Pledge.Stamp.signedBytes()) ||
+			again.Pledge.Stamp.Kind != rr.Pledge.Stamp.Kind || !bytes.Equal(again.Pledge.Stamp.Sig, rr.Pledge.Stamp.Sig) {
+			t.Fatalf("round trip changed the reply: %+v -> %+v", rr, again)
+		}
+		if !bytes.Equal(EncodeReadReply(again), enc) {
+			t.Fatal("re-encoding is not canonical")
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -62,6 +64,7 @@ type MasterStats struct {
 
 	WrongShardRejects uint64 // writes rejected because the key is outside Shard
 	DirectoryErrors   uint64 // directory RPCs that failed (record kept local)
+	ExclusionsRefused uint64 // bcExclude frames ignored: no certified master signed them, or they did not decode
 }
 
 // MasterConfig configures a master server.
@@ -1069,19 +1072,53 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 
 	// Propagate the exclusion through the ordered broadcast so every
 	// master updates its view and exactly one (the slave's owner)
-	// reassigns the affected clients.
-	w := wire.NewWriter(len(body) + 8)
-	w.Byte(bcExclude)
-	pledge.Encode(w)
-	if err := m.bcast.Broadcast(w.Bytes()); err != nil {
+	// reassigns the affected clients. Anyone can submit to the broadcast,
+	// so the frame carries this master's key and its signature over the
+	// evidence.
+	evidence := EncodePledge(pledge)
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	sig := m.cfg.Keys.Sign(excludeSignedBytes(evidence))
+	msg := wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(bcExclude)
+		w.Bytes_(evidence)
+		w.Bytes_(m.cfg.Keys.Public)
+		w.Bytes_(sig)
+	})
+	if err := m.bcast.Broadcast(msg); err != nil {
 		return nil, err
 	}
 	return nil, nil
 }
 
+// excludeSignedBytes is what the master that convicted a slave signs in
+// its bcExclude frame: a domain tag and the evidence frame.
+func excludeSignedBytes(evidence []byte) []byte {
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		w.String_("exclude.v1")
+		w.Bytes_(evidence)
+	})
+}
+
+// applyExclude acts on a bcExclude frame — kind ‖ bytes evidence ‖ bytes
+// origin key ‖ bytes sig — only when the origin is a certified master and
+// its signature verifies: a genuine pledge by an honest slave is easy to
+// come by, and b.submit takes frames from anyone. A refused frame is
+// counted in ExclusionsRefused.
 func (m *Master) applyExclude(r *wire.Reader) {
-	pledge, err := DecodePledge(r)
+	evidence := r.Bytes()
+	origin := cryptoutil.PublicKey(r.BytesView())
+	sig := r.BytesView()
+	pledge, err := decodePledgeFrame(evidence) // views of evidence, a copy
+	if err == nil {
+		err = r.Done()
+	}
+	if err == nil {
+		err = m.verifyExcludeOrigin(evidence, origin, sig)
+	}
 	if err != nil {
+		m.mu.Lock()
+		m.stats.ExclusionsRefused++
+		m.mu.Unlock()
 		return
 	}
 	slavePub := string(pledge.SlavePub)
@@ -1117,7 +1154,7 @@ func (m *Master) applyExclude(r *wire.Reader) {
 		Subject:  pledge.SlavePub,
 		Reason:   "pledged result hash does not match trusted re-execution",
 		At:       m.rt.Now(),
-		Evidence: EncodePledge(pledge),
+		Evidence: evidence,
 	}
 	excl.Sign(m.cfg.Keys)
 	// The exclusion has already been broadcast cluster-wide; the
@@ -1468,6 +1505,32 @@ func (m *Master) retraction(kind string, subject cryptoutil.PublicKey) pki.Retra
 	r := pki.Retraction{Kind: kind, Subject: subject, At: m.rt.Now()}
 	r.Sign(m.cfg.Keys)
 	return r
+}
+
+// verifyExcludeOrigin checks a bcExclude's signature under origin and that
+// origin is a certified master's key, the way the directory checks a
+// pki.Retraction. With the directory unreachable the exclusion is refused
+// here (and the failure counted in DirectoryErrors): acting on it would
+// reopen the forged-frame hole, and a later report of the same slave (a
+// client's double-check catch) broadcasts it again.
+func (m *Master) verifyExcludeOrigin(evidence []byte, origin cryptoutil.PublicKey, sig []byte) error {
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
+	if err := cryptoutil.Verify(origin, excludeSignedBytes(evidence), sig); err != nil {
+		return err
+	}
+	masters, err := m.certifiedMasters()
+	if err != nil {
+		m.mu.Lock()
+		m.stats.DirectoryErrors++
+		m.mu.Unlock()
+		return err
+	}
+	for _, c := range masters {
+		if bytes.Equal(c.Subject, origin) {
+			return nil
+		}
+	}
+	return errors.New("core: exclusion not issued by a certified master")
 }
 
 // certifiedMasters is the directory's master list less every certificate

@@ -60,6 +60,11 @@ func newMasterRig(t *testing.T, mut func(*MasterConfig)) *masterRig {
 		t.Fatal(err)
 	}
 	net.Register("master", m.Handle)
+	// Certified, as every deployed master is: what it signs for its peers
+	// (a bcExclude) is checked against the directory.
+	cert := pki.Certificate{Role: pki.RoleMaster, Addr: cfg.Addr, Subject: m.PublicKey(), IssuedAt: s.Now()}
+	cert.Sign(owner)
+	dir.Publish(owner.Public, cert)
 	return &masterRig{s: s, net: net, master: m, owner: owner, dir: dir, acl: acl, client: client}
 }
 

@@ -474,8 +474,9 @@ func TestSlaveReadsAtomicWithBatches(t *testing.T) {
 					return
 				default:
 				}
+				asked := queries[(g+i)%len(queries)]
 				req := wire.NewWriter(64)
-				req.Bytes_(queries[(g+i)%len(queries)])
+				req.Bytes_(asked)
 				body, err := sl.Handle("client", MethodRead, req.Bytes())
 				if err != nil {
 					t.Errorf("reader %d: read %d refused: %v", g, i, err)
@@ -486,6 +487,7 @@ func TestSlaveReadsAtomicWithBatches(t *testing.T) {
 					t.Errorf("reader %d: %v", g, err)
 					return
 				}
+				rr.completePledge(asked, sl.cfg.Keys.Public)
 				replies[g] = append(replies[g], rr)
 			}
 		}(g)

@@ -493,9 +493,6 @@ func hostileMasterRig(t *testing.T, evil *cryptoutil.KeyPair, mut func(*MasterCo
 			mut(c)
 		}
 	})
-	cert := pki.Certificate{Role: pki.RoleMaster, Addr: "master", Subject: r.master.PublicKey()}
-	cert.Sign(r.owner)
-	r.dir.Publish(r.owner.Public, cert)
 	return r
 }
 

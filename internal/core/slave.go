@@ -386,17 +386,29 @@ func (s *Slave) syncFrom(masterAddr string) error {
 }
 
 // ReadReply is the slave's answer to a read: the result payload plus the
-// signed pledge. XLie is experiment instrumentation only — it records the
-// ground truth of whether this answer was falsified so the harness can
-// measure undetected-lie rates; it is not part of any signature and no
-// protocol decision may depend on it.
+// signed pledge. On the wire (EncodeReadReply) it is bytes payload ‖ stamp
+// ‖ bytes sig ‖ bool xlie: the pledge's stamp and signature and nothing the
+// client already holds — its own query, the hash of the payload, the key
+// of the slave it asked — so a decoded reply's pledge carries Stamp and Sig
+// only, and Client.verifyReply fills in the rest. XLie is experiment
+// instrumentation only — it records the ground truth of whether this
+// answer was falsified so the harness can measure undetected-lie rates; it
+// is not part of any signature and no protocol decision may depend on it.
 type ReadReply struct {
 	Payload []byte
 	Pledge  Pledge
 	XLie    bool
-	// pledgeBytes is the pledge as it stood in the decoded frame: what the
-	// client forwards is what the slave sent, not a re-encoding of it.
-	pledgeBytes []byte
+}
+
+// completePledge fills in the pledge fields the reply does not carry, from
+// what the asker holds: the query it asked, the hash of the payload it got
+// and the key of the slave it asked. The pledge is then the statement the
+// slave signed if, and only if, the slave answered that query with that
+// payload.
+func (rr *ReadReply) completePledge(queryBytes []byte, slavePub cryptoutil.PublicKey) *Pledge {
+	p := &rr.Pledge
+	p.QueryBytes, p.ResultHash, p.SlavePub = queryBytes, cryptoutil.HashBytes(rr.Payload), slavePub
+	return p
 }
 
 // EncodeReadReply serializes a reply to a detached frame (reply bodies
@@ -404,34 +416,33 @@ type ReadReply struct {
 func EncodeReadReply(rr ReadReply) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Bytes_(rr.Payload)
-		rr.Pledge.Encode(w)
+		rr.Pledge.Stamp.Encode(w)
+		w.Bytes_(rr.Pledge.Sig)
 		w.Bool(rr.XLie)
 	})
 }
 
 // DecodeReadReply parses a reply by view: the payload (capacity clipped)
-// and the pledge's query, keys and signatures alias b, which the caller
-// must own — a reply body is its caller's under both transports.
+// and the stamp's key and both signatures alias b, which the caller must
+// own — a reply body is its caller's under both transports.
 func DecodeReadReply(b []byte) (ReadReply, error) {
 	r := wire.NewReader(b)
 	var rr ReadReply
 	rr.Payload = r.BytesView()
-	start := len(b) - r.Remaining()
 	var err error
-	rr.Pledge, err = decodePledge(r)
-	if err != nil {
+	if rr.Pledge.Stamp, err = decodeStamp(r); err != nil {
 		return rr, err
 	}
-	end := len(b) - r.Remaining()
-	rr.pledgeBytes = b[start:end:end]
+	rr.Pledge.Sig = r.BytesView()
 	rr.XLie = r.Bool()
 	return rr, r.Done()
 }
 
 func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
-	// Zero-copy view: the query bytes are re-encoded into the pledge
-	// before this handler returns, never retained past body's lifetime.
+	// Zero-copy view: the query bytes are signed (or looked up) before
+	// this handler returns, never retained past body's lifetime, and never
+	// sent back — the client holds them.
 	queryBytes := r.BytesView()
 	if err := r.Done(); err != nil {
 		return nil, err

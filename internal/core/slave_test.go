@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -53,15 +54,20 @@ func (r *slaveRig) keepAlive(version uint64) {
 	}
 }
 
+// read asks the slave q and returns its reply with the pledge completed
+// the way a client completes it.
 func (r *slaveRig) read(t *testing.T, q query.Query) (ReadReply, error) {
 	t.Helper()
+	qb := query.Encode(q)
 	w := wire.NewWriter(64)
-	w.Bytes_(query.Encode(q))
+	w.Bytes_(qb)
 	body, err := r.slave.Handle("client", MethodRead, w.Bytes())
 	if err != nil {
 		return ReadReply{}, err
 	}
-	return DecodeReadReply(body)
+	rr, err := DecodeReadReply(body)
+	rr.completePledge(qb, r.slave.cfg.Keys.Public)
+	return rr, err
 }
 
 func TestSlaveRefusesWithoutKeepAlive(t *testing.T) {
@@ -316,10 +322,11 @@ func TestReadReplyCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got.Payload) != "r" || !got.XLie {
+	if string(got.Payload) != "r" || !got.XLie || !bytes.Equal(got.Pledge.Sig, p.Sig) ||
+		!bytes.Equal(got.Pledge.Stamp.signedBytes(), stamp.signedBytes()) || !bytes.Equal(got.Pledge.Stamp.Sig, stamp.Sig) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if err := got.Pledge.VerifySig(); err != nil {
+	if err := got.completePledge([]byte("q"), slave.Public).VerifySig(); err != nil {
 		t.Fatalf("pledge: %v", err)
 	}
 	// Truncated reply fails.

@@ -19,14 +19,13 @@ import (
 
 // Errors shared across the protocol.
 var (
-	ErrBadStamp     = errors.New("core: version stamp signature invalid")
-	ErrBadPledge    = errors.New("core: pledge signature invalid")
-	ErrStale        = errors.New("core: content version stamp is stale")
-	ErrHashMismatch = errors.New("core: result hash does not match pledge")
-	ErrNotProven    = errors.New("core: reported pledge is not a valid misbehaviour proof")
-	ErrDenied       = errors.New("core: write denied by access control policy")
-	ErrThrottled    = errors.New("core: double-check throttled (greedy client suspected)")
-	ErrNoSlaves     = errors.New("core: master has no slaves available")
+	ErrBadStamp  = errors.New("core: version stamp signature invalid")
+	ErrBadPledge = errors.New("core: pledge signature invalid")
+	ErrStale     = errors.New("core: content version stamp is stale")
+	ErrNotProven = errors.New("core: reported pledge is not a valid misbehaviour proof")
+	ErrDenied    = errors.New("core: write denied by access control policy")
+	ErrThrottled = errors.New("core: double-check throttled (greedy client suspected)")
+	ErrNoSlaves  = errors.New("core: master has no slaves available")
 )
 
 // Stamp kinds. A keep-alive stamp's OpDigest is zero and a snapshot
@@ -338,7 +337,12 @@ func decodeStamp(r *wire.Reader) (VersionStamp, error) {
 //
 // Sig covers the query, the result hash, Stamp.Version and the slave's
 // key; the rest of Stamp is the master's word, under the master's own
-// signature, and whoever relies on it verifies that (sigcache.go).
+// signature, and whoever relies on it verifies that (sigcache.go). No
+// pledge travels whole. The s.read reply carries the stamp and Sig beside
+// the payload, and the client rebuilds the rest from what it already
+// holds (Client.verifyReply). The evidence frame (Encode) carries the
+// signed statement and Sig and no other byte of the stamp: it decodes to
+// a pledge whose Stamp has only Version set.
 type Pledge struct {
 	QueryBytes []byte // encoded query (the "copy of the request")
 	ResultHash cryptoutil.Digest
@@ -347,12 +351,19 @@ type Pledge struct {
 	Sig        []byte
 }
 
-func (p *Pledge) appendSignedBytes(w *wire.Writer) {
-	w.String_("pledge.v2")
+// appendStatement appends what the slave states: query, result hash,
+// version and its own key. The signature covers it under a domain tag;
+// the evidence frame is it and the signature.
+func (p *Pledge) appendStatement(w *wire.Writer) {
 	w.Bytes_(p.QueryBytes)
 	w.Bytes_(p.ResultHash[:])
 	w.Uvarint(p.Stamp.Version)
 	w.Bytes_(p.SlavePub)
+}
+
+func (p *Pledge) appendSignedBytes(w *wire.Writer) {
+	w.String_("pledge.v2")
+	p.appendStatement(w)
 }
 
 // SignPledge builds and signs a pledge over (query, result hash, version).
@@ -368,33 +379,31 @@ func (p *Pledge) VerifySig() error {
 	return err
 }
 
-// Encode appends the pledge to w.
+// Encode appends the pledge's evidence frame to w: bytes query ‖ bytes
+// result hash ‖ uvarint version ‖ bytes slave key ‖ bytes sig — what a.pledge,
+// a.pledgemulti, m.report, bcExclude and pki.Exclusion.Evidence carry.
 func (p *Pledge) Encode(w *wire.Writer) {
-	w.Bytes_(p.QueryBytes)
-	w.Bytes_(p.ResultHash[:])
-	p.Stamp.Encode(w)
-	w.Bytes_(p.SlavePub)
+	p.appendStatement(w)
 	w.Bytes_(p.Sig)
 }
 
-// EncodePledge serializes a pledge to a fresh, detached byte slice that
-// the caller may retain.
+// EncodePledge serializes a pledge's evidence frame to a fresh, detached
+// byte slice that the caller may retain.
 func EncodePledge(p Pledge) []byte {
 	return wire.EncodeFrame(p.Encode)
 }
 
-// DecodePledge reads a pledge from r. Every field is a copy, so the pledge
-// outlives r's buffer; DecodeReadReply and decodePledgeFrame take views.
+// DecodePledge reads an evidence frame from r. Every field is a copy, so
+// the pledge outlives r's buffer; decodePledgeFrame takes views.
 func DecodePledge(r *wire.Reader) (Pledge, error) {
 	p, err := decodePledge(r)
 	p.QueryBytes, p.SlavePub, p.Sig = bytes.Clone(p.QueryBytes), bytes.Clone(p.SlavePub), bytes.Clone(p.Sig)
-	p.Stamp.MasterPub, p.Stamp.Sig = bytes.Clone(p.Stamp.MasterPub), bytes.Clone(p.Stamp.Sig)
 	return p, err
 }
 
-// decodePledgeFrame decodes a frame that holds exactly one pledge, without
-// the copies: the query, keys and signatures alias frame, which the caller
-// must own for as long as it keeps the pledge.
+// decodePledgeFrame decodes a frame that is exactly one evidence frame,
+// without the copies: the query, key and signature alias frame, which the
+// caller must own for as long as it keeps the pledge.
 func decodePledgeFrame(frame []byte) (Pledge, error) {
 	r := wire.NewReader(frame)
 	p, err := decodePledge(r)
@@ -404,8 +413,8 @@ func decodePledgeFrame(frame []byte) (Pledge, error) {
 	return p, r.Done()
 }
 
-// decodePledge reads a pledge whose query, keys and signatures alias r's
-// buffer.
+// decodePledge reads an evidence frame whose query, key and signature
+// alias r's buffer. Of the stamp only Version is set.
 func decodePledge(r *wire.Reader) (Pledge, error) {
 	var p Pledge
 	p.QueryBytes = r.BytesView()
@@ -415,11 +424,7 @@ func decodePledge(r *wire.Reader) (Pledge, error) {
 	} else if r.Err() == nil {
 		return p, fmt.Errorf("core: bad result hash length %d", len(h))
 	}
-	var err error
-	p.Stamp, err = decodeStamp(r)
-	if err != nil {
-		return p, err
-	}
+	p.Stamp.Version = r.Uvarint()
 	p.SlavePub = cryptoutil.PublicKey(r.BytesView())
 	p.Sig = r.BytesView()
 	return p, r.Err()

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/pki"
 	"repro/internal/wire"
 )
 
@@ -54,9 +53,6 @@ func TestCatchUpSurvivesHostileSyncCount(t *testing.T) {
 	dir := t.TempDir()
 	r := newMasterRig(t, func(cfg *MasterConfig) { cfg.DataDir = dir })
 	t.Cleanup(r.master.Stop)
-	cert := pki.Certificate{Role: pki.RoleMaster, Addr: "master", Subject: r.master.PublicKey(), IssuedAt: r.s.Now()}
-	cert.Sign(r.owner)
-	r.dir.Publish(r.owner.Public, cert)
 	r.net.Register("peer", func(from, method string, body []byte) ([]byte, error) { return hugeCount, nil })
 	var err error
 	r.s.Go(func() { err = r.master.catchUpFrom("peer") })

@@ -493,7 +493,6 @@ func (sc *Scenario) TotalClientStats() core.ClientStats {
 		t.ReadsFailed += st.ReadsFailed
 		t.StaleRejects += st.StaleRejects
 		t.SlaveStale += st.SlaveStale
-		t.HashMismatches += st.HashMismatches
 		t.BadPledges += st.BadPledges
 		t.Retries += st.Retries
 		t.DoubleChecks += st.DoubleChecks
