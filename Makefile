@@ -6,16 +6,19 @@
 #                     wire-buffer and merkle-scratch paths; the
 #                     schedule-sensitive broadcast package and the
 #                     auditor's tests ten times over), then the
-#                     E15 batch-throughput, E16 checkpointing, E17
-#                     crash-recovery, E18 hot-path, and E19 shard-scaling
-#                     benchmarks emitting BENCH_e15.json … BENCH_e19.json (the
-#                     perf trajectory record), the workload × fault
-#                     matrix emitting BENCH_matrix.json (smoke grid;
+#                     simulator's record BENCH_sim.json (bench-sim), the
+#                     workload × fault matrix emitting BENCH_matrix.json
+#                     (smoke grid;
 #                     MATRIX_FULL=1 runs the exhaustive grid), a short
 #                     fuzz smoke over the decoders in FUZZ_TARGETS, the
 #                     README package-map completeness
 #                     check, and a smoke run of the real-clock benchmark
 #                     under bench/.
+#   make bench-sim  — the E15 batch-throughput, E16 checkpointing, E17
+#                     crash-recovery, E18 hot-path and E19 shard-scaling
+#                     tables at full scale, as one deterministic JSON
+#                     document, BENCH_sim.json: the virtual-time figures
+#                     the README quotes (about 75 s on a 2-core host).
 #   make lint       — repllint (the in-tree go/analysis suite under
 #                     internal/analysis: lockcheck and trustcheck),
 #                     then staticcheck and
@@ -35,12 +38,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-# The experiments whose BenchmarkE<nn> run writes BENCH_e<nn>.json.
-BENCH_EXPS := $(addprefix bench-e,15 16 17 18 19)
+.PHONY: verify build vet lint race bench-sim bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
 
-.PHONY: verify build vet lint race $(BENCH_EXPS) bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
-
-verify: build vet lint race $(BENCH_EXPS) bench-matrix fuzz-smoke check-readme bench-smoke
+verify: build vet lint race bench-sim bench-matrix fuzz-smoke check-readme bench-smoke
 
 build:
 	$(GO) build ./...
@@ -81,9 +81,11 @@ race:
 	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' ./internal/core/
 	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
 
-$(BENCH_EXPS): bench-e%:
-	$(GO) test -run '^$$' -bench BenchmarkE$* -benchtime 1x -json . > BENCH_e$*.json
-	@grep -c '"Action"' BENCH_e$*.json >/dev/null && echo "wrote BENCH_e$*.json"
+# The simulator's record: virtual time, so one seed always writes the
+# same bytes, and a table that moves shows in the file's diff.
+bench-sim:
+	$(GO) run ./cmd/replsim -exp E15,E16,E17,E18,E19 -json > BENCH_sim.json
+	@echo "wrote BENCH_sim.json"
 
 # The workload × fault matrix: every cell must end converged with zero
 # lost/duplicated writes or the run (and so `make verify`) fails. The
@@ -120,6 +122,8 @@ FUZZ_TARGETS := \
 	internal/core:FuzzDecodePledge \
 	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzDecodeStateTransfer \
+	internal/core:FuzzDecodeBatchMessage \
+	internal/broadcast:FuzzMemberHandle \
 	internal/dirsrv:FuzzDecodeShardMap \
 	internal/store:FuzzNumericValue
 

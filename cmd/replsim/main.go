@@ -4,7 +4,7 @@
 // Usage:
 //
 //	replsim -list
-//	replsim -exp E1,E7 [-seed 42] [-scale 1] [-markdown]
+//	replsim -exp E1,E7 [-seed 42] [-scale 1] [-markdown | -json]
 //	replsim -all
 //	replsim -scenario -masters 3 -slaves 4 -clients 8 -liars 2 -duration 2m
 //	replsim -scenario -clients 16 -writeevery 2 -batch 16 -maxlatency 10ms
@@ -13,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -34,6 +36,7 @@ func main() {
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		scale      = flag.Int("scale", 1, "divide experiment sizes by this factor (1 = full)")
 		markdown   = flag.Bool("markdown", false, "emit tables as markdown")
+		jsonOut    = flag.Bool("json", false, "emit the experiments' tables as one JSON document, without wall times: a seed's output is byte-identical run to run")
 	)
 	scFlags := registerScenarioFlags()
 	flag.Parse()
@@ -77,12 +80,21 @@ func main() {
 		os.Exit(2)
 	}
 
+	type expTables struct {
+		ID, Claim string
+		Tables    []*metrics.Table
+	}
+	var report []expTables
 	for _, id := range ids {
 		e, err := harness.Find(id)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			stopProfiles() // os.Exit skips the deferred call
 			os.Exit(1)
+		}
+		if *jsonOut {
+			report = append(report, expTables{e.ID, e.Claim, e.Run(*seed, harness.Scale(*scale))})
+			continue
 		}
 		fmt.Printf("== %s: %s\n", e.ID, e.Claim)
 		start := time.Now()
@@ -96,5 +108,19 @@ func main() {
 			}
 		}
 		fmt.Printf("\n   (%s in %v wall time)\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+	}
+	if *jsonOut {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		err := enc.Encode(struct {
+			Seed        int64
+			Scale       int
+			Experiments []expTables
+		}{*seed, *scale, report})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			stopProfiles() // os.Exit skips the deferred call
+			os.Exit(1)
+		}
 	}
 }

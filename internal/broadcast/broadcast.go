@@ -5,6 +5,7 @@ package broadcast
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -621,15 +622,20 @@ func (m *Member) fetchRange(from string, hi uint64) {
 	m.mu.Unlock()
 }
 
+// serveFetch answers b.fetch with every entry the log holds in [lo, hi],
+// in slot order. The range comes off an unauthenticated wire, so it walks
+// the entries held, never the slots named: [1, 2^64-1] would otherwise
+// hold m.mu for good.
 func (m *Member) serveFetch(lo, hi uint64) []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var held []uint64
-	for s := lo; s <= hi; s++ {
-		if _, ok := m.log[s]; ok {
+	for s := range m.log {
+		if lo <= s && s <= hi {
 			held = append(held, s)
 		}
 	}
+	slices.Sort(held)
 	w := wire.NewWriter(256)
 	w.Uvarint(uint64(len(held)))
 	for _, s := range held {

@@ -2,12 +2,14 @@ package broadcast
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 type cluster struct {
@@ -400,4 +402,59 @@ func TestTruncatedEntriesNotRearchived(t *testing.T) {
 		s.Stop()
 	})
 	c.run(time.Hour)
+}
+
+// TestFetchUnboundedRangeAnswersHeldEntries asks a member for b.fetch's
+// widest range, [1, 2^64-1], after a forged b.commit has parked an entry
+// at slot 2^62: the answer must come at once and carry exactly the
+// entries the log holds, in slot order. Walking the named slots one by
+// one, under the member's lock, would never end.
+func TestFetchUnboundedRangeAnswersHeldEntries(t *testing.T) {
+	s := sim.New(1)
+	c := newCluster(t, s, 3)
+	s.Go(func() {
+		for _, msg := range []string{"a", "b", "c"} {
+			if err := c.members[0].Broadcast([]byte(msg)); err != nil {
+				t.Errorf("broadcast %s: %v", msg, err)
+			}
+		}
+	})
+	c.run(2 * time.Second)
+	const far = 1 << 62
+	forged := wire.NewWriter(32)
+	forged.Uvarint(0)   // view
+	forged.Uvarint(far) // slot
+	forged.Uvarint(0)   // closed
+	entry{id: submitID{origin: 2, n: 9}, msg: []byte("far")}.encode(forged)
+	if _, err := c.members[1].Handle("m0", MethodCommit, forged.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	req := wire.NewWriter(24)
+	req.Uvarint(1)
+	req.Uvarint(math.MaxUint64)
+	reply := make(chan []byte, 1)
+	go func() {
+		body, _ := c.members[1].Handle("m2", MethodFetch, req.Bytes())
+		reply <- body
+	}()
+	var body []byte
+	select {
+	case body = <-reply:
+	case <-time.After(5 * time.Second):
+		t.Fatal("b.fetch of [1, 2^64-1] still running after 5 s")
+	}
+	r := wire.NewReader(body)
+	var got []string
+	for n := r.Uvarint(); n > 0 && r.Err() == nil; n-- {
+		seq := r.Uvarint()
+		got = append(got, fmt.Sprintf("%d:%s", seq, decodeEntry(r).msg))
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"1:a", "2:b", "3:c", fmt.Sprintf("%d:far", uint64(far))}
+	if strings.Join(got, ",") != strings.Join(want, ",") || c.members[1].ArchiveLen() != len(want) {
+		t.Fatalf("fetch answered %v with %d entries held, want %v", got, c.members[1].ArchiveLen(), want)
+	}
 }

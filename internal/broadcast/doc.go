@@ -73,6 +73,13 @@
 // partitioned across a truncation cannot fetch the gap back and needs a
 // full state transfer.
 //
+// Untrusted senders. A master serves b.* on the address its clients
+// reach, so a handler never sizes its work by a count or range off the
+// wire: b.fetch walks the entries the log holds, not the slots it names.
+// Nothing authenticates the sequencer, though: a forged b.commit that
+// reaches a member before the sequencer's takes the slot there, and that
+// member delivers it (an open hole; the repository's ROADMAP, item 3).
+//
 // Operational note: the hosting master wires Config.CallTimeout to
 // Params.KeepAliveEvery, so KeepAliveEvery doubles as the broadcast RPC
 // timeout — keep one-way link latency well under half of it or every

@@ -33,11 +33,11 @@ func TestAdaptiveFlushTimeoutBounds(t *testing.T) {
 // TestAdaptiveFlushCoalescingBehavior drives the same load through a
 // static-timeout master and an adaptive one. Full synchronized waves
 // must coalesce identically (adaptation must not cut filled batches
-// into timer flushes), while a wave whose tail under-fills the last
-// batch must commit much sooner under the adaptive timer: the wave's
-// same-instant arrivals push the rate EWMA down, so the tail's flush
-// timer shrinks toward BatchTimeout/16 instead of waiting out the
-// full static timeout.
+// into timer flushes), while a short wave that arrives just behind a
+// full one must commit much sooner under the adaptive timer: the full
+// wave's same-instant arrivals push the rate EWMA down, so the short
+// wave's flush timer shrinks toward BatchTimeout/16 instead of waiting
+// out the full static timeout.
 func TestAdaptiveFlushCoalescingBehavior(t *testing.T) {
 	run := func(adaptive bool) (full, timer uint64, tailLatency time.Duration) {
 		s := sim.New(73)
@@ -50,13 +50,18 @@ func TestAdaptiveFlushCoalescingBehavior(t *testing.T) {
 		o.batchAdaptive = adaptive
 		c := newTestCluster(t, s, o)
 		cl := c.addClient(t, 0, func(cc *ClientConfig) { cc.PreferredMaster = 0 })
+		short := c.addClient(t, 1, func(cc *ClientConfig) { cc.PreferredMaster = 0 })
 		s.Go(func() {
 			s.Sleep(c.warmup())
 			if err := cl.Setup(); err != nil {
 				t.Errorf("setup: %v", err)
 				return
 			}
-			wave := func(n int, round int) {
+			if err := short.Setup(); err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			wave := func(cl *Client, n int, round int) {
 				ops := make([]store.Op, n)
 				for j := range ops {
 					ops[j] = store.Put{Key: fmt.Sprintf("w/%d-%d", round, j), Value: []byte("v")}
@@ -67,12 +72,19 @@ func TestAdaptiveFlushCoalescingBehavior(t *testing.T) {
 			}
 			// Full waves: must flush full under both timers.
 			for r := 0; r < 4; r++ {
-				wave(16, r)
+				wave(cl, 16, r)
 			}
-			// Tail wave: 16 flush full, 8 wait on the flush timer.
+			// Short wave: 8 ops a millisecond behind a full wave wait on
+			// the flush timer.
+			fullDone := false
+			s.Spawn(func() { wave(cl, 16, 4); fullDone = true })
+			s.Sleep(time.Millisecond)
 			start := s.Now()
-			wave(24, 4)
+			wave(short, 8, 5)
 			tailLatency = s.Now().Sub(start)
+			for !fullDone {
+				s.Sleep(time.Millisecond)
+			}
 			st := c.masters[0].Stats()
 			full, timer = st.BatchFlushFull, st.BatchFlushTimer
 		})
@@ -86,10 +98,10 @@ func TestAdaptiveFlushCoalescingBehavior(t *testing.T) {
 		t.Fatalf("full-batch coalescing changed: static=%d adaptive=%d full flushes, want 5", sFull, aFull)
 	}
 	if sTimer != 1 || aTimer != 1 {
-		t.Fatalf("tail flush: static=%d adaptive=%d timer flushes, want 1 each", sTimer, aTimer)
+		t.Fatalf("short wave: static=%d adaptive=%d timer flushes, want 1 each", sTimer, aTimer)
 	}
-	// The static tail waits the full 40ms timeout; the adaptive one
-	// should flush near the 2.5ms floor. Demand at least half the
+	// The static short wave waits the full 40ms timeout; the adaptive
+	// one should flush near the 2.5ms floor. Demand at least half the
 	// static timeout back to keep the assertion robust.
 	if aLat >= sLat-20*time.Millisecond {
 		t.Fatalf("adaptive tail latency %v not meaningfully below static %v", aLat, sLat)

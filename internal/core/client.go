@@ -441,13 +441,15 @@ func (c *Client) Write(op store.Op) (uint64, error) {
 }
 
 // WriteMulti submits a wave of ops and returns the assigned versions in
-// submission order; an op the pipeline dropped reports version 0 and an
-// aggregate error. The wave is split by the shard table, and each group's
+// submission order. The wave is split by the shard table, and each group's
 // part travels in shard-id order as ONE m.writemulti frame under ONE
 // client signature (WriteWave): its master verifies the signature and the
 // ACL once, validates every op, and admits or refuses the part whole — so
 // n writes cost one client signature per group, ~n/BatchSize master
-// signatures and one network exchange per group. A part refused as
+// signatures and one network exchange per group. Each part commits whole,
+// in one batch at contiguous versions, or not at all: one that did not
+// commit reports version 0 for each of its ops, and WriteMulti returns
+// its error without sending the parts after it. A part refused as
 // wrong-shard (the table was stale) committed nothing: the client re-reads
 // the table and re-sends only that part, at most shardRedirectAttempts
 // times.
@@ -480,7 +482,7 @@ func (c *Client) WriteMulti(ops []store.Op) ([]uint64, error) {
 			for j, i := range idxs {
 				part[j] = ops[i]
 			}
-			vs, err := c.writeGroup(g, part)
+			first, err := c.writeGroup(g, part)
 			if IsWrongShard(err) {
 				lastErr = err
 				c.mu.Lock()
@@ -490,11 +492,11 @@ func (c *Client) WriteMulti(ops []store.Op) ([]uint64, error) {
 				redirected = append(redirected, idxs...)
 				continue
 			}
-			for j := 0; j < len(vs) && j < len(idxs); j++ {
-				versions[idxs[j]] = vs[j]
-			}
 			if err != nil {
 				return versions, err
+			}
+			for j, i := range idxs {
+				versions[i] = first + uint64(j)
 			}
 		}
 		remaining = redirected
@@ -507,9 +509,19 @@ func (c *Client) WriteMulti(ops []store.Op) ([]uint64, error) {
 }
 
 // writeGroup sends one group's part of a wave to the group's master and
-// returns its versions. A transport failure means the master crashed: the
-// group redoes setup and the part is sent once more.
-func (c *Client) writeGroup(g *group, ops []store.Op) ([]uint64, error) {
+// returns the version of its first op: the part commits whole, at
+// first…first+len(ops)-1, or not at all. A transport failure means the
+// master crashed: the group redoes setup and the part is sent once more.
+func (c *Client) writeGroup(g *group, ops []store.Op) (first uint64, err error) {
+	defer func() {
+		c.mu.Lock()
+		if err == nil {
+			c.stats.WritesOK += uint64(len(ops))
+		} else {
+			c.stats.WritesFailed += uint64(len(ops))
+		}
+		c.mu.Unlock()
+	}()
 	ww := SignWave(c.cfg.Keys, ops)
 	reqFrame := wire.EncodeFrame(ww.Encode)
 
@@ -517,53 +529,25 @@ func (c *Client) writeGroup(g *group, ops []store.Op) ([]uint64, error) {
 		c.mu.Lock()
 		masterAddr := g.masterAddr
 		c.mu.Unlock()
-		body, err := c.dlr.Call(masterAddr, MethodWriteMulti, reqFrame)
+		var body []byte
+		body, err = c.dlr.Call(masterAddr, MethodWriteMulti, reqFrame)
 		if err == nil {
 			r := wire.NewReader(body)
-			n := r.Uvarint()
-			if r.Err() == nil && n != uint64(len(ops)) {
-				return nil, fmt.Errorf("core: write wave reply carries %d versions for %d ops", n, len(ops))
+			first = r.Uvarint()
+			if err = r.Done(); err == nil && first == 0 {
+				err = fmt.Errorf("core: a wave of %d writes was not committed", len(ops))
 			}
-			versions := make([]uint64, 0, n)
-			for i := uint64(0); i < n; i++ {
-				versions = append(versions, r.Uvarint())
-			}
-			if err := r.Done(); err != nil {
-				return nil, err
-			}
-			var failed int
-			for _, v := range versions {
-				if v == 0 {
-					failed++
-				}
-			}
-			c.mu.Lock()
-			c.stats.WritesOK += uint64(len(versions) - failed)
-			c.stats.WritesFailed += uint64(failed)
-			c.mu.Unlock()
-			if failed > 0 {
-				return versions, fmt.Errorf("core: %d of %d wave writes were not committed", failed, len(ops))
-			}
-			return versions, nil
+			return first, err
 		}
 		if rpc.IsRemote(err) {
-			c.mu.Lock()
-			c.stats.WritesFailed += uint64(len(ops))
-			c.mu.Unlock()
-			return nil, err
+			return 0, err
 		}
 		// Transport failure: master crashed; redo setup and retry once.
-		if rerr := c.resetup(g); rerr != nil {
-			c.mu.Lock()
-			c.stats.WritesFailed += uint64(len(ops))
-			c.mu.Unlock()
-			return nil, rerr
+		if err = c.resetup(g); err != nil {
+			return 0, err
 		}
 	}
-	c.mu.Lock()
-	c.stats.WritesFailed += uint64(len(ops))
-	c.mu.Unlock()
-	return nil, rpc.ErrUnreachable
+	return 0, rpc.ErrUnreachable
 }
 
 // Read executes q through the untrusted read protocol (§3.2) with the

@@ -82,12 +82,16 @@
 //	m.writemulti bytes clientPub ‖ uvarint n ‖ n × bytes op ‖ bytes sig —
 //	             ONE sig over "wave.v1" ‖ clientPub ‖ n ‖ every op
 //	             (WriteWave); the only layout accepted, admitted or
-//	             refused whole. Reply: uvarint n ‖ n × uvarint version.
+//	             refused whole, and committed whole in one batch or not
+//	             at all. Reply: uvarint first — the version of the
+//	             wave's first op, the rest following contiguously; 0
+//	             means not committed.
 //	bcBatch      kind byte ‖ string origin ‖ uvarint batchNo ‖ uvarint n
-//	             ‖ n × bytes op — no client key or signature (nothing
-//	             reads them after admission) and no per-op id: the
-//	             origin finds its waiters by batchNo and resolves them
-//	             by position, every other member ignores both fields.
+//	             ‖ n × bytes op — every queued wave's ops in order, with
+//	             no client key or signature (nothing reads them after
+//	             admission), no wave boundary and no per-op id: the
+//	             origin finds its waiting waves by batchNo and resolves
+//	             them by wave, every other member ignores both fields.
 //	s.updatebatch uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp ‖
 //	             string masterAddr (BatchUpdate) — no membership
 //	             proofs: the slave rebuilds the merkle root over all n

@@ -527,8 +527,9 @@ func TestStalledCheckpointSyncServesCurrentState(t *testing.T) {
 	}
 }
 
-// TestBatchOfOneAndOfEightEquivalent commits one op sequence twice, through
-// masters that flush every write alone and masters that batch by eight. A
+// TestBatchOfOneAndOfEightEquivalent commits one op sequence twice: as
+// waves of one through a master that flushes every wave alone, and as
+// waves of eight through a master that batches by eight. A
 // write that commits alone takes the batch path with a one-leaf tree, so
 // the two runs must agree everywhere the ops land: master, slave and
 // auditor replicas, and the state a restarted master replays from its WAL.
@@ -551,7 +552,16 @@ func TestBatchOfOneAndOfEightEquivalent(t *testing.T) {
 				t.Errorf("setup: %v", err)
 				return
 			}
-			writeWaves(t, cl, 5, 8, "w")
+			ops := make([]store.Op, 40)
+			for i := range ops {
+				ops[i] = store.Put{Key: fmt.Sprintf("w/%d-%d", i/8, i%8), Value: []byte("v")}
+			}
+			for ; len(ops) > 0; ops = ops[batchSize:] {
+				if _, err := cl.WriteMulti(ops[:batchSize]); err != nil {
+					t.Errorf("batch size %d: %v", batchSize, err)
+					return
+				}
+			}
 			// Past the auditor's window, so its replica has every write.
 			s.Sleep(c.params.MaxLatency + c.params.AuditorSlack + time.Second)
 		})

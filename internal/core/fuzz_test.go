@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -111,6 +112,57 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 			}
 		}
 		if !bytes.Equal(EncodeBatchUpdate(again), enc) {
+			t.Fatal("re-encoding is not canonical")
+		}
+	})
+}
+
+// FuzzDecodeBatchMessage drives the bcBatch body decoder — what every
+// master and the auditor read from a delivered broadcast slot, and what
+// b.submit takes from anyone — over arbitrary bytes. The invariants: no
+// panic; whatever decodes re-encodes through encodeBatchMessage to a
+// frame that decodes to the same origin, batch number and ops; and that
+// re-encoding is a fixed point, byte for byte. (A body with overlong
+// varints decodes too, so it is the re-encoding, not the body, that is
+// canonical.)
+func FuzzDecodeBatchMessage(f *testing.F) {
+	body := func(origin string, no uint64, ops ...[]byte) []byte {
+		return encodeBatchMessage(origin, no, []queuedWave{{ops: ops}})[1:] // after the kind byte
+	}
+	f.Add(body("master-0", 7, store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}),
+		store.EncodeOp(store.Delete{Key: "b"}), []byte{0xff})) // the last op does not decode; the frame does
+	f.Add(body("m", 1))
+	f.Add([]byte{})
+	f.Add([]byte{0x01, 'm', 0x81, 0x00, 0x01, 0x01, 'x'})        // batch number as an overlong varint
+	f.Add([]byte{0x01, 'm', 0x07, 0xff, 0xff, 0xff, 0xff, 0x0f}) // op count far beyond the frame
+	f.Add(append(body("m", 2, []byte("op")), 0x00))              // trailing byte
+
+	decode := func(frame []byte) (string, uint64, [][]byte, error) {
+		return decodeBatchMessage(wire.NewReader(frame))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		origin, no, ops, err := decode(data)
+		if err != nil {
+			return
+		}
+		enc := encodeBatchMessage(origin, no, []queuedWave{{ops: ops}})
+		if enc[0] != bcBatch {
+			t.Fatalf("re-encoded frame starts with kind %d", enc[0])
+		}
+		origin2, no2, ops2, err := decode(enc[1:])
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if origin2 != origin || no2 != no || len(ops2) != len(ops) {
+			t.Fatalf("round trip changed the batch: %q/%d/%d ops -> %q/%d/%d ops",
+				origin, no, len(ops), origin2, no2, len(ops2))
+		}
+		for i := range ops {
+			if !bytes.Equal(ops2[i], ops[i]) {
+				t.Fatalf("round trip changed op %d", i)
+			}
+		}
+		if !bytes.Equal(encodeBatchMessage(origin2, no2, []queuedWave{{ops: ops2}}), enc) {
 			t.Fatal("re-encoding is not canonical")
 		}
 	})

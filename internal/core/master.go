@@ -97,12 +97,14 @@ type MasterConfig struct {
 	CPU *sim.Resource
 	// Seed drives throttling randomness.
 	Seed int64
-	// BatchSize is the maximum number of concurrent writes accumulated
-	// into one batched commit (one signature, one broadcast, one slave
-	// update). <=1 disables accumulation: every write commits alone, as
-	// a batch of one.
+	// BatchSize is the op count that closes a batched commit (one
+	// signature, one broadcast, one slave update): the batch takes the
+	// queued waves up to the first that brings it to BatchSize ops or
+	// more. A wave is never split, so one larger than BatchSize commits
+	// in a batch of its own size. <=1 disables accumulation: every wave
+	// commits alone, as a batch of its own.
 	BatchSize int
-	// BatchTimeout bounds how long the first write in a batch waits for
+	// BatchTimeout bounds how long the first wave in a batch waits for
 	// company before a short batch is flushed anyway (0 = MaxLatency/4).
 	// Irrelevant when BatchSize <= 1.
 	BatchTimeout time.Duration
@@ -174,7 +176,8 @@ type Master struct {
 	lastMark    versionMark             // guarded by mu; version + broadcast seq of the newest applied batch
 	lastCommit  time.Time               // guarded by mu
 	nextWriteAt time.Time               // guarded by mu
-	batchQueue  []batchWaiter           // guarded by mu; admitted writes awaiting the next flush
+	batchQueue  []queuedWave            // guarded by mu; admitted waves awaiting the next flush
+	queuedOps   int                     // guarded by mu; ops the queued waves hold together
 	batchGen    uint64                  // guarded by mu; flush generation (dedups timer flushes)
 	arrivalEWMA time.Duration           // guarded by mu; smoothed write inter-arrival gap (adaptive flush)
 	lastArrival time.Time               // guarded by mu; previous write's arrival (adaptive flush)
@@ -194,9 +197,9 @@ type Master struct {
 
 	// This master's batches between Broadcast and delivery, by the batch
 	// number their bcBatch frame carries; whoever removes one resolves its
-	// waiters. Numbers start at the clock, so a restart never reuses one.
-	batchNo  uint64                   // guarded by mu
-	inflight map[uint64][]batchWaiter // guarded by mu
+	// waves. Numbers start at the clock, so a restart never reuses one.
+	batchNo  uint64                  // guarded by mu
+	inflight map[uint64][]queuedWave // guarded by mu
 
 	// Durable state (DataDir set; see durable.go). walMu serializes the
 	// log file operations — the delivery drainer appends and syncs,
@@ -245,7 +248,7 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		excluded:     make(map[string]bool),
 		lastTruncate: rt.Now(),
 		batchNo:      uint64(rt.Now().UnixNano()),
-		inflight:     make(map[uint64][]batchWaiter),
+		inflight:     make(map[uint64][]queuedWave),
 		greedy:       newGreedyTracker(cfg.Params),
 		stamps:       newSigCache(stampMemoSize),
 	}
@@ -381,20 +384,22 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 
 // --- Write path ----------------------------------------------------------
 //
-// Writes flow through a batched, pipelined commit path. handleWriteMulti
-// admits a wave (signature + ACL, once) and enqueues its ops in the batch
-// accumulator; the batch flushes when it reaches BatchSize or when
-// BatchTimeout elapses, whichever first. One flush produces one ordered
-// broadcast, one batch-root signature, and one update push per slave —
-// amortizing the dominant per-write signing cost (§3.4) across every
-// member of the batch while preserving the exact version sequence and
-// store digest that sequential commits would produce.
+// Writes flow through a batched, pipelined commit path whose unit is the
+// client's wave. handleWriteMulti admits a wave (signature + ACL, once),
+// queues it whole and waits on it once; the batch flushes at the first
+// wave that brings it to BatchSize ops or more, or when BatchTimeout
+// elapses, whichever first. One flush produces one ordered broadcast, one
+// batch-root signature, and one update push per slave — amortizing the
+// dominant per-write signing cost (§3.4) across every member of the
+// batch while preserving the exact version sequence and store digest
+// that sequential commits would produce. No wave is ever split across
+// batches, so each commits whole, at contiguous versions, or not at all.
 
-// batchWaiter is one admitted write queued for the next flush; the
+// queuedWave is one admitted wave awaiting its flush or its delivery; the
 // client's key and signature are read at admission and never again.
-type batchWaiter struct {
-	opBytes []byte
-	h       commitHandle
+type queuedWave struct {
+	ops [][]byte
+	h   commitHandle
 }
 
 // admitOp performs the per-op half of admission: op decodability
@@ -448,107 +453,82 @@ func (m *Master) admitWave(body []byte) ([][]byte, error) {
 }
 
 // handleWriteMulti commits a wave of writes under one client signature
-// and one round trip. The admitted wave feeds the batch accumulator
-// back-to-back and therefore coalesces into full batches without relying
-// on timer luck; the reply carries the assigned version for every op in
-// submission order, 0 for any the commit pipeline dropped.
+// and one round trip. The admitted wave is queued once and waited on
+// once; the reply is the version of its first op — the rest follow it
+// contiguously — or 0 when the wave did not commit.
 func (m *Master) handleWriteMulti(body []byte) ([]byte, error) {
 	ops, err := m.admitWave(body)
 	if err != nil {
 		return nil, err
 	}
-	m.mu.Lock()
-	m.stats.WritesAdmitted += uint64(len(ops))
-	m.mu.Unlock()
-
-	// Already-enqueued ops are past admission; wait for them below and
-	// report the one that failed to enqueue and every later one as
-	// uncommitted.
-	handles := make([]commitHandle, 0, len(ops))
-	for _, op := range ops {
-		h := m.newCommitHandle()
-		if m.enqueueWrite(batchWaiter{opBytes: op, h: h}) != nil {
-			break
-		}
-		handles = append(handles, h)
-	}
-	// One deadline, and one timer, cover the whole wave: the waits run
-	// back to back, so per-op timeouts would otherwise stack to wave-size
-	// x ReadTimeout.
-	expired, stop := m.commitDeadline()
-	defer stop()
-	versions := make([]uint64, len(ops))
-	for i, h := range handles {
-		if v, err := m.awaitCommit(h, expired); err == nil {
-			versions[i] = v // else it stays 0: not committed
-		}
-	}
-	return wire.EncodeFrame(func(w *wire.Writer) {
-		w.Uvarint(uint64(len(versions)))
-		for _, v := range versions {
-			w.Uvarint(v)
-		}
-	}), nil
+	h := m.newCommitHandle()
+	m.enqueueWave(queuedWave{ops: ops, h: h})
+	first := m.awaitCommit(h)
+	return wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(first) }), nil
 }
 
-// enqueueWrite adds an admitted write to the accumulator and flushes if
-// the batch is full. A short batch is flushed by a timer after
-// BatchTimeout; with BatchSize <= 1 every write flushes immediately, as
-// a batch of one.
+// enqueueWave adds an admitted wave to the accumulator and flushes if
+// that brings the batch to BatchSize ops or more. A short batch is
+// flushed by a timer after BatchTimeout; with BatchSize <= 1 every wave
+// flushes at once, as a batch of its own.
 //
 // The timer is armed when the queue goes from empty to non-empty and
 // carries that batch's generation; flushBatch ignores a generation that
 // has already flushed, so a timer that lost the race to a full flush does
 // nothing and never cuts the next batch short (visible as E15's
-// BatchFlushTimer column).
-func (m *Master) enqueueWrite(bw batchWaiter) error {
+// BatchFlushTimer column). A flush that fails resolves the wave, so the
+// caller's wait reports it.
+func (m *Master) enqueueWave(w queuedWave) {
 	m.mu.Lock()
-	// Adaptive flush bookkeeping: smooth the inter-arrival gap so the
-	// timeout below can estimate how long the open batch needs to fill.
-	// Gaps are capped at BatchTimeout — an idle stretch between bursts
-	// says nothing about the rate inside a burst.
+	m.stats.WritesAdmitted += uint64(len(w.ops))
+	armTimer := len(m.batchQueue) == 0
+	timeout := m.cfg.BatchTimeout
+	// Adaptive flush bookkeeping: smooth the inter-arrival gap, one sample
+	// per op, so the timeout below can estimate how long the open batch
+	// needs to fill. Gaps are capped at BatchTimeout — an idle stretch
+	// between bursts says nothing about the rate inside a burst.
 	if m.cfg.BatchAdaptive {
 		now := m.rt.Now()
-		if !m.lastArrival.IsZero() {
-			gap := now.Sub(m.lastArrival)
-			if gap > m.cfg.BatchTimeout {
-				gap = m.cfg.BatchTimeout
+		for i := range w.ops {
+			if !m.lastArrival.IsZero() {
+				gap := now.Sub(m.lastArrival)
+				if gap > m.cfg.BatchTimeout {
+					gap = m.cfg.BatchTimeout
+				}
+				// Same-instant arrivals (the rest of a wave) are real rate
+				// evidence, not "no data": floor the sample so the EWMA
+				// reflects them instead of staying at the unset sentinel.
+				if gap <= 0 {
+					gap = time.Microsecond
+				}
+				if m.arrivalEWMA == 0 {
+					m.arrivalEWMA = gap
+				} else {
+					m.arrivalEWMA = (3*m.arrivalEWMA + gap) / 4
+				}
 			}
-			// Same-instant arrivals (a WriteMulti wave) are real rate
-			// evidence, not "no data": floor the sample so the EWMA
-			// reflects them instead of staying at the unset sentinel.
-			if gap <= 0 {
-				gap = time.Microsecond
-			}
-			if m.arrivalEWMA == 0 {
-				m.arrivalEWMA = gap
-			} else {
-				m.arrivalEWMA = (3*m.arrivalEWMA + gap) / 4
+			m.lastArrival = now
+			if i == 0 && armTimer {
+				// The open batch's timer is set by its first op's arrival.
+				timeout = adaptiveFlushTimeout(m.arrivalEWMA, m.cfg.BatchTimeout)
 			}
 		}
-		m.lastArrival = now
 	}
-	m.batchQueue = append(m.batchQueue, bw)
-	full := len(m.batchQueue) >= m.cfg.BatchSize
-	armTimer := !full && len(m.batchQueue) == 1
-	timeout := m.cfg.BatchTimeout
-	if armTimer && m.cfg.BatchAdaptive {
-		timeout = adaptiveFlushTimeout(m.arrivalEWMA, m.cfg.BatchTimeout)
-	}
+	m.batchQueue = append(m.batchQueue, w)
+	m.queuedOps += len(w.ops)
+	full := m.queuedOps >= m.cfg.BatchSize
 	gen := m.batchGen
 	m.mu.Unlock()
 
 	if full {
-		return m.flushBatch(gen, false)
-	}
-	if armTimer {
+		m.flushBatch(gen, false)
+	} else if armTimer {
 		m.rt.Spawn(func() {
 			if m.rt.Sleep(timeout) == nil {
 				m.flushBatch(gen, true)
 			}
 		})
 	}
-	return nil
 }
 
 // adaptiveFlushTimeout decides how long the open batch's timer waits
@@ -576,15 +556,16 @@ func adaptiveFlushTimeout(ewma, batchTimeout time.Duration) time.Duration {
 
 // flushBatch takes the accumulated batch (if gen still names it), paces
 // it by the §3.1 spacing rule — one max_latency slot per commit event,
-// which a batch is — and submits it to the ordered broadcast.
-func (m *Master) flushBatch(gen uint64, byTimer bool) error {
+// which a batch is — and submits it to the ordered broadcast. If either
+// step fails, every wave of the batch is resolved as not committed.
+func (m *Master) flushBatch(gen uint64, byTimer bool) {
 	m.mu.Lock()
 	if m.batchGen != gen || len(m.batchQueue) == 0 {
 		m.mu.Unlock()
-		return nil // another flush won the race
+		return // another flush won the race
 	}
 	batch := m.batchQueue
-	m.batchQueue = nil
+	m.batchQueue, m.queuedOps = nil, 0
 	m.batchGen++
 	m.batchNo++
 	no := m.batchNo
@@ -608,51 +589,55 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) error {
 	}
 	m.nextWriteAt = m.nextWriteAt.Add(m.cfg.Params.MaxLatency)
 	m.mu.Unlock()
-	if wait > 0 {
-		if err := m.rt.Sleep(wait); err != nil {
-			m.failBatch(no)
-			return err
-		}
-	}
-
-	if err := m.bcast.Broadcast(encodeBatchMessage(m.cfg.Addr, no, batch)); err != nil {
+	if wait > 0 && m.rt.Sleep(wait) != nil {
 		m.failBatch(no)
-		return err
+		return
 	}
-	return nil
+	if m.bcast.Broadcast(encodeBatchMessage(m.cfg.Addr, no, batch)) != nil {
+		m.failBatch(no)
+	}
 }
 
 // takeInflight removes and returns this master's own batch no, whose
 // delivered frame carried n ops; nil for another master's batch, one
 // already taken, or one from before a restart. The caller resolves the
-// waiters: removal under mu is what makes that happen exactly once.
-func (m *Master) takeInflight(origin string, no uint64, n int) []batchWaiter {
+// waves: removal under mu is what makes that happen exactly once.
+func (m *Master) takeInflight(origin string, no uint64, n int) []queuedWave {
 	if origin != m.cfg.Addr {
 		return nil
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	batch := m.inflight[no]
-	if len(batch) != n { // b.submit is unauthenticated: never index past a forged frame
+	if opCount(batch) != n { // b.submit is unauthenticated: never index past a forged frame
 		return nil
 	}
 	delete(m.inflight, no)
 	return batch
 }
 
-// failBatch releases every waiter of a batch that could not be
-// broadcast; version 0 marks "not committed".
+// opCount is the number of ops the waves hold together.
+func opCount(waves []queuedWave) int {
+	n := 0
+	for _, w := range waves {
+		n += len(w.ops)
+	}
+	return n
+}
+
+// failBatch releases every wave of a batch that could not be broadcast;
+// version 0 marks "not committed".
 func (m *Master) failBatch(no uint64) {
 	m.mu.Lock()
 	batch := m.inflight[no]
 	delete(m.inflight, no)
 	m.mu.Unlock()
-	for _, bw := range batch {
-		bw.h.resolve(0)
+	for _, w := range batch {
+		w.h.resolve(0)
 	}
 }
 
-// commitHandle is what a write waiter holds: a promise in virtual time or
+// commitHandle is what a waiting wave holds: a promise in virtual time or
 // a channel in real time. It is resolved exactly once, by whoever took
 // its batch out of inflight.
 type commitHandle struct {
@@ -675,54 +660,47 @@ func (h commitHandle) resolve(version uint64) {
 	}
 }
 
-// cancelQueued removes a write that is still waiting in the batch
-// accumulator; it reports whether the write was withdrawn before any
-// flush took it.
-func (m *Master) cancelQueued(h commitHandle) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i, bw := range m.batchQueue {
-		if bw.h == h {
-			m.batchQueue = append(m.batchQueue[:i], m.batchQueue[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// commitDeadline starts the one timer a request's commit waits share:
-// expired is closed ReadTimeout from now, stop releases the timer (a
-// time.After per write would stay live until the deadline passes even
-// after the commit arrives, pinning megabytes of timers under load).
-// Virtual-time waits ignore it: they end through promises and the sim's
-// shutdown semantics.
-func (m *Master) commitDeadline() (expired <-chan struct{}, stop func()) {
-	done := make(chan struct{})
-	timer := time.AfterFunc(m.cfg.Params.ReadTimeout, func() { close(done) })
-	return done, func() { timer.Stop() }
-}
-
-// awaitCommit waits for a write's commit until expired is closed.
-func (m *Master) awaitCommit(h commitHandle, expired <-chan struct{}) (uint64, error) {
+// awaitCommit waits for a wave's commit and returns the version of its
+// first op, 0 if it did not commit. On the real clock it gives up after
+// ReadTimeout, and a wave still in the accumulator then is withdrawn: it
+// is guaranteed never to commit, so the client's "not committed" is
+// truthful and a retry cannot double-apply. One already flushed is past
+// the point of no return and may still commit (the window between
+// broadcast and delivery). The timer is stopped as soon as the commit
+// arrives: one left running until the deadline would pin megabytes of
+// timers under load. Virtual-time waits have no deadline: they end
+// through promises and the sim's shutdown semantics.
+func (m *Master) awaitCommit(h commitHandle) uint64 {
 	if h.ch != nil {
+		timer := time.NewTimer(m.cfg.Params.ReadTimeout)
+		defer timer.Stop()
 		select {
 		case v := <-h.ch:
-			return v, nil
-		case <-expired:
-			// Withdraw from the accumulator: a write removed while still
-			// queued is guaranteed never to commit, so the client's
-			// timeout error is truthful and a retry cannot double-apply.
-			// One already flushed is past the point of no return and may
-			// still commit (the window between broadcast and delivery).
+			return v
+		case <-timer.C:
 			m.cancelQueued(h)
-			return 0, rpc.ErrTimeout
+			return 0
 		}
 	}
 	v, err := h.p.Future().Await()
 	if err != nil {
-		return 0, err
+		return 0
 	}
-	return v.(uint64), nil
+	return v.(uint64)
+}
+
+// cancelQueued withdraws a wave that is still waiting in the batch
+// accumulator; one a flush already took is left alone.
+func (m *Master) cancelQueued(h commitHandle) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, w := range m.batchQueue {
+		if w.h == h {
+			m.batchQueue = append(m.batchQueue[:i], m.batchQueue[i+1:]...)
+			m.queuedOps -= len(w.ops)
+			return
+		}
+	}
 }
 
 // deliver is the broadcast delivery callback: every master executes the
@@ -771,15 +749,18 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 
 // encodeBatchMessage builds the bcBatch broadcast frame: the kind byte,
 // the origin master and its batch number — by which the origin alone finds
-// the batch's waiters again — then the ops (detached: the archive keeps it).
-func encodeBatchMessage(origin string, no uint64, batch []batchWaiter) []byte {
+// the batch's waves again — then every wave's ops in queue order, with no
+// wave boundary (detached: the archive keeps it).
+func encodeBatchMessage(origin string, no uint64, batch []queuedWave) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Byte(bcBatch)
 		w.String_(origin)
 		w.Uvarint(no)
-		w.Uvarint(uint64(len(batch)))
-		for _, bw := range batch {
-			w.Bytes_(bw.opBytes)
+		w.Uvarint(uint64(opCount(batch)))
+		for _, qw := range batch {
+			for _, op := range qw.ops {
+				w.Bytes_(op)
+			}
 		}
 	})
 }
@@ -800,14 +781,17 @@ func decodeBatchMessage(r *wire.Reader) (origin string, no uint64, ops [][]byte,
 // update per slave. Undecodable ops are skipped deterministically (every
 // replica runs the same check), so replicas stay in lock-step. seq is
 // the broadcast slot that carried the commit; it anchors the batch
-// boundary for truncation of the broadcast archive. waiters,
-// nil on every master but the batch's origin, are the writers waiting
-// for batch[i]'s version.
-func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
+// boundary for truncation of the broadcast archive. waves, nil on every
+// master but the batch's origin, are the writers waiting for the batch,
+// whose ops they hold in order.
+func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 	m.mu.Lock()
 	first := m.store.Version() + 1
 	ops := make([][]byte, 0, len(batch))
-	versions := make([]uint64, len(waiters)) // 0: skipped, not committed
+	var versions []uint64 // the origin's: op i's version, 0 if skipped
+	if waves != nil {
+		versions = make([]uint64, len(batch))
+	}
 	var opBytesTotal int
 	for i, opBytes := range batch {
 		op, err := store.DecodeOp(opBytes)
@@ -817,15 +801,13 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 		m.store.Apply(op)
 		ops = append(ops, opBytes)
 		opBytesTotal += len(opBytes)
-		if waiters != nil {
+		if versions != nil {
 			versions[i] = m.store.Version()
 		}
 	}
 	if len(ops) == 0 {
 		m.mu.Unlock()
-		for _, bw := range waiters {
-			bw.h.resolve(0)
-		}
+		resolveWaves(waves, versions)
 		return
 	}
 	last := m.store.Version()
@@ -867,7 +849,7 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	}
 
 	// Durability before acknowledgement: the batch's record reaches the
-	// WAL and stable storage before any waiter is released, so an acked
+	// WAL and stable storage before any wave is answered, so an acked
 	// write is never lost to a restart. A write error degrades
 	// durability, not consistency — the batch is already committed
 	// cluster-wide — so it must not fail the ack.
@@ -885,9 +867,7 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 	m.mu.Lock()
 	m.unacked = 0
 	m.mu.Unlock()
-	for i, bw := range waiters {
-		bw.h.resolve(versions[i])
-	}
+	resolveWaves(waves, versions)
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
 	bu.MasterAddr = m.cfg.Addr
@@ -906,6 +886,23 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waiters []batchWaiter) {
 			m.stats.UpdatesSent++
 			m.mu.Unlock()
 		})
+	}
+}
+
+// resolveWaves answers each wave with the version of its first op, given
+// every op's version in batch order (0 for a skipped one). A wave with an
+// op that did not apply — only a forged frame can carry one, since
+// admission refuses undecodable ops — is answered 0: its versions would
+// not be contiguous.
+func resolveWaves(waves []queuedWave, versions []uint64) {
+	for _, w := range waves {
+		n := len(w.ops)
+		first := versions[0]
+		if first == 0 || versions[n-1] != first+uint64(n)-1 {
+			first = 0
+		}
+		w.h.resolve(first)
+		versions = versions[n:]
 	}
 }
 

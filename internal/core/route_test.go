@@ -62,7 +62,7 @@ func forgedMaster(evil *cryptoutil.KeyPair, addr string, shard uint32) pki.Certi
 // routeRig is a client against scripted groups on a SimNet: group i has
 // master "m<i>" and slave "s<i>"; with a table, the directory also
 // publishes auditor "aud-<i>" for it. Masters assign their slave and
-// answer a wave with versions 1000*(i+1)+j; slaves answer honestly from
+// answer a wave with first version 1000*(i+1); slaves answer honestly from
 // one content store under their master's stamp, taken at clock; auditors
 // ack. handlers holds every scripted node by address.
 type routeRig struct {
@@ -159,15 +159,14 @@ func newRouteRig(t *testing.T, table bool) *routeRig {
 					return nil, err
 				}
 				var keys []string
-				w.Uvarint(uint64(len(ww.Ops)))
-				for j, b := range ww.Ops {
+				for _, b := range ww.Ops {
 					op, err := store.DecodeOp(b)
 					if err != nil {
 						return nil, err
 					}
 					keys = append(keys, store.KeyOf(op))
-					w.Uvarint(uint64(1000*(i+1) + j))
 				}
+				w.Uvarint(uint64(1000 * (i + 1))) // the first op's version
 				r.mu.Lock()
 				r.waves[maddr] = append(r.waves[maddr], keys)
 				r.mu.Unlock()

@@ -117,8 +117,9 @@ func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 //
 // A master signing every write individually caps throughput at the cost
 // of one signature per write (§3.4: signing dominates the master's CPU).
-// Batched commits amortize it: the master accumulates concurrent writes,
-// applies them as versions first..first+n-1, and signs ONE stamp whose
+// Batched commits amortize it: the master accumulates concurrent write
+// waves, never splitting one, applies their ops as versions
+// first..first+n-1, and signs ONE stamp whose
 // OpDigest is the merkle root over the batch's op bytes. A write that
 // commits alone is a batch of one: a one-leaf tree, the same stamp. The
 // batch is also the unit of history: the master logs it whole, its WAL
