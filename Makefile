@@ -123,6 +123,8 @@ FUZZ_TARGETS := \
 	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/core:FuzzDecodeBatchMessage \
+	internal/core:FuzzMasterDeliver \
+	internal/core:FuzzWALRecord \
 	internal/broadcast:FuzzMemberHandle \
 	internal/dirsrv:FuzzDecodeShardMap \
 	internal/store:FuzzNumericValue

@@ -40,7 +40,9 @@ type Config struct {
 	// Deliver is invoked for every message, in sequence order and never
 	// concurrently with itself, from the member's drainer task. While it
 	// blocks this member delivers nothing; the others are not held up.
-	Deliver func(seq uint64, msg []byte)
+	// local is what this member's own Broadcast of the message was handed;
+	// it is nil on every other member and after a restart (see Broadcast).
+	Deliver func(seq uint64, msg []byte, local any)
 	// CallTimeout bounds each RPC before the callee is suspected.
 	CallTimeout time.Duration
 	// HeartbeatEvery is the sequencer's heartbeat period.
@@ -73,6 +75,7 @@ type Member struct {
 	log           map[uint64]entry    // guarded by mu; received-but-undelivered slots and the archive
 	slotOf        map[submitID]uint64 // guarded by mu; the slot of every submit in log (see sequence)
 	nextSubmit    uint64              // guarded by mu; origin: sequence number of the next Broadcast
+	waiting       map[uint64]any      // guarded by mu; origin: each Broadcast's local, by submit number, until Deliver takes it or the call fails
 	nextSeq       uint64              // guarded by mu; sequencer: next slot to assign
 	collecting    map[uint64]bool     // guarded by mu; sequencer: slots whose receipt round is still open
 	known         uint64              // guarded by mu; every slot up to here has closed its receipt round (b.commit, b.hello)
@@ -143,6 +146,7 @@ func New(cfg Config, rt sim.Runtime, dialer rpc.Dialer) (*Member, error) {
 		// restarts must not reuse a number its previous life used, or the
 		// sequencer would answer its new message as a replay of an old one.
 		nextSubmit:    uint64(rt.Now().UnixNano()),
+		waiting:       make(map[uint64]any),
 		nextSeq:       1,
 		collecting:    make(map[uint64]bool),
 		suspected:     make(map[string]bool),
@@ -250,11 +254,24 @@ func (m *Member) isSequencer() bool {
 // holds it in its log; delivery follows on each member's own drainer. It
 // retries across lost messages and sequencer failures under one submit
 // identity, so however many tries arrive the message takes one slot.
-func (m *Member) Broadcast(msg []byte) error {
+// local stays on this member and comes back with the slot that carries
+// this call's identity: Deliver receives it, or Broadcast returns an
+// error, never both (doc.go, "The origin's local value").
+func (m *Member) Broadcast(msg []byte, local any) (err error) {
 	m.mu.Lock()
 	e := entry{id: submitID{origin: m.self, n: m.nextSubmit}, msg: msg}
 	m.nextSubmit++
+	m.waiting[e.id.n] = local
 	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		if _, held := m.waiting[e.id.n]; !held {
+			err = nil // delivered: Deliver had local
+		} else if err != nil {
+			delete(m.waiting, e.id.n)
+		}
+		m.mu.Unlock()
+	}()
 	var frame []byte // the b.submit body, built when a try first needs it
 	for attempt := 0; attempt < len(m.cfg.Peers)+2; attempt++ {
 		m.mu.Lock()
@@ -693,14 +710,25 @@ func (m *Member) drain() {
 		switch {
 		case deliver:
 			next := m.delivered + 1
-			msg := m.log[next].msg
+			e := m.log[next]
+			var local any
+			if e.id.origin == m.self {
+				local = m.waiting[e.id.n]
+				delete(m.waiting, e.id.n)
+				if e.id.n >= m.nextSubmit {
+					// An identity this member has yet to issue: a forged
+					// submit predicted it. Never issue it, or its Broadcast
+					// would be answered as a replay of this slot.
+					m.nextSubmit = e.id.n + 1
+				}
+			}
 			m.delivered = next
 			m.deliveries++
 			if next < m.truncated {
 				m.dropLocked(next)
 			}
 			m.mu.Unlock()
-			m.cfg.Deliver(next, msg)
+			m.cfg.Deliver(next, e.msg, local)
 			fetched = false
 			m.mu.Lock()
 		case fetch && !fetched:

@@ -20,6 +20,7 @@ type cluster struct {
 	peers   []string
 	members []*Member
 	logs    [][]string // delivered messages per member
+	locals  [][]string // per member, msg=local for each delivery that came with a local
 }
 
 // hooks lets a test stand between the members: deliver runs before a
@@ -40,7 +41,7 @@ func newCluster(t *testing.T, s *sim.Sim, n int) *cluster {
 func newClusterWith(t *testing.T, s *sim.Sim, n int, h hooks) *cluster {
 	t.Helper()
 	net := rpc.NewSimNet(s, sim.Const(2*time.Millisecond))
-	c := &cluster{t: t, s: s, net: net, hooks: h, logs: make([][]string, n), members: make([]*Member, n)}
+	c := &cluster{t: t, s: s, net: net, hooks: h, logs: make([][]string, n), locals: make([][]string, n), members: make([]*Member, n)}
 	for i := 0; i < n; i++ {
 		c.peers = append(c.peers, fmt.Sprintf("m%d", i))
 	}
@@ -58,15 +59,18 @@ func newClusterWith(t *testing.T, s *sim.Sim, n int, h hooks) *cluster {
 // address.
 func (c *cluster) boot(i int) {
 	c.t.Helper()
-	c.logs[i] = nil
+	c.logs[i], c.locals[i] = nil, nil
 	cfg := Config{
 		Self:  c.peers[i],
 		Peers: c.peers,
-		Deliver: func(seq uint64, msg []byte) {
+		Deliver: func(seq uint64, msg []byte, local any) {
 			if c.hooks.deliver != nil && !c.hooks.deliver(i, seq, msg) {
 				return
 			}
 			c.logs[i] = append(c.logs[i], string(msg))
+			if local != nil {
+				c.locals[i] = append(c.locals[i], fmt.Sprintf("%s=%v", msg, local))
+			}
 		},
 		CallTimeout:    50 * time.Millisecond,
 		HeartbeatEvery: 100 * time.Millisecond,
@@ -110,7 +114,7 @@ func TestSingleBroadcastReachesAll(t *testing.T) {
 	s := sim.New(1)
 	c := newCluster(t, s, 3)
 	s.Go(func() {
-		if err := c.members[0].Broadcast([]byte("w1")); err != nil {
+		if err := c.members[0].Broadcast([]byte("w1"), nil); err != nil {
 			t.Errorf("broadcast: %v", err)
 		}
 	})
@@ -126,7 +130,7 @@ func TestNonSequencerSubmitForwarded(t *testing.T) {
 	s := sim.New(1)
 	c := newCluster(t, s, 3)
 	s.Go(func() {
-		if err := c.members[2].Broadcast([]byte("from-2")); err != nil {
+		if err := c.members[2].Broadcast([]byte("from-2"), nil); err != nil {
 			t.Errorf("broadcast: %v", err)
 		}
 	})
@@ -147,7 +151,7 @@ func TestTotalOrderAcrossConcurrentSubmitters(t *testing.T) {
 		s.Go(func() {
 			for j := 0; j < per; j++ {
 				msg := fmt.Sprintf("m%d-%d", i, j)
-				if err := c.members[i].Broadcast([]byte(msg)); err != nil {
+				if err := c.members[i].Broadcast([]byte(msg), nil); err != nil {
 					t.Errorf("broadcast %s: %v", msg, err)
 					return
 				}
@@ -171,10 +175,10 @@ func TestCrashedMemberCatchesUpOnRecovery(t *testing.T) {
 	s := sim.New(1)
 	c := newCluster(t, s, 3)
 	s.Go(func() {
-		c.members[0].Broadcast([]byte("a"))
+		c.members[0].Broadcast([]byte("a"), nil)
 		c.net.SetDown("m2", true) // m2 misses the next writes
-		c.members[0].Broadcast([]byte("b"))
-		c.members[0].Broadcast([]byte("c"))
+		c.members[0].Broadcast([]byte("b"), nil)
+		c.members[0].Broadcast([]byte("c"), nil)
 		c.net.SetDown("m2", false) // heartbeat will trigger catch-up fetch
 	})
 	c.run(5 * time.Second)
@@ -187,14 +191,14 @@ func TestSequencerCrashTakeover(t *testing.T) {
 	s := sim.New(1)
 	c := newCluster(t, s, 3)
 	s.Go(func() {
-		if err := c.members[1].Broadcast([]byte("pre")); err != nil {
+		if err := c.members[1].Broadcast([]byte("pre"), nil); err != nil {
 			t.Errorf("pre: %v", err)
 		}
 		// Kill the sequencer (m0).
 		c.net.SetDown("m0", true)
 		c.members[0].Stop()
 		s.Sleep(time.Second) // allow failure detection
-		if err := c.members[1].Broadcast([]byte("post")); err != nil {
+		if err := c.members[1].Broadcast([]byte("post"), nil); err != nil {
 			t.Errorf("post: %v", err)
 		}
 	})
@@ -214,12 +218,12 @@ func TestTakeoverPreservesCommittedMessages(t *testing.T) {
 	c := newCluster(t, s, 3)
 	s.Go(func() {
 		for i := 0; i < 5; i++ {
-			c.members[0].Broadcast([]byte(fmt.Sprintf("w%d", i)))
+			c.members[0].Broadcast([]byte(fmt.Sprintf("w%d", i)), nil)
 		}
 		c.net.SetDown("m0", true)
 		c.members[0].Stop()
 		s.Sleep(time.Second)
-		c.members[2].Broadcast([]byte("after"))
+		c.members[2].Broadcast([]byte("after"), nil)
 	})
 	c.run(10 * time.Second)
 	want := "w0,w1,w2,w3,w4,after"
@@ -235,7 +239,7 @@ func TestDeliveredMonotonic(t *testing.T) {
 	c := newCluster(t, s, 2)
 	s.Go(func() {
 		for i := 0; i < 10; i++ {
-			c.members[0].Broadcast([]byte("x"))
+			c.members[0].Broadcast([]byte("x"), nil)
 		}
 	})
 	c.run(3 * time.Second)
@@ -248,13 +252,13 @@ func TestSuspectAcceleratesFailover(t *testing.T) {
 	s := sim.New(12)
 	c := newCluster(t, s, 3)
 	s.Go(func() {
-		c.members[0].Broadcast([]byte("pre"))
+		c.members[0].Broadcast([]byte("pre"), nil)
 		c.net.SetDown("m0", true)
 		c.members[0].Stop()
 		// Explicit suspicion instead of waiting for the timeout.
 		c.members[1].Suspect("m0")
 		c.members[2].Suspect("m0")
-		if err := c.members[1].Broadcast([]byte("post")); err != nil {
+		if err := c.members[1].Broadcast([]byte("post"), nil); err != nil {
 			t.Errorf("post-suspect broadcast: %v", err)
 		}
 	})
@@ -272,7 +276,7 @@ func TestSuspectAcceleratesFailover(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	s := sim.New(1)
 	net := rpc.NewSimNet(s, sim.Const(0))
-	_, err := New(Config{Self: "x", Peers: []string{"a", "b"}, Deliver: func(uint64, []byte) {}}, s, net.Dialer("x"))
+	_, err := New(Config{Self: "x", Peers: []string{"a", "b"}, Deliver: func(uint64, []byte, any) {}}, s, net.Dialer("x"))
 	if err == nil {
 		t.Fatal("self not in peers accepted")
 	}
@@ -295,7 +299,7 @@ func TestLossyNetworkStillAgrees(t *testing.T) {
 			// Broadcast can fail outright under loss (no reachable
 			// sequencer view); retry like a master would.
 			for try := 0; try < 5; try++ {
-				if err := c.members[i%3].Broadcast([]byte(fmt.Sprintf("w%02d", i))); err == nil {
+				if err := c.members[i%3].Broadcast([]byte(fmt.Sprintf("w%02d", i)), nil); err == nil {
 					break
 				}
 				if s.Sleep(100*time.Millisecond) != nil {
@@ -333,7 +337,7 @@ func TestBroadcastDeterministic(t *testing.T) {
 			i := i
 			s.Go(func() {
 				for j := 0; j < 3; j++ {
-					c.members[i].Broadcast([]byte(fmt.Sprintf("%d.%d", i, j)))
+					c.members[i].Broadcast([]byte(fmt.Sprintf("%d.%d", i, j)), nil)
 				}
 			})
 		}
@@ -350,7 +354,7 @@ func TestTruncateBelowGatedByPeerDelivery(t *testing.T) {
 	c := newCluster(t, s, 3)
 	s.Go(func() {
 		for i := 0; i < 10; i++ {
-			if err := c.members[0].Broadcast([]byte(fmt.Sprintf("w%d", i))); err != nil {
+			if err := c.members[0].Broadcast([]byte(fmt.Sprintf("w%d", i)), nil); err != nil {
 				t.Errorf("broadcast %d: %v", i, err)
 				return
 			}
@@ -386,7 +390,7 @@ func TestTruncatedEntriesNotRearchived(t *testing.T) {
 	c := newCluster(t, s, 2)
 	s.Go(func() {
 		for i := 0; i < 5; i++ {
-			if err := c.members[0].Broadcast([]byte(fmt.Sprintf("w%d", i))); err != nil {
+			if err := c.members[0].Broadcast([]byte(fmt.Sprintf("w%d", i)), nil); err != nil {
 				t.Errorf("broadcast %d: %v", i, err)
 				return
 			}
@@ -414,7 +418,7 @@ func TestFetchUnboundedRangeAnswersHeldEntries(t *testing.T) {
 	c := newCluster(t, s, 3)
 	s.Go(func() {
 		for _, msg := range []string{"a", "b", "c"} {
-			if err := c.members[0].Broadcast([]byte(msg)); err != nil {
+			if err := c.members[0].Broadcast([]byte(msg), nil); err != nil {
 				t.Errorf("broadcast %s: %v", msg, err)
 			}
 		}
@@ -457,4 +461,101 @@ func TestFetchUnboundedRangeAnswersHeldEntries(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") || c.members[1].ArchiveLen() != len(want) {
 		t.Fatalf("fetch answered %v with %d entries held, want %v", got, c.members[1].ArchiveLen(), want)
 	}
+}
+
+// TestBroadcastLocalOnce: the local a Broadcast is handed reaches Deliver
+// on its own member, with its message, or comes back as the Broadcast's
+// error — never both, never twice, and never on another member — whether
+// the message is delivered before the last try fails (the member is then
+// stopped), delivered after it, or not at all. An identity a forged
+// submit predicted is never issued, so the Broadcast after it does not
+// come back as a replay of the forged slot.
+func TestBroadcastLocalOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// submit stands in for member 1's b.submit tries (try counts
+		// from 0); nil sends them.
+		submit  func(c *cluster, d rpc.Dialer, try int, body []byte) error
+		forge   bool // a forged submit takes member 1's next identity first
+		wantErr bool
+		logs    string // what member 1 delivers
+		locals  string // which of member 1's deliveries come with a local
+	}{
+		{name: "delivered", logs: "own", locals: "own=L"},
+		{name: "refused", wantErr: true, submit: func(c *cluster, _ rpc.Dialer, _ int, _ []byte) error {
+			c.members[1].Stop()
+			return rpc.ErrUnreachable
+		}},
+		{name: "delivered, then stopped", logs: "own", locals: "own=L", submit: func(c *cluster, d rpc.Dialer, try int, body []byte) error {
+			if try == 0 {
+				d.CallTimeout("m0", MethodSubmit, body, time.Second)
+				c.s.Sleep(50 * time.Millisecond) // member 1 delivers the slot
+				c.members[1].Stop()
+			}
+			return rpc.ErrUnreachable // the reply is lost
+		}},
+		{name: "refused, then delivered", wantErr: true, logs: "own", submit: func(c *cluster, d rpc.Dialer, try int, body []byte) error {
+			if try == 0 {
+				c.members[1].Stop()
+				c.s.Spawn(func() {
+					c.s.Sleep(200 * time.Millisecond) // a try that was slow, not lost
+					d.CallTimeout("m0", MethodSubmit, body, time.Second)
+				})
+			}
+			return rpc.ErrUnreachable
+		}},
+		{name: "after a predicted identity", forge: true, logs: "forged,own", locals: "own=L"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(9)
+			var c *cluster
+			c = newClusterWith(t, s, 3, hooks{dialer: func(i int, d rpc.Dialer) rpc.Dialer {
+				if i != 1 || tc.submit == nil {
+					return d
+				}
+				return &submitTap{Dialer: d, submit: func(try int, body []byte) error { return tc.submit(c, d, try, body) }}
+			}})
+			var err error
+			s.Go(func() {
+				if tc.forge {
+					w := wire.NewWriter(16)
+					entry{id: submitID{origin: 1, n: c.members[1].nextSubmit}, msg: []byte("forged")}.encode(w)
+					c.net.Dialer("forger").Call("m0", MethodSubmit, w.Bytes())
+					s.Sleep(100 * time.Millisecond)
+				}
+				err = c.members[1].Broadcast([]byte("own"), "L")
+			})
+			c.run(2 * time.Second)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Broadcast returned %v, want an error: %v", err, tc.wantErr)
+			}
+			if got := c.logStr(1); got != tc.logs {
+				t.Errorf("member 1 delivered %q, want %q", got, tc.logs)
+			}
+			for i := range c.members {
+				want := ""
+				if i == 1 {
+					want = tc.locals
+				}
+				if got := strings.Join(c.locals[i], ","); got != want {
+					t.Errorf("member %d delivered locals %q, want %q", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// submitTap hands a member's b.submit calls to submit, counting them.
+type submitTap struct {
+	rpc.Dialer
+	submit func(try int, body []byte) error
+	tries  int
+}
+
+func (d *submitTap) CallTimeout(addr, method string, body []byte, timeout time.Duration) ([]byte, error) {
+	if method == MethodSubmit {
+		d.tries++
+		return nil, d.submit(d.tries-1, body)
+	}
+	return d.Dialer.CallTimeout(addr, method, body, timeout)
 }

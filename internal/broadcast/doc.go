@@ -65,6 +65,16 @@
 // start at the member's clock reading, so a restarted member never
 // reuses an identity of its previous life.
 //
+// The origin's local value. Broadcast(msg, local) keeps local on the
+// origin member, under the call's submit number; it never travels.
+// Deliver receives it with the slot that carries that identity — nil on
+// every other member, and on the origin after a restart. For a non-nil
+// local exactly one of two things happens: Deliver receives it, or
+// Broadcast returns an error. A Broadcast whose message this member has
+// already delivered returns nil, whatever its last try met, so a caller
+// that answers waiters on an error answers them once. A core.Master passes
+// the write waves a batch answers; control messages pass nil.
+//
 // Delivered messages are archived (still keyed by sequence number) so
 // lagging members can fetch them; the hosting node bounds the archive by
 // calling TruncateBelow once history has become stable — in this system,
@@ -79,6 +89,13 @@
 // Nothing authenticates the sequencer, though: a forged b.commit that
 // reaches a member before the sequencer's takes the slot there, and that
 // member delivers it (an open hole; the repository's ROADMAP, item 3).
+// Nor does anything authenticate a submit identity, and an origin's rise
+// by one: a forged b.submit that predicts an origin's next identity takes
+// that Broadcast's slot, and the sequencer answers the real submit as a
+// replay of it. The origin's local then comes back with the forged
+// message, so a caller compares msg with what it sent (a core.Master
+// answers the batch's waves 0). An identity that is delivered before its
+// origin has issued it is never issued: the origin's count moves past it.
 //
 // Operational note: the hosting master wires Config.CallTimeout to
 // Params.KeepAliveEvery, so KeepAliveEvery doubles as the broadcast RPC

@@ -43,7 +43,7 @@ func FuzzMemberHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		s := sim.New(1)
 		c := newCluster(t, s, 3)
-		s.Go(func() { c.members[0].Broadcast([]byte("a")) })
+		s.Go(func() { c.members[0].Broadcast([]byte("a"), nil) })
 		c.run(time.Second)
 		m := c.members[int(which/5)%2]
 		s.Go(func() {

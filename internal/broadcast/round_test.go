@@ -64,7 +64,7 @@ func TestSubmitReplyLostSequencedOnce(t *testing.T) {
 	}})
 	s.Go(func() {
 		for _, msg := range []string{"w1", "w2"} {
-			if err := c.members[1].Broadcast([]byte(msg)); err != nil {
+			if err := c.members[1].Broadcast([]byte(msg), nil); err != nil {
 				t.Errorf("broadcast %s: %v", msg, err)
 			}
 		}
@@ -89,7 +89,7 @@ func TestSubmitDelayedPastTimeoutSequencedOnce(t *testing.T) {
 		c.net.SetLink("m1", "m0", sim.Const(70*time.Millisecond))
 		s.GoAfter(10*time.Millisecond, func() { c.net.SetLink("m1", "m0", sim.Const(2*time.Millisecond)) })
 		for _, msg := range []string{"w1", "w2"} {
-			if err := c.members[1].Broadcast([]byte(msg)); err != nil {
+			if err := c.members[1].Broadcast([]byte(msg), nil); err != nil {
 				t.Errorf("broadcast %s: %v", msg, err)
 			}
 		}
@@ -108,14 +108,14 @@ func TestSubmitRetriedAcrossViewChangeSequencedOnce(t *testing.T) {
 	c := newCluster(t, s, 3)
 	s.Go(func() {
 		c.net.SetDrop("m0", "m1", 1) // m0's replies, and its b.commit, never reach m1
-		if err := c.members[1].Broadcast([]byte("w1")); err != nil {
+		if err := c.members[1].Broadcast([]byte("w1"), nil); err != nil {
 			t.Errorf("broadcast w1: %v", err)
 		}
 		if got := c.members[1].Sequencer(); got != "m1" {
 			t.Errorf("origin did not take over: sequencer %q", got)
 		}
 		c.net.SetDrop("m0", "m1", 0)
-		if err := c.members[2].Broadcast([]byte("w2")); err != nil {
+		if err := c.members[2].Broadcast([]byte("w2"), nil); err != nil {
 			t.Errorf("broadcast w2: %v", err)
 		}
 	})
@@ -138,7 +138,7 @@ func TestBlockedPeerDeliverDelaysNobody(t *testing.T) {
 	}})
 	s.Go(func() {
 		for _, msg := range []string{"a", "b", "c"} {
-			if err := c.members[0].Broadcast([]byte(msg)); err != nil {
+			if err := c.members[0].Broadcast([]byte(msg), nil); err != nil {
 				t.Errorf("broadcast %s: %v", msg, err)
 			}
 		}
@@ -185,7 +185,7 @@ func TestSequencerDeliversAfterEveryReceipt(t *testing.T) {
 	for k := 0; k < callers; k++ {
 		s.Go(func() {
 			for j := 0; j < per; j++ {
-				if err := c.members[0].Broadcast([]byte(fmt.Sprintf("%d.%d", k, j))); err != nil {
+				if err := c.members[0].Broadcast([]byte(fmt.Sprintf("%d.%d", k, j)), nil); err != nil {
 					t.Errorf("broadcast: %v", err)
 				}
 			}
@@ -255,10 +255,10 @@ func TestSequencerCrashBetweenReceiptsAndDelivery(t *testing.T) {
 		return true
 	}})
 	s.Go(func() {
-		c.members[0].Broadcast([]byte("a"))
-		c.members[0].Broadcast([]byte("b"))
+		c.members[0].Broadcast([]byte("a"), nil)
+		c.members[0].Broadcast([]byte("b"), nil)
 		s.Sleep(time.Second) // failure detection, takeover by m1
-		if err := c.members[2].Broadcast([]byte("c")); err != nil {
+		if err := c.members[2].Broadcast([]byte("c"), nil); err != nil {
 			t.Errorf("broadcast after the crash: %v", err)
 		}
 		c.wantLogs("a,b,c", 1, 2)
@@ -296,7 +296,7 @@ func TestPeerCrashBetweenReceiptAndApply(t *testing.T) {
 	})
 	s.Go(func() {
 		for _, msg := range []string{"a", "b"} {
-			if err := c.members[0].Broadcast([]byte(msg)); err != nil {
+			if err := c.members[0].Broadcast([]byte(msg), nil); err != nil {
 				t.Errorf("broadcast %s: %v", msg, err)
 			}
 		}
@@ -331,10 +331,10 @@ func TestOvertakenSlotWaitsWithoutFetch(t *testing.T) {
 	})
 	s.Go(func() {
 		c.net.SetLink("m0", "m2", sim.Const(20*time.Millisecond)) // slot 1's commit crawls
-		s.Go(func() { c.members[0].Broadcast([]byte("a")) })
+		s.Go(func() { c.members[0].Broadcast([]byte("a"), nil) })
 		s.Sleep(time.Millisecond)
 		c.net.SetLink("m0", "m2", sim.Const(2*time.Millisecond)) // slot 2's overtakes it
-		if err := c.members[0].Broadcast([]byte("b")); err != nil {
+		if err := c.members[0].Broadcast([]byte("b"), nil); err != nil {
 			t.Errorf("broadcast b: %v", err)
 		}
 		if d := c.members[2].Delivered(); d != 0 {

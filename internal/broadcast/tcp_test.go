@@ -60,7 +60,7 @@ func newTCPCluster(tb testing.TB, n int, intercept func(i int, method string) er
 		m, err := New(Config{
 			Self:  peers[i],
 			Peers: peers,
-			Deliver: func(seq uint64, msg []byte) {
+			Deliver: func(seq uint64, msg []byte, _ any) {
 				if apply != nil {
 					apply(i)
 				}
@@ -142,7 +142,7 @@ func TestTCPGapRepairFetchesFromSequencer(t *testing.T) {
 		return nil
 	}, nil)
 	for _, msg := range []string{"w1", "w2"} {
-		if err := c.members[1].Broadcast([]byte(msg)); err != nil {
+		if err := c.members[1].Broadcast([]byte(msg), nil); err != nil {
 			t.Fatalf("broadcast %s: %v", msg, err)
 		}
 	}
@@ -178,7 +178,7 @@ func TestTCPConcurrentBroadcastersOneOrder(t *testing.T) {
 			defer wg.Done()
 			m := c.members[k%len(c.members)] // two callers share the sequencer
 			for j := 0; j < per; j++ {
-				if err := m.Broadcast([]byte(fmt.Sprintf("%d.%03d", k, j))); err != nil {
+				if err := m.Broadcast([]byte(fmt.Sprintf("%d.%03d", k, j)), nil); err != nil {
 					t.Errorf("caller %d message %d: %v", k, j, err)
 					return
 				}
@@ -234,7 +234,7 @@ func BenchmarkCommitRound(b *testing.B) {
 	b.SetBytes(int64(len(msg)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := c.members[0].Broadcast(msg); err != nil {
+		if err := c.members[0].Broadcast(msg, nil); err != nil {
 			b.Fatal(err)
 		}
 		<-applied
@@ -270,7 +270,7 @@ func TestOutOfRangeViewRejected(t *testing.T) {
 		t.Fatalf("view moved to %q by rejected frames", got)
 	}
 	s.Go(func() {
-		if err := c.members[1].Broadcast([]byte("after")); err != nil {
+		if err := c.members[1].Broadcast([]byte("after"), nil); err != nil {
 			t.Errorf("broadcast after the hostile frames: %v", err)
 		}
 	})

@@ -177,8 +177,6 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 		return a.bcast.Handle(from, method, body)
 	case MethodPledge:
 		return a.handlePledge(body)
-	case MethodPledgeMulti:
-		return a.handlePledgeMulti(body)
 	}
 	return nil, fmt.Errorf("core: auditor: unknown method %q", method)
 }
@@ -190,13 +188,13 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 // delivery drops the archive below itself; the member caps that floor at
 // the slowest live member's delivered mark, so a peer can still fetch its
 // gap.
-func (a *Auditor) deliver(seq uint64, msg []byte) {
+func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	defer a.bcast.TruncateBelow(seq)
 	r := wire.NewReader(msg)
 	if r.Byte() != bcBatch {
 		return
 	}
-	_, _, batch, err := decodeBatchMessage(r)
+	batch, err := decodeBatchMessage(r)
 	if err != nil {
 		return
 	}
@@ -216,41 +214,25 @@ func (a *Auditor) deliver(seq uint64, msg []byte) {
 	}
 }
 
-// handlePledge admits one pledge's evidence frame. The pledge is decoded by
-// view and queued as is, so it keeps body alive until it is audited: the
-// handler owns body (a view of its frame's own buffer over TCP, the frame
-// the client built under the simulator; nobody writes to either again).
+// handlePledge admits the evidence frames of one accepted read, one per
+// slave, back to back: each frame is length-prefixed field by field, so
+// they need no separator. Every frame is decoded before any is admitted,
+// so the body is admitted or refused whole, in frame order — the order in
+// which one frame per call would draw the sampling coin. The pledges are
+// decoded by view and queued as they are, so they keep body alive until
+// audited: the handler owns body (a view of its frame's own buffer over
+// TCP, the frame the client built under the simulator; nobody writes to
+// either again).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
-	pledge, err := decodePledgeFrame(body)
-	if err != nil {
-		return nil, err
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.admitPledgeLocked(pledge)
-	return nil, nil
-}
-
-// handlePledgeMulti admits a whole wave of pledges shipped in one frame
-// (one RPC per accepted read instead of one per slave). Each pledge goes
-// through the identical admission path in frame order, so sampling draws
-// the same random sequence the unbatched RPCs would. The wave is admitted
-// or refused whole; its pledges alias body as in handlePledge.
-func (a *Auditor) handlePledgeMulti(body []byte) ([]byte, error) {
+	var held [2]Pledge // reads of one or two slaves decode without an allocation
+	pledges := held[:0]
 	r := wire.NewReader(body)
-	frames := r.BytesSliceView()
-	err := r.Done()
-	if err != nil {
-		return nil, err
-	}
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("core: empty pledge wave")
-	}
-	pledges := make([]Pledge, len(frames))
-	for i, f := range frames {
-		if pledges[i], err = decodePledgeFrame(f); err != nil {
+	for len(pledges) == 0 || r.Remaining() > 0 {
+		p, err := decodePledge(r)
+		if err != nil {
 			return nil, err
 		}
+		pledges = append(pledges, p)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -260,9 +242,8 @@ func (a *Auditor) handlePledgeMulti(body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// admitPledgeLocked is the admission path shared by the single and
-// batched pledge handlers: sample, drop late arrivals, queue the rest
-// for the audit worker. Caller holds a.mu.
+// admitPledgeLocked admits one pledge: sample, drop late arrivals, queue
+// the rest for the audit worker. Caller holds a.mu.
 func (a *Auditor) admitPledgeLocked(pledge Pledge) {
 	a.stats.PledgesReceived++
 	if a.cfg.Params.AuditSampleP < 1 && a.rng.Float64() >= a.cfg.Params.AuditSampleP {

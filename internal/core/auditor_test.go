@@ -337,7 +337,7 @@ func TestAuditorAdvancesAfterWindow(t *testing.T) {
 	r.s.Go(func() {
 		// Feed an ordered write through the broadcast delivery path.
 		op := store.EncodeOp(store.Put{Key: "w", Value: []byte("1")})
-		r.auditor.deliver(1, encodeBatchMessage("master", 1, []queuedWave{{ops: [][]byte{op}}}))
+		r.auditor.deliver(1, encodeBatchMessage([]queuedWave{{ops: [][]byte{op}}}), nil)
 		if got := r.auditor.Version(); got != r.initial.Version() {
 			t.Errorf("auditor advanced immediately: %d", got)
 		}

@@ -107,58 +107,73 @@ func newRealClockMaster(t testing.TB) *Master {
 	return m
 }
 
-// TestBatchWaitersResolvedOnceByPosition delivers bcBatch frames to the
-// master that has the batch in flight: only its own frame with the right
-// number and op count resolves the waiting waves, each by its position in
-// the batch with the version of its first op (0 for a wave holding an op
-// every master skips), and nothing ever resolves them a second time — a
-// second send on a commit channel would block the delivery drainer for
-// good.
+// TestBatchWaitersResolvedOnceByPosition delivers bcBatch slots to the
+// master whose broadcast hands a batch's waves back with them. Only a slot
+// that holds exactly the frame the master sent for them acknowledges them,
+// each by its position with the version of its first op. A slot carrying
+// anything else — other ops of the same count, a prefix, another kind of
+// message — answers every wave 0 and counts a displaced batch; a batch
+// one of whose ops every master skips answers them 0 too. Nothing answers
+// a wave twice: a second send on a commit channel would block the
+// delivery drainer for good.
 func TestBatchWaitersResolvedOnceByPosition(t *testing.T) {
-	start := time.Now()
 	m := newRealClockMaster(t)
-	if m.batchNo < uint64(start.UnixNano()) {
-		t.Fatalf("batch numbers start at %d, below the clock: a restart could reuse one", m.batchNo)
-	}
 	put := func(key string) []byte { return store.EncodeOp(store.Put{Key: key, Value: []byte("v")}) }
-	batch := []queuedWave{
-		{ops: [][]byte{put("a"), put("b")}, h: m.newCommitHandle()},
-		{ops: [][]byte{put("c"), {0xff, 0xfe}}, h: m.newCommitHandle()}, // undecodable: skipped everywhere
-		{ops: [][]byte{put("d")}, h: m.newCommitHandle()},
+	waves := func(ops ...[][]byte) []queuedWave {
+		ws := make([]queuedWave, len(ops))
+		for i, o := range ops {
+			ws[i] = queuedWave{ops: o, h: m.newCommitHandle()}
+		}
+		return ws
 	}
-	const no = 7
-	m.inflight[no] = batch
-	unresolved := func(when string) {
+	expect := func(when string, ws []queuedWave, want ...uint64) {
 		t.Helper()
-		for i, w := range batch {
-			if len(w.h.ch) != 0 {
-				t.Fatalf("%s resolved wave %d", when, i)
+		for i, w := range ws {
+			select {
+			case got := <-w.h.ch:
+				if got != want[i] {
+					t.Fatalf("%s: wave %d answered %d, want %d", when, i, got, want[i])
+				}
+			default:
+				t.Fatalf("%s: wave %d not answered", when, i)
 			}
 		}
 	}
-	m.deliver(1, encodeBatchMessage("other", no, batch)) // versions 2–5
-	unresolved("another master's batch with the same number")
-	m.deliver(2, encodeBatchMessage("master", no+1, batch)) // versions 6–9
-	unresolved("an own batch with another number")
-	m.deliver(3, encodeBatchMessage("master", no, batch[:2])) // versions 10–12
-	unresolved("a forged frame with another op count")
+	a, b, c, d := put("a"), put("b"), put("c"), put("d")
 
-	m.deliver(4, encodeBatchMessage("master", no, batch)) // versions 13–16
-	for i, want := range []uint64{13, 0, 16} {
-		select {
-		case got := <-batch[i].h.ch:
-			if got != want {
-				t.Fatalf("wave %d resolved with version %d, want %d", i, got, want)
-			}
-		default:
-			t.Fatalf("wave %d not resolved by its own batch", i)
+	other := waves([][]byte{a, b})
+	m.deliver(1, encodeBatchMessage(other), nil) // versions 2–3
+	if len(other[0].h.ch) != 0 {
+		t.Fatal("another master's batch answered a wave")
+	}
+	ws := waves([][]byte{a, b}, [][]byte{c})
+	m.deliver(2, encodeBatchMessage(waves([][]byte{a, d}, [][]byte{c})), ws) // versions 4–6
+	expect("a slot holding other ops of the same count", ws, 0, 0)
+	ws = waves([][]byte{a, b}, [][]byte{c})
+	m.deliver(3, encodeBatchMessage(ws[:1]), ws) // versions 7–8
+	expect("a slot holding a prefix of the ops", ws, 0, 0)
+	ws = waves([][]byte{a, b}, [][]byte{c})
+	m.deliver(4, []byte{bcSlaveList, 0xff}, ws)
+	expect("a slot holding another kind of message", ws, 0, 0)
+	if got := m.Stats().BatchesDisplaced; got != 3 {
+		t.Fatalf("BatchesDisplaced = %d, want 3", got)
+	}
+
+	ws = waves([][]byte{a, b}, [][]byte{c}, [][]byte{d})
+	m.deliver(5, encodeBatchMessage(ws), ws) // versions 9–12
+	expect("the batch's own slot", ws, 9, 11, 12)
+	m.deliver(6, encodeBatchMessage(ws), nil) // a replay commits again, answers nobody
+	for i, w := range ws {
+		if len(w.h.ch) != 0 {
+			t.Fatalf("a replayed slot answered wave %d again", i)
 		}
 	}
-	m.deliver(5, encodeBatchMessage("master", no, batch)) // a replay commits again, resolves nobody
-	m.failBatch(no)                                       // Broadcast reporting failure after delivery
-	unresolved("a replayed frame or a late failure")
-	if len(m.inflight) != 0 || m.Version() != 20 {
-		t.Fatalf("inflight=%d version=%d, want 0 and 20", len(m.inflight), m.Version())
+
+	ws = waves([][]byte{a}, [][]byte{b, {0xff, 0xfe}}) // undecodable: skipped everywhere
+	m.deliver(7, encodeBatchMessage(ws), ws)           // versions 17–18
+	expect("a batch with a skipped op", ws, 0, 0)
+	if m.Version() != 18 || m.Stats().BatchesDisplaced != 3 {
+		t.Fatalf("version %d, %d displaced; want 18 and 3", m.Version(), m.Stats().BatchesDisplaced)
 	}
 }
 

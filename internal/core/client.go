@@ -664,11 +664,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 				return nil, err
 			}
 		}
-		pledges := make([][]byte, len(replies))
-		for i, r := range replies {
-			pledges[i] = EncodePledge(r.Pledge)
-		}
-		if err := c.forwardPledges(g, pledges); err != nil {
+		if err := c.forwardPledges(g, replies); err != nil {
 			return nil, err
 		}
 		c.mu.Lock()
@@ -868,39 +864,19 @@ func (c *Client) reportPledge(g *group, p Pledge) error {
 	return err
 }
 
-// forwardPledge sends the group's auditor one pledge's evidence frame and
+// forwardPledges sends the group's auditor the evidence frames of an
+// accepted read — one per slave, back to back in one a.pledge body — and
 // waits for the ack; clients accept results only after this completes
 // (§3.4).
-func (c *Client) forwardPledge(g *group, pledgeBytes []byte) error {
+func (c *Client) forwardPledges(g *group, replies []ReadReply) error {
 	c.mu.Lock()
-	c.stats.PledgesSent++
+	c.stats.PledgesSent += uint64(len(replies))
 	c.mu.Unlock()
-	_, err := c.dlr.CallTimeout(g.auditor, MethodPledge, pledgeBytes, c.cfg.Params.ReadTimeout)
-	return err
-}
-
-// forwardPledges ships a whole wave of pledges — one per slave of a
-// K-replica read — to the group's auditor in a single frame, one RPC per
-// accepted read instead of one per slave. Order within the frame is
-// preserved, so the auditor admits exactly what the sequential
-// forwardPledge calls would. A single pledge goes by a.pledge, the frame
-// every one-slave read sends.
-func (c *Client) forwardPledges(g *group, pledges [][]byte) error {
-	if len(pledges) == 0 {
-		return nil
-	}
-	if len(pledges) == 1 {
-		return c.forwardPledge(g, pledges[0])
-	}
-	c.mu.Lock()
-	c.stats.PledgesSent += uint64(len(pledges))
-	c.mu.Unlock()
-	size := 16
-	for _, p := range pledges {
-		size += len(p) + 8
-	}
-	w := wire.NewWriter(size)
-	w.BytesSlice(pledges)
-	_, err := c.dlr.CallTimeout(g.auditor, MethodPledgeMulti, w.Bytes(), c.cfg.Params.ReadTimeout)
+	body := wire.EncodeFrame(func(w *wire.Writer) {
+		for i := range replies {
+			replies[i].Pledge.Encode(w)
+		}
+	})
+	_, err := c.dlr.CallTimeout(g.auditor, MethodPledge, body, c.cfg.Params.ReadTimeout)
 	return err
 }

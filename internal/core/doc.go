@@ -70,9 +70,14 @@
 //	             the statement the slave signed (after its "pledge.v2"
 //	             tag) and the signature, no byte of the master's stamp:
 //	             nothing that holds a pledge as evidence reads more than
-//	             its version. The a.pledge body, each a.pledgemulti
-//	             element, the m.report pledge field, the bcExclude body
-//	             and pki.Exclusion.Evidence.
+//	             its version. The m.report pledge field, the bcExclude
+//	             body and pki.Exclusion.Evidence.
+//	a.pledge     one or more evidence frames back to back, one per
+//	             slave of an accepted read: each is length-prefixed
+//	             field by field, so they need no separator, and a
+//	             one-slave read sends exactly one. The auditor decodes
+//	             every frame before it admits any, in frame order, so a
+//	             body is admitted or refused whole.
 //	bcExclude    kind byte ‖ bytes evidence ‖ bytes originPub ‖ bytes
 //	             sig — sig by the master that convicted the slave, over
 //	             "exclude.v1" ‖ evidence; every master acts on it only if
@@ -86,12 +91,14 @@
 //	             at all. Reply: uvarint first — the version of the
 //	             wave's first op, the rest following contiguously; 0
 //	             means not committed.
-//	bcBatch      kind byte ‖ string origin ‖ uvarint batchNo ‖ uvarint n
-//	             ‖ n × bytes op — every queued wave's ops in order, with
-//	             no client key or signature (nothing reads them after
-//	             admission), no wave boundary and no per-op id: the
-//	             origin finds its waiting waves by batchNo and resolves
-//	             them by wave, every other member ignores both fields.
+//	bcBatch      kind byte ‖ uvarint n ‖ n × bytes op — every queued
+//	             wave's ops in order, with no client key or signature
+//	             (nothing reads them after admission), no wave boundary,
+//	             no per-op id and no origin: the origin's waiting waves
+//	             come back from its own broadcast member with the slot
+//	             (Broadcast's local), and are acknowledged only if the
+//	             slot holds the very frame it sent, byte for byte, else
+//	             answered 0 (MasterStats.BatchesDisplaced).
 //	s.updatebatch uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp ‖
 //	             string masterAddr (BatchUpdate) — no membership
 //	             proofs: the slave rebuilds the merkle root over all n

@@ -264,7 +264,7 @@ func TestAdoptKeepAliveStampsAckedVersion(t *testing.T) {
 		for !held {
 			r.s.Sleep(time.Millisecond)
 		}
-		r.master.deliver(0, adopt)
+		r.master.deliver(0, adopt, nil)
 		r.s.Sleep(2 * time.Second)
 	})
 	r.s.Run()

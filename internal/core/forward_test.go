@@ -26,7 +26,7 @@ type servedReply struct {
 type pledgeTap struct {
 	t        *testing.T
 	sent     []servedReply // by slaves, one per s.read reply, in order
-	audited  [][]byte      // to the auditor, a.pledge bodies and a.pledgemulti elements, in order
+	audited  [][]byte      // to the auditor, the evidence frames of a.pledge bodies, in order
 	reported [][]byte      // to masters, the pledge field of m.report
 }
 
@@ -46,10 +46,7 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 	return func(from, method string, body []byte) ([]byte, error) {
 		switch method {
 		case MethodPledge:
-			tap.audited = append(tap.audited, bytes.Clone(body))
-		case MethodPledgeMulti:
-			r := wire.NewReader(body)
-			tap.audited = append(tap.audited, r.BytesSlice()...)
+			tap.audited = append(tap.audited, splitEvidence(tap.t, body)...)
 		case MethodReport:
 			tap.reported = append(tap.reported, wire.NewReader(body).Bytes())
 		}
@@ -63,6 +60,21 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 		}
 		return resp, err
 	}
+}
+
+// splitEvidence cuts an a.pledge body into its evidence frames.
+func splitEvidence(t *testing.T, body []byte) [][]byte {
+	var frames [][]byte
+	r := wire.NewReader(body)
+	for r.Remaining() > 0 {
+		at := len(body) - r.Remaining()
+		if _, err := decodePledge(r); err != nil {
+			t.Errorf("a.pledge body does not decode: %v", err)
+			return frames
+		}
+		frames = append(frames, bytes.Clone(body[at:len(body)-r.Remaining()]))
+	}
+	return frames
 }
 
 // checkEvidence holds one forwarded frame to what the slave signed: it

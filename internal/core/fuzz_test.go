@@ -3,12 +3,18 @@ package core
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/pki"
+	"repro/internal/query"
+	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -121,55 +127,45 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 // master and the auditor read from a delivered broadcast slot, and what
 // b.submit takes from anyone — over arbitrary bytes. The invariants: no
 // panic; whatever decodes re-encodes through encodeBatchMessage to a
-// frame that decodes to the same origin, batch number and ops; and that
-// re-encoding is a fixed point, byte for byte. (A body with overlong
-// varints decodes too, so it is the re-encoding, not the body, that is
-// canonical.)
+// frame that decodes to the same ops; and that re-encoding is a fixed
+// point, byte for byte. (A body with overlong varints decodes too, so it
+// is the re-encoding, not the body, that is canonical.)
 func FuzzDecodeBatchMessage(f *testing.F) {
-	body := func(origin string, no uint64, ops ...[]byte) []byte {
-		return encodeBatchMessage(origin, no, []queuedWave{{ops: ops}})[1:] // after the kind byte
+	body := func(ops ...[]byte) []byte {
+		return encodeBatchMessage([]queuedWave{{ops: ops}})[1:] // after the kind byte
 	}
-	f.Add(body("master-0", 7, store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}),
+	f.Add(body(store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}),
 		store.EncodeOp(store.Delete{Key: "b"}), []byte{0xff})) // the last op does not decode; the frame does
-	f.Add(body("m", 1))
+	f.Add(body())
 	f.Add([]byte{})
-	f.Add([]byte{0x01, 'm', 0x81, 0x00, 0x01, 0x01, 'x'})        // batch number as an overlong varint
-	f.Add([]byte{0x01, 'm', 0x07, 0xff, 0xff, 0xff, 0xff, 0x0f}) // op count far beyond the frame
-	f.Add(append(body("m", 2, []byte("op")), 0x00))              // trailing byte
+	f.Add([]byte{0x81, 0x00})                   // op count as an overlong varint
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // op count far beyond the frame
+	f.Add(append(body([]byte("op")), 0x00))     // trailing byte
 
-	decode := func(frame []byte) (string, uint64, [][]byte, error) {
-		return decodeBatchMessage(wire.NewReader(frame))
-	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		origin, no, ops, err := decode(data)
+		ops, err := decodeBatchMessage(wire.NewReader(data))
 		if err != nil {
 			return
 		}
-		enc := encodeBatchMessage(origin, no, []queuedWave{{ops: ops}})
+		enc := encodeBatchMessage([]queuedWave{{ops: ops}})
 		if enc[0] != bcBatch {
 			t.Fatalf("re-encoded frame starts with kind %d", enc[0])
 		}
-		origin2, no2, ops2, err := decode(enc[1:])
+		ops2, err := decodeBatchMessage(wire.NewReader(enc[1:]))
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
-		if origin2 != origin || no2 != no || len(ops2) != len(ops) {
-			t.Fatalf("round trip changed the batch: %q/%d/%d ops -> %q/%d/%d ops",
-				origin, no, len(ops), origin2, no2, len(ops2))
+		if !slices.EqualFunc(ops2, ops, bytes.Equal) {
+			t.Fatalf("round trip changed the batch: %d ops -> %d", len(ops), len(ops2))
 		}
-		for i := range ops {
-			if !bytes.Equal(ops2[i], ops[i]) {
-				t.Fatalf("round trip changed op %d", i)
-			}
-		}
-		if !bytes.Equal(encodeBatchMessage(origin2, no2, []queuedWave{{ops: ops2}}), enc) {
+		if !bytes.Equal(encodeBatchMessage([]queuedWave{{ops: ops2}}), enc) {
 			t.Fatal("re-encoding is not canonical")
 		}
 	})
 }
 
 // FuzzDecodePledge drives the evidence-frame decoder — what a.pledge,
-// a.pledgemulti, m.report, bcExclude and pki.Exclusion.Evidence carry —
+// m.report, bcExclude and pki.Exclusion.Evidence carry —
 // over arbitrary bytes. The invariants: no panic on any input, in either
 // decoder or in the signature check run on what came out; the copying
 // decoder and the view decoder accept the same frames and read the same
@@ -374,6 +370,158 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 			}
 		}
 		if !bytes.Equal(encode(again), enc) {
+			t.Fatal("re-encoding is not canonical")
+		}
+	})
+}
+
+// deliverState is what a delivered control message may change: the
+// version, this master's slave set, its peers' slave sets, the dead
+// masters it has adopted from and the slaves it has excluded.
+type deliverState struct {
+	version  uint64
+	slaves   []string
+	peers    map[string]int
+	adopted  map[string]bool
+	excluded map[string]bool
+}
+
+func snapshotDeliverState(m *Master) deliverState {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := deliverState{version: m.store.Version(), peers: map[string]int{},
+		adopted: maps.Clone(m.adopted), excluded: maps.Clone(m.excluded)}
+	for _, e := range m.slaves {
+		st.slaves = append(st.slaves, e.addr)
+	}
+	for p, es := range m.peerSlaves {
+		st.peers[p] = len(es)
+	}
+	return st
+}
+
+// FuzzMasterDeliver feeds Master.deliver fuzzed ordered messages of every
+// kind — b.submit takes them from anyone, and every master delivers what
+// the sequencer orders. The kinds form a table, each with a decoder that
+// reads the message as its arm of deliver must; the seeds are well-formed
+// messages of each kind. The invariants: no panic; and a message that does
+// not decode leaves the version, the slave set, the peers' slave sets, the
+// adoptions and the exclusions as they were. A bcBatch comes with no
+// waiting waves, as on every master but its origin.
+func FuzzMasterDeliver(f *testing.F) {
+	certs := func(r *wire.Reader, owners bool) bool {
+		n := r.Count()
+		for i := 0; i < n; i++ {
+			if owners {
+				_ = r.String()
+			}
+			if _, err := pki.DecodeCertificate(r); err != nil {
+				return false
+			}
+		}
+		return true
+	}
+	decodes := map[byte]func(r *wire.Reader) bool{
+		bcSlaveList: func(r *wire.Reader) bool { _ = r.String(); return certs(r, false) && r.Done() == nil },
+		bcAdopt:     func(r *wire.Reader) bool { _ = r.String(); return certs(r, true) && r.Done() == nil },
+		bcExclude: func(r *wire.Reader) bool {
+			evidence := r.Bytes()
+			r.BytesView()
+			r.BytesView()
+			_, err := decodePledgeFrame(evidence)
+			return err == nil && r.Done() == nil
+		},
+		bcReadmit: func(r *wire.Reader) bool {
+			_ = r.String()
+			_, err := pki.DecodeCertificate(r)
+			return err == nil && r.Done() == nil
+		},
+		bcBatch: func(r *wire.Reader) bool { _, err := decodeBatchMessage(r); return err == nil },
+	}
+
+	master := cryptoutil.DeriveKeyPair("master", 0) // the rig's master, certified in its directory
+	slave := cryptoutil.DeriveKeyPair("slave", 0)
+	cert := pki.Certificate{Role: pki.RoleSlave, Addr: "slave-0", Subject: slave.Public, IssuedAt: sim.Epoch}
+	cert.Sign(master)
+	frame := func(kind byte, enc func(w *wire.Writer)) []byte {
+		return wire.EncodeFrame(func(w *wire.Writer) { w.Byte(kind); enc(w) })
+	}
+	evidence := EncodePledge(SignPledge(slave, query.Encode(query.Get{Key: "k"}), cryptoutil.Digest{1}, SignStamp(master, 1, sim.Epoch)))
+	f.Add(frame(bcSlaveList, func(w *wire.Writer) { w.String_("master-9"); w.Uvarint(1); cert.Encode(w) }))
+	f.Add(frame(bcAdopt, func(w *wire.Writer) { w.String_("master-9"); w.Uvarint(1); w.String_("master"); cert.Encode(w) }))
+	f.Add(frame(bcExclude, func(w *wire.Writer) {
+		w.Bytes_(evidence)
+		w.Bytes_(master.Public)
+		w.Bytes_(master.Sign(excludeSignedBytes(evidence)))
+	}))
+	f.Add(frame(bcReadmit, func(w *wire.Writer) { w.String_("master"); cert.Encode(w) }))
+	f.Add(encodeBatchMessage([]queuedWave{{ops: [][]byte{store.EncodeOp(store.Put{Key: "a", Value: []byte("1")})}}}))
+	f.Add(frame(bcSlaveList, func(w *wire.Writer) { w.String_("master-9"); w.Uvarint(1 << 40) }))
+	f.Add(frame(bcReadmit, func(w *wire.Writer) { w.String_("master"); cert.Encode(w); w.Byte(0) })) // trailing byte
+
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		r := newMasterRig(t, nil)
+		before := snapshotDeliverState(r.master)
+		r.s.Go(func() { r.master.deliver(1, msg, nil) })
+		r.s.Run()
+		if len(msg) == 0 {
+			return
+		}
+		decode, known := decodes[msg[0]]
+		if known && decode(wire.NewReader(msg[1:])) {
+			return
+		}
+		if after := snapshotDeliverState(r.master); !reflect.DeepEqual(after, before) {
+			t.Fatalf("a kind-%d message that does not decode changed the master:\n%+v\n->\n%+v", msg[0], before, after)
+		}
+	})
+}
+
+// FuzzWALRecord drives the WAL record framing replayWALRecord reads —
+// uvarint broadcast slot, then the batch entry: first version, ops and
+// stamp — over arbitrary bytes, through replay itself on a fresh master.
+// The invariants: no panic; a record that decodes re-encodes through
+// encodeWALRecord to one that decodes to the same slot and batch; and that
+// re-encoding is a fixed point, byte for byte. (A record with overlong
+// varints decodes too, so it is the re-encoding, not the record, that is
+// canonical.)
+func FuzzWALRecord(f *testing.F) {
+	keys := cryptoutil.DeriveKeyPair("master", 0)
+	ops := [][]byte{store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}), store.EncodeOp(store.Delete{Key: "k"})}
+	var sc batchScratch
+	record := encodeWALRecord(4, &BatchUpdate{First: 2, Ops: ops,
+		Stamp: SignBatchStamp(keys, 3, time.Unix(1, 0), sc.rebuild(2, ops).Root())})
+	f.Add(record) // continues the rig's store: replay applies it
+	f.Add(record[:len(record)-1])
+	f.Add(append(bytes.Clone(record), 0))
+	f.Add([]byte{})
+	f.Add([]byte{0x81, 0x00, 0x02, 0xff, 0xff, 0xff, 0xff, 0x0f}) // overlong slot, op count beyond the record
+
+	decode := func(data []byte) (uint64, BatchUpdate, error) {
+		r := wire.NewReader(data)
+		seq := r.Uvarint()
+		bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
+		if err == nil {
+			err = r.Done()
+		}
+		return seq, bu, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_ = newMasterRig(t, nil).master.replayWALRecord(data)
+		seq, bu, err := decode(data)
+		if err != nil {
+			return
+		}
+		enc := encodeWALRecord(seq, &bu)
+		seq2, bu2, err := decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if seq2 != seq || bu2.First != bu.First || !slices.EqualFunc(bu2.Ops, bu.Ops, bytes.Equal) {
+			t.Fatalf("round trip changed the record: slot %d, %d ops from %d -> slot %d, %d ops from %d",
+				seq, len(bu.Ops), bu.First, seq2, len(bu2.Ops), bu2.First)
+		}
+		if !bytes.Equal(encodeWALRecord(seq2, &bu2), enc) {
 			t.Fatal("re-encoding is not canonical")
 		}
 	})

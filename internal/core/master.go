@@ -65,6 +65,7 @@ type MasterStats struct {
 	WrongShardRejects uint64 // writes rejected because the key is outside Shard
 	DirectoryErrors   uint64 // directory RPCs that failed (record kept local)
 	ExclusionsRefused uint64 // bcExclude frames ignored: no certified master signed them, or they did not decode
+	BatchesDisplaced  uint64 // own batches whose broadcast came back with other ops (a forged b.submit took the slot); their waves were answered 0
 }
 
 // MasterConfig configures a master server.
@@ -195,12 +196,6 @@ type Master struct {
 	// first truncation comes one CheckpointEvery after start.
 	lastTruncate time.Time // guarded by mu
 
-	// This master's batches between Broadcast and delivery, by the batch
-	// number their bcBatch frame carries; whoever removes one resolves its
-	// waves. Numbers start at the clock, so a restart never reuses one.
-	batchNo  uint64                  // guarded by mu
-	inflight map[uint64][]queuedWave // guarded by mu
-
 	// Durable state (DataDir set; see durable.go). walMu serializes the
 	// log file operations — the delivery drainer appends and syncs,
 	// truncation and catch-up rewrite, Stop syncs.
@@ -247,8 +242,6 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		adopted:      make(map[string]bool),
 		excluded:     make(map[string]bool),
 		lastTruncate: rt.Now(),
-		batchNo:      uint64(rt.Now().UnixNano()),
-		inflight:     make(map[uint64][]queuedWave),
 		greedy:       newGreedyTracker(cfg.Params),
 		stamps:       newSigCache(stampMemoSize),
 	}
@@ -556,8 +549,9 @@ func adaptiveFlushTimeout(ewma, batchTimeout time.Duration) time.Duration {
 
 // flushBatch takes the accumulated batch (if gen still names it), paces
 // it by the §3.1 spacing rule — one max_latency slot per commit event,
-// which a batch is — and submits it to the ordered broadcast. If either
-// step fails, every wave of the batch is resolved as not committed.
+// which a batch is — and submits it to the ordered broadcast, which hands
+// the waves back to deliver with the batch's slot. If either step fails,
+// every wave of the batch is answered as not committed.
 func (m *Master) flushBatch(gen uint64, byTimer bool) {
 	m.mu.Lock()
 	if m.batchGen != gen || len(m.batchQueue) == 0 {
@@ -567,9 +561,6 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) {
 	batch := m.batchQueue
 	m.batchQueue, m.queuedOps = nil, 0
 	m.batchGen++
-	m.batchNo++
-	no := m.batchNo
-	m.inflight[no] = batch
 	if byTimer {
 		m.stats.BatchFlushTimer++
 	} else {
@@ -590,56 +581,29 @@ func (m *Master) flushBatch(gen uint64, byTimer bool) {
 	m.nextWriteAt = m.nextWriteAt.Add(m.cfg.Params.MaxLatency)
 	m.mu.Unlock()
 	if wait > 0 && m.rt.Sleep(wait) != nil {
-		m.failBatch(no)
+		answerWaves(batch, 0)
 		return
 	}
-	if m.bcast.Broadcast(encodeBatchMessage(m.cfg.Addr, no, batch)) != nil {
-		m.failBatch(no)
+	if m.bcast.Broadcast(encodeBatchMessage(batch), batch) != nil {
+		answerWaves(batch, 0)
 	}
 }
 
-// takeInflight removes and returns this master's own batch no, whose
-// delivered frame carried n ops; nil for another master's batch, one
-// already taken, or one from before a restart. The caller resolves the
-// waves: removal under mu is what makes that happen exactly once.
-func (m *Master) takeInflight(origin string, no uint64, n int) []queuedWave {
-	if origin != m.cfg.Addr {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	batch := m.inflight[no]
-	if opCount(batch) != n { // b.submit is unauthenticated: never index past a forged frame
-		return nil
-	}
-	delete(m.inflight, no)
-	return batch
-}
-
-// opCount is the number of ops the waves hold together.
-func opCount(waves []queuedWave) int {
-	n := 0
+// answerWaves answers the waves of one batch, in order, with the version
+// of each one's first op, given the batch's first version; 0 answers
+// every wave "not committed".
+func answerWaves(waves []queuedWave, first uint64) {
 	for _, w := range waves {
-		n += len(w.ops)
-	}
-	return n
-}
-
-// failBatch releases every wave of a batch that could not be broadcast;
-// version 0 marks "not committed".
-func (m *Master) failBatch(no uint64) {
-	m.mu.Lock()
-	batch := m.inflight[no]
-	delete(m.inflight, no)
-	m.mu.Unlock()
-	for _, w := range batch {
-		w.h.resolve(0)
+		w.h.resolve(first)
+		if first != 0 {
+			first += uint64(len(w.ops))
+		}
 	}
 }
 
 // commitHandle is what a waiting wave holds: a promise in virtual time or
-// a channel in real time. It is resolved exactly once, by whoever took
-// its batch out of inflight.
+// a channel in real time. It is resolved exactly once: by the delivery
+// its broadcast handed the batch back to, or by the flush that failed.
 type commitHandle struct {
 	p  *sim.Promise
 	ch chan uint64
@@ -704,9 +668,21 @@ func (m *Master) cancelQueued(h commitHandle) {
 }
 
 // deliver is the broadcast delivery callback: every master executes the
-// same ordered messages. After any message but a write batch it decides
-// alone whether to truncate (maybeTruncate).
-func (m *Master) deliver(seq uint64, msg []byte) {
+// same ordered messages. waves, on the batch's origin only, are the
+// writers waiting for a batch this master broadcast; they are answered
+// only if the slot holds exactly the frame it sent. After any message but
+// a write batch it decides alone whether to truncate (maybeTruncate).
+func (m *Master) deliver(seq uint64, msg []byte, local any) {
+	waves, _ := local.([]queuedWave)
+	if waves != nil && !bytes.Equal(msg, encodeBatchMessage(waves)) {
+		// b.submit is unauthenticated: a forger took this batch's slot
+		// under its submit identity, so the batch will never commit.
+		m.mu.Lock()
+		m.stats.BatchesDisplaced++
+		m.mu.Unlock()
+		answerWaves(waves, 0)
+		waves = nil
+	}
 	r := wire.NewReader(msg)
 	kind := r.Byte()
 	if kind != bcBatch {
@@ -714,11 +690,11 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 	}
 	switch kind {
 	case bcBatch:
-		origin, no, ops, err := decodeBatchMessage(r)
+		ops, err := decodeBatchMessage(r)
 		if err != nil {
 			return
 		}
-		m.applyBatch(seq, ops, m.takeInflight(origin, no, len(ops)))
+		m.applyBatch(seq, ops, waves)
 	case bcSlaveList:
 		masterAddr := r.String()
 		n := r.Count() // b.submit is unauthenticated: never size a slice by a forged count
@@ -748,14 +724,11 @@ func (m *Master) deliver(seq uint64, msg []byte) {
 }
 
 // encodeBatchMessage builds the bcBatch broadcast frame: the kind byte,
-// the origin master and its batch number — by which the origin alone finds
-// the batch's waves again — then every wave's ops in queue order, with no
-// wave boundary (detached: the archive keeps it).
-func encodeBatchMessage(origin string, no uint64, batch []queuedWave) []byte {
+// then every wave's ops in queue order, with no wave boundary (detached:
+// the archive keeps it).
+func encodeBatchMessage(batch []queuedWave) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Byte(bcBatch)
-		w.String_(origin)
-		w.Uvarint(no)
 		w.Uvarint(uint64(opCount(batch)))
 		for _, qw := range batch {
 			for _, op := range qw.ops {
@@ -765,13 +738,20 @@ func encodeBatchMessage(origin string, no uint64, batch []queuedWave) []byte {
 	})
 }
 
+// opCount is the number of ops the waves hold together.
+func opCount(waves []queuedWave) int {
+	n := 0
+	for _, w := range waves {
+		n += len(w.ops)
+	}
+	return n
+}
+
 // decodeBatchMessage parses a bcBatch broadcast body (after the kind
 // byte). The op bytes alias the message, which the archive retains.
-func decodeBatchMessage(r *wire.Reader) (origin string, no uint64, ops [][]byte, err error) {
-	origin = r.String()
-	no = r.Uvarint()
-	ops = r.BytesSliceView()
-	return origin, no, ops, r.Done()
+func decodeBatchMessage(r *wire.Reader) ([][]byte, error) {
+	ops := r.BytesSliceView()
+	return ops, r.Done()
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
@@ -788,12 +768,8 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 	m.mu.Lock()
 	first := m.store.Version() + 1
 	ops := make([][]byte, 0, len(batch))
-	var versions []uint64 // the origin's: op i's version, 0 if skipped
-	if waves != nil {
-		versions = make([]uint64, len(batch))
-	}
 	var opBytesTotal int
-	for i, opBytes := range batch {
+	for _, opBytes := range batch {
 		op, err := store.DecodeOp(opBytes)
 		if err != nil {
 			continue
@@ -801,13 +777,17 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 		m.store.Apply(op)
 		ops = append(ops, opBytes)
 		opBytesTotal += len(opBytes)
-		if versions != nil {
-			versions[i] = m.store.Version()
-		}
+	}
+	// Admission refuses undecodable ops, so an intact batch skips none;
+	// should ValidateOp and DecodeOp ever disagree, the versions would not
+	// follow the waves' positions, and none is answered as committed.
+	answered := first
+	if len(ops) != len(batch) {
+		answered = 0
 	}
 	if len(ops) == 0 {
 		m.mu.Unlock()
-		resolveWaves(waves, versions)
+		answerWaves(waves, answered)
 		return
 	}
 	last := m.store.Version()
@@ -867,7 +847,7 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 	m.mu.Lock()
 	m.unacked = 0
 	m.mu.Unlock()
-	resolveWaves(waves, versions)
+	answerWaves(waves, answered)
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
 	bu.MasterAddr = m.cfg.Addr
@@ -886,23 +866,6 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 			m.stats.UpdatesSent++
 			m.mu.Unlock()
 		})
-	}
-}
-
-// resolveWaves answers each wave with the version of its first op, given
-// every op's version in batch order (0 for a skipped one). A wave with an
-// op that did not apply — only a forged frame can carry one, since
-// admission refuses undecodable ops — is answered 0: its versions would
-// not be contiguous.
-func resolveWaves(waves []queuedWave, versions []uint64) {
-	for _, w := range waves {
-		n := len(w.ops)
-		first := versions[0]
-		if first == 0 || versions[n-1] != first+uint64(n)-1 {
-			first = 0
-		}
-		w.h.resolve(first)
-		versions = versions[n:]
 	}
 }
 
@@ -1081,7 +1044,7 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 		w.Bytes_(m.cfg.Keys.Public)
 		w.Bytes_(sig)
 	})
-	if err := m.bcast.Broadcast(msg); err != nil {
+	if err := m.bcast.Broadcast(msg, nil); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -1227,13 +1190,13 @@ func (m *Master) ReadmitSlave(addr string, pub cryptoutil.PublicKey) error {
 	w.Byte(bcReadmit)
 	w.String_(m.cfg.Addr) // the readmitting owner
 	cert.Encode(w)
-	return m.bcast.Broadcast(w.Bytes())
+	return m.bcast.Broadcast(w.Bytes(), nil)
 }
 
 func (m *Master) applyReadmit(r *wire.Reader) {
 	owner := r.String()
 	cert, err := pki.DecodeCertificate(r)
-	if err != nil {
+	if err != nil || r.Done() != nil {
 		return
 	}
 	m.mu.Lock()
@@ -1343,7 +1306,7 @@ func (m *Master) slaveListLoop() {
 		for _, e := range slaves {
 			e.cert.Encode(w)
 		}
-		m.bcast.Broadcast(w.Bytes())
+		m.bcast.Broadcast(w.Bytes(), nil)
 	}
 }
 
@@ -1424,7 +1387,7 @@ func (m *Master) initiateAdoption(dead string) {
 		w.String_(survivors[i%len(survivors)]) // new owner
 		e.cert.Encode(w)
 	}
-	m.bcast.Broadcast(w.Bytes())
+	m.bcast.Broadcast(w.Bytes(), nil)
 }
 
 func (m *Master) applyAdopt(r *wire.Reader) {

@@ -1,20 +1,21 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/query"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
 // TestPledgeMultiEquivalentToSingles feeds the same pledge wave to two
-// identically-seeded auditors — one pledge-per-RPC versus the whole wave
-// in a single MethodPledgeMulti frame — and requires identical admission
-// outcomes: same receive/sample/late counters and the same backlog. The
-// shared frame order drives the sampling RNG through the same sequence,
-// so batching changes only the transport, never what gets audited.
+// identically-seeded auditors — one a.pledge per frame versus the whole
+// wave's frames back to back in a single a.pledge body — and requires
+// identical admission outcomes: same receive/sample/late counters and the
+// same backlog. The shared frame order drives the sampling RNG through the
+// same sequence, so batching changes only the transport, never what gets
+// audited.
 func TestPledgeMultiEquivalentToSingles(t *testing.T) {
 	mut := func(c *AuditorConfig) { c.Params.AuditSampleP = 0.5 }
 	single := newAuditorRig(t, mut)
@@ -31,13 +32,11 @@ func TestPledgeMultiEquivalentToSingles(t *testing.T) {
 			t.Fatalf("single pledge: %v", err)
 		}
 	}
-	frames := make([][]byte, n)
-	for i, p := range pledges {
-		frames[i] = EncodePledge(p)
+	var body []byte
+	for _, p := range pledges {
+		body = append(body, EncodePledge(p)...)
 	}
-	w := wire.NewWriter(256)
-	w.BytesSlice(frames)
-	if _, err := multi.auditor.Handle("client", MethodPledgeMulti, w.Bytes()); err != nil {
+	if _, err := multi.auditor.Handle("client", MethodPledge, body); err != nil {
 		t.Fatalf("pledge wave: %v", err)
 	}
 
@@ -58,30 +57,30 @@ func TestPledgeMultiEquivalentToSingles(t *testing.T) {
 	}
 }
 
-// TestPledgeMultiRejectsMalformedWave: a wave with any undecodable frame
-// is rejected atomically — nothing from it is admitted.
+// TestPledgeMultiRejectsMalformedWave: a body with any frame that does
+// not decode — a broken frame after a good one, a byte trailing the last
+// frame, or no frame at all — is refused whole: nothing from it is
+// admitted.
 func TestPledgeMultiRejectsMalformedWave(t *testing.T) {
 	rig := newAuditorRig(t, nil)
 	good := EncodePledge(rig.pledgeFor(query.Get{Key: "k"}, false))
-	w := wire.NewWriter(256)
-	w.BytesSlice([][]byte{good, []byte{0xde, 0xad}})
-	if _, err := rig.auditor.Handle("client", MethodPledgeMulti, w.Bytes()); err == nil {
-		t.Fatal("malformed wave accepted")
-	}
-	if got := rig.auditor.Stats().PledgesReceived; got != 0 {
-		t.Fatalf("malformed wave partially admitted %d pledges", got)
-	}
-
-	w = wire.NewWriter(16)
-	w.BytesSlice(nil)
-	if _, err := rig.auditor.Handle("client", MethodPledgeMulti, w.Bytes()); err == nil {
-		t.Fatal("empty wave accepted")
+	for name, body := range map[string][]byte{
+		"broken frame":  append(slices.Clone(good), 0xde, 0xad),
+		"trailing byte": append(append(slices.Clone(good), good...), 0x00),
+		"empty":         nil,
+	} {
+		if _, err := rig.auditor.Handle("client", MethodPledge, body); err == nil {
+			t.Fatalf("%s: body accepted", name)
+		}
+		if got := rig.auditor.Stats().PledgesReceived; got != 0 {
+			t.Fatalf("%s: body partially admitted %d pledges", name, got)
+		}
 	}
 }
 
 // TestClusterKReadForwardsWholeWave: an agreeing k-slave read forwards
-// its whole pledge wave (via the batched frame) and the auditor audits
-// every pledge in it cleanly.
+// its whole pledge wave (one a.pledge body) and the auditor audits every
+// pledge in it cleanly.
 func TestClusterKReadForwardsWholeWave(t *testing.T) {
 	s := sim.New(62)
 	o := defaultOpts()

@@ -545,8 +545,8 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 		}
 		calls, jobs := dirCalls, cpu.Jobs()
 		d := r.master.StateDigest()
-		r.master.deliver(100, checkpointFrame(evil, "evil-master", 9, d, r.s.Now()))
-		r.master.deliver(101, checkpointFrame(r.master.cfg.Keys, "master", 9, d, r.s.Now()))
+		r.master.deliver(100, checkpointFrame(evil, "evil-master", 9, d, r.s.Now()), nil)
+		r.master.deliver(101, checkpointFrame(r.master.cfg.Keys, "master", 9, d, r.s.Now()), nil)
 		if dirCalls != calls || cpu.Jobs() != jobs {
 			t.Errorf("checkpoint frames cost the master %d directory calls and %d charged jobs", dirCalls-calls, cpu.Jobs()-jobs)
 		}
@@ -558,7 +558,7 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 	r.s.Run()
 
 	a.s.Go(func() {
-		a.auditor.deliver(1, checkpointFrame(r.master.cfg.Keys, "master", 9, cryptoutil.Digest{}, a.s.Now()))
+		a.auditor.deliver(1, checkpointFrame(r.master.cfg.Keys, "master", 9, cryptoutil.Digest{}, a.s.Now()), nil)
 	})
 	a.s.Run()
 	if n := audCPU.Jobs(); n != 0 {

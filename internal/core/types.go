@@ -381,8 +381,9 @@ func (p *Pledge) VerifySig() error {
 }
 
 // Encode appends the pledge's evidence frame to w: bytes query ‖ bytes
-// result hash ‖ uvarint version ‖ bytes slave key ‖ bytes sig — what a.pledge,
-// a.pledgemulti, m.report, bcExclude and pki.Exclusion.Evidence carry.
+// result hash ‖ uvarint version ‖ bytes slave key ‖ bytes sig — what a.pledge
+// (one or more, back to back), m.report, bcExclude and pki.Exclusion.Evidence
+// carry.
 func (p *Pledge) Encode(w *wire.Writer) {
 	p.appendStatement(w)
 	w.Bytes_(p.Sig)

@@ -76,7 +76,7 @@ func TestDeliverSurvivesHostileCounts(t *testing.T) {
 				w.Byte(kind)
 				w.String_("m9") // the sending master / the dead one
 				w.Uvarint(1 << 62)
-			}))
+			}), nil)
 			m.mu.Lock()
 			peers, adopted := len(m.peerSlaves), len(m.adopted)
 			m.mu.Unlock()

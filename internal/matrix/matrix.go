@@ -108,10 +108,12 @@ type Result struct {
 }
 
 // OK reports whether the cell passed: converged digests, a non-empty
-// write ledger, zero lost or duplicated writes, and the slave that lied
-// on reads — nobody else — excluded on an auditor's report.
+// write ledger, zero lost or duplicated writes, no failed write where no
+// fault was injected, and the slave that lied on reads — nobody else —
+// excluded on an auditor's report.
 func (r Result) OK() bool {
 	return r.Converged && r.Lost == 0 && r.Duplicated == 0 && r.Committed > 0 &&
+		(r.Cell.Fault != FaultNone || r.FailedWrites == 0) &&
 		r.LiarsAtLarge == 0 && r.HonestExcluded == 0 &&
 		(readLiar(r.Cell.Fault) < 0 || r.AuditReports > 0)
 }

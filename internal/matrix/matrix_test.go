@@ -124,3 +124,30 @@ func TestCellDeterminism(t *testing.T) {
 		t.Errorf("same seed, different results:\n  a=%+v\n  b=%+v", a, b)
 	}
 }
+
+// TestCellsDrainTheirWriters runs the smoke grid's two 100-client
+// write-heavy cells, whose writes queue longest, at their grid seeds: the
+// cell waits for every client's last write, so none is cut off by the end
+// of the run and counted as failed. A fault-free cell with a failed write
+// does not pass.
+func TestCellsDrainTheirWriters(t *testing.T) {
+	for i, cell := range SmokeGrid() {
+		if cell.Clients != 100 || cell.Mix != MixWriteHeavy || cell.Shards != 4 {
+			continue
+		}
+		t.Run(cell.Label(), func(t *testing.T) {
+			r, err := RunCell(cell, 1+int64(i), t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.FailedWrites != 0 || !r.OK() {
+				t.Errorf("cell failed: committed=%d failed writes=%d lost=%d dup=%d converged=%v",
+					r.Committed, r.FailedWrites, r.Lost, r.Duplicated, r.Converged)
+			}
+			r.FailedWrites = 1
+			if r.Cell.Fault == FaultNone && r.OK() {
+				t.Error("a fault-free cell with a failed write passes")
+			}
+		})
+	}
+}

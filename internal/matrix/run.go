@@ -32,6 +32,10 @@ const poolSize = 8
 // defaultCellDuration is the traffic window when Cell.Duration is 0.
 const defaultCellDuration = 2500 * time.Millisecond
 
+// drainLimit bounds how long a cell waits, past its settle point, for its
+// clients' last operations to return.
+const drainLimit = 30 * time.Second
+
 func writeFrac(mix string) float64 {
 	switch mix {
 	case MixWriteHeavy:
@@ -154,9 +158,10 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 		start := sc.S.Now()
 		end := start.Add(dur)
 
+		clients := sim.NewGroup(sc.S)
 		for c := 0; c < cell.Clients; c++ {
 			c := c
-			sc.S.Spawn(func() {
+			clients.Go(func() {
 				rng := rand.New(rand.NewSource(seed*100003 + int64(c)*31 + 7))
 				keys := keyDist(cell.Dist, rng, cfg.CatalogSize)
 				gen := workload.NewGenKeys(rng, keys, readMix(cell.Mix), cfg.CatalogSize, cfg.DocCount)
@@ -211,11 +216,22 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 			})
 		}
 
-		// Quiesce: wait out the traffic window plus every in-flight
-		// retry (bounded by the read timeout), then poll for digest
-		// convergence — keep-alives and snapshot syncs do the healing.
+		// Quiesce: wait out the traffic window plus a read timeout, and
+		// then until every client has returned from its last operation,
+		// so a write still queued at the window's end is counted as what
+		// it becomes; drainLimit ends a cell whose write is stuck. Then
+		// poll for digest convergence — keep-alives and snapshot syncs do
+		// the healing.
+		drained := sc.S.NewPromise()
+		sc.S.Spawn(func() {
+			clients.Wait()
+			drained.Resolve(nil)
+		})
 		settle := dur + cfg.Params.ReadTimeout + 500*time.Millisecond
 		if sc.S.Sleep(settle) != nil {
+			return
+		}
+		if _, err := drained.Future().AwaitTimeout(drainLimit); err == sim.ErrStopped {
 			return
 		}
 		for i := 0; i < 40; i++ {
