@@ -71,7 +71,8 @@ lint:
 # stamp whole (no pledge an audit would convict, no read refused as stale),
 # the client test whose writers, readers and re-setups share one shard
 # table and its groups, the auditor's tests, whose handlers queue pledges that alias their
-# frames for the audit worker, and the TCP transport's tests, whose
+# frames for the audit worker, the client's vouch tests, whose auditor probes
+# its answer cache on arrival while its audit worker writes it, and the TCP transport's tests, whose
 # connection workers, reused call slots and single-flight dials are all
 # shared between goroutines that only a lucky schedule brings together.
 race:
@@ -79,7 +80,7 @@ race:
 	$(GO) test -race -count=10 ./internal/broadcast/
 	$(GO) test -race -count=10 -run TestTCP ./internal/rpc/
 	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' ./internal/core/
-	$(GO) test -race -count=10 -run TestAuditor ./internal/core/
+	$(GO) test -race -count=10 -run 'TestAuditor|TestClientVouch' ./internal/core/
 
 # The simulator's record: virtual time, so one seed always writes the
 # same bytes, and a table that moves shows in the file's diff.
@@ -120,6 +121,7 @@ FUZZ_TARGETS := \
 	internal/core:FuzzDecodeWriteWave \
 	internal/core:FuzzDecodeBatchUpdate \
 	internal/core:FuzzDecodePledge \
+	internal/core:FuzzAuditorHandlePledge \
 	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/core:FuzzDecodeBatchMessage \

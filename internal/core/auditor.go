@@ -214,11 +214,21 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	}
 }
 
+// pledgeVouch is the a.pledge reply for a body whose every frame the
+// auditor already knows to be right: the frame's version is the replica's
+// and the query cache holds the same result hash for it. Any other body
+// gets the empty reply. A client that gets exactly this byte holds a
+// correct answer, so it need not check who signed it (Client.readOnce).
+var pledgeVouch = []byte{0x01}
+
 // handlePledge admits the evidence frames of one accepted read, one per
 // slave, back to back: each frame is length-prefixed field by field, so
 // they need no separator. Every frame is decoded before any is admitted,
 // so the body is admitted or refused whole, in frame order — the order in
-// which one frame per call would draw the sampling coin. The pledges are
+// which one frame per call would draw the sampling coin. A body whose every
+// frame agrees with the query cache at the replica's version is settled on
+// arrival, audited by the probe auditOne would have made, and vouched for;
+// any other is admitted frame by frame. The pledges are
 // decoded by view and queued as they are, so they keep body alive until
 // audited: the handler owns body (a view of its frame's own buffer over
 // TCP, the frame the client built under the simulator; nobody writes to
@@ -235,11 +245,28 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 		pledges = append(pledges, p)
 	}
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, p := range pledges {
-		a.admitPledgeLocked(p)
+	// A sampling auditor leaves pledges unaudited, so it vouches for none.
+	vouch := a.cfg.Params.AuditSampleP >= 1
+	cur := a.replica.Version()
+	for i := range pledges {
+		p := &pledges[i]
+		correct, hit := a.cache[string(p.QueryBytes)]
+		vouch = vouch && p.Stamp.Version == cur && hit && correct.Equal(p.ResultHash)
 	}
-	return nil, nil
+	if !vouch {
+		for _, p := range pledges {
+			a.admitPledgeLocked(p)
+		}
+		a.mu.Unlock()
+		return nil, nil
+	}
+	n := uint64(len(pledges))
+	a.stats.PledgesReceived += n
+	a.stats.PledgesAudited += n
+	a.stats.CacheHits += n
+	a.mu.Unlock()
+	chargeCPU(a.cfg.CPU, time.Duration(len(pledges))*a.cfg.Params.Costs.CacheLookup)
+	return pledgeVouch, nil
 }
 
 // admitPledgeLocked admits one pledge: sample, drop late arrivals, queue

@@ -486,3 +486,110 @@ func BenchmarkAuditPledge(b *testing.B) {
 		})
 	}
 }
+
+// TestAuditorVouchTable pins which a.pledge bodies the auditor vouches
+// for on arrival: those whose every frame is at the replica's version and
+// agrees with an answer the query cache already holds, at an auditor that
+// audits every pledge (a sampling one vouches for none). Each
+// row starts from an auditor that has audited Get k at its version; a
+// vouched body is settled there and then, any other is handled as before
+// the vouch existed and the worker's audit that follows convicts a lie.
+func TestAuditorVouchTable(t *testing.T) {
+	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
+	cat := func(ps ...Pledge) []byte {
+		var body []byte
+		for _, p := range ps {
+			body = append(body, EncodePledge(p)...)
+		}
+		return body
+	}
+	at := func(p Pledge, v uint64) Pledge {
+		p.Stamp.Version = v
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		sample float64 // AuditSampleP
+		body   func(r *auditorRig) []byte
+		vouch  bool
+		err    bool
+		queued int          // the backlog the body leaves for the worker
+		want   AuditorStats // counters the body adds, after the worker's audit
+	}{
+		{"cached and agreeing", 1, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(k, false))
+		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1}},
+		{"two slaves, both agreeing", 1, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(k, false), r.pledgeFor(k, false))
+		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2}},
+		{"cached but disagreeing", 1, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(k, true))
+		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
+		{"uncached", 1, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(other, false))
+		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1}},
+		{"replica behind", 1, func(r *auditorRig) []byte {
+			p := r.pledgeFor(k, false)
+			return cat(SignPledge(r.slave, p.QueryBytes, p.ResultHash, at(p, p.Stamp.Version+1).Stamp))
+		}, false, false, 1, AuditorStats{PledgesReceived: 1}},
+		{"late", 1, func(r *auditorRig) []byte {
+			p := r.pledgeFor(k, false)
+			return cat(SignPledge(r.slave, p.QueryBytes, p.ResultHash, at(p, p.Stamp.Version-1).Stamp))
+		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		{"sampled out", 0, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(k, false))
+		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesSampled: 1}},
+		{"two slaves, one uncached frame", 1, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(k, false), r.pledgeFor(other, false))
+		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 1}},
+		{"two slaves, one lying frame", 1, func(r *auditorRig) []byte {
+			return cat(r.pledgeFor(k, false), r.pledgeFor(k, true))
+		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
+		{"undecodable", 1, func(r *auditorRig) []byte {
+			body := cat(r.pledgeFor(k, false))
+			return body[:len(body)-1]
+		}, false, true, 0, AuditorStats{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newAuditorRig(t, nil)
+			a := r.auditor
+			a.dlr = nopDialer{}
+			if err := r.sendPledge(r.pledgeFor(k, false)); err != nil {
+				t.Fatal(err)
+			}
+			a.auditPending()
+			a.cfg.Params.AuditSampleP = tc.sample
+			before := a.Stats()
+			ack, err := a.handlePledge(tc.body(r))
+			if tc.err {
+				if err == nil {
+					t.Fatal("undecodable body admitted")
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if vouched := bytes.Equal(ack, pledgeVouch); vouched != tc.vouch || (!vouched && len(ack) != 0) {
+				t.Fatalf("ack %x, want vouch %v", ack, tc.vouch)
+			}
+			if a.Backlog() != tc.queued {
+				t.Fatalf("backlog %d, want %d", a.Backlog(), tc.queued)
+			}
+			a.auditPending()
+			st := a.Stats()
+			got := AuditorStats{
+				PledgesReceived: st.PledgesReceived - before.PledgesReceived,
+				PledgesAudited:  st.PledgesAudited - before.PledgesAudited,
+				PledgesSampled:  st.PledgesSampled - before.PledgesSampled,
+				PledgesLate:     st.PledgesLate - before.PledgesLate,
+				PledgesBadSig:   st.PledgesBadSig - before.PledgesBadSig,
+				CacheHits:       st.CacheHits - before.CacheHits,
+				Mismatches:      st.Mismatches - before.Mismatches,
+				ReportsSent:     st.ReportsSent - before.ReportsSent,
+			}
+			if got != tc.want {
+				t.Fatalf("counters added %+v, want %+v", got, tc.want)
+			}
+			r.checkPartition(t)
+		})
+	}
+}

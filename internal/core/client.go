@@ -628,12 +628,17 @@ var errRetry = errors.New("core: retryable read failure")
 
 // readOnce is one attempt of the read protocol (§3.2–§3.4) against the
 // group's assigned slaves — one, or K in the §4 variant. Every slave gets
-// the query and every answer is verified. If the answers agree the client
-// "proceeds as in the original algorithm" (§4): a probabilistic
-// double-check (§3.3), then the pledges go to the auditor (§3.4) before
-// the result is accepted. If they disagree the client double-checks with
-// the master unconditionally and reports every slave whose pledge does
-// not match the trusted hash.
+// the query and every reply's stamp is checked (checkReply). If the
+// answers agree the client "proceeds as in the original algorithm" (§4): a
+// probabilistic double-check (§3.3), then the pledges go to the auditor
+// (§3.4) before the result is accepted. If they disagree the client
+// double-checks with the master unconditionally and reports every slave
+// whose pledge does not match the trusted hash. A pledge that may be
+// reported — before either check — has its slave signature verified
+// first; otherwise it is verified after the forward, unless the auditor
+// vouched for the answer (pledgeVouch): the trusted auditor found that
+// result hash at that signed, fresh version, so there is no lie to pin on
+// anyone, and a lie is never vouched for.
 func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
 	assigns := slices.Clone(g.slaves[:min(len(g.slaves), c.cfg.KSlaves)])
@@ -649,7 +654,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		if err := c.verifyReply(sl, masterPubs, queryBytes, &reply); err != nil {
+		if err := c.checkReply(sl, masterPubs, queryBytes, &reply); err != nil {
 			return nil, err
 		}
 		replies[i] = reply
@@ -660,12 +665,21 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		check := c.rng.Float64() < checkProb
 		c.mu.Unlock()
 		if check {
+			if err := c.verifyPledges(replies); err != nil {
+				return nil, err
+			}
 			if err := c.doubleCheck(g, queryBytes, replies[0]); err != nil {
 				return nil, err
 			}
 		}
-		if err := c.forwardPledges(g, replies); err != nil {
+		vouched, err := c.forwardPledges(g, replies)
+		if err != nil {
 			return nil, err
+		}
+		if !check && !vouched {
+			if err := c.verifyPledges(replies); err != nil {
+				return nil, err
+			}
 		}
 		c.mu.Lock()
 		c.stats.ReadsAccepted++
@@ -677,6 +691,9 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	}
 
 	// Disagreement: at least one slave is malicious — mandatory check.
+	if err := c.verifyPledges(replies); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	c.stats.KMismatch++
 	c.stats.DoubleChecks++
@@ -738,22 +755,15 @@ func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) 
 	return DecodeReadReply(body)
 }
 
-// verifyReply completes the reply's pledge from what the client holds —
+// checkReply completes the reply's pledge from what the client holds —
 // the query it asked, the hash of the payload it got, the key of the slave
-// it asked — and performs the client-side checks of §3.2: the slave signed
-// that pledge, the stamp beside it is signed by a certified master, and it
-// is fresh. A reply whose payload, signature or slave is not the one asked
-// for fails the one signature check. Only the two signature checks go
-// through the verified-signature caches; the freshness check runs on every
-// reply.
-func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
+// it asked — and performs the client-side checks of §3.2 that nothing
+// stands in for, on every reply: the stamp beside the pledge is signed by
+// a certified master, and it is fresh. Whether the slave signed the pledge
+// is verifyPledges' question. The stamp check goes through the
+// verified-stamp cache; the freshness check runs on every reply.
+func (c *Client) checkReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
 	p := reply.completePledge(queryBytes, sl.pub)
-	if _, err := c.pledges.verifyPledge(p); err != nil {
-		c.mu.Lock()
-		c.stats.BadPledges++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %v", errRetry, err)
-	}
 	if _, err := c.stamps.verifyStamp(&p.Stamp, masterPubs); err != nil {
 		c.mu.Lock()
 		c.stats.BadPledges++
@@ -766,6 +776,21 @@ func (c *Client) verifyReply(sl slaveAssignment, masterPubs []cryptoutil.PublicK
 		c.stats.StaleRejects++
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", errRetry, ErrStale)
+	}
+	return nil
+}
+
+// verifyPledges checks, through the verified-pledge cache, that each
+// reply's slave signed the pledge checkReply completed. A reply whose
+// payload, query or slave is not the one asked about fails it.
+func (c *Client) verifyPledges(replies []ReadReply) error {
+	for i := range replies {
+		if _, err := c.pledges.verifyPledge(&replies[i].Pledge); err != nil {
+			c.mu.Lock()
+			c.stats.BadPledges++
+			c.mu.Unlock()
+			return fmt.Errorf("%w: %v", errRetry, err)
+		}
 	}
 	return nil
 }
@@ -867,8 +892,8 @@ func (c *Client) reportPledge(g *group, p Pledge) error {
 // forwardPledges sends the group's auditor the evidence frames of an
 // accepted read — one per slave, back to back in one a.pledge body — and
 // waits for the ack; clients accept results only after this completes
-// (§3.4).
-func (c *Client) forwardPledges(g *group, replies []ReadReply) error {
+// (§3.4). It reports whether the ack is exactly the auditor's vouch.
+func (c *Client) forwardPledges(g *group, replies []ReadReply) (vouched bool, err error) {
 	c.mu.Lock()
 	c.stats.PledgesSent += uint64(len(replies))
 	c.mu.Unlock()
@@ -877,6 +902,6 @@ func (c *Client) forwardPledges(g *group, replies []ReadReply) error {
 			replies[i].Pledge.Encode(w)
 		}
 	})
-	_, err := c.dlr.CallTimeout(g.auditor, MethodPledge, body, c.cfg.Params.ReadTimeout)
-	return err
+	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, body, c.cfg.Params.ReadTimeout)
+	return bytes.Equal(ack, pledgeVouch), err
 }

@@ -33,8 +33,11 @@ type clientRig struct {
 	mutateBody func([]byte) []byte
 	// content backs the scripted slave and master.
 	content *store.Store
-	// forwarded holds every body the scripted auditor was sent.
+	// forwarded holds every body the scripted auditor was sent, and ack
+	// is what it replies (nil: the empty ack of a pledge it does not vouch
+	// for).
 	forwarded [][]byte
+	ack       []byte
 }
 
 func newClientRig(t *testing.T) *clientRig {
@@ -118,10 +121,10 @@ func newClientRig(t *testing.T) *clientRig {
 		return enc, nil
 	})
 
-	// Scripted auditor: records and acks.
+	// Scripted auditor: records and acks with r.ack.
 	net.Register("auditor", func(from, method string, body []byte) ([]byte, error) {
 		r.forwarded = append(r.forwarded, bytes.Clone(body))
-		return nil, nil
+		return r.ack, nil
 	})
 
 	r.client = NewClient(ClientConfig{
@@ -169,10 +172,15 @@ func TestClientAcceptsHonestReply(t *testing.T) {
 }
 
 // readTampered reads through a slave whose reply r.mutate tampers with and
-// requires the read to be refused as a bad pledge: nothing forwarded and
-// no slot taken in the client's verified-pledge memo, so a hostile slave
-// can neither get a pledge past the auditor nor flush the memo.
-func (r *clientRig) readTampered(t *testing.T) {
+// requires the read to be refused as a bad pledge: nothing accepted and no
+// slot taken in the client's verified-pledge memo, so a hostile slave can
+// neither get an answer past the client nor flush the memo. The scripted
+// auditor does not vouch, so each attempt forwards its frame before the
+// signature check refuses it; an auditor over the rig's content, given
+// those frames, convicts nobody: it settles each as a forgery
+// (PledgesBadSig) or, where the tampering left the answer right, as an
+// honest audit. readTampered returns that auditor's counters.
+func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	t.Helper()
 	if _, err := r.readOnce(t); err == nil {
 		t.Fatal("tampered reply accepted")
@@ -181,12 +189,45 @@ func (r *clientRig) readTampered(t *testing.T) {
 	if st.BadPledges == 0 || st.ReadsAccepted != 0 {
 		t.Fatalf("not refused as a bad pledge: %+v", st)
 	}
-	if len(r.forwarded) != 0 || st.PledgesSent != 0 {
-		t.Fatalf("%d pledges forwarded from a tampered reply", len(r.forwarded))
-	}
 	if n := r.client.pledges.entries(); n != 0 || st.PledgeCacheHits != 0 {
 		t.Fatalf("tampered reply left %d memo entries and %d hits", n, st.PledgeCacheHits)
 	}
+	if len(r.forwarded) == 0 || st.PledgesSent != uint64(len(r.forwarded)) {
+		t.Fatalf("%d frames forwarded, %d pledges sent", len(r.forwarded), st.PledgesSent)
+	}
+	aud := r.newAuditor(t)
+	r.s.Go(func() {
+		for _, body := range r.forwarded {
+			if _, err := aud.handlePledge(body); err != nil {
+				t.Errorf("forwarded frame: %v", err)
+			}
+			aud.auditPending()
+		}
+	})
+	r.s.Run()
+	ast := aud.Stats()
+	if ast.PledgesAudited+ast.PledgesBadSig != ast.PledgesReceived || ast.Mismatches != 0 || ast.ReportsSent != 0 {
+		t.Fatalf("auditing the forwarded frames: %+v", ast)
+	}
+	return ast
+}
+
+// newAuditor returns an auditor over the rig's content, reporting to the
+// scripted master; its audit worker is not started.
+func (r *clientRig) newAuditor(t *testing.T) *Auditor {
+	t.Helper()
+	aud, err := NewAuditor(AuditorConfig{
+		Addr:        "auditor",
+		Keys:        cryptoutil.DeriveKeyPair("auditor", 0),
+		Params:      r.params,
+		Peers:       []string{"auditor"},
+		MasterAddrs: []string{"master"},
+		Seed:        1,
+	}, r.s, r.net.Dialer("auditor"), r.content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aud
 }
 
 func TestClientRejectsPayloadPledgeMismatch(t *testing.T) {
@@ -197,7 +238,10 @@ func TestClientRejectsPayloadPledgeMismatch(t *testing.T) {
 		rr.Payload = bytes.Clone(rr.Payload)
 		rr.Payload[len(rr.Payload)-1] ^= 1
 	}
-	r.readTampered(t)
+	// The frame names the tampered payload's hash: a forgery to the auditor.
+	if st := r.readTampered(t); st.PledgesBadSig != st.PledgesReceived {
+		t.Fatalf("auditing the forwarded frames: %+v", st)
+	}
 }
 
 func TestClientRejectsPledgeFromWrongSlave(t *testing.T) {
@@ -371,7 +415,10 @@ func TestClientSetupFailsWithEmptyDirectory(t *testing.T) {
 // stamp's version and nothing else of it, so everything a client believes
 // about the stamp it checks itself, on every reply. Each row starts from
 // an honest reply whose pledge signature the client has already verified
-// and cached, then swaps or edits the stamp that rides beside it.
+// and cached, then swaps or edits the stamp that rides beside it. The
+// checks run in readOnce's order for a read the auditor does not vouch
+// for: stamp signature and freshness first, so a row they refuse never
+// looks at the pledge, then the pledge signature.
 func TestClientChecksStampBesidePledge(t *testing.T) {
 	r := newClientRig(t)
 	c := r.client
@@ -416,12 +463,12 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 		}, ErrBadPledge, func(st ClientStats) uint64 { return st.BadPledges }},
 		{"stamp version edited in place", func(p *Pledge) {
 			p.Stamp.Version = 8
-		}, ErrBadPledge, func(st ClientStats) uint64 { return st.BadPledges }},
+		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			first := honest()
-			if err := c.verifyReply(sl, masters, qb, &first); err != nil {
+			if err := verifyUnvouched(c, sl, masters, qb, &first); err != nil {
 				t.Fatalf("honest reply: %v", err)
 			}
 			before := c.Stats()
@@ -430,7 +477,7 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 			// Twice: a rejection must not leave a verdict behind either.
 			for round := 0; round < 2; round++ {
 				tampered := reply
-				err := c.verifyReply(sl, masters, qb, &tampered)
+				err := verifyUnvouched(c, sl, masters, qb, &tampered)
 				if tc.want == nil {
 					if err != nil {
 						t.Fatalf("round %d: %v", round, err)
@@ -445,11 +492,225 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 			if tc.want != nil && tc.stat(after) != tc.stat(before)+2 {
 				t.Errorf("rejections not counted: before %+v, after %+v", before, after)
 			}
-			// Unless the version moved, the pledge itself was a cache hit
-			// both times: the stamp checks are what caught the reply.
-			if wantHits := before.PledgeCacheHits + 2; tc.want != ErrBadPledge && after.PledgeCacheHits != wantHits {
-				t.Errorf("pledge cache hits = %d, want %d", after.PledgeCacheHits, wantHits)
+			// An accepted pledge was a cache hit both times, one for another
+			// version a miss; one the stamp checks caught was not looked at.
+			wantHits, wantMisses := before.PledgeCacheHits, before.PledgeCacheMisses
+			switch tc.want {
+			case nil:
+				wantHits += 2
+			case ErrBadPledge:
+				wantMisses += 2
+			}
+			if after.PledgeCacheHits != wantHits || after.PledgeCacheMisses != wantMisses {
+				t.Errorf("pledge cache %d hits, %d misses, want %d and %d",
+					after.PledgeCacheHits, after.PledgeCacheMisses, wantHits, wantMisses)
 			}
 		})
+	}
+}
+
+// verifyUnvouched runs one reply through every check a read the auditor
+// does not vouch for makes, in readOnce's order.
+func verifyUnvouched(c *Client, sl slaveAssignment, masters []cryptoutil.PublicKey, qb []byte, reply *ReadReply) error {
+	if err := c.checkReply(sl, masters, qb, reply); err != nil {
+		return err
+	}
+	return c.verifyPledges([]ReadReply{*reply})
+}
+
+// withAuditor puts an auditor over the rig's content where the scripted
+// one was, its audit worker running; every body is still recorded. The
+// worker never idles out: a test's last step is r.s.Stop().
+func (r *clientRig) withAuditor(t *testing.T) *Auditor {
+	t.Helper()
+	aud := r.newAuditor(t)
+	r.net.Register("auditor", func(from, method string, body []byte) ([]byte, error) {
+		r.forwarded = append(r.forwarded, bytes.Clone(body))
+		return aud.Handle(from, method, body)
+	})
+	r.s.Go(aud.auditLoop)
+	return aud
+}
+
+// lie makes the slave answer k with a wrong value, under its own valid
+// signature, or under a garbage one when forge is set.
+func (r *clientRig) lie(forge bool) {
+	r.mutate = func(rr *ReadReply) {
+		rr.Payload = query.Encode(query.Get{Key: "not the answer"})
+		rr.Pledge = SignPledge(r.slaveKeys, rr.Pledge.QueryBytes, cryptoutil.HashBytes(rr.Payload), rr.Pledge.Stamp)
+		rr.XLie = true
+		if forge {
+			rr.Pledge.Sig = bytes.Clone(rr.Pledge.Sig)
+			rr.Pledge.Sig[0] ^= 0xff
+		}
+	}
+}
+
+// readNoCheck is one read of k that draws no double-check, so only the
+// auditor's ack decides whether the pledge signature is checked.
+func (r *clientRig) readNoCheck() ([]byte, error) {
+	return r.client.ReadAtLevel(query.Get{Key: "k"}, 0)
+}
+
+// TestClientVouchSkipsVerify: once the auditor has audited k at the
+// current version, the next read of k is vouched for — settled on arrival,
+// nothing queued — and the client accepts it without looking at the
+// pledge signature.
+func TestClientVouchSkipsVerify(t *testing.T) {
+	r := newClientRig(t)
+	aud := r.withAuditor(t)
+	r.s.Go(func() {
+		defer r.s.Stop()
+		if err := r.client.Setup(); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := r.readNoCheck(); err != nil {
+			t.Errorf("first read: %v", err)
+			return
+		}
+		if st := r.client.Stats(); st.PledgeCacheMisses != 1 {
+			t.Errorf("the unvouched first read made %d verifies, want 1", st.PledgeCacheMisses)
+		}
+		r.s.Sleep(2 * r.params.KeepAliveEvery) // the worker audits it
+		before := r.client.Stats()
+		payload, err := r.readNoCheck()
+		if err != nil {
+			t.Errorf("vouched read: %v", err)
+			return
+		}
+		if v, ok, _ := query.GetResult(payload); !ok || string(v) != "v" {
+			t.Errorf("payload = %q", v)
+		}
+		after := r.client.Stats()
+		if after.ReadsAccepted != before.ReadsAccepted+1 ||
+			after.PledgeCacheHits+after.PledgeCacheMisses != before.PledgeCacheHits+before.PledgeCacheMisses {
+			t.Errorf("vouched read: before %+v, after %+v", before, after)
+		}
+		ast := aud.Stats()
+		if ast.PledgesReceived != 2 || ast.PledgesAudited != 2 || ast.CacheHits != 1 || aud.Backlog() != 0 {
+			t.Errorf("auditor: %+v, backlog %d", ast, aud.Backlog())
+		}
+	})
+	r.s.Run()
+}
+
+// TestClientVouchLieConvicted: a lie under the slave's valid signature
+// disagrees with what the current auditor holds, so it is not vouched for;
+// the client verifies and accepts it, and the audit convicts the slave, as
+// for any lie.
+func TestClientVouchLieConvicted(t *testing.T) {
+	r := newClientRig(t)
+	aud := r.withAuditor(t)
+	r.s.Go(func() {
+		defer r.s.Stop()
+		if err := r.client.Setup(); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := r.readNoCheck(); err != nil {
+			t.Errorf("honest read: %v", err)
+			return
+		}
+		r.s.Sleep(2 * r.params.KeepAliveEvery)
+		r.lie(false)
+		before := r.client.Stats()
+		if _, err := r.readNoCheck(); err != nil {
+			t.Errorf("signed lie: %v", err)
+			return
+		}
+		after := r.client.Stats()
+		if after.LiesAccepted != 1 || after.PledgeCacheMisses != before.PledgeCacheMisses+1 {
+			t.Errorf("signed lie: before %+v, after %+v", before, after)
+		}
+		r.s.Sleep(2 * r.params.KeepAliveEvery)
+		if ast := aud.Stats(); ast.Mismatches != 1 || ast.ReportsSent != 1 || ast.PledgesAudited != 2 {
+			t.Errorf("auditor: %+v", ast)
+		}
+	})
+	r.s.Run()
+}
+
+// TestClientVouchGarbageSignatureRefused: a lie under a signature its
+// slave never made is refused, whether the auditor holds the right answer
+// at the current version or acks without vouching; no attempt is vouched.
+func TestClientVouchGarbageSignatureRefused(t *testing.T) {
+	for _, current := range []bool{true, false} {
+		r := newClientRig(t)
+		var aud *Auditor
+		if current {
+			aud = r.withAuditor(t)
+		}
+		r.s.Go(func() {
+			defer r.s.Stop()
+			if err := r.client.Setup(); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := r.readNoCheck(); err != nil {
+				t.Errorf("honest read: %v", err)
+				return
+			}
+			r.s.Sleep(2 * r.params.KeepAliveEvery)
+			r.lie(true)
+			before := r.client.Stats()
+			if _, err := r.readNoCheck(); err == nil {
+				t.Errorf("current auditor %v: forged lie accepted", current)
+			}
+			after := r.client.Stats()
+			if after.ReadsAccepted != before.ReadsAccepted || after.LiesAccepted != 0 ||
+				after.BadPledges != before.BadPledges+after.PledgesSent-before.PledgesSent {
+				t.Errorf("current auditor %v: before %+v, after %+v", current, before, after)
+			}
+			if aud != nil {
+				r.s.Sleep(2 * r.params.KeepAliveEvery)
+				if ast := aud.Stats(); ast.Mismatches != 0 || ast.PledgesBadSig != after.PledgesSent-before.PledgesSent {
+					t.Errorf("auditor: %+v", ast)
+				}
+			}
+		})
+		r.s.Run()
+	}
+}
+
+// TestClientVouchReplyByte: only the exact one-byte vouch stands in for
+// the pledge signature. The slave's answer is right but its signature is
+// garbage, so every other ack leaves the read refused.
+func TestClientVouchReplyByte(t *testing.T) {
+	for _, tc := range []struct {
+		ack    []byte
+		accept bool
+	}{
+		{nil, false},
+		{[]byte{}, false},
+		{[]byte{0x00}, false},
+		{[]byte{0x02}, false},
+		{[]byte{0xff}, false},
+		{[]byte{0x01, 0x01}, false},
+		{[]byte{0x01}, true},
+	} {
+		r := newClientRig(t)
+		r.ack = tc.ack
+		r.mutate = func(rr *ReadReply) {
+			rr.Pledge.Sig = bytes.Clone(rr.Pledge.Sig)
+			rr.Pledge.Sig[0] ^= 0xff
+		}
+		var err error
+		r.s.Go(func() {
+			if err = r.client.Setup(); err == nil {
+				_, err = r.readNoCheck()
+			}
+		})
+		r.s.Run()
+		st := r.client.Stats()
+		if tc.accept {
+			if err != nil || st.ReadsAccepted != 1 || st.PledgeCacheHits+st.PledgeCacheMisses != 0 {
+				t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
+			}
+			continue
+		}
+		if err == nil || st.ReadsAccepted != 0 || st.BadPledges == 0 {
+			t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
+		}
 	}
 }

@@ -526,3 +526,58 @@ func FuzzWALRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAuditorHandlePledge drives the auditor's a.pledge handler over
+// arbitrary bodies, against an auditor that has audited Get k at its
+// version. The invariants: no panic; the reply is the vouch exactly when
+// every frame decodes and agrees with the query cache at the auditor's
+// version (the auditor audits every pledge), and empty otherwise; and every
+// received pledge is settled or queued, never both or neither.
+func FuzzAuditorHandlePledge(f *testing.F) {
+	warm := func(t testing.TB) *auditorRig {
+		r := newAuditorRig(t, nil)
+		r.auditor.dlr = nopDialer{}
+		if err := r.sendPledge(r.pledgeFor(query.Get{Key: "k"}, false)); err != nil {
+			t.Fatal(err)
+		}
+		r.auditor.auditPending()
+		return r
+	}
+	r := warm(f)
+	honest := EncodePledge(r.pledgeFor(query.Get{Key: "k"}, false))
+	lie := EncodePledge(r.pledgeFor(query.Get{Key: "k"}, true))
+	uncached := EncodePledge(r.pledgeFor(query.Get{Key: "other"}, false))
+	f.Add(honest)
+	f.Add(append(bytes.Clone(honest), honest...))
+	f.Add(lie)
+	f.Add(append(bytes.Clone(honest), lie...))
+	f.Add(append(bytes.Clone(honest), uncached...))
+	f.Add(honest[:len(honest)-1])
+	f.Add(append(bytes.Clone(honest), 0x00))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := warm(t)
+		a := r.auditor
+		ack, err := a.handlePledge(body)
+		agree := true
+		rd := wire.NewReader(body)
+		for n := 0; n == 0 || rd.Remaining() > 0; n++ {
+			p, derr := decodePledge(rd)
+			if derr != nil {
+				agree = false
+				break
+			}
+			a.mu.Lock()
+			correct, hit := a.cache[string(p.QueryBytes)]
+			agree = agree && p.Stamp.Version == a.replica.Version() && hit && correct.Equal(p.ResultHash)
+			a.mu.Unlock()
+		}
+		if vouched := bytes.Equal(ack, pledgeVouch); vouched != agree || (!vouched && len(ack) != 0) {
+			t.Fatalf("ack %x for a body whose frames all agree: %v (err %v)", ack, agree, err)
+		}
+		r.checkPartition(t)
+		a.auditPending()
+		r.checkPartition(t)
+	})
+}

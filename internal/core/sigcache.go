@@ -26,7 +26,12 @@
 // signing again would; a corrupted payload has another result hash, hence
 // another key. Checks about the receiver or the moment — payload hash,
 // assigned slave, query asked, certified master, freshness — are in no
-// cached verdict; callers run them on every message.
+// cached verdict. A client runs the stamp's (certified master, freshness)
+// on every reply; the payload hash, slave and query are in the body whose
+// signature it checks, so they hold wherever that check runs. It skips the
+// pledge check only when the auditor vouches: the auditor then found the
+// hash the client computed, for the query it asked, at the stamp's
+// version, so the answer is right whoever signed it (Client.readOnce).
 package core
 
 import (

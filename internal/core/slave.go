@@ -390,7 +390,7 @@ func (s *Slave) syncFrom(masterAddr string) error {
 // ‖ bytes sig ‖ bool xlie: the pledge's stamp and signature and nothing the
 // client already holds — its own query, the hash of the payload, the key
 // of the slave it asked — so a decoded reply's pledge carries Stamp and Sig
-// only, and Client.verifyReply fills in the rest. XLie is experiment
+// only, and Client.checkReply fills in the rest. XLie is experiment
 // instrumentation only — it records the ground truth of whether this
 // answer was falsified so the harness can measure undetected-lie rates; it
 // is not part of any signature and no protocol decision may depend on it.

@@ -341,7 +341,7 @@ func decodeStamp(r *wire.Reader) (VersionStamp, error) {
 // signature, and whoever relies on it verifies that (sigcache.go). No
 // pledge travels whole. The s.read reply carries the stamp and Sig beside
 // the payload, and the client rebuilds the rest from what it already
-// holds (Client.verifyReply). The evidence frame (Encode) carries the
+// holds (Client.checkReply). The evidence frame (Encode) carries the
 // signed statement and Sig and no other byte of the stamp: it decodes to
 // a pledge whose Stamp has only Version set.
 type Pledge struct {
