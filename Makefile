@@ -71,8 +71,9 @@ lint:
 # stamp whole (no pledge an audit would convict, no read refused as stale),
 # the client test whose writers, readers and re-setups share one shard
 # table and its groups, the auditor's tests, whose handlers queue pledges that alias their
-# frames for the audit worker, the client's vouch tests, whose auditor probes
-# its answer cache on arrival while its audit worker writes it, and the TCP transport's tests, whose
+# frames for the audit worker, the client's vouch tests, whose auditor
+# answers pledges from its query cache on arrival, executing a miss there,
+# while its audit worker reads and writes the same cache, and the TCP transport's tests, whose
 # connection workers, reused call slots and single-flight dials are all
 # shared between goroutines that only a lucky schedule brings together.
 race:
@@ -129,7 +130,8 @@ FUZZ_TARGETS := \
 	internal/core:FuzzWALRecord \
 	internal/broadcast:FuzzMemberHandle \
 	internal/dirsrv:FuzzDecodeShardMap \
-	internal/store:FuzzNumericValue
+	internal/store:FuzzNumericValue \
+	internal/query:FuzzQuerySpan
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -22,7 +22,8 @@ type AuditorStats struct {
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
 	PledgesLate     uint64 // arrived after the auditor left their version
 	PledgesBadSig   uint64 // disagreed with the replica, but the slave never signed them
-	CacheHits       uint64
+	PledgesVouched  uint64 // audited on arrival and answered with the vouch (counted in PledgesAudited too)
+	CacheHits       uint64 // audited pledges whose answer the query cache already held
 	Mismatches      uint64 // lies detected: audited pledges the slave signed and the replica contradicts
 	ReportsSent     uint64
 	VersionLagMax   uint64 // max (master version - auditor version) seen
@@ -60,8 +61,11 @@ type AuditorConfig struct {
 	Seed int64
 }
 
+// bufferedWrite is an ordered write the replica has not applied yet, with
+// the key it writes (a view into opBytes).
 type bufferedWrite struct {
 	opBytes    []byte
+	key        []byte
 	receivedAt time.Time
 }
 
@@ -80,7 +84,7 @@ type Auditor struct {
 
 	mu       sync.Mutex
 	replica  *store.Store                 // guarded by mu
-	writes   map[uint64]bufferedWrite     // guarded by mu; pending, by target version
+	writes   []bufferedWrite              // guarded by mu; writes[i] is version replica.Version()+1+i
 	pending  map[uint64][]Pledge          // guarded by mu; pledges by content version
 	backlog  int                          // guarded by mu; pledges in pending, kept as a running count
 	cache    map[string]cryptoutil.Digest // guarded by mu
@@ -100,7 +104,6 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		dlr:      dlr,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		replica:  initial.Clone(),
-		writes:   make(map[uint64]bufferedWrite),
 		pending:  make(map[uint64][]Pledge),
 		cache:    make(map[string]cryptoutil.Digest),
 		detected: make(map[string]bool),
@@ -183,8 +186,9 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 
 // deliver receives the ordered master traffic; the auditor only buffers
 // writes (it "is allowed to lag behind when executing write requests",
-// §3.4) and ignores membership messages. Buffered writes live in a.writes
-// and nothing the auditor keeps reads its broadcast archive, so every
+// §3.4) and ignores membership messages. Buffered writes live in a.writes,
+// in version order, each with its key for handlePledge's span walk, and
+// nothing the auditor keeps reads its broadcast archive, so every
 // delivery drops the archive below itself; the member caps that floor at
 // the slowest live member's delivered mark, so a peer can still fetch its
 // gap.
@@ -206,8 +210,9 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 		if store.ValidateOp(opBytes) != nil {
 			continue
 		}
+		key, _ := store.OpKey(opBytes) // a valid op has a key
 		a.masterV++
-		a.writes[a.masterV] = bufferedWrite{opBytes: opBytes, receivedAt: a.rt.Now()}
+		a.writes = append(a.writes, bufferedWrite{opBytes: opBytes, key: key, receivedAt: a.rt.Now()})
 	}
 	if lag := a.masterV - a.replica.Version(); lag > a.stats.VersionLagMax {
 		a.stats.VersionLagMax = lag
@@ -215,10 +220,9 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 }
 
 // pledgeVouch is the a.pledge reply for a body whose every frame the
-// auditor already knows to be right: the frame's version is the replica's
-// and the query cache holds the same result hash for it. Any other body
-// gets the empty reply. A client that gets exactly this byte holds a
-// correct answer, so it need not check who signed it (Client.readOnce).
+// auditor already knows to be right (vouchesLocked). Any other body gets
+// the empty reply. A client that gets exactly this byte holds a correct
+// answer, so it need not check who signed it (Client.readOnce).
 var pledgeVouch = []byte{0x01}
 
 // handlePledge admits the evidence frames of one accepted read, one per
@@ -226,13 +230,12 @@ var pledgeVouch = []byte{0x01}
 // they need no separator. Every frame is decoded before any is admitted,
 // so the body is admitted or refused whole, in frame order — the order in
 // which one frame per call would draw the sampling coin. A body whose every
-// frame agrees with the query cache at the replica's version is settled on
-// arrival, audited by the probe auditOne would have made, and vouched for;
-// any other is admitted frame by frame. The pledges are
-// decoded by view and queued as they are, so they keep body alive until
-// audited: the handler owns body (a view of its frame's own buffer over
-// TCP, the frame the client built under the simulator; nobody writes to
-// either again).
+// frame the auditor can answer now and finds right is settled on arrival,
+// audited as auditOne would have, and vouched for; any other is admitted
+// frame by frame. The pledges are decoded by view and queued as they are,
+// so they keep body alive until audited: the handler owns body (a view of
+// its frame's own buffer over TCP, the frame the client built under the
+// simulator; nobody writes to either again).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	var held [2]Pledge // reads of one or two slaves decode without an allocation
 	pledges := held[:0]
@@ -247,26 +250,61 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	a.mu.Lock()
 	// A sampling auditor leaves pledges unaudited, so it vouches for none.
 	vouch := a.cfg.Params.AuditSampleP >= 1
-	cur := a.replica.Version()
-	for i := range pledges {
-		p := &pledges[i]
-		correct, hit := a.cache[string(p.QueryBytes)]
-		vouch = vouch && p.Stamp.Version == cur && hit && correct.Equal(p.ResultHash)
+	var cost time.Duration // the modelled CPU of the answers found
+	var hits uint64
+	for i := 0; vouch && i < len(pledges); i++ {
+		ok, hit, c := a.vouchesLocked(&pledges[i])
+		vouch, cost = ok, cost+c
+		if hit {
+			hits++
+		}
 	}
 	if !vouch {
 		for _, p := range pledges {
 			a.admitPledgeLocked(p)
 		}
 		a.mu.Unlock()
+		chargeCPU(a.cfg.CPU, cost)
 		return nil, nil
 	}
 	n := uint64(len(pledges))
 	a.stats.PledgesReceived += n
 	a.stats.PledgesAudited += n
-	a.stats.CacheHits += n
+	a.stats.PledgesVouched += n
+	a.stats.CacheHits += hits
 	a.mu.Unlock()
-	chargeCPU(a.cfg.CPU, time.Duration(len(pledges))*a.cfg.Params.Costs.CacheLookup)
+	chargeCPU(a.cfg.CPU, cost)
 	return pledgeVouch, nil
+}
+
+// vouchesLocked reports whether the auditor's trusted state decides p
+// right now, and decides it right: p's version V is one the ordered writes
+// have reached (between the replica's version and masterV), no buffered
+// write in (replica, V] touches a key of the query's span — so the answer
+// at V is the answer at the replica's — and that answer, from the query
+// cache or executed on arrival, is p's result hash. hit reports a cache
+// hit and cost the modelled CPU the answer took. Caller holds a.mu.
+func (a *Auditor) vouchesLocked(p *Pledge) (vouch, hit bool, cost time.Duration) {
+	cur := a.replica.Version()
+	v := p.Stamp.Version
+	if v < cur || v > a.masterV {
+		return false, false, 0
+	}
+	var q query.Query
+	if v > cur {
+		var err error
+		if q, err = query.Decode(p.QueryBytes); err != nil {
+			return false, false, 0
+		}
+		from, to := q.Span()
+		for _, w := range a.writes[:v-cur] {
+			if query.InSpan(w.key, from, to) {
+				return false, false, 0
+			}
+		}
+	}
+	correct, hit, cost, ok := a.answerLocked(p.QueryBytes, q)
+	return ok && correct.Equal(p.ResultHash), hit, cost
 }
 
 // admitPledgeLocked admits one pledge: sample, drop late arrivals, queue
@@ -326,16 +364,15 @@ func (a *Auditor) auditPending() (n int, stopped bool) {
 }
 
 // auditOne compares a single pledge's result hash with the trusted
-// replica's: from the per-version query cache when the query was seen at
-// this version, by re-execution otherwise. A pledge that agrees is done —
-// nobody will ever present it, so nobody checks who signed it. One that
-// disagrees, or names a query that does not decode or execute, goes to
-// convict, which is where the signature is verified.
+// replica's (answerLocked). A pledge that agrees is done — nobody will
+// ever present it, so nobody checks who signed it. One that disagrees, or
+// names a query that does not decode or execute (a signed one is itself
+// proof of misbehaviour), goes to convict, which is where the signature is
+// verified.
 func (a *Auditor) auditOne(p Pledge) {
-	costs := a.cfg.Params.Costs
 	a.mu.Lock()
-	correct, hit := a.cache[string(p.QueryBytes)]
-	agrees := hit && correct.Equal(p.ResultHash)
+	correct, hit, cost, ok := a.answerLocked(p.QueryBytes, nil)
+	agrees := ok && correct.Equal(p.ResultHash)
 	if hit {
 		a.stats.CacheHits++
 	}
@@ -343,42 +380,37 @@ func (a *Auditor) auditOne(p Pledge) {
 		a.stats.PledgesAudited++
 	}
 	a.mu.Unlock()
-	if hit {
-		chargeCPU(a.cfg.CPU, costs.CacheLookup)
-		if !agrees {
-			a.convict(p)
-		}
-		return
-	}
-
-	q, err := query.Decode(p.QueryBytes)
-	if err != nil {
-		// A signed, undecodable query is itself proof of misbehaviour.
-		a.convict(p)
-		return
-	}
-	a.mu.Lock()
-	res, err := q.Execute(a.replica)
-	a.mu.Unlock()
-	if err != nil {
-		a.convict(p)
-		return
-	}
-	// The auditor hashes the result but — unlike a slave — signs
-	// nothing and sends no reply to any client (§3.4).
-	chargeCPU(a.cfg.CPU, costs.QueryCost(res.Scanned))
-	chargeCPU(a.cfg.CPU, costs.HashCost(len(res.Payload)))
-	correct = res.Digest()
-	agrees = correct.Equal(p.ResultHash)
-	a.mu.Lock()
-	a.cache[string(p.QueryBytes)] = correct
-	if agrees {
-		a.stats.PledgesAudited++
-	}
-	a.mu.Unlock()
+	chargeCPU(a.cfg.CPU, cost)
 	if !agrees {
 		a.convict(p)
 	}
+}
+
+// answerLocked returns the replica's result hash for a pledged query: from
+// the per-version query cache when the query was seen at this version, by
+// executing it (q, or queryBytes decoded when q is nil) and caching the
+// hash otherwise. ok is false for a query that does not decode or execute;
+// hit reports a cache hit, and cost is the modelled CPU the answer took.
+// The auditor hashes the result but — unlike a slave — signs nothing and
+// sends no reply to any client (§3.4). Caller holds a.mu.
+func (a *Auditor) answerLocked(queryBytes []byte, q query.Query) (correct cryptoutil.Digest, hit bool, cost time.Duration, ok bool) {
+	costs := a.cfg.Params.Costs
+	if correct, hit = a.cache[string(queryBytes)]; hit {
+		return correct, true, costs.CacheLookup, true
+	}
+	if q == nil {
+		var err error
+		if q, err = query.Decode(queryBytes); err != nil {
+			return correct, false, 0, false
+		}
+	}
+	res, err := q.Execute(a.replica)
+	if err != nil {
+		return correct, false, 0, false
+	}
+	correct = res.Digest()
+	a.cache[string(queryBytes)] = correct
+	return correct, false, costs.QueryCost(res.Scanned) + costs.HashCost(len(res.Payload)), true
 }
 
 // provenPledge is a pledge the trusted replica contradicts and whose
@@ -439,11 +471,10 @@ func (a *Auditor) report(proven provenPledge) {
 func (a *Auditor) maybeAdvance() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	next := a.replica.Version() + 1
-	w, ok := a.writes[next]
-	if !ok {
+	if len(a.writes) == 0 {
 		return false
 	}
+	w := a.writes[0]
 	if len(a.pending[a.replica.Version()]) > 0 {
 		return false
 	}
@@ -453,11 +484,11 @@ func (a *Auditor) maybeAdvance() bool {
 	}
 	op, err := store.DecodeOp(w.opBytes)
 	if err != nil {
-		delete(a.writes, next)
-		return true
+		return false // deliver buffers only ops that decode
 	}
-	a.replica.ApplyAt(next, op)
-	delete(a.writes, next)
+	a.replica.ApplyAt(a.replica.Version()+1, op)
+	a.writes[0] = bufferedWrite{} // drop the op with the slot
+	a.writes = a.writes[1:]
 	// Results change with the version: drop the query cache (§3.4 cache
 	// is per-version query optimization). clear keeps the map's storage,
 	// so steady-state version advancement stops allocating.

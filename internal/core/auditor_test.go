@@ -24,6 +24,7 @@ type auditorRig struct {
 	reports [][]byte
 	initial *store.Store
 	params  Params
+	seq     uint64 // broadcast slots commit has delivered
 }
 
 func newAuditorRig(t testing.TB, mut func(*AuditorConfig)) *auditorRig {
@@ -80,6 +81,15 @@ func (r *auditorRig) pledgeFor(q query.Query, lie bool) Pledge {
 	return SignPledge(r.slave, query.Encode(q), h, stamp)
 }
 
+// commit delivers op to the auditor as the next ordered write, as the
+// broadcast would, and applies it to the rig's content, so later pledges
+// are built at the version it makes.
+func (r *auditorRig) commit(op store.Op) {
+	r.seq++
+	r.auditor.deliver(r.seq, encodeBatchMessage([]queuedWave{{ops: [][]byte{store.EncodeOp(op)}}}), nil)
+	r.initial.Apply(op)
+}
+
 func (r *auditorRig) sendPledge(p Pledge) error {
 	_, err := r.auditor.Handle("client", MethodPledge, EncodePledge(p))
 	return err
@@ -105,8 +115,9 @@ func (r *auditorRig) signedQuery(queryBytes []byte) Pledge {
 	return SignPledge(r.slave, queryBytes, cryptoutil.Digest{}, stamp)
 }
 
-// audit starts the audit worker, delivers the pledges in order, lets three
-// keep-alive intervals pass and returns the auditor's counters.
+// audit starts the audit worker, delivers the pledges in order, lets the
+// audit window of every committed write close and three keep-alive
+// intervals more pass, and returns the auditor's counters.
 func (r *auditorRig) audit(t *testing.T, pledges ...Pledge) AuditorStats {
 	t.Helper()
 	r.auditor.rt.Spawn(r.auditor.auditLoop)
@@ -116,12 +127,28 @@ func (r *auditorRig) audit(t *testing.T, pledges ...Pledge) AuditorStats {
 				t.Errorf("pledge refused: %v", err)
 			}
 		}
-		r.s.Sleep(3 * r.params.KeepAliveEvery)
+		r.s.Sleep(r.params.MaxLatency + r.params.AuditorSlack + 3*r.params.KeepAliveEvery)
 		r.s.Stop()
 	})
 	r.s.Run()
 	r.checkPartition(t)
 	return r.auditor.Stats()
+}
+
+// added returns the counters after has added to before (the maxima are
+// left out).
+func added(before, after AuditorStats) AuditorStats {
+	return AuditorStats{
+		PledgesReceived: after.PledgesReceived - before.PledgesReceived,
+		PledgesAudited:  after.PledgesAudited - before.PledgesAudited,
+		PledgesSampled:  after.PledgesSampled - before.PledgesSampled,
+		PledgesLate:     after.PledgesLate - before.PledgesLate,
+		PledgesBadSig:   after.PledgesBadSig - before.PledgesBadSig,
+		PledgesVouched:  after.PledgesVouched - before.PledgesVouched,
+		CacheHits:       after.CacheHits - before.CacheHits,
+		Mismatches:      after.Mismatches - before.Mismatches,
+		ReportsSent:     after.ReportsSent - before.ReportsSent,
+	}
 }
 
 // checkPartition asserts that every received pledge is queued or ended in
@@ -177,7 +204,10 @@ func (r *auditorRig) checkReport(t *testing.T, body []byte) {
 // compared first and the slave's signature is checked only on a pledge
 // that disagrees — so an honest pledge costs no verification whoever
 // signed it, and nothing is counted as a lie, remembered or reported
-// without one.
+// without one. Every pledge is at a version whose buffered write touches
+// k (and the queries that do not name k alone span it too), so none is
+// settled on arrival: each is queued and audited by the worker once the
+// replica reaches its version.
 func TestAuditorVerifiesOnEvidence(t *testing.T) {
 	get := query.Get{Key: "k"}
 	for _, tc := range []struct {
@@ -213,10 +243,12 @@ func TestAuditorVerifiesOnEvidence(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAuditorRig(t, nil)
+			r.commit(store.Put{Key: "k", Value: []byte("v2")})
 			pledges := tc.pledges(r)
 			st := r.audit(t, pledges...)
 			tc.want.PledgesReceived = uint64(len(pledges))
 			tc.want.BacklogMax = len(pledges)
+			tc.want.VersionLagMax = 1 // the write to k
 			if st != tc.want {
 				t.Errorf("stats:\n got %+v\nwant %+v", st, tc.want)
 			}
@@ -377,9 +409,9 @@ func (r *auditorRig) pledgeFrames(n int, lie bool) [][]byte {
 	return frames
 }
 
-// TestAuditorHonestPledgeAllocs pins what an admitted, audited honest
-// pledge costs the allocator: the pledge is decoded by view, queued, and
-// settled by one probe of the query cache.
+// TestAuditorHonestPledgeAllocs pins what an honest pledge costs the
+// allocator: the pledge is decoded by view and settled on arrival by one
+// probe of the query cache (the first by executing its query).
 func TestAuditorHonestPledgeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -487,26 +519,30 @@ func BenchmarkAuditPledge(b *testing.B) {
 	}
 }
 
-// TestAuditorVouchTable pins which a.pledge bodies the auditor vouches
-// for on arrival: those whose every frame is at the replica's version and
-// agrees with an answer the query cache already holds, at an auditor that
-// audits every pledge (a sampling one vouches for none). Each
-// row starts from an auditor that has audited Get k at its version; a
-// vouched body is settled there and then, any other is handled as before
-// the vouch existed and the worker's audit that follows convicts a lie.
+// catPledges is an a.pledge body of the pledges' frames back to back.
+func catPledges(ps ...Pledge) []byte {
+	var body []byte
+	for _, p := range ps {
+		body = append(body, EncodePledge(p)...)
+	}
+	return body
+}
+
+// resign returns p at version v, under the rig slave's signature.
+func (r *auditorRig) resign(p Pledge, v uint64) Pledge {
+	p.Stamp.Version = v
+	return SignPledge(r.slave, p.QueryBytes, p.ResultHash, p.Stamp)
+}
+
+// TestAuditorVouchTable pins which a.pledge bodies at the replica's version
+// the auditor vouches for on arrival: those whose every frame agrees with
+// the answer the query cache holds or, on a miss, the answer executed
+// there and then, at an auditor that audits every pledge (a sampling one
+// vouches for none). Each row starts from an auditor that has audited Get
+// k at its version; a vouched body is settled there and then, any other
+// is queued and the worker's audit that follows convicts a lie.
 func TestAuditorVouchTable(t *testing.T) {
 	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
-	cat := func(ps ...Pledge) []byte {
-		var body []byte
-		for _, p := range ps {
-			body = append(body, EncodePledge(p)...)
-		}
-		return body
-	}
-	at := func(p Pledge, v uint64) Pledge {
-		p.Stamp.Version = v
-		return p
-	}
 	for _, tc := range []struct {
 		name   string
 		sample float64 // AuditSampleP
@@ -517,36 +553,42 @@ func TestAuditorVouchTable(t *testing.T) {
 		want   AuditorStats // counters the body adds, after the worker's audit
 	}{
 		{"cached and agreeing", 1, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(k, false))
-		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1}},
+			return catPledges(r.pledgeFor(k, false))
+		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
 		{"two slaves, both agreeing", 1, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(k, false), r.pledgeFor(k, false))
-		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2}},
+			return catPledges(r.pledgeFor(k, false), r.pledgeFor(k, false))
+		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 2}},
 		{"cached but disagreeing", 1, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(k, true))
+			return catPledges(r.pledgeFor(k, true))
 		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
-		{"uncached", 1, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(other, false))
-		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1}},
+		{"uncached", 1, func(r *auditorRig) []byte { // executed on arrival
+			return catPledges(r.pledgeFor(other, false))
+		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		{"uncached and disagreeing", 1, func(r *auditorRig) []byte { // the worker hits what arrival executed
+			return catPledges(r.pledgeFor(other, true))
+		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
 		{"replica behind", 1, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, false)
-			return cat(SignPledge(r.slave, p.QueryBytes, p.ResultHash, at(p, p.Stamp.Version+1).Stamp))
+			return catPledges(r.resign(p, p.Stamp.Version+1))
 		}, false, false, 1, AuditorStats{PledgesReceived: 1}},
 		{"late", 1, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, false)
-			return cat(SignPledge(r.slave, p.QueryBytes, p.ResultHash, at(p, p.Stamp.Version-1).Stamp))
+			return catPledges(r.resign(p, p.Stamp.Version-1))
 		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 		{"sampled out", 0, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(k, false))
+			return catPledges(r.pledgeFor(k, false))
 		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesSampled: 1}},
 		{"two slaves, one uncached frame", 1, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(k, false), r.pledgeFor(other, false))
-		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 1}},
+			return catPledges(r.pledgeFor(k, false), r.pledgeFor(other, false))
+		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 1}},
+		{"two slaves, one uncached lying frame", 1, func(r *auditorRig) []byte {
+			return catPledges(r.pledgeFor(k, false), r.pledgeFor(other, true))
+		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
 		{"two slaves, one lying frame", 1, func(r *auditorRig) []byte {
-			return cat(r.pledgeFor(k, false), r.pledgeFor(k, true))
+			return catPledges(r.pledgeFor(k, false), r.pledgeFor(k, true))
 		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
 		{"undecodable", 1, func(r *auditorRig) []byte {
-			body := cat(r.pledgeFor(k, false))
+			body := catPledges(r.pledgeFor(k, false))
 			return body[:len(body)-1]
 		}, false, true, 0, AuditorStats{}},
 	} {
@@ -554,10 +596,9 @@ func TestAuditorVouchTable(t *testing.T) {
 			r := newAuditorRig(t, nil)
 			a := r.auditor
 			a.dlr = nopDialer{}
-			if err := r.sendPledge(r.pledgeFor(k, false)); err != nil {
+			if err := r.sendPledge(r.pledgeFor(k, false)); err != nil { // caches k's answer
 				t.Fatal(err)
 			}
-			a.auditPending()
 			a.cfg.Params.AuditSampleP = tc.sample
 			before := a.Stats()
 			ack, err := a.handlePledge(tc.body(r))
@@ -575,21 +616,117 @@ func TestAuditorVouchTable(t *testing.T) {
 				t.Fatalf("backlog %d, want %d", a.Backlog(), tc.queued)
 			}
 			a.auditPending()
-			st := a.Stats()
-			got := AuditorStats{
-				PledgesReceived: st.PledgesReceived - before.PledgesReceived,
-				PledgesAudited:  st.PledgesAudited - before.PledgesAudited,
-				PledgesSampled:  st.PledgesSampled - before.PledgesSampled,
-				PledgesLate:     st.PledgesLate - before.PledgesLate,
-				PledgesBadSig:   st.PledgesBadSig - before.PledgesBadSig,
-				CacheHits:       st.CacheHits - before.CacheHits,
-				Mismatches:      st.Mismatches - before.Mismatches,
-				ReportsSent:     st.ReportsSent - before.ReportsSent,
-			}
-			if got != tc.want {
+			if got := added(before, a.Stats()); got != tc.want {
 				t.Fatalf("counters added %+v, want %+v", got, tc.want)
 			}
 			r.checkPartition(t)
+		})
+	}
+}
+
+// TestAuditorVouchAhead pins the vouch for a frame ahead of the auditor's
+// lagging replica: at a version V the ordered writes have reached, when no
+// buffered write in (replica, V] has a key in the query's span, the answer
+// at V is the replica's, so the frame is settled on arrival from the cache
+// or by executing the query there and then. Anything else is queued for the
+// worker, which audits it once the replica reaches V. Each row commits its
+// writes to an auditor at version cur; the worker then runs until every
+// write's audit window has closed.
+func TestAuditorVouchAhead(t *testing.T) {
+	k := query.Get{Key: "k"}
+	put := func(key, value string) store.Op { return store.Put{Key: key, Value: []byte(value)} }
+	for _, tc := range []struct {
+		name   string
+		warm   bool // k's answer is cached at cur before the writes
+		body   func(r *auditorRig) []byte
+		vouch  bool
+		queued int          // the backlog the body leaves
+		left   int          // the backlog once the worker has run
+		want   AuditorStats // counters the body adds, after the worker's audits
+	}{
+		{"V = cur+2, span untouched, cached", true, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			r.commit(put("k\x00", "1")) // the span's end: outside it
+			return catPledges(r.pledgeFor(k, false))
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		{"V = cur+2, span untouched, executed on arrival", false, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			r.commit(put("k\x00", "1"))
+			return catPledges(r.pledgeFor(k, false))
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		{"write in the span at V, the replica's answer", true, func(r *auditorRig) []byte {
+			stale := r.pledgeFor(k, false) // right at cur, a lie at V
+			r.commit(put("j", "1"))
+			r.commit(put("k", "v2"))
+			return catPledges(r.resign(stale, r.initial.Version()))
+		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"write in the span below V, the replica's answer", true, func(r *auditorRig) []byte {
+			stale := r.pledgeFor(k, false)
+			r.commit(put("k", "v2"))
+			r.commit(put("j", "1"))
+			return catPledges(r.resign(stale, r.initial.Version()))
+		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"write in the span at V, the answer at V", true, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			r.commit(put("k", "v2"))
+			return catPledges(r.pledgeFor(k, false))
+		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1}},
+		{"write in the span only above V", true, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			p := r.pledgeFor(k, false)
+			r.commit(put("k", "v2"))
+			return catPledges(p)
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		{"V above masterV", true, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			p := r.pledgeFor(k, false)
+			return catPledges(r.resign(p, p.Stamp.Version+1))
+		}, false, 1, 1, AuditorStats{PledgesReceived: 1}},
+		{"lying frame ahead, convicted at V", true, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			return catPledges(r.pledgeFor(k, true))
+		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"two slaves, one frame unvouchable", true, func(r *auditorRig) []byte {
+			r.commit(put("j", "1"))
+			p := r.pledgeFor(k, false)
+			return catPledges(p, r.resign(p, p.Stamp.Version+1))
+		}, false, 2, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newAuditorRig(t, nil)
+			a := r.auditor
+			if tc.warm {
+				if err := r.sendPledge(r.pledgeFor(k, false)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cur := a.Version()
+			before := a.Stats()
+			body := tc.body(r)
+			v := r.initial.Version()
+			ack, err := a.handlePledge(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vouched := bytes.Equal(ack, pledgeVouch); vouched != tc.vouch || (!vouched && len(ack) != 0) {
+				t.Fatalf("ack %x, want vouch %v", ack, tc.vouch)
+			}
+			if a.Backlog() != tc.queued || a.Version() != cur {
+				t.Fatalf("backlog %d at version %d, want %d at %d", a.Backlog(), a.Version(), tc.queued, cur)
+			}
+			if st := a.Stats(); st.Mismatches != 0 {
+				t.Fatalf("convicted on arrival: %+v", st)
+			}
+			r.audit(t)
+			if a.Backlog() != tc.left || a.Version() != v {
+				t.Fatalf("after the worker: backlog %d at version %d, want %d at %d", a.Backlog(), a.Version(), tc.left, v)
+			}
+			if got := added(before, a.Stats()); got != tc.want {
+				t.Fatalf("counters added %+v, want %+v", got, tc.want)
+			}
+			if tc.want.ReportsSent > 0 {
+				r.checkReport(t, r.reports[0])
+			}
 		})
 	}
 }

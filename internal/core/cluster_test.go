@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"testing"
 	"time"
@@ -641,4 +642,77 @@ func mustQuery(t *testing.T, key string) query.Query {
 
 func decodeGet(payload []byte) ([]byte, bool, error) {
 	return query.GetResult(payload)
+}
+
+// TestClusterVouchAheadVerifyRatio is the mixed workload's read shape in
+// the simulator: a writer commits a catalog key as often as pacing allows
+// (every MaxLatency), so the auditor, which waits MaxLatency + slack
+// before applying a write, is always a version behind the slaves, and two
+// clients read catalog keys drawn uniformly. The auditor answers those
+// reads ahead of its replica, so the clients verify a pledge signature
+// only for a drawn double-check or a read of a key written since the
+// auditor's version: well under 0.1 verifies per accepted read, where
+// vouching only at the auditor's own version left ≈ 0.96.
+func TestClusterVouchAheadVerifyRatio(t *testing.T) {
+	const catalog = 1000
+	s := sim.New(9)
+	c := newTestCluster(t, s, defaultOpts())
+	writer := c.addClient(t, 0, nil)
+	readers := []*Client{c.addClient(t, 1, nil), c.addClient(t, 2, nil)}
+	key := func(rng *rand.Rand) string { return fmt.Sprintf("cat/%04d", rng.Intn(catalog)) }
+	end := sim.Epoch.Add(c.warmup() + 30*time.Second)
+	s.Go(func() {
+		s.Sleep(c.warmup())
+		if err := writer.Setup(); err != nil {
+			t.Errorf("writer setup: %v", err)
+			return
+		}
+		rng := rand.New(rand.NewSource(1))
+		for s.Now().Before(end) {
+			if _, err := writer.Write(store.Put{Key: key(rng), Value: []byte(s.Now().String())}); err != nil {
+				t.Errorf("write: %v", err)
+				return
+			}
+		}
+	})
+	for i, cl := range readers {
+		s.Go(func() {
+			s.Sleep(c.warmup())
+			if err := cl.Setup(); err != nil {
+				t.Errorf("reader setup: %v", err)
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(10 + i)))
+			for s.Now().Before(end) {
+				if _, err := cl.Read(query.Get{Key: key(rng)}); err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+			}
+		})
+	}
+	s.RunUntil(end.Add(time.Second))
+	var reads, verifies, sent uint64
+	for _, cl := range readers {
+		st := cl.Stats()
+		reads += st.ReadsAccepted
+		verifies += st.PledgeCacheMisses
+		sent += st.PledgesSent
+	}
+	as := c.auditor.Stats()
+	ratio := float64(verifies) / float64(reads)
+	t.Logf("%d reads, %d verifies (%.3f per read); auditor vouched %d of %d pledges, lag max %d",
+		reads, verifies, ratio, as.PledgesVouched, as.PledgesReceived, as.VersionLagMax)
+	if reads < 1000 || as.VersionLagMax == 0 || writer.Stats().WritesOK < 10 {
+		t.Fatalf("workload too thin: %d reads, %d writes, auditor lag max %d", reads, writer.Stats().WritesOK, as.VersionLagMax)
+	}
+	if ratio >= 0.1 {
+		t.Errorf("%.3f pledge verifies per accepted read, want < 0.1", ratio)
+	}
+	if float64(as.PledgesVouched) < 0.9*float64(sent) {
+		t.Errorf("auditor vouched for %d of the %d pledges the readers sent, want >= 90%%", as.PledgesVouched, sent)
+	}
+	if as.Mismatches != 0 {
+		t.Errorf("an honest cluster convicted a slave: %+v", as)
+	}
 }

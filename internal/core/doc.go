@@ -80,9 +80,10 @@
 //	             one-slave read sends exactly one. The auditor decodes
 //	             every frame before it admits any, in frame order, so a
 //	             body is admitted or refused whole. Reply: the one byte
-//	             0x01 (pledgeVouch) when every frame is at the replica's
-//	             version and its result hash is the one the query cache
-//	             holds, else empty.
+//	             0x01 (pledgeVouch) when every frame's result hash is the
+//	             auditor's answer at the frame's version — a version from
+//	             the replica's to the last ordered write, with no buffered
+//	             write up to it in the query's key span — else empty.
 //	bcExclude    kind byte ‖ bytes evidence ‖ bytes originPub ‖ bytes
 //	             sig — sig by the master that convicted the slave, over
 //	             "exclude.v1" ‖ evidence; every master acts on it only if
@@ -160,35 +161,53 @@
 // this order: the hash of the payload, stamp for the signed version from a
 // certified master under its signature, freshness.
 //
-// The auditor vouches from its answer cache (auditor.go, client.go). A
+// The auditor vouches at the slaves' version (auditor.go, client.go). A
 // client checks a slave's pledge signature so that a lie it accepts can be
-// pinned on the signer (§3.2, §3.4). Auditor.handlePledge probes its
-// per-version query cache as each a.pledge body arrives, under the lock it
-// takes anyway: if every frame is at the replica's version and names the
-// result hash the auditor already found for its query there, the body is
-// settled as audited and the reply is the one byte 0x01; anything else,
-// and any body at an auditor that samples (AuditSampleP < 1), is admitted
-// frame by frame (admitPledgeLocked) and gets the empty ack. The client
-// accepts a read only when the stamp checks pass and either the slave's
-// signature verifies or the auditor vouched. It verifies first before a
-// drawn double-check and before a K-slave disagreement, so a report always
-// carries a verified pledge; otherwise it forwards first and verifies only
-// when the ack is not exactly the vouch. A vouched answer is correct — the
-// trusted auditor found the same hash at that signed, fresh version — so
-// there is no lie to pin on anyone; a lie is never vouched, and is
-// verified, accepted and later convicted by the audit. The vouch is as
-// authenticated as the §3.4 ack the client waits for anyway. The probe
-// executes nothing: an uncached query, a pledge ahead of the lagging
-// replica, a late or sampled one waits for the audit worker, which
-// stays the only path that executes, verifies or reports.
+// pinned on the signer (§3.2, §3.4). Auditor.handlePledge decides each
+// a.pledge body as it arrives, under the lock it takes anyway, frame by
+// frame (vouchesLocked): the frame's version V must lie between the
+// replica's version and masterV, the last version the ordered writes have
+// reached; no buffered write in (replica, V] may have a key inside the
+// query's span (query.Query.Span: [key, key+"\x00") for a Get, [From, To)
+// for a Range, the prefix's interval for the rest); and the answer — from
+// the per-version query cache, or executed on the replica there and then
+// and cached (answerLocked, which auditOne shares) — must be the frame's
+// result hash. Then the body is settled as audited and the reply is the
+// one byte 0x01; anything else — a disagreeing frame, a span conflict, V
+// above masterV, an undecodable query — and any body at an auditor that
+// samples (AuditSampleP < 1) is admitted frame by frame
+// (admitPledgeLocked) and gets the empty ack. Why an answer ahead of the
+// replica is right: the buffered writes are the ordered broadcast's,
+// numbered as the masters number them (deliver mirrors their skip of
+// undecodable ops), so the content at V is the replica's plus those
+// writes, and a write outside a query's span leaves its result as it was
+// (TestSpanBoundsResult). The client accepts a read only when the stamp
+// checks pass and either the slave's signature verifies or the auditor
+// vouched. It verifies first before a drawn double-check and before a
+// K-slave disagreement, so a report always carries a verified pledge;
+// otherwise it forwards first and verifies only when the ack is not
+// exactly the vouch. A vouched answer is correct — the trusted auditor
+// found the same hash at that signed, fresh version — so there is no lie
+// to pin on anyone; a lie's hash is never the auditor's answer, so a lie
+// is never vouched, and is verified, accepted and later convicted by the
+// audit at its version. The vouch is as authenticated as the §3.4 ack the
+// client waits for anyway. The audit worker stays the only path that
+// verifies a signature or reports. A cache miss now runs on the handler,
+// so a forged pledge buys its one scan per distinct query per version
+// there instead of on the worker: the same total, and bounding it is
+// ROADMAP item 7's job.
 //
 // On the real-clock benchmark (seed 1, 8 s runs, before the vouch) the
 // memos missed, per accepted read, 0.41 client verifies and 0.56 slave
 // signs on read-scan, 0.10 and 0.11 on read-point, 0.96 and 0.96 on mixed,
-// whose uniform keys do not repeat between commits. With the vouch, 78 %
-// of read-scan's reads and 94 % of read-point's are vouched for, and their
-// client verifies fall to about 0.22 and 0.06; mixed reads at versions the
-// auditor has not reached, so almost none is. TestPledgeMemoHitRatio pins the memos alone on one-kind
+// whose uniform keys do not repeat between commits. With the vouch at the
+// auditor's own version, 78 % of read-scan's reads and 94 % of
+// read-point's were vouched for, and their client verifies fell to about
+// 0.22 and 0.06; mixed reads at versions the auditor has not applied yet,
+// so almost none was. Vouching at the slaves' version takes mixed's
+// client verifies to about DoubleCheckP (0.05), the double-checks that
+// verify first; TestClusterVouchAheadVerifyRatio pins that shape in the
+// simulator. TestPledgeMemoHitRatio pins the memos alone on one-kind
 // catalogs (Zipf Gets, uniform ten-key Ranges), not these mixes.
 //
 // Scan once per version (resultmemo.go). Slaves exist for arbitrary dynamic
@@ -227,8 +246,8 @@
 // goes to Auditor.convict, the one place the auditor verifies a slave
 // signature: a forged pledge is counted (PledgesBadSig) and dropped, a
 // signed one is a lie (Mismatches) and the first from each slave is
-// reported. A body the query cache already agrees with is settled on
-// arrival by the same probe (the vouch, above) and never reaches convict.
+// reported. A body the auditor answers on arrival and finds right is
+// settled there (the vouch, above) and never reaches convict.
 // The invariant is: no report without a verified signature, at
 // the auditor and again at the master. Auditor.report accepts only a
 // provenPledge, which only convict constructs, and Master.handleReport

@@ -528,52 +528,91 @@ func FuzzWALRecord(f *testing.F) {
 }
 
 // FuzzAuditorHandlePledge drives the auditor's a.pledge handler over
-// arbitrary bodies, against an auditor that has audited Get k at its
-// version. The invariants: no panic; the reply is the vouch exactly when
-// every frame decodes and agrees with the query cache at the auditor's
-// version (the auditor audits every pledge), and empty otherwise; and every
-// received pledge is settled or queued, never both or neither.
+// arbitrary bodies, against an auditor at version cur that has cached
+// Get k there and buffered two writes it has not applied: j at cur+1 and k
+// at cur+2. The invariants: no panic; the reply is the vouch exactly when
+// every frame decodes, is at a version V in [cur, cur+2] and names a query
+// that executes at cur to its result hash, with neither buffered write up
+// to V in the query's span (the auditor audits every pledge), and empty
+// otherwise; a vouched frame's hash is the query's answer at V, replayed
+// from the writes; and every received pledge is settled or queued, never
+// both or neither.
 func FuzzAuditorHandlePledge(f *testing.F) {
-	warm := func(t testing.TB) *auditorRig {
+	writes := []store.Op{store.Put{Key: "j", Value: []byte("1")}, store.Put{Key: "k", Value: []byte("v2")}}
+	// warm returns the rig and its content at cur, cur+1 and cur+2.
+	warm := func(t testing.TB) (*auditorRig, []*store.Store) {
 		r := newAuditorRig(t, nil)
 		r.auditor.dlr = nopDialer{}
 		if err := r.sendPledge(r.pledgeFor(query.Get{Key: "k"}, false)); err != nil {
 			t.Fatal(err)
 		}
-		r.auditor.auditPending()
-		return r
+		at := []*store.Store{r.initial.Clone()}
+		for _, op := range writes {
+			r.commit(op)
+			at = append(at, r.initial.Clone())
+		}
+		return r, at
 	}
-	r := warm(f)
-	honest := EncodePledge(r.pledgeFor(query.Get{Key: "k"}, false))
-	lie := EncodePledge(r.pledgeFor(query.Get{Key: "k"}, true))
-	uncached := EncodePledge(r.pledgeFor(query.Get{Key: "other"}, false))
+	r, at := warm(f)
+	cur := r.auditor.Version()
+	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
+	// pledge is q's answer in the content at version answerAt, pledged at
+	// version v.
+	pledge := func(q query.Query, answerAt, v uint64) []byte {
+		res, err := q.Execute(at[answerAt-cur])
+		if err != nil {
+			f.Fatal(err)
+		}
+		stamp := SignStamp(r.master, v, r.s.Now())
+		return EncodePledge(SignPledge(r.slave, query.Encode(q), res.Digest(), stamp))
+	}
+	honest := pledge(k, cur, cur)
+	ahead := pledge(other, cur+1, cur+1)
+	conflict := pledge(k, cur+2, cur+2) // k's new value, written at cur+2
+	stale := pledge(k, cur, cur+2)      // k's answer at cur, a lie at cur+2
+	beyond := pledge(k, cur, cur+3)
+	lie := EncodePledge(r.resign(r.pledgeFor(k, true), cur))
 	f.Add(honest)
-	f.Add(append(bytes.Clone(honest), honest...))
+	f.Add(ahead)
+	f.Add(append(bytes.Clone(honest), ahead...))
+	f.Add(conflict)
+	f.Add(stale)
+	f.Add(beyond)
 	f.Add(lie)
 	f.Add(append(bytes.Clone(honest), lie...))
-	f.Add(append(bytes.Clone(honest), uncached...))
 	f.Add(honest[:len(honest)-1])
 	f.Add(append(bytes.Clone(honest), 0x00))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := warm(t)
+		r, at := warm(t)
 		a := r.auditor
+		cur := a.Version()
 		ack, err := a.handlePledge(body)
+		vouched := bytes.Equal(ack, pledgeVouch)
 		agree := true
 		rd := wire.NewReader(body)
-		for n := 0; n == 0 || rd.Remaining() > 0; n++ {
+		for n := 0; agree && (n == 0 || rd.Remaining() > 0); n++ {
 			p, derr := decodePledge(rd)
-			if derr != nil {
+			q, qerr := query.Decode(p.QueryBytes)
+			if derr != nil || qerr != nil || p.Stamp.Version < cur || p.Stamp.Version > cur+uint64(len(writes)) {
 				agree = false
 				break
 			}
-			a.mu.Lock()
-			correct, hit := a.cache[string(p.QueryBytes)]
-			agree = agree && p.Stamp.Version == a.replica.Version() && hit && correct.Equal(p.ResultHash)
-			a.mu.Unlock()
+			d := p.Stamp.Version - cur
+			from, to := q.Span()
+			for _, op := range writes[:d] {
+				agree = agree && !query.InSpan([]byte(store.KeyOf(op)), from, to)
+			}
+			res, xerr := q.Execute(at[0])
+			agree = agree && xerr == nil && res.Digest().Equal(p.ResultHash)
+			if vouched {
+				if res, xerr := q.Execute(at[d]); xerr != nil || !res.Digest().Equal(p.ResultHash) {
+					t.Fatalf("vouched for %v at version %d, whose answer there is another", q, p.Stamp.Version)
+				}
+			}
 		}
-		if vouched := bytes.Equal(ack, pledgeVouch); vouched != agree || (!vouched && len(ack) != 0) {
+		if vouched != agree || (!vouched && len(ack) != 0) {
 			t.Fatalf("ack %x for a body whose frames all agree: %v (err %v)", ack, agree, err)
 		}
 		r.checkPartition(t)

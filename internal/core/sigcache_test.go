@@ -600,7 +600,8 @@ func TestClientChecksCachedPledgeEveryRead(t *testing.T) {
 }
 
 // TestAuditorBacklogIsRunningCount checks the count kept beside the
-// pending map against the map itself through admit and drain.
+// pending map against the map itself through admit and drain. The
+// pledges lie, so none is settled on arrival.
 func TestAuditorBacklogIsRunningCount(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	walk := func() int {
@@ -613,7 +614,7 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 		return n
 	}
 	r.s.Go(func() {
-		now := r.pledgeFor(query.Get{Key: "k"}, false)
+		now := r.pledgeFor(query.Get{Key: "k"}, true)
 		later := now
 		later.Stamp.Version += 5 // queued until the replica gets there
 		for i := 0; i < 3; i++ {
@@ -766,19 +767,24 @@ func TestPledgeMemoHitRatio(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			f := newCacheFixture()
 			masters := []cryptoutil.PublicKey{f.master.Public}
+			// The slave and the client run on a clock that moves only when
+			// the reads move it, by a keep-alive interval per stamp, so no
+			// stamp goes stale however slowly the host runs them.
+			clk := sim.New(1)
 			s := NewSlave(SlaveConfig{Keys: f.slave, Params: DefaultParams(), MasterPubs: masters},
-				sim.RealClock{}, nullDialer{}, store.New())
-			c := NewClient(ClientConfig{Keys: f.other, Params: DefaultParams()}, sim.RealClock{}, nullDialer{})
+				clk, nullDialer{}, store.New())
+			c := NewClient(ClientConfig{Keys: f.other, Params: DefaultParams()}, clk, nullDialer{})
 			sl := slaveAssignment{addr: "slave", pub: f.slave.Public}
 			w := wire.NewWriter(64)
-			read := func(i int) {
+			read := func(i int) error {
 				if i%zipfReadsPerStamp == 0 {
+					clk.Sleep(zipfReadsPerStamp * time.Second / 12500)
 					w.Reset()
-					stamp := SignStamp(f.master, 0, time.Now())
+					stamp := SignStamp(f.master, 0, clk.Now())
 					stamp.Encode(w)
 					w.String_("")
 					if _, err := s.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
-						t.Fatal(err)
+						return err
 					}
 				}
 				qb := tc.reads.queries[tc.reads.next()]
@@ -786,22 +792,28 @@ func TestPledgeMemoHitRatio(t *testing.T) {
 				w.Bytes_(qb)
 				body, err := s.Handle("client", MethodRead, w.Bytes())
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
 				reply, err := DecodeReadReply(body)
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				if err := verifyUnvouched(c, sl, masters, qb, &reply); err != nil {
-					t.Fatal(err)
+				return verifyUnvouched(c, sl, masters, qb, &reply)
+			}
+			var ss0 SlaveStats
+			var cs0 ClientStats
+			var err error
+			clk.Go(func() {
+				for i := 0; i < warm+counted && err == nil; i++ {
+					if i == warm {
+						ss0, cs0 = s.Stats(), c.Stats()
+					}
+					err = read(i)
 				}
-			}
-			for i := 0; i < warm; i++ {
-				read(i)
-			}
-			ss0, cs0 := s.Stats(), c.Stats()
-			for i := warm; i < warm+counted; i++ {
-				read(i)
+			})
+			clk.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
 			ss, cs := s.Stats(), c.Stats()
 			signs := float64(ss.PledgeCacheMisses-ss0.PledgeCacheMisses) / counted

@@ -38,7 +38,9 @@ func E5Auditor(seed int64, scale Scale) []*metrics.Table {
 	micro.Note("a pledge that agrees with the replica costs no signature check; one that disagrees adds %v (VerifySig) before it is reported", costs.VerifySig)
 
 	// (b) Diurnal run: offered load oscillates around the auditor's
-	// capacity; the backlog grows at peak and drains in the trough.
+	// capacity. The auditor executes an uncached query as its pledge
+	// arrives, so the peak shows as slower acks (a lower rate of pledges
+	// received) rather than as a backlog.
 	day := 2 * time.Minute // scaled virtual day
 	cfg := DefaultScenario()
 	cfg.Seed = seed
@@ -70,8 +72,7 @@ func E5Auditor(seed int64, scale Scale) []*metrics.Table {
 			}
 			// Peak offered load (~300/s) exceeds the auditor's re-execution
 			// capacity (~1/QueryBase ≈ 200/s) but not the two
-			// slaves' combined serving capacity, so the audit backlog grows
-			// through the peak and drains in the trough.
+			// slaves' combined serving capacity.
 			arr := workload.Diurnal{
 				Base: 4.0 / float64(nClients), Amplitude: 300.0 / float64(nClients),
 				Day: day, Rng: rand.New(rand.NewSource(seed + int64(i))),
