@@ -70,10 +70,11 @@ lint:
 # and batches arrive, the one whose readers must see each batch and its
 # stamp whole (no pledge an audit would convict, no read refused as stale),
 # the client test whose writers, readers and re-setups share one shard
-# table and its groups, the auditor's tests, whose handlers queue pledges that alias their
-# frames for the audit worker, the client's vouch tests, whose auditor
-# answers pledges from its query cache on arrival, executing a miss there,
-# while its audit worker reads and writes the same cache, and the TCP transport's tests, whose
+# table and its groups, the auditor's tests, whose handlers settle pledges
+# against views of the content while batches are delivered and the apply
+# loop applies them, clones them and settles the pledges that waited for
+# them, the client's vouch tests, whose auditor answers pledges on arrival
+# while its apply loop runs, and the TCP transport's tests, whose
 # connection workers, reused call slots and single-flight dials are all
 # shared between goroutines that only a lucky schedule brings together.
 race:
@@ -131,7 +132,7 @@ FUZZ_TARGETS := \
 	internal/broadcast:FuzzMemberHandle \
 	internal/dirsrv:FuzzDecodeShardMap \
 	internal/store:FuzzNumericValue \
-	internal/query:FuzzQuerySpan
+	internal/store:FuzzStoreClone
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -151,7 +151,7 @@ func runScenario(seed int64, f scenarioFlags) {
 	t.Add("auditor pledge verifications memoised (hits/misses)", fmt.Sprintf("%d/%d", as.PledgeCacheHits, as.PledgeCacheMisses))
 	t.Add("audit mismatches", as.Mismatches)
 	t.Add("auditor max backlog", as.BacklogMax)
-	t.Add("auditor max version lag", as.VersionLagMax)
+	t.Add("auditor versions held (max)", as.VersionLagMax)
 	t.Add("master CPU busy", sc.MasterBusy())
 	t.Add("slave CPU busy", sc.SlaveBusy())
 	t.Add("wall time", time.Since(start).Round(time.Millisecond))

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,17 +22,17 @@ type AuditorStats struct {
 	PledgesReceived uint64
 	PledgesAudited  uint64
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
-	PledgesLate     uint64 // arrived after the auditor left their version
-	PledgesBadSig   uint64 // disagreed with the replica, but the slave never signed them
-	PledgesVouched  uint64 // audited on arrival and answered with the vouch (counted in PledgesAudited too)
-	CacheHits       uint64 // audited pledges whose answer the query cache already held
-	Mismatches      uint64 // lies detected: audited pledges the slave signed and the replica contradicts
+	PledgesLate     uint64 // at a version the auditor holds no content for: not a batch boundary, or its window closed
+	PledgesBadSig   uint64 // disagreed with the content at their version, but the slave never signed them
+	PledgesVouched  uint64 // audited right in a body answered with the vouch (counted in PledgesAudited too)
+	CacheHits       uint64 // audited pledges whose answer the view's cache already held
+	Mismatches      uint64 // lies detected: audited pledges the slave signed and the content at their version contradicts
 	ReportsSent     uint64
-	VersionLagMax   uint64 // max (master version - auditor version) seen
-	BacklogMax      int    // max pending pledges seen
+	VersionLagMax   uint64 // widest span of versions held as views at once
+	BacklogMax      int    // max frames seen waiting for their version's delivery
 
 	// PledgeCacheHits/Misses count verified-pledge cache consultations.
-	// Only a pledge that disagrees with the replica is consulted at all;
+	// Only a pledge that disagrees with the content is consulted at all;
 	// one with the signed body and signature of a pledge already verified
 	// skips the signature check.
 	PledgeCacheHits   uint64
@@ -61,19 +63,24 @@ type AuditorConfig struct {
 	Seed int64
 }
 
-// bufferedWrite is an ordered write the replica has not applied yet, with
-// the key it writes (a view into opBytes).
-type bufferedWrite struct {
-	opBytes    []byte
-	key        []byte
-	receivedAt time.Time
+// heldBatch is a delivered batch not applied yet.
+type heldBatch struct {
+	ops [][]byte
+	at  time.Time
 }
 
-// Auditor re-executes pledged reads against its own lagging replica and
-// reports any slave whose pledge does not match the trusted result
-// (§3.4). It applies write v+1 only after it has audited all reads for
-// version v and more than max_latency (plus slack) has passed since the
-// masters committed v+1, so no client can still accept a read for v.
+// view is the content at one batch boundary, the answers found there by
+// encoded query, and when the batch that ends at the boundary was
+// delivered.
+type view struct {
+	content *store.Store
+	answers map[string]cryptoutil.Digest
+	at      time.Time
+}
+
+// Auditor re-executes pledged reads against the content at each read's
+// own version and reports any slave whose pledge does not match the
+// trusted result (§3.4).
 type Auditor struct {
 	cfg AuditorConfig
 	rt  sim.Runtime
@@ -83,15 +90,13 @@ type Auditor struct {
 	bcast *broadcast.Member
 
 	mu       sync.Mutex
-	replica  *store.Store                 // guarded by mu
-	writes   []bufferedWrite              // guarded by mu; writes[i] is version replica.Version()+1+i
-	pending  map[uint64][]Pledge          // guarded by mu; pledges by content version
-	backlog  int                          // guarded by mu; pledges in pending, kept as a running count
-	cache    map[string]cryptoutil.Digest // guarded by mu
-	stats    AuditorStats                 // guarded by mu
-	stopped  bool                         // guarded by mu
-	masterV  uint64                       // guarded by mu; highest version committed by masters (observed)
-	detected map[string]bool              // guarded by mu; slave pubs already reported
+	views    []view          // guarded by mu; by version; the last is the newest content applied
+	held     []heldBatch     // guarded by mu; delivered after the last view, in order
+	pending  []Pledge        // guarded by mu; frames at versions not delivered yet, in arrival order
+	stats    AuditorStats    // guarded by mu
+	stopped  bool            // guarded by mu
+	masterV  uint64          // guarded by mu; highest version committed by masters (observed)
+	detected map[string]bool // guarded by mu; slave pubs already reported
 
 	pledges *sigCache // verified-pledge cache (amortizes a repeated lie's VerifySig)
 }
@@ -103,9 +108,7 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		rt:       rt,
 		dlr:      dlr,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		replica:  initial.Clone(),
-		pending:  make(map[uint64][]Pledge),
-		cache:    make(map[string]cryptoutil.Digest),
+		views:    []view{{content: initial.Clone(), answers: make(map[string]cryptoutil.Digest)}},
 		detected: make(map[string]bool),
 		pledges:  newSigCache(pledgeVerifyMemoSize),
 		masterV:  initial.Version(), // ordered writes continue from the initial content version
@@ -125,10 +128,10 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 	return a, nil
 }
 
-// Start launches the broadcast member and the audit worker.
+// Start launches the broadcast member and the apply loop.
 func (a *Auditor) Start() {
 	a.bcast.Start()
-	a.rt.Spawn(a.auditLoop)
+	a.rt.Spawn(a.applyLoop)
 }
 
 // Stop halts the auditor's loops.
@@ -148,18 +151,19 @@ func (a *Auditor) Stats() AuditorStats {
 	return st
 }
 
-// Version returns the auditor replica's (lagging) content version.
+// Version returns the version of the newest content the auditor applied.
 func (a *Auditor) Version() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.replica.Version()
+	return a.headLocked().Version()
 }
 
-// Backlog returns the number of pledges waiting to be audited.
+// Backlog returns the number of frames waiting for their version's
+// delivery.
 func (a *Auditor) Backlog() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.backlog
+	return len(a.pending)
 }
 
 // ArchiveLen returns the retained entry count of the auditor's broadcast
@@ -184,14 +188,12 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("core: auditor: unknown method %q", method)
 }
 
-// deliver receives the ordered master traffic; the auditor only buffers
-// writes (it "is allowed to lag behind when executing write requests",
-// §3.4) and ignores membership messages. Buffered writes live in a.writes,
-// in version order, each with its key for handlePledge's span walk, and
-// nothing the auditor keeps reads its broadcast archive, so every
-// delivery drops the archive below itself; the member caps that floor at
-// the slowest live member's delivered mark, so a peer can still fetch its
-// gap.
+// deliver receives the ordered master traffic; the auditor only holds
+// each batch's valid ops (it "is allowed to lag behind when executing
+// write requests", §3.4) and ignores membership messages. Nothing the
+// auditor keeps reads its broadcast archive, so every delivery drops the
+// archive below itself; the member caps that floor at the slowest live
+// member's delivered mark, so a peer can still fetch its gap.
 func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	defer a.bcast.TruncateBelow(seq)
 	r := wire.NewReader(msg)
@@ -202,40 +204,39 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	if err != nil {
 		return
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	// Mirror the masters' deterministic skip of undecodable ops so the
+	// auditor's version numbering stays aligned.
+	var ops [][]byte
 	for _, opBytes := range batch {
-		// Mirror the masters' deterministic skip of undecodable ops so the
-		// auditor's version numbering stays aligned.
 		if store.ValidateOp(opBytes) != nil {
 			continue
 		}
-		key, _ := store.OpKey(opBytes) // a valid op has a key
-		a.masterV++
-		a.writes = append(a.writes, bufferedWrite{opBytes: opBytes, key: key, receivedAt: a.rt.Now()})
+		ops = append(ops, opBytes)
 	}
-	if lag := a.masterV - a.replica.Version(); lag > a.stats.VersionLagMax {
-		a.stats.VersionLagMax = lag
+	if len(ops) == 0 {
+		return
 	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.masterV += uint64(len(ops))
+	a.held = append(a.held, heldBatch{ops: ops, at: a.rt.Now()})
 }
 
 // pledgeVouch is the a.pledge reply for a body whose every frame the
-// auditor already knows to be right (vouchesLocked). Any other body gets
-// the empty reply. A client that gets exactly this byte holds a correct
+// auditor audited on arrival and found right. Any other body gets the
+// empty reply. A client that gets exactly this byte holds a correct
 // answer, so it need not check who signed it (Client.readOnce).
 var pledgeVouch = []byte{0x01}
 
-// handlePledge admits the evidence frames of one accepted read, one per
+// handlePledge settles the evidence frames of one accepted read, one per
 // slave, back to back: each frame is length-prefixed field by field, so
 // they need no separator. Every frame is decoded before any is admitted,
 // so the body is admitted or refused whole, in frame order — the order in
-// which one frame per call would draw the sampling coin. A body whose every
-// frame the auditor can answer now and finds right is settled on arrival,
-// audited as auditOne would have, and vouched for; any other is admitted
-// frame by frame. The pledges are decoded by view and queued as they are,
-// so they keep body alive until audited: the handler owns body (a view of
-// its frame's own buffer over TCP, the frame the client built under the
-// simulator; nobody writes to either again).
+// which one frame per call would draw the sampling coin. In one critical
+// section, each is then sampled out, left waiting while its version is
+// not delivered, or settled (settleLocked); the reply is the vouch
+// exactly when every frame was audited and right. A waiting pledge is a
+// view of body, which the handler owns (nobody writes to it again).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	var held [2]Pledge // reads of one or two slaves decode without an allocation
 	pledges := held[:0]
@@ -247,211 +248,190 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 		}
 		pledges = append(pledges, p)
 	}
+	var cost time.Duration // the modelled CPU the answers and checks took
+	vouch := true
 	a.mu.Lock()
-	// A sampling auditor leaves pledges unaudited, so it vouches for none.
-	vouch := a.cfg.Params.AuditSampleP >= 1
-	var cost time.Duration // the modelled CPU of the answers found
-	var hits uint64
-	for i := 0; vouch && i < len(pledges); i++ {
-		ok, hit, c := a.vouchesLocked(&pledges[i])
-		vouch, cost = ok, cost+c
-		if hit {
-			hits++
+	now := a.rt.Now()
+	for i := range pledges {
+		a.stats.PledgesReceived++
+		switch {
+		case a.cfg.Params.AuditSampleP < 1 && a.rng.Float64() >= a.cfg.Params.AuditSampleP:
+			a.stats.PledgesSampled++
+			vouch = false
+		case pledges[i].Stamp.Version > a.masterV:
+			a.pending = append(a.pending, pledges[i])
+			a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
+			vouch = false
+		default:
+			right, c := a.settleLocked(&pledges[i], now)
+			vouch, cost = vouch && right, cost+c
 		}
 	}
-	if !vouch {
-		for _, p := range pledges {
-			a.admitPledgeLocked(p)
-		}
-		a.mu.Unlock()
-		chargeCPU(a.cfg.CPU, cost)
-		return nil, nil
+	if vouch {
+		a.stats.PledgesVouched += uint64(len(pledges))
 	}
-	n := uint64(len(pledges))
-	a.stats.PledgesReceived += n
-	a.stats.PledgesAudited += n
-	a.stats.PledgesVouched += n
-	a.stats.CacheHits += hits
 	a.mu.Unlock()
 	chargeCPU(a.cfg.CPU, cost)
-	return pledgeVouch, nil
+	if vouch {
+		return pledgeVouch, nil
+	}
+	return nil, nil
 }
 
-// vouchesLocked reports whether the auditor's trusted state decides p
-// right now, and decides it right: p's version V is one the ordered writes
-// have reached (between the replica's version and masterV), no buffered
-// write in (replica, V] touches a key of the query's span — so the answer
-// at V is the answer at the replica's — and that answer, from the query
-// cache or executed on arrival, is p's result hash. hit reports a cache
-// hit and cost the modelled CPU the answer took. Caller holds a.mu.
-func (a *Auditor) vouchesLocked(p *Pledge) (vouch, hit bool, cost time.Duration) {
-	cur := a.replica.Version()
-	v := p.Stamp.Version
-	if v < cur || v > a.masterV {
-		return false, false, 0
-	}
-	var q query.Query
-	if v > cur {
-		var err error
-		if q, err = query.Decode(p.QueryBytes); err != nil {
-			return false, false, 0
-		}
-		from, to := q.Span()
-		for _, w := range a.writes[:v-cur] {
-			if query.InSpan(w.key, from, to) {
-				return false, false, 0
-			}
-		}
-	}
-	correct, hit, cost, ok := a.answerLocked(p.QueryBytes, q)
-	return ok && correct.Equal(p.ResultHash), hit, cost
-}
-
-// admitPledgeLocked admits one pledge: sample, drop late arrivals, queue
-// the rest for the audit worker. Caller holds a.mu.
-func (a *Auditor) admitPledgeLocked(pledge Pledge) {
-	a.stats.PledgesReceived++
-	if a.cfg.Params.AuditSampleP < 1 && a.rng.Float64() >= a.cfg.Params.AuditSampleP {
-		a.stats.PledgesSampled++
-		return
-	}
-	v := pledge.Stamp.Version
-	if v < a.replica.Version() {
-		// The auditor only leaves a version after max_latency has passed,
-		// at which point no client would accept this read anyway (§3.4).
+// settleLocked audits a frame at a delivered version V against the
+// content at exactly V, applying held batches up to V first, and reports
+// whether it was right, with the modelled CPU that took; with no view at
+// V it is late. A right pledge is never presented to anyone, so nobody
+// checks who signed it. One that disagrees, or names a query that does
+// not decode or execute, has its signature verified: a forged one can
+// frame nobody and is dropped; a signed one is a lie, and the first of
+// each slave is marked detected, and reported on a task of its own, so no
+// a.pledge reply waits on the report's RPC. Caller holds a.mu.
+func (a *Auditor) settleLocked(p *Pledge, now time.Time) (bool, time.Duration) {
+	a.applyLocked(p.Stamp.Version)
+	w := a.viewLocked(p.Stamp.Version, now)
+	if w == nil {
 		a.stats.PledgesLate++
-		return
+		return false, 0
 	}
-	a.pending[v] = append(a.pending[v], pledge)
-	a.backlog++
-	if a.backlog > a.stats.BacklogMax {
-		a.stats.BacklogMax = a.backlog
-	}
-}
-
-// auditLoop drains pledges for the current version and advances the
-// replica when the version's audit window has closed; idle, it polls once
-// per keep-alive interval.
-func (a *Auditor) auditLoop() {
-	for {
-		n, stopped := a.auditPending()
-		if stopped {
-			return
-		}
-		if !a.maybeAdvance() && n == 0 && a.rt.Sleep(a.cfg.Params.KeepAliveEvery) != nil {
-			return
-		}
-	}
-}
-
-// auditPending audits every pledge queued for the replica's current
-// version and returns how many there were.
-func (a *Auditor) auditPending() (n int, stopped bool) {
-	a.mu.Lock()
-	stopped = a.stopped
-	cur := a.replica.Version()
-	batch := a.pending[cur]
-	delete(a.pending, cur)
-	a.backlog -= len(batch)
-	a.mu.Unlock()
-	if stopped {
-		return 0, true
-	}
-	for _, p := range batch {
-		a.auditOne(p)
-	}
-	return len(batch), false
-}
-
-// auditOne compares a single pledge's result hash with the trusted
-// replica's (answerLocked). A pledge that agrees is done — nobody will
-// ever present it, so nobody checks who signed it. One that disagrees, or
-// names a query that does not decode or execute (a signed one is itself
-// proof of misbehaviour), goes to convict, which is where the signature is
-// verified.
-func (a *Auditor) auditOne(p Pledge) {
-	a.mu.Lock()
-	correct, hit, cost, ok := a.answerLocked(p.QueryBytes, nil)
-	agrees := ok && correct.Equal(p.ResultHash)
+	correct, hit, cost, ok := w.answer(p.QueryBytes, a.cfg.Params.Costs)
 	if hit {
 		a.stats.CacheHits++
 	}
-	if agrees {
+	if ok && correct.Equal(p.ResultHash) {
 		a.stats.PledgesAudited++
+		return true, cost
 	}
-	a.mu.Unlock()
-	chargeCPU(a.cfg.CPU, cost)
-	if !agrees {
-		a.convict(p)
+	hit, err := a.pledges.verifyPledge(p)
+	cost += memoCost(a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
+	if err != nil {
+		a.stats.PledgesBadSig++
+		return false, cost
 	}
+	a.stats.PledgesAudited++
+	a.stats.Mismatches++
+	if !a.detected[string(p.SlavePub)] {
+		a.detected[string(p.SlavePub)] = true
+		a.stats.ReportsSent++
+		proven := provenPledge{*p}
+		a.rt.Spawn(func() { a.report(proven) })
+	}
+	return false, cost
 }
 
-// answerLocked returns the replica's result hash for a pledged query: from
-// the per-version query cache when the query was seen at this version, by
-// executing it (q, or queryBytes decoded when q is nil) and caching the
-// hash otherwise. ok is false for a query that does not decode or execute;
-// hit reports a cache hit, and cost is the modelled CPU the answer took.
-// The auditor hashes the result but — unlike a slave — signs nothing and
-// sends no reply to any client (§3.4). Caller holds a.mu.
-func (a *Auditor) answerLocked(queryBytes []byte, q query.Query) (correct cryptoutil.Digest, hit bool, cost time.Duration, ok bool) {
-	costs := a.cfg.Params.Costs
-	if correct, hit = a.cache[string(queryBytes)]; hit {
+// answer returns the view's result hash for a pledged query, from its
+// cache or by executing and caching it; ok is false for a query that does
+// not decode or execute, and cost is the modelled CPU the answer took.
+// Unlike a slave, the auditor signs nothing and replies to no client
+// (§3.4).
+func (w *view) answer(queryBytes []byte, costs cryptoutil.CostModel) (correct cryptoutil.Digest, hit bool, cost time.Duration, ok bool) {
+	if correct, hit = w.answers[string(queryBytes)]; hit {
 		return correct, true, costs.CacheLookup, true
 	}
-	if q == nil {
-		var err error
-		if q, err = query.Decode(queryBytes); err != nil {
-			return correct, false, 0, false
-		}
+	q, err := query.Decode(queryBytes)
+	if err != nil {
+		return correct, false, 0, false
 	}
-	res, err := q.Execute(a.replica)
+	res, err := q.Execute(w.content)
 	if err != nil {
 		return correct, false, 0, false
 	}
 	correct = res.Digest()
-	a.cache[string(queryBytes)] = correct
+	w.answers[string(queryBytes)] = correct
 	return correct, false, costs.QueryCost(res.Scanned) + costs.HashCost(len(res.Payload)), true
 }
 
-// provenPledge is a pledge the trusted replica contradicts and whose
-// slave signature this auditor has verified. Only convict makes one, and
-// report takes nothing else: no path signs and ships a pledge whose
-// signature was not checked.
-type provenPledge struct{ p Pledge }
+// headLocked returns the newest content applied. Caller holds a.mu.
+func (a *Auditor) headLocked() *store.Store { return a.views[len(a.views)-1].content }
 
-// convict handles a pledge that disagrees with the trusted replica. An
-// unsigned or forged pledge cannot frame anyone and carries no
-// information: it is counted and dropped. A signed one is a lie, and the
-// first from each slave is reported. A pledge whose signed body and
-// signature were already verified costs a lookup instead of a check.
-func (a *Auditor) convict(p Pledge) {
-	hit, err := a.pledges.verifyPledge(&p)
-	chargeMemoised(a.cfg.CPU, a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
-	a.mu.Lock()
-	if err != nil {
-		a.stats.PledgesBadSig++
-		a.mu.Unlock()
-		return
-	}
-	a.stats.PledgesAudited++
-	a.stats.Mismatches++
-	already := a.detected[string(p.SlavePub)]
-	a.mu.Unlock()
-	if !already {
-		a.report(provenPledge{p})
+// applyLocked applies held batches until the newest content reaches
+// version v, each onto an O(1) clone of the content before it, kept as a
+// view of its own. Caller holds a.mu.
+func (a *Auditor) applyLocked(v uint64) {
+	for len(a.held) > 0 && a.headLocked().Version() < v {
+		b := a.held[0]
+		a.held[0] = heldBatch{}
+		a.held = a.held[1:]
+		next := a.headLocked().Clone()
+		for _, opBytes := range b.ops {
+			if op, err := store.DecodeOp(opBytes); err == nil { // every held op validated, so it decodes
+				next.Apply(op)
+			}
+		}
+		a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: b.at})
+		a.stats.VersionLagMax = max(a.stats.VersionLagMax, next.Version()-a.views[0].content.Version())
 	}
 }
+
+// viewLocked returns the view at exactly version v, or nil when v is no
+// batch boundary the auditor holds or its window has closed. Caller holds
+// a.mu.
+func (a *Auditor) viewLocked(v uint64, now time.Time) *view {
+	i, ok := slices.BinarySearchFunc(a.views, v, func(w view, v uint64) int { return cmp.Compare(w.content.Version(), v) })
+	if !ok || a.closedLocked(i, now) {
+		return nil
+	}
+	return &a.views[i]
+}
+
+// closedLocked reports whether max_latency + slack has passed since the
+// batch after view i was delivered: no client accepts a read at its
+// version any more. Caller holds a.mu.
+func (a *Auditor) closedLocked(i int, now time.Time) bool {
+	window := a.cfg.Params.MaxLatency + a.cfg.Params.AuditorSlack
+	if i+1 < len(a.views) {
+		return now.Sub(a.views[i+1].at) > window
+	}
+	return len(a.held) > 0 && now.Sub(a.held[0].at) > window
+}
+
+// applyLoop, once per keep-alive interval, applies every held batch,
+// settles in arrival order the frames whose version has been delivered,
+// and drops the views whose window has closed.
+func (a *Auditor) applyLoop() {
+	for {
+		a.mu.Lock()
+		if a.stopped {
+			a.mu.Unlock()
+			return
+		}
+		a.applyLocked(a.masterV)
+		now := a.rt.Now()
+		var cost time.Duration
+		waiting := a.pending[:0]
+		for i := range a.pending {
+			if a.pending[i].Stamp.Version > a.masterV {
+				waiting = append(waiting, a.pending[i])
+			} else {
+				_, c := a.settleLocked(&a.pending[i], now)
+				cost += c
+			}
+		}
+		clear(a.pending[len(waiting):])
+		a.pending = waiting
+		for len(a.views) > 1 && a.closedLocked(0, now) {
+			a.views[0] = view{}
+			a.views = a.views[1:]
+		}
+		a.mu.Unlock()
+		chargeCPU(a.cfg.CPU, cost)
+		if a.rt.Sleep(a.cfg.Params.KeepAliveEvery) != nil {
+			return
+		}
+	}
+}
+
+// provenPledge is a pledge the content at its version contradicts and
+// whose slave signature this auditor has verified. Only settleLocked
+// makes one, and report takes nothing else: no path signs and ships a
+// pledge whose signature was not checked.
+type provenPledge struct{ p Pledge }
 
 // report forwards the incriminating pledge to a master (§3.5 delayed
 // discovery path), signed by the auditor so masters can trust it without
 // being at the pledge's (old) content version.
 func (a *Auditor) report(proven provenPledge) {
-	p := proven.p
-	a.mu.Lock()
-	a.detected[string(p.SlavePub)] = true
-	a.stats.ReportsSent++
-	a.mu.Unlock()
-	pledgeBytes := EncodePledge(p)
+	pledgeBytes := EncodePledge(proven.p)
 	chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.Sign) // the one signature the auditor ever makes
 	sig := a.cfg.Keys.Sign(pledgeBytes)
 	w := wire.NewWriter(len(pledgeBytes) + 80)
@@ -463,35 +443,4 @@ func (a *Auditor) report(proven provenPledge) {
 			return
 		}
 	}
-}
-
-// maybeAdvance applies the next buffered write if its audit window has
-// closed: all pledges for the current version are drained and more than
-// max_latency + slack has elapsed since the masters committed the write.
-func (a *Auditor) maybeAdvance() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.writes) == 0 {
-		return false
-	}
-	w := a.writes[0]
-	if len(a.pending[a.replica.Version()]) > 0 {
-		return false
-	}
-	window := a.cfg.Params.MaxLatency + a.cfg.Params.AuditorSlack
-	if a.rt.Now().Sub(w.receivedAt) <= window {
-		return false
-	}
-	op, err := store.DecodeOp(w.opBytes)
-	if err != nil {
-		return false // deliver buffers only ops that decode
-	}
-	a.replica.ApplyAt(a.replica.Version()+1, op)
-	a.writes[0] = bufferedWrite{} // drop the op with the slot
-	a.writes = a.writes[1:]
-	// Results change with the version: drop the query cache (§3.4 cache
-	// is per-version query optimization). clear keeps the map's storage,
-	// so steady-state version advancement stops allocating.
-	clear(a.cache)
-	return true
 }

@@ -81,13 +81,17 @@ func (r *auditorRig) pledgeFor(q query.Query, lie bool) Pledge {
 	return SignPledge(r.slave, query.Encode(q), h, stamp)
 }
 
-// commit delivers op to the auditor as the next ordered write, as the
-// broadcast would, and applies it to the rig's content, so later pledges
-// are built at the version it makes.
-func (r *auditorRig) commit(op store.Op) {
+// commit delivers ops to the auditor as the next ordered batch, as the
+// broadcast would, and applies them to the rig's content, so later
+// pledges are built at the version they make.
+func (r *auditorRig) commit(ops ...store.Op) {
 	r.seq++
-	r.auditor.deliver(r.seq, encodeBatchMessage([]queuedWave{{ops: [][]byte{store.EncodeOp(op)}}}), nil)
-	r.initial.Apply(op)
+	wave := queuedWave{}
+	for _, op := range ops {
+		wave.ops = append(wave.ops, store.EncodeOp(op))
+		r.initial.Apply(op)
+	}
+	r.auditor.deliver(r.seq, encodeBatchMessage([]queuedWave{wave}), nil)
 }
 
 func (r *auditorRig) sendPledge(p Pledge) error {
@@ -115,12 +119,12 @@ func (r *auditorRig) signedQuery(queryBytes []byte) Pledge {
 	return SignPledge(r.slave, queryBytes, cryptoutil.Digest{}, stamp)
 }
 
-// audit starts the audit worker, delivers the pledges in order, lets the
-// audit window of every committed write close and three keep-alive
-// intervals more pass, and returns the auditor's counters.
+// audit starts the apply loop, delivers the pledges in order, lets the
+// window of every committed batch close and three keep-alive intervals
+// more pass, and returns the auditor's counters.
 func (r *auditorRig) audit(t *testing.T, pledges ...Pledge) AuditorStats {
 	t.Helper()
-	r.auditor.rt.Spawn(r.auditor.auditLoop)
+	r.auditor.rt.Spawn(r.auditor.applyLoop)
 	r.s.Go(func() {
 		for _, p := range pledges {
 			if err := r.sendPledge(p); err != nil {
@@ -204,10 +208,10 @@ func (r *auditorRig) checkReport(t *testing.T, body []byte) {
 // compared first and the slave's signature is checked only on a pledge
 // that disagrees — so an honest pledge costs no verification whoever
 // signed it, and nothing is counted as a lie, remembered or reported
-// without one. Every pledge is at a version whose buffered write touches
-// k (and the queries that do not name k alone span it too), so none is
-// settled on arrival: each is queued and audited by the worker once the
-// replica reaches its version.
+// without one. Every pledge is at the version of a held batch that
+// rewrote k: the handler applies it and settles the pledge on arrival
+// against the content there, and the apply loop that runs after finds
+// nothing left to do.
 func TestAuditorVerifiesOnEvidence(t *testing.T) {
 	get := query.Get{Key: "k"}
 	for _, tc := range []struct {
@@ -218,10 +222,10 @@ func TestAuditorVerifiesOnEvidence(t *testing.T) {
 	}{
 		{"valid sig, right hash",
 			func(r *auditorRig) []Pledge { return []Pledge{r.pledgeFor(get, false)} },
-			AuditorStats{PledgesAudited: 1}, false},
+			AuditorStats{PledgesAudited: 1, PledgesVouched: 1}, false},
 		{"forged sig, right hash",
 			func(r *auditorRig) []Pledge { return []Pledge{forged(r.pledgeFor(get, false))} },
-			AuditorStats{PledgesAudited: 1}, false},
+			AuditorStats{PledgesAudited: 1, PledgesVouched: 1}, false},
 		{"valid sig, wrong hash",
 			func(r *auditorRig) []Pledge { return []Pledge{r.pledgeFor(get, true)} },
 			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1, PledgeCacheMisses: 1}, true},
@@ -247,8 +251,7 @@ func TestAuditorVerifiesOnEvidence(t *testing.T) {
 			pledges := tc.pledges(r)
 			st := r.audit(t, pledges...)
 			tc.want.PledgesReceived = uint64(len(pledges))
-			tc.want.BacklogMax = len(pledges)
-			tc.want.VersionLagMax = 1 // the write to k
+			tc.want.VersionLagMax = 1 // the content before and after the write to k, held together
 			if st != tc.want {
 				t.Errorf("stats:\n got %+v\nwant %+v", st, tc.want)
 			}
@@ -363,25 +366,32 @@ func TestAuditorLatePledgeCounted(t *testing.T) {
 	r.checkPartition(t)
 }
 
+// TestAuditorAdvancesAfterWindow pins how long the auditor answers at a
+// version a later batch superseded: until max_latency + slack after that
+// batch was delivered, when no client accepts a read there any more. The
+// apply loop applies the batch within a keep-alive interval; a pledge at
+// the old version is still audited inside the window, and late after it.
 func TestAuditorAdvancesAfterWindow(t *testing.T) {
 	r := newAuditorRig(t, nil)
-	r.auditor.rt.Spawn(r.auditor.auditLoop)
+	old := r.pledgeFor(query.Get{Key: "w"}, false)
+	window := r.params.MaxLatency + r.params.AuditorSlack
+	r.auditor.rt.Spawn(r.auditor.applyLoop)
 	r.s.Go(func() {
-		// Feed an ordered write through the broadcast delivery path.
-		op := store.EncodeOp(store.Put{Key: "w", Value: []byte("1")})
-		r.auditor.deliver(1, encodeBatchMessage([]queuedWave{{ops: [][]byte{op}}}), nil)
+		r.commit(store.Put{Key: "w", Value: []byte("1")})
+		r.s.Sleep(2 * r.params.KeepAliveEvery)
 		if got := r.auditor.Version(); got != r.initial.Version() {
-			t.Errorf("auditor advanced immediately: %d", got)
+			t.Errorf("the loop left the batch unapplied: version %d, want %d", got, r.initial.Version())
 		}
-		// Before the window closes the auditor must lag.
-		r.s.Sleep(r.params.MaxLatency / 2)
-		if got := r.auditor.Version(); got != r.initial.Version() {
-			t.Errorf("auditor advanced inside the window: %d", got)
+		r.s.Sleep(window - 3*r.params.KeepAliveEvery)
+		r.sendPledge(old)
+		if st := r.auditor.Stats(); st.PledgesAudited != 1 || st.PledgesLate != 0 {
+			t.Errorf("inside the window: %+v", st)
 		}
-		// After max_latency + slack it applies the write.
-		r.s.Sleep(r.params.MaxLatency + 2*r.params.AuditorSlack)
-		if got := r.auditor.Version(); got != r.initial.Version()+1 {
-			t.Errorf("auditor failed to advance: %d", got)
+		r.s.Sleep(2 * r.params.KeepAliveEvery)
+		r.sendPledge(old)
+		r.sendPledge(r.pledgeFor(query.Get{Key: "w"}, false))
+		if st := r.auditor.Stats(); st.PledgesAudited != 2 || st.PledgesLate != 1 {
+			t.Errorf("after the window: %+v", st)
 		}
 		r.s.Stop()
 	})
@@ -411,7 +421,7 @@ func (r *auditorRig) pledgeFrames(n int, lie bool) [][]byte {
 
 // TestAuditorHonestPledgeAllocs pins what an honest pledge costs the
 // allocator: the pledge is decoded by view and settled on arrival by one
-// probe of the query cache (the first by executing its query).
+// probe of the view's answer cache (the first by executing its query).
 func TestAuditorHonestPledgeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -424,7 +434,6 @@ func TestAuditorHonestPledgeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		i++
-		r.auditor.auditPending()
 	})
 	if n > 2 {
 		t.Fatalf("an admitted and audited honest pledge allocates %v times, want <= 2", n)
@@ -435,22 +444,35 @@ func TestAuditorHonestPledgeAllocs(t *testing.T) {
 	r.checkPartition(t)
 }
 
-// TestAuditorConcurrentAdmitAndAudit has handlers queue pledges — views of
-// their frames — while the audit worker drains them, as over TCP, where
-// every request runs on its own goroutine. Under -race it checks the
-// hand-over; in any build, that nothing is lost or counted twice.
+// TestAuditorConcurrentAdmitAndAudit has handlers settle pledges while
+// batches are delivered and the apply loop applies them, as over TCP,
+// where every request runs on its own goroutine. One sender lies at the
+// initial version, two pledge honestly there, and one pledges ahead of
+// delivery, so its frames wait in pending until the loop settles them.
+// Under -race it checks the hand-over; in any build, that nothing is lost
+// or counted twice, and that the loop exits on Stop.
 func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	a := r.auditor
 	a.dlr = nopDialer{}
-	const senders, each = 4, 64
+	a.rt = sim.RealClock{}
+	a.cfg.Params.KeepAliveEvery = time.Millisecond
+	const senders, each, batches = 4, 64, 8
+	cur := r.initial.Version()
 	honest, lies := r.pledgeFrames(each, false), r.pledgeFrames(each, true)
+	ahead := make([][]byte, each)
+	for i, f := range r.pledgeFrames(each, false) {
+		p, err := DecodePledge(wire.NewReader(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ahead[i] = EncodePledge(r.resign(p, cur+1+uint64(i%batches))) // the writes leave k alone
+	}
+	stopped := make(chan struct{})
+	go func() { a.applyLoop(); close(stopped) }()
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
-		frames := honest
-		if g == 0 {
-			frames = lies
-		}
+		frames := [][][]byte{lies, honest, honest, ahead}[g]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -461,26 +483,30 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 			}
 		}()
 	}
-	sent := make(chan struct{})
-	go func() { wg.Wait(); close(sent) }()
-	for done := false; !done; {
-		select {
-		case <-sent:
-			done = true
-		default:
-		}
-		a.auditPending() // once more after the last sender returned
+	for i := uint64(1); i <= batches; i++ {
+		op := store.EncodeOp(store.Put{Key: "w", Value: []byte{byte(i)}})
+		a.deliver(i, encodeBatchMessage([]queuedWave{{ops: [][]byte{op}}}), nil)
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(10 * time.Second); a.Backlog() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	st := a.Stats()
 	if st.PledgesReceived != senders*each || st.PledgesAudited != senders*each ||
-		st.Mismatches != each || st.ReportsSent != 1 || a.Backlog() != 0 {
-		t.Fatalf("stats: %+v backlog %d", st, a.Backlog())
+		st.Mismatches != each || st.ReportsSent != 1 || a.Backlog() != 0 || a.Version() != cur+batches {
+		t.Fatalf("stats: %+v backlog %d version %d", st, a.Backlog(), a.Version())
 	}
 	r.checkPartition(t)
+	a.Stop()
+	select { // the loop exits on Stop under the real clock too
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the apply loop did not exit on Stop")
+	}
 }
 
 // BenchmarkAuditPledge is the auditor's row of the layer ledger: one
-// pledge admitted and audited, with the slave-signature verifications it
+// pledge settled on arrival, with the slave-signature verifications it
 // cost. The frames carry more distinct stamps than the verified-pledge
 // memo holds entries.
 func BenchmarkAuditPledge(b *testing.B) {
@@ -502,12 +528,11 @@ func BenchmarkAuditPledge(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !bc.recache {
-					clear(a.cache)
+					clear(a.views[0].answers)
 				}
 				if _, err := a.handlePledge(frames[i%len(frames)]); err != nil {
 					b.Fatal(err)
 				}
-				a.auditPending()
 			}
 			b.StopTimer()
 			st := a.Stats()
@@ -534,13 +559,13 @@ func (r *auditorRig) resign(p Pledge, v uint64) Pledge {
 	return SignPledge(r.slave, p.QueryBytes, p.ResultHash, p.Stamp)
 }
 
-// TestAuditorVouchTable pins which a.pledge bodies at the replica's version
-// the auditor vouches for on arrival: those whose every frame agrees with
-// the answer the query cache holds or, on a miss, the answer executed
-// there and then, at an auditor that audits every pledge (a sampling one
-// vouches for none). Each row starts from an auditor that has audited Get
-// k at its version; a vouched body is settled there and then, any other
-// is queued and the worker's audit that follows convicts a lie.
+// TestAuditorVouchTable pins which a.pledge bodies at the newest content's
+// version the auditor vouches for on arrival: those whose every frame
+// agrees with the answer the view's cache holds or, on a miss, the answer
+// executed there and then. Each row starts from an auditor that has
+// audited Get k at its version; every frame at a delivered version is
+// settled on arrival — a lie convicted there and then — and only a frame
+// ahead of delivery waits.
 func TestAuditorVouchTable(t *testing.T) {
 	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
 	for _, tc := range []struct {
@@ -549,8 +574,8 @@ func TestAuditorVouchTable(t *testing.T) {
 		body   func(r *auditorRig) []byte
 		vouch  bool
 		err    bool
-		queued int          // the backlog the body leaves for the worker
-		want   AuditorStats // counters the body adds, after the worker's audit
+		queued int          // the frames the body leaves waiting for delivery
+		want   AuditorStats // counters the body adds on arrival
 	}{
 		{"cached and agreeing", 1, func(r *auditorRig) []byte {
 			return catPledges(r.pledgeFor(k, false))
@@ -560,14 +585,14 @@ func TestAuditorVouchTable(t *testing.T) {
 		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 2}},
 		{"cached but disagreeing", 1, func(r *auditorRig) []byte {
 			return catPledges(r.pledgeFor(k, true))
-		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
 		{"uncached", 1, func(r *auditorRig) []byte { // executed on arrival
 			return catPledges(r.pledgeFor(other, false))
 		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
-		{"uncached and disagreeing", 1, func(r *auditorRig) []byte { // the worker hits what arrival executed
+		{"uncached and disagreeing", 1, func(r *auditorRig) []byte { // executed, then convicted, on arrival
 			return catPledges(r.pledgeFor(other, true))
-		}, false, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
-		{"replica behind", 1, func(r *auditorRig) []byte {
+		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"replica behind", 1, func(r *auditorRig) []byte { // ahead of delivery: waits
 			p := r.pledgeFor(k, false)
 			return catPledges(r.resign(p, p.Stamp.Version+1))
 		}, false, false, 1, AuditorStats{PledgesReceived: 1}},
@@ -583,10 +608,10 @@ func TestAuditorVouchTable(t *testing.T) {
 		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 1}},
 		{"two slaves, one uncached lying frame", 1, func(r *auditorRig) []byte {
 			return catPledges(r.pledgeFor(k, false), r.pledgeFor(other, true))
-		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
+		}, false, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
 		{"two slaves, one lying frame", 1, func(r *auditorRig) []byte {
 			return catPledges(r.pledgeFor(k, false), r.pledgeFor(k, true))
-		}, false, false, 2, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
+		}, false, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
 		{"undecodable", 1, func(r *auditorRig) []byte {
 			body := catPledges(r.pledgeFor(k, false))
 			return body[:len(body)-1]
@@ -615,7 +640,6 @@ func TestAuditorVouchTable(t *testing.T) {
 			if a.Backlog() != tc.queued {
 				t.Fatalf("backlog %d, want %d", a.Backlog(), tc.queued)
 			}
-			a.auditPending()
 			if got := added(before, a.Stats()); got != tc.want {
 				t.Fatalf("counters added %+v, want %+v", got, tc.want)
 			}
@@ -624,31 +648,33 @@ func TestAuditorVouchTable(t *testing.T) {
 	}
 }
 
-// TestAuditorVouchAhead pins the vouch for a frame ahead of the auditor's
-// lagging replica: at a version V the ordered writes have reached, when no
-// buffered write in (replica, V] has a key in the query's span, the answer
-// at V is the replica's, so the frame is settled on arrival from the cache
-// or by executing the query there and then. Anything else is queued for the
-// worker, which audits it once the replica reaches V. Each row commits its
-// writes to an auditor at version cur; the worker then runs until every
-// write's audit window has closed.
+// TestAuditorVouchAhead pins the answer at a frame's own version V when
+// batches the auditor has not applied yet reach V: the handler applies
+// them up to V and answers against the content at exactly V, whatever
+// the batches wrote, and whatever later batches it still holds rewrite.
+// A right frame is vouched, a lie convicted, on arrival; V must be a
+// batch boundary inside its window, or the frame is late; a frame ahead
+// of delivery waits for the apply loop. Each row commits its batches to
+// an auditor at version cur, inside one simulation task; the loop then
+// runs until every window has closed.
 func TestAuditorVouchAhead(t *testing.T) {
 	k := query.Get{Key: "k"}
 	put := func(key, value string) store.Op { return store.Put{Key: key, Value: []byte(value)} }
+	window := DefaultParams().MaxLatency + DefaultParams().AuditorSlack
 	for _, tc := range []struct {
 		name   string
 		warm   bool // k's answer is cached at cur before the writes
 		body   func(r *auditorRig) []byte
 		vouch  bool
-		queued int          // the backlog the body leaves
-		left   int          // the backlog once the worker has run
-		want   AuditorStats // counters the body adds, after the worker's audits
+		queued int          // the frames the body leaves waiting for delivery
+		left   int          // the frames still waiting once the loop has run
+		want   AuditorStats // counters the body adds, after the loop
 	}{
 		{"V = cur+2, span untouched, cached", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
-			r.commit(put("k\x00", "1")) // the span's end: outside it
-			return catPledges(r.pledgeFor(k, false))
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+			r.commit(put("k\x00", "1"))
+			return catPledges(r.pledgeFor(k, false)) // the cache at cur is not asked at cur+2
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V = cur+2, span untouched, executed on arrival", false, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
@@ -659,24 +685,24 @@ func TestAuditorVouchAhead(t *testing.T) {
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
 			return catPledges(r.resign(stale, r.initial.Version()))
-		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span below V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.commit(put("j", "1"))
 			return catPledges(r.resign(stale, r.initial.Version()))
-		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span at V, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
 			return catPledges(r.pledgeFor(k, false))
-		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1}},
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span only above V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			return catPledges(p)
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V above masterV", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
@@ -685,46 +711,81 @@ func TestAuditorVouchAhead(t *testing.T) {
 		{"lying frame ahead, convicted at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			return catPledges(r.pledgeFor(k, true))
-		}, false, 1, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"two slaves, one frame unvouchable", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			return catPledges(p, r.resign(p, p.Stamp.Version+1))
-		}, false, 2, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1}},
+		}, false, 1, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1}},
+		{"rewritten by a later held batch, the answer at V", true, func(r *auditorRig) []byte {
+			r.commit(put("k", "v2"))
+			p := r.pledgeFor(k, false)
+			r.commit(put("k", "v3"))
+			return catPledges(p)
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		{"rewritten by a later held batch, the later answer", true, func(r *auditorRig) []byte {
+			r.commit(put("k", "v2"))
+			v := r.initial.Version()
+			r.commit(put("k", "v3"))
+			return catPledges(r.resign(r.pledgeFor(k, false), v))
+		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"inside a batch, late", true, func(r *auditorRig) []byte {
+			r.commit(put("k", "v2"), put("j", "1"))
+			return catPledges(r.resign(r.pledgeFor(k, true), r.initial.Version()-1))
+		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		{"superseded inside the window", true, func(r *auditorRig) []byte {
+			p := r.pledgeFor(k, false)
+			r.commit(put("k", "v2"))
+			r.s.Sleep(window)
+			return catPledges(p)
+		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		{"superseded more than the window ago, late", true, func(r *auditorRig) []byte {
+			p := r.pledgeFor(k, true)
+			r.commit(put("k", "v2"))
+			r.s.Sleep(window + time.Millisecond)
+			return catPledges(p)
+		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAuditorRig(t, nil)
 			a := r.auditor
-			if tc.warm {
-				if err := r.sendPledge(r.pledgeFor(k, false)); err != nil {
-					t.Fatal(err)
+			r.s.Go(func() {
+				defer r.s.Stop()
+				if tc.warm {
+					if err := r.sendPledge(r.pledgeFor(k, false)); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-			cur := a.Version()
-			before := a.Stats()
-			body := tc.body(r)
-			v := r.initial.Version()
-			ack, err := a.handlePledge(body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if vouched := bytes.Equal(ack, pledgeVouch); vouched != tc.vouch || (!vouched && len(ack) != 0) {
-				t.Fatalf("ack %x, want vouch %v", ack, tc.vouch)
-			}
-			if a.Backlog() != tc.queued || a.Version() != cur {
-				t.Fatalf("backlog %d at version %d, want %d at %d", a.Backlog(), a.Version(), tc.queued, cur)
-			}
-			if st := a.Stats(); st.Mismatches != 0 {
-				t.Fatalf("convicted on arrival: %+v", st)
-			}
-			r.audit(t)
-			if a.Backlog() != tc.left || a.Version() != v {
-				t.Fatalf("after the worker: backlog %d at version %d, want %d at %d", a.Backlog(), a.Version(), tc.left, v)
-			}
-			if got := added(before, a.Stats()); got != tc.want {
-				t.Fatalf("counters added %+v, want %+v", got, tc.want)
-			}
-			if tc.want.ReportsSent > 0 {
+				before := a.Stats()
+				body := tc.body(r)
+				v := r.initial.Version()
+				ack, err := a.handlePledge(body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if vouched := bytes.Equal(ack, pledgeVouch); vouched != tc.vouch || (!vouched && len(ack) != 0) {
+					t.Errorf("ack %x, want vouch %v", ack, tc.vouch)
+				}
+				if a.Backlog() != tc.queued {
+					t.Errorf("backlog %d, want %d", a.Backlog(), tc.queued)
+				}
+				if arrived := added(before, a.Stats()); tc.queued == 0 && arrived != tc.want {
+					t.Errorf("counters added on arrival %+v, want %+v", arrived, tc.want)
+				}
+				a.rt.Spawn(a.applyLoop)
+				r.s.Sleep(window + 3*r.params.KeepAliveEvery)
+				if a.Backlog() != tc.left || a.Version() != v {
+					t.Errorf("after the loop: backlog %d at version %d, want %d at %d", a.Backlog(), a.Version(), tc.left, v)
+				}
+				if got := added(before, a.Stats()); got != tc.want {
+					t.Errorf("counters added %+v, want %+v", got, tc.want)
+				}
+			})
+			r.s.Run()
+			r.checkPartition(t)
+			if tc.want.ReportsSent > 0 && !t.Failed() {
 				r.checkReport(t, r.reports[0])
 			}
 		})

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -183,9 +184,9 @@ func (m *Master) maybeTruncate(seq uint64) {
 		return
 	}
 
-	var snap *ckptSnapshot
+	var content *store.Store // the state to persist: an O(1) clone, encoded off the lock
 	if m.wlog != nil {
-		snap = &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
+		content = m.store.Clone()
 	}
 	for _, b := range m.log[:k] {
 		m.stats.OpsTruncated += uint64(len(b.Ops))
@@ -196,8 +197,8 @@ func (m *Master) maybeTruncate(seq uint64) {
 	m.stats.CheckpointsApplied++
 	m.mu.Unlock()
 
-	if snap != nil {
-		m.persistState(seq, m.signSnapshot(snap))
+	if content != nil {
+		m.persistState(seq, m.signSnapshot(&ckptSnapshot{version: cur, bytes: content.EncodeSnapshot()}))
 	}
 	m.bcast.TruncateBelow(floor)
 }

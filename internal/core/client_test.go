@@ -201,7 +201,6 @@ func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 			if _, err := aud.handlePledge(body); err != nil {
 				t.Errorf("forwarded frame: %v", err)
 			}
-			aud.auditPending()
 		}
 	})
 	r.s.Run()
@@ -519,8 +518,8 @@ func verifyUnvouched(c *Client, sl slaveAssignment, masters []cryptoutil.PublicK
 }
 
 // withAuditor puts an auditor over the rig's content where the scripted
-// one was, its audit worker running; every body is still recorded. The
-// worker never idles out: a test's last step is r.s.Stop().
+// one was, its apply loop running; every body is still recorded. The
+// loop never idles out: a test's last step is r.s.Stop().
 func (r *clientRig) withAuditor(t *testing.T) *Auditor {
 	t.Helper()
 	aud := r.newAuditor(t)
@@ -528,7 +527,7 @@ func (r *clientRig) withAuditor(t *testing.T) *Auditor {
 		r.forwarded = append(r.forwarded, bytes.Clone(body))
 		return aud.Handle(from, method, body)
 	})
-	r.s.Go(aud.auditLoop)
+	r.s.Go(aud.applyLoop)
 	return aud
 }
 

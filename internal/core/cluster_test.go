@@ -646,13 +646,12 @@ func decodeGet(payload []byte) ([]byte, bool, error) {
 
 // TestClusterVouchAheadVerifyRatio is the mixed workload's read shape in
 // the simulator: a writer commits a catalog key as often as pacing allows
-// (every MaxLatency), so the auditor, which waits MaxLatency + slack
-// before applying a write, is always a version behind the slaves, and two
-// clients read catalog keys drawn uniformly. The auditor answers those
-// reads ahead of its replica, so the clients verify a pledge signature
-// only for a drawn double-check or a read of a key written since the
-// auditor's version: well under 0.1 verifies per accepted read, where
-// vouching only at the auditor's own version left ≈ 0.96.
+// (every MaxLatency), so the auditor holds the content of two or more
+// versions at once, and two clients read catalog keys drawn uniformly.
+// The auditor answers each read at its own version, so the clients
+// verify a pledge signature only for a drawn double-check: well under
+// 0.1 verifies per accepted read, where vouching only at a lagging
+// auditor's own version left ≈ 0.96.
 func TestClusterVouchAheadVerifyRatio(t *testing.T) {
 	const catalog = 1000
 	s := sim.New(9)
@@ -701,10 +700,10 @@ func TestClusterVouchAheadVerifyRatio(t *testing.T) {
 	}
 	as := c.auditor.Stats()
 	ratio := float64(verifies) / float64(reads)
-	t.Logf("%d reads, %d verifies (%.3f per read); auditor vouched %d of %d pledges, lag max %d",
+	t.Logf("%d reads, %d verifies (%.3f per read); auditor vouched %d of %d pledges, versions held max %d",
 		reads, verifies, ratio, as.PledgesVouched, as.PledgesReceived, as.VersionLagMax)
 	if reads < 1000 || as.VersionLagMax == 0 || writer.Stats().WritesOK < 10 {
-		t.Fatalf("workload too thin: %d reads, %d writes, auditor lag max %d", reads, writer.Stats().WritesOK, as.VersionLagMax)
+		t.Fatalf("workload too thin: %d reads, %d writes, auditor versions held max %d", reads, writer.Stats().WritesOK, as.VersionLagMax)
 	}
 	if ratio >= 0.1 {
 		t.Errorf("%.3f pledge verifies per accepted read, want < 0.1", ratio)

@@ -129,13 +129,18 @@ func chargeCPU(cpu *sim.Resource, d time.Duration) {
 }
 
 // chargeMemoised charges work a memo can spare (a signature operation, a
-// query's scan): its full cost, or a cache lookup when a hit made it
-// unnecessary.
+// query's scan) at memoCost.
 func chargeMemoised(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Duration, hit bool) {
+	chargeCPU(cpu, memoCost(costs, full, hit))
+}
+
+// memoCost is the cost of work a memo can spare: full, or a cache lookup
+// when a hit made it unnecessary.
+func memoCost(costs cryptoutil.CostModel, full time.Duration, hit bool) time.Duration {
 	if hit {
-		full = costs.CacheLookup
+		return costs.CacheLookup
 	}
-	chargeCPU(cpu, full)
+	return full
 }
 
 // DirectoryService is the slice of pki.Directory behaviour the protocol

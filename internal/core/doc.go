@@ -34,9 +34,10 @@
 //	                           signature unless the auditor vouches.
 //	§3.3 (double-checking)   — Client.doubleCheck, the master's greedy-
 //	                           client throttling (greedyTracker).
-//	§3.4 (auditing)          — Auditor re-executes pledged reads on a
-//	                           lagging replica and checks a signature
-//	                           only on a pledge that disagrees with it;
+//	§3.4 (auditing)          — Auditor re-executes pledged reads on
+//	                           the content at each read's version and
+//	                           checks a signature only on a pledge that
+//	                           disagrees with it;
 //	                           batched commits amortize the master's
 //	                           dominant signing cost (SignBatchStamp
 //	                           over a merkle root).
@@ -81,9 +82,8 @@
 //	             every frame before it admits any, in frame order, so a
 //	             body is admitted or refused whole. Reply: the one byte
 //	             0x01 (pledgeVouch) when every frame's result hash is the
-//	             auditor's answer at the frame's version — a version from
-//	             the replica's to the last ordered write, with no buffered
-//	             write up to it in the query's key span — else empty.
+//	             auditor's answer at the frame's version — a batch
+//	             boundary whose window is open — else empty.
 //	bcExclude    kind byte ‖ bytes evidence ‖ bytes originPub ‖ bytes
 //	             sig — sig by the master that convicted the slave, over
 //	             "exclude.v1" ‖ evidence; every master acts on it only if
@@ -161,41 +161,38 @@
 // this order: the hash of the payload, stamp for the signed version from a
 // certified master under its signature, freshness.
 //
-// The auditor vouches at the slaves' version (auditor.go, client.go). A
-// client checks a slave's pledge signature so that a lie it accepts can be
-// pinned on the signer (§3.2, §3.4). Auditor.handlePledge decides each
-// a.pledge body as it arrives, under the lock it takes anyway, frame by
-// frame (vouchesLocked): the frame's version V must lie between the
-// replica's version and masterV, the last version the ordered writes have
-// reached; no buffered write in (replica, V] may have a key inside the
-// query's span (query.Query.Span: [key, key+"\x00") for a Get, [From, To)
-// for a Range, the prefix's interval for the rest); and the answer — from
-// the per-version query cache, or executed on the replica there and then
-// and cached (answerLocked, which auditOne shares) — must be the frame's
-// result hash. Then the body is settled as audited and the reply is the
-// one byte 0x01; anything else — a disagreeing frame, a span conflict, V
-// above masterV, an undecodable query — and any body at an auditor that
-// samples (AuditSampleP < 1) is admitted frame by frame
-// (admitPledgeLocked) and gets the empty ack. Why an answer ahead of the
-// replica is right: the buffered writes are the ordered broadcast's,
-// numbered as the masters number them (deliver mirrors their skip of
-// undecodable ops), so the content at V is the replica's plus those
-// writes, and a write outside a query's span leaves its result as it was
-// (TestSpanBoundsResult). The client accepts a read only when the stamp
-// checks pass and either the slave's signature verifies or the auditor
-// vouched. It verifies first before a drawn double-check and before a
-// K-slave disagreement, so a report always carries a verified pledge;
-// otherwise it forwards first and verifies only when the ack is not
-// exactly the vouch. A vouched answer is correct — the trusted auditor
-// found the same hash at that signed, fresh version — so there is no lie
-// to pin on anyone; a lie's hash is never the auditor's answer, so a lie
-// is never vouched, and is verified, accepted and later convicted by the
-// audit at its version. The vouch is as authenticated as the §3.4 ack the
-// client waits for anyway. The audit worker stays the only path that
-// verifies a signature or reports. A cache miss now runs on the handler,
-// so a forged pledge buys its one scan per distinct query per version
-// there instead of on the worker: the same total, and bounding it is
-// ROADMAP item 7's job.
+// The auditor answers at the read's own version (auditor.go, client.go).
+// A client checks a slave's pledge signature so that a lie it accepts can
+// be pinned on the signer (§3.2, §3.4). The auditor keeps the content at
+// every batch boundary as a view — an O(1) copy-on-write store.Clone with
+// its own answer cache — until MaxLatency + AuditorSlack after the next
+// batch was delivered, when no client can still accept a read there.
+// deliver only holds batches; they are applied up to the version a frame
+// needs, by the a.pledge handler or by the once-per-keep-alive apply loop.
+// Auditor.handlePledge settles every frame of a body in one critical
+// section, as exactly one of: sampled out; waiting, when its version V is
+// above masterV, the last version delivered (pending holds only these);
+// late, when no view is at exactly V; audited and right, when the answer
+// at V is the frame's result hash; convicted otherwise. The reply is the
+// one byte 0x01 exactly when every frame was audited and right. Why "no
+// view at V" means "no honest client reads at V": every replica applies a
+// delivered batch whole (deliver mirrors the masters' skip of undecodable
+// ops, so versions are numbered alike) and every stamp a master signs
+// names the version after a whole batch, so an honest read is always at a
+// batch boundary. The client accepts a read only when the stamp checks
+// pass and either the slave's signature verifies or the auditor vouched.
+// It verifies first before a drawn double-check and before a K-slave
+// disagreement, so a report always carries a verified pledge; otherwise
+// it forwards first and verifies only when the ack is not exactly the
+// vouch. A vouched answer is correct — the trusted auditor found the same
+// hash at that signed, fresh version — so there is no lie to pin on
+// anyone; a lie's hash is never the auditor's answer, so a lie is never
+// vouched. The vouch is not authenticated: whoever can forge the
+// auditor's one-byte reply on the wire can make a client skip its verify,
+// the same hole as the forged §3.4 ack through which a signed lie skips
+// the audit; ROADMAP item 13(a) tags the reply. A cache miss runs on the
+// handler, so a forged pledge buys one scan per distinct query per
+// version there; bounding it is ROADMAP item 7's job.
 //
 // On the real-clock benchmark (seed 1, 8 s runs, before the vouch) the
 // memos missed, per accepted read, 0.41 client verifies and 0.56 slave
@@ -203,11 +200,11 @@
 // whose uniform keys do not repeat between commits. With the vouch at the
 // auditor's own version, 78 % of read-scan's reads and 94 % of
 // read-point's were vouched for, and their client verifies fell to about
-// 0.22 and 0.06; mixed reads at versions the auditor has not applied yet,
-// so almost none was. Vouching at the slaves' version takes mixed's
-// client verifies to about DoubleCheckP (0.05), the double-checks that
-// verify first; TestClusterVouchAheadVerifyRatio pins that shape in the
-// simulator. TestPledgeMemoHitRatio pins the memos alone on one-kind
+// 0.22 and 0.06; mixed reads at versions a lagging auditor had not
+// applied yet, so almost none was. Answering at the read's own version
+// takes mixed's client verifies to about DoubleCheckP (0.05), the
+// double-checks that verify first; TestClusterVouchAheadVerifyRatio pins
+// that shape in the simulator. TestPledgeMemoHitRatio pins the memos alone on one-kind
 // catalogs (Zipf Gets, uniform ten-key Ranges), not these mixes.
 //
 // Scan once per version (resultmemo.go). Slaves exist for arbitrary dynamic
@@ -231,26 +228,27 @@
 // payload is hashed, and HashCost charged, either way. Admission is by
 // what the scan cost against what it returned, not by query kind, so
 // point-read workloads pay one failed probe of a nil map; the bounds are
-// constants and there is no knob. Auditor.cache (§3.4's mechanism, the
-// auditor.cache_hit_ratio metric) is deliberately another type: it keeps a
+// constants and there is no knob. The auditor's per-view answer cache
+// (§3.4's mechanism, the auditor.cache_hit_ratio metric) is deliberately
+// another type: it keeps a
 // 20-byte hash of every audited query, cheap ones included, because a hash
 // is all an audit compares; this memo retains whole payloads to serve,
 // worth the memory only where the scan dwarfs the answer.
 //
 // The auditor audits by hash and verifies on evidence (auditor.go).
-// Auditor.auditOne compares a pledge's result hash with the replica's —
-// from the per-version query cache or by re-execution — and is done when
+// settleLocked compares a pledge's result hash with the answer at its
+// version — from the view's cache or by re-execution — and is done when
 // they agree: an honest pledge is never presented to anyone, so the
 // auditor, the scarce trusted host of §3.4, does not check who signed it.
-// A pledge that disagrees (wrong hash, undecodable or unexecutable query)
-// goes to Auditor.convict, the one place the auditor verifies a slave
-// signature: a forged pledge is counted (PledgesBadSig) and dropped, a
-// signed one is a lie (Mismatches) and the first from each slave is
-// reported. A body the auditor answers on arrival and finds right is
-// settled there (the vouch, above) and never reaches convict.
+// Only a pledge that disagrees (wrong hash, undecodable or unexecutable
+// query) has its slave signature verified, on the handler: a forged
+// pledge is counted (PledgesBadSig) and dropped, a signed one is a lie
+// (Mismatches). The check and the mark of the slave as detected are one
+// critical section, so the first lie from each slave is reported once;
+// only the m.report RPC runs on a task of its own, so no ack waits on it.
 // The invariant is: no report without a verified signature, at
 // the auditor and again at the master. Auditor.report accepts only a
-// provenPledge, which only convict constructs, and Master.handleReport
+// provenPledge, which only settleLocked constructs, and Master.handleReport
 // verifies the pledge itself before it excludes anyone, whoever vouches
 // for it; it then signs the bcExclude it broadcasts, and applyExclude
 // acts on no other. Known and accepted: a forged pledge naming an expensive scan

@@ -562,14 +562,14 @@ func TestBatchOfOneAndOfEightEquivalent(t *testing.T) {
 					return
 				}
 			}
-			// Past the auditor's window, so its replica has every write.
+			// Past a keep-alive, so the auditor's apply loop has every write.
 			s.Sleep(c.params.MaxLatency + c.params.AuditorSlack + time.Second)
 		})
 		s.RunUntil(sim.Epoch.Add(time.Minute))
 		m := c.masters[0]
 		out := outcome{version: m.Version(), master: m.StateDigest(), slave: c.slaves[0].StateDigest(), batches: m.Stats().BatchesApplied}
 		c.auditor.mu.Lock()
-		out.auditor = c.auditor.replica.StateDigest()
+		out.auditor = c.auditor.headLocked().StateDigest()
 		c.auditor.mu.Unlock()
 		m.Stop()
 		m2, err := NewMaster(c.masterCfgs[0], s, c.net.Dialer("master-0"), c.initial)

@@ -569,8 +569,8 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 	if floor := a.auditor.bcast.Truncated(); floor > 1 {
 		t.Errorf("checkpoint frame at slot 1 raised the auditor's archive floor to %d", floor)
 	}
-	if a.auditor.Version() != a.initial.Version() || len(a.auditor.writes) != 0 {
-		t.Error("checkpoint frame changed the auditor's replica or write buffer")
+	if a.auditor.Version() != a.initial.Version() || len(a.auditor.held) != 0 {
+		t.Error("checkpoint frame changed the auditor's content or held batches")
 	}
 }
 

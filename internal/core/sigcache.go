@@ -30,10 +30,9 @@
 // on every reply; the payload hash, slave and query are in the body whose
 // signature it checks, so they hold wherever that check runs. It skips the
 // pledge check only when the auditor vouches: the auditor then found the
-// hash the client computed, for the query it asked, at the stamp's
-// version — on its replica, or ahead of it when no write it has not
-// applied yet touches the query's keys — so the answer is right whoever
-// signed it (Client.readOnce).
+// hash the client computed, for the query it asked, in its own content at
+// exactly the stamp's version, so the answer is right whoever signed it
+// (Client.readOnce).
 package core
 
 import (

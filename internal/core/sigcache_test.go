@@ -599,32 +599,38 @@ func TestClientChecksCachedPledgeEveryRead(t *testing.T) {
 	r.s.Run()
 }
 
-// TestAuditorBacklogIsRunningCount checks the count kept beside the
-// pending map against the map itself through admit and drain. The
-// pledges lie, so none is settled on arrival.
+// TestAuditorBacklogIsRunningCount checks the backlog against the
+// pending queue itself through admit and drain. Every pledge is ahead of
+// delivery, so none is settled on arrival; one batch is delivered, and
+// the apply loop settles the three pledges at its version and keeps the
+// fourth.
 func TestAuditorBacklogIsRunningCount(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	walk := func() int {
 		r.auditor.mu.Lock()
 		defer r.auditor.mu.Unlock()
 		n := 0
-		for _, ps := range r.auditor.pending {
-			n += len(ps)
+		for _, p := range r.auditor.pending {
+			if p.Stamp.Version > r.auditor.masterV {
+				n++
+			}
 		}
 		return n
 	}
 	r.s.Go(func() {
-		now := r.pledgeFor(query.Get{Key: "k"}, true)
-		later := now
-		later.Stamp.Version += 5 // queued until the replica gets there
+		next := r.pledgeFor(query.Get{Key: "k"}, true)
+		next.Stamp.Version++ // queued until the next batch is delivered
+		later := next
+		later.Stamp.Version += 5 // queued until the masters get there
 		for i := 0; i < 3; i++ {
-			r.sendPledge(now)
+			r.sendPledge(next)
 		}
 		r.sendPledge(later)
 		if got := r.auditor.Backlog(); got != 4 || walk() != 4 {
 			t.Errorf("backlog %d, pending holds %d, want 4", got, walk())
 		}
-		r.auditor.rt.Spawn(r.auditor.auditLoop)
+		r.commit(store.Put{Key: "w", Value: []byte("1")})
+		r.auditor.rt.Spawn(r.auditor.applyLoop)
 		r.s.Sleep(3 * r.params.KeepAliveEvery)
 		if got := r.auditor.Backlog(); got != 1 || walk() != 1 {
 			t.Errorf("after drain: backlog %d, pending holds %d, want 1", got, walk())

@@ -243,11 +243,11 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 	// critical section as cur: a recovering master that applies every
 	// batch of this reply resumes delivery exactly at anchor+1.
 	anchor := m.lastMark.seq
-	var snap *ckptSnapshot
+	var content *store.Store // the state to serve: an O(1) clone, encoded off the lock
 	var batches []BatchUpdate
 	if from <= m.baseVersion {
 		m.stats.SnapshotSyncs++
-		snap = &ckptSnapshot{version: cur, bytes: m.store.EncodeSnapshot()}
+		content = m.store.Clone()
 	} else {
 		for _, b := range m.log[m.logIndexLocked(from):] {
 			batches = append(batches, b.BatchUpdate)
@@ -255,10 +255,11 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 	}
 	m.mu.Unlock()
 
-	// Signing happens off-lock: chargeCPU can park the task (simulation).
+	// Encoding and signing happen off-lock: chargeCPU can park the task.
 	size := 1024
-	if snap != nil {
-		m.signSnapshot(snap)
+	var snap *ckptSnapshot
+	if content != nil {
+		snap = m.signSnapshot(&ckptSnapshot{version: cur, bytes: content.EncodeSnapshot()})
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
 		size += len(snap.bytes)
 	}

@@ -18,7 +18,8 @@ import (
 // E5Auditor reproduces the §3.4 throughput argument: the auditor, which
 // signs nothing, replies to nobody, and caches, sustains a higher
 // verification rate than any slave's serving rate — and under a diurnal
-// load it falls behind at the daily peak and catches up in the trough.
+// load that passes its capacity at the daily peak, it answers every pledge
+// on arrival, so the peak shows as slower acks, not as a backlog.
 func E5Auditor(seed int64, scale Scale) []*metrics.Table {
 	// (a) Micro throughput: modelled cost per operation.
 	costs := core.DefaultParams().Costs
@@ -91,9 +92,9 @@ func E5Auditor(seed int64, scale Scale) []*metrics.Table {
 	}
 	diurnal := metrics.NewTable(
 		fmt.Sprintf("E5b — diurnal load over 2 scaled days (day = %v)", day),
-		"day fraction", "offered rate", "pledges received", "audited", "backlog", "auditor busy")
+		"day fraction", "offered rate", "pledges received", "audited", "vouched", "auditor busy")
 	samples := 16
-	var prevRecv, prevAud uint64
+	var prevRecv, prevAud, prevVouched uint64
 	var prevBusy time.Duration
 	sc.S.Go(func() {
 		sc.S.Sleep(sc.Warmup())
@@ -110,16 +111,16 @@ func E5Auditor(seed int64, scale Scale) []*metrics.Table {
 				float64(ast.PledgesReceived-prevRecv)/window,
 				ast.PledgesReceived-prevRecv,
 				ast.PledgesAudited-prevAud,
-				sc.Auditor.Backlog(),
+				ast.PledgesVouched-prevVouched,
 				metrics.Pct((busy-prevBusy).Seconds()/window))
-			prevRecv, prevAud, prevBusy = ast.PledgesReceived, ast.PledgesAudited, busy
+			prevRecv, prevAud, prevVouched, prevBusy = ast.PledgesReceived, ast.PledgesAudited, ast.PledgesVouched, busy
 		}
 		sc.S.Stop()
 	})
 	sc.Run(3 * 24 * time.Hour)
 	ast := sc.Auditor.Stats()
-	diurnal.Note("received %d pledges, audited %d; max backlog %d; long-run the auditor keeps up (§3.4)",
-		ast.PledgesReceived, ast.PledgesAudited, ast.BacklogMax)
+	diurnal.Note("received %d pledges, audited %d, vouched %d; long-run the auditor keeps up (§3.4)",
+		ast.PledgesReceived, ast.PledgesAudited, ast.PledgesVouched)
 	return []*metrics.Table{micro, diurnal}
 }
 

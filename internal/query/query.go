@@ -31,10 +31,6 @@ type Query interface {
 	Encode(w *wire.Writer)
 	// Execute runs the query against a content replica.
 	Execute(s *store.Store) (Result, error)
-	// Span returns the key interval [from, to) the result can depend on
-	// (to == "" means unbounded): a write to a key outside it leaves the
-	// result unchanged.
-	Span() (from, to string)
 	// String renders the query for logs.
 	String() string
 }
@@ -112,12 +108,6 @@ func prefixEnd(p string) string {
 	return ""
 }
 
-// InSpan reports whether key lies in the span [from, to) of a query's
-// Span (to == "" means unbounded).
-func InSpan(key []byte, from, to string) bool {
-	return string(key) >= from && (to == "" || string(key) < to)
-}
-
 // --- Get -----------------------------------------------------------------
 
 func (q Get) Encode(w *wire.Writer) {
@@ -134,8 +124,6 @@ func (q Get) Execute(s *store.Store) (Result, error) {
 	}
 	return Result{Payload: w.Bytes(), Scanned: len(q.Key) + len(v)}, nil
 }
-
-func (q Get) Span() (from, to string) { return q.Key, q.Key + "\x00" }
 
 func (q Get) String() string { return fmt.Sprintf("get(%q)", q.Key) }
 
@@ -181,8 +169,6 @@ func (q Range) Execute(s *store.Store) (Result, error) {
 	}
 	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
 }
-
-func (q Range) Span() (from, to string) { return q.From, q.To }
 
 func (q Range) String() string {
 	return fmt.Sprintf("range(%q,%q,limit=%d)", q.From, q.To, q.Limit)
@@ -230,8 +216,6 @@ func (q Prefix) Execute(s *store.Store) (Result, error) {
 	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
 }
 
-func (q Prefix) Span() (from, to string) { return q.P, prefixEnd(q.P) }
-
 func (q Prefix) String() string { return fmt.Sprintf("prefix(%q,limit=%d)", q.P, q.Limit) }
 
 // PrefixResult decodes the payload of a Prefix query.
@@ -259,8 +243,6 @@ func (q Count) Execute(s *store.Store) (Result, error) {
 	w.Uvarint(count)
 	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
 }
-
-func (q Count) Span() (from, to string) { return q.P, prefixEnd(q.P) }
 
 func (q Count) String() string { return fmt.Sprintf("count(%q)", q.P) }
 
@@ -290,8 +272,6 @@ func (q Sum) Execute(s *store.Store) (Result, error) {
 	w.Varint(total)
 	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
 }
-
-func (q Sum) Span() (from, to string) { return q.P, prefixEnd(q.P) }
 
 func (q Sum) String() string { return fmt.Sprintf("sum(%q)", q.P) }
 
@@ -351,8 +331,6 @@ func (q Grep) Execute(s *store.Store) (Result, error) {
 	}
 	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
 }
-
-func (q Grep) Span() (from, to string) { return q.PathPrefix, prefixEnd(q.PathPrefix) }
 
 func (q Grep) String() string { return fmt.Sprintf("grep(%q,%q)", q.Pattern, q.PathPrefix) }
 

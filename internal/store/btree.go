@@ -20,9 +20,38 @@ type item struct {
 type node struct {
 	items    []item
 	children []*node // nil for leaves
+	owner    *token  // the tree that may write this node in place
 }
 
+// token is a tree's right to write. A tree writes in place only a node
+// that carries its token; any other may be shared with a clone, so it
+// writes a copy (copy on write: a write copies the nodes on its path, each
+// at most once per clone). Sized, so two tokens never share an address.
+type token struct{ _ byte }
+
 func (n *node) leaf() bool { return len(n.children) == 0 }
+
+// mutable returns n if own may write it, else a copy of n that own may.
+// The copy's slices are sized to what n holds, not to n's capacity, as
+// most nodes are copied to be rewritten, not to grow.
+func (n *node) mutable(own *token) *node {
+	if n.owner == own {
+		return n
+	}
+	c := &node{items: append([]item(nil), n.items...), owner: own}
+	if !n.leaf() {
+		c.children = append([]*node(nil), n.children...)
+	}
+	return c
+}
+
+// mutableChild makes child i writable by own, n being so already, and
+// returns it.
+func (n *node) mutableChild(i int, own *token) *node {
+	c := n.children[i].mutable(own)
+	n.children[i] = c
+	return c
+}
 
 // find returns the index of key in n.items, or the child index to descend
 // into, and whether the key was found at that index.
@@ -46,10 +75,12 @@ func (n *node) find(key string) (int, bool) {
 type btree struct {
 	root  *node
 	size  int
-	bytes int // total key+value bytes, for the cost model
+	bytes int    // total key+value bytes, for the cost model
+	owner *token // this tree's write token
 }
 
-func newBtree() *btree { return &btree{root: &node{}} }
+// newBtree returns an empty tree, with a nil token: it shares no node.
+func newBtree() btree { return btree{root: &node{}} }
 
 // get returns the value for key.
 func (t *btree) get(key string) ([]byte, bool) {
@@ -68,12 +99,12 @@ func (t *btree) get(key string) ([]byte, bool) {
 
 // put inserts or replaces key. It reports whether the key was new.
 func (t *btree) put(key string, value []byte) bool {
+	t.root = t.root.mutable(t.owner)
 	if len(t.root.items) == maxItems {
-		old := t.root
-		t.root = &node{children: []*node{old}}
-		t.root.splitChild(0)
+		t.root = &node{children: []*node{t.root}, owner: t.owner}
+		t.root.splitChild(0, t.owner)
 	}
-	added, delta := t.root.insert(key, value)
+	added, delta := t.root.insert(key, value, t.owner)
 	if added {
 		t.size++
 		t.bytes += len(key)
@@ -82,13 +113,14 @@ func (t *btree) put(key string, value []byte) bool {
 	return added
 }
 
-// splitChild splits the full child at index i of n.
-func (n *node) splitChild(i int) {
-	child := n.children[i]
+// splitChild splits the full child at index i of n, which own may write.
+func (n *node) splitChild(i int, own *token) {
+	child := n.mutableChild(i, own)
 	mid := maxItems / 2
 	up := child.items[mid]
 	right := &node{
 		items: append([]item(nil), child.items[mid+1:]...),
+		owner: own,
 	}
 	if !child.leaf() {
 		right.children = append([]*node(nil), child.children[mid+1:]...)
@@ -103,9 +135,9 @@ func (n *node) splitChild(i int) {
 	n.children[i+1] = right
 }
 
-// insert adds key below n (which must not be full). It returns whether a
-// new key was added and the change in stored value bytes.
-func (n *node) insert(key string, value []byte) (bool, int) {
+// insert adds key below n (which must not be full, and own may write).
+// It returns whether a new key was added and the change in value bytes.
+func (n *node) insert(key string, value []byte, own *token) (bool, int) {
 	i, ok := n.find(key)
 	if ok {
 		delta := len(value) - len(n.items[i].value)
@@ -119,7 +151,7 @@ func (n *node) insert(key string, value []byte) (bool, int) {
 		return true, len(value)
 	}
 	if len(n.children[i].items) == maxItems {
-		n.splitChild(i)
+		n.splitChild(i, own)
 		switch {
 		case key > n.items[i].key:
 			i++
@@ -129,13 +161,14 @@ func (n *node) insert(key string, value []byte) (bool, int) {
 			return false, delta
 		}
 	}
-	return n.children[i].insert(key, value)
+	return n.mutableChild(i, own).insert(key, value, own)
 }
 
 // delete removes key. It reports whether the key existed and the number of
 // value bytes removed.
 func (t *btree) delete(key string) (bool, int) {
-	removed, freed := t.root.remove(key)
+	t.root = t.root.mutable(t.owner)
+	removed, freed := t.root.remove(key, t.owner)
 	if removed {
 		t.size--
 		t.bytes -= len(key) + freed
@@ -146,7 +179,7 @@ func (t *btree) delete(key string) (bool, int) {
 	return removed, freed
 }
 
-func (n *node) remove(key string) (bool, int) {
+func (n *node) remove(key string, own *token) (bool, int) {
 	i, ok := n.find(key)
 	if n.leaf() {
 		if !ok {
@@ -163,24 +196,23 @@ func (n *node) remove(key string) (bool, int) {
 		if len(n.children[i].items) > minItems {
 			pred := n.children[i].max()
 			n.items[i] = pred
-			removed, _ := n.children[i].remove(pred.key)
-			_ = removed
+			n.mutableChild(i, own).remove(pred.key, own)
 			return true, freed
 		}
 		if len(n.children[i+1].items) > minItems {
 			succ := n.children[i+1].min()
 			n.items[i] = succ
-			n.children[i+1].remove(succ.key)
+			n.mutableChild(i+1, own).remove(succ.key, own)
 			return true, freed
 		}
-		n.mergeChildren(i)
-		return n.children[i].remove(key)
+		n.mergeChildren(i, own)
+		return n.children[i].remove(key, own)
 	}
 	// Descend, topping up the child if it is at minimum occupancy.
 	if len(n.children[i].items) == minItems {
-		i = n.fill(i)
+		i = n.fill(i, own)
 	}
-	return n.children[i].remove(key)
+	return n.mutableChild(i, own).remove(key, own)
 }
 
 func (n *node) max() item {
@@ -199,25 +231,25 @@ func (n *node) min() item {
 
 // fill ensures child i has more than minItems, borrowing or merging.
 // It returns the (possibly shifted) child index to descend into.
-func (n *node) fill(i int) int {
+func (n *node) fill(i int, own *token) int {
 	if i > 0 && len(n.children[i-1].items) > minItems {
-		n.borrowLeft(i)
+		n.borrowLeft(i, own)
 		return i
 	}
 	if i < len(n.children)-1 && len(n.children[i+1].items) > minItems {
-		n.borrowRight(i)
+		n.borrowRight(i, own)
 		return i
 	}
 	if i == len(n.children)-1 {
-		n.mergeChildren(i - 1)
+		n.mergeChildren(i-1, own)
 		return i - 1
 	}
-	n.mergeChildren(i)
+	n.mergeChildren(i, own)
 	return i
 }
 
-func (n *node) borrowLeft(i int) {
-	child, left := n.children[i], n.children[i-1]
+func (n *node) borrowLeft(i int, own *token) {
+	child, left := n.mutableChild(i, own), n.mutableChild(i-1, own)
 	child.items = append(child.items, item{})
 	copy(child.items[1:], child.items)
 	child.items[0] = n.items[i-1]
@@ -231,8 +263,8 @@ func (n *node) borrowLeft(i int) {
 	}
 }
 
-func (n *node) borrowRight(i int) {
-	child, right := n.children[i], n.children[i+1]
+func (n *node) borrowRight(i int, own *token) {
+	child, right := n.mutableChild(i, own), n.mutableChild(i+1, own)
 	child.items = append(child.items, n.items[i])
 	n.items[i] = right.items[0]
 	copy(right.items, right.items[1:])
@@ -244,9 +276,10 @@ func (n *node) borrowRight(i int) {
 	}
 }
 
-// mergeChildren merges child i, separator i, and child i+1.
-func (n *node) mergeChildren(i int) {
-	left, right := n.children[i], n.children[i+1]
+// mergeChildren merges child i, separator i, and child i+1 into child i.
+// Child i+1 leaves the tree, so it is only read.
+func (n *node) mergeChildren(i int, own *token) {
+	left, right := n.mutableChild(i, own), n.children[i+1]
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
 	left.children = append(left.children, right.children...)
@@ -292,20 +325,13 @@ func (n *node) ascend(from, to string, fn func(string, []byte) bool) bool {
 	return true
 }
 
-// clone returns a deep copy of the tree (values are shared; they are
-// treated as immutable once stored).
-func (t *btree) clone() *btree {
-	return &btree{root: t.root.clone(), size: t.size, bytes: t.bytes}
-}
-
-func (n *node) clone() *node {
-	c := &node{items: append([]item(nil), n.items...)}
-	if !n.leaf() {
-		c.children = make([]*node, len(n.children))
-		for i, ch := range n.children {
-			c.children[i] = ch.clone()
-		}
-	}
+// clone returns a copy of the tree in O(1): the two share every node
+// (and value: values are immutable once stored), and each gets a fresh
+// token, so neither writes a shared node in place again.
+func (t *btree) clone() btree {
+	c := *t
+	own := new([2]token)
+	t.owner, c.owner = &own[0], &own[1]
 	return c
 }
 

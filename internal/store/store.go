@@ -218,7 +218,7 @@ var ErrVersionGap = errors.New("store: write version is not contiguous")
 
 // Store is a versioned content replica.
 type Store struct {
-	tree    *btree
+	tree    btree
 	version uint64
 	digest  cryptoutil.Digest // XOR of per-entry hashes (replica check)
 }
@@ -264,7 +264,10 @@ func (s *Store) Ascend(from, to string, fn func(key string, value []byte) bool) 
 	s.tree.ascend(from, to, fn)
 }
 
-// Clone returns an independent copy of the store at the same version.
+// Clone returns an independent copy of the store at the same version, in
+// O(1): the two share the tree's nodes until one writes them (copy on
+// write), so either may be read or written while the other is written.
+// Clone itself writes s's write token, so it needs a writer's exclusion.
 func (s *Store) Clone() *Store {
 	return &Store{tree: s.tree.clone(), version: s.version, digest: s.digest}
 }

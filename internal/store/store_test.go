@@ -131,6 +131,18 @@ func TestCloneIndependent(t *testing.T) {
 	if c.Version() != 1 || s.Version() != 2 {
 		t.Fatalf("versions = %d, %d", c.Version(), s.Version())
 	}
+	// And the other way: the copy's writes stay out of the source.
+	c.Apply(Put{Key: "c", Value: []byte("3")})
+	c.Apply(Delete{Key: "a"})
+	if _, ok := s.Get("c"); ok {
+		t.Fatal("source saw the clone's write")
+	}
+	if v, ok := s.Get("a"); !ok || string(v) != "1" {
+		t.Fatalf("source lost a to the clone's delete: %q, %v", v, ok)
+	}
+	if s.Len() != 2 || c.Len() != 1 {
+		t.Fatalf("lengths = %d, %d", s.Len(), c.Len())
+	}
 }
 
 func TestOpCodecRoundTrip(t *testing.T) {
