@@ -3,7 +3,7 @@
 #   make verify     — build, vet, lint (repllint + staticcheck +
 #                     govulncheck where installed), full test suite
 #                     under the race detector (covering the pooled
-#                     wire-buffer and merkle-scratch paths; the
+#                     wire-buffer paths; the
 #                     schedule-sensitive broadcast package and the
 #                     auditor's tests ten times over), then the
 #                     simulator's record BENCH_sim.json (bench-sim), the
@@ -64,8 +64,9 @@ lint:
 # The commit round fans out a task per peer and hands delivery to a
 # drainer task, so what its tests prove depends on the schedule they
 # happened to get: the broadcast package runs ten more times. So does the
-# slave test whose concurrent s.updatebatch handlers share one merkle
-# scratch, the one where Bootstrap, a sync and pushed batches race for one
+# slave test whose concurrent s.updatebatch handlers share one replica, its
+# verified-stamp cache and the pooled writers the batch digest is hashed
+# through, the one where Bootstrap, a sync and pushed batches race for one
 # replica, the one whose readers share the signed-pledge memo while stamps
 # and batches arrive, the one whose readers must see each batch and its
 # stamp whole (no pledge an audit would convict, no read refused as stale),
@@ -122,6 +123,7 @@ FUZZ_TARGETS := \
 	internal/merkle:FuzzDecodeProof \
 	internal/core:FuzzDecodeWriteWave \
 	internal/core:FuzzDecodeBatchUpdate \
+	internal/core:FuzzBatchDigestInput \
 	internal/core:FuzzDecodePledge \
 	internal/core:FuzzAuditorHandlePledge \
 	internal/core:FuzzDecodeReadReply \

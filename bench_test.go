@@ -72,14 +72,14 @@ func batchUpdate(master *cryptoutil.KeyPair, first uint64, n int) core.BatchUpda
 	for i := range ops {
 		ops[i] = store.EncodeOp(store.Put{Key: workload.CatalogKey(i), Value: []byte("value")})
 	}
-	stamp := core.SignBatchStamp(master, first+uint64(n)-1, time.Unix(0, 0).UTC(), core.BatchTree(first, ops).Root())
+	stamp := core.SignBatchStamp(master, first+uint64(n)-1, time.Unix(0, 0).UTC(), core.BatchDigest(first, ops))
 	return core.BatchUpdate{First: first, Ops: ops, Stamp: stamp, MasterAddr: "master"}
 }
 
 // BenchmarkBatchUpdateVerify measures the slave-side check of one batched
-// commit: one signature verification plus the rebuild of the batch's
-// merkle root (uncached, into fresh scratch — the ledger's
-// core.batchupdate_verify256_us times the same call).
+// commit: one signature verification (uncached) plus one hash over the
+// batch's bytes — the ledger's core.batchupdate_verify256_us times the
+// same call.
 func BenchmarkBatchUpdateVerify(b *testing.B) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	trusted := []cryptoutil.PublicKey{master.Public}
@@ -98,8 +98,8 @@ func BenchmarkBatchUpdateVerify(b *testing.B) {
 }
 
 // BenchmarkSlaveUpdateBatch256 measures one 256-op update at the slave,
-// frame in to acknowledgement out: decode, stamp verification, root
-// rebuild into the retained scratch, op decode and apply. Every iteration
+// frame in to acknowledgement out: decode, stamp verification, the batch
+// digest, op decode and apply. Every iteration
 // delivers the next 256 versions, so nothing is a duplicate and the stamp
 // cache never hits.
 func BenchmarkSlaveUpdateBatch256(b *testing.B) {

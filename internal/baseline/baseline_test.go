@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func content() *store.Store {
@@ -348,5 +350,38 @@ func TestSSUpdateRequiresOwner(t *testing.T) {
 	v, ok, _ := query.GetResult(payload)
 	if !ok || string(v) != "77" {
 		t.Fatalf("after update: %q", v)
+	}
+}
+
+// TestSSProofStepCountBounded has the untrusted storage host answer a Get
+// with a proof that claims 1<<16 steps and carries none. The client refuses
+// it at the merkle codec's step-count check, before reading a single step.
+func TestSSProofStepCountBounded(t *testing.T) {
+	s := sim.New(6)
+	owner := cryptoutil.DeriveKeyPair("owner", 0)
+	net := rpc.NewSimNet(s, sim.Const(time.Millisecond))
+	net.Register("storage", func(from, method string, body []byte) ([]byte, error) {
+		w := wire.NewWriter(64)
+		w.Bool(true)
+		w.String_("item/005")
+		w.Bytes_([]byte("50"))
+		w.Uvarint(5)       // leaf index
+		w.Byte(0)          // leaf tag
+		w.Uvarint(1 << 16) // step count
+		return w.Bytes(), nil
+	})
+	client := &SSClient{
+		StorageAddr: "storage", TrustedAddr: "trusted",
+		OwnerPub: owner.Public, Costs: cryptoutil.DefaultCosts(),
+		Dialer: net.Dialer("client"),
+	}
+	var err error
+	s.Go(func() { _, _, err = client.Read(query.Get{Key: "item/005"}) })
+	s.Run()
+	if err == nil || !strings.Contains(err.Error(), "65536 steps is implausible") {
+		t.Fatalf("forged step count: err = %v, want the step-count refusal", err)
+	}
+	if client.Stats().ProofFailures != 1 {
+		t.Fatalf("stats: %+v", client.Stats())
 	}
 }

@@ -152,13 +152,7 @@ func (s *SSStorage) Handle(from, method string, body []byte) ([]byte, error) {
 	w.Bool(true)
 	w.String_(entry.Key)
 	w.Bytes_(entry.Value)
-	w.Uvarint(uint64(proof.Index))
-	w.Byte(proof.LeafTag)
-	w.Uvarint(uint64(len(proof.Steps)))
-	for _, st := range proof.Steps {
-		w.Bytes_(st.Sibling[:])
-		w.Bool(st.Left)
-	}
+	proof.Encode(w)
 	s.root.Encode(w)
 	s.proofB += uint64(len(proof.Steps) * (cryptoutil.DigestSize + 1))
 	return w.Bytes(), nil
@@ -314,18 +308,10 @@ func (c *SSClient) verifiedGet(key string) ([]byte, error) {
 	}
 	gotKey := r.String()
 	value := r.Bytes()
-	idx := int(r.Uvarint())
-	tag := r.Byte()
-	nSteps := r.Uvarint()
-	proof := merkle.Proof{Index: idx, LeafTag: tag}
-	for i := uint64(0); i < nSteps; i++ {
-		var st merkle.ProofStep
-		b := r.Bytes()
-		if len(b) == cryptoutil.DigestSize {
-			copy(st.Sibling[:], b)
-		}
-		st.Left = r.Bool()
-		proof.Steps = append(proof.Steps, st)
+	// The step count comes from the untrusted host: the codec bounds it.
+	proof, err := merkle.DecodeProof(r)
+	if err != nil {
+		return nil, err
 	}
 	root, err := DecodeSignedRoot(r)
 	if err != nil {

@@ -51,9 +51,8 @@ type AuditorConfig struct {
 	// MasterAddrs are the masters it reports misbehaviour to.
 	MasterAddrs []string
 	// MasterPubs is unused: the auditor truncates its broadcast archive
-	// without any master's word. bench/replbench/deploy.go, which may not
-	// be edited here, still sets it; it goes when bench is unfrozen
-	// (ROADMAP item 1).
+	// without any master's word. A frozen shim: bench/replbench/deploy.go
+	// still sets it (frozen.go).
 	MasterPubs []cryptoutil.PublicKey
 	// CPU, if non-nil, charges modelled service times. The cost model is
 	// where the auditor's advantages live: it never signs, never sends
@@ -189,31 +188,20 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 }
 
 // deliver receives the ordered master traffic; the auditor only holds
-// each batch's valid ops (it "is allowed to lag behind when executing
-// write requests", §3.4) and ignores membership messages. Nothing the
-// auditor keeps reads its broadcast archive, so every delivery drops the
-// archive below itself; the member caps that floor at the slowest live
-// member's delivered mark, so a peer can still fetch its gap.
+// each batch that decodeBatchMessage admits (it "is allowed to lag behind
+// when executing write requests", §3.4), under the same rule as every
+// master, and ignores membership messages. Nothing the auditor keeps reads
+// its broadcast archive, so every delivery drops the archive below itself;
+// the member caps that floor at the slowest live member's delivered mark,
+// so a peer can still fetch its gap.
 func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	defer a.bcast.TruncateBelow(seq)
 	r := wire.NewReader(msg)
 	if r.Byte() != bcBatch {
 		return
 	}
-	batch, err := decodeBatchMessage(r)
+	ops, err := decodeBatchMessage(r)
 	if err != nil {
-		return
-	}
-	// Mirror the masters' deterministic skip of undecodable ops so the
-	// auditor's version numbering stays aligned.
-	var ops [][]byte
-	for _, opBytes := range batch {
-		if store.ValidateOp(opBytes) != nil {
-			continue
-		}
-		ops = append(ops, opBytes)
-	}
-	if len(ops) == 0 {
 		return
 	}
 	a.mu.Lock()
@@ -354,9 +342,8 @@ func (a *Auditor) applyLocked(v uint64) {
 		a.held = a.held[1:]
 		next := a.headLocked().Clone()
 		for _, opBytes := range b.ops {
-			if op, err := store.DecodeOp(opBytes); err == nil { // every held op validated, so it decodes
-				next.Apply(op)
-			}
+			op, _ := store.DecodeOp(opBytes) // validated: it decodes
+			next.Apply(op)
 		}
 		a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: b.at})
 		a.stats.VersionLagMax = max(a.stats.VersionLagMax, next.Version()-a.views[0].content.Version())

@@ -112,9 +112,8 @@ func newRealClockMaster(t testing.TB) *Master {
 // that holds exactly the frame the master sent for them acknowledges them,
 // each by its position with the version of its first op. A slot carrying
 // anything else — other ops of the same count, a prefix, another kind of
-// message — answers every wave 0 and counts a displaced batch; a batch
-// one of whose ops every master skips answers them 0 too. Nothing answers
-// a wave twice: a second send on a commit channel would block the
+// message — answers every wave 0 and counts a displaced batch. Nothing
+// answers a wave twice: a second send on a commit channel would block the
 // delivery drainer for good.
 func TestBatchWaitersResolvedOnceByPosition(t *testing.T) {
 	m := newRealClockMaster(t)
@@ -168,12 +167,43 @@ func TestBatchWaitersResolvedOnceByPosition(t *testing.T) {
 			t.Fatalf("a replayed slot answered wave %d again", i)
 		}
 	}
+}
 
-	ws = waves([][]byte{a}, [][]byte{b, {0xff, 0xfe}}) // undecodable: skipped everywhere
-	m.deliver(7, encodeBatchMessage(ws), ws)           // versions 17–18
-	expect("a batch with a skipped op", ws, 0, 0)
-	if m.Version() != 18 || m.Stats().BatchesDisplaced != 3 {
-		t.Fatalf("version %d, %d displaced; want 18 and 3", m.Version(), m.Stats().BatchesDisplaced)
+// TestUndecodableBatchAppliedNowhere delivers, in its origin's own slot, a
+// bcBatch one of whose ops does not decode — admission refuses such an op,
+// so only a forged b.submit carries one — to that master and to the
+// auditor. No replica applies any of it: both stay at their version, and
+// the origin answers each of its waves 0, exactly once.
+func TestUndecodableBatchAppliedNowhere(t *testing.T) {
+	m := newRealClockMaster(t)
+	a := newAuditorRig(t, nil).auditor
+	put := func(key string) []byte { return store.EncodeOp(store.Put{Key: key, Value: []byte("v")}) }
+	// Room for a second answer, so that one shows instead of blocking.
+	ws := []queuedWave{
+		{ops: [][]byte{put("a")}, h: commitHandle{ch: make(chan uint64, 2)}},
+		{ops: [][]byte{put("b"), {0xff, 0xfe}, put("c")}, h: commitHandle{ch: make(chan uint64, 2)}},
+	}
+	msg := encodeBatchMessage(ws)
+	m.deliver(1, msg, ws)
+	a.deliver(1, msg, nil)
+	for i, w := range ws {
+		if len(w.h.ch) != 1 {
+			t.Fatalf("wave %d answered %d times, want once", i, len(w.h.ch))
+		}
+		if got := <-w.h.ch; got != 0 {
+			t.Fatalf("wave %d answered %d, want 0", i, got)
+		}
+	}
+	if m.Version() != 1 || a.Version() != 1 || a.Stats().VersionLagMax != 0 {
+		t.Fatalf("master at version %d, auditor at %d; want both at 1", m.Version(), a.Version())
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.masterV != 1 || len(a.held) != 0 {
+		t.Fatalf("auditor holds %d batches up to version %d; want none, 1", len(a.held), a.masterV)
+	}
+	if st := m.Stats(); st.WritesApplied != 0 || st.BatchesApplied != 0 || st.BatchesDisplaced != 0 {
+		t.Fatalf("master stats %+v: counted a batch it did not apply", st)
 	}
 }
 

@@ -30,19 +30,6 @@ const (
 	MethodNotify = "c.notify" // master -> client: slave excluded, reassignment
 )
 
-// No node routes these: a write is a wave of one (m.writemulti), an update
-// a batch of one (s.updatebatch), a bootstrap an m.sync from version 0, a
-// K-slave read's pledges one a.pledge body.
-// bench/replbench/instrument.go, which this repository's PRs may not edit
-// (BENCHMARK.json), still names them; they go when it is unfrozen
-// (ROADMAP item 1).
-const (
-	MethodWrite       = "m.write"
-	MethodUpdate      = "s.update"
-	MethodSnapshot    = "m.snapshot"
-	MethodPledgeMulti = "a.pledgemulti"
-)
-
 // Params are the protocol's tunables. The zero value is not valid; use
 // DefaultParams as a base.
 type Params struct {

@@ -40,7 +40,7 @@
 //	                           disagrees with it;
 //	                           batched commits amortize the master's
 //	                           dominant signing cost (SignBatchStamp
-//	                           over a merkle root).
+//	                           over the hash of the batch's bytes).
 //	§3.5 (recovery)          — handleReport/applyExclude convict and
 //	                           exclude liars (a bcExclude acts only
 //	                           under a certified master's signature);
@@ -54,10 +54,10 @@
 //
 // Wire formats (wire package encoding; "bytes" and "string" are
 // length-prefixed). Each verb has one frame: a single write is a wave of
-// one, and a commit of one op is a batch of one — a one-leaf merkle tree
-// under the same batch stamp. What the receiver can compute is not sent:
-// s.updatebatch carries no membership proof for ops the slave holds whole,
-// and the s.read reply neither the client's own query, nor the hash of the
+// one, and a commit of one op is a batch of one under the same batch
+// stamp. What the receiver can compute is not sent: s.updatebatch carries
+// nothing per op beyond the op, which the slave holds whole, and the
+// s.read reply neither the client's own query, nor the hash of the
 // payload beside it, nor the key of the slave the client asked.
 //
 //	s.read       bytes query. Reply: bytes payload ‖ stamp ‖ bytes sig ‖
@@ -104,12 +104,15 @@
 //	             come back from its own broadcast member with the slot
 //	             (Broadcast's local), and are acknowledged only if the
 //	             slot holds the very frame it sent, byte for byte, else
-//	             answered 0 (MasterStats.BatchesDisplaced).
+//	             answered 0 (MasterStats.BatchesDisplaced). A body
+//	             without ops or with an op that fails store.ValidateOp
+//	             is applied by no master and not by the auditor, and
+//	             its origin's waves are answered 0 (decodeBatchMessage).
 //	s.updatebatch uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp ‖
-//	             string masterAddr (BatchUpdate) — no membership
-//	             proofs: the slave rebuilds the merkle root over all n
-//	             leaves and compares it with the stamp's. Reply:
-//	             uvarint applied version.
+//	             string masterAddr (BatchUpdate). The stamp's digest is
+//	             the hash of the bytes in front of it, uvarint first ‖
+//	             uvarint n ‖ n × bytes op (BatchDigest): the slave hashes
+//	             them and compares. Reply: uvarint applied version.
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
 //	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
 //	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ closing
@@ -120,7 +123,7 @@
 //	             checks any that follow. Each entry is a whole logged
 //	             batch, the s.updatebatch shape without the master
 //	             address, and is checked like a push (VerifyMembers): one
-//	             stamp per batch, no membership proofs; a request from
+//	             stamp and one hash per batch; a request from
 //	             inside a batch gets all of it. Slave sync,
 //	             Slave.Bootstrap, a restarted master's catch-up and its
 //	             snapshot file all read it through decodeStateTransfer,

@@ -28,8 +28,10 @@ package core
 // batch of one — the master's log entry less its state digest, which
 // replay recomputes. A file some earlier commit of this repository wrote
 // in another shape is refused and the master does not start: a WAL record
-// under a per-op stamp fails replay ("stamp is not a batch stamp"), and a
-// snapshot file in the private "msnap.v1" format fails decodeStateTransfer.
+// under a per-op stamp fails replay ("stamp is not a batch stamp"), one
+// whose batch stamp signs any digest but BatchDigest fails it too ("ops do
+// not hash to the stamp's batch digest"), and a snapshot file in the private
+// "msnap.v1" format fails decodeStateTransfer.
 // No data directory outlives a commit here, so nothing reads the old
 // shapes.
 
@@ -127,7 +129,7 @@ func (m *Master) replayWALRecord(payload []byte) error {
 	if err := bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
 		return err
 	}
-	if err := bu.VerifyMembers(&m.batch); err != nil {
+	if err := bu.VerifyMembers(); err != nil {
 		return fmt.Errorf("wal records %d..%d: %w", bu.First, bu.Last(), err)
 	}
 	for i, ob := range bu.Ops {

@@ -81,7 +81,7 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 	now := time.Unix(1, 0)
 	f.Add(EncodeBatchUpdate(signedBatch(m, 2, waveOps(3), now)))
 	for _, tc := range batchTamperCases {
-		f.Add(tc.frame(m, evil, now))
+		f.Add(pushFrame(tc.entry(m, evil, now)))
 	}
 	overCount := []byte{0x02, 0x81, 0x80, 0x04} // first 2, count MaxBatchItems+1
 	if _, err := DecodeBatchUpdate(overCount); !errors.Is(err, wire.ErrTooLarge) {
@@ -102,7 +102,7 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 			t.Fatalf("decoded %d ops, above wire.MaxBatchItems", len(bu.Ops))
 		}
 		_ = bu.Verify(trusted) // any stamp, key and signature length must be survivable
-		_ = bu.VerifyMembers(new(batchScratch))
+		_ = bu.VerifyMembers()
 		enc := EncodeBatchUpdate(bu)
 		again, err := DecodeBatchUpdate(enc)
 		if err != nil {
@@ -126,7 +126,9 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 // FuzzDecodeBatchMessage drives the bcBatch body decoder — what every
 // master and the auditor read from a delivered broadcast slot, and what
 // b.submit takes from anyone — over arbitrary bytes. The invariants: no
-// panic; whatever decodes re-encodes through encodeBatchMessage to a
+// panic; what decodes holds at least one op and every op decodes as a
+// store op (applyBatch and the auditor apply them without a second
+// check); whatever decodes re-encodes through encodeBatchMessage to a
 // frame that decodes to the same ops; and that re-encoding is a fixed
 // point, byte for byte. (A body with overlong varints decodes too, so it
 // is the re-encoding, not the body, that is canonical.)
@@ -134,18 +136,27 @@ func FuzzDecodeBatchMessage(f *testing.F) {
 	body := func(ops ...[]byte) []byte {
 		return encodeBatchMessage([]queuedWave{{ops: ops}})[1:] // after the kind byte
 	}
-	f.Add(body(store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}),
-		store.EncodeOp(store.Delete{Key: "b"}), []byte{0xff})) // the last op does not decode; the frame does
+	put := store.EncodeOp(store.Put{Key: "a", Value: []byte("1")})
+	f.Add(body(put, store.EncodeOp(store.Delete{Key: "b"})))
+	f.Add(body(put, store.EncodeOp(store.Delete{Key: "b"}), []byte{0xff})) // the last op does not decode: refused whole
 	f.Add(body())
 	f.Add([]byte{})
 	f.Add([]byte{0x81, 0x00})                   // op count as an overlong varint
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // op count far beyond the frame
-	f.Add(append(body([]byte("op")), 0x00))     // trailing byte
+	f.Add(append(body(put), 0x00))              // trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, err := decodeBatchMessage(wire.NewReader(data))
 		if err != nil {
 			return
+		}
+		if len(ops) == 0 {
+			t.Fatal("a batch without ops decoded")
+		}
+		for i, op := range ops {
+			if _, err := store.DecodeOp(op); err != nil {
+				t.Fatalf("op %d passed ValidateOp but does not decode: %v", i, err)
+			}
 		}
 		enc := encodeBatchMessage([]queuedWave{{ops: ops}})
 		if enc[0] != bcBatch {
@@ -160,6 +171,49 @@ func FuzzDecodeBatchMessage(f *testing.F) {
 		}
 		if !bytes.Equal(encodeBatchMessage([]queuedWave{{ops: ops2}}), enc) {
 			t.Fatal("re-encoding is not canonical")
+		}
+	})
+}
+
+// FuzzBatchDigestInput reads two batches (uvarint first ‖ uvarint n ‖ n ×
+// bytes op) from two arbitrary inputs and checks what BatchDigest hashes
+// for them: two different batches never have the same digest input, and
+// each one's input reads back as that batch. It assumes nothing about the
+// hash: the encoding itself must be injective, op boundaries included.
+func FuzzBatchDigestInput(f *testing.F) {
+	prefix := func(first uint64, ops [][]byte) []byte {
+		return wire.EncodeFrame(func(w *wire.Writer) { appendBatchPrefix(w, first, ops) })
+	}
+	ops := [][]byte{[]byte("ab"), []byte("c"), []byte("de")}
+	f.Add(prefix(2, ops), prefix(2, ops))
+	f.Add(prefix(2, ops), prefix(2, [][]byte{[]byte("abc"), []byte("de")})) // two ops merged
+	f.Add(prefix(2, ops), prefix(2, [][]byte{[]byte("ab"), []byte("c"), []byte("d"), []byte("e")}))
+	f.Add(prefix(2, ops), prefix(3, ops))
+	f.Add(prefix(2, nil), prefix(2, [][]byte{{}}))
+	f.Add([]byte{0x82, 0x00, 0x00}, []byte{0x02, 0x00}) // one batch, padded and not
+
+	read := func(data []byte) (uint64, [][]byte, bool) {
+		r := wire.NewReader(data)
+		first := r.Uvarint()
+		ops := r.BytesSlice()
+		return first, ops, r.Done() == nil
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		firstA, opsA, okA := read(a)
+		firstB, opsB, okB := read(b)
+		if !okA || !okB {
+			return
+		}
+		inA, inB := prefix(firstA, opsA), prefix(firstB, opsB)
+		same := firstA == firstB && slices.EqualFunc(opsA, opsB, bytes.Equal)
+		if same != bytes.Equal(inA, inB) {
+			t.Fatalf("batches equal %v, digest inputs equal %v: (%d, %q) and (%d, %q)", same, !same, firstA, opsA, firstB, opsB)
+		}
+		if first, ops, ok := read(inA); !ok || first != firstA || !slices.EqualFunc(ops, opsA, bytes.Equal) {
+			t.Fatalf("digest input of (%d, %q) reads back as (%d, %q)", firstA, opsA, first, ops)
+		}
+		if !BatchDigest(firstA, opsA).Equal(cryptoutil.HashBytes(inA)) {
+			t.Fatal("BatchDigest is not the hash of the batch's prefix")
 		}
 	})
 }
@@ -488,9 +542,8 @@ func FuzzMasterDeliver(f *testing.F) {
 func FuzzWALRecord(f *testing.F) {
 	keys := cryptoutil.DeriveKeyPair("master", 0)
 	ops := [][]byte{store.EncodeOp(store.Put{Key: "a", Value: []byte("1")}), store.EncodeOp(store.Delete{Key: "k"})}
-	var sc batchScratch
 	record := encodeWALRecord(4, &BatchUpdate{First: 2, Ops: ops,
-		Stamp: SignBatchStamp(keys, 3, time.Unix(1, 0), sc.rebuild(2, ops).Root())})
+		Stamp: SignBatchStamp(keys, 3, time.Unix(1, 0), BatchDigest(2, ops))})
 	f.Add(record) // continues the rig's store: replay applies it
 	f.Add(record[:len(record)-1])
 	f.Add(append(bytes.Clone(record), 0))

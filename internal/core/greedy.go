@@ -11,19 +11,13 @@ import "time"
 // master then ignores a large fraction of the flagged client's
 // double-checks.
 type greedyTracker struct {
-	params  Params
-	window  time.Duration
-	counts  map[string][]time.Time
-	flagged map[string]bool
+	params Params
+	window time.Duration
+	counts map[string][]time.Time // in-window double-checks per client key; no empty window
 }
 
 func newGreedyTracker(p Params) *greedyTracker {
-	return &greedyTracker{
-		params:  p,
-		window:  p.GreedyWindow,
-		counts:  make(map[string][]time.Time),
-		flagged: make(map[string]bool),
-	}
+	return &greedyTracker{params: p, window: p.GreedyWindow, counts: make(map[string][]time.Time)}
 }
 
 // record notes one double-check from the client and reports whether the
@@ -31,49 +25,37 @@ func newGreedyTracker(p Params) *greedyTracker {
 // probabilistically (GreedyDropFrac).
 func (g *greedyTracker) record(client string, now time.Time) bool {
 	cutoff := now.Add(-g.window)
-	ts := g.counts[client]
-	// Drop entries older than the window.
-	i := 0
-	for i < len(ts) && ts[i].Before(cutoff) {
-		i++
+	g.counts[client] = append(g.counts[client], now)
+	// One walk drops every entry older than the window and every client
+	// whose window is then empty — the key is an unauthenticated field of
+	// m.check, so none may outlive its window — and counts the rest.
+	total := 0
+	for c, ts := range g.counts {
+		i := 0
+		for i < len(ts) && ts[i].Before(cutoff) {
+			i++
+		}
+		if i == len(ts) {
+			delete(g.counts, c)
+			continue
+		}
+		g.counts[c] = ts[i:]
+		total += len(ts) - i
 	}
-	ts = append(ts[i:], now)
-	g.counts[client] = ts
+	active := len(g.counts)
 
 	// Flag when this client's in-window count exceeds GreedyFactor times
 	// the mean across all active clients, beyond a minimum burst.
-	mine := len(ts)
+	mine := len(g.counts[client])
 	if mine < g.params.GreedyMinBurst {
-		g.flagged[client] = false
 		return false
-	}
-	total, active := 0, 0
-	for c, h := range g.counts {
-		// Count only entries still inside the window (others' lists are
-		// pruned lazily on their own records; estimate conservatively).
-		n := 0
-		for _, t := range h {
-			if !t.Before(cutoff) {
-				n++
-			}
-		}
-		if n > 0 {
-			total += n
-			active++
-		}
-		_ = c
 	}
 	if active <= 1 {
 		// A single client with a large burst is flagged on burst alone.
-		g.flagged[client] = mine >= g.params.GreedyMinBurst*2
-		return g.flagged[client]
+		return mine >= g.params.GreedyMinBurst*2
 	}
 	// Compare against the mean of the *other* clients so a heavy abuser
 	// does not dilute its own baseline.
 	meanOthers := float64(total-mine) / float64(active-1)
-	g.flagged[client] = float64(mine) > g.params.GreedyFactor*meanOthers+1
-	return g.flagged[client]
+	return float64(mine) > g.params.GreedyFactor*meanOthers+1
 }
-
-// isFlagged reports the current flag without recording.
-func (g *greedyTracker) isFlagged(client string) bool { return g.flagged[client] }

@@ -58,8 +58,8 @@ type MasterStats struct {
 	WALReplayed   uint64 // batches replayed from the WAL at start
 	RecoverySyncs uint64 // wholesale catch-up syncs performed at start
 	// SnapshotRefreshes is always zero: a master retains no snapshot to
-	// refresh. bench/replbench/metrics.go, which may not be edited here,
-	// still reads it; it goes when bench is unfrozen (ROADMAP item 1).
+	// refresh. A frozen shim: bench/replbench/metrics.go still reads it
+	// (frozen.go).
 	SnapshotRefreshes uint64
 
 	WrongShardRejects uint64 // writes rejected because the key is outside Shard
@@ -206,12 +206,6 @@ type Master struct {
 	greedy *greedyTracker
 
 	stamps *sigCache // verified-stamp cache (catch-up record streams)
-
-	// Batch-commit scratch, reused across applyBatch calls. Delivery is
-	// serialized (one broadcast drainer), and replay at startup runs
-	// before any delivery, so no extra locking is needed beyond m.mu,
-	// which applyBatch already holds while building the tree.
-	batch batchScratch
 }
 
 // NewMaster creates a master over an initial content replica (cloned).
@@ -382,7 +376,7 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 // queues it whole and waits on it once; the batch flushes at the first
 // wave that brings it to BatchSize ops or more, or when BatchTimeout
 // elapses, whichever first. One flush produces one ordered broadcast, one
-// batch-root signature, and one update push per slave — amortizing the
+// batch-stamp signature, and one update push per slave — amortizing the
 // dominant per-write signing cost (§3.4) across every member of the
 // batch while preserving the exact version sequence and store digest
 // that sequential commits would produce. No wave is ever split across
@@ -692,6 +686,7 @@ func (m *Master) deliver(seq uint64, msg []byte, local any) {
 	case bcBatch:
 		ops, err := decodeBatchMessage(r)
 		if err != nil {
+			answerWaves(waves, 0)
 			return
 		}
 		m.applyBatch(seq, ops, waves)
@@ -748,58 +743,54 @@ func opCount(waves []queuedWave) int {
 }
 
 // decodeBatchMessage parses a bcBatch broadcast body (after the kind
-// byte). The op bytes alias the message, which the archive retains.
+// byte). The op bytes alias the message, which the archive retains. It is
+// the one rule every master and the auditor apply to an ordered batch: a
+// body without ops, or one of whose ops does not pass store.ValidateOp, is
+// refused whole, so no replica applies any of it. Admission refuses both,
+// so only a forged b.submit can carry one.
 func decodeBatchMessage(r *wire.Reader) ([][]byte, error) {
 	ops := r.BytesSliceView()
-	return ops, r.Done()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if len(ops) == 0 {
+		return nil, fmt.Errorf("core: batch without ops")
+	}
+	for i, op := range ops {
+		if err := store.ValidateOp(op); err != nil {
+			return nil, fmt.Errorf("core: batch op %d: %w", i, err)
+		}
+	}
+	return ops, nil
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
-// writes, all on this one path — identically on every master: apply each op in order (one
-// version per op, exactly the sequence sequential commits would
-// produce), then sign a single stamp over the batch and push a single
-// update per slave. Undecodable ops are skipped deterministically (every
-// replica runs the same check), so replicas stay in lock-step. seq is
-// the broadcast slot that carried the commit; it anchors the batch
-// boundary for truncation of the broadcast archive. waves, nil on every
+// writes, all on this one path — identically on every master: apply each
+// op in order (one version per op, exactly the sequence sequential
+// commits would produce), then sign a single stamp over the batch and
+// push a single update per slave. seq is the broadcast slot that carried
+// the commit; it anchors the batch boundary for truncation of the
+// broadcast archive. ops passed decodeBatchMessage. waves, nil on every
 // master but the batch's origin, are the writers waiting for the batch,
 // whose ops they hold in order.
-func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
+func (m *Master) applyBatch(seq uint64, ops [][]byte, waves []queuedWave) {
 	m.mu.Lock()
 	first := m.store.Version() + 1
-	ops := make([][]byte, 0, len(batch))
 	var opBytesTotal int
-	for _, opBytes := range batch {
-		op, err := store.DecodeOp(opBytes)
-		if err != nil {
-			continue
-		}
+	for _, opBytes := range ops {
+		op, _ := store.DecodeOp(opBytes) // validated: it decodes
 		m.store.Apply(op)
-		ops = append(ops, opBytes)
 		opBytesTotal += len(opBytes)
-	}
-	// Admission refuses undecodable ops, so an intact batch skips none;
-	// should ValidateOp and DecodeOp ever disagree, the versions would not
-	// follow the waves' positions, and none is answered as committed.
-	answered := first
-	if len(ops) != len(batch) {
-		answered = 0
-	}
-	if len(ops) == 0 {
-		m.mu.Unlock()
-		answerWaves(waves, answered)
-		return
 	}
 	last := m.store.Version()
 
-	// One signature per batch (§3.4 amortization), over the root of the
-	// batch's merkle tree — a tree of one leaf when the commit is a single
-	// write. The log, the WAL, the slaves and every later sync get the
-	// batch whole, so none of them needs a membership proof.
+	// One signature per batch (§3.4 amortization), over the hash of the
+	// batch's own bytes. The log, the WAL, the slaves and every later sync
+	// get the batch whole, so none of them needs anything per op.
 	now := m.rt.Now()
 	count := uint64(len(ops))
 	bu := BatchUpdate{First: first, Ops: ops,
-		Stamp: SignBatchStamp(m.cfg.Keys, last, now, m.batch.rebuild(first, ops).Root())}
+		Stamp: SignBatchStamp(m.cfg.Keys, last, now, BatchDigest(first, ops))}
 	m.appendLogLocked(seq, bu)
 	// The newest applied batch is the recovery anchor: a restart that
 	// replays durable state up to `last` resumes broadcast delivery at
@@ -823,7 +814,7 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 	m.mu.Unlock()
 
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign) // once per batch
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.BatchOverhead(len(ops), opBytesTotal))
+	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(opBytesTotal))
 	for range ops {
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryBase) // apply cost
 	}
@@ -847,7 +838,7 @@ func (m *Master) applyBatch(seq uint64, batch [][]byte, waves []queuedWave) {
 	m.mu.Lock()
 	m.unacked = 0
 	m.mu.Unlock()
-	answerWaves(waves, answered)
+	answerWaves(waves, first)
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
 	bu.MasterAddr = m.cfg.Addr

@@ -439,7 +439,7 @@ func TestRemovedRoutesAnswerUnknownMethod(t *testing.T) {
 }
 
 // TestMasterBatchedSyncSharesOneStamp commits a multi-op batch (one
-// batch-root signature) and syncs it back from inside it: the reply
+// batch-stamp signature) and syncs it back from inside it: the reply
 // carries the whole batch under its one stamp, which the reader checks
 // once.
 func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {

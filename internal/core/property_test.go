@@ -285,17 +285,16 @@ func TestBatchSequentialEquivalence(t *testing.T) {
 }
 
 func TestStampDomainSeparation(t *testing.T) {
-	// Per-op stamps and batch-root stamps sign distinct domains; a
-	// digest of one kind must never be replayable as the other, even
-	// when the digest values collide (op bytes are client-chosen, so
-	// collisions with merkle interior nodes can be ground for).
+	// Snapshot stamps and batch stamps sign distinct domains; a digest of
+	// one kind must never be replayable as the other. Both are plain
+	// hashes of bytes clients can shape, so the values do collide.
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	ts := time.Unix(0, 0).UTC()
 	op := store.EncodeOp(store.Put{Key: "k", Value: []byte("v")})
 	trusted := []cryptoutil.PublicKey{master.Public}
 
-	// A genuine batch stamp whose root equals the hash of some op bytes
-	// still never authenticates those bytes as a single op.
+	// A genuine batch stamp whose digest equals the hash of some bytes
+	// still never authenticates those bytes as a snapshot.
 	asBatch := SignBatchStamp(master, 7, ts, cryptoutil.HashBytes(op))
 	if err := asBatch.Verify(trusted); err != nil {
 		t.Fatalf("genuine batch stamp must verify: %v", err)
@@ -304,22 +303,22 @@ func TestStampDomainSeparation(t *testing.T) {
 		t.Fatal("batch stamp authenticated raw op bytes as a per-op stamp")
 	}
 
-	// A stamp signed in the per-op domain over a value that is a valid
-	// batch root must not be accepted as batch evidence.
-	tree := BatchTree(7, [][]byte{op})
-	perOpDomain := VersionStamp{Version: 7, Timestamp: ts, OpDigest: tree.Root(), MasterPub: master.Public}
-	perOpDomain.Sig = master.Sign(perOpDomain.signedBytes())
-	if err := perOpDomain.Verify(trusted); err != nil {
-		t.Fatalf("per-op-domain stamp must verify as a stamp: %v", err)
+	// A snapshot stamp over bytes that are exactly a batch's prefix
+	// carries that batch's digest; it must not be accepted as batch
+	// evidence.
+	prefix := wire.EncodeFrame(func(w *wire.Writer) { appendBatchPrefix(w, 7, [][]byte{op}) })
+	perOpDomain := SignStampWithOp(master, 7, ts, prefix)
+	if !perOpDomain.OpDigest.Equal(BatchDigest(7, [][]byte{op})) {
+		t.Fatal("the snapshot stamp does not carry the batch's digest: the case is vacuous")
 	}
 	bu := BatchUpdate{First: 7, Ops: [][]byte{op}, Stamp: perOpDomain}
-	if err := bu.VerifyMembers(new(batchScratch)); err == nil {
-		t.Fatal("per-op-domain stamp accepted as a batch root")
+	if err := bu.Verify(trusted); err == nil {
+		t.Fatal("snapshot-domain stamp accepted as a batch stamp")
 	}
 
 	// Flipping Kind on the wire flips the signing domain: the
 	// signature must break.
-	b := SignBatchStamp(master, 9, ts, tree.Root())
+	b := SignBatchStamp(master, 9, ts, BatchDigest(9, [][]byte{op}))
 	w := wire.NewWriter(128)
 	b.Encode(w)
 	dec, err := DecodeStamp(wire.NewReader(w.Bytes()))

@@ -71,11 +71,6 @@ type Slave struct {
 
 	stamps  *sigCache // verified-stamp cache (amortizes repeat Verify)
 	pledges *sigCache // signed-pledge table (amortizes repeat Sign)
-
-	// batch is where pushed batches' merkle roots are rebuilt. It has its
-	// own lock because reads take mu and a 256-op rebuild is ~0.2 ms.
-	batchMu sync.Mutex
-	batch   batchScratch // guarded by batchMu
 }
 
 // NewSlave creates a slave over an initial content replica (cloned).
@@ -261,9 +256,9 @@ func (s *Slave) droppingLocked() bool {
 }
 
 // handleUpdateBatch applies one batched commit atomically: the single
-// batch-root signature is verified once, then the root is rebuilt over
-// the frame's ops and compared with the signed one before any op touches
-// the store. The batch either fully applies (up to already-applied
+// batch stamp's signature is verified once, then the frame's ops are
+// hashed and compared with the signed digest before any op touches the
+// store. The batch either fully applies (up to already-applied
 // duplicates) or is rejected whole.
 func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 	bu, err := DecodeBatchUpdate(body)
@@ -272,7 +267,7 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 	}
 	// One signature verification per batch — the receiving half of the
 	// master's signing amortization (a duplicate delivery hits the
-	// verified-stamp cache instead) — plus the root rebuild.
+	// verified-stamp cache instead) — plus one hash over the ops.
 	if err := s.verifyStamp(&bu.Stamp); err != nil {
 		return nil, err
 	}
@@ -280,11 +275,8 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 	for _, op := range bu.Ops {
 		opBytesTotal += len(op)
 	}
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.BatchOverhead(len(bu.Ops), opBytesTotal))
-	s.batchMu.Lock()
-	err = bu.VerifyMembers(&s.batch)
-	s.batchMu.Unlock()
-	if err != nil {
+	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(opBytesTotal))
+	if err := bu.VerifyMembers(); err != nil {
 		return nil, err
 	}
 	// Decode every op before applying any, so a malformed batch cannot

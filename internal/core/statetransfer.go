@@ -21,7 +21,7 @@ package core
 // A batch travels in the one shape committed history has everywhere — the
 // master's log entry and WAL record, an s.updatebatch frame without the
 // master address — and is checked the way a slave checks a pushed one
-// (BatchUpdate.VerifyMembers): one stamp per batch, no membership proofs.
+// (BatchUpdate.VerifyMembers): one stamp and one hash per batch.
 // The master logs whole batches, so a request from inside a batch gets
 // all of it and the replica skips the ops it already holds. The closing
 // stamp certifies the version the reply brings a replica to; anchor is the
@@ -97,7 +97,7 @@ func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.
 // decodeStateTransfer parses an m.sync reply and verifies all of it
 // against the trusted master keys before returning any of it: the
 // snapshot (verifySnapshot); every batch's stamp and its ops against the
-// stamp's root (VerifyMembers), that the batches are contiguous and the
+// stamp's digest (VerifyMembers), that the batches are contiguous and the
 // first continues the snapshot, and that every op decodes; and the
 // closing stamp. An unknown mode byte, a batch count larger than the
 // bytes that follow it and trailing bytes are refused.
@@ -132,7 +132,6 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 	n := r.Count()
 	st.batches = make([]BatchUpdate, 0, n)
 	st.ops = make([][]store.Op, 0, n)
-	var sc batchScratch
 	for i := 0; i < n; i++ {
 		bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
 		if err != nil {
@@ -143,7 +142,7 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 			return nil, err
 		}
 		count(hit)
-		if err := bu.VerifyMembers(&sc); err != nil {
+		if err := bu.VerifyMembers(); err != nil {
 			return nil, err
 		}
 		// Each batch starts right after the one before it, and the first

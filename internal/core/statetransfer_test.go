@@ -150,7 +150,7 @@ var transferTamperCases = []transferTamper{
 		p.batches[1].First, p.batches[1].Ops = 5, p.batches[1].Ops[1:] // still closes at version 7
 	}),
 	tampered("record under a per-op stamp", func(p *transferParts, m, _ *cryptoutil.KeyPair, _ time.Time) {
-		p.batches[1].Stamp.Kind = stampKindOp // the batch's own root, signed in the snapshot domain
+		p.batches[1].Stamp.Kind = stampKindOp // the batch's own digest, signed in the snapshot domain
 		p.batches[1].Stamp.sign(m)
 	}),
 	tampered("record a strict prefix of its signed batch", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
@@ -158,7 +158,7 @@ var transferTamperCases = []transferTamper{
 	}),
 	// The cut the per-op proofs existed for: the ops above a truncation
 	// inside a batch, without the ops below it. It closes at the stamp's
-	// version; only the root gives it away.
+	// version; only the digest gives it away.
 	tampered("record a strict suffix of its signed batch", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
 		p.batches[1].First, p.batches[1].Ops = 6, p.batches[1].Ops[2:]
 	}),

@@ -1,5 +1,5 @@
 // Signed protocol evidence: version stamps, batch stamps and the batches
-// they sign, pledges, write requests, and the access-control policy. See
+// they sign, pledges, write waves, and the access-control policy. See
 // doc.go for the package overview.
 package core
 
@@ -7,11 +7,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/cryptoutil"
-	"repro/internal/merkle"
 	"repro/internal/query"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -30,11 +28,12 @@ var (
 
 // Stamp kinds. A keep-alive stamp's OpDigest is zero and a snapshot
 // stamp's is the hash of the snapshot bytes it authorizes (both
-// stampKindOp); a batch stamp's OpDigest is the merkle root of a commit.
-// The two kinds are domain-separated in the signature: op bytes can be
-// chosen by clients, so without separation a signed digest could be
-// ground to collide with a merkle interior node (or vice versa) and
-// replayed as evidence of the other kind.
+// stampKindOp); a batch stamp's OpDigest is the hash of a commit's own
+// bytes (BatchDigest). Both digests are plain hashes of bytes anyone can
+// shape — op bytes are chosen by clients — so the kinds are
+// domain-separated in the signature: without it, a snapshot stamp whose
+// bytes parse as a batch prefix would pass as that batch's stamp (or vice
+// versa).
 const (
 	stampKindOp    byte = 0
 	stampKindBatch byte = 1
@@ -45,8 +44,8 @@ const (
 // latest stamp in every pledge; clients use its timestamp to bound
 // staleness by max_latency.
 //
-// For update stamps (Kind = stampKindBatch), OpDigest is the merkle root
-// over the commit's encoded operations, so a replica applies only
+// For update stamps (Kind = stampKindBatch), OpDigest is the hash of the
+// commit's encoded operations (BatchDigest), so a replica applies only
 // master-authorized ops even over an unauthenticated transport;
 // keep-alive stamps carry a zero digest and snapshot stamps the hash of
 // the snapshot.
@@ -106,9 +105,8 @@ func SignStampWithOp(master *cryptoutil.KeyPair, version uint64, ts time.Time, o
 }
 
 // AuthenticatesOp reports whether the stamp's digest is the hash of
-// opBytes (a snapshot under its SignStampWithOp stamp). A batch stamp's
-// digest is a merkle root and authorizes ops only through a rebuilt root
-// (VerifyMembers).
+// opBytes (a snapshot under its SignStampWithOp stamp). A batch stamp
+// authorizes ops only through VerifyMembers.
 func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 	return v.Kind == stampKindOp && v.OpDigest.Equal(cryptoutil.HashBytes(opBytes))
 }
@@ -119,46 +117,40 @@ func (v *VersionStamp) AuthenticatesOp(opBytes []byte) bool {
 // of one signature per write (§3.4: signing dominates the master's CPU).
 // Batched commits amortize it: the master accumulates concurrent write
 // waves, never splitting one, applies their ops as versions
-// first..first+n-1, and signs ONE stamp whose
-// OpDigest is the merkle root over the batch's op bytes. A write that
-// commits alone is a batch of one: a one-leaf tree, the same stamp. The
-// batch is also the unit of history: the master logs it whole, its WAL
-// record is one batch and a sync replays whole batches, so every receiver
-// holds every op of a batch, rebuilds the root and compares
-// (BatchUpdate.VerifyMembers) — no op needs a signature or a membership
-// proof of its own.
+// first..first+n-1, and signs ONE stamp whose OpDigest is the hash of the
+// batch's own bytes (BatchDigest). A write that commits alone is a batch
+// of one under the same stamp. The batch is also the unit of history: the
+// master logs it whole, its WAL record is one batch and a sync replays
+// whole batches, so every receiver holds every op of a batch, hashes the
+// same bytes and compares (BatchUpdate.VerifyMembers) — no op needs a
+// signature of its own.
 
-// BatchLeaf is the canonical merkle leaf binding opBytes to the content
-// version it produced. Both signer and verifier must build it
-// identically.
-func BatchLeaf(version uint64, opBytes []byte) merkle.Entry {
-	key := append(make([]byte, 0, 21), 'v') // on the stack: one allocation per leaf, the string
-	return merkle.Entry{Key: string(strconv.AppendUint(key, version, 10)), Value: opBytes}
+// appendBatchPrefix appends what a batch stamp's digest covers: uvarint
+// first ‖ uvarint n ‖ n × bytes op. Every op is length-prefixed behind the
+// count, so the bytes decode back to exactly one (first, ops): two batches
+// that differ in an op, its position or the number of ops never hash the
+// same input.
+func appendBatchPrefix(w *wire.Writer, first uint64, ops [][]byte) {
+	w.Uvarint(first)
+	w.BytesSlice(ops)
 }
 
-// AppendBatchLeaves appends the batch's canonical leaves to dst and
-// returns it. BatchTree and the master's scratch-reusing commit path
-// share it, so signer and verifier always build identical leaves.
-func AppendBatchLeaves(dst []merkle.Entry, first uint64, ops [][]byte) []merkle.Entry {
-	for i, op := range ops {
-		dst = append(dst, BatchLeaf(first+uint64(i), op))
-	}
-	return dst
-}
-
-// BatchTree builds the batch's merkle tree: leaf i authenticates ops[i]
-// at version first+i.
-func BatchTree(first uint64, ops [][]byte) *merkle.Tree {
-	return merkle.Build(AppendBatchLeaves(nil, first, ops))
+// BatchDigest is the digest a batch stamp signs for ops committed at
+// first, first+1, …: one hash of the bytes that stand in front of the
+// stamp in every s.updatebatch frame, WAL record and m.sync entry.
+func BatchDigest(first uint64, ops [][]byte) (d cryptoutil.Digest) {
+	wire.Borrow(func(w *wire.Writer) { appendBatchPrefix(w, first, ops) },
+		func(b []byte) { d = cryptoutil.HashBytes(b) })
+	return d
 }
 
 // SignBatchStamp signs the single stamp covering a batched commit: its
-// Version is the batch's last version and its OpDigest is the batch
-// merkle root.
-func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time, root cryptoutil.Digest) VersionStamp {
+// Version is the batch's last version and its OpDigest the batch's
+// BatchDigest.
+func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time, digest cryptoutil.Digest) VersionStamp {
 	v := VersionStamp{
 		Version: lastVersion, Timestamp: ts,
-		OpDigest: root, MasterPub: master.Public,
+		OpDigest: digest, MasterPub: master.Public,
 		Kind: stampKindBatch,
 	}
 	v.sign(master)
@@ -169,17 +161,13 @@ func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time
 // First..First+len(Ops)-1 and the single batch stamp — one signature
 // regardless of batch size. It is the master→slave s.updatebatch frame,
 // and without MasterAddr it is the master's log entry, its WAL record and
-// one entry of an m.sync reply. It carries no membership proofs: a
-// receiver holds every op of the batch, recomputes the merkle root in
-// 2n−1 hashes and compares it with the signed one (VerifyMembers).
+// one entry of an m.sync reply. A receiver holds every op of the batch,
+// hashes them in one pass and compares with the signed digest
+// (VerifyMembers).
 type BatchUpdate struct {
-	First uint64
-	Ops   [][]byte
-	// Proofs is never encoded, decoded or read by this package. It
-	// survives only because bench/replbench/ledger.go, frozen for PR 17,
-	// parks its own proofs in it; the benchmark PR that moves the writer
-	// to m1 (ROADMAP, first item) deletes the field together with that use.
-	Proofs     []merkle.Proof
+	First      uint64
+	Ops        [][]byte
+	Proofs     frozenProofs // never set or read here; see frozen.go
 	Stamp      VersionStamp
 	MasterAddr string
 }
@@ -187,38 +175,12 @@ type BatchUpdate struct {
 // Last returns the batch's final version.
 func (bu *BatchUpdate) Last() uint64 { return bu.First + uint64(len(bu.Ops)) - 1 }
 
-// Verify checks the stamp signature and that the stamp's root is the
-// root of exactly these ops at exactly these versions.
-func (bu *BatchUpdate) Verify(trustedMasters []cryptoutil.PublicKey) error {
-	if err := bu.Stamp.Verify(trustedMasters); err != nil {
-		return err
-	}
-	return bu.VerifyMembers(new(batchScratch))
-}
-
-// batchScratch is a merkle tree and leaf slice kept between batches, so
-// that rebuilding a batch's tree allocates only the leaf keys.
-type batchScratch struct {
-	tree   merkle.Tree
-	leaves []merkle.Entry
-}
-
-// rebuild builds the tree of the batch that commits ops at first,
-// first+1, …; the tree is valid until the next rebuild.
-func (sc *batchScratch) rebuild(first uint64, ops [][]byte) *merkle.Tree {
-	sc.leaves = AppendBatchLeaves(sc.leaves[:0], first, ops)
-	return sc.tree.Rebuild(sc.leaves)
-}
-
 // VerifyMembers checks the batch against its stamp: a batch stamp whose
-// version closes [First, First+len(Ops)) and whose root equals the root
-// rebuilt (into sc) over the batch's leaves. A leaf hashes its version
-// and its op, leaf and interior hashes are domain-separated, and the
-// tree's shape is a function of the leaf count, so root equality binds
-// every op, its position and the number of ops — what one membership
-// proof per op bound. The caller must have verified the stamp's
-// signature (directly or through a verified-stamp cache).
-func (bu *BatchUpdate) VerifyMembers(sc *batchScratch) error {
+// version closes [First, First+len(Ops)) and whose digest is the
+// BatchDigest of exactly these ops at exactly these versions. The caller
+// must have verified the stamp's signature (directly or through a
+// verified-stamp cache).
+func (bu *BatchUpdate) VerifyMembers() error {
 	if len(bu.Ops) == 0 {
 		return fmt.Errorf("%w: batch without ops", ErrBadStamp)
 	}
@@ -228,8 +190,8 @@ func (bu *BatchUpdate) VerifyMembers(sc *batchScratch) error {
 	if bu.Stamp.Version != bu.Last() {
 		return fmt.Errorf("%w: stamp version %d does not close batch [%d,%d]", ErrBadStamp, bu.Stamp.Version, bu.First, bu.Last())
 	}
-	if !sc.rebuild(bu.First, bu.Ops).Root().Equal(bu.Stamp.OpDigest) {
-		return fmt.Errorf("%w: ops do not hash to the stamp's batch root", ErrBadStamp)
+	if !BatchDigest(bu.First, bu.Ops).Equal(bu.Stamp.OpDigest) {
+		return fmt.Errorf("%w: ops do not hash to the stamp's batch digest", ErrBadStamp)
 	}
 	return nil
 }
@@ -239,8 +201,7 @@ func (bu *BatchUpdate) VerifyMembers(sc *batchScratch) error {
 // s.updatebatch frame before its master address, a WAL record after its
 // broadcast slot, one entry of an m.sync reply.
 func (bu *BatchUpdate) appendEntry(w *wire.Writer) {
-	w.Uvarint(bu.First)
-	w.BytesSlice(bu.Ops)
+	appendBatchPrefix(w, bu.First, bu.Ops)
 	bu.Stamp.Encode(w)
 }
 
@@ -458,53 +419,6 @@ func CheckPledgeAgainst(replica *store.Store, p *Pledge) (bool, cryptoutil.Diges
 	}
 	correct := res.Digest()
 	return !correct.Equal(p.ResultHash), correct, nil
-}
-
-// WriteRequest is a client-signed request for a single write. No node
-// sends or accepts one — Client.Write sends a WriteWave of one op — and the
-// type, SignWrite and DecodeWriteRequest stay only because
-// bench/replbench/ledger.go, which may not be edited here, times them; they
-// go with it (ROADMAP item 1).
-type WriteRequest struct {
-	OpBytes   []byte
-	ClientPub cryptoutil.PublicKey
-	Sig       []byte
-}
-
-func (wr *WriteRequest) appendSignedBytes(w *wire.Writer) {
-	w.String_("write.v1")
-	w.Bytes_(wr.OpBytes)
-	w.Bytes_(wr.ClientPub)
-}
-
-// SignWrite builds a write request for op under the client's key.
-func SignWrite(client *cryptoutil.KeyPair, op store.Op) WriteRequest {
-	wr := WriteRequest{OpBytes: store.EncodeOp(op), ClientPub: client.Public}
-	wire.Borrow(wr.appendSignedBytes, func(b []byte) { wr.Sig = client.Sign(b) })
-	return wr
-}
-
-// VerifySig checks the client's signature.
-func (wr *WriteRequest) VerifySig() (err error) {
-	wire.Borrow(wr.appendSignedBytes, func(b []byte) { err = cryptoutil.Verify(wr.ClientPub, b, wr.Sig) })
-	return err
-}
-
-// Encode appends the write request to w.
-func (wr *WriteRequest) Encode(w *wire.Writer) {
-	w.Bytes_(wr.OpBytes)
-	w.Bytes_(wr.ClientPub)
-	w.Bytes_(wr.Sig)
-}
-
-// DecodeWriteRequest reads a write request from r. The request's fields
-// alias r's buffer.
-func DecodeWriteRequest(r *wire.Reader) (WriteRequest, error) {
-	var wr WriteRequest
-	wr.OpBytes = r.BytesView()
-	wr.ClientPub = cryptoutil.PublicKey(r.BytesView())
-	wr.Sig = r.BytesView()
-	return wr, r.Err()
 }
 
 // WriteWave is a client-signed wave of writes (MethodWriteMulti): ONE

@@ -467,7 +467,9 @@ func TestGreedyTrackerFlagsAbuser(t *testing.T) {
 	for tick := 0; tick < 30; tick++ {
 		now = now.Add(time.Second)
 		for c := 0; c < 5; c++ {
-			g.record(string(rune('a'+c)), now)
+			if g.record(string(rune('a'+c)), now) {
+				t.Fatalf("tick %d: fair client %c flagged", tick, 'a'+c)
+			}
 		}
 		for j := 0; j < 20; j++ {
 			if g.record("abuser", now) {
@@ -478,8 +480,22 @@ func TestGreedyTrackerFlagsAbuser(t *testing.T) {
 	if !flagged {
 		t.Fatal("abuser never flagged")
 	}
-	if g.isFlagged("a") {
-		t.Fatal("fair client flagged")
+}
+
+// TestGreedyTrackerForgetsIdleClients records one double-check each from
+// 10 000 distinct client keys, one window apart. The key is an
+// unauthenticated field of m.check, so the tracker must not keep an entry
+// per key it ever saw: only the one still inside its window remains.
+func TestGreedyTrackerForgetsIdleClients(t *testing.T) {
+	p := DefaultParams()
+	g := newGreedyTracker(p)
+	now := time.Unix(0, 0)
+	for i := 0; i < 10000; i++ {
+		now = now.Add(p.GreedyWindow + time.Nanosecond)
+		g.record(fmt.Sprintf("client-%d", i), now)
+	}
+	if len(g.counts) != 1 {
+		t.Fatalf("tracker holds %d client entries after 10000 keys a window apart, want 1", len(g.counts))
 	}
 }
 

@@ -60,16 +60,3 @@ func (c CostModel) HashCost(n int) time.Duration {
 func (c CostModel) QueryCost(scanned int) time.Duration {
 	return c.QueryBase + time.Duration(float64(c.QueryPerKB)*(float64(scanned)/1024.0))
 }
-
-// BatchOverhead returns the modelled cost of building the batch merkle
-// tree over n ops totalling b payload bytes: hashing every leaf plus
-// ~n-1 interior nodes. It is what batching pays to keep each op
-// individually verifiable, and it is orders of magnitude below the
-// signatures it replaces.
-func (c CostModel) BatchOverhead(n, b int) time.Duration {
-	if n <= 1 {
-		return 0
-	}
-	interior := time.Duration(float64(c.HashPerKB) * float64(n-1) / 16.0) // ~64B nodes
-	return c.HashCost(b) + interior
-}

@@ -44,8 +44,8 @@ var concatPool = sync.Pool{
 // The framing (8-byte big-endian length before each part) is part of the
 // protocol: every digest in the system depends on it, so it must never
 // change. The concatenation is assembled in a pooled scratch buffer and
-// hashed with sha1.Sum, which keeps the hot path (merkle nodes, store
-// entry digests, stamp bodies) free of per-call allocation.
+// hashed with sha1.Sum, which keeps the hot path (store entry digests,
+// the state-signing baseline's merkle nodes) free of per-call allocation.
 func HashConcat(parts ...[]byte) Digest {
 	bp := concatPool.Get().(*[]byte)
 	buf := (*bp)[:0]

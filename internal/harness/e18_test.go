@@ -7,7 +7,7 @@ import (
 
 // TestE18ShapeHotPath asserts the PR's acceptance criteria on the E18
 // experiment at test scale: the hot-path configuration (write waves +
-// adaptive flush over the pooled frame/merkle-scratch plumbing) must
+// adaptive flush over the pooled-frame plumbing) must
 // commit at least 2x the writes/s of the E15-equivalent reference
 // configuration, and on the read path — where stamps repeat between
 // updates — the verified-stamp cache must absorb the repeat

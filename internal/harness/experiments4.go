@@ -22,7 +22,7 @@ import (
 // slot.
 func E15BatchThroughput(seed int64, scale Scale) *metrics.Table {
 	t := metrics.NewTable(
-		"E15 — batched write pipeline: one signature per batch (merkle-root stamps)",
+		"E15 — batched write pipeline: one signature per batch (stamps over the batch digest)",
 		"cost model", "batch", "committed", "throughput (/s)", "speedup vs b=1",
 		"batches (=sigs)", "sigs/write", "timer flushes")
 

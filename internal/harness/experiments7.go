@@ -26,7 +26,7 @@ import (
 // its stamp-cache columns count the checks skipped.
 func E18HotPath(seed int64, scale Scale) *metrics.Table {
 	t := metrics.NewTable(
-		"E18 — zero-alloc hot path: pooled frames, merkle scratch, stamp cache, adaptive flush",
+		"E18 — zero-alloc hot path: pooled frames, one-hash batch digest, stamp cache, adaptive flush",
 		"mode", "batch", "committed", "throughput (/s)", "speedup",
 		"batches (=sigs)", "sigs/write", "timer flushes", "reads", "stamp hits", "stamp misses")
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -110,5 +111,59 @@ func TestTotalMasterStatsSurvivesRestart(t *testing.T) {
 	}
 	if ts.WALReplayed < m1.WALReplayed {
 		t.Fatal("TotalMasterStats drops WALReplayed")
+	}
+}
+
+// TestStatsSummersCarryEveryField fills every counter of MasterStats,
+// SlaveStats and ClientStats with a distinct value through reflect and
+// sums two such values with addCounters, which every Total* summer and
+// RestartMaster's retired accumulator use: every field of the sum must be
+// the sum of the fields. A hand-kept list of fields drops the ones added
+// after it (MasterStats' ExclusionsRefused and BatchesDisplaced were).
+func TestStatsSummersCarryEveryField(t *testing.T) {
+	checkSum[core.MasterStats](t)
+	checkSum[core.SlaveStats](t)
+	checkSum[core.ClientStats](t)
+}
+
+// filled returns a T whose field i holds base+i.
+func filled[T any](t *testing.T, base uint64) T {
+	var x T
+	v := reflect.ValueOf(&x).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(base + uint64(i))
+		case reflect.Int:
+			f.SetInt(int64(base) + int64(i))
+		default:
+			t.Fatalf("%s.%s is not a counter", v.Type(), v.Type().Field(i).Name)
+		}
+	}
+	return x
+}
+
+// checkSum adds two filled Ts with addCounters and checks every field.
+func checkSum[T any](t *testing.T) {
+	t.Helper()
+	sum := filled[T](t, 1000)
+	addCounters(&sum, filled[T](t, 5000))
+	checkFields(t, sum, func(i int) uint64 { return 6000 + 2*uint64(i) })
+}
+
+// checkFields checks that field i of x holds want(i).
+func checkFields[T any](t *testing.T, x T, want func(int) uint64) {
+	t.Helper()
+	v := reflect.ValueOf(x)
+	for i := 0; i < v.NumField(); i++ {
+		var got uint64
+		if f := v.Field(i); f.Kind() == reflect.Int {
+			got = uint64(f.Int())
+		} else {
+			got = f.Uint()
+		}
+		if got != want(i) {
+			t.Errorf("%s.%s = %d, want %d", v.Type(), v.Type().Field(i).Name, got, want(i))
+		}
 	}
 }

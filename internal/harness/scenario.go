@@ -5,6 +5,7 @@ package harness
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"time"
 
 	"repro/internal/core"
@@ -405,7 +406,7 @@ func (sc *Scenario) KillMaster(i int) {
 // TotalMasterStats keeps counting the whole deployment's work across
 // crash-restart cycles.
 func (sc *Scenario) RestartMaster(i int) *core.Master {
-	addMasterStats(&sc.retired, sc.Masters[i].Stats())
+	addCounters(&sc.retired, sc.Masters[i].Stats())
 	m, err := core.NewMaster(sc.masterCfgs[i], sc.S, sc.Net.Dialer(sc.masterCfgs[i].Addr), sc.Initial)
 	if err != nil {
 		panic(err)
@@ -424,51 +425,26 @@ func (sc *Scenario) RestartMaster(i int) *core.Master {
 func (sc *Scenario) TotalSlaveStats() core.SlaveStats {
 	var t core.SlaveStats
 	for _, sl := range sc.Slaves {
-		st := sl.Stats()
-		t.ReadsServed += st.ReadsServed
-		t.ReadsLied += st.ReadsLied
-		t.ReadsRefused += st.ReadsRefused
-		t.UpdatesOK += st.UpdatesOK
-		t.BatchesApplied += st.BatchesApplied
-		t.UpdatesSynced += st.UpdatesSynced
-		t.SnapshotSyncs += st.SnapshotSyncs
-		t.SyncsSkipped += st.SyncsSkipped
-		t.KeepAlives += st.KeepAlives
-		t.StampCacheHits += st.StampCacheHits
-		t.StampCacheMisses += st.StampCacheMisses
-		t.PledgeCacheHits += st.PledgeCacheHits
-		t.PledgeCacheMisses += st.PledgeCacheMisses
+		addCounters(&t, sl.Stats())
 	}
 	return t
 }
 
-// addMasterStats folds st into dst field by field. Shared by
-// TotalMasterStats and the retired-instance accumulator so a counter
-// added to core.MasterStats only needs listing once.
-func addMasterStats(dst *core.MasterStats, st core.MasterStats) {
-	dst.WritesAdmitted += st.WritesAdmitted
-	dst.WritesApplied += st.WritesApplied
-	dst.WrongShardRejects += st.WrongShardRejects
-	dst.DirectoryErrors += st.DirectoryErrors
-	dst.BatchesApplied += st.BatchesApplied
-	dst.BatchFlushFull += st.BatchFlushFull
-	dst.BatchFlushTimer += st.BatchFlushTimer
-	dst.WritePacingWaits += st.WritePacingWaits
-	dst.DoubleChecks += st.DoubleChecks
-	dst.DoubleChecksDrop += st.DoubleChecksDrop
-	dst.SensitiveReads += st.SensitiveReads
-	dst.Reports += st.Reports
-	dst.Exclusions += st.Exclusions
-	dst.SyncsServed += st.SyncsServed
-	dst.SnapshotSyncs += st.SnapshotSyncs
-	dst.CheckpointsApplied += st.CheckpointsApplied
-	dst.OpsTruncated += st.OpsTruncated
-	dst.WALReplayed += st.WALReplayed
-	dst.RecoverySyncs += st.RecoverySyncs
-	dst.KeepAlivesSent += st.KeepAlivesSent
-	dst.UpdatesSent += st.UpdatesSent
-	dst.ClientsNotified += st.ClientsNotified
-	dst.SlavesAdopted += st.SlavesAdopted
+// addCounters adds every field of src to the same field of dst. The stats
+// structs are flat counters (uint64 or int), so a counter added to one of
+// them is summed without being listed anywhere.
+func addCounters[T any](dst *T, src T) {
+	d, s := reflect.ValueOf(dst).Elem(), reflect.ValueOf(src)
+	for i := 0; i < d.NumField(); i++ {
+		switch f := d.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(f.Uint() + s.Field(i).Uint())
+		case reflect.Int:
+			f.SetInt(f.Int() + s.Field(i).Int())
+		default:
+			panic(fmt.Sprintf("harness: %s.%s is not a counter", d.Type(), d.Type().Field(i).Name))
+		}
+	}
 }
 
 // TotalMasterStats sums the counters over all masters, including
@@ -478,7 +454,7 @@ func addMasterStats(dst *core.MasterStats, st core.MasterStats) {
 func (sc *Scenario) TotalMasterStats() core.MasterStats {
 	t := sc.retired
 	for _, m := range sc.Masters {
-		addMasterStats(&t, m.Stats())
+		addCounters(&t, m.Stats())
 	}
 	return t
 }
@@ -487,29 +463,7 @@ func (sc *Scenario) TotalMasterStats() core.MasterStats {
 func (sc *Scenario) TotalClientStats() core.ClientStats {
 	var t core.ClientStats
 	for _, c := range sc.Clients {
-		st := c.Stats()
-		t.ReadsAccepted += st.ReadsAccepted
-		t.LiesAccepted += st.LiesAccepted
-		t.ReadsFailed += st.ReadsFailed
-		t.StaleRejects += st.StaleRejects
-		t.SlaveStale += st.SlaveStale
-		t.BadPledges += st.BadPledges
-		t.Retries += st.Retries
-		t.DoubleChecks += st.DoubleChecks
-		t.DoubleThrottled += st.DoubleThrottled
-		t.CaughtImmediate += st.CaughtImmediate
-		t.ReportsFiled += st.ReportsFiled
-		t.PledgesSent += st.PledgesSent
-		t.Reassignments += st.Reassignments
-		t.Resetups += st.Resetups
-		t.Redirects += st.Redirects
-		t.WritesOK += st.WritesOK
-		t.WritesFailed += st.WritesFailed
-		t.KMismatch += st.KMismatch
-		t.StampCacheHits += st.StampCacheHits
-		t.StampCacheMisses += st.StampCacheMisses
-		t.PledgeCacheHits += st.PledgeCacheHits
-		t.PledgeCacheMisses += st.PledgeCacheMisses
+		addCounters(&t, c.Stats())
 	}
 	return t
 }

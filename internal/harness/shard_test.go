@@ -271,7 +271,7 @@ func TestEpochBumpMidWaveConverges(t *testing.T) {
 // TestShardedBatchSequentialDigestEquivalence is the per-shard batching
 // property: the same write sequence pushed through a sharded deployment
 // must leave every group's replica in the identical state whether its
-// master commits op-at-a-time or in merkle-batched waves.
+// master commits op-at-a-time or in batched waves.
 func TestShardedBatchSequentialDigestEquivalence(t *testing.T) {
 	seq := shardDigestRun(t, 11, 1)
 	bat := shardDigestRun(t, 11, 16)

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// The hot path rebuilds one tree per committed batch and proves every
-// member into caller-carved step buffers; these guards pin the
-// steady-state allocation budget of that path at zero so a regression
-// (a forgotten scratch reuse, an append outside the backing) fails the
-// suite rather than silently re-inflating the per-batch cost.
+// A reused tree is rebuilt and every member proved into caller-carved
+// step buffers; these guards pin the steady-state allocation budget of
+// that path at zero so a regression (a forgotten scratch reuse, an append
+// outside the backing) fails the suite rather than silently re-inflating
+// the per-tree cost.
 
 func TestRebuildProveVerifySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

@@ -8,14 +8,14 @@
 // snapshot. Leaves are hashed with a domain-separated prefix distinct
 // from interior nodes, preventing second-preimage splicing attacks.
 //
-// The same trees authenticate batched commits on the write hot path, so
-// the API supports steady-state reuse: Rebuild reconstructs a tree into
+// Committed batches are not authenticated here: a batch stamp signs one
+// hash of the batch's bytes (core.BatchDigest). The API keeps what the
+// real-clock benchmark's ledger times: Rebuild reconstructs a tree into
 // its existing level scratch, ProveInto appends proof steps to a
 // caller-carved backing slice, and each proof carries a 1-byte LeafTag
 // (the leaf digest's first byte) that lets Verify reject a mismatched
 // (entry, proof) pair after one leaf hash, before walking the chain.
-// The alloc_test.go guards pin rebuild+prove+verify at zero allocations
-// per batch.
+// The alloc_test.go guards pin rebuild+prove+verify at zero allocations.
 package merkle
 
 import (
@@ -49,7 +49,7 @@ func nodeHash(l, r cryptoutil.Digest) cryptoutil.Digest {
 // Tree is a Merkle tree over an ordered list of entries. A zero Tree is
 // ready for Rebuild; the same Tree value can be rebuilt over successive
 // entry lists, reusing its internal level scratch so steady-state
-// rebuilds (one per committed batch) allocate nothing.
+// rebuilds allocate nothing.
 type Tree struct {
 	entries []Entry
 	levels  [][]cryptoutil.Digest // levels[0] = leaf hashes, last = [root]
@@ -212,8 +212,8 @@ func (t *Tree) ProveInto(i int, steps []ProofStep) (Proof, error) {
 // with fewer than 2^64 leaves, so a longer path marks a corrupt frame.
 const maxProofSteps = 64
 
-// Encode appends the proof to w so it can travel inside signed frames
-// (batched commits ship one proof per member op).
+// Encode appends the proof to w: the state-signing baseline's storage host
+// ships one with every value it serves.
 func (p Proof) Encode(w *wire.Writer) {
 	w.Uvarint(uint64(p.Index))
 	w.Byte(p.LeafTag)
@@ -224,9 +224,11 @@ func (p Proof) Encode(w *wire.Writer) {
 	}
 }
 
-// DecodeProof reads a proof written by Encode. Sibling digests are read
-// through zero-copy views and copied into the proof's fixed-size digest
-// fields, so decoding allocates only the step slice.
+// DecodeProof reads a proof written by Encode, refusing a step count above
+// maxProofSteps before it reads a step: the count comes from an untrusted
+// host. Sibling digests are read through zero-copy views and copied into
+// the proof's fixed-size digest fields, so decoding allocates only the
+// step slice.
 func DecodeProof(r *wire.Reader) (Proof, error) {
 	var p Proof
 	p.Index = int(r.Uvarint())
