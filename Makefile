@@ -126,6 +126,7 @@ FUZZ_TARGETS := \
 	internal/core:FuzzBatchDigestInput \
 	internal/core:FuzzDecodePledge \
 	internal/core:FuzzAuditorHandlePledge \
+	internal/core:FuzzMasterHandleReport \
 	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/core:FuzzDecodeBatchMessage \

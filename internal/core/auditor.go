@@ -30,13 +30,6 @@ type AuditorStats struct {
 	ReportsSent     uint64
 	VersionLagMax   uint64 // widest span of versions held as views at once
 	BacklogMax      int    // max frames seen waiting for their version's delivery
-
-	// PledgeCacheHits/Misses count verified-pledge cache consultations.
-	// Only a pledge that disagrees with the content is consulted at all;
-	// one with the signed body and signature of a pledge already verified
-	// skips the signature check.
-	PledgeCacheHits   uint64
-	PledgeCacheMisses uint64
 }
 
 // AuditorConfig configures the auditor.
@@ -95,9 +88,7 @@ type Auditor struct {
 	stats    AuditorStats    // guarded by mu
 	stopped  bool            // guarded by mu
 	masterV  uint64          // guarded by mu; highest version committed by masters (observed)
-	detected map[string]bool // guarded by mu; slave pubs already reported
-
-	pledges *sigCache // verified-pledge cache (amortizes a repeated lie's VerifySig)
+	detected map[string]bool // guarded by mu; slave pubs reported and not refused by every master
 }
 
 // NewAuditor creates the auditor over the initial content replica.
@@ -109,7 +100,6 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		views:    []view{{content: initial.Clone(), answers: make(map[string]cryptoutil.Digest)}},
 		detected: make(map[string]bool),
-		pledges:  newSigCache(pledgeVerifyMemoSize),
 		masterV:  initial.Version(), // ordered writes continue from the initial content version
 	}
 	bm, err := broadcast.New(broadcast.Config{
@@ -145,9 +135,7 @@ func (a *Auditor) Stop() {
 func (a *Auditor) Stats() AuditorStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := a.stats
-	st.PledgeCacheHits, st.PledgeCacheMisses = a.pledges.stats()
-	return st
+	return a.stats
 }
 
 // Version returns the version of the newest content the auditor applied.
@@ -290,9 +278,8 @@ func (a *Auditor) settleLocked(p *Pledge, now time.Time) (bool, time.Duration) {
 		a.stats.PledgesAudited++
 		return true, cost
 	}
-	hit, err := a.pledges.verifyPledge(p)
-	cost += memoCost(a.cfg.Params.Costs, a.cfg.Params.Costs.VerifySig, hit)
-	if err != nil {
+	cost += a.cfg.Params.Costs.VerifySig
+	if err := p.VerifySig(); err != nil {
 		a.stats.PledgesBadSig++
 		return false, cost
 	}
@@ -416,7 +403,9 @@ type provenPledge struct{ p Pledge }
 
 // report forwards the incriminating pledge to a master (§3.5 delayed
 // discovery path), signed by the auditor so masters can trust it without
-// being at the pledge's (old) content version.
+// being at the pledge's (old) content version. When every master refuses
+// it or cannot be reached, the slave is no longer marked detected, so its
+// next lie is reported again.
 func (a *Auditor) report(proven provenPledge) {
 	pledgeBytes := EncodePledge(proven.p)
 	chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.Sign) // the one signature the auditor ever makes
@@ -430,4 +419,7 @@ func (a *Auditor) report(proven provenPledge) {
 			return
 		}
 	}
+	a.mu.Lock()
+	delete(a.detected, string(proven.p.SlavePub))
+	a.mu.Unlock()
 }

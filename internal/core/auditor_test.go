@@ -21,7 +21,8 @@ type auditorRig struct {
 	auditor *Auditor
 	master  *cryptoutil.KeyPair
 	slave   *cryptoutil.KeyPair
-	reports [][]byte
+	reports [][]byte // m.report bodies the master accepted
+	refuse  int      // how many m.reports the master refuses before it accepts
 	initial *store.Store
 	params  Params
 	seq     uint64 // broadcast slots commit has delivered
@@ -59,6 +60,10 @@ func newAuditorRig(t testing.TB, mut func(*AuditorConfig)) *auditorRig {
 	net.Register("auditor", aud.Handle)
 	net.Register("master", func(from, method string, body []byte) ([]byte, error) {
 		if method == MethodReport {
+			if r.refuse > 0 {
+				r.refuse--
+				return nil, ErrNotProven
+			}
 			r.reports = append(r.reports, body)
 			return nil, nil
 		}
@@ -228,22 +233,22 @@ func TestAuditorVerifiesOnEvidence(t *testing.T) {
 			AuditorStats{PledgesAudited: 1, PledgesVouched: 1}, false},
 		{"valid sig, wrong hash",
 			func(r *auditorRig) []Pledge { return []Pledge{r.pledgeFor(get, true)} },
-			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1, PledgeCacheMisses: 1}, true},
-		{"forged sig, wrong hash, twice", // a second copy does not ride on a cached verdict
+			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}, true},
+		{"forged sig, wrong hash, twice", // each copy is verified, and refused
 			func(r *auditorRig) []Pledge {
 				p := forged(r.pledgeFor(get, true))
 				return []Pledge{p, p}
 			},
-			AuditorStats{PledgesBadSig: 2, CacheHits: 1, PledgeCacheMisses: 2}, false},
+			AuditorStats{PledgesBadSig: 2, CacheHits: 1}, false},
 		{"valid sig, garbage query",
 			func(r *auditorRig) []Pledge { return []Pledge{r.signedQuery(garbageQuery)} },
-			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1, PledgeCacheMisses: 1}, true},
+			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}, true},
 		{"forged sig, garbage query", // the row a reorder that reports before verifying breaks
 			func(r *auditorRig) []Pledge { return []Pledge{forged(r.signedQuery(garbageQuery))} },
-			AuditorStats{PledgesBadSig: 1, PledgeCacheMisses: 1}, false},
+			AuditorStats{PledgesBadSig: 1}, false},
 		{"valid sig, unexecutable query",
 			func(r *auditorRig) []Pledge { return []Pledge{r.signedQuery(badGrep)} },
-			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1, PledgeCacheMisses: 1}, true},
+			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAuditorRig(t, nil)
@@ -303,9 +308,9 @@ func TestAuditorCacheHitsForRepeatedQueries(t *testing.T) {
 	if st.CacheHits != 4 {
 		t.Fatalf("cache hits = %d, want 4", st.CacheHits)
 	}
-	// Five honest pledges: no signature is looked at, cached or not.
-	if st.PledgeCacheHits != 0 || st.PledgeCacheMisses != 0 {
-		t.Fatalf("pledge verifications: %d hits, %d misses, want none", st.PledgeCacheHits, st.PledgeCacheMisses)
+	// Five honest pledges: no signature is looked at.
+	if verifies := st.PledgesBadSig + st.Mismatches; verifies != 0 {
+		t.Fatalf("%d pledge verifications, want none", verifies)
 	}
 }
 
@@ -326,8 +331,8 @@ func TestAuditorSamplingSkips(t *testing.T) {
 func TestAuditorBadSignatureDropped(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	p := forged(r.pledgeFor(query.Get{Key: "k"}, true)) // a forged pledge cannot frame the slave
-	st := r.audit(t, p, p)                              // nor does a second copy ride on a cached verdict
-	if st.PledgesBadSig != 2 || st.PledgeCacheHits != 0 || st.ReportsSent != 0 {
+	st := r.audit(t, p, p)                              // nor can a second copy
+	if st.PledgesBadSig != 2 || st.ReportsSent != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -349,6 +354,37 @@ func TestAuditorDuplicateLiarReportedOnce(t *testing.T) {
 	if st.ReportsSent != 1 {
 		t.Fatalf("reports sent = %d, want 1 (dedup per slave)", st.ReportsSent)
 	}
+}
+
+// TestAuditorReReportsRefusedLiar: when no master accepts the report of a
+// slave's lie, the auditor forgets that it detected the slave, so the
+// slave's next lie is reported again — and accepted.
+func TestAuditorReReportsRefusedLiar(t *testing.T) {
+	r := newAuditorRig(t, nil)
+	r.refuse = 1
+	r.auditor.rt.Spawn(r.auditor.applyLoop)
+	r.s.Go(func() {
+		defer r.s.Stop()
+		if err := r.sendPledge(r.pledgeFor(query.Get{Key: "k"}, true)); err != nil {
+			t.Error(err)
+		}
+		r.s.Sleep(r.params.KeepAliveEvery) // the report is refused
+		if r.refuse != 0 || r.slaveDetected() {
+			t.Errorf("after the refused report: %d refusals left, slave detected %v", r.refuse, r.slaveDetected())
+		}
+		if err := r.sendPledge(r.pledgeFor(query.Count{P: ""}, true)); err != nil {
+			t.Error(err)
+		}
+		r.s.Sleep(r.params.KeepAliveEvery)
+	})
+	r.s.Run()
+	if st := r.auditor.Stats(); st.Mismatches != 2 || st.ReportsSent != 2 || !r.slaveDetected() {
+		t.Fatalf("stats: %+v, slave detected %v", st, r.slaveDetected())
+	}
+	if len(r.reports) != 1 {
+		t.Fatalf("%d reports accepted, want the second", len(r.reports))
+	}
+	r.checkReport(t, r.reports[0])
 }
 
 func TestAuditorLatePledgeCounted(t *testing.T) {
@@ -407,8 +443,8 @@ func (nopDialer) CallTimeout(string, string, []byte, time.Duration) ([]byte, err
 	return nil, nil
 }
 
-// pledgeFrames encodes n pledges for one query that differ in their stamp,
-// so no two share a verified-signature cache entry.
+// pledgeFrames encodes n pledges for one query that differ in their
+// stamp.
 func (r *auditorRig) pledgeFrames(n int, lie bool) [][]byte {
 	frames := make([][]byte, n)
 	for i := range frames {
@@ -507,8 +543,8 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 
 // BenchmarkAuditPledge is the auditor's row of the layer ledger: one
 // pledge settled on arrival, with the slave-signature verifications it
-// cost. The frames carry more distinct stamps than the verified-pledge
-// memo holds entries.
+// cost (PledgesBadSig + Mismatches: only a pledge the content contradicts
+// is verified).
 func BenchmarkAuditPledge(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -523,7 +559,7 @@ func BenchmarkAuditPledge(b *testing.B) {
 			r := newAuditorRig(b, nil)
 			a := r.auditor
 			a.dlr = nopDialer{}
-			frames := r.pledgeFrames(2*pledgeVerifyMemoSize, bc.lie)
+			frames := r.pledgeFrames(1024, bc.lie)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -539,7 +575,7 @@ func BenchmarkAuditPledge(b *testing.B) {
 			if st.PledgesAudited != uint64(b.N) || (st.Mismatches != 0) != bc.lie {
 				b.Fatalf("stats: %+v", st)
 			}
-			b.ReportMetric(float64(st.PledgeCacheHits+st.PledgeCacheMisses)/float64(b.N), "verifies/op")
+			b.ReportMetric(float64(st.PledgesBadSig+st.Mismatches)/float64(b.N), "verifies/op")
 		})
 	}
 }

@@ -45,11 +45,10 @@ type ClientStats struct {
 	// stamp, so hits replace full signature verifications.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
-	// PledgeCacheHits/Misses count verified-pledge cache consultations: a
-	// repeat of a popular query at the same content version returns the
-	// same slave signature, which was already checked.
-	PledgeCacheHits   uint64
-	PledgeCacheMisses uint64
+	// PledgesVerified counts slave signature checks: one per pledge of an
+	// answer the auditor did not vouch for, and one per pledge about to be
+	// reported.
+	PledgesVerified uint64
 }
 
 // ClientConfig configures a client.
@@ -126,9 +125,9 @@ type Client struct {
 	groups map[uint32]*group // shard id -> group; nil before Setup
 	stats  ClientStats
 
-	// stamps and pledges remember verified signatures: the same stamp comes
-	// back between keep-alives, the same pledge between content updates.
-	stamps, pledges *sigCache
+	// stamps remembers verified stamp signatures: the same stamp comes back
+	// on every reply between keep-alives.
+	stamps *sigCache
 }
 
 // NewClient creates a client; call Setup before reads or writes.
@@ -137,12 +136,11 @@ func NewClient(cfg ClientConfig, rt sim.Runtime, dlr rpc.Dialer) *Client {
 		cfg.KSlaves = 1
 	}
 	return &Client{
-		cfg:     cfg,
-		rt:      rt,
-		dlr:     dlr,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		stamps:  newSigCache(stampMemoSize),
-		pledges: newSigCache(pledgeVerifyMemoSize),
+		cfg:    cfg,
+		rt:     rt,
+		dlr:    dlr,
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		stamps: newSigCache(stampMemoSize),
 	}
 }
 
@@ -152,7 +150,6 @@ func (c *Client) Stats() ClientStats {
 	defer c.mu.Unlock()
 	st := c.stats
 	st.StampCacheHits, st.StampCacheMisses = c.stamps.stats()
-	st.PledgeCacheHits, st.PledgeCacheMisses = c.pledges.stats()
 	return st
 }
 
@@ -633,12 +630,12 @@ var errRetry = errors.New("core: retryable read failure")
 // probabilistic double-check (§3.3), then the pledges go to the auditor
 // (§3.4) before the result is accepted. If they disagree the client
 // double-checks with the master unconditionally and reports every slave
-// whose pledge does not match the trusted hash. A pledge that may be
-// reported — before either check — has its slave signature verified
-// first; otherwise it is verified after the forward, unless the auditor
-// vouched for the answer (pledgeVouch): the trusted auditor found that
+// whose pledge does not match the trusted hash. A slave signature is
+// verified in two places only: after the forward, unless the auditor
+// vouched for the answer (pledgeVouch) — the trusted auditor found that
 // result hash at that signed, fresh version, so there is no lie to pin on
-// anyone, and a lie is never vouched for.
+// anyone, and a lie is never vouched for — and in reportPledge, before any
+// report is filed.
 func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
 	assigns := slices.Clone(g.slaves[:min(len(g.slaves), c.cfg.KSlaves)])
@@ -665,9 +662,6 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		check := c.rng.Float64() < checkProb
 		c.mu.Unlock()
 		if check {
-			if err := c.verifyPledges(replies); err != nil {
-				return nil, err
-			}
 			if err := c.doubleCheck(g, queryBytes, replies[0]); err != nil {
 				return nil, err
 			}
@@ -676,9 +670,11 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		if !check && !vouched {
-			if err := c.verifyPledges(replies); err != nil {
-				return nil, err
+		if !vouched {
+			for i := range replies {
+				if err := c.verifyPledge(&replies[i].Pledge); err != nil {
+					return nil, err
+				}
 			}
 		}
 		c.mu.Lock()
@@ -691,9 +687,6 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	}
 
 	// Disagreement: at least one slave is malicious — mandatory check.
-	if err := c.verifyPledges(replies); err != nil {
-		return nil, err
-	}
 	c.mu.Lock()
 	c.stats.KMismatch++
 	c.stats.DoubleChecks++
@@ -706,7 +699,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	var liars []string
 	for i, r := range replies {
 		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
-			if err := c.reportPledge(g, r.Pledge); err == nil {
+			if err := c.reportPledge(g, &r.Pledge); err == nil {
 				c.mu.Lock()
 				c.stats.ReportsFiled++
 				c.stats.CaughtImmediate++
@@ -760,7 +753,7 @@ func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) 
 // it asked — and performs the client-side checks of §3.2 that nothing
 // stands in for, on every reply: the stamp beside the pledge is signed by
 // a certified master, and it is fresh. Whether the slave signed the pledge
-// is verifyPledges' question. The stamp check goes through the
+// is verifyPledge's question. The stamp check goes through the
 // verified-stamp cache; the freshness check runs on every reply.
 func (c *Client) checkReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
 	p := reply.completePledge(queryBytes, sl.pub)
@@ -780,19 +773,19 @@ func (c *Client) checkReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKe
 	return nil
 }
 
-// verifyPledges checks, through the verified-pledge cache, that each
-// reply's slave signed the pledge checkReply completed. A reply whose
-// payload, query or slave is not the one asked about fails it.
-func (c *Client) verifyPledges(replies []ReadReply) error {
-	for i := range replies {
-		if _, err := c.pledges.verifyPledge(&replies[i].Pledge); err != nil {
-			c.mu.Lock()
-			c.stats.BadPledges++
-			c.mu.Unlock()
-			return fmt.Errorf("%w: %v", errRetry, err)
-		}
+// verifyPledge checks that the slave signed the pledge checkReply
+// completed. A reply whose payload, query or slave is not the one asked
+// about fails it. The error is retryable and is ErrBadPledge.
+func (c *Client) verifyPledge(p *Pledge) error {
+	err := p.VerifySig()
+	c.mu.Lock()
+	c.stats.PledgesVerified++
+	if err != nil {
+		c.stats.BadPledges++
+		err = fmt.Errorf("%w: %w", errRetry, err)
 	}
-	return nil
+	c.mu.Unlock()
+	return err
 }
 
 // masterCheck runs a query on the master; wantPayload selects the
@@ -852,19 +845,23 @@ func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error
 	if digest.Equal(reply.Pledge.ResultHash) {
 		return nil
 	}
-	// Caught red-handed.
 	c.mu.Lock()
-	c.stats.CaughtImmediate++
 	caughtAddr := ""
 	if len(g.slaves) > 0 {
 		caughtAddr = g.slaves[0].addr
 	}
 	c.mu.Unlock()
-	if err := c.reportPledge(g, reply.Pledge); err == nil {
-		c.mu.Lock()
-		c.stats.ReportsFiled++
-		c.mu.Unlock()
+	err = c.reportPledge(g, &reply.Pledge)
+	if errors.Is(err, ErrBadPledge) {
+		return err // a wrong answer its slave never signed frames nobody
 	}
+	// Caught red-handed.
+	c.mu.Lock()
+	c.stats.CaughtImmediate++
+	if err == nil {
+		c.stats.ReportsFiled++
+	}
+	c.mu.Unlock()
 	// Proactively replace the convicted slave rather than waiting for the
 	// master's notification (which may not be deliverable, e.g. clients
 	// behind NAT); the master has already excluded it.
@@ -874,15 +871,20 @@ func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error
 	return errRetry
 }
 
-// reportPledge files the incriminating pledge's evidence frame with the
-// group's master. Client reports are unsigned: the master convicts by
-// re-executing the query itself (immediate discovery, §3.5).
-func (c *Client) reportPledge(g *group, p Pledge) error {
+// reportPledge verifies the pledge's slave signature and files its
+// evidence frame with the group's master, so every report carries a
+// verified pledge; a pledge that does not verify is not filed, and the
+// error is ErrBadPledge. Client reports are unsigned: the master convicts
+// by re-executing the query itself (immediate discovery, §3.5).
+func (c *Client) reportPledge(g *group, p *Pledge) error {
+	if err := c.verifyPledge(p); err != nil {
+		return err
+	}
 	c.mu.Lock()
 	masterAddr := g.masterAddr
 	c.mu.Unlock()
 	body := wire.EncodeFrame(func(w *wire.Writer) {
-		w.Bytes_(EncodePledge(p))
+		w.Bytes_(EncodePledge(*p))
 		w.Bytes_(nil)
 	})
 	_, err := c.dlr.CallTimeout(masterAddr, MethodReport, body, c.cfg.Params.ReadTimeout)

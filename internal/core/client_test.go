@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,6 +39,21 @@ type clientRig struct {
 	// for).
 	forwarded [][]byte
 	ack       []byte
+	// reports holds every m.report body the scripted master was sent, and
+	// excludes the exclusion list of every m.getslave.
+	reports  [][]byte
+	excludes [][]string
+	// more are scripted slaves assigned after "slave" to a client asking
+	// for more than one.
+	more []rigSlave
+}
+
+// rigSlave is a scripted slave besides the rig's own: honest, then mutate
+// applied.
+type rigSlave struct {
+	addr   string
+	keys   *cryptoutil.KeyPair
+	mutate func(*ReadReply)
 }
 
 func newClientRig(t *testing.T) *clientRig {
@@ -63,11 +79,20 @@ func newClientRig(t *testing.T) *clientRig {
 	net.Register("master", func(from, method string, body []byte) ([]byte, error) {
 		switch method {
 		case MethodGetSlave:
-			cert := pki.Certificate{Role: pki.RoleSlave, Addr: "slave", Subject: r.slaveKeys.Public}
-			cert.Sign(r.masterKeys)
+			rd := wire.NewReader(body)
+			_ = rd.String() // client addr
+			rd.Bytes()      // client pub
+			k := rd.Uvarint()
+			r.excludes = append(r.excludes, rd.StringSlice())
+			slaves := append([]rigSlave{{addr: "slave", keys: r.slaveKeys}}, r.more...)
+			slaves = slaves[:min(len(slaves), int(k))]
 			w := wire.NewWriter(256)
-			w.Uvarint(1)
-			cert.Encode(w)
+			w.Uvarint(uint64(len(slaves)))
+			for _, sl := range slaves {
+				cert := pki.Certificate{Role: pki.RoleSlave, Addr: sl.addr, Subject: sl.keys.Public}
+				cert.Sign(r.masterKeys)
+				cert.Encode(w)
+			}
 			return w.Bytes(), nil
 		case MethodCheck:
 			rd := wire.NewReader(body)
@@ -89,6 +114,7 @@ func newClientRig(t *testing.T) *clientRig {
 			w.Bool(false)
 			return w.Bytes(), nil
 		case MethodReport:
+			r.reports = append(r.reports, bytes.Clone(body))
 			return nil, nil
 		}
 		return nil, errors.New("unexpected master method " + method)
@@ -96,20 +122,9 @@ func newClientRig(t *testing.T) *clientRig {
 
 	// Scripted slave: honest reply, then r.mutate applied.
 	net.Register("slave", func(from, method string, body []byte) ([]byte, error) {
-		rd := wire.NewReader(body)
-		qb := rd.Bytes()
-		q, err := query.Decode(qb)
+		reply, err := r.honestReply(r.slaveKeys, body)
 		if err != nil {
 			return nil, err
-		}
-		res, err := q.Execute(r.content)
-		if err != nil {
-			return nil, err
-		}
-		stamp := SignStamp(r.masterKeys, r.content.Version(), s.Now())
-		reply := ReadReply{
-			Payload: res.Payload,
-			Pledge:  SignPledge(r.slaveKeys, qb, res.Digest(), stamp),
 		}
 		if r.mutate != nil {
 			r.mutate(&reply)
@@ -139,6 +154,33 @@ func newClientRig(t *testing.T) *clientRig {
 	}, s, net.Dialer("client"))
 	net.Register("client", r.client.Handle)
 	return r
+}
+
+// honestReply is a slave's honest answer to an s.read body, under keys.
+func (r *clientRig) honestReply(keys *cryptoutil.KeyPair, body []byte) (ReadReply, error) {
+	qb := wire.NewReader(body).Bytes()
+	q, err := query.Decode(qb)
+	if err != nil {
+		return ReadReply{}, err
+	}
+	res, err := q.Execute(r.content)
+	if err != nil {
+		return ReadReply{}, err
+	}
+	stamp := SignStamp(r.masterKeys, r.content.Version(), r.s.Now())
+	return ReadReply{Payload: res.Payload, Pledge: SignPledge(keys, qb, res.Digest(), stamp)}, nil
+}
+
+// addSlave scripts another slave the master assigns after "slave".
+func (r *clientRig) addSlave(sl rigSlave) {
+	r.more = append(r.more, sl)
+	r.net.Register(sl.addr, func(from, method string, body []byte) ([]byte, error) {
+		reply, err := r.honestReply(sl.keys, body)
+		if err == nil && sl.mutate != nil {
+			sl.mutate(&reply)
+		}
+		return EncodeReadReply(reply), err
+	})
 }
 
 func (r *clientRig) readOnce(t *testing.T) ([]byte, error) {
@@ -172,14 +214,13 @@ func TestClientAcceptsHonestReply(t *testing.T) {
 }
 
 // readTampered reads through a slave whose reply r.mutate tampers with and
-// requires the read to be refused as a bad pledge: nothing accepted and no
-// slot taken in the client's verified-pledge memo, so a hostile slave can
-// neither get an answer past the client nor flush the memo. The scripted
-// auditor does not vouch, so each attempt forwards its frame before the
-// signature check refuses it; an auditor over the rig's content, given
-// those frames, convicts nobody: it settles each as a forgery
-// (PledgesBadSig) or, where the tampering left the answer right, as an
-// honest audit. readTampered returns that auditor's counters.
+// requires the read to be refused as a bad pledge: nothing accepted, every
+// signature check failed, nothing reported. The scripted auditor does not
+// vouch, so each attempt forwards its frame before the signature check
+// refuses it; an auditor over the rig's content, given those frames,
+// convicts nobody: it settles each as a forgery (PledgesBadSig) or, where
+// the tampering left the answer right, as an honest audit. readTampered
+// returns that auditor's counters.
 func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	t.Helper()
 	if _, err := r.readOnce(t); err == nil {
@@ -189,8 +230,8 @@ func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	if st.BadPledges == 0 || st.ReadsAccepted != 0 {
 		t.Fatalf("not refused as a bad pledge: %+v", st)
 	}
-	if n := r.client.pledges.entries(); n != 0 || st.PledgeCacheHits != 0 {
-		t.Fatalf("tampered reply left %d memo entries and %d hits", n, st.PledgeCacheHits)
+	if st.PledgesVerified != st.BadPledges || st.ReportsFiled != 0 || len(r.reports) != 0 {
+		t.Fatalf("tampered reply: %d of %d signature checks refused, %d reports", st.BadPledges, st.PledgesVerified, len(r.reports))
 	}
 	if len(r.forwarded) == 0 || st.PledgesSent != uint64(len(r.forwarded)) {
 		t.Fatalf("%d frames forwarded, %d pledges sent", len(r.forwarded), st.PledgesSent)
@@ -413,11 +454,11 @@ func TestClientSetupFailsWithEmptyDirectory(t *testing.T) {
 // TestClientChecksStampBesidePledge: the slave's signature covers the
 // stamp's version and nothing else of it, so everything a client believes
 // about the stamp it checks itself, on every reply. Each row starts from
-// an honest reply whose pledge signature the client has already verified
-// and cached, then swaps or edits the stamp that rides beside it. The
-// checks run in readOnce's order for a read the auditor does not vouch
-// for: stamp signature and freshness first, so a row they refuse never
-// looks at the pledge, then the pledge signature.
+// an honest reply the client has already verified, then swaps or edits
+// the stamp that rides beside it. The checks run in readOnce's order for
+// a read the auditor does not vouch for: stamp signature and freshness
+// first, so a row they refuse never looks at the pledge, then the pledge
+// signature.
 func TestClientChecksStampBesidePledge(t *testing.T) {
 	r := newClientRig(t)
 	c := r.client
@@ -491,18 +532,14 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 			if tc.want != nil && tc.stat(after) != tc.stat(before)+2 {
 				t.Errorf("rejections not counted: before %+v, after %+v", before, after)
 			}
-			// An accepted pledge was a cache hit both times, one for another
-			// version a miss; one the stamp checks caught was not looked at.
-			wantHits, wantMisses := before.PledgeCacheHits, before.PledgeCacheMisses
-			switch tc.want {
-			case nil:
-				wantHits += 2
-			case ErrBadPledge:
-				wantMisses += 2
+			// An accepted pledge and one for another version were verified
+			// both times; one the stamp checks caught was not looked at.
+			wantVerified := before.PledgesVerified
+			if tc.want == nil || tc.want == ErrBadPledge {
+				wantVerified += 2
 			}
-			if after.PledgeCacheHits != wantHits || after.PledgeCacheMisses != wantMisses {
-				t.Errorf("pledge cache %d hits, %d misses, want %d and %d",
-					after.PledgeCacheHits, after.PledgeCacheMisses, wantHits, wantMisses)
+			if after.PledgesVerified != wantVerified {
+				t.Errorf("%d pledge signatures verified, want %d", after.PledgesVerified, wantVerified)
 			}
 		})
 	}
@@ -514,7 +551,7 @@ func verifyUnvouched(c *Client, sl slaveAssignment, masters []cryptoutil.PublicK
 	if err := c.checkReply(sl, masters, qb, reply); err != nil {
 		return err
 	}
-	return c.verifyPledges([]ReadReply{*reply})
+	return c.verifyPledge(&reply.Pledge)
 }
 
 // withAuditor puts an auditor over the rig's content where the scripted
@@ -568,8 +605,8 @@ func TestClientVouchSkipsVerify(t *testing.T) {
 			t.Errorf("first read: %v", err)
 			return
 		}
-		if st := r.client.Stats(); st.PledgeCacheHits+st.PledgeCacheMisses != 0 {
-			t.Errorf("the first read, vouched on execution, made %d pledge checks, want none", st.PledgeCacheHits+st.PledgeCacheMisses)
+		if st := r.client.Stats(); st.PledgesVerified != 0 {
+			t.Errorf("the first read, vouched on execution, made %d pledge checks, want none", st.PledgesVerified)
 		}
 		r.s.Sleep(2 * r.params.KeepAliveEvery)
 		before := r.client.Stats()
@@ -582,8 +619,7 @@ func TestClientVouchSkipsVerify(t *testing.T) {
 			t.Errorf("payload = %q", v)
 		}
 		after := r.client.Stats()
-		if after.ReadsAccepted != before.ReadsAccepted+1 ||
-			after.PledgeCacheHits+after.PledgeCacheMisses != before.PledgeCacheHits+before.PledgeCacheMisses {
+		if after.ReadsAccepted != before.ReadsAccepted+1 || after.PledgesVerified != before.PledgesVerified {
 			t.Errorf("vouched read: before %+v, after %+v", before, after)
 		}
 		ast := aud.Stats()
@@ -619,7 +655,7 @@ func TestClientVouchLieConvicted(t *testing.T) {
 			return
 		}
 		after := r.client.Stats()
-		if after.LiesAccepted != 1 || after.PledgeCacheMisses != before.PledgeCacheMisses+1 {
+		if after.LiesAccepted != 1 || after.PledgesVerified != before.PledgesVerified+1 {
 			t.Errorf("signed lie: before %+v, after %+v", before, after)
 		}
 		r.s.Sleep(2 * r.params.KeepAliveEvery)
@@ -703,7 +739,7 @@ func TestClientVouchReplyByte(t *testing.T) {
 		r.s.Run()
 		st := r.client.Stats()
 		if tc.accept {
-			if err != nil || st.ReadsAccepted != 1 || st.PledgeCacheHits+st.PledgeCacheMisses != 0 {
+			if err != nil || st.ReadsAccepted != 1 || st.PledgesVerified != 0 {
 				t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
 			}
 			continue
@@ -711,5 +747,96 @@ func TestClientVouchReplyByte(t *testing.T) {
 		if err == nil || st.ReadsAccepted != 0 || st.BadPledges == 0 {
 			t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
 		}
+	}
+}
+
+// TestClientVouchVerifyRule: with every read double-checked against the
+// scripted master, a client verifies a slave's signature only where it
+// relies on it — after the forward, for an answer the auditor did not
+// vouch for, and before it files a report — never ahead of the
+// double-check. Each row is one attempt: the first reply may be wrong
+// (lie) and may carry a signature its slave never made (forge).
+func TestClientVouchVerifyRule(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		vouch, lie, forge      bool
+		accept                 bool
+		verified, bad, reports uint64
+		forwarded, replaced    bool
+	}{
+		{name: "vouched right answer", vouch: true, accept: true, forwarded: true},
+		{name: "unvouched right answer", accept: true, verified: 1, forwarded: true},
+		{name: "vouched right answer, garbage signature", vouch: true, forge: true, accept: true, forwarded: true},
+		{name: "unvouched right answer, garbage signature", forge: true, verified: 1, bad: 1, forwarded: true},
+		{name: "signed lie", vouch: true, lie: true, verified: 1, reports: 1, replaced: true},
+		{name: "garbage-signed lie", vouch: true, lie: true, forge: true, verified: 1, bad: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newClientRig(t)
+			r.client.cfg.Params.DoubleCheckP = 1
+			r.client.cfg.Params.MaxReadRetries = 0
+			if tc.vouch {
+				r.ack = pledgeVouch
+			}
+			switch {
+			case tc.lie:
+				r.lie(tc.forge)
+			case tc.forge:
+				r.mutate = func(rr *ReadReply) {
+					rr.Pledge.Sig = bytes.Clone(rr.Pledge.Sig)
+					rr.Pledge.Sig[0] ^= 0xff
+				}
+			}
+			_, err := r.readOnce(t)
+			if (err == nil) != tc.accept {
+				t.Fatalf("err = %v, want accepted: %v", err, tc.accept)
+			}
+			st := r.client.Stats()
+			if st.DoubleChecks != 1 || st.PledgesVerified != tc.verified || st.BadPledges != tc.bad || st.ReportsFiled != tc.reports {
+				t.Errorf("%d double-checks, %d verified, %d bad, %d reports filed; want 1, %d, %d, %d: %+v",
+					st.DoubleChecks, st.PledgesVerified, st.BadPledges, st.ReportsFiled, tc.verified, tc.bad, tc.reports, st)
+			}
+			if uint64(len(r.reports)) != tc.reports || (len(r.forwarded) == 1) != tc.forwarded {
+				t.Errorf("%d reports reached the master, %d bodies the auditor", len(r.reports), len(r.forwarded))
+			}
+			if replaced := len(r.excludes) > 1; replaced != tc.replaced {
+				t.Errorf("slave replaced: %v, want %v (m.getslave exclusions %q)", replaced, tc.replaced, r.excludes)
+			}
+		})
+	}
+}
+
+// TestClientVouchKSlaveDisagreement: two slaves disagree, one with a lie
+// under a signature it never made, one with a lie it signed. The client
+// double-checks with the master and verifies each pledge only as it
+// reports it: the signed liar is reported and replaced, the forgery
+// frames nobody.
+func TestClientVouchKSlaveDisagreement(t *testing.T) {
+	r := newClientRig(t)
+	r.client.cfg.KSlaves = 2
+	r.client.cfg.Params.MaxReadRetries = 0
+	r.lie(true)
+	liar := cryptoutil.DeriveKeyPair("slave", 2)
+	r.addSlave(rigSlave{addr: "slave-2", keys: liar, mutate: func(rr *ReadReply) {
+		rr.Payload = query.Encode(query.Get{Key: "another wrong answer"})
+		rr.Pledge = SignPledge(liar, rr.Pledge.QueryBytes, cryptoutil.HashBytes(rr.Payload), rr.Pledge.Stamp)
+	}})
+	if _, err := r.readOnce(t); !errors.Is(err, errRetry) {
+		t.Fatalf("disagreeing read: %v", err)
+	}
+	st := r.client.Stats()
+	if st.KMismatch != 1 || st.PledgesVerified != 2 || st.BadPledges != 1 || st.ReportsFiled != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if len(r.reports) != 1 {
+		t.Fatalf("%d reports reached the master, want 1", len(r.reports))
+	}
+	rd := wire.NewReader(r.reports[0])
+	p, err := DecodePledge(wire.NewReader(rd.Bytes()))
+	if err != nil || !bytes.Equal(p.SlavePub, liar.Public) || p.VerifySig() != nil {
+		t.Errorf("the report is not the liar's signed pledge: %v", err)
+	}
+	if len(r.excludes) != 2 || !slices.Equal(r.excludes[1], []string{"slave-2"}) {
+		t.Errorf("m.getslave exclusions %q, want the liar's replacement", r.excludes)
 	}
 }

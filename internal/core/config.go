@@ -116,18 +116,12 @@ func chargeCPU(cpu *sim.Resource, d time.Duration) {
 }
 
 // chargeMemoised charges work a memo can spare (a signature operation, a
-// query's scan) at memoCost.
+// query's scan): full, or a cache lookup when a hit made it unnecessary.
 func chargeMemoised(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Duration, hit bool) {
-	chargeCPU(cpu, memoCost(costs, full, hit))
-}
-
-// memoCost is the cost of work a memo can spare: full, or a cache lookup
-// when a hit made it unnecessary.
-func memoCost(costs cryptoutil.CostModel, full time.Duration, hit bool) time.Duration {
 	if hit {
-		return costs.CacheLookup
+		full = costs.CacheLookup
 	}
-	return full
+	chargeCPU(cpu, full)
 }
 
 // DirectoryService is the slice of pki.Directory behaviour the protocol

@@ -30,8 +30,9 @@
 //	                           Client.checkReply rebuilds it from the
 //	                           query asked and the payload received and
 //	                           checks the stamp and its freshness;
-//	                           Client.verifyPledges checks the slave's
-//	                           signature unless the auditor vouches.
+//	                           Client.verifyPledge checks the slave's
+//	                           signature unless the auditor vouches,
+//	                           and before any report.
 //	§3.3 (double-checking)   — Client.doubleCheck, the master's greedy-
 //	                           client throttling (greedyTracker).
 //	§3.4 (auditing)          — Auditor re-executes pledged reads on
@@ -147,68 +148,71 @@
 // master keeps no snapshot for that: it encodes and signs its current
 // state when such a sync arrives.
 //
-// Signatures on the read path are paid once per distinct piece of
-// evidence (sigcache.go has the safety argument). A pledge's signature
-// covers pledge.v2 ‖ query ‖ result hash ‖ Stamp.Version ‖ slave key, the
-// slave's claim about one version; the timestamp need not be under it,
-// because that the version is current is the master's claim, carried beside
-// it by the master-signed stamp. So a repeated query at one version gets
-// the same slave signature under every keep-alive, and slave, clients and
-// auditor remember signatures made or verified in one bounded memo type
-// (sigCache) that is never cleared, each sized for its use: 256 entries
-// for stamps, 32 768 at a pledge verifier, 8192 at the slave's signer. The
-// client builds the signed body from the query it asked, the hash of the
-// payload it got and its assigned slave's key, so a reply for another
-// query, with another payload or from another slave misses the memo, fails
-// the signature and takes no slot. Run on every reply, hit or miss, in
-// this order: the hash of the payload, stamp for the signed version from a
-// certified master under its signature, freshness.
+// Signatures on the read path. sigcache.go says what a pledge's
+// signature covers — the slave's claim about one version, not the stamp
+// that rides beside it — and why a memo hit is safe. The client builds the
+// signed body from the query it asked, the hash of the payload it got and
+// its assigned slave's key, and on every reply checks, in this order: the
+// hash of the payload, stamp for the signed version from a certified
+// master under its signature, freshness.
 //
-// The auditor answers at the read's own version (auditor.go, client.go).
-// A client checks a slave's pledge signature so that a lie it accepts can
-// be pinned on the signer (§3.2, §3.4). The auditor keeps the content at
-// every batch boundary as a view — an O(1) copy-on-write store.Clone with
-// its own answer cache — until MaxLatency + AuditorSlack after the next
-// batch was delivered, when no client can still accept a read there.
-// deliver only holds batches; they are applied up to the version a frame
-// needs, by the a.pledge handler or by the once-per-keep-alive apply loop.
-// Auditor.handlePledge settles every frame of a body in one critical
-// section, as exactly one of: sampled out; waiting, when its version V is
-// above masterV, the last version delivered (pending holds only these);
-// late, when no view is at exactly V; audited and right, when the answer
-// at V is the frame's result hash; convicted otherwise. The reply is the
-// one byte 0x01 exactly when every frame was audited and right. Why "no
-// view at V" means "no honest client reads at V": every replica applies a
-// delivered batch whole (deliver mirrors the masters' skip of undecodable
-// ops, so versions are numbered alike) and every stamp a master signs
-// names the version after a whole batch, so an honest read is always at a
-// batch boundary. The client accepts a read only when the stamp checks
-// pass and either the slave's signature verifies or the auditor vouched.
-// It verifies first before a drawn double-check and before a K-slave
-// disagreement, so a report always carries a verified pledge; otherwise
-// it forwards first and verifies only when the ack is not exactly the
-// vouch. A vouched answer is correct — the trusted auditor found the same
-// hash at that signed, fresh version — so there is no lie to pin on
-// anyone; a lie's hash is never the auditor's answer, so a lie is never
+// One verify rule. A client checks a slave's pledge signature so that a
+// lie it accepts can be pinned on the signer (§3.2, §3.4), and it checks
+// it in exactly two places: before it accepts an answer the auditor did
+// not vouch for, and in reportPledge, before any report is filed. A drawn
+// double-check runs m.check, then the a.pledge forward, and verifies only
+// when the ack is not the vouch; a K-slave disagreement verifies a reply
+// only as it reports it. So every reply passes the stamp checks and then
+// needs a verified signature or the vouch, and every report carries a
+// verified pledge. A vouched answer is correct — the trusted auditor found
+// the same hash at that signed, fresh version — so there is no lie to pin
+// on anyone; a lie's hash is never the auditor's answer, so a lie is never
 // vouched. The vouch is not authenticated: whoever can forge the
 // auditor's one-byte reply on the wire can make a client skip its verify,
 // the same hole as the forged §3.4 ack through which a signed lie skips
-// the audit; ROADMAP item 13(a) tags the reply. A cache miss runs on the
-// handler, so a forged pledge buys one scan per distinct query per
-// version there; bounding it is ROADMAP item 7's job.
+// the audit; ROADMAP item 13(a) tags the reply.
 //
-// On the real-clock benchmark (seed 1, 8 s runs, before the vouch) the
-// memos missed, per accepted read, 0.41 client verifies and 0.56 slave
-// signs on read-scan, 0.10 and 0.11 on read-point, 0.96 and 0.96 on mixed,
-// whose uniform keys do not repeat between commits. With the vouch at the
-// auditor's own version, 78 % of read-scan's reads and 94 % of
-// read-point's were vouched for, and their client verifies fell to about
-// 0.22 and 0.06; mixed reads at versions a lagging auditor had not
-// applied yet, so almost none was. Answering at the read's own version
-// takes mixed's client verifies to about DoubleCheckP (0.05), the
-// double-checks that verify first; TestClusterVouchAheadVerifyRatio pins
-// that shape in the simulator. TestPledgeMemoHitRatio pins the memos alone on one-kind
-// catalogs (Zipf Gets, uniform ten-key Ranges), not these mixes.
+// Every memo is kept for traffic measured through it (replbench, seed 1,
+// 6–8 s runs):
+//
+//	Client.stamps (256)   99.9 % hits: one stamp per keep-alive interval
+//	Slave.stamps (256)    no hits on the four workloads, but a resync
+//	                      re-verifies the stamps of batches it dropped
+//	                      (the lying-slave cell's read_p99_ms: 66 → 95
+//	                      without it)
+//	Slave.pledges (8192)  signer hits per read: 0.91 read-point, 0.45
+//	                      read-scan, 0.065 mixed
+//	resultMemo            20 % hits on read-scan, none elsewhere
+//
+// No pledge verify has a memo. With the rule above a client verifies no
+// pledge on read-point, read-scan or mixed (0.048 per accepted read when
+// it verified before each drawn double-check, all of them there); the
+// auditor verifies only a pledge its content contradicts, which no
+// benchmark workload has; and a master's catch-up verifies each stamp
+// once. TestClusterVouchAheadVerifyRatio pins the rule on the simulated
+// mixed shape (no verify when the auditor vouched for every pledge), and
+// TestPledgeMemoHitRatio pins the signer and the stamp memo on one-kind
+// catalogs (Zipf Gets, uniform ten-key Ranges).
+//
+// The auditor answers at the read's own version (auditor.go). The
+// auditor keeps the content at every batch boundary as a view — an O(1)
+// copy-on-write store.Clone with its own answer cache — until MaxLatency +
+// AuditorSlack after the next batch was delivered, when no client can
+// still accept a read there. deliver only holds batches; they are applied
+// up to the version a frame needs, by the a.pledge handler or by the
+// once-per-keep-alive apply loop. Auditor.handlePledge settles every frame
+// of a body in one critical section, as exactly one of: sampled out;
+// waiting, when its version V is above masterV, the last version
+// delivered (pending holds only these); late, when no view is at exactly
+// V; audited and right, when the answer at V is the frame's result hash;
+// convicted otherwise. The reply is the one byte 0x01 exactly when every
+// frame was audited and right. Why "no view at V" means "no honest client
+// reads at V": every replica applies a delivered batch whole or not at
+// all, under one rule (decodeBatchMessage), so versions are numbered
+// alike, and every stamp a master signs names the version after a whole
+// batch, so an honest read is always at a batch boundary. A cache miss
+// runs on the handler, so a forged pledge buys one scan per distinct
+// query per version there; bounding it is ROADMAP item 7's job.
 //
 // Scan once per version (resultmemo.go). Slaves exist for arbitrary dynamic
 // queries (§3.2), and a dynamic query is a walk over the content.
@@ -249,12 +253,16 @@
 // (Mismatches). The check and the mark of the slave as detected are one
 // critical section, so the first lie from each slave is reported once;
 // only the m.report RPC runs on a task of its own, so no ack waits on it.
+// A report no master accepts clears the mark, so the slave's next lie is
+// reported again.
 // The invariant is: no report without a verified signature, at
 // the auditor and again at the master. Auditor.report accepts only a
 // provenPledge, which only settleLocked constructs, and Master.handleReport
-// verifies the pledge itself before it excludes anyone, whoever vouches
-// for it; it then signs the bcExclude it broadcasts, and applyExclude
-// acts on no other. Known and accepted: a forged pledge naming an expensive scan
+// verifies the pledge itself, once and outside its lock, before it
+// excludes anyone, whoever vouches for it; it then compares versions and
+// re-executes in one critical section (a version that moved falls through
+// to the auditor's signature), signs the bcExclude it broadcasts, and
+// applyExclude acts on no other. Known and accepted: a forged pledge naming an expensive scan
 // costs the auditor the scan before the verify rejects it, where a
 // verify-first auditor paid the verify alone. Any client can buy the same
 // scan with a real read, and a.pledge has no admission bound either way;

@@ -238,7 +238,8 @@ func (m *Master) catchUpFrom(peer string) error {
 	from := m.store.Version() + 1
 	m.mu.Unlock()
 
-	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.cfg.CPU, subjects(masters), m.stamps)
+	// No stamp memo: a catch-up is rare and verifies each stamp once.
+	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.cfg.CPU, subjects(masters), nil)
 	if err != nil {
 		return err
 	}

@@ -671,3 +671,62 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 		r.checkPartition(t)
 	})
 }
+
+// FuzzMasterHandleReport drives the m.report handler, which any client can
+// call, over arbitrary bodies, against a master at version 1 holding k = v.
+// The invariants: no panic; a report whose pledge does not verify under
+// its own slave key broadcasts nothing; and one without a valid auditor
+// signature excludes exactly when re-execution at the master's own version
+// contradicts the pledge — so the exclusion broadcast, the error returned
+// and the slave excluded all agree with that rule.
+func FuzzMasterHandleReport(f *testing.F) {
+	mk := cryptoutil.DeriveKeyPair("master", 0)
+	aud := cryptoutil.DeriveKeyPair("auditor", 0) // the rig master's AuditorPub
+	slave := cryptoutil.DeriveKeyPair("slave", 0)
+	qb := query.Encode(query.Get{Key: "k"})
+	honest, _ := query.Get{Key: "k"}.Execute(storeWith(f, "k", "v"))
+	pledgeAt := func(v uint64, h cryptoutil.Digest) []byte {
+		return EncodePledge(SignPledge(slave, qb, h, SignStamp(mk, v, time.Unix(1000, 0))))
+	}
+	report := func(pledgeBytes, sig []byte) []byte {
+		return wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(pledgeBytes); w.Bytes_(sig) })
+	}
+	wrong := cryptoutil.HashBytes([]byte("wrong"))
+	lie, old := pledgeAt(1, wrong), pledgeAt(0, wrong)
+	fake := bytes.Clone(lie)
+	fake[len(fake)-1] ^= 0xff // the signature is the frame's last field
+	f.Add(report(pledgeAt(1, honest.Digest()), nil))
+	f.Add(report(lie, nil))
+	f.Add(report(old, nil))
+	f.Add(report(old, aud.Sign(old)))
+	f.Add(report(fake, nil))
+	f.Add(report(fake, aud.Sign(fake)))
+	f.Add(report(lie, nil)[:len(lie)/2])
+	f.Add(report(old, aud.Sign(old))[:len(old)+3])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := newMasterRig(t, nil)
+		content := storeWith(t, "k", "v")
+		var err error
+		r.s.Go(func() { _, err = r.master.Handle("anyone", MethodReport, body) })
+		r.s.Run()
+		excluded := snapshotDeliverState(r.master).excluded
+
+		rd := wire.NewReader(body)
+		pledgeBytes, sig := rd.Bytes(), rd.Bytes()
+		p, perr := decodePledgeFrame(pledgeBytes)
+		if rd.Done() != nil || perr != nil || p.VerifySig() != nil {
+			if len(excluded) != 0 || err == nil {
+				t.Fatalf("a report whose pledge does not verify: err %v, excluded %d slaves", err, len(excluded))
+			}
+			return
+		}
+		proven, _, cerr := CheckPledgeAgainst(content, &p)
+		want := (cerr == nil && proven) || (len(sig) > 0 && cryptoutil.Verify(aud.Public, pledgeBytes, sig) == nil)
+		if want != (err == nil) || want != (len(excluded) == 1) || (want && !excluded[string(p.SlavePub)]) {
+			t.Fatalf("report (re-execution contradicts: %v, auditor-signed: %v): err %v, excluded %v",
+				cerr == nil && proven, len(sig) > 0, err, excluded)
+		}
+	})
+}

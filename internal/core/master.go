@@ -204,8 +204,6 @@ type Master struct {
 	walHook func(uint64) // test hook: after WAL append+sync, before acks
 
 	greedy *greedyTracker
-
-	stamps *sigCache // verified-stamp cache (catch-up record streams)
 }
 
 // NewMaster creates a master over an initial content replica (cloned).
@@ -237,7 +235,6 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		excluded:     make(map[string]bool),
 		lastTruncate: rt.Now(),
 		greedy:       newGreedyTracker(cfg.Params),
-		stamps:       newSigCache(stampMemoSize),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
@@ -993,21 +990,18 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 		return nil, err // a forged pledge can never frame a slave (§3.3)
 	}
 
+	// The version compared is the one re-executed at: one critical section.
 	m.mu.Lock()
 	m.stats.Reports++
-	sameVersion := m.store.Version() == pledge.Stamp.Version
+	atVersion := m.store.Version() == pledge.Stamp.Version
+	proven := false
+	if atVersion {
+		proven, _ = pledge.contradictedBy(m.store)
+	}
 	m.mu.Unlock()
 
-	proven := false
-	if sameVersion {
-		m.mu.Lock()
-		ok, _, err := CheckPledgeAgainst(m.store, &pledge)
-		m.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	if atVersion {
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryBase)
-		proven = ok
 	}
 	if !proven && len(auditorSig) > 0 &&
 		cryptoutil.Verify(m.cfg.AuditorPub, pledgeBytes, auditorSig) == nil {

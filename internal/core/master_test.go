@@ -230,7 +230,7 @@ func TestMasterCheckReturnsVersionAndHash(t *testing.T) {
 	}
 }
 
-func storeWith(t *testing.T, k, v string) *store.Store {
+func storeWith(t testing.TB, k, v string) *store.Store {
 	t.Helper()
 	s := store.New()
 	s.Apply(store.Put{Key: k, Value: []byte(v)})

@@ -1,9 +1,11 @@
-// Signature memo: each distinct piece of signed evidence is paid for once.
-// The same evidence arrives many times — every read between two keep-alives
-// carries the same stamp, every record of a batch the batch stamp, and,
-// ed25519 being deterministic, every repeat of a query at one content
-// version the same pledge signature — and recognizing bytes already signed
-// or verified is a hash lookup (CacheLookup vs Sign/VerifySig).
+// Signature memo: a piece of signed evidence that arrives again and again
+// is paid for once. Every read between two keep-alives carries the same
+// stamp, and, ed25519 being deterministic, every repeat of a query at one
+// content version the same pledge signature; recognizing bytes already
+// verified or signed is a hash lookup (CacheLookup vs Sign/VerifySig).
+// The client's and the slave's stamp verifiers and the slave's pledge
+// signer are kept for their measured traffic (core/doc.go); a pledge
+// verify is rare enough to have no memo.
 //
 // What a pledge's signature covers: pledge.v2 ‖ query ‖ result hash ‖
 // Stamp.Version ‖ slave key — "this is the answer at version v", all anyone
@@ -19,20 +21,16 @@
 // Safety of a hit. A verifier's key is a digest over the whole signed body
 // AND the signature: a seen signature on an altered body, a seen body
 // under a garbage signature, a verdict replayed under another signer (the
-// signer's key is in every body; the domain strings vstamp.v1, vbatch.v1,
-// pledge.v2 keep the kinds apart) all miss. Only positive verdicts are
+// signer's key is in every body; the domain strings vstamp.v1 and
+// vbatch.v1 keep the kinds apart) all miss. Only positive verdicts are
 // stored, after a full Verify. A signer's key is the digest of the body
 // and its entry the signature made for it, so a hit returns the bytes
 // signing again would; a corrupted payload has another result hash, hence
 // another key. Checks about the receiver or the moment — payload hash,
 // assigned slave, query asked, certified master, freshness — are in no
-// cached verdict. A client runs the stamp's (certified master, freshness)
-// on every reply; the payload hash, slave and query are in the body whose
-// signature it checks, so they hold wherever that check runs. It skips the
-// pledge check only when the auditor vouches: the auditor then found the
-// hash the client computed, for the query it asked, in its own content at
-// exactly the stamp's version, so the answer is right whoever signed it
-// (Client.readOnce).
+// cached verdict: a client runs the stamp's (certified master, freshness)
+// on every reply, and the payload hash, slave and query are in the body
+// whose signature it checks.
 package core
 
 import (
@@ -47,16 +45,13 @@ import (
 )
 
 // Memo capacities, in entries, one per use. A stamp memo is only ever
-// asked about the few stamps current at once. A pledge memo holds a
-// working set of queries at one content version and is sized by unit
-// cost: a verifier entry is 20 bytes and its miss a verify (≈ 57 µs on the
-// benchmark host's ledger), a signer entry 84 bytes and its miss a sign
-// (≈ 29 µs), so verifiers get the larger table. A live table byte costs
-// two at the collector's heap goal.
+// asked about the few stamps current at once. The signer holds a working
+// set of queries at one content version: an entry is 84 bytes and its
+// miss a sign (≈ 29 µs on the benchmark host's ledger). A live table byte
+// costs two at the collector's heap goal.
 const (
-	stampMemoSize        = 256   // 5 KB
-	pledgeVerifyMemoSize = 32768 // 640 KB
-	pledgeSignMemoSize   = 8192  // 672 KB
+	stampMemoSize      = 256  // 5 KB
+	pledgeSignMemoSize = 8192 // 672 KB
 
 	sigCacheWays = 8 // slots per set, searched linearly, most recently used first
 )
@@ -204,16 +199,6 @@ func (c *sigCache) verifyStamp(v *VersionStamp, trusted []cryptoutil.PublicKey) 
 	hit, err = c.verify(v.MasterPub, v.appendSignedBytes, v.Sig)
 	if err != nil {
 		return false, fmt.Errorf("%w: %v", ErrBadStamp, err)
-	}
-	return hit, nil
-}
-
-// verifyPledge checks the slave's signature on the pledge, which covers
-// the carried stamp's version and nothing else of it.
-func (c *sigCache) verifyPledge(p *Pledge) (hit bool, err error) {
-	hit, err = c.verify(p.SlavePub, p.appendSignedBytes, p.Sig)
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrBadPledge, err)
 	}
 	return hit, nil
 }

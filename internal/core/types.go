@@ -335,10 +335,14 @@ func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptou
 	return p
 }
 
-// VerifySig checks the slave's signature on the pledge.
+// VerifySig checks the slave's signature on the pledge, which covers the
+// carried stamp's version and nothing else of it. It is the one pledge
+// verify, and no memo stands in front of it.
 func (p *Pledge) VerifySig() error {
-	_, err := (*sigCache)(nil).verifyPledge(p)
-	return err
+	if _, err := (*sigCache)(nil).verify(p.SlavePub, p.appendSignedBytes, p.Sig); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadPledge, err)
+	}
+	return nil
 }
 
 // Encode appends the pledge's evidence frame to w: bytes query ‖ bytes
@@ -396,10 +400,7 @@ func decodePledge(r *wire.Reader) (Pledge, error) {
 // CheckPledgeAgainst re-executes the pledged query on a replica that is
 // at the pledge's content version and reports whether the pledge is a
 // valid misbehaviour proof: signature valid but result hash wrong.
-// It returns (proven, correctHash, error). An execution error on a
-// malformed query also proves misbehaviour by an honest-executor
-// standard: an honest slave would have returned the same error, not a
-// signed result.
+// It returns (proven, correctHash, error).
 func CheckPledgeAgainst(replica *store.Store, p *Pledge) (bool, cryptoutil.Digest, error) {
 	if err := p.VerifySig(); err != nil {
 		return false, cryptoutil.Digest{}, err
@@ -409,16 +410,27 @@ func CheckPledgeAgainst(replica *store.Store, p *Pledge) (bool, cryptoutil.Diges
 			"core: replica at version %d cannot check pledge for version %d",
 			replica.Version(), p.Stamp.Version)
 	}
+	proven, correct := p.contradictedBy(replica)
+	return proven, correct, nil
+}
+
+// contradictedBy re-executes the pledged query on replica, which the
+// caller holds at the pledge's version, and reports whether the answer
+// there contradicts the pledge, with the correct hash. It checks no
+// signature. An execution error on a malformed query also contradicts it
+// by an honest-executor standard: an honest slave would have returned the
+// same error, not a signed result.
+func (p *Pledge) contradictedBy(replica *store.Store) (bool, cryptoutil.Digest) {
 	q, err := query.Decode(p.QueryBytes)
 	if err != nil {
-		return true, cryptoutil.Digest{}, nil // signed garbage query: proof
+		return true, cryptoutil.Digest{} // signed garbage query
 	}
 	res, err := q.Execute(replica)
 	if err != nil {
-		return true, cryptoutil.Digest{}, nil // signed unexecutable query
+		return true, cryptoutil.Digest{} // signed unexecutable query
 	}
 	correct := res.Digest()
-	return !correct.Equal(p.ResultHash), correct, nil
+	return !correct.Equal(p.ResultHash), correct
 }
 
 // WriteWave is a client-signed wave of writes (MethodWriteMulti): ONE
