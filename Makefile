@@ -14,11 +14,12 @@
 #                     README package-map completeness
 #                     check, and a smoke run of the real-clock benchmark
 #                     under bench/.
-#   make bench-sim  — the E15 batch-throughput, E16 checkpointing, E17
-#                     crash-recovery, E18 hot-path and E19 shard-scaling
-#                     tables at full scale, as one deterministic JSON
+#   make bench-sim  — every experiment's tables at full scale (the paper
+#                     tables E1–E14, then E15 batch throughput, E16
+#                     checkpointing, E17 crash recovery, E18 hot path and
+#                     E19 shard scaling), as one deterministic JSON
 #                     document, BENCH_sim.json: the virtual-time figures
-#                     the README quotes (about 75 s on a 2-core host).
+#                     the README quotes (about 80 s on a 2-core host).
 #   make lint       — repllint (the in-tree go/analysis suite under
 #                     internal/analysis: lockcheck and trustcheck),
 #                     then staticcheck and
@@ -88,7 +89,7 @@ race:
 # The simulator's record: virtual time, so one seed always writes the
 # same bytes, and a table that moves shows in the file's diff.
 bench-sim:
-	$(GO) run ./cmd/replsim -exp E15,E16,E17,E18,E19 -json > BENCH_sim.json
+	$(GO) run ./cmd/replsim -all -json > BENCH_sim.json
 	@echo "wrote BENCH_sim.json"
 
 # The workload × fault matrix: every cell must end converged with zero

@@ -32,7 +32,6 @@ type scenarioFlags struct {
 	batch      *int
 	batchWait  *time.Duration
 	checkpoint *time.Duration
-	ckptRetain *int
 	dataDir    *string
 }
 
@@ -52,7 +51,6 @@ func registerScenarioFlags() scenarioFlags {
 		batch:      flag.Int("batch", 1, "scenario: master write-batch size (1 = unbatched)"),
 		batchWait:  flag.Duration("batchwait", 0, "scenario: batch flush timeout (0 = max_latency/4)"),
 		checkpoint: flag.Duration("checkpoint", 0, "scenario: stability-checkpoint cadence (0 = off; log/archive grow forever)"),
-		ckptRetain: flag.Int("ckptretain", 0, "scenario: ops always kept below the stable version, rounded up to a whole batch (0 = default)"),
 		dataDir:    flag.String("datadir", "", "scenario: base dir for per-master durable WAL+snapshot (\"\" = in-memory)"),
 	}
 }
@@ -68,7 +66,6 @@ func runScenario(seed int64, f scenarioFlags) {
 	cfg.BatchSize = *f.batch
 	cfg.BatchTimeout = *f.batchWait
 	cfg.CheckpointEvery = *f.checkpoint
-	cfg.CheckpointMinRetain = *f.ckptRetain
 	cfg.DataDir = *f.dataDir
 	cfg.SlaveBehaviors = map[int]core.Behavior{}
 	for i := 0; i < *f.liars && i < *f.masters**f.slaves; i++ {

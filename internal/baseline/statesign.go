@@ -69,7 +69,6 @@ type SSStorage struct {
 	mu     sync.Mutex
 	tree   *merkle.Tree
 	root   SignedRoot
-	gets   uint64
 	proofB uint64 // total proof bytes served
 }
 
@@ -106,13 +105,6 @@ func (s *SSStorage) Update(snapshot *store.Store, root SignedRoot) {
 	s.root = root
 }
 
-// Gets returns the number of point reads served.
-func (s *SSStorage) Gets() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.gets
-}
-
 // ProofBytes returns the total proof bytes served.
 func (s *SSStorage) ProofBytes() uint64 {
 	s.mu.Lock()
@@ -132,7 +124,6 @@ func (s *SSStorage) Handle(from, method string, body []byte) ([]byte, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.gets++
 	idx := s.tree.Find(key)
 	w := wire.NewWriter(256)
 	if idx < 0 {
@@ -276,7 +267,7 @@ func (c *SSClient) Read(q query.Query) ([]byte, bool, error) {
 	// Dynamic query: trusted host only (§5).
 	w := wire.NewWriter(64)
 	w.Bytes_(query.Encode(q))
-	payload, err := c.Dialer.Call(c.TrustedAddr, MethodSSDynamic, w.Bytes())
+	payload, err := c.Dialer.CallTimeout(c.TrustedAddr, MethodSSDynamic, w.Bytes(), callBound)
 	if err != nil {
 		return nil, true, err
 	}
@@ -291,7 +282,7 @@ func (c *SSClient) Read(q query.Query) ([]byte, bool, error) {
 func (c *SSClient) verifiedGet(key string) ([]byte, error) {
 	w := wire.NewWriter(32)
 	w.String_(key)
-	body, err := c.Dialer.Call(c.StorageAddr, MethodSSGet, w.Bytes())
+	body, err := c.Dialer.CallTimeout(c.StorageAddr, MethodSSGet, w.Bytes(), callBound)
 	if err != nil {
 		return nil, err
 	}

@@ -520,7 +520,7 @@ func TestBroadcastLocalOnce(t *testing.T) {
 				if tc.forge {
 					w := wire.NewWriter(16)
 					entry{id: submitID{origin: 1, n: c.members[1].nextSubmit}, msg: []byte("forged")}.encode(w)
-					c.net.Dialer("forger").Call("m0", MethodSubmit, w.Bytes())
+					c.net.Dialer("forger").CallTimeout("m0", MethodSubmit, w.Bytes(), 0)
 					s.Sleep(100 * time.Millisecond)
 				}
 				err = c.members[1].Broadcast([]byte("own"), "L")

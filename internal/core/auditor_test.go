@@ -438,7 +438,6 @@ func TestAuditorAdvancesAfterWindow(t *testing.T) {
 // nopDialer swallows the auditor's reports where no simulation runs.
 type nopDialer struct{}
 
-func (nopDialer) Call(string, string, []byte) ([]byte, error) { return nil, nil }
 func (nopDialer) CallTimeout(string, string, []byte, time.Duration) ([]byte, error) {
 	return nil, nil
 }

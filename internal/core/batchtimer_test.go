@@ -78,9 +78,6 @@ func TestBatchTimerCoalescesSynchronizedWriters(t *testing.T) {
 // nullDialer satisfies rpc.Dialer for a master that never makes a call.
 type nullDialer struct{}
 
-func (nullDialer) Call(addr, method string, body []byte) ([]byte, error) {
-	return nil, rpc.ErrTimeout
-}
 func (nullDialer) CallTimeout(addr, method string, body []byte, d time.Duration) ([]byte, error) {
 	return nil, rpc.ErrTimeout
 }

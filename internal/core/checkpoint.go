@@ -18,7 +18,7 @@ import (
 // still need: at most once per CheckpointEvery, maybeTruncate computes the
 // stable version (the minimum over its live, recently-heard-from slaves),
 // cuts the log at the end of the newest batch at or below it — keeping
-// CheckpointMinRetain ops — and drops the broadcast archive below that
+// checkpointMinRetain ops — and drops the broadcast archive below that
 // batch's slot. Masters are trusted (§3), so no master needs another's
 // word for this, and nothing is signed or broadcast. A slave whose sync
 // request predates the new base gets the master's current state, encoded
@@ -27,12 +27,31 @@ import (
 // while one reply or one durable file needs it.
 //
 // The lagging-slave policy: a slave that has not acknowledged anything
-// within CheckpointMaxLag stops gating stability (otherwise one silent
-// slave would pin the whole history in memory forever). When it comes
-// back it finds its needed history truncated and recovers through the
-// snapshot-first sync path — strictly an efficiency trade, never a
-// correctness one, because the snapshot is authenticated by a master
-// stamp exactly like every replayed op.
+// within checkpointMaxLag keep-alive intervals stops gating stability
+// (otherwise one silent slave would pin the whole history in memory
+// forever). When it comes back it finds its needed history truncated and
+// recovers through the snapshot-first sync path — strictly an efficiency
+// trade, never a correctness one, because the snapshot is authenticated
+// by a master stamp exactly like every replayed op.
+
+// The retain window and the lag bounds are constants: nothing needs
+// different values, and every master of a group should decide alike.
+const (
+	// checkpointMinRetain is the number of recent ops a truncation always
+	// keeps below the current version, so slightly-behind slaves sync by
+	// batch replay instead of snapshot transfer. The log holds whole
+	// batches, so it keeps up to one batch more.
+	checkpointMinRetain = 64
+	// maxAckBehind is the version lag past which an acking slave stops
+	// gating stability. Gating a slave that is further behind than the
+	// retain window can keep is only worth it up to a point; beyond 8x the
+	// window the slave takes the snapshot path regardless.
+	maxAckBehind = 8 * checkpointMinRetain
+	// checkpointMaxLag, in keep-alive intervals, is how long a slave may
+	// stay silent before it stops gating stability; a slave silent longer
+	// recovers via snapshot-first sync.
+	checkpointMaxLag = 4
+)
 
 // slaveAck is the stability bookkeeping for one slave: the newest version
 // it acknowledged applying and when the acknowledgement arrived.
@@ -114,22 +133,23 @@ func parseAck(body []byte) (uint64, bool) {
 
 // stableVersionLocked computes the stability point over this master's own
 // slave set: the minimum acknowledged version among live slaves. A slave
-// stops gating stability when it is silent past CheckpointMaxLag OR when
-// its acked version trails the store by more than maxAckBehind versions —
-// slaves are untrusted, so one that keeps cheerfully acking an ancient
-// version must not be able to pin the whole history in memory (it
-// recovers via snapshot-first sync, like a silent one). With no live
-// slaves the whole history is trivially stable. Caller holds m.mu.
+// stops gating stability when it is silent past checkpointMaxLag keep-alive
+// intervals OR when its acked version trails the store by more than
+// maxAckBehind versions — slaves are untrusted, so one that keeps
+// cheerfully acking an ancient version must not be able to pin the whole
+// history in memory (it recovers via snapshot-first sync, like a silent
+// one). With no live slaves the whole history is trivially stable. Caller
+// holds m.mu.
 func (m *Master) stableVersionLocked(now time.Time) uint64 {
 	cur := m.store.Version()
 	stable := cur
-	maxBehind := m.maxAckBehind()
+	maxLag := checkpointMaxLag * m.cfg.Params.KeepAliveEvery
 	for _, sl := range m.slaves {
 		a, ok := m.acks[sl.addr]
-		if !ok || now.Sub(a.at) > m.cfg.CheckpointMaxLag {
+		if !ok || now.Sub(a.at) > maxLag {
 			continue
 		}
-		if cur-a.version > maxBehind {
+		if cur-a.version > maxAckBehind {
 			continue
 		}
 		if a.version < stable {
@@ -137,14 +157,6 @@ func (m *Master) stableVersionLocked(now time.Time) uint64 {
 		}
 	}
 	return stable
-}
-
-// maxAckBehind is the version-lag bound past which an acking slave stops
-// gating stability. Gating a slave that is further behind than the
-// retain window can keep is only worth it up to a point; beyond 8x the
-// window the slave takes the snapshot path regardless.
-func (m *Master) maxAckBehind() uint64 {
-	return 8 * uint64(m.cfg.CheckpointMinRetain)
 }
 
 // maybeTruncate ends every delivery of a message other than a write batch
@@ -156,7 +168,7 @@ func (m *Master) maxAckBehind() uint64 {
 //
 // At most once per CheckpointEvery it cuts the op log at the end of the
 // newest logged batch at or below min(stable version, current −
-// CheckpointMinRetain), so slightly-behind slaves keep the cheap
+// checkpointMinRetain), so slightly-behind slaves keep the cheap
 // batch-replay path, and drops the broadcast archive below that batch's
 // slot. seq is the slot just delivered: a durable master persists a
 // snapshot anchored there (every batch at or below seq is inside it) and
@@ -174,10 +186,10 @@ func (m *Master) maybeTruncate(seq uint64) {
 		return
 	}
 	m.lastTruncate = now
-	cur, retain := m.store.Version(), uint64(m.cfg.CheckpointMinRetain)
+	cur := m.store.Version()
 	k := 0 // the batches that end at or below the cut
-	if cur > retain {
-		k = m.logIndexLocked(min(m.stableVersionLocked(now), cur-retain) + 1)
+	if cur > checkpointMinRetain {
+		k = m.logIndexLocked(min(m.stableVersionLocked(now), cur-checkpointMinRetain) + 1)
 	}
 	if k == 0 {
 		m.mu.Unlock()

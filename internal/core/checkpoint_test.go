@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 
 // newStabilityRig builds an unstarted master whose store is at the given
 // version, for white-box stability-policy tests.
-func newStabilityRig(t *testing.T, version int, minRetain int) *Master {
+func newStabilityRig(t *testing.T, version int) *Master {
 	t.Helper()
 	s := sim.New(1)
 	net := rpc.NewSimNet(s, sim.Const(time.Millisecond))
@@ -22,11 +23,10 @@ func newStabilityRig(t *testing.T, version int, minRetain int) *Master {
 		initial.Apply(store.Put{Key: "k", Value: []byte{byte(i)}})
 	}
 	m, err := NewMaster(MasterConfig{
-		Addr:                "m0",
-		Keys:                cryptoutil.DeriveKeyPair("master", 0),
-		Params:              DefaultParams(),
-		Peers:               []string{"m0"},
-		CheckpointMinRetain: minRetain,
+		Addr:   "m0",
+		Keys:   cryptoutil.DeriveKeyPair("master", 0),
+		Params: DefaultParams(),
+		Peers:  []string{"m0"},
 	}, s, net.Dialer("m0"), initial)
 	if err != nil {
 		t.Fatal(err)
@@ -36,31 +36,32 @@ func newStabilityRig(t *testing.T, version int, minRetain int) *Master {
 
 // TestStableVersionLaggingAckPolicy pins the policy that keeps one
 // untrusted slave from defeating the bounded-memory guarantee: a slave
-// that keeps acking an ancient version (never silent, so CheckpointMaxLag
+// that keeps acking an ancient version (never silent, so checkpointMaxLag
 // never ungates it) must stop gating stability once its version lag
 // exceeds the maxAckBehind bound, while a merely-slow slave inside the
 // bound still pins history to the cheap record-replay path.
 func TestStableVersionLaggingAckPolicy(t *testing.T) {
-	const cur = 100
-	m := newStabilityRig(t, cur, 4) // maxAckBehind = 32
+	const cur = 2 * maxAckBehind
+	const far, near = maxAckBehind + 8, maxAckBehind / 2
+	m := newStabilityRig(t, cur)
 	m.AddSlave("s-fresh", cryptoutil.DeriveKeyPair("slave", 0).Public)
 	m.AddSlave("s-behind", cryptoutil.DeriveKeyPair("slave", 1).Public)
 
 	m.recordAck("s-fresh", cur)
-	m.recordAck("s-behind", cur-40) // beyond maxAckBehind: adversarial or hopeless
+	m.recordAck("s-behind", cur-far) // beyond maxAckBehind: adversarial or hopeless
 	m.mu.Lock()
 	got := m.stableVersionLocked(m.rt.Now())
 	m.mu.Unlock()
 	if got != cur {
-		t.Fatalf("stable = %d with a 40-behind acker; want %d (it must not gate)", got, cur)
+		t.Fatalf("stable = %d with a %d-behind acker; want %d (it must not gate)", got, far, cur)
 	}
 
-	m.recordAck("s-behind", cur-20) // inside the bound: honest-but-slow
+	m.recordAck("s-behind", cur-near) // inside the bound: honest-but-slow
 	m.mu.Lock()
 	got = m.stableVersionLocked(m.rt.Now())
 	m.mu.Unlock()
-	if got != cur-20 {
-		t.Fatalf("stable = %d with a 20-behind acker; want %d (it should gate)", got, cur-20)
+	if got != cur-near {
+		t.Fatalf("stable = %d with a %d-behind acker; want %d (it should gate)", got, near, cur-near)
 	}
 
 	// A forged ack claiming a future version must not raise stability.
@@ -77,7 +78,7 @@ func TestStableVersionLaggingAckPolicy(t *testing.T) {
 // arriving from a slave that was just removed from the set must not
 // re-create its entry.
 func TestRecordAckDropsNonMembers(t *testing.T) {
-	m := newStabilityRig(t, 10, 4)
+	m := newStabilityRig(t, 10)
 	m.AddSlave("s0", cryptoutil.DeriveKeyPair("slave", 0).Public)
 	m.recordAck("ghost", 5)
 	m.mu.Lock()
@@ -97,7 +98,9 @@ func TestRecordAckDropsNonMembers(t *testing.T) {
 // truncation is each master's own decision. Each cuts at its own slave's
 // stable point — while idle too, on slave-list deliveries alone — and then,
 // with acks moving under a steady write stream, never more than once per
-// CheckpointEvery.
+// CheckpointEvery. The slaves' acks are refreshed well inside the
+// silent-slave lag, and one wave of checkpointMinRetain ops puts the
+// retain window above both stable points.
 func TestEachMasterTruncatesAtItsOwnStablePoint(t *testing.T) {
 	const every = time.Second
 	s := sim.New(7)
@@ -115,9 +118,7 @@ func TestEachMasterTruncatesAtItsOwnStablePoint(t *testing.T) {
 		m, err := NewMaster(MasterConfig{
 			Addr: addr, Keys: cryptoutil.DeriveKeyPair("master", i), Params: params,
 			ContentKey: owner.Public, Peers: peers, Directory: dir, Seed: int64(i),
-			CheckpointEvery:     every,
-			CheckpointMinRetain: 4,         // maxAckBehind = 32
-			CheckpointMaxLag:    time.Hour, // acks never go stale here
+			CheckpointEvery: every,
 		}, s, net.Dialer(addr), initial)
 		if err != nil {
 			t.Fatal(err)
@@ -127,11 +128,11 @@ func TestEachMasterTruncatesAtItsOwnStablePoint(t *testing.T) {
 		masters = append(masters, m)
 	}
 	client := cryptoutil.DeriveKeyPair("client", 0)
-	write := func(i int) error {
-		_, err := masters[0].Handle("client", MethodWriteMulti,
-			encodeWave(SignWave(client, []store.Op{store.Put{Key: "k", Value: []byte{byte(i)}}})))
+	writeWave := func(ops []store.Op) error {
+		_, err := masters[0].Handle("client", MethodWriteMulti, encodeWave(SignWave(client, ops)))
 		return err
 	}
+	write := func(i int) error { return writeWave([]store.Op{store.Put{Key: "k", Value: []byte{byte(i)}}}) }
 	ack := func(v0, v1 uint64) {
 		masters[0].recordAck("sm0", v0)
 		masters[1].recordAck("sm1", v1)
@@ -151,6 +152,14 @@ func TestEachMasterTruncatesAtItsOwnStablePoint(t *testing.T) {
 				return
 			}
 		}
+		window := make([]store.Op, checkpointMinRetain) // versions 22..85, one batch
+		for i := range window {
+			window[i] = store.Put{Key: fmt.Sprintf("w%d", i), Value: []byte("v")}
+		}
+		if err := writeWave(window); err != nil {
+			t.Errorf("window wave: %v", err)
+			return
+		}
 		if s.Now().Sub(start) >= every {
 			t.Errorf("writes took %v; the first truncation was due after %v", s.Now().Sub(start), every)
 			return
@@ -161,8 +170,10 @@ func TestEachMasterTruncatesAtItsOwnStablePoint(t *testing.T) {
 			}
 		}
 		// Idle: no writes, only slave lists are delivered.
-		ack(6, 12)
-		s.Sleep(2 * every)
+		for i := 0; i < 20; i++ {
+			ack(6, 12)
+			s.Sleep(every / 10)
+		}
 		for i, m := range masters {
 			idleBase[i], idleCuts[i] = m.BaseVersion(), m.Stats().CheckpointsApplied
 		}

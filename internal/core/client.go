@@ -70,9 +70,6 @@ type ClientConfig struct {
 	// KSlaves > 1 enables the §4 variant: each read goes to K slaves and
 	// answers must agree.
 	KSlaves int
-	// ForceDoubleCheck makes the client double-check every read — the
-	// "greedy client" behaviour of §3.3.
-	ForceDoubleCheck bool
 	// Seed drives the double-check coin flips and random master picks.
 	Seed int64
 }
@@ -526,8 +523,11 @@ func (c *Client) writeGroup(g *group, ops []store.Op) (first uint64, err error) 
 		c.mu.Lock()
 		masterAddr := g.masterAddr
 		c.mu.Unlock()
+		// No client-side bound: a wave that timed out here may still
+		// commit, and the re-send below would apply it twice (ROADMAP
+		// item 3).
 		var body []byte
-		body, err = c.dlr.Call(masterAddr, MethodWriteMulti, reqFrame)
+		body, err = c.dlr.CallTimeout(masterAddr, MethodWriteMulti, reqFrame, 0)
 		if err == nil {
 			r := wire.NewReader(body)
 			first = r.Uvarint()
@@ -550,11 +550,7 @@ func (c *Client) writeGroup(g *group, ops []store.Op) (first uint64, err error) 
 // Read executes q through the untrusted read protocol (§3.2) with the
 // configured double-check probability.
 func (c *Client) Read(q query.Query) ([]byte, error) {
-	p := c.cfg.Params.DoubleCheckP
-	if c.cfg.ForceDoubleCheck {
-		p = 1.0
-	}
-	return c.readWithCheckProb(q, p)
+	return c.readWithCheckProb(q, c.cfg.Params.DoubleCheckP)
 }
 
 // ReadAtLevel executes q with a security-level-specific double-check
@@ -763,7 +759,7 @@ func (c *Client) checkReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKe
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %v", errRetry, err)
 	}
-	if !p.Stamp.Fresh(c.rt.Now(), c.cfg.Params.EffectiveClientMaxLatency()) {
+	if !p.Stamp.Fresh(c.rt.Now(), c.cfg.Params.MaxLatency) {
 		// Fresh when sent, stale on arrival: drop and retry (§3.2).
 		c.mu.Lock()
 		c.stats.StaleRejects++

@@ -339,23 +339,39 @@ func TestClientRejectsStaleStamp(t *testing.T) {
 	}
 }
 
+// A client checks freshness against its own Params.MaxLatency (§3.2
+// variant): one stamp aged past the masters' max_latency is refused as
+// stale by a default client and accepted by one whose bound is 6 s.
 func TestClientClientBoundOverridesMaxLatency(t *testing.T) {
-	r := newClientRig(t)
-	// Stamp aged past max_latency but inside the client's own bound.
-	r.client.cfg.Params.ClientMaxLatency = 10 * time.Second
-	r.mutate = func(rr *ReadReply) {
-		old := r.s.Now().Add(-r.params.MaxLatency - time.Second)
-		stamp := SignStamp(r.masterKeys, rr.Pledge.Stamp.Version, old)
-		rr.Pledge = SignPledge(r.slaveKeys, rr.Pledge.QueryBytes, rr.Pledge.ResultHash, stamp)
-	}
-	if _, err := r.readOnce(t); err != nil {
-		t.Fatalf("client-set bound did not relax freshness: %v", err)
+	for _, row := range []struct {
+		bound  time.Duration // the client's own MaxLatency; 0 keeps the default
+		accept bool
+	}{
+		{bound: 0, accept: false},
+		{bound: 6 * time.Second, accept: true},
+	} {
+		r := newClientRig(t)
+		if row.bound > 0 {
+			r.client.cfg.Params.MaxLatency = row.bound
+		}
+		r.mutate = func(rr *ReadReply) {
+			old := r.s.Now().Add(-r.params.MaxLatency - time.Second)
+			stamp := SignStamp(r.masterKeys, rr.Pledge.Stamp.Version, old)
+			rr.Pledge = SignPledge(r.slaveKeys, rr.Pledge.QueryBytes, rr.Pledge.ResultHash, stamp)
+		}
+		_, err := r.readOnce(t)
+		if accepted := err == nil; accepted != row.accept {
+			t.Fatalf("bound %v: accepted = %v (%v), want %v", row.bound, accepted, err, row.accept)
+		}
+		if stale := r.client.Stats().StaleRejects > 0; stale == row.accept {
+			t.Fatalf("bound %v: stats %+v", row.bound, r.client.Stats())
+		}
 	}
 }
 
 func TestClientDoubleCheckCatchesLie(t *testing.T) {
 	r := newClientRig(t)
-	r.client.cfg.ForceDoubleCheck = true
+	r.client.cfg.Params.DoubleCheckP = 1
 	calls := 0
 	r.mutate = func(rr *ReadReply) {
 		calls++

@@ -47,10 +47,8 @@ type clusterOpts struct {
 	batchAdaptive  bool
 	// dataDir gives every master a durable WAL+snapshot under
 	// dataDir/master-N ("" = in-memory only).
-	dataDir             string
-	checkpointEvery     time.Duration
-	checkpointMinRetain int
-	checkpointMaxLag    time.Duration
+	dataDir         string
+	checkpointEvery time.Duration
 }
 
 func defaultOpts() clusterOpts {
@@ -106,23 +104,21 @@ func newTestCluster(t *testing.T, s *sim.Sim, o clusterOpts) *testCluster {
 		c.dir.Publish(c.owner.Public, cert)
 
 		mcfg := MasterConfig{
-			Addr:                masterAddrs[i],
-			Keys:                masterKeys[i],
-			Params:              o.params,
-			ContentKey:          c.owner.Public,
-			Peers:               peers,
-			AuditorAddr:         auditorAddr,
-			AuditorPub:          auditorKeys.Public,
-			ACL:                 c.acl,
-			Directory:           c.bound,
-			CPU:                 s.NewResource(masterAddrs[i]+"/cpu", 1),
-			Seed:                int64(1000 + i),
-			BatchSize:           o.batchSize,
-			BatchTimeout:        o.batchTimeout,
-			BatchAdaptive:       o.batchAdaptive,
-			CheckpointEvery:     o.checkpointEvery,
-			CheckpointMinRetain: o.checkpointMinRetain,
-			CheckpointMaxLag:    o.checkpointMaxLag,
+			Addr:            masterAddrs[i],
+			Keys:            masterKeys[i],
+			Params:          o.params,
+			ContentKey:      c.owner.Public,
+			Peers:           peers,
+			AuditorAddr:     auditorAddr,
+			AuditorPub:      auditorKeys.Public,
+			ACL:             c.acl,
+			Directory:       c.bound,
+			CPU:             s.NewResource(masterAddrs[i]+"/cpu", 1),
+			Seed:            int64(1000 + i),
+			BatchSize:       o.batchSize,
+			BatchTimeout:    o.batchTimeout,
+			BatchAdaptive:   o.batchAdaptive,
+			CheckpointEvery: o.checkpointEvery,
 		}
 		if o.dataDir != "" {
 			mcfg.DataDir = filepath.Join(o.dataDir, masterAddrs[i])
@@ -512,7 +508,7 @@ func TestClusterGreedyClientThrottled(t *testing.T) {
 	o.params.GreedyFactor = 4
 	c := newTestCluster(t, s, o)
 	greedy := c.addClient(t, 0, func(cc *ClientConfig) {
-		cc.ForceDoubleCheck = true
+		cc.Params.DoubleCheckP = 1 // §3.3: the greedy client checks every read
 		cc.PreferredMaster = 0
 	})
 	fair := make([]*Client, 3)
@@ -539,8 +535,10 @@ func TestClusterGreedyClientThrottled(t *testing.T) {
 	if ms.DoubleChecksDrop == 0 {
 		t.Fatalf("greedy client never throttled: %+v", ms)
 	}
-	if greedy.Stats().DoubleThrottled == 0 {
-		t.Fatalf("greedy client saw no throttling: %+v", greedy.Stats())
+	if st := greedy.Stats(); st.DoubleThrottled == 0 {
+		t.Fatalf("greedy client saw no throttling: %+v", st)
+	} else if st.ReadsAccepted == 0 || st.DoubleChecks < st.ReadsAccepted {
+		t.Fatalf("greedy client double-checked %d times for %d accepted reads; want every read", st.DoubleChecks, st.ReadsAccepted)
 	}
 	// Fair clients should be essentially unaffected.
 	for i, f := range fair {

@@ -36,13 +36,15 @@ type Params struct {
 	// MaxLatency bounds the inconsistency window for writes (§3): once
 	// MaxLatency has elapsed after a commit, no client accepts a read
 	// that does not reflect the write. It also paces writes: two writes
-	// cannot commit closer than MaxLatency apart (§3.1).
+	// cannot commit closer than MaxLatency apart (§3.1). A client checks
+	// freshness against its own copy, so a client on a slow link can set
+	// a looser bound than the masters pace by (§3.2 variant).
 	MaxLatency time.Duration
 	// KeepAliveEvery is how often masters push signed stamps to slaves
 	// even without writes (§3.1). Must be well below MaxLatency.
 	KeepAliveEvery time.Duration
 	// DoubleCheckP is the probability a client double-checks a read with
-	// its master (§3.3).
+	// its master (§3.3); a greedy client sets its own to 1.
 	DoubleCheckP float64
 	// AuditorSlack is how long past MaxLatency the auditor waits before
 	// moving to the next content version (§3.4: "a sufficiently large
@@ -52,10 +54,6 @@ type Params struct {
 	// (§3.4: an over-used auditor can "weaken the security guarantees by
 	// verifying only a randomly chosen fraction of all reads"). 1 = all.
 	AuditSampleP float64
-	// ClientMaxLatency, if nonzero, overrides MaxLatency on the client
-	// side (§3.2 variant: clients with slow connections set their own
-	// freshness bound).
-	ClientMaxLatency time.Duration
 	// ReadTimeout bounds a client's wait for any single RPC.
 	ReadTimeout time.Duration
 	// MaxReadRetries bounds how often a client retries a stale or failed
@@ -70,9 +68,6 @@ type Params struct {
 	GreedyFactor float64
 	// GreedyMinBurst is the minimum count before a client can be flagged.
 	GreedyMinBurst int
-	// GreedyDropFrac is the fraction of a greedy client's double-checks
-	// the master ignores (§3.3: "ignoring a large fraction").
-	GreedyDropFrac float64
 
 	// Costs model CPU time charged on node resources (simulation only).
 	Costs cryptoutil.CostModel
@@ -92,18 +87,8 @@ func DefaultParams() Params {
 		GreedyWindow:   30 * time.Second,
 		GreedyFactor:   8,
 		GreedyMinBurst: 20,
-		GreedyDropFrac: 0.9,
 		Costs:          cryptoutil.DefaultCosts(),
 	}
-}
-
-// EffectiveClientMaxLatency returns the freshness bound the client
-// enforces.
-func (p Params) EffectiveClientMaxLatency() time.Duration {
-	if p.ClientMaxLatency > 0 {
-		return p.ClientMaxLatency
-	}
-	return p.MaxLatency
 }
 
 // chargeCPU runs d of work on the node's CPU resource, if one is
@@ -128,24 +113,16 @@ func chargeMemoised(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Dur
 // needs, bound to one content key. In simulations the directory object is
 // shared in-process; over TCP cmd/replnode serves it remotely. Every
 // method that can cross a network reports failure: callers must never
-// mistake an unreachable directory for an empty answer (in particular,
-// IsExcluded fails closed — an RPC failure is an error, not "not
-// excluded"). The directory is untrusted: every answer is raw directory
-// state, and callers verify certificates and shard tables against the
-// content key before trusting them (verifiedMasters, and
-// Client.fetchShardMap for the table).
+// mistake an unreachable directory for an empty answer. The directory is
+// untrusted: every answer is raw directory state, and callers verify
+// certificates and shard tables against the content key before trusting
+// them (verifiedMasters, and Client.fetchShardMap for the table).
 type DirectoryService interface {
-	// VerifiedMasters returns the master certificates the directory lists
-	// for the content, as the directory sends them: an honest directory
-	// verified them, but nothing here did.
-	VerifiedMasters() ([]pki.Certificate, error)
 	// ShardMap returns the published shard table and every published
 	// certificate (all roles). pki.ErrNoShardTable, with the certificates
 	// beside it, means the deployment is unsharded.
 	ShardMap() (pki.ShardTable, []pki.Certificate, error)
-	Publish(cert pki.Certificate) error
 	RecordExclusion(e pki.Exclusion) error
-	IsExcluded(subject cryptoutil.PublicKey) (bool, error)
 	// Retract withdraws a certificate or lifts an exclusion; the directory
 	// acts only on a retraction a certified master signed.
 	Retract(r pki.Retraction) error
@@ -156,11 +133,6 @@ type DirectoryService interface {
 type BoundDirectory struct {
 	Dir        *pki.Directory
 	ContentKey cryptoutil.PublicKey
-}
-
-// VerifiedMasters implements DirectoryService.
-func (b BoundDirectory) VerifiedMasters() ([]pki.Certificate, error) {
-	return b.Dir.VerifiedMasters(b.ContentKey)
 }
 
 // ShardMap implements DirectoryService, answering what dirsrv serves for
@@ -194,21 +166,10 @@ func subjects(certs []pki.Certificate) []cryptoutil.PublicKey {
 	return pubs
 }
 
-// Publish implements DirectoryService.
-func (b BoundDirectory) Publish(cert pki.Certificate) error {
-	b.Dir.Publish(b.ContentKey, cert)
-	return nil
-}
-
 // RecordExclusion implements DirectoryService.
 func (b BoundDirectory) RecordExclusion(e pki.Exclusion) error {
 	b.Dir.RecordExclusion(b.ContentKey, e)
 	return nil
-}
-
-// IsExcluded implements DirectoryService.
-func (b BoundDirectory) IsExcluded(subject cryptoutil.PublicKey) (bool, error) {
-	return b.Dir.IsExcluded(b.ContentKey, subject), nil
 }
 
 // Retract implements DirectoryService.

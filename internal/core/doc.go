@@ -18,7 +18,11 @@
 //	                           assignments in every group (an unsharded
 //	                           deployment is one full-range group).
 //	                           Client routes each write and point read
-//	                           to the group owning the key.
+//	                           to the group owning the key. That one
+//	                           read (ShardMap) is also the only one a
+//	                           master makes; the other two
+//	                           DirectoryService calls record an
+//	                           exclusion and retract a record.
 //	§3.1 (writes)            — Master.handleWriteMulti orders writes
 //	                           through the master-set broadcast;
 //	                           VersionStamp is the signed, time-stamped
@@ -29,12 +33,19 @@
 //	                           (query copy, result hash, latest stamp);
 //	                           Client.checkReply rebuilds it from the
 //	                           query asked and the payload received and
-//	                           checks the stamp and its freshness;
+//	                           checks the stamp and its freshness
+//	                           against the client's own
+//	                           Params.MaxLatency (a client on a slow
+//	                           link sets a looser one);
 //	                           Client.verifyPledge checks the slave's
 //	                           signature unless the auditor vouches,
 //	                           and before any report.
-//	§3.3 (double-checking)   — Client.doubleCheck, the master's greedy-
-//	                           client throttling (greedyTracker).
+//	§3.3 (double-checking)   — Client.doubleCheck at the client's own
+//	                           Params.DoubleCheckP (a greedy client's
+//	                           is 1), the master's greedy-client
+//	                           throttling (greedyTracker; a flagged
+//	                           client loses greedyDropFrac of its
+//	                           checks).
 //	§3.4 (auditing)          — Auditor re-executes pledged reads on
 //	                           the content at each read's version and
 //	                           checks a signature only on a pledge that
@@ -140,7 +151,10 @@
 // acknowledge applied versions on every keep-alive/update reply, and each
 // master, after delivering any message but a write batch and at most once
 // per CheckpointEvery, truncates its op log and broadcast archive below
-// its own slaves' stable version.
+// its own slaves' stable version, keeping checkpointMinRetain (64) ops. A
+// slave silent for checkpointMaxLag (4) keep-alive intervals, or acking
+// more than maxAckBehind (512) versions behind, stops gating it. The
+// three are constants: no deployment or experiment needs other values.
 // Masters are trusted (§3), so that is a local decision: no record is
 // signed or broadcast for it, and the auditor drops its archive below
 // each slot it delivers. Slaves that fell behind a truncation recover

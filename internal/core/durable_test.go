@@ -68,7 +68,6 @@ func TestDurableRestartReplaysWAL(t *testing.T) {
 			o.nMasters = 1
 			if tc.checkpoint {
 				o.checkpointEvery = 150 * time.Millisecond
-				o.checkpointMinRetain = 4
 			}
 			c := newTestCluster(t, s, o)
 			cl := c.addClient(t, 0, nil)
@@ -79,6 +78,9 @@ func TestDurableRestartReplaysWAL(t *testing.T) {
 					return
 				}
 				writeWaves(t, cl, 5, 4, "w")
+				// One batch past the retain window, so a truncation after
+				// it cuts the waves above and persists the final state.
+				writeWaves(t, cl, 1, checkpointMinRetain, "window")
 			})
 			s.RunUntil(sim.Epoch.Add(30 * time.Second))
 
@@ -401,8 +403,6 @@ func TestDurableRestartPastTruncationSnapshotSyncs(t *testing.T) {
 	o.nMasters = 2
 	o.batchSize = 8
 	o.checkpointEvery = 300 * time.Millisecond
-	o.checkpointMinRetain = 8
-	o.checkpointMaxLag = 400 * time.Millisecond
 	c := newTestCluster(t, s, o)
 	cl := c.addClient(t, 0, func(cc *ClientConfig) { cc.PreferredMaster = 0 })
 	var m2 *Master
@@ -454,20 +454,19 @@ func TestDurableRestartPastTruncationSnapshotSyncs(t *testing.T) {
 	}
 }
 
-// TestStalledCheckpointSyncServesCurrentState silences both slaves (with a
-// CheckpointMaxLag too long to drop them) and keeps writing, so batches
-// commit above the base the last checkpoint left. A sync from that base
-// must get the master's current state, signed when asked, and no batches
-// after it: the master keeps no checkpoint snapshot to serve with a
-// suffix instead.
+// TestStalledCheckpointSyncServesCurrentState silences both slaves and
+// keeps writing, so batches commit above the base the last checkpoint left
+// (the silent slaves gate stability for checkpointMaxLag keep-alive
+// intervals, and any later cut keeps checkpointMinRetain ops). A sync from
+// that base must get the master's current state, signed when asked, and
+// no batches after it: the master keeps no checkpoint snapshot to serve
+// with a suffix instead.
 func TestStalledCheckpointSyncServesCurrentState(t *testing.T) {
 	s := sim.New(55)
 	o := durableOpts("") // in-memory: nothing is captured at a checkpoint
 	o.nMasters = 1
 	o.batchSize = 8
 	o.checkpointEvery = 150 * time.Millisecond
-	o.checkpointMinRetain = 8
-	o.checkpointMaxLag = time.Hour // silent slaves stall stability for good
 	c := newTestCluster(t, s, o)
 	cl := c.addClient(t, 0, nil)
 	m := c.masters[0]
@@ -493,8 +492,7 @@ func TestStalledCheckpointSyncServesCurrentState(t *testing.T) {
 			t.Error("no checkpoint ever applied; the base never moved")
 			return
 		}
-		// Silence every slave: acks stop, stability freezes, and so do
-		// checkpoints, while the writes go on.
+		// Silence every slave: acks stop while the writes go on.
 		for _, sl := range c.slaves {
 			c.net.SetDown(sl.Addr(), true)
 		}

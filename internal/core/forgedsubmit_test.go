@@ -66,7 +66,7 @@ func TestForgedSubmitNeverAcksForeignOps(t *testing.T) {
 					w.Uvarint(n)
 					w.Bytes_(encodeBatchMessage([]queuedWave{{ops: [][]byte{forged}}}))
 				})
-				if _, err := c.net.Dialer("forger").Call("master-0", broadcast.MethodSubmit, body); err != nil {
+				if _, err := c.net.Dialer("forger").CallTimeout("master-0", broadcast.MethodSubmit, body, 0); err != nil {
 					t.Errorf("forged submit: %v", err)
 				}
 			})

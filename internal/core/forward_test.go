@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/pki"
 	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/sim"
@@ -133,7 +134,9 @@ func TestClientForwardsSignedStatement(t *testing.T) {
 			tap := tapPledges(t, c)
 			cl := c.addClient(t, 0, func(cc *ClientConfig) {
 				cc.KSlaves = tc.kSlaves
-				cc.ForceDoubleCheck = tc.doubleCheck
+				if tc.doubleCheck {
+					cc.Params.DoubleCheckP = 1
+				}
 				cc.Params.MaxReadRetries = 0
 			})
 			q := mustQuery(t, "catalog/001")
@@ -246,8 +249,9 @@ func TestDecodeReadReplyAllocs(t *testing.T) {
 // bcExclude that carries a genuine pledge — an honest slave's, taken from
 // a client's a.pledge — must still name a certified master that signed
 // it. Every master refuses each forged frame, counts the refusal and
-// excludes nobody; the last row, signed by a certified master, shows the
-// frame shape is the one that acts.
+// excludes nobody; the row signed by a certified master shows the frame
+// shape is the one that acts, and the same frame from a directory that
+// lists no certified master is refused as a directory error.
 func TestForgedExclusionIgnored(t *testing.T) {
 	attacker := cryptoutil.DeriveKeyPair("attacker", 0)
 	master0 := cryptoutil.DeriveKeyPair("master", 0)
@@ -260,27 +264,31 @@ func TestForgedExclusionIgnored(t *testing.T) {
 		})
 	}
 	for _, tc := range []struct {
-		name   string
-		forge  func(evidence []byte) []byte
-		honest bool // signed by a certified master: the frame acts
+		name     string
+		forge    func(evidence []byte) []byte
+		honest   bool // signed by a certified master: the frame acts
+		dirEmpty bool // the masters' directory lists no certificate
 	}{
 		{"the pledge alone after the kind byte", func(ev []byte) []byte {
 			return append([]byte{bcExclude}, ev...)
-		}, false},
+		}, false, false},
 		{"signed by an uncertified key", func(ev []byte) []byte {
 			return frame(ev, attacker.Public, attacker.Sign(excludeSignedBytes(ev)))
-		}, false},
+		}, false, false},
 		{"a certified master's key under another signature", func(ev []byte) []byte {
 			return frame(ev, master0.Public, attacker.Sign(excludeSignedBytes(ev)))
-		}, false},
+		}, false, false},
 		{"a certified master's signature over other evidence", func(ev []byte) []byte {
 			other := bytes.Clone(ev)
 			other[len(other)-1] ^= 1
 			return frame(ev, master0.Public, master0.Sign(excludeSignedBytes(other)))
-		}, false},
+		}, false, false},
 		{"signed by a certified master", func(ev []byte) []byte {
 			return frame(ev, master0.Public, master0.Sign(excludeSignedBytes(ev)))
-		}, true},
+		}, true, false},
+		{"signed by a certified master, no certified master listed", func(ev []byte) []byte {
+			return frame(ev, master0.Public, master0.Sign(excludeSignedBytes(ev)))
+		}, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sim.New(31)
@@ -297,6 +305,14 @@ func TestForgedExclusionIgnored(t *testing.T) {
 					t.Errorf("read: %v", err)
 					return
 				}
+				if tc.dirEmpty {
+					for _, m := range c.masters {
+						m.cfg.Directory = hostileDirectory{
+							BoundDirectory: m.cfg.Directory.(BoundDirectory),
+							edit:           func([]pki.Certificate) []pki.Certificate { return nil },
+						}
+					}
+				}
 				entry := wire.EncodeFrame(func(w *wire.Writer) {
 					w.Uvarint(77) // a submit identity no member uses
 					w.Uvarint(1)
@@ -312,16 +328,24 @@ func TestForgedExclusionIgnored(t *testing.T) {
 				t.Fatalf("%d pledges forwarded, want 1", len(tap.audited))
 			}
 			victim := tap.sent[0].slave
-			excluded, refused := 0, 0
+			excluded, refused, dirErrs := 0, 0, 0
 			for _, m := range c.masters {
 				st := m.Stats()
 				excluded += int(st.Exclusions)
 				refused += int(st.ExclusionsRefused)
+				dirErrs += int(st.DirectoryErrors)
 				m.mu.Lock()
 				if m.excluded[string(victim)] != tc.honest {
 					t.Errorf("%s: excluded = %v", m.cfg.Addr, !tc.honest)
 				}
 				m.mu.Unlock()
+			}
+			wantDirErrs := 0
+			if tc.dirEmpty {
+				wantDirErrs = len(c.masters)
+			}
+			if dirErrs != wantDirErrs {
+				t.Fatalf("%d directory errors, want %d", dirErrs, wantDirErrs)
 			}
 			if tc.honest {
 				if excluded != 1 || refused != 0 || !c.dir.IsExcluded(c.owner.Public, victim) {

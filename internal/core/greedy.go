@@ -2,6 +2,10 @@ package core
 
 import "time"
 
+// greedyDropFrac is the fraction of a flagged client's double-checks the
+// master ignores (§3.3: "ignoring a large fraction").
+const greedyDropFrac = 0.9
+
 // greedyTracker implements the paper's greedy-client policing (§3.3): a
 // client is only supposed to double-check a small random fraction of its
 // reads; one that double-checks (nearly) everything shifts read load back
@@ -22,7 +26,7 @@ func newGreedyTracker(p Params) *greedyTracker {
 
 // record notes one double-check from the client and reports whether the
 // client is currently flagged as greedy. Callers throttle flagged clients
-// probabilistically (GreedyDropFrac).
+// probabilistically (greedyDropFrac).
 func (g *greedyTracker) record(client string, now time.Time) bool {
 	cutoff := now.Add(-g.window)
 	g.counts[client] = append(g.counts[client], now)

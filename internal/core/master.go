@@ -123,15 +123,6 @@ type MasterConfig struct {
 	// below it. 0 disables truncation (the op log and broadcast archive
 	// then grow with total writes).
 	CheckpointEvery time.Duration
-	// CheckpointMinRetain is the minimum number of recent ops kept in the
-	// log regardless of stability, so slightly-behind slaves sync by batch
-	// replay instead of snapshot transfer (0 = 64). The log holds whole
-	// batches, so it keeps up to one batch more.
-	CheckpointMinRetain int
-	// CheckpointMaxLag is how long a slave may stay silent before it
-	// stops gating stability; a slave silent longer recovers via
-	// snapshot-first sync (0 = 4x KeepAliveEvery).
-	CheckpointMaxLag time.Duration
 	// DataDir, when non-empty, makes the master durable: every committed
 	// batch is appended to a write-ahead log under this directory before
 	// clients are acked, and each truncation atomically writes a snapshot
@@ -214,12 +205,6 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 	}
 	if cfg.BatchTimeout <= 0 {
 		cfg.BatchTimeout = cfg.Params.MaxLatency / 4
-	}
-	if cfg.CheckpointMinRetain <= 0 {
-		cfg.CheckpointMinRetain = 64
-	}
-	if cfg.CheckpointMaxLag <= 0 {
-		cfg.CheckpointMaxLag = 4 * cfg.Params.KeepAliveEvery
 	}
 	m := &Master{
 		cfg:          cfg,
@@ -335,7 +320,7 @@ func (m *Master) AddSlave(addr string, pub cryptoutil.PublicKey) {
 	defer m.mu.Unlock()
 	m.slaves = append(m.slaves, slaveEntry{addr: addr, pub: pub, cert: cert})
 	// A fresh slave gates stability until its first ack (or until it has
-	// been silent for CheckpointMaxLag).
+	// been silent for checkpointMaxLag keep-alive intervals).
 	m.acks[addr] = slaveAck{version: 0, at: m.rt.Now()}
 }
 
@@ -939,7 +924,7 @@ func (m *Master) handleCheck(body []byte) ([]byte, error) {
 		m.stats.SensitiveReads++
 	}
 	throttle := m.greedy.record(string(clientPub), m.rt.Now()) &&
-		m.rng.Float64() < m.cfg.Params.GreedyDropFrac
+		m.rng.Float64() < greedyDropFrac
 	if throttle {
 		m.stats.DoubleChecksDrop++
 	}
@@ -1478,13 +1463,20 @@ func (m *Master) verifyExcludeOrigin(evidence []byte, origin cryptoutil.PublicKe
 	return errors.New("core: exclusion not issued by a certified master")
 }
 
-// certifiedMasters is the directory's master list less every certificate
-// that does not verify under the content key: what catch-up replies and
-// the takeover withdraw are checked against.
+// certifiedMasters reads the directory's certificates (one d.shardmap; an
+// unsharded deployment has no table, which is no error here) and keeps the
+// master certificates that verify under the content key: what catch-up
+// replies, bcExclude origins and the takeover withdraw are checked
+// against. A directory that lists no certified master answers
+// pki.ErrNotFound, so callers count it as a directory error.
 func (m *Master) certifiedMasters() ([]pki.Certificate, error) {
-	certs, err := m.cfg.Directory.VerifiedMasters()
-	if err != nil {
+	_, certs, err := m.cfg.Directory.ShardMap()
+	if err != nil && !errors.Is(err, pki.ErrNoShardTable) {
 		return nil, err
 	}
-	return verifiedMasters(certs, m.cfg.ContentKey), nil
+	masters := verifiedMasters(certs, m.cfg.ContentKey)
+	if len(masters) == 0 {
+		return nil, pki.ErrNotFound
+	}
+	return masters, nil
 }

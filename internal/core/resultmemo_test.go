@@ -360,7 +360,7 @@ func (r *masterRig) check(t *testing.T, q query.Query, wantPayload bool) (versio
 func TestMasterResultMemoSafety(t *testing.T) {
 	r := newMasterRig(t, func(c *MasterConfig) {
 		c.BatchSize = memoCatalog
-		c.Params.GreedyDropFrac = 0 // the one test client checks every read
+		c.Params.GreedyMinBurst = 1 << 30 // the one test client is never flagged as greedy
 	})
 	cpu := r.s.NewResource("master", 1)
 	r.master.cfg.CPU = cpu

@@ -19,7 +19,7 @@ import (
 
 // hostileDirectory answers from a pki.Directory's state the way a remote
 // directory's answer arrives: nothing in it verified. edit, if set,
-// rewrites the certificate list of both answers; table, if set, replaces
+// rewrites the certificate list of its answer; table, if set, replaces
 // the stored shard table; calls, if set, counts the answers.
 type hostileDirectory struct {
 	BoundDirectory
@@ -36,11 +36,6 @@ func (d hostileDirectory) certs(certs []pki.Certificate) []pki.Certificate {
 		return certs
 	}
 	return d.edit(certs)
-}
-
-func (d hostileDirectory) VerifiedMasters() ([]pki.Certificate, error) {
-	certs, _ := d.Dir.Lookup(d.ContentKey)
-	return d.certs(certs), nil
 }
 
 func (d hostileDirectory) ShardMap() (pki.ShardTable, []pki.Certificate, error) {
@@ -90,7 +85,7 @@ func (r *routeRig) register(addr string, h rpc.Handler) {
 // goroutine: the transport of a test that drives a client from several.
 type handlerDialer map[string]rpc.Handler
 
-func (d handlerDialer) Call(addr, method string, body []byte) ([]byte, error) {
+func (d handlerDialer) CallTimeout(addr, method string, body []byte, _ time.Duration) ([]byte, error) {
 	h, ok := d[addr]
 	if !ok {
 		return nil, rpc.ErrUnreachable
@@ -100,10 +95,6 @@ func (d handlerDialer) Call(addr, method string, body []byte) ([]byte, error) {
 		return nil, &rpc.RemoteError{Method: method, Msg: err.Error()}
 	}
 	return resp, nil
-}
-
-func (d handlerDialer) CallTimeout(addr, method string, body []byte, _ time.Duration) ([]byte, error) {
-	return d.Call(addr, method, body)
 }
 
 // twoRanges splits the keyspace at "m": shard 0 below, shard 1 above.
@@ -524,7 +515,6 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 	evil := cryptoutil.DeriveKeyPair("evil", 0)
 	dirCalls := 0
 	r := hostileMasterRig(t, evil, func(c *MasterConfig) {
-		c.CheckpointMinRetain = 2
 		c.CheckpointEvery = time.Hour // the master's own truncation is not due
 		d := c.Directory.(hostileDirectory)
 		d.calls = &dirCalls
@@ -536,8 +526,9 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 	audCPU := a.s.NewResource("auditor/cpu", 1)
 	a.auditor.cfg.CPU = audCPU
 
+	const writes = checkpointMinRetain + 8 // past the retain window, so a cut would show
 	r.s.Go(func() {
-		for i := 0; i < 8; i++ { // versions 2..9, one batch each
+		for i := 0; i < writes; i++ { // versions 2..writes+1, one batch each
 			if _, err := r.write(r.client, store.Put{Key: "k", Value: []byte{byte(i)}}); err != nil {
 				t.Errorf("write %d: %v", i, err)
 				return
@@ -545,12 +536,12 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 		}
 		calls, jobs := dirCalls, cpu.Jobs()
 		d := r.master.StateDigest()
-		r.master.deliver(100, checkpointFrame(evil, "evil-master", 9, d, r.s.Now()), nil)
-		r.master.deliver(101, checkpointFrame(r.master.cfg.Keys, "master", 9, d, r.s.Now()), nil)
+		r.master.deliver(100, checkpointFrame(evil, "evil-master", writes+1, d, r.s.Now()), nil)
+		r.master.deliver(101, checkpointFrame(r.master.cfg.Keys, "master", writes+1, d, r.s.Now()), nil)
 		if dirCalls != calls || cpu.Jobs() != jobs {
 			t.Errorf("checkpoint frames cost the master %d directory calls and %d charged jobs", dirCalls-calls, cpu.Jobs()-jobs)
 		}
-		if st := r.master.Stats(); st.CheckpointsApplied != 0 || r.master.RetainedOps() != 8 || r.master.BaseVersion() != 1 {
+		if st := r.master.Stats(); st.CheckpointsApplied != 0 || r.master.RetainedOps() != writes || r.master.BaseVersion() != 1 {
 			t.Errorf("checkpoint frame truncated: %d truncations, %d ops retained over base %d",
 				st.CheckpointsApplied, r.master.RetainedOps(), r.master.BaseVersion())
 		}

@@ -404,7 +404,6 @@ func TestBootstrapReplacesAheadReplica(t *testing.T) {
 // replyDialer answers every call with one reply.
 type replyDialer struct{ reply []byte }
 
-func (d replyDialer) Call(addr, method string, body []byte) ([]byte, error) { return d.reply, nil }
 func (d replyDialer) CallTimeout(addr, method string, body []byte, _ time.Duration) ([]byte, error) {
 	return d.reply, nil
 }

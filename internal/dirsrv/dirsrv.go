@@ -2,6 +2,7 @@ package dirsrv
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
@@ -12,7 +13,6 @@ import (
 
 // Method names served by Server.Handle.
 const (
-	MethodMasters      = "d.masters"
 	MethodPublish      = "d.publish"
 	MethodWithdraw     = "d.withdraw"
 	MethodExclude      = "d.exclude"
@@ -20,7 +20,19 @@ const (
 	MethodReinstate    = "d.reinstate"
 	MethodShardMap     = "d.shardmap"
 	MethodPublishTable = "d.publishtable"
+
+	// MethodMasters is served by nobody: masters read their peers'
+	// certificates from MethodShardMap. A frozen name: the benchmark's
+	// per-method counters list it (ROADMAP item 1(b)).
+	MethodMasters = "d.masters"
 )
+
+// callTimeout bounds every Client call. Masters call the directory on
+// their broadcast delivery drainer (an exclusion's origin check and
+// record, a readmission's retraction), so a directory that accepts a
+// request and never answers must cost a bounded wait, not every later
+// delivery.
+const callTimeout = 5 * time.Second
 
 // Server serves one content's directory entries: certificates, the shard
 // table, and exclusions. Every mutation is verified before it is stored
@@ -39,19 +51,6 @@ func NewServer(contentKey cryptoutil.PublicKey) *Server {
 // Handle routes the directory RPC methods.
 func (s *Server) Handle(from, method string, body []byte) ([]byte, error) {
 	switch method {
-	case MethodMasters:
-		// The full verified master set; there is nothing to select by.
-		if len(body) > 0 {
-			return nil, fmt.Errorf("dirsrv: %s takes no arguments", MethodMasters)
-		}
-		certs, err := s.Dir.VerifiedMasters(s.ContentKey)
-		if err != nil {
-			return nil, err
-		}
-		w := wire.NewWriter(512)
-		encodeCerts(w, certs)
-		return w.Bytes(), nil
-
 	case MethodShardMap:
 		// The signed table plus every published certificate (all roles).
 		// Clients verify both against the content key before trusting
@@ -163,10 +162,10 @@ func (s *Server) verifyExclusion(excl *pki.Exclusion) error {
 }
 
 // Client implements core.DirectoryService against a remote directory.
-// Every method propagates RPC failure: a master that publishes its
-// certificate learns whether the directory actually heard it, and
-// IsExcluded fails closed — an unreachable directory reports an error,
-// never a silent "not excluded".
+// Every method propagates RPC failure, within callTimeout: a master that
+// publishes its certificate learns whether the directory actually heard
+// it, and IsExcluded fails closed — an unreachable directory reports an
+// error, never a silent "not excluded".
 type Client struct {
 	Addr   string
 	Dialer rpc.Dialer
@@ -174,24 +173,9 @@ type Client struct {
 
 var _ core.DirectoryService = (*Client)(nil)
 
-// VerifiedMasters implements core.DirectoryService. The list is the
-// server's answer as it arrived; callers verify it.
-func (c *Client) VerifiedMasters() ([]pki.Certificate, error) {
-	body, err := c.Dialer.Call(c.Addr, MethodMasters, nil)
-	if err != nil {
-		return nil, err
-	}
-	r := wire.NewReader(body)
-	certs, err := decodeCerts(r)
-	if err != nil {
-		return nil, err
-	}
-	return certs, r.Done()
-}
-
 // ShardMap implements core.DirectoryService.
 func (c *Client) ShardMap() (pki.ShardTable, []pki.Certificate, error) {
-	body, err := c.Dialer.Call(c.Addr, MethodShardMap, nil)
+	body, err := c.Dialer.CallTimeout(c.Addr, MethodShardMap, nil, callTimeout)
 	if err != nil {
 		return pki.ShardTable{}, nil, err
 	}
@@ -258,15 +242,15 @@ func decodeCerts(r *wire.Reader) ([]pki.Certificate, error) {
 func (c *Client) PublishShardTable(t pki.ShardTable) error {
 	w := wire.NewWriter(512)
 	t.Encode(w)
-	_, err := c.Dialer.Call(c.Addr, MethodPublishTable, w.Bytes())
+	_, err := c.Dialer.CallTimeout(c.Addr, MethodPublishTable, w.Bytes(), callTimeout)
 	return err
 }
 
-// Publish implements core.DirectoryService.
+// Publish stores a certificate in the directory.
 func (c *Client) Publish(cert pki.Certificate) error {
 	w := wire.NewWriter(512)
 	cert.Encode(w)
-	_, err := c.Dialer.Call(c.Addr, MethodPublish, w.Bytes())
+	_, err := c.Dialer.CallTimeout(c.Addr, MethodPublish, w.Bytes(), callTimeout)
 	return err
 }
 
@@ -274,18 +258,18 @@ func (c *Client) Publish(cert pki.Certificate) error {
 func (c *Client) RecordExclusion(e pki.Exclusion) error {
 	w := wire.NewWriter(512)
 	e.Encode(w)
-	_, err := c.Dialer.Call(c.Addr, MethodExclude, w.Bytes())
+	_, err := c.Dialer.CallTimeout(c.Addr, MethodExclude, w.Bytes(), callTimeout)
 	return err
 }
 
-// IsExcluded implements core.DirectoryService. It fails closed: when the
-// directory cannot be reached the caller gets an error, not false — a
-// partitioned directory must not silently reinstate an excluded
-// (compromised) replica.
+// IsExcluded asks the directory whether subject is excluded. It fails
+// closed: when the directory cannot be reached the caller gets an error,
+// not false — a partitioned directory must not silently reinstate an
+// excluded (compromised) replica.
 func (c *Client) IsExcluded(subject cryptoutil.PublicKey) (bool, error) {
 	w := wire.NewWriter(64)
 	w.Bytes_(subject)
-	body, err := c.Dialer.Call(c.Addr, MethodExcluded, w.Bytes())
+	body, err := c.Dialer.CallTimeout(c.Addr, MethodExcluded, w.Bytes(), callTimeout)
 	if err != nil {
 		return false, err
 	}
@@ -311,6 +295,6 @@ func (c *Client) Retract(r pki.Retraction) error {
 	}
 	w := wire.NewWriter(160)
 	r.Encode(w)
-	_, err := c.Dialer.Call(c.Addr, method, w.Bytes())
+	_, err := c.Dialer.CallTimeout(c.Addr, method, w.Bytes(), callTimeout)
 	return err
 }

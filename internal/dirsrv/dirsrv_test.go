@@ -36,9 +36,8 @@ func TestPublishLookupRoundTrip(t *testing.T) {
 			t.Errorf("publish: %v", err)
 		}
 		var err error
-		got, err = cl.VerifiedMasters()
-		if err != nil {
-			t.Errorf("lookup: %v", err)
+		if _, got, err = cl.ShardMap(); !errors.Is(err, pki.ErrNoShardTable) {
+			t.Errorf("lookup: %v, want the certificates beside ErrNoShardTable", err)
 		}
 	})
 	s.Run()
@@ -93,7 +92,7 @@ func TestWithdraw(t *testing.T) {
 	m := cryptoutil.DeriveKeyPair("master", 0)
 	cert := pki.Certificate{Role: pki.RoleMaster, Addr: "m0", Subject: m.Public}
 	cert.Sign(owner)
-	var err error
+	var left []pki.Certificate
 	s.Go(func() {
 		if perr := cl.Publish(cert); perr != nil {
 			t.Errorf("publish: %v", perr)
@@ -101,11 +100,11 @@ func TestWithdraw(t *testing.T) {
 		if werr := cl.Retract(retraction(m, pki.RetractWithdraw, m.Public, s.Now())); werr != nil {
 			t.Errorf("withdraw: %v", werr)
 		}
-		_, err = cl.VerifiedMasters()
+		_, left, _ = cl.ShardMap()
 	})
 	s.Run()
-	if err == nil {
-		t.Fatal("masters remained after withdraw")
+	if len(left) != 0 {
+		t.Fatalf("certificates remained after withdraw: %+v", left)
 	}
 }
 
@@ -276,10 +275,6 @@ func TestReinstateClearsExclusion(t *testing.T) {
 // failingDialer simulates an unreachable directory.
 type failingDialer struct{}
 
-func (failingDialer) Call(addr, method string, body []byte) ([]byte, error) {
-	return nil, rpc.ErrUnreachable
-}
-
 func (failingDialer) CallTimeout(addr, method string, body []byte, d time.Duration) ([]byte, error) {
 	return nil, rpc.ErrUnreachable
 }
@@ -341,7 +336,7 @@ func ownerTable(owner *cryptoutil.KeyPair, epoch uint64, bounds ...string) pki.S
 }
 
 func TestShardTableRoundTripAndRouting(t *testing.T) {
-	s, srv, cl, owner := rig(t)
+	s, _, cl, owner := rig(t)
 	table := ownerTable(owner, 1, "m")
 	m0 := cryptoutil.DeriveKeyPair("master", 0)
 	m1 := cryptoutil.DeriveKeyPair("master", 1)
@@ -388,10 +383,6 @@ func TestShardTableRoundTripAndRouting(t *testing.T) {
 		if len(addrs) != 1 || addrs[0] != want {
 			t.Fatalf("masters for %q = %v, want [%s]", key, addrs, want)
 		}
-	}
-	// d.masters serves the whole set and nothing narrower.
-	if _, err := srv.Handle("x", MethodMasters, wire.EncodeFrame(func(w *wire.Writer) { w.String_("apple") })); err == nil {
-		t.Fatal("d.masters accepted a key")
 	}
 }
 
@@ -453,7 +444,68 @@ func TestMalformedShardTablesRejected(t *testing.T) {
 
 func TestUnknownMethod(t *testing.T) {
 	_, srv, _, _ := rig(t)
-	if _, err := srv.Handle("x", "d.nope", nil); err == nil {
-		t.Fatal("unknown method accepted")
+	// d.masters is a frozen name nobody serves: masters read d.shardmap.
+	for _, method := range []string{"d.nope", MethodMasters} {
+		if _, err := srv.Handle("x", method, nil); err == nil {
+			t.Fatalf("unknown method %s accepted", method)
+		}
+	}
+}
+
+// TestStalledDirectoryCallsBounded: a directory that accepts a request and
+// never answers costs each call callTimeout, not forever. Masters call
+// ShardMap (an exclusion's origin check), RecordExclusion and Retract (a
+// readmission) on their broadcast delivery drainer, so an unbounded call
+// there would stop every later delivery; the other Client calls share the
+// bound.
+func TestStalledDirectoryCallsBounded(t *testing.T) {
+	release := make(chan struct{})
+	srv, err := rpc.ListenTCP("127.0.0.1:0", func(from, method string, body []byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialer := rpc.NewTCPDialer()
+	defer func() {
+		close(release)
+		dialer.Close()
+		srv.Close()
+	}()
+	cl := &Client{Addr: srv.Addr(), Dialer: dialer}
+	m := cryptoutil.DeriveKeyPair("master", 0)
+	e := pki.Exclusion{Subject: m.Public, Reason: "x"}
+	e.Sign(m)
+	cert := pki.Certificate{Role: pki.RoleMaster, Addr: "m0", Subject: m.Public}
+	cert.Sign(m)
+	r := retraction(m, pki.RetractReinstate, m.Public, time.Now())
+
+	type result struct {
+		name string
+		err  error
+	}
+	calls := map[string]func() error{
+		"shardmap":   func() error { _, _, err := cl.ShardMap(); return err },
+		"record":     func() error { return cl.RecordExclusion(e) },
+		"retract":    func() error { return cl.Retract(r) },
+		"publish":    func() error { return cl.Publish(cert) },
+		"isexcluded": func() error { _, err := cl.IsExcluded(m.Public); return err },
+		"table":      func() error { return cl.PublishShardTable(ownerTable(m, 1, "m")) },
+	}
+	results := make(chan result, len(calls))
+	for name, call := range calls {
+		go func() { results <- result{name, call()} }()
+	}
+	deadline := time.After(callTimeout + 2*time.Second)
+	for range calls {
+		select {
+		case r := <-results:
+			if !errors.Is(r.err, rpc.ErrTimeout) {
+				t.Errorf("%s: err = %v, want ErrTimeout", r.name, r.err)
+			}
+		case <-deadline:
+			t.Fatalf("a call to a stalled directory still waits after %v", callTimeout+2*time.Second)
+		}
 	}
 }

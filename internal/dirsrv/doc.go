@@ -15,9 +15,11 @@
 //   - The shard table (pki.ShardTable): the owner-signed, epoch-numbered
 //     partition of the keyspace into contiguous ranges, each owned by
 //     one master group. MethodShardMap serves the table plus all
-//     certificates in one round trip — what every client sets up from;
-//     MethodMasters serves the master certificates alone, which masters
-//     check catch-up replies against.
+//     certificates in one round trip — what every client sets up from,
+//     and the one read masters make too: they check catch-up replies,
+//     exclusion origins and takeover withdrawals against its master
+//     certificates. (MethodMasters names a method no server answers any
+//     more; the benchmark's counters still list it.)
 //   - Exclusions (pki.Exclusion) revoking slaves proven malicious.
 //
 // A master's certificate leaves the directory, and a slave's exclusion is
@@ -58,5 +60,7 @@
 // directory must surface as an error a caller can act on, never as a
 // silent reinstatement. Publish, RecordExclusion and Retract equally
 // return the transport error, so a master knows whether the directory
-// actually heard it.
+// actually heard it. Every Client call waits at most callTimeout (5 s):
+// masters call the directory on their broadcast delivery path, which a
+// directory that accepts a request and never answers must not stop.
 package dirsrv

@@ -18,24 +18,26 @@ import (
 // while everything is in flight. Asserts: every wave op commits with a
 // unique version and the overall sequence is gapless; the slave
 // converges to the master's digest; and after quiescence the retained
-// log has been truncated to the configured window rather than growing
-// with total writes.
+// log has been truncated to the master's retain window (64 ops, plus the
+// batch that crosses it) rather than growing with total writes.
 func TestTCPWriteMultiWavesAndCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-time test")
 	}
 	const (
 		writers = 4
-		waves   = 5
+		waves   = 20
 		wave    = 8
 		total   = writers * waves * wave
+		// The master keeps a 64-op window; allow one wave and one batch
+		// beyond it, as the bound allowed beyond a settable window before.
+		bound = 64 + 2*wave
 	)
 	d := deploy(t, 1, nil, func(cfg *core.MasterConfig) {
 		cfg.BatchSize = 4
 		cfg.BatchTimeout = 5 * time.Millisecond
 		cfg.Params.MaxLatency = 10 * time.Millisecond
 		cfg.CheckpointEvery = 100 * time.Millisecond
-		cfg.CheckpointMinRetain = 8
 	})
 	defer d.close()
 
@@ -99,13 +101,13 @@ func TestTCPWriteMultiWavesAndCheckpoint(t *testing.T) {
 
 	// Quiesce: acks land and a final checkpoint truncates to the window.
 	deadline = time.Now().Add(5 * time.Second)
-	for d.master.RetainedOps() > 16 {
+	for d.master.RetainedOps() > bound {
 		if time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if got := d.master.RetainedOps(); got > 16 {
+	if got := d.master.RetainedOps(); got > bound {
 		t.Fatalf("retained %d ops after %d writes; checkpointing did not bound the log", got, total)
 	}
 	st := d.master.Stats()

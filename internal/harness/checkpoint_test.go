@@ -9,10 +9,14 @@ import (
 	"repro/internal/wire"
 )
 
+// retainWindow is the ops a master's truncation always keeps below its
+// current version (core's checkpointMinRetain, a constant of the masters).
+const retainWindow = 64
+
 // TestE16ShapeCheckpointing asserts the PR's acceptance criteria on the
 // E16 experiment itself: with checkpointing off the retained op count
 // tracks total writes, with checkpointing on it stays within the
-// configured window, and the slave that was offline across checkpoint
+// retain window, and the slave that was offline across checkpoint
 // boundaries recovers via the snapshot-first fallback to a state digest
 // equal to the master's.
 func TestE16ShapeCheckpointing(t *testing.T) {
@@ -31,10 +35,10 @@ func TestE16ShapeCheckpointing(t *testing.T) {
 	if offRetained < offCommitted {
 		t.Fatalf("checkpointing off must retain all %v writes, retained %v", offCommitted, offRetained)
 	}
-	// On: resident ops bounded by the configured window (E16 sets
-	// CheckpointMinRetain=128; the log keeps whole batches, and writes may
-	// land after the final checkpoint), NOT proportional to total writes.
-	const window = 128 + 64
+	// On: resident ops bounded by the masters' retain window (the log
+	// keeps whole batches, and writes may land after the final
+	// checkpoint), NOT proportional to total writes.
+	const window = retainWindow + 64
 	if onRetained > window {
 		t.Fatalf("checkpointing on retained %v records, want <= %v (of %v writes)",
 			onRetained, window, onCommitted)
@@ -98,7 +102,6 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 	cfg.BatchSize = 8
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.CheckpointEvery = 200 * time.Millisecond
-	cfg.CheckpointMinRetain = 16
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(nil)
 
@@ -140,7 +143,7 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 		probe := func(from uint64) *wire.Reader {
 			w := wire.NewWriter(16)
 			w.Uvarint(from)
-			body, err := dlr.Call(m.Addr(), core.MethodSync, w.Bytes())
+			body, err := dlr.CallTimeout(m.Addr(), core.MethodSync, w.Bytes(), 0)
 			if err != nil {
 				t.Errorf("sync from %d: %v", from, err)
 				return nil
@@ -183,7 +186,7 @@ func TestSyncEdgesAtBaseVersion(t *testing.T) {
 		t.Fatalf("checkpoint never truncated: base=%d cur=%d", pr.base, pr.cur)
 	}
 	// The retain window rounded up to a whole batch.
-	if got, want := pr.cur-pr.base, uint64(cfg.CheckpointMinRetain); got < want || got >= want+uint64(cfg.BatchSize) {
+	if got, want := pr.cur-pr.base, uint64(retainWindow); got < want || got >= want+uint64(cfg.BatchSize) {
 		t.Fatalf("retained window %d, want %d plus less than a batch (base=%d cur=%d)", got, want, pr.base, pr.cur)
 	}
 	if pr.atBaseMode != 1 {
@@ -219,7 +222,6 @@ func TestOfflineAcrossCheckpointBootstraps(t *testing.T) {
 	cfg.BatchSize = 8
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.CheckpointEvery = 200 * time.Millisecond
-	cfg.CheckpointMinRetain = 16
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(nil)
 

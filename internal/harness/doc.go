@@ -21,10 +21,10 @@
 // FaultHealSlave — traffic lost in flight, process alive), default
 // link-latency changes, and per-slave clock skew (FaultSkewSlave,
 // backed by the sim.SkewedRuntime each slave runs on). After a run,
-// ConvergedDigests / DivergentReplicas give the quiesced convergence
-// check and TotalMasterStats folds in instances retired by
-// RestartMaster. internal/matrix crosses these plans with workload
-// cells; tests script them directly (see faults.go).
+// DivergentReplicas gives the quiesced convergence check and
+// TotalMasterStats folds in instances retired by RestartMaster.
+// internal/matrix crosses these plans with workload cells; tests script
+// them directly (see faults.go).
 //
 // Timing gotchas when writing experiments (the sim package doc has the
 // full list): a Scenario's sim can be Run only once, so express phases

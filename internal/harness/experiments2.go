@@ -142,10 +142,14 @@ func E6Freshness(seed int64, scale Scale) *metrics.Table {
 			cfg.NMasters = 1
 			cfg.SlavesPerMaster = 1
 			cfg.Params.DoubleCheckP = 0
-			cfg.Params.ClientMaxLatency = clientBound
 			cfg.Params.MaxReadRetries = 1
 			sc := NewScenario(cfg)
-			cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })
+			cl := sc.AddClient(func(cc *core.ClientConfig) {
+				cc.PreferredMaster = 0
+				if clientBound > 0 {
+					cc.Params.MaxLatency = clientBound // §3.2 variant: the client's own bound
+				}
+			})
 			// Only the client<->slave and client<->auditor links are slow;
 			// master-slave keep-alives ride the fast default.
 			sc.Net.SetLinkBoth(cl.Addr(), "slave-0", sim.Const(lat))
@@ -311,7 +315,7 @@ func E9Greedy(seed int64, scale Scale) *metrics.Table {
 	cfg.Params.GreedyFactor = 4
 	sc := NewScenario(cfg)
 	greedy := sc.AddClient(func(cc *core.ClientConfig) {
-		cc.ForceDoubleCheck = true
+		cc.Params.DoubleCheckP = 1
 		cc.PreferredMaster = 0
 	})
 	fair := make([]*core.Client, 3)

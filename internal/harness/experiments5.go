@@ -77,7 +77,6 @@ func runE16(seed int64, dur time.Duration, checkpointEvery time.Duration) e16Res
 	cfg.BatchSize = 8
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.CheckpointEvery = checkpointEvery
-	cfg.CheckpointMinRetain = 128
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })
 

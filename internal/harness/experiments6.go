@@ -91,10 +91,6 @@ func runE17(seed int64, dur, down, checkpointEvery time.Duration) e17Result {
 	cfg.BatchSize = 8
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.CheckpointEvery = checkpointEvery
-	cfg.CheckpointMinRetain = 64
-	// The killed master's slaves fall silent; stop them gating stability
-	// quickly so truncation proceeds during the outage.
-	cfg.CheckpointMaxLag = 400 * time.Millisecond
 	cfg.DataDir = dataDir
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })

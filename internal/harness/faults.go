@@ -138,19 +138,12 @@ func (sc *Scenario) applyFault(ev FaultEvent) {
 	}
 }
 
-// ConvergedDigests reports whether every replica agrees with its group:
-// within each group, every master and every slave must hold the same
-// state digest as the group's first master. It is the matrix's quiesced
-// digest check; call it only after traffic has stopped and the fleet had
-// time to settle (or poll it).
-func (sc *Scenario) ConvergedDigests() bool {
-	return sc.DivergentReplicas() == 0
-}
-
 // DivergentReplicas counts the replicas (masters and slaves) whose state
-// digest differs from their group's reference master digest — the
-// detail behind ConvergedDigests, useful in test failure messages. A
-// slave the directory lists as excluded is out of service (§3.5: its
+// digest differs from their group's reference master digest: within each
+// group, every master and every slave must hold the same state digest as
+// the group's first master. It is the matrix's quiesced digest check
+// (0 = converged); call it only after traffic has stopped and the fleet
+// had time to settle (or poll it). A slave the directory lists as excluded is out of service (§3.5: its
 // master stopped updating it) and is not counted.
 func (sc *Scenario) DivergentReplicas() int {
 	divergent := 0

@@ -27,7 +27,6 @@ func TestLyingAcksDuringTruncation(t *testing.T) {
 	cfg.BatchSize = 8
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.CheckpointEvery = 200 * time.Millisecond
-	cfg.CheckpointMinRetain = 16
 	cfg.SlaveBehaviors = map[int]core.Behavior{2: core.LieAcks{Ahead: 1 << 20}}
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(nil)
@@ -121,7 +120,6 @@ func TestForgedAckClampedToCommitted(t *testing.T) {
 	cfg.BatchSize = 8
 	cfg.BatchTimeout = 2 * time.Millisecond
 	cfg.CheckpointEvery = 200 * time.Millisecond
-	cfg.CheckpointMinRetain = 16
 	cfg.SlaveBehaviors = map[int]core.Behavior{0: core.LieAcks{Ahead: 1 << 30}}
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(nil)

@@ -49,12 +49,6 @@ type ScenarioConfig struct {
 	// CheckpointEvery enables stability checkpointing at this cadence
 	// (0 = off: the op log and broadcast archive grow with total writes).
 	CheckpointEvery time.Duration
-	// CheckpointMinRetain is the record window always kept below the
-	// stable version (0 = master default).
-	CheckpointMinRetain int
-	// CheckpointMaxLag is how long a silent slave gates stability before
-	// it is left to snapshot-first sync (0 = master default).
-	CheckpointMaxLag time.Duration
 	// DataDir, when set, gives every master a durable WAL + snapshot
 	// under DataDir/master-N, so KillMaster/RestartMaster exercise
 	// crash-restart recovery ("" = pure in-memory, the default).
@@ -239,24 +233,22 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 			cpu := s.NewResource(masterAddrs[i]+"/cpu", cfg.MasterCPUs)
 			sc.MasterCPU = append(sc.MasterCPU, cpu)
 			mcfg := core.MasterConfig{
-				Addr:                masterAddrs[i],
-				Keys:                masterKeys[i],
-				Params:              cfg.Params,
-				ContentKey:          sc.Owner.Public,
-				Peers:               peers,
-				AuditorAddr:         auditorAddr,
-				AuditorPub:          auditorKeys.Public,
-				ACL:                 sc.ACL,
-				Directory:           sc.Bound,
-				Shard:               sc.Table.Shards[g],
-				CPU:                 cpu,
-				Seed:                cfg.Seed*1000 + int64(g*100+i),
-				BatchSize:           cfg.BatchSize,
-				BatchTimeout:        cfg.BatchTimeout,
-				BatchAdaptive:       cfg.BatchAdaptive,
-				CheckpointEvery:     cfg.CheckpointEvery,
-				CheckpointMinRetain: cfg.CheckpointMinRetain,
-				CheckpointMaxLag:    cfg.CheckpointMaxLag,
+				Addr:            masterAddrs[i],
+				Keys:            masterKeys[i],
+				Params:          cfg.Params,
+				ContentKey:      sc.Owner.Public,
+				Peers:           peers,
+				AuditorAddr:     auditorAddr,
+				AuditorPub:      auditorKeys.Public,
+				ACL:             sc.ACL,
+				Directory:       sc.Bound,
+				Shard:           sc.Table.Shards[g],
+				CPU:             cpu,
+				Seed:            cfg.Seed*1000 + int64(g*100+i),
+				BatchSize:       cfg.BatchSize,
+				BatchTimeout:    cfg.BatchTimeout,
+				BatchAdaptive:   cfg.BatchAdaptive,
+				CheckpointEvery: cfg.CheckpointEvery,
 			}
 			if cfg.DataDir != "" {
 				mcfg.DataDir = filepath.Join(cfg.DataDir, masterAddrs[i])

@@ -91,7 +91,7 @@ func PlanFor(fault string, d time.Duration) (harness.FaultPlan, error) {
 		}}, nil
 	case FaultWithholdAcks:
 		// Slave 0 applies everything but acks nothing: stability must
-		// route around it (CheckpointMaxLag) instead of stalling
+		// route around it (the silent-slave lag) instead of stalling
 		// truncation forever.
 		return harness.FaultPlan{Name: fault, Events: []harness.FaultEvent{
 			{At: inject, Kind: harness.FaultSetBehavior, Target: 0, Behavior: core.WithholdAcks{}},

@@ -85,8 +85,6 @@ func cellConfig(cell Cell, seed int64, dataDir string) harness.ScenarioConfig {
 	cfg.BatchTimeout = 20 * time.Millisecond
 	cfg.BatchAdaptive = true
 	cfg.CheckpointEvery = 150 * time.Millisecond
-	cfg.CheckpointMinRetain = 32
-	cfg.CheckpointMaxLag = 400 * time.Millisecond
 	if readLiar(cell.Fault) >= 0 {
 		// Only the auditor may catch the liar: a client's double-check
 		// would convict it through the master and hide a broken audit.

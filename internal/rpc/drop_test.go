@@ -67,7 +67,7 @@ func TestDropWithoutTimeoutSurfacesUnreachable(t *testing.T) {
 	d := net.Dialer("client")
 	var err error
 	s.Go(func() {
-		_, err = d.Call("server", "x", nil) // no timeout
+		_, err = d.CallTimeout("server", "x", nil, 0) // no timeout
 	})
 	s.Run()
 	if !errors.Is(err, ErrUnreachable) {

@@ -63,9 +63,9 @@ type Handler func(from, method string, body []byte) ([]byte, error)
 
 // Dialer issues requests to remote nodes by address.
 type Dialer interface {
-	// Call sends a request and waits for the response.
-	Call(addr, method string, body []byte) ([]byte, error)
-	// CallTimeout is Call with an upper bound on waiting.
+	// CallTimeout sends a request and waits for the response, for at most
+	// timeout; 0 waits for as long as the transport does. Every call site
+	// states its bound.
 	CallTimeout(addr, method string, body []byte, timeout time.Duration) ([]byte, error)
 }
 

@@ -25,7 +25,7 @@ func TestSimNetBasicCall(t *testing.T) {
 	var rtt time.Duration
 	s.Go(func() {
 		start := s.Now()
-		b, err := d.Call("server", "echo", []byte("hi"))
+		b, err := d.CallTimeout("server", "echo", []byte("hi"), 0)
 		if err != nil {
 			t.Errorf("call: %v", err)
 			return
@@ -51,7 +51,7 @@ func TestSimNetRemoteError(t *testing.T) {
 	d := net.Dialer("client")
 	var err error
 	s.Go(func() {
-		_, err = d.Call("server", "x", nil)
+		_, err = d.CallTimeout("server", "x", nil, 0)
 	})
 	s.Run()
 	if !IsRemote(err) {
@@ -72,8 +72,8 @@ func TestSimNetUnreachable(t *testing.T) {
 	d := net.Dialer("client")
 	var err1, err2 error
 	s.Go(func() {
-		_, err1 = d.Call("server", "x", nil)
-		_, err2 = d.Call("ghost", "x", nil)
+		_, err1 = d.CallTimeout("server", "x", nil, 0)
+		_, err2 = d.CallTimeout("ghost", "x", nil, 0)
 	})
 	s.Run()
 	if !errors.Is(err1, ErrUnreachable) || !errors.Is(err2, ErrUnreachable) {
@@ -116,10 +116,10 @@ func TestSimNetPerLinkLatency(t *testing.T) {
 	var nearRTT, farRTT time.Duration
 	s.Go(func() {
 		start := s.Now()
-		net.Dialer("near").Call("server", "x", nil)
+		net.Dialer("near").CallTimeout("server", "x", nil, 0)
 		nearRTT = s.Now().Sub(start)
 		start = s.Now()
-		net.Dialer("far").Call("server", "x", nil)
+		net.Dialer("far").CallTimeout("server", "x", nil, 0)
 		farRTT = s.Now().Sub(start)
 	})
 	s.Run()
@@ -136,7 +136,7 @@ func TestSimNetHandlerSeesFrom(t *testing.T) {
 		seen = from
 		return nil, nil
 	})
-	s.Go(func() { net.Dialer("alice").Call("server", "x", nil) })
+	s.Go(func() { net.Dialer("alice").CallTimeout("server", "x", nil, 0) })
 	s.Run()
 	if seen != "alice" {
 		t.Fatalf("from = %q", seen)
@@ -150,7 +150,7 @@ func TestSimNetStats(t *testing.T) {
 		return make([]byte, 10), nil
 	})
 	s.Go(func() {
-		net.Dialer("c").Call("server", "x", make([]byte, 5))
+		net.Dialer("c").CallTimeout("server", "x", make([]byte, 5), 0)
 	})
 	s.Run()
 	if net.Calls() != 1 {
@@ -170,9 +170,9 @@ func TestSimNetUnregister(t *testing.T) {
 	d := net.Dialer("client")
 	var before, after error
 	s.Go(func() {
-		_, before = d.Call("server", "x", nil)
+		_, before = d.CallTimeout("server", "x", nil, 0)
 		net.Unregister("server")
-		_, after = d.Call("server", "x", nil)
+		_, after = d.CallTimeout("server", "x", nil, 0)
 	})
 	s.Run()
 	if before != nil {
@@ -194,7 +194,7 @@ func TestSimNetConcurrentCallsDeterministic(t *testing.T) {
 		})
 		for i := 0; i < 10; i++ {
 			name := fmt.Sprintf("c%d", i)
-			s.Go(func() { net.Dialer(name).Call("server", "x", nil) })
+			s.Go(func() { net.Dialer(name).CallTimeout("server", "x", nil, 0) })
 		}
 		s.Run()
 		return strings.Join(log, ",")
@@ -216,7 +216,7 @@ func TestTCPEcho(t *testing.T) {
 	defer srv.Close()
 	d := NewTCPDialer()
 	defer d.Close()
-	got, err := d.Call(srv.Addr(), "echo", []byte("payload"))
+	got, err := d.CallTimeout(srv.Addr(), "echo", []byte("payload"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestTCPRemoteError(t *testing.T) {
 	defer srv.Close()
 	d := NewTCPDialer()
 	defer d.Close()
-	_, err = d.Call(srv.Addr(), "op", nil)
+	_, err = d.CallTimeout(srv.Addr(), "op", nil, 0)
 	if !IsRemote(err) || !strings.Contains(err.Error(), "denied") {
 		t.Fatalf("err = %v", err)
 	}
@@ -258,7 +258,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			want := fmt.Sprintf("m%d", i)
-			got, err := d.Call(srv.Addr(), "echo", []byte(want))
+			got, err := d.CallTimeout(srv.Addr(), "echo", []byte(want), 0)
 			if err != nil {
 				errs <- err
 				return
@@ -278,7 +278,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 func TestTCPUnreachable(t *testing.T) {
 	d := NewTCPDialer()
 	defer d.Close()
-	_, err := d.Call("127.0.0.1:1", "x", nil) // port 1: nothing listens
+	_, err := d.CallTimeout("127.0.0.1:1", "x", nil, 0) // port 1: nothing listens
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
@@ -312,12 +312,12 @@ func TestTCPServerClose(t *testing.T) {
 	}
 	d := NewTCPDialer()
 	defer d.Close()
-	if _, err := d.Call(srv.Addr(), "x", nil); err != nil {
+	if _, err := d.CallTimeout(srv.Addr(), "x", nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
 	// Either the cached connection reports closed, or a fresh dial fails.
-	_, err = d.Call(srv.Addr(), "x", nil)
+	_, err = d.CallTimeout(srv.Addr(), "x", nil, 0)
 	if err == nil {
 		t.Fatal("call succeeded after server close")
 	}
@@ -337,7 +337,7 @@ func TestTCPLargePayload(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	got, err := d.Call(srv.Addr(), "echo", big)
+	got, err := d.CallTimeout(srv.Addr(), "echo", big, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,12 +85,6 @@ func (n *SimNet) SetDrop(from, to string, p float64) {
 	n.drops[linkKey{from, to}] = p
 }
 
-// SetDropBoth overrides the loss probability in both directions.
-func (n *SimNet) SetDropBoth(a, b string, p float64) {
-	n.SetDrop(a, b, p)
-	n.SetDrop(b, a, p)
-}
-
 // Isolate cuts addr off the network (true) or reconnects it (false):
 // every message to or from an isolated address is lost in flight. Unlike
 // SetDown this is a partition, not a crash — the node keeps running and,
@@ -155,17 +149,8 @@ type callResult struct {
 	err  error
 }
 
-// Call implements Dialer.
-func (d *simDialer) Call(addr, method string, body []byte) ([]byte, error) {
-	return d.call(addr, method, body, 0)
-}
-
 // CallTimeout implements Dialer.
 func (d *simDialer) CallTimeout(addr, method string, body []byte, timeout time.Duration) ([]byte, error) {
-	return d.call(addr, method, body, timeout)
-}
-
-func (d *simDialer) call(addr, method string, body []byte, timeout time.Duration) ([]byte, error) {
 	n := d.net
 	n.calls++
 	n.bytes += uint64(len(body))

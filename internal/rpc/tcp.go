@@ -405,11 +405,6 @@ func (c *tcpConn) fail(err error) {
 	c.conn.Close()
 }
 
-// Call implements Dialer.
-func (d *TCPDialer) Call(addr, method string, body []byte) ([]byte, error) {
-	return d.CallTimeout(addr, method, body, 0)
-}
-
 // CallTimeout implements Dialer.
 func (d *TCPDialer) CallTimeout(addr, method string, body []byte, timeout time.Duration) ([]byte, error) {
 	c, err := d.get(addr)

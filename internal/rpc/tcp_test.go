@@ -66,7 +66,7 @@ func TestTCPWorkersNoHeadOfLine(t *testing.T) {
 		return body, nil
 	})
 	addr := srv.Addr()
-	if _, err := d.Call(addr, "fast", nil); err != nil {
+	if _, err := d.CallTimeout(addr, "fast", nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine() // reader, one parked worker, and whatever else lives
@@ -74,7 +74,7 @@ func TestTCPWorkersNoHeadOfLine(t *testing.T) {
 	var wg sync.WaitGroup
 	slow := func() {
 		defer wg.Done()
-		if got, err := d.Call(addr, "slow", []byte("s")); err != nil || string(got) != "s" {
+		if got, err := d.CallTimeout(addr, "slow", []byte("s"), 0); err != nil || string(got) != "s" {
 			t.Errorf("slow call: %q, %v", got, err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestTCPWorkerReused(t *testing.T) {
 	})
 	addr := srv.Addr()
 	for i := 0; i < 10000; i++ {
-		if _, err := d.Call(addr, "x", nil); err != nil {
+		if _, err := d.CallTimeout(addr, "x", nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,13 +266,13 @@ func TestTCPBodyOwnership(t *testing.T) {
 		return body, nil
 	})
 	addr := srv.Addr()
-	resp, err := d.Call(addr, "keep", first)
+	resp, err := d.CallTimeout(addr, "keep", first, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
 		other := bytes.Repeat([]byte{byte(i)}, 1+(i*37)%900)
-		if got, err := d.Call(addr, "echo", other); err != nil || !bytes.Equal(got, other) {
+		if got, err := d.CallTimeout(addr, "echo", other, 0); err != nil || !bytes.Equal(got, other) {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -297,7 +297,7 @@ func TestTCPRoundTripAllocs(t *testing.T) {
 	srv, d := serve(t, func(from, method string, body []byte) ([]byte, error) { return body, nil })
 	addr := srv.Addr()
 	body := bytes.Repeat([]byte{0xab}, 256)
-	for name, timeout := range map[string]time.Duration{"Call": 0, "CallTimeout": 5 * time.Second} {
+	for name, timeout := range map[string]time.Duration{"unbounded": 0, "bounded": 5 * time.Second} {
 		call := func() {
 			if _, err := d.CallTimeout(addr, "echo", body, timeout); err != nil {
 				t.Fatal(err)
@@ -371,7 +371,7 @@ func TestTCPDialOutsideLock(t *testing.T) {
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := d.Call(hook.hung, "x", nil)
+			_, err := d.CallTimeout(hook.hung, "x", nil, 0)
 			errs <- err
 		}()
 	}
@@ -419,7 +419,7 @@ func TestTCPCloseDuringDial(t *testing.T) {
 	}
 	errs := make(chan error, 1)
 	go func() {
-		_, err := d.Call("pipe", "x", nil)
+		_, err := d.CallTimeout("pipe", "x", nil, 0)
 		errs <- err
 	}()
 	<-entered
@@ -432,7 +432,7 @@ func TestTCPCloseDuringDial(t *testing.T) {
 	if err := <-errs; !errors.Is(err, ErrClosed) {
 		t.Fatalf("call whose dial outlived Close: err = %v, want ErrClosed", err)
 	}
-	if _, err := d.Call("pipe", "x", nil); !errors.Is(err, ErrClosed) {
+	if _, err := d.CallTimeout("pipe", "x", nil, 0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("call after Close: err = %v, want ErrClosed", err)
 	}
 	d.mu.Lock()
@@ -488,7 +488,7 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := d.Call(addr, "echo", body); err != nil {
+				if _, err := d.CallTimeout(addr, "echo", body, 0); err != nil {
 					b.Error(err)
 					return
 				}
