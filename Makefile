@@ -1,7 +1,8 @@
 # Tier-1 verification and the perf trajectory.
 #
 #   make verify     — build, vet, lint (repllint + staticcheck +
-#                     govulncheck where installed), full test suite
+#                     govulncheck where installed), the check that every
+#                     test the Makefile names exists, full test suite
 #                     under the race detector (covering the pooled
 #                     wire-buffer paths; the
 #                     schedule-sensitive broadcast package and the
@@ -39,9 +40,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint race bench-sim bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
+.PHONY: verify build vet lint check-tests race bench-sim bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
 
-verify: build vet lint race bench-sim bench-matrix fuzz-smoke check-readme bench-smoke
+verify: build vet lint check-tests race bench-sim bench-matrix fuzz-smoke check-readme bench-smoke
 
 build:
 	$(GO) build ./...
@@ -79,12 +80,19 @@ lint:
 # while its apply loop runs, and the TCP transport's tests, whose
 # connection workers, reused call slots and single-flight dials are all
 # shared between goroutines that only a lucky schedule brings together.
+# RACE_RERUNS lists them as package:-run pattern, one rerun each.
+RACE_RERUNS := \
+	internal/rpc:TestTCP \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' \
+	'internal/core:TestAuditor|TestClientVouch'
+
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 ./internal/broadcast/
-	$(GO) test -race -count=10 -run TestTCP ./internal/rpc/
-	$(GO) test -race -count=10 -run 'TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' ./internal/core/
-	$(GO) test -race -count=10 -run 'TestAuditor|TestClientVouch' ./internal/core/
+	@for t in $(RACE_RERUNS); do \
+		echo "$(GO) test -race -count=10 -run '$${t#*:}' ./$${t%:*}/"; \
+		$(GO) test -race -count=10 -run "$${t#*:}" ./$${t%:*}/ || exit 1; \
+	done
 
 # The simulator's record: virtual time, so one seed always writes the
 # same bytes, and a table that moves shows in the file's diff.
@@ -142,6 +150,24 @@ fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) ./$${t%:*}/ || exit 1; \
 	done
+
+# `go test -fuzz` and `-run` with a pattern that matches no test exit 0, so
+# a test renamed or deleted under a name used here would drop out of the
+# fuzz smoke or the race reruns without a sound. Every FUZZ_TARGETS entry
+# must name a fuzz target exactly, and every alternative of a RACE_RERUNS
+# pattern must match a test, in the listing `go test -list` prints.
+check-tests:
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -list . ./$${t%:*}/ | grep -qx "$${t#*:}" || \
+			{ echo "check-tests: FUZZ_TARGETS: no fuzz target $${t#*:} in $${t%:*}"; exit 1; }; \
+	done
+	@for t in $(RACE_RERUNS); do \
+		for alt in $$(echo "$${t#*:}" | tr '|' ' '); do \
+			$(GO) test -list . ./$${t%:*}/ | grep -q -- "$$alt" || \
+				{ echo "check-tests: RACE_RERUNS: -run alternative $$alt matches no test in $${t%:*}"; exit 1; }; \
+		done; \
+	done
+	@echo "check-tests: every fuzz target and race rerun the Makefile names exists"
 
 # Non-test lines per internal/ package: the figure CHANGES.md and ROADMAP.md
 # quote, so every PR counts the same way.

@@ -38,14 +38,18 @@
 // field and nothing else; VerifyMembers clears a batch only once its
 // stamp is clear — the ops are only as good as the digest they are
 // checked against (§3.1). A
-// tainted value must not reach an Apply/ApplyAt sink or be stored into
+// tainted value must not reach a sink — Apply/ApplyAt, an opened batch's
+// applyTo (as its receiver), adoptTransferLocked — or be stored into
 // long-lived replica state (fields of a receiver or parameter, or
 // package-level variables); assembling decoded values in function-local
-// scratch is fine and merely propagates the taint. A verifying decoder
-// (decodeStateTransfer, and decodeBatchMessage, which refuses a bcBatch
-// body with an op that fails ValidateOp) is the converse: its callers use
-// what it returns as verified, so inside it a return of a still-tainted
-// value is reported.
+// scratch is fine and merely propagates the taint. A verifying decoder is
+// the converse: its callers use what it returns as verified, so inside it
+// a return of a still-tainted value is reported. The replica ingest paths
+// are its three verifying decoders: openBatch, the one rule every batch a
+// replica takes passes (an s.updatebatch push, each entry of an m.sync
+// reply or snapshot file, a WAL record); decodeStateTransfer, which adds
+// the snapshot and the batches' contiguity; and decodeBatchMessage, which
+// refuses a delivered bcBatch body with an op that does not decode.
 //
 // # Suppression
 //

@@ -34,35 +34,56 @@ var seededBugs = []struct {
 		to:   "\ts.stats.KeepAlives++\n",
 		at:   "\ts.stats.KeepAlives++\n",
 	},
+	// The one rule every batch a replica takes passes through, with one of
+	// its checks dropped: what it returns is reported.
+	{
+		name: "one rule without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/types.go",
+		from: "\tif hit, err = stamps.verifyStamp(&bu.Stamp, trusted); err != nil {\n\t\treturn b, false, err\n\t}\n",
+		at:   "\treturn openedBatch{BatchUpdate: bu, ops: decoded}, hit, nil\n",
+	},
+	{
+		name: "one rule without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/types.go",
+		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn b, false, err\n\t}\n",
+		at:   "\treturn openedBatch{BatchUpdate: bu, ops: decoded}, hit, nil\n",
+	},
+	// A consumer that reads its batch with a rule of its own, missing one
+	// check, instead of opening it through the one rule: the batch is
+	// reported where it is applied, installed or handed back as verified.
 	{
 		name: "slave push without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn nil, err\n\t}\n",
-		at:   "s.store.ApplyAt(v, op)",
+		from: "\tb, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)\n",
+		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)\n\thit, _ := s.stamps.verifyStamp(&bu.Stamp, s.cfg.MasterPubs)\n\tb := openedBatch{BatchUpdate: bu}\n",
+		at:   "b.applyTo(s.store)",
 	},
 	{
 		name: "slave push without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\tif err := s.verifyStamp(&bu.Stamp); err != nil {\n\t\treturn nil, err\n\t}\n",
-		at:   "s.store.ApplyAt(v, op)",
+		from: "\tb, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)\n",
+		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)\n\thit := bu.VerifyMembers() == nil\n\tb := openedBatch{BatchUpdate: bu}\n",
+		at:   "b.applyTo(s.store)",
 	},
 	{
 		name: "WAL replay without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn fmt.Errorf(\"wal records %d..%d: %w\", bu.First, bu.Last(), err)\n\t}\n",
-		at:   "m.store.ApplyAt(bu.First+uint64(i), op)",
+		from: "\tb, _, err := openBatch(r, (*wire.Reader).BytesSlice, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
+		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\tif err == nil {\n\t\terr = bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public})\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
+		at:   "m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})",
 	},
 	{
 		name: "WAL replay without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tif err := bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {\n\t\treturn err\n\t}\n",
-		at:   "m.store.ApplyAt(bu.First+uint64(i), op)",
+		from: "\tb, _, err := openBatch(r, (*wire.Reader).BytesSlice, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
+		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\tif err == nil {\n\t\terr = bu.VerifyMembers()\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
+		at:   "m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})",
 	},
 	{
 		name: "state transfer without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\tif err := bu.VerifyMembers(); err != nil {\n\t\t\treturn nil, err\n\t\t}\n",
-		at:   "\treturn st, nil\n}\n\n// fetchStateTransfer",
+		from: "\t\tb, hit, err := openBatch(r, (*wire.Reader).BytesSlice, trusted, stamps)\n",
+		to:   "\t\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\t\thit, _ := stamps.verifyStamp(&bu.Stamp, trusted)\n\t\tb := openedBatch{BatchUpdate: bu}\n",
+		at:   "\treturn st, nil\n}\n\n// stamp is",
 	},
 	{
 		name: "state transfer without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\thit, err := stamps.verifyStamp(&bu.Stamp, trusted)\n\t\tif err != nil {\n\t\t\treturn nil, err\n\t\t}\n\t\tcount(hit)\n",
-		at:   "\treturn st, nil\n}\n\n// fetchStateTransfer",
+		from: "\t\tb, hit, err := openBatch(r, (*wire.Reader).BytesSlice, trusted, stamps)\n",
+		to:   "\t\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\t\thit := bu.VerifyMembers() == nil\n\t\tb := openedBatch{BatchUpdate: bu}\n",
+		at:   "\treturn st, nil\n}\n\n// stamp is",
 	},
 }
 

@@ -206,12 +206,12 @@ func (r *Replica) okLocalAssembly(frames [][]byte) error {
 // --- verifying decoders: what they return is used as verified ---
 
 type Transfer struct {
-	Ops     [][]byte
-	Closing Stamp
+	Ops    [][]byte
+	Newest Stamp
 }
 
 // decodeStateTransfer is in the analyzer's verifier list: a return is a
-// sink inside it. This one hands the closing stamp back unchecked.
+// sink inside it. This one hands the newest stamp back unchecked.
 func decodeStateTransfer(frame []byte, pubs [][]byte) (*Transfer, error) {
 	t := new(Transfer)
 	bu, err := DecodeBatchUpdate(frame)
@@ -222,11 +222,11 @@ func decodeStateTransfer(frame []byte, pubs [][]byte) (*Transfer, error) {
 		return nil, err
 	}
 	t.Ops = bu.Ops
-	closing, err := DecodeStamp(frame)
+	newest, err := DecodeStamp(frame)
 	if err != nil {
 		return nil, err
 	}
-	t.Closing = closing
+	t.Newest = newest
 	return t, nil // want "unverified wire-decoded value"
 }
 
@@ -242,16 +242,58 @@ func (r *Replica) okUseVerifiedTransfer(frame []byte) error {
 			return err
 		}
 	}
-	r.lastStamp = t.Closing
+	r.lastStamp = t.Newest
 	return nil
 }
 
 // sourceOutsideVerifier: the same decoder called directly stays tainted.
 func (r *Replica) sourceOutsideVerifier(frame []byte) error {
-	closing, err := DecodeStamp(frame)
+	newest, err := DecodeStamp(frame)
 	if err != nil {
 		return err
 	}
-	r.lastStamp = closing // want "unverified wire-decoded value"
+	r.lastStamp = newest // want "unverified wire-decoded value"
 	return nil
+}
+
+// --- an opened batch applies itself: its receiver is the sink ---
+
+type Opened struct{ Update }
+
+func (b *Opened) applyTo(st *Store) error { return nil }
+
+// openBatch is in the analyzer's verifier list: it hands a batch back only
+// after its stamp and its members have checked out.
+func openBatch(frame []byte, pubs [][]byte) (Opened, error) {
+	bu, err := DecodeBatchUpdate(frame)
+	if err != nil {
+		return Opened{}, err
+	}
+	if err := bu.Stamp.Verify(pubs); err != nil {
+		return Opened{}, err
+	}
+	if err := bu.VerifyMembers(); err != nil {
+		return Opened{}, err
+	}
+	return Opened{bu}, nil
+}
+
+// okApplyOpened: a batch out of openBatch applies itself.
+func (r *Replica) okApplyOpened(frame []byte) error {
+	b, err := openBatch(frame, r.pubs)
+	if err != nil {
+		return err
+	}
+	return b.applyTo(r.store)
+}
+
+// applyUnopened: a batch assembled from a decoded frame without the one
+// rule is reported where it applies itself.
+func (r *Replica) applyUnopened(frame []byte) error {
+	bu, err := DecodeBatchUpdate(frame)
+	if err != nil {
+		return err
+	}
+	b := Opened{bu}
+	return b.applyTo(r.store) // want "unverified wire-decoded value"
 }

@@ -62,18 +62,25 @@ var trustNeeds = map[string]string{
 // trustVerifiers decode and verify in one call: callers treat what they
 // return as clean (they are not sources), so inside them a return is a
 // sink — a decoded value may only leave through one after it has passed a
-// sanitizer. DecodeStamp, decodeBatchEntry and the other sources stay
+// sanitizer. openBatch is the one rule every batch a replica takes passes
+// through; DecodeStamp, decodeBatchEntry and the other sources stay
 // tainting everywhere else.
 var trustVerifiers = map[string]bool{
+	"openBatch":           true,
 	"decodeStateTransfer": true,
 	"decodeBatchMessage":  true,
 }
 
-// trustSinks are mutation entry points: a tainted argument here means
-// unverified input reached the replica state machine.
+// trustSinks are mutation entry points: a tainted argument or receiver
+// here means unverified input reached the replica state machine. applyTo
+// is an opened batch applying itself, so a batch that reaches it without
+// having come out of openBatch is reported as its receiver;
+// adoptTransferLocked installs a state transfer in a master's replica.
 var trustSinks = map[string]bool{
-	"Apply":   true,
-	"ApplyAt": true,
+	"Apply":               true,
+	"ApplyAt":             true,
+	"applyTo":             true,
+	"adoptTransferLocked": true,
 }
 
 // trustState maps a variable to the taint root it derives from; a root
@@ -348,7 +355,11 @@ func (c *trustChecker) scan(e ast.Expr, st trustState) trustState {
 				return true
 			}
 			if trustSinks[name] {
-				for _, a := range n.Args {
+				in := n.Args
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					in = append([]ast.Expr{sel.X}, in...)
+				}
+				for _, a := range in {
 					if c.reportTaintedIn(a, st, "passed to "+name) {
 						break
 					}

@@ -57,7 +57,7 @@ type AuditorConfig struct {
 
 // heldBatch is a delivered batch not applied yet.
 type heldBatch struct {
-	ops [][]byte
+	ops []store.Op
 	at  time.Time
 }
 
@@ -188,7 +188,7 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	if r.Byte() != bcBatch {
 		return
 	}
-	ops, err := decodeBatchMessage(r)
+	_, ops, err := decodeBatchMessage(r)
 	if err != nil {
 		return
 	}
@@ -328,8 +328,7 @@ func (a *Auditor) applyLocked(v uint64) {
 		a.held[0] = heldBatch{}
 		a.held = a.held[1:]
 		next := a.headLocked().Clone()
-		for _, opBytes := range b.ops {
-			op, _ := store.DecodeOp(opBytes) // validated: it decodes
+		for _, op := range b.ops {
 			next.Apply(op)
 		}
 		a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: b.at})

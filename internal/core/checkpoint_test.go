@@ -74,6 +74,31 @@ func TestStableVersionLaggingAckPolicy(t *testing.T) {
 	}
 }
 
+// TestForgedFutureAckNeverEntersStability: a slave that acks a version
+// its master has not committed yet is clamped to the committed version at
+// once. Kept as sent, the forged ack would wait in the ack table until the
+// store caught up and then stand in the stability minimum for history the
+// slave never applied — here 110, while the liar has acked only 100 since.
+func TestForgedFutureAckNeverEntersStability(t *testing.T) {
+	m := newStabilityRig(t, 100)
+	m.AddSlave("s-honest", cryptoutil.DeriveKeyPair("slave", 0).Public)
+	m.AddSlave("s-liar", cryptoutil.DeriveKeyPair("slave", 1).Public)
+	m.recordAck("s-liar", 110)
+	m.mu.Lock()
+	for i := 0; i < 20; i++ {
+		m.store.Apply(store.Put{Key: "k", Value: []byte{byte(i)}})
+	}
+	m.mu.Unlock()
+	m.recordAck("s-honest", 120)
+	m.recordAck("s-liar", 100)
+	m.mu.Lock()
+	got := m.stableVersionLocked(m.rt.Now())
+	m.mu.Unlock()
+	if got > 100 {
+		t.Fatalf("stable = %d; want at most 100, the liar's highest ack the master had committed", got)
+	}
+}
+
 // TestRecordAckDropsNonMembers pins the exclusion-leak guard: an ack
 // arriving from a slave that was just removed from the set must not
 // re-create its entry.

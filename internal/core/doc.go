@@ -117,33 +117,37 @@
 //	             (Broadcast's local), and are acknowledged only if the
 //	             slot holds the very frame it sent, byte for byte, else
 //	             answered 0 (MasterStats.BatchesDisplaced). A body
-//	             without ops or with an op that fails store.ValidateOp
-//	             is applied by no master and not by the auditor, and
+//	             without ops or with an op that does not decode is
+//	             applied by no master and not by the auditor, and
 //	             its origin's waves are answered 0 (decodeBatchMessage).
 //	s.updatebatch uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp ‖
 //	             string masterAddr (BatchUpdate). The stamp's digest is
 //	             the hash of the bytes in front of it, uvarint first ‖
-//	             uvarint n ‖ n × bytes op (BatchDigest): the slave hashes
-//	             them and compares. Reply: uvarint applied version.
+//	             uvarint n ‖ n × bytes op (BatchDigest): openBatch
+//	             hashes them and compares. Reply: uvarint applied version.
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
 //	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
-//	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ closing
-//	             stamp ‖ uvarint anchor — mode 1 (snapshot first) when
+//	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ uvarint
+//	             anchor — mode 1 (snapshot first) when
 //	             from is at or below the retained log's base, else mode
 //	             0. A mode-1 reply carries the master's current state,
 //	             signed when asked, and no batches; the decoder still
 //	             checks any that follow. Each entry is a whole logged
 //	             batch, the s.updatebatch shape without the master
-//	             address, and is checked like a push (VerifyMembers): one
+//	             address, and is opened like a push (openBatch): one
 //	             stamp and one hash per batch; a request from
-//	             inside a batch gets all of it. Slave sync,
+//	             inside a batch gets all of it. Its newest stamp (the
+//	             last batch's, else the snapshot's) names the version
+//	             it brings a replica to; nothing closes it. Slave sync,
 //	             Slave.Bootstrap, a restarted master's catch-up and its
 //	             snapshot file all read it through decodeStateTransfer,
 //	             which verifies every part before returning any.
 //
 // Committed history has that one shape everywhere: the master's op log
 // is a list of these batches, its WAL record is one of them after its
-// broadcast slot, and truncation cuts the log only between batches.
+// broadcast slot, and truncation cuts the log only between batches. It
+// has one reader: every batch a replica takes — pushed, transferred or
+// replayed — is opened by openBatch and applied by its applyTo.
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,
@@ -291,11 +295,11 @@
 // ack, and every truncation atomically persists a signed snapshot file
 // and truncates the WAL below it. The file is an m.sync reply (a
 // snapshot and no batches), read back through decodeStateTransfer under
-// the master's own key. A restarting master loads the
-// snapshot, replays the WAL suffix (verifying every stamp; a torn final
-// record — a crash mid-append — is dropped, any other corruption refuses
-// to start), resumes its broadcast slot, and closes the remaining gap
-// from a peer: by ordinary record fetch when the archive still holds its
-// slots, or one snapshot-first recovery sync when truncation outran the
-// outage. Without DataDir nothing touches the filesystem.
+// the master's own key. A restarting master loads the snapshot, replays
+// the WAL suffix (each record a one-batch transfer; a torn final record —
+// a crash mid-append — is dropped, any other corruption refuses to
+// start), resumes its broadcast slot, and closes the remaining gap from a
+// peer: by ordinary record fetch when the archive still holds its slots,
+// or one snapshot-first recovery sync when truncation outran the outage.
+// Without DataDir nothing touches the filesystem.
 package core

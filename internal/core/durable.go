@@ -17,23 +17,26 @@ package core
 // rest by broadcast fetch while peers still archive the missing slots,
 // else by a wholesale state transfer (statetransfer.go).
 //
-// The snapshot file is an m.sync reply: a snapshot-first state transfer
-// with no batches, whose closing stamp is the snapshot's own and whose
-// anchor is the broadcast slot the snapshot covers. It is written by
-// encodeStateTransfer and read back by decodeStateTransfer under this
-// master's key, so the wire and the disk share one snapshot shape and one
-// verifier.
+// Both files hold committed history in the shape m.sync serves it, and
+// are read by the same code. The snapshot file is an m.sync reply: a
+// snapshot-first state transfer with no batches, under the snapshot's
+// stamp, whose anchor is the broadcast slot the snapshot covers — written
+// by encodeStateTransfer, read back by decodeStateTransfer under this
+// master's key. A WAL record is the broadcast slot, then one batch entry
+// under its batch stamp (a single write being a batch of one); replay
+// opens it by the one rule every replica applies to a batch (openBatch)
+// and adopts it as a one-batch transfer anchored at that slot
+// (adoptTransferLocked), so a record that starts past the store fails
+// like any gap.
 //
-// Every WAL record is a batch under a batch stamp, a single write being a
-// batch of one — the master's log entry less its state digest, which
-// replay recomputes. A file some earlier commit of this repository wrote
-// in another shape is refused and the master does not start: a WAL record
-// under a per-op stamp fails replay ("stamp is not a batch stamp"), one
-// whose batch stamp signs any digest but BatchDigest fails it too ("ops do
-// not hash to the stamp's batch digest"), and a snapshot file in the private
-// "msnap.v1" format fails decodeStateTransfer.
-// No data directory outlives a commit here, so nothing reads the old
-// shapes.
+// A file some earlier commit of this repository wrote in another shape is
+// refused and the master does not start: a WAL record under a per-op
+// stamp fails replay ("stamp is not a batch stamp"), one whose batch stamp
+// signs any digest but BatchDigest fails it too ("ops do not hash to the
+// stamp's batch digest"), and a snapshot file in the private "msnap.v1"
+// format, or one closed by a second copy of its stamp, fails
+// decodeStateTransfer. No data directory outlives a commit here, so
+// nothing reads the old shapes.
 
 import (
 	"fmt"
@@ -42,7 +45,6 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cryptoutil"
-	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -75,7 +77,7 @@ func (m *Master) openDurable() error {
 	if data, err := os.ReadFile(m.snapFilePath()); err == nil {
 		st, err := decodeStateTransfer(data, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
 		if err == nil {
-			err = m.adoptTransferLocked(st)
+			_, err = m.adoptTransferLocked(st)
 		}
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", m.snapFilePath(), err)
@@ -100,51 +102,29 @@ func (m *Master) openDurable() error {
 	return nil
 }
 
-// replayWALRecord applies one WAL record during openDurable. Records the
-// snapshot already covers are skipped; a record that neither continues
-// the store nor is covered marks a damaged directory and fails loud (a
-// silently skipped batch would fork this replica from the cluster).
+// replayWALRecord applies one WAL record during openDurable: the record's
+// batch, opened by the one rule under this master's key, is adopted as a
+// one-batch state transfer anchored at the record's slot. A record the
+// snapshot already covers applies nothing; one that starts past the store
+// marks a damaged directory and fails loud (a silently skipped batch would
+// fork this replica from the cluster).
 //
 //lint:ignore lockcheck called only from openDurable, before concurrency
 func (m *Master) replayWALRecord(payload []byte) error {
 	r := wire.NewReader(payload)
 	seq := r.Uvarint()
-	bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
+	b, _, err := openBatch(r, (*wire.Reader).BytesSlice, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
 	if err != nil {
 		return err
 	}
 	if err := r.Done(); err != nil {
 		return err
 	}
-	if len(bu.Ops) == 0 {
-		return fmt.Errorf("wal record with no ops")
+	applied, err := m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})
+	if applied > 0 {
+		m.stats.WALReplayed++
 	}
-	cur := m.store.Version()
-	if bu.Last() <= cur {
-		return nil // covered by the snapshot (crash between snapshot write and WAL truncation)
-	}
-	if bu.First != cur+1 {
-		return fmt.Errorf("wal record starts at version %d, store at %d", bu.First, cur)
-	}
-	if err := bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public}); err != nil {
-		return err
-	}
-	if err := bu.VerifyMembers(); err != nil {
-		return fmt.Errorf("wal records %d..%d: %w", bu.First, bu.Last(), err)
-	}
-	for i, ob := range bu.Ops {
-		op, err := store.DecodeOp(ob)
-		if err != nil {
-			return err
-		}
-		if err := m.store.ApplyAt(bu.First+uint64(i), op); err != nil {
-			return err
-		}
-	}
-	m.appendLogLocked(seq, bu)
-	m.lastMark = versionMark{version: bu.Last(), seq: seq}
-	m.stats.WALReplayed++
-	return nil
+	return err
 }
 
 // persistState atomically replaces the snapshot file with the signed snap,
@@ -153,7 +133,7 @@ func (m *Master) replayWALRecord(payload []byte) error {
 // the previous snapshot plus the intact WAL still reproduce the state.
 func (m *Master) persistState(anchor uint64, snap *ckptSnapshot) {
 	w := wire.NewWriter(len(snap.bytes) + 256)
-	encodeStateTransfer(w, snap, nil, snap.stamp, anchor)
+	encodeStateTransfer(w, snap, nil, anchor)
 	m.walMu.Lock()
 	defer m.walMu.Unlock()
 	if err := wal.WriteFileAtomic(m.snapFilePath(), w.Bytes()); err != nil {
@@ -163,24 +143,26 @@ func (m *Master) persistState(anchor uint64, snap *ckptSnapshot) {
 }
 
 // adoptTransferLocked installs a verified state transfer — a peer's m.sync
-// reply or this master's own snapshot file: a snapshot ahead of the store
-// replaces it and empties the log, the batches that continue the store are
-// applied and logged under the transfer's anchor, and the recovery anchor
-// moves up to it. Caller holds m.mu (or runs before concurrency, in
+// reply, this master's own snapshot file or one of its WAL records: a
+// snapshot ahead of the store replaces it and empties the log, the batches
+// that continue the store are applied and logged under the transfer's
+// anchor, and the recovery anchor moves up to it. It returns how many ops
+// it applied. Caller holds m.mu (or runs before concurrency, in
 // openDurable).
-func (m *Master) adoptTransferLocked(st *stateTransfer) error {
+func (m *Master) adoptTransferLocked(st *stateTransfer) (int, error) {
 	if st.snap != nil && st.snap.Version() > m.store.Version() {
 		m.store = st.snap
 		m.baseVersion = st.snap.Version()
 		m.log = nil
 	}
-	if _, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.appendLogLocked(st.anchor, *bu) }); err != nil {
-		return err
+	applied, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.appendLogLocked(st.anchor, *bu) })
+	if err != nil {
+		return applied, err
 	}
 	if st.anchor > m.lastMark.seq {
 		m.lastMark = versionMark{version: m.store.Version(), seq: st.anchor}
 	}
-	return nil
+	return applied, nil
 }
 
 // recoverGap closes the gap between replayed durable state and the rest
@@ -245,7 +227,7 @@ func (m *Master) catchUpFrom(peer string) error {
 	}
 
 	m.mu.Lock()
-	if err := m.adoptTransferLocked(st); err != nil {
+	if _, err := m.adoptTransferLocked(st); err != nil {
 		m.mu.Unlock()
 		return err
 	}

@@ -126,9 +126,9 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 // FuzzDecodeBatchMessage drives the bcBatch body decoder — what every
 // master and the auditor read from a delivered broadcast slot, and what
 // b.submit takes from anyone — over arbitrary bytes. The invariants: no
-// panic; what decodes holds at least one op and every op decodes as a
-// store op (applyBatch and the auditor apply them without a second
-// check); whatever decodes re-encodes through encodeBatchMessage to a
+// panic; what decodes holds at least one op and comes with every op
+// decoded, as DecodeOp decodes it (applyBatch and the auditor apply those
+// without a second look); whatever decodes re-encodes through encodeBatchMessage to a
 // frame that decodes to the same ops; and that re-encoding is a fixed
 // point, byte for byte. (A body with overlong varints decodes too, so it
 // is the re-encoding, not the body, that is canonical.)
@@ -146,23 +146,23 @@ func FuzzDecodeBatchMessage(f *testing.F) {
 	f.Add(append(body(put), 0x00))              // trailing byte
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, err := decodeBatchMessage(wire.NewReader(data))
+		ops, decoded, err := decodeBatchMessage(wire.NewReader(data))
 		if err != nil {
 			return
 		}
-		if len(ops) == 0 {
-			t.Fatal("a batch without ops decoded")
+		if len(ops) == 0 || len(decoded) != len(ops) {
+			t.Fatalf("%d ops decoded to %d", len(ops), len(decoded))
 		}
 		for i, op := range ops {
-			if _, err := store.DecodeOp(op); err != nil {
-				t.Fatalf("op %d passed ValidateOp but does not decode: %v", i, err)
+			if want, err := store.DecodeOp(op); err != nil || !reflect.DeepEqual(decoded[i], want) {
+				t.Fatalf("op %d came back as %v, DecodeOp gives %v, %v", i, decoded[i], want, err)
 			}
 		}
 		enc := encodeBatchMessage([]queuedWave{{ops: ops}})
 		if enc[0] != bcBatch {
 			t.Fatalf("re-encoded frame starts with kind %d", enc[0])
 		}
-		ops2, err := decodeBatchMessage(wire.NewReader(enc[1:]))
+		ops2, _, err := decodeBatchMessage(wire.NewReader(enc[1:]))
 		if err != nil {
 			t.Fatalf("re-encoded batch does not decode: %v", err)
 		}
@@ -340,7 +340,7 @@ func FuzzDecodeReadReply(f *testing.F) {
 // FuzzDecodeStateTransfer drives the m.sync reply verifier — what a slave's
 // sync, a slave's Bootstrap, a restarted master's catch-up and a durable
 // master's snapshot file all read — over arbitrary bytes, seeded with
-// every reply of the tamper table and two snapshot files. The invariants:
+// every reply of the tamper table and a snapshot file. The invariants:
 // no panic on any input; no more batches or ops come out than bytes went
 // in; whatever is accepted re-encodes to a reply that is accepted again
 // and reads the same, and that re-encoding is a fixed point.
@@ -353,9 +353,8 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 	records := honestTransfer(m, now, 1)
 	records.snap = nil
 	f.Add(records.encode())
-	// Snapshot files: the state at 7 as persistState writes it, and the
-	// state at 3 in the same shape with the WAL records that follow it on
-	// disk carried as the batches after it.
+	// A snapshot file: the state at 7 as persistState writes it. (The state
+	// at 3 with the batches after it, the same shape, is a tamper-table row.)
 	dir := f.TempDir()
 	wl, _, err := wal.Open(filepath.Join(dir, "wal"))
 	if err != nil {
@@ -370,15 +369,28 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(file)
-	withWAL := honestTransfer(m, now, 3)
-	withWAL.closing = withWAL.snap.stamp
-	f.Add(withWAL.encode())
+	// The reply to a requester already at the master's version: no
+	// snapshot, no batches, the anchor alone.
+	f.Add(transferParts{anchor: 42}.encode())
+	// Two replies in the shape that closed with one more stamp, which is
+	// refused now: the snapshot file with its stamp twice, and the
+	// batches after a snapshot at 1 closed by a keep-alive stamp.
+	closed := func(p transferParts, closing VersionStamp) []byte {
+		b := p.encode()
+		n := len(wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(p.anchor) }))
+		return append(append(b[:len(b)-n:len(b)-n], wire.EncodeFrame(closing.Encode)...), b[len(b)-n:]...)
+	}
+	f.Add(closed(whole, whole.snap.stamp))
+	f.Add(closed(honestTransfer(m, now, 1), SignStamp(m, 7, now)))
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x81, 0x00}) // count 1 as an overlong varint, nothing after it
 
 	trusted := []cryptoutil.PublicKey{m.Public}
 	encode := func(st *stateTransfer) []byte {
-		p := transferParts{batches: st.batches, closing: st.closing, anchor: st.anchor}
+		p := transferParts{anchor: st.anchor}
+		for _, b := range st.batches {
+			p.batches = append(p.batches, b.BatchUpdate)
+		}
 		if st.snap != nil {
 			p.snap = &ckptSnapshot{bytes: st.snapBytes, stamp: st.snapStamp}
 		}
@@ -393,13 +405,13 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 			return
 		}
 		ops := 0
-		for i := range st.batches {
-			if len(st.ops[i]) != len(st.batches[i].Ops) {
-				t.Fatalf("batch %d: %d ops decoded of %d", i, len(st.ops[i]), len(st.batches[i].Ops))
+		for i, b := range st.batches {
+			if len(b.ops) != len(b.Ops) {
+				t.Fatalf("batch %d: %d ops decoded of %d", i, len(b.ops), len(b.Ops))
 			}
-			ops += len(st.ops[i])
+			ops += len(b.ops)
 		}
-		if len(st.batches) > len(data) || ops > len(data) || len(st.ops) != len(st.batches) {
+		if len(st.batches) > len(data) || ops > len(data) {
 			t.Fatalf("%d batches and %d ops out of %d bytes", len(st.batches), ops, len(data))
 		}
 		enc := encode(st)
@@ -408,8 +420,7 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 			t.Fatalf("re-encoded reply is refused: %v", err)
 		}
 		if (again.snap == nil) != (st.snap == nil) || !bytes.Equal(again.snapBytes, st.snapBytes) ||
-			len(again.batches) != len(st.batches) || again.anchor != st.anchor ||
-			!bytes.Equal(again.closing.signedBytes(), st.closing.signedBytes()) || !bytes.Equal(again.closing.Sig, st.closing.Sig) {
+			len(again.batches) != len(st.batches) || again.anchor != st.anchor {
 			t.Fatalf("round trip changed the reply: %+v -> %+v", st, again)
 		}
 		for i, bu := range st.batches {
@@ -490,7 +501,7 @@ func FuzzMasterDeliver(f *testing.F) {
 			_, err := pki.DecodeCertificate(r)
 			return err == nil && r.Done() == nil
 		},
-		bcBatch: func(r *wire.Reader) bool { _, err := decodeBatchMessage(r); return err == nil },
+		bcBatch: func(r *wire.Reader) bool { _, _, err := decodeBatchMessage(r); return err == nil },
 	}
 
 	master := cryptoutil.DeriveKeyPair("master", 0) // the rig's master, certified in its directory

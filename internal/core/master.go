@@ -666,12 +666,12 @@ func (m *Master) deliver(seq uint64, msg []byte, local any) {
 	}
 	switch kind {
 	case bcBatch:
-		ops, err := decodeBatchMessage(r)
+		raw, ops, err := decodeBatchMessage(r)
 		if err != nil {
 			answerWaves(waves, 0)
 			return
 		}
-		m.applyBatch(seq, ops, waves)
+		m.applyBatch(seq, raw, ops, waves)
 	case bcSlaveList:
 		masterAddr := r.String()
 		n := r.Count() // b.submit is unauthenticated: never size a slice by a forged count
@@ -725,25 +725,26 @@ func opCount(waves []queuedWave) int {
 }
 
 // decodeBatchMessage parses a bcBatch broadcast body (after the kind
-// byte). The op bytes alias the message, which the archive retains. It is
-// the one rule every master and the auditor apply to an ordered batch: a
-// body without ops, or one of whose ops does not pass store.ValidateOp, is
-// refused whole, so no replica applies any of it. Admission refuses both,
-// so only a forged b.submit can carry one.
-func decodeBatchMessage(r *wire.Reader) ([][]byte, error) {
-	ops := r.BytesSliceView()
+// byte) into the op bytes, which alias the message the archive retains,
+// and the ops they decode to. It is the one rule every master and the
+// auditor apply to an ordered batch: a body without ops, or one of whose
+// ops does not decode, is refused whole, so no replica applies any of it.
+// Admission refuses both, so only a forged b.submit can carry one.
+func decodeBatchMessage(r *wire.Reader) (raw [][]byte, ops []store.Op, err error) {
+	raw = r.BytesSliceView()
 	if err := r.Done(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(ops) == 0 {
-		return nil, fmt.Errorf("core: batch without ops")
+	if len(raw) == 0 {
+		return nil, nil, fmt.Errorf("core: batch without ops")
 	}
-	for i, op := range ops {
-		if err := store.ValidateOp(op); err != nil {
-			return nil, fmt.Errorf("core: batch op %d: %w", i, err)
+	ops = make([]store.Op, len(raw))
+	for i, b := range raw {
+		if ops[i], err = store.DecodeOp(b); err != nil {
+			return nil, nil, fmt.Errorf("core: batch op %d: %w", i, err)
 		}
 	}
-	return ops, nil
+	return raw, ops, nil
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
@@ -752,17 +753,16 @@ func decodeBatchMessage(r *wire.Reader) ([][]byte, error) {
 // commits would produce), then sign a single stamp over the batch and
 // push a single update per slave. seq is the broadcast slot that carried
 // the commit; it anchors the batch boundary for truncation of the
-// broadcast archive. ops passed decodeBatchMessage. waves, nil on every
-// master but the batch's origin, are the writers waiting for the batch,
-// whose ops they hold in order.
-func (m *Master) applyBatch(seq uint64, ops [][]byte, waves []queuedWave) {
+// broadcast archive. raw and ops are what decodeBatchMessage returned.
+// waves, nil on every master but the batch's origin, are the writers
+// waiting for the batch, whose ops they hold in order.
+func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []queuedWave) {
 	m.mu.Lock()
 	first := m.store.Version() + 1
 	var opBytesTotal int
-	for _, opBytes := range ops {
-		op, _ := store.DecodeOp(opBytes) // validated: it decodes
+	for i, op := range ops {
 		m.store.Apply(op)
-		opBytesTotal += len(opBytes)
+		opBytesTotal += len(raw[i])
 	}
 	last := m.store.Version()
 
@@ -771,8 +771,8 @@ func (m *Master) applyBatch(seq uint64, ops [][]byte, waves []queuedWave) {
 	// get the batch whole, so none of them needs anything per op.
 	now := m.rt.Now()
 	count := uint64(len(ops))
-	bu := BatchUpdate{First: first, Ops: ops,
-		Stamp: SignBatchStamp(m.cfg.Keys, last, now, BatchDigest(first, ops))}
+	bu := BatchUpdate{First: first, Ops: raw,
+		Stamp: SignBatchStamp(m.cfg.Keys, last, now, BatchDigest(first, raw))}
 	m.appendLogLocked(seq, bu)
 	// The newest applied batch is the recovery anchor: a restart that
 	// replays durable state up to `last` resumes broadcast delivery at

@@ -142,8 +142,9 @@ func TestMasterWriteCommitsAndLogs(t *testing.T) {
 }
 
 // TestMasterSyncServesStampedOps: two writes that committed alone come
-// back as two records, each a batch of one under its own batch stamp,
-// then a closing stamp for the master's version.
+// back as two records, each a batch of one under its own batch stamp, the
+// newer naming the master's version, and nothing after them but the
+// anchor.
 func TestMasterSyncServesStampedOps(t *testing.T) {
 	r := newMasterRig(t, nil)
 	var st *stateTransfer
@@ -169,15 +170,15 @@ func TestMasterSyncServesStampedOps(t *testing.T) {
 	if string(st.batches[0].Stamp.Sig) == string(st.batches[1].Stamp.Sig) {
 		t.Fatal("two commits share one stamp")
 	}
-	if st.closing.Version != 3 || st.anchor == 0 {
-		t.Fatalf("closing stamp for version %d, anchor %d; want 3 and the slot of the second commit", st.closing.Version, st.anchor)
+	if got := st.stamp(); got.Version != 3 || string(got.Sig) != string(st.batches[1].Stamp.Sig) || st.anchor == 0 {
+		t.Fatalf("newest stamp for version %d, anchor %d; want the second commit's stamp, for 3, and its slot", got.Version, st.anchor)
 	}
 }
 
 // TestMasterSyncPreBaseServedSnapshotFirst: history at or below the
 // retained base cannot be replayed, so such a request — 0, "everything",
 // included — gets the state itself: a snapshot at the master's version
-// under a stamp over its bytes, no records, the closing stamp.
+// under a stamp over its bytes, and no records.
 func TestMasterSyncPreBaseServedSnapshotFirst(t *testing.T) {
 	for _, from := range []uint64{0, 1} { // 1 is the base version itself
 		r := newMasterRig(t, nil)
@@ -193,8 +194,8 @@ func TestMasterSyncPreBaseServedSnapshotFirst(t *testing.T) {
 		if st.snap == nil || st.snap.Version() != 2 || !st.snap.StateDigest().Equal(r.master.StateDigest()) {
 			t.Fatalf("from %d: reply does not carry the master's state at version 2", from)
 		}
-		if len(st.batches) != 0 || st.closing.Version != 2 {
-			t.Fatalf("from %d: %d batches, closing stamp for %d; want 0 and 2", from, len(st.batches), st.closing.Version)
+		if len(st.batches) != 0 || st.stamp().Version != 2 {
+			t.Fatalf("from %d: %d batches, newest stamp for %d; want 0 and 2", from, len(st.batches), st.stamp().Version)
 		}
 		if got := r.master.Stats(); got.SyncsServed != 1 || got.SnapshotSyncs != 1 {
 			t.Fatalf("from %d: stats %+v", from, got)
@@ -472,8 +473,8 @@ func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 	if st == nil {
 		t.FailNow()
 	}
-	if len(st.batches) != 1 || st.sigMisses != 2 || st.sigHits != 0 {
-		t.Fatalf("%d batches, %d signatures checked and %d memoised; want 1, 2 (batch and closing stamp), 0",
+	if len(st.batches) != 1 || st.sigMisses != 1 || st.sigHits != 0 {
+		t.Fatalf("%d batches, %d signatures checked and %d memoised; want 1, 1 (the batch's stamp), 0",
 			len(st.batches), st.sigMisses, st.sigHits)
 	}
 	if bu := st.batches[0]; bu.First != 2 || len(bu.Ops) != 4 || bu.Stamp.Version != 5 {
@@ -482,9 +483,9 @@ func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 }
 
 // TestMasterSyncReplyCarriesNoProofs bounds an m.sync reply for k batches
-// by its ops and k+1 stamps — one per batch and the closing one. A
-// membership proof per op, or a copy of the stamp per op, would add more
-// than a hundred bytes per op.
+// by its ops and k stamps, one per batch. A membership proof per op, a
+// copy of the stamp per op, or a stamp closing the reply would add more
+// than a hundred bytes.
 func TestMasterSyncReplyCarriesNoProofs(t *testing.T) {
 	const k, n = 3, 64
 	r, _ := waveRig(t, func(cfg *MasterConfig) { cfg.BatchSize = n })
@@ -510,7 +511,7 @@ func TestMasterSyncReplyCarriesNoProofs(t *testing.T) {
 	if len(st.batches) != k {
 		t.Fatalf("%d batches, want %d", len(st.batches), k)
 	}
-	stampLen := len(wire.EncodeFrame(st.closing.Encode))
+	stampLen := len(wire.EncodeFrame(st.batches[0].Stamp.Encode))
 	opBytes := 0
 	for _, bu := range st.batches {
 		for _, op := range bu.Ops {
@@ -518,9 +519,9 @@ func TestMasterSyncReplyCarriesNoProofs(t *testing.T) {
 		}
 	}
 	// Per batch: first and op count, at most three bytes each.
-	if limit := opBytes + (k+1)*stampLen + k*6 + 16; len(body) > limit {
+	if limit := opBytes + k*stampLen + k*6 + 16; len(body) > limit {
 		t.Fatalf("reply for %d batches of %d ops is %d bytes, above the %d its ops and %d stamps take",
-			k, n, len(body), limit, k+1)
+			k, n, len(body), limit, k)
 	}
 }
 

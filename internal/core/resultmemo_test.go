@@ -54,12 +54,11 @@ func (s *Slave) memoSize() (entries, bytes int) {
 }
 
 // snapshotReply is a master's whole answer to m.sync when all it sends is
-// its state: a signed snapshot of st and the closing stamp.
+// its state: a signed snapshot of st.
 func snapshotReply(master *cryptoutil.KeyPair, st *store.Store, now time.Time) []byte {
 	snap := st.EncodeSnapshot()
 	return transferParts{
-		snap:    &ckptSnapshot{version: st.Version(), bytes: snap, stamp: SignStampWithOp(master, st.Version(), now, snap)},
-		closing: SignStamp(master, st.Version(), now),
+		snap: &ckptSnapshot{version: st.Version(), bytes: snap, stamp: SignStampWithOp(master, st.Version(), now, snap)},
 	}.encode()
 }
 

@@ -99,18 +99,6 @@ func (s *Slave) Stats() SlaveStats {
 	return st
 }
 
-// verifyStamp checks a stamp signature through the verified-stamp cache,
-// charging the modelled cost of the work actually done: a full signature
-// verification on a miss, a cache lookup on a hit.
-func (s *Slave) verifyStamp(v *VersionStamp) error {
-	hit, err := s.stamps.verifyStamp(v, s.cfg.MasterPubs)
-	if err != nil {
-		return err
-	}
-	chargeMemoised(s.cfg.CPU, s.cfg.Params.Costs, s.cfg.Params.Costs.VerifySig, hit)
-	return nil
-}
-
 // Version returns the slave replica's content version.
 func (s *Slave) Version() uint64 {
 	s.mu.Lock()
@@ -173,7 +161,7 @@ func (s *Slave) Bootstrap() error {
 	if _, err := st.replayOnto(s.store, nil); err != nil {
 		return err
 	}
-	s.lastStamp = st.closing
+	s.lastStamp = st.stamp()
 	return nil
 }
 
@@ -225,10 +213,16 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	return s.ackLocked(), nil
 }
 
-// adoptStampLocked makes stamp the slave's latest if it is newer. Caller
-// holds s.mu.
+// adoptStampLocked makes stamp the slave's latest if it is newer: for a
+// later version, or for the same version and signed later. Version comes
+// first because a master signs a batch's stamp before it syncs the batch
+// to its WAL and keeps signing keep-alives for the version before it
+// meanwhile: a push can arrive with a stamp older than the keep-alive the
+// slave holds, and the slave then needs the push's stamp to serve at the
+// push's version. Caller holds s.mu.
 func (s *Slave) adoptStampLocked(stamp VersionStamp) {
-	if stamp.Timestamp.After(s.lastStamp.Timestamp) && stamp.Version >= s.lastStamp.Version {
+	if stamp.Version > s.lastStamp.Version ||
+		stamp.Version == s.lastStamp.Version && stamp.Timestamp.After(s.lastStamp.Timestamp) {
 		s.lastStamp = stamp
 	}
 }
@@ -255,56 +249,44 @@ func (s *Slave) droppingLocked() bool {
 	return ok && d.DropUpdates()
 }
 
-// handleUpdateBatch applies one batched commit atomically: the single
-// batch stamp's signature is verified once, then the frame's ops are
-// hashed and compared with the signed digest before any op touches the
-// store. The batch either fully applies (up to already-applied
-// duplicates) or is rejected whole.
+// handleUpdateBatch applies one batched commit atomically: the frame's
+// entry is opened by the one rule (openBatch) — one stamp signature,
+// memoised, and one hash over the ops — before any op touches the store,
+// and the batch either fully applies (up to already-applied duplicates)
+// or is rejected whole.
 func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
-	bu, err := DecodeBatchUpdate(body)
+	r := wire.NewReader(body)
+	b, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)
 	if err != nil {
 		return nil, err
 	}
-	// One signature verification per batch — the receiving half of the
-	// master's signing amortization (a duplicate delivery hits the
-	// verified-stamp cache instead) — plus one hash over the ops.
-	if err := s.verifyStamp(&bu.Stamp); err != nil {
+	masterAddr := r.String()
+	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	costs := s.cfg.Params.Costs
+	chargeMemoised(s.cfg.CPU, costs, costs.VerifySig, hit)
 	var opBytesTotal int
-	for _, op := range bu.Ops {
+	for _, op := range b.Ops {
 		opBytesTotal += len(op)
 	}
-	chargeCPU(s.cfg.CPU, s.cfg.Params.Costs.HashCost(opBytesTotal))
-	if err := bu.VerifyMembers(); err != nil {
-		return nil, err
-	}
-	// Decode every op before applying any, so a malformed batch cannot
-	// leave the replica half-updated.
-	ops := make([]store.Op, len(bu.Ops))
-	for i, b := range bu.Ops {
-		op, err := store.DecodeOp(b)
-		if err != nil {
-			return nil, err
-		}
-		ops[i] = op
-	}
+	chargeCPU(s.cfg.CPU, costs.HashCost(opBytesTotal))
 
 	// One hold from the first version check to the stamp's adoption: a read
 	// that found the ops applied but the old stamp in place would be
 	// refused as stale, and its client would sleep a keep-alive period.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if bu.MasterAddr != "" {
-		s.cfg.MasterAddr = bu.MasterAddr
+	if masterAddr != "" {
+		s.cfg.MasterAddr = masterAddr
 	}
 	switch cur := s.store.Version(); {
 	case s.droppingLocked():
 		// The behaviour model discards the whole batch (it still takes
 		// the fresher stamp below, which an AckForger acks from).
-	case bu.Last() <= cur:
+	case b.Last() <= cur:
 		// Duplicate delivery; still take the fresher stamp below.
-	case bu.First > cur+1:
+	case b.First > cur+1:
 		// Gap: recover the missing range from the master first.
 		masterAddr := s.cfg.MasterAddr
 		s.mu.Unlock()
@@ -314,21 +296,14 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 			return nil, err
 		}
 	default:
-		applied := uint64(0)
-		for i, op := range ops {
-			v := bu.First + uint64(i)
-			if v <= cur {
-				continue // overlap with already-applied history
-			}
-			if err := s.store.ApplyAt(v, op); err != nil {
-				return nil, err
-			}
-			applied++
+		applied, err := b.applyTo(s.store)
+		if err != nil {
+			return nil, err
 		}
-		s.stats.UpdatesOK += applied
+		s.stats.UpdatesOK += uint64(applied)
 		s.stats.BatchesApplied++
 	}
-	s.adoptStampLocked(bu.Stamp)
+	s.adoptStampLocked(b.Stamp)
 	return s.ackLocked(), nil
 }
 
@@ -373,7 +348,7 @@ func (s *Slave) syncFrom(masterAddr string) error {
 	if err != nil {
 		return err
 	}
-	s.adoptStampLocked(st.closing)
+	s.adoptStampLocked(st.stamp())
 	return nil
 }
 

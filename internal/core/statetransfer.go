@@ -10,7 +10,7 @@ package core
 //	request  uvarint from — the first version wanted; 0 asks for everything
 //	reply    mode byte ‖ [bytes snapshot ‖ stamp] ‖ uvarint n ‖
 //	         n × (uvarint first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖
-//	         closing stamp ‖ uvarint anchor
+//	         uvarint anchor
 //
 // Mode 0 is batches only. Mode 1 is snapshot-first, sent when from is at
 // or below the retained log's base: a store snapshot under a stamp whose
@@ -20,13 +20,15 @@ package core
 // (durable.go) is a mode-1 reply too, read back by the same verifier.
 // A batch travels in the one shape committed history has everywhere — the
 // master's log entry and WAL record, an s.updatebatch frame without the
-// master address — and is checked the way a slave checks a pushed one
-// (BatchUpdate.VerifyMembers): one stamp and one hash per batch.
+// master address — and is read by the one rule every replica applies to a
+// batch (openBatch): one stamp and one hash per batch.
 // The master logs whole batches, so a request from inside a batch gets
-// all of it and the replica skips the ops it already holds. The closing
-// stamp certifies the version the reply brings a replica to; anchor is the
-// broadcast slot of the newest batch inside the reply, where a recovering
-// master resumes delivery (slaves ignore it).
+// all of it and the replica skips the ops it already holds (applyTo).
+// The newest stamp in a reply — the last batch's, else the snapshot's —
+// names the version the reply brings a replica to (stateTransfer.stamp),
+// so no stamp of its own closes the reply. anchor is the broadcast slot
+// of the newest batch inside the reply, where a recovering master resumes
+// delivery (slaves ignore it).
 
 import (
 	"fmt"
@@ -49,16 +51,14 @@ type stateTransfer struct {
 	snap      *store.Store // the decoded snapshot; nil in a batches-only reply
 	snapBytes []byte
 	snapStamp VersionStamp
-	batches   []BatchUpdate
-	ops       [][]store.Op // ops[i][j] is batches[i].Ops[j] decoded
-	closing   VersionStamp
+	batches   []openedBatch
 	anchor    uint64
 
 	sigHits, sigMisses int // stamp signatures found in the memo / checked in full
 }
 
 // encodeStateTransfer appends the reply to w; snap is nil for batches only.
-func encodeStateTransfer(w *wire.Writer, snap *ckptSnapshot, batches []BatchUpdate, closing VersionStamp, anchor uint64) {
+func encodeStateTransfer(w *wire.Writer, snap *ckptSnapshot, batches []BatchUpdate, anchor uint64) {
 	if snap == nil {
 		w.Byte(syncModeBatches)
 	} else {
@@ -70,7 +70,6 @@ func encodeStateTransfer(w *wire.Writer, snap *ckptSnapshot, batches []BatchUpda
 	for i := range batches {
 		batches[i].appendEntry(w)
 	}
-	closing.Encode(w)
 	w.Uvarint(anchor)
 }
 
@@ -96,11 +95,10 @@ func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.
 
 // decodeStateTransfer parses an m.sync reply and verifies all of it
 // against the trusted master keys before returning any of it: the
-// snapshot (verifySnapshot); every batch's stamp and its ops against the
-// stamp's digest (VerifyMembers), that the batches are contiguous and the
-// first continues the snapshot, and that every op decodes; and the
-// closing stamp. An unknown mode byte, a batch count larger than the
-// bytes that follow it and trailing bytes are refused.
+// snapshot (verifySnapshot), every batch by the one rule (openBatch), and
+// that the batches are contiguous and the first continues the snapshot.
+// An unknown mode byte, a batch count larger than the bytes that follow
+// it and trailing bytes are refused.
 func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (*stateTransfer, error) {
 	st := new(stateTransfer)
 	count := func(hit bool) {
@@ -130,51 +128,36 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 		return nil, fmt.Errorf("core: state transfer: unknown mode %d", mode)
 	}
 	n := r.Count()
-	st.batches = make([]BatchUpdate, 0, n)
-	st.ops = make([][]store.Op, 0, n)
+	st.batches = make([]openedBatch, 0, n)
 	for i := 0; i < n; i++ {
-		bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
-		if err != nil {
-			return nil, err
-		}
-		hit, err := stamps.verifyStamp(&bu.Stamp, trusted)
+		b, hit, err := openBatch(r, (*wire.Reader).BytesSlice, trusted, stamps)
 		if err != nil {
 			return nil, err
 		}
 		count(hit)
-		if err := bu.VerifyMembers(); err != nil {
-			return nil, err
-		}
 		// Each batch starts right after the one before it, and the first
-		// leaves no gap above the snapshot: replay skips what it cannot
-		// continue, so a gap would pass as a transfer that applied nothing.
-		if i > 0 && bu.First != st.batches[i-1].Last()+1 || i == 0 && st.snap != nil && bu.First > st.snap.Version()+1 {
-			return nil, fmt.Errorf("core: state transfer: batch %d..%d does not continue the history before it", bu.First, bu.Last())
+		// leaves no gap above the snapshot: applyTo would refuse the gap,
+		// but only after the batches before it had applied.
+		if i > 0 && b.First != st.batches[i-1].Last()+1 || i == 0 && st.snap != nil && b.First > st.snap.Version()+1 {
+			return nil, fmt.Errorf("core: state transfer: batch %d..%d does not continue the history before it", b.First, b.Last())
 		}
-		ops := make([]store.Op, len(bu.Ops))
-		for j, b := range bu.Ops {
-			if ops[j], err = store.DecodeOp(b); err != nil {
-				return nil, err
-			}
-		}
-		st.batches = append(st.batches, bu)
-		st.ops = append(st.ops, ops)
+		st.batches = append(st.batches, b)
 	}
-	closing, err := DecodeStamp(r)
-	if err != nil {
-		return nil, err
-	}
-	hit, err := stamps.verifyStamp(&closing, trusted)
-	if err != nil {
-		return nil, err
-	}
-	count(hit)
-	st.closing = closing
 	st.anchor = r.Uvarint()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
 	return st, nil
+}
+
+// stamp is the newest stamp the transfer carries — its last batch's, else
+// its snapshot's — which names the version the transfer brings a replica
+// to. A reply with neither carries the zero stamp, which no slave adopts.
+func (st *stateTransfer) stamp() VersionStamp {
+	if n := len(st.batches); n > 0 {
+		return st.batches[n-1].Stamp
+	}
+	return st.snapStamp
 }
 
 // fetchStateTransfer asks the master at addr for the history from version
@@ -198,27 +181,21 @@ func fetchStateTransfer(dlr rpc.Dialer, addr string, from uint64, p Params, cpu 
 	return st, nil
 }
 
-// replayOnto applies to replica the ops that continue it, batch by batch,
-// and returns how many it applied. Ops at or below the replica's version
+// replayOnto applies every batch to replica in order (applyTo) and
+// returns how many ops it applied. Ops at or below the replica's version
 // — under the snapshot, in the part of a batch the replica already holds,
 // or applied by a push that raced the transfer — are skipped. done, if not
 // nil, is called after each batch that advanced the replica.
 func (st *stateTransfer) replayOnto(replica *store.Store, done func(*BatchUpdate)) (int, error) {
 	n := 0
 	for i := range st.batches {
-		bu, before := &st.batches[i], n
-		for j, op := range st.ops[i] {
-			v := bu.First + uint64(j)
-			if v != replica.Version()+1 {
-				continue
-			}
-			if err := replica.ApplyAt(v, op); err != nil {
-				return n, err
-			}
-			n++
+		k, err := st.batches[i].applyTo(replica)
+		n += k
+		if err != nil {
+			return n, err
 		}
-		if n > before && done != nil {
-			done(bu)
+		if k > 0 && done != nil {
+			done(&st.batches[i].BatchUpdate)
 		}
 	}
 	return n, nil
@@ -228,7 +205,8 @@ func (st *stateTransfer) replayOnto(replica *store.Store, done func(*BatchUpdate
 // A request the retained log cannot answer batch by batch — from at or
 // below baseVersion, which includes 0 — is served snapshot-first: the
 // current state, encoded here and signed when the request arrives, with
-// no batches after it.
+// no batches after it. That is the only signature a reply costs: a
+// batches-only reply carries the stamps its batches were committed under.
 func (m *Master) handleSync(body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
 	from := r.Uvarint()
@@ -263,6 +241,6 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 		size += len(snap.bytes)
 	}
 	w := wire.NewWriter(size)
-	encodeStateTransfer(w, snap, batches, SignStamp(m.cfg.Keys, cur, m.rt.Now()), anchor)
+	encodeStateTransfer(w, snap, batches, anchor)
 	return w.Bytes(), nil
 }

@@ -23,13 +23,12 @@ import (
 type transferParts struct {
 	snap    *ckptSnapshot
 	batches []BatchUpdate
-	closing VersionStamp
 	anchor  uint64
 }
 
 func (p transferParts) encode() []byte {
 	w := wire.NewWriter(1024)
-	encodeStateTransfer(w, p.snap, p.batches, p.closing, p.anchor)
+	encodeStateTransfer(w, p.snap, p.batches, p.anchor)
 	return w.Bytes()
 }
 
@@ -57,11 +56,10 @@ func transferState(version uint64) *store.Store {
 }
 
 // honestTransfer is a snapshot-first reply from a master at version 7 with
-// its snapshot at snapAt: the snapshot, the logged batches from the one
-// holding snapAt+1 on — whole, as the master logged them — and the closing
-// stamp. An honest master snapshots its current state (snapAt 7, no
-// batches); the verifier still accepts and checks the batches that follow
-// an older one.
+// its snapshot at snapAt: the snapshot, then the logged batches from the
+// one holding snapAt+1 on — whole, as the master logged them. An honest
+// master snapshots its current state (snapAt 7, no batches); the verifier
+// still accepts and checks the batches that follow an older one.
 func honestTransfer(master *cryptoutil.KeyPair, now time.Time, snapAt uint64) transferParts {
 	var batches []BatchUpdate
 	for _, bu := range []BatchUpdate{
@@ -77,7 +75,6 @@ func honestTransfer(master *cryptoutil.KeyPair, now time.Time, snapAt uint64) tr
 	return transferParts{
 		snap:    &ckptSnapshot{version: snapAt, bytes: snap, stamp: SignStampWithOp(master, snapAt, now, snap)},
 		batches: batches,
-		closing: SignStamp(master, 7, now),
 		anchor:  42,
 	}
 }
@@ -162,6 +159,17 @@ var transferTamperCases = []transferTamper{
 	tampered("record a strict suffix of its signed batch", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
 		p.batches[1].First, p.batches[1].Ops = 6, p.batches[1].Ops[2:]
 	}),
+	// The last record's stamp names the version the reply brings a
+	// replica to, and a slave adopts it: forged or altered, it is refused.
+	tampered("last record stamp from an uncertified key", func(p *transferParts, _, evil *cryptoutil.KeyPair, now time.Time) {
+		last := &p.batches[len(p.batches)-1]
+		last.Stamp = SignBatchStamp(evil, last.Last(), now, last.Stamp.OpDigest)
+	}),
+	tampered("last record stamp signature altered", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
+		last := &p.batches[len(p.batches)-1]
+		last.Stamp.Sig = bytes.Clone(last.Stamp.Sig)
+		last.Stamp.Sig[0] ^= 1
+	}),
 	tampered("records starting above the snapshot", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
 		p.batches = p.batches[1:] // the write at 3 is missing
 	}),
@@ -171,13 +179,6 @@ var transferTamperCases = []transferTamper{
 	reordered("records out of order", func(b []BatchUpdate) []BatchUpdate {
 		return []BatchUpdate{b[0], b[2], b[1]}
 	}),
-	tampered("forged closing stamp", func(p *transferParts, _, evil *cryptoutil.KeyPair, now time.Time) {
-		p.closing = SignStamp(evil, 7, now)
-	}),
-	tampered("closing stamp signature altered", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
-		p.closing.Sig = bytes.Clone(p.closing.Sig)
-		p.closing.Sig[0] ^= 1
-	}),
 	{"unknown mode byte", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		b := honestTransfer(m, now, 3).encode()
 		b[0] = 2
@@ -186,6 +187,8 @@ var transferTamperCases = []transferTamper{
 	{"trailing bytes", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		return append(honestTransfer(m, now, 3).encode(), 0)
 	}},
+	// The last batch's stamp closes the reply: it names the version the
+	// reply brings a replica to, and only the anchor follows it.
 	{"truncated inside the closing stamp", false, 0, func(m, _ *cryptoutil.KeyPair, now time.Time, _ uint64) []byte {
 		b := honestTransfer(m, now, 3).encode()
 		return b[:len(b)-10]
@@ -200,7 +203,6 @@ var transferTamperCases = []transferTamper{
 			w.Bytes_(p.snap.bytes)
 			p.snap.stamp.Encode(w)
 			w.Uvarint(1)
-			p.closing.Encode(w)
 			w.Uvarint(p.anchor)
 		})
 	}},
@@ -260,7 +262,7 @@ func newSlaveConsumer(t *testing.T, at uint64, answer syncAnswer, pull func(*Sla
 		},
 		brought: func(t *testing.T) {
 			if got := r.slave.adoptedStamp(); got.Version != 7 {
-				t.Fatalf("closing stamp not adopted: %+v", got)
+				t.Fatalf("the transfer's newest stamp not adopted: %+v", got)
 			}
 		},
 	}

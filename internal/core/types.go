@@ -161,9 +161,9 @@ func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time
 // First..First+len(Ops)-1 and the single batch stamp — one signature
 // regardless of batch size. It is the master→slave s.updatebatch frame,
 // and without MasterAddr it is the master's log entry, its WAL record and
-// one entry of an m.sync reply. A receiver holds every op of the batch,
-// hashes them in one pass and compares with the signed digest
-// (VerifyMembers).
+// one entry of an m.sync reply. Every receiver reads it through
+// openBatch, which hashes the ops in one pass and compares them with the
+// signed digest (VerifyMembers).
 type BatchUpdate struct {
 	First      uint64
 	Ops        [][]byte
@@ -177,9 +177,9 @@ func (bu *BatchUpdate) Last() uint64 { return bu.First + uint64(len(bu.Ops)) - 1
 
 // VerifyMembers checks the batch against its stamp: a batch stamp whose
 // version closes [First, First+len(Ops)) and whose digest is the
-// BatchDigest of exactly these ops at exactly these versions. The caller
-// must have verified the stamp's signature (directly or through a
-// verified-stamp cache).
+// BatchDigest of exactly these ops at exactly these versions. It proves
+// nothing until the stamp's signature has verified, which openBatch checks
+// first.
 func (bu *BatchUpdate) VerifyMembers() error {
 	if len(bu.Ops) == 0 {
 		return fmt.Errorf("%w: batch without ops", ErrBadStamp)
@@ -216,6 +216,57 @@ func decodeBatchEntry(r *wire.Reader, ops func(*wire.Reader) [][]byte) (BatchUpd
 	var err error
 	bu.Stamp, err = DecodeStamp(r)
 	return bu, err
+}
+
+// openedBatch is a batch entry that passed openBatch, with its ops
+// decoded.
+type openedBatch struct {
+	BatchUpdate
+	ops []store.Op // ops[i] is Ops[i] decoded
+}
+
+// openBatch is the one rule for every batch a replica takes — pushed, in
+// an m.sync reply or snapshot file, or a WAL record. It reads the entry
+// from r (ops reads the op list, as in decodeBatchEntry) and hands it
+// back only once its stamp verifies under a trusted key (through the
+// stamps memo, nil allowed; hit reports a memo hit), VerifyMembers
+// passes and every op decodes.
+func openBatch(r *wire.Reader, ops func(*wire.Reader) [][]byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (b openedBatch, hit bool, err error) {
+	bu, err := decodeBatchEntry(r, ops)
+	if err != nil {
+		return b, false, err
+	}
+	if hit, err = stamps.verifyStamp(&bu.Stamp, trusted); err != nil {
+		return b, false, err
+	}
+	if err := bu.VerifyMembers(); err != nil {
+		return b, false, err
+	}
+	decoded := make([]store.Op, len(bu.Ops))
+	for i, op := range bu.Ops {
+		if decoded[i], err = store.DecodeOp(op); err != nil {
+			return b, false, err
+		}
+	}
+	return openedBatch{BatchUpdate: bu, ops: decoded}, hit, nil
+}
+
+// applyTo applies the ops above replica's version, in order, and returns
+// how many: a batch that starts past the next version applies nothing
+// and fails with store.ErrVersionGap.
+func (b *openedBatch) applyTo(replica *store.Store) (int, error) {
+	n := 0
+	for i, op := range b.ops {
+		v := b.First + uint64(i)
+		if v <= replica.Version() {
+			continue
+		}
+		if err := replica.ApplyAt(v, op); err != nil {
+			return n, err
+		}
+		n++
+	}
+	return n, nil
 }
 
 // EncodeBatchUpdate serializes the frame. The encode runs through a

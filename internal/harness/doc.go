@@ -7,6 +7,12 @@
 // batched commits for §3.4's signing bottleneck, E16 stability
 // checkpointing for bounded master memory).
 //
+// The experiments live one topic to a file: paper_reads.go (E1–E4, read
+// cost, detection, master load, audit), paper_protocol.go (E5–E12),
+// paper_costs_recovery.go (E13 cost ablation, E14 recovery), batching.go
+// (E15), checkpointing.go (E16), crashrecovery.go (E17), hotpath.go (E18)
+// and sharding.go (E19).
+//
 // NewScenario wires masters, slaves, the auditor and clients onto one
 // sim.Sim + rpc.SimNet; experiments drive workloads against it in
 // virtual time and read the role stats afterwards.
