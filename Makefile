@@ -66,24 +66,26 @@ lint:
 # The commit round fans out a task per peer and hands delivery to a
 # drainer task, so what its tests prove depends on the schedule they
 # happened to get: the broadcast package runs ten more times. So does the
-# slave test whose concurrent s.updatebatch handlers share one replica, its
-# verified-stamp cache and the pooled writers the batch digest is hashed
-# through, the one where Bootstrap, a sync and pushed batches race for one
-# replica, the one whose readers share the signed-pledge memo while stamps
-# and batches arrive, the one whose readers must see each batch and its
-# stamp whole (no pledge an audit would convict, no read refused as stale),
-# the client test whose writers, readers and re-setups share one shard
-# table and its groups, the auditor's tests, whose handlers settle pledges
-# against views of the content while batches are delivered and the apply
-# loop applies them, clones them and settles the pledges that waited for
-# them, the client's vouch tests, whose auditor answers pledges on arrival
-# while its apply loop runs, and the TCP transport's tests, whose
-# connection workers, reused call slots and single-flight dials are all
-# shared between goroutines that only a lucky schedule brings together.
+# slave test whose concurrent s.updatebatch handlers share one replica,
+# its verified-stamp cache and the pooled writers the batch digest is
+# hashed through, the one where Bootstrap, a sync and pushed batches race
+# for one replica, the one whose push past the replica is answered while
+# the sync it starts runs on, the one whose readers share the
+# signed-pledge memo while stamps and batches arrive, the one whose
+# readers must see each batch and its stamp whole (no pledge an audit
+# would convict, no read refused as stale), the client test whose writers,
+# readers and re-setups share one shard table and its groups, the
+# auditor's tests, whose handlers settle pledges against views of the
+# content while batches are delivered and the apply loop applies them,
+# clones them and settles the pledges that waited for them, the client's
+# vouch tests, whose auditor answers pledges on arrival while its apply
+# loop runs, and the TCP transport's tests, whose connection workers,
+# reused call slots and single-flight dials are all shared between
+# goroutines that only a lucky schedule brings together.
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.
 RACE_RERUNS := \
 	internal/rpc:TestTCP \
-	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePushGapAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' \
 	'internal/core:TestAuditor|TestClientVouch'
 
 race:

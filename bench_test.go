@@ -14,11 +14,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/harness"
-	"repro/internal/merkle"
 	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -214,33 +212,6 @@ func BenchmarkStoreApply(b *testing.B) {
 			Key:   workload.CatalogKey(i % 10000),
 			Value: []byte("value"),
 		})
-	}
-}
-
-func BenchmarkMerkleProve(b *testing.B) {
-	content := workload.BuildContent(4096, 0)
-	tree := baseline.BuildTree(content)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.Prove(i % tree.Len()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMerkleVerify(b *testing.B) {
-	content := workload.BuildContent(4096, 0)
-	tree := baseline.BuildTree(content)
-	proof, _ := tree.Prove(1234)
-	entry, _ := tree.Entry(1234)
-	root := tree.Root()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := merkle.Verify(root, entry, proof); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -29,21 +29,21 @@
 //
 // trustcheck enforces verify-before-trust on the replication ingest
 // paths. Values produced by the wire decoders (DecodeStamp,
-// DecodePledge, decodeBatchEntry, DecodeBatchUpdate, DecodeWriteRequest,
-// DecodeWriteWave, DecodeProof, ...) are tainted until
+// DecodePledge, decodeBatchEntry, DecodeWriteRequest, DecodeWriteWave,
+// DecodeProof, ...) are tainted until
 // they flow through a verification call (Verify, VerifySig,
 // VerifyMembers, ValidateOp, AuthenticatesOp, ...). Taint follows data
 // through assignments, field reads, indexing, arithmetic and call
 // results. A check of one field (verifyStamp(&bu.Stamp)) clears that
 // field and nothing else; VerifyMembers clears a batch only once its
 // stamp is clear — the ops are only as good as the digest they are
-// checked against (§3.1). A
-// tainted value must not reach a sink — Apply/ApplyAt, an opened batch's
-// applyTo (as its receiver), adoptTransferLocked — or be stored into
-// long-lived replica state (fields of a receiver or parameter, or
-// package-level variables); assembling decoded values in function-local
-// scratch is fine and merely propagates the taint. A verifying decoder is
-// the converse: its callers use what it returns as verified, so inside it
+// checked against (§3.1). A tainted value must not reach a sink —
+// Apply/ApplyAt, an opened batch's applyTo (as its receiver),
+// adoptTransferLocked (a master's and a slave's one ingest share that
+// name, so one sink covers both) — or be stored into long-lived replica
+// state (fields of a receiver or parameter, or package-level variables);
+// assembling decoded values in function-local scratch is fine and merely
+// propagates the taint. A verifying decoder is the converse: its callers use what it returns as verified, so inside it
 // a return of a still-tainted value is reported. The replica ingest paths
 // are its three verifying decoders: openBatch, the one rule every batch a
 // replica takes passes (an s.updatebatch push, each entry of an m.sync

@@ -53,13 +53,13 @@ var seededBugs = []struct {
 		name: "slave push without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
 		from: "\tb, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)\n",
 		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)\n\thit, _ := s.stamps.verifyStamp(&bu.Stamp, s.cfg.MasterPubs)\n\tb := openedBatch{BatchUpdate: bu}\n",
-		at:   "b.applyTo(s.store)",
+		at:   "s.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}})",
 	},
 	{
 		name: "slave push without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
 		from: "\tb, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)\n",
 		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)\n\thit := bu.VerifyMembers() == nil\n\tb := openedBatch{BatchUpdate: bu}\n",
-		at:   "b.applyTo(s.store)",
+		at:   "s.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}})",
 	},
 	{
 		name: "WAL replay without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",

@@ -38,7 +38,7 @@ type Replica struct {
 	pubs      [][]byte
 }
 
-func DecodeBatchUpdate(b []byte) (Update, error) {
+func decodeBatchEntry(b []byte) (Update, error) {
 	return Update{Ops: [][]byte{b}}, nil
 }
 
@@ -51,7 +51,7 @@ func decodeOp(b []byte) ([]byte, error) { return b, nil }
 // applyBeforeVerify feeds decoded ops into the store with no signature
 // check at all.
 func (r *Replica) applyBeforeVerify(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -75,7 +75,7 @@ func (r *Replica) storeBeforeVerify(frame []byte) error {
 
 // verifyWrongOrder applies first, verifies after: the damage is done.
 func (r *Replica) verifyWrongOrder(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func (r *Replica) verifyWrongOrder(frame []byte) error {
 // stampOnly checks the stamp, which clears the stamp and nothing else:
 // the ops were never checked against it.
 func (r *Replica) stampOnly(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -107,7 +107,7 @@ func (r *Replica) stampOnly(frame []byte) error {
 // membersBeforeStamp checks the ops against a root nobody has checked yet,
 // which proves nothing.
 func (r *Replica) membersBeforeStamp(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -123,7 +123,7 @@ func (r *Replica) membersBeforeStamp(frame []byte) error {
 // noMembersCheck: taint survives a decode call and arithmetic on its way
 // to the sink.
 func (r *Replica) noMembersCheck(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func (r *Replica) noMembersCheck(frame []byte) error {
 // okVerifyThenApply is the canonical ingest shape: the stamp, then the
 // ops against it.
 func (r *Replica) okVerifyThenApply(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func (r *Replica) okVerifyThenApply(frame []byte) error {
 
 // okValidateGate mirrors the auditor: ValidateOp sanitizes the ops.
 func (r *Replica) okValidateGate(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}
@@ -214,7 +214,7 @@ type Transfer struct {
 // sink inside it. This one hands the newest stamp back unchecked.
 func decodeStateTransfer(frame []byte, pubs [][]byte) (*Transfer, error) {
 	t := new(Transfer)
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func (b *Opened) applyTo(st *Store) error { return nil }
 // openBatch is in the analyzer's verifier list: it hands a batch back only
 // after its stamp and its members have checked out.
 func openBatch(frame []byte, pubs [][]byte) (Opened, error) {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return Opened{}, err
 	}
@@ -290,7 +290,7 @@ func (r *Replica) okApplyOpened(frame []byte) error {
 // applyUnopened: a batch assembled from a decoded frame without the one
 // rule is reported where it applies itself.
 func (r *Replica) applyUnopened(frame []byte) error {
-	bu, err := DecodeBatchUpdate(frame)
+	bu, err := decodeBatchEntry(frame)
 	if err != nil {
 		return err
 	}

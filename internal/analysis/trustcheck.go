@@ -31,7 +31,6 @@ var trustSources = map[string]bool{
 	"DecodePledge":       true,
 	"decodePledgeFrame":  true,
 	"decodeBatchEntry":   true,
-	"DecodeBatchUpdate":  true,
 	"DecodeWriteRequest": true,
 	"DecodeWriteWave":    true,
 	"DecodeProof":        true,
@@ -75,7 +74,8 @@ var trustVerifiers = map[string]bool{
 // here means unverified input reached the replica state machine. applyTo
 // is an opened batch applying itself, so a batch that reaches it without
 // having come out of openBatch is reported as its receiver;
-// adoptTransferLocked installs a state transfer in a master's replica.
+// adoptTransferLocked installs a state transfer in a replica — a master's
+// and a slave's one ingest share the name, so the one entry covers both.
 var trustSinks = map[string]bool{
 	"Apply":               true,
 	"ApplyAt":             true,

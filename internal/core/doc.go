@@ -124,7 +124,8 @@
 //	             string masterAddr (BatchUpdate). The stamp's digest is
 //	             the hash of the bytes in front of it, uvarint first ‖
 //	             uvarint n ‖ n × bytes op (BatchDigest): openBatch
-//	             hashes them and compares. Reply: uvarint applied version.
+//	             hashes them and compares. Reply: uvarint applied
+//	             version, at once (a gap is closed by a background sync).
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
 //	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
 //	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ uvarint
@@ -147,7 +148,13 @@
 // is a list of these batches, its WAL record is one of them after its
 // broadcast slot, and truncation cuts the log only between batches. It
 // has one reader: every batch a replica takes — pushed, transferred or
-// replayed — is opened by openBatch and applied by its applyTo.
+// replayed — is opened by openBatch and applied by its applyTo — and one
+// ingest per replica (adoptTransferLocked) adopts it as a state transfer:
+// a WAL record or a slave's push is one of one batch, a keep-alive one of
+// none. A slave left behind its new stamp syncs in the background,
+// single-flight. A keep-alive that overtakes its push starts an m.sync the
+// push leaves with 0 ops: 1 in three 10 s replbench write-waves runs (66
+// pushes each), 0 in mixed, E15 and E18 (E18's one sync applies 64 ops).
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,

@@ -70,21 +70,24 @@ func FuzzDecodeWriteWave(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatchUpdate drives the s.updatebatch frame decoder over
-// arbitrary bytes, seeded with every frame of the slave's tamper table.
-// The invariants: no panic on any input, in the decoder or in the check a
-// slave runs on what it decoded; an op count above wire.MaxBatchItems is
-// refused; whatever decodes re-encodes to a frame that decodes to the
-// same batch, and that re-encoding is a fixed point.
+// FuzzDecodeBatchUpdate drives what a slave runs on an s.updatebatch
+// frame before its replica sees it — the one rule (openBatch), the master
+// address, the end of the frame (openPush) — over arbitrary bytes, seeded
+// with a signed frame and every frame of the slave's tamper table. The
+// invariants: no panic on any input, whatever length a stamp's key or
+// signature has; an op count above wire.MaxBatchItems is refused; a frame
+// that opens holds every op decoded, and re-encodes to a frame that opens
+// to the same batch, and that re-encoding is a fixed point.
 func FuzzDecodeBatchUpdate(f *testing.F) {
 	m, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
+	trusted := []cryptoutil.PublicKey{m.Public}
 	now := time.Unix(1, 0)
 	f.Add(EncodeBatchUpdate(signedBatch(m, 2, waveOps(3), now)))
 	for _, tc := range batchTamperCases {
 		f.Add(pushFrame(tc.entry(m, evil, now)))
 	}
 	overCount := []byte{0x02, 0x81, 0x80, 0x04} // first 2, count MaxBatchItems+1
-	if _, err := DecodeBatchUpdate(overCount); !errors.Is(err, wire.ErrTooLarge) {
+	if _, _, err := openPush(overCount, trusted, nil); !errors.Is(err, wire.ErrTooLarge) {
 		f.Fatalf("count above MaxBatchItems: err = %v, want ErrTooLarge", err)
 	}
 	f.Add(overCount)
@@ -92,32 +95,32 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f}) // count far beyond the frame
 	f.Add([]byte{0x82, 0x00, 0x01, 0x01, 'x'})        // first as an overlong varint
 
-	trusted := []cryptoutil.PublicKey{m.Public}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		bu, err := DecodeBatchUpdate(data)
+		b, addr, err := openPush(data, trusted, nil)
 		if err != nil {
 			return
 		}
-		if len(bu.Ops) > wire.MaxBatchItems {
-			t.Fatalf("decoded %d ops, above wire.MaxBatchItems", len(bu.Ops))
+		if len(b.Ops) > wire.MaxBatchItems || len(b.ops) != len(b.Ops) {
+			t.Fatalf("opened %d ops with %d decoded", len(b.Ops), len(b.ops))
 		}
-		_ = bu.Verify(trusted) // any stamp, key and signature length must be survivable
-		_ = bu.VerifyMembers()
+		bu := b.BatchUpdate
+		bu.MasterAddr = addr
 		enc := EncodeBatchUpdate(bu)
-		again, err := DecodeBatchUpdate(enc)
+		again, againAddr, err := openPush(enc, trusted, nil)
 		if err != nil {
-			t.Fatalf("re-encoded batch does not decode: %v", err)
+			t.Fatalf("re-encoded batch does not open: %v", err)
 		}
-		if again.First != bu.First || again.MasterAddr != bu.MasterAddr || len(again.Ops) != len(bu.Ops) ||
+		if again.First != bu.First || againAddr != addr || len(again.Ops) != len(bu.Ops) ||
 			!bytes.Equal(again.Stamp.signedBytes(), bu.Stamp.signedBytes()) || !bytes.Equal(again.Stamp.Sig, bu.Stamp.Sig) {
-			t.Fatalf("round trip changed the batch: %+v -> %+v", bu, again)
+			t.Fatalf("round trip changed the batch: %+v -> %+v", bu, again.BatchUpdate)
 		}
 		for i := range bu.Ops {
 			if !bytes.Equal(again.Ops[i], bu.Ops[i]) {
 				t.Fatalf("round trip changed op %d", i)
 			}
 		}
-		if !bytes.Equal(EncodeBatchUpdate(again), enc) {
+		again.MasterAddr = againAddr
+		if !bytes.Equal(EncodeBatchUpdate(again.BatchUpdate), enc) {
 			t.Fatal("re-encoding is not canonical")
 		}
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -56,6 +57,8 @@ type SlaveConfig struct {
 // pushed by its master strictly in version order and refuses reads when
 // its latest stamp is older than max_latency (§3.1: a correct slave
 // "should stop handling user requests until they are back in sync").
+// Everything its master sends it — a push, a keep-alive, a sync reply, a
+// bootstrap — reaches the replica through one ingest, adoptTransferLocked.
 type Slave struct {
 	cfg SlaveConfig
 	rt  sim.Runtime
@@ -157,12 +160,9 @@ func (s *Slave) Bootstrap() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.store = st.snap
-	if _, err := st.replayOnto(s.store, nil); err != nil {
-		return err
-	}
-	s.lastStamp = st.stamp()
-	return nil
+	s.store, s.lastStamp = st.snap, VersionStamp{}
+	_, err = s.adoptTransferLocked(st)
+	return err
 }
 
 // Handle routes the slave's RPC methods.
@@ -201,13 +201,8 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if masterAddr != "" {
 		s.cfg.MasterAddr = masterAddr
 	}
-	s.adoptStampLocked(stamp)
-	// A keep-alive for a version ahead of the replica means updates were
-	// lost; recover them in the background.
-	if stamp.Version > s.store.Version() && !s.droppingLocked() {
-		syncAddr := s.cfg.MasterAddr
-		s.rt.Spawn(func() { s.syncFrom(syncAddr) })
-	}
+	// A keep-alive is a transfer of no batches: nothing to apply or fail.
+	_, _ = s.adoptTransferLocked(&stateTransfer{snapStamp: stamp})
 	// Acknowledge the applied version: masters aggregate these acks into
 	// the stability point that drives checkpoint truncation.
 	return s.ackLocked(), nil
@@ -240,20 +235,44 @@ func (s *Slave) ackLocked() []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(v) })
 }
 
-// droppingLocked reports whether the behaviour model currently discards
-// state updates (and therefore must not sync either — a dropper that
-// synced would quietly repair the very gap it is creating). Caller
-// holds s.mu.
-func (s *Slave) droppingLocked() bool {
-	d, ok := s.cfg.Behavior.(UpdateDropper)
-	return ok && d.DropUpdates()
+// adoptTransferLocked is the slave's one ingest, named like the master's:
+// a push is a transfer of one batch, a keep-alive a transfer of none, a
+// sync or a bootstrap the m.sync reply it fetched. A snapshot ahead of the
+// replica replaces it, the batches that continue the replica are applied
+// (one that starts past it applies nothing) and the newest stamp is
+// adopted; a stamp still ahead of the replica means updates were lost,
+// and the single-flight sync recovers them in the background. A dropping
+// behaviour takes the stamp (an AckForger acks from it) and applies and
+// syncs nothing: a sync would quietly repair the very gap it is creating.
+// It returns how many ops it applied. Caller holds s.mu.
+func (s *Slave) adoptTransferLocked(st *stateTransfer) (int, error) {
+	stamp := st.stamp()
+	if d, ok := s.cfg.Behavior.(UpdateDropper); ok && d.DropUpdates() {
+		s.adoptStampLocked(stamp)
+		return 0, nil
+	}
+	if st.snap != nil && st.snap.Version() > s.store.Version() {
+		s.store = st.snap
+		s.stats.SnapshotSyncs++
+	}
+	applied, err := st.replayOnto(s.store, nil)
+	if err != nil && !errors.Is(err, store.ErrVersionGap) {
+		return applied, err
+	}
+	s.adoptStampLocked(stamp)
+	if stamp.Version > s.store.Version() {
+		addr := s.cfg.MasterAddr
+		s.rt.Spawn(func() { s.syncFrom(addr) })
+	}
+	return applied, nil
 }
 
-// handleUpdateBatch applies one batched commit atomically: the frame's
-// entry is opened by the one rule (openBatch) — one stamp signature,
-// memoised, and one hash over the ops — before any op touches the store,
-// and the batch either fully applies (up to already-applied duplicates)
-// or is rejected whole.
+// handleUpdateBatch takes one batched commit as a transfer of one batch:
+// the frame's entry is opened by the one rule (openBatch) — one stamp
+// signature, memoised, and one hash over the ops — before any op touches
+// the store, and the batch either fully applies (up to already-applied
+// duplicates) or is rejected whole. A batch past the replica is answered
+// at once, with the replica's version; the sync it starts closes the gap.
 func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 	r := wire.NewReader(body)
 	b, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)
@@ -272,48 +291,30 @@ func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
 	}
 	chargeCPU(s.cfg.CPU, costs.HashCost(opBytesTotal))
 
-	// One hold from the first version check to the stamp's adoption: a read
-	// that found the ops applied but the old stamp in place would be
-	// refused as stale, and its client would sleep a keep-alive period.
+	// One hold from the apply to the stamp's adoption: a read that found
+	// the ops applied but the old stamp in place would be refused as
+	// stale, and its client would sleep a keep-alive period.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if masterAddr != "" {
 		s.cfg.MasterAddr = masterAddr
 	}
-	switch cur := s.store.Version(); {
-	case s.droppingLocked():
-		// The behaviour model discards the whole batch (it still takes
-		// the fresher stamp below, which an AckForger acks from).
-	case b.Last() <= cur:
-		// Duplicate delivery; still take the fresher stamp below.
-	case b.First > cur+1:
-		// Gap: recover the missing range from the master first.
-		masterAddr := s.cfg.MasterAddr
-		s.mu.Unlock()
-		err := s.syncFrom(masterAddr)
-		s.mu.Lock()
-		if err != nil {
-			return nil, err
-		}
-	default:
-		applied, err := b.applyTo(s.store)
-		if err != nil {
-			return nil, err
-		}
+	applied, err := s.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}})
+	if err != nil {
+		return nil, err
+	}
+	if applied > 0 {
 		s.stats.UpdatesOK += uint64(applied)
 		s.stats.BatchesApplied++
 	}
-	s.adoptStampLocked(b.Stamp)
 	return s.ackLocked(), nil
 }
 
 // syncFrom pulls the updates the replica is missing from a master and
-// applies them in order. When the master has truncated the wanted history
-// below a stability checkpoint the reply is snapshot-first: the snapshot
-// replaces the replica if it is newer, and the batches committed after it
-// are replayed on top.
+// adopts them. When the master has truncated the wanted history below a
+// stability checkpoint the reply is snapshot-first.
 //
-// Syncs are single-flight: every keep-alive or update that shows the
+// Syncs are single-flight: every keep-alive or push that shows the
 // replica behind spawns a sync, and without the guard a long-offline
 // slave would launch one full-history transfer per keep-alive and melt
 // its memory. A skipped sync is always retried by the next keep-alive.
@@ -339,17 +340,9 @@ func (s *Slave) syncFrom(masterAddr string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st.snap != nil && st.snap.Version() > s.store.Version() {
-		s.store = st.snap
-		s.stats.SnapshotSyncs++
-	}
-	applied, err := st.replayOnto(s.store, nil)
+	applied, err := s.adoptTransferLocked(st)
 	s.stats.UpdatesSynced += uint64(applied)
-	if err != nil {
-		return err
-	}
-	s.adoptStampLocked(st.stamp())
-	return nil
+	return err
 }
 
 // ReadReply is the slave's answer to a read: the result payload plus the

@@ -316,6 +316,47 @@ func TestSlaveGapTriggersSync(t *testing.T) {
 	}
 }
 
+// TestSlavePushGapAnsweredAtOnce: a push that starts past the replica is
+// acknowledged at once with the replica's version — the master's push
+// does not wait on an m.sync round trip — and the sync it starts in the
+// background brings the replica through the gap, in one m.sync.
+func TestSlavePushGapAnsweredAtOnce(t *testing.T) {
+	r := newSlaveRig(t, Honest{})
+	syncs := 0
+	r.net.Register("master", func(from, method string, body []byte) ([]byte, error) {
+		if method != MethodSync {
+			return nil, errors.New("unexpected method")
+		}
+		syncs++
+		r.s.Sleep(2 * time.Second) // a slow master
+		w := wire.NewWriter(512)
+		encodeStateTransfer(w, nil, []BatchUpdate{
+			signedBatch(r.master, 2, []store.Op{store.Put{Key: "a", Value: []byte("1")}}, r.s.Now()),
+			signedBatch(r.master, 3, []store.Op{store.Put{Key: "b", Value: []byte("2")}}, r.s.Now()),
+		}, 0)
+		return w.Bytes(), nil
+	})
+	var ack []byte
+	var err error
+	var took time.Duration
+	r.s.Go(func() {
+		start := r.s.Now()
+		bu := oneOp(r.master, 4, store.Put{Key: "c", Value: []byte("3")}, start)
+		ack, err = r.slave.Handle("master", MethodUpdateBatch, EncodeBatchUpdate(bu))
+		took = r.s.Now().Sub(start)
+	})
+	r.s.Run()
+	if err != nil || took != 0 {
+		t.Fatalf("push past the replica: err %v after %v; want nil at once", err, took)
+	}
+	if v, ok := parseAck(ack); !ok || v != 1 {
+		t.Fatalf("ack = %d, %v; want the replica's 1", v, ok)
+	}
+	if v, st := r.slave.Version(), r.slave.Stats(); v != 3 || syncs != 1 || st.UpdatesSynced != 2 {
+		t.Fatalf("after the background sync: version %d, %d m.sync calls, %+v; want 3 after one m.sync synced 2", v, syncs, st)
+	}
+}
+
 // storeGet is a test accessor.
 func (s *Slave) storeGet(key string) ([]byte, bool) {
 	s.mu.Lock()

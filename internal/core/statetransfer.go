@@ -5,7 +5,9 @@ package core
 // being (re)provisioned and a restarted master whose gap no broadcast
 // archive can close all send m.sync and all read the reply through
 // decodeStateTransfer, which hands nothing back until every signature and
-// batch in it has checked out.
+// batch in it has checked out. A replica's one ingest, adoptTransferLocked,
+// also takes a WAL record or a slave's push as a transfer of one batch
+// and a slave's keep-alive as a transfer of none, its stamp alone.
 //
 //	request  uvarint from — the first version wanted; 0 asks for everything
 //	reply    mode byte ‖ [bytes snapshot ‖ stamp] ‖ uvarint n ‖
@@ -46,7 +48,7 @@ const (
 	syncModeSnapshot byte = 1
 )
 
-// stateTransfer is a decoded and verified m.sync reply.
+// stateTransfer is a verified m.sync reply, or what a replica adopts as one.
 type stateTransfer struct {
 	snap      *store.Store // the decoded snapshot; nil in a batches-only reply
 	snapBytes []byte

@@ -279,20 +279,6 @@ func EncodeBatchUpdate(bu BatchUpdate) []byte {
 	})
 }
 
-// DecodeBatchUpdate parses the frame. The decoded Ops alias b (the store
-// copies key and value bytes on apply, and the frame outlives the
-// handler that decodes it); the stamp's key and signature are copies, so
-// retaining the stamp is safe.
-func DecodeBatchUpdate(b []byte) (BatchUpdate, error) {
-	r := wire.NewReader(b)
-	bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)
-	if err != nil {
-		return bu, err
-	}
-	bu.MasterAddr = r.String()
-	return bu, r.Done()
-}
-
 // Verify checks the stamp against a set of trusted master keys.
 func (v *VersionStamp) Verify(trustedMasters []cryptoutil.PublicKey) error {
 	_, err := (*sigCache)(nil).verifyStamp(v, trustedMasters)

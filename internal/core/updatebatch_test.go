@@ -189,7 +189,10 @@ func TestSlaveUpdateBatchTamperRefused(t *testing.T) {
 			if err == nil {
 				t.Fatal("tampered batch accepted")
 			}
-			if _, decodeErr := DecodeBatchUpdate(pushFrame(tc.entry(r.master, evil, r.s.Now()))); decodeErr == nil && !errors.Is(err, ErrBadStamp) {
+			fr := wire.NewReader(pushFrame(tc.entry(r.master, evil, r.s.Now())))
+			_, decodeErr := decodeBatchEntry(fr, (*wire.Reader).BytesSliceView)
+			_ = fr.String() // the master address
+			if decodeErr == nil && fr.Done() == nil && !errors.Is(err, ErrBadStamp) {
 				t.Fatalf("err = %v, want ErrBadStamp", err)
 			}
 			if r.slave.Version() != 1 || !r.slave.StateDigest().Equal(digest) {
@@ -381,33 +384,41 @@ func TestSlaveUpdateBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchUpdateDecodeVerifyAllocs pins what a slave allocates to decode
-// and check one 256-op frame: what DecodeBatchUpdate allocates for any
-// frame — the reader, the op slice, the stamp's key and signature, the
-// master address — and nothing per op. The stamp check hits the cache and
-// the digest hashes the batch's bytes through a pooled writer.
+// openPush reads an s.updatebatch frame as Slave.handleUpdateBatch does:
+// the entry through the one rule (openBatch), then the master address,
+// then the end of the frame.
+func openPush(frame []byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (openedBatch, string, error) {
+	r := wire.NewReader(frame)
+	b, _, err := openBatch(r, (*wire.Reader).BytesSliceView, trusted, stamps)
+	if err != nil {
+		return b, "", err
+	}
+	addr := r.String()
+	return b, addr, r.Done()
+}
+
+// TestBatchUpdateDecodeVerifyAllocs pins what a slave allocates to open
+// one pushed frame of n ops: 6 for any frame — the op slice, the stamp's
+// key and signature, the hash of the batch's bytes (written through a
+// pooled writer), the decoded-op slice and the master address — and 3 per
+// op, all of them store.DecodeOp's: the op value and its key and value
+// bytes. The stamp check hits the memo and allocates nothing.
 func TestBatchUpdateDecodeVerifyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts only meaningful without -race")
 	}
-	const n = 256
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	trusted := []cryptoutil.PublicKey{master.Public}
-	frame := EncodeBatchUpdate(signedBatch(master, 2, waveOps(n), time.Unix(1, 0)))
-	stamps := newSigCache(stampMemoSize)
-	avg := testing.AllocsPerRun(50, func() {
-		bu, err := DecodeBatchUpdate(frame)
-		if err != nil {
-			t.Fatal(err)
+	for _, n := range []int{1, 256} {
+		frame := EncodeBatchUpdate(signedBatch(master, 2, waveOps(n), time.Unix(1, 0)))
+		stamps := newSigCache(stampMemoSize)
+		avg := testing.AllocsPerRun(50, func() {
+			if _, _, err := openPush(frame, trusted, stamps); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(6 + 3*n); avg > want {
+			t.Fatalf("opening a %d-op push allocates %.1f times per run, want <= %.0f", n, avg, want)
 		}
-		if _, err := stamps.verifyStamp(&bu.Stamp, trusted); err != nil {
-			t.Fatal(err)
-		}
-		if err := bu.VerifyMembers(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 5 {
-		t.Fatalf("decode+verify of a %d-op frame allocates %.1f times per run, want <= 5", n, avg)
 	}
 }
