@@ -36,11 +36,16 @@
 #                     CHANGES.md and ROADMAP.md quote).
 #   make profile    — run the E18 hot-path experiment under the CPU and
 #                     heap profilers; inspect with `go tool pprof`.
+#   make profile-read — run BenchmarkTCPRead (internal/e2e: one client's
+#                     closed loop of point reads over loopback TCP against
+#                     a slave, the auditor and a master; it reports
+#                     wire-B/read) under the CPU profiler, into
+#                     cpu-read.prof; inspect with `go tool pprof`.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint check-tests race bench-sim bench-matrix bench-smoke fuzz-smoke check-readme bench profile loc
+.PHONY: verify build vet lint check-tests race bench-sim bench-matrix bench-smoke fuzz-smoke check-readme bench profile profile-read loc
 
 verify: build vet lint check-tests race bench-sim bench-matrix fuzz-smoke check-readme bench-smoke
 
@@ -74,9 +79,11 @@ lint:
 # signed-pledge memo while stamps and batches arrive, the one whose
 # readers must see each batch and its stamp whole (no pledge an audit
 # would convict, no read refused as stale), the client test whose writers,
-# readers and re-setups share one shard table and its groups, the
-# auditor's tests, whose handlers settle pledges against views of the
-# content while batches are delivered and the apply loop applies them,
+# readers and re-setups share one shard table and its groups, the one
+# whose readers share one client's held stamp while keep-alives and
+# batches replace the slave's stamp under them, the auditor's tests,
+# whose handlers settle pledges against views of the content while
+# batches are delivered and the apply loop applies them,
 # clones them and settles the pledges that waited for them, the client's
 # vouch tests, whose auditor answers pledges on arrival while its apply
 # loop runs, and the TCP transport's tests, whose connection workers,
@@ -85,7 +92,7 @@ lint:
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.
 RACE_RERUNS := \
 	internal/rpc:TestTCP \
-	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePushGapAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting' \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePushGapAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent' \
 	'internal/core:TestAuditor|TestClientVouch'
 
 race:
@@ -139,6 +146,7 @@ FUZZ_TARGETS := \
 	internal/core:FuzzAuditorHandlePledge \
 	internal/core:FuzzMasterHandleReport \
 	internal/core:FuzzDecodeReadReply \
+	internal/core:FuzzSlaveHandleRead \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/core:FuzzDecodeBatchMessage \
 	internal/core:FuzzMasterDeliver \
@@ -194,3 +202,9 @@ bench:
 profile:
 	$(GO) run ./cmd/replsim -exp E18 -scale 4 -cpuprofile cpu.prof -memprofile mem.prof
 	@echo "wrote cpu.prof and mem.prof; inspect with: $(GO) tool pprof cpu.prof"
+
+# The read path over real sockets, profiled: go test leaves the test
+# binary (e2e.test) beside the profile for pprof to resolve symbols.
+profile-read:
+	$(GO) test -run '^$$' -bench '^BenchmarkTCPRead$$' -benchtime 10s -cpuprofile cpu-read.prof ./internal/e2e/
+	@echo "wrote cpu-read.prof; inspect with: $(GO) tool pprof e2e.test cpu-read.prof"

@@ -40,9 +40,10 @@ type ClientStats struct {
 	WritesOK        uint64
 	WritesFailed    uint64
 	KMismatch       uint64 // k-slave variant: answers disagreed (§4)
-	// StampCacheHits/Misses count verified-stamp cache consultations:
-	// between content updates every read reply carries the same master
-	// stamp, so hits replace full signature verifications.
+	// StampCacheHits counts replies completed from the stamp the client
+	// held from that slave, StampCacheMisses replies that carried their
+	// stamp whole, each verified: between keep-alives a slave's replies
+	// name the stamp its client already holds.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
 	// PledgesVerified counts slave signature checks: one per pledge of an
@@ -84,9 +85,15 @@ var ErrUnroutableQuery = errors.New("core: query spans shards (only point reads 
 // re-send can never duplicate a write.
 const shardRedirectAttempts = 3
 
+// slaveAssignment is one slave a group's master assigned, with the stamp
+// the client last verified from it: an s.read names that stamp, and a
+// reply that leaves it out is completed from it. Client.mu covers stamp; a
+// stored stamp is never modified, and an assignment that replaces this one
+// starts without a stamp.
 type slaveAssignment struct {
-	addr string
-	pub  cryptoutil.PublicKey
+	addr  string
+	pub   cryptoutil.PublicKey
+	stamp *VersionStamp
 }
 
 // group is the client's view of one master group, the owner of one range
@@ -101,7 +108,7 @@ type group struct {
 	masterAddr string
 	masterPub  cryptoutil.PublicKey   // our master (slave cert check)
 	masterPubs []cryptoutil.PublicKey // the group's masters (stamp check); replaced, never mutated in place
-	slaves     []slaveAssignment
+	slaves     []*slaveAssignment
 }
 
 // Client performs reads against its assigned slaves and writes against its
@@ -121,10 +128,6 @@ type Client struct {
 	stale  bool              // a wrong-shard rejection outdated table
 	groups map[uint32]*group // shard id -> group; nil before Setup
 	stats  ClientStats
-
-	// stamps remembers verified stamp signatures: the same stamp comes back
-	// on every reply between keep-alives.
-	stamps *sigCache
 }
 
 // NewClient creates a client; call Setup before reads or writes.
@@ -133,11 +136,10 @@ func NewClient(cfg ClientConfig, rt sim.Runtime, dlr rpc.Dialer) *Client {
 		cfg.KSlaves = 1
 	}
 	return &Client{
-		cfg:    cfg,
-		rt:     rt,
-		dlr:    dlr,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		stamps: newSigCache(stampMemoSize),
+		cfg: cfg,
+		rt:  rt,
+		dlr: dlr,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -145,9 +147,7 @@ func NewClient(cfg ClientConfig, rt sim.Runtime, dlr rpc.Dialer) *Client {
 func (c *Client) Stats() ClientStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.stats
-	st.StampCacheHits, st.StampCacheMisses = c.stamps.stats()
-	return st
+	return c.stats
 }
 
 // Addr returns the client's address (where it receives notifications).
@@ -333,7 +333,7 @@ func (c *Client) requestSlaves(g *group, exclude []string) error {
 	}
 	r := wire.NewReader(body)
 	n := r.Uvarint()
-	var assigns []slaveAssignment
+	var assigns []*slaveAssignment
 	for i := uint64(0); i < n; i++ {
 		cert, err := pki.DecodeCertificate(r)
 		if err != nil {
@@ -343,7 +343,7 @@ func (c *Client) requestSlaves(g *group, exclude []string) error {
 		if err := cert.Verify(masterPub); err != nil {
 			return err
 		}
-		assigns = append(assigns, slaveAssignment{addr: cert.Addr, pub: cert.Subject})
+		assigns = append(assigns, &slaveAssignment{addr: cert.Addr, pub: cert.Subject})
 	}
 	if len(assigns) == 0 {
 		return ErrNoSlaves
@@ -413,12 +413,12 @@ func (c *Client) Handle(from, method string, body []byte) ([]byte, error) {
 	replaced := false
 	for i := range g.slaves {
 		if bytes.Equal(g.slaves[i].pub, excl.Subject) {
-			g.slaves[i] = slaveAssignment{addr: cert.Addr, pub: cert.Subject}
+			g.slaves[i] = &slaveAssignment{addr: cert.Addr, pub: cert.Subject}
 			replaced = true
 		}
 	}
 	if !replaced && len(g.slaves) > 0 {
-		g.slaves[0] = slaveAssignment{addr: cert.Addr, pub: cert.Subject}
+		g.slaves[0] = &slaveAssignment{addr: cert.Addr, pub: cert.Subject}
 	}
 	c.stats.Reassignments++
 	return nil, nil
@@ -643,11 +643,11 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	replies := make([]ReadReply, len(assigns))
 	agree := true
 	for i, sl := range assigns {
-		reply, err := c.callSlaveRead(g, sl, queryBytes)
+		reply, held, err := c.callSlaveRead(g, sl, queryBytes)
 		if err != nil {
 			return nil, err
 		}
-		if err := c.checkReply(sl, masterPubs, queryBytes, &reply); err != nil {
+		if err := c.checkReply(sl, held, masterPubs, queryBytes, &reply); err != nil {
 			return nil, err
 		}
 		replies[i] = reply
@@ -658,7 +658,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		check := c.rng.Float64() < checkProb
 		c.mu.Unlock()
 		if check {
-			if err := c.doubleCheck(g, queryBytes, replies[0]); err != nil {
+			if err := c.doubleCheck(g, assigns[0].addr, queryBytes, replies[0]); err != nil {
 				return nil, err
 			}
 		}
@@ -715,11 +715,15 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 }
 
 // callSlaveRead performs the slave RPC, replacing the slave if it is
-// unreachable and classifying stale refusals as retryable.
-func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) (ReadReply, error) {
-	w := wire.NewWriter(len(queryBytes) + 8)
-	w.Bytes_(queryBytes)
-	body, err := c.dlr.CallTimeout(sl.addr, MethodRead, w.Bytes(), c.cfg.Params.ReadTimeout)
+// unreachable and classifying stale refusals as retryable. The request
+// names the stamp held from the slave, captured before the call and
+// returned with the reply: a reply that leaves its stamp out is completed
+// from that one, never from a stamp a concurrent read stored meanwhile.
+func (c *Client) callSlaveRead(g *group, sl *slaveAssignment, queryBytes []byte) (_ ReadReply, held *VersionStamp, _ error) {
+	c.mu.Lock()
+	held = sl.stamp
+	c.mu.Unlock()
+	body, err := c.dlr.CallTimeout(sl.addr, MethodRead, encodeReadRequest(queryBytes, held), c.cfg.Params.ReadTimeout)
 	if err != nil {
 		if rpc.IsRemote(err) && strings.Contains(err.Error(), ErrStale.Error()) {
 			// Honest slave is out of sync (§3.1); wait a beat and retry.
@@ -727,7 +731,7 @@ func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) 
 			c.stats.SlaveStale++
 			c.mu.Unlock()
 			c.rt.Sleep(c.cfg.Params.KeepAliveEvery)
-			return ReadReply{}, errRetry
+			return ReadReply{}, nil, errRetry
 		}
 		if !rpc.IsRemote(err) {
 			// Slave unreachable: ask the master for a replacement.
@@ -735,38 +739,70 @@ func (c *Client) callSlaveRead(g *group, sl slaveAssignment, queryBytes []byte) 
 			c.stats.Reassignments++
 			c.mu.Unlock()
 			if rerr := c.requestSlaves(g, []string{sl.addr}); rerr != nil {
-				return ReadReply{}, rerr
+				return ReadReply{}, nil, rerr
 			}
-			return ReadReply{}, errRetry
+			return ReadReply{}, nil, errRetry
 		}
-		return ReadReply{}, err
+		return ReadReply{}, nil, err
 	}
-	return DecodeReadReply(body)
+	reply, err := DecodeReadReply(body)
+	return reply, held, err
 }
 
 // checkReply completes the reply's pledge from what the client holds —
-// the query it asked, the hash of the payload it got, the key of the slave
-// it asked — and performs the client-side checks of §3.2 that nothing
-// stands in for, on every reply: the stamp beside the pledge is signed by
-// a certified master, and it is fresh. Whether the slave signed the pledge
-// is verifyPledge's question. The stamp check goes through the
-// verified-stamp cache; the freshness check runs on every reply.
-func (c *Client) checkReply(sl slaveAssignment, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
+// the stamp held from that slave when the reply leaves it out, the query it
+// asked, the hash of the payload it got, the key of the slave it asked —
+// and performs the client-side checks of §3.2 that nothing stands in for,
+// on every reply: the stamp beside the pledge is from a certified master
+// and it is fresh. A stamp that arrives whole is signature-checked before
+// its first use and becomes the one held from that slave; a held stamp was
+// checked when it arrived. A reply that leaves out a stamp the request did
+// not name is refused, and a held stamp that fails a check is dropped, so
+// the next request names none. Whether the slave signed the pledge is
+// verifyPledge's question.
+func (c *Client) checkReply(sl *slaveAssignment, held *VersionStamp, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
+	full := len(reply.Pledge.Stamp.Sig) > 0
+	if !full && held != nil {
+		reply.Pledge.Stamp = *held
+	}
 	p := reply.completePledge(queryBytes, sl.pub)
-	if _, err := c.stamps.verifyStamp(&p.Stamp, masterPubs); err != nil {
-		c.mu.Lock()
+	var err error
+	switch {
+	case full:
+		err = p.Stamp.Verify(masterPubs)
+	case held == nil:
+		err = fmt.Errorf("%w: the reply leaves out a stamp the request did not name", ErrBadStamp)
+	case !p.Stamp.certifiedBy(masterPubs):
+		err = fmt.Errorf("%w: unknown master key", ErrBadStamp)
+	}
+	stale := err == nil && !p.Stamp.Fresh(c.rt.Now(), c.cfg.Params.MaxLatency)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if full {
+		c.stats.StampCacheMisses++
+	} else if held != nil {
+		c.stats.StampCacheHits++
+	}
+	switch {
+	case err != nil:
 		c.stats.BadPledges++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %v", errRetry, err)
-	}
-	if !p.Stamp.Fresh(c.rt.Now(), c.cfg.Params.MaxLatency) {
+		err = fmt.Errorf("%w: %v", errRetry, err)
+	case stale:
 		// Fresh when sent, stale on arrival: drop and retry (§3.2).
-		c.mu.Lock()
 		c.stats.StaleRejects++
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %v", errRetry, ErrStale)
+		err = fmt.Errorf("%w: %v", errRetry, ErrStale)
+	case full:
+		stamp := p.Stamp
+		stamp.MasterPub, stamp.Sig = bytes.Clone(stamp.MasterPub), bytes.Clone(stamp.Sig)
+		sl.stamp = &stamp
+		return nil
+	default:
+		return nil
 	}
-	return nil
+	if !full && sl.stamp == held {
+		sl.stamp = nil
+	}
+	return err
 }
 
 // verifyPledge checks that the slave signed the pledge checkReply
@@ -813,10 +849,11 @@ func (c *Client) masterCheck(masterAddr string, queryBytes []byte, wantPayload b
 	return version, digest, payload, nil
 }
 
-// doubleCheck compares the slave's pledged hash with the master's own
-// execution (§3.3); on mismatch it reports the pledge (§3.5 immediate
-// discovery) and retries the read on the replacement slave.
-func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error {
+// doubleCheck compares the pledged hash of the slave at slaveAddr, which
+// answered, with the master's own execution (§3.3); on mismatch it reports
+// the pledge (§3.5 immediate discovery) and retries the read on the
+// replacement slave.
+func (c *Client) doubleCheck(g *group, slaveAddr string, queryBytes []byte, reply ReadReply) error {
 	c.mu.Lock()
 	c.stats.DoubleChecks++
 	masterAddr := g.masterAddr
@@ -841,12 +878,6 @@ func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error
 	if digest.Equal(reply.Pledge.ResultHash) {
 		return nil
 	}
-	c.mu.Lock()
-	caughtAddr := ""
-	if len(g.slaves) > 0 {
-		caughtAddr = g.slaves[0].addr
-	}
-	c.mu.Unlock()
 	err = c.reportPledge(g, &reply.Pledge)
 	if errors.Is(err, ErrBadPledge) {
 		return err // a wrong answer its slave never signed frames nobody
@@ -860,10 +891,10 @@ func (c *Client) doubleCheck(g *group, queryBytes []byte, reply ReadReply) error
 	c.mu.Unlock()
 	// Proactively replace the convicted slave rather than waiting for the
 	// master's notification (which may not be deliverable, e.g. clients
-	// behind NAT); the master has already excluded it.
-	if caughtAddr != "" {
-		c.requestSlaves(g, []string{caughtAddr})
-	}
+	// behind NAT); the master has already excluded it. A notification may
+	// have reassigned the slot meanwhile: the slave excluded is the one
+	// that answered.
+	c.requestSlaves(g, []string{slaveAddr})
 	return errRetry
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,6 +47,14 @@ type clientRig struct {
 	// more are scripted slaves assigned after "slave" to a client asking
 	// for more than one.
 	more []rigSlave
+	// refs holds the stamp reference of every s.read "slave" was sent; with
+	// omit set, "slave" leaves its stamp out of every reply to a request
+	// that names one, whichever it names.
+	refs [][]byte
+	omit bool
+	// onCheck, if set, runs inside the scripted master's m.check handler
+	// before it answers.
+	onCheck func()
 }
 
 // rigSlave is a scripted slave besides the rig's own: honest, then mutate
@@ -95,6 +104,9 @@ func newClientRig(t *testing.T) *clientRig {
 			}
 			return w.Bytes(), nil
 		case MethodCheck:
+			if r.onCheck != nil {
+				r.onCheck()
+			}
 			rd := wire.NewReader(body)
 			rd.Bytes() // client pub
 			rd.Bool()  // wantPayload
@@ -120,11 +132,19 @@ func newClientRig(t *testing.T) *clientRig {
 		return nil, errors.New("unexpected master method " + method)
 	})
 
-	// Scripted slave: honest reply, then r.mutate applied.
+	// Scripted slave: honest reply, the stamp left out under r.omit, then
+	// r.mutate applied.
 	net.Register("slave", func(from, method string, body []byte) ([]byte, error) {
 		reply, err := r.honestReply(r.slaveKeys, body)
 		if err != nil {
 			return nil, err
+		}
+		rd := wire.NewReader(body)
+		rd.Bytes() // query
+		ref := rd.Bytes()
+		r.refs = append(r.refs, ref)
+		if r.omit && len(ref) > 0 {
+			reply.Pledge.Stamp.Sig = nil
 		}
 		if r.mutate != nil {
 			r.mutate(&reply)
@@ -396,6 +416,46 @@ func TestClientDoubleCheckCatchesLie(t *testing.T) {
 	}
 }
 
+// TestClientDoubleCheckExcludesTheSlaveThatAnswered: a notification
+// that replaces "slave" with "slave-9" arrives while the double-check of
+// a lie "slave" told is at the master. The client still asks m.getslave to
+// exclude "slave", the liar, and not its honest replacement.
+func TestClientDoubleCheckExcludesTheSlaveThatAnswered(t *testing.T) {
+	r := newClientRig(t)
+	r.client.cfg.Params.DoubleCheckP = 1
+	r.lie(false)
+	r.onCheck = func() {
+		r.onCheck, r.mutate = nil, nil // one notification; honest from now on
+		if err := r.notifyReplacement("slave-9"); err != nil {
+			t.Errorf("notify: %v", err)
+		}
+	}
+	if _, err := r.readOnce(t); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if st := r.client.Stats(); st.CaughtImmediate != 1 || st.Reassignments != 1 {
+		t.Fatalf("stats: %+v", st)
+	}
+	if len(r.excludes) < 2 || !slices.Equal(r.excludes[1], []string{"slave"}) {
+		t.Fatalf("m.getslave exclusions %q, want the slave that answered", r.excludes)
+	}
+}
+
+// notifyReplacement hands the client the master's notification that "slave"
+// is excluded and addr replaces it.
+func (r *clientRig) notifyReplacement(addr string) error {
+	excl := pki.Exclusion{Subject: r.slaveKeys.Public, Reason: "test"}
+	excl.Sign(r.masterKeys)
+	newSlave := cryptoutil.DeriveKeyPair("slave", 9)
+	cert := pki.Certificate{Role: pki.RoleSlave, Addr: addr, Subject: newSlave.Public}
+	cert.Sign(r.masterKeys)
+	w := wire.NewWriter(512)
+	excl.Encode(w)
+	cert.Encode(w)
+	_, err := r.client.Handle("master", MethodNotify, w.Bytes())
+	return err
+}
+
 func TestClientNotifyReassigns(t *testing.T) {
 	r := newClientRig(t)
 	r.s.Go(func() {
@@ -403,15 +463,7 @@ func TestClientNotifyReassigns(t *testing.T) {
 			t.Errorf("setup: %v", err)
 			return
 		}
-		excl := pki.Exclusion{Subject: r.slaveKeys.Public, Reason: "test"}
-		excl.Sign(r.masterKeys)
-		newSlave := cryptoutil.DeriveKeyPair("slave", 9)
-		cert := pki.Certificate{Role: pki.RoleSlave, Addr: "slave-9", Subject: newSlave.Public}
-		cert.Sign(r.masterKeys)
-		w := wire.NewWriter(512)
-		excl.Encode(w)
-		cert.Encode(w)
-		if _, err := r.client.Handle("master", MethodNotify, w.Bytes()); err != nil {
+		if err := r.notifyReplacement("slave-9"); err != nil {
 			t.Errorf("notify: %v", err)
 		}
 	})
@@ -470,15 +522,16 @@ func TestClientSetupFailsWithEmptyDirectory(t *testing.T) {
 // TestClientChecksStampBesidePledge: the slave's signature covers the
 // stamp's version and nothing else of it, so everything a client believes
 // about the stamp it checks itself, on every reply. Each row starts from
-// an honest reply the client has already verified, then swaps or edits
-// the stamp that rides beside it. The checks run in readOnce's order for
-// a read the auditor does not vouch for: stamp signature and freshness
-// first, so a row they refuse never looks at the pledge, then the pledge
-// signature.
+// an honest reply the client has already verified, whose stamp it now
+// holds from that slave (unless the row holds none), then swaps, edits or
+// leaves out the stamp that rides beside it. A reply that leaves it out is
+// completed from the held stamp. The checks run in readOnce's order for a
+// read the auditor does not vouch for: stamp signature (or, for a held
+// stamp, its certified master) and freshness first, so a row they refuse
+// never looks at the pledge, then the pledge signature.
 func TestClientChecksStampBesidePledge(t *testing.T) {
 	r := newClientRig(t)
 	c := r.client
-	sl := slaveAssignment{addr: "slave", pub: r.slaveKeys.Public}
 	masters := []cryptoutil.PublicKey{r.masterKeys.Public}
 	evil := cryptoutil.DeriveKeyPair("evil-master", 0)
 	qb := query.Encode(query.Get{Key: "k"})
@@ -488,44 +541,61 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 		stamp := SignStamp(r.masterKeys, 7, now.Add(-time.Second))
 		return ReadReply{Payload: payload, Pledge: SignPledge(r.slaveKeys, qb, cryptoutil.HashBytes(payload), stamp)}
 	}
+	leaveOut := func(p *Pledge) { p.Stamp.Sig = nil }
 	cases := []struct {
-		name   string
-		mutate func(p *Pledge)
-		want   error // nil: accepted
-		stat   func(ClientStats) uint64
+		name    string
+		mutate  func(p *Pledge)
+		noHeld  bool                   // the client holds no stamp from the slave
+		masters []cryptoutil.PublicKey // the group's certified masters when the reply arrives; nil: the rig's
+		want    error                  // nil: accepted
+		stat    func(ClientStats) uint64
 	}{
-		{"the honest reply again", func(p *Pledge) {}, nil, nil},
-		{"a fresher master stamp of the same version", func(p *Pledge) {
+		{name: "the honest reply again", mutate: func(p *Pledge) {}},
+		{name: "a fresher master stamp of the same version", mutate: func(p *Pledge) {
 			p.Stamp = SignStamp(r.masterKeys, 7, now)
-		}, nil, nil},
-		{"a batch stamp of the same version", func(p *Pledge) {
+		}},
+		{name: "a batch stamp of the same version", mutate: func(p *Pledge) {
 			p.Stamp = SignBatchStamp(r.masterKeys, 7, now, cryptoutil.Digest{1})
-		}, nil, nil},
-		{"stamp signature flipped", func(p *Pledge) {
+		}},
+		{name: "stamp signature flipped", mutate: func(p *Pledge) {
 			p.Stamp.Sig = bytes.Clone(p.Stamp.Sig)
 			p.Stamp.Sig[3] ^= 1
-		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
-		{"stamp timestamp moved forward under the old signature", func(p *Pledge) {
+		}, want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		{name: "stamp timestamp moved forward under the old signature", mutate: func(p *Pledge) {
 			p.Stamp.Timestamp = now
-		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
-		{"stamp of the same version from an uncertified key", func(p *Pledge) {
+		}, want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		{name: "stamp of the same version from an uncertified key", mutate: func(p *Pledge) {
 			p.Stamp = SignStamp(evil, 7, now)
-		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
-		{"stale master stamp of the same version", func(p *Pledge) {
+		}, want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		{name: "stale master stamp of the same version", mutate: func(p *Pledge) {
 			p.Stamp = SignStamp(r.masterKeys, 7, now.Add(-r.params.MaxLatency-time.Second))
-		}, ErrStale, func(st ClientStats) uint64 { return st.StaleRejects }},
-		{"fresh master stamp of another version", func(p *Pledge) {
+		}, want: ErrStale, stat: func(st ClientStats) uint64 { return st.StaleRejects }},
+		{name: "fresh master stamp of another version", mutate: func(p *Pledge) {
 			p.Stamp = SignStamp(r.masterKeys, 8, now)
-		}, ErrBadPledge, func(st ClientStats) uint64 { return st.BadPledges }},
-		{"stamp version edited in place", func(p *Pledge) {
+		}, want: ErrBadPledge, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		{name: "stamp version edited in place", mutate: func(p *Pledge) {
 			p.Stamp.Version = 8
-		}, ErrBadStamp, func(st ClientStats) uint64 { return st.BadPledges }},
+		}, want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		{name: "the held stamp left out", mutate: leaveOut},
+		{name: "a stamp left out that the request did not name", mutate: leaveOut, noHeld: true,
+			want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		// After a resetup the group's masters are others: the stamp held
+		// from before is from a master no longer certified for the group.
+		{name: "the held stamp left out, its master no longer certified", mutate: leaveOut, masters: []cryptoutil.PublicKey{evil.Public},
+			want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			first := honest()
-			if err := verifyUnvouched(c, sl, masters, qb, &first); err != nil {
-				t.Fatalf("honest reply: %v", err)
+			sl := &slaveAssignment{addr: "slave", pub: r.slaveKeys.Public}
+			if !tc.noHeld {
+				first := honest()
+				if err := verifyUnvouched(c, sl, masters, qb, &first); err != nil {
+					t.Fatalf("honest reply: %v", err)
+				}
+			}
+			certified := masters
+			if tc.masters != nil {
+				certified = tc.masters
 			}
 			before := c.Stats()
 			reply := honest()
@@ -533,7 +603,7 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 			// Twice: a rejection must not leave a verdict behind either.
 			for round := 0; round < 2; round++ {
 				tampered := reply
-				err := verifyUnvouched(c, sl, masters, qb, &tampered)
+				err := verifyUnvouched(c, sl, certified, qb, &tampered)
 				if tc.want == nil {
 					if err != nil {
 						t.Fatalf("round %d: %v", round, err)
@@ -559,12 +629,153 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 			}
 		})
 	}
+
+	// A held stamp gone stale: the reply left it out, the client completes
+	// it from the stamp it holds, refuses it as stale and drops that stamp,
+	// so the retry names none and receives the stamp whole.
+	t.Run("a held stamp gone stale, the retry receives the stamp whole", func(t *testing.T) {
+		r := newClientRig(t)
+		r.omit = true
+		var err error
+		r.s.Go(func() {
+			if err = r.client.Setup(); err != nil {
+				return
+			}
+			if _, err = r.client.Read(query.Get{Key: "k"}); err != nil {
+				return
+			}
+			r.s.Sleep(r.params.MaxLatency + time.Second)
+			_, err = r.client.Read(query.Get{Key: "k"})
+		})
+		r.s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := r.client.Stats()
+		if st.ReadsAccepted != 2 || st.StaleRejects != 1 || st.StampCacheHits != 1 || st.StampCacheMisses != 2 {
+			t.Fatalf("stats: %+v", st)
+		}
+		if len(r.refs) != 3 || len(r.refs[0]) != 0 || len(r.refs[1]) != stampRefLen || len(r.refs[2]) != 0 {
+			t.Fatalf("stamp references sent: %x, want none, the held stamp's, none", r.refs)
+		}
+	})
+}
+
+// TestClientHeldStampConcurrent: several readers share one client and its
+// one slave, a real one, while a master pushes batches and keep-alives that
+// replace the slave's stamp under them. Each reader completes a reply that
+// leaves the stamp out from the stamp its own request named, whatever
+// another reader stored meanwhile: every version moves the pledge's signed
+// statement, so a reply completed from any other stamp would fail its
+// signature. The auditor never vouches, so every pledge is verified. Run
+// under -race (make race does, ten times).
+func TestClientHeldStampConcurrent(t *testing.T) {
+	owner := cryptoutil.DeriveKeyPair("owner", 0)
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	slaveKeys := cryptoutil.DeriveKeyPair("slave", 0)
+	trusted := []cryptoutil.PublicKey{master.Public}
+	params := DefaultParams()
+	params.DoubleCheckP = 0
+	initial := store.New()
+	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	sl := NewSlave(SlaveConfig{
+		Addr: "slave", Keys: slaveKeys, Params: params, MasterAddr: "master", MasterPubs: trusted,
+	}, sim.RealClock{}, nullDialer{}, initial)
+	dir := pki.NewDirectory()
+	mcert := pki.Certificate{Role: pki.RoleMaster, Addr: "master", Subject: master.Public}
+	mcert.Sign(owner)
+	dir.Publish(owner.Public, mcert)
+	scert := pki.Certificate{Role: pki.RoleSlave, Addr: "slave", Subject: slaveKeys.Public}
+	scert.Sign(master)
+	dlr := handlerDialer{
+		"master": func(from, method string, body []byte) ([]byte, error) {
+			w := wire.NewWriter(256)
+			w.Uvarint(1)
+			scert.Encode(w)
+			return w.Bytes(), nil
+		},
+		"slave":   sl.Handle,
+		"auditor": func(from, method string, body []byte) ([]byte, error) { return nil, nil },
+	}
+	c := NewClient(ClientConfig{
+		Addr: "client", Keys: cryptoutil.DeriveKeyPair("client", 0), Params: params,
+		ContentKey: owner.Public, Directory: BoundDirectory{Dir: dir, ContentKey: owner.Public},
+		AuditorAddr: "auditor", PreferredMaster: 0, Seed: 1,
+	}, sim.RealClock{}, dlr)
+	keepAlive := func() error {
+		w := wire.NewWriter(128)
+		stamp := SignStamp(master, sl.Version(), time.Now())
+		stamp.Encode(w)
+		w.String_("master")
+		_, err := sl.Handle("master", MethodKeepAlive, w.Bytes())
+		return err
+	}
+	if err := keepAlive(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Setup(); err != nil {
+		t.Fatal(err)
+	}
+
+	const batches, readers = 16, 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // the master: a batch, then keep-alives at its version
+		defer wg.Done()
+		defer close(stop)
+		for b := 0; b < batches; b++ {
+			frame := EncodeBatchUpdate(signedBatch(master, uint64(b+2), waveOps(1), time.Now()))
+			if _, err := sl.Handle("master", MethodUpdateBatch, frame); err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			for k := 0; k < 3; k++ {
+				if err := keepAlive(); err != nil {
+					t.Errorf("keep-alive: %v", err)
+					return
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				payload, err := c.Read(query.Get{Key: "k"})
+				if v, _, _ := query.GetResult(payload); err != nil || string(v) != "v" {
+					t.Errorf("read: %q, %v", v, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.BadPledges != 0 || st.Retries != 0 || st.PledgesVerified != st.ReadsAccepted {
+		t.Fatalf("stats: %+v", st)
+	}
+	if st.StampCacheHits == 0 || st.StampCacheMisses < 2 {
+		t.Fatalf("%d replies completed from a held stamp, %d stamps whole: the test did not exercise both", st.StampCacheHits, st.StampCacheMisses)
+	}
+	t.Logf("%d reads: %d completed from a held stamp, %d stamps whole", st.ReadsAccepted, st.StampCacheHits, st.StampCacheMisses)
 }
 
 // verifyUnvouched runs one reply through every check a read the auditor
-// does not vouch for makes, in readOnce's order.
-func verifyUnvouched(c *Client, sl slaveAssignment, masters []cryptoutil.PublicKey, qb []byte, reply *ReadReply) error {
-	if err := c.checkReply(sl, masters, qb, reply); err != nil {
+// does not vouch for makes, in readOnce's order, naming the stamp the
+// client holds from sl.
+func verifyUnvouched(c *Client, sl *slaveAssignment, masters []cryptoutil.PublicKey, qb []byte, reply *ReadReply) error {
+	c.mu.Lock()
+	held := sl.stamp
+	c.mu.Unlock()
+	if err := c.checkReply(sl, held, masters, qb, reply); err != nil {
 		return err
 	}
 	return c.verifyPledge(&reply.Pledge)

@@ -32,8 +32,10 @@
 //	§3.2 (reads)             — Slave.handleRead answers with a Pledge
 //	                           (query copy, result hash, latest stamp);
 //	                           Client.checkReply rebuilds it from the
-//	                           query asked and the payload received and
-//	                           checks the stamp and its freshness
+//	                           query asked, the payload received and the
+//	                           stamp held from that slave when the reply
+//	                           leaves it out, and checks the stamp and
+//	                           its freshness
 //	                           against the client's own
 //	                           Params.MaxLatency (a client on a slow
 //	                           link sets a looser one);
@@ -70,16 +72,24 @@
 // stamp. What the receiver can compute is not sent: s.updatebatch carries
 // nothing per op beyond the op, which the slave holds whole, and the
 // s.read reply neither the client's own query, nor the hash of the
-// payload beside it, nor the key of the slave the client asked.
+// payload beside it, nor the key of the slave the client asked, nor a
+// stamp the client already holds.
 //
-//	s.read       bytes query. Reply: bytes payload ‖ stamp ‖ bytes sig ‖
-//	             bool xlie (ReadReply) — the slave's pledge signature
-//	             beside the master's stamp, and nothing the client
-//	             already has: it rebuilds the pledge from its own query,
-//	             the hash of the payload and the key of the slave it
-//	             asked (Client.checkReply), so a reply that is not the
-//	             answer to that query, from that slave, fails the one
-//	             signature check. xlie is instrumentation only.
+//	s.read       bytes query ‖ bytes ref — ref is empty or the first 8
+//	             bytes (stampRefLen) of the master signature on the stamp
+//	             the client holds from that slave; any other length is
+//	             refused. Reply: bytes payload ‖ bool full ‖ [stamp] ‖
+//	             bytes sig ‖ bool xlie (ReadReply) — the stamp left out
+//	             exactly when ref names the one the pledge was signed
+//	             against, and nothing else the client already has: it
+//	             rebuilds the pledge from its own query, the hash of the
+//	             payload, the key of the slave it asked and the stamp
+//	             (Client.checkReply), so a reply that is not the answer to
+//	             that query, from that slave, at that stamp's version,
+//	             fails the one signature check; one without a stamp to a
+//	             request that named none is refused. 98 B both ways on
+//	             read-point (220 B with the stamp whole). xlie is
+//	             instrumentation only.
 //	evidence     bytes query ‖ bytes result hash ‖ uvarint version ‖
 //	             bytes slavePub ‖ bytes sig (Pledge.Encode) — exactly
 //	             the statement the slave signed (after its "pledge.v2"
@@ -179,7 +189,14 @@
 // signed body from the query it asked, the hash of the payload it got and
 // its assigned slave's key, and on every reply checks, in this order: the
 // hash of the payload, stamp for the signed version from a certified
-// master under its signature, freshness.
+// master, freshness. A stamp that arrives whole is signature-checked then,
+// once per stamp received, before its first use, and becomes the stamp the
+// client holds from that slave (on its slaveAssignment, dropped with the
+// assignment and when a reply completed from it fails a check); a reply
+// that leaves the stamp out is completed from the copy the request named,
+// captured before the call, so its signature was checked when it arrived.
+// Leaving the stamp out grants a slave nothing: it could as well have sent
+// that stamp whole again.
 //
 // One verify rule. A client checks a slave's pledge signature so that a
 // lie it accepts can be pinned on the signer (§3.2, §3.4), and it checks
@@ -200,7 +217,6 @@
 // Every memo is kept for traffic measured through it (replbench, seed 1,
 // 6–8 s runs):
 //
-//	Client.stamps (256)   99.9 % hits: one stamp per keep-alive interval
 //	Slave.stamps (256)    no hits on the four workloads, but a resync
 //	                      re-verifies the stamps of batches it dropped
 //	                      (the lying-slave cell's read_p99_ms: 66 → 95
@@ -216,8 +232,10 @@
 // benchmark workload has; and a master's catch-up verifies each stamp
 // once. TestClusterVouchAheadVerifyRatio pins the rule on the simulated
 // mixed shape (no verify when the auditor vouched for every pledge), and
-// TestPledgeMemoHitRatio pins the signer and the stamp memo on one-kind
-// catalogs (Zipf Gets, uniform ten-key Ranges).
+// TestPledgeMemoHitRatio pins the signer and the held stamp (one whole
+// stamp per keep-alive) on one-kind catalogs (Zipf Gets, uniform ten-key
+// Ranges). A client keeps no memo: the stamp it holds from each slave
+// stands in for one (99.9 % of read-point replies leave it out).
 //
 // The auditor answers at the read's own version (auditor.go). The
 // auditor keeps the content at every batch boundary as a view — an O(1)

@@ -294,27 +294,37 @@ func FuzzDecodePledge(f *testing.F) {
 }
 
 // FuzzDecodeReadReply drives the s.read reply decoder — the frame every
-// client decodes from a slave it does not trust — over arbitrary bytes.
-// The invariants: no panic on any input, in the decoder or in the checks a
-// client runs on what came out; whatever decodes re-encodes to a reply
-// that decodes to the same payload, stamp, signature and flag; and that
+// client decodes from a slave it does not trust — over arbitrary bytes, in
+// both forms: with the stamp whole and without it. The invariants: no
+// panic on any input, in the decoder or in the checks a client runs on
+// what came out; a reply without a stamp is refused by a client that holds
+// none; whatever decodes re-encodes, in the same form, to a reply that
+// decodes to the same payload, stamp, signature and flag; and that
 // re-encoding is a fixed point.
 func FuzzDecodeReadReply(f *testing.F) {
 	fx := newCacheFixture()
 	honest := EncodeReadReply(ReadReply{Payload: []byte("result"), Pledge: fx.pledge})
 	batch := fx.pledge
 	batch.Stamp = SignBatchStamp(fx.master, 7, time.Unix(1000, 0), cryptoutil.Digest{1})
+	left := fx.pledge
+	left.Stamp.Sig = nil
+	withoutStamp := EncodeReadReply(ReadReply{Payload: []byte("result"), Pledge: left})
 	f.Add(honest)
 	f.Add(EncodeReadReply(ReadReply{Payload: []byte("a lie"), Pledge: batch, XLie: true}))
 	f.Add(EncodeReadReply(ReadReply{}))
+	f.Add(withoutStamp)
+	f.Add(EncodeReadReply(ReadReply{Payload: []byte("a lie"), Pledge: left, XLie: true}))
 	f.Add(honest[:len(honest)/2]) // truncated inside the stamp
+	f.Add(withoutStamp[:len(withoutStamp)-3])
 	f.Add(append(bytes.Clone(honest), 0x7))
 	f.Add([]byte{})
-	f.Add(append([]byte{0x86, 0x00}, honest[1:]...))  // payload length as an overlong varint
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})    // payload length far beyond the frame
-	f.Add([]byte{0x00, 0x01, 0x00, 0x03, 1, 2, 3, 0}) // op digest of the wrong length
+	f.Add(append([]byte{0x86, 0x00}, honest[1:]...))           // payload length as an overlong varint
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0})             // payload length far beyond the frame
+	f.Add([]byte{0x00, 0x01, 0x00, 0x01, 0x03, 1, 2, 3, 0})    // op digest of the wrong length
+	f.Add([]byte{0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0}) // a full flag that is not 1
 
 	trusted := []cryptoutil.PublicKey{fx.master.Public}
+	c := NewClient(ClientConfig{Params: DefaultParams()}, sim.RealClock{}, nullDialer{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rr, err := DecodeReadReply(data)
 		if err != nil {
@@ -323,6 +333,15 @@ func FuzzDecodeReadReply(f *testing.F) {
 		enc := EncodeReadReply(rr)
 		// What a client does with it; any length of key or signature must
 		// be survivable.
+		sl := &slaveAssignment{addr: "slave", pub: fx.slave.Public}
+		for _, held := range []*VersionStamp{nil, &fx.stamp} {
+			checked := rr
+			err := c.checkReply(sl, held, trusted, fx.pledge.QueryBytes, &checked)
+			if err == nil && held == nil && rr.Pledge.Stamp.Sig == nil {
+				t.Fatal("a reply without a stamp passed a client that holds none")
+			}
+			_ = checked.Pledge.VerifySig()
+		}
 		_ = rr.completePledge(fx.pledge.QueryBytes, fx.slave.Public).VerifySig()
 		_ = rr.Pledge.Stamp.Verify(trusted)
 		again, err := DecodeReadReply(enc)
@@ -330,12 +349,80 @@ func FuzzDecodeReadReply(f *testing.F) {
 			t.Fatalf("re-encoded reply does not decode: %v", err)
 		}
 		if !bytes.Equal(again.Payload, rr.Payload) || again.XLie != rr.XLie || !bytes.Equal(again.Pledge.Sig, rr.Pledge.Sig) ||
+			(again.Pledge.Stamp.Sig == nil) != (rr.Pledge.Stamp.Sig == nil) ||
 			!bytes.Equal(again.Pledge.Stamp.signedBytes(), rr.Pledge.Stamp.signedBytes()) ||
 			again.Pledge.Stamp.Kind != rr.Pledge.Stamp.Kind || !bytes.Equal(again.Pledge.Stamp.Sig, rr.Pledge.Stamp.Sig) {
 			t.Fatalf("round trip changed the reply: %+v -> %+v", rr, again)
 		}
 		if !bytes.Equal(EncodeReadReply(again), enc) {
 			t.Fatal("re-encoding is not canonical")
+		}
+	})
+}
+
+// FuzzSlaveHandleRead drives a real slave's s.read handler — the one
+// frame a client sends a slave — over arbitrary request bodies. The
+// invariants: no panic; a body that is not bytes query ‖ bytes ref, with
+// ref of 0 or stampRefLen bytes, is refused; every reply decodes; and it
+// leaves the stamp out only when ref is the first stampRefLen bytes of the
+// slave's stamp signature, carrying that stamp whole otherwise.
+func FuzzSlaveHandleRead(f *testing.F) {
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	params := DefaultParams()
+	params.MaxLatency = 24 * time.Hour // the one stamp stays fresh for the whole run
+	initial := store.New()
+	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	sl := NewSlave(SlaveConfig{
+		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: params,
+		MasterPubs: []cryptoutil.PublicKey{master.Public},
+	}, sim.RealClock{}, nullDialer{}, initial)
+	stamp := SignStamp(master, 1, time.Now())
+	w := wire.NewWriter(128)
+	stamp.Encode(w)
+	w.String_("")
+	if _, err := sl.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
+		f.Fatal(err)
+	}
+	get := query.Encode(query.Get{Key: "k"})
+	wrong := bytes.Clone(stamp.Sig[:stampRefLen])
+	wrong[0] ^= 1
+	for _, body := range [][]byte{
+		encodeReadRequest(get, nil),
+		encodeReadRequest(get, &stamp),
+		encodeReadRequest(query.Encode(query.Count{P: ""}), &stamp),
+		encodeReadRequest([]byte("not a query"), &stamp),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(wrong) }),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig[:stampRefLen-1]) }),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig) }),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get) }), // no ref at all
+		{},
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := sl.Handle("client", MethodRead, body)
+		r := wire.NewReader(body)
+		r.BytesView()
+		ref := r.BytesView()
+		if r.Done() != nil || len(ref) != 0 && len(ref) != stampRefLen {
+			if err == nil {
+				t.Fatalf("served a request that is not query ‖ ref of 0 or %d bytes", stampRefLen)
+			}
+			return
+		}
+		if err != nil {
+			return // a query that does not decode or execute
+		}
+		rr, err := DecodeReadReply(resp)
+		if err != nil {
+			t.Fatalf("the slave's reply does not decode: %v", err)
+		}
+		named := len(ref) == stampRefLen && bytes.Equal(ref, stamp.Sig[:stampRefLen])
+		if named != (rr.Pledge.Stamp.Sig == nil) {
+			t.Fatalf("ref %x: stamp left out: %v", ref, rr.Pledge.Stamp.Sig == nil)
+		}
+		if !named && !bytes.Equal(rr.Pledge.Stamp.Sig, stamp.Sig) {
+			t.Fatal("the reply carries a stamp that is not the slave's")
 		}
 	})
 }

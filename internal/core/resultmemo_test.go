@@ -474,9 +474,7 @@ func TestSlaveReadsAtomicWithBatches(t *testing.T) {
 				default:
 				}
 				asked := queries[(g+i)%len(queries)]
-				req := wire.NewWriter(64)
-				req.Bytes_(asked)
-				body, err := sl.Handle("client", MethodRead, req.Bytes())
+				body, err := sl.Handle("client", MethodRead, encodeReadRequest(asked, nil))
 				if err != nil {
 					t.Errorf("reader %d: read %d refused: %v", g, i, err)
 					return
@@ -571,6 +569,7 @@ func BenchmarkSlaveReadScan(b *testing.B) {
 	}, func(i int) {
 		w.Reset()
 		w.Bytes_(scanQueries[i%2])
+		w.Bytes_(nil) // names no stamp
 		if _, err := s.Handle("client", MethodRead, w.Bytes()); err != nil {
 			b.Fatal(err)
 		}

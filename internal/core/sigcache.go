@@ -1,20 +1,22 @@
 // Signature memo: a piece of signed evidence that arrives again and again
-// is paid for once. Every read between two keep-alives carries the same
-// stamp, and, ed25519 being deterministic, every repeat of a query at one
-// content version the same pledge signature; recognizing bytes already
-// verified or signed is a hash lookup (CacheLookup vs Sign/VerifySig).
-// The client's and the slave's stamp verifiers and the slave's pledge
-// signer are kept for their measured traffic (core/doc.go); a pledge
-// verify is rare enough to have no memo.
+// is paid for once. Ed25519 being deterministic, every repeat of a query
+// at one content version has the same pledge signature, and a resync
+// brings back stamps already verified; recognizing bytes already verified
+// or signed is a hash lookup (CacheLookup vs Sign/VerifySig). The slave's
+// stamp verifier and pledge signer are kept for their measured traffic
+// (core/doc.go). A client has no verifier: a reply leaves out the stamp
+// its request names, which the client verified when it arrived whole
+// (Client.checkReply), and a pledge verify is rare enough to have no memo.
 //
 // What a pledge's signature covers: pledge.v2 ‖ query ‖ result hash ‖
 // Stamp.Version ‖ slave key — "this is the answer at version v", all anyone
 // holds the slave to (the auditor and Master.handleReport re-execute at
 // v). That v is still current is the master's statement, under the
-// master's signature on the stamp that rides beside the slave's, which the
-// client checks on every reply: a swapped-in stamp is either master-signed
-// for v and fresh — then so is the answer, whoever attached it — or
-// rejected, and a stamp for another version breaks the slave's signature.
+// master's signature on the stamp that rides beside the slave's (or that
+// the client holds, when the reply leaves it out), which the client checks
+// on every reply: a swapped-in stamp is either master-signed for v and
+// fresh — then so is the answer, whoever attached it — or rejected, and a
+// stamp for another version breaks the slave's signature.
 // So no keep-alive invalidates anything: entries of past versions are
 // never asked for again and get overwritten.
 //
@@ -189,11 +191,7 @@ func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer
 // verifyStamp checks the stamp against the trusted master set. Trust is
 // decided on every call; only the signature check is memoised.
 func (c *sigCache) verifyStamp(v *VersionStamp, trusted []cryptoutil.PublicKey) (hit bool, err error) {
-	known := false
-	for _, pub := range trusted {
-		known = known || bytes.Equal(pub, v.MasterPub)
-	}
-	if !known {
+	if !v.certifiedBy(trusted) {
 		return false, fmt.Errorf("%w: unknown master key", ErrBadStamp)
 	}
 	hit, err = c.verify(v.MasterPub, v.appendSignedBytes, v.Sig)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -346,11 +347,12 @@ func (s *Slave) syncFrom(masterAddr string) error {
 }
 
 // ReadReply is the slave's answer to a read: the result payload plus the
-// signed pledge. On the wire (EncodeReadReply) it is bytes payload ‖ stamp
-// ‖ bytes sig ‖ bool xlie: the pledge's stamp and signature and nothing the
-// client already holds — its own query, the hash of the payload, the key
-// of the slave it asked — so a decoded reply's pledge carries Stamp and Sig
-// only, and Client.checkReply fills in the rest. XLie is experiment
+// signed pledge. On the wire (EncodeReadReply) it is bytes payload ‖ bool
+// full ‖ [stamp] ‖ bytes sig ‖ bool xlie: the pledge's signature, the stamp
+// only when the asker does not hold it already (full), and nothing else the
+// client holds — its own query, the hash of the payload, the key of the
+// slave it asked — so a decoded reply's pledge carries at most Stamp and
+// Sig, and Client.checkReply fills in the rest. XLie is experiment
 // instrumentation only — it records the ground truth of whether this
 // answer was falsified so the harness can measure undetected-lie rates; it
 // is not part of any signature and no protocol decision may depend on it.
@@ -358,6 +360,25 @@ type ReadReply struct {
 	Payload []byte
 	Pledge  Pledge
 	XLie    bool
+}
+
+// stampRefLen is how much of a stamp's master signature names the stamp
+// in an s.read request.
+const stampRefLen = 8
+
+// encodeReadRequest is the s.read request body: bytes query ‖ bytes ref,
+// where ref is empty or the first stampRefLen bytes of the master
+// signature on held, the stamp the asker last verified from that slave.
+// The slave leaves a stamp the request names out of its reply.
+func encodeReadRequest(queryBytes []byte, held *VersionStamp) []byte {
+	var ref []byte
+	if held != nil {
+		ref = held.Sig[:stampRefLen]
+	}
+	w := wire.NewWriter(len(queryBytes) + stampRefLen + 8)
+	w.Bytes_(queryBytes)
+	w.Bytes_(ref)
+	return w.Bytes()
 }
 
 // completePledge fills in the pledge fields the reply does not carry, from
@@ -372,11 +393,16 @@ func (rr *ReadReply) completePledge(queryBytes []byte, slavePub cryptoutil.Publi
 }
 
 // EncodeReadReply serializes a reply to a detached frame (reply bodies
-// are retained by the transport).
+// are retained by the transport). A pledge whose stamp has no signature
+// travels without its stamp.
 func EncodeReadReply(rr ReadReply) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Bytes_(rr.Payload)
-		rr.Pledge.Stamp.Encode(w)
+		full := len(rr.Pledge.Stamp.Sig) > 0
+		w.Bool(full)
+		if full {
+			rr.Pledge.Stamp.Encode(w)
+		}
 		w.Bytes_(rr.Pledge.Sig)
 		w.Bool(rr.XLie)
 	})
@@ -384,14 +410,22 @@ func EncodeReadReply(rr ReadReply) []byte {
 
 // DecodeReadReply parses a reply by view: the payload (capacity clipped)
 // and the stamp's key and both signatures alias b, which the caller must
-// own — a reply body is its caller's under both transports.
+// own — a reply body is its caller's under both transports. A reply
+// without a stamp decodes to a pledge whose Stamp is zero; a stamp with an
+// empty signature is refused, so every reply decodes to the form it
+// re-encodes to.
 func DecodeReadReply(b []byte) (ReadReply, error) {
 	r := wire.NewReader(b)
 	var rr ReadReply
 	rr.Payload = r.BytesView()
-	var err error
-	if rr.Pledge.Stamp, err = decodeStamp(r); err != nil {
-		return rr, err
+	if r.Bool() {
+		var err error
+		if rr.Pledge.Stamp, err = decodeStamp(r); err != nil {
+			return rr, err
+		}
+		if len(rr.Pledge.Stamp.Sig) == 0 {
+			return rr, errors.New("core: read reply: stamp without a signature")
+		}
 	}
 	rr.Pledge.Sig = r.BytesView()
 	rr.XLie = r.Bool()
@@ -404,8 +438,12 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	// this handler returns, never retained past body's lifetime, and never
 	// sent back — the client holds them.
 	queryBytes := r.BytesView()
+	ref := r.BytesView()
 	if err := r.Done(); err != nil {
 		return nil, err
+	}
+	if len(ref) != 0 && len(ref) != stampRefLen {
+		return nil, fmt.Errorf("core: s.read: a stamp reference of %d bytes, want 0 or %d", len(ref), stampRefLen)
 	}
 
 	// One critical section decides freshness and computes (or recalls) the
@@ -454,5 +492,10 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 		s.stats.ReadsLied++
 	}
 	s.mu.Unlock()
+	// The asker holds the stamp the pledge was signed against: it is left
+	// out, and the asker completes the reply from its own copy.
+	if len(ref) == stampRefLen && bytes.HasPrefix(stamp.Sig, ref) {
+		pledge.Stamp.Sig = nil
+	}
 	return EncodeReadReply(ReadReply{Payload: payload, Pledge: pledge, XLie: lied}), nil
 }

@@ -59,9 +59,7 @@ func (r *slaveRig) keepAlive(version uint64) {
 func (r *slaveRig) read(t *testing.T, q query.Query) (ReadReply, error) {
 	t.Helper()
 	qb := query.Encode(q)
-	w := wire.NewWriter(64)
-	w.Bytes_(qb)
-	body, err := r.slave.Handle("client", MethodRead, w.Bytes())
+	body, err := r.slave.Handle("client", MethodRead, encodeReadRequest(qb, nil))
 	if err != nil {
 		return ReadReply{}, err
 	}
@@ -403,5 +401,87 @@ func TestReadReplyCodec(t *testing.T) {
 	enc := EncodeReadReply(rr)
 	if _, err := DecodeReadReply(enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated reply decoded")
+	}
+}
+
+// TestSlaveReadOmitsHeldStamp drives a real slave's s.read with stamp
+// references. A request that names the stamp the slave holds gets a reply
+// without it, at least 120 B shorter, that the asker completes from its
+// copy; after a keep-alive or a push the reference names an older stamp
+// and the new one arrives whole. A reference of any length but 0 or
+// stampRefLen is refused, not treated as empty.
+func TestSlaveReadOmitsHeldStamp(t *testing.T) {
+	r := newSlaveRig(t, Honest{})
+	qb := query.Encode(query.Get{Key: "k"})
+	// ask sends qb naming ref and returns the raw reply and its decoding.
+	ask := func(ref []byte) ([]byte, ReadReply, error) {
+		w := wire.NewWriter(64)
+		w.Bytes_(qb)
+		w.Bytes_(ref)
+		body, err := r.slave.Handle("client", MethodRead, w.Bytes())
+		if err != nil {
+			return nil, ReadReply{}, err
+		}
+		rr, err := DecodeReadReply(body)
+		return body, rr, err
+	}
+	// whole asks naming held and requires the slave's current stamp whole.
+	whole := func(step string, held *VersionStamp) VersionStamp {
+		var ref []byte
+		if held != nil {
+			ref = held.Sig[:stampRefLen]
+		}
+		_, rr, err := ask(ref)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if want := r.slave.adoptedStamp(); !bytes.Equal(rr.Pledge.Stamp.Sig, want.Sig) {
+			t.Fatalf("%s: the reply does not carry the slave's stamp whole", step)
+		}
+		if err := rr.completePledge(qb, r.slave.PublicKey()).VerifySig(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		stamp := rr.Pledge.Stamp
+		stamp.Sig = bytes.Clone(stamp.Sig)
+		return stamp
+	}
+	r.s.Go(func() {
+		r.keepAlive(1)
+		held := whole("no reference", nil)
+		full, _, _ := ask(nil)
+		short, rr, err := ask(held.Sig[:stampRefLen])
+		if err != nil {
+			t.Errorf("naming the held stamp: %v", err)
+			return
+		}
+		if rr.Pledge.Stamp.Sig != nil || len(full)-len(short) < 120 {
+			t.Errorf("naming the held stamp: reply of %d B with a stamp: %v, %d B whole", len(short), rr.Pledge.Stamp.Sig != nil, len(full))
+		}
+		rr.Pledge.Stamp = held
+		if err := rr.completePledge(qb, r.slave.PublicKey()).VerifySig(); err != nil {
+			t.Errorf("a reply completed from the held stamp: %v", err)
+		}
+
+		r.s.Sleep(r.params.KeepAliveEvery)
+		r.keepAlive(1)
+		held = whole("after a keep-alive", &held)
+		frame := EncodeBatchUpdate(signedBatch(r.master, 2, waveOps(1), r.s.Now()))
+		if _, err := r.slave.Handle("master", MethodUpdateBatch, frame); err != nil {
+			t.Errorf("push: %v", err)
+			return
+		}
+		if held = whole("after a push", &held); held.Version != 2 {
+			t.Errorf("after a push: stamp at version %d", held.Version)
+		}
+
+		for _, n := range []int{1, stampRefLen - 1, stampRefLen + 1, len(held.Sig)} {
+			if _, _, err := ask(held.Sig[:n]); err == nil {
+				t.Errorf("a reference of %d bytes was served", n)
+			}
+		}
+	})
+	r.s.Run()
+	if st := r.slave.Stats(); st.ReadsServed != 5 {
+		t.Fatalf("stats: %+v", st)
 	}
 }

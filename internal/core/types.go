@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cryptoutil"
@@ -277,6 +278,12 @@ func EncodeBatchUpdate(bu BatchUpdate) []byte {
 		bu.appendEntry(w)
 		w.String_(bu.MasterAddr)
 	})
+}
+
+// certifiedBy reports whether the stamp names one of the trusted master
+// keys. It checks no signature.
+func (v *VersionStamp) certifiedBy(trusted []cryptoutil.PublicKey) bool {
+	return slices.ContainsFunc(trusted, func(pub cryptoutil.PublicKey) bool { return bytes.Equal(pub, v.MasterPub) })
 }
 
 // Verify checks the stamp against a set of trusted master keys.

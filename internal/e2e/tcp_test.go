@@ -20,7 +20,7 @@ import (
 
 // reserveAddr grabs a free loopback port and returns it for a later
 // listener. (The tiny reuse window is fine for tests.)
-func reserveAddr(t *testing.T) string {
+func reserveAddr(t testing.TB) string {
 	t.Helper()
 	probe, err := rpc.ListenTCP("127.0.0.1:0", nil)
 	if err != nil {
@@ -53,7 +53,7 @@ func (d *deployment) close() {
 	d.dialer.Close()
 }
 
-func deploy(t *testing.T, nSlaves int, behaviors map[int]core.Behavior, mutMaster func(*core.MasterConfig)) *deployment {
+func deploy(t testing.TB, nSlaves int, behaviors map[int]core.Behavior, mutMaster func(*core.MasterConfig)) *deployment {
 	t.Helper()
 	rt := sim.RealClock{}
 	d := &deployment{

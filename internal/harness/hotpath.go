@@ -168,9 +168,11 @@ type e18ReadResult struct {
 
 // runE18Reads drives a read-heavy deployment under the default (read
 // protocol) freshness bounds: occasional writes advance the stamp
-// while readers hammer the slave, so between updates the client and
-// slave re-see the same stamps and the verified-stamp cache absorbs
-// the repeat verifications.
+// while readers hammer the slave. Between updates each request names the
+// stamp the client holds and the reply leaves it out (a client stamp
+// hit); a new stamp reaches the client whole, and is verified, once for
+// each of its readers whose request was in flight when it changed (a
+// miss). The slave's verified-stamp memo adds its own hits and misses.
 func runE18Reads(seed int64, dur time.Duration) e18ReadResult {
 	cfg := DefaultScenario()
 	cfg.Seed = seed
