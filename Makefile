@@ -81,7 +81,9 @@ lint:
 # would convict, no read refused as stale), the client test whose writers,
 # readers and re-setups share one shard table and its groups, the one
 # whose readers share one client's held stamp while keep-alives and
-# batches replace the slave's stamp under them, the auditor's tests,
+# batches replace the slave's stamp under them, the master test whose
+# pushes, acks, assignments, exclusions, readmissions and adoptions share
+# one slave table that exclusion shrinks, the auditor's tests,
 # whose handlers settle pledges against views of the content while
 # batches are delivered and the apply loop applies them,
 # clones them and settles the pledges that waited for them, the client's
@@ -92,7 +94,7 @@ lint:
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.
 RACE_RERUNS := \
 	internal/rpc:TestTCP \
-	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePushGapAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent' \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePushGapAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
 	'internal/core:TestAuditor|TestClientVouch'
 
 race:

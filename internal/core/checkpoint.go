@@ -13,18 +13,20 @@ import (
 // batches in its log, ordered messages in the broadcast archive — so
 // untrusted slaves can sync and auditors can check. Without truncation
 // both grow linearly with total writes. Slaves piggyback their applied
-// version on every keep-alive and update acknowledgement, and each master
-// decides alone, on its delivery path, how much history its own slaves
-// still need: at most once per CheckpointEvery, maybeTruncate computes the
-// stable version (the minimum over its live, recently-heard-from slaves),
-// cuts the log at the end of the newest batch at or below it — keeping
-// checkpointMinRetain ops — and drops the broadcast archive below that
-// batch's slot. Masters are trusted (§3), so no master needs another's
-// word for this, and nothing is signed or broadcast. A slave whose sync
-// request predates the new base gets the master's current state, encoded
-// and signed when it asks (handleSync), instead of replayed history that
-// no longer exists. Nothing is kept for that: a snapshot exists only
-// while one reply or one durable file needs it.
+// version on every keep-alive and update acknowledgement, which the
+// master keeps in the slave's own entry of its slave set (recordAck), and
+// each master decides alone, on its delivery path, how much history its
+// own slaves still need: at most once per CheckpointEvery, maybeTruncate
+// computes the stable version (the minimum over its live,
+// recently-heard-from slaves), cuts the log at the end of the newest batch
+// at or below it — keeping checkpointMinRetain ops — and drops the
+// broadcast archive below that batch's slot. Masters are trusted (§3), so
+// no master needs another's word for this, and nothing is signed or
+// broadcast. A slave whose sync request predates the new base gets the
+// master's current state, encoded and signed when it asks (handleSync),
+// instead of replayed history that no longer exists. Nothing is kept for
+// that: a snapshot exists only while one reply or one durable file needs
+// it.
 //
 // The lagging-slave policy: a slave that has not acknowledged anything
 // within checkpointMaxLag keep-alive intervals stops gating stability
@@ -89,20 +91,14 @@ func (m *Master) signSnapshot(snap *ckptSnapshot) *ckptSnapshot {
 }
 
 // recordAck notes a slave's acknowledged version (piggybacked on its
-// keep-alive and update replies). A reply from a slave no longer in the
-// set (excluded while the RPC was in flight) is dropped, so exclusion
-// cannot leak ack entries.
+// keep-alive and update replies) in its entry of the slave set. A reply
+// from a slave no longer in the set (excluded while the RPC was in
+// flight) has no entry and is dropped.
 func (m *Master) recordAck(addr string, version uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	member := false
-	for _, sl := range m.slaves {
-		if sl.addr == addr {
-			member = true
-			break
-		}
-	}
-	if !member {
+	i := m.slaveIndexLocked(addr)
+	if i < 0 {
 		return
 	}
 	// Clamp to the committed version: slaves are untrusted, and an ack
@@ -110,15 +106,9 @@ func (m *Master) recordAck(addr string, version uint64) {
 	// unclamped it would sit in the ack table until the store caught up
 	// and then enter the stability minimum, letting a lying slave
 	// pre-acknowledge history it has not applied.
-	if cur := m.store.Version(); version > cur {
-		version = cur
-	}
-	a := m.acks[addr]
-	if version > a.version {
-		a.version = version
-	}
+	a := &m.slaves[i].ack
+	a.version = max(a.version, min(version, m.store.Version()))
 	a.at = m.rt.Now()
-	m.acks[addr] = a
 }
 
 // parseAck decodes the version a slave piggybacks on its reply body.
@@ -145,15 +135,8 @@ func (m *Master) stableVersionLocked(now time.Time) uint64 {
 	stable := cur
 	maxLag := checkpointMaxLag * m.cfg.Params.KeepAliveEvery
 	for _, sl := range m.slaves {
-		a, ok := m.acks[sl.addr]
-		if !ok || now.Sub(a.at) > maxLag {
-			continue
-		}
-		if cur-a.version > maxAckBehind {
-			continue
-		}
-		if a.version < stable {
-			stable = a.version
+		if a := sl.ack; now.Sub(a.at) <= maxLag && cur-a.version <= maxAckBehind {
+			stable = min(stable, a.version)
 		}
 	}
 	return stable

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -101,20 +102,21 @@ func TestForgedFutureAckNeverEntersStability(t *testing.T) {
 
 // TestRecordAckDropsNonMembers pins the exclusion-leak guard: an ack
 // arriving from a slave that was just removed from the set must not
-// re-create its entry.
+// re-create its entry in the slave table, and AddSlave seeds the
+// member's ack (version 0, now).
 func TestRecordAckDropsNonMembers(t *testing.T) {
 	m := newStabilityRig(t, 10)
 	m.AddSlave("s0", cryptoutil.DeriveKeyPair("slave", 0).Public)
 	m.recordAck("ghost", 5)
 	m.mu.Lock()
-	_, ghost := m.acks["ghost"]
-	_, member := m.acks["s0"]
+	ghost := m.slaveIndexLocked("ghost")
+	slaves := slices.Clone(m.slaves)
 	m.mu.Unlock()
-	if ghost {
-		t.Fatal("ack from a non-member slave was recorded")
+	if ghost >= 0 || len(slaves) != 1 {
+		t.Fatalf("ack from a non-member slave was recorded: %d entries", len(slaves))
 	}
-	if !member {
-		t.Fatal("AddSlave should seed the member's ack entry")
+	if e := slaves[0]; e.cert.Addr != "s0" || e.ack.version != 0 || !e.ack.at.Equal(m.rt.Now()) {
+		t.Fatalf("AddSlave should seed the member's ack entry: %+v", e.ack)
 	}
 }
 

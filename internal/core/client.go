@@ -755,13 +755,23 @@ func (c *Client) callSlaveRead(g *group, sl *slaveAssignment, queryBytes []byte)
 // and performs the client-side checks of §3.2 that nothing stands in for,
 // on every reply: the stamp beside the pledge is from a certified master
 // and it is fresh. A stamp that arrives whole is signature-checked before
-// its first use and becomes the one held from that slave; a held stamp was
-// checked when it arrived. A reply that leaves out a stamp the request did
-// not name is refused, and a held stamp that fails a check is dropped, so
-// the next request names none. Whether the slave signed the pledge is
-// verifyPledge's question.
+// its first use and becomes the one held from that slave; a held stamp, or
+// a whole one identical to it, was checked when it arrived. A reply that
+// leaves out a stamp the request did not name is refused, and a held stamp
+// that fails a check is dropped, so the next request names none. Whether
+// the slave signed the pledge is verifyPledge's question.
 func (c *Client) checkReply(sl *slaveAssignment, held *VersionStamp, masterPubs []cryptoutil.PublicKey, queryBytes []byte, reply *ReadReply) error {
 	full := len(reply.Pledge.Stamp.Sig) > 0
+	if full {
+		// A whole stamp identical to the one held from that slave — a
+		// concurrent read stored it after this request named another — was
+		// verified when it arrived first: it is taken as the held one.
+		c.mu.Lock()
+		if sl.stamp != nil && sl.stamp.equal(&reply.Pledge.Stamp) {
+			held, full = sl.stamp, false
+		}
+		c.mu.Unlock()
+	}
 	if !full && held != nil {
 		reply.Pledge.Stamp = *held
 	}

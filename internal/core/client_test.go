@@ -583,6 +583,10 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 		// from before is from a master no longer certified for the group.
 		{name: "the held stamp left out, its master no longer certified", mutate: leaveOut, masters: []cryptoutil.PublicKey{evil.Public},
 			want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
+		// A whole stamp identical to the held one skips its signature
+		// check, not the certification and freshness checks.
+		{name: "the held stamp whole again, its master no longer certified", mutate: func(p *Pledge) {}, masters: []cryptoutil.PublicKey{evil.Public},
+			want: ErrBadStamp, stat: func(st ClientStats) uint64 { return st.BadPledges }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

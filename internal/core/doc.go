@@ -160,8 +160,9 @@
 // has one reader: every batch a replica takes — pushed, transferred or
 // replayed — is opened by openBatch and applied by its applyTo — and one
 // ingest per replica (adoptTransferLocked) adopts it as a state transfer:
-// a WAL record or a slave's push is one of one batch, a keep-alive one of
-// none. A slave left behind its new stamp syncs in the background,
+// a WAL record, a slave's push or the master's own commit (applyBatch, as
+// soon as it has signed the batch's stamp) is one of one batch, a
+// keep-alive one of none. A slave left behind its new stamp syncs in the background,
 // single-flight. A keep-alive that overtakes its push starts an m.sync the
 // push leaves with 0 ops: 1 in three 10 s replbench write-waves runs (66
 // pushes each), 0 in mixed, E15 and E18 (E18's one sync applies 64 ops).
@@ -169,8 +170,9 @@
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,
 // see types.go) and stability-driven truncation (checkpoint.go) — slaves
-// acknowledge applied versions on every keep-alive/update reply, and each
-// master, after delivering any message but a write batch and at most once
+// acknowledge applied versions on every keep-alive/update reply, into
+// their entry of the master's slave set (one table: each address once,
+// each entry its certificate and its ack), and each master, after delivering any message but a write batch and at most once
 // per CheckpointEvery, truncates its op log and broadcast archive below
 // its own slaves' stable version, keeping checkpointMinRetain (64) ops. A
 // slave silent for checkpointMaxLag (4) keep-alive intervals, or acking

@@ -143,19 +143,19 @@ func (m *Master) persistState(anchor uint64, snap *ckptSnapshot) {
 }
 
 // adoptTransferLocked installs a verified state transfer — a peer's m.sync
-// reply, this master's own snapshot file or one of its WAL records: a
-// snapshot ahead of the store replaces it and empties the log, the batches
-// that continue the store are applied and logged under the transfer's
-// anchor, and the recovery anchor moves up to it. It returns how many ops
-// it applied. Caller holds m.mu (or runs before concurrency, in
-// openDurable).
+// reply, this master's own snapshot file, one of its WAL records or the
+// batch it has just committed (applyBatch): a snapshot ahead of the store
+// replaces it and empties the log, the batches that continue the store
+// are applied and logged under the transfer's anchor, and the recovery
+// anchor moves up to it. It returns how many ops it applied. Caller holds
+// m.mu (or runs before concurrency, in openDurable).
 func (m *Master) adoptTransferLocked(st *stateTransfer) (int, error) {
 	if st.snap != nil && st.snap.Version() > m.store.Version() {
 		m.store = st.snap
 		m.baseVersion = st.snap.Version()
 		m.log = nil
 	}
-	applied, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.appendLogLocked(st.anchor, *bu) })
+	applied, err := st.replayOnto(m.store, func(bu *BatchUpdate) { m.log = append(m.log, loggedBatch{BatchUpdate: *bu, seq: st.anchor}) })
 	if err != nil {
 		return applied, err
 	}

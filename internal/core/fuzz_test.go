@@ -547,7 +547,7 @@ func snapshotDeliverState(m *Master) deliverState {
 	st := deliverState{version: m.store.Version(), peers: map[string]int{},
 		adopted: maps.Clone(m.adopted), excluded: maps.Clone(m.excluded)}
 	for _, e := range m.slaves {
-		st.slaves = append(st.slaves, e.addr)
+		st.slaves = append(st.slaves, e.cert.Addr)
 	}
 	for p, es := range m.peerSlaves {
 		st.peers[p] = len(es)

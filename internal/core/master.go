@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -135,10 +136,12 @@ type MasterConfig struct {
 	DataDir string
 }
 
+// slaveEntry is one slave of this master's set: the certificate this
+// master issued it — its address and key — and the newest version it
+// acknowledged, which the stable point is computed over.
 type slaveEntry struct {
-	addr string
-	pub  cryptoutil.PublicKey
 	cert pki.Certificate
+	ack  slaveAck
 }
 
 type clientEntry struct {
@@ -160,28 +163,27 @@ type Master struct {
 	bcast *broadcast.Member
 
 	mu          sync.Mutex
-	store       *store.Store            // guarded by mu
-	baseVersion uint64                  // guarded by mu; floor of the retained log (initial version, then the last version of a truncated batch)
-	log         []loggedBatch           // guarded by mu; the committed batches above baseVersion, in order
-	acks        map[string]slaveAck     // guarded by mu; slave addr -> newest acknowledged version
-	unacked     uint64                  // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
-	lastMark    versionMark             // guarded by mu; version + broadcast seq of the newest applied batch
-	lastCommit  time.Time               // guarded by mu
-	nextWriteAt time.Time               // guarded by mu
-	batchQueue  []queuedWave            // guarded by mu; admitted waves awaiting the next flush
-	queuedOps   int                     // guarded by mu; ops the queued waves hold together
-	batchGen    uint64                  // guarded by mu; flush generation (dedups timer flushes)
-	arrivalEWMA time.Duration           // guarded by mu; smoothed write inter-arrival gap (adaptive flush)
-	lastArrival time.Time               // guarded by mu; previous write's arrival (adaptive flush)
-	slaves      []slaveEntry            // guarded by mu
-	clients     map[string]*clientEntry // guarded by mu; key: client pub
-	peerSlaves  map[string][]slaveEntry // guarded by mu; other masters' slave sets
-	adopted     map[string]bool         // guarded by mu; dead masters already redistributed
-	excluded    map[string]bool         // guarded by mu; excluded slave pubs
-	rrNext      int                     // guarded by mu; round-robin cursor for assignment
-	stats       MasterStats             // guarded by mu
-	memo        resultMemo              // guarded by mu; answers to expensive double-checked queries at the store's version
-	stopped     bool                    // guarded by mu
+	store       *store.Store                 // guarded by mu
+	baseVersion uint64                       // guarded by mu; floor of the retained log (initial version, then the last version of a truncated batch)
+	log         []loggedBatch                // guarded by mu; the committed batches above baseVersion, in order
+	unacked     uint64                       // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
+	lastMark    versionMark                  // guarded by mu; version + broadcast seq of the newest applied batch
+	lastCommit  time.Time                    // guarded by mu
+	nextWriteAt time.Time                    // guarded by mu
+	batchQueue  []queuedWave                 // guarded by mu; admitted waves awaiting the next flush
+	queuedOps   int                          // guarded by mu; ops the queued waves hold together
+	batchGen    uint64                       // guarded by mu; flush generation (dedups timer flushes)
+	arrivalEWMA time.Duration                // guarded by mu; smoothed write inter-arrival gap (adaptive flush)
+	lastArrival time.Time                    // guarded by mu; previous write's arrival (adaptive flush)
+	slaves      []slaveEntry                 // guarded by mu; this master's slave set, one entry per address (joinLocked)
+	clients     map[string]*clientEntry      // guarded by mu; key: client pub
+	peerSlaves  map[string][]pki.Certificate // guarded by mu; other masters' slave sets
+	adopted     map[string]bool              // guarded by mu; dead masters already redistributed
+	excluded    map[string]bool              // guarded by mu; excluded slave pubs
+	rrNext      int                          // guarded by mu; round-robin cursor for assignment
+	stats       MasterStats                  // guarded by mu
+	memo        resultMemo                   // guarded by mu; answers to expensive double-checked queries at the store's version
+	stopped     bool                         // guarded by mu
 
 	// When maybeTruncate last looked at the log. NewMaster sets it, so the
 	// first truncation comes one CheckpointEvery after start.
@@ -213,9 +215,8 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		store:        initial.Clone(),
 		baseVersion:  initial.Version(),
-		acks:         make(map[string]slaveAck),
 		clients:      make(map[string]*clientEntry),
-		peerSlaves:   make(map[string][]slaveEntry),
+		peerSlaves:   make(map[string][]pki.Certificate),
 		adopted:      make(map[string]bool),
 		excluded:     make(map[string]bool),
 		lastTruncate: rt.Now(),
@@ -256,11 +257,28 @@ func (m *Master) Start() {
 	m.startLoops()
 }
 
+// startLoops starts the broadcast member, then the keep-alives (every
+// KeepAliveEvery), the slave-list broadcast and the crash monitor (every
+// four intervals, as often as slave lists arrive).
 func (m *Master) startLoops() {
 	m.bcast.Start()
-	m.rt.Spawn(m.keepAliveLoop)
-	m.rt.Spawn(m.slaveListLoop)
-	m.rt.Spawn(m.crashMonitorLoop)
+	ka := m.cfg.Params.KeepAliveEvery
+	m.rt.Spawn(func() { m.every(ka, func() { m.sendKeepAlives(m.slaveCerts()) }) })
+	m.rt.Spawn(func() { m.every(4*ka, m.broadcastSlaveList) })
+	m.rt.Spawn(func() { m.every(4*ka, m.redistributeCrashed) })
+}
+
+// every calls f once per interval until the runtime or the master stops.
+func (m *Master) every(interval time.Duration, f func()) {
+	for m.rt.Sleep(interval) == nil {
+		m.mu.Lock()
+		stopped := m.stopped
+		m.mu.Unlock()
+		if stopped {
+			return
+		}
+		f()
+	}
 }
 
 // Stop halts the master's loops and syncs the write-ahead log. A master
@@ -307,21 +325,58 @@ func (m *Master) PublicKey() cryptoutil.PublicKey { return m.cfg.Keys.Public }
 
 // AddSlave places a slave under this master's control and issues its
 // certificate (§2: "each master keeps track of the contact addresses and
-// public keys of the slaves it has been assigned").
+// public keys of the slaves it has been assigned"). An address the set
+// already holds is left as it is.
 func (m *Master) AddSlave(addr string, pub cryptoutil.PublicKey) {
-	cert := pki.Certificate{
-		Role:     pki.RoleSlave,
-		Addr:     addr,
-		Subject:  pub,
-		IssuedAt: m.rt.Now(),
-	}
-	cert.Sign(m.cfg.Keys)
+	cert := m.slaveCert(addr, pub)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.slaves = append(m.slaves, slaveEntry{addr: addr, pub: pub, cert: cert})
-	// A fresh slave gates stability until its first ack (or until it has
-	// been silent for checkpointMaxLag keep-alive intervals).
-	m.acks[addr] = slaveAck{version: 0, at: m.rt.Now()}
+	m.joinLocked(cert)
+}
+
+// slaveCert issues the certificate of the slave at addr under this
+// master's key, dated now.
+func (m *Master) slaveCert(addr string, pub cryptoutil.PublicKey) pki.Certificate {
+	cert := pki.Certificate{Role: pki.RoleSlave, Addr: addr, Subject: pub, IssuedAt: m.rt.Now()}
+	cert.Sign(m.cfg.Keys)
+	return cert
+}
+
+// joinLocked is the one way into the slave set — AddSlave, a readmission
+// and an adoption — and reports whether cert joined: an address the set
+// already holds is refused, so no slave is pushed to, kept alive or
+// assigned twice. A fresh slave gates stability until its first ack (or
+// until it has been silent for checkpointMaxLag keep-alive intervals).
+// Caller holds m.mu.
+func (m *Master) joinLocked(cert pki.Certificate) bool {
+	if m.slaveIndexLocked(cert.Addr) >= 0 {
+		return false
+	}
+	m.slaves = append(m.slaves, slaveEntry{cert: cert, ack: slaveAck{at: m.rt.Now()}})
+	return true
+}
+
+// slaveIndexLocked is the index of the slave at addr in the set, -1 if it
+// holds none. An index is good only while m.mu stays held: an exclusion
+// shrinks the set. Caller holds m.mu.
+func (m *Master) slaveIndexLocked(addr string) int {
+	return slices.IndexFunc(m.slaves, func(e slaveEntry) bool { return e.cert.Addr == addr })
+}
+
+// slaveCerts copies the certificates of the slave set, in order.
+func (m *Master) slaveCerts() []pki.Certificate {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.slaveCertsLocked()
+}
+
+// slaveCertsLocked is slaveCerts for a caller that holds m.mu.
+func (m *Master) slaveCertsLocked() []pki.Certificate {
+	certs := make([]pki.Certificate, len(m.slaves))
+	for i, e := range m.slaves {
+		certs[i] = e.cert
+	}
+	return certs
 }
 
 // SlaveCount returns the number of live slaves in this master's set.
@@ -675,20 +730,20 @@ func (m *Master) deliver(seq uint64, msg []byte, local any) {
 	case bcSlaveList:
 		masterAddr := r.String()
 		n := r.Count() // b.submit is unauthenticated: never size a slice by a forged count
-		entries := make([]slaveEntry, 0, n)
+		certs := make([]pki.Certificate, 0, n)
 		for i := 0; i < n; i++ {
 			cert, err := pki.DecodeCertificate(r)
 			if err != nil {
 				return
 			}
-			entries = append(entries, slaveEntry{addr: cert.Addr, pub: cert.Subject, cert: cert})
+			certs = append(certs, cert)
 		}
 		if r.Done() != nil {
 			return
 		}
 		m.mu.Lock()
 		if masterAddr != m.cfg.Addr {
-			m.peerSlaves[masterAddr] = entries
+			m.peerSlaves[masterAddr] = certs
 		}
 		m.mu.Unlock()
 	case bcAdopt:
@@ -748,37 +803,28 @@ func decodeBatchMessage(r *wire.Reader) (raw [][]byte, ops []store.Op, err error
 }
 
 // applyBatch executes one delivered commit — a batch of one or more
-// writes, all on this one path — identically on every master: apply each
-// op in order (one version per op, exactly the sequence sequential
-// commits would produce), then sign a single stamp over the batch and
-// push a single update per slave. seq is the broadcast slot that carried
-// the commit; it anchors the batch boundary for truncation of the
-// broadcast archive. raw and ops are what decodeBatchMessage returned.
-// waves, nil on every master but the batch's origin, are the writers
-// waiting for the batch, whose ops they hold in order.
+// writes, all on this one path — identically on every master: sign a
+// single stamp over the batch, adopt it through the one ingest WAL replay
+// and catch-up use (one version per op, exactly the sequence sequential
+// commits would produce, logged under its slot, which becomes the
+// recovery anchor), then push a single update per slave. seq is the
+// broadcast slot that carried the commit. raw and ops are what
+// decodeBatchMessage returned. waves, nil on every master but the batch's
+// origin, are the writers waiting for the batch, whose ops they hold in
+// order.
 func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []queuedWave) {
 	m.mu.Lock()
-	first := m.store.Version() + 1
-	var opBytesTotal int
-	for i, op := range ops {
-		m.store.Apply(op)
-		opBytesTotal += len(raw[i])
-	}
-	last := m.store.Version()
-
 	// One signature per batch (§3.4 amortization), over the hash of the
 	// batch's own bytes. The log, the WAL, the slaves and every later sync
 	// get the batch whole, so none of them needs anything per op.
 	now := m.rt.Now()
 	count := uint64(len(ops))
+	first := m.store.Version() + 1
+	last := first + count - 1
 	bu := BatchUpdate{First: first, Ops: raw,
 		Stamp: SignBatchStamp(m.cfg.Keys, last, now, BatchDigest(first, raw))}
-	m.appendLogLocked(seq, bu)
-	// The newest applied batch is the recovery anchor: a restart that
-	// replays durable state up to `last` resumes broadcast delivery at
-	// seq+1, and catch-up syncs report it so a recovering peer can
-	// anchor likewise.
-	m.lastMark = versionMark{version: last, seq: seq}
+	// It starts at the store's next version, so no gap can refuse it.
+	_, _ = m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{{BatchUpdate: bu, ops: ops}}, anchor: seq})
 	// Build the WAL record while the lock pins the batch consistent; the
 	// append itself happens below, off-lock but still inside the
 	// serialized delivery drainer.
@@ -792,9 +838,13 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 	// Until the WAL sync below returns, no writer has been answered and
 	// no slave sent this batch: keep-alives stamp below it meanwhile.
 	m.unacked = count
-	slaves := append([]slaveEntry(nil), m.slaves...)
+	slaves := m.slaveCertsLocked()
 	m.mu.Unlock()
 
+	opBytesTotal := 0
+	for _, op := range raw {
+		opBytesTotal += len(op)
+	}
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign) // once per batch
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(opBytesTotal))
 	for range ops {
@@ -824,19 +874,27 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 
 	// Single lazy update per slave (§3.1), whatever the batch size.
 	bu.MasterAddr = m.cfg.Addr
-	frame := EncodeBatchUpdate(bu)
+	m.fanOut(slaves, MethodUpdateBatch, EncodeBatchUpdate(bu), m.cfg.Params.Costs.SendReply, m.cfg.Params.ReadTimeout,
+		func(st *MasterStats) { st.UpdatesSent++ })
+}
+
+// fanOut sends frame as method to each slave, every call on a task of its
+// own: it charges cost (the push's SendReply; a keep-alive charges none),
+// waits at most timeout, records the version the slave acknowledges in
+// reply (recordAck) and counts the call in the master's stats (count,
+// under m.mu). The batch push and every keep-alive send through it.
+func (m *Master) fanOut(slaves []pki.Certificate, method string, frame []byte, cost, timeout time.Duration, count func(*MasterStats)) {
 	for _, sl := range slaves {
-		sl := sl
 		m.rt.Spawn(func() {
-			chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
-			ack, err := m.dlr.CallTimeout(sl.addr, MethodUpdateBatch, frame, m.cfg.Params.ReadTimeout)
+			chargeCPU(m.cfg.CPU, cost)
+			ack, err := m.dlr.CallTimeout(sl.Addr, method, frame, timeout)
 			if err == nil {
 				if v, ok := parseAck(ack); ok {
-					m.recordAck(sl.addr, v)
+					m.recordAck(sl.Addr, v)
 				}
 			}
 			m.mu.Lock()
-			m.stats.UpdatesSent++
+			count(&m.stats)
 			m.mu.Unlock()
 		})
 	}
@@ -848,12 +906,6 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 type loggedBatch struct {
 	BatchUpdate
 	seq uint64
-}
-
-// appendLogLocked logs a batch the store has just applied. Caller holds
-// m.mu (or runs before concurrency, in replay).
-func (m *Master) appendLogLocked(seq uint64, bu BatchUpdate) {
-	m.log = append(m.log, loggedBatch{BatchUpdate: bu, seq: seq})
 }
 
 // logIndexLocked is the index of the first logged batch whose last
@@ -877,34 +929,42 @@ func (m *Master) handleGetSlave(body []byte) ([]byte, error) {
 	if count < 1 {
 		count = 1
 	}
-	excl := make(map[string]bool, len(exclude))
-	for _, a := range exclude {
-		excl[a] = true
-	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var picked []slaveEntry
-	for i := 0; i < len(m.slaves) && len(picked) < count; i++ {
-		e := m.slaves[(m.rrNext+i)%len(m.slaves)]
-		if excl[e.addr] || m.excluded[string(e.pub)] {
-			continue
-		}
-		picked = append(picked, e)
-	}
+	picked := m.pickLocked(count, exclude)
 	if len(picked) == 0 {
 		return nil, ErrNoSlaves
 	}
-	m.rrNext = (m.rrNext + 1) % max(1, len(m.slaves))
 	m.clients[string(clientPub)] = &clientEntry{
-		addr: clientAddr, pub: clientPub, slaveAddr: picked[0].addr,
+		addr: clientAddr, pub: clientPub, slaveAddr: picked[0].Addr,
 	}
 	w := wire.NewWriter(256)
 	w.Uvarint(uint64(len(picked)))
-	for _, e := range picked {
-		e.cert.Encode(w)
+	for _, cert := range picked {
+		cert.Encode(w)
 	}
 	return w.Bytes(), nil
+}
+
+// pickLocked is the one round-robin walk over the slave set: up to n
+// slaves from the cursor on, none excluded or named in skip, and the
+// cursor moves one on when any was picked. A client's setup and its
+// reassignment after an exclusion both assign through it. Caller holds
+// m.mu.
+func (m *Master) pickLocked(n int, skip []string) []pki.Certificate {
+	var picked []pki.Certificate
+	for i := 0; i < len(m.slaves) && len(picked) < n; i++ {
+		e := m.slaves[(m.rrNext+i)%len(m.slaves)]
+		if slices.Contains(skip, e.cert.Addr) || m.excluded[string(e.cert.Subject)] {
+			continue
+		}
+		picked = append(picked, e.cert)
+	}
+	if len(picked) > 0 {
+		m.rrNext = (m.rrNext + 1) % len(m.slaves)
+	}
+	return picked
 }
 
 // --- Double-check and sensitive reads --------------------------------------
@@ -1059,18 +1119,11 @@ func (m *Master) applyExclude(r *wire.Reader) {
 	}
 	m.excluded[slavePub] = true
 	// Am I the owner of this slave?
-	ownIdx := -1
-	for i, e := range m.slaves {
-		if string(e.pub) == slavePub {
-			ownIdx = i
-			break
-		}
-	}
+	ownIdx := slices.IndexFunc(m.slaves, func(e slaveEntry) bool { return string(e.cert.Subject) == slavePub })
 	var excludedAddr string
 	if ownIdx >= 0 {
-		excludedAddr = m.slaves[ownIdx].addr
-		m.slaves = append(m.slaves[:ownIdx], m.slaves[ownIdx+1:]...)
-		delete(m.acks, excludedAddr)
+		excludedAddr = m.slaves[ownIdx].cert.Addr
+		m.slaves = slices.Delete(m.slaves, ownIdx, ownIdx+1)
 		m.stats.Exclusions++
 	}
 	m.mu.Unlock()
@@ -1113,27 +1166,17 @@ func (m *Master) reassignClientsOf(slaveAddr string, excl pki.Exclusion) {
 	m.mu.Unlock()
 	for _, c := range affected {
 		m.mu.Lock()
-		var repl *slaveEntry
-		for i := 0; i < len(m.slaves); i++ {
-			e := m.slaves[(m.rrNext+i)%len(m.slaves)]
-			if !m.excluded[string(e.pub)] {
-				repl = &e
-				break
-			}
-		}
-		if len(m.slaves) > 0 {
-			m.rrNext = (m.rrNext + 1) % len(m.slaves)
-		}
-		if repl != nil {
-			c.slaveAddr = repl.addr
+		repl := m.pickLocked(1, nil)
+		if len(repl) > 0 {
+			c.slaveAddr = repl[0].Addr
 		}
 		m.mu.Unlock()
-		if repl == nil {
+		if len(repl) == 0 {
 			continue
 		}
 		w := wire.NewWriter(512)
 		excl.Encode(w)
-		repl.cert.Encode(w)
+		repl[0].Encode(w)
 		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
 		m.dlr.CallTimeout(c.addr, MethodNotify, w.Bytes(), m.cfg.Params.ReadTimeout)
 		m.mu.Lock()
@@ -1152,10 +1195,7 @@ func (m *Master) reassignClientsOf(slaveAddr string, excl pki.Exclusion) {
 // certificate. The slave itself should Bootstrap first so its replica is
 // current.
 func (m *Master) ReadmitSlave(addr string, pub cryptoutil.PublicKey) error {
-	cert := pki.Certificate{
-		Role: pki.RoleSlave, Addr: addr, Subject: pub, IssuedAt: m.rt.Now(),
-	}
-	cert.Sign(m.cfg.Keys)
+	cert := m.slaveCert(addr, pub)
 	w := wire.NewWriter(512)
 	w.Byte(bcReadmit)
 	w.String_(m.cfg.Addr) // the readmitting owner
@@ -1169,32 +1209,23 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 	if err != nil || r.Done() != nil {
 		return
 	}
+	mine := owner == m.cfg.Addr
 	m.mu.Lock()
 	delete(m.excluded, string(cert.Subject))
-	if owner == m.cfg.Addr {
-		// Rejoin our slave set unless it is already present.
-		present := false
-		for _, e := range m.slaves {
-			if e.addr == cert.Addr {
-				present = true
-				break
-			}
-		}
-		if !present {
-			m.slaves = append(m.slaves, slaveEntry{addr: cert.Addr, pub: cert.Subject, cert: cert})
-			m.acks[cert.Addr] = slaveAck{version: 0, at: m.rt.Now()}
-		}
+	if mine {
+		m.joinLocked(cert) // rejoin our slave set unless it is already there
 	}
 	m.mu.Unlock()
-	if owner == m.cfg.Addr {
-		if err := m.cfg.Directory.Retract(m.retraction(pki.RetractReinstate, cert.Subject)); err != nil {
-			m.mu.Lock()
-			m.stats.DirectoryErrors++
-			m.mu.Unlock()
-		}
-		// Bring it up to date immediately with a keep-alive.
-		m.rt.Spawn(func() { m.sendKeepAlives([]slaveEntry{{addr: cert.Addr}}) })
+	if !mine {
+		return
 	}
+	if err := m.cfg.Directory.Retract(m.retraction(pki.RetractReinstate, cert.Subject)); err != nil {
+		m.mu.Lock()
+		m.stats.DirectoryErrors++
+		m.mu.Unlock()
+	}
+	// Bring it up to date immediately with a keep-alive.
+	m.rt.Spawn(func() { m.sendKeepAlives([]pki.Certificate{cert}) })
 }
 
 // --- Background loops ---------------------------------------------------------
@@ -1207,28 +1238,12 @@ func (m *Master) ackedVersionLocked() uint64 {
 	return m.store.Version() - m.unacked
 }
 
-func (m *Master) keepAliveLoop() {
-	for {
-		if m.rt.Sleep(m.cfg.Params.KeepAliveEvery) != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.stopped {
-			m.mu.Unlock()
-			return
-		}
-		slaves := append([]slaveEntry(nil), m.slaves...)
-		m.mu.Unlock()
-		m.sendKeepAlives(slaves)
-	}
-}
-
 // sendKeepAlives signs one stamp for the acknowledged version — never one
 // still in its WAL sync — and sends it to each slave, recording the
 // version each acknowledges in reply: the stability signal truncation
 // runs on. The periodic loop, a readmission and an adoption all
 // send through it.
-func (m *Master) sendKeepAlives(slaves []slaveEntry) {
+func (m *Master) sendKeepAlives(slaves []pki.Certificate) {
 	m.mu.Lock()
 	version := m.ackedVersionLocked()
 	m.mu.Unlock()
@@ -1239,94 +1254,62 @@ func (m *Master) sendKeepAlives(slaves []slaveEntry) {
 		stamp.Encode(w)
 		w.String_(m.cfg.Addr)
 	})
-	for _, sl := range slaves {
-		sl := sl
-		m.rt.Spawn(func() {
-			ack, err := m.dlr.CallTimeout(sl.addr, MethodKeepAlive, frame, m.cfg.Params.KeepAliveEvery)
-			if err == nil {
-				if v, ok := parseAck(ack); ok {
-					m.recordAck(sl.addr, v)
-				}
-			}
-			m.mu.Lock()
-			m.stats.KeepAlivesSent++
-			m.mu.Unlock()
-		})
-	}
+	m.fanOut(slaves, MethodKeepAlive, frame, 0, m.cfg.Params.KeepAliveEvery,
+		func(st *MasterStats) { st.KeepAlivesSent++ })
 }
 
-// slaveListLoop broadcasts this master's slave set every four keep-alive
-// intervals.
-func (m *Master) slaveListLoop() {
-	for {
-		if m.rt.Sleep(4*m.cfg.Params.KeepAliveEvery) != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.stopped {
-			m.mu.Unlock()
-			return
-		}
-		slaves := append([]slaveEntry(nil), m.slaves...)
-		m.mu.Unlock()
-		w := wire.NewWriter(1024)
-		w.Byte(bcSlaveList)
-		w.String_(m.cfg.Addr)
-		w.Uvarint(uint64(len(slaves)))
-		for _, e := range slaves {
-			e.cert.Encode(w)
-		}
-		m.bcast.Broadcast(w.Bytes(), nil)
+// broadcastSlaveList tells every master this master's slave set: the set
+// the survivors divide should this master crash.
+func (m *Master) broadcastSlaveList() {
+	slaves := m.slaveCerts()
+	w := wire.NewWriter(1024)
+	w.Byte(bcSlaveList)
+	w.String_(m.cfg.Addr)
+	w.Uvarint(uint64(len(slaves)))
+	for _, cert := range slaves {
+		cert.Encode(w)
 	}
+	m.bcast.Broadcast(w.Bytes(), nil)
 }
 
-// crashMonitorLoop watches for crashed masters and initiates slave-set
-// redistribution (§3: "in the event of a master crash, the remaining ones
-// will divide its slave set"), as often as slave lists are broadcast.
-func (m *Master) crashMonitorLoop() {
-	for {
-		if m.rt.Sleep(4*m.cfg.Params.KeepAliveEvery) != nil {
-			return
-		}
-		m.mu.Lock()
-		if m.stopped {
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-		for _, dead := range m.bcast.SuspectedPeers() {
-			if dead == m.cfg.AuditorAddr {
-				continue
-			}
-			m.mu.Lock()
-			already := m.adopted[dead]
-			_, known := m.peerSlaves[dead]
-			m.mu.Unlock()
-			if already || !known {
-				continue
-			}
-			if !m.isLowestSurvivor(dead) {
-				continue
-			}
-			m.initiateAdoption(dead)
-		}
-	}
-}
-
-// isLowestSurvivor reports whether this master is the first non-suspected
-// non-auditor peer, and therefore the one that coordinates redistribution.
-func (m *Master) isLowestSurvivor(dead string) bool {
-	suspected := map[string]bool{dead: true}
-	for _, s := range m.bcast.SuspectedPeers() {
-		suspected[s] = true
-	}
-	for _, p := range m.cfg.Peers {
-		if p == m.cfg.AuditorAddr || suspected[p] {
+// redistributeCrashed initiates the redistribution of each crashed
+// master's slave set this master coordinates (§3: "in the event of a
+// master crash, the remaining ones will divide its slave set").
+func (m *Master) redistributeCrashed() {
+	for _, dead := range m.bcast.SuspectedPeers() {
+		if dead == m.cfg.AuditorAddr {
 			continue
 		}
-		return p == m.cfg.Addr
+		m.mu.Lock()
+		already := m.adopted[dead]
+		_, known := m.peerSlaves[dead]
+		m.mu.Unlock()
+		if already || !known || !m.isLowestSurvivor(dead) {
+			continue
+		}
+		m.initiateAdoption(dead)
 	}
-	return false
+}
+
+// survivors are the peers, in priority order, that are neither the
+// auditor nor suspected, dead being taken as suspected: the first
+// coordinates the division of dead's slave set, and all of them share it.
+func (m *Master) survivors(dead string) []string {
+	suspected := append(m.bcast.SuspectedPeers(), dead)
+	var out []string
+	for _, p := range m.cfg.Peers {
+		if p != m.cfg.AuditorAddr && !slices.Contains(suspected, p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// isLowestSurvivor reports whether this master coordinates the
+// redistribution of dead's slave set.
+func (m *Master) isLowestSurvivor(dead string) bool {
+	s := m.survivors(dead)
+	return len(s) > 0 && s[0] == m.cfg.Addr
 }
 
 // initiateAdoption broadcasts the division of a dead master's slave set
@@ -1335,17 +1318,7 @@ func (m *Master) initiateAdoption(dead string) {
 	m.mu.Lock()
 	orphans := m.peerSlaves[dead]
 	m.mu.Unlock()
-	suspected := map[string]bool{dead: true}
-	for _, s := range m.bcast.SuspectedPeers() {
-		suspected[s] = true
-	}
-	var survivors []string
-	for _, p := range m.cfg.Peers {
-		if p == m.cfg.AuditorAddr || suspected[p] {
-			continue
-		}
-		survivors = append(survivors, p)
-	}
+	survivors := m.survivors(dead)
 	if len(survivors) == 0 {
 		return
 	}
@@ -1353,9 +1326,9 @@ func (m *Master) initiateAdoption(dead string) {
 	w.Byte(bcAdopt)
 	w.String_(dead)
 	w.Uvarint(uint64(len(orphans)))
-	for i, e := range orphans {
+	for i, cert := range orphans {
 		w.String_(survivors[i%len(survivors)]) // new owner
-		e.cert.Encode(w)
+		cert.Encode(w)
 	}
 	m.bcast.Broadcast(w.Bytes(), nil)
 }
@@ -1363,18 +1336,16 @@ func (m *Master) initiateAdoption(dead string) {
 func (m *Master) applyAdopt(r *wire.Reader) {
 	dead := r.String()
 	n := r.Count()
-	type assignment struct {
-		owner string
-		cert  pki.Certificate
-	}
-	assigns := make([]assignment, 0, n)
+	var orphans []pki.Certificate // the ones given to this master
 	for i := 0; i < n; i++ {
 		owner := r.String()
 		cert, err := pki.DecodeCertificate(r)
 		if err != nil {
 			return
 		}
-		assigns = append(assigns, assignment{owner, cert})
+		if owner == m.cfg.Addr {
+			orphans = append(orphans, cert)
+		}
 	}
 	if r.Done() != nil {
 		return
@@ -1386,19 +1357,15 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 	}
 	m.adopted[dead] = true
 	delete(m.peerSlaves, dead)
-	var mine []slaveEntry
-	for _, a := range assigns {
-		if a.owner == m.cfg.Addr && !m.excluded[string(a.cert.Subject)] {
-			e := slaveEntry{addr: a.cert.Addr, pub: a.cert.Subject, cert: a.cert}
-			// Re-issue the certificate under this master's key.
-			e.cert = pki.Certificate{
-				Role: pki.RoleSlave, Addr: e.addr, Subject: e.pub, IssuedAt: m.rt.Now(),
-			}
-			e.cert.Sign(m.cfg.Keys)
-			m.slaves = append(m.slaves, e)
-			m.acks[e.addr] = slaveAck{version: 0, at: m.rt.Now()}
+	var mine []pki.Certificate
+	for _, o := range orphans {
+		if m.excluded[string(o.Subject)] {
+			continue
+		}
+		// Re-issue the certificate under this master's key.
+		if cert := m.slaveCert(o.Addr, o.Subject); m.joinLocked(cert) {
 			m.stats.SlavesAdopted++
-			mine = append(mine, e)
+			mine = append(mine, cert)
 		}
 	}
 	m.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -809,5 +810,160 @@ func TestMasterReportConvictsOnPledgeBody(t *testing.T) {
 				t.Fatalf("slave excluded on a refused report: %+v", r.master.Stats())
 			}
 		})
+	}
+}
+
+// readmitFrame is the bcReadmit a master broadcasts to take the slave at
+// addr back into owner's set.
+func readmitFrame(owner string, cert pki.Certificate) []byte {
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(bcReadmit)
+		w.String_(owner)
+		cert.Encode(w)
+	})
+}
+
+// adoptFrame is the bcAdopt that divides dead's slaves, giving each to
+// owner.
+func adoptFrame(dead, owner string, certs ...pki.Certificate) []byte {
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(bcAdopt)
+		w.String_(dead)
+		w.Uvarint(uint64(len(certs)))
+		for _, c := range certs {
+			w.String_(owner)
+			c.Encode(w)
+		}
+	})
+}
+
+// TestMasterAdoptAfterReadmitHoldsSlaveOnce: a slave readmitted to a
+// master while it is still on a dead master's last slave list reaches
+// that master twice, by the readmission and by the adoption that divides
+// the dead master's set. The set holds it once: held twice, it would be
+// pushed every batch twice, sent two keep-alives per interval and picked
+// twice by the round-robin.
+func TestMasterAdoptAfterReadmitHoldsSlaveOnce(t *testing.T) {
+	r := newMasterRig(t, nil)
+	m := r.master
+	s0 := cryptoutil.DeriveKeyPair("slave", 0)
+	dead := cryptoutil.DeriveKeyPair("master", 9)
+	readmitted := m.slaveCert("s0", s0.Public)
+	orphan := pki.Certificate{Role: pki.RoleSlave, Addr: "s0", Subject: s0.Public, IssuedAt: r.s.Now()}
+	orphan.Sign(dead)
+	r.s.Go(func() {
+		m.deliver(1, readmitFrame(m.Addr(), readmitted), nil)
+		m.deliver(2, adoptFrame("m9", m.Addr(), orphan), nil)
+	})
+	r.s.Run()
+	if n := m.SlaveCount(); n != 1 {
+		t.Fatalf("slave count %d, want 1", n)
+	}
+	if st := m.Stats(); st.SlavesAdopted != 0 || st.KeepAlivesSent != 1 {
+		t.Fatalf("adopted %d, keep-alives %d: want 0 and the readmission's 1", st.SlavesAdopted, st.KeepAlivesSent)
+	}
+}
+
+// TestMasterSlaveTableConcurrent races everything that reads or writes a
+// real-clock master's slave table, from goroutines of their own: acks
+// recorded by the batch push's fan-out and by more ack senders (each
+// writes through its entry's index while the lock is held, into a slice
+// an exclusion shrinks), AddSlave, m.getslave, and a delivery goroutine
+// that, like the broadcast drainer, delivers batches, exclusions,
+// readmissions and adoptions one at a time. Whatever the order, each
+// address is held once and no ack exceeds the store version. make race
+// reruns it.
+func TestMasterSlaveTableConcurrent(t *testing.T) {
+	const pool, rounds = 6, 150
+	owner := cryptoutil.DeriveKeyPair("owner", 0)
+	keys := cryptoutil.DeriveKeyPair("master", 0)
+	dir := pki.NewDirectory()
+	mcert := pki.Certificate{Role: pki.RoleMaster, Addr: "master", Subject: keys.Public, IssuedAt: time.Now()}
+	mcert.Sign(owner)
+	dir.Publish(owner.Public, mcert)
+	initial := store.New()
+	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	// Every slave acks far past anything committed.
+	ack := wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(1 << 40) })
+	m, err := NewMaster(MasterConfig{
+		Addr: "master", Keys: keys, Params: DefaultParams(), ContentKey: owner.Public,
+		Peers: []string{"master"}, AuditorAddr: "auditor",
+		Directory: BoundDirectory{Dir: dir, ContentKey: owner.Public}, Seed: 1,
+	}, sim.RealClock{}, replyDialer{reply: ack}, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slaveKeys := make([]*cryptoutil.KeyPair, pool)
+	for i := range slaveKeys {
+		slaveKeys[i] = cryptoutil.DeriveKeyPair("slave", i)
+	}
+	addr := func(i int) string { return fmt.Sprintf("s%d", i) }
+	stamp := SignStamp(keys, 1, time.Now())
+	exclude := func(i int) []byte {
+		evidence := EncodePledge(SignPledge(slaveKeys[i], []byte("q"), cryptoutil.HashBytes(nil), stamp))
+		sig := keys.Sign(excludeSignedBytes(evidence))
+		return wire.EncodeFrame(func(w *wire.Writer) {
+			w.Byte(bcExclude)
+			w.Bytes_(evidence)
+			w.Bytes_(keys.Public)
+			w.Bytes_(sig)
+		})
+	}
+	getSlave := wire.EncodeFrame(func(w *wire.Writer) {
+		w.String_("client")
+		w.Bytes_(cryptoutil.DeriveKeyPair("client", 0).Public)
+		w.Uvarint(2)
+		w.StringSlice(nil)
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				f(i)
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		loop(func(i int) { m.recordAck(addr((i+g)%(pool+1)), uint64(i)) }) // addr(pool) is never a member
+	}
+	loop(func(i int) { m.AddSlave(addr(i%pool), slaveKeys[i%pool].Public) })
+	loop(func(int) { m.handleGetSlave(getSlave) })
+
+	seq := uint64(0)
+	deliver := func(msg []byte) { seq++; m.deliver(seq, msg, nil) }
+	for round := 0; round < rounds; round++ {
+		i := round % pool
+		op := store.EncodeOp(store.Put{Key: "k", Value: []byte{byte(round)}})
+		deliver(encodeBatchMessage([]queuedWave{{ops: [][]byte{op}}}))
+		deliver(exclude(i))
+		deliver(readmitFrame(m.Addr(), m.slaveCert(addr(i), slaveKeys[i].Public)))
+		deliver(adoptFrame(fmt.Sprintf("dead%d", round), m.Addr(), m.slaveCert(addr((i+1)%pool), slaveKeys[(i+1)%pool].Public)))
+	}
+	close(stop)
+	wg.Wait()
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	seen := map[string]bool{}
+	for _, e := range m.slaves {
+		if seen[e.cert.Addr] {
+			t.Errorf("%s held twice", e.cert.Addr)
+		}
+		seen[e.cert.Addr] = true
+		if e.ack.version > m.store.Version() {
+			t.Errorf("%s acked %d past the store's %d", e.cert.Addr, e.ack.version, m.store.Version())
+		}
+	}
+	if seen[addr(pool)] || m.store.Version() != 1+rounds || m.stats.Exclusions == 0 {
+		t.Errorf("ghost held %v, version %d, %d exclusions", seen[addr(pool)], m.store.Version(), m.stats.Exclusions)
 	}
 }

@@ -536,9 +536,10 @@ func TestClientChecksCachedPledgeEveryRead(t *testing.T) {
 			}
 		}
 		st := r.client.Stats()
-		// The byte-identical reply carries its stamp whole, so the stamp is
-		// verified on both reads.
-		if st.PledgesVerified != 2 || st.StampCacheMisses != 2 || st.StampCacheHits != 0 {
+		// The byte-identical reply carries its stamp whole: verified on the
+		// first read, and on the second identical to the stamp held, which
+		// is a hit. The pledge is verified on both.
+		if st.PledgesVerified != 2 || st.StampCacheMisses != 1 || st.StampCacheHits != 1 {
 			t.Errorf("after one repeat: %+v", st)
 		}
 		refused := func(key, what string) {

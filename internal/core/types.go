@@ -286,6 +286,13 @@ func (v *VersionStamp) certifiedBy(trusted []cryptoutil.PublicKey) bool {
 	return slices.ContainsFunc(trusted, func(pub cryptoutil.PublicKey) bool { return bytes.Equal(pub, v.MasterPub) })
 }
 
+// equal reports whether o is the same signed stamp as v: every signed
+// field, the master key and the signature.
+func (v *VersionStamp) equal(o *VersionStamp) bool {
+	return v.Version == o.Version && v.Timestamp.Equal(o.Timestamp) && v.OpDigest.Equal(o.OpDigest) &&
+		v.Kind == o.Kind && bytes.Equal(v.MasterPub, o.MasterPub) && bytes.Equal(v.Sig, o.Sig)
+}
+
 // Verify checks the stamp against a set of trusted master keys.
 func (v *VersionStamp) Verify(trustedMasters []cryptoutil.PublicKey) error {
 	_, err := (*sigCache)(nil).verifyStamp(v, trustedMasters)
