@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"crypto/sha1"
 	"fmt"
 	"testing"
 	"time"
@@ -212,6 +213,52 @@ func BenchmarkStoreApply(b *testing.B) {
 			Key:   workload.CatalogKey(i % 10000),
 			Value: []byte("value"),
 		})
+	}
+}
+
+// BenchmarkDigest records the hash choice: SHA-1, the hash the digest
+// was, against cryptoutil.HashBytes (SHA-256 truncated to the same 20
+// bytes) at the sizes the protocol hashes most — 41 B (a small op or
+// query payload), 290 B (a range reply) and 5.7 KB (a 256-op batch's
+// BatchDigest input). On a host with SHA extensions SHA-256 is the faster;
+// without them the order may flip.
+func BenchmarkDigest(b *testing.B) {
+	hashes := []struct {
+		name string
+		sum  func([]byte) byte
+	}{
+		{"sha1", func(p []byte) byte { d := sha1.Sum(p); return d[0] }},
+		{"sha256", func(p []byte) byte { d := cryptoutil.HashBytes(p); return d[0] }},
+	}
+	sizes := []struct {
+		name string
+		n    int
+	}{{"41B", 41}, {"290B", 290}, {"5.7KB", 5700}}
+	for _, h := range hashes {
+		for _, size := range sizes {
+			b.Run(h.name+"/"+size.name, func(b *testing.B) {
+				buf := make([]byte, size.n)
+				b.SetBytes(int64(size.n))
+				b.ReportAllocs()
+				var sink byte
+				for i := 0; i < b.N; i++ {
+					sink ^= h.sum(buf)
+				}
+				buf[0] = sink
+			})
+		}
+	}
+}
+
+// BenchmarkContentLoad is what every deployment does before it serves:
+// build the 20 000-entry catalogue content replbench starts from (20 000
+// Puts of new keys, each one B-tree descent and one entry hash).
+func BenchmarkContentLoad(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if s := workload.BuildContent(20000, 20); s.Len() != 20020 {
+			b.Fatalf("content holds %d keys", s.Len())
+		}
 	}
 }
 

@@ -216,6 +216,20 @@
 // the same hole as the forged §3.4 ack through which a signed lie skips
 // the audit; ROADMAP item 13(a) tags the reply.
 //
+// The hash decides whether a lie is caught. A pledge names its answer by
+// hash, a batch stamp its ops by BatchDigest, and the client check, the
+// vouch, the double-check and the audit all compare hashes, never
+// payloads. So a hash with practical collisions lets a writer and a slave
+// in collusion lie unseen: the writer commits a value V1 crafted to
+// collide with V2, the slave serves V2, and all four checks agree with it
+// — nobody is convicted. Chosen-prefix collisions are practical for SHA-1
+// (Leurent and Peyrin, "SHA-1 is a Shambles", 2020), so every digest here
+// is SHA-256 (cryptoutil.HashBytes). It is truncated to the 20 bytes SHA-1
+// had: that keeps 80-bit generic collision resistance (a birthday search
+// over 2^160), beyond any collusion's budget, and every frame, WAL record
+// and snapshot keeps its length. A data directory written under SHA-1
+// digests is refused at start (durable.go).
+//
 // Every memo is kept for traffic measured through it (replbench, seed 1,
 // 6–8 s runs):
 //

@@ -32,11 +32,14 @@ package core
 // A file some earlier commit of this repository wrote in another shape is
 // refused and the master does not start: a WAL record under a per-op
 // stamp fails replay ("stamp is not a batch stamp"), one whose batch stamp
-// signs any digest but BatchDigest fails it too ("ops do not hash to the
-// stamp's batch digest"), and a snapshot file in the private "msnap.v1"
-// format, or one closed by a second copy of its stamp, fails
-// decodeStateTransfer. No data directory outlives a commit here, so
-// nothing reads the old shapes.
+// signs any digest but BatchDigest — a merkle root, or the SHA-1 of the
+// batch's bytes that BatchDigest was before it became truncated SHA-256 —
+// fails it too ("ops do not hash to the stamp's batch digest"), and a
+// snapshot file in the private "msnap.v1" format, one closed by a second
+// copy of its stamp, or one whose stamp signs the SHA-1 of its bytes
+// ("stamp does not authenticate the snapshot") fails decodeStateTransfer.
+// No data directory outlives a commit here, so nothing reads the old
+// shapes.
 
 import (
 	"fmt"

@@ -183,6 +183,7 @@ type Master struct {
 	rrNext      int                          // guarded by mu; round-robin cursor for assignment
 	stats       MasterStats                  // guarded by mu
 	memo        resultMemo                   // guarded by mu; answers to expensive double-checked queries at the store's version
+	started     bool                         // guarded by mu; startLoops has run: AddSlave stamps what joins (stampJoined)
 	stopped     bool                         // guarded by mu
 
 	// When maybeTruncate last looked at the log. NewMaster sets it, so the
@@ -257,28 +258,42 @@ func (m *Master) Start() {
 	m.startLoops()
 }
 
-// startLoops starts the broadcast member, then the keep-alives (every
-// KeepAliveEvery), the slave-list broadcast and the crash monitor (every
-// four intervals, as often as slave lists arrive).
+// startLoops starts the broadcast member, then the keep-alives (at once,
+// then every KeepAliveEvery: a slave serves only under a stamp, so the
+// first goes out now, not one interval late), the slave-list broadcast and
+// the crash monitor (every four intervals, as often as slave lists arrive;
+// both wait out their first interval, as a crash check at start would see
+// no acks). A durable master runs them after recoverGap, so its first
+// stamp names the state it rejoined at.
 func (m *Master) startLoops() {
+	m.mu.Lock()
+	m.started = true
+	m.mu.Unlock()
 	m.bcast.Start()
 	ka := m.cfg.Params.KeepAliveEvery
-	m.rt.Spawn(func() { m.every(ka, func() { m.sendKeepAlives(m.slaveCerts()) }) })
+	keepAlive := func() { m.sendKeepAlives(m.slaveCerts()) }
+	m.rt.Spawn(func() {
+		if m.running() {
+			keepAlive()
+			m.every(ka, keepAlive)
+		}
+	})
 	m.rt.Spawn(func() { m.every(4*ka, m.broadcastSlaveList) })
 	m.rt.Spawn(func() { m.every(4*ka, m.redistributeCrashed) })
 }
 
 // every calls f once per interval until the runtime or the master stops.
 func (m *Master) every(interval time.Duration, f func()) {
-	for m.rt.Sleep(interval) == nil {
-		m.mu.Lock()
-		stopped := m.stopped
-		m.mu.Unlock()
-		if stopped {
-			return
-		}
+	for m.rt.Sleep(interval) == nil && m.running() {
 		f()
 	}
+}
+
+// running reports whether Stop has not been called.
+func (m *Master) running() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return !m.stopped
 }
 
 // Stop halts the master's loops and syncs the write-ahead log. A master
@@ -326,12 +341,17 @@ func (m *Master) PublicKey() cryptoutil.PublicKey { return m.cfg.Keys.Public }
 // AddSlave places a slave under this master's control and issues its
 // certificate (§2: "each master keeps track of the contact addresses and
 // public keys of the slaves it has been assigned"). An address the set
-// already holds is left as it is.
+// already holds is left as it is. A slave added to a running master is
+// stamped at once (stampJoined); one added before Start is stamped by the
+// keep-alive loop's first round, which reads the set after started is set.
 func (m *Master) AddSlave(addr string, pub cryptoutil.PublicKey) {
 	cert := m.slaveCert(addr, pub)
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.joinLocked(cert)
+	stamp := m.joinLocked(cert) && m.started
+	m.mu.Unlock()
+	if stamp {
+		m.stampJoined([]pki.Certificate{cert})
+	}
 }
 
 // slaveCert issues the certificate of the slave at addr under this
@@ -347,6 +367,7 @@ func (m *Master) slaveCert(addr string, pub cryptoutil.PublicKey) pki.Certificat
 // already holds is refused, so no slave is pushed to, kept alive or
 // assigned twice. A fresh slave gates stability until its first ack (or
 // until it has been silent for checkpointMaxLag keep-alive intervals).
+// Each caller passes what joined to stampJoined once it has unlocked.
 // Caller holds m.mu.
 func (m *Master) joinLocked(cert pki.Certificate) bool {
 	if m.slaveIndexLocked(cert.Addr) >= 0 {
@@ -354,6 +375,18 @@ func (m *Master) joinLocked(cert pki.Certificate) bool {
 	}
 	m.slaves = append(m.slaves, slaveEntry{cert: cert, ack: slaveAck{at: m.rt.Now()}})
 	return true
+}
+
+// stampJoined sends a keep-alive at once to slaves that have just joined
+// a running master's set — by AddSlave, a readmission or an adoption — so
+// they serve from now (§3.1: a slave answers only under a fresh stamp),
+// not one KeepAliveEvery later; the stamp also names this master as their
+// sync source. Readmissions and adoptions are deliveries, so the master
+// runs; AddSlave calls it only once Start has run.
+func (m *Master) stampJoined(joined []pki.Certificate) {
+	if len(joined) > 0 {
+		m.rt.Spawn(func() { m.sendKeepAlives(joined) })
+	}
 }
 
 // slaveIndexLocked is the index of the slave at addr in the set, -1 if it
@@ -1212,9 +1245,7 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 	mine := owner == m.cfg.Addr
 	m.mu.Lock()
 	delete(m.excluded, string(cert.Subject))
-	if mine {
-		m.joinLocked(cert) // rejoin our slave set unless it is already there
-	}
+	joined := mine && m.joinLocked(cert) // rejoin our slave set unless it is already there
 	m.mu.Unlock()
 	if !mine {
 		return
@@ -1224,8 +1255,9 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 		m.stats.DirectoryErrors++
 		m.mu.Unlock()
 	}
-	// Bring it up to date immediately with a keep-alive.
-	m.rt.Spawn(func() { m.sendKeepAlives([]pki.Certificate{cert}) })
+	if joined {
+		m.stampJoined([]pki.Certificate{cert})
+	}
 }
 
 // --- Background loops ---------------------------------------------------------
@@ -1389,11 +1421,7 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 			}
 		})
 	}
-	// Repoint adopted slaves at this master immediately with a keep-alive
-	// carrying our stamp; the slave learns its new sync source.
-	if len(mine) > 0 {
-		m.rt.Spawn(func() { m.sendKeepAlives(mine) })
-	}
+	m.stampJoined(mine)
 }
 
 // retraction signs a directory retraction of kind for subject, dated now.

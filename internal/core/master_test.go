@@ -967,3 +967,99 @@ func TestMasterSlaveTableConcurrent(t *testing.T) {
 		t.Errorf("ghost held %v, version %d, %d exclusions", seen[addr(pool)], m.store.Version(), m.stats.Exclusions)
 	}
 }
+
+// TestMasterStampsSlavesOnStartAndJoin: a slave answers only under a
+// fresh keep-alive stamp (§3.1), so a master stamps its set when it
+// starts and stamps a slave that joins it running at once, by every way
+// in: AddSlave, a readmission and an adoption. Each row's slave must hold
+// a stamp within the row's bound, well before the next periodic round
+// (one KeepAliveEvery apart, from Start). The start row also reads through
+// a client set up at Start: the slave serves its first read, which is
+// accepted without a stale refusal.
+func TestMasterStampsSlavesOnStartAndJoin(t *testing.T) {
+	const oneWay = 5 * time.Millisecond
+	const rtt = 2 * oneWay
+	for _, row := range []struct {
+		name string
+		// join brings the slave at addr into master-0's running set; nil
+		// means it was in the set at Start.
+		join   func(c *testCluster, addr string, pub cryptoutil.PublicKey)
+		within time.Duration
+	}{
+		{"start", nil, 2 * rtt},
+		{"AddSlave", func(c *testCluster, addr string, pub cryptoutil.PublicKey) {
+			c.masters[0].AddSlave(addr, pub)
+		}, 2 * rtt},
+		{"readmission", func(c *testCluster, addr string, pub cryptoutil.PublicKey) {
+			if err := c.masters[0].ReadmitSlave(addr, pub); err != nil {
+				t.Errorf("readmit: %v", err)
+			}
+		}, 20 * rtt},
+		{"adoption", func(c *testCluster, addr string, pub cryptoutil.PublicKey) {
+			orphan := pki.Certificate{Role: pki.RoleSlave, Addr: addr, Subject: pub, IssuedAt: c.s.Now()}
+			orphan.Sign(cryptoutil.DeriveKeyPair("master", 9))
+			if err := c.masters[0].bcast.Broadcast(adoptFrame("master-9", "master-0", orphan), nil); err != nil {
+				t.Errorf("adopt: %v", err)
+			}
+		}, 20 * rtt},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := sim.New(1)
+			o := defaultOpts()
+			o.params.Costs = cryptoutil.ModernCosts()
+			o.latency = sim.Const(oneWay)
+			c := newTestCluster(t, s, o)
+			ka := c.params.KeepAliveEvery
+			sl, at := c.slaves[0], sim.Epoch
+			if row.join != nil {
+				// A slave outside every set, joined between two rounds.
+				keys := cryptoutil.DeriveKeyPair("slave", 99)
+				masterPubs := []cryptoutil.PublicKey{c.masters[0].PublicKey(), c.masters[1].PublicKey()}
+				sl = NewSlave(SlaveConfig{
+					Addr: "slave-new", Keys: keys, Params: c.params, MasterAddr: "master-0",
+					MasterPubs: masterPubs, CPU: s.NewResource("slave-new/cpu", 1), Seed: 99,
+				}, s, c.net.Dialer("slave-new"), c.initial)
+				c.net.Register("slave-new", sl.Handle)
+				at = sim.Epoch.Add(ka + ka/10)
+				s.Go(func() {
+					s.Sleep(at.Sub(sim.Epoch))
+					row.join(c, "slave-new", keys.Public)
+				})
+			}
+			var read time.Time
+			var readErr error
+			if row.join == nil {
+				cl := c.addClient(t, 0, nil)
+				s.Go(func() {
+					if readErr = cl.Setup(); readErr == nil {
+						_, readErr = cl.Read(mustQuery(t, "catalog/001"))
+					}
+					read = s.Now()
+				})
+			}
+			deadline := at.Add(row.within)
+			if next := sim.Epoch.Add(ka * (at.Sub(sim.Epoch)/ka + 1)); !deadline.Before(next) {
+				t.Fatalf("bound %v reaches the next periodic round at %v", row.within, next.Sub(sim.Epoch))
+			}
+			var stamps uint64
+			s.Go(func() {
+				s.Sleep(deadline.Sub(sim.Epoch))
+				stamps = sl.Stats().KeepAlives
+			})
+			s.RunUntil(sim.Epoch.Add(2 * ka))
+			if stamps < 1 {
+				t.Fatalf("slave holds no stamp %v after it joined (next round at %v)", row.within, ka)
+			}
+			if row.join != nil {
+				return
+			}
+			st := c.clients[0].Stats()
+			if readErr != nil || read.IsZero() || st.ReadsAccepted != 1 || st.SlaveStale != 0 {
+				t.Fatalf("first read: err %v, stats %+v", readErr, st)
+			}
+			if took := read.Sub(sim.Epoch); took > 4*rtt {
+				t.Fatalf("first read accepted %v after Start, want within 4 RTTs (%v): set-up, read, pledge", took, 4*rtt)
+			}
+		})
+	}
+}

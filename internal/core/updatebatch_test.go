@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha1"
 	"errors"
 	"path/filepath"
 	"slices"
@@ -305,6 +306,24 @@ func TestMerkleDigestWALRefused(t *testing.T) {
 	_, err := restartOverWAL(t, append([]byte{1}, entryBytes(bu)...))
 	if !errors.Is(err, ErrBadStamp) || !strings.Contains(err.Error(), "batch digest") {
 		t.Fatalf("NewMaster over a merkle-digest WAL: err = %v, want the batch digest error", err)
+	}
+}
+
+// TestSHA1DigestWALRefused starts a master over a WAL record whose stamp
+// signs the SHA-1 of the batch's bytes, the digest batch stamps signed
+// before the digest became truncated SHA-256: the master refuses to start,
+// with the digest error.
+func TestSHA1DigestWALRefused(t *testing.T) {
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	bu := signedBatch(master, 2, waveOps(8), sim.Epoch)
+	sha1Digest := cryptoutil.Digest(sha1.Sum(wire.EncodeFrame(func(w *wire.Writer) { appendBatchPrefix(w, bu.First, bu.Ops) })))
+	if sha1Digest == BatchDigest(bu.First, bu.Ops) {
+		t.Fatal("BatchDigest is still SHA-1")
+	}
+	bu.Stamp = SignBatchStamp(master, bu.Last(), sim.Epoch, sha1Digest)
+	_, err := restartOverWAL(t, append([]byte{1}, entryBytes(bu)...))
+	if !errors.Is(err, ErrBadStamp) || !strings.Contains(err.Error(), "ops do not hash to the stamp's batch digest") {
+		t.Fatalf("NewMaster over a SHA-1-digest WAL: err = %v, want the batch digest error", err)
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package cryptoutil provides the signing and hashing primitives used by
 // the replication protocol: Ed25519 key pairs (with deterministic,
-// seed-derived generation for reproducible simulations), SHA-1 result
-// digests (the hash named by the paper, FIPS 180-1), and a cost model that
-// lets the simulator charge realistic CPU time for cryptographic work.
+// seed-derived generation for reproducible simulations), 20-byte digests
+// (SHA-256, FIPS 180-4, truncated to the 20 bytes of the SHA-1 digests the
+// paper names, so no frame changes length), and a cost model that lets
+// the simulator charge realistic CPU time for cryptographic work.
 package cryptoutil
 
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha1"
+	"crypto/sha256"
 	"crypto/subtle"
 	"encoding/binary"
 	"encoding/hex"
@@ -17,14 +18,23 @@ import (
 	"sync"
 )
 
-// DigestSize is the size of a result digest in bytes (SHA-1).
-const DigestSize = sha1.Size
+// DigestSize is the size of a digest in bytes: SHA-256 truncated to the
+// length of the SHA-1 digests it replaced. Twenty bytes keep 80-bit
+// generic collision resistance, and every frame, WAL record and snapshot
+// its length.
+const DigestSize = 20
 
-// Digest is a SHA-1 hash of a deterministic encoding.
+// Digest is a truncated SHA-256 hash of a deterministic encoding.
 type Digest [DigestSize]byte
 
-// HashBytes returns the SHA-1 digest of b.
-func HashBytes(b []byte) Digest { return sha1.Sum(b) }
+// HashBytes returns the digest of b: the first DigestSize bytes of its
+// SHA-256.
+func HashBytes(b []byte) Digest { return truncate(sha256.Sum256(b)) }
+
+func truncate(full [sha256.Size]byte) (d Digest) {
+	copy(d[:], full[:])
+	return d
+}
 
 // maxPooledConcat bounds the concat buffers kept in the pool so one huge
 // input (a snapshot-sized value) cannot pin a giant buffer forever.
@@ -37,14 +47,14 @@ var concatPool = sync.Pool{
 	},
 }
 
-// HashConcat returns the SHA-1 digest of the concatenation of the given
+// HashConcat returns the digest (HashBytes) of the concatenation of the given
 // length-delimited parts. Each part is prefixed with its length so that
 // ("ab","c") and ("a","bc") hash differently.
 //
 // The framing (8-byte big-endian length before each part) is part of the
 // protocol: every digest in the system depends on it, so it must never
 // change. The concatenation is assembled in a pooled scratch buffer and
-// hashed with sha1.Sum, which keeps the hot path (store entry digests,
+// hashed with sha256.Sum256, which keeps the hot path (store entry digests,
 // the state-signing baseline's merkle nodes) free of per-call allocation.
 func HashConcat(parts ...[]byte) Digest {
 	bp := concatPool.Get().(*[]byte)
@@ -55,7 +65,7 @@ func HashConcat(parts ...[]byte) Digest {
 		buf = append(buf, lenbuf[:]...)
 		buf = append(buf, p...)
 	}
-	d := sha1.Sum(buf)
+	d := truncate(sha256.Sum256(buf))
 	if cap(buf) <= maxPooledConcat {
 		*bp = buf
 		concatPool.Put(bp)
@@ -108,7 +118,7 @@ func DeriveKeyPair(domain string, index int) *KeyPair {
 	seedSrc := HashConcat([]byte("keyseed"), []byte(domain), uint64Bytes(uint64(index)))
 	var seed [ed25519.SeedSize]byte
 	copy(seed[:], seedSrc[:])
-	// SHA-1 gives 20 bytes; stretch to 32 with a second hash.
+	// A digest is 20 bytes; stretch to 32 with a second hash.
 	more := HashConcat([]byte("keyseed2"), seedSrc[:])
 	copy(seed[DigestSize:], more[:ed25519.SeedSize-DigestSize])
 	priv := ed25519.NewKeyFromSeed(seed[:])

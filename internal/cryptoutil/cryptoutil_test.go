@@ -79,6 +79,25 @@ func TestHashConcatLengthDelimited(t *testing.T) {
 	}
 }
 
+// TestDigestKnownAnswers pins the hash: the first 20 bytes of SHA-256
+// (FIPS 180-4's "abc" vector), and HashConcat's framing — each part behind
+// its 8-byte big-endian length — under the same hash.
+func TestDigestKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		got  Digest
+		want string
+	}{
+		{`HashBytes("abc")`, HashBytes([]byte("abc")), "ba7816bf8f01cfea414140de5dae2223b00361a3"},
+		{`HashConcat("a", "bc")`, HashConcat([]byte("a"), []byte("bc")), "3fafa1cf2f19a7c1129beb20cf0983f73a489a22"},
+		{`HashConcat("")`, HashConcat(nil), "af5570f5a1810b7af78caf4bc70a660f0df51e42"},
+	} {
+		if c.got.String() != c.want {
+			t.Errorf("%s = %s, want %s", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestHashBytesMatchesKnownProperty(t *testing.T) {
 	a := HashBytes([]byte("x"))
 	b := HashBytes([]byte("x"))

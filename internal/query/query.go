@@ -12,8 +12,8 @@
 //	Grep     — regexp search across file contents under a path prefix
 //
 // Execution is deterministic: the same store state always yields the same
-// encoded result, so its SHA-1 digest is well defined — this is what
-// slaves pledge and the auditor re-checks.
+// encoded result, so its digest (truncated SHA-256, cryptoutil.HashBytes)
+// is well defined — this is what slaves pledge and the auditor re-checks.
 package query
 
 import (
@@ -44,8 +44,9 @@ type Result struct {
 	Scanned int
 }
 
-// Digest returns the SHA-1 hash of the result payload — the value a slave
-// commits to in its pledge (§3.2).
+// Digest returns the hash of the result payload (cryptoutil.HashBytes:
+// SHA-256 truncated to 20 bytes) — the value a slave commits to in its
+// pledge (§3.2).
 func (r Result) Digest() cryptoutil.Digest {
 	return cryptoutil.HashBytes(r.Payload)
 }

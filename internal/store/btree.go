@@ -97,20 +97,45 @@ func (t *btree) get(key string) ([]byte, bool) {
 	}
 }
 
-// put inserts or replaces key. It reports whether the key was new.
-func (t *btree) put(key string, value []byte) bool {
+// put stores value under key and returns the value it replaced, if the
+// key was there: one descent, so a write can take the old value out of
+// the state digest without a lookup of its own.
+func (t *btree) put(key string, value []byte) (old []byte, replaced bool) {
+	it, added := t.slot(key)
+	old, it.value = it.value, value
+	t.bytes += len(value) - len(old)
+	return old, !added
+}
+
+// appendTo extends the value under key by data, in a fresh slice (a
+// stored value is never written in place: a clone may share it), and
+// returns the value it replaced, if any, and the value it stored. One
+// descent.
+func (t *btree) appendTo(key string, data []byte) (old, merged []byte, replaced bool) {
+	it, added := t.slot(key)
+	old = it.value
+	merged = make([]byte, 0, len(old)+len(data))
+	merged = append(append(merged, old...), data...)
+	it.value = merged
+	t.bytes += len(data)
+	return old, merged, !added
+}
+
+// slot returns the item for key, writable by this tree, and whether it was
+// added with a nil value (counted in size and key bytes). The pointer is
+// good until the tree's next write.
+func (t *btree) slot(key string) (it *item, added bool) {
 	t.root = t.root.mutable(t.owner)
 	if len(t.root.items) == maxItems {
 		t.root = &node{children: []*node{t.root}, owner: t.owner}
 		t.root.splitChild(0, t.owner)
 	}
-	added, delta := t.root.insert(key, value, t.owner)
+	it, added = t.root.slot(key, t.owner)
 	if added {
 		t.size++
 		t.bytes += len(key)
 	}
-	t.bytes += delta
-	return added
+	return it, added
 }
 
 // splitChild splits the full child at index i of n, which own may write.
@@ -135,20 +160,19 @@ func (n *node) splitChild(i int, own *token) {
 	n.children[i+1] = right
 }
 
-// insert adds key below n (which must not be full, and own may write).
-// It returns whether a new key was added and the change in value bytes.
-func (n *node) insert(key string, value []byte, own *token) (bool, int) {
+// slot finds key below n (which must not be full, and own may write),
+// adding it with a nil value if absent, and returns its item and whether
+// it was added.
+func (n *node) slot(key string, own *token) (*item, bool) {
 	i, ok := n.find(key)
 	if ok {
-		delta := len(value) - len(n.items[i].value)
-		n.items[i].value = value
-		return false, delta
+		return &n.items[i], false
 	}
 	if n.leaf() {
 		n.items = append(n.items, item{})
 		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = item{key: key, value: value}
-		return true, len(value)
+		n.items[i] = item{key: key}
+		return &n.items[i], true
 	}
 	if len(n.children[i].items) == maxItems {
 		n.splitChild(i, own)
@@ -156,54 +180,51 @@ func (n *node) insert(key string, value []byte, own *token) (bool, int) {
 		case key > n.items[i].key:
 			i++
 		case key == n.items[i].key:
-			delta := len(value) - len(n.items[i].value)
-			n.items[i].value = value
-			return false, delta
+			return &n.items[i], false
 		}
 	}
-	return n.mutableChild(i, own).insert(key, value, own)
+	return n.mutableChild(i, own).slot(key, own)
 }
 
-// delete removes key. It reports whether the key existed and the number of
-// value bytes removed.
-func (t *btree) delete(key string) (bool, int) {
+// delete removes key and returns the value it held, if it was there.
+func (t *btree) delete(key string) (old []byte, removed bool) {
 	t.root = t.root.mutable(t.owner)
-	removed, freed := t.root.remove(key, t.owner)
+	old, removed = t.root.remove(key, t.owner)
 	if removed {
 		t.size--
-		t.bytes -= len(key) + freed
+		t.bytes -= len(key) + len(old)
 	}
 	if len(t.root.items) == 0 && !t.root.leaf() {
 		t.root = t.root.children[0]
 	}
-	return removed, freed
+	return old, removed
 }
 
-func (n *node) remove(key string, own *token) (bool, int) {
+func (n *node) remove(key string, own *token) ([]byte, bool) {
 	i, ok := n.find(key)
 	if n.leaf() {
 		if !ok {
-			return false, 0
+			return nil, false
 		}
-		freed := len(n.items[i].value)
+		old := n.items[i].value
 		n.items = append(n.items[:i], n.items[i+1:]...)
-		return true, freed
+		return old, true
 	}
 	if ok {
 		// Replace with predecessor from the left subtree, then delete the
 		// predecessor from that subtree.
-		freed := len(n.items[i].value)
+		old := n.items[i].value
 		if len(n.children[i].items) > minItems {
 			pred := n.children[i].max()
 			n.items[i] = pred
 			n.mutableChild(i, own).remove(pred.key, own)
-			return true, freed
+			return old, true
 		}
 		if len(n.children[i+1].items) > minItems {
 			succ := n.children[i+1].min()
 			n.items[i] = succ
 			n.mutableChild(i+1, own).remove(succ.key, own)
-			return true, freed
+			return old, true
 		}
 		n.mergeChildren(i, own)
 		return n.children[i].remove(key, own)

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/cryptoutil"
 )
 
 // shape renders a tree's layout: every node's keys, children bracketed.
@@ -121,6 +124,69 @@ func checkClones(t testing.TB, data []byte) {
 		}
 		if shape(c.s.tree.root) != shape(replay.tree.root) {
 			t.Fatalf("store %d: tree shape differs from a fresh replay", n)
+		}
+		if c.s.StateDigest() != recomputeDigest(c.s) {
+			t.Fatalf("store %d: state digest differs from one recomputed over its entries", n)
+		}
+	}
+}
+
+// recomputeDigest is the state digest from scratch, the way StateDigest
+// defines it: the XOR of every entry's hash over an Ascend, and of the
+// version's. A replay shares the incremental code with the store it
+// checks; this does not.
+func recomputeDigest(s *Store) cryptoutil.Digest {
+	var d cryptoutil.Digest
+	xor := func(h cryptoutil.Digest) {
+		for i := range d {
+			d[i] ^= h[i]
+		}
+	}
+	s.Ascend("", "", func(k string, v []byte) bool {
+		xor(cryptoutil.HashConcat([]byte("entry"), []byte(k), v))
+		return true
+	})
+	var v [8]byte
+	binary.BigEndian.PutUint64(v[:], s.Version())
+	xor(cryptoutil.HashConcat([]byte("version"), v[:]))
+	return d
+}
+
+// TestStoreDigestMatchesRecompute runs seeded random Put/Append/Delete
+// sequences on a store and on a Clone of it — overwrites, appends to absent
+// and present keys, deletes of absent keys, empty values and data — and
+// after every op the written store's digest must equal one recomputed from
+// its entries: each write takes out exactly the value its descent
+// replaced.
+func TestStoreDigestMatchesRecompute(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		key := func() string { return fmt.Sprintf("k%03d", rng.Intn(150)) }
+		value := func() []byte {
+			b := make([]byte, rng.Intn(4)) // a quarter of them empty
+			rng.Read(b)
+			return b
+		}
+		base := New()
+		for i := 0; i < 100; i++ {
+			base.Apply(Put{Key: key(), Value: value()})
+		}
+		stores := []*Store{base, base.Clone()}
+		for i := 0; i < 600; i++ {
+			s := stores[rng.Intn(len(stores))]
+			var op Op
+			switch rng.Intn(4) {
+			case 0, 1:
+				op = Put{Key: key(), Value: value()}
+			case 2:
+				op = Append{Key: key(), Data: value()}
+			case 3:
+				op = Delete{Key: key()}
+			}
+			s.Apply(op)
+			if s.StateDigest() != recomputeDigest(s) {
+				t.Fatalf("seed %d, op %d (%v): state digest differs from one recomputed over the entries", seed, i, op)
+			}
 		}
 	}
 }

@@ -61,7 +61,7 @@ func ReadSnapshot(r *wire.Reader) (*Store, error) {
 		}
 		prev = k
 		s.tree.put(k, v)
-		s.addDigest(k)
+		s.xorEntry(k, v)
 	}
 	s.version = version
 	return s, nil

@@ -10,10 +10,12 @@
 // Determinism is the critical property: two replicas that apply the same
 // write sequence must reach byte-identical state, so that honest slaves
 // and the auditor compute identical result hashes. The package maintains
-// an incremental state digest (a set-homomorphic XOR of per-entry hashes)
-// used by tests and the harness to assert replica convergence; it is an
-// engineering check, not a security primitive — integrity guarantees come
-// from the protocol's signed pledges.
+// an incremental state digest (a set-homomorphic XOR of per-entry hashes,
+// cryptoutil.HashConcat: truncated SHA-256) used by tests and the harness
+// to assert replica convergence; it is an engineering check, not a
+// security primitive — integrity guarantees come from the protocol's
+// signed pledges. A write walks the B-tree once: the descent that stores
+// its value hands back the one it replaced, and both go into the digest.
 package store
 
 import (
@@ -60,9 +62,10 @@ type Append struct {
 }
 
 func (p Put) apply(s *Store) error {
-	s.removeDigest(p.Key)
-	s.tree.put(p.Key, p.Value)
-	s.addDigest(p.Key)
+	if old, replaced := s.tree.put(p.Key, p.Value); replaced {
+		s.xorEntry(p.Key, old)
+	}
+	s.xorEntry(p.Key, p.Value)
 	return nil
 }
 
@@ -75,8 +78,9 @@ func (p Put) Encode(w *wire.Writer) {
 func (p Put) String() string { return fmt.Sprintf("put(%q,%dB)", p.Key, len(p.Value)) }
 
 func (d Delete) apply(s *Store) error {
-	s.removeDigest(d.Key)
-	s.tree.delete(d.Key)
+	if old, removed := s.tree.delete(d.Key); removed {
+		s.xorEntry(d.Key, old)
+	}
 	return nil
 }
 
@@ -88,13 +92,11 @@ func (d Delete) Encode(w *wire.Writer) {
 func (d Delete) String() string { return fmt.Sprintf("delete(%q)", d.Key) }
 
 func (a Append) apply(s *Store) error {
-	old, _ := s.tree.get(a.Key)
-	s.removeDigest(a.Key)
-	merged := make([]byte, 0, len(old)+len(a.Data))
-	merged = append(merged, old...)
-	merged = append(merged, a.Data...)
-	s.tree.put(a.Key, merged)
-	s.addDigest(a.Key)
+	old, merged, replaced := s.tree.appendTo(a.Key, a.Data)
+	if replaced {
+		s.xorEntry(a.Key, old)
+	}
+	s.xorEntry(a.Key, merged)
 	return nil
 }
 
@@ -286,25 +288,13 @@ func (s *Store) StateDigest() cryptoutil.Digest {
 	return d
 }
 
-func (s *Store) entryHash(key string, value []byte) cryptoutil.Digest {
-	return cryptoutil.HashConcat([]byte("entry"), []byte(key), value)
-}
-
-func (s *Store) addDigest(key string) {
-	if v, ok := s.tree.get(key); ok {
-		h := s.entryHash(key, v)
-		for i := range s.digest {
-			s.digest[i] ^= h[i]
-		}
-	}
-}
-
-func (s *Store) removeDigest(key string) {
-	if v, ok := s.tree.get(key); ok {
-		h := s.entryHash(key, v)
-		for i := range s.digest {
-			s.digest[i] ^= h[i]
-		}
+// xorEntry adds the entry (key, value) to the state digest, or takes it
+// out: XOR is its own inverse. A write passes the values its one tree
+// descent replaced and stored, so the digest costs no lookup.
+func (s *Store) xorEntry(key string, value []byte) {
+	h := cryptoutil.HashConcat([]byte("entry"), []byte(key), value)
+	for i := range s.digest {
+		s.digest[i] ^= h[i]
 	}
 }
 

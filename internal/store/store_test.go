@@ -308,7 +308,7 @@ func TestBtreeDeleteAll(t *testing.T) {
 		tr.put(fmt.Sprintf("%04d", i), []byte("v"))
 	}
 	for i := 0; i < n; i++ {
-		if ok, _ := tr.delete(fmt.Sprintf("%04d", i)); !ok {
+		if _, ok := tr.delete(fmt.Sprintf("%04d", i)); !ok {
 			t.Fatalf("delete %d failed", i)
 		}
 	}

@@ -6,7 +6,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -21,7 +20,7 @@ import (
 // are small, so a precomputed table makes the common case alloc-free.
 var catalogKeys = func() (t [4096]string) {
 	for i := range t {
-		t[i] = fmt.Sprintf("catalog/%05d", i)
+		t[i] = padded("catalog/", i, 5)
 	}
 	return
 }()
@@ -32,22 +31,43 @@ func CatalogKey(i int) string {
 	if i >= 0 && i < len(catalogKeys) {
 		return catalogKeys[i]
 	}
-	return fmt.Sprintf("catalog/%05d", i)
+	return padded("catalog/", i, 5)
 }
 
 // DocKey formats the i-th document path.
-func DocKey(i int) string { return fmt.Sprintf("docs/file%03d", i) }
+func DocKey(i int) string { return padded("docs/file", i, 3) }
+
+// padded is prefix then i zero-padded to width characters, sign included:
+// fmt.Sprintf(prefix+"%0*d", width, i), without fmt's reflection.
+func padded(prefix string, i, width int) string {
+	var digits [20]byte
+	var buf [48]byte // the string is the only allocation for a short key
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	b := append(buf[:0], prefix...)
+	if i < 0 {
+		b, d, width = append(b, '-'), d[1:], width-1
+	}
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 // BuildContent creates the initial data content: nCatalog numeric catalog
-// entries and nDocs small text documents (grep targets).
+// entries and nDocs small text documents (grep targets). The bodies are
+// formatted with strconv: a deployment builds 20 000 of them before it
+// serves.
 func BuildContent(nCatalog, nDocs int) *store.Store {
 	s := store.New()
 	for i := 0; i < nCatalog; i++ {
-		s.Apply(store.Put{Key: CatalogKey(i), Value: []byte(fmt.Sprintf("%d", 100+i))})
+		s.Apply(store.Put{Key: CatalogKey(i), Value: strconv.AppendInt(nil, int64(100+i), 10)})
 	}
 	for i := 0; i < nDocs; i++ {
-		body := fmt.Sprintf("title doc%03d\nprice %d\nstatus %s\n",
-			i, 10*i, map[bool]string{true: "active", false: "archived"}[i%3 != 0])
+		status := "archived"
+		if i%3 != 0 {
+			status = "active"
+		}
+		body := padded("title doc", i, 3) + "\nprice " + strconv.Itoa(10*i) + "\nstatus " + status + "\n"
 		s.Apply(store.Put{Key: DocKey(i), Value: []byte(body)})
 	}
 	return s

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 func TestBuildContentLayout(t *testing.T) {
@@ -23,6 +24,32 @@ func TestBuildContentLayout(t *testing.T) {
 	// Content is deterministic.
 	if BuildContent(100, 10).StateDigest() != s.StateDigest() {
 		t.Fatal("content not deterministic")
+	}
+}
+
+// TestBuildContentMatchesSprintf pins the strconv formatting to the
+// fmt.Sprintf layout the content has always had: the same keys, values and
+// document bodies, so the same state digest; and padded to fmt's %0*d
+// across widths, signs and the interned table's edge.
+func TestBuildContentMatchesSprintf(t *testing.T) {
+	want := store.New()
+	for i := 0; i < 5000; i++ {
+		want.Apply(store.Put{Key: fmt.Sprintf("catalog/%05d", i), Value: []byte(fmt.Sprintf("%d", 100+i))})
+	}
+	for i := 0; i < 40; i++ {
+		body := fmt.Sprintf("title doc%03d\nprice %d\nstatus %s\n",
+			i, 10*i, map[bool]string{true: "active", false: "archived"}[i%3 != 0])
+		want.Apply(store.Put{Key: fmt.Sprintf("docs/file%03d", i), Value: []byte(body)})
+	}
+	if BuildContent(5000, 40).StateDigest() != want.StateDigest() {
+		t.Fatal("BuildContent differs from its fmt.Sprintf layout")
+	}
+	for _, i := range []int{-123456, -1000, -12, -1, 0, 7, 999, 1000, 4095, 4096, 99999, 123456} {
+		for _, width := range []int{0, 3, 5} {
+			if got, want := padded("p/", i, width), fmt.Sprintf("p/%0*d", width, i); got != want {
+				t.Errorf("padded(%d, %d) = %q, want %q", i, width, got, want)
+			}
+		}
 	}
 }
 
