@@ -71,18 +71,19 @@ lint:
 # The commit round fans out a task per peer and hands delivery to a
 # drainer task, so what its tests prove depends on the schedule they
 # happened to get: the broadcast package runs ten more times. So does the
-# slave test whose concurrent s.updatebatch handlers share one replica,
-# its verified-stamp cache and the pooled writers the batch digest is
-# hashed through, the one where Bootstrap, a sync and pushed batches race
-# for one replica, the one whose push past the replica is answered while
-# the sync it starts runs on, the one whose readers share the
-# signed-pledge memo while stamps and batches arrive, the one whose
-# readers must see each batch and its stamp whole (no pledge an audit
-# would convict, no read refused as stale), the client test whose writers,
+# slave test whose concurrent announces and the fetches they start share
+# one replica, its sync guard, its verified-stamp cache and the pooled
+# writers the batch digest is hashed through, the one where Bootstrap, a
+# sync and announced batches race for one replica, the one whose announce
+# past the replica is answered while the fetch it starts runs on, the one
+# whose readers share the signed-pledge memo while stamps and batches
+# arrive, the one whose readers must see each batch and its stamp whole
+# (no pledge an audit would convict, no read refused as stale), the
+# client test whose writers,
 # readers and re-setups share one shard table and its groups, the one
 # whose readers share one client's held stamp while keep-alives and
 # batches replace the slave's stamp under them, the master test whose
-# pushes, acks, assignments, exclusions, readmissions and adoptions share
+# announces, acks, assignments, exclusions, readmissions and adoptions share
 # one slave table that exclusion shrinks, the auditor's tests,
 # whose handlers settle pledges against views of the content while
 # batches are delivered and the apply loop applies them,
@@ -94,7 +95,7 @@ lint:
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.
 RACE_RERUNS := \
 	internal/rpc:TestTCP \
-	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlavePushGapAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlaveAnnounceAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
 	'internal/core:TestAuditor|TestClientVouch'
 
 race:
@@ -142,13 +143,13 @@ FUZZ_TARGETS := \
 	internal/rpc:FuzzDecodeFrame \
 	internal/merkle:FuzzDecodeProof \
 	internal/core:FuzzDecodeWriteWave \
-	internal/core:FuzzDecodeBatchUpdate \
 	internal/core:FuzzBatchDigestInput \
 	internal/core:FuzzDecodePledge \
 	internal/core:FuzzAuditorHandlePledge \
 	internal/core:FuzzMasterHandleReport \
 	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzSlaveHandleRead \
+	internal/core:FuzzSlaveHandleKeepAlive \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/core:FuzzDecodeBatchMessage \
 	internal/core:FuzzMasterDeliver \

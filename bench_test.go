@@ -19,7 +19,6 @@ import (
 	"repro/internal/cryptoutil"
 	"repro/internal/harness"
 	"repro/internal/query"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -64,15 +63,15 @@ func BenchmarkE17Recovery(b *testing.B)     { benchExperiment(b, "E17") }
 func BenchmarkE18HotPath(b *testing.B)      { benchExperiment(b, "E18") }
 func BenchmarkE19Sharding(b *testing.B)     { benchExperiment(b, "E19") }
 
-// batchUpdate builds the s.updatebatch contents an honest master sends
-// for n catalogue puts committed at first, first+1, ….
+// batchUpdate builds the batch an honest master commits for n catalogue
+// puts at first, first+1, ….
 func batchUpdate(master *cryptoutil.KeyPair, first uint64, n int) core.BatchUpdate {
 	ops := make([][]byte, n)
 	for i := range ops {
 		ops[i] = store.EncodeOp(store.Put{Key: workload.CatalogKey(i), Value: []byte("value")})
 	}
 	stamp := core.SignBatchStamp(master, first+uint64(n)-1, time.Unix(0, 0).UTC(), core.BatchDigest(first, ops))
-	return core.BatchUpdate{First: first, Ops: ops, Stamp: stamp, MasterAddr: "master"}
+	return core.BatchUpdate{First: first, Ops: ops, Stamp: stamp}
 }
 
 // BenchmarkBatchUpdateVerify measures the slave-side check of one batched
@@ -93,35 +92,6 @@ func BenchmarkBatchUpdateVerify(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSlaveUpdateBatch256 measures one 256-op update at the slave,
-// frame in to acknowledgement out: decode, stamp verification, the batch
-// digest, op decode and apply. Every iteration
-// delivers the next 256 versions, so nothing is a duplicate and the stamp
-// cache never hits.
-func BenchmarkSlaveUpdateBatch256(b *testing.B) {
-	const n = 256
-	master := cryptoutil.DeriveKeyPair("master", 0)
-	sl := core.NewSlave(core.SlaveConfig{
-		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: core.DefaultParams(),
-		MasterAddr: "master", MasterPubs: []cryptoutil.PublicKey{master.Public},
-	}, sim.RealClock{}, nil, store.New()) // in-order delivery: the dialer (sync) is never used
-	frames := make([][]byte, b.N)
-	for i := range frames {
-		frames[i] = core.EncodeBatchUpdate(batchUpdate(master, 1+uint64(i)*n, n))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, frame := range frames {
-		if _, err := sl.Handle("master", core.MethodUpdateBatch, frame); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if got := sl.Version(); got != uint64(b.N)*n {
-		b.Fatalf("slave at version %d after %d batches", got, b.N)
 	}
 }
 

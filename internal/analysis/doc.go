@@ -46,8 +46,8 @@
 // propagates the taint. A verifying decoder is the converse: its callers use what it returns as verified, so inside it
 // a return of a still-tainted value is reported. The replica ingest paths
 // are its three verifying decoders: openBatch, the one rule every batch a
-// replica takes passes (an s.updatebatch push, each entry of an m.sync
-// reply or snapshot file, a WAL record); decodeStateTransfer, which adds
+// replica takes passes (each entry of an m.sync reply or snapshot file,
+// a WAL record); decodeStateTransfer, which adds
 // the snapshot and the batches' contiguity; and decodeBatchMessage, which
 // refuses a delivered bcBatch body with an op that does not decode.
 //

@@ -50,39 +50,32 @@ var seededBugs = []struct {
 	// check, instead of opening it through the one rule: the batch is
 	// reported where it is applied, installed or handed back as verified.
 	{
-		name: "slave push without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\tb, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)\n",
-		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)\n\thit, _ := s.stamps.verifyStamp(&bu.Stamp, s.cfg.MasterPubs)\n\tb := openedBatch{BatchUpdate: bu}\n",
-		at:   "s.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}})",
-	},
-	{
-		name: "slave push without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\tb, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)\n",
-		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSliceView)\n\thit := bu.VerifyMembers() == nil\n\tb := openedBatch{BatchUpdate: bu}\n",
-		at:   "s.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}})",
+		name: "slave keep-alive without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
+		from: "\tif _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {\n\t\treturn nil, err\n\t}\n",
+		at:   "\t_, _ = s.adoptTransferLocked(&stateTransfer{snapStamp: stamp})\n",
 	},
 	{
 		name: "WAL replay without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tb, _, err := openBatch(r, (*wire.Reader).BytesSlice, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
-		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\tif err == nil {\n\t\terr = bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public})\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
+		from: "\tb, _, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
+		to:   "\tbu, err := decodeBatchEntry(r)\n\tif err == nil {\n\t\terr = bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public})\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})",
 	},
 	{
 		name: "WAL replay without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tb, _, err := openBatch(r, (*wire.Reader).BytesSlice, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
-		to:   "\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\tif err == nil {\n\t\terr = bu.VerifyMembers()\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
+		from: "\tb, _, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
+		to:   "\tbu, err := decodeBatchEntry(r)\n\tif err == nil {\n\t\terr = bu.VerifyMembers()\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})",
 	},
 	{
 		name: "state transfer without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\tb, hit, err := openBatch(r, (*wire.Reader).BytesSlice, trusted, stamps)\n",
-		to:   "\t\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\t\thit, _ := stamps.verifyStamp(&bu.Stamp, trusted)\n\t\tb := openedBatch{BatchUpdate: bu}\n",
+		from: "\t\tb, hit, err := openBatch(r, trusted, stamps)\n",
+		to:   "\t\tbu, err := decodeBatchEntry(r)\n\t\thit, _ := stamps.verifyStamp(&bu.Stamp, trusted)\n\t\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "\treturn st, nil\n}\n\n// stamp is",
 	},
 	{
 		name: "state transfer without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\tb, hit, err := openBatch(r, (*wire.Reader).BytesSlice, trusted, stamps)\n",
-		to:   "\t\tbu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)\n\t\thit := bu.VerifyMembers() == nil\n\t\tb := openedBatch{BatchUpdate: bu}\n",
+		from: "\t\tb, hit, err := openBatch(r, trusted, stamps)\n",
+		to:   "\t\tbu, err := decodeBatchEntry(r)\n\t\thit := bu.VerifyMembers() == nil\n\t\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "\treturn st, nil\n}\n\n// stamp is",
 	},
 }

@@ -87,9 +87,9 @@ type AckForger interface {
 }
 
 // UpdateDropper is an optional Behavior extension: while DropUpdates
-// reports true the slave discards pushed state updates and declines to
-// sync, modelling a wedged or malicious replica that stops applying
-// while remaining responsive on the wire.
+// reports true the slave takes announced stamps but applies and fetches
+// no state updates, modelling a wedged or malicious replica that stops
+// applying while remaining responsive on the wire.
 type UpdateDropper interface {
 	DropUpdates() bool
 }

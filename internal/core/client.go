@@ -844,18 +844,21 @@ func (c *Client) masterCheck(masterAddr string, queryBytes []byte, wantPayload b
 	r := wire.NewReader(body)
 	version := r.Uvarint()
 	var digest cryptoutil.Digest
-	h := r.Bytes()
-	if len(h) == cryptoutil.DigestSize {
-		copy(digest[:], h)
-	}
+	h := r.BytesView()
 	hasPayload := r.Bool()
 	var payload []byte
 	if hasPayload {
 		payload = r.Bytes()
 	}
 	if err := r.Done(); err != nil {
-		return 0, cryptoutil.Digest{}, nil, err
+		return 0, cryptoutil.Digest{}, nil, fmt.Errorf("%w: m.check reply: %w", errRetry, err)
 	}
+	// A digest of any other length is no answer: read as the zero digest it
+	// would contradict every honest pledge and convict the slave.
+	if len(h) != cryptoutil.DigestSize {
+		return 0, cryptoutil.Digest{}, nil, fmt.Errorf("%w: m.check reply: a digest of %d bytes", errRetry, len(h))
+	}
+	copy(digest[:], h)
 	return version, digest, payload, nil
 }
 

@@ -53,8 +53,10 @@ type clientRig struct {
 	refs [][]byte
 	omit bool
 	// onCheck, if set, runs inside the scripted master's m.check handler
-	// before it answers.
-	onCheck func()
+	// before it answers; with emptyDigest set the answer's digest field is
+	// empty, a malformed reply.
+	onCheck     func()
+	emptyDigest bool
 }
 
 // rigSlave is a scripted slave besides the rig's own: honest, then mutate
@@ -120,9 +122,13 @@ func newClientRig(t *testing.T) *clientRig {
 				return nil, err
 			}
 			d := res.Digest()
+			digest := d[:]
+			if r.emptyDigest {
+				digest = nil
+			}
 			w := wire.NewWriter(64)
 			w.Uvarint(r.content.Version())
-			w.Bytes_(d[:])
+			w.Bytes_(digest)
 			w.Bool(false)
 			return w.Bytes(), nil
 		case MethodReport:
@@ -666,8 +672,8 @@ func TestClientChecksStampBesidePledge(t *testing.T) {
 }
 
 // TestClientHeldStampConcurrent: several readers share one client and its
-// one slave, a real one, while a master pushes batches and keep-alives that
-// replace the slave's stamp under them. Each reader completes a reply that
+// one slave, a real one, while a master announces batches, which the slave
+// fetches, and sends keep-alives that replace the slave's stamp under them. Each reader completes a reply that
 // leaves the stamp out from the stamp its own request named, whatever
 // another reader stored meanwhile: every version moves the pledge's signed
 // statement, so a reply completed from any other stamp would fail its
@@ -682,9 +688,10 @@ func TestClientHeldStampConcurrent(t *testing.T) {
 	params.DoubleCheckP = 0
 	initial := store.New()
 	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	log := new(batchLog)
 	sl := NewSlave(SlaveConfig{
 		Addr: "slave", Keys: slaveKeys, Params: params, MasterAddr: "master", MasterPubs: trusted,
-	}, sim.RealClock{}, nullDialer{}, initial)
+	}, sim.RealClock{}, log, initial)
 	dir := pki.NewDirectory()
 	mcert := pki.Certificate{Role: pki.RoleMaster, Addr: "master", Subject: master.Public}
 	mcert.Sign(owner)
@@ -707,11 +714,7 @@ func TestClientHeldStampConcurrent(t *testing.T) {
 		AuditorAddr: "auditor", PreferredMaster: 0, Seed: 1,
 	}, sim.RealClock{}, dlr)
 	keepAlive := func() error {
-		w := wire.NewWriter(128)
-		stamp := SignStamp(master, sl.Version(), time.Now())
-		stamp.Encode(w)
-		w.String_("master")
-		_, err := sl.Handle("master", MethodKeepAlive, w.Bytes())
+		_, err := announce(sl, SignStamp(master, sl.Version(), time.Now()))
 		return err
 	}
 	if err := keepAlive(); err != nil {
@@ -729,8 +732,13 @@ func TestClientHeldStampConcurrent(t *testing.T) {
 		defer wg.Done()
 		defer close(stop)
 		for b := 0; b < batches; b++ {
-			frame := EncodeBatchUpdate(signedBatch(master, uint64(b+2), waveOps(1), time.Now()))
-			if _, err := sl.Handle("master", MethodUpdateBatch, frame); err != nil {
+			bu := signedBatch(master, uint64(b+2), waveOps(1), time.Now())
+			log.add(bu)
+			if _, err := announce(sl, bu.Stamp); err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			if err := awaitVersion(sl, bu.Last()); err != nil {
 				t.Errorf("batch %d: %v", b, err)
 				return
 			}
@@ -986,11 +994,14 @@ func TestClientVouchReplyByte(t *testing.T) {
 // relies on it — after the forward, for an answer the auditor did not
 // vouch for, and before it files a report — never ahead of the
 // double-check. Each row is one attempt: the first reply may be wrong
-// (lie) and may carry a signature its slave never made (forge).
+// (lie) and may carry a signature its slave never made (forge), and the
+// master's m.check answer may be malformed (emptyDigest): that fails the
+// attempt, and convicts nobody.
 func TestClientVouchVerifyRule(t *testing.T) {
 	for _, tc := range []struct {
 		name                   string
 		vouch, lie, forge      bool
+		emptyDigest            bool
 		accept                 bool
 		verified, bad, reports uint64
 		forwarded, replaced    bool
@@ -1001,11 +1012,13 @@ func TestClientVouchVerifyRule(t *testing.T) {
 		{name: "unvouched right answer, garbage signature", forge: true, verified: 1, bad: 1, forwarded: true},
 		{name: "signed lie", vouch: true, lie: true, verified: 1, reports: 1, replaced: true},
 		{name: "garbage-signed lie", vouch: true, lie: true, forge: true, verified: 1, bad: 1},
+		{name: "right answer, m.check digest empty", vouch: true, emptyDigest: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newClientRig(t)
 			r.client.cfg.Params.DoubleCheckP = 1
 			r.client.cfg.Params.MaxReadRetries = 0
+			r.emptyDigest = tc.emptyDigest
 			if tc.vouch {
 				r.ack = pledgeVouch
 			}
@@ -1023,9 +1036,11 @@ func TestClientVouchVerifyRule(t *testing.T) {
 				t.Fatalf("err = %v, want accepted: %v", err, tc.accept)
 			}
 			st := r.client.Stats()
-			if st.DoubleChecks != 1 || st.PledgesVerified != tc.verified || st.BadPledges != tc.bad || st.ReportsFiled != tc.reports {
-				t.Errorf("%d double-checks, %d verified, %d bad, %d reports filed; want 1, %d, %d, %d: %+v",
-					st.DoubleChecks, st.PledgesVerified, st.BadPledges, st.ReportsFiled, tc.verified, tc.bad, tc.reports, st)
+			if st.DoubleChecks != 1 || st.PledgesVerified != tc.verified || st.BadPledges != tc.bad ||
+				st.ReportsFiled != tc.reports || st.CaughtImmediate != tc.reports {
+				t.Errorf("%d double-checks, %d verified, %d bad, %d reports filed, %d caught; want 1, %d, %d, %d, %d: %+v",
+					st.DoubleChecks, st.PledgesVerified, st.BadPledges, st.ReportsFiled, st.CaughtImmediate,
+					tc.verified, tc.bad, tc.reports, tc.reports, st)
 			}
 			if uint64(len(r.reports)) != tc.reports || (len(r.forwarded) == 1) != tc.forwarded {
 				t.Errorf("%d reports reached the master, %d bodies the auditor", len(r.reports), len(r.forwarded))

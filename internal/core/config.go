@@ -19,9 +19,8 @@ const (
 	MethodSync       = "m.sync"       // slave/master -> master: state transfer (missed updates, bootstrap, recovery)
 
 	// Slave methods.
-	MethodUpdateBatch = "s.updatebatch" // master -> slave: one commit (a batch of one or more) + batch stamp
-	MethodKeepAlive   = "s.keepalive"   // master -> slave: stamp heartbeat
-	MethodRead        = "s.read"        // client -> slave: execute a query
+	MethodKeepAlive = "s.keepalive" // master -> slave: stamp heartbeat, and each batch's announce
+	MethodRead      = "s.read"      // client -> slave: execute a query
 
 	// Auditor methods.
 	MethodPledge = "a.pledge" // client -> auditor: an accepted read's evidence frames, back to back
@@ -40,7 +39,7 @@ type Params struct {
 	// freshness against its own copy, so a client on a slow link can set
 	// a looser bound than the masters pace by (§3.2 variant).
 	MaxLatency time.Duration
-	// KeepAliveEvery is how often masters push signed stamps to slaves
+	// KeepAliveEvery is how often masters send signed stamps to slaves
 	// even without writes (§3.1). Must be well below MaxLatency.
 	KeepAliveEvery time.Duration
 	// DoubleCheckP is the probability a client double-checks a read with

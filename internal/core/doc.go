@@ -26,9 +26,11 @@
 //	§3.1 (writes)            — Master.handleWriteMulti orders writes
 //	                           through the master-set broadcast;
 //	                           VersionStamp is the signed, time-stamped
-//	                           content version pushed to slaves via
-//	                           updates and keep-alives; max_latency
-//	                           paces commits and bounds staleness.
+//	                           content version sent to slaves on
+//	                           keep-alives, each batch announced by its
+//	                           own stamp and fetched through m.sync;
+//	                           max_latency paces commits and bounds
+//	                           staleness.
 //	§3.2 (reads)             — Slave.handleRead answers with a Pledge
 //	                           (query copy, result hash, latest stamp);
 //	                           Client.checkReply rebuilds it from the
@@ -69,8 +71,8 @@
 // Wire formats (wire package encoding; "bytes" and "string" are
 // length-prefixed). Each verb has one frame: a single write is a wave of
 // one, and a commit of one op is a batch of one under the same batch
-// stamp. What the receiver can compute is not sent: s.updatebatch carries
-// nothing per op beyond the op, which the slave holds whole, and the
+// stamp. What the receiver can compute is not sent: an m.sync entry
+// carries nothing per op beyond the op, which the slave holds whole, and the
 // s.read reply neither the client's own query, nor the hash of the
 // payload beside it, nor the key of the slave the client asked, nor a
 // stamp the client already holds.
@@ -130,12 +132,21 @@
 //	             without ops or with an op that does not decode is
 //	             applied by no master and not by the auditor, and
 //	             its origin's waves are answered 0 (decodeBatchMessage).
-//	s.updatebatch uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp ‖
-//	             string masterAddr (BatchUpdate). The stamp's digest is
-//	             the hash of the bytes in front of it, uvarint first ‖
-//	             uvarint n ‖ n × bytes op (BatchDigest): openBatch
-//	             hashes them and compares. Reply: uvarint applied
-//	             version, at once (a gap is closed by a background sync).
+//	s.keepalive  stamp ‖ string masterAddr — the periodic keep-alive,
+//	             and each batch's announce: the batch's own stamp, sent
+//	             once the batch is durable and its writers are answered,
+//	             so an announce costs no signature. A stamp at or below
+//	             the replica's version is adopted; one ahead of it is kept
+//	             aside and starts the single-flight fetch (m.sync from the
+//	             replica's next version), and the slave serves on at its
+//	             own version under the stamp it holds until the fetch
+//	             lands with the batch's stamp (or the newer one kept
+//	             aside). masterAddr is not signed: a forged one points the
+//	             fetches at the wrong host until the next genuine
+//	             keep-alive (≤ KeepAliveEvery), a stall of the whole
+//	             ingest, not a wrong state; ROADMAP item 13(b)'s
+//	             authenticated links close it. Reply: uvarint applied
+//	             version, at once.
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
 //	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
 //	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ uvarint
@@ -144,9 +155,10 @@
 //	             0. A mode-1 reply carries the master's current state,
 //	             signed when asked, and no batches; the decoder still
 //	             checks any that follow. Each entry is a whole logged
-//	             batch, the s.updatebatch shape without the master
-//	             address, and is opened like a push (openBatch): one
-//	             stamp and one hash per batch; a request from
+//	             batch, uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp,
+//	             whose stamp's digest is the hash of the bytes in front
+//	             of it (BatchDigest), and is opened by the one rule
+//	             (openBatch): one stamp and one hash per batch; a request from
 //	             inside a batch gets all of it. Its newest stamp (the
 //	             last batch's, else the snapshot's) names the version
 //	             it brings a replica to; nothing closes it. Slave sync,
@@ -157,20 +169,23 @@
 // Committed history has that one shape everywhere: the master's op log
 // is a list of these batches, its WAL record is one of them after its
 // broadcast slot, and truncation cuts the log only between batches. It
-// has one reader: every batch a replica takes — pushed, transferred or
-// replayed — is opened by openBatch and applied by its applyTo — and one
-// ingest per replica (adoptTransferLocked) adopts it as a state transfer:
-// a WAL record, a slave's push or the master's own commit (applyBatch, as
-// soon as it has signed the batch's stamp) is one of one batch, a
-// keep-alive one of none. A slave left behind its new stamp syncs in the background,
-// single-flight. A keep-alive that overtakes its push starts an m.sync the
-// push leaves with 0 ops: 1 in three 10 s replbench write-waves runs (66
-// pushes each), 0 in mixed, E15 and E18 (E18's one sync applies 64 ops).
+// has one reader: every batch a replica takes — fetched or replayed — is
+// opened by openBatch and applied by its applyTo — and one ingest per
+// replica (adoptTransferLocked) adopts it as a state transfer: a WAL
+// record or the master's own commit (applyBatch, as soon as it has signed
+// the batch's stamp) is one of one batch, a keep-alive one of none. A
+// slave takes history one way, through m.sync: an announce, a lost
+// announce that a later keep-alive repeats and Bootstrap all end in a
+// fetch. It adopts a stamp only together with the state it names (see
+// s.keepalive), so a batch in flight never stops its reads; an announce
+// that arrives while a fetch is out is skipped by the single-flight guard
+// and fetched by one more round if the landing fetch applied something
+// and stopped below it.
 //
 // Beyond the paper, the package adds two scaling mechanisms the 2003
 // design defers: batched, pipelined commits (one signature per batch,
 // see types.go) and stability-driven truncation (checkpoint.go) — slaves
-// acknowledge applied versions on every keep-alive/update reply, into
+// acknowledge applied versions on every keep-alive reply, into
 // their entry of the master's slave set (one table: each address once,
 // each entry its certificate and its ack), and each master, after delivering any message but a write batch and at most once
 // per CheckpointEvery, truncates its op log and broadcast archive below
@@ -233,10 +248,12 @@
 // Every memo is kept for traffic measured through it (replbench, seed 1,
 // 6–8 s runs):
 //
-//	Slave.stamps (256)    no hits on the four workloads, but a resync
-//	                      re-verifies the stamps of batches it dropped
-//	                      (the lying-slave cell's read_p99_ms: 66 → 95
-//	                      without it)
+//	Slave.stamps (256)    every batch's stamp is verified on its
+//	                      announce and met again in the fetch: a 0.21 hit
+//	                      ratio on traced write-waves, one ed25519 verify
+//	                      per batch; a resync re-verifies the stamps of
+//	                      batches it dropped (the lying-slave cell's
+//	                      read_p99_ms: 66 → 95 without it)
 //	Slave.pledges (8192)  signer hits per read: 0.91 read-point, 0.45
 //	                      read-scan, 0.065 mixed
 //	resultMemo            20 % hits on read-scan, none elsewhere
@@ -279,7 +296,7 @@
 // encoded query to honest payload: the first Count or Sum after a commit
 // pays the walk, every repeat until the next commit a map probe. The memo
 // belongs to one replica (the *store.Store, by identity) at one version and
-// starts over when asked about any other pair, so a pushed batch, a sync,
+// starts over when asked about any other pair, so a fetched batch, a sync,
 // an installed snapshot and a Bootstrap onto other content at the same
 // version number all miss. A hit is safe because execute runs inside the
 // critical section that checks the stamp against the replica's version

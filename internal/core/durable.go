@@ -116,7 +116,7 @@ func (m *Master) openDurable() error {
 func (m *Master) replayWALRecord(payload []byte) error {
 	r := wire.NewReader(payload)
 	seq := r.Uvarint()
-	b, _, err := openBatch(r, (*wire.Reader).BytesSlice, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
+	b, _, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
 	if err != nil {
 		return err
 	}

@@ -194,17 +194,34 @@ func TestDurableWALAppendPrecedesAck(t *testing.T) {
 // TestKeepAliveStampsAckedVersion holds every commit in the window
 // between its WAL sync and its acknowledgement for longer than a
 // keep-alive interval. The store is already at the new version there,
-// but no writer has been answered and no slave has been sent it: a
-// keep-alive naming that version makes the slave see a stamp ahead of its
-// replica and pull an m.sync it did not need. Keep-alives must name the
-// acknowledged version until the batch is.
+// but no writer has been answered and no slave told of the batch: a
+// keep-alive naming that version would announce a batch that is not yet
+// durable. Keep-alives must name the acknowledged version until the batch
+// is; the batch's own announce then costs each slave exactly one m.sync.
 func TestKeepAliveStampsAckedVersion(t *testing.T) {
 	s := sim.New(56)
 	o := durableOpts(t.TempDir())
 	o.nMasters = 1
 	c := newTestCluster(t, s, o)
 	m := c.masters[0]
-	m.walHook = func(uint64) { s.Sleep(3 * o.params.KeepAliveEvery / 2) }
+	acked := c.initial.Version() // the newest version whose hold is over
+	m.walHook = func(last uint64) {
+		s.Sleep(3 * o.params.KeepAliveEvery / 2)
+		acked = last
+	}
+	stamped := 0
+	for _, sl := range c.slaves {
+		c.net.Register(sl.Addr(), func(from, method string, body []byte) ([]byte, error) {
+			if method == MethodKeepAlive {
+				stamp, err := DecodeStamp(wire.NewReader(body))
+				if err == nil && stamp.Version > acked {
+					t.Errorf("keep-alive to %s names version %d, still in its WAL sync (acked %d)", sl.Addr(), stamp.Version, acked)
+				}
+				stamped++
+			}
+			return sl.Handle(from, method, body)
+		})
+	}
 	cl := c.addClient(t, 0, nil)
 	s.Go(func() {
 		s.Sleep(c.warmup())
@@ -213,20 +230,21 @@ func TestKeepAliveStampsAckedVersion(t *testing.T) {
 			return
 		}
 		writeWaves(t, cl, 3, 4, "w")
-		s.Sleep(3 * o.params.KeepAliveEvery) // let the last push and a keep-alive land
+		s.Sleep(3 * o.params.KeepAliveEvery) // let the last fetch and a keep-alive land
 	})
 	s.RunUntil(sim.Epoch.Add(30 * time.Second))
 
-	if m.Version() <= c.initial.Version() {
-		t.Fatal("no writes committed; test is vacuous")
+	if m.Version() <= c.initial.Version() || stamped == 0 {
+		t.Fatalf("master at version %d after %d keep-alives; test is vacuous", m.Version(), stamped)
 	}
-	if st := m.Stats(); st.SyncsServed != 0 || st.KeepAlivesSent == 0 {
-		t.Fatalf("master served %d syncs over %d keep-alives, want 0 syncs and some keep-alives",
-			st.SyncsServed, st.KeepAlivesSent)
+	st := m.Stats()
+	if want := st.BatchesApplied * uint64(len(c.slaves)); st.SyncsServed != want {
+		t.Fatalf("master served %d syncs for %d batches to %d slaves, want one per batch per slave",
+			st.SyncsServed, st.BatchesApplied, len(c.slaves))
 	}
 	for _, sl := range c.slaves {
-		if sl.Version() != m.Version() || sl.Stats().UpdatesSynced != 0 {
-			t.Fatalf("%s at version %d with %d updates synced, want version %d reached by pushes alone",
+		if sl.Version() != m.Version() || sl.Stats().UpdatesSynced != m.Version()-c.initial.Version() {
+			t.Fatalf("%s at version %d with %d updates synced, want version %d",
 				sl.Addr(), sl.Version(), sl.Stats().UpdatesSynced, m.Version())
 		}
 	}
@@ -280,13 +298,12 @@ func TestAdoptKeepAliveStampsAckedVersion(t *testing.T) {
 	}
 }
 
-// TestLostPushRepairedByNextKeepAlive cuts a slave off while one wave
-// commits, so its update push is lost in flight and the master's push
-// call hangs until ReadTimeout. The keep-alives must not wait for that
-// call: the first one after the partition heals names the acknowledged
-// version, the slave sees the gap and syncs — within about one keep-alive
-// interval, not one ReadTimeout.
-func TestLostPushRepairedByNextKeepAlive(t *testing.T) {
+// TestLostAnnounceRepairedByNextKeepAlive cuts a slave off while one wave
+// commits, so the batch's announce is lost in flight. The periodic
+// keep-alives repeat it: the first one after the partition heals names
+// the acknowledged version, the slave sees the gap and syncs — within
+// about one keep-alive interval.
+func TestLostAnnounceRepairedByNextKeepAlive(t *testing.T) {
 	s := sim.New(57)
 	o := defaultOpts() // default params: ReadTimeout is 20x KeepAliveEvery
 	o.nMasters = 1
@@ -304,7 +321,7 @@ func TestLostPushRepairedByNextKeepAlive(t *testing.T) {
 		writeWaves(t, cl, 1, 4, "w")
 		s.Sleep(200 * time.Millisecond)
 		if cut.Version() == m.Version() {
-			t.Errorf("isolated slave received the push; test is vacuous")
+			t.Errorf("isolated slave received the batch; test is vacuous")
 		}
 		c.net.Isolate(cut.Addr(), false)
 		healed := s.Now()
@@ -322,7 +339,7 @@ func TestLostPushRepairedByNextKeepAlive(t *testing.T) {
 		t.Fatalf("slave caught up %v after the partition healed, want within %v", caughtUp, limit)
 	}
 	if cut.Stats().UpdatesSynced == 0 {
-		t.Fatal("slave caught up without a sync; the push was not lost")
+		t.Fatal("slave caught up without a sync")
 	}
 }
 

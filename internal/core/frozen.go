@@ -8,7 +8,8 @@ package core
 // AuditorConfig.MasterPubs, which deploy.go sets), when item 1 unfreezes
 // bench/:
 //
-//   - bench/replbench/instrument.go names the four method constants;
+//   - bench/replbench/instrument.go names the five method constants, and
+//     bench/replbench/metrics.go MethodUpdateBatch too;
 //   - bench/replbench/ledger.go times WriteRequest, SignWrite and
 //     DecodeWriteRequest, and builds a batch's merkle leaves, tree and
 //     proofs to time merkle.Verify and BatchUpdate.Verify. Batch stamps
@@ -24,12 +25,14 @@ import (
 	"repro/internal/wire"
 )
 
-// No node routes these: a write is a wave of one (m.writemulti), an update
-// a batch of one (s.updatebatch), a bootstrap an m.sync from version 0, a
-// K-slave read's pledges one a.pledge body.
+// No node routes these: a write is a wave of one (m.writemulti), a batch
+// reaches a slave as a keep-alive naming its stamp and an m.sync fetching
+// it, a bootstrap is an m.sync from version 0, a K-slave read's pledges
+// one a.pledge body.
 const (
 	MethodWrite       = "m.write"
 	MethodUpdate      = "s.update"
+	MethodUpdateBatch = "s.updatebatch"
 	MethodSnapshot    = "m.snapshot"
 	MethodPledgeMulti = "a.pledgemulti"
 )

@@ -70,58 +70,121 @@ func FuzzDecodeWriteWave(f *testing.F) {
 	})
 }
 
-// FuzzDecodeBatchUpdate drives what a slave runs on an s.updatebatch
-// frame before its replica sees it — the one rule (openBatch), the master
-// address, the end of the frame (openPush) — over arbitrary bytes, seeded
-// with a signed frame and every frame of the slave's tamper table. The
-// invariants: no panic on any input, whatever length a stamp's key or
-// signature has; an op count above wire.MaxBatchItems is refused; a frame
-// that opens holds every op decoded, and re-encodes to a frame that opens
-// to the same batch, and that re-encoding is a fixed point.
+// FuzzDecodeBatchUpdate drives the one rule every batch a replica takes
+// passes (openBatch) over a bare batch entry — uvarint first ‖ ops ‖ stamp,
+// one entry of an m.sync reply, a WAL record after its slot — over
+// arbitrary bytes, seeded with a signed entry and every entry of the
+// tamper table. The invariants: no panic on any input, whatever length a
+// stamp's key or signature has; an op count above wire.MaxBatchItems is
+// refused; an entry that opens holds every op decoded, and re-encodes to
+// an entry that opens to the same batch, and that re-encoding is a fixed
+// point.
 func FuzzDecodeBatchUpdate(f *testing.F) {
 	m, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
 	trusted := []cryptoutil.PublicKey{m.Public}
 	now := time.Unix(1, 0)
-	f.Add(EncodeBatchUpdate(signedBatch(m, 2, waveOps(3), now)))
+	open := func(entry []byte) (openedBatch, error) {
+		r := wire.NewReader(entry)
+		b, _, err := openBatch(r, trusted, nil)
+		if err != nil {
+			return b, err
+		}
+		return b, r.Done()
+	}
+	f.Add(entryBytes(signedBatch(m, 2, waveOps(3), now)))
 	for _, tc := range batchTamperCases {
-		f.Add(pushFrame(tc.entry(m, evil, now)))
+		f.Add(tc.entry(m, evil, now))
 	}
 	overCount := []byte{0x02, 0x81, 0x80, 0x04} // first 2, count MaxBatchItems+1
-	if _, _, err := openPush(overCount, trusted, nil); !errors.Is(err, wire.ErrTooLarge) {
+	if _, err := open(overCount); !errors.Is(err, wire.ErrTooLarge) {
 		f.Fatalf("count above MaxBatchItems: err = %v, want ErrTooLarge", err)
 	}
 	f.Add(overCount)
 	f.Add([]byte{})
-	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f}) // count far beyond the frame
+	f.Add([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0x0f}) // count far beyond the entry
 	f.Add([]byte{0x82, 0x00, 0x01, 0x01, 'x'})        // first as an overlong varint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, addr, err := openPush(data, trusted, nil)
+		b, err := open(data)
 		if err != nil {
 			return
 		}
 		if len(b.Ops) > wire.MaxBatchItems || len(b.ops) != len(b.Ops) {
 			t.Fatalf("opened %d ops with %d decoded", len(b.Ops), len(b.ops))
 		}
-		bu := b.BatchUpdate
-		bu.MasterAddr = addr
-		enc := EncodeBatchUpdate(bu)
-		again, againAddr, err := openPush(enc, trusted, nil)
+		enc := entryBytes(b.BatchUpdate)
+		again, err := open(enc)
 		if err != nil {
 			t.Fatalf("re-encoded batch does not open: %v", err)
 		}
-		if again.First != bu.First || againAddr != addr || len(again.Ops) != len(bu.Ops) ||
-			!bytes.Equal(again.Stamp.signedBytes(), bu.Stamp.signedBytes()) || !bytes.Equal(again.Stamp.Sig, bu.Stamp.Sig) {
-			t.Fatalf("round trip changed the batch: %+v -> %+v", bu, again.BatchUpdate)
+		if again.First != b.First || len(again.Ops) != len(b.Ops) ||
+			!bytes.Equal(again.Stamp.signedBytes(), b.Stamp.signedBytes()) || !bytes.Equal(again.Stamp.Sig, b.Stamp.Sig) {
+			t.Fatalf("round trip changed the batch: %+v -> %+v", b.BatchUpdate, again.BatchUpdate)
 		}
-		for i := range bu.Ops {
-			if !bytes.Equal(again.Ops[i], bu.Ops[i]) {
+		for i := range b.Ops {
+			if !bytes.Equal(again.Ops[i], b.Ops[i]) {
 				t.Fatalf("round trip changed op %d", i)
 			}
 		}
-		again.MasterAddr = againAddr
-		if !bytes.Equal(EncodeBatchUpdate(again.BatchUpdate), enc) {
+		if !bytes.Equal(entryBytes(again.BatchUpdate), enc) {
 			t.Fatal("re-encoding is not canonical")
+		}
+	})
+}
+
+// FuzzSlaveHandleKeepAlive drives a real slave's s.keepalive handler — the
+// frame a master sends every interval and with every batch, and the one
+// that starts every fetch — over arbitrary bodies, against a master log
+// holding one batch past the replica. The invariants: no panic; a body
+// that is not stamp ‖ string address, or whose stamp no trusted master
+// signed, is refused; an accepted one is acknowledged with a version; and
+// the slave never holds a stamp for a version its replica has not reached
+// (the hold rule), whatever the fetches it starts bring back.
+func FuzzSlaveHandleKeepAlive(f *testing.F) {
+	master, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
+	trusted := []cryptoutil.PublicKey{master.Public}
+	initial := store.New()
+	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	log := new(batchLog)
+	now := time.Unix(1, 0)
+	batch := signedBatch(master, 2, waveOps(3), now)
+	log.add(batch)
+	sl := NewSlave(SlaveConfig{
+		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
+		MasterAddr: "master", MasterPubs: trusted,
+	}, sim.RealClock{}, log, initial)
+	honest := keepAliveFrame(SignStamp(master, 1, now))
+	for _, body := range [][]byte{
+		honest,
+		keepAliveFrame(batch.Stamp), // the batch's announce
+		keepAliveFrame(SignStamp(master, 9, now)),                                                // ahead of anything the log holds
+		keepAliveFrame(SignStamp(evil, 1, now)),                                                  // an untrusted key
+		keepAliveFrame(SignStamp(master, 1, now))[:40],                                           // truncated inside the stamp
+		append(bytes.Clone(honest), 0),                                                           // trailing byte
+		wire.EncodeFrame(func(w *wire.Writer) { st := SignStamp(master, 1, now); st.Encode(w) }), // no address
+		{},
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ack, err := sl.Handle("master", MethodKeepAlive, body)
+		r := wire.NewReader(body)
+		stamp, decodeErr := DecodeStamp(r)
+		_ = r.String() // the master address
+		if decodeErr != nil || r.Done() != nil || stamp.Verify(trusted) != nil {
+			if err == nil {
+				t.Fatal("accepted a keep-alive that is not a trusted stamp ‖ address")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("refused a trusted keep-alive: %v", err)
+		}
+		if _, ok := parseAck(ack); !ok {
+			t.Fatalf("ack %x does not decode", ack)
+		}
+		if held := sl.adoptedStamp().Version; held > sl.Version() {
+			t.Fatalf("holds a stamp for version %d over a replica at %d", held, sl.Version())
 		}
 	})
 }
@@ -654,7 +717,7 @@ func FuzzWALRecord(f *testing.F) {
 	decode := func(data []byte) (uint64, BatchUpdate, error) {
 		r := wire.NewReader(data)
 		seq := r.Uvarint()
-		bu, err := decodeBatchEntry(r, (*wire.Reader).BytesSlice)
+		bu, err := decodeBatchEntry(r)
 		if err == nil {
 			err = r.Done()
 		}

@@ -48,8 +48,7 @@ type MasterStats struct {
 	Exclusions       uint64
 	SyncsServed      uint64
 	SnapshotSyncs    uint64 // syncs served snapshot-first (below baseVersion)
-	KeepAlivesSent   uint64
-	UpdatesSent      uint64
+	KeepAlivesSent   uint64 // periodic, join and batch announces alike
 	ClientsNotified  uint64
 	SlavesAdopted    uint64
 
@@ -151,9 +150,10 @@ type clientEntry struct {
 }
 
 // Master is a trusted server: it orders writes through the master-set
-// broadcast, executes them, pushes lazy state updates and keep-alives to
-// its slave set, answers double-checks, polices greedy clients, verifies
-// misbehaviour reports and excludes slaves proven malicious (§3).
+// broadcast, executes them, sends keep-alives to its slave set — each
+// batch announced by its own stamp — answers double-checks, polices
+// greedy clients, verifies misbehaviour reports and excludes slaves
+// proven malicious (§3).
 type Master struct {
 	cfg MasterConfig
 	rt  sim.Runtime
@@ -364,7 +364,7 @@ func (m *Master) slaveCert(addr string, pub cryptoutil.PublicKey) pki.Certificat
 
 // joinLocked is the one way into the slave set — AddSlave, a readmission
 // and an adoption — and reports whether cert joined: an address the set
-// already holds is refused, so no slave is pushed to, kept alive or
+// already holds is refused, so no slave is announced to, kept alive or
 // assigned twice. A fresh slave gates stability until its first ack (or
 // until it has been silent for checkpointMaxLag keep-alive intervals).
 // Each caller passes what joined to stampJoined once it has unlocked.
@@ -446,7 +446,7 @@ func (m *Master) Handle(from, method string, body []byte) ([]byte, error) {
 // queues it whole and waits on it once; the batch flushes at the first
 // wave that brings it to BatchSize ops or more, or when BatchTimeout
 // elapses, whichever first. One flush produces one ordered broadcast, one
-// batch-stamp signature, and one update push per slave — amortizing the
+// batch-stamp signature, and one announce per slave — amortizing the
 // dominant per-write signing cost (§3.4) across every member of the
 // batch while preserving the exact version sequence and store digest
 // that sequential commits would produce. No wave is ever split across
@@ -840,7 +840,8 @@ func decodeBatchMessage(r *wire.Reader) (raw [][]byte, ops []store.Op, err error
 // single stamp over the batch, adopt it through the one ingest WAL replay
 // and catch-up use (one version per op, exactly the sequence sequential
 // commits would produce, logged under its slot, which becomes the
-// recovery anchor), then push a single update per slave. seq is the
+// recovery anchor), then announce the batch to every slave by its own
+// stamp, which each fetches through m.sync. seq is the
 // broadcast slot that carried the commit. raw and ops are what
 // decodeBatchMessage returned. waves, nil on every master but the batch's
 // origin, are the writers waiting for the batch, whose ops they hold in
@@ -869,7 +870,7 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 	m.stats.WritesApplied += count
 	m.stats.BatchesApplied++
 	// Until the WAL sync below returns, no writer has been answered and
-	// no slave sent this batch: keep-alives stamp below it meanwhile.
+	// no slave told of this batch: keep-alives stamp below it meanwhile.
 	m.unacked = count
 	slaves := m.slaveCertsLocked()
 	m.mu.Unlock()
@@ -905,29 +906,30 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 	m.mu.Unlock()
 	answerWaves(waves, first)
 
-	// Single lazy update per slave (§3.1), whatever the batch size.
-	bu.MasterAddr = m.cfg.Addr
-	m.fanOut(slaves, MethodUpdateBatch, EncodeBatchUpdate(bu), m.cfg.Params.Costs.SendReply, m.cfg.Params.ReadTimeout,
-		func(st *MasterStats) { st.UpdatesSent++ })
+	// The lazy update (§3.1) is the batch's own stamp on a keep-alive: no
+	// new signature, and each slave fetches the batch through m.sync.
+	m.fanOut(slaves, bu.Stamp)
 }
 
-// fanOut sends frame as method to each slave, every call on a task of its
-// own: it charges cost (the push's SendReply; a keep-alive charges none),
-// waits at most timeout, records the version the slave acknowledges in
-// reply (recordAck) and counts the call in the master's stats (count,
-// under m.mu). The batch push and every keep-alive send through it.
-func (m *Master) fanOut(slaves []pki.Certificate, method string, frame []byte, cost, timeout time.Duration, count func(*MasterStats)) {
+// fanOut sends stamp as a keep-alive to each slave, every call on a task
+// of its own, and records the version the slave acknowledges in reply
+// (recordAck). Every batch announce and every keep-alive sends through it.
+func (m *Master) fanOut(slaves []pki.Certificate, stamp VersionStamp) {
+	// Detached frame: the dialer tasks below retain it.
+	frame := wire.EncodeFrame(func(w *wire.Writer) {
+		stamp.Encode(w)
+		w.String_(m.cfg.Addr)
+	})
 	for _, sl := range slaves {
 		m.rt.Spawn(func() {
-			chargeCPU(m.cfg.CPU, cost)
-			ack, err := m.dlr.CallTimeout(sl.Addr, method, frame, timeout)
+			ack, err := m.dlr.CallTimeout(sl.Addr, MethodKeepAlive, frame, m.cfg.Params.KeepAliveEvery)
 			if err == nil {
 				if v, ok := parseAck(ack); ok {
 					m.recordAck(sl.Addr, v)
 				}
 			}
 			m.mu.Lock()
-			count(&m.stats)
+			m.stats.KeepAlivesSent++
 			m.mu.Unlock()
 		})
 	}
@@ -935,7 +937,7 @@ func (m *Master) fanOut(slaves []pki.Certificate, method string, frame []byte, c
 
 // loggedBatch is one entry of the master's op log: a committed batch
 // whole, as its WAL record holds it — the broadcast slot that carried it,
-// then first, ops and stamp, which s.updatebatch pushes and m.sync replays.
+// then first, ops and stamp, which m.sync replays.
 type loggedBatch struct {
 	BatchUpdate
 	seq uint64
@@ -1264,8 +1266,9 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 
 // ackedVersionLocked is the newest acknowledged version, which is what a
 // keep-alive certifies as current. The store runs ahead of it while
-// applyBatch syncs the WAL; a stamp naming that version would reach slaves
-// before their update and make them pull a needless sync. Caller holds m.mu.
+// applyBatch syncs the WAL; a stamp naming that version would announce the
+// batch before it is durable, and applyBatch announces it once it is.
+// Caller holds m.mu.
 func (m *Master) ackedVersionLocked() uint64 {
 	return m.store.Version() - m.unacked
 }
@@ -1280,14 +1283,7 @@ func (m *Master) sendKeepAlives(slaves []pki.Certificate) {
 	version := m.ackedVersionLocked()
 	m.mu.Unlock()
 	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	stamp := SignStamp(m.cfg.Keys, version, m.rt.Now())
-	// Detached frame: the dialer tasks below retain it.
-	frame := wire.EncodeFrame(func(w *wire.Writer) {
-		stamp.Encode(w)
-		w.String_(m.cfg.Addr)
-	})
-	m.fanOut(slaves, MethodKeepAlive, frame, 0, m.cfg.Params.KeepAliveEvery,
-		func(st *MasterStats) { st.KeepAlivesSent++ })
+	m.fanOut(slaves, SignStamp(m.cfg.Keys, version, m.rt.Now()))
 }
 
 // broadcastSlaveList tells every master this master's slave set: the set

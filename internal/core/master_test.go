@@ -841,7 +841,7 @@ func adoptFrame(dead, owner string, certs ...pki.Certificate) []byte {
 // master while it is still on a dead master's last slave list reaches
 // that master twice, by the readmission and by the adoption that divides
 // the dead master's set. The set holds it once: held twice, it would be
-// pushed every batch twice, sent two keep-alives per interval and picked
+// announced every batch twice, sent two keep-alives per interval and picked
 // twice by the round-robin.
 func TestMasterAdoptAfterReadmitHoldsSlaveOnce(t *testing.T) {
 	r := newMasterRig(t, nil)
@@ -866,7 +866,7 @@ func TestMasterAdoptAfterReadmitHoldsSlaveOnce(t *testing.T) {
 
 // TestMasterSlaveTableConcurrent races everything that reads or writes a
 // real-clock master's slave table, from goroutines of their own: acks
-// recorded by the batch push's fan-out and by more ack senders (each
+// recorded by the batch announce's fan-out and by more ack senders (each
 // writes through its entry's index while the lock is held, into a slice
 // an exclusion shrinks), AddSlave, m.getslave, and a delivery goroutine
 // that, like the broadcast drainer, delivers batches, exclusions,

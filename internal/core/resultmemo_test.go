@@ -119,7 +119,7 @@ func TestResultMemoAdmission(t *testing.T) {
 }
 
 // TestSlaveResultMemoSafety drives a real slave through everything that
-// can change what a query answers — a pushed batch, a snapshot installed
+// can change what a query answers — a fetched batch, a snapshot installed
 // by a sync, a Bootstrap onto other content at the very same version — and
 // through every lying behaviour on a warm memo.
 func TestSlaveResultMemoSafety(t *testing.T) {
@@ -128,7 +128,7 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 		cpu := r.s.NewResource("slave", 1)
 		r.slave.cfg.CPU = cpu
 		r.s.Go(func() {
-			r.pushBatch(t, catalogOps(memoCatalog, 100))
+			r.commitBatch(t, catalogOps(memoCatalog, 100))
 			costs := r.params.Costs
 			before := cpu.BusyTime()
 			cold, err := r.read(t, memoSum)
@@ -157,7 +157,7 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 	t.Run("point reads insert nothing", func(t *testing.T) {
 		r := newSlaveRig(t, Honest{})
 		r.s.Go(func() {
-			r.pushBatch(t, catalogOps(memoCatalog, 100))
+			r.commitBatch(t, catalogOps(memoCatalog, 100))
 			for i := 0; i < 50; i++ {
 				k := fmt.Sprintf("catalog/%05d", i)
 				if _, err := r.read(t, query.Get{Key: k}); err != nil {
@@ -192,11 +192,11 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 			}
 		}
 		r.s.Go(func() {
-			r.pushBatch(t, catalogOps(memoCatalog, 100))
+			r.commitBatch(t, catalogOps(memoCatalog, 100))
 			read("first content", catalogSum(memoCatalog, 100))
 
-			r.s.Sleep(time.Millisecond)         // a stamp is adopted only over an older one
-			r.pushBatch(t, catalogOps(8, 5000)) // rewrites eight of the keys summed
+			r.s.Sleep(time.Millisecond)           // a stamp is adopted only over an older one
+			r.commitBatch(t, catalogOps(8, 5000)) // rewrites eight of the keys summed
 			if r.slave.wouldHit(memoCount) {
 				t.Error("after a batch: an answer of the version before it is still served")
 			}
@@ -245,7 +245,7 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 			honest, _ := memoSum.Execute(content)
 			const reads = 40
 			r.s.Go(func() {
-				r.pushBatch(t, catalogOps(memoCatalog, 100))
+				r.commitBatch(t, catalogOps(memoCatalog, 100))
 				if _, err := r.read(t, memoSum); err != nil || !r.slave.wouldHit(memoSum) {
 					t.Errorf("warming the memo: %v", err)
 				}
@@ -289,7 +289,7 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 	t.Run("bounded under ten times its capacity in distinct scans", func(t *testing.T) {
 		r := newSlaveRig(t, Honest{})
 		r.s.Go(func() {
-			r.pushBatch(t, catalogOps(memoCatalog, 100))
+			r.commitBatch(t, catalogOps(memoCatalog, 100))
 			for i := 0; i < 10*memoMaxEntries; i++ {
 				q := query.Grep{Pattern: fmt.Sprintf("^no such line %d$", i), PathPrefix: "catalog/"}
 				if _, err := r.read(t, q); err != nil {
@@ -423,23 +423,31 @@ func TestMasterResultMemoSafety(t *testing.T) {
 	r.s.Run()
 }
 
-// TestSlaveReadsAtomicWithBatches races readers against pushed batches
+// TestSlaveReadsAtomicWithBatches races readers against announced batches
 // that rewrite the very keys being read, from goroutines of their own as
-// rpc.TCPServer runs handlers. A read must see one version whole — stamp,
-// replica and (memoised) answer — so every pledge an honest slave signs
-// holds against the content at the version it names; one that does not is
-// evidence that convicts it. And once the first batch has stamped the
-// replica no read may be refused as stale: between a batch's ops and its
-// stamp there is nothing for a reader to see.
+// rpc.TCPServer runs handlers, while the slave's fetches apply them. A
+// read must see one version whole — stamp, replica and (memoised) answer —
+// so every pledge an honest slave signs holds against the content at the
+// version it names; one that does not is evidence that convicts it. And
+// once the first batch has stamped the replica no read may be refused as
+// stale: an announce ahead of the replica leaves the held stamp in place,
+// and between a batch's ops and its stamp there is nothing for a reader to
+// see.
 func TestSlaveReadsAtomicWithBatches(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
+	log := new(batchLog)
 	sl := NewSlave(SlaveConfig{
 		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
 		MasterAddr: "master", MasterPubs: []cryptoutil.PublicKey{master.Public},
-	}, sim.RealClock{}, nullDialer{}, store.New())
+	}, sim.RealClock{}, log, store.New())
 	const batches, readers, rewritten = 120, 3, 8
-	push := func(first uint64, ops []store.Op) {
-		if _, err := sl.Handle("master", MethodUpdateBatch, EncodeBatchUpdate(signedBatch(master, first, ops, time.Now()))); err != nil {
+	announceBatch := func(first uint64, ops []store.Op) {
+		bu := signedBatch(master, first, ops, time.Now())
+		log.add(bu)
+		if _, err := announce(sl, bu.Stamp); err != nil {
+			t.Errorf("batch at %d: %v", first, err)
+		}
+		if err := awaitVersion(sl, bu.Last()); err != nil {
 			t.Errorf("batch at %d: %v", first, err)
 		}
 	}
@@ -451,7 +459,7 @@ func TestSlaveReadsAtomicWithBatches(t *testing.T) {
 			ref.Apply(op)
 		}
 		at[ref.Version()] = ref.Clone()
-		push(first, ops)
+		announceBatch(first, ops)
 	}
 	commit(catalogOps(memoCatalog, 100))
 

@@ -317,12 +317,21 @@ func TestSigCacheHitAllocs(t *testing.T) {
 	}
 }
 
-// pushBatch commits ops at the versions after the slave's current one.
-func (r *slaveRig) pushBatch(t *testing.T, ops []store.Op) {
+// commitBatch commits ops at the versions after the slave's current one,
+// announces the batch and returns once the slave's fetch has applied it.
+// It runs on a task of the rig's simulation.
+func (r *slaveRig) commitBatch(t *testing.T, ops []store.Op) {
 	t.Helper()
-	frame := EncodeBatchUpdate(signedBatch(r.master, r.slave.Version()+1, ops, r.s.Now()))
-	if _, err := r.slave.Handle("master", MethodUpdateBatch, frame); err != nil {
-		t.Errorf("update batch: %v", err)
+	bu := signedBatch(r.master, r.slave.Version()+1, ops, r.s.Now())
+	if _, err := r.announce(bu); err != nil {
+		t.Errorf("announce: %v", err)
+		return
+	}
+	for deadline := r.s.Now().Add(time.Second); r.slave.Version() < bu.Last(); r.s.Sleep(time.Millisecond) {
+		if r.s.Now().After(deadline) {
+			t.Errorf("batch %d..%d not fetched", bu.First, bu.Last())
+			return
+		}
 	}
 }
 
@@ -365,7 +374,7 @@ func TestSlaveSignsEachDistinctPledgeOnce(t *testing.T) {
 
 		// A commit: same query, same answer, another version under the signature.
 		r.s.Sleep(time.Millisecond) // a stamp is adopted only if it is newer than the last
-		r.pushBatch(t, []store.Op{store.Put{Key: "other", Value: []byte("x")}})
+		r.commitBatch(t, []store.Op{store.Put{Key: "other", Value: []byte("x")}})
 		committed, err := r.read(t, query.Get{Key: "k"})
 		if err != nil {
 			t.Errorf("read after the commit: %v", err)
@@ -857,10 +866,11 @@ func BenchmarkSlaveReadZipf(b *testing.B) {
 func TestSlavePledgeMemoConcurrent(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	trusted := []cryptoutil.PublicKey{master.Public}
+	log := new(batchLog)
 	sl := NewSlave(SlaveConfig{
 		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
 		MasterAddr: "master", MasterPubs: trusted,
-	}, sim.RealClock{}, nullDialer{}, store.New())
+	}, sim.RealClock{}, log, store.New())
 	const batches, readers = 8, 2
 	stop := make(chan struct{})
 	var feed, wg sync.WaitGroup
@@ -869,17 +879,18 @@ func TestSlavePledgeMemoConcurrent(t *testing.T) {
 		defer feed.Done()
 		defer close(stop)
 		for b := 0; b < batches; b++ {
-			frame := EncodeBatchUpdate(signedBatch(master, uint64(4*b+1), waveOps(4), time.Now()))
-			if _, err := sl.Handle("master", MethodUpdateBatch, frame); err != nil {
+			bu := signedBatch(master, uint64(4*b+1), waveOps(4), time.Now())
+			log.add(bu)
+			if _, err := announce(sl, bu.Stamp); err != nil {
+				t.Errorf("batch %d: %v", b, err)
+				return
+			}
+			if err := awaitVersion(sl, bu.Last()); err != nil {
 				t.Errorf("batch %d: %v", b, err)
 				return
 			}
 			for k := 0; k < 3; k++ {
-				w := wire.NewWriter(128)
-				stamp := SignStamp(master, sl.Version(), time.Now())
-				stamp.Encode(w)
-				w.String_("master")
-				if _, err := sl.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
+				if _, err := announce(sl, SignStamp(master, sl.Version(), time.Now())); err != nil {
 					t.Errorf("keep-alive: %v", err)
 					return
 				}

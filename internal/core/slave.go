@@ -17,15 +17,13 @@ import (
 // SlaveStats counts a slave's activity; the harness reads them after a
 // run. All fields are monotone counters.
 type SlaveStats struct {
-	ReadsServed    uint64
-	ReadsLied      uint64
-	ReadsRefused   uint64 // refused because the slave's stamp was stale
-	UpdatesOK      uint64
-	BatchesApplied uint64 // batched updates applied (1 sig verify each)
-	UpdatesSynced  uint64 // updates recovered via m.sync after a gap
-	SnapshotSyncs  uint64 // syncs answered snapshot-first (history truncated)
-	SyncsSkipped   uint64 // sync requests elided by the single-flight guard
-	KeepAlives     uint64
+	ReadsServed   uint64
+	ReadsLied     uint64
+	ReadsRefused  uint64 // refused because the slave's stamp was stale
+	UpdatesSynced uint64 // updates applied from m.sync replies
+	SnapshotSyncs uint64 // syncs answered snapshot-first (history truncated)
+	SyncsSkipped  uint64 // sync requests elided by the single-flight guard
+	KeepAlives    uint64
 	// StampCacheHits/Misses count verified-stamp cache consultations: a
 	// hit replaces an ed25519 verification with a hash lookup.
 	StampCacheHits   uint64
@@ -54,12 +52,14 @@ type SlaveConfig struct {
 }
 
 // Slave holds a copy of the content and executes read queries, returning
-// a signed pledge with every answer (§3.2). It applies state updates
-// pushed by its master strictly in version order and refuses reads when
-// its latest stamp is older than max_latency (§3.1: a correct slave
-// "should stop handling user requests until they are back in sync").
-// Everything its master sends it — a push, a keep-alive, a sync reply, a
-// bootstrap — reaches the replica through one ingest, adoptTransferLocked.
+// a signed pledge with every answer (§3.2). Its master announces each
+// committed batch by the batch's stamp on a keep-alive, and the slave
+// fetches what it is missing through m.sync and applies it strictly in
+// version order. It refuses reads when its latest stamp is older than
+// max_latency (§3.1: a correct slave "should stop handling user requests
+// until they are back in sync"). Everything its master sends it — a
+// keep-alive, a sync reply, a bootstrap — reaches the replica through one
+// ingest, adoptTransferLocked.
 type Slave struct {
 	cfg SlaveConfig
 	rt  sim.Runtime
@@ -70,6 +70,7 @@ type Slave struct {
 	store     *store.Store // guarded by mu
 	lastStamp VersionStamp // guarded by mu
 	syncing   bool         // guarded by mu; single-flight: at most one syncFrom in progress
+	ahead     VersionStamp // guarded by mu; the newest stamp that came ahead of the replica
 	stats     SlaveStats   // guarded by mu
 	memo      resultMemo   // guarded by mu; honest answers to expensive queries at the replica's version
 
@@ -169,8 +170,6 @@ func (s *Slave) Bootstrap() error {
 // Handle routes the slave's RPC methods.
 func (s *Slave) Handle(from, method string, body []byte) ([]byte, error) {
 	switch method {
-	case MethodUpdateBatch:
-		return s.handleUpdateBatch(from, body)
 	case MethodKeepAlive:
 		return s.handleKeepAlive(from, body)
 	case MethodRead:
@@ -196,36 +195,43 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	defer s.mu.Unlock()
 	s.stats.KeepAlives++
 	// The keep-alive names its sending master; adopt it as our sync
-	// source (handles slave-set redistribution after a master crash). A
-	// spoofed address could at worst stall syncs — synced ops themselves
-	// verify against master-signed stamps.
+	// source (handles slave-set redistribution after a master crash). The
+	// address is not signed: a spoofed one stalls the slave's fetches until
+	// the next genuine keep-alive, but synced ops themselves verify against
+	// master-signed stamps.
 	if masterAddr != "" {
 		s.cfg.MasterAddr = masterAddr
 	}
 	// A keep-alive is a transfer of no batches: nothing to apply or fail.
+	// One that announces a batch past the replica starts its fetch.
 	_, _ = s.adoptTransferLocked(&stateTransfer{snapStamp: stamp})
 	// Acknowledge the applied version: masters aggregate these acks into
 	// the stability point that drives checkpoint truncation.
 	return s.ackLocked(), nil
 }
 
-// adoptStampLocked makes stamp the slave's latest if it is newer: for a
-// later version, or for the same version and signed later. Version comes
-// first because a master signs a batch's stamp before it syncs the batch
-// to its WAL and keeps signing keep-alives for the version before it
-// meanwhile: a push can arrive with a stamp older than the keep-alive the
-// slave holds, and the slave then needs the push's stamp to serve at the
-// push's version. Caller holds s.mu.
+// adoptStampLocked makes stamp the slave's latest if it is newer
+// (newerStamp). Caller holds s.mu.
 func (s *Slave) adoptStampLocked(stamp VersionStamp) {
-	if stamp.Version > s.lastStamp.Version ||
-		stamp.Version == s.lastStamp.Version && stamp.Timestamp.After(s.lastStamp.Timestamp) {
+	if newerStamp(stamp, s.lastStamp) {
 		s.lastStamp = stamp
 	}
 }
 
+// newerStamp reports whether a is newer than b: for a later version, or
+// for the same version and signed later. Version comes first because a
+// master signs a batch's stamp before it syncs the batch to its WAL and
+// keeps signing keep-alives for the version before it meanwhile: a
+// fetched batch can carry a stamp older than the keep-alive the slave
+// holds, and the slave then needs the batch's stamp to serve at the
+// batch's version.
+func newerStamp(a, b VersionStamp) bool {
+	return a.Version > b.Version || a.Version == b.Version && a.Timestamp.After(b.Timestamp)
+}
+
 // ackLocked encodes the slave's applied-version acknowledgement, the
-// reply body for keep-alives and updates. Caller holds s.mu. The frame
-// is detached (reply bodies are retained by the transport). An AckForger
+// reply body for keep-alives. Caller holds s.mu. The frame is detached
+// (reply bodies are retained by the transport). An AckForger
 // behaviour substitutes its forged version here — the ack channel is the
 // attack surface of the checkpoint-gating threat model.
 func (s *Slave) ackLocked() []byte {
@@ -237,15 +243,19 @@ func (s *Slave) ackLocked() []byte {
 }
 
 // adoptTransferLocked is the slave's one ingest, named like the master's:
-// a push is a transfer of one batch, a keep-alive a transfer of none, a
-// sync or a bootstrap the m.sync reply it fetched. A snapshot ahead of the
-// replica replaces it, the batches that continue the replica are applied
-// (one that starts past it applies nothing) and the newest stamp is
-// adopted; a stamp still ahead of the replica means updates were lost,
-// and the single-flight sync recovers them in the background. A dropping
-// behaviour takes the stamp (an AckForger acks from it) and applies and
-// syncs nothing: a sync would quietly repair the very gap it is creating.
-// It returns how many ops it applied. Caller holds s.mu.
+// a keep-alive is a transfer of none, a sync or a bootstrap the m.sync
+// reply it fetched. A snapshot ahead of the replica replaces it and the
+// batches that continue the replica are applied (one that starts past it
+// applies nothing). The newest stamp is adopted only with the state it
+// names: a stamp still ahead of the replica — a batch announced, or
+// updates lost — is not adopted but kept aside and starts the
+// single-flight sync, and the slave serves on at its own version under
+// the stamp it holds. When the replica reaches the version it adopts the
+// newer of the transfer's stamp and the one kept aside: a keep-alive that
+// named the version while the fetch was out is signed after the batch. A
+// dropping behaviour takes the stamp (an AckForger acks from it) and
+// applies and syncs nothing: a sync would quietly repair the very gap it
+// is creating. It returns how many ops it applied. Caller holds s.mu.
 func (s *Slave) adoptTransferLocked(st *stateTransfer) (int, error) {
 	stamp := st.stamp()
 	if d, ok := s.cfg.Behavior.(UpdateDropper); ok && d.DropUpdates() {
@@ -260,90 +270,55 @@ func (s *Slave) adoptTransferLocked(st *stateTransfer) (int, error) {
 	if err != nil && !errors.Is(err, store.ErrVersionGap) {
 		return applied, err
 	}
-	s.adoptStampLocked(stamp)
-	if stamp.Version > s.store.Version() {
-		addr := s.cfg.MasterAddr
-		s.rt.Spawn(func() { s.syncFrom(addr) })
+	if stamp.Version <= s.store.Version() {
+		s.adoptStampLocked(stamp)
+		if s.ahead.Version == s.store.Version() {
+			s.adoptStampLocked(s.ahead)
+		}
+		return applied, nil
 	}
+	if newerStamp(stamp, s.ahead) {
+		s.ahead = stamp
+	}
+	addr := s.cfg.MasterAddr
+	s.rt.Spawn(func() { s.syncFrom(addr) })
 	return applied, nil
-}
-
-// handleUpdateBatch takes one batched commit as a transfer of one batch:
-// the frame's entry is opened by the one rule (openBatch) — one stamp
-// signature, memoised, and one hash over the ops — before any op touches
-// the store, and the batch either fully applies (up to already-applied
-// duplicates) or is rejected whole. A batch past the replica is answered
-// at once, with the replica's version; the sync it starts closes the gap.
-func (s *Slave) handleUpdateBatch(from string, body []byte) ([]byte, error) {
-	r := wire.NewReader(body)
-	b, hit, err := openBatch(r, (*wire.Reader).BytesSliceView, s.cfg.MasterPubs, s.stamps)
-	if err != nil {
-		return nil, err
-	}
-	masterAddr := r.String()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	costs := s.cfg.Params.Costs
-	chargeMemoised(s.cfg.CPU, costs, costs.VerifySig, hit)
-	var opBytesTotal int
-	for _, op := range b.Ops {
-		opBytesTotal += len(op)
-	}
-	chargeCPU(s.cfg.CPU, costs.HashCost(opBytesTotal))
-
-	// One hold from the apply to the stamp's adoption: a read that found
-	// the ops applied but the old stamp in place would be refused as
-	// stale, and its client would sleep a keep-alive period.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if masterAddr != "" {
-		s.cfg.MasterAddr = masterAddr
-	}
-	applied, err := s.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}})
-	if err != nil {
-		return nil, err
-	}
-	if applied > 0 {
-		s.stats.UpdatesOK += uint64(applied)
-		s.stats.BatchesApplied++
-	}
-	return s.ackLocked(), nil
 }
 
 // syncFrom pulls the updates the replica is missing from a master and
 // adopts them. When the master has truncated the wanted history below a
 // stability checkpoint the reply is snapshot-first.
 //
-// Syncs are single-flight: every keep-alive or push that shows the
-// replica behind spawns a sync, and without the guard a long-offline
-// slave would launch one full-history transfer per keep-alive and melt
-// its memory. A skipped sync is always retried by the next keep-alive.
+// Syncs are single-flight: every keep-alive that shows the replica behind
+// spawns a sync, and without the guard a long-offline slave would launch
+// one full-history transfer per keep-alive and melt its memory. An
+// announce the guard skipped is fetched by one more round once the sync
+// lands, if it named a version beyond the reply and the reply applied
+// something — so the last batch of a burst does not wait for the next
+// keep-alive, and a master that answers with nothing cannot make it spin.
 func (s *Slave) syncFrom(masterAddr string) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.syncing {
 		s.stats.SyncsSkipped++
-		s.mu.Unlock()
 		return nil
 	}
 	s.syncing = true
-	from := s.store.Version() + 1
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.syncing = false
+	for {
+		from := s.store.Version() + 1
 		s.mu.Unlock()
-	}()
-
-	st, err := fetchStateTransfer(s.dlr, masterAddr, from, s.cfg.Params, s.cfg.CPU, s.cfg.MasterPubs, s.stamps)
-	if err != nil {
-		return err
+		st, err := fetchStateTransfer(s.dlr, masterAddr, from, s.cfg.Params, s.cfg.CPU, s.cfg.MasterPubs, s.stamps)
+		s.mu.Lock()
+		applied := 0
+		if err == nil {
+			applied, err = s.adoptTransferLocked(st)
+			s.stats.UpdatesSynced += uint64(applied)
+		}
+		if err != nil || applied == 0 || s.ahead.Version <= s.store.Version() {
+			s.syncing = false
+			return err
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	applied, err := s.adoptTransferLocked(st)
-	s.stats.UpdatesSynced += uint64(applied)
-	return err
 }
 
 // ReadReply is the slave's answer to a read: the result payload plus the

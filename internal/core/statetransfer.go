@@ -5,9 +5,11 @@ package core
 // being (re)provisioned and a restarted master whose gap no broadcast
 // archive can close all send m.sync and all read the reply through
 // decodeStateTransfer, which hands nothing back until every signature and
-// batch in it has checked out. A replica's one ingest, adoptTransferLocked,
-// also takes a WAL record or a slave's push as a transfer of one batch
-// and a slave's keep-alive as a transfer of none, its stamp alone.
+// batch in it has checked out. It is also the one way a batch reaches a
+// slave: the master announces the batch by its stamp on a keep-alive, and
+// the slave fetches it here. A replica's one ingest, adoptTransferLocked,
+// also takes a WAL record or the master's own commit as a transfer of one
+// batch and a slave's keep-alive as a transfer of none, its stamp alone.
 //
 //	request  uvarint from — the first version wanted; 0 asks for everything
 //	reply    mode byte ‖ [bytes snapshot ‖ stamp] ‖ uvarint n ‖
@@ -21,9 +23,9 @@ package core
 // still accepts and checks them. A durable master's snapshot file
 // (durable.go) is a mode-1 reply too, read back by the same verifier.
 // A batch travels in the one shape committed history has everywhere — the
-// master's log entry and WAL record, an s.updatebatch frame without the
-// master address — and is read by the one rule every replica applies to a
-// batch (openBatch): one stamp and one hash per batch.
+// master's log entry and its WAL record — and is read by the one rule
+// every replica applies to a batch (openBatch): one stamp and one hash per
+// batch.
 // The master logs whole batches, so a request from inside a batch gets
 // all of it and the replica skips the ops it already holds (applyTo).
 // The newest stamp in a reply — the last batch's, else the snapshot's —
@@ -132,7 +134,7 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 	n := r.Count()
 	st.batches = make([]openedBatch, 0, n)
 	for i := 0; i < n; i++ {
-		b, hit, err := openBatch(r, (*wire.Reader).BytesSlice, trusted, stamps)
+		b, hit, err := openBatch(r, trusted, stamps)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +188,7 @@ func fetchStateTransfer(dlr rpc.Dialer, addr string, from uint64, p Params, cpu 
 // replayOnto applies every batch to replica in order (applyTo) and
 // returns how many ops it applied. Ops at or below the replica's version
 // — under the snapshot, in the part of a batch the replica already holds,
-// or applied by a push that raced the transfer — are skipped. done, if not
+// or applied by a transfer that raced this one — are skipped. done, if not
 // nil, is called after each batch that advanced the replica.
 func (st *stateTransfer) replayOnto(replica *store.Store, done func(*BatchUpdate)) (int, error) {
 	n := 0

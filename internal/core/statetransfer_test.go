@@ -410,41 +410,62 @@ func (d replyDialer) CallTimeout(addr, method string, body []byte, _ time.Durati
 	return d.reply, nil
 }
 
-// TestSlaveStateTransferConcurrent races the three ways a slave's replica
-// changes — Bootstrap, syncFrom and pushed batches — on one slave, from
-// goroutines of their own as rpc.TCPServer runs handlers: they share the
-// replica, the adopted stamp and the sync guard behind one lock. Whatever
-// the order, delivering the last batch once more afterwards must leave
-// the source's state.
+// bootstrapDialer answers an m.sync from version 0 with snapshot and any
+// other from log.
+type bootstrapDialer struct {
+	snapshot []byte
+	log      *batchLog
+}
+
+func (d bootstrapDialer) CallTimeout(addr, method string, body []byte, timeout time.Duration) ([]byte, error) {
+	if method == MethodSync && wire.NewReader(body).Uvarint() == 0 {
+		return d.snapshot, nil
+	}
+	return d.log.CallTimeout(addr, method, body, timeout)
+}
+
+// TestSlaveStateTransferConcurrent races the ways a slave's replica
+// changes — Bootstrap, syncFrom and announced batches, which the slave
+// fetches — on one slave, from goroutines of their own as rpc.TCPServer
+// runs handlers: they share the replica, the adopted stamp and the sync
+// guard behind one lock. Whatever the order, announcing the last batch
+// once more afterwards must leave the source's state.
 func TestSlaveStateTransferConcurrent(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	now := time.Now()
+	log := new(batchLog)
+	for _, bu := range honestTransfer(master, now, 1).batches {
+		log.add(bu)
+	}
+	late := signedBatch(master, 8, waveOps(4), now.Add(time.Millisecond)) // after the transfer
+	log.add(late)
 	sl := NewSlave(SlaveConfig{
 		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
 		MasterAddr: "src", MasterPubs: []cryptoutil.PublicKey{master.Public},
-	}, sim.RealClock{}, replyDialer{honestTransfer(master, now, 3).encode()}, transferState(1))
-	early := EncodeBatchUpdate(signedBatch(master, 2, transferOps[0:1], now))                // inside the transfer
-	late := EncodeBatchUpdate(signedBatch(master, 8, waveOps(4), now.Add(time.Millisecond))) // after it
-	push := func(frame []byte) func() error {
-		return func() error { _, err := sl.Handle("src", MethodUpdateBatch, frame); return err }
+	}, sim.RealClock{}, bootstrapDialer{honestTransfer(master, now, 3).encode(), log}, transferState(1))
+	early := log.batches[0].Stamp // inside the transfer
+	announceStep := func(stamp VersionStamp) func() error {
+		return func() error { _, err := announce(sl, stamp); return err }
 	}
 	var wg sync.WaitGroup
 	for _, step := range []func() error{
-		sl.Bootstrap, push(early), func() error { return sl.syncFrom("src") }, push(late), sl.Bootstrap, push(late),
+		sl.Bootstrap, announceStep(early), func() error { return sl.syncFrom("src") }, announceStep(late.Stamp), sl.Bootstrap, announceStep(late.Stamp),
 	} {
 		wg.Add(1)
 		go func(step func() error) {
 			defer wg.Done()
-			// A push that Bootstrap overtakes mid-apply may find a gap;
-			// nothing may be refused as tampered.
+			// Nothing may be refused as tampered.
 			if err := step(); errors.Is(err, ErrBadStamp) {
-				t.Errorf("honest transfer or batch refused as tampered: %v", err)
+				t.Errorf("honest transfer or announce refused as tampered: %v", err)
 			}
 		}(step)
 	}
 	wg.Wait()
-	if err := push(late)(); err != nil {
+	if err := announceStep(late.Stamp)(); err != nil {
 		t.Fatalf("last batch after the race: %v", err)
+	}
+	if err := awaitVersion(sl, 11); err != nil {
+		t.Fatal(err)
 	}
 	want := transferState(7)
 	for _, op := range waveOps(4) {

@@ -138,7 +138,7 @@ func appendBatchPrefix(w *wire.Writer, first uint64, ops [][]byte) {
 
 // BatchDigest is the digest a batch stamp signs for ops committed at
 // first, first+1, …: one hash of the bytes that stand in front of the
-// stamp in every s.updatebatch frame, WAL record and m.sync entry.
+// stamp in every WAL record and m.sync entry.
 func BatchDigest(first uint64, ops [][]byte) (d cryptoutil.Digest) {
 	wire.Borrow(func(w *wire.Writer) { appendBatchPrefix(w, first, ops) },
 		func(b []byte) { d = cryptoutil.HashBytes(b) })
@@ -160,17 +160,16 @@ func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time
 
 // BatchUpdate is one whole batched commit: the ops for versions
 // First..First+len(Ops)-1 and the single batch stamp — one signature
-// regardless of batch size. It is the master→slave s.updatebatch frame,
-// and without MasterAddr it is the master's log entry, its WAL record and
-// one entry of an m.sync reply. Every receiver reads it through
-// openBatch, which hashes the ops in one pass and compares them with the
-// signed digest (VerifyMembers).
+// regardless of batch size. It is the master's log entry, its WAL record
+// and one entry of an m.sync reply, the one way a slave takes a batch: the
+// master announces it by its stamp on a keep-alive and the slave fetches
+// it. Every receiver reads it through openBatch, which hashes the ops in
+// one pass and compares them with the signed digest (VerifyMembers).
 type BatchUpdate struct {
-	First      uint64
-	Ops        [][]byte
-	Proofs     frozenProofs // never set or read here; see frozen.go
-	Stamp      VersionStamp
-	MasterAddr string
+	First  uint64
+	Ops    [][]byte
+	Proofs frozenProofs // never set or read here; see frozen.go
+	Stamp  VersionStamp
 }
 
 // Last returns the batch's final version.
@@ -198,22 +197,20 @@ func (bu *BatchUpdate) VerifyMembers() error {
 }
 
 // appendEntry appends the batch in the one shape committed history has
-// everywhere: uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp — an
-// s.updatebatch frame before its master address, a WAL record after its
-// broadcast slot, one entry of an m.sync reply.
+// everywhere: uvarint first ‖ uvarint n ‖ n × bytes op ‖ stamp — a WAL
+// record after its broadcast slot, one entry of an m.sync reply.
 func (bu *BatchUpdate) appendEntry(w *wire.Writer) {
 	appendBatchPrefix(w, bu.First, bu.Ops)
 	bu.Stamp.Encode(w)
 }
 
-// decodeBatchEntry reads what appendEntry wrote. ops reads the op list:
-// (*wire.Reader).BytesSliceView to alias r's buffer, BytesSlice to copy;
-// either refuses a count above wire.MaxBatchItems. The stamp's key and
-// signature are copies.
-func decodeBatchEntry(r *wire.Reader, ops func(*wire.Reader) [][]byte) (BatchUpdate, error) {
+// decodeBatchEntry reads what appendEntry wrote. The ops, the stamp's key
+// and its signature are copies; an op count above wire.MaxBatchItems is
+// refused.
+func decodeBatchEntry(r *wire.Reader) (BatchUpdate, error) {
 	var bu BatchUpdate
 	bu.First = r.Uvarint()
-	bu.Ops = ops(r)
+	bu.Ops = r.BytesSlice()
 	var err error
 	bu.Stamp, err = DecodeStamp(r)
 	return bu, err
@@ -226,14 +223,13 @@ type openedBatch struct {
 	ops []store.Op // ops[i] is Ops[i] decoded
 }
 
-// openBatch is the one rule for every batch a replica takes — pushed, in
-// an m.sync reply or snapshot file, or a WAL record. It reads the entry
-// from r (ops reads the op list, as in decodeBatchEntry) and hands it
-// back only once its stamp verifies under a trusted key (through the
-// stamps memo, nil allowed; hit reports a memo hit), VerifyMembers
-// passes and every op decodes.
-func openBatch(r *wire.Reader, ops func(*wire.Reader) [][]byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (b openedBatch, hit bool, err error) {
-	bu, err := decodeBatchEntry(r, ops)
+// openBatch is the one rule for every batch a replica takes — in an
+// m.sync reply or snapshot file, or a WAL record. It reads the entry from
+// r (decodeBatchEntry) and hands it back only once its stamp verifies
+// under a trusted key (through the stamps memo, nil allowed; hit reports a
+// memo hit), VerifyMembers passes and every op decodes.
+func openBatch(r *wire.Reader, trusted []cryptoutil.PublicKey, stamps *sigCache) (b openedBatch, hit bool, err error) {
+	bu, err := decodeBatchEntry(r)
 	if err != nil {
 		return b, false, err
 	}
@@ -268,16 +264,6 @@ func (b *openedBatch) applyTo(replica *store.Store) (int, error) {
 		n++
 	}
 	return n, nil
-}
-
-// EncodeBatchUpdate serializes the frame. The encode runs through a
-// pooled writer; the returned slice is a detached, exactly-sized copy
-// that the caller may retain (it is handed to dialers).
-func EncodeBatchUpdate(bu BatchUpdate) []byte {
-	return wire.EncodeFrame(func(w *wire.Writer) {
-		bu.appendEntry(w)
-		w.String_(bu.MasterAddr)
-	})
 }
 
 // certifiedBy reports whether the stamp names one of the trusted master

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha1"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -12,16 +13,17 @@ import (
 	"time"
 
 	"repro/internal/cryptoutil"
+	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
-// signedBatch builds the s.updatebatch frame contents an honest master
-// sends for ops committed at first, first+1, ….
+// signedBatch builds the batch an honest master commits for ops at
+// first, first+1, ….
 func signedBatch(master *cryptoutil.KeyPair, first uint64, ops []store.Op, now time.Time) BatchUpdate {
-	bu := BatchUpdate{First: first, MasterAddr: "master"}
+	bu := BatchUpdate{First: first}
 	for _, op := range ops {
 		bu.Ops = append(bu.Ops, store.EncodeOp(op))
 	}
@@ -37,13 +39,84 @@ func (s *Slave) adoptedStamp() VersionStamp {
 }
 
 // entryBytes encodes the batch entry: uvarint first ‖ ops ‖ stamp, the
-// s.updatebatch frame before its master address, the WAL record after its
-// broadcast slot and one entry of an m.sync reply.
+// WAL record after its broadcast slot and one entry of an m.sync reply.
 func entryBytes(bu BatchUpdate) []byte { return wire.EncodeFrame(bu.appendEntry) }
 
+// batchLog is a scripted master's committed history. It answers m.sync as
+// an honest master does, with every logged batch from the one holding the
+// version asked for on, and counts the calls. It serves as a handler and
+// as a dialer.
+type batchLog struct {
+	mu      sync.Mutex
+	batches []BatchUpdate
+	syncs   int
+}
+
+func (l *batchLog) add(bu BatchUpdate) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.batches = append(l.batches, bu)
+}
+
+func (l *batchLog) syncCount() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.syncs
+}
+
+func (l *batchLog) handle(_, method string, body []byte) ([]byte, error) {
+	if method != MethodSync {
+		return nil, errors.New("batch log: unexpected method " + method)
+	}
+	from := wire.NewReader(body).Uvarint()
+	l.mu.Lock()
+	l.syncs++
+	var batches []BatchUpdate
+	for _, bu := range l.batches {
+		if bu.Last() >= from {
+			batches = append(batches, bu)
+		}
+	}
+	l.mu.Unlock()
+	w := wire.NewWriter(1024)
+	encodeStateTransfer(w, nil, batches, 0)
+	return w.Bytes(), nil
+}
+
+func (l *batchLog) CallTimeout(_, method string, body []byte, _ time.Duration) ([]byte, error) {
+	return l.handle("slave", method, body)
+}
+
+// keepAliveFrame is the s.keepalive body a master sends: stamp ‖ its
+// address.
+func keepAliveFrame(stamp VersionStamp) []byte {
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		stamp.Encode(w)
+		w.String_("master")
+	})
+}
+
+// announce sends sl the keep-alive that names stamp, as a master announces
+// a batch by its stamp, and returns the slave's ack.
+func announce(sl *Slave, stamp VersionStamp) ([]byte, error) {
+	return sl.Handle("master", MethodKeepAlive, keepAliveFrame(stamp))
+}
+
+// awaitVersion waits on the real clock, for at most ten seconds, until the
+// replica of sl reaches version v through the fetches its keep-alives
+// started.
+func awaitVersion(sl *Slave, v uint64) error {
+	for deadline := time.Now().Add(10 * time.Second); sl.Version() < v; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("slave at version %d, want %d", sl.Version(), v)
+		}
+	}
+	return nil
+}
+
 // batchTamper is one way of presenting a batch entry that a replica at
-// version 1 must refuse, whichever of the three consumers reads it: a
-// slave's s.updatebatch handler, a state transfer, WAL replay. entry
+// version 1 must refuse, whichever consumer reads it: a slave fetching an
+// announced batch, a state transfer, WAL replay. entry
 // starts from the honest batch of waveOps(8) at versions 2..9; evil is a
 // key the replica does not trust.
 type batchTamper struct {
@@ -158,43 +231,57 @@ var batchTamperCases = []batchTamper{
 	}},
 }
 
-// honestEntry is the entry every row of batchTamperCases starts from.
+// honestEntryBatch is the batch every row of batchTamperCases starts
+// from, and honestEntry its entry.
+func honestEntryBatch(m *cryptoutil.KeyPair, now time.Time) BatchUpdate {
+	return signedBatch(m, 2, waveOps(8), now)
+}
+
 func honestEntry(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
-	return entryBytes(signedBatch(m, 2, waveOps(8), now))
+	return entryBytes(honestEntryBatch(m, now))
 }
 
-// pushFrame is the s.updatebatch frame that carries entry.
-func pushFrame(entry []byte) []byte {
-	return append(bytes.Clone(entry), wire.EncodeFrame(func(w *wire.Writer) { w.String_("master") })...)
-}
-
-// TestSlaveUpdateBatchTamperRefused sends every tampered batch of the
-// table to a slave: each is refused — with ErrBadStamp unless the frame
-// does not even decode — and leaves the replica exactly as it was:
-// version, content and adopted stamp.
+// TestSlaveUpdateBatchTamperRefused announces the honest batch to a slave
+// and answers its fetch with every tampered entry of the table: each is
+// refused — with ErrBadStamp unless the reply does not even decode — and
+// leaves the replica exactly as it was: version, content and adopted
+// stamp. The announced stamp is not adopted, so the slave still serves at
+// its own version.
 func TestSlaveUpdateBatchTamperRefused(t *testing.T) {
 	evil := cryptoutil.DeriveKeyPair("evil", 0)
 	for _, tc := range batchTamperCases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newSlaveRig(t, Honest{})
-			var err error
+			syncs := 0
+			r.net.Register("master", func(_, method string, body []byte) ([]byte, error) {
+				syncs++
+				return syncReplyOf(func(now time.Time) []byte { return tc.entry(r.master, evil, now) })(r.s.Now(), 0), nil
+			})
+			var err, readErr error
 			var digest cryptoutil.Digest
 			var stamp VersionStamp
+			var rr ReadReply
 			r.s.Go(func() {
 				r.keepAlive(1)
 				digest, stamp = r.slave.StateDigest(), r.slave.adoptedStamp()
 				r.s.Sleep(time.Millisecond) // a fresher stamp would be adopted if accepted
-				_, err = r.slave.Handle("master", MethodUpdateBatch, pushFrame(tc.entry(r.master, evil, r.s.Now())))
+				if _, err = announce(r.slave, honestEntryBatch(r.master, r.s.Now()).Stamp); err != nil {
+					return
+				}
+				r.s.Sleep(10 * time.Millisecond) // the fetch lands
+				rr, readErr = r.read(t, query.Get{Key: "k"})
+				err = r.slave.syncFrom("master")
 			})
 			r.s.Run()
 			if err == nil {
 				t.Fatal("tampered batch accepted")
 			}
-			fr := wire.NewReader(pushFrame(tc.entry(r.master, evil, r.s.Now())))
-			_, decodeErr := decodeBatchEntry(fr, (*wire.Reader).BytesSliceView)
-			_ = fr.String() // the master address
-			if decodeErr == nil && fr.Done() == nil && !errors.Is(err, ErrBadStamp) {
+			fr := wire.NewReader(tc.entry(r.master, evil, r.s.Now()))
+			if _, decodeErr := decodeBatchEntry(fr); decodeErr == nil && fr.Done() == nil && !errors.Is(err, ErrBadStamp) {
 				t.Fatalf("err = %v, want ErrBadStamp", err)
+			}
+			if syncs != 2 {
+				t.Fatalf("%d m.sync calls, want the announce's and the direct one", syncs)
 			}
 			if r.slave.Version() != 1 || !r.slave.StateDigest().Equal(digest) {
 				t.Fatalf("refused batch changed the replica: version %d", r.slave.Version())
@@ -202,15 +289,18 @@ func TestSlaveUpdateBatchTamperRefused(t *testing.T) {
 			if got := r.slave.adoptedStamp(); got.Version != stamp.Version || !got.Timestamp.Equal(stamp.Timestamp) {
 				t.Fatalf("refused batch changed the adopted stamp: %+v", got)
 			}
-			if st := r.slave.Stats(); st.UpdatesOK != 0 || st.BatchesApplied != 0 || st.UpdatesSynced != 0 {
-				t.Fatalf("refused batch counted as applied: %+v", st)
+			if readErr != nil || rr.Pledge.Stamp.Version != 1 {
+				t.Fatalf("read after the refused fetch: %v, at version %d; want served at 1", readErr, rr.Pledge.Stamp.Version)
+			}
+			if st := r.slave.Stats(); st.UpdatesSynced != 0 || st.ReadsRefused != 0 {
+				t.Fatalf("refused batch counted as applied, or a read refused: %+v", st)
 			}
 		})
 	}
 }
 
 // batchEntryConsumers are the readers of a batch entry other than a
-// slave's s.updatebatch handler: a state transfer (a slave's sync and a
+// slave fetching an announced batch: a state transfer (a slave's sync and a
 // restarted master's catch-up, both reading an m.sync reply of one entry
 // ending at version 9) and WAL replay (a durable master started over a WAL
 // whose one record is the entry). Each starts at version 1, reads entry
@@ -273,7 +363,8 @@ func restartOverWAL(t *testing.T, record []byte) (*Master, error) {
 
 // TestBatchEntryTamperRefusedEverywhere reads every entry of
 // batchTamperCases through a state transfer and WAL replay, as
-// TestSlaveUpdateBatchTamperRefused pushes each to a slave: each consumer
+// TestSlaveUpdateBatchTamperRefused feeds each to a slave through an
+// announce: each consumer
 // brings the honest entry to version 9 and refuses every tampered one,
 // staying at version 1.
 func TestBatchEntryTamperRefusedEverywhere(t *testing.T) {
@@ -327,9 +418,11 @@ func TestSHA1DigestWALRefused(t *testing.T) {
 	}
 }
 
-// TestSlaveUpdateBatchApplies covers batches of one op up to one past a
-// full 256-op wave: each applies whole, is acknowledged at its last
-// version and leaves the content sequential application would.
+// TestSlaveUpdateBatchApplies announces batches of one op up to one past a
+// full 256-op wave: the announce is acknowledged at the replica's version,
+// and each batch is fetched in one m.sync, applies whole, is acknowledged
+// at its last version by the next keep-alive and leaves the content
+// sequential application would.
 func TestSlaveUpdateBatchApplies(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 255, 256, 257} {
 		r := newSlaveRig(t, Honest{})
@@ -338,24 +431,30 @@ func TestSlaveUpdateBatchApplies(t *testing.T) {
 		for _, op := range waveOps(n) {
 			want.Apply(op)
 		}
-		var ack []byte
+		var announced, acked []byte
 		var err error
 		r.s.Go(func() {
-			ack, err = r.slave.Handle("master", MethodUpdateBatch,
-				EncodeBatchUpdate(signedBatch(r.master, 2, waveOps(n), r.s.Now())))
+			if announced, err = r.announce(signedBatch(r.master, 2, waveOps(n), r.s.Now())); err != nil {
+				return
+			}
+			r.s.Sleep(10 * time.Millisecond) // the fetch lands
+			acked = r.keepAlive(uint64(1 + n))
 		})
 		r.s.Run()
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if v, ok := parseAck(ack); !ok || v != uint64(1+n) {
-			t.Fatalf("n=%d: ack = %d, %v", n, v, ok)
+		if v, ok := parseAck(announced); !ok || v != 1 {
+			t.Fatalf("n=%d: announce acked %d, %v; want the replica's 1", n, v, ok)
+		}
+		if v, ok := parseAck(acked); !ok || v != uint64(1+n) {
+			t.Fatalf("n=%d: keep-alive acked %d, %v", n, v, ok)
 		}
 		if r.slave.Version() != uint64(1+n) || !r.slave.StateDigest().Equal(want.StateDigest()) {
 			t.Fatalf("n=%d: replica at version %d differs from sequential application", n, r.slave.Version())
 		}
-		if st := r.slave.Stats(); st.UpdatesOK != uint64(n) || st.BatchesApplied != 1 {
-			t.Fatalf("n=%d: stats %+v", n, st)
+		if st := r.slave.Stats(); st.UpdatesSynced != uint64(n) || r.log.syncCount() != 1 {
+			t.Fatalf("n=%d: %d m.sync calls, stats %+v", n, r.log.syncCount(), st)
 		}
 		if r.slave.adoptedStamp().Version != uint64(1+n) {
 			t.Fatalf("n=%d: batch stamp not adopted", n)
@@ -363,36 +462,38 @@ func TestSlaveUpdateBatchApplies(t *testing.T) {
 	}
 }
 
-// TestSlaveUpdateBatchConcurrent delivers batch N, batch N+1 and a
-// duplicate of N from goroutines of their own, as rpc.TCPServer does: the
-// handlers share the replica, its verified-stamp cache and the pooled
-// writers the digest is hashed through. No delivery may be refused as
-// tampered; N+1 overtaking N may only fail in the sync
-// it then attempts (the stub dialer has no master to offer).
+// TestSlaveUpdateBatchConcurrent announces batch N, batch N+1 and N once
+// more from goroutines of their own, as rpc.TCPServer runs handlers: the
+// handlers and the fetches they start share the replica, the adopted
+// stamp, the sync guard, the verified-stamp cache and the pooled writers
+// the digest is hashed through. Whatever the order, the replica ends at
+// N+1's last version with the content sequential application leaves.
 func TestSlaveUpdateBatchConcurrent(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
+	log := new(batchLog)
 	sl := NewSlave(SlaveConfig{
 		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
 		MasterAddr: "master", MasterPubs: []cryptoutil.PublicKey{master.Public},
-	}, sim.RealClock{}, nullDialer{}, store.New())
+	}, sim.RealClock{}, log, store.New())
 	now := time.Now()
-	frameN := EncodeBatchUpdate(signedBatch(master, 1, waveOps(256), now))
-	frameN1 := EncodeBatchUpdate(signedBatch(master, 257, waveOps(255), now.Add(time.Millisecond)))
+	batchN := signedBatch(master, 1, waveOps(256), now)
+	batchN1 := signedBatch(master, 257, waveOps(255), now.Add(time.Millisecond))
+	log.add(batchN)
+	log.add(batchN1)
 
 	var wg sync.WaitGroup
-	for _, frame := range [][]byte{frameN, frameN1, frameN} {
+	for _, bu := range []BatchUpdate{batchN, batchN1, batchN} {
 		wg.Add(1)
-		go func(frame []byte) {
+		go func(stamp VersionStamp) {
 			defer wg.Done()
-			if _, err := sl.Handle("master", MethodUpdateBatch, frame); errors.Is(err, ErrBadStamp) {
-				t.Errorf("honest batch refused as tampered: %v", err)
+			if _, err := announce(sl, stamp); err != nil {
+				t.Errorf("honest announce refused: %v", err)
 			}
-		}(frame)
+		}(bu.Stamp)
 	}
 	wg.Wait()
-	// N+1 lands now if it overtook N above and is a duplicate otherwise.
-	if _, err := sl.Handle("master", MethodUpdateBatch, frameN1); err != nil {
-		t.Fatalf("batch N+1 after N: %v", err)
+	if err := awaitVersion(sl, 511); err != nil {
+		t.Fatal(err)
 	}
 	want := store.New()
 	for _, op := range append(waveOps(256), waveOps(255)...) {
@@ -401,27 +502,19 @@ func TestSlaveUpdateBatchConcurrent(t *testing.T) {
 	if sl.Version() != 511 || !sl.StateDigest().Equal(want.StateDigest()) {
 		t.Fatalf("replica at version %d differs from sequential application", sl.Version())
 	}
-}
-
-// openPush reads an s.updatebatch frame as Slave.handleUpdateBatch does:
-// the entry through the one rule (openBatch), then the master address,
-// then the end of the frame.
-func openPush(frame []byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (openedBatch, string, error) {
-	r := wire.NewReader(frame)
-	b, _, err := openBatch(r, (*wire.Reader).BytesSliceView, trusted, stamps)
-	if err != nil {
-		return b, "", err
+	if got := sl.adoptedStamp(); got.Version != 511 {
+		t.Fatalf("adopted stamp at version %d, want 511", got.Version)
 	}
-	addr := r.String()
-	return b, addr, r.Done()
 }
 
-// TestBatchUpdateDecodeVerifyAllocs pins what a slave allocates to open
-// one pushed frame of n ops: 6 for any frame — the op slice, the stamp's
-// key and signature, the hash of the batch's bytes (written through a
-// pooled writer), the decoded-op slice and the master address — and 3 per
-// op, all of them store.DecodeOp's: the op value and its key and value
-// bytes. The stamp check hits the memo and allocates nothing.
+// TestBatchUpdateDecodeVerifyAllocs pins what a slave allocates to decode
+// and verify an m.sync reply of one batch of n ops whose stamp its
+// announce already verified: 6 for any reply — the transfer, its batch
+// list, the op list, the stamp's key and signature and the decoded-op
+// slice — and 4 per op: the op's copy out of the reply buffer and
+// store.DecodeOp's three (the op value and its key and value bytes). The
+// batch digest is hashed through a pooled writer and the stamp check hits
+// the memo: neither allocates.
 func TestBatchUpdateDecodeVerifyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; counts only meaningful without -race")
@@ -429,15 +522,70 @@ func TestBatchUpdateDecodeVerifyAllocs(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	trusted := []cryptoutil.PublicKey{master.Public}
 	for _, n := range []int{1, 256} {
-		frame := EncodeBatchUpdate(signedBatch(master, 2, waveOps(n), time.Unix(1, 0)))
+		bu := signedBatch(master, 2, waveOps(n), time.Unix(1, 0))
+		w := wire.NewWriter(1024)
+		encodeStateTransfer(w, nil, []BatchUpdate{bu}, 0)
+		reply := w.Bytes()
 		stamps := newSigCache(stampMemoSize)
+		if _, err := stamps.verifyStamp(&bu.Stamp, trusted); err != nil { // the announce's verify
+			t.Fatal(err)
+		}
 		avg := testing.AllocsPerRun(50, func() {
-			if _, _, err := openPush(frame, trusted, stamps); err != nil {
+			if _, err := decodeStateTransfer(reply, trusted, stamps); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if want := float64(6 + 3*n); avg > want {
-			t.Fatalf("opening a %d-op push allocates %.1f times per run, want <= %.0f", n, avg, want)
+		if want := float64(6 + 4*n); avg > want {
+			t.Fatalf("decoding a one-batch m.sync reply of %d ops allocates %.1f times per run, want <= %.0f", n, avg, want)
 		}
 	}
+}
+
+// BenchmarkSlaveFetchBatch256 measures one 256-op batch into a slave the
+// one way a batch arrives: the keep-alive that announces it (decode, one
+// stamp signature verified) and the m.sync reply the fetch brings back
+// (decode, the stamp check — a memo hit —, the batch digest, op decode and
+// apply). Every iteration announces the next 256 versions, so nothing is a
+// duplicate. The fetch runs as a task of the simulator's runtime, against
+// replies encoded before the timer starts, with no network in between.
+func BenchmarkSlaveFetchBatch256(b *testing.B) {
+	const n = 256
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	s := sim.New(1)
+	replies := make(replyByFrom, b.N)
+	stamps := make([]VersionStamp, b.N)
+	for i := range stamps {
+		bu := signedBatch(master, 1+uint64(i)*n, waveOps(n), sim.Epoch)
+		w := wire.NewWriter(8 << 10)
+		encodeStateTransfer(w, nil, []BatchUpdate{bu}, 0)
+		replies[bu.First], stamps[i] = w.Bytes(), bu.Stamp
+	}
+	sl := NewSlave(SlaveConfig{
+		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
+		MasterAddr: "master", MasterPubs: []cryptoutil.PublicKey{master.Public},
+	}, s, replies, store.New())
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Go(func() {
+		for _, stamp := range stamps {
+			if _, err := announce(sl, stamp); err != nil {
+				b.Error(err)
+				return
+			}
+			s.Sleep(time.Millisecond) // the fetch runs
+		}
+	})
+	s.Run()
+	b.StopTimer()
+	if got := sl.Version(); got != uint64(b.N)*n {
+		b.Fatalf("slave at version %d after %d batches", got, b.N)
+	}
+}
+
+// replyByFrom answers each m.sync with the reply kept for the version it
+// asks from.
+type replyByFrom map[uint64][]byte
+
+func (d replyByFrom) CallTimeout(_, _ string, body []byte, _ time.Duration) ([]byte, error) {
+	return d[wire.NewReader(body).Uvarint()], nil
 }
