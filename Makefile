@@ -32,6 +32,10 @@
 #                     and mixed and three of write-waves over loopback
 #                     TCP, each of which must end correct with no failed
 #                     operation.
+#   make check-records — regenerate BENCH_sim.json and BENCH_matrix.json
+#                     into a temporary directory and compare each with
+#                     the committed file: any difference is printed and
+#                     fails the target. Nothing in the tree is written.
 #   make loc        — non-test lines per internal/ package (the figure
 #                     CHANGES.md and ROADMAP.md quote).
 #   make profile    — run the E18 hot-path experiment under the CPU and
@@ -45,7 +49,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint check-tests race bench-sim bench-matrix bench-smoke fuzz-smoke check-readme bench profile profile-read loc
+.PHONY: verify build vet lint check-tests race bench-sim bench-matrix check-records bench-smoke fuzz-smoke check-readme bench profile profile-read loc
 
 verify: build vet lint check-tests race bench-sim bench-matrix fuzz-smoke check-readme bench-smoke
 
@@ -119,6 +123,20 @@ bench-sim:
 bench-matrix:
 	$(GO) run ./cmd/replsim -matrix -matrixout BENCH_matrix.json
 	@echo "wrote BENCH_matrix.json"
+
+# Both records, regenerated where the tree does not see them and compared
+# byte for byte with the committed files: a change that means to leave
+# every virtual-time figure alone proves it here.
+check-records:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/replsim -all -json > "$$tmp/BENCH_sim.json" && \
+	$(GO) run ./cmd/replsim -matrix -matrixout "$$tmp/BENCH_matrix.json" > /dev/null && \
+	status=0 && \
+	for f in BENCH_sim.json BENCH_matrix.json; do \
+		if cmp -s "$$f" "$$tmp/$$f"; then echo "check-records: $$f matches a fresh run"; \
+		else echo "check-records: $$f differs from a fresh run:"; diff "$$f" "$$tmp/$$f"; status=1; fi; \
+	done; \
+	exit $$status
 
 # The real-clock benchmark lives in its own module: vet and test it, then
 # run the read path and the write path end to end, briefly. Each run

@@ -38,44 +38,44 @@ var seededBugs = []struct {
 	// its checks dropped: what it returns is reported.
 	{
 		name: "one rule without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/types.go",
-		from: "\tif hit, err = stamps.verifyStamp(&bu.Stamp, trusted); err != nil {\n\t\treturn b, false, err\n\t}\n",
-		at:   "\treturn openedBatch{BatchUpdate: bu, ops: decoded}, hit, nil\n",
+		from: "\tif err = stamps.verifyStamp(&bu.Stamp, trusted, m); err != nil {\n\t\treturn b, err\n\t}\n",
+		at:   "\treturn openedBatch{BatchUpdate: bu, ops: decoded}, nil\n",
 	},
 	{
 		name: "one rule without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/types.go",
-		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn b, false, err\n\t}\n",
-		at:   "\treturn openedBatch{BatchUpdate: bu, ops: decoded}, hit, nil\n",
+		from: "\tif err := bu.VerifyMembers(); err != nil {\n\t\treturn b, err\n\t}\n",
+		at:   "\treturn openedBatch{BatchUpdate: bu, ops: decoded}, nil\n",
 	},
 	// A consumer that reads its batch with a rule of its own, missing one
 	// check, instead of opening it through the one rule: the batch is
 	// reported where it is applied, installed or handed back as verified.
 	{
 		name: "slave keep-alive without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\tif _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {\n\t\treturn nil, err\n\t}\n",
+		from: "\tif err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, nil); err != nil {\n\t\treturn nil, err\n\t}\n",
 		at:   "\t_, _ = s.adoptTransferLocked(&stateTransfer{snapStamp: stamp})\n",
 	},
 	{
 		name: "WAL replay without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tb, _, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
+		from: "\tb, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil, nil)\n",
 		to:   "\tbu, err := decodeBatchEntry(r)\n\tif err == nil {\n\t\terr = bu.Stamp.Verify([]cryptoutil.PublicKey{m.cfg.Keys.Public})\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})",
 	},
 	{
 		name: "WAL replay without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/durable.go",
-		from: "\tb, _, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)\n",
+		from: "\tb, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil, nil)\n",
 		to:   "\tbu, err := decodeBatchEntry(r)\n\tif err == nil {\n\t\terr = bu.VerifyMembers()\n\t}\n\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{b}, anchor: seq})",
 	},
 	{
 		name: "state transfer without VerifyMembers", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\tb, hit, err := openBatch(r, trusted, stamps)\n",
-		to:   "\t\tbu, err := decodeBatchEntry(r)\n\t\thit, _ := stamps.verifyStamp(&bu.Stamp, trusted)\n\t\tb := openedBatch{BatchUpdate: bu}\n",
+		from: "\t\tb, err := openBatch(r, trusted, stamps, m)\n",
+		to:   "\t\tbu, err := decodeBatchEntry(r)\n\t\t_ = stamps.verifyStamp(&bu.Stamp, trusted, m)\n\t\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "\treturn st, nil\n}\n\n// stamp is",
 	},
 	{
 		name: "state transfer without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/statetransfer.go",
-		from: "\t\tb, hit, err := openBatch(r, trusted, stamps)\n",
-		to:   "\t\tbu, err := decodeBatchEntry(r)\n\t\thit := bu.VerifyMembers() == nil\n\t\tb := openedBatch{BatchUpdate: bu}\n",
+		from: "\t\tb, err := openBatch(r, trusted, stamps, m)\n",
+		to:   "\t\tbu, err := decodeBatchEntry(r)\n\t\t_ = bu.VerifyMembers()\n\t\tb := openedBatch{BatchUpdate: bu}\n",
 		at:   "\treturn st, nil\n}\n\n// stamp is",
 	},
 }

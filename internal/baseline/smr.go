@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/query"
@@ -56,7 +55,8 @@ type SMRReplicaConfig struct {
 // SMRReplica executes reads and writes on its own replica of the content.
 // Every reply is signed (quorum protocols authenticate replies).
 type SMRReplica struct {
-	cfg SMRReplicaConfig
+	cfg   SMRReplicaConfig
+	meter *cryptoutil.Meter
 
 	mu    sync.Mutex
 	store *store.Store
@@ -65,7 +65,7 @@ type SMRReplica struct {
 
 // NewSMRReplica creates a replica over the initial content (cloned).
 func NewSMRReplica(cfg SMRReplicaConfig, initial *store.Store) *SMRReplica {
-	return &SMRReplica{cfg: cfg, store: initial.Clone()}
+	return &SMRReplica{cfg: cfg, meter: cryptoutil.NewMeter(cfg.CPU, cfg.Costs), store: initial.Clone()}
 }
 
 // Reads returns the number of read executions performed.
@@ -103,15 +103,15 @@ func (r *SMRReplica) handleRead(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	chargeCPU(r.cfg.CPU, r.cfg.Costs.QueryCost(res.Scanned))
+	r.meter.Exec(res.Scanned, false)
 	payload := res.Payload
 	if r.cfg.Lie != nil {
 		payload = r.cfg.Lie(payload)
 	}
-	chargeCPU(r.cfg.CPU, r.cfg.Costs.HashCost(len(payload)))
-	chargeCPU(r.cfg.CPU, r.cfg.Costs.Sign) // authenticated reply
+	r.meter.Hash(len(payload))
+	r.meter.Sign() // authenticated reply
 	sig := r.cfg.Keys.Sign(payload)
-	chargeCPU(r.cfg.CPU, r.cfg.Costs.SendReply)
+	r.meter.Reply()
 
 	w := wire.NewWriter(len(payload) + 80)
 	w.Bytes_(payload)
@@ -132,7 +132,7 @@ func (r *SMRReplica) handleWrite(body []byte) ([]byte, error) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	chargeCPU(r.cfg.CPU, r.cfg.Costs.QueryBase)
+	r.meter.Apply(1)
 	return nil, r.store.Apply(op)
 }
 
@@ -251,10 +251,4 @@ func (c *SMRClient) Read(q query.Query) ([]byte, error) {
 	c.stats.QuorumShortfall++
 	c.mu.Unlock()
 	return nil, fmt.Errorf("baseline: no f+1 quorum on read result")
-}
-
-func chargeCPU(cpu *sim.Resource, d time.Duration) {
-	if cpu != nil && d > 0 {
-		cpu.Use(d)
-	}
 }

@@ -64,7 +64,8 @@ func (s *SignedRoot) Verify(owner cryptoutil.PublicKey) error {
 // forge values (proofs would fail) but could serve stale or absent data;
 // freshness is outside this baseline's scope, as in the cited systems.
 type SSStorage struct {
-	cfg SSStorageConfig
+	cfg   SSStorageConfig
+	meter *cryptoutil.Meter
 
 	mu     sync.Mutex
 	tree   *merkle.Tree
@@ -81,7 +82,7 @@ type SSStorageConfig struct {
 
 // NewSSStorage builds storage over a snapshot and its signed root.
 func NewSSStorage(cfg SSStorageConfig, snapshot *store.Store, root SignedRoot) *SSStorage {
-	return &SSStorage{cfg: cfg, tree: BuildTree(snapshot), root: root}
+	return &SSStorage{cfg: cfg, meter: cryptoutil.NewMeter(cfg.CPU, cfg.Costs), tree: BuildTree(snapshot), root: root}
 }
 
 // BuildTree constructs the Merkle tree over a content snapshot in key
@@ -138,8 +139,8 @@ func (s *SSStorage) Handle(from, method string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	chargeCPU(s.cfg.CPU, s.cfg.Costs.QueryBase)
-	chargeCPU(s.cfg.CPU, s.cfg.Costs.HashCost(len(entry.Value)))
+	s.meter.Exec(0, false) // a point lookup, priced at a query's base
+	s.meter.Hash(len(entry.Value))
 	w.Bool(true)
 	w.String_(entry.Key)
 	w.Bytes_(entry.Value)
@@ -174,7 +175,8 @@ func DecodeSignedRoot(r *wire.Reader) (SignedRoot, error) {
 // the state-signing design (§5: "dynamic queries on the data need to be
 // executed on trusted hosts").
 type SSTrusted struct {
-	cfg SSStorageConfig
+	cfg   SSStorageConfig
+	meter *cryptoutil.Meter
 
 	mu      sync.Mutex
 	replica *store.Store
@@ -183,7 +185,7 @@ type SSTrusted struct {
 
 // NewSSTrusted creates the trusted query host over the content.
 func NewSSTrusted(cfg SSStorageConfig, snapshot *store.Store) *SSTrusted {
-	return &SSTrusted{cfg: cfg, replica: snapshot.Clone()}
+	return &SSTrusted{cfg: cfg, meter: cryptoutil.NewMeter(cfg.CPU, cfg.Costs), replica: snapshot.Clone()}
 }
 
 // Execs returns the number of dynamic queries executed on trusted CPU.
@@ -214,8 +216,8 @@ func (t *SSTrusted) Handle(from, method string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	chargeCPU(t.cfg.CPU, t.cfg.Costs.QueryCost(res.Scanned))
-	chargeCPU(t.cfg.CPU, t.cfg.Costs.SendReply)
+	t.meter.Exec(res.Scanned, false)
+	t.meter.Reply()
 	return res.Payload, nil
 }
 

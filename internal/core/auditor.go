@@ -80,6 +80,7 @@ type Auditor struct {
 	rng *rand.Rand
 
 	bcast *broadcast.Member
+	meter *cryptoutil.Meter
 
 	mu       sync.Mutex
 	views    []view          // guarded by mu; by version; the last is the newest content applied
@@ -101,6 +102,7 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		views:    []view{{content: initial.Clone(), answers: make(map[string]cryptoutil.Digest)}},
 		detected: make(map[string]bool),
 		masterV:  initial.Version(), // ordered writes continue from the initial content version
+		meter:    cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
@@ -224,7 +226,7 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 		}
 		pledges = append(pledges, p)
 	}
-	var cost time.Duration // the modelled CPU the answers and checks took
+	tab := a.meter.Tab() // the answers and checks, paid after the unlock
 	vouch := true
 	a.mu.Lock()
 	now := a.rt.Now()
@@ -239,15 +241,14 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 			a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
 			vouch = false
 		default:
-			right, c := a.settleLocked(&pledges[i], now)
-			vouch, cost = vouch && right, cost+c
+			vouch = a.settleLocked(&pledges[i], now, tab) && vouch
 		}
 	}
 	if vouch {
 		a.stats.PledgesVouched += uint64(len(pledges))
 	}
 	a.mu.Unlock()
-	chargeCPU(a.cfg.CPU, cost)
+	tab.Pay()
 	if vouch {
 		return pledgeVouch, nil
 	}
@@ -256,32 +257,32 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 
 // settleLocked audits a frame at a delivered version V against the
 // content at exactly V, applying held batches up to V first, and reports
-// whether it was right, with the modelled CPU that took; with no view at
-// V it is late. A right pledge is never presented to anyone, so nobody
+// whether it was right, pricing the work on tab; with no view at V it is
+// late. A right pledge is never presented to anyone, so nobody
 // checks who signed it. One that disagrees, or names a query that does
 // not decode or execute, has its signature verified: a forged one can
 // frame nobody and is dropped; a signed one is a lie, and the first of
 // each slave is marked detected, and reported on a task of its own, so no
 // a.pledge reply waits on the report's RPC. Caller holds a.mu.
-func (a *Auditor) settleLocked(p *Pledge, now time.Time) (bool, time.Duration) {
+func (a *Auditor) settleLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) bool {
 	a.applyLocked(p.Stamp.Version)
 	w := a.viewLocked(p.Stamp.Version, now)
 	if w == nil {
 		a.stats.PledgesLate++
-		return false, 0
+		return false
 	}
-	correct, hit, cost, ok := w.answer(p.QueryBytes, a.cfg.Params.Costs)
+	correct, hit, ok := w.answer(p.QueryBytes, tab)
 	if hit {
 		a.stats.CacheHits++
 	}
 	if ok && correct.Equal(p.ResultHash) {
 		a.stats.PledgesAudited++
-		return true, cost
+		return true
 	}
-	cost += a.cfg.Params.Costs.VerifySig
+	tab.Verify()
 	if err := p.VerifySig(); err != nil {
 		a.stats.PledgesBadSig++
-		return false, cost
+		return false
 	}
 	a.stats.PledgesAudited++
 	a.stats.Mismatches++
@@ -291,29 +292,31 @@ func (a *Auditor) settleLocked(p *Pledge, now time.Time) (bool, time.Duration) {
 		proven := provenPledge{*p}
 		a.rt.Spawn(func() { a.report(proven) })
 	}
-	return false, cost
+	return false
 }
 
 // answer returns the view's result hash for a pledged query, from its
-// cache or by executing and caching it; ok is false for a query that does
-// not decode or execute, and cost is the modelled CPU the answer took.
-// Unlike a slave, the auditor signs nothing and replies to no client
-// (§3.4).
-func (w *view) answer(queryBytes []byte, costs cryptoutil.CostModel) (correct cryptoutil.Digest, hit bool, cost time.Duration, ok bool) {
+// cache or by executing and caching it, and prices that on tab; ok is
+// false for a query that does not decode or execute. Unlike a slave, the
+// auditor signs nothing and replies to no client (§3.4).
+func (w *view) answer(queryBytes []byte, tab *cryptoutil.Meter) (correct cryptoutil.Digest, hit bool, ok bool) {
 	if correct, hit = w.answers[string(queryBytes)]; hit {
-		return correct, true, costs.CacheLookup, true
+		tab.MemoHit()
+		return correct, true, true
 	}
 	q, err := query.Decode(queryBytes)
 	if err != nil {
-		return correct, false, 0, false
+		return correct, false, false
 	}
 	res, err := q.Execute(w.content)
 	if err != nil {
-		return correct, false, 0, false
+		return correct, false, false
 	}
 	correct = res.Digest()
 	w.answers[string(queryBytes)] = correct
-	return correct, false, costs.QueryCost(res.Scanned) + costs.HashCost(len(res.Payload)), true
+	tab.Exec(res.Scanned, false)
+	tab.Hash(len(res.Payload))
+	return correct, false, true
 }
 
 // headLocked returns the newest content applied. Caller holds a.mu.
@@ -370,14 +373,13 @@ func (a *Auditor) applyLoop() {
 		}
 		a.applyLocked(a.masterV)
 		now := a.rt.Now()
-		var cost time.Duration
+		tab := a.meter.Tab()
 		waiting := a.pending[:0]
 		for i := range a.pending {
 			if a.pending[i].Stamp.Version > a.masterV {
 				waiting = append(waiting, a.pending[i])
 			} else {
-				_, c := a.settleLocked(&a.pending[i], now)
-				cost += c
+				a.settleLocked(&a.pending[i], now, tab)
 			}
 		}
 		clear(a.pending[len(waiting):])
@@ -387,7 +389,7 @@ func (a *Auditor) applyLoop() {
 			a.views = a.views[1:]
 		}
 		a.mu.Unlock()
-		chargeCPU(a.cfg.CPU, cost)
+		tab.Pay()
 		if a.rt.Sleep(a.cfg.Params.KeepAliveEvery) != nil {
 			return
 		}
@@ -407,7 +409,7 @@ type provenPledge struct{ p Pledge }
 // next lie is reported again.
 func (a *Auditor) report(proven provenPledge) {
 	pledgeBytes := EncodePledge(proven.p)
-	chargeCPU(a.cfg.CPU, a.cfg.Params.Costs.Sign) // the one signature the auditor ever makes
+	a.meter.Sign() // the one signature the auditor ever makes
 	sig := a.cfg.Keys.Sign(pledgeBytes)
 	w := wire.NewWriter(len(pledgeBytes) + 80)
 	w.Bytes_(pledgeBytes)

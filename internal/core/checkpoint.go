@@ -84,8 +84,8 @@ type ckptSnapshot struct {
 // signed here: for a snapshot-first sync, at a durable truncation, after
 // a catch-up.
 func (m *Master) signSnapshot(snap *ckptSnapshot) *ckptSnapshot {
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(snap.bytes)))
+	m.meter.Sign()
+	m.meter.Hash(len(snap.bytes))
 	snap.stamp = SignStampWithOp(m.cfg.Keys, snap.version, m.rt.Now(), snap.bytes)
 	return snap
 }

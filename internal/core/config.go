@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/pki"
-	"repro/internal/sim"
 )
 
 // RPC method names used by the protocol. Masters additionally route the
@@ -88,24 +87,6 @@ func DefaultParams() Params {
 		GreedyMinBurst: 20,
 		Costs:          cryptoutil.DefaultCosts(),
 	}
-}
-
-// chargeCPU runs d of work on the node's CPU resource, if one is
-// configured (simulation); otherwise it is free (real deployments pay
-// real CPU instead).
-func chargeCPU(cpu *sim.Resource, d time.Duration) {
-	if cpu != nil && d > 0 {
-		cpu.Use(d)
-	}
-}
-
-// chargeMemoised charges work a memo can spare (a signature operation, a
-// query's scan): full, or a cache lookup when a hit made it unnecessary.
-func chargeMemoised(cpu *sim.Resource, costs cryptoutil.CostModel, full time.Duration, hit bool) {
-	if hit {
-		full = costs.CacheLookup
-	}
-	chargeCPU(cpu, full)
 }
 
 // DirectoryService is the slice of pki.Directory behaviour the protocol

@@ -78,7 +78,7 @@ func (m *Master) openDurable() error {
 		return err
 	}
 	if data, err := os.ReadFile(m.snapFilePath()); err == nil {
-		st, err := decodeStateTransfer(data, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
+		st, err := decodeStateTransfer(data, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil, nil)
 		if err == nil {
 			_, err = m.adoptTransferLocked(st)
 		}
@@ -116,7 +116,7 @@ func (m *Master) openDurable() error {
 func (m *Master) replayWALRecord(payload []byte) error {
 	r := wire.NewReader(payload)
 	seq := r.Uvarint()
-	b, _, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil)
+	b, err := openBatch(r, []cryptoutil.PublicKey{m.cfg.Keys.Public}, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -224,7 +224,7 @@ func (m *Master) catchUpFrom(peer string) error {
 	m.mu.Unlock()
 
 	// No stamp memo: a catch-up is rare and verifies each stamp once.
-	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.cfg.CPU, subjects(masters), nil)
+	st, err := fetchStateTransfer(m.dlr, peer, from, m.cfg.Params, m.meter, subjects(masters), nil)
 	if err != nil {
 		return err
 	}

@@ -98,7 +98,7 @@ func TestDurableRestartReplaysWAL(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if file, err = decodeStateTransfer(data, []cryptoutil.PublicKey{c.masterCfgs[0].Keys.Public}, nil); err != nil {
+				if file, err = decodeStateTransfer(data, []cryptoutil.PublicKey{c.masterCfgs[0].Keys.Public}, nil, nil); err != nil {
 					t.Fatalf("snapshot file is not an m.sync reply: %v", err)
 				}
 				if file.snap == nil || len(file.batches) != 0 || file.snap.Version() != wantV || file.anchor == 0 {
@@ -522,7 +522,7 @@ func TestStalledCheckpointSyncServesCurrentState(t *testing.T) {
 		base, wantV, wantD = m.BaseVersion(), m.Version(), m.StateDigest()
 		body, err := m.Handle("probe", MethodSync, wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(base) }))
 		if err == nil {
-			st, err = decodeStateTransfer(body, []cryptoutil.PublicKey{c.masterCfgs[0].Keys.Public}, nil)
+			st, err = decodeStateTransfer(body, []cryptoutil.PublicKey{c.masterCfgs[0].Keys.Public}, nil, nil)
 		}
 		if err != nil {
 			t.Errorf("sync from the base: %v", err)

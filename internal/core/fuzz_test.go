@@ -85,7 +85,7 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 	now := time.Unix(1, 0)
 	open := func(entry []byte) (openedBatch, error) {
 		r := wire.NewReader(entry)
-		b, _, err := openBatch(r, trusted, nil)
+		b, err := openBatch(r, trusted, nil, nil)
 		if err != nil {
 			return b, err
 		}
@@ -550,7 +550,7 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 		return p.encode()
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := decodeStateTransfer(data, trusted, nil)
+		st, err := decodeStateTransfer(data, trusted, nil, nil)
 		if err != nil {
 			if st != nil {
 				t.Fatal("a refused reply still handed its contents back")
@@ -568,7 +568,7 @@ func FuzzDecodeStateTransfer(f *testing.F) {
 			t.Fatalf("%d batches and %d ops out of %d bytes", len(st.batches), ops, len(data))
 		}
 		enc := encode(st)
-		again, err := decodeStateTransfer(enc, trusted, nil)
+		again, err := decodeStateTransfer(enc, trusted, nil, nil)
 		if err != nil {
 			t.Fatalf("re-encoded reply is refused: %v", err)
 		}

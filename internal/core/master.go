@@ -161,6 +161,7 @@ type Master struct {
 	rng *rand.Rand
 
 	bcast *broadcast.Member
+	meter *cryptoutil.Meter
 
 	mu          sync.Mutex
 	store       *store.Store                 // guarded by mu
@@ -222,6 +223,7 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		excluded:     make(map[string]bool),
 		lastTruncate: rt.Now(),
 		greedy:       newGreedyTracker(cfg.Params),
+		meter:        cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
@@ -493,8 +495,8 @@ func (m *Master) admitWave(body []byte) ([][]byte, error) {
 		return nil, fmt.Errorf("core: empty write wave")
 	}
 	// What grows with the wave is the hashing of the signed body.
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(body)))
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
+	m.meter.Hash(len(body))
+	m.meter.Verify()
 	if ww.VerifySig() != nil {
 		return nil, fmt.Errorf("%w: bad signature", ErrDenied)
 	}
@@ -879,11 +881,9 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 	for _, op := range raw {
 		opBytesTotal += len(op)
 	}
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign) // once per batch
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(opBytesTotal))
-	for range ops {
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryBase) // apply cost
-	}
+	m.meter.Sign() // once per batch
+	m.meter.Hash(opBytesTotal)
+	m.meter.Apply(len(ops))
 
 	// Durability before acknowledgement: the batch's record reaches the
 	// WAL and stable storage before any wave is answered, so an acked
@@ -1035,15 +1035,15 @@ func (m *Master) handleCheck(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	chargeMemoised(m.cfg.CPU, m.cfg.Params.Costs, m.cfg.Params.Costs.QueryCost(res.Scanned), hit)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.HashCost(len(res.Payload)))
+	m.meter.Exec(res.Scanned, hit)
+	m.meter.Hash(len(res.Payload))
 	digest := res.Digest()
 
 	w := wire.NewWriter(64 + len(res.Payload))
 	w.Uvarint(version)
 	w.Bytes_(digest[:])
 	if wantPayload {
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
+		m.meter.Reply()
 		w.Bool(true)
 		w.Bytes_(res.Payload)
 	} else {
@@ -1065,7 +1065,7 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
+	m.meter.Verify()
 	if err := pledge.VerifySig(); err != nil {
 		return nil, err // a forged pledge can never frame a slave (§3.3)
 	}
@@ -1081,14 +1081,14 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 	m.mu.Unlock()
 
 	if atVersion {
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.QueryBase)
+		m.meter.Exec(0, false) // the re-execution, priced at a query's base
 	}
 	if !proven && len(auditorSig) > 0 &&
 		cryptoutil.Verify(m.cfg.AuditorPub, pledgeBytes, auditorSig) == nil {
 		// The auditor re-executed at the correct version; it is a trusted
 		// server and its signature authenticates the report (the pledge
 		// itself remains the evidence of record).
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
+		m.meter.Verify()
 		proven = true
 	}
 	if !proven {
@@ -1101,7 +1101,7 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 	// so the frame carries this master's key and its signature over the
 	// evidence.
 	evidence := EncodePledge(pledge)
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	m.meter.Sign()
 	sig := m.cfg.Keys.Sign(excludeSignedBytes(evidence))
 	msg := wire.EncodeFrame(func(w *wire.Writer) {
 		w.Byte(bcExclude)
@@ -1167,7 +1167,7 @@ func (m *Master) applyExclude(r *wire.Reader) {
 	}
 
 	// Record the signed exclusion with the directory (evidence attached).
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	m.meter.Sign()
 	excl := pki.Exclusion{
 		Subject:  pledge.SlavePub,
 		Reason:   "pledged result hash does not match trusted re-execution",
@@ -1212,7 +1212,7 @@ func (m *Master) reassignClientsOf(slaveAddr string, excl pki.Exclusion) {
 		w := wire.NewWriter(512)
 		excl.Encode(w)
 		repl[0].Encode(w)
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
+		m.meter.Reply()
 		m.dlr.CallTimeout(c.addr, MethodNotify, w.Bytes(), m.cfg.Params.ReadTimeout)
 		m.mu.Lock()
 		m.stats.ClientsNotified++
@@ -1282,7 +1282,7 @@ func (m *Master) sendKeepAlives(slaves []pki.Certificate) {
 	m.mu.Lock()
 	version := m.ackedVersionLocked()
 	m.mu.Unlock()
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	m.meter.Sign()
 	m.fanOut(slaves, SignStamp(m.cfg.Keys, version, m.rt.Now()))
 }
 
@@ -1422,7 +1422,7 @@ func (m *Master) applyAdopt(r *wire.Reader) {
 
 // retraction signs a directory retraction of kind for subject, dated now.
 func (m *Master) retraction(kind string, subject cryptoutil.PublicKey) pki.Retraction {
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.Sign)
+	m.meter.Sign()
 	r := pki.Retraction{Kind: kind, Subject: subject, At: m.rt.Now()}
 	r.Sign(m.cfg.Keys)
 	return r
@@ -1435,7 +1435,7 @@ func (m *Master) retraction(kind string, subject cryptoutil.PublicKey) pki.Retra
 // reopen the forged-frame hole, and a later report of the same slave (a
 // client's double-check catch) broadcasts it again.
 func (m *Master) verifyExcludeOrigin(evidence []byte, origin cryptoutil.PublicKey, sig []byte) error {
-	chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.VerifySig)
+	m.meter.Verify()
 	if err := cryptoutil.Verify(origin, excludeSignedBytes(evidence), sig); err != nil {
 		return err
 	}

@@ -126,7 +126,7 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 	t.Run("repeat hits, and costs a lookup in virtual time", func(t *testing.T) {
 		r := newSlaveRig(t, Honest{})
 		cpu := r.s.NewResource("slave", 1)
-		r.slave.cfg.CPU = cpu
+		r.slave.meter = cryptoutil.NewMeter(cpu, r.slave.cfg.Params.Costs)
 		r.s.Go(func() {
 			r.commitBatch(t, catalogOps(memoCatalog, 100))
 			costs := r.params.Costs
@@ -362,7 +362,7 @@ func TestMasterResultMemoSafety(t *testing.T) {
 		c.Params.GreedyMinBurst = 1 << 30 // the one test client is never flagged as greedy
 	})
 	cpu := r.s.NewResource("master", 1)
-	r.master.cfg.CPU = cpu
+	r.master.meter = cryptoutil.NewMeter(cpu, r.master.cfg.Params.Costs)
 	wouldHit := func(q query.Query) bool {
 		r.master.mu.Lock()
 		defer r.master.mu.Unlock()

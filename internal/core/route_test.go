@@ -521,10 +521,10 @@ func TestCheckpointFrameIsInert(t *testing.T) {
 		c.Directory = d
 	})
 	cpu := r.s.NewResource("master/cpu", 1)
-	r.master.cfg.CPU = cpu
+	r.master.meter = cryptoutil.NewMeter(cpu, r.master.cfg.Params.Costs)
 	a := newAuditorRig(t, func(c *AuditorConfig) { c.MasterPubs = []cryptoutil.PublicKey{r.master.PublicKey()} })
 	audCPU := a.s.NewResource("auditor/cpu", 1)
-	a.auditor.cfg.CPU = audCPU
+	a.auditor.meter = cryptoutil.NewMeter(audCPU, a.auditor.cfg.Params.Costs)
 
 	const writes = checkpointMinRetain + 8 // past the retain window, so a cut would show
 	r.s.Go(func() {

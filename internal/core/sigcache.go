@@ -144,8 +144,10 @@ func (c *sigCache) frontLocked(set, j int) {
 }
 
 // signPledge fills in p.Sig under signer's key: the signature made before
-// when this exact body was signed before (hit), a fresh one otherwise.
-func (c *sigCache) signPledge(p *Pledge, signer *cryptoutil.KeyPair) (hit bool) {
+// when this exact body was signed before (a hit, priced as one), a fresh
+// one otherwise (priced as a signature).
+func (c *sigCache) signPledge(p *Pledge, signer *cryptoutil.KeyPair, m *cryptoutil.Meter) {
+	hit := false
 	wire.Borrow(p.appendSignedBytes, func(body []byte) {
 		if c == nil {
 			p.Sig = signer.Sign(body)
@@ -157,17 +159,20 @@ func (c *sigCache) signPledge(p *Pledge, signer *cryptoutil.KeyPair) (hit bool) 
 			c.insert(key, p.Sig)
 		}
 	})
-	return hit
+	if hit {
+		m.MemoHit()
+	} else {
+		m.Sign()
+	}
 }
 
 // verify checks sig over the signed body that appendBody writes under pub,
-// consulting the memo first. It reports whether the expensive check was
-// skipped (hit == true), so callers charging simulated CPU can charge
-// CacheLookup instead of VerifySig. The body is encoded once, with sig
+// consulting the memo first, and prices on m what that took: a hit, or a
+// full verify whatever its verdict. The body is encoded once, with sig
 // after it: body and sig together are the key, the body alone is what
 // the signature covers.
-func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer), sig []byte) (hit bool, err error) {
-	n := 0
+func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer), sig []byte, m *cryptoutil.Meter) (err error) {
+	n, hit := 0, false
 	wire.Borrow(func(w *wire.Writer) {
 		appendBody(w)
 		n = w.Len()
@@ -185,20 +190,25 @@ func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer
 			c.insert(key, nil)
 		}
 	})
-	return hit, err
+	if hit {
+		m.MemoHit()
+	} else {
+		m.Verify()
+	}
+	return err
 }
 
-// verifyStamp checks the stamp against the trusted master set. Trust is
-// decided on every call; only the signature check is memoised.
-func (c *sigCache) verifyStamp(v *VersionStamp, trusted []cryptoutil.PublicKey) (hit bool, err error) {
+// verifyStamp checks the stamp against the trusted master set, pricing the
+// signature check on m. Trust is decided on every call; only the
+// signature check is memoised.
+func (c *sigCache) verifyStamp(v *VersionStamp, trusted []cryptoutil.PublicKey, m *cryptoutil.Meter) error {
 	if !v.certifiedBy(trusted) {
-		return false, fmt.Errorf("%w: unknown master key", ErrBadStamp)
+		return fmt.Errorf("%w: unknown master key", ErrBadStamp)
 	}
-	hit, err = c.verify(v.MasterPub, v.appendSignedBytes, v.Sig)
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrBadStamp, err)
+	if err := c.verify(v.MasterPub, v.appendSignedBytes, v.Sig, m); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadStamp, err)
 	}
-	return hit, nil
+	return nil
 }
 
 // stats returns the hit/miss counters.

@@ -102,6 +102,24 @@ func TestSigCachePledgeSafety(t *testing.T) {
 	}
 }
 
+// hitBy reports whether the memo c answered the lookup that run makes.
+func hitBy(c *sigCache, run func()) bool {
+	if c == nil {
+		run()
+		return false
+	}
+	before, _ := c.stats()
+	run()
+	after, _ := c.stats()
+	return after > before
+}
+
+// verifyStampHit is c.verifyStamp, reporting whether the memo answered it.
+func verifyStampHit(c *sigCache, v *VersionStamp, trusted []cryptoutil.PublicKey) (hit bool, err error) {
+	hit = hitBy(c, func() { err = c.verifyStamp(v, trusted, nil) })
+	return hit, err
+}
+
 // TestSigCacheStampSafety is the same for stamps, plus the point that
 // trust in the master key is decided on every call, outside the cache.
 func TestSigCacheStampSafety(t *testing.T) {
@@ -131,11 +149,11 @@ func TestSigCacheStampSafety(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newSigCache(stampMemoSize)
-			if hit, err := c.verifyStamp(&f.stamp, trusted); hit || err != nil {
+			if hit, err := verifyStampHit(c, &f.stamp, trusted); hit || err != nil {
 				t.Fatalf("priming verify: hit=%v err=%v", hit, err)
 			}
 			v := tc.stamp()
-			hit, err := c.verifyStamp(&v, tc.trusted)
+			hit, err := verifyStampHit(c, &v, tc.trusted)
 			if hit != tc.wantHit || (err != nil) != tc.wantErr {
 				t.Fatalf("hit=%v err=%v, want hit=%v err=%v", hit, err, tc.wantHit, tc.wantErr)
 			}
@@ -152,7 +170,7 @@ func TestSigCacheNilVerifiesWithoutMemoising(t *testing.T) {
 	f := newCacheFixture()
 	trusted := []cryptoutil.PublicKey{f.master.Public}
 	for i := 0; i < 2; i++ {
-		if hit, err := (*sigCache)(nil).verifyStamp(&f.stamp, trusted); hit || err != nil {
+		if hit, err := verifyStampHit(nil, &f.stamp, trusted); hit || err != nil {
 			t.Fatalf("nil cache: hit=%v err=%v", hit, err)
 		}
 	}
@@ -289,7 +307,7 @@ func TestSigCacheBounded(t *testing.T) {
 			f := newCacheFixture()
 			trusted := []cryptoutil.PublicKey{f.master.Public}
 			for round, wantHit := range []bool{false, true} {
-				if hit, err := c.verifyStamp(&f.stamp, trusted); hit != wantHit || err != nil {
+				if hit, err := verifyStampHit(c, &f.stamp, trusted); hit != wantHit || err != nil {
 					t.Fatalf("stamp through a full memo, round %d: hit=%v err=%v", round, hit, err)
 				}
 			}
@@ -307,9 +325,9 @@ func TestSigCacheHitAllocs(t *testing.T) {
 	f := newCacheFixture()
 	trusted := []cryptoutil.PublicKey{f.master.Public}
 	c := newSigCache(stampMemoSize)
-	c.verifyStamp(&f.stamp, trusted)
+	c.verifyStamp(&f.stamp, trusted, nil)
 	if n := testing.AllocsPerRun(200, func() {
-		if hit, err := c.verifyStamp(&f.stamp, trusted); !hit || err != nil {
+		if hit, err := verifyStampHit(c, &f.stamp, trusted); !hit || err != nil {
 			t.Fatalf("stamp: hit=%v err=%v", hit, err)
 		}
 	}); n != 0 {
@@ -648,7 +666,7 @@ func BenchmarkPledgeSignMiss(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Stamp.Version = uint64(i) // every iteration pays key + sign + insert
-		if s.pledges.signPledge(&p, f.slave) {
+		if hitBy(s.pledges, func() { s.pledges.signPledge(&p, f.slave, nil) }) {
 			b.Fatal("hit")
 		}
 	}
@@ -658,11 +676,11 @@ func BenchmarkPledgeSignHit(b *testing.B) {
 	f := newCacheFixture()
 	s := benchSlave(f)
 	p := f.pledge
-	s.pledges.signPledge(&p, f.slave)
+	s.pledges.signPledge(&p, f.slave, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.pledges.signPledge(&p, f.slave) {
+		if !hitBy(s.pledges, func() { s.pledges.signPledge(&p, f.slave, nil) }) {
 			b.Fatal("miss")
 		}
 	}

@@ -76,6 +76,7 @@ type Slave struct {
 
 	stamps  *sigCache // verified-stamp cache (amortizes repeat Verify)
 	pledges *sigCache // signed-pledge table (amortizes repeat Sign)
+	meter   *cryptoutil.Meter
 }
 
 // NewSlave creates a slave over an initial content replica (cloned).
@@ -91,6 +92,7 @@ func NewSlave(cfg SlaveConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.St
 		store:   initial.Clone(),
 		stamps:  newSigCache(stampMemoSize),
 		pledges: newSigCache(pledgeSignMemoSize),
+		meter:   cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
 	}
 }
 
@@ -153,7 +155,7 @@ func (s *Slave) Bootstrap() error {
 	s.mu.Lock()
 	masterAddr := s.cfg.MasterAddr
 	s.mu.Unlock()
-	st, err := fetchStateTransfer(s.dlr, masterAddr, 0, s.cfg.Params, s.cfg.CPU, s.cfg.MasterPubs, s.stamps)
+	st, err := fetchStateTransfer(s.dlr, masterAddr, 0, s.cfg.Params, s.meter, s.cfg.MasterPubs, s.stamps)
 	if err != nil {
 		return err
 	}
@@ -188,7 +190,7 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if _, err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs); err != nil {
+	if err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, nil); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -307,7 +309,7 @@ func (s *Slave) syncFrom(masterAddr string) error {
 	for {
 		from := s.store.Version() + 1
 		s.mu.Unlock()
-		st, err := fetchStateTransfer(s.dlr, masterAddr, from, s.cfg.Params, s.cfg.CPU, s.cfg.MasterPubs, s.stamps)
+		st, err := fetchStateTransfer(s.dlr, masterAddr, from, s.cfg.Params, s.meter, s.cfg.MasterPubs, s.stamps)
 		s.mu.Lock()
 		applied := 0
 		if err == nil {
@@ -440,8 +442,7 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	costs := s.cfg.Params.Costs
-	chargeMemoised(s.cfg.CPU, costs, costs.QueryCost(res.Scanned), hit)
+	s.meter.Exec(res.Scanned, hit)
 
 	// The memo holds honest answers only and was consulted first: whether
 	// to lie is decided on every read, and a lie is hashed and signed as
@@ -452,14 +453,14 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 		payload = corrupted
 		lied = true
 	}
-	chargeCPU(s.cfg.CPU, costs.HashCost(len(payload)))
+	s.meter.Hash(len(payload))
 	hash := cryptoutil.HashBytes(payload)
 
 	// Signed once per distinct (query, result hash, version): a repeat gets
 	// those bytes again beside the current stamp; a lie has its own hash.
 	pledge := Pledge{QueryBytes: queryBytes, ResultHash: hash, Stamp: stamp, SlavePub: s.cfg.Keys.Public}
-	chargeMemoised(s.cfg.CPU, costs, costs.Sign, s.pledges.signPledge(&pledge, s.cfg.Keys))
-	chargeCPU(s.cfg.CPU, costs.SendReply)
+	s.pledges.signPledge(&pledge, s.cfg.Keys, s.meter)
+	s.meter.Reply()
 
 	s.mu.Lock()
 	s.stats.ReadsServed++

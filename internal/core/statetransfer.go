@@ -36,11 +36,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cryptoutil"
 	"repro/internal/rpc"
-	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -57,8 +55,6 @@ type stateTransfer struct {
 	snapStamp VersionStamp
 	batches   []openedBatch
 	anchor    uint64
-
-	sigHits, sigMisses int // stamp signatures found in the memo / checked in full
 }
 
 // encodeStateTransfer appends the reply to w; snap is nil for batches only.
@@ -80,21 +76,22 @@ func encodeStateTransfer(w *wire.Writer, snap *ckptSnapshot, batches []BatchUpda
 // verifySnapshot checks a state snapshot against the stamp that travels
 // with it: the stamp is signed by a trusted master, its digest is the hash
 // of exactly these bytes, and the state they decode to is at the stamp's
-// version.
-func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.PublicKey, stamps *sigCache) (st *store.Store, hit bool, err error) {
-	if hit, err = stamps.verifyStamp(stamp, trusted); err != nil {
-		return nil, false, err
+// version. It prices the stamp check and the hash on m.
+func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.PublicKey, stamps *sigCache, m *cryptoutil.Meter) (st *store.Store, err error) {
+	if err = stamps.verifyStamp(stamp, trusted, m); err != nil {
+		return nil, err
 	}
+	m.Hash(len(snapBytes))
 	if !stamp.AuthenticatesOp(snapBytes) {
-		return nil, false, fmt.Errorf("%w: stamp does not authenticate the snapshot", ErrBadStamp)
+		return nil, fmt.Errorf("%w: stamp does not authenticate the snapshot", ErrBadStamp)
 	}
 	if st, err = store.DecodeSnapshot(snapBytes); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	if st.Version() != stamp.Version {
-		return nil, false, fmt.Errorf("%w: snapshot at version %d under a stamp for %d", ErrBadStamp, st.Version(), stamp.Version)
+		return nil, fmt.Errorf("%w: snapshot at version %d under a stamp for %d", ErrBadStamp, st.Version(), stamp.Version)
 	}
-	return st, hit, nil
+	return st, nil
 }
 
 // decodeStateTransfer parses an m.sync reply and verifies all of it
@@ -102,16 +99,10 @@ func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.
 // snapshot (verifySnapshot), every batch by the one rule (openBatch), and
 // that the batches are contiguous and the first continues the snapshot.
 // An unknown mode byte, a batch count larger than the bytes that follow
-// it and trailing bytes are refused.
-func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *sigCache) (*stateTransfer, error) {
+// it and trailing bytes are refused. The checks are priced on m as they
+// run.
+func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *sigCache, m *cryptoutil.Meter) (*stateTransfer, error) {
 	st := new(stateTransfer)
-	count := func(hit bool) {
-		if hit {
-			st.sigHits++
-		} else {
-			st.sigMisses++
-		}
-	}
 	r := wire.NewReader(body)
 	switch mode := r.Byte(); {
 	case r.Err() != nil:
@@ -122,11 +113,10 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 		if err != nil {
 			return nil, err
 		}
-		snap, hit, err := verifySnapshot(st.snapBytes, &snapStamp, trusted, stamps)
+		snap, err := verifySnapshot(st.snapBytes, &snapStamp, trusted, stamps, m)
 		if err != nil {
 			return nil, err
 		}
-		count(hit)
 		st.snap, st.snapStamp = snap, snapStamp
 	case mode != syncModeBatches:
 		return nil, fmt.Errorf("core: state transfer: unknown mode %d", mode)
@@ -134,11 +124,10 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 	n := r.Count()
 	st.batches = make([]openedBatch, 0, n)
 	for i := 0; i < n; i++ {
-		b, hit, err := openBatch(r, trusted, stamps)
+		b, err := openBatch(r, trusted, stamps, m)
 		if err != nil {
 			return nil, err
 		}
-		count(hit)
 		// Each batch starts right after the one before it, and the first
 		// leaves no gap above the snapshot: applyTo would refuse the gap,
 		// but only after the batches before it had applied.
@@ -166,23 +155,18 @@ func (st *stateTransfer) stamp() VersionStamp {
 
 // fetchStateTransfer asks the master at addr for the history from version
 // from on (0: everything) and returns the reply once all of it has verified
-// against the trusted keys, charging cpu the modelled cost of that: the
-// signature checks, the memo lookups that replaced one, the snapshot hash.
-func fetchStateTransfer(dlr rpc.Dialer, addr string, from uint64, p Params, cpu *sim.Resource,
+// against the trusted keys. What the checks took is charged on m as one
+// job once the reply is read.
+func fetchStateTransfer(dlr rpc.Dialer, addr string, from uint64, p Params, m *cryptoutil.Meter,
 	trusted []cryptoutil.PublicKey, stamps *sigCache) (*stateTransfer, error) {
 	req := wire.EncodeFrame(func(w *wire.Writer) { w.Uvarint(from) })
 	body, err := dlr.CallTimeout(addr, MethodSync, req, p.ReadTimeout)
 	if err != nil {
 		return nil, err
 	}
-	st, err := decodeStateTransfer(body, trusted, stamps)
-	if err != nil {
-		return nil, err
-	}
-	chargeCPU(cpu, time.Duration(st.sigMisses)*p.Costs.VerifySig+
-		time.Duration(st.sigHits)*p.Costs.CacheLookup+
-		p.Costs.HashCost(len(st.snapBytes)))
-	return st, nil
+	tab := m.Tab()
+	defer tab.Pay()
+	return decodeStateTransfer(body, trusted, stamps, tab)
 }
 
 // replayOnto applies every batch to replica in order (applyTo) and
@@ -236,12 +220,12 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 	}
 	m.mu.Unlock()
 
-	// Encoding and signing happen off-lock: chargeCPU can park the task.
+	// Encoding and signing happen off-lock: a charge can park the task.
 	size := 1024
 	var snap *ckptSnapshot
 	if content != nil {
 		snap = m.signSnapshot(&ckptSnapshot{version: cur, bytes: content.EncodeSnapshot()})
-		chargeCPU(m.cfg.CPU, m.cfg.Params.Costs.SendReply)
+		m.meter.Reply()
 		size += len(snap.bytes)
 	}
 	w := wire.NewWriter(size)

@@ -43,7 +43,7 @@ func TestHandleSyncPredatesBaseLockedRead(t *testing.T) {
 		if err != nil {
 			t.Fatalf("pre-base sync refused: %v", err)
 		}
-		st, err := decodeStateTransfer(reply, []cryptoutil.PublicKey{keys.Public}, nil)
+		st, err := decodeStateTransfer(reply, []cryptoutil.PublicKey{keys.Public}, nil, nil)
 		if err != nil {
 			t.Fatalf("reply does not verify: %v", err)
 		}

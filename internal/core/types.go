@@ -226,26 +226,26 @@ type openedBatch struct {
 // openBatch is the one rule for every batch a replica takes — in an
 // m.sync reply or snapshot file, or a WAL record. It reads the entry from
 // r (decodeBatchEntry) and hands it back only once its stamp verifies
-// under a trusted key (through the stamps memo, nil allowed; hit reports a
-// memo hit), VerifyMembers passes and every op decodes.
-func openBatch(r *wire.Reader, trusted []cryptoutil.PublicKey, stamps *sigCache) (b openedBatch, hit bool, err error) {
+// under a trusted key (through the stamps memo, nil allowed),
+// VerifyMembers passes and every op decodes, pricing the checks on m.
+func openBatch(r *wire.Reader, trusted []cryptoutil.PublicKey, stamps *sigCache, m *cryptoutil.Meter) (b openedBatch, err error) {
 	bu, err := decodeBatchEntry(r)
 	if err != nil {
-		return b, false, err
+		return b, err
 	}
-	if hit, err = stamps.verifyStamp(&bu.Stamp, trusted); err != nil {
-		return b, false, err
+	if err = stamps.verifyStamp(&bu.Stamp, trusted, m); err != nil {
+		return b, err
 	}
 	if err := bu.VerifyMembers(); err != nil {
-		return b, false, err
+		return b, err
 	}
 	decoded := make([]store.Op, len(bu.Ops))
 	for i, op := range bu.Ops {
 		if decoded[i], err = store.DecodeOp(op); err != nil {
-			return b, false, err
+			return b, err
 		}
 	}
-	return openedBatch{BatchUpdate: bu, ops: decoded}, hit, nil
+	return openedBatch{BatchUpdate: bu, ops: decoded}, nil
 }
 
 // applyTo applies the ops above replica's version, in order, and returns
@@ -281,8 +281,7 @@ func (v *VersionStamp) equal(o *VersionStamp) bool {
 
 // Verify checks the stamp against a set of trusted master keys.
 func (v *VersionStamp) Verify(trustedMasters []cryptoutil.PublicKey) error {
-	_, err := (*sigCache)(nil).verifyStamp(v, trustedMasters)
-	return err
+	return (*sigCache)(nil).verifyStamp(v, trustedMasters, nil)
 }
 
 // Fresh reports whether the stamp is younger than maxLatency at time now
@@ -368,7 +367,7 @@ func (p *Pledge) appendSignedBytes(w *wire.Writer) {
 // SignPledge builds and signs a pledge over (query, result hash, version).
 func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptoutil.Digest, stamp VersionStamp) Pledge {
 	p := Pledge{QueryBytes: queryBytes, ResultHash: resultHash, Stamp: stamp, SlavePub: slave.Public}
-	(*sigCache)(nil).signPledge(&p, slave)
+	(*sigCache)(nil).signPledge(&p, slave, nil)
 	return p
 }
 
@@ -376,7 +375,7 @@ func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptou
 // carried stamp's version and nothing else of it. It is the one pledge
 // verify, and no memo stands in front of it.
 func (p *Pledge) VerifySig() error {
-	if _, err := (*sigCache)(nil).verify(p.SlavePub, p.appendSignedBytes, p.Sig); err != nil {
+	if err := (*sigCache)(nil).verify(p.SlavePub, p.appendSignedBytes, p.Sig, nil); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadPledge, err)
 	}
 	return nil

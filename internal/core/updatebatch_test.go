@@ -527,11 +527,11 @@ func TestBatchUpdateDecodeVerifyAllocs(t *testing.T) {
 		encodeStateTransfer(w, nil, []BatchUpdate{bu}, 0)
 		reply := w.Bytes()
 		stamps := newSigCache(stampMemoSize)
-		if _, err := stamps.verifyStamp(&bu.Stamp, trusted); err != nil { // the announce's verify
+		if err := stamps.verifyStamp(&bu.Stamp, trusted, nil); err != nil { // the announce's verify
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(50, func() {
-			if _, err := decodeStateTransfer(reply, trusted, stamps); err != nil {
+			if _, err := decodeStateTransfer(reply, trusted, stamps, nil); err != nil {
 				t.Fatal(err)
 			}
 		})
