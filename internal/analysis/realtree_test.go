@@ -51,7 +51,7 @@ var seededBugs = []struct {
 	// reported where it is applied, installed or handed back as verified.
 	{
 		name: "slave keep-alive without stamp check", analyzer: analysis.Trustcheck, file: "internal/core/slave.go",
-		from: "\tif err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, nil); err != nil {\n\t\treturn nil, err\n\t}\n",
+		from: "\tif err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, s.meter); err != nil {\n\t\treturn nil, err\n\t}\n",
 		at:   "\t_, _ = s.adoptTransferLocked(&stateTransfer{snapStamp: stamp})\n",
 	},
 	{

@@ -307,8 +307,8 @@
 // consulted before Behavior.Corrupt, which still runs, draws its randomness
 // and counts on every read; a lie is made from the honest payload, never
 // stored, and hashed and signed as its own evidence. In virtual time a hit
-// charges Costs.CacheLookup where a miss charges QueryCost(Scanned); the
-// payload is hashed, and HashCost charged, either way. Admission is by
+// is priced as a memo lookup where a miss is priced by its scan; the
+// payload is hashed, and the hash priced, either way. Admission is by
 // what the scan cost against what it returned, not by query kind, so
 // point-read workloads pay one failed probe of a nil map; the bounds are
 // constants and there is no knob. The auditor's per-view answer cache
@@ -346,6 +346,19 @@
 // overload"), not the signature check's. Every received pledge ends in
 // exactly one of PledgesAudited (lies included), PledgesSampled,
 // PledgesLate and PledgesBadSig.
+//
+// What work costs (simulation only). Each node prices its work on one
+// cryptoutil.Meter (its CPU and Params.Costs) by kind — sign, verify,
+// hash, query, memo hit, op applied, reply — and nothing else here reads
+// the cost model (TestWorkIsPricedOnlyByTheMeter); the memos and openBatch
+// price what they do. A charge parks the task, so none is made under a
+// node mutex: such work is priced after the unlock, or on a Tab paid
+// there. WAL replay runs before any sim task, with a nil meter. A master
+// pays per batch a signature, the ops' hash and an apply per op, and a
+// signature per keep-alive; a slave a verify per keep-alive, and per
+// batch a memo hit and the entry's hash; per read the query, the
+// payload's hash, the pledge's signature (or memo hits) and the reply,
+// and the auditor the answer at the read's version. A client pays nothing.
 //
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch — its ops and signed

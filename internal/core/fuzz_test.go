@@ -244,8 +244,9 @@ func FuzzDecodeBatchMessage(f *testing.F) {
 // FuzzBatchDigestInput reads two batches (uvarint first ‖ uvarint n ‖ n ×
 // bytes op) from two arbitrary inputs and checks what BatchDigest hashes
 // for them: two different batches never have the same digest input, and
-// each one's input reads back as that batch. It assumes nothing about the
-// hash: the encoding itself must be injective, op boundaries included.
+// each one's input reads back as that batch, and is as long as
+// batchPrefixLen says. It assumes nothing about the hash: the encoding
+// itself must be injective, op boundaries included.
 func FuzzBatchDigestInput(f *testing.F) {
 	prefix := func(first uint64, ops [][]byte) []byte {
 		return wire.EncodeFrame(func(w *wire.Writer) { appendBatchPrefix(w, first, ops) })
@@ -280,6 +281,9 @@ func FuzzBatchDigestInput(f *testing.F) {
 		}
 		if !BatchDigest(firstA, opsA).Equal(cryptoutil.HashBytes(inA)) {
 			t.Fatal("BatchDigest is not the hash of the batch's prefix")
+		}
+		if n := batchPrefixLen(firstA, opsA); n != len(inA) {
+			t.Fatalf("batchPrefixLen = %d, the prefix is %d bytes: openBatch prices another hash than it makes", n, len(inA))
 		}
 	})
 }

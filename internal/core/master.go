@@ -1083,13 +1083,13 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 	if atVersion {
 		m.meter.Exec(0, false) // the re-execution, priced at a query's base
 	}
-	if !proven && len(auditorSig) > 0 &&
-		cryptoutil.Verify(m.cfg.AuditorPub, pledgeBytes, auditorSig) == nil {
+	if !proven && len(auditorSig) > 0 {
 		// The auditor re-executed at the correct version; it is a trusted
 		// server and its signature authenticates the report (the pledge
-		// itself remains the evidence of record).
+		// itself remains the evidence of record). The check is paid for
+		// whatever its verdict.
 		m.meter.Verify()
-		proven = true
+		proven = cryptoutil.Verify(m.cfg.AuditorPub, pledgeBytes, auditorSig) == nil
 	}
 	if !proven {
 		return nil, ErrNotProven

@@ -345,6 +345,38 @@ func TestMasterReportSignedByAuditorTrusted(t *testing.T) {
 	}
 }
 
+// TestMasterReportPricesFailedAuditorVerify: a version-mismatched report
+// under a garbage auditor signature costs the master the pledge's verify
+// and the auditor signature's, which fails: a check is paid for whatever
+// its verdict.
+func TestMasterReportPricesFailedAuditorVerify(t *testing.T) {
+	r := newMasterRig(t, nil)
+	cpu := r.s.NewResource("master", 1)
+	r.master.meter = cryptoutil.NewMeter(cpu, r.master.cfg.Params.Costs)
+	slaveKeys := cryptoutil.DeriveKeyPair("slave", 0)
+	r.master.AddSlave("slave-0", slaveKeys.Public)
+	var err error
+	var paid time.Duration
+	r.s.Go(func() {
+		stamp := SignStamp(cryptoutil.DeriveKeyPair("master", 0), 99, r.s.Now()) // version the master is NOT at
+		pb := EncodePledge(SignPledge(slaveKeys, query.Encode(query.Get{Key: "k"}), cryptoutil.HashBytes([]byte("wrong")), stamp))
+		garbage := make([]byte, 64)
+		before := cpu.BusyTime()
+		_, err = r.master.Handle("anyone", MethodReport, wire.EncodeFrame(func(w *wire.Writer) {
+			w.Bytes_(pb)
+			w.Bytes_(garbage)
+		}))
+		paid = cpu.BusyTime() - before
+	})
+	r.s.Run()
+	if !errors.Is(err, ErrNotProven) {
+		t.Fatalf("report under a garbage auditor signature: err = %v, want %v", err, ErrNotProven)
+	}
+	if want := 2 * r.master.cfg.Params.Costs.VerifySig; paid != want {
+		t.Fatalf("the report cost the master %v, want %v: the pledge's verify and the auditor's", paid, want)
+	}
+}
+
 func TestMasterGetSlaveAssignsAndExcludes(t *testing.T) {
 	r := newMasterRig(t, nil)
 	for i := 0; i < 3; i++ {
@@ -449,7 +481,8 @@ func TestRemovedRoutesAnswerUnknownMethod(t *testing.T) {
 // TestMasterBatchedSyncSharesOneStamp commits a multi-op batch (one
 // batch-stamp signature) and syncs it back from inside it: the reply
 // carries the whole batch under its one stamp, which the reader checks
-// once — the reader's CPU pays one signature check.
+// once — the reader's CPU pays one signature check and one hash of the
+// batch.
 func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 	r := newMasterRig(t, func(cfg *MasterConfig) {
 		cfg.BatchSize = 4
@@ -489,8 +522,9 @@ func TestMasterBatchedSyncSharesOneStamp(t *testing.T) {
 	if bu.First != 2 || len(bu.Ops) != 4 || bu.Stamp.Version != 5 {
 		t.Fatalf("batch geometry: first %d, %d ops, stamp for %d; want 2, 4, 5", bu.First, len(bu.Ops), bu.Stamp.Version)
 	}
-	if got, want := reader.BusyTime(), costs.VerifySig; got != want {
-		t.Fatalf("the reader paid %v, want %v: one check of the batch's stamp", got, want)
+	prefix := wire.EncodeFrame(func(w *wire.Writer) { appendBatchPrefix(w, bu.First, bu.Ops) })
+	if got, want := reader.BusyTime(), costs.VerifySig+costs.HashCost(len(prefix)); got != want {
+		t.Fatalf("the reader paid %v, want %v: one check of the batch's stamp, one hash of its %d bytes", got, want, len(prefix))
 	}
 }
 

@@ -159,11 +159,7 @@ func (c *sigCache) signPledge(p *Pledge, signer *cryptoutil.KeyPair, m *cryptout
 			c.insert(key, p.Sig)
 		}
 	})
-	if hit {
-		m.MemoHit()
-	} else {
-		m.Sign()
-	}
+	m.Memoised(hit, m.Sign)
 }
 
 // verify checks sig over the signed body that appendBody writes under pub,
@@ -190,11 +186,7 @@ func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer
 			c.insert(key, nil)
 		}
 	})
-	if hit {
-		m.MemoHit()
-	} else {
-		m.Verify()
-	}
+	m.Memoised(hit, m.Verify)
 	return err
 }
 

@@ -190,7 +190,7 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	if err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, nil); err != nil {
+	if err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, s.meter); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()

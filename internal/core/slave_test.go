@@ -350,6 +350,33 @@ func slowMaster(r *slaveRig, delay time.Duration) rpc.Handler {
 	}
 }
 
+// TestSlaveAnnouncedBatchCost prices one announced batch on the slave's
+// CPU: the keep-alive's stamp verify (a memo miss), the same stamp on the
+// fetched entry (a memo hit) and one hash of the entry's first ‖ n ‖ ops,
+// which the batch digest covers.
+func TestSlaveAnnouncedBatchCost(t *testing.T) {
+	r := newSlaveRig(t, Honest{})
+	cpu := r.s.NewResource("slave", 1)
+	r.slave.meter = cryptoutil.NewMeter(cpu, r.params.Costs)
+	var paid time.Duration
+	r.s.Go(func() {
+		before := cpu.BusyTime()
+		r.commitBatch(t, waveOps(8))
+		paid = cpu.BusyTime() - before
+	})
+	r.s.Run()
+	if n := r.log.syncCount(); n != 1 {
+		t.Fatalf("%d fetches, want 1", n)
+	}
+	bu := r.log.batches[0]
+	prefix := wire.EncodeFrame(func(w *wire.Writer) { appendBatchPrefix(w, bu.First, bu.Ops) })
+	costs := r.params.Costs
+	if want := costs.VerifySig + costs.CacheLookup + costs.HashCost(len(prefix)); paid != want {
+		t.Fatalf("one announced batch cost the slave %v, want %v: a stamp verify, a memo hit, a hash of %d bytes",
+			paid, want, len(prefix))
+	}
+}
+
 // TestSlaveAnnounceAnsweredAtOnce: an announce past the replica is
 // acknowledged at once with the replica's version — the master's
 // keep-alive does not wait on an m.sync round trip — and the fetch it

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -136,6 +137,16 @@ func appendBatchPrefix(w *wire.Writer, first uint64, ops [][]byte) {
 	w.BytesSlice(ops)
 }
 
+// batchPrefixLen is how many bytes BatchDigest hashes.
+func batchPrefixLen(first uint64, ops [][]byte) int {
+	uvarintLen := func(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+	n := uvarintLen(first) + uvarintLen(uint64(len(ops)))
+	for _, op := range ops {
+		n += uvarintLen(uint64(len(op))) + len(op)
+	}
+	return n
+}
+
 // BatchDigest is the digest a batch stamp signs for ops committed at
 // first, first+1, …: one hash of the bytes that stand in front of the
 // stamp in every WAL record and m.sync entry.
@@ -236,6 +247,7 @@ func openBatch(r *wire.Reader, trusted []cryptoutil.PublicKey, stamps *sigCache,
 	if err = stamps.verifyStamp(&bu.Stamp, trusted, m); err != nil {
 		return b, err
 	}
+	m.Hash(batchPrefixLen(bu.First, bu.Ops))
 	if err := bu.VerifyMembers(); err != nil {
 		return b, err
 	}

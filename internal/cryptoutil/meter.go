@@ -65,6 +65,16 @@ func (m *Meter) Verify() { m.charge(m.model().VerifySig) }
 // a query's scan.
 func (m *Meter) MemoHit() { m.charge(m.model().CacheLookup) }
 
+// Memoised prices work a memo can spare: a hit, or the work itself
+// (full, one of the methods above).
+func (m *Meter) Memoised(hit bool, full func()) {
+	if hit {
+		m.MemoHit()
+	} else {
+		full()
+	}
+}
+
 // Hash prices hashing n bytes.
 func (m *Meter) Hash(n int) { m.charge(m.model().HashCost(n)) }
 
