@@ -371,3 +371,65 @@ func TestWaveWithdrawnAtDeadlineCommitsNone(t *testing.T) {
 		t.Fatalf("version %d with %d queued, want 21 and 0: A's 20 ops and none of W's", v, queued)
 	}
 }
+
+// TestBatchTimerFlushesShortWaveAfterTimeout pins the one flush rule.
+// Full waves flush full, never on the timer. A short wave that arrives a
+// millisecond behind a full one finds the queue empty, arms the timer and
+// flushes on it once: it waits out the whole BatchTimeout, however many
+// ops just came in ahead of it, and no more than a full wave's commit on
+// top.
+func TestBatchTimerFlushesShortWaveAfterTimeout(t *testing.T) {
+	const batchTimeout = 40 * time.Millisecond
+	s := sim.New(73)
+	o := defaultOpts()
+	o.nMasters = 1
+	o.params.MaxLatency = 4 * time.Millisecond
+	o.params.KeepAliveEvery = 100 * time.Millisecond
+	o.batchSize = 16
+	o.batchTimeout = batchTimeout
+	c := newTestCluster(t, s, o)
+	cl := c.addClient(t, 0, func(cc *ClientConfig) { cc.PreferredMaster = 0 })
+	short := c.addClient(t, 1, func(cc *ClientConfig) { cc.PreferredMaster = 0 })
+	s.Go(func() {
+		s.Sleep(c.warmup())
+		if err := cl.Setup(); err != nil {
+			t.Errorf("setup: %v", err)
+			return
+		}
+		if err := short.Setup(); err != nil {
+			t.Errorf("setup: %v", err)
+			return
+		}
+		wave := func(cl *Client, n int, round int) time.Duration {
+			ops := make([]store.Op, n)
+			for j := range ops {
+				ops[j] = store.Put{Key: fmt.Sprintf("w/%d-%d", round, j), Value: []byte("v")}
+			}
+			start := s.Now()
+			if _, err := cl.WriteMulti(ops); err != nil {
+				t.Errorf("wave %d: %v", round, err)
+			}
+			return s.Now().Sub(start)
+		}
+		var fullLat time.Duration
+		for r := 0; r < 4; r++ {
+			fullLat = wave(cl, 16, r)
+		}
+		fullDone := false
+		s.Spawn(func() { wave(cl, 16, 4); fullDone = true })
+		s.Sleep(time.Millisecond)
+		shortLat := wave(short, 8, 5)
+		for !fullDone {
+			s.Sleep(time.Millisecond)
+		}
+		st := c.masters[0].Stats()
+		if st.BatchFlushFull != 5 || st.BatchFlushTimer != 1 {
+			t.Errorf("%d full / %d timer flushes, want 5 / 1", st.BatchFlushFull, st.BatchFlushTimer)
+		}
+		if shortLat < batchTimeout || shortLat > batchTimeout+fullLat {
+			t.Errorf("short wave took %v, want at least the %v timeout and at most that plus a full wave's %v",
+				shortLat, batchTimeout, fullLat)
+		}
+	})
+	s.RunUntil(sim.Epoch.Add(time.Minute))
+}

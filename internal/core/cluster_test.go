@@ -44,7 +44,6 @@ type clusterOpts struct {
 	latency        sim.Latency
 	batchSize      int
 	batchTimeout   time.Duration
-	batchAdaptive  bool
 	// dataDir gives every master a durable WAL+snapshot under
 	// dataDir/master-N ("" = in-memory only).
 	dataDir         string
@@ -117,7 +116,6 @@ func newTestCluster(t *testing.T, s *sim.Sim, o clusterOpts) *testCluster {
 			Seed:            int64(1000 + i),
 			BatchSize:       o.batchSize,
 			BatchTimeout:    o.batchTimeout,
-			BatchAdaptive:   o.batchAdaptive,
 			CheckpointEvery: o.checkpointEvery,
 		}
 		if o.dataDir != "" {

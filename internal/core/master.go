@@ -109,13 +109,9 @@ type MasterConfig struct {
 	// company before a short batch is flushed anyway (0 = MaxLatency/4).
 	// Irrelevant when BatchSize <= 1.
 	BatchTimeout time.Duration
-	// BatchAdaptive makes the flush timeout track the observed write
-	// arrival rate instead of always waiting the full BatchTimeout: the
-	// timer waits about four typical inter-arrival gaps (an EWMA), so a
-	// pause in the stream flushes the partial batch promptly, clamped to
-	// [BatchTimeout/16, BatchTimeout]. Fast arrival streams still
-	// coalesce into full batches, while the straggler tail of a burst
-	// stops paying the full static timeout.
+	// BatchAdaptive is ignored: a short batch always flushes BatchTimeout
+	// after its first wave. A frozen shim: bench/replbench/deploy.go still
+	// sets it (frozen.go).
 	BatchAdaptive bool
 	// CheckpointEvery is the truncation cadence: at most this often, after
 	// delivering a message other than a write batch, the master computes
@@ -174,8 +170,6 @@ type Master struct {
 	batchQueue  []queuedWave                 // guarded by mu; admitted waves awaiting the next flush
 	queuedOps   int                          // guarded by mu; ops the queued waves hold together
 	batchGen    uint64                       // guarded by mu; flush generation (dedups timer flushes)
-	arrivalEWMA time.Duration                // guarded by mu; smoothed write inter-arrival gap (adaptive flush)
-	lastArrival time.Time                    // guarded by mu; previous write's arrival (adaptive flush)
 	slaves      []slaveEntry                 // guarded by mu; this master's slave set, one entry per address (joinLocked)
 	clients     map[string]*clientEntry      // guarded by mu; key: client pub
 	peerSlaves  map[string][]pki.Certificate // guarded by mu; other masters' slave sets
@@ -541,38 +535,6 @@ func (m *Master) enqueueWave(w queuedWave) {
 	m.mu.Lock()
 	m.stats.WritesAdmitted += uint64(len(w.ops))
 	armTimer := len(m.batchQueue) == 0
-	timeout := m.cfg.BatchTimeout
-	// Adaptive flush bookkeeping: smooth the inter-arrival gap, one sample
-	// per op, so the timeout below can estimate how long the open batch
-	// needs to fill. Gaps are capped at BatchTimeout — an idle stretch
-	// between bursts says nothing about the rate inside a burst.
-	if m.cfg.BatchAdaptive {
-		now := m.rt.Now()
-		for i := range w.ops {
-			if !m.lastArrival.IsZero() {
-				gap := now.Sub(m.lastArrival)
-				if gap > m.cfg.BatchTimeout {
-					gap = m.cfg.BatchTimeout
-				}
-				// Same-instant arrivals (the rest of a wave) are real rate
-				// evidence, not "no data": floor the sample so the EWMA
-				// reflects them instead of staying at the unset sentinel.
-				if gap <= 0 {
-					gap = time.Microsecond
-				}
-				if m.arrivalEWMA == 0 {
-					m.arrivalEWMA = gap
-				} else {
-					m.arrivalEWMA = (3*m.arrivalEWMA + gap) / 4
-				}
-			}
-			m.lastArrival = now
-			if i == 0 && armTimer {
-				// The open batch's timer is set by its first op's arrival.
-				timeout = adaptiveFlushTimeout(m.arrivalEWMA, m.cfg.BatchTimeout)
-			}
-		}
-	}
 	m.batchQueue = append(m.batchQueue, w)
 	m.queuedOps += len(w.ops)
 	full := m.queuedOps >= m.cfg.BatchSize
@@ -583,34 +545,11 @@ func (m *Master) enqueueWave(w queuedWave) {
 		m.flushBatch(gen, false)
 	} else if armTimer {
 		m.rt.Spawn(func() {
-			if m.rt.Sleep(timeout) == nil {
+			if m.rt.Sleep(m.cfg.BatchTimeout) == nil {
 				m.flushBatch(gen, true)
 			}
 		})
 	}
-}
-
-// adaptiveFlushTimeout decides how long the open batch's timer waits
-// for company: four typical inter-arrival gaps (EWMA-smoothed). If no
-// write lands within that window the stream has paused and holding the
-// partial batch only adds latency — at the observed rate the batch was
-// going to fill or flush by then anyway. The wait is clamped to
-// [BatchTimeout/16, BatchTimeout]: the floor keeps a rate
-// mis-estimate from spinning the flush timer, the cap preserves the
-// static bound. A zero EWMA means no gap has been observed yet; the
-// static timeout applies.
-func adaptiveFlushTimeout(ewma, batchTimeout time.Duration) time.Duration {
-	if ewma <= 0 {
-		return batchTimeout
-	}
-	timeout := 4 * ewma
-	if timeout > batchTimeout {
-		timeout = batchTimeout
-	}
-	if min := batchTimeout / 16; timeout < min {
-		timeout = min
-	}
-	return timeout
 }
 
 // flushBatch takes the accumulated batch (if gen still names it), paces

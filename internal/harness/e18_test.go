@@ -6,8 +6,8 @@ import (
 )
 
 // TestE18ShapeHotPath asserts the PR's acceptance criteria on the E18
-// experiment at test scale: the hot-path configuration (write waves +
-// adaptive flush over the pooled-frame plumbing) must
+// experiment at test scale: the hot-path configuration (write waves over
+// the pooled-frame plumbing) must
 // commit at least 2x the writes/s of the E15-equivalent reference
 // configuration, and on the read path — where stamps repeat between
 // updates — the verified-stamp cache must absorb the repeat
@@ -15,8 +15,8 @@ import (
 func TestE18ShapeHotPath(t *testing.T) {
 	dur := 1250 * time.Millisecond // scale-8 equivalent of the benchmark run
 
-	ref := runE18(7, dur, 16, 0, false)
-	hot := runE18(7, dur, 16, 16, true)
+	ref := runE18(7, dur, 16, 0)
+	hot := runE18(7, dur, 16, 16)
 	if ref.committed == 0 || hot.committed == 0 {
 		t.Fatalf("no write load ran (ref=%d hot=%d)", ref.committed, hot.committed)
 	}

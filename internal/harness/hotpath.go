@@ -15,18 +15,17 @@ import (
 
 // E18HotPath measures the zero-alloc hot path under modern signature
 // costs. The write rows share E15's modern-cost configuration: the
-// first reproduces it exactly (individual Write calls, static flush
-// timeout) as the reference point, and the "hot" rows push the same
-// load through write waves (WriteMulti) with the adaptive flush
-// enabled, so batches fill and the flush timer tracks the arrival
-// rate — committed throughput should clear 2x the reference row. The
+// first reproduces it exactly (individual Write calls) as the reference
+// point, and the "hot" rows push the same load through write waves
+// (WriteMulti), so each wave fills a batch by itself and no flush waits
+// on the timer — committed throughput should clear 2x the reference row. The
 // final row exercises the read path, where stamps repeat: between
 // content updates every read reply carries the same master stamp, so
 // the verified-stamp cache replaces those signature verifications —
 // its stamp-cache columns count the checks skipped.
 func E18HotPath(seed int64, scale Scale) *metrics.Table {
 	t := metrics.NewTable(
-		"E18 — zero-alloc hot path: pooled frames, one-hash batch digest, stamp cache, adaptive flush",
+		"E18 — zero-alloc hot path: pooled frames, one-hash batch digest, stamp cache",
 		"mode", "batch", "committed", "throughput (/s)", "speedup",
 		"batches (=sigs)", "sigs/write", "timer flushes", "reads", "stamp hits", "stamp misses")
 
@@ -36,19 +35,18 @@ func E18HotPath(seed int64, scale Scale) *metrics.Table {
 	}
 
 	rows := []struct {
-		mode     string
-		batch    int
-		wave     int // 0 = individual Write calls (the E15 shape)
-		adaptive bool
+		mode  string
+		batch int
+		wave  int // 0 = individual Write calls (the E15 shape)
 	}{
-		{"e15-equiv (reference)", 16, 0, false},
-		{"hot path", 16, 16, true},
-		{"hot path", 64, 64, true},
+		{"e15-equiv (reference)", 16, 0},
+		{"hot path", 16, 16},
+		{"hot path", 64, 64},
 	}
 
 	base := 0.0
 	for _, row := range rows {
-		r := runE18(seed, dur, row.batch, row.wave, row.adaptive)
+		r := runE18(seed, dur, row.batch, row.wave)
 		if base == 0 {
 			base = r.tput
 		}
@@ -81,7 +79,7 @@ type e18Result struct {
 // E15 shape (64 writers each submitting one signed write per RPC);
 // wave > 0 groups each writer's submissions into WriteMulti frames of
 // that size, the hot-path shape.
-func runE18(seed int64, dur time.Duration, batch, wave int, adaptive bool) e18Result {
+func runE18(seed int64, dur time.Duration, batch, wave int) e18Result {
 	cfg := DefaultScenario()
 	cfg.Seed = seed
 	cfg.NMasters = 1
@@ -92,7 +90,6 @@ func runE18(seed int64, dur time.Duration, batch, wave int, adaptive bool) e18Re
 	cfg.Params.MaxLatency = time.Millisecond
 	cfg.BatchSize = batch
 	cfg.BatchTimeout = 2 * time.Millisecond
-	cfg.BatchAdaptive = adaptive
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })
 

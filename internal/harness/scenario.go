@@ -42,10 +42,6 @@ type ScenarioConfig struct {
 	// pipeline (0 = unbatched / default timeout).
 	BatchSize    int
 	BatchTimeout time.Duration
-	// BatchAdaptive makes the masters scale the partial-batch flush
-	// timeout to the observed write arrival rate instead of always
-	// waiting the full BatchTimeout.
-	BatchAdaptive bool
 	// CheckpointEvery enables stability checkpointing at this cadence
 	// (0 = off: the op log and broadcast archive grow with total writes).
 	CheckpointEvery time.Duration
@@ -247,7 +243,6 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 				Seed:            cfg.Seed*1000 + int64(g*100+i),
 				BatchSize:       cfg.BatchSize,
 				BatchTimeout:    cfg.BatchTimeout,
-				BatchAdaptive:   cfg.BatchAdaptive,
 				CheckpointEvery: cfg.CheckpointEvery,
 			}
 			if cfg.DataDir != "" {

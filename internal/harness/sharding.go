@@ -74,7 +74,6 @@ func runE19(seed int64, dur time.Duration, shards int) e19Result {
 	cfg.Params.MaxLatency = time.Millisecond
 	cfg.BatchSize = 16
 	cfg.BatchTimeout = 2 * time.Millisecond
-	cfg.BatchAdaptive = true
 	sc := NewScenario(cfg)
 	cl := sc.AddClient(nil)
 

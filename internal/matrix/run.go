@@ -64,9 +64,9 @@ func keyDist(dist string, rng *rand.Rand, n int) workload.KeyDist {
 }
 
 // cellConfig is the fixed deployment shape every cell runs on: modern
-// crypto costs, a 100ms write round, fast keep-alives, adaptive
-// batching, and checkpointing aggressive enough that every cell
-// exercises truncation.
+// crypto costs, a 100ms write round, fast keep-alives, batches of 16
+// flushed at most 20ms after their first wave, and checkpointing
+// aggressive enough that every cell exercises truncation.
 func cellConfig(cell Cell, seed int64, dataDir string) harness.ScenarioConfig {
 	cfg := harness.DefaultScenario()
 	cfg.Seed = seed
@@ -83,7 +83,6 @@ func cellConfig(cell Cell, seed int64, dataDir string) harness.ScenarioConfig {
 	cfg.DocCount = 8
 	cfg.BatchSize = 16
 	cfg.BatchTimeout = 20 * time.Millisecond
-	cfg.BatchAdaptive = true
 	cfg.CheckpointEvery = 150 * time.Millisecond
 	if readLiar(cell.Fault) >= 0 {
 		// Only the auditor may catch the liar: a client's double-check
