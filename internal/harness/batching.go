@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cryptoutil"
 	"repro/internal/metrics"
+	"repro/internal/store"
 	"repro/internal/workload"
 )
 
@@ -30,7 +31,6 @@ func E15BatchThroughput(seed int64, scale Scale) *metrics.Table {
 	if scale > 1 {
 		dur = time.Duration(int64(dur) / int64(scale))
 	}
-	const writers = 64
 
 	models := []struct {
 		name  string
@@ -42,75 +42,117 @@ func E15BatchThroughput(seed int64, scale Scale) *metrics.Table {
 	for _, m := range models {
 		base := 0.0
 		for _, batch := range []int{1, 4, 16, 64} {
-			cfg := DefaultScenario()
-			cfg.Seed = seed
-			cfg.NMasters = 1
-			cfg.SlavesPerMaster = 1
-			cfg.CatalogSize = 50
-			cfg.DocCount = 5
-			cfg.Params.Costs = m.costs
-			// Writes only: shrink max_latency so admission pacing (one
-			// slot per batched commit) is not the dominant cap at b=1
-			// under 2003 costs, where signing should be.
-			cfg.Params.MaxLatency = time.Millisecond
-			cfg.BatchSize = batch
-			cfg.BatchTimeout = 2 * time.Millisecond
-			sc := NewScenario(cfg)
-			cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })
-
-			var committed uint64
-			var firstCommit, lastCommit time.Time
-			sc.S.Go(func() {
-				sc.S.Sleep(sc.Warmup())
-				if err := cl.Setup(); err != nil {
-					return
-				}
-				end := sc.S.Now().Add(dur)
-				for i := 0; i < writers; i++ {
-					i := i
-					sc.S.Spawn(func() {
-						gen := workload.NewGen(rand.New(rand.NewSource(seed+int64(i)*31)),
-							workload.DefaultMix(), cfg.CatalogSize, cfg.DocCount)
-						seq := 0
-						for sc.S.Now().Before(end) {
-							start := sc.S.Now()
-							if _, err := cl.Write(gen.NextWrite(seq)); err != nil {
-								return
-							}
-							seq++
-							committed++
-							if firstCommit.IsZero() {
-								firstCommit = start
-							}
-							lastCommit = sc.S.Now()
-						}
-					})
-				}
-				sc.S.Sleep(dur + time.Second)
-				sc.S.Stop()
-			})
-			sc.Run(12 * time.Hour)
-
-			span := lastCommit.Sub(firstCommit)
-			tput := 0.0
-			if span > 0 && committed > 1 {
-				tput = float64(committed-1) / span.Seconds()
-			}
+			r := runWrites(seed, dur, m.costs, batch, 0)
 			if batch == 1 {
-				base = tput
+				base = r.tput
 			}
 			speedup := 0.0
 			if base > 0 {
-				speedup = tput / base
+				speedup = r.tput / base
 			}
-			ms := sc.TotalMasterStats()
-			sigPerWrite := 0.0
-			if ms.WritesApplied > 0 {
-				sigPerWrite = float64(ms.BatchesApplied) / float64(ms.WritesApplied)
-			}
-			t.Add(m.name, batch, committed, tput, fmt.Sprintf("%.1fx", speedup),
-				ms.BatchesApplied, sigPerWrite, ms.BatchFlushTimer)
+			t.Add(m.name, batch, r.committed, r.tput, fmt.Sprintf("%.1fx", speedup),
+				r.ms.BatchesApplied, r.sigsPerWrite(), r.ms.BatchFlushTimer)
 		}
 	}
 	return t
+}
+
+// writeRun carries one write-only run's measurements.
+type writeRun struct {
+	committed uint64
+	tput      float64
+	ms        core.MasterStats
+}
+
+// sigsPerWrite is the signatures (one per batch) each applied write cost.
+func (r writeRun) sigsPerWrite() float64 {
+	if r.ms.WritesApplied == 0 {
+		return 0
+	}
+	return float64(r.ms.BatchesApplied) / float64(r.ms.WritesApplied)
+}
+
+// runWrites drives one write-only deployment for E15 and E18: one master
+// and one slave under costs, a 1 ms max_latency (so admission pacing,
+// one slot per batched commit, is not the dominant cap at b=1 under 2003
+// costs, where signing should be) and batches of batch ops flushed at
+// most 2 ms after their first wave. wave == 0 is the E15 shape: 64
+// writers each submitting one signed write per RPC. wave > 0 gives 16
+// writers that group their submissions into WriteMulti frames of that
+// size, the hot-path shape.
+func runWrites(seed int64, dur time.Duration, costs cryptoutil.CostModel, batch, wave int) writeRun {
+	cfg := DefaultScenario()
+	cfg.Seed = seed
+	cfg.NMasters = 1
+	cfg.SlavesPerMaster = 1
+	cfg.CatalogSize = 50
+	cfg.DocCount = 5
+	cfg.Params.Costs = costs
+	cfg.Params.MaxLatency = time.Millisecond
+	cfg.BatchSize = batch
+	cfg.BatchTimeout = 2 * time.Millisecond
+	sc := NewScenario(cfg)
+	cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })
+
+	var res writeRun
+	var firstCommit, lastCommit time.Time
+	writers := 64
+	if wave > 0 {
+		writers = 16
+	}
+	sc.S.Go(func() {
+		sc.S.Sleep(sc.Warmup())
+		if err := cl.Setup(); err != nil {
+			sc.S.Stop()
+			return
+		}
+		end := sc.S.Now().Add(dur)
+		for i := 0; i < writers; i++ {
+			i := i
+			sc.S.Spawn(func() {
+				gen := workload.NewGen(rand.New(rand.NewSource(seed+int64(i)*31)),
+					workload.DefaultMix(), cfg.CatalogSize, cfg.DocCount)
+				seq := 0
+				for sc.S.Now().Before(end) {
+					start := sc.S.Now()
+					if wave == 0 {
+						if _, err := cl.Write(gen.NextWrite(seq)); err != nil {
+							return
+						}
+						seq++
+						res.committed++
+					} else {
+						ops := make([]store.Op, wave)
+						for j := range ops {
+							ops[j] = gen.NextWrite(seq)
+							seq++
+						}
+						versions, err := cl.WriteMulti(ops)
+						if err != nil {
+							return
+						}
+						for _, v := range versions {
+							if v != 0 {
+								res.committed++
+							}
+						}
+					}
+					if firstCommit.IsZero() {
+						firstCommit = start
+					}
+					lastCommit = sc.S.Now()
+				}
+			})
+		}
+		sc.S.Sleep(dur + time.Second)
+		sc.S.Stop()
+	})
+	sc.Run(12 * time.Hour)
+
+	span := lastCommit.Sub(firstCommit)
+	if span > 0 && res.committed > 1 {
+		res.tput = float64(res.committed-1) / span.Seconds()
+	}
+	res.ms = sc.TotalMasterStats()
+	return res
 }

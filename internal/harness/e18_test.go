@@ -3,6 +3,8 @@ package harness
 import (
 	"testing"
 	"time"
+
+	"repro/internal/cryptoutil"
 )
 
 // TestE18ShapeHotPath asserts the PR's acceptance criteria on the E18
@@ -15,8 +17,8 @@ import (
 func TestE18ShapeHotPath(t *testing.T) {
 	dur := 1250 * time.Millisecond // scale-8 equivalent of the benchmark run
 
-	ref := runE18(7, dur, 16, 0)
-	hot := runE18(7, dur, 16, 16)
+	ref := runWrites(7, dur, cryptoutil.ModernCosts(), 16, 0)
+	hot := runWrites(7, dur, cryptoutil.ModernCosts(), 16, 16)
 	if ref.committed == 0 || hot.committed == 0 {
 		t.Fatalf("no write load ran (ref=%d hot=%d)", ref.committed, hot.committed)
 	}

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/core"
@@ -14,15 +13,16 @@ import (
 )
 
 // E18HotPath measures the zero-alloc hot path under modern signature
-// costs. The write rows share E15's modern-cost configuration: the
-// first reproduces it exactly (individual Write calls) as the reference
-// point, and the "hot" rows push the same load through write waves
-// (WriteMulti), so each wave fills a batch by itself and no flush waits
-// on the timer — committed throughput should clear 2x the reference row. The
-// final row exercises the read path, where stamps repeat: between
-// content updates every read reply carries the same master stamp, so
-// the verified-stamp cache replaces those signature verifications —
-// its stamp-cache columns count the checks skipped.
+// costs. The write rows run on E15's runner (runWrites) under its
+// modern-cost configuration: the first reproduces E15's b=16 row exactly
+// (individual Write calls) as the reference point, and the "hot" rows
+// push the same load through write waves (WriteMulti), so each wave
+// fills a batch by itself and no flush waits on the timer — committed
+// throughput should clear 2x the reference row. The final row exercises
+// the read path, where stamps repeat: between content updates every read
+// reply carries the same master stamp, so the verified-stamp cache
+// replaces those signature verifications — its stamp-cache columns count
+// the checks skipped.
 func E18HotPath(seed int64, scale Scale) *metrics.Table {
 	t := metrics.NewTable(
 		"E18 — zero-alloc hot path: pooled frames, one-hash batch digest, stamp cache",
@@ -46,7 +46,7 @@ func E18HotPath(seed int64, scale Scale) *metrics.Table {
 
 	base := 0.0
 	for _, row := range rows {
-		r := runE18(seed, dur, row.batch, row.wave)
+		r := runWrites(seed, dur, cryptoutil.ModernCosts(), row.batch, row.wave)
 		if base == 0 {
 			base = r.tput
 		}
@@ -54,106 +54,14 @@ func E18HotPath(seed int64, scale Scale) *metrics.Table {
 		if base > 0 {
 			speedup = r.tput / base
 		}
-		sigPerWrite := 0.0
-		if r.ms.WritesApplied > 0 {
-			sigPerWrite = float64(r.ms.BatchesApplied) / float64(r.ms.WritesApplied)
-		}
 		t.Add(row.mode, row.batch, r.committed, r.tput, fmt.Sprintf("%.1fx", speedup),
-			r.ms.BatchesApplied, sigPerWrite, r.ms.BatchFlushTimer, "-", "-", "-")
+			r.ms.BatchesApplied, r.sigsPerWrite(), r.ms.BatchFlushTimer, "-", "-", "-")
 	}
 
 	rr := runE18Reads(seed, dur)
 	t.Add("read path (stamp cache)", "-", "-", "-", "-", "-", "-", "-",
 		rr.reads, rr.stampHits, rr.stampMisses)
 	return t
-}
-
-// e18Result carries one E18 write run's measurements.
-type e18Result struct {
-	committed uint64
-	tput      float64
-	ms        core.MasterStats
-}
-
-// runE18 drives one write-only deployment. wave == 0 reproduces the
-// E15 shape (64 writers each submitting one signed write per RPC);
-// wave > 0 groups each writer's submissions into WriteMulti frames of
-// that size, the hot-path shape.
-func runE18(seed int64, dur time.Duration, batch, wave int) e18Result {
-	cfg := DefaultScenario()
-	cfg.Seed = seed
-	cfg.NMasters = 1
-	cfg.SlavesPerMaster = 1
-	cfg.CatalogSize = 50
-	cfg.DocCount = 5
-	cfg.Params.Costs = cryptoutil.ModernCosts()
-	cfg.Params.MaxLatency = time.Millisecond
-	cfg.BatchSize = batch
-	cfg.BatchTimeout = 2 * time.Millisecond
-	sc := NewScenario(cfg)
-	cl := sc.AddClient(func(cc *core.ClientConfig) { cc.PreferredMaster = 0 })
-
-	var res e18Result
-	var firstCommit, lastCommit time.Time
-	writers := 64
-	if wave > 0 {
-		writers = 16
-	}
-	sc.S.Go(func() {
-		sc.S.Sleep(sc.Warmup())
-		if err := cl.Setup(); err != nil {
-			sc.S.Stop()
-			return
-		}
-		end := sc.S.Now().Add(dur)
-		for i := 0; i < writers; i++ {
-			i := i
-			sc.S.Spawn(func() {
-				gen := workload.NewGen(rand.New(rand.NewSource(seed+int64(i)*31)),
-					workload.DefaultMix(), cfg.CatalogSize, cfg.DocCount)
-				seq := 0
-				for sc.S.Now().Before(end) {
-					start := sc.S.Now()
-					if wave == 0 {
-						if _, err := cl.Write(gen.NextWrite(seq)); err != nil {
-							return
-						}
-						seq++
-						res.committed++
-					} else {
-						ops := make([]store.Op, wave)
-						for j := range ops {
-							ops[j] = gen.NextWrite(seq)
-							seq++
-						}
-						versions, err := cl.WriteMulti(ops)
-						if err != nil {
-							return
-						}
-						for _, v := range versions {
-							if v != 0 {
-								res.committed++
-							}
-						}
-					}
-					if firstCommit.IsZero() {
-						firstCommit = start
-					}
-					lastCommit = sc.S.Now()
-				}
-			})
-		}
-		sc.S.Sleep(dur + time.Second)
-		sc.S.Stop()
-	})
-	sc.Run(12 * time.Hour)
-
-	span := lastCommit.Sub(firstCommit)
-	if span > 0 && res.committed > 1 {
-		res.tput = float64(res.committed-1) / span.Seconds()
-	}
-	res.ms = sc.TotalMasterStats()
-	return res
 }
 
 // e18ReadResult carries the read-path run's measurements.
