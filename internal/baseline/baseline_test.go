@@ -385,3 +385,50 @@ func TestSSProofStepCountBounded(t *testing.T) {
 		t.Fatalf("stats: %+v", client.Stats())
 	}
 }
+
+// --- Concurrency under the simulator ------------------------------------------
+
+// runConcurrent hands the same request to handle from two sim tasks at
+// once, on a simulator whose Run must end within a wall-clock watchdog: a
+// handler that parks on its CPU while holding its mutex blocks the second
+// task on the lock without yielding, and the simulator never returns.
+func runConcurrent(t *testing.T, s *sim.Sim, handle rpc.Handler, method string, body []byte) {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		s.Go(func() {
+			if _, err := handle("client", method, body); err != nil {
+				t.Errorf("%s: %v", method, err)
+			}
+		})
+	}
+	done := make(chan struct{})
+	go func() { s.Run(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("two concurrent %s requests hung the simulator", method)
+	}
+}
+
+func TestSMRReplicaConcurrentWrites(t *testing.T) {
+	s := sim.New(6)
+	rep := NewSMRReplica(SMRReplicaConfig{
+		Addr: "rep", Keys: cryptoutil.DeriveKeyPair("smr", 0),
+		Costs: cryptoutil.DefaultCosts(), CPU: s.NewResource("rep/cpu", 1),
+	}, content())
+	body := wire.EncodeFrame(func(w *wire.Writer) {
+		w.Bytes_(store.EncodeOp(store.Put{Key: "new", Value: []byte("1")}))
+	})
+	runConcurrent(t, s, rep.Handle, MethodSMRWrite, body)
+}
+
+func TestSSStorageConcurrentGets(t *testing.T) {
+	s := sim.New(7)
+	owner := cryptoutil.DeriveKeyPair("owner", 0)
+	snap := content()
+	storage := NewSSStorage(SSStorageConfig{
+		Addr: "storage", Costs: cryptoutil.DefaultCosts(), CPU: s.NewResource("storage/cpu", 1),
+	}, snap, SignRoot(owner, snap.Version(), BuildTree(snap).Root()))
+	body := wire.EncodeFrame(func(w *wire.Writer) { w.String_("item/005") })
+	runConcurrent(t, s, storage.Handle, MethodSSGet, body)
+}

@@ -131,9 +131,10 @@ func (r *SMRReplica) handleWrite(body []byte) ([]byte, error) {
 		return nil, err
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.meter.Apply(1)
-	return nil, r.store.Apply(op)
+	err = r.store.Apply(op)
+	r.mu.Unlock()
+	r.meter.Apply(1) // after the unlock: a charge parks this task
+	return nil, err
 }
 
 // SMRClientConfig configures the quorum client.

@@ -123,9 +123,13 @@ func (s *SSStorage) Handle(from, method string, body []byte) ([]byte, error) {
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
+	// Update replaces the tree and the root whole, so the lookup runs on
+	// the pair taken under the lock, after the unlock: its charges park
+	// this task.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	idx := s.tree.Find(key)
+	tree, root := s.tree, s.root
+	s.mu.Unlock()
+	idx := tree.Find(key)
 	w := wire.NewWriter(256)
 	if idx < 0 {
 		// Absence is not provable in this simple baseline (no range
@@ -134,8 +138,8 @@ func (s *SSStorage) Handle(from, method string, body []byte) ([]byte, error) {
 		w.Bool(false)
 		return w.Bytes(), nil
 	}
-	entry, _ := s.tree.Entry(idx)
-	proof, err := s.tree.Prove(idx)
+	entry, _ := tree.Entry(idx)
+	proof, err := tree.Prove(idx)
 	if err != nil {
 		return nil, err
 	}
@@ -145,8 +149,10 @@ func (s *SSStorage) Handle(from, method string, body []byte) ([]byte, error) {
 	w.String_(entry.Key)
 	w.Bytes_(entry.Value)
 	proof.Encode(w)
-	s.root.Encode(w)
+	root.Encode(w)
+	s.mu.Lock()
 	s.proofB += uint64(len(proof.Steps) * (cryptoutil.DigestSize + 1))
+	s.mu.Unlock()
 	return w.Bytes(), nil
 }
 
