@@ -24,8 +24,8 @@ var seededBugs = []struct {
 }{
 	{
 		name: "master report counter unlocked", analyzer: analysis.Lockcheck, file: "internal/core/master.go",
-		from: "\tm.mu.Lock()\n\tm.stats.Reports++\n\tatVersion := m.store.Version() == pledge.Stamp.Version\n\tproven := false\n\tif atVersion {\n\t\tproven, _ = pledge.contradictedBy(m.store)\n\t}\n\tm.mu.Unlock()\n",
-		to:   "\tm.stats.Reports++\n\tatVersion := m.store.Version() == pledge.Stamp.Version\n\tproven := false\n\tif atVersion {\n\t\tproven, _ = pledge.contradictedBy(m.store)\n\t}\n",
+		from: "\tm.mu.Lock()\n\tm.stats.Reports++\n\tproven := false\n\tif m.store.Version() == pledge.Stamp.Version {\n\t\tproven, _ = pledge.contradictedBy(m.store, tab)\n\t}\n\tm.mu.Unlock()\n",
+		to:   "\tm.stats.Reports++\n\tproven := false\n\tif m.store.Version() == pledge.Stamp.Version {\n\t\tproven, _ = pledge.contradictedBy(m.store, tab)\n\t}\n",
 		at:   "\tm.stats.Reports++\n",
 	},
 	{

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/broadcast"
 	"repro/internal/cryptoutil"
-	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -304,19 +303,10 @@ func (w *view) answer(queryBytes []byte, tab *cryptoutil.Meter) (correct cryptou
 		tab.MemoHit()
 		return correct, true, true
 	}
-	q, err := query.Decode(queryBytes)
-	if err != nil {
-		return correct, false, false
+	if correct, ok = executeQuery(queryBytes, w.content, tab); ok {
+		w.answers[string(queryBytes)] = correct
 	}
-	res, err := q.Execute(w.content)
-	if err != nil {
-		return correct, false, false
-	}
-	correct = res.Digest()
-	w.answers[string(queryBytes)] = correct
-	tab.Exec(res.Scanned, false)
-	tab.Hash(len(res.Payload))
-	return correct, false, true
+	return correct, false, ok
 }
 
 // headLocked returns the newest content applied. Caller holds a.mu.

@@ -1010,18 +1010,15 @@ func (m *Master) handleReport(from string, body []byte) ([]byte, error) {
 	}
 
 	// The version compared is the one re-executed at: one critical section.
+	tab := m.meter.Tab() // the re-execution, paid after the unlock
 	m.mu.Lock()
 	m.stats.Reports++
-	atVersion := m.store.Version() == pledge.Stamp.Version
 	proven := false
-	if atVersion {
-		proven, _ = pledge.contradictedBy(m.store)
+	if m.store.Version() == pledge.Stamp.Version {
+		proven, _ = pledge.contradictedBy(m.store, tab)
 	}
 	m.mu.Unlock()
-
-	if atVersion {
-		m.meter.Exec(0, false) // the re-execution, priced at a query's base
-	}
+	tab.Pay()
 	if !proven && len(auditorSig) > 0 {
 		// The auditor re-executed at the correct version; it is a trusted
 		// server and its signature authenticates the report (the pledge

@@ -377,6 +377,46 @@ func TestMasterReportPricesFailedAuditorVerify(t *testing.T) {
 	}
 }
 
+// TestMasterReportPricesReExecution: a report at the master's version
+// costs it the pledge's verify and the re-execution, priced as an audit
+// is: the query's scan plus the hash of its payload. An honest pledge
+// proves nothing and, with no auditor signature, ends there.
+func TestMasterReportPricesReExecution(t *testing.T) {
+	r := newMasterRig(t, func(cfg *MasterConfig) {
+		// Per-KB prices a point lookup's few bytes would round away.
+		cfg.Params.Costs.QueryPerKB = time.Second
+		cfg.Params.Costs.HashPerKB = time.Second
+	})
+	cpu := r.s.NewResource("master", 1)
+	costs := r.master.cfg.Params.Costs
+	r.master.meter = cryptoutil.NewMeter(cpu, costs)
+	slaveKeys := cryptoutil.DeriveKeyPair("slave", 0)
+	r.master.AddSlave("slave-0", slaveKeys.Public)
+	q := query.Get{Key: "k"}
+	res, err := q.Execute(r.master.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paid time.Duration
+	r.s.Go(func() {
+		stamp := SignStamp(cryptoutil.DeriveKeyPair("master", 0), r.master.Version(), r.s.Now())
+		pb := EncodePledge(SignPledge(slaveKeys, query.Encode(q), res.Digest(), stamp))
+		before := cpu.BusyTime()
+		_, err = r.master.Handle("anyone", MethodReport, wire.EncodeFrame(func(w *wire.Writer) {
+			w.Bytes_(pb)
+			w.Bytes_(nil)
+		}))
+		paid = cpu.BusyTime() - before
+	})
+	r.s.Run()
+	if !errors.Is(err, ErrNotProven) {
+		t.Fatalf("report of an honest pledge: err = %v, want %v", err, ErrNotProven)
+	}
+	if want := costs.VerifySig + costs.QueryCost(res.Scanned) + costs.HashCost(len(res.Payload)); paid != want {
+		t.Fatalf("the report cost the master %v, want %v: the pledge's verify, the scan and the payload's hash", paid, want)
+	}
+}
+
 func TestMasterGetSlaveAssignsAndExcludes(t *testing.T) {
 	r := newMasterRig(t, nil)
 	for i := 0; i < 3; i++ {

@@ -458,27 +458,41 @@ func CheckPledgeAgainst(replica *store.Store, p *Pledge) (bool, cryptoutil.Diges
 			"core: replica at version %d cannot check pledge for version %d",
 			replica.Version(), p.Stamp.Version)
 	}
-	proven, correct := p.contradictedBy(replica)
+	proven, correct := p.contradictedBy(replica, nil)
 	return proven, correct, nil
 }
 
 // contradictedBy re-executes the pledged query on replica, which the
 // caller holds at the pledge's version, and reports whether the answer
-// there contradicts the pledge, with the correct hash. It checks no
-// signature. An execution error on a malformed query also contradicts it
-// by an honest-executor standard: an honest slave would have returned the
-// same error, not a signed result.
-func (p *Pledge) contradictedBy(replica *store.Store) (bool, cryptoutil.Digest) {
-	q, err := query.Decode(p.QueryBytes)
-	if err != nil {
-		return true, cryptoutil.Digest{} // signed garbage query
+// there contradicts the pledge, with the correct hash, priced on meter
+// (executeQuery). It checks no signature. An execution error on a
+// malformed query also contradicts it by an honest-executor standard: an
+// honest slave would have returned the same error, not a signed result.
+func (p *Pledge) contradictedBy(replica *store.Store, meter *cryptoutil.Meter) (bool, cryptoutil.Digest) {
+	correct, ok := executeQuery(p.QueryBytes, replica, meter)
+	if !ok {
+		return true, cryptoutil.Digest{} // signed garbage or unexecutable query
 	}
-	res, err := q.Execute(replica)
-	if err != nil {
-		return true, cryptoutil.Digest{} // signed unexecutable query
-	}
-	correct := res.Digest()
 	return !correct.Equal(p.ResultHash), correct
+}
+
+// executeQuery runs an encoded query over content and returns the hash of
+// its result, priced on meter as the scan plus the hash of the payload.
+// ok is false, and nothing is charged, for a query that does not decode
+// or execute. A re-execution that checks an answer — the master's of a
+// reported pledge, the auditor's of an audited one — costs this much.
+func executeQuery(queryBytes []byte, content *store.Store, meter *cryptoutil.Meter) (correct cryptoutil.Digest, ok bool) {
+	q, err := query.Decode(queryBytes)
+	if err != nil {
+		return correct, false
+	}
+	res, err := q.Execute(content)
+	if err != nil {
+		return correct, false
+	}
+	meter.Exec(res.Scanned, false)
+	meter.Hash(len(res.Payload))
+	return res.Digest(), true
 }
 
 // WriteWave is a client-signed wave of writes (MethodWriteMulti): ONE
