@@ -62,13 +62,6 @@ type slaveAck struct {
 	at      time.Time
 }
 
-// versionMark pairs a content version with the broadcast sequence number
-// that carried it: a master's recovery anchor.
-type versionMark struct {
-	version uint64
-	seq     uint64
-}
-
 // ckptSnapshot is an encoded store state at version, authenticated by a
 // master's stamp: the head of a snapshot-first m.sync reply, and of the
 // durable snapshot file, which is one such reply.

@@ -99,8 +99,8 @@ func (m *Master) openDurable() error {
 		}
 	}
 	m.wlog = l
-	if m.lastMark.seq > 0 {
-		m.bcast.ResumeAt(m.lastMark.seq)
+	if m.anchor > 0 {
+		m.bcast.ResumeAt(m.anchor)
 	}
 	return nil
 }
@@ -162,8 +162,8 @@ func (m *Master) adoptTransferLocked(st *stateTransfer) (int, error) {
 	if err != nil {
 		return applied, err
 	}
-	if st.anchor > m.lastMark.seq {
-		m.lastMark = versionMark{version: m.store.Version(), seq: st.anchor}
+	if st.anchor > m.anchor {
+		m.anchor = st.anchor
 	}
 	return applied, nil
 }
@@ -234,7 +234,7 @@ func (m *Master) catchUpFrom(peer string) error {
 		m.mu.Unlock()
 		return err
 	}
-	anchor := m.lastMark.seq
+	anchor := m.anchor
 	persist := &ckptSnapshot{version: m.store.Version(), bytes: m.store.EncodeSnapshot()}
 	m.stats.RecoverySyncs++
 	m.mu.Unlock()

@@ -135,7 +135,7 @@ func TestDurableRestartReplaysWAL(t *testing.T) {
 				return
 			}
 			m2.mu.Lock()
-			anchor := m2.lastMark.seq
+			anchor := m2.anchor
 			m2.mu.Unlock()
 			if replayed != 0 || anchor != file.anchor || file.snap.StateDigest() != wantD {
 				t.Fatalf("restart replayed %d WAL records and resumes after slot %d; want none, slot %d, the file's digest",

@@ -164,7 +164,7 @@ type Master struct {
 	baseVersion uint64                       // guarded by mu; floor of the retained log (initial version, then the last version of a truncated batch)
 	log         []loggedBatch                // guarded by mu; the committed batches above baseVersion, in order
 	unacked     uint64                       // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
-	lastMark    versionMark                  // guarded by mu; version + broadcast seq of the newest applied batch
+	anchor      uint64                       // guarded by mu; broadcast slot of the newest applied batch (the recovery anchor)
 	lastCommit  time.Time                    // guarded by mu
 	nextWriteAt time.Time                    // guarded by mu
 	batchQueue  []queuedWave                 // guarded by mu; admitted waves awaiting the next flush

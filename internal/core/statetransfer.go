@@ -207,7 +207,7 @@ func (m *Master) handleSync(body []byte) ([]byte, error) {
 	// The broadcast slot of the newest applied batch, captured in the same
 	// critical section as cur: a recovering master that applies every
 	// batch of this reply resumes delivery exactly at anchor+1.
-	anchor := m.lastMark.seq
+	anchor := m.anchor
 	var content *store.Store // the state to serve: an O(1) clone, encoded off the lock
 	var batches []BatchUpdate
 	if from <= m.baseVersion {
