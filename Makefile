@@ -36,6 +36,11 @@
 #                     into a temporary directory and compare each with
 #                     the committed file: any difference is printed and
 #                     fails the target. Nothing in the tree is written.
+#   make matrix-full-diff BASE=<ref> — run the full matrix grid at the
+#                     git ref BASE (extracted into a temporary directory)
+#                     and at the working tree, and print every cell whose
+#                     figures differ; fails only when a cell fails its
+#                     ground-truth check on either side.
 #   make loc        — non-test lines per internal/ package (the figure
 #                     CHANGES.md and ROADMAP.md quote).
 #   make profile    — run the E18 hot-path experiment under the CPU and
@@ -49,7 +54,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: verify build vet lint check-tests race bench-sim bench-matrix check-records bench-smoke fuzz-smoke check-readme bench profile profile-read loc
+.PHONY: verify build vet lint check-tests race bench-sim bench-matrix check-records matrix-full-diff bench-smoke fuzz-smoke check-readme bench profile profile-read loc
 
 verify: build vet lint check-tests race bench-sim bench-matrix fuzz-smoke check-readme bench-smoke
 
@@ -137,6 +142,20 @@ check-records:
 		else echo "check-records: $$f differs from a fresh run:"; diff "$$f" "$$tmp/$$f"; status=1; fi; \
 	done; \
 	exit $$status
+
+# The nightly full grid has no committed record, so a change that moves
+# one of its cells shows only here: the grid at BASE and at the working
+# tree, compared cell by cell (replsim -matrixdiff). A run whose cells
+# fail still writes its report; the diff then names those cells and fails.
+matrix-full-diff:
+	@test -n "$(BASE)" || { echo "usage: make matrix-full-diff BASE=<git ref>"; exit 2; }
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	mkdir "$$tmp/base" && git archive "$(BASE)" | tar -x -C "$$tmp/base" && \
+	echo "matrix-full-diff: full grid at $(BASE)" && \
+	(cd "$$tmp/base" && $(GO) run ./cmd/replsim -matrix -matrixfull -matrixout "$$tmp/base.json" > "$$tmp/base.log"; test -s "$$tmp/base.json") && \
+	echo "matrix-full-diff: full grid at the working tree" && \
+	($(GO) run ./cmd/replsim -matrix -matrixfull -matrixout "$$tmp/head.json" > "$$tmp/head.log"; test -s "$$tmp/head.json") && \
+	$(GO) run ./cmd/replsim -matrixdiff "$$tmp/base.json" "$$tmp/head.json"
 
 # The real-clock benchmark lives in its own module: vet and test it, then
 # run the read path and the write path end to end, briefly. Each run

@@ -10,6 +10,7 @@
 //	replsim -scenario -clients 16 -writeevery 2 -batch 16 -maxlatency 10ms
 //	replsim -scenario -writeevery 2 -batch 16 -checkpoint 1s -duration 5m
 //	replsim -matrix [-matrixout BENCH_matrix.json] [-matrixfull]
+//	replsim -matrixdiff BASE.json HEAD.json
 package main
 
 import (
@@ -33,6 +34,7 @@ func main() {
 		matrixOn   = flag.Bool("matrix", false, "run the workload × fault matrix and write the consolidated report")
 		matrixOut  = flag.String("matrixout", "BENCH_matrix.json", "matrix report output path")
 		matrixFull = flag.Bool("matrixfull", os.Getenv("MATRIX_FULL") != "", "run the full grid instead of the smoke grid (also via MATRIX_FULL=1)")
+		matrixDiff = flag.Bool("matrixdiff", false, "compare two matrix reports (arguments BASE.json HEAD.json): print every cell whose figures differ, fail only if a cell failed in either")
 		seed       = flag.Int64("seed", 1, "simulation seed")
 		scale      = flag.Int("scale", 1, "divide experiment sizes by this factor (1 = full)")
 		markdown   = flag.Bool("markdown", false, "emit tables as markdown")
@@ -46,6 +48,14 @@ func main() {
 	if *scenario {
 		runScenario(*seed, scFlags)
 		return
+	}
+
+	if *matrixDiff {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: replsim -matrixdiff BASE.json HEAD.json")
+			os.Exit(2)
+		}
+		os.Exit(runMatrixDiff(flag.Arg(0), flag.Arg(1)))
 	}
 
 	if *matrixOn {

@@ -77,3 +77,34 @@ func runMatrix(seed int64, out string, full bool, markdown bool) int {
 	}
 	return 0
 }
+
+// runMatrixDiff prints every cell whose figures differ between two
+// reports of one grid. Figures that move are information, not failure:
+// it fails only when a cell failed its ground-truth check in either run.
+func runMatrixDiff(basePath, headPath string) int {
+	base, err := matrix.ReadReport(basePath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "matrixdiff:", err)
+		return 1
+	}
+	head, err := matrix.ReadReport(headPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "matrixdiff:", err)
+		return 1
+	}
+	moved := matrix.Diff(base, head)
+	for _, line := range moved {
+		fmt.Println("  " + line)
+	}
+	fmt.Printf("%d of %d cells differ\n", len(moved), len(head.Cells))
+	code := 0
+	for i, rep := range []matrix.Report{base, head} {
+		for _, r := range rep.Cells {
+			if !r.OK() {
+				fmt.Fprintf(os.Stderr, "matrixdiff: %s: cell %s failed\n", []string{basePath, headPath}[i], r.Cell.Label())
+				code = 1
+			}
+		}
+	}
+	return code
+}

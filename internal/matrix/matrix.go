@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"time"
 )
 
@@ -216,4 +218,65 @@ func (r Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// ReadReport reads a report WriteFile wrote.
+func ReadReport(path string) (Report, error) {
+	var r Report
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &r)
+	}
+	return r, err
+}
+
+// Diff lists every cell whose figures differ between two runs of a grid,
+// one line per cell: its label, then each figure that moved as
+// "name before → after". A cell that only one run has is listed as such.
+func Diff(base, head Report) []string {
+	before := make(map[string]Result, len(base.Cells))
+	for _, r := range base.Cells {
+		before[r.Cell.Label()] = r
+	}
+	var out []string
+	for _, h := range head.Cells {
+		label := h.Cell.Label()
+		b, ok := before[label]
+		if !ok {
+			out = append(out, label+": only in the second run")
+			continue
+		}
+		delete(before, label)
+		if moved := movedFigures(b, h); len(moved) > 0 {
+			out = append(out, label+": "+strings.Join(moved, ", "))
+		}
+	}
+	for _, b := range base.Cells {
+		if _, ok := before[b.Cell.Label()]; ok {
+			out = append(out, b.Cell.Label()+": only in the first run")
+		}
+	}
+	return out
+}
+
+// movedFigures names each Result figure (by its JSON name) that differs.
+func movedFigures(b, h Result) []string {
+	bv, hv := reflect.ValueOf(b), reflect.ValueOf(h)
+	var moved []string
+	for i := 0; i < bv.NumField(); i++ {
+		name, _, _ := strings.Cut(bv.Type().Field(i).Tag.Get("json"), ",")
+		x, y := bv.Field(i).Interface(), hv.Field(i).Interface()
+		if name != "cell" && x != y {
+			moved = append(moved, fmt.Sprintf("%s %s → %s", name, figure(x), figure(y)))
+		}
+	}
+	return moved
+}
+
+// figure prints a count as it is and a float to six significant digits.
+func figure(v any) string {
+	if f, ok := v.(float64); ok {
+		return fmt.Sprintf("%.6g", f)
+	}
+	return fmt.Sprint(v)
 }

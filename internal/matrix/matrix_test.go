@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -149,5 +150,33 @@ func TestCellsDrainTheirWriters(t *testing.T) {
 				t.Error("a fault-free cell with a failed write passes")
 			}
 		})
+	}
+}
+
+// TestDiffListsMovedFigures: Diff names each cell whose figures moved, and
+// each figure that did, and a cell that only one run has.
+func TestDiffListsMovedFigures(t *testing.T) {
+	a := Cell{Dist: DistZipf, Mix: MixReadMostly, Clients: 10, Shards: 1, Fault: FaultNone}
+	b, c := a, a
+	b.Clients, c.Clients = 100, 1000
+	base := Report{Cells: []Result{
+		{Cell: a, Committed: 691, WriteP50ms: 3246.5, Converged: true},
+		{Cell: b, Committed: 5, Converged: true},
+	}}
+	head := Report{Cells: []Result{
+		{Cell: a, Committed: 713, WriteP50ms: 2517.25, Converged: true},
+		{Cell: b, Committed: 5, Converged: true},
+		{Cell: c, Committed: 1, Converged: true},
+	}}
+	got := Diff(base, head)
+	want := []string{
+		"zipf/read-mostly/c10/s1/none: committed_writes 691 → 713, write_p50_ms 3246.5 → 2517.25",
+		"zipf/read-mostly/c1000/s1/none: only in the second run",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("Diff =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if got := Diff(head, base); len(got) != 2 || got[1] != "zipf/read-mostly/c1000/s1/none: only in the first run" {
+		t.Fatalf("reversed Diff = %q", got)
 	}
 }
