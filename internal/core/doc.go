@@ -358,7 +358,10 @@
 // signature per keep-alive; a slave a verify per keep-alive, and per
 // batch a memo hit and the entry's hash; per read the query, the
 // payload's hash, the pledge's signature (or memo hits) and the reply,
-// and the auditor the answer at the read's version. A client pays nothing.
+// and the auditor the answer at the read's version. A re-execution that
+// checks an answer (the auditor's, or a master's of a reported pledge)
+// costs the scan plus the payload's hash (executeQuery). A client pays
+// nothing.
 //
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch — its ops and signed

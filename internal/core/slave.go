@@ -126,8 +126,10 @@ func (s *Slave) Addr() string { return s.cfg.Addr }
 // PublicKey returns the slave's public key.
 func (s *Slave) PublicKey() cryptoutil.PublicKey { return s.cfg.Keys.Public }
 
-// SetMaster repoints the slave at a new master (used after a master
-// crash, when survivors divide the dead master's slave set).
+// SetMaster sets the address the slave bootstraps and syncs from. No node
+// calls it: after a master crash the survivor that adopts this slave
+// repoints it with its own keep-alive, which names its sender. Tests use
+// it to aim a slave at a scripted or hostile source.
 func (s *Slave) SetMaster(addr string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
