@@ -229,6 +229,10 @@ func (m *Master) catchUpFrom(peer string) error {
 		return err
 	}
 
+	// The log keeps each batch's ops, which alias the reply.
+	for i := range st.batches {
+		st.batches[i].Ops = cloneOps(st.batches[i].Ops)
+	}
 	m.mu.Lock()
 	if _, err := m.adoptTransferLocked(st); err != nil {
 		m.mu.Unlock()

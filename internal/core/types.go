@@ -215,16 +215,31 @@ func (bu *BatchUpdate) appendEntry(w *wire.Writer) {
 	bu.Stamp.Encode(w)
 }
 
-// decodeBatchEntry reads what appendEntry wrote. The ops, the stamp's key
-// and its signature are copies; an op count above wire.MaxBatchItems is
-// refused.
+// decodeBatchEntry reads what appendEntry wrote. The ops alias r's
+// buffer; the stamp's key and its signature are copies. An op count above
+// wire.MaxBatchItems is refused. A caller that keeps the ops past the
+// buffer copies them (cloneOps): the master's catch-up, whose log keeps
+// them. A slave (fetch, Bootstrap) keeps only what store.DecodeOp copied
+// out of them. The master's log keeps views of a WAL record or of the
+// snapshot file: each is a buffer read for that one decode and never
+// written again.
 func decodeBatchEntry(r *wire.Reader) (BatchUpdate, error) {
 	var bu BatchUpdate
 	bu.First = r.Uvarint()
-	bu.Ops = r.BytesSlice()
+	bu.Ops = r.BytesSliceView()
 	var err error
 	bu.Stamp, err = DecodeStamp(r)
 	return bu, err
+}
+
+// cloneOps copies ops into one buffer of their own.
+func cloneOps(ops [][]byte) [][]byte {
+	buf := bytes.Join(ops, nil)
+	out := make([][]byte, len(ops))
+	for i, op := range ops {
+		out[i], buf = buf[:len(op):len(op)], buf[len(op):]
+	}
+	return out
 }
 
 // openedBatch is a batch entry that passed openBatch, with its ops
