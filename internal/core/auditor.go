@@ -199,84 +199,198 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	a.held = append(a.held, heldBatch{ops: ops, at: a.rt.Now()})
 }
 
-// pledgeVouch is the a.pledge reply for a body whose every frame the
-// auditor audited on arrival and found right. Any other body gets the
-// empty reply. A client that gets exactly this byte holds a correct
-// answer, so it need not check who signed it (Client.readOnce).
-var pledgeVouch = []byte{0x01}
+// The a.pledge body is byte form ‖ frames, one frame per slave, back to
+// back: each frame is length-prefixed field by field, so they need no
+// separator. A client sends statement frames first (Pledge.appendStatement:
+// no key, no signature), and the evidence frames (Pledge.Encode) of the
+// same read only when the auditor asks for them.
+const (
+	pledgeFormStatement byte = 0
+	pledgeFormEvidence  byte = 1
+)
 
-// handlePledge settles the evidence frames of one accepted read, one per
-// slave, back to back: each frame is length-prefixed field by field, so
-// they need no separator. Every frame is decoded before any is admitted,
-// so the body is admitted or refused whole, in frame order — the order in
-// which one frame per call would draw the sampling coin. In one critical
-// section, each is then sampled out, left waiting while its version is
-// not delivered, or settled (settleLocked); the reply is the vouch
-// exactly when every frame was audited and right. A waiting pledge is a
-// view of body, which the handler owns (nobody writes to it again).
+// The a.pledge replies besides the empty one. pledgeVouch answers a body
+// whose every frame the auditor audited on arrival and found right: a
+// client that gets exactly this byte holds a correct answer, so it need
+// not check who signed it (Client.readOnce). pledgeEvidence answers a
+// statement body with a frame that disagrees with the auditor's view or is
+// ahead of delivery: the only frames it reads a key and a signature for,
+// to convict a lie or to hold the frame. Every other body gets the empty
+// reply.
+var (
+	pledgeVouch    = []byte{0x01}
+	pledgeEvidence = []byte{0x02}
+)
+
+// handlePledge settles the frames of one accepted read, one per slave.
+// Every frame is decoded before any is admitted, so the body is admitted
+// or refused whole, in frame order — the order in which one frame per call
+// would draw the sampling coin. A statement body is answered in one
+// critical section (settleStatementsLocked), an evidence body in another
+// (settleEvidenceLocked); the work is paid after the unlock. A waiting
+// pledge is a view of body, which the handler owns (nobody writes to it
+// again).
 func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	var held [2]Pledge // reads of one or two slaves decode without an allocation
 	pledges := held[:0]
 	r := wire.NewReader(body)
+	form := r.Byte()
+	decode := decodeStatement
+	switch {
+	case r.Err() != nil:
+		return nil, r.Err()
+	case form == pledgeFormEvidence:
+		decode = decodePledge
+	case form != pledgeFormStatement:
+		return nil, fmt.Errorf("core: a.pledge: unknown form %d", form)
+	}
 	for len(pledges) == 0 || r.Remaining() > 0 {
-		p, err := decodePledge(r)
+		p, err := decode(r)
 		if err != nil {
 			return nil, err
 		}
 		pledges = append(pledges, p)
 	}
-	tab := a.meter.Tab() // the answers and checks, paid after the unlock
-	vouch := true
+	tab := a.meter.Tab()
 	a.mu.Lock()
-	now := a.rt.Now()
-	for i := range pledges {
-		a.stats.PledgesReceived++
-		switch {
-		case a.cfg.Params.AuditSampleP < 1 && a.rng.Float64() >= a.cfg.Params.AuditSampleP:
-			a.stats.PledgesSampled++
-			vouch = false
-		case pledges[i].Stamp.Version > a.masterV:
-			a.pending = append(a.pending, pledges[i])
-			a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
-			vouch = false
-		default:
-			vouch = a.settleLocked(&pledges[i], now, tab) && vouch
-		}
-	}
-	if vouch {
-		a.stats.PledgesVouched += uint64(len(pledges))
+	var ack []byte
+	if form == pledgeFormStatement {
+		ack = a.settleStatementsLocked(pledges, a.rt.Now(), tab)
+	} else {
+		ack = a.settleEvidenceLocked(pledges, a.rt.Now(), tab)
 	}
 	a.mu.Unlock()
 	tab.Pay()
-	if vouch {
-		return pledgeVouch, nil
-	}
-	return nil, nil
+	return ack, nil
 }
 
-// settleLocked audits a frame at a delivered version V against the
-// content at exactly V, applying held batches up to V first, and reports
-// whether it was right, pricing the work on tab; with no view at V it is
-// late. A right pledge is never presented to anyone, so nobody
-// checks who signed it. One that disagrees, or names a query that does
-// not decode or execute, has its signature verified: a forged one can
-// frame nobody and is dropped; a signed one is a lie, and the first of
-// each slave is marked detected, and reported on a task of its own, so no
-// a.pledge reply waits on the report's RPC. Caller holds a.mu.
-func (a *Auditor) settleLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) bool {
+// settleStatementsLocked answers a statement body. Each frame draws the
+// sampling coin, and one not sampled out is judged at its version. A
+// frame ahead of delivery or one that disagrees with the content there
+// has nothing to be held or convicted by, so the body is answered
+// pledgeEvidence and counts nothing: its frames are counted when their
+// evidence arrives. Otherwise every frame is counted as sampled, late or
+// audited right, and the body is vouched for exactly when every frame was
+// audited. Caller holds a.mu.
+func (a *Auditor) settleStatementsLocked(pledges []Pledge, now time.Time, tab *cryptoutil.Meter) []byte {
+	var held [2]verdict
+	verdicts := held[:0]
+	for i := range pledges {
+		v := verdictSampled
+		if a.cfg.Params.AuditSampleP >= 1 || a.rng.Float64() < a.cfg.Params.AuditSampleP {
+			if pledges[i].Stamp.Version > a.masterV {
+				return pledgeEvidence
+			}
+			if v = a.judgeLocked(&pledges[i], now, tab); v.kind() == verdictWrong {
+				return pledgeEvidence
+			}
+		}
+		verdicts = append(verdicts, v)
+	}
+	a.stats.PledgesReceived += uint64(len(pledges))
+	vouch := true
+	for _, v := range verdicts {
+		a.countLocked(v)
+		vouch = vouch && v.kind() == verdictRight
+	}
+	if !vouch {
+		return nil
+	}
+	a.stats.PledgesVouched += uint64(len(pledges))
+	return pledgeVouch
+}
+
+// settleEvidenceLocked settles an evidence body, the one a client sends
+// when its statement body was answered pledgeEvidence. No sampling coin
+// is drawn. A frame ahead of delivery waits in pending; every other frame
+// is settled (settleLocked). The body is vouched for exactly when every
+// frame was audited right. Caller holds a.mu.
+func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cryptoutil.Meter) []byte {
+	vouch := true
+	for i := range pledges {
+		a.stats.PledgesReceived++
+		if pledges[i].Stamp.Version <= a.masterV {
+			vouch = a.settleLocked(&pledges[i], now, tab) && vouch
+			continue
+		}
+		vouch = false
+		a.pending = append(a.pending, pledges[i])
+		a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
+	}
+	if !vouch {
+		return nil
+	}
+	a.stats.PledgesVouched += uint64(len(pledges))
+	return pledgeVouch
+}
+
+// verdict is what the auditor found of a frame it did not hold: sampled
+// out, late, or right or wrong at its version, with verdictHit set when
+// the view's cache held the answer.
+type verdict uint8
+
+const (
+	verdictSampled verdict = iota
+	verdictLate
+	verdictRight
+	verdictWrong
+	verdictHit verdict = 0x80
+)
+
+// kind is the verdict without verdictHit.
+func (v verdict) kind() verdict { return v &^ verdictHit }
+
+// judgeLocked judges a frame at a delivered version V against the content
+// at exactly V, applying held batches up to V first, and prices the work
+// on tab; with no view at V the frame is late. A query that does not
+// decode or execute is wrong: an honest slave would have returned the
+// error, not a signed result. Caller holds a.mu.
+func (a *Auditor) judgeLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) verdict {
 	a.applyLocked(p.Stamp.Version)
 	w := a.viewLocked(p.Stamp.Version, now)
 	if w == nil {
-		a.stats.PledgesLate++
-		return false
+		return verdictLate
 	}
 	correct, hit, ok := w.answer(p.QueryBytes, tab)
+	v := verdictWrong
+	if ok && correct.Equal(p.ResultHash) {
+		v = verdictRight
+	}
 	if hit {
+		v |= verdictHit
+	}
+	return v
+}
+
+// countLocked counts a frame's verdict: its cache hit, and the bucket it
+// ends in, but for a wrong frame's, which its signature decides. Caller
+// holds a.mu.
+func (a *Auditor) countLocked(v verdict) {
+	if v&verdictHit != 0 {
 		a.stats.CacheHits++
 	}
-	if ok && correct.Equal(p.ResultHash) {
+	switch v.kind() {
+	case verdictSampled:
+		a.stats.PledgesSampled++
+	case verdictLate:
+		a.stats.PledgesLate++
+	case verdictRight:
 		a.stats.PledgesAudited++
-		return true
+	}
+}
+
+// settleLocked settles an evidence frame at a delivered version
+// (judgeLocked) and reports whether it was right, pricing the work on
+// tab. A right pledge is never presented to anyone, so nobody checks who
+// signed it. One that is wrong has its signature verified: a forged one
+// can frame nobody and is dropped; a signed one is a lie, and the first
+// of each slave is marked detected, and reported on a task of its own, so
+// no a.pledge reply waits on the report's RPC. Caller holds a.mu.
+func (a *Auditor) settleLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) bool {
+	v := a.judgeLocked(p, now, tab)
+	a.countLocked(v)
+	if v.kind() != verdictWrong {
+		return v.kind() == verdictRight
 	}
 	tab.Verify()
 	if err := p.VerifySig(); err != nil {

@@ -99,10 +99,36 @@ func (r *auditorRig) commit(ops ...store.Op) {
 	r.auditor.deliver(r.seq, encodeBatchMessage([]queuedWave{wave}), nil)
 }
 
+// sendPledge forwards p as a client does (forward).
 func (r *auditorRig) sendPledge(p Pledge) error {
-	_, err := r.auditor.Handle("client", MethodPledge, EncodePledge(p))
+	_, err := forward(r.auditor, p)
 	return err
 }
+
+// forward sends a the pledges' statement body, and their evidence body
+// when a asks for it, as Client.forwardPledges does, and returns the last
+// ack.
+func forward(a *Auditor, ps ...Pledge) ([]byte, error) {
+	ack, err := a.Handle("client", MethodPledge, statements(ps...))
+	if err == nil && bytes.Equal(ack, pledgeEvidence) {
+		ack, err = a.Handle("client", MethodPledge, evidence(ps...))
+	}
+	return ack, err
+}
+
+// pledgeBody is the a.pledge body of the pledges in form.
+func pledgeBody(form byte, ps ...Pledge) []byte {
+	replies := make([]ReadReply, len(ps))
+	for i := range ps {
+		replies[i].Pledge = ps[i]
+	}
+	return encodePledgeBody(form, replies)
+}
+
+// statements is the statement body of the pledges; evidence their
+// evidence body.
+func statements(ps ...Pledge) []byte { return pledgeBody(pledgeFormStatement, ps...) }
+func evidence(ps ...Pledge) []byte   { return pledgeBody(pledgeFormEvidence, ps...) }
 
 // forged returns p under a signature the slave never made.
 func forged(p Pledge) Pledge {
@@ -216,7 +242,9 @@ func (r *auditorRig) checkReport(t *testing.T, body []byte) {
 // without one. Every pledge is at the version of a held batch that
 // rewrote k: the handler applies it and settles the pledge on arrival
 // against the content there, and the apply loop that runs after finds
-// nothing left to do.
+// nothing left to do. Each is forwarded as a client does: a wrong answer's
+// statement executes its query and asks for the evidence, whose audit
+// then hits the cache.
 func TestAuditorVerifiesOnEvidence(t *testing.T) {
 	get := query.Get{Key: "k"}
 	for _, tc := range []struct {
@@ -233,13 +261,13 @@ func TestAuditorVerifiesOnEvidence(t *testing.T) {
 			AuditorStats{PledgesAudited: 1, PledgesVouched: 1}, false},
 		{"valid sig, wrong hash",
 			func(r *auditorRig) []Pledge { return []Pledge{r.pledgeFor(get, true)} },
-			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}, true},
+			AuditorStats{PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}, true},
 		{"forged sig, wrong hash, twice", // each copy is verified, and refused
 			func(r *auditorRig) []Pledge {
 				p := forged(r.pledgeFor(get, true))
 				return []Pledge{p, p}
 			},
-			AuditorStats{PledgesBadSig: 2, CacheHits: 1}, false},
+			AuditorStats{PledgesBadSig: 2, CacheHits: 2}, false},
 		{"valid sig, garbage query",
 			func(r *auditorRig) []Pledge { return []Pledge{r.signedQuery(garbageQuery)} },
 			AuditorStats{PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}, true},
@@ -442,27 +470,35 @@ func (nopDialer) CallTimeout(string, string, []byte, time.Duration) ([]byte, err
 	return nil, nil
 }
 
-// pledgeFrames encodes n pledges for one query that differ in their
-// stamp.
-func (r *auditorRig) pledgeFrames(n int, lie bool) [][]byte {
-	frames := make([][]byte, n)
-	for i := range frames {
+// pledges builds n pledges for one query that differ in their stamp.
+func (r *auditorRig) pledges(n int, lie bool) []Pledge {
+	ps := make([]Pledge, n)
+	for i := range ps {
 		p := r.pledgeFor(query.Get{Key: "k"}, lie)
 		p.Stamp = SignStamp(r.master, r.initial.Version(), r.s.Now().Add(time.Duration(i)))
-		frames[i] = EncodePledge(SignPledge(r.slave, p.QueryBytes, p.ResultHash, p.Stamp))
+		ps[i] = SignPledge(r.slave, p.QueryBytes, p.ResultHash, p.Stamp)
 	}
-	return frames
+	return ps
+}
+
+// bodies encodes each pledge's statement and evidence bodies.
+func bodies(ps []Pledge) (stmts, evs [][]byte) {
+	for _, p := range ps {
+		stmts, evs = append(stmts, statements(p)), append(evs, evidence(p))
+	}
+	return stmts, evs
 }
 
 // TestAuditorHonestPledgeAllocs pins what an honest pledge costs the
-// allocator: the pledge is decoded by view and settled on arrival by one
-// probe of the view's answer cache (the first by executing its query).
+// allocator: its statement body is decoded by view and settled on arrival
+// by one probe of the view's answer cache (the first by executing its
+// query).
 func TestAuditorHonestPledgeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	r := newAuditorRig(t, nil)
-	frames := r.pledgeFrames(64, false)
+	frames, _ := bodies(r.pledges(64, false))
 	i := 0
 	n := testing.AllocsPerRun(1000, func() {
 		if _, err := r.auditor.handlePledge(frames[i%len(frames)]); err != nil {
@@ -494,25 +530,21 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 	a.cfg.Params.KeepAliveEvery = time.Millisecond
 	const senders, each, batches = 4, 64, 8
 	cur := r.initial.Version()
-	honest, lies := r.pledgeFrames(each, false), r.pledgeFrames(each, true)
-	ahead := make([][]byte, each)
-	for i, f := range r.pledgeFrames(each, false) {
-		p, err := DecodePledge(wire.NewReader(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ahead[i] = EncodePledge(r.resign(p, cur+1+uint64(i%batches))) // the writes leave k alone
+	honest, lies := r.pledges(each, false), r.pledges(each, true)
+	ahead := make([]Pledge, each)
+	for i, p := range r.pledges(each, false) {
+		ahead[i] = r.resign(p, cur+1+uint64(i%batches)) // the writes leave k alone
 	}
 	stopped := make(chan struct{})
 	go func() { a.applyLoop(); close(stopped) }()
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
-		frames := [][][]byte{lies, honest, honest, ahead}[g]
+		ps := [][]Pledge{lies, honest, honest, ahead}[g]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, f := range frames {
-				if _, err := a.Handle("client", MethodPledge, f); err != nil {
+			for _, p := range ps {
+				if _, err := forward(a, p); err != nil {
 					t.Error(err)
 				}
 			}
@@ -541,9 +573,10 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 }
 
 // BenchmarkAuditPledge is the auditor's row of the layer ledger: one
-// pledge settled on arrival, with the slave-signature verifications it
-// cost (PledgesBadSig + Mismatches: only a pledge the content contradicts
-// is verified).
+// pledge settled on arrival, its statement body and, for a lie, the
+// evidence body the auditor asks for, with the slave-signature
+// verifications it cost (PledgesBadSig + Mismatches: only a pledge the
+// content contradicts is verified).
 func BenchmarkAuditPledge(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -558,14 +591,18 @@ func BenchmarkAuditPledge(b *testing.B) {
 			r := newAuditorRig(b, nil)
 			a := r.auditor
 			a.dlr = nopDialer{}
-			frames := r.pledgeFrames(1024, bc.lie)
+			stmts, evs := bodies(r.pledges(1024, bc.lie))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !bc.recache {
 					clear(a.views[0].answers)
 				}
-				if _, err := a.handlePledge(frames[i%len(frames)]); err != nil {
+				ack, err := a.handlePledge(stmts[i%len(stmts)])
+				if err == nil && bytes.Equal(ack, pledgeEvidence) {
+					_, err = a.handlePledge(evs[i%len(evs)])
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -579,78 +616,93 @@ func BenchmarkAuditPledge(b *testing.B) {
 	}
 }
 
-// catPledges is an a.pledge body of the pledges' frames back to back.
-func catPledges(ps ...Pledge) []byte {
-	var body []byte
-	for _, p := range ps {
-		body = append(body, EncodePledge(p)...)
-	}
-	return body
-}
-
 // resign returns p at version v, under the rig slave's signature.
 func (r *auditorRig) resign(p Pledge, v uint64) Pledge {
 	p.Stamp.Version = v
 	return SignPledge(r.slave, p.QueryBytes, p.ResultHash, p.Stamp)
 }
 
-// TestAuditorVouchTable pins which a.pledge bodies at the newest content's
-// version the auditor vouches for on arrival: those whose every frame
-// agrees with the answer the view's cache holds or, on a miss, the answer
-// executed there and then. Each row starts from an auditor that has
-// audited Get k at its version; every frame at a delivered version is
-// settled on arrival — a lie convicted there and then — and only a frame
-// ahead of delivery waits.
+// TestAuditorVouchTable pins how the auditor answers a.pledge bodies at
+// the newest content's version. A statement body is vouched for when
+// every frame agrees with the answer the view's cache holds or, on a miss,
+// the answer executed there and then; it is answered pledgeEvidence, and
+// counts nothing, when a frame disagrees or is ahead of delivery, and the
+// evidence body of the same frames then settles them: a lie convicted
+// there and then, a frame ahead of delivery left waiting. An evidence body
+// is settled the same way, without the sampling coin. Each row starts
+// from an auditor that has audited Get k at its version.
 func TestAuditorVouchTable(t *testing.T) {
 	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
+	stmt, ev := pledgeFormStatement, pledgeFormEvidence
 	for _, tc := range []struct {
-		name   string
-		sample float64 // AuditSampleP
-		body   func(r *auditorRig) []byte
-		vouch  bool
-		err    bool
-		queued int          // the frames the body leaves waiting for delivery
-		want   AuditorStats // counters the body adds on arrival
+		name    string
+		sample  float64 // AuditSampleP
+		form    byte
+		pledges func(r *auditorRig) []Pledge
+		cut     int    // bytes cut off the body's end
+		ack     []byte // the reply to the body
+		evAck   []byte // on pledgeEvidence, the reply to the evidence body that follows
+		err     bool
+		queued  int          // the frames left waiting for delivery
+		want    AuditorStats // counters the bodies add on arrival
 	}{
-		{"cached and agreeing", 1, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, false))
-		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
-		{"two slaves, both agreeing", 1, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, false), r.pledgeFor(k, false))
-		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 2}},
-		{"cached but disagreeing", 1, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, true))
-		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
-		{"uncached", 1, func(r *auditorRig) []byte { // executed on arrival
-			return catPledges(r.pledgeFor(other, false))
-		}, true, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
-		{"uncached and disagreeing", 1, func(r *auditorRig) []byte { // executed, then convicted, on arrival
-			return catPledges(r.pledgeFor(other, true))
-		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
-		{"replica behind", 1, func(r *auditorRig) []byte { // ahead of delivery: waits
+		{"cached and agreeing", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false)}
+		}, 0, pledgeVouch, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		{"two slaves, both agreeing", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(k, false)}
+		}, 0, pledgeVouch, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 2}},
+		{"uncached", 1, stmt, func(r *auditorRig) []Pledge { // executed on arrival
+			return []Pledge{r.pledgeFor(other, false)}
+		}, 0, pledgeVouch, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		{"two slaves, one uncached frame", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(other, false)}
+		}, 0, pledgeVouch, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 1}},
+		{"cached but disagreeing, then its evidence", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, true)}
+		}, 0, pledgeEvidence, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
+		{"uncached and disagreeing, then its evidence", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(other, true)} // executed on the statement; the evidence hits
+		}, 0, pledgeEvidence, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
+		{"two slaves, one lying frame, then their evidence", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(k, true)}
+		}, 0, pledgeEvidence, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
+		{"replica behind, then its evidence", 1, stmt, func(r *auditorRig) []Pledge { // ahead of delivery: waits
 			p := r.pledgeFor(k, false)
-			return catPledges(r.resign(p, p.Stamp.Version+1))
-		}, false, false, 1, AuditorStats{PledgesReceived: 1}},
-		{"late", 1, func(r *auditorRig) []byte {
+			return []Pledge{r.resign(p, p.Stamp.Version+1)}
+		}, 0, pledgeEvidence, nil, false, 1, AuditorStats{PledgesReceived: 1}},
+		{"late", 1, stmt, func(r *auditorRig) []Pledge {
 			p := r.pledgeFor(k, false)
-			return catPledges(r.resign(p, p.Stamp.Version-1))
-		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
-		{"sampled out", 0, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, false))
-		}, false, false, 0, AuditorStats{PledgesReceived: 1, PledgesSampled: 1}},
-		{"two slaves, one uncached frame", 1, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, false), r.pledgeFor(other, false))
-		}, true, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 1}},
-		{"two slaves, one uncached lying frame", 1, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, false), r.pledgeFor(other, true))
-		}, false, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
-		{"two slaves, one lying frame", 1, func(r *auditorRig) []byte {
-			return catPledges(r.pledgeFor(k, false), r.pledgeFor(k, true))
-		}, false, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
-		{"undecodable", 1, func(r *auditorRig) []byte {
-			body := catPledges(r.pledgeFor(k, false))
-			return body[:len(body)-1]
-		}, false, true, 0, AuditorStats{}},
+			return []Pledge{r.resign(p, p.Stamp.Version-1)}
+		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		{"sampled out", 0, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, true)} // a lie the coin skips: nothing asks for its evidence
+		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesSampled: 1}},
+		{"undecodable", 1, stmt, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false)}
+		}, 1, nil, nil, true, 0, AuditorStats{}},
+		{"evidence, cached and agreeing", 1, ev, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false)}
+		}, 0, pledgeVouch, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		{"evidence, uncached and disagreeing", 1, ev, func(r *auditorRig) []Pledge { // executed, then convicted, on arrival
+			return []Pledge{r.pledgeFor(other, true)}
+		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"evidence, two slaves, one uncached lying frame", 1, ev, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(other, true)}
+		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
+		{"evidence, late", 1, ev, func(r *auditorRig) []Pledge {
+			p := r.pledgeFor(k, true)
+			return []Pledge{r.resign(p, p.Stamp.Version-1)}
+		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		{"evidence draws no sampling coin", 0, ev, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, true)}
+		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
+		{"evidence, undecodable", 1, ev, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false)}
+		}, 1, nil, nil, true, 0, AuditorStats{}},
+		{"unknown form", 1, 2, func(r *auditorRig) []Pledge {
+			return []Pledge{r.pledgeFor(k, false)}
+		}, 0, nil, nil, true, 0, AuditorStats{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAuditorRig(t, nil)
@@ -661,7 +713,9 @@ func TestAuditorVouchTable(t *testing.T) {
 			}
 			a.cfg.Params.AuditSampleP = tc.sample
 			before := a.Stats()
-			ack, err := a.handlePledge(tc.body(r))
+			ps := tc.pledges(r)
+			body := pledgeBody(tc.form, ps...)
+			ack, err := a.handlePledge(body[:len(body)-tc.cut])
 			if tc.err {
 				if err == nil {
 					t.Fatal("undecodable body admitted")
@@ -669,8 +723,16 @@ func TestAuditorVouchTable(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			if vouched := bytes.Equal(ack, pledgeVouch); vouched != tc.vouch || (!vouched && len(ack) != 0) {
-				t.Fatalf("ack %x, want vouch %v", ack, tc.vouch)
+			if !bytes.Equal(ack, tc.ack) {
+				t.Fatalf("ack %x, want %x", ack, tc.ack)
+			}
+			if bytes.Equal(ack, pledgeEvidence) {
+				if got := added(before, a.Stats()); got != (AuditorStats{}) || a.Backlog() != 0 {
+					t.Fatalf("a statement body answered pledgeEvidence added %+v and left %d waiting", got, a.Backlog())
+				}
+				if ack, err = a.handlePledge(evidence(ps...)); err != nil || !bytes.Equal(ack, tc.evAck) {
+					t.Fatalf("the evidence that follows: ack %x, %v; want %x", ack, err, tc.evAck)
+				}
 			}
 			if a.Backlog() != tc.queued {
 				t.Fatalf("backlog %d, want %d", a.Backlog(), tc.queued)
@@ -708,77 +770,77 @@ func TestAuditorVouchAhead(t *testing.T) {
 		{"V = cur+2, span untouched, cached", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
-			return catPledges(r.pledgeFor(k, false)) // the cache at cur is not asked at cur+2
+			return evidence(r.pledgeFor(k, false)) // the cache at cur is not asked at cur+2
 		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V = cur+2, span untouched, executed on arrival", false, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
-			return catPledges(r.pledgeFor(k, false))
+			return evidence(r.pledgeFor(k, false))
 		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span at V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false) // right at cur, a lie at V
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
-			return catPledges(r.resign(stale, r.initial.Version()))
+			return evidence(r.resign(stale, r.initial.Version()))
 		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span below V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.commit(put("j", "1"))
-			return catPledges(r.resign(stale, r.initial.Version()))
+			return evidence(r.resign(stale, r.initial.Version()))
 		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span at V, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
-			return catPledges(r.pledgeFor(k, false))
+			return evidence(r.pledgeFor(k, false))
 		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span only above V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
-			return catPledges(p)
+			return evidence(p)
 		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V above masterV", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
-			return catPledges(r.resign(p, p.Stamp.Version+1))
+			return evidence(r.resign(p, p.Stamp.Version+1))
 		}, false, 1, 1, AuditorStats{PledgesReceived: 1}},
 		{"lying frame ahead, convicted at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
-			return catPledges(r.pledgeFor(k, true))
+			return evidence(r.pledgeFor(k, true))
 		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"two slaves, one frame unvouchable", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
-			return catPledges(p, r.resign(p, p.Stamp.Version+1))
+			return evidence(p, r.resign(p, p.Stamp.Version+1))
 		}, false, 1, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1}},
 		{"rewritten by a later held batch, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v3"))
-			return catPledges(p)
+			return evidence(p)
 		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"rewritten by a later held batch, the later answer", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"))
 			v := r.initial.Version()
 			r.commit(put("k", "v3"))
-			return catPledges(r.resign(r.pledgeFor(k, false), v))
+			return evidence(r.resign(r.pledgeFor(k, false), v))
 		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"inside a batch, late", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"), put("j", "1"))
-			return catPledges(r.resign(r.pledgeFor(k, true), r.initial.Version()-1))
+			return evidence(r.resign(r.pledgeFor(k, true), r.initial.Version()-1))
 		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 		{"superseded inside the window", true, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.s.Sleep(window)
-			return catPledges(p)
+			return evidence(p)
 		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
 		{"superseded more than the window ago, late", true, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, true)
 			r.commit(put("k", "v2"))
 			r.s.Sleep(window + time.Millisecond)
-			return catPledges(p)
+			return evidence(p)
 		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

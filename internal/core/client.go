@@ -931,19 +931,36 @@ func (c *Client) reportPledge(g *group, p *Pledge) error {
 	return err
 }
 
-// forwardPledges sends the group's auditor the evidence frames of an
-// accepted read — one per slave, back to back in one a.pledge body — and
-// waits for the ack; clients accept results only after this completes
-// (§3.4). It reports whether the ack is exactly the auditor's vouch.
+// forwardPledges sends the group's auditor the statement frames of an
+// accepted read — one per slave, back to back in one a.pledge body, with
+// no slave key and no signature — and waits for the ack; clients accept
+// results only after this completes (§3.4). When the auditor asks for
+// the evidence (pledgeEvidence), because a frame disagrees with its view
+// or is ahead of delivery, the read's evidence frames follow in a second
+// call, once. It reports whether the last ack is exactly the auditor's
+// vouch.
 func (c *Client) forwardPledges(g *group, replies []ReadReply) (vouched bool, err error) {
 	c.mu.Lock()
 	c.stats.PledgesSent += uint64(len(replies))
 	c.mu.Unlock()
-	body := wire.EncodeFrame(func(w *wire.Writer) {
+	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(pledgeFormStatement, replies), c.cfg.Params.ReadTimeout)
+	if err == nil && bytes.Equal(ack, pledgeEvidence) {
+		ack, err = c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(pledgeFormEvidence, replies), c.cfg.Params.ReadTimeout)
+	}
+	return bytes.Equal(ack, pledgeVouch), err
+}
+
+// encodePledgeBody is the a.pledge body of the replies' pledges in form:
+// byte form ‖ one frame per reply.
+func encodePledgeBody(form byte, replies []ReadReply) []byte {
+	return wire.EncodeFrame(func(w *wire.Writer) {
+		w.Byte(form)
 		for i := range replies {
-			replies[i].Pledge.Encode(w)
+			if form == pledgeFormStatement {
+				replies[i].Pledge.appendStatement(w)
+			} else {
+				replies[i].Pledge.Encode(w)
+			}
 		}
 	})
-	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, body, c.cfg.Params.ReadTimeout)
-	return bytes.Equal(ack, pledgeVouch), err
 }

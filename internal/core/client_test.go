@@ -241,14 +241,16 @@ func TestClientAcceptsHonestReply(t *testing.T) {
 
 // readTampered reads through a slave whose reply r.mutate tampers with and
 // requires the read to be refused as a bad pledge: nothing accepted, every
-// signature check failed, nothing reported. The scripted auditor does not
-// vouch, so each attempt forwards its frame before the signature check
-// refuses it; an auditor over the rig's content, given those frames,
-// convicts nobody: it settles each as a forgery (PledgesBadSig) or, where
-// the tampering left the answer right, as an honest audit. readTampered
-// returns that auditor's counters.
+// signature check failed, nothing reported. The scripted auditor asks for
+// every read's evidence, so each attempt forwards its statement and then
+// its evidence frame before the signature check refuses it; an auditor
+// over the rig's content, given those evidence frames, convicts nobody:
+// it settles each as a forgery (PledgesBadSig) or, where the tampering
+// left the answer right, as an honest audit. readTampered returns that
+// auditor's counters.
 func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	t.Helper()
+	r.ack = pledgeEvidence
 	if _, err := r.readOnce(t); err == nil {
 		t.Fatal("tampered reply accepted")
 	}
@@ -259,12 +261,15 @@ func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	if st.PledgesVerified != st.BadPledges || st.ReportsFiled != 0 || len(r.reports) != 0 {
 		t.Fatalf("tampered reply: %d of %d signature checks refused, %d reports", st.BadPledges, st.PledgesVerified, len(r.reports))
 	}
-	if len(r.forwarded) == 0 || st.PledgesSent != uint64(len(r.forwarded)) {
-		t.Fatalf("%d frames forwarded, %d pledges sent", len(r.forwarded), st.PledgesSent)
+	if len(r.forwarded) == 0 || 2*st.PledgesSent != uint64(len(r.forwarded)) {
+		t.Fatalf("%d bodies forwarded, %d pledges sent", len(r.forwarded), st.PledgesSent)
 	}
 	aud := r.newAuditor(t)
 	r.s.Go(func() {
 		for _, body := range r.forwarded {
+			if body[0] != pledgeFormEvidence {
+				continue
+			}
 			if _, err := aud.handlePledge(body); err != nil {
 				t.Errorf("forwarded frame: %v", err)
 			}
@@ -949,19 +954,23 @@ func TestClientVouchGarbageSignatureRefused(t *testing.T) {
 
 // TestClientVouchReplyByte: only the exact one-byte vouch stands in for
 // the pledge signature. The slave's answer is right but its signature is
-// garbage, so every other ack leaves the read refused.
+// garbage, so every other ack leaves the read refused. Each attempt makes
+// one a.pledge call, and two on pledgeEvidence (0x02): the scripted
+// auditor answers the evidence the same way, and the read is refused
+// after that one round trip more.
 func TestClientVouchReplyByte(t *testing.T) {
 	for _, tc := range []struct {
 		ack    []byte
 		accept bool
+		calls  int // a.pledge calls per attempt
 	}{
-		{nil, false},
-		{[]byte{}, false},
-		{[]byte{0x00}, false},
-		{[]byte{0x02}, false},
-		{[]byte{0xff}, false},
-		{[]byte{0x01, 0x01}, false},
-		{[]byte{0x01}, true},
+		{nil, false, 1},
+		{[]byte{}, false, 1},
+		{[]byte{0x00}, false, 1},
+		{[]byte{0x02}, false, 2},
+		{[]byte{0xff}, false, 1},
+		{[]byte{0x01, 0x01}, false, 1},
+		{[]byte{0x01}, true, 1},
 	} {
 		r := newClientRig(t)
 		r.ack = tc.ack
@@ -977,6 +986,9 @@ func TestClientVouchReplyByte(t *testing.T) {
 		})
 		r.s.Run()
 		st := r.client.Stats()
+		if len(r.forwarded) != tc.calls*int(st.PledgesSent) {
+			t.Errorf("ack %x: %d a.pledge calls for %d attempts, want %d each", tc.ack, len(r.forwarded), st.PledgesSent, tc.calls)
+		}
 		if tc.accept {
 			if err != nil || st.ReadsAccepted != 1 || st.PledgesVerified != 0 {
 				t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
@@ -985,6 +997,42 @@ func TestClientVouchReplyByte(t *testing.T) {
 		}
 		if err == nil || st.ReadsAccepted != 0 || st.BadPledges == 0 {
 			t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
+		}
+	}
+}
+
+// TestClientSendsEvidenceOnce: an auditor that answers pledgeEvidence to
+// both of an attempt's a.pledge calls gets exactly two. The first carries
+// the statement and no signature, the second the evidence frame, and then
+// the pledge verify decides: a right answer under the slave's signature
+// is accepted, one under a garbage signature refused.
+func TestClientSendsEvidenceOnce(t *testing.T) {
+	for _, forge := range []bool{false, true} {
+		r := newClientRig(t)
+		r.client.cfg.Params.MaxReadRetries = 0
+		r.ack = pledgeEvidence
+		var sent Pledge
+		r.mutate = func(rr *ReadReply) {
+			if forge {
+				rr.Pledge.Sig = bytes.Clone(rr.Pledge.Sig)
+				rr.Pledge.Sig[0] ^= 0xff
+			}
+			sent = rr.Pledge
+		}
+		_, err := r.readOnce(t)
+		if (err == nil) == forge {
+			t.Fatalf("forged %v: err %v", forge, err)
+		}
+		st := r.client.Stats()
+		if len(r.forwarded) != 2 || st.PledgesSent != 1 || st.PledgesVerified != 1 || (st.BadPledges == 1) != forge {
+			t.Fatalf("forged %v: %d a.pledge calls, %+v", forge, len(r.forwarded), st)
+		}
+		sent.SlavePub = r.slaveKeys.Public
+		if bytes.Contains(r.forwarded[0], sent.Sig) || !bytes.Equal(r.forwarded[0], statements(sent)) {
+			t.Fatalf("forged %v: the first call is not the statement body", forge)
+		}
+		if !bytes.Equal(r.forwarded[1], evidence(sent)) {
+			t.Fatalf("forged %v: the second call is not the evidence body", forge)
 		}
 	}
 }

@@ -22,12 +22,13 @@ type servedReply struct {
 }
 
 // pledgeTap sits in front of a cluster's slaves, auditor and masters and
-// keeps the s.read replies the slaves sent and the evidence frames the
-// client sent on.
+// keeps the s.read replies the slaves sent and the statement and evidence
+// frames the client sent on.
 type pledgeTap struct {
 	t        *testing.T
 	sent     []servedReply // by slaves, one per s.read reply, in order
-	audited  [][]byte      // to the auditor, the evidence frames of a.pledge bodies, in order
+	stated   [][]byte      // to the auditor, the frames of statement a.pledge bodies, in order
+	audited  [][]byte      // to the auditor, the frames of evidence a.pledge bodies, in order
 	reported [][]byte      // to masters, the pledge field of m.report
 }
 
@@ -47,7 +48,11 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 	return func(from, method string, body []byte) ([]byte, error) {
 		switch method {
 		case MethodPledge:
-			tap.audited = append(tap.audited, splitEvidence(tap.t, body)...)
+			if form, frames := splitPledgeBody(tap.t, body); form == pledgeFormStatement {
+				tap.stated = append(tap.stated, frames...)
+			} else {
+				tap.audited = append(tap.audited, frames...)
+			}
 		case MethodReport:
 			tap.reported = append(tap.reported, wire.NewReader(body).Bytes())
 		}
@@ -63,19 +68,53 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 	}
 }
 
-// splitEvidence cuts an a.pledge body into its evidence frames.
-func splitEvidence(t *testing.T, body []byte) [][]byte {
-	var frames [][]byte
+// splitPledgeBody cuts an a.pledge body into its form and its frames.
+func splitPledgeBody(t *testing.T, body []byte) (form byte, frames [][]byte) {
 	r := wire.NewReader(body)
+	form = r.Byte()
+	decode := decodeStatement
+	if form == pledgeFormEvidence {
+		decode = decodePledge
+	}
 	for r.Remaining() > 0 {
 		at := len(body) - r.Remaining()
-		if _, err := decodePledge(r); err != nil {
+		if _, err := decode(r); err != nil {
 			t.Errorf("a.pledge body does not decode: %v", err)
-			return frames
+			return form, frames
 		}
 		frames = append(frames, bytes.Clone(body[at:len(body)-r.Remaining()]))
 	}
-	return frames
+	return form, frames
+}
+
+// checkStatement holds one forwarded statement frame to what the slave
+// signed: it decodes to the query asked, the hash of the payload the
+// slave sent and the version of the stamp beside it, re-encodes byte for
+// byte, and holds no byte of the slave's key or signature or of the
+// master's stamp.
+func checkStatement(t *testing.T, frame, asked []byte, sent servedReply) {
+	t.Helper()
+	r := wire.NewReader(frame)
+	p, err := decodeStatement(r)
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		t.Fatalf("forwarded statement does not decode: %v", err)
+	}
+	stamp := sent.reply.Pledge.Stamp
+	if !bytes.Equal(p.QueryBytes, asked) || p.ResultHash != cryptoutil.HashBytes(sent.reply.Payload) ||
+		p.Stamp.Version != stamp.Version {
+		t.Fatalf("forwarded statement is not the one the slave signed: %+v", p)
+	}
+	if !bytes.Equal(wire.EncodeFrame(p.appendStatement), frame) {
+		t.Fatal("forwarded statement is not its own canonical encoding")
+	}
+	for _, b := range [][]byte{sent.slave, sent.reply.Pledge.Sig, stamp.Sig, stamp.MasterPub} {
+		if bytes.Contains(frame, b) {
+			t.Fatal("forwarded statement carries a key or a signature")
+		}
+	}
 }
 
 // checkEvidence holds one forwarded frame to what the slave signed: it
@@ -108,7 +147,8 @@ func checkEvidence(t *testing.T, frame, asked []byte, sent servedReply) {
 
 // What the client hands the auditor and the master is exactly the signed
 // statement — for an honest read, an accepted lie, a lie caught by the
-// double-check, and a wave from K slaves.
+// double-check, and a wave from K slaves: the statement frames first, and
+// the evidence frames when the auditor asks.
 func TestClientForwardsSignedStatement(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -158,12 +198,24 @@ func TestClientForwardsSignedStatement(t *testing.T) {
 			if want := max(tc.kSlaves, 1); len(tap.sent) != want {
 				t.Fatalf("%d s.read replies, want %d", len(tap.sent), want)
 			}
-			forwarded, where := tap.audited, "the auditor"
-			if tc.doubleCheck {
-				forwarded, where = tap.reported, "the master"
+			// The auditor gets every read's statements, and asks for the
+			// evidence of a lie only; a lie the double-check caught goes to
+			// the master instead.
+			forwarded, where, want := tap.audited, "the auditor", 0
+			switch {
+			case tc.doubleCheck:
+				forwarded, where, want = tap.reported, "the master", len(tap.sent)
+			case tc.liar:
+				want = len(tap.sent)
 			}
-			if len(forwarded) != len(tap.sent) {
-				t.Fatalf("%s got %d pledges for %d replies", where, len(forwarded), len(tap.sent))
+			if !tc.doubleCheck && len(tap.stated) != len(tap.sent) {
+				t.Fatalf("the auditor got %d statements for %d replies", len(tap.stated), len(tap.sent))
+			}
+			for i, frame := range tap.stated {
+				checkStatement(t, frame, query.Encode(q), tap.sent[i])
+			}
+			if len(forwarded) != want {
+				t.Fatalf("%s got %d pledges for %d replies, want %d", where, len(forwarded), len(tap.sent), want)
 			}
 			for i, frame := range forwarded {
 				checkEvidence(t, frame, query.Encode(q), tap.sent[i])
@@ -213,8 +265,8 @@ func TestClientRefusesMisframedReply(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.forwarded) != 1 || !bytes.Equal(r.forwarded[0], EncodePledge(honest.Pledge)) {
-				t.Fatal("the auditor did not get the canonical evidence frame")
+			if len(r.forwarded) != 1 || !bytes.Equal(r.forwarded[0], statements(honest.Pledge)) {
+				t.Fatal("the auditor did not get the canonical statement frame")
 			}
 		})
 	}
@@ -246,9 +298,9 @@ func TestDecodeReadReplyAllocs(t *testing.T) {
 }
 
 // TestForgedExclusionIgnored: b.submit takes frames from anyone, so a
-// bcExclude that carries a genuine pledge — an honest slave's, taken from
-// a client's a.pledge — must still name a certified master that signed
-// it. Every master refuses each forged frame, counts the refusal and
+// bcExclude that carries a genuine pledge — an honest slave's, rebuilt
+// from a client's a.pledge statement and the signature on the slave's
+// s.read reply — must still name a certified master that signed it. Every master refuses each forged frame, counts the refusal and
 // excludes nobody; the row signed by a certified master shows the frame
 // shape is the one that acts, and the same frame from a directory that
 // lists no certified master is refused as a directory error.
@@ -313,10 +365,16 @@ func TestForgedExclusionIgnored(t *testing.T) {
 						}
 					}
 				}
+				p, err := decodePledgeFrame(append(bytes.Clone(tap.stated[0]), 0, 0)) // an empty key and signature
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				p.SlavePub, p.Sig = tap.sent[0].slave, tap.sent[0].reply.Pledge.Sig
 				entry := wire.EncodeFrame(func(w *wire.Writer) {
 					w.Uvarint(77) // a submit identity no member uses
 					w.Uvarint(1)
-					w.Bytes_(tc.forge(tap.audited[0]))
+					w.Bytes_(tc.forge(EncodePledge(p)))
 				})
 				if _, err := c.net.Dialer("attacker").CallTimeout(c.masters[0].cfg.Addr, "b.submit", entry, time.Second); err != nil {
 					t.Errorf("b.submit: %v", err)
@@ -324,8 +382,8 @@ func TestForgedExclusionIgnored(t *testing.T) {
 			})
 			s.RunUntil(sim.Epoch.Add(5 * time.Second))
 
-			if len(tap.audited) != 1 {
-				t.Fatalf("%d pledges forwarded, want 1", len(tap.audited))
+			if len(tap.stated) != 1 || len(tap.audited) != 0 {
+				t.Fatalf("%d statements and %d pledges forwarded, want 1 and 0", len(tap.stated), len(tap.audited))
 			}
 			victim := tap.sent[0].slave
 			excluded, refused, dirErrs := 0, 0, 0

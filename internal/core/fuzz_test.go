@@ -752,11 +752,15 @@ func FuzzWALRecord(f *testing.F) {
 // arbitrary bodies, against an auditor at version cur that has cached
 // Get k there and holds three batches it has not applied: j at cur+1, k
 // at cur+2, and k and j again at cur+3 and cur+4 in one batch, so cur+3 is
-// no batch boundary. The invariants: no panic; the reply is the vouch
-// exactly when every frame decodes, sits on a held boundary (cur, cur+1,
-// cur+2 or cur+4) and names a query whose answer replayed at its version
-// is its result hash, and empty otherwise; and every received pledge is
-// settled or waiting, never both or neither.
+// no batch boundary. The invariants: no panic; a body whose form byte or
+// any frame does not decode is refused; a statement body with a frame
+// ahead of delivery (past cur+4) or one whose answer at its held boundary
+// (cur, cur+1, cur+2 or cur+4) is not its result hash — or whose query
+// does not decode or execute there — is answered pledgeEvidence; else the
+// reply is the vouch exactly when every frame sits on a held boundary and
+// is right there, and empty otherwise; every received pledge is settled
+// or waiting, never both or neither; and when no frame waits, an evidence
+// body and the statement body of the same frames agree on the vouch.
 func FuzzAuditorHandlePledge(f *testing.F) {
 	put := func(key, value string) store.Op { return store.Put{Key: key, Value: []byte(value)} }
 	batches := [][]store.Op{{put("j", "1")}, {put("k", "v2")}, {put("k", "v3"), put("j", "2")}}
@@ -778,65 +782,103 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 		}
 		return r, at
 	}
-	boundary := map[int]bool{0: true, 1: true, 2: true, 4: true}
+	boundary := map[uint64]bool{0: true, 1: true, 2: true, 4: true}
 	r, at := warm(f)
 	cur := r.auditor.Version()
 	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
 	// pledge is q's answer in the content at version answerAt, pledged at
 	// version v.
-	pledge := func(q query.Query, answerAt, v uint64) []byte {
+	pledge := func(q query.Query, answerAt, v uint64) Pledge {
 		res, err := q.Execute(at[answerAt-cur])
 		if err != nil {
 			f.Fatal(err)
 		}
 		stamp := SignStamp(r.master, v, r.s.Now())
-		return EncodePledge(SignPledge(r.slave, query.Encode(q), res.Digest(), stamp))
+		return SignPledge(r.slave, query.Encode(q), res.Digest(), stamp)
 	}
 	honest := pledge(k, cur, cur)
 	ahead := pledge(other, cur+1, cur+1)
 	conflict := pledge(k, cur+2, cur+2) // k's new value, written at cur+2
 	stale := pledge(k, cur, cur+2)      // k's answer at cur, a lie at cur+2
 	beyond := pledge(k, cur+4, cur+5)
-	lie := EncodePledge(r.resign(r.pledgeFor(k, true), cur))
-	f.Add(honest)
-	f.Add(ahead)
-	f.Add(append(bytes.Clone(honest), ahead...))
-	f.Add(conflict)
-	f.Add(stale)
-	f.Add(beyond)
-	f.Add(lie)
-	f.Add(append(bytes.Clone(honest), lie...))
-	f.Add(honest[:len(honest)-1])
-	f.Add(append(bytes.Clone(honest), 0x00))
+	lie := r.resign(r.pledgeFor(k, true), cur)
+	for _, form := range []byte{pledgeFormStatement, pledgeFormEvidence} {
+		body := func(ps ...Pledge) []byte { return pledgeBody(form, ps...) }
+		f.Add(body(honest))
+		f.Add(body(ahead))
+		f.Add(body(honest, ahead))
+		f.Add(body(conflict))
+		f.Add(body(stale))
+		f.Add(body(beyond))
+		f.Add(body(lie))
+		f.Add(body(honest, lie))
+		f.Add(body(honest)[:len(body(honest))-1])
+		f.Add(append(body(honest), 0x00))
+		f.Add(body(pledge(k, cur+3, cur+3)))                          // right inside a batch: late
+		f.Add(body(pledge(k, cur+4, cur+4)))                          // the batch's boundary
+		f.Add(body(pledge(k, cur+1, cur+1), conflict))                // two held versions
+		f.Add(body(pledge(k, cur+4, cur+4), pledge(k, cur+3, cur+2))) // the later answer at cur+2
+	}
 	f.Add([]byte{})
-	f.Add(pledge(k, cur+3, cur+3))                                     // right inside a batch: late
-	f.Add(pledge(k, cur+4, cur+4))                                     // the batch's boundary
-	f.Add(append(pledge(k, cur+1, cur+1), conflict...))                // two held versions
-	f.Add(append(pledge(k, cur+4, cur+4), pledge(k, cur+3, cur+2)...)) // the later answer at cur+2
+	f.Add([]byte{2})
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r, at := warm(t)
 		a := r.auditor
 		cur := a.Version()
 		ack, err := a.handlePledge(body)
-		vouched := bytes.Equal(ack, pledgeVouch)
-		right := true
 		rd := wire.NewReader(body)
-		for n := 0; right && (n == 0 || rd.Remaining() > 0); n++ {
-			p, derr := decodePledge(rd)
-			q, qerr := query.Decode(p.QueryBytes)
-			d := int(p.Stamp.Version - cur)
-			if derr != nil || qerr != nil || p.Stamp.Version < cur || !boundary[d] {
-				right = false
-				break
-			}
-			res, xerr := q.Execute(at[d])
-			right = xerr == nil && res.Digest().Equal(p.ResultHash)
+		form := rd.Byte()
+		decode := decodeStatement
+		if form == pledgeFormEvidence {
+			decode = decodePledge
 		}
-		if vouched != right || (!vouched && len(ack) != 0) {
-			t.Fatalf("ack %x for a body whose frames are all right at their versions: %v (err %v)", ack, right, err)
+		var ps []Pledge
+		decodes := rd.Err() == nil && form <= pledgeFormEvidence
+		for decodes && (len(ps) == 0 || rd.Remaining() > 0) {
+			p, derr := decode(rd)
+			decodes = derr == nil
+			ps = append(ps, p)
+		}
+		right, asks := decodes, false
+		for _, p := range ps {
+			v := p.Stamp.Version
+			switch {
+			case v > cur+4: // ahead of delivery
+				right, asks = false, true
+			case v < cur || !boundary[v-cur]: // late
+				right = false
+			default:
+				q, qerr := query.Decode(p.QueryBytes)
+				if qerr != nil {
+					right, asks = false, true
+					continue
+				}
+				res, xerr := q.Execute(at[v-cur])
+				if xerr != nil || !res.Digest().Equal(p.ResultHash) {
+					right, asks = false, true
+				}
+			}
+		}
+		var want []byte
+		switch {
+		case !decodes:
+		case asks && form == pledgeFormStatement:
+			want = pledgeEvidence
+		case right:
+			want = pledgeVouch
+		}
+		if (err == nil) != decodes || !bytes.Equal(ack, want) {
+			t.Fatalf("ack %x (err %v), want %x: the body decodes %v, all right %v, asks for evidence %v", ack, err, want, decodes, right, asks)
 		}
 		r.checkPartition(t)
+		if decodes && form == pledgeFormEvidence && a.Backlog() == 0 {
+			r2, _ := warm(t)
+			ack2, err := r2.auditor.handlePledge(statements(ps...))
+			if err != nil || bytes.Equal(ack2, pledgeVouch) != bytes.Equal(ack, pledgeVouch) {
+				t.Fatalf("evidence acked %x, its statements %x (err %v)", ack, ack2, err)
+			}
+		}
 	})
 }
 

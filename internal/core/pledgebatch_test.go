@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -32,11 +31,7 @@ func TestPledgeMultiEquivalentToSingles(t *testing.T) {
 			t.Fatalf("single pledge: %v", err)
 		}
 	}
-	var body []byte
-	for _, p := range pledges {
-		body = append(body, EncodePledge(p)...)
-	}
-	if _, err := multi.auditor.Handle("client", MethodPledge, body); err != nil {
+	if _, err := multi.auditor.Handle("client", MethodPledge, statements(pledges...)); err != nil {
 		t.Fatalf("pledge wave: %v", err)
 	}
 
@@ -57,23 +52,26 @@ func TestPledgeMultiEquivalentToSingles(t *testing.T) {
 	}
 }
 
-// TestPledgeMultiRejectsMalformedWave: a body with any frame that does
-// not decode — a broken frame after a good one, a byte trailing the last
-// frame, or no frame at all — is refused whole: nothing from it is
-// admitted.
+// TestPledgeMultiRejectsMalformedWave: a body in either form with any
+// frame that does not decode — a broken frame after a good one, a byte
+// trailing the last frame, or no frame at all — is refused whole, as is
+// an empty body: nothing from it is admitted.
 func TestPledgeMultiRejectsMalformedWave(t *testing.T) {
 	rig := newAuditorRig(t, nil)
-	good := EncodePledge(rig.pledgeFor(query.Get{Key: "k"}, false))
-	for name, body := range map[string][]byte{
-		"broken frame":  append(slices.Clone(good), 0xde, 0xad),
-		"trailing byte": append(append(slices.Clone(good), good...), 0x00),
-		"empty":         nil,
-	} {
-		if _, err := rig.auditor.Handle("client", MethodPledge, body); err == nil {
-			t.Fatalf("%s: body accepted", name)
-		}
-		if got := rig.auditor.Stats().PledgesReceived; got != 0 {
-			t.Fatalf("%s: body partially admitted %d pledges", name, got)
+	p := rig.pledgeFor(query.Get{Key: "k"}, false)
+	for _, form := range []byte{pledgeFormStatement, pledgeFormEvidence} {
+		for name, body := range map[string][]byte{
+			"broken frame":  append(pledgeBody(form, p), 0xde, 0xad),
+			"trailing byte": append(pledgeBody(form, p, p), 0x00),
+			"no frame":      {form},
+			"empty":         nil,
+		} {
+			if _, err := rig.auditor.Handle("client", MethodPledge, body); err == nil {
+				t.Fatalf("form %d, %s: body accepted", form, name)
+			}
+			if got := rig.auditor.Stats().PledgesReceived; got != 0 {
+				t.Fatalf("form %d, %s: body partially admitted %d pledges", form, name, got)
+			}
 		}
 	}
 }

@@ -625,10 +625,9 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 		return n
 	}
 	r.s.Go(func() {
-		next := r.pledgeFor(query.Get{Key: "k"}, true)
-		next.Stamp.Version++ // queued until the next batch is delivered
-		later := next
-		later.Stamp.Version += 5 // queued until the masters get there
+		lie := r.pledgeFor(query.Get{Key: "k"}, true)
+		next := r.resign(lie, lie.Stamp.Version+1)  // queued until the next batch is delivered
+		later := r.resign(lie, lie.Stamp.Version+6) // queued until the masters get there
 		for i := 0; i < 3; i++ {
 			r.sendPledge(next)
 		}

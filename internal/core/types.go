@@ -376,19 +376,20 @@ type Pledge struct {
 	Sig        []byte
 }
 
-// appendStatement appends what the slave states: query, result hash,
-// version and its own key. The signature covers it under a domain tag;
-// the evidence frame is it and the signature.
+// appendStatement appends the statement frame, what the slave states
+// about the read: bytes query ‖ bytes result hash ‖ uvarint version. The
+// signature covers it and the slave's key under a domain tag; the
+// evidence frame is the three, the key and the signature.
 func (p *Pledge) appendStatement(w *wire.Writer) {
 	w.Bytes_(p.QueryBytes)
 	w.Bytes_(p.ResultHash[:])
 	w.Uvarint(p.Stamp.Version)
-	w.Bytes_(p.SlavePub)
 }
 
 func (p *Pledge) appendSignedBytes(w *wire.Writer) {
 	w.String_("pledge.v2")
 	p.appendStatement(w)
+	w.Bytes_(p.SlavePub)
 }
 
 // SignPledge builds and signs a pledge over (query, result hash, version).
@@ -409,11 +410,12 @@ func (p *Pledge) VerifySig() error {
 }
 
 // Encode appends the pledge's evidence frame to w: bytes query ‖ bytes
-// result hash ‖ uvarint version ‖ bytes slave key ‖ bytes sig — what a.pledge
-// (one or more, back to back), m.report, bcExclude and pki.Exclusion.Evidence
-// carry.
+// result hash ‖ uvarint version ‖ bytes slave key ‖ bytes sig — what an
+// evidence-form a.pledge body (one or more, back to back), m.report,
+// bcExclude and pki.Exclusion.Evidence carry.
 func (p *Pledge) Encode(w *wire.Writer) {
 	p.appendStatement(w)
+	w.Bytes_(p.SlavePub)
 	w.Bytes_(p.Sig)
 }
 
@@ -446,6 +448,18 @@ func decodePledgeFrame(frame []byte) (Pledge, error) {
 // decodePledge reads an evidence frame whose query, key and signature
 // alias r's buffer. Of the stamp only Version is set.
 func decodePledge(r *wire.Reader) (Pledge, error) {
+	p, err := decodeStatement(r)
+	if err != nil {
+		return p, err
+	}
+	p.SlavePub = cryptoutil.PublicKey(r.BytesView())
+	p.Sig = r.BytesView()
+	return p, r.Err()
+}
+
+// decodeStatement reads a statement frame whose query aliases r's
+// buffer: a pledge with no key and no signature.
+func decodeStatement(r *wire.Reader) (Pledge, error) {
 	var p Pledge
 	p.QueryBytes = r.BytesView()
 	h := r.BytesView()
@@ -455,8 +469,6 @@ func decodePledge(r *wire.Reader) (Pledge, error) {
 		return p, fmt.Errorf("core: bad result hash length %d", len(h))
 	}
 	p.Stamp.Version = r.Uvarint()
-	p.SlavePub = cryptoutil.PublicKey(r.BytesView())
-	p.Sig = r.BytesView()
 	return p, r.Err()
 }
 
