@@ -302,18 +302,25 @@ func (a *Auditor) settleStatementsLocked(pledges []Pledge, now time.Time, tab *c
 
 // settleEvidenceLocked settles an evidence body, the one a client sends
 // when its statement body was answered pledgeEvidence. No sampling coin
-// is drawn. A frame ahead of delivery waits in pending; every other frame
-// is settled (settleLocked). The body is vouched for exactly when every
-// frame was audited right. Caller holds a.mu.
+// is drawn. A frame ahead of delivery waits in pending once its signature
+// verifies, so nobody can pin the auditor's memory with frames no slave
+// signed; every other frame is settled (settleLocked). The body is
+// vouched for exactly when every frame was audited right. Caller holds
+// a.mu.
 func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cryptoutil.Meter) []byte {
 	vouch := true
 	for i := range pledges {
 		a.stats.PledgesReceived++
 		if pledges[i].Stamp.Version <= a.masterV {
-			vouch = a.settleLocked(&pledges[i], now, tab) && vouch
+			vouch = a.settleLocked(&pledges[i], now, tab, false) && vouch
 			continue
 		}
 		vouch = false
+		tab.Verify()
+		if err := pledges[i].VerifySig(); err != nil {
+			a.stats.PledgesBadSig++
+			continue
+		}
 		a.pending = append(a.pending, pledges[i])
 		a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
 	}
@@ -382,20 +389,23 @@ func (a *Auditor) countLocked(v verdict) {
 // settleLocked settles an evidence frame at a delivered version
 // (judgeLocked) and reports whether it was right, pricing the work on
 // tab. A right pledge is never presented to anyone, so nobody checks who
-// signed it. One that is wrong has its signature verified: a forged one
-// can frame nobody and is dropped; a signed one is a lie, and the first
-// of each slave is marked detected, and reported on a task of its own, so
-// no a.pledge reply waits on the report's RPC. Caller holds a.mu.
-func (a *Auditor) settleLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) bool {
+// signed it. One that is wrong has its signature verified, unless it was
+// verified before it was held (sigChecked): a forged one can frame nobody
+// and is dropped; a signed one is a lie, and the first of each slave is
+// marked detected, and reported on a task of its own, so no a.pledge
+// reply waits on the report's RPC. Caller holds a.mu.
+func (a *Auditor) settleLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter, sigChecked bool) bool {
 	v := a.judgeLocked(p, now, tab)
 	a.countLocked(v)
 	if v.kind() != verdictWrong {
 		return v.kind() == verdictRight
 	}
-	tab.Verify()
-	if err := p.VerifySig(); err != nil {
-		a.stats.PledgesBadSig++
-		return false
+	if !sigChecked {
+		tab.Verify()
+		if err := p.VerifySig(); err != nil {
+			a.stats.PledgesBadSig++
+			return false
+		}
 	}
 	a.stats.PledgesAudited++
 	a.stats.Mismatches++
@@ -466,7 +476,8 @@ func (a *Auditor) closedLocked(i int, now time.Time) bool {
 }
 
 // applyLoop, once per keep-alive interval, applies every held batch,
-// settles in arrival order the frames whose version has been delivered,
+// settles in arrival order the frames whose version has been delivered
+// (their signatures verified when they were held),
 // and drops the views whose window has closed.
 func (a *Auditor) applyLoop() {
 	for {
@@ -483,7 +494,7 @@ func (a *Auditor) applyLoop() {
 			if a.pending[i].Stamp.Version > a.masterV {
 				waiting = append(waiting, a.pending[i])
 			} else {
-				a.settleLocked(&a.pending[i], now, tab)
+				a.settleLocked(&a.pending[i], now, tab, true)
 			}
 		}
 		clear(a.pending[len(waiting):])

@@ -888,3 +888,46 @@ func TestAuditorVouchAhead(t *testing.T) {
 		})
 	}
 }
+
+// TestAuditorForgedFarAheadNotHeld: any client can send a frame at a
+// version no master will reach for ages (2^40 past the newest delivered).
+// One under a signature its slave never made is not held: its evidence
+// costs one verify, ends in PledgesBadSig and leaves nothing waiting, so
+// nobody can pin the auditor's memory with frames no slave signed. The
+// same frame under the slave's own signature costs the same verify and
+// waits, as every frame ahead of delivery does.
+func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
+	r := newAuditorRig(t, nil)
+	a := r.auditor
+	cpu := r.s.NewResource("auditor", 1)
+	a.meter = cryptoutil.NewMeter(cpu, a.cfg.Params.Costs)
+	far := r.resign(r.pledgeFor(query.Get{Key: "k"}, false), a.Version()+1<<40)
+	rows := []struct {
+		name string
+		p    Pledge
+		held int
+		want AuditorStats
+	}{
+		{"garbage signature", forged(far), 0, AuditorStats{PledgesReceived: 1, PledgesBadSig: 1}},
+		{"the slave's signature", far, 1, AuditorStats{PledgesReceived: 1}},
+	}
+	r.s.Go(func() {
+		for _, tc := range rows {
+			before, busy := a.Stats(), cpu.BusyTime()
+			if ack, err := forward(a, tc.p); err != nil || len(ack) != 0 {
+				t.Errorf("%s: ack %x, err %v", tc.name, ack, err)
+			}
+			if a.Backlog() != tc.held {
+				t.Errorf("%s: backlog %d, want %d", tc.name, a.Backlog(), tc.held)
+			}
+			if got := added(before, a.Stats()); got != tc.want {
+				t.Errorf("%s: counters added %+v, want %+v", tc.name, got, tc.want)
+			}
+			if paid, want := cpu.BusyTime()-busy, a.cfg.Params.Costs.VerifySig; paid != want {
+				t.Errorf("%s: the frame cost the auditor %v, want one verify (%v)", tc.name, paid, want)
+			}
+		}
+	})
+	r.s.Run()
+	r.checkPartition(t)
+}

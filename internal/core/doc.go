@@ -223,7 +223,12 @@
 // when the ack is not the vouch; a K-slave disagreement verifies a reply
 // only as it reports it. So every reply passes the stamp checks and then
 // needs a verified signature or the vouch, and every report carries a
-// verified pledge. A vouched answer is correct — the trusted auditor found
+// verified pledge. The auditor verifies one in two places too, both on an
+// evidence frame: one whose hash disagrees with its view, before it
+// convicts, and one ahead of delivery, before it holds it in pending. A
+// frame no slave signed is dropped (PledgesBadSig), so no client can pin
+// the auditor's memory with frames at versions no master will sign. A
+// vouched answer is correct — the trusted auditor found
 // the same hash at that signed, fresh version — so there is no lie to pin
 // on anyone; a lie's hash is never the auditor's answer, so a lie is never
 // vouched. The vouch is not authenticated: whoever can forge the
