@@ -235,17 +235,17 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	pledges := held[:0]
 	r := wire.NewReader(body)
 	form := r.Byte()
-	decode := decodeStatement
-	switch {
-	case r.Err() != nil:
-		return nil, r.Err()
-	case form == pledgeFormEvidence:
-		decode = decodePledge
-	case form != pledgeFormStatement:
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if form != pledgeFormStatement && form != pledgeFormEvidence {
 		return nil, fmt.Errorf("core: a.pledge: unknown form %d", form)
 	}
 	for len(pledges) == 0 || r.Remaining() > 0 {
-		p, err := decode(r)
+		p, err := decodeStatement(r)
+		if err == nil && form == pledgeFormEvidence {
+			err = decodeEvidenceTail(r, &p)
+		}
 		if err != nil {
 			return nil, err
 		}

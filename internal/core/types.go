@@ -452,9 +452,16 @@ func decodePledge(r *wire.Reader) (Pledge, error) {
 	if err != nil {
 		return p, err
 	}
+	return p, decodeEvidenceTail(r, &p)
+}
+
+// decodeEvidenceTail reads what an evidence frame carries after the
+// statement, the slave's key and signature, into p as views of r's
+// buffer.
+func decodeEvidenceTail(r *wire.Reader, p *Pledge) error {
 	p.SlavePub = cryptoutil.PublicKey(r.BytesView())
 	p.Sig = r.BytesView()
-	return p, r.Err()
+	return r.Err()
 }
 
 // decodeStatement reads a statement frame whose query aliases r's
