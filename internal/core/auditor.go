@@ -275,23 +275,29 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 func (a *Auditor) settleStatementsLocked(pledges []Pledge, now time.Time, tab *cryptoutil.Meter) []byte {
 	var held [2]verdict
 	verdicts := held[:0]
+	hits := uint64(0)
 	for i := range pledges {
 		v := verdictSampled
 		if a.cfg.Params.AuditSampleP >= 1 || a.rng.Float64() < a.cfg.Params.AuditSampleP {
 			if pledges[i].Stamp.Version > a.masterV {
 				return pledgeEvidence
 			}
-			if v = a.judgeLocked(&pledges[i], now, tab); v.kind() == verdictWrong {
+			var hit bool
+			if v, hit = a.judgeLocked(&pledges[i], now, tab); v == verdictWrong {
 				return pledgeEvidence
+			}
+			if hit {
+				hits++
 			}
 		}
 		verdicts = append(verdicts, v)
 	}
 	a.stats.PledgesReceived += uint64(len(pledges))
+	a.stats.CacheHits += hits
 	vouch := true
 	for _, v := range verdicts {
 		a.countLocked(v)
-		vouch = vouch && v.kind() == verdictRight
+		vouch = vouch && v == verdictRight
 	}
 	if !vouch {
 		return nil
@@ -332,8 +338,7 @@ func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cry
 }
 
 // verdict is what the auditor found of a frame it did not hold: sampled
-// out, late, or right or wrong at its version, with verdictHit set when
-// the view's cache held the answer.
+// out, late, or right or wrong at its version.
 type verdict uint8
 
 const (
@@ -341,42 +346,31 @@ const (
 	verdictLate
 	verdictRight
 	verdictWrong
-	verdictHit verdict = 0x80
 )
 
-// kind is the verdict without verdictHit.
-func (v verdict) kind() verdict { return v &^ verdictHit }
-
 // judgeLocked judges a frame at a delivered version V against the content
-// at exactly V, applying held batches up to V first, and prices the work
-// on tab; with no view at V the frame is late. A query that does not
-// decode or execute is wrong: an honest slave would have returned the
-// error, not a signed result. Caller holds a.mu.
-func (a *Auditor) judgeLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) verdict {
+// at exactly V, applying held batches up to V first, prices the work on
+// tab, and reports whether the view's cache held the answer; with no view
+// at V the frame is late. A query that does not decode or execute is
+// wrong: an honest slave would have returned the error, not a signed
+// result. Caller holds a.mu.
+func (a *Auditor) judgeLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) (v verdict, hit bool) {
 	a.applyLocked(p.Stamp.Version)
 	w := a.viewLocked(p.Stamp.Version, now)
 	if w == nil {
-		return verdictLate
+		return verdictLate, false
 	}
 	correct, hit, ok := w.answer(p.QueryBytes, tab)
-	v := verdictWrong
 	if ok && correct.Equal(p.ResultHash) {
-		v = verdictRight
+		return verdictRight, hit
 	}
-	if hit {
-		v |= verdictHit
-	}
-	return v
+	return verdictWrong, hit
 }
 
-// countLocked counts a frame's verdict: its cache hit, and the bucket it
-// ends in, but for a wrong frame's, which its signature decides. Caller
-// holds a.mu.
+// countLocked counts a frame in the bucket its verdict puts it in; a
+// wrong frame's bucket is its signature's to decide. Caller holds a.mu.
 func (a *Auditor) countLocked(v verdict) {
-	if v&verdictHit != 0 {
-		a.stats.CacheHits++
-	}
-	switch v.kind() {
+	switch v {
 	case verdictSampled:
 		a.stats.PledgesSampled++
 	case verdictLate:
@@ -395,10 +389,13 @@ func (a *Auditor) countLocked(v verdict) {
 // marked detected, and reported on a task of its own, so no a.pledge
 // reply waits on the report's RPC. Caller holds a.mu.
 func (a *Auditor) settleLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter, sigChecked bool) bool {
-	v := a.judgeLocked(p, now, tab)
-	a.countLocked(v)
-	if v.kind() != verdictWrong {
-		return v.kind() == verdictRight
+	v, hit := a.judgeLocked(p, now, tab)
+	if hit {
+		a.stats.CacheHits++
+	}
+	if v != verdictWrong {
+		a.countLocked(v)
+		return v == verdictRight
 	}
 	if !sigChecked {
 		tab.Verify()
