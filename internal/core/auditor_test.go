@@ -658,16 +658,16 @@ func TestAuditorVouchTable(t *testing.T) {
 		{"two slaves, one uncached frame", 1, stmt, func(r *auditorRig) []Pledge {
 			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(other, false)}
 		}, 0, pledgeVouch, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, PledgesVouched: 2, CacheHits: 1}},
-		{"cached but disagreeing, then its evidence", 1, stmt, func(r *auditorRig) []Pledge {
+		{"cached but disagreeing", 1, stmt, func(r *auditorRig) []Pledge {
 			return []Pledge{r.pledgeFor(k, true)}
 		}, 0, pledgeEvidence, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
-		{"uncached and disagreeing, then its evidence", 1, stmt, func(r *auditorRig) []Pledge {
+		{"uncached and disagreeing", 1, stmt, func(r *auditorRig) []Pledge {
 			return []Pledge{r.pledgeFor(other, true)} // executed on the statement; the evidence hits
 		}, 0, pledgeEvidence, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
-		{"two slaves, one lying frame, then their evidence", 1, stmt, func(r *auditorRig) []Pledge {
+		{"two slaves, one lying frame", 1, stmt, func(r *auditorRig) []Pledge {
 			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(k, true)}
 		}, 0, pledgeEvidence, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 2, Mismatches: 1, ReportsSent: 1}},
-		{"replica behind, then its evidence", 1, stmt, func(r *auditorRig) []Pledge { // ahead of delivery: waits
+		{"replica behind", 1, stmt, func(r *auditorRig) []Pledge { // ahead of delivery: waits
 			p := r.pledgeFor(k, false)
 			return []Pledge{r.resign(p, p.Stamp.Version+1)}
 		}, 0, pledgeEvidence, nil, false, 1, AuditorStats{PledgesReceived: 1}},
@@ -687,7 +687,7 @@ func TestAuditorVouchTable(t *testing.T) {
 		{"evidence, uncached and disagreeing", 1, ev, func(r *auditorRig) []Pledge { // executed, then convicted, on arrival
 			return []Pledge{r.pledgeFor(other, true)}
 		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
-		{"evidence, two slaves, one uncached lying frame", 1, ev, func(r *auditorRig) []Pledge {
+		{"two slaves, one uncached lying frame", 1, ev, func(r *auditorRig) []Pledge {
 			return []Pledge{r.pledgeFor(k, false), r.pledgeFor(other, true)}
 		}, 0, nil, nil, false, 0, AuditorStats{PledgesReceived: 2, PledgesAudited: 2, CacheHits: 1, Mismatches: 1, ReportsSent: 1}},
 		{"evidence, late", 1, ev, func(r *auditorRig) []Pledge {

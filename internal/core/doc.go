@@ -75,7 +75,9 @@
 // carries nothing per op beyond the op, which the slave holds whole, and the
 // s.read reply neither the client's own query, nor the hash of the
 // payload beside it, nor the key of the slave the client asked, nor a
-// stamp the client already holds.
+// stamp the client already holds. What the receiver does not read is sent
+// only when it asks: a.pledge carries a read's statement, and the slave's
+// key and signature follow only when the auditor answers pledgeEvidence.
 //
 //	s.read       bytes query ‖ bytes ref — ref is empty or the first 8
 //	             bytes (stampRefLen) of the master signature on the stamp
@@ -92,22 +94,32 @@
 //	             request that named none is refused. 98 B both ways on
 //	             read-point (220 B with the stamp whole). xlie is
 //	             instrumentation only.
-//	evidence     bytes query ‖ bytes result hash ‖ uvarint version ‖
-//	             bytes slavePub ‖ bytes sig (Pledge.Encode) — exactly
-//	             the statement the slave signed (after its "pledge.v2"
+//	statement    bytes query ‖ bytes result hash ‖ uvarint version
+//	             (Pledge.appendStatement) — what the slave states about
+//	             a read, without its key or signature.
+//	evidence     statement ‖ bytes slavePub ‖ bytes sig (Pledge.Encode) —
+//	             exactly what the slave signed (after its "pledge.v2"
 //	             tag) and the signature, no byte of the master's stamp:
 //	             nothing that holds a pledge as evidence reads more than
 //	             its version. The m.report pledge field, the bcExclude
 //	             body and pki.Exclusion.Evidence.
-//	a.pledge     one or more evidence frames back to back, one per
+//	a.pledge     byte form ‖ one or more frames back to back, one per
 //	             slave of an accepted read: each is length-prefixed
-//	             field by field, so they need no separator, and a
-//	             one-slave read sends exactly one. The auditor decodes
-//	             every frame before it admits any, in frame order, so a
-//	             body is admitted or refused whole. Reply: the one byte
-//	             0x01 (pledgeVouch) when every frame's result hash is the
-//	             auditor's answer at the frame's version — a batch
-//	             boundary whose window is open — else empty.
+//	             field by field, so they need no separator. Form 0
+//	             (pledgeFormStatement) carries statement frames, and is
+//	             what a client sends first: 42 B both ways on read-point,
+//	             the vouch included (139 B with the evidence). Form 1
+//	             (pledgeFormEvidence) carries the same read's evidence
+//	             frames, sent once, only when the auditor asks. The
+//	             auditor decodes every frame before it admits any, in
+//	             frame order, so a body is admitted or refused whole.
+//	             Reply: the one byte 0x01 (pledgeVouch) when every
+//	             frame's result hash is the auditor's answer at the
+//	             frame's version — a batch boundary whose window is open;
+//	             to a statement body, the one byte 0x02 (pledgeEvidence)
+//	             when a frame disagrees with that answer or is ahead of
+//	             delivery, the frames a key and a signature are read for;
+//	             else empty.
 //	bcExclude    kind byte ‖ bytes evidence ‖ bytes originPub ‖ bytes
 //	             sig — sig by the master that convicted the slave, over
 //	             "exclude.v1" ‖ evidence; every master acts on it only if
@@ -281,13 +293,17 @@
 // AuditorSlack after the next batch was delivered, when no client can
 // still accept a read there. deliver only holds batches; they are applied
 // up to the version a frame needs, by the a.pledge handler or by the
-// once-per-keep-alive apply loop. Auditor.handlePledge settles every frame
-// of a body in one critical section, as exactly one of: sampled out;
-// waiting, when its version V is above masterV, the last version
-// delivered (pending holds only these); late, when no view is at exactly
-// V; audited and right, when the answer at V is the frame's result hash;
-// convicted otherwise. The reply is the one byte 0x01 exactly when every
-// frame was audited and right. Why "no view at V" means "no honest client
+// once-per-keep-alive apply loop. Auditor.handlePledge answers a body in
+// one critical section. A statement body draws each frame's sampling coin
+// and judges the rest at their versions; when a frame's version V is
+// above masterV, the last version delivered, or the answer at V is not
+// its result hash, the reply is pledgeEvidence and nothing is counted.
+// Otherwise, and for every evidence body (no coin), each frame is settled
+// as exactly one of: sampled out; waiting, when V is above masterV and
+// its signature verifies (pending holds only these); late, when no view
+// is at exactly V; audited and right, when the answer at V is the frame's
+// result hash; convicted otherwise. The reply is the one byte 0x01
+// exactly when every frame was audited and right. Why "no view at V" means "no honest client
 // reads at V": every replica applies a delivered batch whole or not at
 // all, under one rule (decodeBatchMessage), so versions are numbered
 // alike, and every stamp a master signs names the version after a whole
