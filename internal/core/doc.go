@@ -345,9 +345,10 @@
 // they agree: an honest pledge is never presented to anyone, so the
 // auditor, the scarce trusted host of §3.4, does not check who signed it.
 // Only a pledge that disagrees (wrong hash, undecodable or unexecutable
-// query) has its slave signature verified, on the handler: a forged
-// pledge is counted (PledgesBadSig) and dropped, a signed one is a lie
-// (Mismatches). The check and the mark of the slave as detected are one
+// query) has its slave signature verified, on the handler, from the
+// evidence the client sends when asked: a forged pledge is counted
+// (PledgesBadSig) and dropped, a signed one is a lie (Mismatches). A
+// frame ahead of delivery is verified before it is held, and not again. The check and the mark of the slave as detected are one
 // critical section, so the first lie from each slave is reported once;
 // only the m.report RPC runs on a task of its own, so no ack waits on it.
 // A report no master accepts clears the mark, so the slave's next lie is
