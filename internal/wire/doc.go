@@ -11,6 +11,10 @@
 //	string   — same as bytes
 //	time     — varint Unix nanoseconds (UTC)
 //	slices   — uvarint count prefix, then elements
+//	key      — a key of a sorted run, front-coded against the key before
+//	           it (KeyAfter): uvarint shared prefix length ‖ string rest;
+//	           the reader refuses a shared length above the previous key's
+//	           or below the prefix the two really share
 //
 // Determinism matters because two replicas must produce the identical
 // encoding of the identical logical value: the paper's whole enforcement

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -15,6 +16,7 @@ var (
 	ErrShortBuffer = errors.New("wire: short buffer")
 	ErrOverflow    = errors.New("wire: varint overflows 64 bits")
 	ErrTooLarge    = errors.New("wire: length prefix exceeds limit")
+	ErrKeyShared   = errors.New("wire: key's shared prefix length disagrees with the key before it")
 )
 
 // MaxBytesLen caps the length of any single byte-slice or string field to
@@ -106,6 +108,27 @@ func (w *Writer) Time(t time.Time) {
 
 // Duration appends a duration as varint nanoseconds.
 func (w *Writer) Duration(d time.Duration) { w.Varint(int64(d)) }
+
+// KeyAfter appends key front-coded against prev, the key written before
+// it in a sorted run: the length of the prefix the two share, then the
+// rest of key as a string. The receiver already holds prev, so only what
+// differs travels.
+func (w *Writer) KeyAfter(prev, key string) {
+	n := shared(prev, key)
+	w.Uvarint(uint64(n))
+	w.String_(key[n:])
+}
+
+// shared returns the length of the longest common prefix of a and b.
+func shared(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
 
 // StringSlice appends a count-prefixed slice of strings.
 func (w *Writer) StringSlice(ss []string) {
@@ -381,6 +404,27 @@ func (r *Reader) BytesSliceView() [][]byte {
 		out = append(out, b)
 	}
 	return out
+}
+
+// KeyAfter reads a key written by Writer.KeyAfter after prev. A shared
+// length above len(prev), or one shorter than the prefix the key really
+// shares with prev (the writer always writes the longest), fails the
+// reader with ErrKeyShared, so every key run has exactly one encoding.
+func (r *Reader) KeyAfter(prev string) string {
+	n := r.Uvarint()
+	suffix := r.BytesView()
+	if r.err != nil {
+		return ""
+	}
+	if n > uint64(len(prev)) || n < uint64(len(prev)) && len(suffix) > 0 && suffix[0] == prev[n] {
+		r.fail(ErrKeyShared)
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(int(n) + len(suffix))
+	b.WriteString(prev[:n])
+	b.Write(suffix)
+	return b.String()
 }
 
 // StringSlice reads a count-prefixed slice of strings.
