@@ -194,7 +194,9 @@ FUZZ_TARGETS := \
 	internal/broadcast:FuzzMemberHandle \
 	internal/dirsrv:FuzzDecodeShardMap \
 	internal/store:FuzzNumericValue \
-	internal/store:FuzzStoreClone
+	internal/store:FuzzStoreClone \
+	internal/store:FuzzDecodeSnapshot \
+	internal/query:FuzzResultDecoders
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -37,9 +37,10 @@ package core
 // fails it too ("ops do not hash to the stamp's batch digest"), and a
 // snapshot file in the private "msnap.v1" format, one closed by a second
 // copy of its stamp, or one whose stamp signs the SHA-1 of its bytes
-// ("stamp does not authenticate the snapshot") fails decodeStateTransfer.
-// No data directory outlives a commit here, so nothing reads the old
-// shapes.
+// ("stamp does not authenticate the snapshot") fails decodeStateTransfer,
+// and so does one whose store snapshot is in the "snap.v1" layout, every
+// key whole (store.ErrSnapshotMagic). No data directory outlives a commit
+// here, so nothing reads the old shapes.
 
 import (
 	"fmt"

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -608,5 +609,47 @@ func TestBatchOfOneAndOfEightEquivalent(t *testing.T) {
 	}
 	if one.slave != one.master || one.auditor != one.master || one.replayed != one.master {
 		t.Fatalf("replicas of one run differ: %+v", one)
+	}
+}
+
+// snapV1 is st in the store's snap.v1 layout, every key whole: the
+// snapshot an earlier commit of this repository wrote.
+func snapV1(st *store.Store) []byte {
+	w := wire.NewWriter(64)
+	w.String_("snap.v1")
+	w.Uvarint(st.Version())
+	w.Uvarint(uint64(st.Len()))
+	st.Ascend("", "", func(k string, v []byte) bool {
+		w.String_(k)
+		w.Bytes_(v)
+		return true
+	})
+	return w.Bytes()
+}
+
+// TestMasterRefusesSnapV1File: a snapshot file whose store snapshot is in
+// the snap.v1 layout, under a stamp this master signed over exactly those
+// bytes, is refused with store.ErrSnapshotMagic and the master does not
+// start; an m.sync reply carrying one is refused by the same reader.
+func TestMasterRefusesSnapV1File(t *testing.T) {
+	dir := t.TempDir()
+	var cfg MasterConfig
+	r := newMasterRig(t, func(c *MasterConfig) { c.DataDir = dir; cfg = *c })
+	r.master.Stop()
+	st := transferState(7)
+	old := snapV1(st)
+	reply := transferParts{snap: &ckptSnapshot{version: 7, bytes: old, stamp: SignStampWithOp(cfg.Keys, 7, r.s.Now(), old)}}.encode()
+	if _, err := decodeStateTransfer(reply, []cryptoutil.PublicKey{cfg.Keys.Public}, nil, nil); !errors.Is(err, store.ErrSnapshotMagic) {
+		t.Fatalf("m.sync reply with a snap.v1 snapshot: err %v, want store.ErrSnapshotMagic", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), reply, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaster(cfg, r.s, r.net.Dialer("master"), transferState(1))
+	if err == nil {
+		m.Stop()
+	}
+	if !errors.Is(err, store.ErrSnapshotMagic) {
+		t.Fatalf("master over a snap.v1 snapshot file: err %v, want store.ErrSnapshotMagic", err)
 	}
 }

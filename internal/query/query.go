@@ -14,6 +14,24 @@
 // Execution is deterministic: the same store state always yields the same
 // encoded result, so its digest (truncated SHA-256, cryptoutil.HashBytes)
 // is well defined — this is what slaves pledge and the auditor re-checks.
+//
+// A result that lists keys lists them in key order, and front-codes each
+// against the one before it (wire's KeyAfter: the length the two share,
+// then the rest), since the receiver has just read that key:
+//
+//	Get     bool found ‖ [bytes value]
+//	Range   uvarint n ‖ n × (key ‖ bytes value)
+//	Prefix  uvarint n ‖ n × key
+//	Count   uvarint count
+//	Sum     varint total
+//	Grep    uvarint n ‖ n × (key path ‖ uvarint line ‖ string text)
+//
+// A run of catalog keys then costs a few bytes a key instead of the whole
+// key, and a grep path repeated for its next matching line costs 2. The
+// decoders take an answer from an untrusted slave: a shared length the
+// previous key cannot supply, or one shorter than the prefix the two keys
+// share, is refused, as is a Range or Prefix key not above the one before
+// it and a Grep path below it, so an answer has exactly one encoding.
 package query
 
 import (
@@ -148,27 +166,28 @@ func (q Range) Encode(w *wire.Writer) {
 }
 
 func (q Range) Execute(s *store.Store) (Result, error) {
-	w := wire.NewWriter(256)
-	n, scanned := 0, 0
-	var pairs []struct {
-		k string
-		v []byte
-	}
+	scanned := 0
+	var pairs []Pair
 	s.Ascend(q.From, q.To, func(k string, v []byte) bool {
-		pairs = append(pairs, struct {
-			k string
-			v []byte
-		}{k, v})
+		pairs = append(pairs, Pair{Key: k, Value: v})
 		scanned += len(k) + len(v)
-		n++
-		return q.Limit <= 0 || n < q.Limit
+		return q.Limit <= 0 || len(pairs) < q.Limit
 	})
+	return Result{Payload: rangePayload(pairs), Scanned: scanned}, nil
+}
+
+// rangePayload encodes a Range answer, pairs in key order: n ‖ n × (key ‖
+// bytes value), each key front-coded against the one before it.
+func rangePayload(pairs []Pair) []byte {
+	w := wire.NewWriter(256)
 	w.Uvarint(uint64(len(pairs)))
+	prev := ""
 	for _, p := range pairs {
-		w.String_(p.k)
-		w.Bytes_(p.v)
+		w.KeyAfter(prev, p.Key)
+		w.Bytes_(p.Value)
+		prev = p.Key
 	}
-	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
+	return w.Bytes()
 }
 
 func (q Range) String() string {
@@ -181,17 +200,35 @@ type Pair struct {
 	Value []byte
 }
 
-// RangeResult decodes the payload of a Range query.
+// RangeResult decodes the payload of a Range query, refusing a key that
+// is not above the one before it.
 func RangeResult(payload []byte) ([]Pair, error) {
 	r := wire.NewReader(payload)
 	n := r.Count()
 	out := make([]Pair, 0, n)
+	prev := ""
 	for i := 0; i < n; i++ {
-		k := r.String()
-		v := r.Bytes()
-		out = append(out, Pair{Key: k, Value: v})
+		k, err := keyAbove(r, prev, i == 0)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, Pair{Key: k, Value: r.Bytes()})
+		prev = k
 	}
 	return out, r.Done()
+}
+
+// keyAbove reads the next key of a sorted run (wire.Reader.KeyAfter) and
+// refuses one that is not above prev, unless it is the run's first.
+func keyAbove(r *wire.Reader, prev string, first bool) (string, error) {
+	k := r.KeyAfter(prev)
+	if err := r.Err(); err != nil {
+		return "", err
+	}
+	if !first && k <= prev {
+		return "", fmt.Errorf("query: key %q is not above %q", k, prev)
+	}
+	return k, nil
 }
 
 // --- Prefix --------------------------------------------------------------
@@ -203,26 +240,46 @@ func (q Prefix) Encode(w *wire.Writer) {
 }
 
 func (q Prefix) Execute(s *store.Store) (Result, error) {
-	w := wire.NewWriter(256)
 	var keys []string
 	scanned := 0
-	n := 0
 	s.Ascend(q.P, prefixEnd(q.P), func(k string, v []byte) bool {
 		keys = append(keys, k)
 		scanned += len(k)
-		n++
-		return q.Limit <= 0 || n < q.Limit
+		return q.Limit <= 0 || len(keys) < q.Limit
 	})
-	w.StringSlice(keys)
-	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
+	return Result{Payload: prefixPayload(keys), Scanned: scanned}, nil
+}
+
+// prefixPayload encodes a Prefix answer, keys in order: n ‖ n × key, each
+// front-coded against the one before it.
+func prefixPayload(keys []string) []byte {
+	w := wire.NewWriter(256)
+	w.Uvarint(uint64(len(keys)))
+	prev := ""
+	for _, k := range keys {
+		w.KeyAfter(prev, k)
+		prev = k
+	}
+	return w.Bytes()
 }
 
 func (q Prefix) String() string { return fmt.Sprintf("prefix(%q,limit=%d)", q.P, q.Limit) }
 
-// PrefixResult decodes the payload of a Prefix query.
+// PrefixResult decodes the payload of a Prefix query, refusing a key
+// that is not above the one before it.
 func PrefixResult(payload []byte) ([]string, error) {
 	r := wire.NewReader(payload)
-	keys := r.StringSlice()
+	n := r.Count()
+	keys := make([]string, 0, n)
+	prev := ""
+	for i := 0; i < n; i++ {
+		k, err := keyAbove(r, prev, i == 0)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, k)
+		prev = k
+	}
 	return keys, r.Done()
 }
 
@@ -323,28 +380,43 @@ func (q Grep) Execute(s *store.Store) (Result, error) {
 		}
 		return true
 	})
+	return Result{Payload: grepPayload(matches), Scanned: scanned}, nil
+}
+
+// grepPayload encodes a Grep answer, matches in path order: n ‖ n × (path
+// ‖ uvarint line ‖ string text), each path front-coded against the one
+// before it, so a path's second matching line spends 2 bytes on it.
+func grepPayload(matches []Match) []byte {
 	w := wire.NewWriter(256)
 	w.Uvarint(uint64(len(matches)))
+	prev := ""
 	for _, m := range matches {
-		w.String_(m.Path)
+		w.KeyAfter(prev, m.Path)
 		w.Uvarint(uint64(m.Line))
 		w.String_(m.Text)
+		prev = m.Path
 	}
-	return Result{Payload: w.Bytes(), Scanned: scanned}, nil
+	return w.Bytes()
 }
 
 func (q Grep) String() string { return fmt.Sprintf("grep(%q,%q)", q.Pattern, q.PathPrefix) }
 
-// GrepResult decodes the payload of a Grep query.
+// GrepResult decodes the payload of a Grep query, refusing a path below
+// the one before it (a path with several matching lines repeats).
 func GrepResult(payload []byte) ([]Match, error) {
 	r := wire.NewReader(payload)
 	n := r.Count()
 	out := make([]Match, 0, n)
+	prev := ""
 	for i := 0; i < n; i++ {
-		m := Match{Path: r.String()}
+		m := Match{Path: r.KeyAfter(prev)}
+		if r.Err() == nil && m.Path < prev {
+			return nil, fmt.Errorf("query: path %q is below %q", m.Path, prev)
+		}
 		m.Line = int(r.Uvarint())
 		m.Text = r.String()
 		out = append(out, m)
+		prev = m.Path
 	}
 	return out, r.Done()
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/wire"
@@ -10,18 +11,33 @@ import (
 // in key order. Used to bootstrap new slaves and to re-admit recovered
 // ones (§3.5: a compromised slave, "after recovering it to a safe state
 // ... can be brought back to use") without replaying the whole op log.
+//
+//	snapshot  string "snap.v2" ‖ uvarint version ‖ uvarint n ‖
+//	          n × (key ‖ bytes value)
+//
+// Each key is front-coded against the one before it (wire's KeyAfter:
+// uvarint shared ‖ string suffix), so a sorted run stops repeating the
+// prefixes its keys share. The "snap.v1" layout, every key whole, is
+// refused by its magic (ErrSnapshotMagic): nothing reads it any more.
 
 // snapshotMagic guards against feeding arbitrary bytes to ReadSnapshot.
-const snapshotMagic = "snap.v1"
+const snapshotMagic = "snap.v2"
+
+// ErrSnapshotMagic is returned by ReadSnapshot for bytes that do not open
+// with this layout's magic: arbitrary bytes, or a snapshot in an earlier
+// layout.
+var ErrSnapshotMagic = errors.New("store: not a " + snapshotMagic + " snapshot")
 
 // WriteSnapshot appends the store's full state to w.
 func (s *Store) WriteSnapshot(w *wire.Writer) {
 	w.String_(snapshotMagic)
 	w.Uvarint(s.version)
 	w.Uvarint(uint64(s.Len()))
+	prev := ""
 	s.Ascend("", "", func(k string, v []byte) bool {
-		w.String_(k)
+		w.KeyAfter(prev, k)
 		w.Bytes_(v)
+		prev = k
 		return true
 	})
 }
@@ -41,7 +57,7 @@ func ReadSnapshot(r *wire.Reader) (*Store, error) {
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("store: bad snapshot magic %q", magic)
+		return nil, fmt.Errorf("%w: magic %q", ErrSnapshotMagic, magic)
 	}
 	version := r.Uvarint()
 	n := r.Uvarint()
@@ -51,7 +67,7 @@ func ReadSnapshot(r *wire.Reader) (*Store, error) {
 	s := New()
 	var prev string
 	for i := uint64(0); i < n; i++ {
-		k := r.String()
+		k := r.KeyAfter(prev)
 		v := r.Bytes()
 		if err := r.Err(); err != nil {
 			return nil, err

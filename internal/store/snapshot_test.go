@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -65,16 +67,54 @@ func TestSnapshotRejectsTruncation(t *testing.T) {
 }
 
 func TestSnapshotRejectsUnsortedKeys(t *testing.T) {
+	for _, second := range []string{"a", "b"} { // below the first key; equal to it
+		w := wire.NewWriter(64)
+		w.String_(snapshotMagic)
+		w.Uvarint(2)
+		w.Uvarint(2)
+		w.KeyAfter("", "b")
+		w.Bytes_([]byte("1"))
+		w.KeyAfter("b", second)
+		w.Bytes_([]byte("2"))
+		if _, err := DecodeSnapshot(w.Bytes()); err == nil {
+			t.Fatalf("snapshot with %q after \"b\" accepted", second)
+		}
+	}
+}
+
+// encodeV1 writes st in the snap.v1 layout, every key whole.
+func encodeV1(st *Store) []byte {
 	w := wire.NewWriter(64)
 	w.String_("snap.v1")
-	w.Uvarint(2)
-	w.Uvarint(2)
-	w.String_("b")
-	w.Bytes_([]byte("1"))
-	w.String_("a") // out of order
-	w.Bytes_([]byte("2"))
-	if _, err := DecodeSnapshot(w.Bytes()); err == nil {
-		t.Fatal("unsorted snapshot accepted")
+	w.Uvarint(st.Version())
+	w.Uvarint(uint64(st.Len()))
+	st.Ascend("", "", func(k string, v []byte) bool {
+		w.String_(k)
+		w.Bytes_(v)
+		return true
+	})
+	return w.Bytes()
+}
+
+// TestSnapshotRefusesV1: the snap.v1 layout has no reader; a snapshot in
+// it is refused by its magic, with ErrSnapshotMagic.
+func TestSnapshotRefusesV1(t *testing.T) {
+	for _, st := range []*Store{New(), populated(20)} {
+		if _, err := DecodeSnapshot(encodeV1(st)); !errors.Is(err, ErrSnapshotMagic) {
+			t.Fatalf("snap.v1 snapshot of %d keys: err %v, want ErrSnapshotMagic", st.Len(), err)
+		}
+	}
+}
+
+// TestSnapshotFrontCodesKeys: each key travels as the length it shares
+// with the key before it plus the rest, so keys that differ in their last
+// digits cost a few bytes each.
+func TestSnapshotFrontCodesKeys(t *testing.T) {
+	st := populated(3) // k0000 v0, k0001 v1, k0002 v2
+	// magic, version, count; then shared ‖ suffix ‖ value per key
+	want := (1 + 7) + 1 + 1 + (1 + 1 + 5 + 1 + 2) + 2*(1+1+1+1+2)
+	if got := len(st.EncodeSnapshot()); got != want {
+		t.Fatalf("snapshot of 3 keys is %d bytes, want %d", got, want)
 	}
 }
 
@@ -104,4 +144,87 @@ func TestQuickSnapshotPreservesDigest(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// paddedVarint reports whether b holds a byte with the continuation bit
+// followed by a zero byte: every uvarint written past its shortest form
+// ends that way, so a b without the pair has none.
+func paddedVarint(b []byte) bool {
+	for i := 1; i < len(b); i++ {
+		if b[i] == 0 && b[i-1] >= 0x80 {
+			return true
+		}
+	}
+	return false
+}
+
+// snapshotOf builds a snap.v2 snapshot by hand: version, count, then the
+// key ‖ value entries as given.
+func snapshotOf(version, n uint64, entries ...func(w *wire.Writer)) []byte {
+	w := wire.NewWriter(64)
+	w.String_(snapshotMagic)
+	w.Uvarint(version)
+	w.Uvarint(n)
+	for _, e := range entries {
+		e(w)
+	}
+	return w.Bytes()
+}
+
+// entry writes one front-coded key (shared ‖ suffix) and its value.
+func entry(shared uint64, suffix, value string) func(w *wire.Writer) {
+	return func(w *wire.Writer) {
+		w.Uvarint(shared)
+		w.String_(suffix)
+		w.String_(value)
+	}
+}
+
+// FuzzDecodeSnapshot feeds arbitrary bytes to DecodeSnapshot (a snapshot
+// is read off the wire and from disk): it never panics;
+// whatever decodes re-encodes to a snapshot of the same state digest that
+// re-encodes to itself; and one with no varint padded past its shortest
+// form comes back byte for byte, so a state has one snapshot. A shared
+// length above the previous key's, a key not above the one before it,
+// trailing bytes and the snap.v1 layout are each refused.
+func FuzzDecodeSnapshot(f *testing.F) {
+	refused := map[string][]byte{
+		"shared above len(prev)":         snapshotOf(2, 2, entry(0, "a", "1"), entry(2, "b", "2")),
+		"key below the one before":       snapshotOf(2, 2, entry(0, "b", "1"), entry(0, "a", "2")),
+		"key equal to the one before":    snapshotOf(2, 2, entry(0, "b", "1"), entry(1, "", "2")),
+		"shared shorter than the prefix": snapshotOf(2, 2, entry(0, "ab", "1"), entry(0, "ac", "2")),
+		"trailing byte":                  append(populated(3).EncodeSnapshot(), 0),
+		"snap.v1":                        encodeV1(populated(3)),
+		"count one above the entries":    snapshotOf(1, 2, entry(0, "a", "1")),
+		"first key sharing with no key":  snapshotOf(1, 1, entry(1, "a", "1")),
+	}
+	for name, b := range refused {
+		if _, err := DecodeSnapshot(b); err == nil {
+			f.Fatalf("%s: snapshot accepted", name)
+		}
+		f.Add(b)
+	}
+	f.Add(New().EncodeSnapshot())
+	f.Add(populated(20).EncodeSnapshot())
+	f.Add(snapshotOf(0, 2, entry(0, "", ""), entry(0, "a", ""))) // the empty key first
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := DecodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		enc := st.EncodeSnapshot()
+		again, err := DecodeSnapshot(enc)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot does not decode: %v", err)
+		}
+		if again.StateDigest() != st.StateDigest() || again.Len() != st.Len() {
+			t.Fatal("round trip changed the state")
+		}
+		if !bytes.Equal(again.EncodeSnapshot(), enc) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+		if !paddedVarint(data) && !bytes.Equal(enc, data) {
+			t.Fatalf("%x decodes but re-encodes to %x", data, enc)
+		}
+	})
 }

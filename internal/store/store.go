@@ -16,6 +16,12 @@
 // security primitive — integrity guarantees come from the protocol's
 // signed pledges. A write walks the B-tree once: the descent that stores
 // its value hands back the one it replaced, and both go into the digest.
+//
+// A snapshot (snapshot.go) is the whole replica in key order, each key
+// front-coded against the one before it; it is what a checkpoint hashes
+// and fsyncs and what a snapshot-first state transfer ships. Its layout is
+// "snap.v2"; the "snap.v1" layout, every key whole, is refused by its
+// magic (ErrSnapshotMagic).
 package store
 
 import (
