@@ -60,6 +60,12 @@ type heldBatch struct {
 	at  time.Time
 }
 
+// heldPledge is an evidence frame ahead of delivery, held since at.
+type heldPledge struct {
+	p  Pledge
+	at time.Time
+}
+
 // view is the content at one batch boundary, the answers found there by
 // encoded query, and when the batch that ends at the boundary was
 // delivered.
@@ -84,7 +90,7 @@ type Auditor struct {
 	mu       sync.Mutex
 	views    []view          // guarded by mu; by version; the last is the newest content applied
 	held     []heldBatch     // guarded by mu; delivered after the last view, in order
-	pending  []Pledge        // guarded by mu; frames at versions not delivered yet, in arrival order
+	pending  []heldPledge    // guarded by mu; frames at versions not delivered yet, in arrival order
 	stats    AuditorStats    // guarded by mu
 	stopped  bool            // guarded by mu
 	masterV  uint64          // guarded by mu; highest version committed by masters (observed)
@@ -309,10 +315,11 @@ func (a *Auditor) settleStatementsLocked(pledges []Pledge, now time.Time, tab *c
 // settleEvidenceLocked settles an evidence body, the one a client sends
 // when its statement body was answered pledgeEvidence. No sampling coin
 // is drawn. A frame ahead of delivery waits in pending once its signature
-// verifies, so nobody can pin the auditor's memory with frames no slave
-// signed; every other frame is settled (settleLocked). The body is
-// vouched for exactly when every frame was audited right. Caller holds
-// a.mu.
+// verifies, so nobody can pin the auditor's memory with frames no key
+// signed, and for at most the window (applyLoop), so nobody can pin it
+// with frames under a key of their own; every other frame is settled
+// (settleLocked). The body is vouched for exactly when every frame was
+// audited right. Caller holds a.mu.
 func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cryptoutil.Meter) []byte {
 	vouch := true
 	for i := range pledges {
@@ -327,7 +334,7 @@ func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cry
 			a.stats.PledgesBadSig++
 			continue
 		}
-		a.pending = append(a.pending, pledges[i])
+		a.pending = append(a.pending, heldPledge{p: pledges[i], at: now})
 		a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
 	}
 	if !vouch {
@@ -461,21 +468,32 @@ func (a *Auditor) viewLocked(v uint64, now time.Time) *view {
 	return &a.views[i]
 }
 
-// closedLocked reports whether max_latency + slack has passed since the
-// batch after view i was delivered: no client accepts a read at its
-// version any more. Caller holds a.mu.
+// window is how long the auditor keeps what a read may still need: a
+// view past the delivery of the batch after it, and a frame ahead of
+// delivery past when it was held. It is max_latency + slack.
+func (a *Auditor) window() time.Duration {
+	return a.cfg.Params.MaxLatency + a.cfg.Params.AuditorSlack
+}
+
+// closedLocked reports whether the window has passed since the batch
+// after view i was delivered: no client accepts a read at its version any
+// more. Caller holds a.mu.
 func (a *Auditor) closedLocked(i int, now time.Time) bool {
-	window := a.cfg.Params.MaxLatency + a.cfg.Params.AuditorSlack
 	if i+1 < len(a.views) {
-		return now.Sub(a.views[i+1].at) > window
+		return now.Sub(a.views[i+1].at) > a.window()
 	}
-	return len(a.held) > 0 && now.Sub(a.held[0].at) > window
+	return len(a.held) > 0 && now.Sub(a.held[0].at) > a.window()
 }
 
 // applyLoop, once per keep-alive interval, applies every held batch,
 // settles in arrival order the frames whose version has been delivered
-// (their signatures verified when they were held),
-// and drops the views whose window has closed.
+// (their signatures verified when they were held), drops as late the
+// frames still ahead of delivery a window after they were held, and drops
+// the views whose window has closed. The auditor holds no slave
+// certificates, so a waiting frame is vouched for only by its own key; the
+// window bounds what anyone can pin with keys of their own. An expired
+// frame is never convicted: the client that forwarded it got no vouch and
+// verified the pledge itself.
 func (a *Auditor) applyLoop() {
 	for {
 		a.mu.Lock()
@@ -488,10 +506,13 @@ func (a *Auditor) applyLoop() {
 		tab := a.meter.Tab()
 		waiting := a.pending[:0]
 		for i := range a.pending {
-			if a.pending[i].Stamp.Version > a.masterV {
-				waiting = append(waiting, a.pending[i])
-			} else {
-				a.settleLocked(&a.pending[i], now, tab, true)
+			switch h := &a.pending[i]; {
+			case h.p.Stamp.Version <= a.masterV:
+				a.settleLocked(&h.p, now, tab, true)
+			case now.Sub(h.at) > a.window():
+				a.stats.PledgesLate++
+			default:
+				waiting = append(waiting, *h)
 			}
 		}
 		clear(a.pending[len(waiting):])

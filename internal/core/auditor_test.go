@@ -751,9 +751,10 @@ func TestAuditorVouchTable(t *testing.T) {
 // the batches wrote, and whatever later batches it still holds rewrite.
 // A right frame is vouched, a lie convicted, on arrival; V must be a
 // batch boundary inside its window, or the frame is late; a frame ahead
-// of delivery waits for the apply loop. Each row commits its batches to
-// an auditor at version cur, inside one simulation task; the loop then
-// runs until every window has closed.
+// of delivery waits for the apply loop, which drops it as late once it
+// has waited the window through. Each row commits its batches to an
+// auditor at version cur, inside one simulation task; the loop then runs
+// until every window has closed.
 func TestAuditorVouchAhead(t *testing.T) {
 	k := query.Get{Key: "k"}
 	put := func(key, value string) store.Op { return store.Put{Key: key, Value: []byte(value)} }
@@ -764,84 +765,83 @@ func TestAuditorVouchAhead(t *testing.T) {
 		body   func(r *auditorRig) []byte
 		vouch  bool
 		queued int          // the frames the body leaves waiting for delivery
-		left   int          // the frames still waiting once the loop has run
 		want   AuditorStats // counters the body adds, after the loop
 	}{
 		{"V = cur+2, span untouched, cached", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
 			return evidence(r.pledgeFor(k, false)) // the cache at cur is not asked at cur+2
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V = cur+2, span untouched, executed on arrival", false, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
 			return evidence(r.pledgeFor(k, false))
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span at V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false) // right at cur, a lie at V
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
 			return evidence(r.resign(stale, r.initial.Version()))
-		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span below V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.commit(put("j", "1"))
 			return evidence(r.resign(stale, r.initial.Version()))
-		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span at V, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
 			return evidence(r.pledgeFor(k, false))
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span only above V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			return evidence(p)
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V above masterV", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			return evidence(r.resign(p, p.Stamp.Version+1))
-		}, false, 1, 1, AuditorStats{PledgesReceived: 1}},
+		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 		{"lying frame ahead, convicted at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			return evidence(r.pledgeFor(k, true))
-		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"two slaves, one frame unvouchable", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			return evidence(p, r.resign(p, p.Stamp.Version+1))
-		}, false, 1, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1}},
+		}, false, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1, PledgesLate: 1}},
 		{"rewritten by a later held batch, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v3"))
 			return evidence(p)
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"rewritten by a later held batch, the later answer", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"))
 			v := r.initial.Version()
 			r.commit(put("k", "v3"))
 			return evidence(r.resign(r.pledgeFor(k, false), v))
-		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"inside a batch, late", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"), put("j", "1"))
 			return evidence(r.resign(r.pledgeFor(k, true), r.initial.Version()-1))
-		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 		{"superseded inside the window", true, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.s.Sleep(window)
 			return evidence(p)
-		}, true, 0, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
 		{"superseded more than the window ago, late", true, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, true)
 			r.commit(put("k", "v2"))
 			r.s.Sleep(window + time.Millisecond)
 			return evidence(p)
-		}, false, 0, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAuditorRig(t, nil)
@@ -873,8 +873,8 @@ func TestAuditorVouchAhead(t *testing.T) {
 				}
 				a.rt.Spawn(a.applyLoop)
 				r.s.Sleep(window + 3*r.params.KeepAliveEvery)
-				if a.Backlog() != tc.left || a.Version() != v {
-					t.Errorf("after the loop: backlog %d at version %d, want %d at %d", a.Backlog(), a.Version(), tc.left, v)
+				if a.Backlog() != 0 || a.Version() != v {
+					t.Errorf("after the loop: backlog %d at version %d, want 0 at %d", a.Backlog(), a.Version(), v)
 				}
 				if got := added(before, a.Stats()); got != tc.want {
 					t.Errorf("counters added %+v, want %+v", got, tc.want)
@@ -894,14 +894,18 @@ func TestAuditorVouchAhead(t *testing.T) {
 // One under a signature its slave never made is not held: its evidence
 // costs one verify, ends in PledgesBadSig and leaves nothing waiting, so
 // nobody can pin the auditor's memory with frames no slave signed. The
-// same frame under the slave's own signature costs the same verify and
-// waits, as every frame ahead of delivery does.
+// same frame under the slave's own signature, or under a key anyone can
+// mint (the auditor holds no slave certificates), costs the same verify
+// and waits, as every frame ahead of delivery does — but only for the
+// window: the apply loop then drops it as late, so nobody pins the
+// auditor's memory with frames under keys of their own either.
 func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	a := r.auditor
 	cpu := r.s.NewResource("auditor", 1)
 	a.meter = cryptoutil.NewMeter(cpu, a.cfg.Params.Costs)
 	far := r.resign(r.pledgeFor(query.Get{Key: "k"}, false), a.Version()+1<<40)
+	minted := SignPledge(cryptoutil.DeriveKeyPair("anyone", 0), far.QueryBytes, far.ResultHash, far.Stamp)
 	rows := []struct {
 		name string
 		p    Pledge
@@ -910,8 +914,11 @@ func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 	}{
 		{"garbage signature", forged(far), 0, AuditorStats{PledgesReceived: 1, PledgesBadSig: 1}},
 		{"the slave's signature", far, 1, AuditorStats{PledgesReceived: 1}},
+		{"a freshly minted key's signature", minted, 1, AuditorStats{PledgesReceived: 1}},
 	}
+	a.rt.Spawn(a.applyLoop)
 	r.s.Go(func() {
+		defer r.s.Stop()
 		for _, tc := range rows {
 			before, busy := a.Stats(), cpu.BusyTime()
 			if ack, err := forward(a, tc.p); err != nil || len(ack) != 0 {
@@ -925,6 +932,17 @@ func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 			}
 			if paid, want := cpu.BusyTime()-busy, a.cfg.Params.Costs.VerifySig; paid != want {
 				t.Errorf("%s: the frame cost the auditor %v, want one verify (%v)", tc.name, paid, want)
+			}
+			if tc.held == 0 {
+				continue
+			}
+			before = a.Stats()
+			r.s.Sleep(r.params.MaxLatency + r.params.AuditorSlack + 2*r.params.KeepAliveEvery)
+			if a.Backlog() != 0 {
+				t.Errorf("%s: backlog %d a window after the frame was held, want 0", tc.name, a.Backlog())
+			}
+			if got, want := added(before, a.Stats()), (AuditorStats{PledgesLate: 1}); got != want {
+				t.Errorf("%s: the window's end added %+v, want %+v", tc.name, got, want)
 			}
 		}
 	})

@@ -617,8 +617,8 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 		r.auditor.mu.Lock()
 		defer r.auditor.mu.Unlock()
 		n := 0
-		for _, p := range r.auditor.pending {
-			if p.Stamp.Version > r.auditor.masterV {
+		for _, h := range r.auditor.pending {
+			if h.p.Stamp.Version > r.auditor.masterV {
 				n++
 			}
 		}
