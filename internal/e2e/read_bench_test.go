@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/query"
 	"repro/internal/rpc"
 	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/workload"
 )
 
 // countingDialer passes every call on and counts the request and reply
@@ -108,5 +111,50 @@ func TestTCPReadWireBytes(t *testing.T) {
 	}
 	if perRead := float64(dlr.bytes.Load()-setup) / reads; perRead > maxPerRead {
 		t.Errorf("%.1f wire bytes per read, want <= %d", perRead, maxPerRead)
+	}
+}
+
+// TestTCPScanWireBytes is TestTCPReadWireBytes for scans: tcpReader's
+// deployment gains ten catalog keys in one batch, and 200 vouched
+// Range{Limit: 10} reads over them cost the client at most 240 bytes each
+// (≈ 227, the ten keys front-coded; ≈ 326 when every key of the answer
+// traveled whole).
+func TestTCPScanWireBytes(t *testing.T) {
+	const reads, maxPerRead = 200, 240
+	d, c, dlr := tcpReader(t)
+	defer d.close()
+	ops := make([]store.Op, 10)
+	for i := range ops {
+		ops[i] = store.Put{Key: workload.CatalogKey(i), Value: []byte(strconv.Itoa(100 + i))}
+	}
+	if _, err := d.client.WriteMulti(ops); err != nil {
+		t.Fatal(err)
+	}
+	want := d.master.Version()
+	for deadline := time.Now().Add(5 * time.Second); d.slaves[0].Version() < want || d.auditor.Version() < want; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("slave at %d, auditor at %d: want both at %d", d.slaves[0].Version(), d.auditor.Version(), want)
+		}
+	}
+	q := query.Range{From: "catalog/", To: "catalog0", Limit: 10}
+	setup := dlr.bytes.Load()
+	before := c.Stats()
+	for i := 0; i < reads; i++ {
+		payload, err := c.Read(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pairs, err := query.RangeResult(payload); err != nil || len(pairs) != 10 {
+			t.Fatalf("range answer: %d pairs, err %v; want 10", len(pairs), err)
+		}
+	}
+	st := c.Stats()
+	if n := st.ReadsAccepted - before.ReadsAccepted; n != reads || st.PledgesVerified != before.PledgesVerified {
+		t.Fatalf("%d reads accepted, %d pledge verifies: want %d, every one vouched", n, st.PledgesVerified-before.PledgesVerified, reads)
+	}
+	perRead := float64(dlr.bytes.Load()-setup) / reads
+	t.Logf("%.1f wire bytes per scan read", perRead)
+	if perRead > maxPerRead {
+		t.Errorf("%.1f wire bytes per scan read, want <= %d", perRead, maxPerRead)
 	}
 }
