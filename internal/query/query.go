@@ -31,7 +31,12 @@
 // decoders take an answer from an untrusted slave: a shared length the
 // previous key cannot supply, or one shorter than the prefix the two keys
 // share, is refused, as is a Range or Prefix key not above the one before
-// it and a Grep path below it, so an answer has exactly one encoding.
+// it and a Grep path below it, so an answer has exactly one encoding. A
+// shared prefix costs one varint however long it is, so a run of keys
+// that each add a byte to a long one would decode into the square of its
+// size: the decoders refuse an answer whose keys copy more than
+// wire.KeyShareRatio prefix bytes per payload byte (wire.ErrKeyBudget),
+// and a repeated Grep path is the same string each time.
 package query
 
 import (

@@ -2,7 +2,10 @@ package query
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +178,71 @@ func TestResultDecodersBoundTheirCount(t *testing.T) {
 	if _, err := GrepResult(w.Bytes()); err == nil {
 		t.Fatal("grep result with an impossible count accepted")
 	}
+}
+
+// TestResultDecodersBoundKeyBytes: a shared prefix costs one varint on
+// the wire however long it is, so a hostile slave can send one long key
+// and then keys that each add a byte to it. Each rebuilt key copies the
+// whole prefix; the decoders refuse the run once the copies pass
+// wire.KeyShareRatio bytes per payload byte, instead of allocating the
+// square of the payload. A Grep path repeated for every match is the same
+// string each time and copies nothing, so such an answer is accepted.
+func TestResultDecodersBoundKeyBytes(t *testing.T) {
+	long := strings.Repeat("p", 4<<10)
+	// run writes a count, then long and keys that each share all of the
+	// key before and add a byte to it (or repeat it), up to 64 KiB of
+	// payload, each followed by tail.
+	run := func(grow bool, tail func(w *wire.Writer)) []byte {
+		body := wire.NewWriter(64 << 10)
+		body.KeyAfter("", long)
+		tail(body)
+		n, size := 1, len(long)
+		for ; body.Len() < 64<<10; n++ {
+			body.Uvarint(uint64(size))
+			if grow {
+				body.String_("x")
+				size++
+			} else {
+				body.String_("")
+			}
+			tail(body)
+		}
+		w := wire.NewWriter(body.Len() + 8)
+		w.Uvarint(uint64(n))
+		return append(w.Bytes(), body.Bytes()...)
+	}
+	value := func(w *wire.Writer) { w.Bytes_(nil) }
+	match := func(w *wire.Writer) { w.Uvarint(1); w.String_("") }
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+		refused bool
+	}{
+		{"range, growing keys", run(true, value), func(b []byte) error { _, err := RangeResult(b); return err }, true},
+		{"prefix, growing keys", run(true, func(*wire.Writer) {}), func(b []byte) error { _, err := PrefixResult(b); return err }, true},
+		{"grep, growing paths", run(true, match), func(b []byte) error { _, err := GrepResult(b); return err }, true},
+		{"grep, one path repeated", run(false, match), func(b []byte) error { _, err := GrepResult(b); return err }, false},
+	} {
+		var err error
+		grew := allocated(func() { err = tc.decode(tc.payload) })
+		if refused := errors.Is(err, wire.ErrKeyBudget); refused != tc.refused || !refused && err != nil {
+			t.Errorf("%s: err %v, want refused %v", tc.name, err, tc.refused)
+		}
+		if bound := uint64(2 * wire.KeyShareRatio * len(tc.payload)); grew > bound {
+			t.Errorf("%s: %d payload bytes allocated %d, bound %d", tc.name, len(tc.payload), grew, bound)
+		}
+	}
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestDeterministicExecution(t *testing.T) {

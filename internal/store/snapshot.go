@@ -17,7 +17,10 @@ import (
 //
 // Each key is front-coded against the one before it (wire's KeyAfter:
 // uvarint shared ‖ string suffix), so a sorted run stops repeating the
-// prefixes its keys share. The "snap.v1" layout, every key whole, is
+// prefixes its keys share. A snapshot whose keys copy more than
+// wire.KeyShareRatio prefix bytes per byte of the buffer it is read from
+// is refused (wire.ErrKeyBudget), so a hostile m.sync reply cannot decode
+// into the square of its size. The "snap.v1" layout, every key whole, is
 // refused by its magic (ErrSnapshotMagic): nothing reads it any more.
 
 // snapshotMagic guards against feeding arbitrary bytes to ReadSnapshot.

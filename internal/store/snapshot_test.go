@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -79,6 +81,40 @@ func TestSnapshotRejectsUnsortedKeys(t *testing.T) {
 		if _, err := DecodeSnapshot(w.Bytes()); err == nil {
 			t.Fatalf("snapshot with %q after \"b\" accepted", second)
 		}
+	}
+}
+
+// TestSnapshotBoundsKeyBytes: a snapshot of one long key and then keys
+// that each share all of the key before and add a byte to it costs a few
+// bytes a key, yet each rebuilt key copies the whole prefix. ReadSnapshot
+// refuses it once the copies pass wire.KeyShareRatio bytes per snapshot
+// byte, instead of allocating the square of its size.
+func TestSnapshotBoundsKeyBytes(t *testing.T) {
+	body := wire.NewWriter(64 << 10)
+	body.KeyAfter("", strings.Repeat("p", 4<<10))
+	body.Bytes_(nil)
+	n, size := 1, 4<<10
+	for ; body.Len() < 64<<10; n, size = n+1, size+1 {
+		body.Uvarint(uint64(size))
+		body.String_("x")
+		body.Bytes_(nil)
+	}
+	w := wire.NewWriter(body.Len() + 16)
+	w.String_(snapshotMagic)
+	w.Uvarint(1)
+	w.Uvarint(uint64(n))
+	b := append(w.Bytes(), body.Bytes()...)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSnapshot(b)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrKeyBudget) {
+		t.Errorf("%d growing keys: err %v, want wire.ErrKeyBudget", n, err)
+	}
+	if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(2*wire.KeyShareRatio*len(b)); grew > bound {
+		t.Errorf("a %d-byte snapshot allocated %d, bound %d", len(b), grew, bound)
 	}
 }
 

@@ -14,7 +14,8 @@
 //	key      — a key of a sorted run, front-coded against the key before
 //	           it (KeyAfter): uvarint shared prefix length ‖ string rest;
 //	           the reader refuses a shared length above the previous key's
-//	           or below the prefix the two really share
+//	           or below the prefix the two really share, and more shared
+//	           bytes in all than KeyShareRatio per byte of its buffer
 //
 // Determinism matters because two replicas must produce the identical
 // encoding of the identical logical value: the paper's whole enforcement
@@ -22,9 +23,10 @@
 // these bytes matching across the slave that answered, the master that
 // double-checks, and the auditor that re-executes. Decoding is hostile-
 // input safe: length prefixes are capped (MaxBytesLen, MaxBatchItems),
-// an element count is read with Reader.Count, which refuses one larger
-// than the bytes that remain before anything is sized by it, and the
-// Reader latches the first error so call sites check once.
+// so are the prefix bytes front-coded keys copy, per buffer byte
+// (KeyShareRatio), an element count is read with Reader.Count, which
+// refuses one larger than the bytes that remain before anything is sized
+// by it, and the Reader latches the first error so call sites check once.
 //
 // The encode/decode hot path is pooled and zero-copy: writers come from
 // a private sync.Pool through exactly two helpers — EncodeFrame for

@@ -3,8 +3,10 @@ package wire
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestKeyAfterRoundTrip front-codes a sorted run and reads it back; each
@@ -87,5 +89,52 @@ func TestQuickKeyAfterRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyAfterBudget: a shared prefix costs one varint however long it
+// is. A key equal to the one before it is that string itself, so a run of
+// repeats allocates nothing; keys that each add a byte to a long prefix
+// copy it each time, and the copy past KeyShareRatio bytes per buffer byte
+// fails the reader with ErrKeyBudget.
+func TestKeyAfterBudget(t *testing.T) {
+	long := strings.Repeat("p", 4<<10)
+	w := NewWriter(0)
+	w.KeyAfter("", long)
+	for i := 0; i < 1000; i++ {
+		w.KeyAfter(long, long)
+	}
+	r := NewReader(w.Bytes())
+	first := r.KeyAfter("")
+	for i := 0; i < 1000; i++ {
+		if k := r.KeyAfter(first); unsafe.StringData(k) != unsafe.StringData(first) || len(k) != len(first) {
+			t.Fatalf("repeat %d is a new string", i)
+		}
+	}
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+
+	w.Reset()
+	w.KeyAfter("", long)
+	keys := 1
+	for ; w.Len() < 64<<10; keys++ {
+		w.Uvarint(uint64(len(long) + keys - 1)) // all of the key before
+		w.String_("x")
+	}
+	r = NewReader(w.Bytes())
+	budget := KeyShareRatio * w.Len()
+	copied, prev := 0, ""
+	for i := 0; i < keys && r.Err() == nil; i++ {
+		if k := r.KeyAfter(prev); r.Err() == nil {
+			copied += len(prev)
+			prev = k
+		}
+	}
+	if !errors.Is(r.Err(), ErrKeyBudget) {
+		t.Fatalf("%d growing keys over %d bytes: err %v, want ErrKeyBudget", keys, w.Len(), r.Err())
+	}
+	if copied > budget || copied+len(prev) <= budget {
+		t.Errorf("refused after copying %d prefix bytes; the budget is %d", copied, budget)
 	}
 }

@@ -17,6 +17,7 @@ var (
 	ErrOverflow    = errors.New("wire: varint overflows 64 bits")
 	ErrTooLarge    = errors.New("wire: length prefix exceeds limit")
 	ErrKeyShared   = errors.New("wire: key's shared prefix length disagrees with the key before it")
+	ErrKeyBudget   = errors.New("wire: keys share more prefix bytes than the buffer allows")
 )
 
 // MaxBytesLen caps the length of any single byte-slice or string field to
@@ -27,6 +28,14 @@ const MaxBytesLen = 64 << 20 // 64 MiB
 // batched commits never approach it, so a larger prefix marks a corrupt
 // or hostile frame.
 const MaxBatchItems = 1 << 16
+
+// KeyShareRatio bounds what front coding lets a buffer decode into. A
+// shared prefix costs one varint on the wire however long it is, so the
+// keys a Reader's KeyAfter rebuilds may copy, in all, at most
+// KeyShareRatio bytes of shared prefix per byte of the buffer (counting a
+// buffer as at least 1 KiB). A key equal to the one before it copies
+// nothing: KeyAfter returns the earlier string itself.
+const KeyShareRatio = 64
 
 // Writer accumulates an encoded message. The zero value is ready to use.
 type Writer struct {
@@ -152,9 +161,10 @@ func (w *Writer) BytesSlice(bs [][]byte) {
 // error; once an error occurs all subsequent reads return zero values, so
 // decode sequences can check Err once at the end.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf    []byte
+	off    int
+	err    error
+	copied int // shared-prefix bytes KeyAfter has copied into new keys
 }
 
 // NewReader returns a Reader over buf. The reader does not copy buf.
@@ -409,7 +419,11 @@ func (r *Reader) BytesSliceView() [][]byte {
 // KeyAfter reads a key written by Writer.KeyAfter after prev. A shared
 // length above len(prev), or one shorter than the prefix the key really
 // shares with prev (the writer always writes the longest), fails the
-// reader with ErrKeyShared, so every key run has exactly one encoding.
+// reader with ErrKeyShared, so every key run has exactly one encoding. A
+// key with no suffix is prev's own prefix and allocates nothing; the
+// prefix bytes copied into the others are counted against the buffer's
+// budget (KeyShareRatio), and the copy that would exceed it fails the
+// reader with ErrKeyBudget.
 func (r *Reader) KeyAfter(prev string) string {
 	n := r.Uvarint()
 	suffix := r.BytesView()
@@ -418,6 +432,13 @@ func (r *Reader) KeyAfter(prev string) string {
 	}
 	if n > uint64(len(prev)) || n < uint64(len(prev)) && len(suffix) > 0 && suffix[0] == prev[n] {
 		r.fail(ErrKeyShared)
+		return ""
+	}
+	if len(suffix) == 0 {
+		return prev[:n]
+	}
+	if r.copied += int(n); r.copied > KeyShareRatio*max(len(r.buf), 1<<10) {
+		r.fail(ErrKeyBudget)
 		return ""
 	}
 	var b strings.Builder
