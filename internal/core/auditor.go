@@ -21,7 +21,7 @@ type AuditorStats struct {
 	PledgesReceived uint64
 	PledgesAudited  uint64
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
-	PledgesLate     uint64 // at a version the auditor holds no content for: not a batch boundary, or its window closed
+	PledgesLate     uint64 // at a version the auditor holds no content for: not a batch boundary, or its window closed; or held ahead of delivery for longer than the window (applyLoop)
 	PledgesBadSig   uint64 // disagreed with the content at their version, but the slave never signed them
 	PledgesVouched  uint64 // audited right in a body answered with the vouch (counted in PledgesAudited too)
 	CacheHits       uint64 // audited pledges whose answer the view's cache already held
@@ -493,7 +493,10 @@ func (a *Auditor) closedLocked(i int, now time.Time) bool {
 // certificates, so a waiting frame is vouched for only by its own key; the
 // window bounds what anyone can pin with keys of their own. An expired
 // frame is never convicted: the client that forwarded it got no vouch and
-// verified the pledge itself.
+// verified the pledge itself. The window runs from when the frame was
+// held, not from its version's delivery, so when the auditor's delivery
+// lags by more than the window a lie in a frame it holds goes unconvicted
+// (TestAuditorVouchAhead pins this).
 func (a *Auditor) applyLoop() {
 	for {
 		a.mu.Lock()

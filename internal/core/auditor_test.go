@@ -89,14 +89,24 @@ func (r *auditorRig) pledgeFor(q query.Query, lie bool) Pledge {
 // commit delivers ops to the auditor as the next ordered batch, as the
 // broadcast would, and applies them to the rig's content, so later
 // pledges are built at the version they make.
-func (r *auditorRig) commit(ops ...store.Op) {
+func (r *auditorRig) commit(ops ...store.Op) { r.commitAfter(0, ops...) }
+
+// commitAfter is commit with the delivery d later, as a broadcast that
+// lags by d would make it; the rig's content moves at once, so pledges
+// built meanwhile are ahead of the auditor's delivery.
+func (r *auditorRig) commitAfter(d time.Duration, ops ...store.Op) {
 	r.seq++
 	wave := queuedWave{}
 	for _, op := range ops {
 		wave.ops = append(wave.ops, store.EncodeOp(op))
 		r.initial.Apply(op)
 	}
-	r.auditor.deliver(r.seq, encodeBatchMessage([]queuedWave{wave}), nil)
+	seq, msg := r.seq, encodeBatchMessage([]queuedWave{wave})
+	if d == 0 {
+		r.auditor.deliver(seq, msg, nil)
+		return
+	}
+	r.s.GoAfter(d, func() { r.auditor.deliver(seq, msg, nil) })
 }
 
 // sendPledge forwards p as a client does (forward).
@@ -809,6 +819,17 @@ func TestAuditorVouchAhead(t *testing.T) {
 			r.commit(put("j", "1"))
 			return evidence(r.pledgeFor(k, true))
 		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"lying frame ahead of a lagging auditor, convicted at V", false, func(r *auditorRig) []byte {
+			r.commitAfter(window/2, put("j", "1"))
+			return evidence(r.pledgeFor(k, true))
+		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		// The frame's window runs from when it was held, not from V's
+		// delivery: a lie the auditor's delivery reaches only after it is
+		// dropped as late, and never convicted.
+		{"lying frame ahead of an auditor lagging past the window, late", false, func(r *auditorRig) []byte {
+			r.commitAfter(window+3*r.params.KeepAliveEvery/2, put("j", "1"))
+			return evidence(r.pledgeFor(k, true))
+		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 		{"two slaves, one frame unvouchable", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
