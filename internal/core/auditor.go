@@ -54,12 +54,6 @@ type AuditorConfig struct {
 	Seed int64
 }
 
-// heldBatch is a delivered batch not applied yet.
-type heldBatch struct {
-	ops []store.Op
-	at  time.Time
-}
-
 // heldPledge is an evidence frame ahead of delivery, held since at.
 type heldPledge struct {
 	p  Pledge
@@ -88,12 +82,10 @@ type Auditor struct {
 	meter *cryptoutil.Meter
 
 	mu       sync.Mutex
-	views    []view          // guarded by mu; by version; the last is the newest content applied
-	held     []heldBatch     // guarded by mu; delivered after the last view, in order
+	views    []view          // guarded by mu; by version; the last is the newest content delivered
 	pending  []heldPledge    // guarded by mu; frames at versions not delivered yet, in arrival order
 	stats    AuditorStats    // guarded by mu
 	stopped  bool            // guarded by mu
-	masterV  uint64          // guarded by mu; highest version committed by masters (observed)
 	detected map[string]bool // guarded by mu; slave pubs reported and not refused by every master
 }
 
@@ -106,7 +98,6 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		views:    []view{{content: initial.Clone(), answers: make(map[string]cryptoutil.Digest)}},
 		detected: make(map[string]bool),
-		masterV:  initial.Version(), // ordered writes continue from the initial content version
 		meter:    cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
 	}
 	bm, err := broadcast.New(broadcast.Config{
@@ -124,7 +115,8 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 	return a, nil
 }
 
-// Start launches the broadcast member and the apply loop.
+// Start launches the broadcast member and the loop that settles held
+// frames and drops closed views (applyLoop).
 func (a *Auditor) Start() {
 	a.bcast.Start()
 	a.rt.Spawn(a.applyLoop)
@@ -145,7 +137,8 @@ func (a *Auditor) Stats() AuditorStats {
 	return a.stats
 }
 
-// Version returns the version of the newest content the auditor applied.
+// Version returns the version of the newest content the auditor was
+// delivered.
 func (a *Auditor) Version() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -182,10 +175,10 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("core: auditor: unknown method %q", method)
 }
 
-// deliver receives the ordered master traffic; the auditor only holds
-// each batch that decodeBatchMessage admits (it "is allowed to lag behind
-// when executing write requests", §3.4), under the same rule as every
-// master, and ignores membership messages. Nothing the auditor keeps reads
+// deliver receives the ordered master traffic. Each batch that
+// decodeBatchMessage admits, under the same rule as every master, is
+// applied onto an O(1) clone of the newest view, which becomes a view of
+// its own; membership messages are ignored. Nothing the auditor keeps reads
 // its broadcast archive, so every delivery drops the archive below itself;
 // the member caps that floor at the slowest live member's delivered mark,
 // so a peer can still fetch its gap.
@@ -201,8 +194,12 @@ func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.masterV += uint64(len(ops))
-	a.held = append(a.held, heldBatch{ops: ops, at: a.rt.Now()})
+	next := a.headLocked().Clone()
+	for _, op := range ops {
+		next.Apply(op)
+	}
+	a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: a.rt.Now()})
+	a.stats.VersionLagMax = max(a.stats.VersionLagMax, next.Version()-a.views[0].content.Version())
 }
 
 // The a.pledge body is byte form ‖ frames, one frame per slave, back to
@@ -285,7 +282,7 @@ func (a *Auditor) settleStatementsLocked(pledges []Pledge, now time.Time, tab *c
 	for i := range pledges {
 		v := verdictSampled
 		if a.cfg.Params.AuditSampleP >= 1 || a.rng.Float64() < a.cfg.Params.AuditSampleP {
-			if pledges[i].Stamp.Version > a.masterV {
+			if pledges[i].Stamp.Version > a.headLocked().Version() {
 				return pledgeEvidence
 			}
 			var hit bool
@@ -324,7 +321,7 @@ func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cry
 	vouch := true
 	for i := range pledges {
 		a.stats.PledgesReceived++
-		if pledges[i].Stamp.Version <= a.masterV {
+		if pledges[i].Stamp.Version <= a.headLocked().Version() {
 			vouch = a.settleLocked(&pledges[i], now, tab, false) && vouch
 			continue
 		}
@@ -356,13 +353,11 @@ const (
 )
 
 // judgeLocked judges a frame at a delivered version V against the content
-// at exactly V, applying held batches up to V first, prices the work on
-// tab, and reports whether the view's cache held the answer; with no view
-// at V the frame is late. A query that does not decode or execute is
-// wrong: an honest slave would have returned the error, not a signed
-// result. Caller holds a.mu.
+// at exactly V, prices the work on tab, and reports whether the view's
+// cache held the answer; with no view at V the frame is late. A query
+// that does not decode or execute is wrong: an honest slave would have
+// returned the error, not a signed result. Caller holds a.mu.
 func (a *Auditor) judgeLocked(p *Pledge, now time.Time, tab *cryptoutil.Meter) (v verdict, hit bool) {
-	a.applyLocked(p.Stamp.Version)
 	w := a.viewLocked(p.Stamp.Version, now)
 	if w == nil {
 		return verdictLate, false
@@ -437,25 +432,8 @@ func (w *view) answer(queryBytes []byte, tab *cryptoutil.Meter) (correct cryptou
 	return correct, false, ok
 }
 
-// headLocked returns the newest content applied. Caller holds a.mu.
+// headLocked returns the newest content delivered. Caller holds a.mu.
 func (a *Auditor) headLocked() *store.Store { return a.views[len(a.views)-1].content }
-
-// applyLocked applies held batches until the newest content reaches
-// version v, each onto an O(1) clone of the content before it, kept as a
-// view of its own. Caller holds a.mu.
-func (a *Auditor) applyLocked(v uint64) {
-	for len(a.held) > 0 && a.headLocked().Version() < v {
-		b := a.held[0]
-		a.held[0] = heldBatch{}
-		a.held = a.held[1:]
-		next := a.headLocked().Clone()
-		for _, op := range b.ops {
-			next.Apply(op)
-		}
-		a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: b.at})
-		a.stats.VersionLagMax = max(a.stats.VersionLagMax, next.Version()-a.views[0].content.Version())
-	}
-}
 
 // viewLocked returns the view at exactly version v, or nil when v is no
 // batch boundary the auditor holds or its window has closed. Caller holds
@@ -479,17 +457,14 @@ func (a *Auditor) window() time.Duration {
 // after view i was delivered: no client accepts a read at its version any
 // more. Caller holds a.mu.
 func (a *Auditor) closedLocked(i int, now time.Time) bool {
-	if i+1 < len(a.views) {
-		return now.Sub(a.views[i+1].at) > a.window()
-	}
-	return len(a.held) > 0 && now.Sub(a.held[0].at) > a.window()
+	return i+1 < len(a.views) && now.Sub(a.views[i+1].at) > a.window()
 }
 
-// applyLoop, once per keep-alive interval, applies every held batch,
-// settles in arrival order the frames whose version has been delivered
-// (their signatures verified when they were held), drops as late the
-// frames still ahead of delivery a window after they were held, and drops
-// the views whose window has closed. The auditor holds no slave
+// applyLoop, once per keep-alive interval, settles in arrival order the
+// held frames whose version has been delivered since (deliver applied
+// it; their signatures were verified when they were held), drops as late
+// the frames still ahead of delivery a window after they were held, and
+// drops the views whose window has closed. The auditor holds no slave
 // certificates, so a waiting frame is vouched for only by its own key; the
 // window bounds what anyone can pin with keys of their own. An expired
 // frame is never convicted: the client that forwarded it got no vouch and
@@ -504,13 +479,13 @@ func (a *Auditor) applyLoop() {
 			a.mu.Unlock()
 			return
 		}
-		a.applyLocked(a.masterV)
 		now := a.rt.Now()
 		tab := a.meter.Tab()
+		head := a.headLocked().Version()
 		waiting := a.pending[:0]
 		for i := range a.pending {
 			switch h := &a.pending[i]; {
-			case h.p.Stamp.Version <= a.masterV:
+			case h.p.Stamp.Version <= head:
 				a.settleLocked(&h.p, now, tab, true)
 			case now.Sub(h.at) > a.window():
 				a.stats.PledgesLate++

@@ -249,10 +249,10 @@ func (r *auditorRig) checkReport(t *testing.T, body []byte) {
 // compared first and the slave's signature is checked only on a pledge
 // that disagrees — so an honest pledge costs no verification whoever
 // signed it, and nothing is counted as a lie, remembered or reported
-// without one. Every pledge is at the version of a held batch that
-// rewrote k: the handler applies it and settles the pledge on arrival
-// against the content there, and the apply loop that runs after finds
-// nothing left to do. Each is forwarded as a client does: a wrong answer's
+// without one. Every pledge is at the version of a delivered batch that
+// rewrote k: the handler settles the pledge on arrival against the
+// content there, and the apply loop that runs after finds nothing left to
+// do. Each is forwarded as a client does: a wrong answer's
 // statement executes its query and asks for the evidence, whose audit
 // then hits the cache.
 func TestAuditorVerifiesOnEvidence(t *testing.T) {
@@ -440,11 +440,30 @@ func TestAuditorLatePledgeCounted(t *testing.T) {
 	r.checkPartition(t)
 }
 
+// TestAuditorAppliesOnDelivery: the auditor's version is the delivered
+// one as soon as deliver returns, with no pledge and no apply loop to
+// bring it there, and the content at that version answers at once.
+func TestAuditorAppliesOnDelivery(t *testing.T) {
+	r := newAuditorRig(t, nil)
+	for i := 0; i < 3; i++ {
+		r.commit(store.Put{Key: "k", Value: []byte{byte(i)}}, store.Put{Key: "j", Value: []byte{byte(i)}})
+		if got, want := r.auditor.Version(), r.initial.Version(); got != want {
+			t.Fatalf("after delivery %d: auditor at version %d, want %d", i+1, got, want)
+		}
+	}
+	r.auditor.mu.Lock()
+	w := r.auditor.viewLocked(r.initial.Version(), r.s.Now())
+	r.auditor.mu.Unlock()
+	if w == nil || w.content.StateDigest() != r.initial.StateDigest() {
+		t.Fatal("no view holds the delivered content")
+	}
+}
+
 // TestAuditorAdvancesAfterWindow pins how long the auditor answers at a
 // version a later batch superseded: until max_latency + slack after that
 // batch was delivered, when no client accepts a read there any more. The
-// apply loop applies the batch within a keep-alive interval; a pledge at
-// the old version is still audited inside the window, and late after it.
+// batch is applied when it is delivered; a pledge at the old version is
+// still audited inside the window, and late after it.
 func TestAuditorAdvancesAfterWindow(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	old := r.pledgeFor(query.Get{Key: "w"}, false)
@@ -454,7 +473,7 @@ func TestAuditorAdvancesAfterWindow(t *testing.T) {
 		r.commit(store.Put{Key: "w", Value: []byte("1")})
 		r.s.Sleep(2 * r.params.KeepAliveEvery)
 		if got := r.auditor.Version(); got != r.initial.Version() {
-			t.Errorf("the loop left the batch unapplied: version %d, want %d", got, r.initial.Version())
+			t.Errorf("the batch is not applied: version %d, want %d", got, r.initial.Version())
 		}
 		r.s.Sleep(window - 3*r.params.KeepAliveEvery)
 		r.sendPledge(old)
@@ -526,7 +545,7 @@ func TestAuditorHonestPledgeAllocs(t *testing.T) {
 }
 
 // TestAuditorConcurrentAdmitAndAudit has handlers settle pledges while
-// batches are delivered and the apply loop applies them, as over TCP,
+// batches are delivered and applied and the apply loop runs, as over TCP,
 // where every request runs on its own goroutine. One sender lies at the
 // initial version, two pledge honestly there, and one pledges ahead of
 // delivery, so its frames wait in pending until the loop settles them.
@@ -756,9 +775,9 @@ func TestAuditorVouchTable(t *testing.T) {
 }
 
 // TestAuditorVouchAhead pins the answer at a frame's own version V when
-// batches the auditor has not applied yet reach V: the handler applies
-// them up to V and answers against the content at exactly V, whatever
-// the batches wrote, and whatever later batches it still holds rewrite.
+// batches delivered since the frame's read reach V: the handler answers
+// against the content at exactly V, whatever the batches wrote, and
+// whatever later batches rewrite.
 // A right frame is vouched, a lie convicted, on arrival; V must be a
 // batch boundary inside its window, or the frame is late; a frame ahead
 // of delivery waits for the apply loop, which drops it as late once it
@@ -810,7 +829,7 @@ func TestAuditorVouchAhead(t *testing.T) {
 			r.commit(put("k", "v2"))
 			return evidence(p)
 		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
-		{"V above masterV", true, func(r *auditorRig) []byte {
+		{"V above delivery", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			return evidence(r.resign(p, p.Stamp.Version+1))
@@ -928,10 +947,10 @@ func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 	far := r.resign(r.pledgeFor(query.Get{Key: "k"}, false), a.Version()+1<<40)
 	minted := SignPledge(cryptoutil.DeriveKeyPair("anyone", 0), far.QueryBytes, far.ResultHash, far.Stamp)
 	rows := []struct {
-		name string
-		p    Pledge
-		held int
-		want AuditorStats
+		name    string
+		p       Pledge
+		backlog int
+		want    AuditorStats
 	}{
 		{"garbage signature", forged(far), 0, AuditorStats{PledgesReceived: 1, PledgesBadSig: 1}},
 		{"the slave's signature", far, 1, AuditorStats{PledgesReceived: 1}},
@@ -945,8 +964,8 @@ func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 			if ack, err := forward(a, tc.p); err != nil || len(ack) != 0 {
 				t.Errorf("%s: ack %x, err %v", tc.name, ack, err)
 			}
-			if a.Backlog() != tc.held {
-				t.Errorf("%s: backlog %d, want %d", tc.name, a.Backlog(), tc.held)
+			if a.Backlog() != tc.backlog {
+				t.Errorf("%s: backlog %d, want %d", tc.name, a.Backlog(), tc.backlog)
 			}
 			if got := added(before, a.Stats()); got != tc.want {
 				t.Errorf("%s: counters added %+v, want %+v", tc.name, got, tc.want)
@@ -954,7 +973,7 @@ func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 			if paid, want := cpu.BusyTime()-busy, a.cfg.Params.Costs.VerifySig; paid != want {
 				t.Errorf("%s: the frame cost the auditor %v, want one verify (%v)", tc.name, paid, want)
 			}
-			if tc.held == 0 {
+			if tc.backlog == 0 {
 				continue
 			}
 			before = a.Stats()

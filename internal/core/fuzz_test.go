@@ -784,7 +784,7 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 	}
 	boundary := map[uint64]bool{0: true, 1: true, 2: true, 4: true}
 	r, at := warm(f)
-	cur := r.auditor.Version()
+	cur := at[0].Version() // the version before warm's batches
 	k, other := query.Get{Key: "k"}, query.Get{Key: "other"}
 	// pledge is q's answer in the content at version answerAt, pledged at
 	// version v.
@@ -825,7 +825,7 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r, at := warm(t)
 		a := r.auditor
-		cur := a.Version()
+		cur := at[0].Version()
 		ack, err := a.handlePledge(body)
 		rd := wire.NewReader(body)
 		form := rd.Byte()

@@ -618,7 +618,7 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 		defer r.auditor.mu.Unlock()
 		n := 0
 		for _, h := range r.auditor.pending {
-			if h.p.Stamp.Version > r.auditor.masterV {
+			if h.p.Stamp.Version > r.auditor.headLocked().Version() {
 				n++
 			}
 		}
