@@ -4,11 +4,12 @@ package core
 // committed batches plus a checkpoint snapshot file, and the recovery
 // path that replays them on start and rejoins the cluster.
 //
-// The write path appends a batch's record to the WAL after the batch is
-// applied but strictly before any client is acked (applyBatch). The ack
-// contract (PR 16): an acknowledged write is fsynced at the acknowledging
-// master, held by every non-suspected member, applied by them
-// concurrently (before: also applied and fsynced by each peer in turn).
+// The write path appends a batch's record to the WAL and syncs it before
+// the batch is applied (applyBatch), so the store never shows a version
+// the WAL does not hold: no client is acked, no keep-alive, m.check or
+// m.sync names it, until it is durable. The ack contract: an
+// acknowledged write is fsynced at the acknowledging master, held by
+// every non-suspected member, applied by them concurrently.
 // When it truncates its log (maybeTruncate), a durable master captures and
 // signs a snapshot, writes it atomically and truncates the WAL below it
 // (persistState); the snapshot is not kept in memory. On start,

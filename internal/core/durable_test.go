@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cryptoutil"
 	"repro/internal/pki"
+	"repro/internal/query"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -192,13 +193,49 @@ func TestDurableWALAppendPrecedesAck(t *testing.T) {
 	}
 }
 
-// TestKeepAliveStampsAckedVersion holds every commit in the window
-// between its WAL sync and its acknowledgement for longer than a
-// keep-alive interval. The store is already at the new version there,
-// but no writer has been answered and no slave told of the batch: a
-// keep-alive naming that version would announce a batch that is not yet
-// durable. Keep-alives must name the acknowledged version until the batch
-// is; the batch's own announce then costs each slave exactly one m.sync.
+// TestMasterShowsBatchOnceDurable pins when a master's own batch becomes
+// visible: inside the WAL sync (walHook) the master's version, an m.check
+// reply's version and an m.sync from the batch's first version all show
+// the state before the batch; once applyBatch returns, all three show it.
+func TestMasterShowsBatchOnceDurable(t *testing.T) {
+	r := newMasterRig(t, func(c *MasterConfig) { c.DataDir = t.TempDir() })
+	t.Cleanup(r.master.Stop)
+	before := r.master.Version()
+	x := query.Get{Key: "x"}
+	look := func(when string, want uint64, wantBatches int) {
+		if v := r.master.Version(); v != want {
+			t.Errorf("%s: master at version %d, want %d", when, v, want)
+		}
+		if v, _, _ := r.check(t, x, false); v != want {
+			t.Errorf("%s: m.check answered at version %d, want %d", when, v, want)
+		}
+		if st := r.sync(t, before+1); st != nil && (len(st.batches) != wantBatches || st.snap != nil) {
+			t.Errorf("%s: m.sync from %d sent %d batches (snapshot %v), want %d", when, before+1, len(st.batches), st.snap != nil, wantBatches)
+		}
+	}
+	hooked := false
+	r.master.walHook = func(last uint64) {
+		hooked = last == before+1
+		look("in the WAL sync", before, 0)
+	}
+	r.s.Go(func() {
+		if _, err := r.write(r.client, store.Put{Key: "x", Value: []byte("1")}); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		look("after the commit", before+1, 1)
+	})
+	r.s.Run()
+	if !hooked {
+		t.Fatal("the batch never reached the WAL hook; test is vacuous")
+	}
+}
+
+// TestKeepAliveStampsAckedVersion holds every commit in its WAL sync for
+// longer than a keep-alive interval. No writer has been answered and no
+// slave told of the batch there: a keep-alive naming its version would
+// announce a batch that is not yet durable. Keep-alives must name the
+// version before it until the batch is; the batch's own announce then
+// costs each slave exactly one m.sync.
 func TestKeepAliveStampsAckedVersion(t *testing.T) {
 	s := sim.New(56)
 	o := durableOpts(t.TempDir())
@@ -252,10 +289,9 @@ func TestKeepAliveStampsAckedVersion(t *testing.T) {
 }
 
 // TestAdoptKeepAliveStampsAckedVersion delivers a bcAdopt while a batch
-// is held between its WAL sync and its acknowledgement. The keep-alive
-// that repoints the adopted slave at this master must name the
-// acknowledged version, as the periodic ones do, not the batch still in
-// its WAL sync.
+// is held in its WAL sync. The keep-alive that repoints the adopted slave
+// at this master must name the version before the batch, as the periodic
+// ones do, not the batch still in its WAL sync.
 func TestAdoptKeepAliveStampsAckedVersion(t *testing.T) {
 	r := newMasterRig(t, func(c *MasterConfig) { c.DataDir = t.TempDir() })
 	t.Cleanup(r.master.Stop)

@@ -163,7 +163,6 @@ type Master struct {
 	store       *store.Store                 // guarded by mu
 	baseVersion uint64                       // guarded by mu; floor of the retained log (initial version, then the last version of a truncated batch)
 	log         []loggedBatch                // guarded by mu; the committed batches above baseVersion, in order
-	unacked     uint64                       // guarded by mu; versions atop the store not yet durable and acknowledged (keep-alives stamp below them)
 	anchor      uint64                       // guarded by mu; broadcast slot of the newest applied batch (the recovery anchor)
 	lastCommit  time.Time                    // guarded by mu
 	nextWriteAt time.Time                    // guarded by mu
@@ -778,44 +777,30 @@ func decodeBatchMessage(r *wire.Reader) (raw [][]byte, ops []store.Op, err error
 
 // applyBatch executes one delivered commit — a batch of one or more
 // writes, all on this one path — identically on every master: sign a
-// single stamp over the batch, adopt it through the one ingest WAL replay
-// and catch-up use (one version per op, exactly the sequence sequential
-// commits would produce, logged under its slot, which becomes the
-// recovery anchor), then announce the batch to every slave by its own
-// stamp, which each fetches through m.sync. seq is the
-// broadcast slot that carried the commit. raw and ops are what
-// decodeBatchMessage returned. waves, nil on every master but the batch's
-// origin, are the writers waiting for the batch, whose ops they hold in
-// order.
+// single stamp over the batch, append its record to the WAL and sync it,
+// then adopt it through the one ingest WAL replay and catch-up use (one
+// version per op, exactly the sequence sequential commits would produce,
+// logged under its slot, which becomes the recovery anchor), and announce
+// the batch to every slave by its own stamp, which each fetches through
+// m.sync. So the store shows a batch only once it is durable: a
+// keep-alive, an m.check or an m.sync never names a version the WAL does
+// not hold. seq is the broadcast slot that carried the commit. raw and ops
+// are what decodeBatchMessage returned. waves, nil on every master but the
+// batch's origin, are the writers waiting for the batch, whose ops they
+// hold in order.
 func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []queuedWave) {
 	m.mu.Lock()
+	first := m.store.Version() + 1
+	m.mu.Unlock()
+
 	// One signature per batch (§3.4 amortization), over the hash of the
 	// batch's own bytes. The log, the WAL, the slaves and every later sync
 	// get the batch whole, so none of them needs anything per op.
 	now := m.rt.Now()
 	count := uint64(len(ops))
-	first := m.store.Version() + 1
 	last := first + count - 1
 	bu := BatchUpdate{First: first, Ops: raw,
 		Stamp: SignBatchStamp(m.cfg.Keys, last, now, BatchDigest(first, raw))}
-	// It starts at the store's next version, so no gap can refuse it.
-	_, _ = m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{{BatchUpdate: bu, ops: ops}}, anchor: seq})
-	// Build the WAL record while the lock pins the batch consistent; the
-	// append itself happens below, off-lock but still inside the
-	// serialized delivery drainer.
-	var walRec []byte
-	if m.wlog != nil {
-		walRec = encodeWALRecord(seq, &bu)
-	}
-	m.lastCommit = now
-	m.stats.WritesApplied += count
-	m.stats.BatchesApplied++
-	// Until the WAL sync below returns, no writer has been answered and
-	// no slave told of this batch: keep-alives stamp below it meanwhile.
-	m.unacked = count
-	slaves := m.slaveCertsLocked()
-	m.mu.Unlock()
-
 	opBytesTotal := 0
 	for _, op := range raw {
 		opBytesTotal += len(op)
@@ -824,12 +809,13 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 	m.meter.Hash(opBytesTotal)
 	m.meter.Apply(len(ops))
 
-	// Durability before acknowledgement: the batch's record reaches the
-	// WAL and stable storage before any wave is answered, so an acked
-	// write is never lost to a restart. A write error degrades
-	// durability, not consistency — the batch is already committed
-	// cluster-wide — so it must not fail the ack.
-	if walRec != nil {
+	// Durability before visibility: the batch's record reaches the WAL
+	// and stable storage before the store shows it, so no writer is
+	// answered and no slave told of a write a restart could lose. A write
+	// error degrades durability, not consistency — the batch is already
+	// committed cluster-wide — so it must not fail the commit.
+	if m.wlog != nil {
+		walRec := encodeWALRecord(seq, &bu)
 		m.walMu.Lock()
 		if err := m.wlog.Append(walRec); err == nil {
 			m.wlog.Sync()
@@ -841,7 +827,14 @@ func (m *Master) applyBatch(seq uint64, raw [][]byte, ops []store.Op, waves []qu
 	}
 
 	m.mu.Lock()
-	m.unacked = 0
+	// The store is still at first-1: only the delivery drainer, which runs
+	// this, moves it, and catch-up (recoverGap) runs before the broadcast
+	// starts. So the batch continues the store and no gap can refuse it.
+	_, _ = m.adoptTransferLocked(&stateTransfer{batches: []openedBatch{{BatchUpdate: bu, ops: ops}}, anchor: seq})
+	m.lastCommit = now
+	m.stats.WritesApplied += count
+	m.stats.BatchesApplied++
+	slaves := m.slaveCertsLocked()
 	m.mu.Unlock()
 	answerWaves(waves, first)
 
@@ -1200,23 +1193,14 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 
 // --- Background loops ---------------------------------------------------------
 
-// ackedVersionLocked is the newest acknowledged version, which is what a
-// keep-alive certifies as current. The store runs ahead of it while
-// applyBatch syncs the WAL; a stamp naming that version would announce the
-// batch before it is durable, and applyBatch announces it once it is.
-// Caller holds m.mu.
-func (m *Master) ackedVersionLocked() uint64 {
-	return m.store.Version() - m.unacked
-}
-
-// sendKeepAlives signs one stamp for the acknowledged version — never one
-// still in its WAL sync — and sends it to each slave, recording the
-// version each acknowledges in reply: the stability signal truncation
-// runs on. The periodic loop, a readmission and an adoption all
-// send through it.
+// sendKeepAlives signs one stamp for the store's version — every batch
+// there is durable (applyBatch) — and sends it to each slave, recording
+// the version each acknowledges in reply: the stability signal truncation
+// runs on. The periodic loop, a readmission and an adoption all send
+// through it.
 func (m *Master) sendKeepAlives(slaves []pki.Certificate) {
 	m.mu.Lock()
-	version := m.ackedVersionLocked()
+	version := m.store.Version()
 	m.mu.Unlock()
 	m.meter.Sign()
 	m.fanOut(slaves, SignStamp(m.cfg.Keys, version, m.rt.Now()))
