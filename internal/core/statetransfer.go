@@ -51,7 +51,7 @@ const (
 // stateTransfer is a verified m.sync reply, or what a replica adopts as one.
 type stateTransfer struct {
 	snap      *store.Store // the decoded snapshot; nil in a batches-only reply
-	snapBytes []byte
+	snapBytes []byte       // the snapshot's encoding, a view of the reply body
 	snapStamp VersionStamp
 	batches   []openedBatch
 	anchor    uint64
@@ -100,7 +100,8 @@ func verifySnapshot(snapBytes []byte, stamp *VersionStamp, trusted []cryptoutil.
 // that the batches are contiguous and the first continues the snapshot.
 // An unknown mode byte, a batch count larger than the bytes that follow
 // it and trailing bytes are refused. The checks are priced on m as they
-// run.
+// run. The snapshot's bytes and the batches' ops alias body, which the
+// caller owns (a reply body or a file read) and must not reuse.
 func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *sigCache, m *cryptoutil.Meter) (*stateTransfer, error) {
 	st := new(stateTransfer)
 	r := wire.NewReader(body)
@@ -108,7 +109,7 @@ func decodeStateTransfer(body []byte, trusted []cryptoutil.PublicKey, stamps *si
 	case r.Err() != nil:
 		return nil, r.Err()
 	case mode == syncModeSnapshot:
-		st.snapBytes = r.Bytes()
+		st.snapBytes = r.BytesView() // DecodeSnapshot copies every key and value out
 		snapStamp, err := DecodeStamp(r)
 		if err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // transferParts is a state-transfer reply before encoding, so that a case
@@ -490,5 +492,34 @@ func TestBootstrapRefusesRecordsOnlyReply(t *testing.T) {
 	r.s.Run()
 	if err == nil || r.slave.Version() != 1 {
 		t.Fatalf("bootstrap from records alone: err = %v, version %d", err, r.slave.Version())
+	}
+}
+
+// TestSnapshotReplyDecodeAllocs bounds what decoding a snapshot-first
+// reply allocates: the state the snapshot decodes to, and not another
+// copy of the snapshot's bytes, which decoding reads in place.
+func TestSnapshotReplyDecodeAllocs(t *testing.T) {
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	content := workload.BuildContent(20000, 20)
+	snap := content.EncodeSnapshot()
+	reply := snapshotReply(master, content, sim.Epoch)
+	alloc := func(decode func() error) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := decode(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	state := alloc(func() error { _, err := store.DecodeSnapshot(snap); return err })
+	whole := alloc(func() error {
+		_, err := decodeStateTransfer(reply, []cryptoutil.PublicKey{master.Public}, nil, nil)
+		return err
+	})
+	if bound := state + uint64(len(snap))/8; whole > bound {
+		t.Fatalf("decoding a reply with a %d-byte snapshot allocated %d bytes; the state alone takes %d, bound %d",
+			len(snap), whole, state, bound)
 	}
 }

@@ -47,9 +47,7 @@ func (s *Store) WriteSnapshot(w *wire.Writer) {
 
 // EncodeSnapshot serializes the store to a fresh byte slice.
 func (s *Store) EncodeSnapshot() []byte {
-	w := wire.NewWriter(s.ContentBytes() + 64)
-	s.WriteSnapshot(w)
-	return w.Bytes()
+	return wire.EncodeFrame(s.WriteSnapshot)
 }
 
 // ReadSnapshot reconstructs a store from a snapshot written by

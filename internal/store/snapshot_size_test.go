@@ -16,3 +16,14 @@ func TestSnapshotBytesOfTheBenchContent(t *testing.T) {
 		t.Fatalf("20 000-key snapshot is %d bytes, want <= %d", got, max)
 	}
 }
+
+// TestSnapshotIsExactSize: the encoded snapshot of the benchmark's
+// content holds no spare capacity. Every copy a checkpoint keeps or an
+// m.sync reply carries is as large as its bytes, not as the content's raw
+// bytes (350 247 for these 172 279 when the buffer was sized by them).
+func TestSnapshotIsExactSize(t *testing.T) {
+	b := workload.BuildContent(20000, 20).EncodeSnapshot()
+	if cap(b) != len(b) {
+		t.Fatalf("snapshot of %d bytes has capacity %d", len(b), cap(b))
+	}
+}
