@@ -49,10 +49,6 @@ type ScenarioConfig struct {
 	// under DataDir/master-N, so KillMaster/RestartMaster exercise
 	// crash-restart recovery ("" = pure in-memory, the default).
 	DataDir string
-	// MasterCPUs / SlaveCPUs / AuditorCPUs are worker counts (default 1).
-	MasterCPUs  int
-	SlaveCPUs   int
-	AuditorCPUs int
 }
 
 // DefaultScenario is the baseline deployment for experiments.
@@ -156,15 +152,6 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 	if cfg.SlavesPerMaster < 1 {
 		cfg.SlavesPerMaster = 1
 	}
-	if cfg.MasterCPUs < 1 {
-		cfg.MasterCPUs = 1
-	}
-	if cfg.SlaveCPUs < 1 {
-		cfg.SlaveCPUs = 1
-	}
-	if cfg.AuditorCPUs < 1 {
-		cfg.AuditorCPUs = 1
-	}
 	if cfg.Latency == nil {
 		cfg.Latency = sim.Const(5 * time.Millisecond)
 	}
@@ -226,7 +213,7 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 			serial++
 			cert.Sign(sc.Owner)
 			sc.Dir.Publish(sc.Owner.Public, cert)
-			cpu := s.NewResource(masterAddrs[i]+"/cpu", cfg.MasterCPUs)
+			cpu := s.NewResource(masterAddrs[i]+"/cpu", 1)
 			sc.MasterCPU = append(sc.MasterCPU, cpu)
 			mcfg := core.MasterConfig{
 				Addr:            masterAddrs[i],
@@ -271,7 +258,7 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 				if b, ok := cfg.SlaveBehaviors[slaveIdx]; ok {
 					behavior = b
 				}
-				cpu := s.NewResource(addr+"/cpu", cfg.SlaveCPUs)
+				cpu := s.NewResource(addr+"/cpu", 1)
 				sc.SlaveCPU = append(sc.SlaveCPU, cpu)
 				// Every slave runs on a skewable clock so fault plans can
 				// shift it mid-run; with zero skew it is the sim clock.
@@ -296,7 +283,7 @@ func NewScenario(cfg ScenarioConfig) *Scenario {
 			}
 		}
 
-		audCPU := s.NewResource(auditorAddr+"/cpu", cfg.AuditorCPUs)
+		audCPU := s.NewResource(auditorAddr+"/cpu", 1)
 		if g == 0 {
 			sc.AuditorCPU = audCPU
 		}
