@@ -42,7 +42,9 @@
 #                     figures differ; fails only when a cell fails its
 #                     ground-truth check on either side.
 #   make loc        — non-test lines per internal/ package (the figure
-#                     CHANGES.md and ROADMAP.md quote).
+#                     CHANGES.md and ROADMAP.md quote), and beside them
+#                     the lines that are neither blank nor comment-only,
+#                     so a line count cannot fall by trimming comments.
 #   make profile    — run the E18 hot-path experiment under the CPU and
 #                     heap profilers; inspect with `go tool pprof`.
 #   make profile-read — run BenchmarkTCPRead (internal/e2e: one client's
@@ -95,8 +97,8 @@ lint:
 # announces, acks, assignments, exclusions, readmissions and adoptions share
 # one slave table that exclusion shrinks, the auditor's tests,
 # whose handlers settle pledges against views of the content while
-# batches are delivered and the apply loop applies them,
-# clones them and settles the pledges that waited for them, the client's
+# batches are delivered, each applied onto a clone of the newest view,
+# and the apply loop settles the pledges that waited for them, the client's
 # vouch tests, whose auditor answers pledges on arrival while its apply
 # loop runs, and the TCP transport's tests, whose connection workers,
 # reused call slots and single-flight dials are all shared between
@@ -224,8 +226,11 @@ check-tests:
 # Non-test lines per internal/ package: the figure CHANGES.md and ROADMAP.md
 # quote, so every PR counts the same way.
 loc:
+	@printf '%6s %6s  %s\n' lines code package
 	@for d in internal/*/; do \
-		printf '%6d  %s\n' "$$(ls $$d*.go | grep -v _test.go | xargs -r cat | wc -l)" "$${d%/}"; \
+		src=$$(ls $$d*.go | grep -v _test.go); \
+		printf '%6d %6d  %s\n' "$$(echo $$src | xargs -r cat | wc -l)" \
+			"$$(echo $$src | xargs -r cat | grep -cvE '^[[:space:]]*(//|$$)')" "$${d%/}"; \
 	done
 
 # Every top-level internal/ package must be linked from the README's

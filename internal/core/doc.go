@@ -199,8 +199,8 @@
 // has one reader: every batch a replica takes — fetched or replayed — is
 // opened by openBatch and applied by its applyTo — and one ingest per
 // replica (adoptTransferLocked) adopts it as a state transfer: a WAL
-// record or the master's own commit (applyBatch, as soon as it has signed
-// the batch's stamp) is one of one batch, a keep-alive one of none. A
+// record or the master's own commit (applyBatch, once the batch's WAL
+// record is synced) is one of one batch, a keep-alive one of none. A
 // slave takes history one way, through m.sync: an announce, a lost
 // announce that a later keep-alive repeats and Bootstrap all end in a
 // fetch. It adopts a stamp only together with the state it names (see
@@ -306,23 +306,28 @@
 // auditor keeps the content at every batch boundary as a view — an O(1)
 // copy-on-write store.Clone with its own answer cache — until MaxLatency +
 // AuditorSlack after the next batch was delivered, when no client can
-// still accept a read there. deliver only holds batches; they are applied
-// up to the version a frame needs, by the a.pledge handler or by the
-// once-per-keep-alive apply loop. Auditor.handlePledge answers a body in
+// still accept a read there. deliver applies each batch onto a clone of
+// the newest view when it is delivered, so the newest view is the last
+// version delivered and Auditor.Version() is that version; the auditor
+// "is allowed to lag behind when executing write requests" (§3.4) only as
+// far as its broadcast delivery lags. A once-per-keep-alive apply loop
+// settles the waiting frames their version's delivery reached, expires
+// the rest and drops closed views. Auditor.handlePledge answers a body in
 // one critical section. A statement body draws each frame's sampling coin
 // and judges the rest at their versions; when a frame's version V is
-// above masterV, the last version delivered, or the answer at V is not
-// its result hash, the reply is pledgeEvidence and nothing is counted.
-// Otherwise, and for every evidence body (no coin), each frame is settled
-// as exactly one of: sampled out; waiting, when V is above masterV and
-// its signature verifies (pending holds only these); late, when no view
-// is at exactly V; audited and right, when the answer at V is the frame's
-// result hash; convicted otherwise. The reply is the one byte 0x01
-// exactly when every frame was audited and right. Why "no view at V" means "no honest client
-// reads at V": every replica applies a delivered batch whole or not at
-// all, under one rule (decodeBatchMessage), so versions are numbered
-// alike, and every stamp a master signs names the version after a whole
-// batch, so an honest read is always at a batch boundary. A cache miss
+// above the last version delivered, or the answer at V is not its result
+// hash, the reply is pledgeEvidence and nothing is counted. Otherwise,
+// and for every evidence body (no coin), each frame is settled as exactly
+// one of: sampled out; waiting, when V is above the last version
+// delivered and its signature verifies (pending holds only these); late,
+// when no view is at exactly V; audited and right, when the answer at V
+// is the frame's result hash; convicted otherwise. The reply is the one
+// byte 0x01 exactly when every frame was audited and right. Why "no view
+// at V" means "no honest client reads at V": every replica applies a
+// delivered batch whole or not at all, under one rule
+// (decodeBatchMessage), so versions are numbered alike, and every stamp a
+// master signs names the version after a whole batch, so an honest read
+// is always at a batch boundary. A cache miss
 // runs on the handler, so a forged pledge buys one scan per distinct
 // query per version there; bounding it is ROADMAP item 7's job.
 //
@@ -402,8 +407,9 @@
 //
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch — its ops and signed
-// stamp — is appended to a write-ahead log and fsynced before the client
-// ack, and every truncation atomically persists a signed snapshot file
+// stamp — is appended to a write-ahead log and fsynced before the store
+// shows it, so before the client ack and before any keep-alive, m.check
+// or m.sync names its version, and every truncation atomically persists a signed snapshot file
 // and truncates the WAL below it. The file is an m.sync reply (a
 // snapshot and no batches), read back through decodeStateTransfer under
 // the master's own key. A restarting master loads the snapshot, replays
