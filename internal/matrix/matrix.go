@@ -99,10 +99,14 @@ type Result struct {
 
 	// Trust: a slave the fault plan made lie on reads that the directory
 	// does not list as excluded at quiesce, a slave it lists that never
-	// lied, and the reports the auditors sent.
-	LiarsAtLarge   int    `json:"liars_at_large"`
-	HonestExcluded int    `json:"honest_excluded"`
-	AuditReports   uint64 `json:"audit_reports"`
+	// lied, the reports the auditors sent, the frames they settled as late
+	// (never judged), and the most frames one of them held at once ahead of
+	// its delivery.
+	LiarsAtLarge    int    `json:"liars_at_large"`
+	HonestExcluded  int    `json:"honest_excluded"`
+	AuditReports    uint64 `json:"audit_reports"`
+	AuditLate       uint64 `json:"audit_late"`
+	AuditBacklogMax int    `json:"audit_backlog_max"`
 
 	// MasterWritesApplied is the deployment-wide applied-write counter
 	// (crash-retired instances included), a cross-check on Committed.

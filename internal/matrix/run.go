@@ -300,7 +300,10 @@ func RunCell(cell Cell, seed int64, dataDir string) (Result, error) {
 		}
 	}
 	for _, aud := range sc.Auditors {
-		res.AuditReports += aud.Stats().ReportsSent
+		st := aud.Stats()
+		res.AuditReports += st.ReportsSent
+		res.AuditLate += st.PledgesLate
+		res.AuditBacklogMax = max(res.AuditBacklogMax, st.BacklogMax)
 	}
 	return res, nil
 }
