@@ -97,10 +97,10 @@ lint:
 # announces, acks, assignments, exclusions, readmissions and adoptions share
 # one slave table that exclusion shrinks, the auditor's tests,
 # whose handlers settle pledges against views of the content while
-# batches are delivered, each applied onto a clone of the newest view,
-# and the apply loop settles the pledges that waited for them, the client's
-# vouch tests, whose auditor answers pledges on arrival while its apply
-# loop runs, and the TCP transport's tests, whose connection workers,
+# batches are delivered, each applied onto a clone of the newest view
+# whose delivery settles the pledges that waited for it, the client's
+# vouch tests, whose auditor answers pledges on arrival, and the TCP
+# transport's tests, whose connection workers,
 # reused call slots and single-flight dials are all shared between
 # goroutines that only a lucky schedule brings together.
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.

@@ -21,8 +21,8 @@ type AuditorStats struct {
 	PledgesReceived uint64
 	PledgesAudited  uint64
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
-	PledgesLate     uint64 // at a version the auditor holds no content for: not a batch boundary, or its window closed; or held ahead of delivery for longer than the window (applyLoop)
-	PledgesBadSig   uint64 // disagreed with the content at their version, but the slave never signed them
+	PledgesLate     uint64 // at a version the auditor holds no content for: not a batch boundary, or its window closed; or ahead of delivery while maxHeldFrames frames were held
+	PledgesBadSig   uint64 // disagreed with the content at their version, or were ahead of delivery, and either the slave never signed them or, ahead of delivery, no master stamped their version
 	PledgesVouched  uint64 // audited right in a body answered with the vouch (counted in PledgesAudited too)
 	CacheHits       uint64 // audited pledges whose answer the view's cache already held
 	Mismatches      uint64 // lies detected: audited pledges the slave signed and the content at their version contradicts
@@ -42,9 +42,8 @@ type AuditorConfig struct {
 	Peers []string
 	// MasterAddrs are the masters it reports misbehaviour to.
 	MasterAddrs []string
-	// MasterPubs is unused: the auditor truncates its broadcast archive
-	// without any master's word. A frozen shim: bench/replbench/deploy.go
-	// still sets it (frozen.go).
+	// MasterPubs are the masters whose stamp lets a frame ahead of delivery
+	// be held (settleEvidenceLocked).
 	MasterPubs []cryptoutil.PublicKey
 	// CPU, if non-nil, charges modelled service times. The cost model is
 	// where the auditor's advantages live: it never signs, never sends
@@ -54,11 +53,9 @@ type AuditorConfig struct {
 	Seed int64
 }
 
-// heldPledge is an evidence frame ahead of delivery, held since at.
-type heldPledge struct {
-	p  Pledge
-	at time.Time
-}
+// maxHeldFrames caps the frames held ahead of delivery, far above what
+// honest traffic holds (settleEvidenceLocked; core/doc.go).
+const maxHeldFrames = 4096
 
 // view is the content at one batch boundary, the answers found there by
 // encoded query, and when the batch that ends at the boundary was
@@ -78,14 +75,14 @@ type Auditor struct {
 	dlr rpc.Dialer
 	rng *rand.Rand
 
-	bcast *broadcast.Member
-	meter *cryptoutil.Meter
+	bcast  *broadcast.Member
+	meter  *cryptoutil.Meter
+	stamps *sigCache // master stamps verified on frames ahead of delivery
 
 	mu       sync.Mutex
 	views    []view          // guarded by mu; by version; the last is the newest content delivered
-	pending  []heldPledge    // guarded by mu; frames at versions not delivered yet, in arrival order
+	pending  []Pledge        // guarded by mu; frames at stamped versions not delivered yet, in arrival order
 	stats    AuditorStats    // guarded by mu
-	stopped  bool            // guarded by mu
 	detected map[string]bool // guarded by mu; slave pubs reported and not refused by every master
 }
 
@@ -99,6 +96,7 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 		views:    []view{{content: initial.Clone(), answers: make(map[string]cryptoutil.Digest)}},
 		detected: make(map[string]bool),
 		meter:    cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
+		stamps:   newSigCache(stampMemoSize),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
@@ -115,20 +113,12 @@ func NewAuditor(cfg AuditorConfig, rt sim.Runtime, dlr rpc.Dialer, initial *stor
 	return a, nil
 }
 
-// Start launches the broadcast member and the loop that settles held
-// frames and drops closed views (applyLoop).
-func (a *Auditor) Start() {
-	a.bcast.Start()
-	a.rt.Spawn(a.applyLoop)
-}
+// Start launches the broadcast member. The auditor runs no loop of its
+// own: delivery is its only clock (deliver).
+func (a *Auditor) Start() { a.bcast.Start() }
 
-// Stop halts the auditor's loops.
-func (a *Auditor) Stop() {
-	a.mu.Lock()
-	a.stopped = true
-	a.mu.Unlock()
-	a.bcast.Stop()
-}
+// Stop halts the broadcast member.
+func (a *Auditor) Stop() { a.bcast.Stop() }
 
 // Stats returns a snapshot of the auditor's counters.
 func (a *Auditor) Stats() AuditorStats {
@@ -175,38 +165,55 @@ func (a *Auditor) Handle(from, method string, body []byte) ([]byte, error) {
 	return nil, fmt.Errorf("core: auditor: unknown method %q", method)
 }
 
-// deliver receives the ordered master traffic. Each batch that
-// decodeBatchMessage admits, under the same rule as every master, is
-// applied onto an O(1) clone of the newest view, which becomes a view of
-// its own; membership messages are ignored. Nothing the auditor keeps reads
-// its broadcast archive, so every delivery drops the archive below itself;
-// the member caps that floor at the slowest live member's delivered mark,
-// so a peer can still fetch its gap.
+// deliver receives the ordered master traffic and is the auditor's only
+// clock. Every delivered message first drops the views whose window has
+// closed. Each batch that decodeBatchMessage admits, under the same rule
+// as every master, is then applied onto an O(1) clone of the newest view,
+// which becomes a view of its own; membership messages apply nothing.
+// Then the held frames the newest view reached are settled in arrival
+// order (their stamps and signatures were verified when they were held),
+// paid after the unlock. Nothing the auditor keeps reads its broadcast
+// archive, so every delivery drops the archive below itself; the member
+// caps that floor at the slowest live member's delivered mark, so a peer
+// can still fetch its gap.
 func (a *Auditor) deliver(seq uint64, msg []byte, _ any) {
 	defer a.bcast.TruncateBelow(seq)
-	r := wire.NewReader(msg)
-	if r.Byte() != bcBatch {
-		return
+	var ops []store.Op // nil unless msg is a batch decodeBatchMessage admits
+	if r := wire.NewReader(msg); r.Byte() == bcBatch {
+		_, ops, _ = decodeBatchMessage(r)
 	}
-	_, ops, err := decodeBatchMessage(r)
-	if err != nil {
-		return
-	}
+	tab := a.meter.Tab()
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	next := a.headLocked().Clone()
-	for _, op := range ops {
-		next.Apply(op)
+	now := a.rt.Now()
+	for len(a.views) > 1 && a.closedLocked(0, now) {
+		a.views[0] = view{}
+		a.views = a.views[1:]
 	}
-	a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: a.rt.Now()})
-	a.stats.VersionLagMax = max(a.stats.VersionLagMax, next.Version()-a.views[0].content.Version())
+	if len(ops) > 0 {
+		next := a.headLocked().Clone()
+		for _, op := range ops {
+			next.Apply(op)
+		}
+		a.views = append(a.views, view{content: next, answers: make(map[string]cryptoutil.Digest), at: now})
+		a.stats.VersionLagMax = max(a.stats.VersionLagMax, next.Version()-a.views[0].content.Version())
+	}
+	head := a.headLocked().Version()
+	a.pending = slices.DeleteFunc(a.pending, func(p Pledge) bool {
+		if p.Stamp.Version > head {
+			return false
+		}
+		a.settleLocked(&p, now, tab, true)
+		return true
+	})
+	a.mu.Unlock()
+	tab.Pay()
 }
 
 // The a.pledge body is byte form ‖ frames, one frame per slave, back to
 // back: each frame is length-prefixed field by field, so they need no
 // separator. A client sends statement frames first (Pledge.appendStatement:
-// no key, no signature), and the evidence frames (Pledge.Encode) of the
-// same read only when the auditor asks for them.
+// no key, no signature), and the evidence frames of the same read, each
+// Pledge.Encode ‖ its stamp, only when the auditor asks for them.
 const (
 	pledgeFormStatement byte = 0
 	pledgeFormEvidence  byte = 1
@@ -247,7 +254,7 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	for len(pledges) == 0 || r.Remaining() > 0 {
 		p, err := decodeStatement(r)
 		if err == nil && form == pledgeFormEvidence {
-			err = decodeEvidenceTail(r, &p)
+			err = decodeStampedEvidence(r, &p)
 		}
 		if err != nil {
 			return nil, err
@@ -265,6 +272,21 @@ func (a *Auditor) handlePledge(body []byte) ([]byte, error) {
 	a.mu.Unlock()
 	tab.Pay()
 	return ack, nil
+}
+
+// decodeStampedEvidence reads what an evidence-form frame carries after
+// its statement, the slave's key and signature and the master stamp, into
+// p as views of r's buffer. A stamp for another version does not decode.
+func decodeStampedEvidence(r *wire.Reader, p *Pledge) error {
+	v := p.Stamp.Version
+	err := decodeEvidenceTail(r, p)
+	if err == nil {
+		p.Stamp, err = decodeStamp(r)
+	}
+	if err == nil && p.Stamp.Version != v {
+		err = fmt.Errorf("core: a.pledge: stamp at version %d on a frame at %d", p.Stamp.Version, v)
+	}
+	return err
 }
 
 // settleStatementsLocked answers a statement body. Each frame draws the
@@ -311,28 +333,37 @@ func (a *Auditor) settleStatementsLocked(pledges []Pledge, now time.Time, tab *c
 
 // settleEvidenceLocked settles an evidence body, the one a client sends
 // when its statement body was answered pledgeEvidence. No sampling coin
-// is drawn. A frame ahead of delivery waits in pending once its signature
-// verifies, so nobody can pin the auditor's memory with frames no key
-// signed, and for at most the window (applyLoop), so nobody can pin it
-// with frames under a key of their own; every other frame is settled
-// (settleLocked). The body is vouched for exactly when every frame was
-// audited right. Caller holds a.mu.
+// is drawn. A frame at a delivered version is settled (settleLocked). One
+// ahead of delivery waits in pending until deliver reaches its version,
+// however long that takes, once its master stamp verifies (so no frame is
+// held at a version no master stamped) and then its slave signature; it
+// is a bad signature if either fails, and late if maxHeldFrames are held.
+// The body is vouched for exactly when every frame was audited right.
+// Caller holds a.mu.
 func (a *Auditor) settleEvidenceLocked(pledges []Pledge, now time.Time, tab *cryptoutil.Meter) []byte {
 	vouch := true
 	for i := range pledges {
+		p := &pledges[i]
 		a.stats.PledgesReceived++
-		if pledges[i].Stamp.Version <= a.headLocked().Version() {
-			vouch = a.settleLocked(&pledges[i], now, tab, false) && vouch
+		if p.Stamp.Version <= a.headLocked().Version() {
+			vouch = a.settleLocked(p, now, tab, false) && vouch
 			continue
 		}
 		vouch = false
-		tab.Verify()
-		if err := pledges[i].VerifySig(); err != nil {
+		if a.stamps.verifyStamp(&p.Stamp, a.cfg.MasterPubs, tab) != nil {
 			a.stats.PledgesBadSig++
 			continue
 		}
-		a.pending = append(a.pending, heldPledge{p: pledges[i], at: now})
-		a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
+		tab.Verify()
+		switch {
+		case p.VerifySig() != nil:
+			a.stats.PledgesBadSig++
+		case len(a.pending) >= maxHeldFrames:
+			a.stats.PledgesLate++
+		default:
+			a.pending = append(a.pending, *p)
+			a.stats.BacklogMax = max(a.stats.BacklogMax, len(a.pending))
+		}
 	}
 	if !vouch {
 		return nil
@@ -446,9 +477,9 @@ func (a *Auditor) viewLocked(v uint64, now time.Time) *view {
 	return &a.views[i]
 }
 
-// window is how long the auditor keeps what a read may still need: a
-// view past the delivery of the batch after it, and a frame ahead of
-// delivery past when it was held. It is max_latency + slack.
+// window is how long the auditor keeps a view past the delivery of the
+// batch after it, as a read at its version may still need it. It is
+// max_latency + slack.
 func (a *Auditor) window() time.Duration {
 	return a.cfg.Params.MaxLatency + a.cfg.Params.AuditorSlack
 }
@@ -458,53 +489,6 @@ func (a *Auditor) window() time.Duration {
 // more. Caller holds a.mu.
 func (a *Auditor) closedLocked(i int, now time.Time) bool {
 	return i+1 < len(a.views) && now.Sub(a.views[i+1].at) > a.window()
-}
-
-// applyLoop, once per keep-alive interval, settles in arrival order the
-// held frames whose version has been delivered since (deliver applied
-// it; their signatures were verified when they were held), drops as late
-// the frames still ahead of delivery a window after they were held, and
-// drops the views whose window has closed. The auditor holds no slave
-// certificates, so a waiting frame is vouched for only by its own key; the
-// window bounds what anyone can pin with keys of their own. An expired
-// frame is never convicted: the client that forwarded it got no vouch and
-// verified the pledge itself. The window runs from when the frame was
-// held, not from its version's delivery, so when the auditor's delivery
-// lags by more than the window a lie in a frame it holds goes unconvicted
-// (TestAuditorVouchAhead pins this).
-func (a *Auditor) applyLoop() {
-	for {
-		a.mu.Lock()
-		if a.stopped {
-			a.mu.Unlock()
-			return
-		}
-		now := a.rt.Now()
-		tab := a.meter.Tab()
-		head := a.headLocked().Version()
-		waiting := a.pending[:0]
-		for i := range a.pending {
-			switch h := &a.pending[i]; {
-			case h.p.Stamp.Version <= head:
-				a.settleLocked(&h.p, now, tab, true)
-			case now.Sub(h.at) > a.window():
-				a.stats.PledgesLate++
-			default:
-				waiting = append(waiting, *h)
-			}
-		}
-		clear(a.pending[len(waiting):])
-		a.pending = waiting
-		for len(a.views) > 1 && a.closedLocked(0, now) {
-			a.views[0] = view{}
-			a.views = a.views[1:]
-		}
-		a.mu.Unlock()
-		tab.Pay()
-		if a.rt.Sleep(a.cfg.Params.KeepAliveEvery) != nil {
-			return
-		}
-	}
 }
 
 // provenPledge is a pledge the content at its version contradicts and

@@ -28,25 +28,37 @@ type auditorRig struct {
 	seq     uint64 // broadcast slots commit has delivered
 }
 
+// rigKeys are the master, slave and auditor keys of every auditor rig,
+// derived once.
+var rigKeys = sync.OnceValue(func() [3]*cryptoutil.KeyPair {
+	return [3]*cryptoutil.KeyPair{
+		cryptoutil.DeriveKeyPair("master", 0),
+		cryptoutil.DeriveKeyPair("slave", 0),
+		cryptoutil.DeriveKeyPair("auditor", 0),
+	}
+})
+
 func newAuditorRig(t testing.TB, mut func(*AuditorConfig)) *auditorRig {
 	t.Helper()
 	s := sim.New(1)
 	net := rpc.NewSimNet(s, sim.Const(time.Millisecond))
 	initial := store.New()
 	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	keys := rigKeys()
 	r := &auditorRig{
 		s: s, net: net,
-		master:  cryptoutil.DeriveKeyPair("master", 0),
-		slave:   cryptoutil.DeriveKeyPair("slave", 0),
+		master:  keys[0],
+		slave:   keys[1],
 		initial: initial,
 		params:  DefaultParams(),
 	}
 	cfg := AuditorConfig{
 		Addr:        "auditor",
-		Keys:        cryptoutil.DeriveKeyPair("auditor", 0),
+		Keys:        keys[2],
 		Params:      r.params,
 		Peers:       []string{"master", "auditor"},
 		MasterAddrs: []string{"master"},
+		MasterPubs:  []cryptoutil.PublicKey{r.master.Public},
 		Seed:        1,
 	}
 	if mut != nil {
@@ -160,20 +172,16 @@ func (r *auditorRig) signedQuery(queryBytes []byte) Pledge {
 	return SignPledge(r.slave, queryBytes, cryptoutil.Digest{}, stamp)
 }
 
-// audit starts the apply loop, delivers the pledges in order, lets the
-// window of every committed batch close and three keep-alive intervals
-// more pass, and returns the auditor's counters.
+// audit forwards the pledges in order, runs the reports they start, and
+// returns the auditor's counters.
 func (r *auditorRig) audit(t *testing.T, pledges ...Pledge) AuditorStats {
 	t.Helper()
-	r.auditor.rt.Spawn(r.auditor.applyLoop)
 	r.s.Go(func() {
 		for _, p := range pledges {
 			if err := r.sendPledge(p); err != nil {
 				t.Errorf("pledge refused: %v", err)
 			}
 		}
-		r.s.Sleep(r.params.MaxLatency + r.params.AuditorSlack + 3*r.params.KeepAliveEvery)
-		r.s.Stop()
 	})
 	r.s.Run()
 	r.checkPartition(t)
@@ -251,8 +259,7 @@ func (r *auditorRig) checkReport(t *testing.T, body []byte) {
 // signed it, and nothing is counted as a lie, remembered or reported
 // without one. Every pledge is at the version of a delivered batch that
 // rewrote k: the handler settles the pledge on arrival against the
-// content there, and the apply loop that runs after finds nothing left to
-// do. Each is forwarded as a client does: a wrong answer's
+// content there. Each is forwarded as a client does: a wrong answer's
 // statement executes its query and asks for the evidence, whose audit
 // then hits the cache.
 func TestAuditorVerifiesOnEvidence(t *testing.T) {
@@ -400,7 +407,6 @@ func TestAuditorDuplicateLiarReportedOnce(t *testing.T) {
 func TestAuditorReReportsRefusedLiar(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	r.refuse = 1
-	r.auditor.rt.Spawn(r.auditor.applyLoop)
 	r.s.Go(func() {
 		defer r.s.Stop()
 		if err := r.sendPledge(r.pledgeFor(query.Get{Key: "k"}, true)); err != nil {
@@ -441,8 +447,8 @@ func TestAuditorLatePledgeCounted(t *testing.T) {
 }
 
 // TestAuditorAppliesOnDelivery: the auditor's version is the delivered
-// one as soon as deliver returns, with no pledge and no apply loop to
-// bring it there, and the content at that version answers at once.
+// one as soon as deliver returns, with no pledge to bring it there, and
+// the content at that version answers at once.
 func TestAuditorAppliesOnDelivery(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	for i := 0; i < 3; i++ {
@@ -468,7 +474,6 @@ func TestAuditorAdvancesAfterWindow(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	old := r.pledgeFor(query.Get{Key: "w"}, false)
 	window := r.params.MaxLatency + r.params.AuditorSlack
-	r.auditor.rt.Spawn(r.auditor.applyLoop)
 	r.s.Go(func() {
 		r.commit(store.Put{Key: "w", Value: []byte("1")})
 		r.s.Sleep(2 * r.params.KeepAliveEvery)
@@ -545,18 +550,18 @@ func TestAuditorHonestPledgeAllocs(t *testing.T) {
 }
 
 // TestAuditorConcurrentAdmitAndAudit has handlers settle pledges while
-// batches are delivered and applied and the apply loop runs, as over TCP,
-// where every request runs on its own goroutine. One sender lies at the
-// initial version, two pledge honestly there, and one pledges ahead of
-// delivery, so its frames wait in pending until the loop settles them.
+// batches are delivered and applied, as over TCP, where every request
+// runs on its own goroutine. One sender lies at the initial version, two
+// pledge honestly there, and one pledges ahead of delivery, so its frames
+// wait in pending until the delivery of their version settles them.
 // Under -race it checks the hand-over; in any build, that nothing is lost
-// or counted twice, and that the loop exits on Stop.
+// or counted twice, and that nothing waits once the last batch and the
+// last frame are in.
 func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	a := r.auditor
 	a.dlr = nopDialer{}
 	a.rt = sim.RealClock{}
-	a.cfg.Params.KeepAliveEvery = time.Millisecond
 	const senders, each, batches = 4, 64, 8
 	cur := r.initial.Version()
 	honest, lies := r.pledges(each, false), r.pledges(each, true)
@@ -564,8 +569,6 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 	for i, p := range r.pledges(each, false) {
 		ahead[i] = r.resign(p, cur+1+uint64(i%batches)) // the writes leave k alone
 	}
-	stopped := make(chan struct{})
-	go func() { a.applyLoop(); close(stopped) }()
 	var wg sync.WaitGroup
 	for g := 0; g < senders; g++ {
 		ps := [][]Pledge{lies, honest, honest, ahead}[g]
@@ -584,21 +587,12 @@ func TestAuditorConcurrentAdmitAndAudit(t *testing.T) {
 		a.deliver(i, encodeBatchMessage([]queuedWave{{ops: [][]byte{op}}}), nil)
 	}
 	wg.Wait()
-	for deadline := time.Now().Add(10 * time.Second); a.Backlog() != 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
 	st := a.Stats()
 	if st.PledgesReceived != senders*each || st.PledgesAudited != senders*each ||
 		st.Mismatches != each || st.ReportsSent != 1 || a.Backlog() != 0 || a.Version() != cur+batches {
 		t.Fatalf("stats: %+v backlog %d version %d", st, a.Backlog(), a.Version())
 	}
 	r.checkPartition(t)
-	a.Stop()
-	select { // the loop exits on Stop under the real clock too
-	case <-stopped:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the apply loop did not exit on Stop")
-	}
 }
 
 // BenchmarkAuditPledge is the auditor's row of the layer ledger: one
@@ -645,10 +639,10 @@ func BenchmarkAuditPledge(b *testing.B) {
 	}
 }
 
-// resign returns p at version v, under the rig slave's signature.
+// resign returns p at version v, under the rig master's stamp for v and
+// the rig slave's signature.
 func (r *auditorRig) resign(p Pledge, v uint64) Pledge {
-	p.Stamp.Version = v
-	return SignPledge(r.slave, p.QueryBytes, p.ResultHash, p.Stamp)
+	return SignPledge(r.slave, p.QueryBytes, p.ResultHash, SignStamp(r.master, v, p.Stamp.Timestamp))
 }
 
 // TestAuditorVouchTable pins how the auditor answers a.pledge bodies at
@@ -780,10 +774,10 @@ func TestAuditorVouchTable(t *testing.T) {
 // whatever later batches rewrite.
 // A right frame is vouched, a lie convicted, on arrival; V must be a
 // batch boundary inside its window, or the frame is late; a frame ahead
-// of delivery waits for the apply loop, which drops it as late once it
-// has waited the window through. Each row commits its batches to an
-// auditor at version cur, inside one simulation task; the loop then runs
-// until every window has closed.
+// of delivery is held until the delivery of V settles it, however late
+// that comes. Each row commits its batches to an auditor at version cur,
+// inside one simulation task, then has the body handled, then delivers
+// what follows it (then), and lets the reports run.
 func TestAuditorVouchAhead(t *testing.T) {
 	k := query.Get{Key: "k"}
 	put := func(key, value string) store.Op { return store.Put{Key: key, Value: []byte(value)} }
@@ -792,111 +786,112 @@ func TestAuditorVouchAhead(t *testing.T) {
 		name   string
 		warm   bool // k's answer is cached at cur before the writes
 		body   func(r *auditorRig) []byte
+		then   func(r *auditorRig) // batches delivered after the body; nil for none
 		vouch  bool
 		queued int          // the frames the body leaves waiting for delivery
-		want   AuditorStats // counters the body adds, after the loop
+		want   AuditorStats // counters the body adds, once what follows it is delivered
 	}{
 		{"V = cur+2, span untouched, cached", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
 			return evidence(r.pledgeFor(k, false)) // the cache at cur is not asked at cur+2
-		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, nil, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V = cur+2, span untouched, executed on arrival", false, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k\x00", "1"))
 			return evidence(r.pledgeFor(k, false))
-		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, nil, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span at V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false) // right at cur, a lie at V
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
 			return evidence(r.resign(stale, r.initial.Version()))
-		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span below V, the replica's answer", true, func(r *auditorRig) []byte {
 			stale := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.commit(put("j", "1"))
 			return evidence(r.resign(stale, r.initial.Version()))
-		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"write in the span at V, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			r.commit(put("k", "v2"))
 			return evidence(r.pledgeFor(k, false))
-		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, nil, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"write in the span only above V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			return evidence(p)
-		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, nil, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"V above delivery", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			return evidence(r.resign(p, p.Stamp.Version+1))
-		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		}, func(r *auditorRig) {
+			r.commit(put("j", "2"))
+		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1}},
 		{"lying frame ahead, convicted at V", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			return evidence(r.pledgeFor(k, true))
-		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"lying frame ahead of a lagging auditor, convicted at V", false, func(r *auditorRig) []byte {
 			r.commitAfter(window/2, put("j", "1"))
 			return evidence(r.pledgeFor(k, true))
-		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
-		// The frame's window runs from when it was held, not from V's
-		// delivery: a lie the auditor's delivery reaches only after it is
-		// dropped as late, and never convicted.
-		{"lying frame ahead of an auditor lagging past the window, late", false, func(r *auditorRig) []byte {
-			r.commitAfter(window+3*r.params.KeepAliveEvery/2, put("j", "1"))
+		}, nil, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		{"lying frame ahead of an auditor lagging past the window, later convicted at V", false, func(r *auditorRig) []byte {
+			r.commitAfter(3*window, put("j", "1"))
 			return evidence(r.pledgeFor(k, true))
-		}, false, 1, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		}, nil, false, 1, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"two slaves, one frame unvouchable", true, func(r *auditorRig) []byte {
 			r.commit(put("j", "1"))
 			p := r.pledgeFor(k, false)
 			return evidence(p, r.resign(p, p.Stamp.Version+1))
-		}, false, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 1, PledgesLate: 1}},
+		}, func(r *auditorRig) {
+			r.commit(put("j", "2"))
+		}, false, 1, AuditorStats{PledgesReceived: 2, PledgesAudited: 2}},
 		{"rewritten by a later held batch, the answer at V", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"))
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v3"))
 			return evidence(p)
-		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
+		}, nil, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1}},
 		{"rewritten by a later held batch, the later answer", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"))
 			v := r.initial.Version()
 			r.commit(put("k", "v3"))
 			return evidence(r.resign(r.pledgeFor(k, false), v))
-		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
+		}, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, Mismatches: 1, ReportsSent: 1}},
 		{"inside a batch, late", true, func(r *auditorRig) []byte {
 			r.commit(put("k", "v2"), put("j", "1"))
 			return evidence(r.resign(r.pledgeFor(k, true), r.initial.Version()-1))
-		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		}, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 		{"superseded inside the window", true, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, false)
 			r.commit(put("k", "v2"))
 			r.s.Sleep(window)
 			return evidence(p)
-		}, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
+		}, nil, true, 0, AuditorStats{PledgesReceived: 1, PledgesAudited: 1, PledgesVouched: 1, CacheHits: 1}},
 		{"superseded more than the window ago, late", true, func(r *auditorRig) []byte {
 			p := r.pledgeFor(k, true)
 			r.commit(put("k", "v2"))
 			r.s.Sleep(window + time.Millisecond)
 			return evidence(p)
-		}, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
+		}, nil, false, 0, AuditorStats{PledgesReceived: 1, PledgesLate: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newAuditorRig(t, nil)
 			a := r.auditor
+			var before AuditorStats
 			r.s.Go(func() {
-				defer r.s.Stop()
 				if tc.warm {
 					if err := r.sendPledge(r.pledgeFor(k, false)); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-				before := a.Stats()
+				before = a.Stats()
 				body := tc.body(r)
-				v := r.initial.Version()
 				ack, err := a.handlePledge(body)
 				if err != nil {
 					t.Error(err)
@@ -911,16 +906,17 @@ func TestAuditorVouchAhead(t *testing.T) {
 				if arrived := added(before, a.Stats()); tc.queued == 0 && arrived != tc.want {
 					t.Errorf("counters added on arrival %+v, want %+v", arrived, tc.want)
 				}
-				a.rt.Spawn(a.applyLoop)
-				r.s.Sleep(window + 3*r.params.KeepAliveEvery)
-				if a.Backlog() != 0 || a.Version() != v {
-					t.Errorf("after the loop: backlog %d at version %d, want 0 at %d", a.Backlog(), a.Version(), v)
-				}
-				if got := added(before, a.Stats()); got != tc.want {
-					t.Errorf("counters added %+v, want %+v", got, tc.want)
+				if tc.then != nil {
+					tc.then(r)
 				}
 			})
 			r.s.Run()
+			if a.Backlog() != 0 || a.Version() != r.initial.Version() {
+				t.Errorf("once delivered: backlog %d at version %d, want 0 at %d", a.Backlog(), a.Version(), r.initial.Version())
+			}
+			if got := added(before, a.Stats()); got != tc.want {
+				t.Errorf("counters added %+v, want %+v", got, tc.want)
+			}
 			r.checkPartition(t)
 			if tc.want.ReportsSent > 0 && !t.Failed() {
 				r.checkReport(t, r.reports[0])
@@ -931,61 +927,153 @@ func TestAuditorVouchAhead(t *testing.T) {
 
 // TestAuditorForgedFarAheadNotHeld: any client can send a frame at a
 // version no master will reach for ages (2^40 past the newest delivered).
-// One under a signature its slave never made is not held: its evidence
-// costs one verify, ends in PledgesBadSig and leaves nothing waiting, so
-// nobody can pin the auditor's memory with frames no slave signed. The
-// same frame under the slave's own signature, or under a key anyone can
-// mint (the auditor holds no slave certificates), costs the same verify
-// and waits, as every frame ahead of delivery does — but only for the
-// window: the apply loop then drops it as late, so nobody pins the
-// auditor's memory with frames under keys of their own either.
+// No master stamped that version, so whatever stamp the frame carries does
+// not verify: the frame costs at most that one stamp verify (none when the
+// stamp names a key no master holds, as certifiedBy decides that), its
+// slave signature is never looked at, it ends in PledgesBadSig, and
+// nothing is held — under the slave's own signature, a garbage one or a
+// freshly minted key's alike. A stamp the masters did sign, but for
+// another version than the frame's, does not decode, and the body is
+// refused whole.
 func TestAuditorForgedFarAheadNotHeld(t *testing.T) {
 	r := newAuditorRig(t, nil)
 	a := r.auditor
 	cpu := r.s.NewResource("auditor", 1)
 	a.meter = cryptoutil.NewMeter(cpu, a.cfg.Params.Costs)
-	far := r.resign(r.pledgeFor(query.Get{Key: "k"}, false), a.Version()+1<<40)
-	minted := SignPledge(cryptoutil.DeriveKeyPair("anyone", 0), far.QueryBytes, far.ResultHash, far.Stamp)
+	cur, far := a.Version(), a.Version()+1<<40
+	p := r.pledgeFor(query.Get{Key: "k"}, false)
+	anyone := cryptoutil.DeriveKeyPair("anyone", 0)
+	renamed := SignStamp(r.master, cur+1, r.s.Now()) // a real stamp, its version then rewritten
+	renamed.Version = far
 	rows := []struct {
-		name    string
-		p       Pledge
-		backlog int
-		want    AuditorStats
+		name     string
+		stamp    VersionStamp
+		signer   *cryptoutil.KeyPair
+		garbage  bool // the slave signature is flipped
+		verifies int  // signature checks the frame costs
 	}{
-		{"garbage signature", forged(far), 0, AuditorStats{PledgesReceived: 1, PledgesBadSig: 1}},
-		{"the slave's signature", far, 1, AuditorStats{PledgesReceived: 1}},
-		{"a freshly minted key's signature", minted, 1, AuditorStats{PledgesReceived: 1}},
+		{"the slave's signature, a master stamp renamed to V", renamed, r.slave, false, 1},
+		{"a garbage signature, a master stamp renamed to V", renamed, r.slave, true, 1},
+		{"a minted key's signature, a master stamp renamed to V", renamed, anyone, false, 1},
+		{"the slave's signature, a stamp under a key no master holds", SignStamp(anyone, far, r.s.Now()), r.slave, false, 0},
+		{"a minted key's signature, a stamp under a key no master holds", SignStamp(anyone, far, r.s.Now()), anyone, false, 0},
 	}
-	a.rt.Spawn(a.applyLoop)
 	r.s.Go(func() {
-		defer r.s.Stop()
 		for _, tc := range rows {
+			f := SignPledge(tc.signer, p.QueryBytes, p.ResultHash, tc.stamp)
+			if tc.garbage {
+				f = forged(f)
+			}
 			before, busy := a.Stats(), cpu.BusyTime()
-			if ack, err := forward(a, tc.p); err != nil || len(ack) != 0 {
+			if ack, err := forward(a, f); err != nil || len(ack) != 0 {
 				t.Errorf("%s: ack %x, err %v", tc.name, ack, err)
 			}
-			if a.Backlog() != tc.backlog {
-				t.Errorf("%s: backlog %d, want %d", tc.name, a.Backlog(), tc.backlog)
-			}
-			if got := added(before, a.Stats()); got != tc.want {
-				t.Errorf("%s: counters added %+v, want %+v", tc.name, got, tc.want)
-			}
-			if paid, want := cpu.BusyTime()-busy, a.cfg.Params.Costs.VerifySig; paid != want {
-				t.Errorf("%s: the frame cost the auditor %v, want one verify (%v)", tc.name, paid, want)
-			}
-			if tc.backlog == 0 {
-				continue
-			}
-			before = a.Stats()
-			r.s.Sleep(r.params.MaxLatency + r.params.AuditorSlack + 2*r.params.KeepAliveEvery)
 			if a.Backlog() != 0 {
-				t.Errorf("%s: backlog %d a window after the frame was held, want 0", tc.name, a.Backlog())
+				t.Errorf("%s: backlog %d, want 0", tc.name, a.Backlog())
 			}
-			if got, want := added(before, a.Stats()), (AuditorStats{PledgesLate: 1}); got != want {
-				t.Errorf("%s: the window's end added %+v, want %+v", tc.name, got, want)
+			if got, want := added(before, a.Stats()), (AuditorStats{PledgesReceived: 1, PledgesBadSig: 1}); got != want {
+				t.Errorf("%s: counters added %+v, want %+v", tc.name, got, want)
 			}
+			if paid, want := cpu.BusyTime()-busy, time.Duration(tc.verifies)*a.cfg.Params.Costs.VerifySig; paid != want {
+				t.Errorf("%s: the frame cost the auditor %v, want %d verifies (%v)", tc.name, paid, tc.verifies, want)
+			}
+		}
+		real := r.resign(p, cur+1)
+		f := real
+		f.Stamp.Version = far
+		f = SignPledge(r.slave, f.QueryBytes, f.ResultHash, f.Stamp)
+		body := wire.EncodeFrame(func(w *wire.Writer) {
+			w.Byte(pledgeFormEvidence)
+			f.Encode(w)
+			real.Stamp.Encode(w)
+		})
+		before := a.Stats()
+		if _, err := a.handlePledge(body); err == nil {
+			t.Error("a frame at V under a stamp for another version decodes")
+		}
+		if got := added(before, a.Stats()); got != (AuditorStats{}) || a.Backlog() != 0 {
+			t.Errorf("the refused body added %+v and left %d waiting", got, a.Backlog())
 		}
 	})
 	r.s.Run()
+	r.checkPartition(t)
+}
+
+// TestAuditorSettlesHeldFramesOnDelivery: the deliver call that reaches a
+// held frame's version settles the frame before it returns, with no tick,
+// no task and no simulated time in between: a right frame is audited and
+// a lie convicted, its report started. A frame still ahead of the head
+// waits for the delivery after.
+func TestAuditorSettlesHeldFramesOnDelivery(t *testing.T) {
+	r := newAuditorRig(t, nil)
+	a := r.auditor
+	k := query.Get{Key: "k"}
+	cur := a.Version()
+	right, lie := r.resign(r.pledgeFor(k, false), cur+1), r.resign(r.pledgeFor(k, true), cur+1)
+	beyond := r.resign(r.pledgeFor(k, false), cur+2)
+	for _, p := range []Pledge{right, lie, beyond} {
+		if ack, err := a.handlePledge(evidence(p)); err != nil || len(ack) != 0 {
+			t.Fatalf("ack %x, err %v", ack, err)
+		}
+	}
+	if a.Backlog() != 3 {
+		t.Fatalf("backlog %d, want 3", a.Backlog())
+	}
+	at := r.s.Now()
+	r.commit(store.Put{Key: "j", Value: []byte("1")}) // k is untouched: the answers at cur hold at cur+1
+	st := a.Stats()
+	if a.Backlog() != 1 || st.PledgesAudited != 2 || st.Mismatches != 1 || st.ReportsSent != 1 || !r.slaveDetected() || r.s.Now() != at {
+		t.Fatalf("after the delivery of cur+1: backlog %d, %+v, slave detected %v, %v passed",
+			a.Backlog(), st, r.slaveDetected(), r.s.Now().Sub(at))
+	}
+	r.commit(store.Put{Key: "j", Value: []byte("2")})
+	if st := a.Stats(); a.Backlog() != 0 || st.PledgesAudited != 3 || st.Mismatches != 1 {
+		t.Fatalf("after the delivery of cur+2: backlog %d, %+v", a.Backlog(), st)
+	}
+	r.s.Run()
+	if len(r.reports) != 1 {
+		t.Fatalf("%d reports, want 1", len(r.reports))
+	}
+	r.checkReport(t, r.reports[0])
+	r.checkPartition(t)
+}
+
+// TestAuditorMintedKeyFloodCapped: anyone can mint a slave key and sign
+// frames at a version the masters stamped and the auditor has not yet
+// delivered, under a copy of a real stamp for it. The auditor holds at
+// most maxHeldFrames of them; each one past that still costs it the slave
+// signature verify and is counted late. While the flood fills the
+// backlog, a real slave's lie at that version is late too, and goes
+// unconvicted: that is what the flood shields, and only until the
+// version's delivery, which settles every held frame at once.
+func TestAuditorMintedKeyFloodCapped(t *testing.T) {
+	r := newAuditorRig(t, nil)
+	a := r.auditor
+	k := query.Get{Key: "k"}
+	v := a.Version() + 1
+	honest := r.resign(r.pledgeFor(k, false), v)
+	minted := SignPledge(cryptoutil.DeriveKeyPair("anyone", 0), honest.QueryBytes, honest.ResultHash, honest.Stamp)
+	frames := make([]Pledge, 64)
+	for i := range frames {
+		frames[i] = minted
+	}
+	body := evidence(frames...)
+	for sent := 0; sent <= maxHeldFrames; sent += len(frames) {
+		if _, err := a.handlePledge(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := a.handlePledge(evidence(r.resign(r.pledgeFor(k, true), v))); err != nil {
+		t.Fatal(err)
+	}
+	st := a.Stats()
+	if a.Backlog() != maxHeldFrames || st.BacklogMax != maxHeldFrames || st.PledgesLate != uint64(len(frames)+1) || st.PledgesBadSig != 0 {
+		t.Fatalf("after the flood: backlog %d, %+v", a.Backlog(), st)
+	}
+	r.checkPartition(t)
+	r.commit(store.Put{Key: "j", Value: []byte("1")})
+	if st := a.Stats(); a.Backlog() != 0 || st.PledgesAudited != maxHeldFrames || st.Mismatches != 0 {
+		t.Fatalf("after the delivery of V: backlog %d, %+v", a.Backlog(), st)
+	}
 	r.checkPartition(t)
 }

@@ -951,7 +951,8 @@ func (c *Client) forwardPledges(g *group, replies []ReadReply) (vouched bool, er
 }
 
 // encodePledgeBody is the a.pledge body of the replies' pledges in form:
-// byte form ‖ one frame per reply.
+// byte form ‖ one frame per reply, a statement frame or an evidence frame
+// followed by its stamp.
 func encodePledgeBody(form byte, replies []ReadReply) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		w.Byte(form)
@@ -960,6 +961,7 @@ func encodePledgeBody(form byte, replies []ReadReply) []byte {
 				replies[i].Pledge.appendStatement(w)
 			} else {
 				replies[i].Pledge.Encode(w)
+				replies[i].Pledge.Stamp.Encode(w)
 			}
 		}
 	})

@@ -284,7 +284,7 @@ func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 }
 
 // newAuditor returns an auditor over the rig's content, reporting to the
-// scripted master; its audit worker is not started.
+// scripted master.
 func (r *clientRig) newAuditor(t *testing.T) *Auditor {
 	t.Helper()
 	aud, err := NewAuditor(AuditorConfig{
@@ -293,6 +293,7 @@ func (r *clientRig) newAuditor(t *testing.T) *Auditor {
 		Params:      r.params,
 		Peers:       []string{"auditor"},
 		MasterAddrs: []string{"master"},
+		MasterPubs:  []cryptoutil.PublicKey{r.masterKeys.Public},
 		Seed:        1,
 	}, r.s, r.net.Dialer("auditor"), r.content)
 	if err != nil {
@@ -799,8 +800,7 @@ func verifyUnvouched(c *Client, sl *slaveAssignment, masters []cryptoutil.Public
 }
 
 // withAuditor puts an auditor over the rig's content where the scripted
-// one was, its apply loop running; every body is still recorded. The
-// loop never idles out: a test's last step is r.s.Stop().
+// one was; every body is still recorded.
 func (r *clientRig) withAuditor(t *testing.T) *Auditor {
 	t.Helper()
 	aud := r.newAuditor(t)
@@ -808,7 +808,6 @@ func (r *clientRig) withAuditor(t *testing.T) *Auditor {
 		r.forwarded = append(r.forwarded, bytes.Clone(body))
 		return aud.Handle(from, method, body)
 	})
-	r.s.Go(aud.applyLoop)
 	return aud
 }
 

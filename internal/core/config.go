@@ -44,9 +44,9 @@ type Params struct {
 	// DoubleCheckP is the probability a client double-checks a read with
 	// its master (§3.3); a greedy client sets its own to 1.
 	DoubleCheckP float64
-	// AuditorSlack is how long past MaxLatency the auditor waits before
-	// moving to the next content version (§3.4: "a sufficiently large
-	// time interval (more than max_latency)").
+	// AuditorSlack is how long past MaxLatency the auditor keeps a version's
+	// content once the next batch is delivered (§3.4: "a sufficiently
+	// large time interval (more than max_latency)"); it bounds only that.
 	AuditorSlack time.Duration
 	// AuditSampleP is the fraction of pledges the auditor verifies
 	// (§3.4: an over-used auditor can "weaken the security guarantees by

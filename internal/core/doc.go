@@ -119,7 +119,8 @@
 //	             what a client sends first: 42 B both ways on read-point,
 //	             the vouch included (139 B with the evidence). Form 1
 //	             (pledgeFormEvidence) carries the same read's evidence
-//	             frames, sent once, only when the auditor asks. The
+//	             frames, sent once, only when the auditor asks, each
+//	             followed by the master stamp for its version. The
 //	             auditor decodes every frame before it admits any, in
 //	             frame order, so a body is admitted or refused whole.
 //	             Reply: the one byte 0x01 (pledgeVouch) when every
@@ -165,9 +166,8 @@
 //	             aside). masterAddr is not signed: a forged one points the
 //	             fetches at the wrong host until the next genuine
 //	             keep-alive (≤ KeepAliveEvery), a stall of the whole
-//	             ingest, not a wrong state; ROADMAP item 13(b)'s
-//	             authenticated links close it. Reply: uvarint applied
-//	             version, at once.
+//	             ingest, not a wrong state; ROADMAP item 22 closes
+//	             it. Reply: uvarint applied version, at once.
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
 //	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
 //	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ uvarint
@@ -252,10 +252,11 @@
 // needs a verified signature or the vouch, and every report carries a
 // verified pledge. The auditor verifies one in two places too, both on an
 // evidence frame: one whose hash disagrees with its view, before it
-// convicts, and one ahead of delivery, before it holds it in pending. A
-// frame no slave signed is dropped (PledgesBadSig), so no client can pin
-// the auditor's memory with frames at versions no master will sign. A
-// vouched answer is correct — the trusted auditor found
+// convicts, and one ahead of delivery, after its master stamp and before
+// it holds it in pending. A frame no slave signed, or ahead under a stamp
+// no master made, is dropped (PledgesBadSig), so nobody can make the
+// auditor hold a frame at a version no master stamped. A vouched answer
+// is correct — the trusted auditor found
 // the same hash at that signed, fresh version — so there is no lie to pin
 // on anyone; a lie's hash is never the auditor's answer, so a lie is never
 // vouched. The vouch is not authenticated: whoever can forge the
@@ -289,6 +290,8 @@
 //	Slave.pledges (8192)  signer hits per read: 0.91 read-point, 0.45
 //	                      read-scan, 0.065 mixed
 //	resultMemo            20 % hits on read-scan, none elsewhere
+//	Auditor.stamps (256)  stamps on frames ahead of delivery; only the
+//	                      matrix's latency-spike cells send any
 //
 // No pledge verify has a memo. With the rule above a client verifies no
 // pledge on read-point, read-scan or mixed (0.048 per accepted read when
@@ -302,34 +305,44 @@
 // Ranges). A client keeps no memo: the stamp it holds from each slave
 // stands in for one (99.9 % of read-point replies leave it out).
 //
-// The auditor answers at the read's own version (auditor.go). The
-// auditor keeps the content at every batch boundary as a view — an O(1)
+// The auditor answers at the read's own version (auditor.go). The auditor
+// keeps the content at every batch boundary as a view — an O(1)
 // copy-on-write store.Clone with its own answer cache — until MaxLatency +
 // AuditorSlack after the next batch was delivered, when no client can
-// still accept a read there. deliver applies each batch onto a clone of
-// the newest view when it is delivered, so the newest view is the last
-// version delivered and Auditor.Version() is that version; the auditor
-// "is allowed to lag behind when executing write requests" (§3.4) only as
-// far as its broadcast delivery lags. A once-per-keep-alive apply loop
-// settles the waiting frames their version's delivery reached, expires
-// the rest and drops closed views. Auditor.handlePledge answers a body in
-// one critical section. A statement body draws each frame's sampling coin
-// and judges the rest at their versions; when a frame's version V is
-// above the last version delivered, or the answer at V is not its result
-// hash, the reply is pledgeEvidence and nothing is counted. Otherwise,
-// and for every evidence body (no coin), each frame is settled as exactly
-// one of: sampled out; waiting, when V is above the last version
-// delivered and its signature verifies (pending holds only these); late,
-// when no view is at exactly V; audited and right, when the answer at V
-// is the frame's result hash; convicted otherwise. The reply is the one
-// byte 0x01 exactly when every frame was audited and right. Why "no view
-// at V" means "no honest client reads at V": every replica applies a
-// delivered batch whole or not at all, under one rule
-// (decodeBatchMessage), so versions are numbered alike, and every stamp a
-// master signs names the version after a whole batch, so an honest read
-// is always at a batch boundary. A cache miss
-// runs on the handler, so a forged pledge buys one scan per distinct
-// query per version there; bounding it is ROADMAP item 7's job.
+// still accept a read there. Delivery is the auditor's only clock; it runs
+// no loop of its own. deliver drops the views whose window has closed,
+// applies each batch onto a clone of the newest view, so Auditor.Version()
+// is the last version delivered (the auditor "is allowed to lag behind
+// when executing write requests", §3.4, only as far as its broadcast
+// delivery lags), and settles in arrival order the waiting frames that
+// version reached. Auditor.handlePledge answers a body in one critical
+// section. A statement body draws each frame's sampling coin and judges
+// the rest at their versions; when a frame's version V is above the last
+// version delivered, or the answer at V is not its result hash, the reply
+// is pledgeEvidence and nothing is counted. Otherwise, and for every
+// evidence body (no coin), each frame is settled as exactly one of:
+// sampled out; waiting, when V is above the last version delivered and the
+// frame's master stamp for V and then its slave signature verify, until V
+// is delivered however late (pending holds only these, at most
+// maxHeldFrames); late, when no view is at exactly V, or when V is ahead
+// and the backlog is full; audited and right, when the answer at V is the
+// frame's result hash; convicted otherwise. The reply is the one byte 0x01
+// exactly when every frame was audited and right. What a flood can buy at
+// the cap: anyone can mint slave keys and sign frames at a version the
+// masters stamped and the auditor has not delivered, under a copy of the
+// real stamp, and while they fill the backlog every other frame ahead of
+// delivery is late, a real lie among them. That lasts only while the
+// auditor lags: V's delivery settles every held frame, and the flooder
+// must send 4096 frames again for the next version, each costing the
+// auditor a signature verify (the stamp's is memoised) and the flooder
+// only bytes. A held frame aliases its a.pledge body, so the cap bounds
+// frames, not bytes. Why "no view at V" means "no honest client reads at
+// V": every replica applies a delivered batch whole or not at all, under
+// one rule (decodeBatchMessage), so versions are numbered alike, and every
+// stamp a master signs names the version after a whole batch, so an honest
+// read is always at a batch boundary. A cache miss runs on the handler, so
+// a forged pledge buys one scan per distinct query per version there;
+// bounding it is ROADMAP item 7's job.
 //
 // Scan once per version (resultmemo.go). Slaves exist for arbitrary dynamic
 // queries (§3.2), and a dynamic query is a walk over the content.

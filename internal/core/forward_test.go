@@ -72,13 +72,13 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 func splitPledgeBody(t *testing.T, body []byte) (form byte, frames [][]byte) {
 	r := wire.NewReader(body)
 	form = r.Byte()
-	decode := decodeStatement
-	if form == pledgeFormEvidence {
-		decode = decodePledge
-	}
 	for r.Remaining() > 0 {
 		at := len(body) - r.Remaining()
-		if _, err := decode(r); err != nil {
+		p, err := decodeStatement(r)
+		if err == nil && form == pledgeFormEvidence {
+			err = decodeStampedEvidence(r, &p)
+		}
+		if err != nil {
 			t.Errorf("a.pledge body does not decode: %v", err)
 			return form, frames
 		}
@@ -120,15 +120,24 @@ func checkStatement(t *testing.T, frame, asked []byte, sent servedReply) {
 // checkEvidence holds one forwarded frame to what the slave signed: it
 // decodes to the query asked, the hash of the payload the slave sent, the
 // version of the stamp beside it, the slave's key and the slave's
-// signature; it re-encodes byte for byte, verifies under the slave's key,
-// and holds no byte of the master's stamp.
-func checkEvidence(t *testing.T, frame, asked []byte, sent servedReply) {
+// signature; it re-encodes byte for byte and verifies under the slave's
+// key. A frame to the auditor (stamped) is followed by exactly the
+// master's stamp the slave sent; no other byte of the frame holds any of
+// that stamp.
+func checkEvidence(t *testing.T, frame, asked []byte, sent servedReply, stamped bool) {
 	t.Helper()
+	stamp := sent.reply.Pledge.Stamp
+	if stamped {
+		tail := wire.EncodeFrame(stamp.Encode)
+		if !bytes.HasSuffix(frame, tail) {
+			t.Fatal("forwarded frame does not end in the stamp the slave sent")
+		}
+		frame = frame[:len(frame)-len(tail)]
+	}
 	p, err := decodePledgeFrame(frame)
 	if err != nil {
 		t.Fatalf("forwarded frame does not decode: %v", err)
 	}
-	stamp := sent.reply.Pledge.Stamp
 	if !bytes.Equal(p.QueryBytes, asked) || p.ResultHash != cryptoutil.HashBytes(sent.reply.Payload) ||
 		p.Stamp.Version != stamp.Version || !bytes.Equal(p.SlavePub, sent.slave) ||
 		!bytes.Equal(p.Sig, sent.reply.Pledge.Sig) {
@@ -218,7 +227,7 @@ func TestClientForwardsSignedStatement(t *testing.T) {
 				t.Fatalf("%s got %d pledges for %d replies, want %d", where, len(forwarded), len(tap.sent), want)
 			}
 			for i, frame := range forwarded {
-				checkEvidence(t, frame, query.Encode(q), tap.sent[i])
+				checkEvidence(t, frame, query.Encode(q), tap.sent[i], !tc.doubleCheck)
 			}
 			if !tc.doubleCheck && !bytes.Equal(accepted, tap.sent[0].reply.Payload) {
 				t.Fatal("the accepted payload is not the one the first pledge covers")

@@ -3,10 +3,10 @@ package core
 // Frozen shims (ROADMAP item 1). The real-clock benchmark under bench/ is
 // frozen (BENCHMARK.json names it as its own path), and it still names
 // everything in this file; no node sends, accepts or reads any of it. The file goes, with the
-// four fields that point here (BatchUpdate.Proofs, which ledger.go sets;
+// three fields that point here (BatchUpdate.Proofs, which ledger.go sets;
 // MasterStats.SnapshotRefreshes, which metrics.go reads;
-// AuditorConfig.MasterPubs and MasterConfig.BatchAdaptive, which deploy.go
-// sets), when item 1 unfreezes bench/:
+// MasterConfig.BatchAdaptive, which deploy.go sets), when item 1 unfreezes
+// bench/:
 //
 //   - bench/replbench/instrument.go names the five method constants, and
 //     bench/replbench/metrics.go MethodUpdateBatch too;

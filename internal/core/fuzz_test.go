@@ -759,8 +759,12 @@ func FuzzWALRecord(f *testing.F) {
 // does not decode or execute there — is answered pledgeEvidence; else the
 // reply is the vouch exactly when every frame sits on a held boundary and
 // is right there, and empty otherwise; every received pledge is settled
-// or waiting, never both or neither; and when no frame waits, an evidence
-// body and the statement body of the same frames agree on the vouch.
+// or waiting, never both or neither; every waiting frame is ahead of
+// delivery under a master stamp for its version that verifies; and when
+// no frame waits, an evidence body and the statement body of the same
+// frames agree on the vouch. An evidence frame carries its stamp after the
+// slave's signature, and one whose stamp names another version than the
+// frame's does not decode.
 func FuzzAuditorHandlePledge(f *testing.F) {
 	put := func(key, value string) store.Op { return store.Put{Key: key, Value: []byte(value)} }
 	batches := [][]store.Op{{put("j", "1")}, {put("k", "v2")}, {put("k", "v3"), put("j", "2")}}
@@ -802,6 +806,10 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 	stale := pledge(k, cur, cur+2)      // k's answer at cur, a lie at cur+2
 	beyond := pledge(k, cur+4, cur+5)
 	lie := r.resign(r.pledgeFor(k, true), cur)
+	forgedStamp := beyond
+	forgedStamp.Stamp.Sig = bytes.Clone(beyond.Stamp.Sig)
+	forgedStamp.Stamp.Sig[0] ^= 0xff
+	minted := SignPledge(cryptoutil.DeriveKeyPair("anyone", 0), beyond.QueryBytes, beyond.ResultHash, beyond.Stamp)
 	for _, form := range []byte{pledgeFormStatement, pledgeFormEvidence} {
 		body := func(ps ...Pledge) []byte { return pledgeBody(form, ps...) }
 		f.Add(body(honest))
@@ -818,9 +826,16 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 		f.Add(body(pledge(k, cur+4, cur+4)))                          // the batch's boundary
 		f.Add(body(pledge(k, cur+1, cur+1), conflict))                // two held versions
 		f.Add(body(pledge(k, cur+4, cur+4), pledge(k, cur+3, cur+2))) // the later answer at cur+2
+		f.Add(body(forgedStamp))                                      // ahead, under a stamp no master signed
+		f.Add(body(minted, beyond))                                   // ahead, under a minted key and the slave's
 	}
 	f.Add([]byte{})
 	f.Add([]byte{2})
+	f.Add(wire.EncodeFrame(func(w *wire.Writer) { // a stamp for another version than the frame's
+		w.Byte(pledgeFormEvidence)
+		beyond.Encode(w)
+		honest.Stamp.Encode(w)
+	}))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		r, at := warm(t)
@@ -829,14 +844,13 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 		ack, err := a.handlePledge(body)
 		rd := wire.NewReader(body)
 		form := rd.Byte()
-		decode := decodeStatement
-		if form == pledgeFormEvidence {
-			decode = decodePledge
-		}
 		var ps []Pledge
 		decodes := rd.Err() == nil && form <= pledgeFormEvidence
 		for decodes && (len(ps) == 0 || rd.Remaining() > 0) {
-			p, derr := decode(rd)
+			p, derr := decodeStatement(rd)
+			if derr == nil && form == pledgeFormEvidence {
+				derr = decodeStampedEvidence(rd, &p)
+			}
 			decodes = derr == nil
 			ps = append(ps, p)
 		}
@@ -872,6 +886,13 @@ func FuzzAuditorHandlePledge(f *testing.F) {
 			t.Fatalf("ack %x (err %v), want %x: the body decodes %v, all right %v, asks for evidence %v", ack, err, want, decodes, right, asks)
 		}
 		r.checkPartition(t)
+		a.mu.Lock()
+		for _, p := range a.pending {
+			if p.Stamp.Version <= a.headLocked().Version() || p.Stamp.Verify(a.cfg.MasterPubs) != nil {
+				t.Errorf("holds a frame at version %d, delivered to %d, that is not ahead of delivery under a stamp that verifies", p.Stamp.Version, a.headLocked().Version())
+			}
+		}
+		a.mu.Unlock()
 		if decodes && form == pledgeFormEvidence && a.Backlog() == 0 {
 			r2, _ := warm(t)
 			ack2, err := r2.auditor.handlePledge(statements(ps...))

@@ -609,7 +609,7 @@ func TestClientChecksCachedPledgeEveryRead(t *testing.T) {
 // TestAuditorBacklogIsRunningCount checks the backlog against the
 // pending queue itself through admit and drain. Every pledge is ahead of
 // delivery, so none is settled on arrival; one batch is delivered, and
-// the apply loop settles the three pledges at its version and keeps the
+// its delivery settles the three pledges at its version and keeps the
 // fourth.
 func TestAuditorBacklogIsRunningCount(t *testing.T) {
 	r := newAuditorRig(t, nil)
@@ -617,8 +617,8 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 		r.auditor.mu.Lock()
 		defer r.auditor.mu.Unlock()
 		n := 0
-		for _, h := range r.auditor.pending {
-			if h.p.Stamp.Version > r.auditor.headLocked().Version() {
+		for _, p := range r.auditor.pending {
+			if p.Stamp.Version > r.auditor.headLocked().Version() {
 				n++
 			}
 		}
@@ -636,8 +636,6 @@ func TestAuditorBacklogIsRunningCount(t *testing.T) {
 			t.Errorf("backlog %d, pending holds %d, want 4", got, walk())
 		}
 		r.commit(store.Put{Key: "w", Value: []byte("1")})
-		r.auditor.rt.Spawn(r.auditor.applyLoop)
-		r.s.Sleep(3 * r.params.KeepAliveEvery)
 		if got := r.auditor.Backlog(); got != 1 || walk() != 1 {
 			t.Errorf("after drain: backlog %d, pending holds %d, want 1", got, walk())
 		}
