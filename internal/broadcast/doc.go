@@ -88,7 +88,7 @@
 // wire: b.fetch walks the entries the log holds, not the slots it names.
 // Nothing authenticates the sequencer, though: a forged b.commit that
 // reaches a member before the sequencer's takes the slot there, and that
-// member delivers it (an open hole; the repository's ROADMAP, item 3).
+// member delivers it (an open hole; the repository's ROADMAP, item 24).
 // Nor does anything authenticate a submit identity, and an origin's rise
 // by one: a forged b.submit that predicts an origin's next identity takes
 // that Broadcast's slot, and the sequencer answers the real submit as a
