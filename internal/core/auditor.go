@@ -22,7 +22,7 @@ type AuditorStats struct {
 	PledgesAudited  uint64
 	PledgesSampled  uint64 // skipped by AuditSampleP sampling
 	PledgesLate     uint64 // at a version the auditor holds no content for: not a batch boundary, or its window closed; or ahead of delivery while maxHeldFrames frames were held
-	PledgesBadSig   uint64 // disagreed with the content at their version, or were ahead of delivery, and either the slave never signed them or, ahead of delivery, no master stamped their version
+	PledgesBadSig   uint64 // disagreed with the content at their version, or were ahead of delivery, under a slave signature (or, ahead, a master stamp) that does not verify
 	PledgesVouched  uint64 // audited right in a body answered with the vouch (counted in PledgesAudited too)
 	CacheHits       uint64 // audited pledges whose answer the view's cache already held
 	Mismatches      uint64 // lies detected: audited pledges the slave signed and the content at their version contradicts
