@@ -84,7 +84,8 @@ lint:
 # happened to get: the broadcast package runs ten more times. So does the
 # slave test whose concurrent announces and the fetches they start share
 # one replica, its sync guard, its verified-stamp cache and the pooled
-# writers the batch digest is hashed through, the one where Bootstrap, a
+# writers the batch digest is hashed through, the one whose keep-alives
+# move the fetch source the fetches they start read, the one where Bootstrap, a
 # sync and announced batches race for one replica, the one whose announce
 # past the replica is answered while the fetch it starts runs on, the one
 # whose readers share the signed-pledge memo while stamps and batches
@@ -106,7 +107,7 @@ lint:
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.
 RACE_RERUNS := \
 	internal/rpc:TestTCP \
-	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveStateTransferConcurrent|TestSlaveAnnounceAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveSourceMoveConcurrent|TestSlaveStateTransferConcurrent|TestSlaveAnnounceAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
 	'internal/core:TestAuditor|TestClientVouch'
 
 race:

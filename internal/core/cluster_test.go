@@ -497,6 +497,44 @@ func TestClusterMasterCrashRedistribution(t *testing.T) {
 	}
 }
 
+// TestClusterAdoptedSlavesFollowSurvivor: a master stops for good, the
+// survivor adopts its slaves (bcAdopt), and its keep-alives, bound to its
+// own address, move their fetch source to it: every write committed after
+// the crash reaches every adopted slave.
+func TestClusterAdoptedSlavesFollowSurvivor(t *testing.T) {
+	s := sim.New(11)
+	c := newTestCluster(t, s, defaultOpts())
+	cl := c.addClient(t, 0, nil) // writes through master-0, the survivor
+	s.Go(func() {
+		s.Sleep(c.warmup())
+		cl.Setup()
+		s.Sleep(12 * c.params.KeepAliveEvery) // the slave lists propagate
+		c.net.SetDown("master-1", true)
+		c.masters[1].Stop()
+		s.Sleep(20 * c.params.KeepAliveEvery) // failure detection and adoption
+		for i := range 3 {
+			if _, err := cl.Write(store.Put{Key: fmt.Sprintf("after/%d", i), Value: []byte("1")}); err != nil {
+				t.Errorf("write %d after the crash: %v", i, err)
+			}
+		}
+		s.Sleep(4 * c.params.KeepAliveEvery)
+	})
+	s.RunUntil(sim.Epoch.Add(time.Minute))
+
+	if got := c.masters[0].Stats().SlavesAdopted; got != uint64(c.nSlavesP) {
+		t.Fatalf("the survivor adopted %d slaves, want %d", got, c.nSlavesP)
+	}
+	want := c.masters[0].Version()
+	if want <= c.masters[1].Version() {
+		t.Fatalf("survivor at %d, stopped master at %d: nothing committed after the crash", want, c.masters[1].Version())
+	}
+	for _, sl := range c.slaves[c.nSlavesP:] {
+		if sl.Version() != want || sl.sourceAddr() != "master-0" {
+			t.Errorf("adopted %s at version %d, fetching from %q; the survivor is at %d", sl.Addr(), sl.Version(), sl.sourceAddr(), want)
+		}
+	}
+}
+
 func TestClusterGreedyClientThrottled(t *testing.T) {
 	s := sim.New(8)
 	o := defaultOpts()

@@ -163,11 +163,14 @@
 //	             replica's next version), and the slave serves on at its
 //	             own version under the stamp it holds until the fetch
 //	             lands with the batch's stamp (or the newer one kept
-//	             aside). masterAddr is not signed: a forged one points the
-//	             fetches at the wrong host until the next genuine
-//	             keep-alive (≤ KeepAliveEvery), a stall of the whole
-//	             ingest, not a wrong state; ROADMAP item 22 closes
-//	             it. Reply: uvarint applied version, at once.
+//	             aside). A periodic keep-alive's stamp is of the
+//	             keep-alive kind, its digest the hash of masterAddr, and
+//	             the slave moves its fetch source to masterAddr only under
+//	             such a stamp newer than every stamp it holds: a rewritten
+//	             or replayed address moves nothing, and a survivor moves a
+//	             slave it adopted once it is past the slave's newest
+//	             version, or at it and signed later. Reply: uvarint
+//	             applied version, at once.
 //	m.sync       uvarint from (0: everything). Reply: mode byte ‖
 //	             [bytes snapshot ‖ stamp] ‖ uvarint n ‖ n × (uvarint
 //	             first ‖ uvarint k ‖ k × bytes op ‖ stamp) ‖ uvarint
@@ -410,13 +413,13 @@
 // node mutex: such work is priced after the unlock, or on a Tab paid
 // there. WAL replay runs before any sim task, with a nil meter. A master
 // pays per batch a signature, the ops' hash and an apply per op, and a
-// signature per keep-alive; a slave a verify per keep-alive, and per
-// batch a memo hit and the entry's hash; per read the query, the
-// payload's hash, the pledge's signature (or memo hits) and the reply,
-// and the auditor the answer at the read's version. A re-execution that
-// checks an answer (the auditor's, or a master's of a reported pledge)
-// costs the scan plus the payload's hash (executeQuery). A client pays
-// nothing.
+// signature per keep-alive; a slave a verify per keep-alive (and the
+// address's hash when one would move its source), and per batch a memo
+// hit and the entry's hash; per read the query, the payload's hash, the
+// pledge's signature (or memo hits) and the reply, and the auditor the
+// answer at the read's version. A re-execution that checks an answer
+// (the auditor's, or a master's of a reported pledge) costs the scan
+// plus the payload's hash (executeQuery). A client pays nothing.
 //
 // Masters can additionally be made durable (durable.go): with
 // MasterConfig.DataDir set, every committed batch — its ops and signed

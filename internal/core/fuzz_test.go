@@ -137,9 +137,11 @@ func FuzzDecodeBatchUpdate(f *testing.F) {
 // that starts every fetch — over arbitrary bodies, against a master log
 // holding one batch past the replica. The invariants: no panic; a body
 // that is not stamp ‖ string address, or whose stamp no trusted master
-// signed, is refused; an accepted one is acknowledged with a version; and
-// the slave never holds a stamp for a version its replica has not reached
-// (the hold rule), whatever the fetches it starts bring back.
+// signed, is refused; an accepted one is acknowledged with a version; the
+// slave never holds a stamp for a version its replica has not reached
+// (the hold rule), whatever the fetches it starts bring back; and it
+// fetches only from its configured master or from an address that a
+// keep-alive stamp it accepted binds.
 func FuzzSlaveHandleKeepAlive(f *testing.F) {
 	master, evil := cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("evil", 0)
 	trusted := []cryptoutil.PublicKey{master.Public}
@@ -157,6 +159,10 @@ func FuzzSlaveHandleKeepAlive(f *testing.F) {
 	for _, body := range [][]byte{
 		honest,
 		keepAliveFrame(batch.Stamp), // the batch's announce
+		keepAliveFrame(signKeepAlive(master, "master", 1, now)),                                  // a keep-alive stamp beside its own address
+		keepAliveFrameFrom(signKeepAlive(master, "master", 1, now), "other"),                     // beside another address
+		keepAliveFrameFrom(signKeepAlive(master, "other", 5, now.Add(time.Second)), "other"),     // bound to another address, and newer: moves the source
+		keepAliveFrameFrom(batch.Stamp, "other"),                                                 // a batch stamp beside an address
 		keepAliveFrame(SignStamp(master, 9, now)),                                                // ahead of anything the log holds
 		keepAliveFrame(SignStamp(evil, 1, now)),                                                  // an untrusted key
 		keepAliveFrame(SignStamp(master, 1, now))[:40],                                           // truncated inside the stamp
@@ -166,12 +172,20 @@ func FuzzSlaveHandleKeepAlive(f *testing.F) {
 	} {
 		f.Add(body)
 	}
+	bound := map[string]bool{"master": true} // where the slave may fetch from: its configured master
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ack, err := sl.Handle("master", MethodKeepAlive, body)
 		r := wire.NewReader(body)
 		stamp, decodeErr := DecodeStamp(r)
-		_ = r.String() // the master address
-		if decodeErr != nil || r.Done() != nil || stamp.Verify(trusted) != nil {
+		addr := r.String() // the master address
+		trustedFrame := decodeErr == nil && r.Done() == nil && stamp.Verify(trusted) == nil
+		if trustedFrame && stamp.bindsAddr(addr, nil) {
+			bound[addr] = true
+		}
+		if source := sl.sourceAddr(); !bound[source] {
+			t.Fatalf("fetches from %q, an address no accepted keep-alive stamp binds", source)
+		}
+		if !trustedFrame {
 			if err == nil {
 				t.Fatal("accepted a keep-alive that is not a trusted stamp ‖ address")
 			}
@@ -380,6 +394,11 @@ func FuzzDecodeReadReply(f *testing.F) {
 	f.Add(EncodeReadReply(ReadReply{Payload: []byte("a lie"), Pledge: batch, XLie: true}))
 	f.Add(EncodeReadReply(ReadReply{}))
 	f.Add(withoutStamp)
+	keep := fx.pledge
+	keep.Stamp = signKeepAlive(fx.master, "master", 7, time.Unix(1000, 0))
+	f.Add(EncodeReadReply(ReadReply{Payload: []byte("result"), Pledge: keep})) // a keep-alive stamp: decodes and re-encodes
+	keep.Stamp.Kind = 7
+	f.Add(EncodeReadReply(ReadReply{Payload: []byte("result"), Pledge: keep})) // a kind with no signing domain: refused
 	f.Add(EncodeReadReply(ReadReply{Payload: []byte("a lie"), Pledge: left, XLie: true}))
 	f.Add(honest[:len(honest)/2]) // truncated inside the stamp
 	f.Add(withoutStamp[:len(withoutStamp)-3])

@@ -156,8 +156,9 @@ type Master struct {
 	dlr rpc.Dialer
 	rng *rand.Rand
 
-	bcast *broadcast.Member
-	meter *cryptoutil.Meter
+	bcast    *broadcast.Member
+	meter    *cryptoutil.Meter
+	addrHash cryptoutil.Digest // addrDigest(cfg.Addr): what each keep-alive stamp it signs binds
 
 	mu          sync.Mutex
 	store       *store.Store                 // guarded by mu
@@ -217,6 +218,7 @@ func NewMaster(cfg MasterConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.
 		lastTruncate: rt.Now(),
 		greedy:       newGreedyTracker(cfg.Params),
 		meter:        cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
+		addrHash:     addrDigest(cfg.Addr),
 	}
 	bm, err := broadcast.New(broadcast.Config{
 		Self:           cfg.Addr,
@@ -1193,17 +1195,17 @@ func (m *Master) applyReadmit(r *wire.Reader) {
 
 // --- Background loops ---------------------------------------------------------
 
-// sendKeepAlives signs one stamp for the store's version — every batch
-// there is durable (applyBatch) — and sends it to each slave, recording
-// the version each acknowledges in reply: the stability signal truncation
-// runs on. The periodic loop, a readmission and an adoption all send
-// through it.
+// sendKeepAlives signs one keep-alive stamp, bound to this master's
+// address, for the store's version — every batch there is durable
+// (applyBatch) — and sends it to each slave, recording the version each
+// acknowledges in reply: the stability signal truncation runs on. The
+// periodic loop, a readmission and an adoption all send through it.
 func (m *Master) sendKeepAlives(slaves []pki.Certificate) {
 	m.mu.Lock()
 	version := m.store.Version()
 	m.mu.Unlock()
 	m.meter.Sign()
-	m.fanOut(slaves, SignStamp(m.cfg.Keys, version, m.rt.Now()))
+	m.fanOut(slaves, signStamp(m.cfg.Keys, stampKindKeepAlive, version, m.rt.Now(), m.addrHash))
 }
 
 // broadcastSlaveList tells every master this master's slave set: the set

@@ -129,9 +129,9 @@ func TestBootstrapRejectsTamperedSnapshot(t *testing.T) {
 	var err error
 	s.Go(func() {
 		s.Sleep(c.warmup())
-		sl.SetMaster("mitm")
+		sl.setSource("mitm")
 		err = sl.Bootstrap()
-		sl.SetMaster(realMaster)
+		sl.setSource(realMaster)
 	})
 	s.RunUntil(sim.Epoch.Add(10 * time.Second))
 	if err == nil {

@@ -221,7 +221,7 @@ func TestSlaveResultMemoSafety(t *testing.T) {
 				other.Apply(store.Put{Key: "k", Value: []byte("v")})
 			}
 			reply = func() []byte { return snapshotReply(r.master, other, r.s.Now()) }
-			r.slave.SetMaster("src")
+			r.slave.setSource("src")
 			was := r.slave.Version()
 			if err := r.slave.Bootstrap(); err != nil || r.slave.Version() != was {
 				t.Errorf("bootstrap: %v, version %d after %d", err, r.slave.Version(), was)

@@ -23,8 +23,8 @@
 // Safety of a hit. A verifier's key is a digest over the whole signed body
 // AND the signature: a seen signature on an altered body, a seen body
 // under a garbage signature, a verdict replayed under another signer (the
-// signer's key is in every body; the domain strings vstamp.v1 and
-// vbatch.v1 keep the kinds apart) all miss. Only positive verdicts are
+// signer's key is in every body; each stamp kind's domain string,
+// stampDomains, keeps the kinds apart) all miss. Only positive verdicts are
 // stored, after a full Verify. A signer's key is the digest of the body
 // and its entry the signature made for it, so a hit returns the bytes
 // signing again would; a corrupted payload has another result hash, hence

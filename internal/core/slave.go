@@ -40,7 +40,7 @@ type SlaveConfig struct {
 	Addr       string
 	Keys       *cryptoutil.KeyPair
 	Params     Params
-	MasterAddr string
+	MasterAddr string // the first source: a bound keep-alive moves it (handleKeepAlive)
 	// MasterPubs are the trusted master keys used to verify stamps.
 	MasterPubs []cryptoutil.PublicKey
 	// Behavior is Honest{} for a correct slave or a malicious model.
@@ -68,6 +68,7 @@ type Slave struct {
 
 	mu        sync.Mutex
 	store     *store.Store // guarded by mu
+	source    string       // guarded by mu; the master it bootstraps and fetches from
 	lastStamp VersionStamp // guarded by mu
 	syncing   bool         // guarded by mu; single-flight: at most one syncFrom in progress
 	ahead     VersionStamp // guarded by mu; the newest stamp that came ahead of the replica
@@ -90,6 +91,7 @@ func NewSlave(cfg SlaveConfig, rt sim.Runtime, dlr rpc.Dialer, initial *store.St
 		dlr:     dlr,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		store:   initial.Clone(),
+		source:  cfg.MasterAddr,
 		stamps:  newSigCache(stampMemoSize),
 		pledges: newSigCache(pledgeSignMemoSize),
 		meter:   cryptoutil.NewMeter(cfg.CPU, cfg.Params.Costs),
@@ -126,16 +128,6 @@ func (s *Slave) Addr() string { return s.cfg.Addr }
 // PublicKey returns the slave's public key.
 func (s *Slave) PublicKey() cryptoutil.PublicKey { return s.cfg.Keys.Public }
 
-// SetMaster sets the address the slave bootstraps and syncs from. No node
-// calls it: after a master crash the survivor that adopts this slave
-// repoints it with its own keep-alive, which names its sender. Tests use
-// it to aim a slave at a scripted or hostile source.
-func (s *Slave) SetMaster(addr string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cfg.MasterAddr = addr
-}
-
 // SetBehavior swaps the slave's behaviour model. It models §3.5 recovery:
 // a compromised slave restored "to a safe state" becomes Honest again
 // before being readmitted.
@@ -155,9 +147,9 @@ func (s *Slave) SetBehavior(b Behavior) {
 // slave recovering from a compromise means nothing.
 func (s *Slave) Bootstrap() error {
 	s.mu.Lock()
-	masterAddr := s.cfg.MasterAddr
+	source := s.source
 	s.mu.Unlock()
-	st, err := fetchStateTransfer(s.dlr, masterAddr, 0, s.cfg.Params, s.meter, s.cfg.MasterPubs, s.stamps)
+	st, err := fetchStateTransfer(s.dlr, source, 0, s.cfg.Params, s.meter, s.cfg.MasterPubs, s.stamps)
 	if err != nil {
 		return err
 	}
@@ -195,16 +187,17 @@ func (s *Slave) handleKeepAlive(from string, body []byte) ([]byte, error) {
 	if err := s.stamps.verifyStamp(&stamp, s.cfg.MasterPubs, s.meter); err != nil {
 		return nil, err
 	}
+	tab := s.meter.Tab()
+	defer tab.Pay()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.KeepAlives++
-	// The keep-alive names its sending master; adopt it as our sync
-	// source (handles slave-set redistribution after a master crash). The
-	// address is not signed: a spoofed one stalls the slave's fetches until
-	// the next genuine keep-alive, but synced ops themselves verify against
-	// master-signed stamps.
-	if masterAddr != "" {
-		s.cfg.MasterAddr = masterAddr
+	// The source moves to the named master only under a keep-alive stamp
+	// bound to that address and newer than every stamp held: a survivor's
+	// first keep-alive repoints a slave it adopted (§3), while a rewritten
+	// address or a replayed keep-alive moves nothing.
+	if masterAddr != s.source && newerStamp(stamp, s.lastStamp) && newerStamp(stamp, s.ahead) && stamp.bindsAddr(masterAddr, tab) {
+		s.source = masterAddr
 	}
 	// A keep-alive is a transfer of no batches: nothing to apply or fail.
 	// One that announces a batch past the replica starts its fetch.
@@ -284,8 +277,8 @@ func (s *Slave) adoptTransferLocked(st *stateTransfer) (int, error) {
 	if newerStamp(stamp, s.ahead) {
 		s.ahead = stamp
 	}
-	addr := s.cfg.MasterAddr
-	s.rt.Spawn(func() { s.syncFrom(addr) })
+	source := s.source
+	s.rt.Spawn(func() { s.syncFrom(source) })
 	return applied, nil
 }
 

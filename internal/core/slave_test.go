@@ -527,6 +527,88 @@ func TestSlaveAdoptsKeptStampWithFetch(t *testing.T) {
 	}
 }
 
+// setSource aims the slave's bootstrap and fetches at addr, as a
+// keep-alive bound to addr would: tests use it for a scripted or hostile
+// source.
+func (s *Slave) setSource(addr string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.source = addr
+}
+
+// sourceAddr is the address the slave fetches from.
+func (s *Slave) sourceAddr() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.source
+}
+
+// TestSlaveSourceMovesOnlyToBoundAddress: a keep-alive moves the slave's
+// fetch source only to the address its stamp is a keep-alive stamp for,
+// and only when that stamp is newer than every stamp the slave holds. In
+// each row the slave holds the rig master's keep-alive for version 1; one
+// frame arrives, and then a batch announce that names no address, whose
+// fetch goes wherever the source points.
+func TestSlaveSourceMovesOnlyToBoundAddress(t *testing.T) {
+	second := cryptoutil.DeriveKeyPair("master", 1)
+	cases := []struct {
+		name  string
+		frame func(r *slaveRig, held time.Time) []byte
+		want  string
+	}{
+		{"genuine keep-alive, rewritten address", func(r *slaveRig, held time.Time) []byte {
+			return keepAliveFrameFrom(signKeepAlive(r.master, "master", 1, held.Add(time.Millisecond)), "attacker")
+		}, "master"},
+		{"replayed older keep-alive of a second master", func(r *slaveRig, held time.Time) []byte {
+			return keepAliveFrameFrom(signKeepAlive(second, "master-1", 1, held.Add(-time.Millisecond)), "master-1")
+		}, "master"},
+		{"newer keep-alive of a second master", func(r *slaveRig, held time.Time) []byte {
+			return keepAliveFrameFrom(signKeepAlive(second, "master-1", 1, held.Add(time.Millisecond)), "master-1")
+		}, "master-1"},
+		{"stamp that binds no address", func(r *slaveRig, held time.Time) []byte {
+			return keepAliveFrameFrom(SignStamp(second, 1, held.Add(time.Millisecond)), "master-1")
+		}, "master"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newSlaveRig(t, Honest{})
+			r.slave.cfg.MasterPubs = append(r.slave.cfg.MasterPubs, second.Public)
+			other := new(batchLog)
+			r.net.Register("master-1", other.handle)
+			attacked := 0
+			r.net.Register("attacker", func(_, _ string, _ []byte) ([]byte, error) {
+				attacked++
+				return nil, errors.New("attacker")
+			})
+			bu := oneOp(r.master, 2, store.Put{Key: "k", Value: []byte("w")}, sim.Epoch)
+			r.log.add(bu)
+			other.add(bu)
+			var moved string
+			r.s.Go(func() {
+				r.keepAlive(1)
+				if _, err := r.slave.Handle("peer", MethodKeepAlive, tc.frame(r, r.slave.adoptedStamp().Timestamp)); err != nil {
+					t.Errorf("keep-alive: %v", err)
+				}
+				moved = r.slave.sourceAddr()
+				if _, err := r.slave.Handle("peer", MethodKeepAlive, keepAliveFrameFrom(bu.Stamp, "")); err != nil {
+					t.Errorf("announce: %v", err)
+				}
+			})
+			r.s.Run()
+			if moved != tc.want {
+				t.Fatalf("source %q after the keep-alive, want %q", moved, tc.want)
+			}
+			fetched := map[string]int{"master": r.log.syncCount(), "master-1": other.syncCount(), "attacker": attacked}
+			if fetched[tc.want] != 1 || fetched["master"]+fetched["master-1"]+fetched["attacker"] != 1 {
+				t.Fatalf("the announce was fetched %v; want once from %s", fetched, tc.want)
+			}
+			if r.slave.Version() != 2 {
+				t.Fatalf("slave at version %d after the fetch, want 2", r.slave.Version())
+			}
+		})
+	}
+}
+
 // storeGet is a test accessor.
 func (s *Slave) storeGet(key string) ([]byte, bool) {
 	s.mu.Lock()

@@ -149,8 +149,8 @@ var transferTamperCases = []transferTamper{
 		p.batches[1].First, p.batches[1].Ops = 5, p.batches[1].Ops[1:] // still closes at version 7
 	}),
 	tampered("record under a per-op stamp", func(p *transferParts, m, _ *cryptoutil.KeyPair, _ time.Time) {
-		p.batches[1].Stamp.Kind = stampKindOp // the batch's own digest, signed in the snapshot domain
-		p.batches[1].Stamp.sign(m)
+		st := p.batches[1].Stamp // the batch's own digest, signed in the snapshot domain
+		p.batches[1].Stamp = signStamp(m, stampKindOp, st.Version, st.Timestamp, st.OpDigest)
 	}),
 	tampered("record a strict prefix of its signed batch", func(p *transferParts, _, _ *cryptoutil.KeyPair, _ time.Time) {
 		p.batches[1].Ops = p.batches[1].Ops[:2]
@@ -329,7 +329,7 @@ func TestStateTransferTamperTable(t *testing.T) {
 			return newSlaveConsumer(t, at, answer, func(s *Slave) error { return s.syncFrom("src") })
 		}},
 		{"slave bootstrap", func(t *testing.T, at uint64, answer syncAnswer) *transferConsumer {
-			return newSlaveConsumer(t, at, answer, func(s *Slave) error { s.SetMaster("src"); return s.Bootstrap() })
+			return newSlaveConsumer(t, at, answer, func(s *Slave) error { s.setSource("src"); return s.Bootstrap() })
 		}},
 		{"master catch-up", newMasterConsumer},
 	}
@@ -387,7 +387,7 @@ func TestBootstrapReplacesAheadReplica(t *testing.T) {
 		if !r.slave.StateDigest().Equal(ahead) {
 			t.Error("sync replaced a replica ahead of the snapshot")
 		}
-		r.slave.SetMaster("src")
+		r.slave.setSource("src")
 		bootErr = r.slave.Bootstrap()
 	})
 	r.s.Run()
@@ -488,7 +488,7 @@ func TestBootstrapRefusesRecordsOnlyReply(t *testing.T) {
 		return p.encode(), nil
 	})
 	var err error
-	r.s.Go(func() { r.slave.SetMaster("src"); err = r.slave.Bootstrap() })
+	r.s.Go(func() { r.slave.setSource("src"); err = r.slave.Bootstrap() })
 	r.s.Run()
 	if err == nil || r.slave.Version() != 1 {
 		t.Fatalf("bootstrap from records alone: err = %v, version %d", err, r.slave.Version())

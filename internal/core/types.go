@@ -28,29 +28,28 @@ var (
 	ErrNoSlaves  = errors.New("core: master has no slaves available")
 )
 
-// Stamp kinds. A keep-alive stamp's OpDigest is zero and a snapshot
-// stamp's is the hash of the snapshot bytes it authorizes (both
-// stampKindOp); a batch stamp's OpDigest is the hash of a commit's own
-// bytes (BatchDigest). Both digests are plain hashes of bytes anyone can
-// shape — op bytes are chosen by clients — so the kinds are
-// domain-separated in the signature: without it, a snapshot stamp whose
-// bytes parse as a batch prefix would pass as that batch's stamp (or vice
-// versa).
+// Stamp kinds: what a stamp's OpDigest covers. Each kind signs under a
+// domain of its own (stampDomains), so a digest of one kind never passes
+// as another's: every digest hashes bytes that anyone can shape — op bytes
+// are chosen by clients — and without the domains a snapshot whose bytes
+// parse as a batch prefix would pass as that batch's stamp. decodeStamp
+// refuses any other kind.
 const (
-	stampKindOp    byte = 0
-	stampKindBatch byte = 1
+	stampKindOp        byte = 0 // a snapshot's hash (SignStampWithOp), or zero (SignStamp)
+	stampKindBatch     byte = 1 // a committed batch's BatchDigest (SignBatchStamp)
+	stampKindKeepAlive byte = 2 // the hash of the sending master's address (addrDigest)
 )
+
+var stampDomains = [...]string{stampKindOp: "vstamp.v1", stampKindBatch: "vbatch.v1", stampKindKeepAlive: "vkeep.v1"}
 
 // VersionStamp is the signed, time-stamped content version that masters
 // attach to slave updates and keep-alive packets (§3.1). Slaves embed the
 // latest stamp in every pledge; clients use its timestamp to bound
 // staleness by max_latency.
 //
-// For update stamps (Kind = stampKindBatch), OpDigest is the hash of the
-// commit's encoded operations (BatchDigest), so a replica applies only
-// master-authorized ops even over an unauthenticated transport;
-// keep-alive stamps carry a zero digest and snapshot stamps the hash of
-// the snapshot.
+// OpDigest is what Kind says it covers (the stamp kinds above): for a
+// batch stamp the commit's BatchDigest, so a replica applies only
+// master-authorized ops even over an unauthenticated transport.
 type VersionStamp struct {
 	Version   uint64
 	Timestamp time.Time
@@ -64,11 +63,7 @@ type VersionStamp struct {
 // Verify run it through a pooled writer so the (very hot) stamp paths
 // do not allocate a fresh buffer per signature operation.
 func (v *VersionStamp) appendSignedBytes(w *wire.Writer) {
-	if v.Kind == stampKindBatch {
-		w.String_("vbatch.v1")
-	} else {
-		w.String_("vstamp.v1")
-	}
+	w.String_(stampDomains[v.Kind])
 	w.Uvarint(v.Version)
 	w.Time(v.Timestamp)
 	w.Bytes_(v.OpDigest[:])
@@ -81,29 +76,38 @@ func (v *VersionStamp) signedBytes() []byte {
 	return wire.EncodeFrame(v.appendSignedBytes)
 }
 
-func (v *VersionStamp) sign(master *cryptoutil.KeyPair) {
+// signStamp is the one stamp signer: a stamp of kind for (version, ts)
+// whose OpDigest is digest, signed under the master's key.
+func signStamp(master *cryptoutil.KeyPair, kind byte, version uint64, ts time.Time, digest cryptoutil.Digest) VersionStamp {
+	v := VersionStamp{Version: version, Timestamp: ts, OpDigest: digest, MasterPub: master.Public, Kind: kind}
 	wire.Borrow(v.appendSignedBytes, func(b []byte) { v.Sig = master.Sign(b) })
+	return v
 }
 
-// SignStamp creates a keep-alive stamp for (version, ts) under the
-// master's key.
+// SignStamp creates a stamp for (version, ts) under the master's key whose
+// digest is zero: it authenticates no bytes and binds no address.
 func SignStamp(master *cryptoutil.KeyPair, version uint64, ts time.Time) VersionStamp {
-	v := VersionStamp{Version: version, Timestamp: ts, MasterPub: master.Public}
-	v.sign(master)
-	return v
+	return signStamp(master, stampKindOp, version, ts, cryptoutil.Digest{})
 }
 
 // SignStampWithOp creates a stamp that additionally authenticates opBytes
 // by their hash: the encoded state snapshot at this version. Committed
 // writes are stamped by SignBatchStamp.
 func SignStampWithOp(master *cryptoutil.KeyPair, version uint64, ts time.Time, opBytes []byte) VersionStamp {
-	v := VersionStamp{
-		Version: version, Timestamp: ts,
-		OpDigest:  cryptoutil.HashBytes(opBytes),
-		MasterPub: master.Public,
+	return signStamp(master, stampKindOp, version, ts, cryptoutil.HashBytes(opBytes))
+}
+
+// addrDigest is what a keep-alive stamp signs for its master's address.
+func addrDigest(addr string) cryptoutil.Digest { return cryptoutil.HashBytes([]byte(addr)) }
+
+// bindsAddr reports whether the stamp is a keep-alive stamp signed for
+// addr, pricing the address's hash on m when the kind leaves it to decide.
+func (v *VersionStamp) bindsAddr(addr string, m *cryptoutil.Meter) bool {
+	if v.Kind != stampKindKeepAlive {
+		return false
 	}
-	v.sign(master)
-	return v
+	m.Hash(len(addr))
+	return v.OpDigest.Equal(addrDigest(addr))
 }
 
 // AuthenticatesOp reports whether the stamp's digest is the hash of
@@ -160,13 +164,7 @@ func BatchDigest(first uint64, ops [][]byte) (d cryptoutil.Digest) {
 // Version is the batch's last version and its OpDigest the batch's
 // BatchDigest.
 func SignBatchStamp(master *cryptoutil.KeyPair, lastVersion uint64, ts time.Time, digest cryptoutil.Digest) VersionStamp {
-	v := VersionStamp{
-		Version: lastVersion, Timestamp: ts,
-		OpDigest: digest, MasterPub: master.Public,
-		Kind: stampKindBatch,
-	}
-	v.sign(master)
-	return v
+	return signStamp(master, stampKindBatch, lastVersion, ts, digest)
 }
 
 // BatchUpdate is one whole batched commit: the ops for versions
@@ -348,7 +346,9 @@ func decodeStamp(r *wire.Reader) (VersionStamp, error) {
 		return v, fmt.Errorf("core: bad op digest length %d", len(d))
 	}
 	v.MasterPub = cryptoutil.PublicKey(r.BytesView())
-	v.Kind = r.Byte()
+	if v.Kind = r.Byte(); int(v.Kind) >= len(stampDomains) {
+		return v, fmt.Errorf("core: unknown stamp kind %d", v.Kind)
+	}
 	v.Sig = r.BytesView()
 	return v, r.Err()
 }

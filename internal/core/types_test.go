@@ -64,6 +64,53 @@ func TestStampCodec(t *testing.T) {
 	}
 }
 
+// TestStampDecodeRefusesUnknownKind: the stamp kinds are a closed set. A
+// stamp relabelled with a kind that has no signing domain does not decode;
+// were unknown kinds signed under the snapshot domain, a SignStamp stamp
+// relabelled as kind 7 would decode and verify.
+func TestStampDecodeRefusesUnknownKind(t *testing.T) {
+	m := cryptoutil.DeriveKeyPair("master", 0)
+	st := SignStamp(m, 3, time.Unix(7, 0).UTC())
+	for _, kind := range []byte{3, 7, 0xff} {
+		relabelled := st
+		relabelled.Kind = kind
+		w := wire.NewWriter(0)
+		relabelled.Encode(w)
+		if got, err := DecodeStamp(wire.NewReader(w.Bytes())); err == nil {
+			t.Fatalf("a stamp of kind %d decoded (verify: %v)", kind, got.Verify([]cryptoutil.PublicKey{m.Public}))
+		}
+	}
+}
+
+// TestStampKindsAuthenticateOnlyTheirOwn: a stamp's kind says what its
+// digest covers. Every row's stamp carries the hash of the same bytes; only
+// the snapshot kind authenticates them as a snapshot and only the
+// keep-alive kind binds them as its master's address.
+func TestStampKindsAuthenticateOnlyTheirOwn(t *testing.T) {
+	m := cryptoutil.DeriveKeyPair("master", 0)
+	ts := time.Unix(5, 0).UTC()
+	addr := "master-0"
+	for _, tc := range []struct {
+		name              string
+		stamp             VersionStamp
+		snapshot, address bool
+	}{
+		{"snapshot", SignStampWithOp(m, 1, ts, []byte(addr)), true, false},
+		{"batch", SignBatchStamp(m, 1, ts, addrDigest(addr)), false, false},
+		{"keep-alive", signKeepAlive(m, addr, 1, ts), false, true},
+	} {
+		if err := tc.stamp.Verify([]cryptoutil.PublicKey{m.Public}); err != nil {
+			t.Fatalf("%s stamp: %v", tc.name, err)
+		}
+		if got := tc.stamp.AuthenticatesOp([]byte(addr)); got != tc.snapshot {
+			t.Errorf("%s stamp authenticates the bytes as a snapshot: %v, want %v", tc.name, got, tc.snapshot)
+		}
+		if got := tc.stamp.bindsAddr(addr, nil); got != tc.address {
+			t.Errorf("%s stamp binds the address: %v, want %v", tc.name, got, tc.address)
+		}
+	}
+}
+
 func TestPledgeSignVerifyCodec(t *testing.T) {
 	m := cryptoutil.DeriveKeyPair("master", 0)
 	s := cryptoutil.DeriveKeyPair("slave", 0)

@@ -87,13 +87,21 @@ func (l *batchLog) CallTimeout(_, method string, body []byte, _ time.Duration) (
 	return l.handle("slave", method, body)
 }
 
-// keepAliveFrame is the s.keepalive body a master sends: stamp ‖ its
-// address.
-func keepAliveFrame(stamp VersionStamp) []byte {
+// keepAliveFrame is the s.keepalive body the rig's master sends: stamp ‖
+// its address.
+func keepAliveFrame(stamp VersionStamp) []byte { return keepAliveFrameFrom(stamp, "master") }
+
+// keepAliveFrameFrom is the s.keepalive body stamp ‖ addr.
+func keepAliveFrameFrom(stamp VersionStamp, addr string) []byte {
 	return wire.EncodeFrame(func(w *wire.Writer) {
 		stamp.Encode(w)
-		w.String_("master")
+		w.String_(addr)
 	})
+}
+
+// signKeepAlive signs the keep-alive stamp a master at addr sends.
+func signKeepAlive(master *cryptoutil.KeyPair, addr string, version uint64, ts time.Time) VersionStamp {
+	return signStamp(master, stampKindKeepAlive, version, ts, addrDigest(addr))
 }
 
 // announce sends sl the keep-alive that names stamp, as a master announces
@@ -192,8 +200,7 @@ var batchTamperCases = []batchTamper{
 	}},
 	{"per-op stamp over the batch digest", func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
 		bu := signedBatch(m, 2, waveOps(8), now)
-		bu.Stamp.Kind = stampKindOp
-		bu.Stamp.sign(m)
+		bu.Stamp = signStamp(m, stampKindOp, bu.Stamp.Version, now, bu.Stamp.OpDigest)
 		return entryBytes(bu)
 	}},
 	{"per-op stamp of the last op", func(m, _ *cryptoutil.KeyPair, now time.Time) []byte {
@@ -504,6 +511,42 @@ func TestSlaveUpdateBatchConcurrent(t *testing.T) {
 	}
 	if got := sl.adoptedStamp(); got.Version != 511 {
 		t.Fatalf("adopted stamp at version %d, want 511", got.Version)
+	}
+}
+
+// TestSlaveSourceMoveConcurrent: keep-alives bound to two masters arrive
+// from goroutines of their own, as rpc.TCPServer runs handlers, each ahead
+// of the replica, so the fetch source moves while the fetches they start
+// read it. The replica still ends at the log's last version, fetching
+// from one of the two bound addresses.
+func TestSlaveSourceMoveConcurrent(t *testing.T) {
+	keys := []*cryptoutil.KeyPair{cryptoutil.DeriveKeyPair("master", 0), cryptoutil.DeriveKeyPair("master", 1)}
+	addrs := []string{"master", "master-1"}
+	log := new(batchLog)
+	sl := NewSlave(SlaveConfig{
+		Addr: "slave", Keys: cryptoutil.DeriveKeyPair("slave", 0), Params: DefaultParams(),
+		MasterAddr: "master", MasterPubs: []cryptoutil.PublicKey{keys[0].Public, keys[1].Public},
+	}, sim.RealClock{}, log, store.New())
+	now := time.Now()
+	log.add(signedBatch(keys[0], 1, waveOps(256), now))
+
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stamp := signKeepAlive(keys[i%2], addrs[i%2], uint64(i+1), now.Add(time.Duration(i)*time.Millisecond))
+			if _, err := sl.Handle(addrs[i%2], MethodKeepAlive, keepAliveFrameFrom(stamp, addrs[i%2])); err != nil {
+				t.Errorf("bound keep-alive refused: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := awaitVersion(sl, 256); err != nil {
+		t.Fatal(err)
+	}
+	if source := sl.sourceAddr(); source != addrs[0] && source != addrs[1] {
+		t.Fatalf("fetches from %q", source)
 	}
 }
 

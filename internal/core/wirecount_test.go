@@ -18,25 +18,22 @@ var hugeCount = wire.EncodeFrame(func(w *wire.Writer) {
 	w.Uvarint(1 << 62)
 })
 
-// TestSlaveSurvivesHostileSyncCount is the remote crash as an attacker runs
-// it: replay a genuine keep-alive stamp to the slave with the attacker's
-// own address beside it (the address is outside the signature), and answer
-// the sync the slave then sends there.
+// TestSlaveSurvivesHostileSyncCount is the remote crash as a hostile
+// source runs it: a slave whose configured master is the attacker hears a
+// genuine keep-alive ahead of its replica, and the attacker answers the
+// sync the slave then sends it.
 func TestSlaveSurvivesHostileSyncCount(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
+	cfg := r.slave.cfg
+	cfg.MasterAddr = "attacker"
+	r.slave = NewSlave(cfg, r.s, r.net.Dialer("slave"), r.slave.store)
 	asked := 0
 	r.net.Register("attacker", func(from, method string, body []byte) ([]byte, error) {
 		asked++
 		return hugeCount, nil
 	})
 	r.s.Go(func() {
-		stamp := SignStamp(r.master, 5, r.s.Now()) // ahead of the replica: the slave will sync
-		w := wire.NewWriter(128)
-		stamp.Encode(w)
-		w.String_("attacker")
-		if _, err := r.slave.Handle("attacker", MethodKeepAlive, w.Bytes()); err != nil {
-			t.Errorf("keep-alive: %v", err)
-		}
+		r.keepAlive(5) // ahead of the replica: the slave will sync
 	})
 	r.s.Run()
 	if asked != 1 {
