@@ -48,7 +48,8 @@ type ClientStats struct {
 	StampCacheMisses uint64
 	// PledgesVerified counts slave signature checks: one per pledge of an
 	// answer the auditor did not vouch for, and one per pledge about to be
-	// reported.
+	// reported. A signature its slave would not give (s.sign refused or
+	// failed) counts as a check that failed, in BadPledges too.
 	PledgesVerified uint64
 }
 
@@ -98,9 +99,10 @@ type slaveAssignment struct {
 
 // group is the client's view of one master group, the owner of one range
 // of the shard table: the masters certified for its shard, the one the
-// client talks to, the slaves that master assigned, and the auditor that
-// takes its pledges. id and auditor are fixed at setup; Client.mu covers
-// the rest.
+// client talks to, the slaves that master assigned, the auditor that
+// takes its pledges, and the newest version that auditor vouched for a
+// read of this client's at. id and auditor are fixed at setup; Client.mu
+// covers the rest.
 type group struct {
 	id         uint32
 	auditor    string
@@ -109,6 +111,7 @@ type group struct {
 	masterPub  cryptoutil.PublicKey   // our master (slave cert check)
 	masterPubs []cryptoutil.PublicKey // the group's masters (stamp check); replaced, never mutated in place
 	slaves     []*slaveAssignment
+	vouched    uint64 // the auditor had delivered this version: a read at it is not ahead
 }
 
 // Client performs reads against its assigned slaves and writes against its
@@ -631,11 +634,14 @@ var errRetry = errors.New("core: retryable read failure")
 // vouched for the answer (pledgeVouch) — the trusted auditor found that
 // result hash at that signed, fresh version, so there is no lie to pin on
 // anyone, and a lie is never vouched for — and in reportPledge, before any
-// report is filed.
+// report is filed. A reply carries the slave's signature only when the
+// request asked for it (callSlaveRead); every other signature is fetched
+// (s.sign) where it is checked, and where the auditor asks for evidence.
 func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
 	assigns := slices.Clone(g.slaves[:min(len(g.slaves), c.cfg.KSlaves)])
 	masterPubs := g.masterPubs
+	vouched := g.vouched
 	c.mu.Unlock()
 	if len(assigns) == 0 {
 		return nil, ErrNoSlaves
@@ -643,7 +649,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	replies := make([]ReadReply, len(assigns))
 	agree := true
 	for i, sl := range assigns {
-		reply, held, err := c.callSlaveRead(g, sl, queryBytes)
+		reply, held, err := c.callSlaveRead(g, sl, queryBytes, vouched)
 		if err != nil {
 			return nil, err
 		}
@@ -658,17 +664,17 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 		check := c.rng.Float64() < checkProb
 		c.mu.Unlock()
 		if check {
-			if err := c.doubleCheck(g, assigns[0].addr, queryBytes, replies[0]); err != nil {
+			if err := c.doubleCheck(g, assigns[0], queryBytes, replies[0]); err != nil {
 				return nil, err
 			}
 		}
-		vouched, err := c.forwardPledges(g, replies)
+		vouched, err := c.forwardPledges(g, assigns, replies)
 		if err != nil {
 			return nil, err
 		}
 		if !vouched {
 			for i := range replies {
-				if err := c.verifyPledge(&replies[i].Pledge); err != nil {
+				if err := c.verifyPledge(assigns[i], &replies[i].Pledge); err != nil {
 					return nil, err
 				}
 			}
@@ -695,7 +701,7 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 	var liars []string
 	for i, r := range replies {
 		if version == r.Pledge.Stamp.Version && !digest.Equal(r.Pledge.ResultHash) {
-			if err := c.reportPledge(g, &r.Pledge); err == nil {
+			if err := c.reportPledge(g, assigns[i], &r.Pledge); err == nil {
 				c.mu.Lock()
 				c.stats.ReportsFiled++
 				c.stats.CaughtImmediate++
@@ -719,11 +725,14 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 // names the stamp held from the slave, captured before the call and
 // returned with the reply: a reply that leaves its stamp out is completed
 // from that one, never from a stamp a concurrent read stored meanwhile.
-func (c *Client) callSlaveRead(g *group, sl *slaveAssignment, queryBytes []byte) (_ ReadReply, held *VersionStamp, _ error) {
+// It asks for the slave's signature up front (asksSignature) only when the
+// read may be accepted without the vouch for a reason other than a lie.
+func (c *Client) callSlaveRead(g *group, sl *slaveAssignment, queryBytes []byte, vouched uint64) (_ ReadReply, held *VersionStamp, _ error) {
 	c.mu.Lock()
 	held = sl.stamp
 	c.mu.Unlock()
-	body, err := c.dlr.CallTimeout(sl.addr, MethodRead, encodeReadRequest(queryBytes, held), c.cfg.Params.ReadTimeout)
+	req := encodeReadRequest(queryBytes, held, c.asksSignature(held, vouched))
+	body, err := c.dlr.CallTimeout(sl.addr, MethodRead, req, c.cfg.Params.ReadTimeout)
 	if err != nil {
 		if rpc.IsRemote(err) && strings.Contains(err.Error(), ErrStale.Error()) {
 			// Honest slave is out of sync (§3.1); wait a beat and retry.
@@ -747,6 +756,19 @@ func (c *Client) callSlaveRead(g *group, sl *slaveAssignment, queryBytes []byte)
 	}
 	reply, err := DecodeReadReply(body)
 	return reply, held, err
+}
+
+// asksSignature reports whether an s.read asks for the slave's signature
+// in its reply. Under sampling (AuditSampleP < 1) the auditor may leave
+// any frame unaudited, and an unvouched answer is accepted on a verified
+// signature. And a held stamp newer than the newest version the group's
+// auditor vouched for may be ahead of its delivery: the auditor then asks
+// for the evidence and holds the frame, and the answer is accepted on a
+// verified signature too. Otherwise the auditor vouches for a right answer
+// and nobody checks a signature, and a signature a lie needs is fetched
+// with s.sign.
+func (c *Client) asksSignature(held *VersionStamp, vouched uint64) bool {
+	return c.cfg.Params.AuditSampleP < 1 || held != nil && held.Version > vouched
 }
 
 // checkReply completes the reply's pledge from what the client holds —
@@ -815,19 +837,52 @@ func (c *Client) checkReply(sl *slaveAssignment, held *VersionStamp, masterPubs 
 	return err
 }
 
-// verifyPledge checks that the slave signed the pledge checkReply
-// completed. A reply whose payload, query or slave is not the one asked
-// about fails it. The error is retryable and is ErrBadPledge.
-func (c *Client) verifyPledge(p *Pledge) error {
-	err := p.VerifySig()
+// verifyPledge checks that the slave sl signed the pledge checkReply
+// completed, asking sl for its signature first when the reply came
+// without one (fetchSignature). A reply whose payload, query or slave is
+// not the one asked about fails it, and so does a signature its slave does
+// not give. The error is retryable and is ErrBadPledge.
+func (c *Client) verifyPledge(sl *slaveAssignment, p *Pledge) error {
+	err := c.fetchSignature(sl, p)
+	if err == nil {
+		err = p.VerifySig()
+	}
+	return c.checked(err)
+}
+
+// checked counts one slave signature check, failed when err is set, and
+// returns err retryable.
+func (c *Client) checked(err error) error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.stats.PledgesVerified++
 	if err != nil {
 		c.stats.BadPledges++
 		err = fmt.Errorf("%w: %w", errRetry, err)
 	}
-	c.mu.Unlock()
 	return err
+}
+
+// fetchSignature fills in the signature of a pledge whose reply came
+// without one, through s.sign to the slave sl that answered. A slave
+// signs only a statement it served, so a refusal or a failed call ends
+// like a signature that does not verify: ErrBadPledge, and nobody is
+// reported (doc.go, §3.5).
+func (c *Client) fetchSignature(sl *slaveAssignment, p *Pledge) error {
+	if len(p.Sig) > 0 {
+		return nil
+	}
+	body, err := c.dlr.CallTimeout(sl.addr, MethodSign, wire.EncodeFrame(p.appendStatement), c.cfg.Params.ReadTimeout)
+	if err != nil {
+		return fmt.Errorf("%w: s.sign: %v", ErrBadPledge, err)
+	}
+	r := wire.NewReader(body)
+	sig := r.BytesView()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: s.sign reply: %v", ErrBadPledge, err)
+	}
+	p.Sig = sig
+	return nil
 }
 
 // masterCheck runs a query on the master; wantPayload selects the
@@ -862,11 +917,11 @@ func (c *Client) masterCheck(masterAddr string, queryBytes []byte, wantPayload b
 	return version, digest, payload, nil
 }
 
-// doubleCheck compares the pledged hash of the slave at slaveAddr, which
-// answered, with the master's own execution (§3.3); on mismatch it reports
-// the pledge (§3.5 immediate discovery) and retries the read on the
+// doubleCheck compares the pledged hash of the slave sl, which answered,
+// with the master's own execution (§3.3); on mismatch it reports the
+// pledge (§3.5 immediate discovery) and retries the read on the
 // replacement slave.
-func (c *Client) doubleCheck(g *group, slaveAddr string, queryBytes []byte, reply ReadReply) error {
+func (c *Client) doubleCheck(g *group, sl *slaveAssignment, queryBytes []byte, reply ReadReply) error {
 	c.mu.Lock()
 	c.stats.DoubleChecks++
 	masterAddr := g.masterAddr
@@ -891,7 +946,7 @@ func (c *Client) doubleCheck(g *group, slaveAddr string, queryBytes []byte, repl
 	if digest.Equal(reply.Pledge.ResultHash) {
 		return nil
 	}
-	err = c.reportPledge(g, &reply.Pledge)
+	err = c.reportPledge(g, sl, &reply.Pledge)
 	if errors.Is(err, ErrBadPledge) {
 		return err // a wrong answer its slave never signed frames nobody
 	}
@@ -907,17 +962,18 @@ func (c *Client) doubleCheck(g *group, slaveAddr string, queryBytes []byte, repl
 	// behind NAT); the master has already excluded it. A notification may
 	// have reassigned the slot meanwhile: the slave excluded is the one
 	// that answered.
-	c.requestSlaves(g, []string{slaveAddr})
+	c.requestSlaves(g, []string{sl.addr})
 	return errRetry
 }
 
-// reportPledge verifies the pledge's slave signature and files its
-// evidence frame with the group's master, so every report carries a
-// verified pledge; a pledge that does not verify is not filed, and the
-// error is ErrBadPledge. Client reports are unsigned: the master convicts
-// by re-executing the query itself (immediate discovery, §3.5).
-func (c *Client) reportPledge(g *group, p *Pledge) error {
-	if err := c.verifyPledge(p); err != nil {
+// reportPledge verifies the signature of the slave sl on the pledge and
+// files its evidence frame with the group's master, so every report
+// carries a verified pledge; a pledge that does not verify, or whose
+// signature sl does not give, is not filed, and the error is
+// ErrBadPledge. Client reports are unsigned: the master convicts by
+// re-executing the query itself (immediate discovery, §3.5).
+func (c *Client) reportPledge(g *group, sl *slaveAssignment, p *Pledge) error {
+	if err := c.verifyPledge(sl, p); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -936,18 +992,38 @@ func (c *Client) reportPledge(g *group, p *Pledge) error {
 // no slave key and no signature — and waits for the ack; clients accept
 // results only after this completes (§3.4). When the auditor asks for
 // the evidence (pledgeEvidence), because a frame disagrees with its view
-// or is ahead of delivery, the read's evidence frames follow in a second
-// call, once. It reports whether the last ack is exactly the auditor's
-// vouch.
-func (c *Client) forwardPledges(g *group, replies []ReadReply) (vouched bool, err error) {
+// or is ahead of delivery, each slave that did not sign its reply is asked
+// for its signature (s.sign) and the read's evidence frames follow in a
+// second call, once. Under full audit a read whose every reply came signed
+// was asked to be because it may be ahead of the auditor's delivery
+// (asksSignature), where the auditor would ask for the evidence: it sends
+// the evidence frames at once. It reports whether the last ack is exactly
+// the auditor's vouch, and keeps the newest version vouched for.
+func (c *Client) forwardPledges(g *group, assigns []*slaveAssignment, replies []ReadReply) (vouched bool, err error) {
 	c.mu.Lock()
 	c.stats.PledgesSent += uint64(len(replies))
 	c.mu.Unlock()
-	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(pledgeFormStatement, replies), c.cfg.Params.ReadTimeout)
-	if err == nil && bytes.Equal(ack, pledgeEvidence) {
+	form := pledgeFormStatement
+	if c.cfg.Params.AuditSampleP >= 1 && !slices.ContainsFunc(replies, func(r ReadReply) bool { return len(r.Pledge.Sig) == 0 }) {
+		form = pledgeFormEvidence
+	}
+	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(form, replies), c.cfg.Params.ReadTimeout)
+	if err == nil && form == pledgeFormStatement && bytes.Equal(ack, pledgeEvidence) {
+		for i := range replies {
+			if err := c.fetchSignature(assigns[i], &replies[i].Pledge); err != nil {
+				return false, c.checked(err)
+			}
+		}
 		ack, err = c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(pledgeFormEvidence, replies), c.cfg.Params.ReadTimeout)
 	}
-	return bytes.Equal(ack, pledgeVouch), err
+	if vouched = err == nil && bytes.Equal(ack, pledgeVouch); vouched {
+		c.mu.Lock()
+		for i := range replies {
+			g.vouched = max(g.vouched, replies[i].Pledge.Stamp.Version)
+		}
+		c.mu.Unlock()
+	}
+	return vouched, err
 }
 
 // encodePledgeBody is the a.pledge body of the replies' pledges in form:

@@ -52,6 +52,11 @@ type clientRig struct {
 	// that names one, whichever it names.
 	refs [][]byte
 	omit bool
+	// signs counts the s.sign calls every scripted slave was sent, and
+	// asked the s.read requests that asked for the signature up front;
+	// with refuseSign set, every scripted slave refuses s.sign.
+	signs, asked int
+	refuseSign   bool
 	// onCheck, if set, runs inside the scripted master's m.check handler
 	// before it answers; with emptyDigest set the answer's digest field is
 	// empty, a malformed reply.
@@ -139,12 +144,8 @@ func newClientRig(t *testing.T) *clientRig {
 	})
 
 	// Scripted slave: honest reply, the stamp left out under r.omit, then
-	// r.mutate applied.
-	net.Register("slave", func(from, method string, body []byte) ([]byte, error) {
-		reply, err := r.honestReply(r.slaveKeys, body)
-		if err != nil {
-			return nil, err
-		}
+	// r.mutate applied, and the encoded reply rewritten by r.mutateBody.
+	slave := r.scriptedSlave(r.slaveKeys, func(body []byte, reply *ReadReply) {
 		rd := wire.NewReader(body)
 		rd.Bytes() // query
 		ref := rd.Bytes()
@@ -153,13 +154,15 @@ func newClientRig(t *testing.T) *clientRig {
 			reply.Pledge.Stamp.Sig = nil
 		}
 		if r.mutate != nil {
-			r.mutate(&reply)
+			r.mutate(reply)
 		}
-		enc := EncodeReadReply(reply)
-		if r.mutateBody != nil {
-			enc = r.mutateBody(enc)
+	})
+	net.Register("slave", func(from, method string, body []byte) ([]byte, error) {
+		resp, err := slave(from, method, body)
+		if err == nil && method == MethodRead && r.mutateBody != nil {
+			resp = r.mutateBody(resp)
 		}
-		return enc, nil
+		return resp, err
 	})
 
 	// Scripted auditor: records and acks with r.ack.
@@ -197,16 +200,47 @@ func (r *clientRig) honestReply(keys *cryptoutil.KeyPair, body []byte) (ReadRepl
 	return ReadReply{Payload: res.Payload, Pledge: SignPledge(keys, qb, res.Digest(), stamp)}, nil
 }
 
+// scriptedSlave is a scripted slave under keys. Its s.read reply is the
+// honest one that edit rewrites, sent with its signature only when the
+// request asks for it; s.sign answers the signature of the reply it
+// served last, whatever statement it is asked about (a scripted slave
+// signs what its script made it send), or is refused under r.refuseSign.
+func (r *clientRig) scriptedSlave(keys *cryptoutil.KeyPair, edit func(body []byte, reply *ReadReply)) rpc.Handler {
+	var served []byte // the signature on the reply served last
+	return func(from, method string, body []byte) ([]byte, error) {
+		if method == MethodSign {
+			r.signs++
+			if r.refuseSign || served == nil {
+				return nil, errors.New("scripted slave: s.sign refused")
+			}
+			return wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(served) }), nil
+		}
+		reply, err := r.honestReply(keys, body)
+		if err != nil {
+			return nil, err
+		}
+		edit(body, &reply)
+		served = reply.Pledge.Sig
+		rd := wire.NewReader(body)
+		rd.Bytes() // query
+		rd.Bytes() // ref
+		if rd.Bool() {
+			r.asked++
+		} else {
+			reply.Pledge.Sig = nil
+		}
+		return EncodeReadReply(reply), nil
+	}
+}
+
 // addSlave scripts another slave the master assigns after "slave".
 func (r *clientRig) addSlave(sl rigSlave) {
 	r.more = append(r.more, sl)
-	r.net.Register(sl.addr, func(from, method string, body []byte) ([]byte, error) {
-		reply, err := r.honestReply(sl.keys, body)
-		if err == nil && sl.mutate != nil {
-			sl.mutate(&reply)
+	r.net.Register(sl.addr, r.scriptedSlave(sl.keys, func(_ []byte, reply *ReadReply) {
+		if sl.mutate != nil {
+			sl.mutate(reply)
 		}
-		return EncodeReadReply(reply), err
-	})
+	}))
 }
 
 func (r *clientRig) readOnce(t *testing.T) ([]byte, error) {
@@ -242,12 +276,14 @@ func TestClientAcceptsHonestReply(t *testing.T) {
 // readTampered reads through a slave whose reply r.mutate tampers with and
 // requires the read to be refused as a bad pledge: nothing accepted, every
 // signature check failed, nothing reported. The scripted auditor asks for
-// every read's evidence, so each attempt forwards its statement and then
-// its evidence frame before the signature check refuses it; an auditor
-// over the rig's content, given those evidence frames, convicts nobody:
-// it settles each as a forgery (PledgesBadSig) or, where the tampering
-// left the answer right, as an honest audit. readTampered returns that
-// auditor's counters.
+// every read's evidence, and nothing is ever vouched, so each attempt
+// sends its evidence frame once before the signature check refuses it:
+// the first after its statement and an s.sign, every retry at once, its
+// signature asked for up front (its held stamp is newer than any version
+// vouched for). An auditor over the rig's content, given those evidence
+// frames, convicts nobody: it settles each as a forgery (PledgesBadSig)
+// or, where the tampering left the answer right, as an honest audit.
+// readTampered returns that auditor's counters.
 func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	t.Helper()
 	r.ack = pledgeEvidence
@@ -261,8 +297,17 @@ func (r *clientRig) readTampered(t *testing.T) AuditorStats {
 	if st.PledgesVerified != st.BadPledges || st.ReportsFiled != 0 || len(r.reports) != 0 {
 		t.Fatalf("tampered reply: %d of %d signature checks refused, %d reports", st.BadPledges, st.PledgesVerified, len(r.reports))
 	}
-	if len(r.forwarded) == 0 || 2*st.PledgesSent != uint64(len(r.forwarded)) {
-		t.Fatalf("%d bodies forwarded, %d pledges sent", len(r.forwarded), st.PledgesSent)
+	evidence := 0
+	for _, body := range r.forwarded {
+		if body[0] == pledgeFormEvidence {
+			evidence++
+		}
+	}
+	if evidence == 0 || uint64(evidence) != st.PledgesSent || len(r.forwarded) != evidence+1 {
+		t.Fatalf("%d bodies forwarded, %d of them evidence, %d pledges sent", len(r.forwarded), evidence, st.PledgesSent)
+	}
+	if r.signs != 1 || uint64(r.asked) != st.PledgesSent-1 {
+		t.Fatalf("%d pledges sent: %d s.sign calls, %d signatures asked up front", st.PledgesSent, r.signs, r.asked)
 	}
 	aud := r.newAuditor(t)
 	r.s.Go(func() {
@@ -796,7 +841,7 @@ func verifyUnvouched(c *Client, sl *slaveAssignment, masters []cryptoutil.Public
 	if err := c.checkReply(sl, held, masters, qb, reply); err != nil {
 		return err
 	}
-	return c.verifyPledge(&reply.Pledge)
+	return c.verifyPledge(sl, &reply.Pledge)
 }
 
 // withAuditor puts an auditor over the rig's content where the scripted
@@ -953,10 +998,10 @@ func TestClientVouchGarbageSignatureRefused(t *testing.T) {
 
 // TestClientVouchReplyByte: only the exact one-byte vouch stands in for
 // the pledge signature. The slave's answer is right but its signature is
-// garbage, so every other ack leaves the read refused. Each attempt makes
-// one a.pledge call, and two on pledgeEvidence (0x02): the scripted
-// auditor answers the evidence the same way, and the read is refused
-// after that one round trip more.
+// garbage, so every other ack leaves the read refused. The read makes one
+// attempt, with one a.pledge call, and two on pledgeEvidence (0x02): the
+// scripted auditor answers the evidence the same way, and the read is
+// refused after that one round trip more.
 func TestClientVouchReplyByte(t *testing.T) {
 	for _, tc := range []struct {
 		ack    []byte
@@ -972,6 +1017,7 @@ func TestClientVouchReplyByte(t *testing.T) {
 		{[]byte{0x01}, true, 1},
 	} {
 		r := newClientRig(t)
+		r.client.cfg.Params.MaxReadRetries = 0
 		r.ack = tc.ack
 		r.mutate = func(rr *ReadReply) {
 			rr.Pledge.Sig = bytes.Clone(rr.Pledge.Sig)

@@ -20,6 +20,7 @@ const (
 	// Slave methods.
 	MethodKeepAlive = "s.keepalive" // master -> slave: stamp heartbeat, and each batch's announce
 	MethodRead      = "s.read"      // client -> slave: execute a query
+	MethodSign      = "s.sign"      // client -> slave: the signature on a statement the slave served
 
 	// Auditor methods.
 	MethodPledge = "a.pledge" // client -> auditor: an accepted read's evidence frames, back to back

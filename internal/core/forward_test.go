@@ -22,11 +22,13 @@ type servedReply struct {
 }
 
 // pledgeTap sits in front of a cluster's slaves, auditor and masters and
-// keeps the s.read replies the slaves sent and the statement and evidence
-// frames the client sent on.
+// keeps the s.read replies the slaves sent, each with the signature its
+// slave gave for it (in the reply or through s.sign), and the statement
+// and evidence frames the client sent on.
 type pledgeTap struct {
 	t        *testing.T
 	sent     []servedReply // by slaves, one per s.read reply, in order
+	signs    int           // s.sign calls answered
 	stated   [][]byte      // to the auditor, the frames of statement a.pledge bodies, in order
 	audited  [][]byte      // to the auditor, the frames of evidence a.pledge bodies, in order
 	reported [][]byte      // to masters, the pledge field of m.report
@@ -57,15 +59,37 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 			tap.reported = append(tap.reported, wire.NewReader(body).Bytes())
 		}
 		resp, err := h(from, method, body)
-		if method == MethodRead && err == nil {
+		switch {
+		case err != nil:
+		case method == MethodRead:
 			rr, derr := DecodeReadReply(bytes.Clone(resp))
 			if derr != nil {
 				tap.t.Errorf("slave sent an s.read reply that does not decode: %v", derr)
 			}
 			tap.sent = append(tap.sent, servedReply{slave: slave, reply: rr})
+		case method == MethodSign:
+			tap.signed(slave, body, resp)
 		}
 		return resp, err
 	}
+}
+
+// signed puts the signature a slave gave through s.sign on the reply it
+// signed: the last one from that slave whose payload the statement hashes.
+func (tap *pledgeTap) signed(slave cryptoutil.PublicKey, statement, resp []byte) {
+	tap.signs++
+	p, err := decodeStatement(wire.NewReader(statement))
+	if err != nil {
+		tap.t.Errorf("s.sign for a statement that does not decode: %v", err)
+		return
+	}
+	for i := len(tap.sent) - 1; i >= 0; i-- {
+		if sent := &tap.sent[i]; bytes.Equal(sent.slave, slave) && cryptoutil.HashBytes(sent.reply.Payload) == p.ResultHash {
+			sent.reply.Pledge.Sig = wire.NewReader(resp).Bytes()
+			return
+		}
+	}
+	tap.t.Error("a slave signed a statement about no reply it sent")
 }
 
 // splitPledgeBody cuts an a.pledge body into its form and its frames.
@@ -111,7 +135,7 @@ func checkStatement(t *testing.T, frame, asked []byte, sent servedReply) {
 		t.Fatal("forwarded statement is not its own canonical encoding")
 	}
 	for _, b := range [][]byte{sent.slave, sent.reply.Pledge.Sig, stamp.Sig, stamp.MasterPub} {
-		if bytes.Contains(frame, b) {
+		if len(b) > 0 && bytes.Contains(frame, b) {
 			t.Fatal("forwarded statement carries a key or a signature")
 		}
 	}
@@ -157,7 +181,9 @@ func checkEvidence(t *testing.T, frame, asked []byte, sent servedReply, stamped 
 // What the client hands the auditor and the master is exactly the signed
 // statement — for an honest read, an accepted lie, a lie caught by the
 // double-check, and a wave from K slaves: the statement frames first, and
-// the evidence frames when the auditor asks.
+// the evidence frames when the auditor asks. Nobody asks a slave for a
+// signature on an honest read; a lie's is fetched through s.sign before
+// its evidence goes to the auditor or the master.
 func TestClientForwardsSignedStatement(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -228,6 +254,14 @@ func TestClientForwardsSignedStatement(t *testing.T) {
 			}
 			for i, frame := range forwarded {
 				checkEvidence(t, frame, query.Encode(q), tap.sent[i], !tc.doubleCheck)
+			}
+			if tap.signs != want {
+				t.Fatalf("%d s.sign calls for %d pledges presented as evidence", tap.signs, want)
+			}
+			for _, sent := range tap.sent {
+				if !tc.liar && len(sent.reply.Pledge.Sig) != 0 {
+					t.Fatal("a slave signed an honest read nobody checks")
+				}
 			}
 			if !tc.doubleCheck && !bytes.Equal(accepted, tap.sent[0].reply.Payload) {
 				t.Fatal("the accepted payload is not the one the first pledge covers")
@@ -308,8 +342,9 @@ func TestDecodeReadReplyAllocs(t *testing.T) {
 
 // TestForgedExclusionIgnored: b.submit takes frames from anyone, so a
 // bcExclude that carries a genuine pledge — an honest slave's, rebuilt
-// from a client's a.pledge statement and the signature on the slave's
-// s.read reply — must still name a certified master that signed it. Every master refuses each forged frame, counts the refusal and
+// from a client's a.pledge statement and the signature the slave gives
+// anyone who asks s.sign about it — must still name a certified master
+// that signed it. Every master refuses each forged frame, counts the refusal and
 // excludes nobody; the row signed by a certified master shows the frame
 // shape is the one that acts, and the same frame from a directory that
 // lists no certified master is refused as a directory error.
@@ -379,13 +414,29 @@ func TestForgedExclusionIgnored(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				p.SlavePub, p.Sig = tap.sent[0].slave, tap.sent[0].reply.Pledge.Sig
+				attacker := c.net.Dialer("attacker")
+				var victimAddr string
+				for _, sl := range c.slaves {
+					if bytes.Equal(sl.PublicKey(), tap.sent[0].slave) {
+						victimAddr = sl.Addr()
+					}
+				}
+				resp, err := attacker.CallTimeout(victimAddr, MethodSign, tap.stated[0], time.Second)
+				if err != nil {
+					t.Errorf("s.sign: %v", err)
+					return
+				}
+				p.SlavePub, p.Sig = tap.sent[0].slave, wire.NewReader(resp).Bytes()
+				if err := p.VerifySig(); err != nil {
+					t.Errorf("the signature s.sign gave: %v", err)
+					return
+				}
 				entry := wire.EncodeFrame(func(w *wire.Writer) {
 					w.Uvarint(77) // a submit identity no member uses
 					w.Uvarint(1)
 					w.Bytes_(tc.forge(EncodePledge(p)))
 				})
-				if _, err := c.net.Dialer("attacker").CallTimeout(c.masters[0].cfg.Addr, "b.submit", entry, time.Second); err != nil {
+				if _, err := attacker.CallTimeout(c.masters[0].cfg.Addr, "b.submit", entry, time.Second); err != nil {
 					t.Errorf("b.submit: %v", err)
 				}
 			})

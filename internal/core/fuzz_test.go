@@ -446,12 +446,14 @@ func FuzzDecodeReadReply(f *testing.F) {
 	})
 }
 
-// FuzzSlaveHandleRead drives a real slave's s.read handler — the one
-// frame a client sends a slave — over arbitrary request bodies. The
-// invariants: no panic; a body that is not bytes query ‖ bytes ref, with
-// ref of 0 or stampRefLen bytes, is refused; every reply decodes; and it
-// leaves the stamp out only when ref is the first stampRefLen bytes of the
-// slave's stamp signature, carrying that stamp whole otherwise.
+// FuzzSlaveHandleRead drives a real slave's s.read handler — the frame a
+// client sends a slave to read — over arbitrary request bodies. The
+// invariants: no panic; a body that is not bytes query ‖ bytes ref ‖ bool
+// sign, with ref of 0 or stampRefLen bytes, is refused; every reply
+// decodes; it leaves the stamp out only when ref is the first stampRefLen
+// bytes of the slave's stamp signature, carrying that stamp whole
+// otherwise; and it carries a signature exactly when sign is set, one
+// that verifies over what the slave answered.
 func FuzzSlaveHandleRead(f *testing.F) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	params := DefaultParams()
@@ -473,14 +475,18 @@ func FuzzSlaveHandleRead(f *testing.F) {
 	wrong := bytes.Clone(stamp.Sig[:stampRefLen])
 	wrong[0] ^= 1
 	for _, body := range [][]byte{
-		encodeReadRequest(get, nil),
-		encodeReadRequest(get, &stamp),
-		encodeReadRequest(query.Encode(query.Count{P: ""}), &stamp),
-		encodeReadRequest([]byte("not a query"), &stamp),
-		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(wrong) }),
-		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig[:stampRefLen-1]) }),
-		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig) }),
-		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get) }), // no ref at all
+		encodeReadRequest(get, nil, false),
+		encodeReadRequest(get, nil, true),
+		encodeReadRequest(get, &stamp, false),
+		encodeReadRequest(get, &stamp, true),
+		encodeReadRequest(query.Encode(query.Count{P: ""}), &stamp, true),
+		encodeReadRequest([]byte("not a query"), &stamp, true),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(wrong); w.Bool(false) }),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig[:stampRefLen-1]); w.Bool(true) }),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig); w.Bool(true) }),
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(nil); w.Byte(2) }), // a sign flag that is not 0 or 1
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(nil) }),           // no sign flag
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get) }),                           // no ref at all
 		{},
 	} {
 		f.Add(body)
@@ -488,11 +494,12 @@ func FuzzSlaveHandleRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		resp, err := sl.Handle("client", MethodRead, body)
 		r := wire.NewReader(body)
-		r.BytesView()
+		asked := r.BytesView()
 		ref := r.BytesView()
+		sign := r.Bool()
 		if r.Done() != nil || len(ref) != 0 && len(ref) != stampRefLen {
 			if err == nil {
-				t.Fatalf("served a request that is not query ‖ ref of 0 or %d bytes", stampRefLen)
+				t.Fatalf("served a request that is not query ‖ ref of 0 or %d bytes ‖ sign", stampRefLen)
 			}
 			return
 		}
@@ -509,6 +516,98 @@ func FuzzSlaveHandleRead(f *testing.F) {
 		}
 		if !named && !bytes.Equal(rr.Pledge.Stamp.Sig, stamp.Sig) {
 			t.Fatal("the reply carries a stamp that is not the slave's")
+		}
+		if sign != (len(rr.Pledge.Sig) > 0) {
+			t.Fatalf("sign %v: the reply carries %d signature bytes", sign, len(rr.Pledge.Sig))
+		}
+		rr.Pledge.Stamp.Version = stamp.Version
+		if sign && rr.completePledge(asked, sl.PublicKey()).VerifySig() != nil {
+			t.Fatal("the signature asked for does not verify over the answer")
+		}
+	})
+}
+
+// FuzzSlaveHandleSign drives a real slave's s.sign handler over arbitrary
+// request bodies, seeded with a statement the slave served, one it did
+// not, a lie it told, one another slave served and one at a version it
+// did not serve at. The invariants: no panic; whatever is signed is the
+// statement frame the request carried, the signature verifies under the
+// slave's key, and the slave served that statement.
+func FuzzSlaveHandleSign(f *testing.F) {
+	master := cryptoutil.DeriveKeyPair("master", 0)
+	params := DefaultParams()
+	params.MaxLatency = 24 * time.Hour // the one stamp stays fresh for the whole run
+	initial := store.New()
+	initial.Apply(store.Put{Key: "k", Value: []byte("v")})
+	newSlave := func(name string) *Slave {
+		sl := NewSlave(SlaveConfig{
+			Addr: name, Keys: cryptoutil.DeriveKeyPair(name, 0), Params: params,
+			MasterPubs: []cryptoutil.PublicKey{master.Public},
+		}, sim.RealClock{}, nullDialer{}, initial)
+		stamp := SignStamp(master, 1, time.Now())
+		w := wire.NewWriter(128)
+		stamp.Encode(w)
+		w.String_("")
+		if _, err := sl.Handle("master", MethodKeepAlive, w.Bytes()); err != nil {
+			f.Fatal(err)
+		}
+		return sl
+	}
+	sl, other := newSlave("slave"), newSlave("other")
+	// served holds every statement frame sl answered.
+	served := map[string]bool{}
+	statement := func(s *Slave, q query.Query) []byte {
+		qb := query.Encode(q)
+		body, err := s.Handle("client", MethodRead, encodeReadRequest(qb, nil, false))
+		if err != nil {
+			f.Fatal(err)
+		}
+		rr, err := DecodeReadReply(body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame := wire.EncodeFrame(rr.completePledge(qb, s.PublicKey()).appendStatement)
+		if s == sl {
+			served[string(frame)] = true
+		}
+		return frame
+	}
+	honest := statement(sl, query.Get{Key: "k"})
+	sl.SetBehavior(AlwaysLie{})
+	lie := statement(sl, query.Get{Key: "lied"})
+	sl.SetBehavior(Honest{})
+	elsewhere := statement(other, query.Get{Key: "elsewhere"})
+	// The evidence frame of sl's honest statement under the other slave's key.
+	relabelled := append(bytes.Clone(honest), wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(other.PublicKey()); w.Bytes_(nil) })...)
+	unserved := wire.EncodeFrame((&Pledge{QueryBytes: query.Encode(query.Get{Key: "never asked"}), Stamp: VersionStamp{Version: 1}}).appendStatement)
+	p, err := decodeStatement(wire.NewReader(honest))
+	if err != nil {
+		f.Fatal(err)
+	}
+	p.Stamp.Version = 2
+	for _, body := range [][]byte{honest, lie, elsewhere, relabelled, unserved, wire.EncodeFrame(p.appendStatement), append(bytes.Clone(honest), 0), honest[:len(honest)-1], {}} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := sl.Handle("client", MethodSign, body)
+		if err != nil {
+			return
+		}
+		if !served[string(body)] {
+			t.Fatalf("signed a statement the slave did not serve: %x", body)
+		}
+		r := wire.NewReader(resp)
+		sig := r.BytesView()
+		if err := r.Done(); err != nil {
+			t.Fatalf("the s.sign reply does not decode: %v", err)
+		}
+		p, err := decodeStatement(wire.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SlavePub, p.Sig = sl.PublicKey(), sig
+		if err := p.VerifySig(); err != nil {
+			t.Fatalf("the signature given does not verify: %v", err)
 		}
 	})
 }

@@ -482,7 +482,7 @@ func TestSlaveReadsAtomicWithBatches(t *testing.T) {
 				default:
 				}
 				asked := queries[(g+i)%len(queries)]
-				body, err := sl.Handle("client", MethodRead, encodeReadRequest(asked, nil))
+				body, err := sl.Handle("client", MethodRead, encodeReadRequest(asked, nil, true))
 				if err != nil {
 					t.Errorf("reader %d: read %d refused: %v", g, i, err)
 					return
@@ -578,6 +578,7 @@ func BenchmarkSlaveReadScan(b *testing.B) {
 		w.Reset()
 		w.Bytes_(scanQueries[i%2])
 		w.Bytes_(nil) // names no stamp
+		w.Bool(false) // asks for no signature
 		if _, err := s.Handle("client", MethodRead, w.Bytes()); err != nil {
 			b.Fatal(err)
 		}

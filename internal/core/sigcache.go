@@ -3,8 +3,10 @@
 // at one content version has the same pledge signature, and a resync
 // brings back stamps already verified; recognizing bytes already verified
 // or signed is a hash lookup (CacheLookup vs Sign/VerifySig). The slave's
-// stamp verifier and pledge signer are kept for their measured traffic
-// (core/doc.go). A client has no verifier: a reply leaves out the stamp
+// stamp verifier and pledge table are kept for their measured traffic
+// (core/doc.go). The pledge table is also the slave's record of what it
+// served: a slave signs a pledge only when asked (the s.read sign flag,
+// or s.sign afterwards), and only for a body this table holds. A client has no verifier: a reply leaves out the stamp
 // its request names, which the client verified when it arrived whole
 // (Client.checkReply), and a pledge verify is rare enough to have no memo.
 //
@@ -47,32 +49,43 @@ import (
 )
 
 // Memo capacities, in entries, one per use. A stamp memo is only ever
-// asked about the few stamps current at once. The signer holds a working
-// set of queries at one content version: an entry is 84 bytes and its
-// miss a sign (≈ 29 µs on the benchmark host's ledger). A live table byte
-// costs two at the collector's heap goal.
+// asked about the few stamps current at once. The pledge table holds a
+// working set of queries at one content version: an entry is 20 bytes,
+// and 85 once the table has signed anything, and a signature asked for
+// but missing costs a sign (≈ 29 µs on the benchmark host's ledger). It
+// is also the window in which a client can still ask s.sign for what it
+// was served. A live table byte costs two at the collector's heap goal.
 const (
 	stampMemoSize      = 256  // 5 KB
-	pledgeSignMemoSize = 8192 // 672 KB
+	pledgeSignMemoSize = 8192 // 160 KB, 680 KB once signing
 
 	sigCacheWays = 8 // slots per set, searched linearly, most recently used first
 )
 
 // sigCache is a bounded memo of signature work keyed by digest: verified
 // (signed body ‖ signature) digests at a verifier, signed-body digest →
-// signature at a signer. It is set-associative over flat arrays allocated
-// on first insert, each set kept in recency order: a hit or an insert
-// moves the entry to the front, and an insert drops the one at the back.
-// Safe for concurrent use. A nil *sigCache signs and verifies without
-// memoising: cached and plain paths are one code.
+// signature at a signer, where an entry may also be served and not signed
+// yet. It is set-associative over flat arrays allocated on first insert,
+// each set kept in recency order: a hit or an insert moves the entry to
+// the front, and an insert drops the one at the back. Safe for concurrent
+// use. A nil *sigCache signs and verifies without memoising: cached and
+// plain paths are one code.
 type sigCache struct {
 	size int // entries, a multiple of sigCacheWays; fixed at construction
 
 	mu   sync.Mutex
-	keys []cryptoutil.Digest           // guarded by mu; the zero digest marks an empty slot
-	sigs [][ed25519.SignatureSize]byte // guarded by mu; beside keys at a signer, nil at a verifier
+	keys []cryptoutil.Digest // guarded by mu; the zero digest marks an empty slot
+	sigs []sigSlot           // guarded by mu; beside keys once a signer signed, nil at a verifier
 
 	hits, misses uint64 // guarded by mu
+}
+
+// sigSlot is a signer's entry beside its key: the signature, or nothing
+// yet for a body served and not signed. An entry that replaces another
+// starts empty, so it never hands out the signature of the one it evicted.
+type sigSlot struct {
+	sig    [ed25519.SignatureSize]byte
+	signed bool
 }
 
 // newSigCache returns an empty memo of size entries, one of the
@@ -101,33 +114,68 @@ func (c *sigCache) lookup(key cryptoutil.Digest) (sig []byte, hit bool) {
 	}
 	c.hits++
 	c.frontLocked(set, j)
-	if c.sigs != nil {
-		sig = bytes.Clone(c.sigs[set][:])
+	return c.sigLocked(set), true
+}
+
+// sigLocked returns a copy of the signature of the entry at i, nil when
+// it has none. Caller holds c.mu.
+func (c *sigCache) sigLocked(i int) []byte {
+	if c.sigs == nil || !c.sigs[i].signed {
+		return nil
 	}
-	return sig, true
+	return bytes.Clone(c.sigs[i].sig[:])
 }
 
 // insert adds key, with sig at a signer and nil at a verifier, over the
-// least recently used entry of its set.
+// least recently used entry of its set; a signer's entry already there
+// takes sig.
 func (c *sigCache) insert(key cryptoutil.Digest, sig []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if sig != nil && c.sigs == nil {
+		c.sigs = make([]sigSlot, c.size)
+	}
+	set, j := c.findLocked(key)
+	if j < 0 {
+		j = c.addLocked(set, key)
+	}
+	if sig != nil {
+		c.sigs[set+j] = sigSlot{signed: true}
+		copy(c.sigs[set+j].sig[:], sig)
+	}
+	c.frontLocked(set, j)
+}
+
+// addLocked puts key over the set's least recently used entry, with no
+// signature beside it, and returns its position. Caller holds c.mu.
+func (c *sigCache) addLocked(set int, key cryptoutil.Digest) int {
 	if c.keys == nil {
 		c.keys = make([]cryptoutil.Digest, c.size)
 	}
-	if sig != nil && c.sigs == nil {
-		c.sigs = make([][ed25519.SignatureSize]byte, c.size)
-	}
-	set, j := c.findLocked(key)
-	if j >= 0 {
-		return // a concurrent caller put it there meanwhile
-	}
-	j = sigCacheWays - 1
+	j := sigCacheWays - 1
 	c.keys[set+j] = key
-	if sig != nil {
-		copy(c.sigs[set+j][:], sig)
+	if c.sigs != nil {
+		c.sigs[set+j] = sigSlot{}
+	}
+	return j
+}
+
+// recall finds key at a signer without counting: the entry's signature
+// (nil when it has none) and whether it is there. With serve, a key that
+// is not there is added, with no signature.
+func (c *sigCache) recall(key cryptoutil.Digest, serve bool) (sig []byte, found bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	set, j := c.findLocked(key)
+	if j < 0 {
+		if !serve {
+			return nil, false
+		}
+		c.frontLocked(set, c.addLocked(set, key))
+		return nil, true
 	}
 	c.frontLocked(set, j)
+	return c.sigLocked(set), true
 }
 
 // frontLocked moves the set's entry j to its front; the entries that were
@@ -143,23 +191,49 @@ func (c *sigCache) frontLocked(set, j int) {
 	}
 }
 
-// signPledge fills in p.Sig under signer's key: the signature made before
-// when this exact body was signed before (a hit, priced as one), a fresh
-// one otherwise (priced as a signature).
-func (c *sigCache) signPledge(p *Pledge, signer *cryptoutil.KeyPair, m *cryptoutil.Meter) {
-	hit := false
+// signPledge consults the table about p's signed body under signer's key.
+// With serve the body is recorded as served first, so it is always found;
+// without, a body the table does not hold is not signed and signPledge
+// reports false. With sign p.Sig is then filled in: the signature made
+// before when this exact body was signed before (a hit), a fresh one kept
+// beside the body otherwise (a miss). A nil table signs every body. One
+// charge on m: a signature when one is made, a memo lookup otherwise.
+func (c *sigCache) signPledge(p *Pledge, serve, sign bool, signer *cryptoutil.KeyPair, m *cryptoutil.Meter) (found bool) {
+	signed := false
 	wire.Borrow(p.appendSignedBytes, func(body []byte) {
 		if c == nil {
-			p.Sig = signer.Sign(body)
+			found = true
+			if sign {
+				p.Sig, signed = signer.Sign(body), true
+			}
 			return
 		}
 		key := cryptoutil.HashBytes(body)
-		if p.Sig, hit = c.lookup(key); !hit {
-			p.Sig = signer.Sign(body)
-			c.insert(key, p.Sig)
+		var sig []byte
+		if sig, found = c.recall(key, serve); !found || !sign {
+			return
 		}
+		if sig == nil {
+			sig, signed = signer.Sign(body), true
+			c.insert(key, sig)
+		}
+		p.Sig = sig
+		c.count(!signed)
 	})
-	m.Memoised(hit, m.Sign)
+	m.Memoised(!signed, m.Sign)
+	return found
+}
+
+// count counts one signature asked of a signer: a hit when it was made
+// before, a miss when it was made now.
+func (c *sigCache) count(hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
 }
 
 // verify checks sig over the signed body that appendBody writes under pub,

@@ -663,7 +663,7 @@ func BenchmarkPledgeSignMiss(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Stamp.Version = uint64(i) // every iteration pays key + sign + insert
-		if hitBy(s.pledges, func() { s.pledges.signPledge(&p, f.slave, nil) }) {
+		if hitBy(s.pledges, func() { s.pledges.signPledge(&p, true, true, f.slave, nil) }) {
 			b.Fatal("hit")
 		}
 	}
@@ -673,11 +673,11 @@ func BenchmarkPledgeSignHit(b *testing.B) {
 	f := newCacheFixture()
 	s := benchSlave(f)
 	p := f.pledge
-	s.pledges.signPledge(&p, f.slave, nil)
+	s.pledges.signPledge(&p, true, true, f.slave, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !hitBy(s.pledges, func() { s.pledges.signPledge(&p, f.slave, nil) }) {
+		if !hitBy(s.pledges, func() { s.pledges.signPledge(&p, true, true, f.slave, nil) }) {
 			b.Fatal("miss")
 		}
 	}
@@ -768,7 +768,7 @@ func TestPledgeMemoHitRatio(t *testing.T) {
 				}
 				qb := tc.reads.queries[tc.reads.next()]
 				held := sl.stamp
-				body, err := s.Handle("client", MethodRead, encodeReadRequest(qb, held))
+				body, err := s.Handle("client", MethodRead, encodeReadRequest(qb, held, true))
 				if err != nil {
 					return err
 				}
@@ -866,6 +866,7 @@ func BenchmarkSlaveReadZipf(b *testing.B) {
 		w.Reset()
 		w.Bytes_(z.queries[z.next()])
 		w.Bytes_(nil) // names no stamp
+		w.Bool(true)  // asks for the signature
 		if _, err := s.Handle("client", MethodRead, w.Bytes()); err != nil {
 			b.Fatal(err)
 		}
@@ -914,7 +915,7 @@ func TestSlavePledgeMemoConcurrent(t *testing.T) {
 		}
 	}()
 	asked := query.Encode(query.Get{Key: "absent"})
-	req := encodeReadRequest(asked, nil)
+	req := encodeReadRequest(asked, nil, true)
 	var mu sync.Mutex
 	sigAt := map[uint64][]byte{} // guarded by mu
 	served := 0                  // guarded by mu

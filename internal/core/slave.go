@@ -28,9 +28,11 @@ type SlaveStats struct {
 	// hit replaces an ed25519 verification with a hash lookup.
 	StampCacheHits   uint64
 	StampCacheMisses uint64
-	// PledgeCacheHits/Misses count signed-pledge table consultations: a
-	// hit re-issues the signature already made for the same pledge body
-	// (same query, result and version) instead of signing again.
+	// PledgeCacheHits/Misses count the pledge signatures asked of the
+	// slave (the s.read sign flag, s.sign): a hit re-issues the signature
+	// already made for the same pledge body (same query, result and
+	// version), a miss signs. A read nobody asks a signature for counts in
+	// neither.
 	PledgeCacheHits   uint64
 	PledgeCacheMisses uint64
 }
@@ -51,8 +53,10 @@ type SlaveConfig struct {
 	Seed int64
 }
 
-// Slave holds a copy of the content and executes read queries, returning
-// a signed pledge with every answer (§3.2). Its master announces each
+// Slave holds a copy of the content and executes read queries, standing
+// behind every answer with a pledge (§3.2) that it signs when asked: in
+// the request (s.read's sign flag) or afterwards (s.sign), for exactly
+// the statements it served. Its master announces each
 // committed batch by the batch's stamp on a keep-alive, and the slave
 // fetches what it is missing through m.sync and applies it strictly in
 // version order. It refuses reads when its latest stamp is older than
@@ -76,7 +80,7 @@ type Slave struct {
 	memo      resultMemo   // guarded by mu; honest answers to expensive queries at the replica's version
 
 	stamps  *sigCache // verified-stamp cache (amortizes repeat Verify)
-	pledges *sigCache // signed-pledge table (amortizes repeat Sign)
+	pledges *sigCache // served-pledge table: what s.sign may sign, and the signatures made (amortizes repeat Sign)
 	meter   *cryptoutil.Meter
 }
 
@@ -170,6 +174,8 @@ func (s *Slave) Handle(from, method string, body []byte) ([]byte, error) {
 		return s.handleKeepAlive(from, body)
 	case MethodRead:
 		return s.handleRead(body)
+	case MethodSign:
+		return s.handleSign(body)
 	}
 	return nil, fmt.Errorf("core: slave: unknown method %q", method)
 }
@@ -319,9 +325,10 @@ func (s *Slave) syncFrom(masterAddr string) error {
 }
 
 // ReadReply is the slave's answer to a read: the result payload plus the
-// signed pledge. On the wire (EncodeReadReply) it is bytes payload ‖ bool
-// full ‖ [stamp] ‖ bytes sig ‖ bool xlie: the pledge's signature, the stamp
-// only when the asker does not hold it already (full), and nothing else the
+// pledge. On the wire (EncodeReadReply) it is bytes payload ‖ bool full ‖
+// [stamp] ‖ bytes sig ‖ bool xlie: the pledge's signature when the asker
+// asked for it (else empty), the stamp only when the asker does not hold
+// it already (full), and nothing else the
 // client holds — its own query, the hash of the payload, the key of the
 // slave it asked — so a decoded reply's pledge carries at most Stamp and
 // Sig, and Client.checkReply fills in the rest. XLie is experiment
@@ -338,11 +345,12 @@ type ReadReply struct {
 // in an s.read request.
 const stampRefLen = 8
 
-// encodeReadRequest is the s.read request body: bytes query ‖ bytes ref,
-// where ref is empty or the first stampRefLen bytes of the master
-// signature on held, the stamp the asker last verified from that slave.
-// The slave leaves a stamp the request names out of its reply.
-func encodeReadRequest(queryBytes []byte, held *VersionStamp) []byte {
+// encodeReadRequest is the s.read request body: bytes query ‖ bytes ref ‖
+// bool sign, where ref is empty or the first stampRefLen bytes of the
+// master signature on held, the stamp the asker last verified from that
+// slave. The slave leaves a stamp the request names out of its reply, and
+// signs the pledge only when sign is set.
+func encodeReadRequest(queryBytes []byte, held *VersionStamp, sign bool) []byte {
 	var ref []byte
 	if held != nil {
 		ref = held.Sig[:stampRefLen]
@@ -350,6 +358,7 @@ func encodeReadRequest(queryBytes []byte, held *VersionStamp) []byte {
 	w := wire.NewWriter(len(queryBytes) + stampRefLen + 8)
 	w.Bytes_(queryBytes)
 	w.Bytes_(ref)
+	w.Bool(sign)
 	return w.Bytes()
 }
 
@@ -411,6 +420,7 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	// sent back — the client holds them.
 	queryBytes := r.BytesView()
 	ref := r.BytesView()
+	sign := r.Bool()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
@@ -451,10 +461,12 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	s.meter.Hash(len(payload))
 	hash := cryptoutil.HashBytes(payload)
 
-	// Signed once per distinct (query, result hash, version): a repeat gets
-	// those bytes again beside the current stamp; a lie has its own hash.
+	// Recorded as served, so s.sign may sign it later, and signed now only
+	// when asked: once per distinct (query, result hash, version), a repeat
+	// getting those bytes again beside the current stamp; a lie has its own
+	// hash.
 	pledge := Pledge{QueryBytes: queryBytes, ResultHash: hash, Stamp: stamp, SlavePub: s.cfg.Keys.Public}
-	s.pledges.signPledge(&pledge, s.cfg.Keys, s.meter)
+	s.pledges.signPledge(&pledge, true, sign, s.cfg.Keys, s.meter)
 	s.meter.Reply()
 
 	s.mu.Lock()
@@ -469,4 +481,32 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 		pledge.Stamp.Sig = nil
 	}
 	return EncodeReadReply(ReadReply{Payload: payload, Pledge: pledge, XLie: lied}), nil
+}
+
+// errNotServed refuses an s.sign for a statement the slave's pledge table
+// does not hold.
+var errNotServed = errors.New("core: s.sign: not a statement this slave served")
+
+// handleSign answers s.sign: the body is one statement frame (query ‖
+// result hash ‖ version) and the reply bytes sig, the slave's signature on
+// it. Only a statement the slave served and still holds in its pledge
+// table is signed, so the slave is no signing oracle for statements it did
+// not make: an unserved one, a lie it did not tell and a version it did not
+// serve at are refused, and so is a statement the bounded table has since
+// dropped, which the asker retries as a bad pledge.
+func (s *Slave) handleSign(body []byte) ([]byte, error) {
+	r := wire.NewReader(body)
+	p, err := decodeStatement(r)
+	if err == nil {
+		err = r.Done()
+	}
+	if err != nil {
+		return nil, err
+	}
+	p.SlavePub = s.cfg.Keys.Public
+	if !s.pledges.signPledge(&p, false, true, s.cfg.Keys, s.meter) {
+		return nil, errNotServed
+	}
+	s.meter.Reply()
+	return wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(p.Sig) }), nil
 }

@@ -67,12 +67,12 @@ func (r *slaveRig) announce(bu BatchUpdate) ([]byte, error) {
 	return announce(r.slave, bu.Stamp)
 }
 
-// read asks the slave q and returns its reply with the pledge completed
-// the way a client completes it.
+// read asks the slave q, and its signature up front, and returns its
+// reply with the pledge completed the way a client completes it.
 func (r *slaveRig) read(t *testing.T, q query.Query) (ReadReply, error) {
 	t.Helper()
 	qb := query.Encode(q)
-	body, err := r.slave.Handle("client", MethodRead, encodeReadRequest(qb, nil))
+	body, err := r.slave.Handle("client", MethodRead, encodeReadRequest(qb, nil, true))
 	if err != nil {
 		return ReadReply{}, err
 	}
@@ -673,6 +673,7 @@ func TestSlaveReadOmitsHeldStamp(t *testing.T) {
 		w := wire.NewWriter(64)
 		w.Bytes_(qb)
 		w.Bytes_(ref)
+		w.Bool(true) // the signature checked below
 		body, err := r.slave.Handle("client", MethodRead, w.Bytes())
 		if err != nil {
 			return nil, ReadReply{}, err

@@ -363,8 +363,9 @@ func decodeStamp(r *wire.Reader) (VersionStamp, error) {
 // Sig covers the query, the result hash, Stamp.Version and the slave's
 // key; the rest of Stamp is the master's word, under the master's own
 // signature, and whoever relies on it verifies that (sigcache.go). No
-// pledge travels whole. The s.read reply carries the stamp and Sig beside
-// the payload, and the client rebuilds the rest from what it already
+// pledge travels whole. The s.read reply carries the stamp beside the
+// payload, and Sig only when the client asked for it (else s.sign brings
+// it later), and the client rebuilds the rest from what it already
 // holds (Client.checkReply). The evidence frame (Encode) carries the
 // signed statement and Sig and no other byte of the stamp: it decodes to
 // a pledge whose Stamp has only Version set.
@@ -395,7 +396,7 @@ func (p *Pledge) appendSignedBytes(w *wire.Writer) {
 // SignPledge builds and signs a pledge over (query, result hash, version).
 func SignPledge(slave *cryptoutil.KeyPair, queryBytes []byte, resultHash cryptoutil.Digest, stamp VersionStamp) Pledge {
 	p := Pledge{QueryBytes: queryBytes, ResultHash: resultHash, Stamp: stamp, SlavePub: slave.Public}
-	(*sigCache)(nil).signPledge(&p, slave, nil)
+	(*sigCache)(nil).signPledge(&p, true, true, slave, nil)
 	return p
 }
 
