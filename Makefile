@@ -107,7 +107,7 @@ lint:
 # RACE_RERUNS lists them as package:-run pattern, one rerun each.
 RACE_RERUNS := \
 	internal/rpc:TestTCP \
-	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveSourceMoveConcurrent|TestSlaveStateTransferConcurrent|TestSlaveAnnounceAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
+	'internal/core:TestSlaveUpdateBatchConcurrent|TestSlaveSourceMoveConcurrent|TestSlaveStateTransferConcurrent|TestSlaveAnnounceAnsweredAtOnce|TestSlavePledgeMemoConcurrent|TestSlaveSignConcurrent|TestSlaveReadsAtomicWithBatches|TestClientConcurrentRouting|TestClientHeldStampConcurrent|TestMasterSlaveTableConcurrent' \
 	'internal/core:TestAuditor|TestClientVouch'
 
 race:
@@ -189,6 +189,7 @@ FUZZ_TARGETS := \
 	internal/core:FuzzMasterHandleReport \
 	internal/core:FuzzDecodeReadReply \
 	internal/core:FuzzSlaveHandleRead \
+	internal/core:FuzzSlaveHandleSign \
 	internal/core:FuzzSlaveHandleKeepAlive \
 	internal/core:FuzzDecodeStateTransfer \
 	internal/core:FuzzDecodeBatchMessage \

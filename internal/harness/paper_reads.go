@@ -81,12 +81,13 @@ func E1ReadCost(seed int64, scale Scale) *metrics.Table {
 	cst := cl.Stats()
 	accepted := float64(cst.ReadsAccepted)
 	slaveExec := float64(sc.TotalSlaveStats().ReadsServed)
+	slaveSigs := signaturesGiven(sc.TotalSlaveStats())
 	masterExec := float64(sc.TotalMasterStats().DoubleChecks)
 	auditExec := float64(sc.Auditor.Stats().PledgesAudited - sc.Auditor.Stats().CacheHits)
 	t.Add("ours (p=0.05, audit all)",
 		metrics.Ratio(slaveExec, accepted),
 		metrics.Ratio(masterExec+auditExec, accepted),
-		metrics.Ratio(slaveExec, accepted), // slaves sign each pledge
+		metrics.Ratio(slaveSigs, accepted), // a slave signs only when a client asks
 		hist.Quantile(0.5), hist.Quantile(0.95))
 
 	// Ours with sampled audit (cheaper trusted path).
@@ -109,12 +110,13 @@ func E1ReadCost(seed int64, scale Scale) *metrics.Table {
 	cst2 := cl2.Stats()
 	acc2 := float64(cst2.ReadsAccepted)
 	sl2 := float64(sc2.TotalSlaveStats().ReadsServed)
+	sigs2 := signaturesGiven(sc2.TotalSlaveStats())
 	ms2 := float64(sc2.TotalMasterStats().DoubleChecks)
 	au2 := float64(sc2.Auditor.Stats().PledgesAudited - sc2.Auditor.Stats().CacheHits)
 	t.Add("ours (p=0.05, audit 20%)",
 		metrics.Ratio(sl2, acc2),
 		metrics.Ratio(ms2+au2, acc2),
-		metrics.Ratio(sl2, acc2),
+		metrics.Ratio(sigs2, acc2), // under sampling a client asks on every read
 		hist2.Quantile(0.5), hist2.Quantile(0.95))
 
 	// --- SMR -------------------------------------------------------------
@@ -202,6 +204,7 @@ func E1ReadCost(seed int64, scale Scale) *metrics.Table {
 	}
 
 	t.Note("ours: untrusted work stays ~1 exec/read; trusted work = p + audit, tunable below 1")
+	t.Note("ours: a slave signs a pledge only when its client asks: on every read under a sampled audit, on none the full audit vouches for")
 	t.Note("SMR: every read costs 2f+1 signed executions; state signing: every dynamic read runs on trusted CPU")
 	return t
 }
@@ -384,4 +387,10 @@ func E4Audit(seed int64, scale Scale) *metrics.Table {
 	}
 	t.Note("with p=0 a lie is accepted first, but the forwarded pledge convicts the slave at audit")
 	return t
+}
+
+// signaturesGiven counts the pledge signatures slaves handed out, made
+// afresh or recalled from their memo: one per read whose client asked.
+func signaturesGiven(st core.SlaveStats) float64 {
+	return float64(st.PledgeCacheHits + st.PledgeCacheMisses)
 }
