@@ -635,8 +635,9 @@ var errRetry = errors.New("core: retryable read failure")
 // result hash at that signed, fresh version, so there is no lie to pin on
 // anyone, and a lie is never vouched for — and in reportPledge, before any
 // report is filed. A reply carries the slave's signature only when the
-// request asked for it (callSlaveRead); every other signature is fetched
-// (s.sign) where it is checked, and where the auditor asks for evidence.
+// request asked for it (asksSignature) or it brings its stamp whole; every
+// other signature is fetched (s.sign) where it is checked, and where the
+// auditor asks for evidence.
 func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byte, error) {
 	c.mu.Lock()
 	assigns := slices.Clone(g.slaves[:min(len(g.slaves), c.cfg.KSlaves)])
@@ -668,11 +669,11 @@ func (c *Client) readOnce(g *group, queryBytes []byte, checkProb float64) ([]byt
 				return nil, err
 			}
 		}
-		vouched, err := c.forwardPledges(g, assigns, replies)
+		vouch, err := c.forwardPledges(g, assigns, replies, vouched)
 		if err != nil {
 			return nil, err
 		}
-		if !vouched {
+		if !vouch {
 			for i := range replies {
 				if err := c.verifyPledge(assigns[i], &replies[i].Pledge); err != nil {
 					return nil, err
@@ -764,9 +765,12 @@ func (c *Client) callSlaveRead(g *group, sl *slaveAssignment, queryBytes []byte,
 // signature. And a held stamp newer than the newest version the group's
 // auditor vouched for may be ahead of its delivery: the auditor then asks
 // for the evidence and holds the frame, and the answer is accepted on a
-// verified signature too. Otherwise the auditor vouches for a right answer
-// and nobody checks a signature, and a signature a lie needs is fetched
-// with s.sign.
+// verified signature too. A request that names no stamp the slave still
+// answers under asks implicitly: the slave signs every reply that carries
+// its stamp whole (Slave.handleRead), at a version the client cannot place
+// before the reply arrives. Otherwise the auditor vouches for a right
+// answer and nobody checks a signature, and a signature a lie needs is
+// fetched with s.sign.
 func (c *Client) asksSignature(held *VersionStamp, vouched uint64) bool {
 	return c.cfg.Params.AuditSampleP < 1 || held != nil && held.Version > vouched
 }
@@ -994,17 +998,21 @@ func (c *Client) reportPledge(g *group, sl *slaveAssignment, p *Pledge) error {
 // the evidence (pledgeEvidence), because a frame disagrees with its view
 // or is ahead of delivery, each slave that did not sign its reply is asked
 // for its signature (s.sign) and the read's evidence frames follow in a
-// second call, once. Under full audit a read whose every reply came signed
-// was asked to be because it may be ahead of the auditor's delivery
-// (asksSignature), where the auditor would ask for the evidence: it sends
-// the evidence frames at once. It reports whether the last ack is exactly
-// the auditor's vouch, and keeps the newest version vouched for.
-func (c *Client) forwardPledges(g *group, assigns []*slaveAssignment, replies []ReadReply) (vouched bool, err error) {
+// second call, once. Under full audit a read whose replies all came signed
+// and one of which is at a version newer than vouched, the newest the
+// auditor vouched for this client, may be ahead of the auditor's delivery,
+// where the auditor would ask for the evidence: it sends the evidence
+// frames at once, which the auditor vouches for as it would the statements
+// when it has the version. It reports whether the last ack is exactly the
+// auditor's vouch, and keeps the newest version vouched for.
+func (c *Client) forwardPledges(g *group, assigns []*slaveAssignment, replies []ReadReply, vouched uint64) (bool, error) {
 	c.mu.Lock()
 	c.stats.PledgesSent += uint64(len(replies))
 	c.mu.Unlock()
 	form := pledgeFormStatement
-	if c.cfg.Params.AuditSampleP >= 1 && !slices.ContainsFunc(replies, func(r ReadReply) bool { return len(r.Pledge.Sig) == 0 }) {
+	unsigned := func(r ReadReply) bool { return len(r.Pledge.Sig) == 0 }
+	ahead := func(r ReadReply) bool { return r.Pledge.Stamp.Version > vouched }
+	if c.cfg.Params.AuditSampleP >= 1 && !slices.ContainsFunc(replies, unsigned) && slices.ContainsFunc(replies, ahead) {
 		form = pledgeFormEvidence
 	}
 	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(form, replies), c.cfg.Params.ReadTimeout)
@@ -1016,14 +1024,15 @@ func (c *Client) forwardPledges(g *group, assigns []*slaveAssignment, replies []
 		}
 		ack, err = c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(pledgeFormEvidence, replies), c.cfg.Params.ReadTimeout)
 	}
-	if vouched = err == nil && bytes.Equal(ack, pledgeVouch); vouched {
+	vouch := err == nil && bytes.Equal(ack, pledgeVouch)
+	if vouch {
 		c.mu.Lock()
 		for i := range replies {
 			g.vouched = max(g.vouched, replies[i].Pledge.Stamp.Version)
 		}
 		c.mu.Unlock()
 	}
-	return vouched, err
+	return vouch, err
 }
 
 // encodePledgeBody is the a.pledge body of the replies' pledges in form:

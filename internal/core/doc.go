@@ -32,7 +32,9 @@
 //	                           max_latency paces commits and bounds
 //	                           staleness.
 //	§3.2 (reads)             — Slave.handleRead answers with a Pledge
-//	                           (query copy, result hash, latest stamp);
+//	                           (query copy, result hash, latest stamp),
+//	                           signed when the client asks (the s.read
+//	                           sign flag, or s.sign afterwards);
 //	                           Client.checkReply rebuilds it from the
 //	                           query asked, the payload received and the
 //	                           stamp held from that slave when the reply
@@ -41,9 +43,9 @@
 //	                           against the client's own
 //	                           Params.MaxLatency (a client on a slow
 //	                           link sets a looser one);
-//	                           Client.verifyPledge checks the slave's
-//	                           signature unless the auditor vouches,
-//	                           and before any report.
+//	                           Client.verifyPledge fetches and checks
+//	                           the slave's signature unless the
+//	                           auditor vouches, and before any report.
 //	§3.3 (double-checking)   — Client.doubleCheck at the client's own
 //	                           Params.DoubleCheckP (a greedy client's
 //	                           is 1), the master's greedy-client
@@ -59,7 +61,9 @@
 //	                           over the hash of the batch's bytes).
 //	§3.5 (recovery)          — handleReport/applyExclude convict and
 //	                           exclude liars (a bcExclude acts only
-//	                           under a certified master's signature);
+//	                           under a certified master's signature;
+//	                           a liar that will not sign is refused,
+//	                           see "Signing on demand");
 //	                           ReadmitSlave brings a
 //	                           recovered slave back; Bootstrap performs
 //	                           the verified full state transfer
@@ -78,24 +82,29 @@
 // stamp the client already holds; and no key of a sorted run beyond what
 // it does not share with the key before it, which the receiver has just
 // read (wire's KeyAfter: uvarint shared ‖ string suffix, "key" below).
-// What the receiver does not read is sent only when it asks: a.pledge carries a read's statement, and the slave's
-// key and signature follow only when the auditor answers pledgeEvidence.
+// What the receiver does not read is sent only when it asks: a.pledge
+// carries a read's statement, and the slave's key and signature follow
+// only when the auditor answers pledgeEvidence; an s.read reply carries
+// the slave's signature only when the request asks for it.
 //
-//	s.read       bytes query ‖ bytes ref — ref is empty or the first 8
-//	             bytes (stampRefLen) of the master signature on the stamp
-//	             the client holds from that slave; any other length is
-//	             refused. Reply: bytes payload ‖ bool full ‖ [stamp] ‖
-//	             bytes sig ‖ bool xlie (ReadReply) — the stamp left out
-//	             exactly when ref names the one the pledge was signed
-//	             against, and nothing else the client already has: it
-//	             rebuilds the pledge from its own query, the hash of the
-//	             payload, the key of the slave it asked and the stamp
-//	             (Client.checkReply), so a reply that is not the answer to
-//	             that query, from that slave, at that stamp's version,
-//	             fails the one signature check; one without a stamp to a
-//	             request that named none is refused. 98 B both ways on
-//	             read-point (220 B with the stamp whole). xlie is
-//	             instrumentation only. The payload is Execute's, by
+//	s.read       bytes query ‖ bytes ref ‖ bool sign — ref is empty or
+//	             the first 8 bytes (stampRefLen) of the master signature
+//	             on the stamp the client holds from that slave; any other
+//	             length is refused. Reply: bytes payload ‖ bool full ‖
+//	             [stamp] ‖ bytes sig ‖ bool xlie (ReadReply) — the stamp
+//	             left out exactly when ref names the one the pledge is
+//	             made against, sig empty unless sign is set or the
+//	             stamp goes whole, and nothing
+//	             else the client already has: it rebuilds the pledge from
+//	             its own query, the hash of the payload, the key of the
+//	             slave it asked and the stamp (Client.checkReply), so a
+//	             reply that is not the answer to that query, from that
+//	             slave, at that stamp's version, fails the one signature
+//	             check; one without a stamp to a request that named none
+//	             is refused. 35 B both ways on read-point (221 B with the
+//	             stamp whole, which comes signed; 98 B while every reply
+//	             was signed). xlie is instrumentation only. The payload
+//	             is Execute's, by
 //	             query kind (package query): Get bool found ‖ [bytes
 //	             value]; Range uvarint n ‖ n × (key ‖ bytes value);
 //	             Prefix uvarint n ‖ n × key; Count uvarint; Sum varint;
@@ -103,6 +112,15 @@
 //	             text), a path repeated for its next matching line
 //	             costing 2 B. A ten-row Range over catalog keys is ≈ 83 B
 //	             (181 B with every key whole).
+//	s.sign       statement — one statement frame. Reply: bytes sig, the
+//	             slave's signature on it (the signed body adds its
+//	             "pledge.v2" tag and the slave's key), given only for a
+//	             statement the slave served and its pledge table still
+//	             holds (Slave.handleSign): any other is refused, so the
+//	             slave signs nothing it did not state. A client asks when
+//	             a signature is needed and the reply came without one:
+//	             the auditor asked for evidence, the forward was not
+//	             vouched, or a report is about to be filed.
 //	statement    bytes query ‖ bytes result hash ‖ uvarint version
 //	             (Pledge.appendStatement) — what the slave states about
 //	             a read, without its key or signature.
@@ -120,7 +138,10 @@
 //	             the vouch included (139 B with the evidence). Form 1
 //	             (pledgeFormEvidence) carries the same read's evidence
 //	             frames, sent once, only when the auditor asks, each
-//	             followed by the master stamp for its version. The
+//	             followed by the master stamp for its version; under
+//	             full audit a read whose replies came signed, one at a
+//	             version newer than any its auditor vouched for the
+//	             client, sends this form first. The
 //	             auditor decodes every frame before it admits any, in
 //	             frame order, so a body is admitted or refused whole.
 //	             Reply: the one byte 0x01 (pledgeVouch) when every
@@ -248,7 +269,9 @@
 // One verify rule. A client checks a slave's pledge signature so that a
 // lie it accepts can be pinned on the signer (§3.2, §3.4), and it checks
 // it in exactly two places: before it accepts an answer the auditor did
-// not vouch for, and in reportPledge, before any report is filed. A drawn
+// not vouch for, and in reportPledge, before any report is filed. Where
+// the reply came without the signature, it is fetched there (s.sign), and
+// before evidence frames go to the auditor. A drawn
 // double-check runs m.check, then the a.pledge forward, and verifies only
 // when the ack is not the vouch; a K-slave disagreement verifies a reply
 // only as it reports it. So every reply passes the stamp checks and then
@@ -266,6 +289,34 @@
 // auditor's one-byte reply on the wire can make a client skip its verify,
 // the same hole as the forged §3.4 ack through which a signed lie skips
 // the audit; ROADMAP item 13(a) tags the reply.
+//
+// Signing on demand (§3.5). The paper's slave signs a pledge for every
+// answer so that a lie it serves can be pinned on it. Under the rule above
+// nobody checks the signature on an answer the auditor vouches for, so the
+// slave signs only when asked: in the s.read request (the sign flag) or
+// afterwards (s.sign), and only for a statement it served — every served
+// statement is kept in its bounded pledge table, and s.sign refuses any
+// other, so the slave is no signing oracle. A client asks up front only
+// when it may accept the answer without the vouch for a reason other than
+// a lie: under sampling (AuditSampleP < 1), and when its held stamp is
+// newer than the newest version its auditor vouched for, so the read may
+// be ahead of delivery (asksSignature). A request whose ref names no stamp
+// the slave still answers under asks too: the reply brings the stamp
+// whole, at a version the client could not place when it asked, and comes
+// signed, so a slave signs at most once per reader per stamp it moves to.
+// Everywhere else the client fetches the signature where one is checked. A
+// liar can now refuse to sign — refuse s.sign, or leave the signature out
+// when asked — and that opens no escape a signature it garbles did not
+// already open: a lie under a garbage signature is refused and convicts
+// nobody (the auditor drops it as PledgesBadSig, the client retries as
+// ErrBadPledge), and a refused s.sign ends the same way — ErrBadPledge, no
+// read accepted, no report, no exclusion
+// (TestLiarRefusingToSignEndsLikeGarbage). Either way a lie is accepted
+// only under a verified signature, so every accepted lie stays provable;
+// what a slave that will not sign buys is a failed read, which a slave
+// could always buy by not answering. An honest slave refuses only a
+// statement its table has dropped (8192 entries, far more than the reads
+// in flight), and the client retries that read.
 //
 // The hash decides whether a lie is caught. A pledge names its answer by
 // hash, a batch stamp its ops by BatchDigest, and the client check, the
@@ -290,8 +341,11 @@
 //	                      per batch; a resync re-verifies the stamps of
 //	                      batches it dropped (the lying-slave cell's
 //	                      read_p99_ms: 66 → 95 without it)
-//	Slave.pledges (8192)  signer hits per read: 0.91 read-point, 0.45
-//	                      read-scan, 0.065 mixed
+//	Slave.pledges (8192)  every served statement, so s.sign can sign it
+//	                      later; a signature asked for is made once per
+//	                      distinct statement (hits per asked read: 0.91
+//	                      read-point, 0.45 read-scan, 0.065 mixed while
+//	                      every read asked)
 //	resultMemo            20 % hits on read-scan, none elsewhere
 //	Auditor.stamps (256)  stamps on frames ahead of delivery; only the
 //	                      matrix's latency-spike cells send any
@@ -303,9 +357,9 @@
 // benchmark workload has; and a master's catch-up verifies each stamp
 // once. TestClusterVouchAheadVerifyRatio pins the rule on the simulated
 // mixed shape (no verify when the auditor vouched for every pledge), and
-// TestPledgeMemoHitRatio pins the signer and the held stamp (one whole
-// stamp per keep-alive) on one-kind catalogs (Zipf Gets, uniform ten-key
-// Ranges). A client keeps no memo: the stamp it holds from each slave
+// TestPledgeMemoHitRatio pins the signer (every read asking) and the held
+// stamp (one whole stamp per keep-alive) on one-kind catalogs (Zipf Gets,
+// uniform ten-key Ranges). A client keeps no memo: the stamp it holds from each slave
 // stands in for one (99.9 % of read-point replies leave it out).
 //
 // The auditor answers at the read's own version (auditor.go). The auditor
@@ -415,8 +469,11 @@
 // pays per batch a signature, the ops' hash and an apply per op, and a
 // signature per keep-alive; a slave a verify per keep-alive (and the
 // address's hash when one would move its source), and per batch a memo
-// hit and the entry's hash; per read the query, the payload's hash, the
-// pledge's signature (or memo hits) and the reply, and the auditor the
+// hit and the entry's hash; per read the query, the payload's hash, a
+// memo lookup for the pledge (a signature instead when the client asked
+// for one the slave had not made before, by the sign flag or by a stamp
+// reference the slave no longer answers under) and the reply, per s.sign
+// a memo lookup or that signature and the reply, and the auditor the
 // answer at the read's version. A re-execution that checks an answer
 // (the auditor's, or a master's of a reported pledge) costs the scan
 // plus the payload's hash (executeQuery). A client pays nothing.

@@ -22,20 +22,22 @@ type servedReply struct {
 }
 
 // pledgeTap sits in front of a cluster's slaves, auditor and masters and
-// keeps the s.read replies the slaves sent, each with the signature its
-// slave gave for it (in the reply or through s.sign), and the statement
-// and evidence frames the client sent on.
+// keeps the s.read replies the slaves sent, each with its stamp (the last
+// one its slave sent whole, when the reply left it out) and the signature
+// its slave gave for it (in the reply or through s.sign), and the
+// statement and evidence frames the client sent on.
 type pledgeTap struct {
 	t        *testing.T
-	sent     []servedReply // by slaves, one per s.read reply, in order
-	signs    int           // s.sign calls answered
-	stated   [][]byte      // to the auditor, the frames of statement a.pledge bodies, in order
-	audited  [][]byte      // to the auditor, the frames of evidence a.pledge bodies, in order
-	reported [][]byte      // to masters, the pledge field of m.report
+	stamps   map[string]VersionStamp // by slave key, the last stamp it sent whole
+	sent     []servedReply           // by slaves, one per s.read reply, in order
+	signs    int                     // s.sign calls answered
+	stated   [][]byte                // to the auditor, the frames of statement a.pledge bodies, in order
+	audited  [][]byte                // to the auditor, the frames of evidence a.pledge bodies, in order
+	reported [][]byte                // to masters, the pledge field of m.report
 }
 
 func tapPledges(t *testing.T, c *testCluster) *pledgeTap {
-	tap := &pledgeTap{t: t}
+	tap := &pledgeTap{t: t, stamps: map[string]VersionStamp{}}
 	for i, sl := range c.slaves {
 		c.net.Register(sl.cfg.Addr, tap.wrap(sl.cfg.Keys.Public, c.slaves[i].Handle))
 	}
@@ -66,12 +68,46 @@ func (tap *pledgeTap) wrap(slave cryptoutil.PublicKey, h rpc.Handler) rpc.Handle
 			if derr != nil {
 				tap.t.Errorf("slave sent an s.read reply that does not decode: %v", derr)
 			}
+			if len(rr.Pledge.Stamp.Sig) > 0 {
+				tap.stamps[string(slave)] = rr.Pledge.Stamp
+			} else {
+				rr.Pledge.Stamp = tap.stamps[string(slave)]
+			}
 			tap.sent = append(tap.sent, servedReply{slave: slave, reply: rr})
 		case method == MethodSign:
 			tap.signed(slave, body, resp)
 		}
 		return resp, err
 	}
+}
+
+// reset forgets everything tapped so far but the stamps.
+func (tap *pledgeTap) reset() { *tap = pledgeTap{t: tap.t, stamps: tap.stamps} }
+
+// warmRead is a client's first read through tap: every slave's stamp
+// comes whole and signed, at a version newer than any the auditor vouched
+// for the client, so its evidence goes to the auditor at once, and no
+// slave is asked s.sign. It forgets the read, so the next one is under the
+// stamps the client now holds.
+func (tap *pledgeTap) warmRead(cl *Client, q query.Query) {
+	t := tap.t
+	t.Helper()
+	if _, err := cl.Read(q); err != nil {
+		t.Errorf("first read: %v", err)
+		return
+	}
+	if len(tap.sent) == 0 || len(tap.stated) != 0 || len(tap.audited) != len(tap.sent) || tap.signs != 0 {
+		t.Errorf("first read: %d replies, %d statements, %d evidence frames, %d s.sign calls; want the evidence of each reply at once",
+			len(tap.sent), len(tap.stated), len(tap.audited), tap.signs)
+	}
+	for i, sent := range tap.sent {
+		if len(sent.reply.Pledge.Stamp.Sig) == 0 || len(sent.reply.Pledge.Sig) == 0 {
+			t.Error("a first reply came without its stamp or its signature")
+		} else if i < len(tap.audited) {
+			checkEvidence(t, tap.audited[i], query.Encode(q), sent, true)
+		}
+	}
+	tap.reset()
 }
 
 // signed puts the signature a slave gave through s.sign on the reply it
@@ -181,9 +217,10 @@ func checkEvidence(t *testing.T, frame, asked []byte, sent servedReply, stamped 
 // What the client hands the auditor and the master is exactly the signed
 // statement — for an honest read, an accepted lie, a lie caught by the
 // double-check, and a wave from K slaves: the statement frames first, and
-// the evidence frames when the auditor asks. Nobody asks a slave for a
-// signature on an honest read; a lie's is fetched through s.sign before
-// its evidence goes to the auditor or the master.
+// the evidence frames when the auditor asks. After a first read (warmRead)
+// nobody asks a slave for a signature on an honest read; a lie's is
+// fetched through s.sign before its evidence goes to the auditor or the
+// master.
 func TestClientForwardsSignedStatement(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -202,9 +239,6 @@ func TestClientForwardsSignedStatement(t *testing.T) {
 			o.nMasters = 1
 			o.slavesPerM = 3
 			o.params.DoubleCheckP = 0
-			if tc.liar {
-				o.slaveBehaviors = map[int]Behavior{0: AlwaysLie{}, 1: AlwaysLie{}, 2: AlwaysLie{}}
-			}
 			c := newTestCluster(t, s, o)
 			tap := tapPledges(t, c)
 			cl := c.addClient(t, 0, func(cc *ClientConfig) {
@@ -221,6 +255,12 @@ func TestClientForwardsSignedStatement(t *testing.T) {
 				if err := cl.Setup(); err != nil {
 					t.Errorf("setup: %v", err)
 					return
+				}
+				tap.warmRead(cl, q)
+				if tc.liar {
+					for _, sl := range c.slaves {
+						sl.SetBehavior(AlwaysLie{})
+					}
 				}
 				var err error
 				accepted, err = cl.Read(q)
@@ -397,7 +437,9 @@ func TestForgedExclusionIgnored(t *testing.T) {
 					t.Errorf("setup: %v", err)
 					return
 				}
-				if _, err := cl.Read(mustQuery(t, "catalog/001")); err != nil {
+				q := mustQuery(t, "catalog/001")
+				tap.warmRead(cl, q)
+				if _, err := cl.Read(q); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}

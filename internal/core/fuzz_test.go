@@ -452,8 +452,8 @@ func FuzzDecodeReadReply(f *testing.F) {
 // sign, with ref of 0 or stampRefLen bytes, is refused; every reply
 // decodes; it leaves the stamp out only when ref is the first stampRefLen
 // bytes of the slave's stamp signature, carrying that stamp whole
-// otherwise; and it carries a signature exactly when sign is set, one
-// that verifies over what the slave answered.
+// otherwise; and it carries a signature exactly when sign is set or the
+// stamp travels whole, one that verifies over what the slave answered.
 func FuzzSlaveHandleRead(f *testing.F) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	params := DefaultParams()
@@ -485,7 +485,7 @@ func FuzzSlaveHandleRead(f *testing.F) {
 		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig[:stampRefLen-1]); w.Bool(true) }),
 		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(stamp.Sig); w.Bool(true) }),
 		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(nil); w.Byte(2) }), // a sign flag that is not 0 or 1
-		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(nil) }),           // no sign flag
+		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get); w.Bytes_(nil) }),            // no sign flag
 		wire.EncodeFrame(func(w *wire.Writer) { w.Bytes_(get) }),                           // no ref at all
 		{},
 	} {
@@ -517,11 +517,12 @@ func FuzzSlaveHandleRead(f *testing.F) {
 		if !named && !bytes.Equal(rr.Pledge.Stamp.Sig, stamp.Sig) {
 			t.Fatal("the reply carries a stamp that is not the slave's")
 		}
-		if sign != (len(rr.Pledge.Sig) > 0) {
-			t.Fatalf("sign %v: the reply carries %d signature bytes", sign, len(rr.Pledge.Sig))
+		signed := sign || !named
+		if signed != (len(rr.Pledge.Sig) > 0) {
+			t.Fatalf("sign %v, stamp whole %v: the reply carries %d signature bytes", sign, !named, len(rr.Pledge.Sig))
 		}
 		rr.Pledge.Stamp.Version = stamp.Version
-		if sign && rr.completePledge(asked, sl.PublicKey()).VerifySig() != nil {
+		if signed && rr.completePledge(asked, sl.PublicKey()).VerifySig() != nil {
 			t.Fatal("the signature asked for does not verify over the answer")
 		}
 	})
@@ -531,8 +532,8 @@ func FuzzSlaveHandleRead(f *testing.F) {
 // request bodies, seeded with a statement the slave served, one it did
 // not, a lie it told, one another slave served and one at a version it
 // did not serve at. The invariants: no panic; whatever is signed is the
-// statement frame the request carried, the signature verifies under the
-// slave's key, and the slave served that statement.
+// statement the request's frame decodes to, the signature verifies under
+// the slave's key, and the slave served that statement.
 func FuzzSlaveHandleSign(f *testing.F) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
 	params := DefaultParams()
@@ -593,17 +594,19 @@ func FuzzSlaveHandleSign(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !served[string(body)] {
+		p, err := decodeStatement(wire.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A frame that decodes to a served statement, however it spells its
+		// varints, is that statement: the signature covers what it decodes to.
+		if !served[string(wire.EncodeFrame(p.appendStatement))] {
 			t.Fatalf("signed a statement the slave did not serve: %x", body)
 		}
 		r := wire.NewReader(resp)
 		sig := r.BytesView()
 		if err := r.Done(); err != nil {
 			t.Fatalf("the s.sign reply does not decode: %v", err)
-		}
-		p, err := decodeStatement(wire.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
 		}
 		p.SlavePub, p.Sig = sl.PublicKey(), sig
 		if err := p.VerifySig(); err != nil {

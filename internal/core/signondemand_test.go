@@ -133,23 +133,27 @@ func TestLiarRefusingToSignEndsLikeGarbage(t *testing.T) {
 	}
 }
 
-// servedStatement reads q at sl, asking no signature, and returns the
-// statement frame of its answer.
+// servedStatement reads q at sl under the stamp it holds, asking no
+// signature, and returns the statement frame of its answer, nil when the
+// read fails.
 func servedStatement(t *testing.T, sl *Slave, q query.Query) []byte {
 	t.Helper()
 	qb := query.Encode(q)
-	body, err := sl.Handle("client", MethodRead, encodeReadRequest(qb, nil, false))
+	held := sl.adoptedStamp()
+	body, err := sl.Handle("client", MethodRead, encodeReadRequest(qb, &held, false))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	rr, err := DecodeReadReply(body)
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	if len(rr.Pledge.Sig) != 0 {
-		t.Fatal("a reply nobody asked a signature for carries one")
+		t.Error("a reply nobody asked a signature for carries one")
 	}
-	rr.Pledge.Stamp.Version = sl.Version()
+	rr.Pledge.Stamp.Version = held.Version
 	return wire.EncodeFrame(rr.completePledge(qb, sl.PublicKey()).appendStatement)
 }
 
@@ -165,10 +169,12 @@ func askSign(sl *Slave, statement []byte) ([]byte, error) {
 }
 
 // TestSlaveSignsOnlyWhatItServed: an s.read that asks for no signature
-// makes none; s.sign then signs the statement served, once (the second
-// ask is a memo hit), and refuses one it did not serve, one at another
-// version and one another slave served. A lie it told is signed when
-// asked: a liar that signs is still convicted.
+// under the stamp the slave holds makes none; s.sign then signs the
+// statement served, once (the second ask is a memo hit), and refuses one
+// it did not serve, one at another version and one another slave served.
+// A read that names no stamp gets the stamp whole and the signature with
+// it. A lie it told is signed when asked: a liar that signs is still
+// convicted.
 func TestSlaveSignsOnlyWhatItServed(t *testing.T) {
 	r := newSlaveRig(t, Honest{})
 	other := newSlaveRig(t, Honest{})
@@ -207,6 +213,18 @@ func TestSlaveSignsOnlyWhatItServed(t *testing.T) {
 			if sig, err := askSign(r.slave, frame); !errors.Is(err, errNotServed) || sig != nil {
 				t.Errorf("%s statement: signed %x, err %v", name, sig, err)
 			}
+		}
+
+		qb := query.Encode(query.Get{Key: "k"})
+		body, err := r.slave.Handle("client", MethodRead, encodeReadRequest(qb, nil, false))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rr, err := DecodeReadReply(body)
+		if err != nil || len(rr.Pledge.Stamp.Sig) == 0 || rr.completePledge(qb, r.slave.PublicKey()).VerifySig() != nil {
+			t.Errorf("a read naming no stamp: err %v, stamp whole %v, %d signature bytes that do not verify",
+				err, len(rr.Pledge.Stamp.Sig) > 0, len(rr.Pledge.Sig))
 		}
 
 		r.slave.SetBehavior(AlwaysLie{})
@@ -257,9 +275,10 @@ func TestSigCacheServedEntryNeverTakesEvictedSig(t *testing.T) {
 
 // TestSlaveSignConcurrent runs readers that ask for no signature and then
 // ask s.sign for what they were served, beside batches that move the
-// version under them: every signature given verifies for the statement
-// asked, and every refusal is of a statement the bounded table no longer
-// holds — none while it holds them all. Run under -race (make race does,
+// version under them: a reply is signed exactly when its stamp moved past
+// the one the reader named, every signature given verifies for the
+// statement asked, and every refusal is of a statement the bounded table
+// no longer holds — none while it holds them all. Run under -race (make race does,
 // ten times).
 func TestSlaveSignConcurrent(t *testing.T) {
 	master := cryptoutil.DeriveKeyPair("master", 0)
@@ -303,13 +322,25 @@ func TestSlaveSignConcurrent(t *testing.T) {
 				default:
 				}
 				asked := query.Encode(query.Get{Key: fmt.Sprintf("key-%d-%d", g, i%64)})
-				body, err := sl.Handle("client", MethodRead, encodeReadRequest(asked, nil, false))
+				held := sl.adoptedStamp()
+				if held.Sig == nil {
+					continue // no stamp before the first batch
+				}
+				body, err := sl.Handle("client", MethodRead, encodeReadRequest(asked, &held, false))
 				if err != nil {
-					continue // no stamp before the first batch: ErrStale
+					continue // a batch applied and its stamp not adopted yet: ErrStale
 				}
 				rr, err := DecodeReadReply(body)
-				if err != nil || len(rr.Pledge.Sig) != 0 || rr.Pledge.Stamp.Verify(trusted) != nil {
-					t.Errorf("reply: %v, %d signature bytes nobody asked for", err, len(rr.Pledge.Sig))
+				if err != nil {
+					t.Errorf("reply: %v", err)
+					return
+				}
+				whole := len(rr.Pledge.Stamp.Sig) > 0
+				if !whole {
+					rr.Pledge.Stamp = held
+				}
+				if whole != (len(rr.Pledge.Sig) > 0) || rr.Pledge.Stamp.Verify(trusted) != nil {
+					t.Errorf("reply: stamp whole %v, %d signature bytes", whole, len(rr.Pledge.Sig))
 					return
 				}
 				p := rr.completePledge(asked, sl.PublicKey())

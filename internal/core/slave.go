@@ -55,15 +55,15 @@ type SlaveConfig struct {
 
 // Slave holds a copy of the content and executes read queries, standing
 // behind every answer with a pledge (§3.2) that it signs when asked: in
-// the request (s.read's sign flag) or afterwards (s.sign), for exactly
-// the statements it served. Its master announces each
-// committed batch by the batch's stamp on a keep-alive, and the slave
-// fetches what it is missing through m.sync and applies it strictly in
-// version order. It refuses reads when its latest stamp is older than
-// max_latency (§3.1: a correct slave "should stop handling user requests
-// until they are back in sync"). Everything its master sends it — a
-// keep-alive, a sync reply, a bootstrap — reaches the replica through one
-// ingest, adoptTransferLocked.
+// the request (s.read's sign flag, or a stamp reference it no longer
+// answers under) or afterwards (s.sign), for exactly the statements it
+// served. Its master announces each committed batch by the batch's stamp
+// on a keep-alive, and the slave fetches what it is missing through m.sync
+// and applies it strictly in version order. It refuses reads when its
+// latest stamp is older than max_latency (§3.1: a correct slave "should
+// stop handling user requests until they are back in sync"). Everything
+// its master sends it — a keep-alive, a sync reply, a bootstrap — reaches
+// the replica through one ingest, adoptTransferLocked.
 type Slave struct {
 	cfg SlaveConfig
 	rt  sim.Runtime
@@ -326,10 +326,10 @@ func (s *Slave) syncFrom(masterAddr string) error {
 
 // ReadReply is the slave's answer to a read: the result payload plus the
 // pledge. On the wire (EncodeReadReply) it is bytes payload ‖ bool full ‖
-// [stamp] ‖ bytes sig ‖ bool xlie: the pledge's signature when the asker
-// asked for it (else empty), the stamp only when the asker does not hold
-// it already (full), and nothing else the
-// client holds — its own query, the hash of the payload, the key of the
+// [stamp] ‖ bytes sig ‖ bool xlie: the stamp only when the asker does
+// not hold it already (full), the pledge's signature when the asker asked
+// for it or the stamp is full (else empty), and nothing else the client
+// holds — its own query, the hash of the payload, the key of the
 // slave it asked — so a decoded reply's pledge carries at most Stamp and
 // Sig, and Client.checkReply fills in the rest. XLie is experiment
 // instrumentation only — it records the ground truth of whether this
@@ -349,7 +349,7 @@ const stampRefLen = 8
 // bool sign, where ref is empty or the first stampRefLen bytes of the
 // master signature on held, the stamp the asker last verified from that
 // slave. The slave leaves a stamp the request names out of its reply, and
-// signs the pledge only when sign is set.
+// signs the pledge when sign is set or the stamp goes whole.
 func encodeReadRequest(queryBytes []byte, held *VersionStamp, sign bool) []byte {
 	var ref []byte
 	if held != nil {
@@ -462,11 +462,14 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 	hash := cryptoutil.HashBytes(payload)
 
 	// Recorded as served, so s.sign may sign it later, and signed now only
-	// when asked: once per distinct (query, result hash, version), a repeat
-	// getting those bytes again beside the current stamp; a lie has its own
-	// hash.
+	// when asked: by the sign flag, or by a ref that does not name the
+	// stamp, which then travels whole at a version the asker could not
+	// place when it asked. Signed once per distinct (query, result hash,
+	// version), a repeat getting those bytes again beside the current
+	// stamp; a lie has its own hash.
+	held := len(ref) == stampRefLen && bytes.HasPrefix(stamp.Sig, ref)
 	pledge := Pledge{QueryBytes: queryBytes, ResultHash: hash, Stamp: stamp, SlavePub: s.cfg.Keys.Public}
-	s.pledges.signPledge(&pledge, true, sign, s.cfg.Keys, s.meter)
+	s.pledges.signPledge(&pledge, true, sign || !held, s.cfg.Keys, s.meter)
 	s.meter.Reply()
 
 	s.mu.Lock()
@@ -475,9 +478,9 @@ func (s *Slave) handleRead(body []byte) ([]byte, error) {
 		s.stats.ReadsLied++
 	}
 	s.mu.Unlock()
-	// The asker holds the stamp the pledge was signed against: it is left
+	// The asker holds the stamp the pledge is made against: it is left
 	// out, and the asker completes the reply from its own copy.
-	if len(ref) == stampRefLen && bytes.HasPrefix(stamp.Sig, ref) {
+	if held {
 		pledge.Stamp.Sig = nil
 	}
 	return EncodeReadReply(ReadReply{Payload: payload, Pledge: pledge, XLie: lied}), nil

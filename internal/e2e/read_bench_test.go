@@ -85,12 +85,14 @@ func BenchmarkTCPRead(b *testing.B) {
 }
 
 // TestTCPReadWireBytes holds BenchmarkTCPRead's wire figure under go
-// test: 200 point reads the auditor vouches for forward each read's
-// statement and never the slave's key or signature, so no a.pledge
-// request on them is larger than 48 bytes, and the client sends and
-// receives at most 62 bytes per read (≈ 50; ≈ 112 when every s.read
-// reply carried the slave's signature, 209 when every forward carried the
-// whole evidence frame too).
+// test: 200 point reads the auditor vouches for. The first gets the
+// slave's stamp whole and signed, at a version newer than any the auditor
+// vouched for the client, and forwards its evidence at once; every later
+// one forwards only its statement, never the slave's key or signature, so
+// no a.pledge request on them is larger than 48 bytes. The client sends
+// and receives at most 62 bytes per read, the first included (≈ 52; ≈ 112
+// when every s.read reply carried the slave's signature, 209 when every
+// forward carried the whole evidence frame too).
 func TestTCPReadWireBytes(t *testing.T) {
 	const reads, maxPledge, maxPerRead = 200, 48, 62
 	d, c, dlr := tcpReader(t)
@@ -101,6 +103,11 @@ func TestTCPReadWireBytes(t *testing.T) {
 	for i := 0; i < reads; i++ {
 		if _, err := c.Read(q); err != nil {
 			t.Fatal(err)
+		}
+		if i == 0 {
+			if got := dlr.largestPledge.Swap(0); got <= maxPledge {
+				t.Errorf("the first read's a.pledge request carries %d bytes: want its evidence, more than %d", got, maxPledge)
+			}
 		}
 	}
 	st := c.Stats()
@@ -120,9 +127,9 @@ func TestTCPReadWireBytes(t *testing.T) {
 // TestTCPScanWireBytes is TestTCPReadWireBytes for scans: tcpReader's
 // deployment gains ten catalog keys in one batch, and 200 vouched
 // Range{Limit: 10} reads over them cost the client at most 177 bytes each
-// (≈ 164, the ten keys front-coded and no slave signature; ≈ 227 with the
-// signature in every reply, ≈ 326 with every key of the answer whole as
-// well).
+// (≈ 166, the ten keys front-coded and no slave signature after the first
+// read; ≈ 227 with the signature in every reply, ≈ 326 with every key of
+// the answer whole as well).
 func TestTCPScanWireBytes(t *testing.T) {
 	const reads, maxPerRead = 200, 177
 	d, c, dlr := tcpReader(t)

@@ -204,7 +204,7 @@ func E1ReadCost(seed int64, scale Scale) *metrics.Table {
 	}
 
 	t.Note("ours: untrusted work stays ~1 exec/read; trusted work = p + audit, tunable below 1")
-	t.Note("ours: a slave signs a pledge only when its client asks: on every read under a sampled audit, on none the full audit vouches for")
+	t.Note("ours: a slave signs a pledge only when its client asks: on every read under a sampled audit, under a full audit only on a reply that brings its stamp whole")
 	t.Note("SMR: every read costs 2f+1 signed executions; state signing: every dynamic read runs on trusted CPU")
 	return t
 }
