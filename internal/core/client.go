@@ -998,7 +998,9 @@ func (c *Client) reportPledge(g *group, sl *slaveAssignment, p *Pledge) error {
 // the evidence (pledgeEvidence), because a frame disagrees with its view
 // or is ahead of delivery, each slave that did not sign its reply is asked
 // for its signature (s.sign) and the read's evidence frames follow in a
-// second call, once. Under full audit a read whose replies all came signed
+// second call, once. A slave that refuses leaves its frame unsigned: the
+// auditor drops that frame as a bad signature and still convicts a signed
+// lie beside it, and the read fails with ErrBadPledge. Under full audit a read whose replies all came signed
 // and one of which is at a version newer than vouched, the newest the
 // auditor vouched for this client, may be ahead of the auditor's delivery,
 // where the auditor would ask for the evidence: it sends the evidence
@@ -1017,12 +1019,16 @@ func (c *Client) forwardPledges(g *group, assigns []*slaveAssignment, replies []
 	}
 	ack, err := c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(form, replies), c.cfg.Params.ReadTimeout)
 	if err == nil && form == pledgeFormStatement && bytes.Equal(ack, pledgeEvidence) {
+		var refused error
 		for i := range replies {
-			if err := c.fetchSignature(assigns[i], &replies[i].Pledge); err != nil {
-				return false, c.checked(err)
+			if err := c.fetchSignature(assigns[i], &replies[i].Pledge); err != nil && refused == nil {
+				refused = err
 			}
 		}
 		ack, err = c.dlr.CallTimeout(g.auditor, MethodPledge, encodePledgeBody(pledgeFormEvidence, replies), c.cfg.Params.ReadTimeout)
+		if refused != nil {
+			return false, c.checked(refused)
+		}
 	}
 	vouch := err == nil && bytes.Equal(ack, pledgeVouch)
 	if vouch {

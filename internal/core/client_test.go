@@ -998,26 +998,27 @@ func TestClientVouchGarbageSignatureRefused(t *testing.T) {
 
 // TestClientVouchReplyByte: only the exact one-byte vouch stands in for
 // the pledge signature. The slave's answer is right but its signature is
-// garbage, so every other ack leaves the read refused. The read makes one
-// attempt, with one a.pledge call, and two on pledgeEvidence (0x02): the
-// scripted auditor answers the evidence the same way, and the read is
-// refused after that one round trip more.
+// garbage, so every other ack leaves the read refused, after every retry.
+// The first attempt, which asks no signature up front, sends the statement
+// form and, on pledgeEvidence (0x02), the evidence form once more: the
+// scripted auditor answers the evidence the same way, and the attempt is
+// refused after that one round trip more. Each retry holds a stamp newer
+// than any vouched version, so it asks for the signature up front and
+// sends the evidence form at once, in one a.pledge call.
 func TestClientVouchReplyByte(t *testing.T) {
 	for _, tc := range []struct {
 		ack    []byte
 		accept bool
-		calls  int // a.pledge calls per attempt
 	}{
-		{nil, false, 1},
-		{[]byte{}, false, 1},
-		{[]byte{0x00}, false, 1},
-		{[]byte{0x02}, false, 2},
-		{[]byte{0xff}, false, 1},
-		{[]byte{0x01, 0x01}, false, 1},
-		{[]byte{0x01}, true, 1},
+		{nil, false},
+		{[]byte{}, false},
+		{[]byte{0x00}, false},
+		{[]byte{0x02}, false},
+		{[]byte{0xff}, false},
+		{[]byte{0x01, 0x01}, false},
+		{[]byte{0x01}, true},
 	} {
 		r := newClientRig(t)
-		r.client.cfg.Params.MaxReadRetries = 0
 		r.ack = tc.ack
 		r.mutate = func(rr *ReadReply) {
 			rr.Pledge.Sig = bytes.Clone(rr.Pledge.Sig)
@@ -1031,16 +1032,27 @@ func TestClientVouchReplyByte(t *testing.T) {
 		})
 		r.s.Run()
 		st := r.client.Stats()
-		if len(r.forwarded) != tc.calls*int(st.PledgesSent) {
-			t.Errorf("ack %x: %d a.pledge calls for %d attempts, want %d each", tc.ack, len(r.forwarded), st.PledgesSent, tc.calls)
+		want := []byte{pledgeFormStatement}
+		if bytes.Equal(tc.ack, pledgeEvidence) {
+			want = append(want, pledgeFormEvidence)
+		}
+		for range st.PledgesSent - 1 {
+			want = append(want, pledgeFormEvidence)
+		}
+		var forms []byte
+		for _, body := range r.forwarded {
+			forms = append(forms, body[0])
+		}
+		if !bytes.Equal(forms, want) {
+			t.Errorf("ack %x: a.pledge forms %v for %d attempts, want %v", tc.ack, forms, st.PledgesSent, want)
 		}
 		if tc.accept {
-			if err != nil || st.ReadsAccepted != 1 || st.PledgesVerified != 0 {
+			if err != nil || st.ReadsAccepted != 1 || st.PledgesVerified != 0 || st.PledgesSent != 1 {
 				t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
 			}
 			continue
 		}
-		if err == nil || st.ReadsAccepted != 0 || st.BadPledges == 0 {
+		if err == nil || st.ReadsAccepted != 0 || st.BadPledges != st.PledgesSent || st.PledgesSent != uint64(r.params.MaxReadRetries)+1 {
 			t.Errorf("ack %x: err %v, %+v", tc.ack, err, st)
 		}
 	}

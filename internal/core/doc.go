@@ -311,7 +311,12 @@
 // nobody (the auditor drops it as PledgesBadSig, the client retries as
 // ErrBadPledge), and a refused s.sign ends the same way — ErrBadPledge, no
 // read accepted, no report, no exclusion
-// (TestLiarRefusingToSignEndsLikeGarbage). Either way a lie is accepted
+// (TestLiarRefusingToSignEndsLikeGarbage). A refusal shields no other
+// liar: when K slaves tell one lie and one refuses, the evidence still
+// goes out with that frame unsigned, the auditor drops it as a bad
+// signature and convicts each slave that signed, as beside a garbage
+// signature (TestAgreeingLiarRefusingToSignLeavesTheSignerConvicted).
+// Either way a lie is accepted
 // only under a verified signature, so every accepted lie stays provable;
 // what a slave that will not sign buys is a failed read, which a slave
 // could always buy by not answering. An honest slave refuses only a

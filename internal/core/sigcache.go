@@ -51,13 +51,13 @@ import (
 // Memo capacities, in entries, one per use. A stamp memo is only ever
 // asked about the few stamps current at once. The pledge table holds a
 // working set of queries at one content version: an entry is 20 bytes,
-// and 85 once the table has signed anything, and a signature asked for
+// and 84 once the table has signed anything, and a signature asked for
 // but missing costs a sign (≈ 29 µs on the benchmark host's ledger). It
 // is also the window in which a client can still ask s.sign for what it
 // was served. A live table byte costs two at the collector's heap goal.
 const (
 	stampMemoSize      = 256  // 5 KB
-	pledgeSignMemoSize = 8192 // 160 KB, 680 KB once signing
+	pledgeSignMemoSize = 8192 // 160 KB, 672 KB once signing
 
 	sigCacheWays = 8 // slots per set, searched linearly, most recently used first
 )
@@ -75,17 +75,13 @@ type sigCache struct {
 
 	mu   sync.Mutex
 	keys []cryptoutil.Digest // guarded by mu; the zero digest marks an empty slot
-	sigs []sigSlot           // guarded by mu; beside keys once a signer signed, nil at a verifier
+	// sigs is guarded by mu: beside keys once a signer signed, nil at a
+	// verifier. The zero signature marks a body served and not signed yet;
+	// an entry that replaces another starts with it, so it never hands out
+	// the signature of the one it evicted.
+	sigs [][ed25519.SignatureSize]byte
 
 	hits, misses uint64 // guarded by mu
-}
-
-// sigSlot is a signer's entry beside its key: the signature, or nothing
-// yet for a body served and not signed. An entry that replaces another
-// starts empty, so it never hands out the signature of the one it evicted.
-type sigSlot struct {
-	sig    [ed25519.SignatureSize]byte
-	signed bool
 }
 
 // newSigCache returns an empty memo of size entries, one of the
@@ -102,28 +98,28 @@ func (c *sigCache) findLocked(key cryptoutil.Digest) (set, j int) {
 	return set, slices.Index(c.keys[set:set+sigCacheWays], key)
 }
 
-// lookup reports whether key is in the memo, counting the hit or miss. A
-// signer's table also returns a copy of the signature.
-func (c *sigCache) lookup(key cryptoutil.Digest) (sig []byte, hit bool) {
+// lookup reports whether key is in a verifier's memo, counting the hit
+// or miss.
+func (c *sigCache) lookup(key cryptoutil.Digest) (hit bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set, j := c.findLocked(key)
 	if j < 0 {
 		c.misses++
-		return nil, false
+		return false
 	}
 	c.hits++
 	c.frontLocked(set, j)
-	return c.sigLocked(set), true
+	return true
 }
 
 // sigLocked returns a copy of the signature of the entry at i, nil when
 // it has none. Caller holds c.mu.
 func (c *sigCache) sigLocked(i int) []byte {
-	if c.sigs == nil || !c.sigs[i].signed {
+	if c.sigs == nil || c.sigs[i] == [ed25519.SignatureSize]byte{} {
 		return nil
 	}
-	return bytes.Clone(c.sigs[i].sig[:])
+	return bytes.Clone(c.sigs[i][:])
 }
 
 // insert adds key, with sig at a signer and nil at a verifier, over the
@@ -133,15 +129,14 @@ func (c *sigCache) insert(key cryptoutil.Digest, sig []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if sig != nil && c.sigs == nil {
-		c.sigs = make([]sigSlot, c.size)
+		c.sigs = make([][ed25519.SignatureSize]byte, c.size)
 	}
 	set, j := c.findLocked(key)
 	if j < 0 {
 		j = c.addLocked(set, key)
 	}
 	if sig != nil {
-		c.sigs[set+j] = sigSlot{signed: true}
-		copy(c.sigs[set+j].sig[:], sig)
+		copy(c.sigs[set+j][:], sig)
 	}
 	c.frontLocked(set, j)
 }
@@ -155,15 +150,17 @@ func (c *sigCache) addLocked(set int, key cryptoutil.Digest) int {
 	j := sigCacheWays - 1
 	c.keys[set+j] = key
 	if c.sigs != nil {
-		c.sigs[set+j] = sigSlot{}
+		c.sigs[set+j] = [ed25519.SignatureSize]byte{}
 	}
 	return j
 }
 
-// recall finds key at a signer without counting: the entry's signature
-// (nil when it has none) and whether it is there. With serve, a key that
-// is not there is added, with no signature.
-func (c *sigCache) recall(key cryptoutil.Digest, serve bool) (sig []byte, found bool) {
+// recall finds key at a signer: the entry's signature (nil when it has
+// none) and whether it is there. With serve, a key that is not there is
+// added, with no signature. With sign, an entry found counts a hit when
+// it has its signature and a miss when it has none, which the caller then
+// makes.
+func (c *sigCache) recall(key cryptoutil.Digest, serve, sign bool) (sig []byte, found bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set, j := c.findLocked(key)
@@ -171,11 +168,16 @@ func (c *sigCache) recall(key cryptoutil.Digest, serve bool) (sig []byte, found 
 		if !serve {
 			return nil, false
 		}
-		c.frontLocked(set, c.addLocked(set, key))
-		return nil, true
+		j = c.addLocked(set, key)
 	}
 	c.frontLocked(set, j)
-	return c.sigLocked(set), true
+	sig = c.sigLocked(set)
+	if sign && sig != nil {
+		c.hits++
+	} else if sign {
+		c.misses++
+	}
+	return sig, true
 }
 
 // frontLocked moves the set's entry j to its front; the entries that were
@@ -210,7 +212,7 @@ func (c *sigCache) signPledge(p *Pledge, serve, sign bool, signer *cryptoutil.Ke
 		}
 		key := cryptoutil.HashBytes(body)
 		var sig []byte
-		if sig, found = c.recall(key, serve); !found || !sign {
+		if sig, found = c.recall(key, serve, sign); !found || !sign {
 			return
 		}
 		if sig == nil {
@@ -218,22 +220,9 @@ func (c *sigCache) signPledge(p *Pledge, serve, sign bool, signer *cryptoutil.Ke
 			c.insert(key, sig)
 		}
 		p.Sig = sig
-		c.count(!signed)
 	})
 	m.Memoised(!signed, m.Sign)
 	return found
-}
-
-// count counts one signature asked of a signer: a hit when it was made
-// before, a miss when it was made now.
-func (c *sigCache) count(hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
 }
 
 // verify checks sig over the signed body that appendBody writes under pub,
@@ -253,7 +242,7 @@ func (c *sigCache) verify(pub cryptoutil.PublicKey, appendBody func(*wire.Writer
 			return
 		}
 		key := cryptoutil.HashBytes(b)
-		if _, hit = c.lookup(key); hit {
+		if hit = c.lookup(key); hit {
 			return
 		}
 		if err = cryptoutil.Verify(pub, b[:n], sig); err == nil {

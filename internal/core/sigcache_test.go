@@ -203,7 +203,7 @@ func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	lru.lookup(setKey(0)) // the oldest insert is now the most recently used
 	lru.insert(setKey(sigCacheWays), nil)
 	for i, want := range []bool{true, false, true} {
-		if _, hit := lru.lookup(setKey(i)); hit != want {
+		if hit := lru.lookup(setKey(i)); hit != want {
 			t.Errorf("after one insert into a full set, entry %d: hit=%v, want %v", i, hit, want)
 		}
 	}
@@ -221,13 +221,13 @@ func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
 		const extra = 3
 		for i := 0; i < sigCacheWays+extra; i++ {
 			insert(i)
-			if sig, hit := c.lookup(setKey(i)); !hit || (signer && !bytes.Equal(sig, sigOf(i))) {
+			if sig, hit := c.recall(setKey(i), false, false); !hit || (signer && !bytes.Equal(sig, sigOf(i))) {
 				t.Fatalf("signer=%v: entry %d not found right after its insert (sig %x)", signer, i, sig)
 			}
 		}
 		live := 0
 		for i := 0; i < sigCacheWays+extra; i++ {
-			sig, hit := c.lookup(setKey(i))
+			sig, hit := c.recall(setKey(i), false, false)
 			if hit {
 				live++
 			}
@@ -242,7 +242,7 @@ func TestSigCacheEvictsLeastRecentlyUsed(t *testing.T) {
 		if c.entries() != sigCacheWays {
 			t.Errorf("signer=%v: a re-insert changed the occupancy to %d", signer, c.entries())
 		}
-		if _, hit := c.lookup(cryptoutil.Digest{}); hit {
+		if _, hit := c.recall(cryptoutil.Digest{}, false, false); hit {
 			t.Error("the zero digest, which marks an empty slot, was found")
 		}
 	}
@@ -276,7 +276,7 @@ func TestSigCacheBounded(t *testing.T) {
 				go func(g int) {
 					defer wg.Done()
 					for i := g; i < n; i += workers {
-						if _, hit := c.lookup(key(i)); hit {
+						if hit := c.lookup(key(i)); hit {
 							t.Errorf("key %d found before it was inserted", i)
 						}
 						c.insert(key(i), sig)
@@ -295,10 +295,10 @@ func TestSigCacheBounded(t *testing.T) {
 				t.Fatalf("memo holds %d entries after %d inserts, want it full at %d", got, n, kind.size)
 			}
 			c.insert(key(n), sig)
-			if _, hit := c.lookup(key(n)); !hit {
+			if hit := c.lookup(key(n)); !hit {
 				t.Fatal("a full memo did not take a new key")
 			}
-			if _, hit := c.lookup(key(0)); hit {
+			if hit := c.lookup(key(0)); hit {
 				t.Fatal("oldest key survived 10x the capacity in insertions")
 			}
 			if kind.signer {

@@ -31,18 +31,24 @@ const (
 func (st sigTamper) String() string { return [...]string{"signs when asked", "refuses", "garbage"}[st] }
 
 // tamperDialer is a client's dialer that applies tamper to every slave
-// signature on its way to the client.
+// signature on its way to the client, or only to those of the slave at
+// only when it is set.
 type tamperDialer struct {
 	rpc.Dialer
 	tamper sigTamper
+	only   string
 }
 
 func (d tamperDialer) CallTimeout(addr, method string, body []byte, timeout time.Duration) ([]byte, error) {
-	if method == MethodSign && d.tamper == sigsRefused {
+	tamper := d.tamper
+	if d.only != "" && addr != d.only {
+		tamper = sigsPassed
+	}
+	if method == MethodSign && tamper == sigsRefused {
 		return nil, errors.New("s.sign refused")
 	}
 	resp, err := d.Dialer.CallTimeout(addr, method, body, timeout)
-	if err != nil || d.tamper == sigsPassed {
+	if err != nil || tamper == sigsPassed {
 		return resp, err
 	}
 	switch method {
@@ -52,7 +58,7 @@ func (d tamperDialer) CallTimeout(addr, method string, body []byte, timeout time
 			return nil, err
 		}
 		switch {
-		case d.tamper == sigsRefused:
+		case tamper == sigsRefused:
 			rr.Pledge.Sig = nil
 		case len(rr.Pledge.Sig) > 0:
 			rr.Pledge.Sig = garbageSig()
@@ -130,6 +136,55 @@ func TestLiarRefusingToSignEndsLikeGarbage(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAgreeingLiarRefusingToSignLeavesTheSignerConvicted: two slaves
+// read together (KSlaves 2) tell the same lie, so the client accepts on
+// the auditor's word; the auditor asks for the evidence. One slave signs
+// its lie when asked, the other refuses s.sign or gives garbage. Either
+// way the evidence goes out, the auditor drops the unsigned frame as a bad
+// signature and convicts the signer, and no lie is accepted: a refusal
+// shields no other liar, as a garbage signature shields none.
+func TestAgreeingLiarRefusingToSignLeavesTheSignerConvicted(t *testing.T) {
+	for _, tamper := range []sigTamper{sigsRefused, sigsGarbage} {
+		t.Run(tamper.String(), func(t *testing.T) {
+			s := sim.New(7)
+			o := defaultOpts()
+			o.nMasters, o.slavesPerM = 1, 2
+			o.slaveBehaviors = map[int]Behavior{0: AlwaysLie{}, 1: AlwaysLie{}}
+			c := newTestCluster(t, s, o)
+			cl := c.addClient(t, 0, func(cc *ClientConfig) {
+				cc.KSlaves = 2
+				cc.Params.DoubleCheckP = 0
+			})
+			signer, refuser := c.slaves[0], c.slaves[1]
+			cl.dlr = tamperDialer{Dialer: cl.dlr, tamper: tamper, only: refuser.Addr()}
+			var readErr error
+			s.Go(func() {
+				s.Sleep(c.warmup())
+				if err := cl.Setup(); err != nil {
+					t.Errorf("setup: %v", err)
+					return
+				}
+				_, readErr = cl.Read(mustQuery(t, "catalog/001"))
+			})
+			s.RunUntil(sim.Epoch.Add(30 * time.Second))
+
+			st, ast, mst := cl.Stats(), c.auditor.Stats(), c.masters[0].Stats()
+			t.Logf("read err %v; client %+v; auditor mismatches %d, bad sigs %d, reports %d; exclusions %d",
+				readErr, st, ast.Mismatches, ast.PledgesBadSig, ast.ReportsSent, mst.Exclusions)
+			if !c.dir.IsExcluded(c.owner.Public, signer.PublicKey()) || ast.Mismatches == 0 || ast.ReportsSent == 0 {
+				t.Fatalf("the liar that signs was not convicted: %d mismatches, %d reports", ast.Mismatches, ast.ReportsSent)
+			}
+			if c.dir.IsExcluded(c.owner.Public, refuser.PublicKey()) || mst.Exclusions != 1 || ast.PledgesBadSig == 0 {
+				t.Fatalf("the liar with no valid signature: excluded %v, %d exclusions, %d bad signatures",
+					c.dir.IsExcluded(c.owner.Public, refuser.PublicKey()), mst.Exclusions, ast.PledgesBadSig)
+			}
+			if readErr == nil || st.ReadsAccepted != 0 || st.LiesAccepted != 0 {
+				t.Fatalf("a lie with no valid signature beside it was accepted: %v, %+v", readErr, st)
+			}
+		})
 	}
 }
 
@@ -254,12 +309,12 @@ func TestSigCacheServedEntryNeverTakesEvictedSig(t *testing.T) {
 		c.insert(setKey(i), sigOf(i))
 	}
 	for i := sigCacheWays; i < 2*sigCacheWays; i++ {
-		if sig, found := c.recall(setKey(i), true); !found || sig != nil {
+		if sig, found := c.recall(setKey(i), true, false); !found || sig != nil {
 			t.Fatalf("served entry %d: found %v with signature %x", i, found, sig)
 		}
 	}
 	for i := 0; i < 2*sigCacheWays; i++ {
-		sig, found := c.recall(setKey(i), false)
+		sig, found := c.recall(setKey(i), false, false)
 		if i < sigCacheWays && found {
 			t.Errorf("signed entry %d survived a full set of newer ones", i)
 		}
@@ -268,7 +323,7 @@ func TestSigCacheServedEntryNeverTakesEvictedSig(t *testing.T) {
 		}
 	}
 	c.insert(setKey(sigCacheWays), sigOf(sigCacheWays))
-	if sig, _ := c.recall(setKey(sigCacheWays), false); !bytes.Equal(sig, sigOf(sigCacheWays)) {
+	if sig, _ := c.recall(setKey(sigCacheWays), false, false); !bytes.Equal(sig, sigOf(sigCacheWays)) {
 		t.Errorf("a served entry signed later came back with %x", sig)
 	}
 }
